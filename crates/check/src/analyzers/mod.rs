@@ -9,6 +9,7 @@ pub mod lock_poison;
 pub mod no_panic;
 pub mod persist_ordering;
 pub mod spans;
+pub mod unsafe_confined;
 pub mod wire;
 
 use crate::workspace::Workspace;
@@ -26,4 +27,5 @@ pub fn run_all(ws: &Workspace, out: &mut Vec<crate::findings::Finding>) {
     counters::run(ws, out);
     spans::run(ws, out);
     persist_ordering::run(ws, out);
+    unsafe_confined::run(ws, out);
 }

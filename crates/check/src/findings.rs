@@ -31,12 +31,16 @@ pub enum Lint {
     /// L8: an in-place stripe write-back (`.write_sector(…)`) in
     /// `crates/store` outside the journaled commit path.
     PersistOrdering,
+    /// L9: `unsafe` outside `crates/gf/src/simd.rs`, an `unsafe` inside
+    /// it without a `// SAFETY:` comment, or a library crate root without
+    /// its `unsafe_code` attribute.
+    UnsafeConfined,
     /// A baseline entry that no current finding matches.
     StaleBaseline,
 }
 
 /// Every lint, in reporting order.
-pub const ALL_LINTS: [Lint; 10] = [
+pub const ALL_LINTS: [Lint; 11] = [
     Lint::LockPoison,
     Lint::NoPanicInLib,
     Lint::IndexInLib,
@@ -46,6 +50,7 @@ pub const ALL_LINTS: [Lint; 10] = [
     Lint::CounterDiscipline,
     Lint::SpanDiscipline,
     Lint::PersistOrdering,
+    Lint::UnsafeConfined,
     Lint::StaleBaseline,
 ];
 
@@ -62,6 +67,7 @@ impl Lint {
             Lint::CounterDiscipline => "counter-discipline",
             Lint::SpanDiscipline => "span-discipline",
             Lint::PersistOrdering => "persist-ordering",
+            Lint::UnsafeConfined => "unsafe-confined",
             Lint::StaleBaseline => "stale-baseline",
         }
     }
@@ -76,11 +82,14 @@ impl Lint {
             Lint::CounterDiscipline => Some("metric-ok"),
             Lint::SpanDiscipline => Some("span-ok"),
             Lint::PersistOrdering => Some("persist-ok"),
-            // Wire/doc/error coherence and baseline freshness are
-            // workspace-level facts; a site comment cannot waive them.
-            Lint::WireConstants | Lint::ErrorConversions | Lint::DocDrift | Lint::StaleBaseline => {
-                None
-            }
+            // Wire/doc/error coherence, where `unsafe` may live, and
+            // baseline freshness are workspace-level facts; a site
+            // comment cannot waive them.
+            Lint::WireConstants
+            | Lint::ErrorConversions
+            | Lint::DocDrift
+            | Lint::UnsafeConfined
+            | Lint::StaleBaseline => None,
         }
     }
 
@@ -108,6 +117,10 @@ impl Lint {
             Lint::PersistOrdering => {
                 "in crates/store, sectors are written in place only from the journaled commit \
                  path (write_back_cells / apply_write_back / replay_journal)"
+            }
+            Lint::UnsafeConfined => {
+                "`unsafe` lives only in crates/gf/src/simd.rs, each use under a `// SAFETY:` \
+                 comment; every other library crate root keeps `#![forbid(unsafe_code)]`"
             }
             Lint::StaleBaseline => "check.allow entries must match a current finding",
         }

@@ -12,6 +12,8 @@
 //! Driver: `cargo run -p stair-check -- [--json] [--deny <lint>]
 //! [--allow <lint>] [--baseline <path>] <workspace-root>`.
 
+#![forbid(unsafe_code)]
+
 pub mod analyzers;
 pub mod baseline;
 pub mod findings;

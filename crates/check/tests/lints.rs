@@ -372,6 +372,72 @@ fn journaled_waived_and_test_writes_stay_clean() {
     assert!(r.waivers.iter().any(|w| w.key == "persist-ok"));
 }
 
+// ---- L9 unsafe-confined --------------------------------------------
+
+const SIMD_RS: &str = "crates/gf/src/simd.rs";
+const GF_ROOT: (&str, &str) = ("crates/gf/src/lib.rs", "#![deny(unsafe_code)]\nmod simd;\n");
+
+#[test]
+fn unsafe_outside_the_simd_module_is_flagged_everywhere() {
+    let bad = fixture("unsafe_bad.rs");
+    // Library, binary, integration-test and bench code alike; the SAFETY
+    // comment and the `# Safety` docs in the fixture buy nothing here.
+    for rel in [
+        "crates/net/src/frame.rs",
+        "crates/gf/src/gf8.rs",
+        "crates/cli/src/main.rs",
+        "crates/store/tests/io.rs",
+        "crates/bench/benches/k.rs",
+    ] {
+        let r = run_ws(&[(rel, &bad)]);
+        let hits = of(&r, Lint::UnsafeConfined);
+        assert_eq!(hits.len(), 3, "{rel}: {hits:?}");
+        assert!(hits.iter().all(|h| h.starts_with(rel)));
+        assert_ne!(r.exit_code(), 0);
+    }
+}
+
+#[test]
+fn library_crate_roots_must_carry_the_unsafe_code_attribute() {
+    let near = fixture("unsafe_near_miss.rs");
+    // `forbid` everywhere...
+    let r = run_ws(&[("crates/net/src/lib.rs", &near), GF_ROOT]);
+    assert_eq!(of(&r, Lint::UnsafeConfined), Vec::<String>::new());
+    // ...a root without it is a finding...
+    let r = run_ws(&[("crates/net/src/lib.rs", "pub fn f() {}\n")]);
+    let hits = of(&r, Lint::UnsafeConfined);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert!(hits[0].contains("forbid(unsafe_code)"));
+    // ...and the gf root, which hosts the one module, needs `deny`.
+    let r = run_ws(&[("crates/gf/src/lib.rs", &near)]);
+    let hits = of(&r, Lint::UnsafeConfined);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert!(hits[0].contains("deny(unsafe_code)"));
+}
+
+#[test]
+fn the_word_unsafe_in_comments_strings_and_names_stays_clean() {
+    let near = fixture("unsafe_near_miss.rs");
+    let r = run_ws(&[("crates/net/src/frame.rs", &near)]);
+    assert_eq!(of(&r, Lint::UnsafeConfined), Vec::<String>::new());
+}
+
+#[test]
+fn inside_the_simd_module_every_unsafe_needs_its_safety_comment() {
+    let good = fixture("unsafe_simd_good.rs");
+    let r = run_ws(&[(SIMD_RS, &good), GF_ROOT]);
+    assert_eq!(of(&r, Lint::UnsafeConfined), Vec::<String>::new());
+
+    let bad = fixture("unsafe_simd_bad.rs");
+    let r = run_ws(&[(SIMD_RS, &bad), GF_ROOT]);
+    let hits = of(&r, Lint::UnsafeConfined);
+    assert_eq!(hits.len(), 3, "{hits:?}");
+    for line in [6, 13, 17] {
+        let at = format!("{SIMD_RS}:{line} ");
+        assert!(hits.iter().any(|h| h.starts_with(&at)), "{at}: {hits:?}");
+    }
+}
+
 // ---- baseline ------------------------------------------------------
 
 #[test]

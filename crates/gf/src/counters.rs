@@ -25,10 +25,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static MULT_XORS: AtomicU64 = AtomicU64::new(0);
 static REGION_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Records one `Mult_XOR` over `bytes` bytes. Called by the region kernels.
+/// Records `ops` `Mult_XOR`s over `bytes` bytes in total. Called by the
+/// region kernels.
 #[inline]
-pub(crate) fn record(bytes: usize) {
-    MULT_XORS.fetch_add(1, Ordering::Relaxed);
+pub(crate) fn record(ops: usize, bytes: usize) {
+    MULT_XORS.fetch_add(ops as u64, Ordering::Relaxed);
     REGION_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
@@ -57,7 +58,7 @@ mod tests {
         // Other tests may run concurrently, so only check monotonicity.
         let m0 = mult_xors();
         let b0 = region_bytes();
-        record(128);
+        record(1, 128);
         assert!(mult_xors() > m0);
         assert!(region_bytes() >= b0 + 128);
     }

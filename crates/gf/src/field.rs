@@ -108,6 +108,35 @@ pub trait Field:
     /// of [`Self::ELEM_BYTES`].
     fn mult_xor_region(dst: &mut [u8], src: &[u8], c: Self::Elem);
 
+    /// The fused dot product `dst[i] ^= Σ c * src[i]` over every `(src, c)`
+    /// of `srcs` — what a codec does to produce one output sector. Counts
+    /// one `Mult_XOR` per source, exactly as the equivalent sequence of
+    /// [`Self::mult_xor_region`] calls (the default implementation) does;
+    /// a field may override it to pass over `dst` once instead of once per
+    /// source.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::mult_xor_region`], for any source.
+    fn mult_xor_regions(dst: &mut [u8], srcs: &[(&[u8], Self::Elem)]) {
+        for &(src, c) in srcs {
+            Self::mult_xor_region(dst, src, c);
+        }
+    }
+
+    /// Overwrites `dst` with the dot product `Σ c * src` over `terms`: one
+    /// output sector of an encode or decode, as a single
+    /// [`Self::mult_xor_regions`] into the zeroed `dst`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::mult_xor_regions`].
+    fn dot_regions<'a>(dst: &mut [u8], terms: impl IntoIterator<Item = (&'a [u8], Self::Elem)>) {
+        let srcs: Vec<_> = terms.into_iter().collect();
+        dst.fill(0);
+        Self::mult_xor_regions(dst, &srcs);
+    }
+
     /// Computes `dst[i] = c * src[i]` element-wise (overwriting `dst`).
     ///
     /// # Panics

@@ -118,7 +118,7 @@ impl Field for Gf16 {
             0,
             "GF(2^16) regions must hold whole u16 elements"
         );
-        counters::record(src.len());
+        counters::record(1, src.len());
         match c {
             0 => {}
             1 => Self::xor_region(dst, src),
@@ -144,7 +144,7 @@ impl Field for Gf16 {
             0,
             "GF(2^16) regions must hold whole u16 elements"
         );
-        counters::record(src.len());
+        counters::record(1, src.len());
         match c {
             0 => dst.fill(0),
             1 => dst.copy_from_slice(src),

@@ -107,7 +107,7 @@ impl Field for Gf4 {
 
     fn mult_xor_region(dst: &mut [u8], src: &[u8], c: u8) {
         assert_eq!(dst.len(), src.len(), "region length mismatch");
-        counters::record(src.len());
+        counters::record(1, src.len());
         if c == 0 {
             return;
         }
@@ -119,7 +119,7 @@ impl Field for Gf4 {
 
     fn mult_region(dst: &mut [u8], src: &[u8], c: u8) {
         assert_eq!(dst.len(), src.len(), "region length mismatch");
-        counters::record(src.len());
+        counters::record(1, src.len());
         if c == 0 {
             dst.fill(0);
             return;

@@ -5,6 +5,7 @@ use std::sync::OnceLock;
 
 use crate::counters;
 use crate::field::{sealed::Sealed, Field};
+use crate::simd;
 use crate::tables::{build, Tables};
 
 /// Tag type for GF(2^8) with the primitive polynomial `x^8+x^4+x^3+x^2+1`
@@ -104,47 +105,80 @@ impl Field for Gf8 {
     }
 
     fn mult_xor_region(dst: &mut [u8], src: &[u8], c: u8) {
-        assert_eq!(dst.len(), src.len(), "region length mismatch");
-        counters::record(src.len());
-        match c {
-            0 => {}
-            1 => Self::xor_region(dst, src),
-            _ => {
-                let (lo, hi) = split_tables(c);
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d ^= lo[(s & 0x0f) as usize] ^ hi[(s >> 4) as usize];
-                }
-            }
-        }
+        counters::record(1, src.len());
+        simd::combine(dst, &[(src, c)], true);
     }
 
     fn mult_region(dst: &mut [u8], src: &[u8], c: u8) {
-        assert_eq!(dst.len(), src.len(), "region length mismatch");
-        counters::record(src.len());
+        counters::record(1, src.len());
+        simd::combine(dst, &[(src, c)], false);
+    }
+
+    fn mult_xor_regions(dst: &mut [u8], srcs: &[(&[u8], u8)]) {
+        counters::record(srcs.len(), srcs.len() * dst.len());
+        simd::combine(dst, srcs, true);
+    }
+}
+
+/// The SPLIT(8,4) product tables of one constant `c`: `lo[x] = c·x` and
+/// `hi[x] = c·(x << 4)` for every nibble `x`, so `c·b = lo[b & 15] ^
+/// hi[b >> 4]`. This is GF-Complete's SPLIT table; as two 16-byte rows it is
+/// also exactly the operand shape of `PSHUFB`.
+pub(crate) struct Split {
+    pub lo: [u8; 16],
+    pub hi: [u8; 16],
+}
+
+/// [`Split`] tables of all 256 constants (8 KiB), built at compile time.
+pub(crate) static SPLIT: [Split; 256] = build_split();
+
+const fn build_split() -> [Split; 256] {
+    /// `a·α` (multiply by x, reduce by the field polynomial).
+    const fn xtime(a: u8) -> u8 {
+        (a << 1) ^ if a & 0x80 != 0 { Gf8::POLY as u8 } else { 0 }
+    }
+    const ZERO: Split = Split {
+        lo: [0; 16],
+        hi: [0; 16],
+    };
+    let mut all = [ZERO; 256];
+    let mut c = 0;
+    while c < 256 {
+        let t = &mut all[c];
+        let mut x = 1;
+        while x < 16 {
+            // c·x = (c·⌊x/2⌋)·α + c·(x mod 2); then c·(x·α⁴) = (c·x)·α⁴.
+            t.lo[x] = xtime(t.lo[x / 2]) ^ if x & 1 != 0 { c as u8 } else { 0 };
+            t.hi[x] = xtime(xtime(xtime(xtime(t.lo[x]))));
+            x += 1;
+        }
+        c += 1;
+    }
+    all
+}
+
+/// The portable region kernel: `dst[i] = (dst[i] if xor else 0) ^ Σ c·src[i]`
+/// over bytes `from..`. It is the whole kernel where no SIMD tier applies,
+/// the tail of the SIMD tiers, and the oracle the SIMD tiers are tested
+/// against.
+pub(crate) fn scalar_from(dst: &mut [u8], srcs: &[(&[u8], u8)], xor: bool, from: usize) {
+    let dst = &mut dst[from..];
+    if !xor {
+        dst.fill(0);
+    }
+    for &(src, c) in srcs {
+        assert_eq!(src.len(), from + dst.len(), "region length mismatch");
         match c {
-            0 => dst.fill(0),
-            1 => dst.copy_from_slice(src),
+            0 => {}
+            1 => Gf8::xor_region(dst, &src[from..]),
             _ => {
-                let (lo, hi) = split_tables(c);
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = lo[(s & 0x0f) as usize] ^ hi[(s >> 4) as usize];
+                let t = &SPLIT[c as usize];
+                for (d, &s) in dst.iter_mut().zip(&src[from..]) {
+                    *d ^= t.lo[(s & 0x0f) as usize] ^ t.hi[(s >> 4) as usize];
                 }
             }
         }
     }
-}
-
-/// Builds the SPLIT(8,4) product tables for a constant `c`: `lo[x] = c·x` and
-/// `hi[x] = c·(x << 4)`, so `c·b = lo[b & 15] ^ hi[b >> 4]` for any byte `b`
-/// by the distributivity of field multiplication over XOR.
-fn split_tables(c: u8) -> ([u8; 16], [u8; 16]) {
-    let mut lo = [0u8; 16];
-    let mut hi = [0u8; 16];
-    for x in 0..16u8 {
-        lo[x as usize] = Gf8::mul(c, x);
-        hi[x as usize] = Gf8::mul(c, x << 4);
-    }
-    (lo, hi)
 }
 
 #[cfg(test)]
@@ -207,6 +241,16 @@ mod tests {
         // Fermat: a^(2^8 - 1) = 1 for a != 0.
         for a in 1..=255u8 {
             assert_eq!(Gf8::pow(a, 255), 1);
+        }
+    }
+
+    #[test]
+    fn split_tables_match_mul() {
+        for c in 0..=255u8 {
+            for x in 0..16u8 {
+                assert_eq!(SPLIT[c as usize].lo[x as usize], Gf8::mul(c, x));
+                assert_eq!(SPLIT[c as usize].hi[x as usize], Gf8::mul(c, x << 4));
+            }
         }
     }
 

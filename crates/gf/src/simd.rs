@@ -1,0 +1,273 @@
+//! The GF(2^8) region kernel and its SIMD tiers.
+//!
+//! This is the only module of the workspace that contains `unsafe` (the
+//! `unsafe-confined` lint of `stair-check` holds that line): vector loads
+//! and stores go through raw pointers, and a `#[target_feature]` function
+//! may only be entered once the CPU is known to have the feature. Everything
+//! else — every other module of this crate and every other library crate —
+//! stays safe code.
+//!
+//! One kernel serves `Gf8::mult_xor_region`, `Gf8::mult_region` and
+//! `Gf8::mult_xor_regions`:
+//!
+//! ```text
+//! dst[i] = (dst[i] if xor else 0) ^ Σ c·src[i]   over every (src, c)
+//! ```
+//!
+//! The AVX2 tier multiplies 32 bytes at a time with two `PSHUFB` lookups
+//! into the SPLIT(8,4) tables ([`crate::gf8::SPLIT`]) and keeps each
+//! 256-byte slice of `dst` in registers across all sources, so `dst` is
+//! read and written once however many sources there are. The scalar loop
+//! ([`crate::gf8::scalar_from`]) is the tier of last resort, the tail
+//! handler of the SIMD tier, and the oracle it is tested against.
+//!
+//! There is no switch: [`combine`] runs the first tier of [`TIERS`] that the
+//! CPU supports, decided by `is_x86_feature_detected!`.
+
+use crate::gf8::scalar_from;
+
+/// A region kernel (see the module docs for what it computes).
+///
+/// Panics unless every source is as long as `dst`.
+pub(crate) type Kernel = fn(dst: &mut [u8], srcs: &[(&[u8], u8)], xor: bool);
+
+/// One implementation of the region kernel: its name, whether this CPU can
+/// run it, and the kernel itself (which panics where it is not supported).
+pub(crate) type Tier = (&'static str, fn() -> bool, Kernel);
+
+/// Every tier compiled into this build, fastest first.
+pub(crate) static TIERS: &[Tier] = &[
+    #[cfg(target_arch = "x86_64")]
+    ("avx2", avx2::supported, avx2::run),
+    ("scalar", || true, scalar),
+];
+
+fn scalar(dst: &mut [u8], srcs: &[(&[u8], u8)], xor: bool) {
+    scalar_from(dst, srcs, xor, 0)
+}
+
+/// Runs the fastest supported tier.
+pub(crate) fn combine(dst: &mut [u8], srcs: &[(&[u8], u8)], xor: bool) {
+    let best = TIERS.iter().find(|(_, supported, _)| supported());
+    best.map_or(scalar as Kernel, |&(_, _, run)| run)(dst, srcs, xor)
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use core::arch::x86_64::*;
+
+    use crate::gf8::{scalar_from, SPLIT};
+
+    pub(super) fn supported() -> bool {
+        is_x86_feature_detected!("avx2")
+    }
+
+    pub(super) fn run(dst: &mut [u8], srcs: &[(&[u8], u8)], xor: bool) {
+        assert!(supported(), "the avx2 tier needs an AVX2 CPU");
+        // SAFETY: `kernel` requires AVX2, which the assert above just saw.
+        unsafe { kernel(dst, srcs, xor) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn kernel(dst: &mut [u8], srcs: &[(&[u8], u8)], xor: bool) {
+        let len = dst.len();
+        assert!(
+            srcs.iter().all(|(src, _)| src.len() == len),
+            "region length mismatch"
+        );
+        // Eight vectors (256 bytes) of `dst` per step leave room for the
+        // tables and temporaries in the sixteen registers and amortise each
+        // source's table loads; then single vectors, then bytes.
+        let wide = len - len % (8 * VEC);
+        let narrow = len - len % VEC;
+        // SAFETY: `0 <= wide <= narrow <= len`, every source is `len` bytes
+        // long (asserted above), and both spans are whole multiples of their
+        // step.
+        unsafe {
+            span::<8>(dst.as_mut_ptr(), srcs, xor, 0, wide);
+            span::<1>(dst.as_mut_ptr(), srcs, xor, wide, narrow);
+        }
+        scalar_from(dst, srcs, xor, narrow);
+    }
+
+    /// Bytes per vector.
+    const VEC: usize = 32;
+
+    /// The kernel over bytes `from..to`, `N` vectors of `dst` at a time: each
+    /// `N·VEC`-byte slice of `dst` is loaded (or zeroed) once, stays in
+    /// registers while every source is multiplied into it, and is stored
+    /// once.
+    ///
+    /// # Safety
+    ///
+    /// `from..to` must lie inside the allocation behind `dst` and inside
+    /// every source, and `to - from` must be a multiple of `N·VEC`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn span<const N: usize>(
+        dst: *mut u8,
+        srcs: &[(&[u8], u8)],
+        xor: bool,
+        from: usize,
+        to: usize,
+    ) {
+        let nibble = _mm256_set1_epi8(0x0f);
+        for at in (from..to).step_by(N * VEC) {
+            let mut acc = [_mm256_setzero_si256(); N];
+            if xor {
+                for (i, a) in acc.iter_mut().enumerate() {
+                    // SAFETY: `at + N·VEC <= to`, which the caller keeps
+                    // inside `dst`; unaligned loads need no alignment.
+                    *a = unsafe { _mm256_loadu_si256(dst.add(at + i * VEC).cast()) };
+                }
+            }
+            for &(src, c) in srcs {
+                if c == 0 {
+                    continue;
+                }
+                let t = &SPLIT[c as usize];
+                // SAFETY: `t.lo` and `t.hi` are `[u8; 16]`: exactly one
+                // unaligned 128-bit load each.
+                let (lo, hi) = unsafe {
+                    (
+                        _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast())),
+                        _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast())),
+                    )
+                };
+                for (i, a) in acc.iter_mut().enumerate() {
+                    // SAFETY: `at + N·VEC <= to`, which the caller keeps
+                    // inside every source.
+                    let s = unsafe { _mm256_loadu_si256(src.as_ptr().add(at + i * VEC).cast()) };
+                    *a = _mm256_xor_si256(*a, product(s, lo, hi, nibble));
+                }
+            }
+            for (i, a) in acc.iter().enumerate() {
+                // SAFETY: the same in-bounds bytes of `dst` as loaded above.
+                unsafe { _mm256_storeu_si256(dst.add(at + i * VEC).cast(), *a) };
+            }
+        }
+    }
+
+    /// `c·s` for 32 bytes: `lo[s & 15] ^ hi[s >> 4]`, each a `PSHUFB`.
+    #[target_feature(enable = "avx2")]
+    fn product(s: __m256i, lo: __m256i, hi: __m256i, nibble: __m256i) -> __m256i {
+        let l = _mm256_and_si256(s, nibble);
+        let h = _mm256_and_si256(_mm256_srli_epi64::<4>(s), nibble);
+        _mm256_xor_si256(_mm256_shuffle_epi8(lo, l), _mm256_shuffle_epi8(hi, h))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{counters, Field, Gf8};
+
+    const LENS: [usize; 10] = [0, 1, 15, 16, 31, 32, 33, 4095, 4096, 4097];
+
+    /// Deterministic filler that is neither constant nor periodic in 256.
+    fn noise(len: usize, seed: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| ((i * 131 + seed * 31 + (i >> 8)) ^ (seed >> 3)) as u8)
+            .collect()
+    }
+
+    /// `(name, kernel)` of every tier this host can run.
+    fn supported_tiers() -> impl Iterator<Item = (&'static str, Kernel)> {
+        TIERS
+            .iter()
+            .filter(|(_, supported, _)| supported())
+            .map(|&(name, _, run)| (name, run))
+    }
+
+    #[test]
+    fn dispatch_prefers_the_first_supported_tier() {
+        assert_eq!(TIERS.last().map(|t| t.0), Some("scalar"));
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            assert_eq!(supported_tiers().next().map(|t| t.0), Some("avx2"));
+        }
+    }
+
+    /// Every tier ≡ the scalar oracle, for `mult_xor_region` (`xor`) and
+    /// `mult_region` (`!xor`): all 256 constants × the boundary lengths ×
+    /// every `dst` and every `src` misalignment in `0..32`.
+    #[test]
+    fn every_tier_matches_the_scalar_oracle() {
+        let max = LENS[LENS.len() - 1];
+        let src_buf = noise(max + 32, 1);
+        let dst_buf = noise(max + 32, 2);
+        for (name, run) in supported_tiers() {
+            for c in 0..=255u8 {
+                for len in LENS {
+                    for mis in 0..32 {
+                        // 5·mis + 1 mod 32 is a permutation: each side sees
+                        // every misalignment, in different pairings.
+                        let (d_off, s_off) = (mis, (5 * mis + 1) % 32);
+                        let src = &src_buf[s_off..s_off + len];
+                        for xor in [true, false] {
+                            let mut got = dst_buf.clone();
+                            let mut want = dst_buf.clone();
+                            run(&mut got[d_off..d_off + len], &[(src, c)], xor);
+                            scalar(&mut want[d_off..d_off + len], &[(src, c)], xor);
+                            // Whole buffer: also proves nothing outside the
+                            // region was written.
+                            assert!(
+                                got == want,
+                                "tier {name} c={c} len={len} dst+{d_off} src+{s_off} xor={xor}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fused form ≡ the equivalent sequence of `mult_xor_region` calls,
+    /// in result and in `Mult_XOR` count, on every tier and through the
+    /// public dispatching entry point.
+    #[test]
+    fn fused_matches_the_sequence_of_single_calls() {
+        for k in [0usize, 1, 6, 8, 17] {
+            for len in LENS {
+                let bufs: Vec<Vec<u8>> = (0..k).map(|i| noise(len, 10 + i)).collect();
+                // Includes the special constants 0 and 1.
+                let srcs: Vec<(&[u8], u8)> = bufs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| (b.as_slice(), (i * 37 % 256) as u8))
+                    .collect();
+                let start = noise(len, 3);
+                let mut want = start.clone();
+                for &(src, c) in &srcs {
+                    scalar(&mut want, &[(src, c)], true);
+                }
+                for (name, run) in supported_tiers() {
+                    let mut got = start.clone();
+                    run(&mut got, &srcs, true);
+                    assert!(got == want, "tier {name} k={k} len={len}");
+                }
+                let mut got = start.clone();
+                Gf8::mult_xor_regions(&mut got, &srcs);
+                assert!(got == want, "dispatched k={k} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_counts_one_mult_xor_per_source() {
+        // Other tests run concurrently and only ever add, so bound from below
+        // here; `crates/stair/tests/gf_counters.rs` pins exact counts in a
+        // process of its own.
+        let bufs = [[1u8; 64], [2u8; 64], [3u8; 64]];
+        let srcs: Vec<(&[u8], u8)> = bufs.iter().map(|b| (b.as_slice(), 0)).collect();
+        let (ops, bytes) = (counters::mult_xors(), counters::region_bytes());
+        Gf8::mult_xor_regions(&mut [0u8; 64], &srcs);
+        assert!(counters::mult_xors() >= ops + 3);
+        assert!(counters::region_bytes() >= bytes + 3 * 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "region length mismatch")]
+    fn every_source_must_match_dst_in_length() {
+        Gf8::mult_xor_regions(&mut [0u8; 64], &[(&[0u8; 64], 3), (&[0u8; 96], 5)]);
+    }
+}

@@ -228,11 +228,9 @@ impl<F: Field> MdsCode<F> {
             ));
         }
         for (j, p) in parity.iter_mut().enumerate() {
-            p.fill(0);
             let col = self.data + j;
-            for (i, d) in data.iter().enumerate() {
-                F::mult_xor_region(p, d, self.generator.get(i, col));
-            }
+            let terms = data.iter().enumerate();
+            F::dot_regions(p, terms.map(|(i, &d)| (d, self.generator.get(i, col))));
         }
         Ok(())
     }
@@ -271,10 +269,8 @@ impl<F: Field> MdsCode<F> {
             ));
         }
         for (j, o) in out.iter_mut().enumerate() {
-            o.fill(0);
-            for (i, a) in available.iter().enumerate() {
-                F::mult_xor_region(o, a, coeff.get(i, j));
-            }
+            let terms = available.iter().enumerate();
+            F::dot_regions(o, terms.map(|(i, &a)| (a, coeff.get(i, j))));
         }
         Ok(())
     }

@@ -260,13 +260,10 @@ impl<F: Field> ErasureCode for RsArrayCode<F> {
         for rp in rows {
             // Lost cells are never survivors, so in-place writes are safe.
             for (x, &lc) in rp.lost.iter().enumerate() {
-                scratch.fill(0);
-                for (k, &sc) in rp.survivors.iter().enumerate() {
-                    let c = rp.coeff.get(k, x);
-                    if c != F::zero() {
-                        F::mult_xor_region(&mut scratch, stripe.cell((rp.row, sc)), c);
-                    }
-                }
+                let survivors = rp.survivors.iter().enumerate();
+                let terms =
+                    survivors.map(|(k, &sc)| (stripe.cell((rp.row, sc)), rp.coeff.get(k, x)));
+                F::dot_regions(&mut scratch, terms.filter(crate::sd::nonzero::<F>));
                 stripe.set_cell((rp.row, lc), &scratch);
             }
         }

@@ -216,13 +216,9 @@ impl<F: Field> SdCode<F> {
         self.check_stripe(stripe)?;
         for (p, &ppos) in self.parity_pos.iter().enumerate() {
             let mut buf = std::mem::take(&mut stripe.cells[ppos]);
-            buf.fill(0);
-            for (d, &dpos) in self.data_pos.iter().enumerate() {
-                let coeff = self.encode.get(p, d);
-                if coeff != F::zero() {
-                    F::mult_xor_region(&mut buf, &stripe.cells[dpos], coeff);
-                }
-            }
+            let data = self.data_pos.iter().enumerate();
+            let terms = data.map(|(d, &dpos)| (&stripe.cells[dpos][..], self.encode.get(p, d)));
+            F::dot_regions(&mut buf, terms.filter(nonzero::<F>));
             stripe.cells[ppos] = buf;
         }
         Ok(())
@@ -246,13 +242,9 @@ impl<F: Field> SdCode<F> {
             .collect();
         for (x, &q) in erased_q.iter().enumerate() {
             let mut buf = std::mem::take(&mut stripe.cells[q]);
-            buf.fill(0);
-            for (k, &kq) in known_q.iter().enumerate() {
-                let c = coeff.get(x, k);
-                if c != F::zero() {
-                    F::mult_xor_region(&mut buf, &stripe.cells[kq], c);
-                }
-            }
+            let known = known_q.iter().enumerate();
+            let terms = known.map(|(k, &kq)| (&stripe.cells[kq][..], coeff.get(x, k)));
+            F::dot_regions(&mut buf, terms.filter(nonzero::<F>));
             stripe.cells[q] = buf;
         }
         Ok(())
@@ -469,13 +461,10 @@ impl<F: Field> ErasureCode for SdCode<F> {
         // manner" the paper measures against.
         let mut scratch = vec![0u8; stripe.symbol()];
         for (p, &ppos) in self.parity_pos.iter().enumerate() {
-            scratch.fill(0);
-            for (d, &dpos) in self.data_pos.iter().enumerate() {
-                let coeff = self.encode.get(p, d);
-                if coeff != F::zero() {
-                    F::mult_xor_region(&mut scratch, stripe.cell(self.cell_of(dpos)), coeff);
-                }
-            }
+            let data = self.data_pos.iter().enumerate();
+            let terms =
+                data.map(|(d, &dpos)| (stripe.cell(self.cell_of(dpos)), self.encode.get(p, d)));
+            F::dot_regions(&mut scratch, terms.filter(nonzero::<F>));
             stripe.set_cell(self.cell_of(ppos), &scratch);
         }
         Ok(())
@@ -516,13 +505,10 @@ impl<F: Field> ErasureCode for SdCode<F> {
         // Erased cells are never inputs (the recovery matrix combines
         // known symbols only), so writing them one by one is safe.
         for (x, &q) in detail.erased_q.iter().enumerate() {
-            scratch.fill(0);
-            for (k, &kq) in detail.known_q.iter().enumerate() {
-                let c = detail.coeff.get(x, k);
-                if c != F::zero() {
-                    F::mult_xor_region(&mut scratch, stripe.cell(self.cell_of(kq)), c);
-                }
-            }
+            let known = detail.known_q.iter().enumerate();
+            let terms =
+                known.map(|(k, &kq)| (stripe.cell(self.cell_of(kq)), detail.coeff.get(x, k)));
+            F::dot_regions(&mut scratch, terms.filter(nonzero::<F>));
             stripe.set_cell(self.cell_of(q), &scratch);
         }
         Ok(())
@@ -560,6 +546,11 @@ impl<F: Field> ErasureCode for SdCode<F> {
         }
         Ok(touched)
     }
+}
+
+/// Keeps the terms that cost a `Mult_XOR`: dense SD matrices have zeros.
+pub(crate) fn nonzero<F: Field>(term: &(&[u8], F::Elem)) -> bool {
+    term.1 != F::zero()
 }
 
 /// All `k`-element subsets of `0..n`, lexicographic. `k = 0` yields one

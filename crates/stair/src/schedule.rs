@@ -103,19 +103,14 @@ impl<F: Field> Schedule<F> {
 
     /// Executes the schedule over the byte regions of a [`Canvas`].
     ///
-    /// Each output is accumulated into a scratch sector and then copied
-    /// into place: a step's outputs are by construction disjoint from its
-    /// inputs (an output was unavailable when its inputs were read), so
-    /// writing one output never corrupts another's inputs.
+    /// A step's outputs are by construction disjoint from its inputs (an
+    /// output was unavailable when its inputs were read), so writing one
+    /// output never corrupts another's inputs.
     pub(crate) fn execute(&self, canvas: &mut Canvas<'_>) {
-        let mut scratch = vec![0u8; canvas.symbol()];
         for step in &self.steps {
             for (j, &oc) in step.outputs.iter().enumerate() {
-                scratch.fill(0);
-                for (i, &ic) in step.inputs.iter().enumerate() {
-                    F::mult_xor_region(&mut scratch, canvas.get(ic), step.coeff.get(i, j));
-                }
-                canvas.set(oc, &scratch);
+                let inputs = step.inputs.iter().enumerate();
+                canvas.combine::<F>(oc, inputs.map(|(i, &ic)| (ic, step.coeff.get(i, j))));
             }
         }
     }
@@ -172,22 +167,10 @@ pub(crate) fn cell_name(layout: &Layout, cell: Cell) -> String {
     }
 }
 
-/// Which storage area of the canvas a canonical cell lives in.
-enum Slot {
-    /// A stored cell of the `r × n` grid.
-    Grid(Cell),
-    /// A virtual cell of the augmented rows (first `n` columns).
-    Aug(usize),
-    /// A virtual intermediate-parity cell in the stored rows.
-    Inter(usize),
-    /// A cell of the global-parity corner.
-    Glob(usize),
-}
-
 /// The byte-region workspace for one stripe: stored cells live in the
 /// borrowed flat [`StripeBuf`] grid; virtual cells (augmented rows,
-/// intermediate chunks, and the global-parity corner) are freshly
-/// allocated.
+/// intermediate chunks, and the global-parity corner) are carved from one
+/// freshly zeroed arena.
 pub(crate) struct Canvas<'a> {
     ccols: usize,
     r: usize,
@@ -197,13 +180,12 @@ pub(crate) struct Canvas<'a> {
     /// Outside-placement global buffers of the borrowed stripe (empty when
     /// the canvas wraps a bare grid or an inside-placement stripe).
     outside: &'a mut [Vec<u8>],
-    /// Augmented rows of the first `n` columns: `e_max × n`.
-    aug: Vec<Vec<u8>>,
-    /// Intermediate parity cells in stored rows: `r × m'`.
-    inter: Vec<Vec<u8>>,
-    /// The augmented-row part of the intermediate chunks (real and dummy
-    /// global positions): `e_max × m'`.
-    glob: Vec<Vec<u8>>,
+    /// Every canonical cell outside the stored grid, one sector each: the
+    /// intermediate parities of the stored rows (`r × m'`), then the
+    /// augmented rows at full canonical width (`e_max × (n + m')`).
+    virt: Vec<u8>,
+    /// One output sector, accumulated here before it is copied into place.
+    scratch: Vec<u8>,
 }
 
 impl<'a> Canvas<'a> {
@@ -215,13 +197,9 @@ impl<'a> Canvas<'a> {
         let (grid, outside) = stripe.parts_mut();
         let mut canvas = Self::build(layout, grid, outside);
         if placement == GlobalPlacement::Outside {
-            let m_prime = layout.m_prime();
-            for (g, &(row, col)) in canvas
-                .outside
-                .iter()
-                .zip(layout.outside_global_cells().iter())
-            {
-                canvas.glob[(row - layout.r()) * m_prime + (col - layout.n())].copy_from_slice(g);
+            for (i, &cell) in layout.outside_global_cells().iter().enumerate() {
+                let at = canvas.virt_range(cell);
+                canvas.virt[at].copy_from_slice(&canvas.outside[i]);
             }
         }
         canvas
@@ -247,70 +225,67 @@ impl<'a> Canvas<'a> {
         let ccols = layout.canonical_cols();
         let n = layout.n();
         let r = layout.r();
-        let m_prime = layout.m_prime();
-        let e_max = layout.canonical_rows() - r;
+        let virtual_cells = layout.canonical_rows() * ccols - r * n;
         Canvas {
             ccols,
             r,
             n,
             symbol,
-            aug: vec![vec![0u8; symbol]; e_max * n],
-            inter: vec![vec![0u8; symbol]; r * m_prime],
-            glob: vec![vec![0u8; symbol]; e_max * m_prime],
+            virt: vec![0u8; virtual_cells * symbol],
+            scratch: vec![0u8; symbol],
             grid,
             outside,
         }
     }
 
-    /// Bytes per sector.
-    pub(crate) fn symbol(&self) -> usize {
-        self.symbol
-    }
-
     /// Copies the global corner back into the stripe's outside-global
     /// buffers (used after outside-placement encoding).
     pub(crate) fn export_outside_globals(&mut self, layout: &Layout) {
-        let m_prime = self.ccols - self.n;
-        let cells = layout.outside_global_cells();
-        for (idx, &(row, col)) in cells.iter().enumerate() {
-            let src = &self.glob[(row - self.r) * m_prime + (col - self.n)];
-            self.outside[idx].copy_from_slice(src);
+        for (i, &cell) in layout.outside_global_cells().iter().enumerate() {
+            let at = self.virt_range(cell);
+            self.outside[i].copy_from_slice(&self.virt[at]);
         }
     }
 
-    fn slot(&self, cell: Cell) -> Slot {
-        let (row, col) = cell;
+    /// The bytes of `virt` holding a canonical cell outside the stored grid.
+    fn virt_range(&self, (row, col): Cell) -> std::ops::Range<usize> {
         let m_prime = self.ccols - self.n;
-        if row < self.r {
-            if col < self.n {
-                Slot::Grid(cell)
-            } else {
-                Slot::Inter(row * m_prime + (col - self.n))
-            }
-        } else if col < self.n {
-            Slot::Aug((row - self.r) * self.n + col)
+        let index = if row < self.r {
+            row * m_prime + (col - self.n)
         } else {
-            Slot::Glob((row - self.r) * m_prime + (col - self.n))
-        }
+            self.r * m_prime + (row - self.r) * self.ccols + col
+        };
+        index * self.symbol..(index + 1) * self.symbol
+    }
+
+    fn is_stored(&self, (row, col): Cell) -> bool {
+        row < self.r && col < self.n
     }
 
     pub(crate) fn get(&self, cell: Cell) -> &[u8] {
-        match self.slot(cell) {
-            Slot::Grid(c) => self.grid.cell(c),
-            Slot::Aug(i) => &self.aug[i],
-            Slot::Inter(i) => &self.inter[i],
-            Slot::Glob(i) => &self.glob[i],
+        if self.is_stored(cell) {
+            self.grid.cell(cell)
+        } else {
+            &self.virt[self.virt_range(cell)]
         }
     }
 
-    /// Copies `src` into a canonical cell.
-    pub(crate) fn set(&mut self, cell: Cell, src: &[u8]) {
-        match self.slot(cell) {
-            Slot::Grid(c) => self.grid.set_cell(c, src),
-            Slot::Aug(i) => self.aug[i].copy_from_slice(src),
-            Slot::Inter(i) => self.inter[i].copy_from_slice(src),
-            Slot::Glob(i) => self.glob[i].copy_from_slice(src),
+    /// Overwrites canonical cell `out` with `Σ coeff · cell` over `inputs`,
+    /// none of which may be `out` itself.
+    pub(crate) fn combine<F: Field>(
+        &mut self,
+        out: Cell,
+        inputs: impl Iterator<Item = (Cell, F::Elem)>,
+    ) {
+        let mut acc = std::mem::take(&mut self.scratch);
+        F::dot_regions(&mut acc, inputs.map(|(cell, c)| (self.get(cell), c)));
+        if self.is_stored(out) {
+            self.grid.set_cell(out, &acc);
+        } else {
+            let at = self.virt_range(out);
+            self.virt[at].copy_from_slice(&acc);
         }
+        self.scratch = acc;
     }
 }
 

@@ -114,16 +114,9 @@ impl<F: Field> ParityRelations<F> {
     /// Standard encoding over byte regions: every parity cell is computed
     /// directly as its dense combination of data cells.
     pub(crate) fn encode(&self, canvas: &mut Canvas<'_>) -> Result<(), Error> {
-        let mut scratch = vec![0u8; canvas.symbol()];
-        for (p, &pcell) in self.parity_cells.iter().enumerate() {
-            scratch.fill(0);
-            for (d, &dcell) in self.data_cells.iter().enumerate() {
-                let c = self.coeffs[p][d];
-                if c != F::zero() {
-                    F::mult_xor_region(&mut scratch, canvas.get(dcell), c);
-                }
-            }
-            canvas.set(pcell, &scratch);
+        for (coeffs, &pcell) in self.coeffs.iter().zip(&self.parity_cells) {
+            let data = self.data_cells.iter().copied().zip(coeffs.iter().copied());
+            canvas.combine::<F>(pcell, data.filter(|&(_, c)| c != F::zero()));
         }
         Ok(())
     }

@@ -737,31 +737,25 @@ impl StripeStore {
         let sh = &self.shared;
         let devices = sh.integrity.device_states();
 
-        // Fast path: every wanted sector reads back and verifies.
-        let mut clean: Vec<(usize, Vec<u8>)> = Vec::with_capacity(blocks.len());
+        // Fast path: every wanted sector reads back and verifies. A sector
+        // is copied out as soon as it verifies; if a later one does not, the
+        // degraded path below rewrites every block of the window anyway.
+        let mut buf = vec![0u8; sh.meta.symbol];
         let mut degraded = false;
         for block in blocks.clone() {
-            let loc = sh.blocks.locate(block)?;
-            let (row, dev) = loc.cell;
-            if devices[dev] != DeviceState::Healthy {
-                degraded = true;
+            let (row, dev) = sh.blocks.locate(block)?.cell;
+            degraded = devices[dev] != DeviceState::Healthy
+                || !matches!(
+                    sh.devices.read_sector(dev, stripe_idx, row, &mut buf)?,
+                    SectorRead::Ok
+                )
+                || !sh.integrity.verify(stripe_idx, row, dev, &buf);
+            if degraded {
                 break;
             }
-            let mut buf = vec![0u8; sh.meta.symbol];
-            match sh.devices.read_sector(dev, stripe_idx, row, &mut buf)? {
-                SectorRead::Ok if sh.integrity.verify(stripe_idx, row, dev, &buf) => {
-                    clean.push((block, buf));
-                }
-                _ => {
-                    degraded = true;
-                    break;
-                }
-            }
+            self.copy_block(block, &buf, offset, out);
         }
         if !degraded {
-            for (block, buf) in clean {
-                self.copy_block(block, &buf, offset, out);
-            }
             return Ok(());
         }
 
@@ -784,9 +778,8 @@ impl StripeStore {
             sh.counters.count_recover();
         }
         for block in blocks {
-            let (row, dev) = sh.blocks.locate(block)?.cell;
-            let cell = stripe.cell((row, dev)).to_vec();
-            self.copy_block(block, &cell, offset, out);
+            let cell = sh.blocks.locate(block)?.cell;
+            self.copy_block(block, stripe.cell(cell), offset, out);
         }
         Ok(())
     }
