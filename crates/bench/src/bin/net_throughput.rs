@@ -96,16 +96,7 @@ fn main() {
 
     let set = ShardSet::create(&dir, shards, &opts).expect("create shards");
     let capacity = set.capacity() as usize;
-    let server = Server::bind(
-        "127.0.0.1:0",
-        set,
-        ServerConfig {
-            workers,
-            write_batch: 32,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind server");
+    let server = Server::bind("127.0.0.1:0", set, ServerConfig { workers }).expect("bind server");
     let addr = server.local_addr().to_string();
     let running = std::thread::spawn(move || server.run());
 
@@ -179,9 +170,9 @@ fn main() {
     // report carries the service's own view of the run.
     let server_metrics = admin.metrics().expect("server metrics");
     println!(
-        "-- server metrics: {} write req, {} read req over the wire",
-        server_metrics.counter("srv.req.write").unwrap_or(0),
-        server_metrics.counter("srv.req.read").unwrap_or(0)
+        "-- server metrics: {} batch req ({} bytes) over the wire",
+        server_metrics.counter("srv.req.batch").unwrap_or(0),
+        server_metrics.counter("srv.bytes.batch").unwrap_or(0)
     );
     admin.shutdown_server().expect("shutdown");
     running.join().expect("server thread").expect("server run");

@@ -1,8 +1,11 @@
 //! L3 `wire-constants`: the protocol's numbers live in exactly one
 //! place — `crates/net/src/protocol.rs`. This analyzer (a) checks that
 //! file's internal coherence (enum ↔ `from_u8` ↔ `name()` ↔ `ALL`,
-//! dense collision-free discriminants) and (b) flags any other file
-//! that *redeclares* a wire constant instead of importing it.
+//! dense collision-free discriminants), (b) keeps the deleted
+//! compatibility machinery deleted — one `*_VERSION` constant, no `_v`
+//! codec variants taking a session version, no `Read`/`Write` opcode
+//! beside BATCH — and (c) flags any other file that *redeclares* a
+//! wire constant instead of importing it.
 
 use std::collections::BTreeMap;
 
@@ -54,7 +57,7 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) -> ProtocolFacts {
     };
     check_protocol_coherence(tf, &mut facts, out);
 
-    // (b) redeclarations elsewhere: any `const`/`static` with a wire
+    // (c) redeclarations elsewhere: any `const`/`static` with a wire
     // constant's name outside protocol.rs must be an import, never a
     // new literal.
     for f in &ws.files {
@@ -167,6 +170,7 @@ fn check_protocol_coherence(tf: &TokenFile, facts: &mut ProtocolFacts, out: &mut
             );
         }
     }
+    check_single_data_path(tf, facts, out);
     // `Opcode::ALL` must list every variant (it feeds the density test
     // and any iteration over the table).
     match parse_all_list(tf) {
@@ -185,6 +189,72 @@ fn check_protocol_coherence(tf: &TokenFile, facts: &mut ProtocolFacts, out: &mut
                     );
                 }
             }
+        }
+    }
+}
+
+/// (b) One version, one data opcode: the rules that keep wire v2–v4
+/// and the per-op READ/WRITE path from growing back.
+fn check_single_data_path(tf: &TokenFile, facts: &ProtocolFacts, out: &mut Vec<Finding>) {
+    let report = |out: &mut Vec<Finding>, msg: String, ctx: &str| {
+        out.push(Finding::new(
+            Lint::WireConstants,
+            PROTOCOL_RS,
+            0,
+            0,
+            msg,
+            ctx,
+        ));
+    };
+    let versions: Vec<&str> = facts
+        .consts
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .filter(|name| name.ends_with("_VERSION"))
+        .collect();
+    if versions.len() != 1 {
+        report(
+            out,
+            format!(
+                "protocol.rs declares {} `*_VERSION` constants ({}); the protocol speaks exactly \
+                 one version — HELLO refuses any other, nothing is negotiated",
+                versions.len(),
+                versions.join(", ")
+            ),
+            "version constants",
+        );
+    }
+    for ci in 0..tf.code.len().saturating_sub(2) {
+        let name = tf.ctext(ci + 1);
+        if !(tf.is_ident(ci, "fn") && name.ends_with("_v") && tf.is_punct(ci + 2, "(")) {
+            continue;
+        }
+        let mut k = ci + 3;
+        while k < tf.code.len() && !tf.is_punct(k, ")") {
+            if tf.is_ident(k, "version") {
+                report(
+                    out,
+                    format!(
+                        "`fn {name}` takes a session version: there is one wire layout, so no \
+                         per-version codec variants"
+                    ),
+                    &format!("versioned fn {name}"),
+                );
+                break;
+            }
+            k += 1;
+        }
+    }
+    for (variant, _) in &facts.opcodes {
+        if variant == "Read" || variant == "Write" {
+            report(
+                out,
+                format!(
+                    "`Opcode::{variant}` declared: BATCH is the only data opcode (a lone read or \
+                     write is a one-op batch)"
+                ),
+                &format!("data opcode {variant}"),
+            );
         }
     }
 }

@@ -106,7 +106,10 @@ impl Lint {
             }
             Lint::NoPanicInLib => "no unwrap/expect/panic! in library crates",
             Lint::IndexInLib => "no slice/array indexing in library crates (opt-in)",
-            Lint::WireConstants => "wire constants and opcode tables must agree with protocol.rs",
+            Lint::WireConstants => {
+                "wire constants and opcode tables must agree with protocol.rs, which speaks one \
+                 version and one data opcode"
+            }
             Lint::ErrorConversions => "registered error types need their promised From impls",
             Lint::DocDrift => "README tables must name every opcode/scheme/codec family in code",
             Lint::CounterDiscipline => "every metric must be both produced and consumed somewhere",
@@ -116,7 +119,7 @@ impl Lint {
             }
             Lint::PersistOrdering => {
                 "in crates/store, sectors are written in place only from the journaled commit \
-                 path (write_back_cells / apply_write_back / replay_journal)"
+                 path (apply_write_back / replay_journal)"
             }
             Lint::UnsafeConfined => {
                 "`unsafe` lives only in crates/gf/src/simd.rs, each use under a `// SAFETY:` \

@@ -25,7 +25,7 @@ impl Store {
     }
 
     // Allowed: the journaled persist leg.
-    pub fn write_back_cells(&self, cell: &[u8]) -> Result<(), String> {
+    pub fn apply_write_back(&self, cell: &[u8]) -> Result<(), String> {
         self.devices.write_sector(0, 0, 0, cell)
     }
 

@@ -15,11 +15,6 @@ pub struct Store {
 }
 
 impl Store {
-    // The journaled persist leg.
-    pub fn write_back_cells(&self, cell: &[u8]) -> Result<(), String> {
-        self.devices.write_sector(0, 0, 0, cell)
-    }
-
     // Replay of already-durable records.
     fn replay_journal(&self, cell: &[u8]) -> Result<(), String> {
         self.devices.write_sector(1, 1, 1, cell)

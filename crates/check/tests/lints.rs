@@ -180,6 +180,27 @@ fn wire_coherent_protocol_is_clean() {
     assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
 }
 
+#[test]
+fn wire_regrown_versions_and_data_opcodes_are_flagged() {
+    let bad = fixture("wire_versions_bad.rs");
+    let r = run_ws(&[("crates/net/src/protocol.rs", &bad)]);
+    let hits = of(&r, Lint::WireConstants);
+    assert_eq!(hits.len(), 4, "{hits:?}");
+    assert!(hits
+        .iter()
+        .any(|h| h.contains("2 `*_VERSION` constants") && h.contains("MIN_PROTOCOL_VERSION")));
+    assert!(hits.iter().any(|h| h.contains("`fn write_response_v`")));
+    assert!(hits.iter().any(|h| h.contains("`Opcode::Read`")));
+    assert!(hits.iter().any(|h| h.contains("`Opcode::Write`")));
+}
+
+#[test]
+fn wire_single_version_near_misses_are_clean() {
+    let proto = fixture("wire_versions_near_miss.rs");
+    let r = run_ws(&[("crates/net/src/protocol.rs", &proto)]);
+    assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
+}
+
 // ---- L4 error-conversions ------------------------------------------
 
 #[test]

@@ -9,8 +9,8 @@ use std::path::{Path, PathBuf};
 
 use stair::{Config, StairCodec, Stripe};
 
-use crate::checksum::fletcher32;
 use crate::Manifest;
+use stair_store::checksum::fletcher32;
 
 /// Encoding parameters for a new archive.
 #[derive(Clone, Debug, Eq, PartialEq)]

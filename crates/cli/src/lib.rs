@@ -26,9 +26,7 @@
 #![warn(missing_docs)]
 
 mod archive;
-mod checksum;
 mod manifest;
 
 pub use archive::{Archive, EncodeOptions, RepairOutcome};
-pub use checksum::fletcher32;
 pub use manifest::Manifest;

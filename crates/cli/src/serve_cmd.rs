@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! stair serve --dir ROOT --addr HOST:PORT [--shards K] [--code SPEC]
-//!             [--symbol S] [--stripes T] [--workers W] [--batch B]
+//!             [--symbol S] [--stripes T] [--workers W]
 //! ```
 //!
 //! An empty root is initialized with `K` fresh shards (`--code`,
@@ -24,7 +24,7 @@ use crate::flags::{usize_flag, Flags};
 /// Usage text for `stair serve`.
 pub const SERVE_USAGE: &str = "usage:
   stair serve --dir ROOT --addr HOST:PORT [--shards K] [--code SPEC]
-              [--symbol S] [--stripes T] [--workers W] [--batch B]
+              [--symbol S] [--stripes T] [--workers W]
   (new roots are initialized with K shards of the given shape; existing
    roots are reopened and --shards must match)";
 
@@ -60,8 +60,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     let set = ShardSet::open_or_create(&dir, shards, &opts).map_err(|e| e.to_string())?;
     let config = ServerConfig {
         workers: usize_flag(flags, "workers", 4)?.max(1),
-        write_batch: usize_flag(flags, "batch", 32)?.max(1),
-        ..ServerConfig::default()
     };
     let server = Server::bind(addr, set, config).map_err(|e| e.to_string())?;
     let info = server.info();

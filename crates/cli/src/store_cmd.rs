@@ -2,7 +2,7 @@
 //! [`stair_store::StripeStore`] engine.
 //!
 //! ```text
-//! stair store init   --dir DIR [--code SPEC] [--symbol S --stripes T]
+//! stair store init   --dir DIR --code SPEC [--symbol S --stripes T]
 //! stair store status --dir DIR [--json]
 //! stair store write  --dir DIR --input FILE [--offset BYTES]
 //! stair store read   --dir DIR --output FILE [--offset BYTES] [--len BYTES]
@@ -16,8 +16,7 @@
 //!
 //! `--code` takes a codec spec (`stair:n,r,m,e1-e2-...`, `sd:n,r,m,s`,
 //! or `rs:n,r,m`), so one store engine benchmarks every code family the
-//! paper compares. The legacy `--n/--r/--m/--e` flags still work and
-//! build a STAIR spec.
+//! paper compares.
 //!
 //! Only `init`, `inject`, and `recover` are store-specific; every
 //! data-path verb is a thin alias for `stair dev … --dev file:DIR` (see
@@ -43,9 +42,8 @@ use crate::flags::{dir_flag, u64_flag, usize_flag, Flags};
 
 /// Usage text for the `store` family.
 pub const STORE_USAGE: &str = "usage:
-  stair store init   --dir DIR [--code SPEC] [--symbol S --stripes T]
-                     (SPEC: stair:n,r,m,e1-e2-... | sd:n,r,m,s | rs:n,r,m;
-                      legacy --n N --r R --m M --e E builds a stair spec)
+  stair store init   --dir DIR --code SPEC [--symbol S --stripes T]
+                     (SPEC: stair:n,r,m,e1-e2-... | sd:n,r,m,s | rs:n,r,m)
   stair store status --dir DIR [--json]
   stair store write  --dir DIR --input FILE [--offset BYTES]
   stair store read   --dir DIR --output FILE [--offset BYTES] [--len BYTES]
@@ -76,34 +74,12 @@ fn open(flags: &Flags) -> Result<StripeStore, String> {
     StripeStore::open(&dir_flag(flags)?).map_err(|e| e.to_string())
 }
 
-/// The codec for `init`: `--code SPEC` wins; otherwise the legacy STAIR
-/// flags (`--n/--r/--m/--e`) are assembled into a `stair:` spec.
-fn code_flag(flags: &Flags) -> Result<CodecSpec, String> {
-    if let Some(spec) = flags.get("code") {
-        return CodecSpec::from_str(spec).map_err(|e| e.to_string());
-    }
-    let e = match flags.get("e") {
-        None => vec![1, 2],
-        Some(v) => v
-            .split(',')
-            .map(|x| {
-                x.trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad e entry `{x}`"))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    Ok(CodecSpec::Stair {
-        n: usize_flag(flags, "n", 8)?,
-        r: usize_flag(flags, "r", 16)?,
-        m: usize_flag(flags, "m", 2)?,
-        e,
-    })
-}
-
 fn cmd_init(flags: &Flags) -> Result<(), String> {
+    let spec = flags
+        .get("code")
+        .ok_or_else(|| format!("--code is required\n{STORE_USAGE}"))?;
     let opts = StoreOptions {
-        code: code_flag(flags)?,
+        code: CodecSpec::from_str(spec).map_err(|e| e.to_string())?,
         symbol: usize_flag(flags, "symbol", 512)?,
         stripes: usize_flag(flags, "stripes", 64)?,
     };

@@ -20,14 +20,8 @@ fn store_cli_session() {
         "init",
         "--dir",
         dir_s,
-        "--n",
-        "8",
-        "--r",
-        "4",
-        "--m",
-        "2",
-        "--e",
-        "1,1,2",
+        "--code",
+        "stair:8,4,2,1-1-2",
         "--symbol",
         "128",
         "--stripes",
@@ -212,14 +206,8 @@ fn store_cli_inject_detect_repair() {
         "init",
         "--dir",
         dir_s,
-        "--n",
-        "8",
-        "--r",
-        "8",
-        "--m",
-        "2",
-        "--e",
-        "2,2",
+        "--code",
+        "stair:8,8,2,2-2",
         "--symbol",
         "64",
         "--stripes",
@@ -241,4 +229,24 @@ fn store_cli_inject_detect_repair() {
     let (ok, out) = run(&["store", "scrub", "--dir", dir_s]);
     assert!(ok && out.contains("device clean"), "{out}");
     std::fs::remove_dir_all(&work).unwrap();
+}
+
+#[test]
+fn store_init_requires_a_codec_spec() {
+    let work = std::env::temp_dir().join(format!("stair-store-cli-nocode-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&work);
+    let dir_s = work.to_str().unwrap();
+    // No --code (separate --n/--r/--m/--e values are no substitute):
+    // a clean error naming the flag, nothing created.
+    for args in [
+        vec!["store", "init", "--dir", dir_s],
+        vec![
+            "store", "init", "--dir", dir_s, "--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2",
+        ],
+    ] {
+        let (ok, out) = run(&args);
+        assert!(!ok, "{out}");
+        assert!(out.contains("--code is required"), "{out}");
+        assert!(!work.exists(), "a refused init must create nothing");
+    }
 }

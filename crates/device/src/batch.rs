@@ -123,28 +123,30 @@ impl IoBatch {
     /// observable, so backends must fall back to submission order
     /// instead of regrouping. Overlapping reads are not conflicts.
     pub fn has_conflicts(&self) -> bool {
-        // Sweep the spans in start order, tracking the furthest end seen
-        // over all ops and over writes alone; a later-starting op
-        // conflicts exactly when it begins before the relevant frontier.
-        let mut spans: Vec<(u64, u64, bool)> = self
-            .ops
-            .iter()
-            .filter(|op| op.byte_len() > 0)
-            .map(|op| (op.offset(), op.end(), op.is_write()))
-            .collect();
-        spans.sort_unstable();
-        let (mut any_end, mut write_end) = (0u64, 0u64);
-        for (start, end, is_write) in spans {
-            if start < write_end || (is_write && start < any_end) {
-                return true;
-            }
-            any_end = any_end.max(end);
-            if is_write {
-                write_end = write_end.max(end);
-            }
-        }
-        false
+        let spans = self.ops.iter();
+        spans_conflict(spans.map(|op| (op.offset(), op.end(), op.is_write())))
     }
+}
+
+/// [`IoBatch::has_conflicts`] over bare `(start, end, is_write)` spans,
+/// for backends that plan over borrowed views of the ops.
+pub fn spans_conflict(spans: impl Iterator<Item = (u64, u64, bool)>) -> bool {
+    // Sweep the spans in start order, tracking the furthest end seen
+    // over all ops and over writes alone; a later-starting op
+    // conflicts exactly when it begins before the relevant frontier.
+    let mut spans: Vec<(u64, u64, bool)> = spans.filter(|&(start, end, _)| end > start).collect();
+    spans.sort_unstable();
+    let (mut any_end, mut write_end) = (0u64, 0u64);
+    for (start, end, is_write) in spans {
+        if start < write_end || (is_write && start < any_end) {
+            return true;
+        }
+        any_end = any_end.max(end);
+        if is_write {
+            write_end = write_end.max(end);
+        }
+    }
+    false
 }
 
 impl From<Vec<IoOp>> for IoBatch {

@@ -23,8 +23,8 @@
 //!   convert into (`stair_store::Error` and `stair_net::NetError`
 //!   provide `From` impls);
 //! * **[`DeviceStatus`]** / **[`WriteOutcome`]** / **[`ScrubOutcome`]**
-//!   / **[`RepairOutcome`]** — unified report types replacing the
-//!   per-backend `WriteReport`/`WriteSummary`/`ScrubReport`/… zoo;
+//!   / **[`RepairOutcome`]** — the one report vocabulary every
+//!   backend and the wire speak;
 //! * **[`DeviceSpec`]** — the URI-style grammar (`file:<dir>`,
 //!   `shards:<root>?n=4`, `tcp:<addr>?lanes=4`) naming a backend; the
 //!   `open_device()` registry in `stair-net` turns a spec into a live
@@ -53,7 +53,7 @@ mod report;
 mod spec;
 
 pub use api::{AdminDevice, BlockDevice, FaultAdmin};
-pub use batch::{seed_results, BatchResult, IoBatch, IoOp, OpResult};
+pub use batch::{seed_results, spans_conflict, BatchResult, IoBatch, IoOp, OpResult};
 pub use error::DeviceError;
 pub use instrument::Instrumented;
 pub use report::{

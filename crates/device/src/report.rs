@@ -1,11 +1,9 @@
 //! Unified report types shared by every backend.
 //!
-//! These replace the per-backend zoo (`stair_store::WriteReport` vs
-//! `stair_net::protocol::WriteSummary`, a bare `StoreStatus` vs a
-//! `Vec<StoreStatus>`, …): each backend converts its native reports
-//! into these in its [`BlockDevice`](crate::BlockDevice) impl, so
-//! consumers — the CLI, the benchmarks, the conformance tests — see one
-//! shape regardless of where the bytes live.
+//! Every backend reports writes, scrubs and repairs in these shapes —
+//! natively on the data path and on the wire — so consumers (the CLI,
+//! the benchmarks, the conformance tests) see one vocabulary
+//! regardless of where the bytes live.
 
 /// Health and geometry of one erasure-coded shard. A single-store
 /// backend reports exactly one; a sharded or remote backend reports one

@@ -1,27 +1,28 @@
 //! Blocking client for the stair-net protocol.
 //!
-//! [`Client`] owns one connection and reuses it across calls. Large
-//! reads and writes are split into [`MAX_IO_BYTES`]-capped chunks and
-//! **pipelined**: up to a window of requests are in flight before the
-//! first response is awaited, and responses are matched back to chunks
+//! [`Client`] owns one connection and reuses it across calls. All data
+//! moves as **batches**: [`Client::submit`] ships many ops in one BATCH
+//! frame — one round trip instead of one per op — and
+//! [`Client::read_at`] / [`Client::write_at`] are one-op batches on the
+//! same path. Ops larger than [`MAX_IO_BYTES`] are cut into several
+//! frames and **pipelined**: up to a window of frames are in flight
+//! before the first response is awaited, and responses are matched back
 //! by request ID (the server's worker pool may complete them out of
-//! order). Every response payload is checksum-verified by the frame
-//! layer before it is trusted, and server-reported failures are
-//! normalized by one shared helper ([`ok_or_remote`]) on both the
-//! simple and the pipelined path.
-//!
-//! **Batches** ([`Client::submit`]) ship many ops in one BATCH frame —
-//! one round trip instead of one per op — and [`StripedClient::submit`]
-//! splits a batch by placement so each touched shard gets exactly one
-//! request frame, executed across the lanes in parallel.
+//! order). [`StripedClient`] splits a batch by placement so each
+//! touched shard gets its own frame, sent down the lanes in parallel.
+//! Every response payload is checksum-verified by the frame layer
+//! before it is trusted, and server-reported failures are normalized by
+//! one shared helper ([`ok_or_remote`]).
 //!
 //! **Resilience**: a broken connection is not a dead client. Any call
 //! that hits a transport error drops the connection and the next call
-//! redials transparently; *idempotent* requests (reads, status, flush,
-//! scrub, repair, read-only batches) additionally retry once after
-//! reconnecting, so a server restart or dropped socket between ops is
-//! invisible to read-path callers. Writes and fault injection never
-//! auto-retry: the caller decides whether to reissue them.
+//! redials transparently; *idempotent* requests additionally retry once
+//! after reconnecting, so a server restart or dropped socket between
+//! ops is invisible to the caller. That includes every read **and
+//! write**: a BATCH frame carries a client-chosen batch id that is
+//! reissued unchanged on the retry, and re-applying writes is safe
+//! because ops are absolute post-images the server's stores journal.
+//! Only fault injection and shutdown never auto-retry.
 //!
 //! The connection lives behind a [`Mutex`], so every method takes
 //! `&self` and a `Client` is `Send + Sync` — usable behind
@@ -36,122 +37,116 @@ use std::str::FromStr;
 use std::sync::{Mutex, MutexGuard};
 
 use stair_code::CodecSpec;
-use stair_device::{seed_results, BatchResult, IoBatch, IoOp, OpResult};
+use stair_device::{BatchResult, IoBatch, OpResult, RepairOutcome, ScrubOutcome, WriteOutcome};
 use stair_obs::trace::{self, names};
-use stair_obs::SpanCtx;
-use stair_store::StoreStatus;
+use stair_store::{OpRef, StoreStatus};
 
-use crate::device_impl::write_outcome;
+use crate::device_impl::{sole_read, stitch};
 use crate::protocol::{
-    ok_or_remote, read_response_v, write_request_traced_v, BatchReply, RepairSummary, Request,
-    Response, ScrubSummary, ServerInfo, WireShardStatus, WireTrace, WriteSummary,
-    JOURNAL_SINCE_VERSION, MAX_BATCH_OPS, MAX_IO_BYTES, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    encode_batch, ok_or_remote, read_response, write_frame, write_request_traced, Opcode, Request,
+    Response, ServerInfo, WireShardStatus, WireTrace, MAX_BATCH_OPS, MAX_IO_BYTES,
+    PROTOCOL_VERSION,
 };
 use crate::NetError;
 
 /// Chunk requests in flight per connection during pipelined transfers.
 const PIPELINE_WINDOW: usize = 8;
 
-/// Protocol version that introduced trace-flagged frames.
-const TRACE_SINCE_VERSION: u32 = 3;
-
 /// Stitch-back map: per sub-op, `(global op index, byte offset of the
 /// fragment within that op's span)`.
 type StitchMap = Vec<(usize, usize)>;
-
-/// What a frame op looked like, for response validation after the op
-/// itself has moved into the request: `(is_write, byte length)`.
-type OpSpec = (bool, usize);
-
-/// Everything needed to fold one frame's response back into the
-/// batch's result slots: the stitch map plus the per-op specs.
-type FrameMeta = (StitchMap, Vec<OpSpec>);
 
 /// The mutable half of a client: the stream plus the request-ID
 /// counter, locked together for the duration of a call or transfer.
 struct Conn {
     stream: TcpStream,
     next_id: u64,
-    /// Protocol version agreed at HELLO; trace context is only sent to
-    /// peers that negotiated ≥ [`TRACE_SINCE_VERSION`].
-    version: u32,
 }
 
 impl Conn {
-    /// The span context to stamp on outgoing frames: the caller's
-    /// current span, if any, and only toward a trace-aware peer.
-    fn trace_ctx(&self) -> Option<SpanCtx> {
-        if self.version >= TRACE_SINCE_VERSION {
-            trace::current()
-        } else {
-            None
-        }
+    fn next_id(&mut self) -> u64 {
+        self.next_id += 1;
+        self.next_id - 1
     }
 
-    /// One request, one response (server errors become
-    /// [`NetError::Remote`]).
+    /// Awaits the next response frame (server errors become
+    /// [`NetError::Remote`]), returning the request id it answers.
+    fn recv(&mut self) -> Result<(u64, Result<Response, NetError>), NetError> {
+        let (rid, resp) = read_response(&mut self.stream)?;
+        Ok((rid, ok_or_remote(resp)))
+    }
+
+    /// One request, one response.
     fn call(&mut self, req: &Request) -> Result<Response, NetError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let ctx = self.trace_ctx();
-        write_request_traced_v(&mut self.stream, id, req, ctx, self.version)?;
-        let (rid, resp) = read_response_v(&mut self.stream, self.version)?;
+        let id = self.next_id();
+        write_request_traced(&mut self.stream, id, req, trace::current())?;
+        self.response_to(id)
+    }
+
+    /// The response to request `id`, with nothing else in flight.
+    fn response_to(&mut self, id: u64) -> Result<Response, NetError> {
+        let (rid, resp) = self.recv()?;
         if rid != id {
             return Err(NetError::Protocol(format!(
                 "response for request {rid} while awaiting {id}"
             )));
         }
-        ok_or_remote(resp)
+        resp
     }
 
-    /// Sends `count` requests keeping up to [`PIPELINE_WINDOW`] in
-    /// flight, matching responses by ID. On the first failure no new
-    /// requests are sent, but outstanding responses are still drained so
-    /// the connection stays usable.
-    fn pipelined(
+    /// Sends `frames` as BATCH requests keeping up to
+    /// [`PIPELINE_WINDOW`] in flight (one at a time when `ordered`),
+    /// folding each response into `results`. On the first failure no
+    /// new frames are sent, but outstanding responses are still drained
+    /// so the connection stays usable.
+    fn send_frames(
         &mut self,
-        count: usize,
-        mut make: impl FnMut(usize) -> Request,
-        mut on_response: impl FnMut(usize, Response) -> Result<(), NetError>,
+        frames: &[Frame],
+        ordered: bool,
+        results: &mut [OpResult],
     ) -> Result<(), NetError> {
+        let window = if ordered { 1 } else { PIPELINE_WINDOW };
         let mut pending: HashMap<u64, usize> = HashMap::new();
         let mut next = 0usize;
         let mut first_err: Option<NetError> = None;
         loop {
-            while next < count && pending.len() < PIPELINE_WINDOW && first_err.is_none() {
-                let id = self.next_id;
-                self.next_id += 1;
-                let ctx = self.trace_ctx();
-                match write_request_traced_v(&mut self.stream, id, &make(next), ctx, self.version) {
+            while next < frames.len() && pending.len() < window && first_err.is_none() {
+                let id = self.next_id();
+                let ctx = trace::current();
+                match write_frame(
+                    &mut self.stream,
+                    id,
+                    Opcode::Batch,
+                    ctx,
+                    &frames[next].payload,
+                ) {
                     Ok(()) => {
                         pending.insert(id, next);
                         next += 1;
                     }
-                    Err(e) => {
-                        first_err = Some(e);
-                        break;
-                    }
+                    Err(e) => first_err = Some(e),
                 }
             }
             if pending.is_empty() {
                 break;
             }
-            let (rid, resp) = match read_response_v(&mut self.stream, self.version) {
+            let (rid, resp) = match self.recv() {
                 Ok(x) => x,
                 // The stream is broken; outstanding responses are lost.
                 Err(e) => return Err(first_err.unwrap_or(e)),
             };
-            let Some(chunk) = pending.remove(&rid) else {
+            let Some(frame) = pending.remove(&rid) else {
                 return Err(NetError::Protocol(format!("unsolicited response {rid}")));
             };
-            if let Err(e) = ok_or_remote(resp).and_then(|resp| on_response(chunk, resp)) {
+            let folded = resp.and_then(|resp| match resp {
+                Response::Batched(sub) => stitch(results, &frames[frame].map, sub),
+                other => Err(unexpected("BATCH", &other)),
+            });
+            if let Err(e) = folded {
                 first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -161,36 +156,21 @@ pub struct Client {
     addr: String,
     conn: Mutex<Option<Conn>>,
     info: ServerInfo,
-    /// Highest protocol version this client offers at HELLO (redials
-    /// re-offer the same, so the negotiated version is stable).
-    max_version: u32,
 }
 
 impl Client {
-    /// Connects and performs the HELLO handshake. The agreed protocol
-    /// version (`min` of both sides) is in [`Client::info`]; trace
-    /// context is only sent when it is ≥ 3.
+    /// Connects and performs the HELLO handshake.
     ///
     /// # Errors
     ///
-    /// Connection failures, version mismatches, and protocol errors.
+    /// Connection failures, a peer speaking another protocol version,
+    /// and protocol errors.
     pub fn connect(addr: &str) -> Result<Self, NetError> {
-        Self::connect_with_version(addr, PROTOCOL_VERSION)
-    }
-
-    /// Connects offering at most `max_version` at HELLO — how a test
-    /// impersonates an older (e.g. v2, pre-tracing) client.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, version mismatches, and protocol errors.
-    pub fn connect_with_version(addr: &str, max_version: u32) -> Result<Self, NetError> {
-        let (conn, info) = dial(addr, max_version)?;
+        let (conn, info) = dial(addr)?;
         Ok(Client {
             addr: addr.to_string(),
             conn: Mutex::new(Some(conn)),
             info,
-            max_version,
         })
     }
 
@@ -236,7 +216,7 @@ impl Client {
         let mut slot = self.slot();
         for attempt in 0..2 {
             if slot.is_none() {
-                let (conn, info) = dial(&self.addr, self.max_version)?;
+                let (conn, info) = dial(&self.addr)?;
                 if info.capacity != self.info.capacity || info.block_size != self.info.block_size {
                     return Err(NetError::Protocol(format!(
                         "server at {} changed shape across reconnect ({} bytes / {}-byte blocks, was {} / {})",
@@ -276,155 +256,72 @@ impl Client {
         }
     }
 
-    /// Reads `len` bytes at global byte `offset` (chunked + pipelined).
-    /// Retries once over a fresh connection if the socket breaks.
+    /// Reads `len` bytes at global byte `offset` — a one-op batch.
     ///
     /// # Errors
     ///
     /// Transport, checksum, and server failures.
     pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, NetError> {
-        let mut op = trace::span_or_root(names::CLIENT_READ);
-        op.set_bytes(len as u64);
-        let chunks = chunk_spans(offset, len);
-        let mut out = vec![0u8; len];
-        self.with_conn(true, |conn| {
-            conn.pipelined(
-                chunks.len(),
-                |i| Request::Read {
-                    offset: chunks[i].0,
-                    len: chunks[i].2 as u32,
-                },
-                |i, resp| {
-                    let (_, span_off, want) = chunks[i];
-                    match resp {
-                        Response::Data(data) if data.len() == want => {
-                            out[span_off..span_off + want].copy_from_slice(&data);
-                            Ok(())
-                        }
-                        Response::Data(data) => Err(NetError::Protocol(format!(
-                            "READ returned {} bytes, wanted {want}",
-                            data.len()
-                        ))),
-                        other => Err(unexpected("READ", &other)),
-                    }
-                },
-            )
-        })
-        .inspect_err(|_| op.fail())?;
-        Ok(out)
+        sole_read(self.submit_ops(names::CLIENT_READ, &[OpRef::Read { offset, len }])?)
     }
 
-    /// Writes `data` at global byte `offset` (chunked + pipelined),
-    /// aggregating the per-chunk summaries. Never auto-retried: after a
-    /// transport failure the caller cannot know which chunks landed,
-    /// and reissuing a write is the caller's decision.
+    /// Writes `data` at global byte `offset` — a one-op batch — returning
+    /// the aggregated outcome.
     ///
     /// # Errors
     ///
     /// Transport, checksum, and server failures.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteSummary, NetError> {
-        let mut op = trace::span_or_root(names::CLIENT_WRITE);
-        op.set_bytes(data.len() as u64);
-        let chunks = chunk_spans(offset, data.len());
-        let mut total = WriteSummary::default();
-        self.with_conn(false, |conn| {
-            conn.pipelined(
-                chunks.len(),
-                |i| {
-                    let (at, span_off, len) = chunks[i];
-                    Request::Write {
-                        offset: at,
-                        data: data[span_off..span_off + len].to_vec(),
-                    }
-                },
-                |_, resp| match resp {
-                    Response::Written(w) => {
-                        total.absorb(&w);
-                        Ok(())
-                    }
-                    other => Err(unexpected("WRITE", &other)),
-                },
-            )
-        })
-        .inspect_err(|_| op.fail())?;
-        Ok(total)
+    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, NetError> {
+        let results = self.submit_ops(names::CLIENT_WRITE, &[OpRef::Write { offset, data }])?;
+        Ok(BatchResult::from_results(results).write)
     }
 
     /// Submits a scatter-gather batch: every op travels in one BATCH
     /// frame (several frames only past the per-request caps), so N
     /// small ops cost one round trip instead of N.
     ///
-    /// **Retry semantics.** Read-only batches are idempotent and retry
-    /// once over a fresh connection. On a session that negotiated
-    /// protocol ≥ 4, batches containing writes retry too: each frame
-    /// carries a client-chosen batch id that is *reissued unchanged*
-    /// on the retry, and re-applying the writes is safe because ops
-    /// are absolute post-images and the server's stores journal them
-    /// (a frame that half-landed before the socket died is completed
-    /// or repeated, never torn). On an older session, write batches
-    /// surface transport errors to the caller as before.
-    ///
     /// # Errors
     ///
     /// Transport, checksum, and server failures; a failing op aborts
     /// the whole batch server-side.
     pub fn submit(&self, batch: &IoBatch) -> Result<BatchResult, NetError> {
-        let mut op = trace::span_or_root(names::CLIENT_SUBMIT);
-        op.set_bytes(batch.ops().iter().map(IoOp::byte_len).sum::<usize>() as u64);
-        let frames = batch_frames(batch.ops());
-        let mut results = seed_results(batch.ops());
-        if frames.is_empty() {
-            return Ok(BatchResult::from_results(results));
+        let results = self.submit_ops(names::CLIENT_SUBMIT, &OpRef::views(batch.ops()))?;
+        Ok(BatchResult::from_results(results))
+    }
+
+    /// The one data path: frames `ops` and sends them, under a span
+    /// named for the entry point. Every batch is retryable — each
+    /// frame's bytes (batch id included) are encoded once, before any
+    /// send, so a retry over a fresh connection reissues them verbatim
+    /// and the server can recognise the redelivery.
+    pub(crate) fn submit_ops(
+        &self,
+        span: &'static str,
+        ops: &[OpRef<'_>],
+    ) -> Result<Vec<OpResult>, NetError> {
+        if ops.is_empty() {
+            return Ok(Vec::new());
         }
-        let read_only = batch.ops().iter().all(|op| !op.is_write());
-        // The negotiated version is stable across redials (dial
-        // re-offers the same max), so the initial HELLO's answer
-        // decides retryability for the connection's whole life.
-        let journaled_peer = self.info.version >= JOURNAL_SINCE_VERSION;
-        let retryable = read_only || journaled_peer;
+        let mut op = trace::span_or_root(span);
+        op.set_bytes(ops.iter().map(|op| op.byte_len() as u64).sum());
+        let frames = {
+            let _enc = trace::span(names::CLIENT_ENCODE);
+            batch_frames(ops)
+        };
         // Conflicting ops must take effect in submission order. Within
-        // one frame the server guarantees it (one submit call); across
+        // one frame the server guarantees it (one planner call); across
         // frames the worker pool may execute pipelined requests out of
         // order, so a conflicted multi-frame batch serializes: each
         // frame completes before the next is sent.
-        let ordered = frames.len() > 1 && batch.has_conflicts();
-        // Split each frame into its payload and the metadata needed to
-        // fold the response back. Retryable frames may be resent over a
-        // fresh connection, so their payloads are cloned per send;
-        // non-retryable write payloads *move* into requests (the second
-        // copy would be pure waste). Each frame's batch id is minted
-        // once, before any send, so a retry reissues the same id.
-        let (metas, mut payloads): (Vec<FrameMeta>, Vec<Vec<IoOp>>) = frames
-            .into_iter()
-            .map(|f| ((f.map, f.specs), f.ops))
-            .unzip();
-        let batch_ids: Vec<u64> = payloads
-            .iter()
-            .map(|_| if journaled_peer { next_batch_id() } else { 0 })
-            .collect();
-        self.with_conn(retryable, |conn| {
-            let mut request = |i: usize| Request::Batch {
-                batch_id: batch_ids[i],
-                ops: if retryable {
-                    payloads[i].clone()
-                } else {
-                    std::mem::take(&mut payloads[i])
-                },
-            };
-            if ordered {
-                for (i, meta) in metas.iter().enumerate() {
-                    let resp = conn.call(&request(i))?;
-                    apply_batch_response(meta, resp, &mut results)?;
-                }
-                Ok(())
-            } else {
-                conn.pipelined(metas.len(), &mut request, |i, resp| {
-                    apply_batch_response(&metas[i], resp, &mut results)
-                })
-            }
+        let ordered = frames.len() > 1 && OpRef::conflicts(ops);
+        self.with_conn(true, |conn| {
+            // Seeded per attempt: a retry must not fold write outcomes
+            // on top of what the failed attempt's frames reported.
+            let mut results: Vec<OpResult> = ops.iter().map(OpRef::seed).collect();
+            conn.send_frames(&frames, ordered, &mut results)?;
+            Ok(results)
         })
-        .inspect_err(|_| op.fail())?;
-        Ok(BatchResult::from_results(results))
+        .inspect_err(|_| op.fail())
     }
 
     /// Persists every shard on the server.
@@ -489,7 +386,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport or server failures.
-    pub fn scrub(&self, threads: usize) -> Result<ScrubSummary, NetError> {
+    pub fn scrub(&self, threads: usize) -> Result<ScrubOutcome, NetError> {
         match self.with_conn(true, |conn| {
             conn.call(&Request::Scrub {
                 threads: threads as u32,
@@ -505,7 +402,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport or server failures.
-    pub fn repair(&self, threads: usize) -> Result<RepairSummary, NetError> {
+    pub fn repair(&self, threads: usize) -> Result<RepairOutcome, NetError> {
         match self.with_conn(true, |conn| {
             conn.call(&Request::Repair {
                 threads: threads as u32,
@@ -535,8 +432,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport or server failures, and [`NetError::Remote`] from a
-    /// pre-v3 server that does not know the TRACE opcode.
+    /// Transport or server failures.
     pub fn pull_traces(&self) -> Result<Vec<WireTrace>, NetError> {
         match self.with_conn(true, |conn| conn.call(&Request::Trace))? {
             Response::Traces(traces) => Ok(traces),
@@ -557,10 +453,9 @@ impl Client {
     }
 }
 
-/// Dials `addr` and performs the HELLO handshake, offering at most
-/// `ours`. The server replies with the agreed version — `min` of both
-/// sides — which must land in `MIN_PROTOCOL_VERSION..=ours`.
-fn dial(addr: &str, ours: u32) -> Result<(Conn, ServerInfo), NetError> {
+/// Dials `addr` and performs the HELLO handshake: both sides must
+/// speak [`PROTOCOL_VERSION`] exactly.
+fn dial(addr: &str) -> Result<(Conn, ServerInfo), NetError> {
     let stream = TcpStream::connect(addr).map_err(|e| {
         NetError::Io(std::io::Error::new(
             e.kind(),
@@ -568,78 +463,29 @@ fn dial(addr: &str, ours: u32) -> Result<(Conn, ServerInfo), NetError> {
         ))
     })?;
     let _ = stream.set_nodelay(true);
-    let mut conn = Conn {
-        stream,
-        next_id: 1,
-        // Until HELLO agrees otherwise, speak the lowest common form:
-        // no trace context on the handshake itself.
-        version: MIN_PROTOCOL_VERSION,
+    let mut conn = Conn { stream, next_id: 1 };
+    let id = conn.next_id();
+    // No trace context on the handshake itself.
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
     };
-    match conn.call(&Request::Hello { version: ours })? {
-        Response::Hello(info) => {
-            if info.version < MIN_PROTOCOL_VERSION || info.version > ours {
-                return Err(NetError::Version {
-                    ours,
-                    theirs: info.version,
-                });
-            }
-            conn.version = info.version;
-            Ok((conn, info))
-        }
+    write_request_traced(&mut conn.stream, id, &hello, None)?;
+    match conn.response_to(id)? {
+        Response::Hello(info) if info.version == PROTOCOL_VERSION => Ok((conn, info)),
+        Response::Hello(info) => Err(NetError::Version {
+            ours: PROTOCOL_VERSION,
+            theirs: info.version,
+        }),
         other => Err(unexpected("HELLO", &other)),
     }
 }
 
-/// One wire frame's worth of batch ops, the stitch-back map, and the
-/// per-op `(is_write, len)` specs kept for response validation after
-/// the ops move into the request.
-#[derive(Default)]
+/// One wire frame's worth of batch ops — already encoded, so a retry
+/// resends the same bytes under the same batch id — plus the map that
+/// stitches its replies back into the caller's result slots.
 struct Frame {
-    ops: Vec<IoOp>,
+    payload: Vec<u8>,
     map: StitchMap,
-    specs: Vec<OpSpec>,
-}
-
-/// Folds one BATCH response into the result slots its frame maps to.
-fn apply_batch_response(
-    (map, specs): &FrameMeta,
-    resp: Response,
-    results: &mut [OpResult],
-) -> Result<(), NetError> {
-    let Response::Batched(replies) = resp else {
-        return Err(unexpected("BATCH", &resp));
-    };
-    if replies.len() != specs.len() {
-        return Err(NetError::Protocol(format!(
-            "BATCH returned {} replies for {} ops",
-            replies.len(),
-            specs.len()
-        )));
-    }
-    for (j, reply) in replies.into_iter().enumerate() {
-        let (op_idx, span_off) = map[j];
-        let (is_write, len) = specs[j];
-        match (reply, is_write, &mut results[op_idx]) {
-            (BatchReply::Data(data), false, OpResult::Read(out)) => {
-                if data.len() != len {
-                    return Err(NetError::Protocol(format!(
-                        "batch read returned {} bytes, wanted {len}",
-                        data.len()
-                    )));
-                }
-                out[span_off..span_off + data.len()].copy_from_slice(&data);
-            }
-            (BatchReply::Written(w), true, OpResult::Write(total)) => {
-                total.absorb(&write_outcome(&w));
-            }
-            _ => {
-                return Err(NetError::Protocol(
-                    "batch reply kind does not match its op".into(),
-                ))
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Packs ops into BATCH frames: fragments capped at [`MAX_IO_BYTES`]
@@ -647,33 +493,31 @@ fn apply_batch_response(
 /// [`MAX_IO_BYTES`] byte budget — mirroring what the server's decoder
 /// enforces. Small batches (the common case) land in exactly one
 /// frame, i.e. one round trip.
-fn batch_frames(ops: &[IoOp]) -> Vec<Frame> {
+fn batch_frames(ops: &[OpRef<'_>]) -> Vec<Frame> {
     let cap = MAX_IO_BYTES as usize;
     let mut frames: Vec<Frame> = Vec::new();
-    let mut cur = Frame::default();
+    let mut cur: Vec<OpRef<'_>> = Vec::new();
+    let mut map = StitchMap::new();
     let mut budget = 0usize;
+    let mut seal = |cur: &mut Vec<OpRef<'_>>, map: &mut StitchMap| {
+        if !cur.is_empty() {
+            frames.push(Frame {
+                payload: encode_batch(next_batch_id(), cur),
+                map: std::mem::take(map),
+            });
+            cur.clear();
+        }
+    };
     for (i, op) in ops.iter().enumerate() {
         let mut at = 0usize;
         loop {
             let piece = (op.byte_len() - at).min(cap);
-            if !cur.ops.is_empty()
-                && (budget + piece > cap || cur.ops.len() >= MAX_BATCH_OPS as usize)
-            {
-                frames.push(std::mem::take(&mut cur));
+            if budget + piece > cap || cur.len() >= MAX_BATCH_OPS as usize {
+                seal(&mut cur, &mut map);
                 budget = 0;
             }
-            cur.ops.push(match op {
-                IoOp::Read { offset, .. } => IoOp::Read {
-                    offset: offset + at as u64,
-                    len: piece,
-                },
-                IoOp::Write { offset, data } => IoOp::Write {
-                    offset: offset + at as u64,
-                    data: data[at..at + piece].to_vec(),
-                },
-            });
-            cur.map.push((i, at));
-            cur.specs.push((op.is_write(), piece));
+            cur.push(op.piece(at, piece, op.offset() + at as u64));
+            map.push((i, at));
             budget += piece;
             at += piece;
             if at >= op.byte_len() {
@@ -681,15 +525,14 @@ fn batch_frames(ops: &[IoOp]) -> Vec<Frame> {
             }
         }
     }
-    if !cur.ops.is_empty() {
-        frames.push(cur);
-    }
+    seal(&mut cur, &mut map);
     frames
 }
 
-/// A multi-connection client: each transfer is split into one
-/// contiguous piece per connection and the pieces run on scoped
-/// threads, so a single caller can keep several server workers busy.
+/// A multi-connection client: each batch is split by placement into
+/// one group per touched shard and the groups run down the lanes on
+/// scoped threads, so a single caller can keep several server workers
+/// busy.
 pub struct StripedClient {
     lanes: Vec<Client>,
 }
@@ -746,100 +589,23 @@ impl StripedClient {
         self.lane0().pull_traces()
     }
 
-    /// Splits `[0, len)` into one contiguous piece per lane.
-    fn pieces(&self, len: usize) -> Vec<(usize, usize)> {
-        let lanes = self.lanes.len();
-        let base = len / lanes;
-        let extra = len % lanes;
-        let mut out = Vec::with_capacity(lanes);
-        let mut at = 0;
-        for lane in 0..lanes {
-            let piece = base + usize::from(lane < extra);
-            out.push((at, piece));
-            at += piece;
-        }
-        out
-    }
-
-    /// Reads `len` bytes at `offset`, one piece per connection in
-    /// parallel.
+    /// Reads `len` bytes at `offset` — a one-op batch.
     ///
     /// # Errors
     ///
-    /// The first lane failure wins.
+    /// As [`StripedClient::submit`].
     pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, NetError> {
-        let pieces = self.pieces(len);
-        let mut out = vec![0u8; len];
-        // Carve `out` into disjoint mutable chunks, one per lane.
-        let mut chunks: Vec<&mut [u8]> = Vec::with_capacity(pieces.len());
-        let mut rest = out.as_mut_slice();
-        for &(_, piece_len) in &pieces {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(piece_len);
-            chunks.push(head);
-            rest = tail;
-        }
-        let ctx = trace::current();
-        let results: Vec<Result<(), NetError>> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for ((lane, &(start, piece_len)), chunk) in
-                self.lanes.iter().zip(pieces.iter()).zip(chunks)
-            {
-                handles.push(scope.spawn(move |_| {
-                    let _trace = trace::enter_ctx(ctx);
-                    if piece_len == 0 {
-                        return Ok(());
-                    }
-                    let data = lane.read_at(offset + start as u64, piece_len)?;
-                    chunk.copy_from_slice(&data);
-                    Ok(())
-                }));
-            }
-            handles
-                .into_iter()
-                // check: panic-ok a panicked lane thread is a bug — propagate, don't mask as NetError
-                .map(|h| h.join().expect("lane thread panicked"))
-                .collect()
-        })
-        // check: panic-ok crossbeam scope only errs if a child panicked; propagate
-        .expect("lane scope");
-        for r in results {
-            r?;
-        }
-        Ok(out)
+        sole_read(self.submit_ops(names::CLIENT_READ, &[OpRef::Read { offset, len }])?)
     }
 
-    /// Writes `data` at `offset`, one piece per connection in parallel.
+    /// Writes `data` at `offset` — a one-op batch.
     ///
     /// # Errors
     ///
-    /// The first lane failure wins.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteSummary, NetError> {
-        let pieces = self.pieces(data.len());
-        let ctx = trace::current();
-        let results: Vec<Result<WriteSummary, NetError>> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (lane, &(start, piece_len)) in self.lanes.iter().zip(pieces.iter()) {
-                handles.push(scope.spawn(move |_| {
-                    let _trace = trace::enter_ctx(ctx);
-                    if piece_len == 0 {
-                        return Ok(WriteSummary::default());
-                    }
-                    lane.write_at(offset + start as u64, &data[start..start + piece_len])
-                }));
-            }
-            handles
-                .into_iter()
-                // check: panic-ok a panicked lane thread is a bug — propagate, don't mask as NetError
-                .map(|h| h.join().expect("lane thread panicked"))
-                .collect()
-        })
-        // check: panic-ok crossbeam scope only errs if a child panicked; propagate
-        .expect("lane scope");
-        let mut total = WriteSummary::default();
-        for r in results {
-            total.absorb(&r?);
-        }
-        Ok(total)
+    /// As [`StripedClient::submit`].
+    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, NetError> {
+        let results = self.submit_ops(names::CLIENT_WRITE, &[OpRef::Write { offset, data }])?;
+        Ok(BatchResult::from_results(results).write)
     }
 
     /// Submits a batch with **one request frame per touched shard**:
@@ -852,87 +618,47 @@ impl StripedClient {
     /// Span errors surface before anything is sent; afterwards the
     /// first shard failure wins.
     pub fn submit(&self, batch: &IoBatch) -> Result<BatchResult, NetError> {
-        let info = self.lanes[0].info();
-        let placement = info.placement()?;
-        let groups = crate::placement::split_batch(&placement, batch.ops())?;
-        let mut results = seed_results(batch.ops());
-        // Rebuild each fragment with its *global* offset (split_batch
-        // localizes offsets for in-process shard stores; the wire
-        // speaks the global space) — the grouping is what we're after.
-        let work: Vec<(usize, Vec<IoOp>, StitchMap)> = groups
-            .into_iter()
-            .map(|g| {
-                let ops = g
-                    .ops
-                    .into_iter()
-                    .zip(&g.map)
-                    .map(|(local, &(op_idx, span_off))| {
-                        let offset = batch.ops()[op_idx].offset() + span_off as u64;
-                        match local {
-                            IoOp::Read { len, .. } => IoOp::Read { offset, len },
-                            IoOp::Write { data, .. } => IoOp::Write { offset, data },
-                        }
-                    })
-                    .collect();
-                (g.shard, ops, g.map)
-            })
-            .collect();
-        // One touched shard sends inline — no lane threads at width 1.
-        let subs: Vec<(StitchMap, Result<BatchResult, NetError>)> = if work.len() == 1 {
-            // check: panic-ok guarded by work.len() == 1 on the line above
-            let (shard, ops, map) = work.into_iter().next().expect("one group");
-            let lane = &self.lanes[shard % self.lanes.len()];
-            vec![(map, lane.submit(&IoBatch::from(ops)))]
-        } else {
-            let ctx = trace::current();
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (shard, ops, map) in work {
-                    let lane = &self.lanes[shard % self.lanes.len()];
-                    handles.push(scope.spawn(move |_| {
-                        let _trace = trace::enter_ctx(ctx);
-                        (map, lane.submit(&IoBatch::from(ops)))
-                    }));
-                }
-                handles
-                    .into_iter()
-                    // check: panic-ok a panicked lane thread is a bug — propagate, don't mask as NetError
-                    .map(|h| h.join().expect("lane batch thread"))
-                    .collect()
-            })
-            // check: panic-ok crossbeam scope only errs if a child panicked; propagate
-            .expect("lane scope")
-        };
-        for (map, sub) in subs {
-            crate::device_impl::stitch(&mut results, &map, sub?.results)?;
-        }
+        let results = self.submit_ops(names::CLIENT_SUBMIT, &OpRef::views(batch.ops()))?;
         Ok(BatchResult::from_results(results))
+    }
+
+    fn submit_ops(&self, span: &'static str, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, NetError> {
+        let placement = self.lanes[0].info().placement()?;
+        let mut groups = crate::placement::split_batch(&placement, ops)?;
+        // The grouping is what we're after: split_batch localizes
+        // offsets for in-process shard stores, the wire speaks the
+        // global space — so re-address each fragment globally.
+        for g in &mut groups {
+            for (piece, &(op_idx, span_off)) in g.ops.iter_mut().zip(&g.map) {
+                let offset = ops[op_idx].offset() + span_off as u64;
+                *piece = piece.piece(0, piece.byte_len(), offset);
+            }
+        }
+        crate::placement::run_groups(ops, &groups, |g| {
+            self.lanes[g.shard % self.lanes.len()].submit_ops(span, &g.ops)
+        })
     }
 }
 
-/// Mints a process-unique nonzero batch id (0 means "unassigned" on
-/// the wire, so the counter starts at 1).
+/// Mints a nonzero batch id (0 means "unassigned" on the wire): a
+/// counter under a per-process random high half, so ids from different
+/// client processes do not read as redeliveries to the server.
 fn next_batch_id() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    static BASE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    let base = BASE.get_or_init(|| {
+        std::collections::hash_map::RandomState::new()
+            .build_hasher()
+            .finish()
+            << 32
+    });
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    (base | (n & 0xFFFF_FFFF)).max(1)
 }
 
 fn unexpected(what: &str, got: &Response) -> NetError {
     NetError::Protocol(format!("unexpected response to {what}: {got:?}"))
-}
-
-/// Splits `[offset, offset+len)` into `MAX_IO_BYTES`-capped chunks:
-/// `(global_offset, offset_into_span, chunk_len)`.
-fn chunk_spans(offset: u64, len: usize) -> Vec<(u64, usize, usize)> {
-    let cap = MAX_IO_BYTES as usize;
-    let mut out = Vec::new();
-    let mut at = 0usize;
-    while at < len {
-        let piece = cap.min(len - at);
-        out.push((offset + at as u64, at, piece));
-        at += piece;
-    }
-    out
 }
 
 fn store_status(w: &WireShardStatus) -> Result<StoreStatus, NetError> {
@@ -963,55 +689,70 @@ mod tests {
         assert_send_sync::<StripedClient>();
     }
 
+    /// Decodes a frame's payload back into owned ops.
+    fn frame_ops(frame: &Frame) -> Vec<stair_device::IoOp> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 1, Opcode::Batch, None, &frame.payload).unwrap();
+        match crate::protocol::read_request(&mut wire.as_slice()).unwrap() {
+            (_, Request::Batch { batch_id, ops }) => {
+                assert_ne!(batch_id, 0, "every frame carries a minted batch id");
+                ops
+            }
+            other => panic!("expected a BATCH frame, got {other:?}"),
+        }
+    }
+
     #[test]
     fn small_batches_pack_into_one_frame() {
         // 64 single-block ops: one frame, map in submission order.
-        let ops: Vec<IoOp> = (0..64u64)
-            .map(|k| IoOp::Write {
-                offset: k * 512,
-                data: vec![k as u8; 512],
+        let data: Vec<Vec<u8>> = (0..64u8).map(|k| vec![k; 512]).collect();
+        let ops: Vec<OpRef<'_>> = (0..64usize)
+            .map(|k| OpRef::Write {
+                offset: k as u64 * 512,
+                data: &data[k],
             })
             .collect();
         let frames = batch_frames(&ops);
         assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].ops.len(), 64);
+        assert_eq!(frame_ops(&frames[0]).len(), 64);
         assert_eq!(frames[0].map[63], (63, 0));
     }
 
     #[test]
     fn oversize_ops_and_budgets_split_frames() {
+        use stair_device::IoOp;
         // One op bigger than the per-request cap fragments, and the
         // fragments spill across frames.
         let big = MAX_IO_BYTES as usize + 10;
-        let frames = batch_frames(&[IoOp::Read {
+        let frames = batch_frames(&[OpRef::Read {
             offset: 0,
             len: big,
         }]);
         assert_eq!(frames.len(), 2);
         assert_eq!(
-            frames[0].ops[0],
-            IoOp::Read {
+            frame_ops(&frames[0]),
+            [IoOp::Read {
                 offset: 0,
                 len: MAX_IO_BYTES as usize
-            }
+            }]
         );
         assert_eq!(
-            frames[1].ops[0],
-            IoOp::Read {
+            frame_ops(&frames[1]),
+            [IoOp::Read {
                 offset: MAX_IO_BYTES as u64,
                 len: 10
-            }
+            }]
         );
         assert_eq!(frames[1].map[0], (0, MAX_IO_BYTES as usize));
 
         // Two half-cap ops exceed the combined budget → two frames.
         let half = MAX_IO_BYTES as usize / 2 + 1;
         let frames = batch_frames(&[
-            IoOp::Read {
+            OpRef::Read {
                 offset: 0,
                 len: half,
             },
-            IoOp::Read {
+            OpRef::Read {
                 offset: half as u64,
                 len: half,
             },
@@ -1019,8 +760,23 @@ mod tests {
         assert_eq!(frames.len(), 2);
 
         // Zero-length ops still travel (and get a reply slot).
-        let frames = batch_frames(&[IoOp::Read { offset: 5, len: 0 }]);
+        let frames = batch_frames(&[OpRef::Read { offset: 5, len: 0 }]);
         assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].ops[0], IoOp::Read { offset: 5, len: 0 });
+        assert_eq!(frame_ops(&frames[0]), [IoOp::Read { offset: 5, len: 0 }]);
+
+        // A written op past the cap is cut at the cap, bytes intact.
+        let data: Vec<u8> = (0..big).map(|i| i as u8).collect();
+        let frames = batch_frames(&[OpRef::Write {
+            offset: 7,
+            data: &data,
+        }]);
+        assert_eq!(frames.len(), 2);
+        assert_eq!(
+            frame_ops(&frames[1]),
+            [IoOp::Write {
+                offset: 7 + MAX_IO_BYTES as u64,
+                data: data[MAX_IO_BYTES as usize..].to_vec()
+            }]
+        );
     }
 }

@@ -4,13 +4,11 @@
 //! `stair_store::build_codec()`.
 
 use stair_device::{
-    seed_results, BatchResult, BlockDevice, DeviceError, DeviceSpec, DeviceStatus, FaultAdmin,
-    IoBatch, OpResult, RepairOutcome, ScrubOutcome, ShardHealth, WriteOutcome,
+    BatchResult, BlockDevice, DeviceError, DeviceSpec, DeviceStatus, FaultAdmin, IoBatch, OpResult,
+    RepairOutcome, ScrubOutcome, ShardHealth, WriteOutcome,
 };
-use stair_store::{shard_health, StoreStatus, StripeStore};
+use stair_store::{shard_health, OpRef, StoreStatus, StripeStore};
 
-use crate::placement::split_batch;
-use crate::protocol::{RepairSummary, ScrubSummary, WriteSummary};
 use crate::{Client, NetError, ShardSet, StripedClient};
 
 /// Opens the backend a spec names as a data-path device.
@@ -92,13 +90,13 @@ fn device_status(backend: &str, statuses: &[StoreStatus]) -> Result<DeviceStatus
     })
 }
 
-pub(crate) fn write_outcome(w: &WriteSummary) -> WriteOutcome {
-    WriteOutcome {
-        bytes: w.bytes,
-        blocks_written: w.blocks_written,
-        stripes_touched: w.stripes_touched,
-        full_stripe_encodes: w.full_stripe_encodes,
-        delta_updates: w.delta_updates,
+/// The bytes of a one-read submission.
+pub(crate) fn sole_read(mut results: Vec<OpResult>) -> Result<Vec<u8>, NetError> {
+    match results.pop() {
+        Some(OpResult::Read(data)) if results.is_empty() => Ok(data),
+        _ => Err(NetError::Protocol(
+            "a one-read batch did not produce exactly one read result".into(),
+        )),
     }
 }
 
@@ -140,25 +138,6 @@ pub(crate) fn stitch(
     Ok(())
 }
 
-fn scrub_outcome(s: &ScrubSummary) -> ScrubOutcome {
-    ScrubOutcome {
-        stripes_scanned: s.stripes_scanned,
-        sectors_verified: s.sectors_verified,
-        mismatches: s.mismatches,
-        unavailable_devices: s.unavailable_devices,
-        records_cleared: s.records_cleared,
-    }
-}
-
-fn repair_outcome(r: &RepairSummary) -> RepairOutcome {
-    RepairOutcome {
-        devices_replaced: r.devices_replaced,
-        stripes_repaired: r.stripes_repaired,
-        sectors_rewritten: r.sectors_rewritten,
-        unrecoverable_stripes: r.unrecoverable_stripes,
-    }
-}
-
 // ---------------------------------------------------------------------
 // shards: — the in-process sharded set
 // ---------------------------------------------------------------------
@@ -177,53 +156,11 @@ impl BlockDevice for ShardSet {
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        let report = ShardSet::write_at(self, offset, data)?;
-        Ok(stair_store::write_outcome(&report, data.len() as u64))
+        Ok(ShardSet::write_at(self, offset, data)?)
     }
 
-    /// Splits the batch by placement and executes the shard groups in
-    /// parallel — shards share nothing, and each group runs the stripe
-    /// store's native batched path (one lock + one codec decision per
-    /// touched stripe). Conflicting ops always share the shard their
-    /// overlap lands on, where submission order is preserved.
     fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
-        let _split = stair_obs::trace::span(stair_obs::trace::names::SHARDS_SUBMIT);
-        let groups = split_batch(self.placement(), batch.ops())?;
-        let mut results = seed_results(batch.ops());
-        let (maps, work): (Vec<_>, Vec<_>) = groups
-            .into_iter()
-            .map(|g| (g.map, (g.shard, g.ops)))
-            .unzip();
-        // One touched shard — the common shape batching optimizes for —
-        // runs inline; spawning threads buys nothing at width 1.
-        let subs: Vec<Result<BatchResult, NetError>> = if work.len() == 1 {
-            // check: panic-ok guarded by work.len() == 1 on the line above
-            let (shard, ops) = work.into_iter().next().expect("one group");
-            vec![(|| Ok(self.shard(shard)?.submit(&IoBatch::from(ops))?))()]
-        } else {
-            // Shard threads inherit the submitting thread's span context
-            // so per-stripe store spans attach to this trace.
-            let ctx = stair_obs::trace::current();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = work
-                    .into_iter()
-                    .map(|(shard, ops)| {
-                        scope.spawn(move || -> Result<BatchResult, NetError> {
-                            let _trace = stair_obs::trace::enter_ctx(ctx);
-                            Ok(self.shard(shard)?.submit(&IoBatch::from(ops))?)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // check: panic-ok a panicked shard thread is a bug — propagate, don't mask as NetError
-                    .map(|h| h.join().expect("shard batch thread"))
-                    .collect()
-            })
-        };
-        for (map, sub) in maps.iter().zip(subs) {
-            stitch(&mut results, map, sub?.results)?;
-        }
+        let results = self.submit_ops(&OpRef::views(batch.ops()))?;
         Ok(BatchResult::from_results(results))
     }
 
@@ -236,19 +173,11 @@ impl BlockDevice for ShardSet {
     }
 
     fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
-        let mut total = ScrubOutcome::default();
-        for report in ShardSet::scrub(self, threads)? {
-            total.absorb(&stair_store::scrub_outcome(&report));
-        }
-        Ok(total)
+        Ok(ShardSet::scrub(self, threads)?)
     }
 
     fn repair(&self, threads: usize) -> Result<RepairOutcome, DeviceError> {
-        let mut total = RepairOutcome::default();
-        for report in ShardSet::repair(self, threads)? {
-            total.absorb(&stair_store::repair_outcome(&report));
-        }
-        Ok(total)
+        Ok(ShardSet::repair(self, threads)?)
     }
 
     fn metrics(&self) -> Result<stair_obs::MetricsSnapshot, DeviceError> {
@@ -293,7 +222,7 @@ impl BlockDevice for Client {
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        Ok(write_outcome(&Client::write_at(self, offset, data)?))
+        Ok(Client::write_at(self, offset, data)?)
     }
 
     fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
@@ -309,11 +238,11 @@ impl BlockDevice for Client {
     }
 
     fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
-        Ok(scrub_outcome(&Client::scrub(self, threads)?))
+        Ok(Client::scrub(self, threads)?)
     }
 
     fn repair(&self, threads: usize) -> Result<RepairOutcome, DeviceError> {
-        Ok(repair_outcome(&Client::repair(self, threads)?))
+        Ok(Client::repair(self, threads)?)
     }
 
     fn metrics(&self) -> Result<stair_obs::MetricsSnapshot, DeviceError> {
@@ -354,7 +283,7 @@ impl BlockDevice for StripedClient {
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        Ok(write_outcome(&StripedClient::write_at(self, offset, data)?))
+        Ok(StripedClient::write_at(self, offset, data)?)
     }
 
     fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
@@ -370,11 +299,11 @@ impl BlockDevice for StripedClient {
     }
 
     fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
-        Ok(scrub_outcome(&self.lane0().scrub(threads)?))
+        Ok(self.lane0().scrub(threads)?)
     }
 
     fn repair(&self, threads: usize) -> Result<RepairOutcome, DeviceError> {
-        Ok(repair_outcome(&self.lane0().repair(threads)?))
+        Ok(self.lane0().repair(threads)?)
     }
 
     fn metrics(&self) -> Result<stair_obs::MetricsSnapshot, DeviceError> {

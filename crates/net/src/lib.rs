@@ -9,17 +9,18 @@
 //! * **[`ShardSet`]** — `k` equally-shaped stripe stores under one root,
 //!   glued into a single logical block space by a deterministic
 //!   round-robin [`Placement`] map (one placement range = one stripe);
-//! * **[`protocol`]** — a versioned, length-prefixed binary protocol
-//!   (HELLO/STATUS/READ/WRITE/FLUSH/FAIL/SCRUB/REPAIR/SHUTDOWN) with
-//!   request IDs for pipelining and Fletcher-32 checksums on every
-//!   response payload;
+//! * **[`protocol`]** — a single-version, length-prefixed binary
+//!   protocol (HELLO/STATUS/BATCH/FLUSH/FAIL/SCRUB/REPAIR/SHUTDOWN/
+//!   METRICS/TRACE) with request IDs for pipelining and Fletcher-32
+//!   checksums on every response payload; BATCH is the only data
+//!   opcode;
 //! * **[`Server`]** — a multi-threaded TCP service on `std::net`: one
-//!   reader thread per connection, a fixed worker pool, and per-shard
-//!   write batching so adjacent small writes coalesce into a single
-//!   parity-delta pass in the store;
+//!   reader thread per connection and a fixed worker pool executing
+//!   each BATCH frame as one placement-split, per-stripe-planned pass;
 //! * **[`Client`] / [`StripedClient`]** — blocking, connection-reusing
-//!   clients; the striped variant fans one transfer out over several
-//!   connections;
+//!   clients on which `read_at`/`write_at` are one-op batches; the
+//!   striped variant sends each touched shard's group down its own
+//!   connection;
 //! * **[`json`]** — a dependency-free JSON builder for the `--json`
 //!   surfaces of the CLI and benchmarks;
 //! * **[`open_device`] / [`open_admin`]** — the registry turning a

@@ -17,7 +17,9 @@
 //! touches every shard in turn, so concurrent sequential clients spread
 //! across all shards instead of queueing on one.
 
-use stair_device::IoOp;
+use stair_device::OpResult;
+use stair_obs::trace;
+use stair_store::OpRef;
 
 use crate::NetError;
 
@@ -147,12 +149,12 @@ impl Placement {
 /// One shard's share of a batch: shard-local ops plus, per op, where
 /// its result stitches back into the global batch.
 #[derive(Debug)]
-pub struct ShardBatch {
+pub struct ShardBatch<'a> {
     /// The shard these ops run on.
     pub shard: usize,
-    /// Shard-local ops (offsets in the shard's local byte space), in
-    /// global submission order.
-    pub ops: Vec<IoOp>,
+    /// Shard-local views (offsets in the shard's local byte space, data
+    /// borrowed from the global ops), in global submission order.
+    pub ops: Vec<OpRef<'a>>,
     /// Per local op: `(global op index, byte offset of this fragment
     /// within the global op's span)`.
     pub map: Vec<(usize, usize)>,
@@ -167,20 +169,13 @@ pub struct ShardBatch {
 ///
 /// Returns [`NetError::Shards`] if any op's span exceeds capacity —
 /// detected before anything executes.
-pub fn split_batch(placement: &Placement, ops: &[IoOp]) -> Result<Vec<ShardBatch>, NetError> {
-    let mut out: Vec<ShardBatch> = Vec::new();
+pub fn split_batch<'a>(
+    placement: &Placement,
+    ops: &[OpRef<'a>],
+) -> Result<Vec<ShardBatch<'a>>, NetError> {
+    let mut out: Vec<ShardBatch<'a>> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         for span in placement.split(op.offset(), op.byte_len())? {
-            let local = match op {
-                IoOp::Read { .. } => IoOp::Read {
-                    offset: span.local_offset,
-                    len: span.len,
-                },
-                IoOp::Write { data, .. } => IoOp::Write {
-                    offset: span.local_offset,
-                    data: data[span.span_offset..span.span_offset + span.len].to_vec(),
-                },
-            };
             let at = match out.binary_search_by_key(&span.shard, |b| b.shard) {
                 Ok(at) => at,
                 Err(at) => {
@@ -195,11 +190,51 @@ pub fn split_batch(placement: &Placement, ops: &[IoOp]) -> Result<Vec<ShardBatch
                     at
                 }
             };
-            out[at].ops.push(local);
+            out[at]
+                .ops
+                .push(op.piece(span.span_offset, span.len, span.local_offset));
             out[at].map.push((i, span.span_offset));
         }
     }
     Ok(out)
+}
+
+/// Executes a split batch: `run` once per group — inline for a single
+/// group (the common shape; threads buy nothing at width 1), else on
+/// scoped threads that inherit the submitting thread's span context —
+/// and each group's results stitched back into `ops` order.
+pub(crate) fn run_groups<E: Into<NetError> + Send>(
+    ops: &[OpRef<'_>],
+    groups: &[ShardBatch<'_>],
+    run: impl Fn(&ShardBatch<'_>) -> Result<Vec<OpResult>, E> + Sync,
+) -> Result<Vec<OpResult>, NetError> {
+    let subs: Vec<Result<Vec<OpResult>, E>> = if let [g] = groups {
+        vec![run(g)]
+    } else {
+        let ctx = trace::current();
+        let run = &run;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = groups
+                .iter()
+                .map(|g| {
+                    scope.spawn(move || {
+                        let _trace = trace::enter_ctx(ctx);
+                        run(g)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                // check: panic-ok a panicked group thread is a bug — propagate, don't mask as NetError
+                .map(|h| h.join().expect("shard group thread"))
+                .collect()
+        })
+    };
+    let mut results: Vec<OpResult> = ops.iter().map(OpRef::seed).collect();
+    for (g, sub) in groups.iter().zip(subs) {
+        crate::device_impl::stitch(&mut results, &g.map, sub.map_err(Into::into)?)?;
+    }
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -260,20 +295,21 @@ mod tests {
         // 3 shards, 4-block ranges, 2 ranges per shard, 10-byte blocks:
         // range k → shard k % 3, range bytes = 40.
         let p = Placement::new(3, 4, 2, 10);
-        let ops = vec![
-            IoOp::Write {
+        let (ones, twos) = (vec![1u8; 40], vec![2u8; 10]);
+        let ops = [
+            OpRef::Write {
                 offset: 0,
-                data: vec![1; 40],
+                data: &ones,
             }, // range 0 → shard 0
-            IoOp::Read {
+            OpRef::Read {
                 offset: 40,
                 len: 40,
             }, // range 1 → shard 1
-            IoOp::Write {
+            OpRef::Write {
                 offset: 35,
-                data: vec![2; 10],
+                data: &twos,
             }, // crosses range 0 → 1, splits across shards 0 and 1
-            IoOp::Read { offset: 5, len: 10 }, // shard 0 again
+            OpRef::Read { offset: 5, len: 10 }, // shard 0 again
         ];
         let shards = split_batch(&p, &ops).unwrap();
         assert_eq!(shards.len(), 2);
@@ -282,9 +318,9 @@ mod tests {
         assert_eq!(shards[0].map, vec![(0, 0), (2, 0), (3, 0)]);
         assert_eq!(
             shards[0].ops[1],
-            IoOp::Write {
+            OpRef::Write {
                 offset: 35,
-                data: vec![2; 5]
+                data: &twos[..5]
             }
         );
         // Shard 1: op 1, then the tail of op 2 (span offset 5, local
@@ -293,18 +329,18 @@ mod tests {
         assert_eq!(shards[1].map, vec![(1, 0), (2, 5)]);
         assert_eq!(
             shards[1].ops[1],
-            IoOp::Write {
+            OpRef::Write {
                 offset: 0,
-                data: vec![2; 5]
+                data: &twos[5..]
             }
         );
 
         // A 64-single-block batch landing in one range produces exactly
         // one shard group — the "one request frame per shard" shape.
-        let one_stripe: Vec<IoOp> = (0..40u64)
-            .map(|k| IoOp::Write {
-                offset: k,
-                data: vec![k as u8],
+        let one_stripe: Vec<OpRef<'_>> = (0..40usize)
+            .map(|k| OpRef::Write {
+                offset: k as u64,
+                data: &ones[k..k + 1],
             })
             .collect();
         let shards = split_batch(&p, &one_stripe).unwrap();
@@ -314,7 +350,7 @@ mod tests {
         // Out-of-range ops poison the whole split.
         assert!(split_batch(
             &p,
-            &[IoOp::Read {
+            &[OpRef::Read {
                 offset: p.capacity(),
                 len: 1
             }]

@@ -1,5 +1,5 @@
-//! The stair-net wire protocol: versioned, length-prefixed binary frames
-//! with request IDs for pipelining and per-response payload checksums.
+//! The stair-net wire protocol: length-prefixed binary frames with
+//! request IDs for pipelining and per-response payload checksums.
 //!
 //! # Framing
 //!
@@ -10,12 +10,11 @@
 //! ```
 //!
 //! where `len` counts everything after itself (so `9 + payload`). The
-//! opcode byte's high bit is the **trace flag** ([`TRACE_FLAG`],
-//! protocol v3): when set, the payload begins with a 16-byte span
-//! context (`[u64 trace_id] [u64 span_id]`) naming the client span the
-//! server's work should nest under, and the real payload follows. A
-//! frame without the flag is byte-identical to protocol v2. A
-//! **response** frame is
+//! opcode byte's high bit is the **trace flag** ([`TRACE_FLAG`]): when
+//! set, the payload begins with a 16-byte span context
+//! (`[u64 trace_id] [u64 span_id]`) naming the client span the server's
+//! work should nest under, and the real payload follows. A **response**
+//! frame is
 //!
 //! ```text
 //! [u32 len] [u64 request_id] [u8 status] [u32 checksum] [payload …]
@@ -27,62 +26,43 @@
 //! and echoed verbatim; responses may arrive in any order, which is what
 //! makes pipelining across a shared connection possible.
 //!
-//! The HELLO exchange *negotiates* the protocol version: the client
-//! sends magic `b"STAIRNET"` plus its version, the server answers with
-//! `min(client version, server version)` and the store shape
-//! ([`ServerInfo`]); either side rejects a peer older than
-//! [`MIN_PROTOCOL_VERSION`]. Both sides then speak the agreed version —
-//! in practice that only gates whether the client may set the trace
-//! flag, since every v2 frame is valid v3.
+//! # One version, one data opcode
 //!
-//! Version history: v1 shipped the nine base opcodes; v2 added the
-//! [`Opcode::Batch`] frame (many ops in one request, one checksummed
-//! response) with every v1 opcode unchanged on the wire, and later
-//! grew the [`Opcode::Metrics`] frame (pull the server's metrics
-//! snapshot) the same way — additive, so the version number did not
-//! bump and older peers simply never send the new opcode. v3 added
-//! wire-propagated trace context (the opcode high bit, above) and the
-//! [`Opcode::Trace`] frame (pull the server's flight recorder); v2
-//! peers are still accepted, and a frame without the trace flag is
-//! byte-for-byte a v2 frame. v4 (the journal protocol) extends two
-//! existing frames *for sessions that negotiated ≥ 4 only*: a BATCH
-//! request opens with a client-chosen `[u64 batch_id]` (so a batch
-//! reissued after a redial is identifiable server-side; journal replay
-//! makes re-application safe), and each STATUS response shard carries
-//! a trailing `[u8 clean_shutdown] [u64 replayed_records]`. On a v2/v3
-//! session both frames keep their old byte layout, which is why the
-//! encode/decode helpers below take the negotiated session version
-//! (`*_v` variants; the unsuffixed forms assume [`PROTOCOL_VERSION`]).
+//! The protocol speaks exactly [`PROTOCOL_VERSION`]. The HELLO exchange
+//! carries each side's version (client: magic `b"STAIRNET"` plus its
+//! version; server: its version plus the store shape, [`ServerInfo`])
+//! and either side **refuses** a peer whose version differs, with an
+//! error naming both — there are no deployed peers to stay compatible
+//! with, so there is nothing to negotiate.
+//!
+//! All data moves in [`Opcode::Batch`] frames: a client-chosen
+//! `[u64 batch_id]` (so a frame reissued after a redial is identifiable
+//! server-side; journal replay makes re-application safe) followed by
+//! the ops, answered by one checksummed response with a reply per op. A
+//! lone `read_at`/`write_at` is a one-op batch.
 
 use std::io::{Read, Write};
 
-use stair_device::IoOp;
+use stair_device::{IoOp, OpResult, RepairOutcome, ScrubOutcome, WriteOutcome};
 use stair_obs::{HistogramSnapshot, MetricsSnapshot, SpanCtx, TraceEvent, BUCKETS};
 use stair_store::checksum::fletcher32;
+use stair_store::OpRef;
 
 use crate::NetError;
 
-/// Protocol version this build speaks.
-pub const PROTOCOL_VERSION: u32 = 4;
-/// Protocol version that introduced BATCH ids and the STATUS
-/// crash-recovery fields (`clean_shutdown` / `replayed_records`).
-pub const JOURNAL_SINCE_VERSION: u32 = 4;
-/// Oldest peer version still accepted at HELLO time; the negotiated
-/// session version is `min(client, server)`.
-pub const MIN_PROTOCOL_VERSION: u32 = 2;
-/// High bit of the request opcode byte (protocol v3): set when the
-/// payload is prefixed with a `[u64 trace_id][u64 span_id]` span
-/// context. Clear on every frame a v2 peer could send.
+/// The one protocol version this build speaks; HELLO refuses any other.
+pub const PROTOCOL_VERSION: u32 = 5;
+/// High bit of the request opcode byte: set when the payload is
+/// prefixed with a `[u64 trace_id][u64 span_id]` span context.
 pub const TRACE_FLAG: u8 = 0x80;
 /// Magic bytes opening a HELLO payload.
 pub const MAGIC: &[u8; 8] = b"STAIRNET";
 /// Upper bound on a frame body; anything larger is a protocol error
 /// (prevents a corrupt length prefix from allocating gigabytes).
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
-/// Largest data payload a single READ/WRITE request may carry; clients
-/// split bigger transfers into multiple pipelined requests. A BATCH
-/// frame's combined byte budget (write data plus requested read
-/// lengths) honours the same cap.
+/// Largest span one batch op may carry, and the combined byte budget
+/// (write data plus requested read lengths) of one BATCH frame; clients
+/// split bigger transfers into multiple pipelined frames.
 pub const MAX_IO_BYTES: u32 = 4 * 1024 * 1024;
 /// Most ops one BATCH frame may carry.
 pub const MAX_BATCH_OPS: u32 = 4096;
@@ -95,43 +75,37 @@ pub enum Opcode {
     Hello = 1,
     /// Per-shard health and geometry snapshot.
     Status = 2,
-    /// Read a byte span of the global block space.
-    Read = 3,
-    /// Write a byte span of the global block space.
-    Write = 4,
+    /// Submit read/write ops as one frame — the only data opcode.
+    Batch = 3,
     /// Persist checksum tables, health records, and device data.
-    Flush = 5,
+    Flush = 4,
     /// Declare a device failed, or corrupt a sector burst, on one shard.
-    Fail = 6,
+    Fail = 5,
     /// Run a scrub pass over every shard.
-    Scrub = 7,
+    Scrub = 6,
     /// Run an online repair pass over every shard.
-    Repair = 8,
+    Repair = 7,
     /// Ask the server to stop accepting work and exit its run loop.
-    Shutdown = 9,
-    /// Submit many read/write ops as one frame (protocol v2).
-    Batch = 10,
-    /// Pull the server's metrics snapshot (protocol v2, additive).
-    Metrics = 11,
-    /// Pull the server's flight recorder (protocol v3).
-    Trace = 12,
+    Shutdown = 8,
+    /// Pull the server's metrics snapshot.
+    Metrics = 9,
+    /// Pull the server's flight recorder.
+    Trace = 10,
 }
 
 impl Opcode {
     /// Every opcode, in discriminant order. Keep in sync with the enum
     /// — stair-check (wire-constants) and the density test below both
     /// fail the build if a variant is missing here.
-    pub const ALL: [Opcode; 12] = [
+    pub const ALL: [Opcode; 10] = [
         Opcode::Hello,
         Opcode::Status,
-        Opcode::Read,
-        Opcode::Write,
+        Opcode::Batch,
         Opcode::Flush,
         Opcode::Fail,
         Opcode::Scrub,
         Opcode::Repair,
         Opcode::Shutdown,
-        Opcode::Batch,
         Opcode::Metrics,
         Opcode::Trace,
     ];
@@ -142,8 +116,6 @@ impl Opcode {
         match self {
             Opcode::Hello => "hello",
             Opcode::Status => "status",
-            Opcode::Read => "read",
-            Opcode::Write => "write",
             Opcode::Flush => "flush",
             Opcode::Fail => "fail",
             Opcode::Scrub => "scrub",
@@ -159,16 +131,14 @@ impl Opcode {
         Ok(match b {
             1 => Opcode::Hello,
             2 => Opcode::Status,
-            3 => Opcode::Read,
-            4 => Opcode::Write,
-            5 => Opcode::Flush,
-            6 => Opcode::Fail,
-            7 => Opcode::Scrub,
-            8 => Opcode::Repair,
-            9 => Opcode::Shutdown,
-            10 => Opcode::Batch,
-            11 => Opcode::Metrics,
-            12 => Opcode::Trace,
+            3 => Opcode::Batch,
+            4 => Opcode::Flush,
+            5 => Opcode::Fail,
+            6 => Opcode::Scrub,
+            7 => Opcode::Repair,
+            8 => Opcode::Shutdown,
+            9 => Opcode::Metrics,
+            10 => Opcode::Trace,
             other => return Err(NetError::Protocol(format!("unknown opcode {other}"))),
         })
     }
@@ -184,20 +154,6 @@ pub enum Request {
     },
     /// Health snapshot of every shard.
     Status,
-    /// Read `len` bytes at global byte `offset`.
-    Read {
-        /// Global byte offset.
-        offset: u64,
-        /// Bytes to read (≤ [`MAX_IO_BYTES`]).
-        len: u32,
-    },
-    /// Write `data` at global byte `offset`.
-    Write {
-        /// Global byte offset.
-        offset: u64,
-        /// Bytes to store (≤ [`MAX_IO_BYTES`]).
-        data: Vec<u8>,
-    },
     /// Persist everything to disk.
     Flush,
     /// Remove a device's backing file on one shard.
@@ -236,11 +192,10 @@ pub enum Request {
     /// Execute `ops` as one scatter-gather batch; the response carries
     /// one reply per op, in submission order.
     Batch {
-        /// Client-chosen batch id (protocol v4; 0 = unassigned, the
-        /// only value a v2/v3 frame can carry). A client that redials
-        /// mid-batch reissues the frame under the *same* id, so the
-        /// server can count duplicate deliveries; re-applying the
-        /// writes is safe regardless, because the store journals
+        /// Client-chosen batch id (0 = unassigned). A client that
+        /// redials mid-batch reissues the frame under the *same* id,
+        /// so the server can count duplicate deliveries; re-applying
+        /// the writes is safe regardless, because the store journals
         /// absolute post-images.
         batch_id: u64,
         /// The ops, in submission order, offsets in the global block
@@ -263,8 +218,6 @@ impl Request {
         match self {
             Request::Hello { .. } => Opcode::Hello,
             Request::Status => Opcode::Status,
-            Request::Read { .. } => Opcode::Read,
-            Request::Write { .. } => Opcode::Write,
             Request::Flush => Opcode::Flush,
             Request::FailDevice { .. } | Request::CorruptSectors { .. } => Opcode::Fail,
             Request::Scrub { .. } => Opcode::Scrub,
@@ -347,7 +300,7 @@ impl From<&stair_obs::TraceRecord> for WireTrace {
 /// What the server tells a client at HELLO time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServerInfo {
-    /// The server's protocol version.
+    /// The server's [`PROTOCOL_VERSION`].
     pub version: u32,
     /// Number of shards behind the placement map.
     pub shards: u32,
@@ -418,101 +371,10 @@ pub struct WireShardStatus {
     pub rebuilding_devices: Vec<u32>,
     /// Known-damaged sectors awaiting repair.
     pub known_bad_sectors: u32,
-    /// Whether the shard's previous close checkpointed its journal
-    /// (protocol v4; a v2/v3 peer reports `true` vacuously).
+    /// Whether the shard's previous close checkpointed its journal.
     pub clean_shutdown: bool,
-    /// Journal records replayed when the shard opened (protocol v4;
-    /// a v2/v3 peer reports 0).
+    /// Journal records replayed when the shard opened.
     pub replayed_records: u64,
-}
-
-/// Summary of a server-side write (mirrors [`stair_store::WriteReport`],
-/// plus how many queued requests were coalesced into the same store
-/// pass). When several requests share one pass, the pass counters
-/// (`blocks_written` … `delta_updates`) are attributed to exactly one of
-/// them and the rest carry zeros, so summing the summaries of a chunked
-/// transfer yields exact totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WriteSummary {
-    /// Bytes this request stored.
-    pub bytes: u64,
-    /// Logical blocks written (attributed once per coalesced pass).
-    pub blocks_written: u64,
-    /// Stripes touched (attributed once per coalesced pass).
-    pub stripes_touched: u64,
-    /// Full-stripe re-encodes (attributed once per coalesced pass).
-    pub full_stripe_encodes: u64,
-    /// Parity-delta updates (attributed once per coalesced pass).
-    pub delta_updates: u64,
-    /// Requests sharing the coalesced pass (1 = this one alone).
-    pub coalesced: u32,
-}
-
-/// Aggregate scrub outcome across shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ScrubSummary {
-    /// Stripes walked.
-    pub stripes_scanned: u64,
-    /// Sectors read and checksummed.
-    pub sectors_verified: u64,
-    /// Checksum mismatches found.
-    pub mismatches: u64,
-    /// Failed or rebuilding devices skipped (across shards).
-    pub unavailable_devices: u64,
-    /// Stale bad-sector records cleared.
-    pub records_cleared: u64,
-}
-
-impl WriteSummary {
-    /// Folds another chunk's summary into this one. `coalesced` takes
-    /// the max (it counts requests sharing one store pass, not an
-    /// additive total); everything else sums, so aggregating a chunked
-    /// transfer yields exact totals.
-    pub fn absorb(&mut self, w: &WriteSummary) {
-        self.bytes += w.bytes;
-        self.blocks_written += w.blocks_written;
-        self.stripes_touched += w.stripes_touched;
-        self.full_stripe_encodes += w.full_stripe_encodes;
-        self.delta_updates += w.delta_updates;
-        self.coalesced = self.coalesced.max(w.coalesced);
-    }
-}
-
-impl ScrubSummary {
-    /// `true` when every shard verified clean.
-    pub fn clean(&self) -> bool {
-        self.mismatches == 0 && self.unavailable_devices == 0
-    }
-}
-
-/// Aggregate repair outcome across shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RepairSummary {
-    /// Devices replaced and rebuilt (across shards).
-    pub devices_replaced: u64,
-    /// Stripes repaired.
-    pub stripes_repaired: u64,
-    /// Sectors rewritten.
-    pub sectors_rewritten: u64,
-    /// Stripes whose damage exceeded coverage.
-    pub unrecoverable_stripes: u64,
-}
-
-impl RepairSummary {
-    /// `true` when nothing was beyond coverage.
-    pub fn complete(&self) -> bool {
-        self.unrecoverable_stripes == 0
-    }
-}
-
-/// One op's reply inside a [`Response::Batched`], same-index as the
-/// request's op list.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BatchReply {
-    /// The bytes a read op returned.
-    Data(Vec<u8>),
-    /// What a write op did.
-    Written(WriteSummary),
 }
 
 /// A parsed response.
@@ -522,20 +384,16 @@ pub enum Response {
     Hello(ServerInfo),
     /// STATUS answer: one entry per shard, in shard order.
     Status(Vec<WireShardStatus>),
-    /// READ answer: the requested bytes.
-    Data(Vec<u8>),
-    /// WRITE answer.
-    Written(WriteSummary),
     /// FLUSH answer.
     Flushed,
     /// FAIL answer.
     Failed,
     /// SCRUB answer.
-    Scrubbed(ScrubSummary),
+    Scrubbed(ScrubOutcome),
     /// REPAIR answer.
-    Repaired(RepairSummary),
-    /// BATCH answer: one reply per op, in submission order.
-    Batched(Vec<BatchReply>),
+    Repaired(RepairOutcome),
+    /// BATCH answer: one result per op, in submission order.
+    Batched(Vec<OpResult>),
     /// METRICS answer: the server's snapshot at the time of the request.
     Metrics(MetricsSnapshot),
     /// TRACE answer: completed traces (recent ring, then slow-ring
@@ -638,7 +496,30 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn encode_request_payload(req: &Request, version: u32) -> Vec<u8> {
+/// Encodes a BATCH request payload straight from borrowed op views —
+/// what lets a client frame a `write_at` without first copying its
+/// data into an owned [`IoOp`], and resend the same bytes on a retry.
+pub fn encode_batch(batch_id: u64, ops: &[OpRef<'_>]) -> Vec<u8> {
+    let bytes: usize = ops
+        .iter()
+        .filter(|op| op.is_write())
+        .map(OpRef::byte_len)
+        .sum();
+    let mut e = Enc(Vec::with_capacity(12 + 13 * ops.len() + bytes));
+    e.u64(batch_id);
+    e.u32(ops.len() as u32);
+    for op in ops {
+        e.u8(op.is_write() as u8);
+        e.u64(op.offset());
+        e.u32(op.byte_len() as u32);
+        if let OpRef::Write { data, .. } = op {
+            e.bytes(data);
+        }
+    }
+    e.0
+}
+
+fn encode_request_payload(req: &Request) -> Vec<u8> {
     let mut e = Enc(Vec::new());
     match req {
         Request::Hello { version } => {
@@ -650,15 +531,6 @@ fn encode_request_payload(req: &Request, version: u32) -> Vec<u8> {
         | Request::Shutdown
         | Request::Metrics
         | Request::Trace => {}
-        Request::Read { offset, len } => {
-            e.u64(*offset);
-            e.u32(*len);
-        }
-        Request::Write { offset, data } => {
-            e.u64(*offset);
-            e.u32(data.len() as u32);
-            e.bytes(data);
-        }
         Request::FailDevice { shard, device } => {
             e.u8(0);
             e.u32(*shard);
@@ -680,31 +552,13 @@ fn encode_request_payload(req: &Request, version: u32) -> Vec<u8> {
         }
         Request::Scrub { threads } | Request::Repair { threads } => e.u32(*threads),
         Request::Batch { batch_id, ops } => {
-            if version >= JOURNAL_SINCE_VERSION {
-                e.u64(*batch_id);
-            }
-            e.u32(ops.len() as u32);
-            for op in ops {
-                match op {
-                    IoOp::Read { offset, len } => {
-                        e.u8(0);
-                        e.u64(*offset);
-                        e.u32(*len as u32);
-                    }
-                    IoOp::Write { offset, data } => {
-                        e.u8(1);
-                        e.u64(*offset);
-                        e.u32(data.len() as u32);
-                        e.bytes(data);
-                    }
-                }
-            }
+            return encode_batch(*batch_id, &OpRef::views(ops));
         }
     }
     e.0
 }
 
-fn decode_request_payload(op: Opcode, payload: &[u8], version: u32) -> Result<Request, NetError> {
+fn decode_request_payload(op: Opcode, payload: &[u8]) -> Result<Request, NetError> {
     let mut d = Dec::new(payload);
     let req = match op {
         Opcode::Hello => {
@@ -715,27 +569,6 @@ fn decode_request_payload(op: Opcode, payload: &[u8], version: u32) -> Result<Re
             Request::Hello { version: d.u32()? }
         }
         Opcode::Status => Request::Status,
-        Opcode::Read => {
-            let offset = d.u64()?;
-            let len = d.u32()?;
-            if len > MAX_IO_BYTES {
-                return Err(NetError::Protocol(format!(
-                    "READ of {len} bytes exceeds the {MAX_IO_BYTES}-byte request cap"
-                )));
-            }
-            Request::Read { offset, len }
-        }
-        Opcode::Write => {
-            let offset = d.u64()?;
-            let len = d.u32()? as usize;
-            let data = d.take(len)?.to_vec();
-            if data.len() as u32 > MAX_IO_BYTES {
-                return Err(NetError::Protocol(format!(
-                    "WRITE of {len} bytes exceeds the {MAX_IO_BYTES}-byte request cap"
-                )));
-            }
-            Request::Write { offset, data }
-        }
         Opcode::Flush => Request::Flush,
         Opcode::Fail => match d.u8()? {
             0 => Request::FailDevice {
@@ -755,11 +588,7 @@ fn decode_request_payload(op: Opcode, payload: &[u8], version: u32) -> Result<Re
         Opcode::Repair => Request::Repair { threads: d.u32()? },
         Opcode::Shutdown => Request::Shutdown,
         Opcode::Batch => {
-            let batch_id = if version >= JOURNAL_SINCE_VERSION {
-                d.u64()?
-            } else {
-                0
-            };
+            let batch_id = d.u64()?;
             let count = d.u32()?;
             if count > MAX_BATCH_OPS {
                 return Err(NetError::Protocol(format!(
@@ -767,8 +596,8 @@ fn decode_request_payload(op: Opcode, payload: &[u8], version: u32) -> Result<Re
                 )));
             }
             // The combined byte budget (write payloads plus requested
-            // read lengths) shares the single-request cap, so a batch
-            // frame can never demand more memory than a READ/WRITE.
+            // read lengths) shares the per-op cap, so no frame can
+            // demand more memory than one maximal op.
             let mut budget = 0u64;
             let mut ops = Vec::with_capacity(count as usize);
             for _ in 0..count {
@@ -984,7 +813,7 @@ fn decode_traces(d: &mut Dec<'_>) -> Result<Vec<WireTrace>, NetError> {
     Ok(traces)
 }
 
-fn encode_response_payload(resp: &Response, version: u32) -> (u8, Vec<u8>) {
+fn encode_response_payload(resp: &Response) -> (u8, Vec<u8>) {
     let mut e = Enc(Vec::new());
     let status = match resp {
         Response::Error(msg) => {
@@ -1011,45 +840,29 @@ fn encode_response_payload(resp: &Response, version: u32) -> (u8, Vec<u8>) {
                 e.u32s(&s.failed_devices);
                 e.u32s(&s.rebuilding_devices);
                 e.u32(s.known_bad_sectors);
-                if version >= JOURNAL_SINCE_VERSION {
-                    e.u8(s.clean_shutdown as u8);
-                    e.u64(s.replayed_records);
-                }
+                e.u8(s.clean_shutdown as u8);
+                e.u64(s.replayed_records);
             }
             Opcode::Status as u8
         }
-        Response::Data(data) => {
-            e.bytes(data);
-            Opcode::Read as u8
-        }
-        Response::Written(w) => {
-            e.u64(w.bytes);
-            e.u64(w.blocks_written);
-            e.u64(w.stripes_touched);
-            e.u64(w.full_stripe_encodes);
-            e.u64(w.delta_updates);
-            e.u32(w.coalesced);
-            Opcode::Write as u8
-        }
         Response::Flushed => Opcode::Flush as u8,
         Response::Failed => Opcode::Fail as u8,
-        Response::Batched(replies) => {
-            e.u32(replies.len() as u32);
-            for reply in replies {
-                match reply {
-                    BatchReply::Data(data) => {
+        Response::Batched(results) => {
+            e.u32(results.len() as u32);
+            for result in results {
+                match result {
+                    OpResult::Read(data) => {
                         e.u8(0);
                         e.u32(data.len() as u32);
                         e.bytes(data);
                     }
-                    BatchReply::Written(w) => {
+                    OpResult::Write(w) => {
                         e.u8(1);
                         e.u64(w.bytes);
                         e.u64(w.blocks_written);
                         e.u64(w.stripes_touched);
                         e.u64(w.full_stripe_encodes);
                         e.u64(w.delta_updates);
-                        e.u32(w.coalesced);
                     }
                 }
             }
@@ -1083,7 +896,7 @@ fn encode_response_payload(resp: &Response, version: u32) -> (u8, Vec<u8>) {
     (status, e.0)
 }
 
-fn decode_response_payload(status: u8, payload: &[u8], version: u32) -> Result<Response, NetError> {
+fn decode_response_payload(status: u8, payload: &[u8]) -> Result<Response, NetError> {
     if status == 0 {
         return Ok(Response::Error(
             String::from_utf8_lossy(payload).into_owned(),
@@ -1103,7 +916,7 @@ fn decode_response_payload(status: u8, payload: &[u8], version: u32) -> Result<R
             let count = d.u32()? as usize;
             let mut shards = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
-                let mut s = WireShardStatus {
+                shards.push(WireShardStatus {
                     codec: d.str()?,
                     capacity: d.u64()?,
                     block_size: d.u32()?,
@@ -1112,31 +925,12 @@ fn decode_response_payload(status: u8, payload: &[u8], version: u32) -> Result<R
                     failed_devices: d.u32s()?,
                     rebuilding_devices: d.u32s()?,
                     known_bad_sectors: d.u32()?,
-                    // A pre-journal peer has nothing to report:
-                    // vacuously clean, nothing replayed.
-                    clean_shutdown: true,
-                    replayed_records: 0,
-                };
-                if version >= JOURNAL_SINCE_VERSION {
-                    s.clean_shutdown = decode_bool(&mut d, "clean_shutdown")?;
-                    s.replayed_records = d.u64()?;
-                }
-                shards.push(s);
+                    clean_shutdown: decode_bool(&mut d, "clean_shutdown")?,
+                    replayed_records: d.u64()?,
+                });
             }
             Response::Status(shards)
         }
-        Opcode::Read => {
-            let rest = d.buf.len() - d.at;
-            Response::Data(d.take(rest)?.to_vec())
-        }
-        Opcode::Write => Response::Written(WriteSummary {
-            bytes: d.u64()?,
-            blocks_written: d.u64()?,
-            stripes_touched: d.u64()?,
-            full_stripe_encodes: d.u64()?,
-            delta_updates: d.u64()?,
-            coalesced: d.u32()?,
-        }),
         Opcode::Flush => Response::Flushed,
         Opcode::Fail => Response::Failed,
         Opcode::Batch => {
@@ -1146,36 +940,35 @@ fn decode_response_payload(status: u8, payload: &[u8], version: u32) -> Result<R
                     "BATCH response of {count} replies exceeds the {MAX_BATCH_OPS}-op cap"
                 )));
             }
-            let mut replies = Vec::with_capacity(count as usize);
+            let mut results = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                replies.push(match d.u8()? {
+                results.push(match d.u8()? {
                     0 => {
                         let len = d.u32()? as usize;
-                        BatchReply::Data(d.take(len)?.to_vec())
+                        OpResult::Read(d.take(len)?.to_vec())
                     }
-                    1 => BatchReply::Written(WriteSummary {
+                    1 => OpResult::Write(WriteOutcome {
                         bytes: d.u64()?,
                         blocks_written: d.u64()?,
                         stripes_touched: d.u64()?,
                         full_stripe_encodes: d.u64()?,
                         delta_updates: d.u64()?,
-                        coalesced: d.u32()?,
                     }),
                     k => return Err(NetError::Protocol(format!("unknown batch reply kind {k}"))),
                 });
             }
-            Response::Batched(replies)
+            Response::Batched(results)
         }
         Opcode::Metrics => Response::Metrics(decode_metrics(&mut d)?),
         Opcode::Trace => Response::Traces(decode_traces(&mut d)?),
-        Opcode::Scrub => Response::Scrubbed(ScrubSummary {
+        Opcode::Scrub => Response::Scrubbed(ScrubOutcome {
             stripes_scanned: d.u64()?,
             sectors_verified: d.u64()?,
             mismatches: d.u64()?,
             unavailable_devices: d.u64()?,
             records_cleared: d.u64()?,
         }),
-        Opcode::Repair => Response::Repaired(RepairSummary {
+        Opcode::Repair => Response::Repaired(RepairOutcome {
             devices_replaced: d.u64()?,
             stripes_repaired: d.u64()?,
             sectors_rewritten: d.u64()?,
@@ -1205,21 +998,16 @@ fn read_frame(stream: &mut impl Read) -> Result<Vec<u8>, NetError> {
     Ok(body)
 }
 
-/// Writes one request frame with no trace context at the current
-/// [`PROTOCOL_VERSION`] — byte-identical to a protocol v2 frame for
-/// every request except a BATCH carrying an id.
+/// Writes one request frame with no trace context.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_request(stream: &mut impl Write, id: u64, req: &Request) -> Result<(), NetError> {
-    write_request_traced_v(stream, id, req, None, PROTOCOL_VERSION)
+    write_request_traced(stream, id, req, None)
 }
 
-/// Writes one request frame at the current [`PROTOCOL_VERSION`],
-/// optionally carrying span context (sets [`TRACE_FLAG`] on the opcode
-/// byte and prefixes the payload with `[u64 trace_id][u64 span_id]`).
-/// Only send context to a peer that negotiated protocol ≥ 3.
+/// Writes one request frame, optionally carrying span context.
 ///
 /// # Errors
 ///
@@ -1230,42 +1018,42 @@ pub fn write_request_traced(
     req: &Request,
     ctx: Option<SpanCtx>,
 ) -> Result<(), NetError> {
-    write_request_traced_v(stream, id, req, ctx, PROTOCOL_VERSION)
-}
-
-/// [`write_request_traced`] at an explicit negotiated session version
-/// — what a client holding a v2/v3 session uses so its BATCH frames
-/// keep the pre-v4 layout.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_request_traced_v(
-    stream: &mut impl Write,
-    id: u64,
-    req: &Request,
-    ctx: Option<SpanCtx>,
-    version: u32,
-) -> Result<(), NetError> {
     // No-op unless the caller is inside a recorded span (only clients
     // write requests, so this is the client-side serialization cost).
     let payload = {
         let _enc = stair_obs::trace::span(stair_obs::trace::names::CLIENT_ENCODE);
-        encode_request_payload(req, version)
+        encode_request_payload(req)
     };
+    write_frame(stream, id, req.opcode(), ctx, &payload)
+}
+
+/// Writes one request frame around an already-encoded payload (see
+/// [`encode_batch`]). Span context sets [`TRACE_FLAG`] on the opcode
+/// byte and prefixes the payload with `[u64 trace_id][u64 span_id]`.
+///
+/// # Errors
+///
+/// Propagates socket errors.
+pub fn write_frame(
+    stream: &mut impl Write,
+    id: u64,
+    opcode: Opcode,
+    ctx: Option<SpanCtx>,
+    payload: &[u8],
+) -> Result<(), NetError> {
     let prefix = if ctx.is_some() { 16 } else { 0 };
     let mut frame = Vec::with_capacity(4 + 9 + prefix + payload.len());
     frame.extend_from_slice(&(9 + (prefix + payload.len()) as u32).to_le_bytes());
     frame.extend_from_slice(&id.to_le_bytes());
     match ctx {
         Some(ctx) => {
-            frame.push(req.opcode() as u8 | TRACE_FLAG);
+            frame.push(opcode as u8 | TRACE_FLAG);
             frame.extend_from_slice(&ctx.trace_id.to_le_bytes());
             frame.extend_from_slice(&ctx.span_id.to_le_bytes());
         }
-        None => frame.push(req.opcode() as u8),
+        None => frame.push(opcode as u8),
     }
-    frame.extend_from_slice(&payload);
+    frame.extend_from_slice(payload);
     stream.write_all(&frame)?;
     Ok(())
 }
@@ -1282,9 +1070,9 @@ pub fn read_request(stream: &mut impl Read) -> Result<(u64, Request), NetError> 
     Ok((id, req))
 }
 
-/// Reads one request frame at the current [`PROTOCOL_VERSION`],
-/// returning `(request_id, request, span context)` — the context is
-/// `Some` exactly when the sender set [`TRACE_FLAG`].
+/// Reads one request frame, returning `(request_id, request, span
+/// context)` — the context is `Some` exactly when the sender set
+/// [`TRACE_FLAG`].
 ///
 /// # Errors
 ///
@@ -1292,21 +1080,6 @@ pub fn read_request(stream: &mut impl Read) -> Result<(u64, Request), NetError> 
 /// requests are all rejected.
 pub fn read_request_traced(
     stream: &mut impl Read,
-) -> Result<(u64, Request, Option<SpanCtx>), NetError> {
-    read_request_traced_v(stream, PROTOCOL_VERSION)
-}
-
-/// [`read_request_traced`] at an explicit negotiated session version —
-/// what the server's reader uses after HELLO so a v2/v3 peer's BATCH
-/// frames parse under their original layout.
-///
-/// # Errors
-///
-/// Socket errors, truncated frames, unknown opcodes, or oversized
-/// requests are all rejected.
-pub fn read_request_traced_v(
-    stream: &mut impl Read,
-    version: u32,
 ) -> Result<(u64, Request, Option<SpanCtx>), NetError> {
     let body = read_frame(stream)?;
     let mut d = Dec::new(&body);
@@ -1322,33 +1095,17 @@ pub fn read_request_traced_v(
         None
     };
     let payload = &body[d.at..];
-    Ok((id, decode_request_payload(op, payload, version)?, ctx))
+    Ok((id, decode_request_payload(op, payload)?, ctx))
 }
 
 /// Writes one response frame (status byte + Fletcher-32 of the
-/// payload) at the current [`PROTOCOL_VERSION`].
+/// payload).
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_response(stream: &mut impl Write, id: u64, resp: &Response) -> Result<(), NetError> {
-    write_response_v(stream, id, resp, PROTOCOL_VERSION)
-}
-
-/// [`write_response`] at an explicit negotiated session version — what
-/// the server uses so a v2/v3 peer receives STATUS shards without the
-/// v4 trailing fields.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_response_v(
-    stream: &mut impl Write,
-    id: u64,
-    resp: &Response,
-    version: u32,
-) -> Result<(), NetError> {
-    let (status, payload) = encode_response_payload(resp, version);
+    let (status, payload) = encode_response_payload(resp);
     let sum = fletcher32(&payload);
     let mut frame = Vec::with_capacity(4 + 13 + payload.len());
     frame.extend_from_slice(&(13 + payload.len() as u32).to_le_bytes());
@@ -1376,24 +1133,13 @@ pub fn ok_or_remote(resp: Response) -> Result<Response, NetError> {
     }
 }
 
-/// Reads one response frame at the current [`PROTOCOL_VERSION`],
-/// verifying the payload checksum. Returns `(request_id, response)`.
+/// Reads one response frame, verifying the payload checksum. Returns
+/// `(request_id, response)`.
 ///
 /// # Errors
 ///
 /// Socket errors, malformed frames, and checksum mismatches.
 pub fn read_response(stream: &mut impl Read) -> Result<(u64, Response), NetError> {
-    read_response_v(stream, PROTOCOL_VERSION)
-}
-
-/// [`read_response`] at an explicit negotiated session version — what
-/// a client holding a v2/v3 session uses to parse STATUS responses
-/// under their original layout.
-///
-/// # Errors
-///
-/// Socket errors, malformed frames, and checksum mismatches.
-pub fn read_response_v(stream: &mut impl Read, version: u32) -> Result<(u64, Response), NetError> {
     let body = read_frame(stream)?;
     let mut d = Dec::new(&body);
     let id = d.u64()?;
@@ -1407,7 +1153,7 @@ pub fn read_response_v(stream: &mut impl Read, version: u32) -> Result<(u64, Res
     // Covers parsing only, not the socket wait above — a trace must not
     // double-count the server's time under a client-side span.
     let _dec = stair_obs::trace::span(stair_obs::trace::names::CLIENT_DECODE);
-    Ok((id, decode_response_payload(status, payload, version)?))
+    Ok((id, decode_response_payload(status, payload)?))
 }
 
 #[cfg(test)]
@@ -1436,14 +1182,6 @@ mod tests {
             version: PROTOCOL_VERSION,
         });
         round_trip_request(Request::Status);
-        round_trip_request(Request::Read {
-            offset: 123456789,
-            len: 4096,
-        });
-        round_trip_request(Request::Write {
-            offset: 42,
-            data: (0..=255).collect(),
-        });
         round_trip_request(Request::Flush);
         round_trip_request(Request::FailDevice {
             shard: 3,
@@ -1500,30 +1238,64 @@ mod tests {
     }
 
     #[test]
-    fn untraced_frames_are_byte_identical_to_v2() {
-        // write_request (and write_request_traced with None) must emit
-        // exactly the v2 encoding: no flag bit, no context prefix.
-        let req = Request::Read {
-            offset: 0x0102_0304_0506_0708,
-            len: 4096,
-        };
+    fn untraced_frames_carry_no_flag_and_no_context() {
+        // write_request (and write_request_traced with None) emit the
+        // bare layout: no flag bit, no context prefix.
+        let req = Request::Scrub { threads: 4096 };
         let mut wire = Vec::new();
         write_request(&mut wire, 0x0A0B_0C0D_0E0F_1011, &req).unwrap();
         let mut expected = Vec::new();
-        expected.extend_from_slice(&21u32.to_le_bytes()); // 9 + 12
+        expected.extend_from_slice(&13u32.to_le_bytes()); // 9 + 4
         expected.extend_from_slice(&0x0A0B_0C0D_0E0F_1011u64.to_le_bytes());
-        expected.push(3); // Opcode::Read, high bit clear
-        expected.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
+        expected.push(6); // Opcode::Scrub, high bit clear
         expected.extend_from_slice(&4096u32.to_le_bytes());
         assert_eq!(wire, expected);
 
         let mut traced_none = Vec::new();
         write_request_traced(&mut traced_none, 0x0A0B_0C0D_0E0F_1011, &req, None).unwrap();
         assert_eq!(traced_none, expected);
-
-        // And a v2-style reader (read_request) accepts it unchanged.
         let (id, back) = read_request(&mut wire.as_slice()).unwrap();
         assert_eq!((id, back), (0x0A0B_0C0D_0E0F_1011, req));
+    }
+
+    #[test]
+    fn batches_encode_identically_from_borrowed_views() {
+        // The client frames a write from a borrowed slice; the bytes
+        // must be exactly what the owned request encodes to, batch id
+        // first.
+        let data: Vec<u8> = (0..=127).collect();
+        let req = Request::Batch {
+            batch_id: 77,
+            ops: vec![
+                IoOp::Read {
+                    offset: 512,
+                    len: 8,
+                },
+                IoOp::Write {
+                    offset: 9,
+                    data: data.clone(),
+                },
+            ],
+        };
+        let mut owned = Vec::new();
+        write_request(&mut owned, 9, &req).unwrap();
+        let views = [
+            OpRef::Read {
+                offset: 512,
+                len: 8,
+            },
+            OpRef::Write {
+                offset: 9,
+                data: &data,
+            },
+        ];
+        let payload = encode_batch(77, &views);
+        assert_eq!(payload[..8], 77u64.to_le_bytes());
+        let mut borrowed = Vec::new();
+        write_frame(&mut borrowed, 9, Opcode::Batch, None, &payload).unwrap();
+        assert_eq!(borrowed, owned);
+        let (_, back) = read_request(&mut borrowed.as_slice()).unwrap();
+        assert_eq!(back, req);
     }
 
     #[test]
@@ -1622,11 +1394,11 @@ mod tests {
     fn metrics_responses_round_trip() {
         round_trip_response(Response::Metrics(MetricsSnapshot::default()));
         let mut snap = MetricsSnapshot::default();
-        snap.add_counter("srv.req.read", 17);
+        snap.add_counter("srv.req.batch", 17);
         snap.add_counter("store.stripe_locks", 3);
         snap.add_gauge("srv.connections", -1);
         snap.add_histogram(
-            "srv.lat_us.read",
+            "srv.lat_us.batch",
             &HistogramSnapshot {
                 buckets: vec![0, 2, 5, 1],
                 sum: 44,
@@ -1706,7 +1478,7 @@ mod tests {
     #[test]
     fn responses_round_trip() {
         round_trip_response(Response::Hello(ServerInfo {
-            version: 1,
+            version: PROTOCOL_VERSION,
             shards: 4,
             capacity: 1 << 30,
             block_size: 512,
@@ -1725,116 +1497,35 @@ mod tests {
             clean_shutdown: false,
             replayed_records: 31,
         }]));
-        round_trip_response(Response::Data(vec![0xAB; 1000]));
-        round_trip_response(Response::Written(WriteSummary {
-            bytes: 512,
-            blocks_written: 4,
-            stripes_touched: 1,
-            full_stripe_encodes: 0,
-            delta_updates: 4,
-            coalesced: 2,
-        }));
         round_trip_response(Response::Flushed);
         round_trip_response(Response::Failed);
-        round_trip_response(Response::Scrubbed(ScrubSummary {
+        round_trip_response(Response::Scrubbed(ScrubOutcome {
             stripes_scanned: 10,
             sectors_verified: 320,
             mismatches: 1,
             unavailable_devices: 0,
             records_cleared: 0,
         }));
-        round_trip_response(Response::Repaired(RepairSummary {
+        round_trip_response(Response::Repaired(RepairOutcome {
             devices_replaced: 1,
             stripes_repaired: 8,
             sectors_rewritten: 32,
             unrecoverable_stripes: 0,
         }));
         round_trip_response(Response::Batched(vec![
-            BatchReply::Data(vec![7; 96]),
-            BatchReply::Written(WriteSummary {
+            OpResult::Read(vec![7; 96]),
+            OpResult::Write(WriteOutcome {
                 bytes: 64,
                 blocks_written: 1,
                 stripes_touched: 1,
                 full_stripe_encodes: 0,
                 delta_updates: 1,
-                coalesced: 1,
             }),
-            BatchReply::Data(Vec::new()),
+            OpResult::Read(Vec::new()),
         ]));
         round_trip_response(Response::Batched(vec![]));
         round_trip_response(Response::ShuttingDown);
         round_trip_response(Response::Error("it broke".into()));
-    }
-
-    #[test]
-    fn v3_sessions_keep_the_pre_journal_batch_and_status_layout() {
-        // A BATCH written at session version 3 carries no batch id and
-        // is byte-identical to what a v3 build produced; decoding it at
-        // v3 yields batch_id 0.
-        let req = Request::Batch {
-            batch_id: 77, // dropped on the wire at v3
-            ops: vec![IoOp::Read {
-                offset: 512,
-                len: 8,
-            }],
-        };
-        let mut v3_wire = Vec::new();
-        write_request_traced_v(&mut v3_wire, 9, &req, None, 3).unwrap();
-        let mut legacy = Vec::new();
-        legacy.extend_from_slice(&(9 + 4 + 13u32).to_le_bytes()); // count + one read op
-        legacy.extend_from_slice(&9u64.to_le_bytes());
-        legacy.push(Opcode::Batch as u8);
-        legacy.extend_from_slice(&1u32.to_le_bytes());
-        legacy.push(0); // read
-        legacy.extend_from_slice(&512u64.to_le_bytes());
-        legacy.extend_from_slice(&8u32.to_le_bytes());
-        assert_eq!(v3_wire, legacy);
-        let (_, back, _) = read_request_traced_v(&mut v3_wire.as_slice(), 3).unwrap();
-        assert_eq!(
-            back,
-            Request::Batch {
-                batch_id: 0,
-                ops: vec![IoOp::Read {
-                    offset: 512,
-                    len: 8
-                }],
-            }
-        );
-        // At v4 the same request round-trips its id.
-        let mut v4_wire = Vec::new();
-        write_request_traced_v(&mut v4_wire, 9, &req, None, 4).unwrap();
-        assert_eq!(v4_wire.len(), v3_wire.len() + 8);
-        let (_, back, _) = read_request_traced_v(&mut v4_wire.as_slice(), 4).unwrap();
-        assert_eq!(back, req);
-
-        // A STATUS response written at v3 drops the journal fields and
-        // decodes to the vacuous defaults (clean, nothing replayed).
-        let shard = WireShardStatus {
-            codec: "rs:6,4,2".into(),
-            capacity: 4096,
-            block_size: 64,
-            stripes: 4,
-            blocks_per_stripe: 16,
-            failed_devices: vec![],
-            rebuilding_devices: vec![],
-            known_bad_sectors: 0,
-            clean_shutdown: false,
-            replayed_records: 12,
-        };
-        let mut wire = Vec::new();
-        write_response_v(&mut wire, 5, &Response::Status(vec![shard.clone()]), 3).unwrap();
-        let (_, back) = read_response_v(&mut wire.as_slice(), 3).unwrap();
-        let expected = WireShardStatus {
-            clean_shutdown: true,
-            replayed_records: 0,
-            ..shard.clone()
-        };
-        assert_eq!(back, Response::Status(vec![expected]));
-        // And at v4 the crash-recovery fields survive the trip.
-        let mut wire = Vec::new();
-        write_response_v(&mut wire, 5, &Response::Status(vec![shard.clone()]), 4).unwrap();
-        let (_, back) = read_response_v(&mut wire.as_slice(), 4).unwrap();
-        assert_eq!(back, Response::Status(vec![shard]));
     }
 
     #[test]
@@ -1844,8 +1535,8 @@ mod tests {
             other => panic!("expected Remote, got {other:?}"),
         }
         assert!(matches!(
-            ok_or_remote(Response::Data(vec![1, 2])),
-            Ok(Response::Data(_))
+            ok_or_remote(Response::Batched(vec![])),
+            Ok(Response::Batched(_))
         ));
         assert!(matches!(
             ok_or_remote(Response::Flushed),
@@ -1854,40 +1545,10 @@ mod tests {
     }
 
     #[test]
-    fn write_summaries_absorb_chunked_totals() {
-        let mut total = WriteSummary {
-            bytes: 100,
-            blocks_written: 4,
-            stripes_touched: 1,
-            full_stripe_encodes: 1,
-            delta_updates: 0,
-            coalesced: 3,
-        };
-        total.absorb(&WriteSummary {
-            bytes: 28,
-            blocks_written: 1,
-            stripes_touched: 1,
-            full_stripe_encodes: 0,
-            delta_updates: 1,
-            coalesced: 2,
-        });
-        assert_eq!(
-            total,
-            WriteSummary {
-                bytes: 128,
-                blocks_written: 5,
-                stripes_touched: 2,
-                full_stripe_encodes: 1,
-                delta_updates: 1,
-                coalesced: 3,
-            }
-        );
-    }
-
-    #[test]
     fn corrupted_response_payload_fails_checksum() {
         let mut wire = Vec::new();
-        write_response(&mut wire, 1, &Response::Data(vec![1, 2, 3, 4])).unwrap();
+        let resp = Response::Batched(vec![OpResult::Read(vec![1, 2, 3, 4])]);
+        write_response(&mut wire, 1, &resp).unwrap();
         let last = wire.len() - 1;
         wire[last] ^= 0xFF;
         match read_response(&mut wire.as_slice()) {
@@ -1909,17 +1570,13 @@ mod tests {
             read_request(&mut huge.as_slice()),
             Err(NetError::Protocol(_))
         ));
-        // A READ larger than the request cap is refused at decode time.
+        // A batch op larger than the per-op cap is refused at decode time.
+        let ops = vec![IoOp::Read {
+            offset: 0,
+            len: MAX_IO_BYTES as usize + 1,
+        }];
         let mut wire = Vec::new();
-        write_request(
-            &mut wire,
-            1,
-            &Request::Read {
-                offset: 0,
-                len: MAX_IO_BYTES + 1,
-            },
-        )
-        .unwrap();
+        write_request(&mut wire, 1, &Request::Batch { batch_id: 0, ops }).unwrap();
         assert!(matches!(
             read_request(&mut wire.as_slice()),
             Err(NetError::Protocol(_))

@@ -11,13 +11,10 @@
 //! * responses are written back under a per-connection mutex, tagged
 //!   with the request ID, so a pipelining client may see completions out
 //!   of order;
-//! * **write batching**: a worker that pops a WRITE drains the other
-//!   WRITEs queued behind it (up to a batch cap) and sorts them by
-//!   offset; adjacent spans are merged into a single store pass, so
-//!   small writes landing in the same stripe coalesce into one
-//!   parity-delta update instead of one per request. Disjoint writes
-//!   commute, so offset order is safe; if any two writes in a batch
-//!   overlap, the batch falls back to arrival order with no merging.
+//! * all data arrives as **BATCH** frames and executes through
+//!   [`ShardSet::submit_ops`] — one planner pass per touched stripe
+//!   however many ops the frame carries; there is no second,
+//!   server-side coalescing layer.
 //!
 //! Shutdown (a SHUTDOWN frame, or [`ServerHandle::shutdown`]) stops the
 //! accept loop, drains the queue, joins every thread, and flushes the
@@ -26,17 +23,16 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use stair_device::{BlockDevice, IoBatch, IoOp, OpResult};
 use stair_obs::trace::{self, names};
 use stair_obs::{MetricsRegistry, SpanCtx};
+use stair_store::OpRef;
 
 use crate::protocol::{
-    read_request_traced_v, write_response_v, BatchReply, RepairSummary, Request, Response,
-    ScrubSummary, ServerInfo, WireTrace, WriteSummary, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    read_request_traced, write_response, Request, Response, ServerInfo, WireTrace, PROTOCOL_VERSION,
 };
 use crate::shards::{wire_status, ShardSet};
 use crate::NetError;
@@ -46,22 +42,11 @@ use crate::NetError;
 pub struct ServerConfig {
     /// Worker threads executing requests.
     pub workers: usize,
-    /// Most WRITE requests one worker batches into a single pass.
-    pub write_batch: usize,
-    /// Highest protocol version this server speaks. HELLO negotiates
-    /// `min(client, max_version)`; clients older than
-    /// [`MIN_PROTOCOL_VERSION`] are rejected. Capping below
-    /// [`PROTOCOL_VERSION`] lets tests impersonate an older server.
-    pub max_version: u32,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            workers: 4,
-            write_batch: 32,
-            max_version: PROTOCOL_VERSION,
-        }
+        ServerConfig { workers: 4 }
     }
 }
 
@@ -77,8 +62,8 @@ struct Job {
     ctx: Option<SpanCtx>,
 }
 
-/// Most recently-seen BATCH ids remembered per connection for
-/// duplicate-delivery accounting.
+/// Most recently-seen BATCH ids remembered for duplicate-delivery
+/// accounting.
 const RECENT_BATCH_IDS: usize = 64;
 
 /// The write half of a connection; workers serialize frames under the
@@ -86,14 +71,6 @@ const RECENT_BATCH_IDS: usize = 64;
 /// the hangup and retires the connection.
 struct ConnWriter {
     stream: Mutex<TcpStream>,
-    /// Protocol version negotiated at HELLO; responses are encoded at
-    /// this version so a v2/v3 peer never sees v4 fields. Before HELLO
-    /// it holds [`MIN_PROTOCOL_VERSION`], the lowest common form.
-    version: AtomicU32,
-    /// Ring of recent nonzero BATCH ids (v4 clients stamp retried
-    /// batches with the same id; a repeat here means the client
-    /// redelivered after a redial).
-    recent_batches: Mutex<VecDeque<u64>>,
 }
 
 impl ConnWriter {
@@ -104,24 +81,7 @@ impl ConnWriter {
             .stream
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = write_response_v(&mut *stream, id, resp, self.version.load(Ordering::Acquire));
-    }
-
-    /// Records `batch_id` and reports whether it was already seen on
-    /// this connection (a duplicate delivery of a retried batch).
-    fn batch_seen_before(&self, batch_id: u64) -> bool {
-        let mut recent = self
-            .recent_batches
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if recent.contains(&batch_id) {
-            return true;
-        }
-        if recent.len() >= RECENT_BATCH_IDS {
-            recent.pop_front();
-        }
-        recent.push_back(batch_id);
-        false
+        let _ = write_response(&mut *stream, id, resp);
     }
 }
 
@@ -136,6 +96,10 @@ struct State {
     /// Per-opcode request counters, latency histograms, and the trace
     /// journal; served back over the METRICS opcode.
     registry: MetricsRegistry,
+    /// Ring of recent nonzero BATCH ids, server-wide: a client that
+    /// lost its socket mid-batch reissues the frame under the same id
+    /// over a *new* connection, so a repeat here is a redelivery.
+    recent_batches: Mutex<VecDeque<u64>>,
 }
 
 impl State {
@@ -145,6 +109,23 @@ impl State {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .push_back(job);
         self.available.notify_one();
+    }
+
+    /// Records `batch_id` and reports whether it was already seen (a
+    /// duplicate delivery of a retried batch).
+    fn batch_seen_before(&self, batch_id: u64) -> bool {
+        let mut recent = self
+            .recent_batches
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if recent.contains(&batch_id) {
+            return true;
+        }
+        if recent.len() >= RECENT_BATCH_IDS {
+            recent.pop_front();
+        }
+        recent.push_back(batch_id);
+        false
     }
 }
 
@@ -232,6 +213,7 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 conns: Mutex::new(std::collections::HashMap::new()),
                 registry: MetricsRegistry::new(),
+                recent_batches: Mutex::new(VecDeque::new()),
             }),
             config,
             addr: local,
@@ -251,12 +233,10 @@ impl Server {
         }
     }
 
-    /// The HELLO payload this server announces. `version` is the
-    /// highest protocol this server speaks; HELLO replies carry
-    /// `min(client, server)` instead.
+    /// The HELLO payload this server announces.
     pub fn info(&self) -> ServerInfo {
         ServerInfo {
-            version: self.config.max_version.min(PROTOCOL_VERSION),
+            version: PROTOCOL_VERSION,
             shards: self.shards.shard_count() as u32,
             capacity: self.shards.capacity(),
             block_size: self.shards.block_size() as u32,
@@ -277,10 +257,9 @@ impl Server {
         for _ in 0..self.config.workers {
             let state = Arc::clone(&self.state);
             let shards = Arc::clone(&self.shards);
-            let batch = self.config.write_batch.max(1);
             let info = self.info();
             workers.push(std::thread::spawn(move || {
-                worker_loop(&state, &shards, &info, batch)
+                worker_loop(&state, &shards, &info)
             }));
         }
 
@@ -339,13 +318,10 @@ fn reader_loop(stream: TcpStream, state: &State, info: &ServerInfo, addr: Socket
             Ok(s) => Mutex::new(s),
             Err(_) => return,
         },
-        version: AtomicU32::new(MIN_PROTOCOL_VERSION),
-        recent_batches: Mutex::new(VecDeque::new()),
     });
     let mut stream = stream;
     loop {
-        let session = writer.version.load(Ordering::Acquire);
-        let (id, req, ctx) = match read_request_traced_v(&mut stream, session) {
+        let (id, req, ctx) = match read_request_traced(&mut stream) {
             Ok(x) => x,
             Err(NetError::Protocol(msg)) => {
                 // A malformed frame desynchronizes the stream; report and
@@ -359,25 +335,18 @@ fn reader_loop(stream: TcpStream, state: &State, info: &ServerInfo, addr: Socket
         match req {
             Request::Hello { version } => {
                 state.registry.counter("srv.req.hello").inc();
-                if version < MIN_PROTOCOL_VERSION {
+                if version != info.version {
                     state.registry.counter("srv.errors.hello").inc();
                     writer.send(
                         id,
                         &Response::Error(format!(
-                            "version mismatch: server speaks v{}..=v{}, client v{version}",
-                            MIN_PROTOCOL_VERSION, info.version
+                            "version mismatch: server speaks v{}, client v{version}",
+                            info.version
                         )),
                     );
                     return;
                 }
-                // Negotiate down to whichever side is older; a v2 client
-                // gets a v2 reply and never sees trace-flagged frames,
-                // and every later frame on this connection is encoded
-                // and decoded at the agreed version.
-                let mut agreed = info.clone();
-                agreed.version = version.min(info.version);
-                writer.version.store(agreed.version, Ordering::Release);
-                writer.send(id, &Response::Hello(agreed));
+                writer.send(id, &Response::Hello(info.clone()));
             }
             Request::Shutdown => {
                 state.registry.counter("srv.req.shutdown").inc();
@@ -386,12 +355,12 @@ fn reader_loop(stream: TcpStream, state: &State, info: &ServerInfo, addr: Socket
                 return;
             }
             req => {
-                // Duplicate-batch accounting (protocol v4): a nonzero
-                // id seen twice on one connection means the client
-                // redelivered a batch after a redial; the journal makes
-                // re-applying it safe, the counter makes it observable.
+                // Duplicate-batch accounting: a nonzero id seen twice
+                // means the client redelivered a batch after a redial;
+                // the journal makes re-applying it safe, the counter
+                // makes it observable.
                 if let Request::Batch { batch_id, .. } = &req {
-                    if *batch_id != 0 && writer.batch_seen_before(*batch_id) {
+                    if *batch_id != 0 && state.batch_seen_before(*batch_id) {
                         state.registry.counter("srv.batch.redelivered").inc();
                     }
                 }
@@ -410,7 +379,7 @@ fn reader_loop(stream: TcpStream, state: &State, info: &ServerInfo, addr: Socket
     }
 }
 
-fn worker_loop(state: &State, shards: &ShardSet, info: &ServerInfo, batch: usize) {
+fn worker_loop(state: &State, shards: &ShardSet, info: &ServerInfo) {
     loop {
         let job = {
             let mut queue = state
@@ -430,115 +399,47 @@ fn worker_loop(state: &State, shards: &ShardSet, info: &ServerInfo, batch: usize
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        if let Request::Write { offset, data } = job.req {
-            let mut writes = vec![QueuedWrite {
-                writer: job.writer,
-                id: job.id,
-                offset,
-                data,
-                received: job.received,
-                ctx: job.ctx,
-            }];
-            {
-                let mut queue = state
-                    .queue
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let mut i = 0;
-                while i < queue.len() && writes.len() < batch {
-                    if matches!(queue[i].req, Request::Write { .. }) {
-                        let Some(Job {
-                            writer,
-                            id,
-                            req: Request::Write { offset, data },
-                            received,
-                            ctx,
-                        }) = queue.remove(i)
-                        else {
-                            // Guarded by the matches! above; bail rather
-                            // than panic if the queue mutates underfoot.
-                            break;
-                        };
-                        writes.push(QueuedWrite {
-                            writer,
-                            id,
-                            offset,
-                            data,
-                            received,
-                            ctx,
-                        });
-                    } else {
-                        i += 1;
-                    }
-                }
+        let kind = job.req.opcode().name();
+        let bytes = request_bytes(&job.req);
+        let start = Instant::now();
+        // A traced frame roots a server-side span tree: the root
+        // starts when the reader parsed the frame and joins the
+        // client's trace; the queue wait is recorded as the interval
+        // between parse and this worker popping the job.
+        let mut root = job.ctx.map(|ctx| {
+            let g =
+                trace::wire_root_at(names::SRV_REQUEST, ctx.trace_id, ctx.span_id, job.received);
+            trace::span_at(
+                names::SRV_QUEUE,
+                job.received,
+                start.saturating_duration_since(job.received),
+            );
+            g
+        });
+        let resp = {
+            let _exec = trace::span(names::SRV_EXEC);
+            execute(shards, info, &state.registry, job.req)
+        };
+        let elapsed = start.elapsed();
+        record_request(&state.registry, kind, bytes, elapsed, &resp);
+        if let Some(g) = root.as_mut() {
+            g.set_bytes(bytes);
+            if matches!(resp, Response::Error(_)) {
+                g.fail();
             }
-            execute_write_batch(shards, &state.registry, writes);
-        } else {
-            let kind = job.req.opcode().name();
-            let bytes = request_bytes(&job.req);
-            let start = Instant::now();
-            // A traced frame roots a server-side span tree: the root
-            // starts when the reader parsed the frame and joins the
-            // client's trace; the queue wait is recorded as the interval
-            // between parse and this worker popping the job.
-            let mut root = job.ctx.map(|ctx| {
-                let g = trace::wire_root_at(
-                    names::SRV_REQUEST,
-                    ctx.trace_id,
-                    ctx.span_id,
-                    job.received,
-                );
-                trace::span_at(
-                    names::SRV_QUEUE,
-                    job.received,
-                    start.saturating_duration_since(job.received),
-                );
-                g
-            });
-            let resp = {
-                let _exec = trace::span(names::SRV_EXEC);
-                execute(shards, info, &state.registry, job.req)
-            };
-            let elapsed = start.elapsed();
-            record_request(&state.registry, kind, bytes, elapsed, &resp);
-            if let Some(g) = root.as_mut() {
-                g.set_bytes(bytes);
-                if matches!(resp, Response::Error(_)) {
-                    g.fail();
-                }
-            }
-            job.writer.send(job.id, &resp);
-            // The root closes only after the response frame is written,
-            // so the server span covers the write-back too.
-            drop(root);
         }
+        job.writer.send(job.id, &resp);
+        // The root closes only after the response frame is written,
+        // so the server span covers the write-back too.
+        drop(root);
     }
-}
-
-/// One WRITE pulled off the queue for coalescing, with everything
-/// needed to answer and (if traced) span it.
-struct QueuedWrite {
-    writer: Arc<ConnWriter>,
-    id: u64,
-    offset: u64,
-    data: Vec<u8>,
-    received: Instant,
-    ctx: Option<SpanCtx>,
 }
 
 /// The byte count a request moves (write payloads plus requested read
 /// lengths); what the journal and throughput counters attribute to it.
 fn request_bytes(req: &Request) -> u64 {
     match req {
-        Request::Read { len, .. } => u64::from(*len),
-        Request::Write { data, .. } => data.len() as u64,
-        Request::Batch { ops, .. } => ops
-            .iter()
-            .map(|op| match op {
-                IoOp::Read { len, .. } => *len as u64,
-                IoOp::Write { data, .. } => data.len() as u64,
-            })
-            .sum(),
+        Request::Batch { ops, .. } => ops.iter().map(|op| op.byte_len() as u64).sum(),
         _ => 0,
     }
 }
@@ -566,133 +467,7 @@ fn record_request(
     registry.record_op(kind, 0, bytes, elapsed, ok);
 }
 
-/// Opens the server-side root and queue-wait spans for one traced
-/// WRITE: the root joins the client's trace starting at frame parse.
-fn traced_write_root(ctx: SpanCtx, received: Instant, bytes: u64) -> trace::SpanGuard {
-    let mut g = trace::wire_root_at(names::SRV_REQUEST, ctx.trace_id, ctx.span_id, received);
-    trace::span_at(names::SRV_QUEUE, received, received.elapsed());
-    g.set_bytes(bytes);
-    g
-}
-
-/// Executes a batch of WRITEs, merging adjacent spans into single store
-/// passes. Any overlap within the batch forces arrival order, unmerged.
-fn execute_write_batch(shards: &ShardSet, registry: &MetricsRegistry, writes: Vec<QueuedWrite>) {
-    let mut order: Vec<usize> = (0..writes.len()).collect();
-    order.sort_by_key(|&i| writes[i].offset);
-    let overlapping = order.windows(2).any(|w| {
-        let a = &writes[w[0]];
-        a.offset + a.data.len() as u64 > writes[w[1]].offset
-    });
-    if overlapping {
-        for w in writes {
-            let start = Instant::now();
-            let mut root = w
-                .ctx
-                .map(|ctx| traced_write_root(ctx, w.received, w.data.len() as u64));
-            let resp = write_one(shards, w.offset, &w.data, 1);
-            record_request(
-                registry,
-                "write",
-                w.data.len() as u64,
-                start.elapsed(),
-                &resp,
-            );
-            if let (Some(g), Response::Error(_)) = (root.as_mut(), &resp) {
-                g.fail();
-            }
-            w.writer.send(w.id, &resp);
-            drop(root);
-        }
-        return;
-    }
-    // Merge adjacent runs (sorted, disjoint, so order is immaterial).
-    let mut at = 0;
-    while at < order.len() {
-        let mut members = vec![order[at]];
-        let run_offset = writes[order[at]].offset;
-        let mut run: Vec<u8> = writes[order[at]].data.clone();
-        at += 1;
-        while at < order.len() && writes[order[at]].offset == run_offset + run.len() as u64 {
-            run.extend_from_slice(&writes[order[at]].data);
-            members.push(order[at]);
-            at += 1;
-        }
-        let coalesced = members.len() as u32;
-        // Every traced member of the run gets its own server root; they
-        // all span the shared store pass, which is the honest picture of
-        // coalescing (one pass serves N requests).
-        let mut roots: Vec<trace::SpanGuard> = members
-            .iter()
-            .filter_map(|&m| {
-                let w = &writes[m];
-                w.ctx
-                    .map(|ctx| traced_write_root(ctx, w.received, w.data.len() as u64))
-            })
-            .collect();
-        let start = Instant::now();
-        let resp = write_one(shards, run_offset, &run, coalesced);
-        let elapsed = start.elapsed();
-        if matches!(resp, Response::Error(_)) {
-            for g in &mut roots {
-                g.fail();
-            }
-        }
-        // Each coalesced member counts as its own request (with its own
-        // byte count) but shares the run's store-pass latency.
-        for &m in &members {
-            record_request(
-                registry,
-                "write",
-                writes[m].data.len() as u64,
-                elapsed,
-                &resp,
-            );
-        }
-        // The store-pass counters are attributed to the run's first
-        // member only; the rest report zeros (plus their own byte count),
-        // so a client summing its chunk summaries gets exact totals
-        // instead of the pass counted once per coalesced request.
-        for (k, &m) in members.iter().enumerate() {
-            let w = &writes[m];
-            let resp = match &resp {
-                Response::Written(ws) => Response::Written(WriteSummary {
-                    bytes: w.data.len() as u64,
-                    ..if k == 0 {
-                        *ws
-                    } else {
-                        WriteSummary {
-                            coalesced,
-                            ..WriteSummary::default()
-                        }
-                    }
-                }),
-                other => other.clone(),
-            };
-            w.writer.send(w.id, &resp);
-        }
-        // Roots close after the member responses are written.
-        drop(roots);
-    }
-}
-
-fn write_one(shards: &ShardSet, offset: u64, data: &[u8], coalesced: u32) -> Response {
-    match shards.write_at(offset, data) {
-        Ok(r) => Response::Written(WriteSummary {
-            bytes: data.len() as u64,
-            blocks_written: r.blocks_written as u64,
-            stripes_touched: r.stripes_touched as u64,
-            full_stripe_encodes: r.full_stripe_encodes as u64,
-            delta_updates: r.delta_updates as u64,
-            coalesced,
-        }),
-        Err(e) => Response::Error(e.to_string()),
-    }
-}
-
-/// Executes one non-write request. Takes the request by value so batch
-/// payloads move straight into the shard set's submit instead of being
-/// re-copied per request.
+/// Executes one request.
 fn execute(
     shards: &ShardSet,
     info: &ServerInfo,
@@ -725,34 +500,16 @@ fn execute(
                 );
                 Response::Traces(traces)
             }
-            Request::Read { offset, len } => Response::Data(shards.read_at(offset, len as usize)?),
-            Request::Write { .. } | Request::Shutdown => {
-                // check: panic-ok the run loop intercepts writes and shutdowns before execute()
+            Request::Shutdown => {
+                // check: panic-ok the reader loop answers shutdowns inline, before execute()
                 unreachable!("handled before execute()")
             }
-            // A BATCH executes as one unit through the shard set's
-            // native submit: split by placement, shards in parallel,
-            // one stripe lock + one codec decision per touched stripe.
-            Request::Batch { ops, .. } => match shards.submit(&IoBatch::from(ops)) {
-                Ok(result) => Response::Batched(
-                    result
-                        .results
-                        .into_iter()
-                        .map(|r| match r {
-                            OpResult::Read(data) => BatchReply::Data(data),
-                            OpResult::Write(w) => BatchReply::Written(WriteSummary {
-                                bytes: w.bytes,
-                                blocks_written: w.blocks_written,
-                                stripes_touched: w.stripes_touched,
-                                full_stripe_encodes: w.full_stripe_encodes,
-                                delta_updates: w.delta_updates,
-                                coalesced: 1,
-                            }),
-                        })
-                        .collect(),
-                ),
-                Err(e) => Response::Error(e.to_string()),
-            },
+            // A BATCH executes as one unit through the shard set: split
+            // by placement, shards in parallel, one stripe lock + one
+            // codec decision per touched stripe.
+            Request::Batch { ops, .. } => {
+                Response::Batched(shards.submit_ops(&OpRef::views(&ops))?)
+            }
             Request::Flush => {
                 shards.flush()?;
                 Response::Flushed
@@ -777,25 +534,10 @@ fn execute(
                 Response::Failed
             }
             Request::Scrub { threads } => {
-                let mut total = ScrubSummary::default();
-                for r in shards.scrub((threads as usize).max(1))? {
-                    total.stripes_scanned += r.stripes_scanned as u64;
-                    total.sectors_verified += r.sectors_verified as u64;
-                    total.mismatches += r.mismatches.len() as u64;
-                    total.unavailable_devices += r.unavailable_devices.len() as u64;
-                    total.records_cleared += r.records_cleared as u64;
-                }
-                Response::Scrubbed(total)
+                Response::Scrubbed(shards.scrub((threads as usize).max(1))?)
             }
             Request::Repair { threads } => {
-                let mut total = RepairSummary::default();
-                for r in shards.repair((threads as usize).max(1))? {
-                    total.devices_replaced += r.devices_replaced.len() as u64;
-                    total.stripes_repaired += r.stripes_repaired as u64;
-                    total.sectors_rewritten += r.sectors_rewritten as u64;
-                    total.unrecoverable_stripes += r.unrecoverable_stripes.len() as u64;
-                }
-                Response::Repaired(total)
+                Response::Repaired(shards.repair((threads as usize).max(1))?)
             }
         })
     })();

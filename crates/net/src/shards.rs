@@ -10,9 +10,11 @@
 
 use std::path::{Path, PathBuf};
 
-use stair_store::{StoreOptions, StoreStatus, StripeStore, WriteReport};
+use stair_device::{BatchResult, OpResult, RepairOutcome, ScrubOutcome, WriteOutcome};
+use stair_store::{OpRef, StoreOptions, StoreStatus, StripeStore};
 
-use crate::placement::Placement;
+use crate::device_impl::sole_read;
+use crate::placement::{run_groups, split_batch, Placement};
 use crate::protocol::WireShardStatus;
 use crate::NetError;
 
@@ -182,42 +184,43 @@ impl ShardSet {
         self.stores[0].codec_spec().to_string()
     }
 
-    /// Reads `len` bytes at global byte `offset`, shard by shard
-    /// (degraded shards reconstruct transparently).
+    /// Reads `len` bytes at global byte `offset` — a one-op
+    /// [`ShardSet::submit_ops`] (degraded shards reconstruct
+    /// transparently).
     ///
     /// # Errors
     ///
     /// Span errors and store errors propagate.
     pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, NetError> {
-        let mut out = vec![0u8; len];
-        for span in self.placement.split(offset, len)? {
-            let piece = self.stores[span.shard].read_at(span.local_offset, span.len)?;
-            out[span.span_offset..span.span_offset + span.len].copy_from_slice(&piece);
-        }
-        Ok(out)
+        sole_read(self.submit_ops(&[OpRef::Read { offset, len }])?)
     }
 
-    /// Writes `data` at global byte `offset`, returning the aggregated
-    /// per-shard write report.
+    /// Writes `data` at global byte `offset` — a one-op
+    /// [`ShardSet::submit_ops`] — returning the aggregated outcome.
     ///
     /// # Errors
     ///
     /// Span errors and store errors propagate.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteReport, NetError> {
-        let mut total = WriteReport::default();
-        for span in self.placement.split(offset, data.len())? {
-            let r = self.stores[span.shard].write_at(
-                span.local_offset,
-                &data[span.span_offset..span.span_offset + span.len],
-            )?;
-            total.blocks_written += r.blocks_written;
-            total.stripes_touched += r.stripes_touched;
-            total.full_stripe_encodes += r.full_stripe_encodes;
-            total.delta_updates += r.delta_updates;
-            total.parity_sectors_patched += r.parity_sectors_patched;
-            total.sectors_healed += r.sectors_healed;
-        }
-        Ok(total)
+    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, NetError> {
+        let results = self.submit_ops(&[OpRef::Write { offset, data }])?;
+        Ok(BatchResult::from_results(results).write)
+    }
+
+    /// Executes `ops` (global offsets), returning per-op results in
+    /// submission order: splits them by placement and runs the shard
+    /// groups in parallel — shards share nothing, and each group runs
+    /// the stripe store's planner (one lock + one codec decision per
+    /// touched stripe). Conflicting ops always share the shard their
+    /// overlap lands on, where submission order is preserved.
+    ///
+    /// # Errors
+    ///
+    /// Span errors surface before anything executes; afterwards the
+    /// first shard failure wins.
+    pub fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, NetError> {
+        let _split = stair_obs::trace::span(stair_obs::trace::names::SHARDS_SUBMIT);
+        let groups = split_batch(&self.placement, ops)?;
+        run_groups(ops, &groups, |g| self.stores[g.shard].submit_ops(&g.ops))
     }
 
     /// Health snapshot of every shard, in shard order.
@@ -237,30 +240,32 @@ impl ShardSet {
         Ok(())
     }
 
-    /// Scrubs every shard with `threads` workers each, returning one
-    /// report per shard.
+    /// Scrubs every shard with `threads` workers each, returning the
+    /// outcome aggregated across shards.
     ///
     /// # Errors
     ///
     /// The first store error aborts the pass.
-    pub fn scrub(&self, threads: usize) -> Result<Vec<stair_store::ScrubReport>, NetError> {
-        self.stores
-            .iter()
-            .map(|s| s.scrub(threads).map_err(NetError::from))
-            .collect()
+    pub fn scrub(&self, threads: usize) -> Result<ScrubOutcome, NetError> {
+        let mut total = ScrubOutcome::default();
+        for s in &self.stores {
+            total.absorb(&stair_store::scrub_outcome(&s.scrub(threads)?));
+        }
+        Ok(total)
     }
 
-    /// Repairs every shard with `threads` workers each, returning one
-    /// report per shard.
+    /// Repairs every shard with `threads` workers each, returning the
+    /// outcome aggregated across shards.
     ///
     /// # Errors
     ///
     /// The first store error aborts the pass.
-    pub fn repair(&self, threads: usize) -> Result<Vec<stair_store::RepairReport>, NetError> {
-        self.stores
-            .iter()
-            .map(|s| s.repair(threads).map_err(NetError::from))
-            .collect()
+    pub fn repair(&self, threads: usize) -> Result<RepairOutcome, NetError> {
+        let mut total = RepairOutcome::default();
+        for s in &self.stores {
+            total.absorb(&stair_store::repair_outcome(&s.repair(threads)?));
+        }
+        Ok(total)
     }
 
     /// Aggregated metrics across every shard: the per-shard `store.*`
@@ -349,10 +354,8 @@ mod tests {
         set.write_at(0, &payload).unwrap();
         set.shard(1).unwrap().fail_device(2).unwrap();
         assert_eq!(set.read_at(0, payload.len()).unwrap(), payload);
-        let reports = set.repair(2).unwrap();
-        assert!(reports.iter().all(|r| r.complete()));
-        let scrubs = set.scrub(2).unwrap();
-        assert!(scrubs.iter().all(|r| r.clean()));
+        assert!(set.repair(2).unwrap().complete());
+        assert!(set.scrub(2).unwrap().clean());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,11 +8,19 @@
 //! Backends are opened through the `open_device` / `open_admin`
 //! registry from `DeviceSpec` strings, so the specs' whole life cycle
 //! (parse → open → exercise) is covered.
+//!
+//! The last section is the **model test**: one seeded generator of
+//! `read_at` / `write_at` / `submit` sessions, checked step by step
+//! against a plain `Vec<u8>`, run on every backend. Every call is a
+//! batch inside the backends, so "batch ≡ per-op" is no longer a
+//! property worth testing; "device ≡ byte array" is.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use stair_device::{AdminDevice, BlockDevice, DeviceError, DeviceSpec};
+use proptest::{TestRng, TestRngCore};
+use stair_device::{AdminDevice, BlockDevice, DeviceError, DeviceSpec, IoBatch, IoOp, OpResult};
+use stair_net::protocol::MAX_IO_BYTES;
 use stair_net::{open_admin, open_device, Client, NetError, Server, ServerConfig, ShardSet};
 use stair_store::{StoreOptions, StripeStore};
 
@@ -436,4 +444,201 @@ fn admin_device_is_a_block_device() {
     let admin = open_admin(&format!("file:{}", dir.display()).parse().unwrap()).expect("open");
     takes_admin(admin.as_ref());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// device ≡ byte array
+// ---------------------------------------------------------------------
+
+/// The model geometry: 4 KiB blocks, 20 per stripe (80 KiB), 5 MiB per
+/// device however it is sharded — room for an op past `MAX_IO_BYTES`.
+const MODEL_BLOCK: usize = 4096;
+const MODEL_STRIPES: usize = 64;
+
+fn model_opts(shards: usize) -> StoreOptions {
+    StoreOptions {
+        code: "stair:8,4,2,1-1-2".parse().unwrap(),
+        symbol: MODEL_BLOCK,
+        stripes: MODEL_STRIPES / shards,
+    }
+}
+
+/// One step of a generated session.
+#[derive(Debug)]
+enum Step {
+    Read(u64, usize),
+    Write(u64, Vec<u8>),
+    Submit(IoBatch),
+    /// Lose a device and corrupt a sector burst on the fault shard.
+    Fault,
+}
+
+fn bytes(rng: &mut TestRng, len: usize) -> Vec<u8> {
+    let seed: u64 = rng.gen();
+    pattern(len, seed % 1000)
+}
+
+/// A span of one of the shapes the planner, the placement split and the
+/// frame packer each have an edge for: inside one block, straddling a
+/// stripe (= placement range = shard) boundary, or a few whole stripes
+/// off alignment.
+fn span(rng: &mut TestRng, capacity: usize) -> (u64, usize) {
+    let stripe = 20 * MODEL_BLOCK;
+    let (offset, len) = match rng.gen_range(0..4usize) {
+        0 => (rng.gen_range(0..capacity), rng.gen_range(0..MODEL_BLOCK)),
+        1 => (
+            rng.gen_range(0..capacity),
+            rng.gen_range(1..3 * MODEL_BLOCK),
+        ),
+        2 => {
+            let edge = rng.gen_range(1..capacity / stripe) * stripe;
+            let back = rng.gen_range(1..2 * MODEL_BLOCK);
+            (edge - back, back + rng.gen_range(1..2 * MODEL_BLOCK))
+        }
+        _ => (
+            rng.gen_range(0..capacity),
+            rng.gen_range(stripe..3 * stripe),
+        ),
+    };
+    (offset as u64, len.min(capacity - offset))
+}
+
+/// The seeded generator: every backend replays the same session.
+fn session(capacity: usize) -> Vec<Step> {
+    let mut rng = proptest::test_rng("device_matches_a_byte_array");
+    let rng = &mut rng;
+    let mut steps = Vec::new();
+    for i in 0..48 {
+        if i == 20 {
+            steps.push(Step::Fault);
+        }
+        // Two ops past the per-frame cap: one clean, one degraded.
+        if i == 8 || i == 30 {
+            let len = MAX_IO_BYTES as usize + rng.gen_range(1..3 * MODEL_BLOCK);
+            let offset = rng.gen_range(0..capacity - len) as u64;
+            steps.push(Step::Write(offset, bytes(rng, len)));
+            steps.push(Step::Read(offset.saturating_sub(17), len + 17));
+            continue;
+        }
+        steps.push(match rng.gen_range(0..5usize) {
+            0 | 1 => {
+                let (offset, len) = span(rng, capacity);
+                Step::Write(offset, bytes(rng, len))
+            }
+            2 => {
+                let (offset, len) = span(rng, capacity);
+                Step::Read(offset, len)
+            }
+            _ => {
+                // A batch of 2–8 ops; random spans in a 5 MiB space are
+                // mostly disjoint, so every other batch forces a
+                // conflict by re-touching its first op's span.
+                let mut batch = IoBatch::new();
+                for _ in 0..rng.gen_range(2..9usize) {
+                    let (offset, len) = span(rng, capacity);
+                    if rng.gen_bool(0.6) {
+                        batch.write(offset, bytes(rng, len));
+                    } else {
+                        batch.read(offset, len);
+                    }
+                }
+                if i % 2 == 0 {
+                    let (offset, len) = (batch.ops()[0].offset(), batch.ops()[0].byte_len());
+                    batch.write(offset + 1, bytes(rng, len / 2));
+                    batch.read(offset, len);
+                    assert!(len < 2 || batch.has_conflicts());
+                }
+                Step::Submit(batch)
+            }
+        });
+    }
+    steps
+}
+
+/// Replays the session on `dev`, checking every result against the
+/// byte-array model; ends with repair, a clean scrub and a full
+/// read-back.
+fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) {
+    let capacity = dev.capacity() as usize;
+    assert_eq!(capacity, MODEL_STRIPES * 20 * MODEL_BLOCK);
+    // A fresh store is zero-filled.
+    let mut model = vec![0u8; capacity];
+    for (n, step) in session(capacity).into_iter().enumerate() {
+        match step {
+            Step::Read(offset, len) => {
+                let got = dev.read_at(offset, len).expect("read_at");
+                let at = offset as usize;
+                assert!(got == model[at..at + len], "step {n}: read {offset}+{len}");
+            }
+            Step::Write(offset, data) => {
+                let outcome = dev.write_at(offset, &data).expect("write_at");
+                assert_eq!(outcome.bytes as usize, data.len(), "step {n}");
+                let at = offset as usize;
+                model[at..at + data.len()].copy_from_slice(&data);
+            }
+            Step::Submit(batch) => {
+                let result = dev.submit(&batch).expect("submit");
+                assert_eq!(result.results.len(), batch.len(), "step {n}");
+                // Submission order is the semantics: exact for
+                // conflicting ops, indistinguishable for disjoint ones.
+                for (k, (op, got)) in batch.ops().iter().zip(&result.results).enumerate() {
+                    let at = op.offset() as usize;
+                    match (op, got) {
+                        (IoOp::Read { len, .. }, OpResult::Read(data)) => {
+                            assert!(data[..] == model[at..at + len], "step {n} op {k}: {op:?}");
+                        }
+                        (IoOp::Write { data, .. }, OpResult::Write(w)) => {
+                            assert_eq!(w.bytes as usize, data.len(), "step {n} op {k}");
+                            model[at..at + data.len()].copy_from_slice(data);
+                        }
+                        _ => panic!("step {n} op {k}: result kind does not match {op:?}"),
+                    }
+                }
+            }
+            Step::Fault => {
+                dev.fail_device(fault_shard, 3).expect("fail device");
+                dev.corrupt_sectors(fault_shard, 5, 2, 1, 2)
+                    .expect("corrupt burst");
+            }
+        }
+    }
+    assert!(dev.read_at(0, capacity).expect("degraded read-back") == model);
+    assert!(dev.repair(2).expect("repair").complete());
+    let scrub = dev.scrub(2).expect("scrub");
+    assert!(scrub.clean(), "{scrub:?}");
+    assert!(dev.read_at(0, capacity).expect("final read-back") == model);
+}
+
+#[test]
+fn device_matches_a_byte_array_on_every_backend() {
+    // file: and cache:file: over one store each.
+    for (tag, prefix) in [("file", "file:"), ("cache-file", "cache:file:")] {
+        let dir = tmpdir(&format!("model-{tag}"));
+        StripeStore::create(&dir, &model_opts(1)).expect("create store");
+        let spec = format!("{prefix}{}", dir.display());
+        let dev = open_admin(&spec.parse().unwrap()).expect("open");
+        check_against_byte_array(dev.as_ref(), 0);
+        drop(dev);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    // shards: in process.
+    let dir = tmpdir("model-shards");
+    ShardSet::create(&dir, 2, &model_opts(2)).expect("create shards");
+    let dev = open_admin(&format!("shards:{}", dir.display()).parse().unwrap()).expect("open");
+    check_against_byte_array(dev.as_ref(), 1);
+    drop(dev);
+    std::fs::remove_dir_all(&dir).unwrap();
+    // tcp: on one connection and on two lanes.
+    for (tag, query) in [("tcp", ""), ("lanes", "?lanes=2")] {
+        let dir = tmpdir(&format!("model-{tag}"));
+        let set = ShardSet::create(&dir, 2, &model_opts(2)).expect("create shards");
+        let server = Server::bind("127.0.0.1:0", set, ServerConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = std::thread::spawn(move || server.run());
+        let dev = open_admin(&format!("tcp:{addr}{query}").parse().unwrap()).expect("open");
+        check_against_byte_array(dev.as_ref(), 1);
+        drop(dev);
+        shutdown(&addr, handle);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

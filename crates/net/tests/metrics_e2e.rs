@@ -54,12 +54,14 @@ fn server_collects_per_opcode_metrics_served_over_the_wire() {
     let probe = Client::connect(&addr).expect("second connect");
     let snap = probe.metrics().expect("metrics");
 
-    for name in [
-        "srv.req.read",
-        "srv.req.write",
-        "srv.req.batch",
-        "srv.req.scrub",
-    ] {
+    // Every read and write is a BATCH frame: 2 writes + 1 read + 1 batch.
+    assert_eq!(
+        snap.counter("srv.req.batch"),
+        Some(4),
+        "{:?}",
+        snap.counters
+    );
+    for name in ["srv.req.scrub", "srv.req.hello"] {
         assert!(
             snap.counter(name).is_some_and(|v| v > 0),
             "{name} missing or zero in {:?}",
@@ -67,16 +69,15 @@ fn server_collects_per_opcode_metrics_served_over_the_wire() {
         );
     }
     // Latency histograms populated for the hot opcodes.
-    for name in ["srv.lat_us.read", "srv.lat_us.write"] {
+    for name in ["srv.lat_us.batch", "srv.lat_us.scrub"] {
         let h = snap
             .histogram(name)
             .unwrap_or_else(|| panic!("{name} missing"));
         assert!(h.count() > 0, "{name} recorded no samples");
     }
-    // Byte counters reflect the traffic (2 writes of 4096 + one 512 in
-    // the batch's combined budget).
-    assert!(snap.counter("srv.bytes.read").is_some_and(|v| v >= 4096));
-    assert!(snap.counter("srv.bytes.write").is_some_and(|v| v >= 8192));
+    // The byte counter reflects the traffic: 2 writes and a read of
+    // 4096, plus 512 + 512 in the mixed batch's combined budget.
+    assert_eq!(snap.counter("srv.bytes.batch"), Some(3 * 4096 + 1024));
     // The store's folded counters and the process-global gf counters
     // travel in the same snapshot.
     assert!(snap.counter("store.stripe_locks").is_some_and(|v| v > 0));

@@ -42,16 +42,7 @@ fn start_server(
 ) {
     let dir = tmpdir(tag);
     let set = ShardSet::create(&dir, shards, &opts()).expect("create shards");
-    let server = Server::bind(
-        "127.0.0.1:0",
-        set,
-        ServerConfig {
-            workers,
-            write_batch: 8,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
+    let server = Server::bind("127.0.0.1:0", set, ServerConfig { workers }).expect("bind");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run());
     (addr, handle, dir)

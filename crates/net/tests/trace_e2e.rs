@@ -88,7 +88,7 @@ fn traced_batch_yields_a_contained_four_layer_span_tree() {
 
     stair_obs::trace::set_enabled(true);
     let client = Client::connect(&addr).expect("connect");
-    assert!(client.info().version >= 3, "HELLO should agree on v3");
+    assert_eq!(client.info().version, stair_net::protocol::PROTOCOL_VERSION);
 
     // A batch of disjoint writes and a read: conflict-free, so the
     // server runs the stripe store's native batched path (one lock +

@@ -1,10 +1,15 @@
-//! Protocol version negotiation across releases: a v2 client against a
-//! v3 server and a v3 client against a v2 server must both settle on
-//! v2 at HELLO and run every v1/v2 opcode exactly as before — the v3
-//! trace extension is invisible until *both* ends speak it.
+//! The protocol speaks exactly one version. HELLO still carries each
+//! side's version, and a peer offering any other value — older *or*
+//! newer, client *or* server — is refused at the handshake with a clean
+//! error naming both versions: no panic, no half-open session.
 
-use stair_device::IoBatch;
-use stair_net::{Client, Server, ServerConfig, ShardSet};
+use std::net::{TcpListener, TcpStream};
+
+use stair_net::protocol::{
+    read_request, read_response, write_request, write_response, Request, Response, ServerInfo,
+    PROTOCOL_VERSION,
+};
+use stair_net::{Client, NetError, Server, ServerConfig, ShardSet};
 use stair_store::StoreOptions;
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -13,18 +18,15 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn opts() -> StoreOptions {
-    StoreOptions {
+fn start_server(tag: &str) -> (String, impl FnOnce()) {
+    let dir = tmpdir(tag);
+    let opts = StoreOptions {
         code: "stair:8,4,2,1-1-2".parse().unwrap(),
         symbol: 64,
         stripes: 4,
-    }
-}
-
-fn start_server(tag: &str, config: ServerConfig) -> (String, impl FnOnce()) {
-    let dir = tmpdir(tag);
-    let set = ShardSet::create(&dir, 2, &opts()).expect("create shards");
-    let server = Server::bind("127.0.0.1:0", set, config).expect("bind");
+    };
+    let set = ShardSet::create(&dir, 2, &opts).expect("create shards");
+    let server = Server::bind("127.0.0.1:0", set, ServerConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run());
@@ -35,82 +37,74 @@ fn start_server(tag: &str, config: ServerConfig) -> (String, impl FnOnce()) {
     })
 }
 
-/// The full pre-v3 opcode surface against a connection that negotiated
-/// version 2 — every op must behave exactly as it did before tracing.
-fn exercise_v2_surface(client: &Client) {
-    assert_eq!(client.info().version, 2, "HELLO must agree on v2");
-
-    let block = client.block_size();
-    let payload: Vec<u8> = (0..2 * block).map(|i| i as u8).collect();
-    client.write_at(0, &payload).expect("WRITE");
-    assert_eq!(client.read_at(0, payload.len()).expect("READ"), payload);
-
-    let mut batch = IoBatch::new();
-    batch
-        .write((2 * block) as u64, vec![0x3C; block])
-        .read(0, block);
-    let results = client.submit(&batch).expect("BATCH");
-    assert_eq!(results.results.len(), 2);
-
-    client.flush().expect("FLUSH");
-    let status = client.status().expect("STATUS");
-    assert!(!status.is_empty());
-
-    client.fail_device(0, 3).expect("FAIL");
-    assert_eq!(
-        client.read_at(0, payload.len()).expect("degraded READ"),
-        payload
-    );
-    let scrub = client.scrub(1).expect("SCRUB");
-    assert_eq!(scrub.mismatches, 0);
-    let repair = client.repair(1).expect("REPAIR");
-    assert_eq!(repair.unrecoverable_stripes, 0);
-
-    let metrics = client.metrics().expect("METRICS");
-    assert!(!metrics.counters.is_empty());
+/// A one-connection stand-in for a server of another release: answers
+/// the first HELLO announcing `version`, then hangs up.
+fn fake_server(version: u32) -> (String, std::thread::JoinHandle<u32>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake");
+    let addr = listener.local_addr().unwrap().to_string();
+    let join = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let (id, req) = read_request(&mut stream).expect("HELLO frame");
+        let Request::Hello { version: offered } = req else {
+            panic!("first frame must be HELLO, got {req:?}")
+        };
+        let info = ServerInfo {
+            version,
+            shards: 1,
+            capacity: 20 * 64,
+            block_size: 64,
+            range_blocks: 20,
+            codec: "stair:8,4,2,1-1-2".into(),
+        };
+        write_response(&mut stream, id, &Response::Hello(info)).expect("reply");
+        offered
+    });
+    (addr, join)
 }
 
 #[test]
-fn v2_client_against_v3_server_settles_on_v2() {
-    let (addr, stop) = start_server("old-client", ServerConfig::default());
-    let client = Client::connect_with_version(&addr, 2).expect("connect v2");
-    exercise_v2_surface(&client);
-
-    // Tracing enabled on the client side changes nothing: the
-    // connection speaks v2, so span context is never put on the wire.
-    stair_obs::trace::set_enabled(true);
-    let readback = client
-        .read_at(0, client.block_size())
-        .expect("traced READ over v2");
-    assert_eq!(readback.len(), client.block_size());
-    stair_obs::trace::set_enabled(false);
+fn a_client_of_any_other_version_is_refused_at_hello() {
+    let (addr, stop) = start_server("client");
+    for offered in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, 0, u32::MAX] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        write_request(&mut stream, 1, &Request::Hello { version: offered }).expect("HELLO");
+        let (id, resp) = read_response(&mut stream).expect("a clean reply, not a hangup");
+        assert_eq!(id, 1);
+        let Response::Error(msg) = resp else {
+            panic!("v{offered} must be refused, got {resp:?}")
+        };
+        assert!(msg.contains(&format!("v{PROTOCOL_VERSION}")), "{msg}");
+        assert!(msg.contains(&format!("v{offered}")), "{msg}");
+        // The server hung up after refusing: no session was opened.
+        assert!(read_response(&mut stream).is_err());
+    }
+    // The refusals cost the server nothing: a current client still works.
+    let client = Client::connect(&addr).expect("current client");
+    assert_eq!(client.info().version, PROTOCOL_VERSION);
+    client.write_at(0, &[7u8; 100]).expect("write");
+    assert_eq!(client.read_at(0, 100).expect("read"), vec![7u8; 100]);
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(metrics.counter("srv.errors.hello"), Some(4));
     stop();
 }
 
 #[test]
-fn v3_client_against_v2_server_settles_on_v2() {
-    let (addr, stop) = start_server(
-        "old-server",
-        ServerConfig {
-            max_version: 2,
-            ..ServerConfig::default()
-        },
-    );
-    let client = Client::connect(&addr).expect("connect v3");
-    exercise_v2_surface(&client);
-    stop();
-}
-
-#[test]
-fn v1_client_is_rejected_at_hello() {
-    let (addr, stop) = start_server("too-old", ServerConfig::default());
-    let Err(err) = Client::connect_with_version(&addr, 1) else {
-        panic!("v1 must be refused")
+fn a_server_of_any_other_version_is_refused_by_the_client() {
+    for theirs in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        let (addr, join) = fake_server(theirs);
+        match Client::connect(&addr) {
+            Err(NetError::Version { ours, theirs: got }) => {
+                assert_eq!((ours, got), (PROTOCOL_VERSION, theirs));
+            }
+            Err(other) => panic!("expected a Version refusal, got {other:?}"),
+            Ok(_) => panic!("a v{theirs} server must be refused"),
+        }
+        assert_eq!(join.join().expect("fake server"), PROTOCOL_VERSION);
+    }
+    let err = NetError::Version {
+        ours: PROTOCOL_VERSION,
+        theirs: 4,
     };
     let msg = err.to_string();
-    assert!(
-        msg.contains("version"),
-        "rejection should name the version mismatch, got: {msg}"
-    );
-    stop();
+    assert!(msg.contains("v5") && msg.contains("v4"), "{msg}");
 }

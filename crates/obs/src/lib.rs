@@ -14,7 +14,7 @@
 //!   main ring has wrapped.
 //! * **[`trace`]** — request-scoped span trees: every layer of one
 //!   operation opens a named, timed span, context crosses threads and
-//!   (via protocol v3) the wire, and completed traces land in a
+//!   (in trace-flagged frames) the wire, and completed traces land in a
 //!   per-process [`FlightRecorder`] whose slow/errored ring survives
 //!   the main ring's wrap — the journal's slow-op idiom, one level up.
 //! * **[`MetricsSnapshot`]** — a point-in-time, plain-data copy of

@@ -1,33 +1,127 @@
-//! The stripe store's native batched submit: the whole point of
-//! `stair_device::IoBatch` made concrete.
+//! The stripe store's one data path: every `read_at`, `write_at` and
+//! `submit` is a list of borrowed op views ([`OpRef`]) run through the
+//! same per-stripe planner — a lone call is simply a one-op batch.
 //!
-//! The per-op path pays one stripe-lock acquisition and one codec pass
-//! per call even when 64 small writes land in the same stripe. Here the
-//! batch is grouped **per stripe** first, so each touched stripe costs:
+//! The ops are grouped **per stripe** first, so each touched stripe
+//! costs:
 //!
 //! * **one** lock acquisition,
 //! * **one** re-encode-vs-parity-delta decision — writes covering every
 //!   byte of the stripe rebuild it in memory and encode once (no old
 //!   state read at all); anything less loads + restores the stripe
 //!   once and patches only the dirty cells,
-//! * **one** write-back and (per batch, not per stripe) **one**
-//!   integrity persist.
+//! * **one** write-back and (per plan, not per stripe) **one** journal
+//!   fsync and **one** integrity persist.
 //!
-//! Reads in the batch ride along: a stripe that is only read serves the
-//! verified fast path under the same single lock; a stripe that is also
-//! written serves reads straight from the restored in-memory buffer.
-//! Batches whose ops conflict (a write overlapping anything — see
-//! [`IoBatch::has_conflicts`]) fall back to plain submission order,
-//! where overlap semantics are trivially right.
+//! Reads ride along: a stripe that is only read serves the verified
+//! fast path under the same single lock; a stripe that is also written
+//! serves reads straight from the restored in-memory buffer. Ops that
+//! conflict (a write overlapping anything — see
+//! [`stair_device::IoBatch::has_conflicts`]) run as one-op plans in
+//! submission order, where overlap semantics are trivially right.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
 
 use stair_code::{CellIdx, StripeBuf};
-use stair_device::{seed_results, BatchResult, IoBatch, IoOp, OpResult, WriteOutcome};
+use stair_device::{spans_conflict, BatchResult, IoBatch, IoOp, OpResult, WriteOutcome};
 
-use crate::device_impl::write_outcome;
 use crate::{Error, StripeStore};
+
+/// A borrowed view of one read or write — what the planner (and the
+/// shard and wire layers above it) work on, so a `write_at` payload is
+/// never copied into an owned [`IoOp`] on its way to the stripe buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpRef<'a> {
+    /// Read `len` bytes at byte `offset`.
+    Read {
+        /// Byte offset in the device's logical space.
+        offset: u64,
+        /// Bytes to read.
+        len: usize,
+    },
+    /// Write `data` at byte `offset`.
+    Write {
+        /// Byte offset in the device's logical space.
+        offset: u64,
+        /// Bytes to store.
+        data: &'a [u8],
+    },
+}
+
+impl<'a> OpRef<'a> {
+    /// The op's starting byte offset.
+    pub fn offset(&self) -> u64 {
+        match self {
+            OpRef::Read { offset, .. } | OpRef::Write { offset, .. } => *offset,
+        }
+    }
+
+    /// Bytes the op touches.
+    pub fn byte_len(&self) -> usize {
+        match self {
+            OpRef::Read { len, .. } => *len,
+            OpRef::Write { data, .. } => data.len(),
+        }
+    }
+
+    /// One byte past the op's span (`offset + byte_len`).
+    pub fn end(&self) -> u64 {
+        self.offset() + self.byte_len() as u64
+    }
+
+    /// `true` for writes.
+    pub fn is_write(&self) -> bool {
+        matches!(self, OpRef::Write { .. })
+    }
+
+    /// Borrowed views of owned ops, in order.
+    pub fn views(ops: &'a [IoOp]) -> Vec<OpRef<'a>> {
+        ops.iter().map(OpRef::from).collect()
+    }
+
+    /// The `len` bytes of this op starting `at` bytes in, re-addressed
+    /// to `offset` — how a layer cuts an op at shard or frame bounds.
+    pub fn piece(&self, at: usize, len: usize, offset: u64) -> OpRef<'a> {
+        match *self {
+            OpRef::Read { .. } => OpRef::Read { offset, len },
+            OpRef::Write { data, .. } => OpRef::Write {
+                offset,
+                data: &data[at..at + len],
+            },
+        }
+    }
+
+    /// The zeroed result slot an executor fills in for this op: a
+    /// buffer of the read's length, or an empty write outcome.
+    pub fn seed(&self) -> OpResult {
+        match self {
+            OpRef::Read { len, .. } => OpResult::Read(vec![0u8; *len]),
+            OpRef::Write { .. } => OpResult::Write(WriteOutcome::default()),
+        }
+    }
+
+    /// `true` when any two of `ops` overlap and one of the pair writes
+    /// ([`stair_device::IoBatch::has_conflicts`] over views).
+    pub fn conflicts(ops: &[OpRef<'_>]) -> bool {
+        spans_conflict(ops.iter().map(|op| (op.offset(), op.end(), op.is_write())))
+    }
+}
+
+impl<'a> From<&'a IoOp> for OpRef<'a> {
+    fn from(op: &'a IoOp) -> Self {
+        match op {
+            IoOp::Read { offset, len } => OpRef::Read {
+                offset: *offset,
+                len: *len,
+            },
+            IoOp::Write { offset, data } => OpRef::Write {
+                offset: *offset,
+                data,
+            },
+        }
+    }
+}
 
 /// A stripe's journal payload: the cells to record, and whether they
 /// form a full-stripe data image (parity recomputed at replay).
@@ -40,7 +134,7 @@ struct Fragment {
 }
 
 /// A stripe staged in memory (encoded, results recorded) whose
-/// write-back is deferred to the batch's group commit: all records are
+/// write-back is deferred to the plan's group commit: all records are
 /// journaled under one fsync, then every stripe persists in place.
 struct StagedWrite {
     stripe_idx: usize,
@@ -51,35 +145,85 @@ struct StagedWrite {
 }
 
 impl StripeStore {
+    /// Reads `len` bytes starting at logical byte `offset`, transparently
+    /// reconstructing sectors lost to failed devices or latent damage.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::OutOfRange`] if the span exceeds capacity;
+    /// * [`Error::Unrecoverable`] if a needed stripe carries more damage
+    ///   than the codec's coverage.
+    pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, Error> {
+        match self.plan(&[OpRef::Read { offset, len }])?.pop() {
+            Some(OpResult::Read(out)) => Ok(out),
+            // check: panic-ok planner invariant: one read op yields one read result
+            _ => unreachable!("one read op yields one read result"),
+        }
+    }
+
+    /// Writes `data` at logical byte `offset`. Partial blocks are merged
+    /// read-modify-write; each touched stripe takes either the
+    /// full-re-encode or the parity-delta path.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::OutOfRange`] if the span exceeds capacity;
+    /// * [`Error::Unrecoverable`] when writing through a stripe whose
+    ///   existing damage exceeds coverage.
+    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, Error> {
+        let results = self.plan(&[OpRef::Write { offset, data }])?;
+        Ok(BatchResult::from_results(results).write)
+    }
+
     /// Submits a scatter-gather batch, grouping ops per stripe so every
     /// touched stripe is locked once and pays a single
     /// re-encode-vs-parity-delta decision.
     ///
     /// # Errors
     ///
+    /// As [`StripeStore::submit_ops`].
+    pub fn submit(&self, batch: &IoBatch) -> Result<BatchResult, Error> {
+        let results = self.submit_ops(&OpRef::views(batch.ops()))?;
+        Ok(BatchResult::from_results(results))
+    }
+
+    /// [`StripeStore::submit`] over borrowed op views, returning the
+    /// per-op results in submission order.
+    ///
+    /// # Errors
+    ///
     /// * [`Error::OutOfRange`] if any op's span exceeds capacity — the
-    ///   whole batch is validated up front, before any side effects;
+    ///   whole list is validated up front, before any side effects;
     /// * [`Error::Unrecoverable`] when a needed stripe carries more
     ///   damage than the codec's coverage (the first failing stripe
     ///   aborts the rest; earlier stripes stay written).
-    pub fn submit(&self, batch: &IoBatch) -> Result<BatchResult, Error> {
-        if batch.has_conflicts() {
-            // The fallback mutates op by op, so validate the whole
-            // batch before any side effects.
-            for op in batch.ops() {
-                self.shared.blocks.block_span(op.offset(), op.byte_len())?;
-            }
-            return self.submit_in_order(batch);
+    pub fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, Error> {
+        if !OpRef::conflicts(ops) {
+            return self.plan(ops);
         }
+        // Conflicting ops take effect one at a time, in submission
+        // order; that mutates op by op, so validate every span first.
+        for op in ops {
+            self.shared.blocks.block_span(op.offset(), op.byte_len())?;
+        }
+        let mut results = Vec::with_capacity(ops.len());
+        for op in ops {
+            results.append(&mut self.plan(std::slice::from_ref(op))?);
+        }
+        Ok(results)
+    }
+
+    /// The planner: executes disjoint `ops` as per-stripe work.
+    fn plan(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, Error> {
         let per = self.blocks_per_stripe();
-        let mut results = seed_results(batch.ops());
+        let mut results: Vec<OpResult> = ops.iter().map(OpRef::seed).collect();
         // Fragments grouped per stripe, submission order kept within
         // each group. Vec-of-groups (not a map) so group order is
         // ascending stripe index — deterministic lock order. Grouping
         // is side-effect-free, so span validation happens here: a
-        // doomed batch still fails before anything executes.
+        // doomed plan still fails before anything executes.
         let mut groups: Vec<(usize, Vec<Fragment>)> = Vec::new();
-        for (i, op) in batch.ops().iter().enumerate() {
+        for (i, op) in ops.iter().enumerate() {
             let span = self.shared.blocks.block_span(op.offset(), op.byte_len())?;
             let mut block = span.start;
             while block < span.end {
@@ -106,7 +250,7 @@ impl StripeStore {
         };
         let mut staged: Vec<StagedWrite> = Vec::new();
         for (stripe, frags) in &groups {
-            if let Some(stage) = self.stage_stripe(*stripe, frags, batch, &mut results)? {
+            if let Some(stage) = self.stage_stripe(*stripe, frags, ops, &mut results)? {
                 staged.push(stage);
             }
         }
@@ -115,14 +259,17 @@ impl StripeStore {
             let _persist = stair_obs::trace::span(stair_obs::trace::names::STORE_PERSIST);
             self.shared.integrity.persist()?;
         }
-        Ok(BatchResult::from_results(results))
+        Ok(results)
     }
 
-    /// The batch's single durability point: every staged stripe's
-    /// record lands in the journal under **one** fsync (group commit),
-    /// then every stripe is persisted in place. The guard spans all
-    /// the in-place writes, so a checkpoint can never rewind a record
-    /// whose sector writes are still in flight.
+    /// The plan's single durability point, and the store's journaled
+    /// commit path: the post-image of every cell about to be written
+    /// lands in the write-ahead journal under **one** fsync (group
+    /// commit) **before** the first in-place sector write, and the
+    /// commit guard is held until the last one — so a crash at any
+    /// instant leaves either an un-started commit (old stripes intact)
+    /// or replayable records, and a checkpoint can never rewind a
+    /// record whose sector writes are still in flight.
     fn group_commit(&self, staged: &[StagedWrite]) -> Result<(), Error> {
         let sh = &self.shared;
         let targets: Vec<Vec<(CellIdx, &[u8])>> = staged
@@ -137,17 +284,22 @@ impl StripeStore {
             .map(|s| self.journal_cells(&s.stripe, s.touched.as_ref()))
             .collect();
         let reserve: Vec<usize> = records.iter().map(|(cells, _)| cells.len()).collect();
-        let mut guard = sh.journal.begin(&reserve, || {
-            sh.devices.sync()?;
-            sh.integrity.persist()
-        })?;
-        if let Some(g) = guard.as_mut() {
+        let guard = {
+            // Covers the reservation too: when the segment is full that
+            // is a checkpoint — the journal's cost, not the caller's.
             let _span = stair_obs::trace::span(stair_obs::trace::names::JRNL_APPEND);
-            for (stage, (cells, encode)) in staged.iter().zip(&records) {
-                g.append(stage.stripe_idx, cells, *encode)?;
+            let mut guard = sh.journal.begin(&reserve, || {
+                sh.devices.sync()?;
+                sh.integrity.persist()
+            })?;
+            if let Some(g) = guard.as_mut() {
+                for (stage, (cells, encode)) in staged.iter().zip(&records) {
+                    g.append(stage.stripe_idx, cells, *encode)?;
+                }
+                g.sync()?;
             }
-            g.sync()?;
-        }
+            guard
+        };
         for (stage, cells) in staged.iter().zip(&targets) {
             self.apply_write_back(stage.stripe_idx, cells)?;
         }
@@ -155,31 +307,15 @@ impl StripeStore {
         Ok(())
     }
 
-    /// The conflict fallback: ops one at a time, in submission order,
-    /// through the ordinary per-op paths.
-    fn submit_in_order(&self, batch: &IoBatch) -> Result<BatchResult, Error> {
-        let mut results = Vec::with_capacity(batch.len());
-        for op in batch.ops() {
-            results.push(match op {
-                IoOp::Read { offset, len } => OpResult::Read(self.read_at(*offset, *len)?),
-                IoOp::Write { offset, data } => {
-                    let report = self.write_at(*offset, data)?;
-                    OpResult::Write(write_outcome(&report, data.len() as u64))
-                }
-            });
-        }
-        Ok(BatchResult::from_results(results))
-    }
-
     /// Executes every fragment landing in one stripe (the caller holds
-    /// the stripe's lock slot for the whole batch). Reads are served
+    /// the stripe's lock slot for the whole plan). Reads are served
     /// immediately; a written stripe is encoded in memory and returned
-    /// for the batch's group commit.
+    /// for the plan's group commit.
     fn stage_stripe(
         &self,
         stripe_idx: usize,
         frags: &[Fragment],
-        batch: &IoBatch,
+        ops: &[OpRef<'_>],
         results: &mut [OpResult],
     ) -> Result<Option<StagedWrite>, Error> {
         let sh = &self.shared;
@@ -190,8 +326,8 @@ impl StripeStore {
         let mut write_bytes = 0u64;
         let mut first_write: Option<usize> = None;
         for f in frags {
-            if batch.ops()[f.op].is_write() {
-                write_bytes += self.fragment_bytes(&batch.ops()[f.op], &f.blocks);
+            if ops[f.op].is_write() {
+                write_bytes += self.fragment_bytes(&ops[f.op], &f.blocks);
                 first_write.get_or_insert(f.op);
             }
         }
@@ -199,18 +335,17 @@ impl StripeStore {
             // Read-only stripe: the verified fast path per fragment,
             // all under the one lock.
             for f in frags {
-                let offset = batch.ops()[f.op].offset();
                 let OpResult::Read(out) = &mut results[f.op] else {
                     // check: panic-ok planner invariant: read fragments index read results
                     unreachable!("read fragment indexed a write result")
                 };
-                self.read_stripe_blocks_locked(stripe_idx, f.blocks.clone(), offset, out)?;
+                self.read_blocks_locked(stripe_idx, f.blocks.clone(), ops[f.op].offset(), out)?;
             }
             return Ok(None);
         };
 
         // One re-encode-vs-parity-delta decision for the whole stripe.
-        // Ops are disjoint here (conflicts took the fallback), so the
+        // Ops are disjoint here (conflicts run as one-op plans), so the
         // write fragments cover the full stripe exactly when their byte
         // lengths sum to it — and then no read fragment can exist in
         // this stripe, and no old state is needed.
@@ -219,17 +354,17 @@ impl StripeStore {
             let geom = &sh.geometry;
             let mut stripe = StripeBuf::new(geom.r, geom.n, sym)?;
             for f in frags {
-                let IoOp::Write { offset, data } = &batch.ops()[f.op] else {
+                let OpRef::Write { offset, data } = ops[f.op] else {
                     // check: panic-ok full_cover arithmetic leaves no room for read fragments
                     unreachable!("full stripe cover leaves no room for reads")
                 };
                 for block in f.blocks.clone() {
                     let loc = sh.blocks.locate(block)?;
-                    let (incoming, at) = self.incoming_for_block(block, *offset, data);
+                    let (incoming, at) = self.incoming_for_block(block, offset, data);
                     stripe.cell_mut(loc.cell)[at..at + incoming.len()].copy_from_slice(incoming);
                 }
                 let w = write_slot(results, f.op);
-                w.bytes += self.fragment_bytes(&batch.ops()[f.op], &f.blocks);
+                w.bytes += self.fragment_bytes(&ops[f.op], &f.blocks);
                 w.blocks_written += f.blocks.len() as u64;
             }
             {
@@ -253,11 +388,11 @@ impl StripeStore {
         let (mut stripe, erased) = self.load_stripe_restored(stripe_idx)?;
         let mut touched: BTreeSet<CellIdx> = BTreeSet::new();
         for f in frags {
-            match &batch.ops()[f.op] {
-                IoOp::Write { offset, data } => {
+            match ops[f.op] {
+                OpRef::Write { offset, data } => {
                     for block in f.blocks.clone() {
                         let loc = sh.blocks.locate(block)?;
-                        let (incoming, at) = self.incoming_for_block(block, *offset, data);
+                        let (incoming, at) = self.incoming_for_block(block, offset, data);
                         let mut contents = stripe.cell(loc.cell).to_vec();
                         contents[at..at + incoming.len()].copy_from_slice(incoming);
                         let patched = sh.codec.update(&mut stripe, loc.cell, &contents)?;
@@ -268,16 +403,14 @@ impl StripeStore {
                         w.blocks_written += 1;
                         w.delta_updates += 1;
                     }
-                    write_slot(results, f.op).bytes +=
-                        self.fragment_bytes(&batch.ops()[f.op], &f.blocks);
+                    write_slot(results, f.op).bytes += self.fragment_bytes(&ops[f.op], &f.blocks);
                 }
-                IoOp::Read { offset, .. } => {
+                OpRef::Read { offset, .. } => {
                     // The restored buffer is fully verified, and reads
-                    // are disjoint from the batch's writes, so patching
+                    // are disjoint from the plan's writes, so patching
                     // cannot have changed the bytes a read wants.
-                    let offset = *offset;
                     let OpResult::Read(out) = &mut results[f.op] else {
-                        // check: panic-ok planner invariant: write fragments index write results
+                        // check: panic-ok planner invariant: read fragments index read results
                         unreachable!("read fragment indexed a write result")
                     };
                     for block in f.blocks.clone() {
@@ -299,7 +432,7 @@ impl StripeStore {
     }
 
     /// Bytes of `op` that fall inside the fragment's block range.
-    fn fragment_bytes(&self, op: &IoOp, blocks: &Range<usize>) -> u64 {
+    fn fragment_bytes(&self, op: &OpRef<'_>, blocks: &Range<usize>) -> u64 {
         let sym = self.block_size() as u64;
         let from = op.offset().max(blocks.start as u64 * sym);
         let to = op.end().min(blocks.end as u64 * sym);
@@ -350,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_batch_matches_per_op_semantics() {
+    fn mixed_batch_matches_the_byte_array_model_and_survives_reopen() {
         let (dir, store, base) = small_store("mixed");
         let sym = store.block_size() as u64;
         let mut batch = IoBatch::new();

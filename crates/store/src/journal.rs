@@ -42,11 +42,11 @@
 //! header — no truncation, no metadata churn. Everything after the
 //! last checkpoint is therefore always still in the journal.
 //!
-//! A batch that commits several stripes at once uses the group-commit
-//! API ([`Journal::begin`] → [`CommitGuard::append`] per stripe →
-//! one [`CommitGuard::sync`]): every record of the batch shares a
-//! single fsync, amortizing the dominant per-commit cost across the
-//! whole submission.
+//! Every commit — one stripe or a whole batch of them — goes through
+//! the group-commit API ([`Journal::begin`] → [`CommitGuard::append`]
+//! per stripe → one [`CommitGuard::sync`]): every record of the
+//! submission shares a single fsync, amortizing the dominant
+//! per-commit cost across it.
 //!
 //! Knobs (read once per store open):
 //!
@@ -72,7 +72,7 @@ use crate::Error;
 pub const JOURNAL_FILE: &str = "journal.stair";
 
 /// Segment capacity used when `STAIR_JOURNAL_SEGMENT` is unset at
-/// store creation (v1/v2 superblocks adopt it on first v3 open).
+/// store creation.
 pub const DEFAULT_JOURNAL_SEGMENT: u64 = 8 * 1024 * 1024;
 
 /// Magic prefix of the segment file.
@@ -160,9 +160,9 @@ pub struct ReplayRecord<'a> {
 /// Held by a committer from its first journal append until its
 /// in-place sector writes are done; a checkpoint's exclusive gate
 /// waits out every live guard, so the stamp rewind never races a
-/// half-applied commit. Multi-stripe committers call
-/// [`CommitGuard::append`] once per stripe and [`CommitGuard::sync`]
-/// once — group commit: one fsync covers every record of the batch.
+/// half-applied commit. Committers call [`CommitGuard::append`] once
+/// per stripe and [`CommitGuard::sync`] once — group commit: one fsync
+/// covers every record of the submission.
 pub struct CommitGuard<'a> {
     journal: &'a Journal,
     _gate: RwLockReadGuard<'a, ()>,
@@ -363,36 +363,6 @@ impl Journal {
         }
     }
 
-    /// Makes the intent of one stripe commit durable: appends a record
-    /// carrying the post-image of every cell in `cells` and, unless
-    /// `STAIR_JOURNAL_SYNC=0`, fsyncs it — all **before** the caller
-    /// performs any in-place sector write. Returns a guard the caller
-    /// must hold until those writes are done (`None` when journaling
-    /// is disabled or the commit is empty). Multi-stripe committers
-    /// use [`Journal::begin`] instead and share one fsync.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the append and checkpoint paths.
-    pub fn commit<'a>(
-        &'a self,
-        stripe: usize,
-        cells: &[(CellIdx, &[u8])],
-        encode: bool,
-        persist: impl Fn() -> Result<(), Error>,
-    ) -> Result<Option<CommitGuard<'a>>, Error> {
-        if cells.is_empty() {
-            return Ok(None);
-        }
-        let _span = stair_obs::trace::span(stair_obs::trace::names::JRNL_APPEND);
-        let Some(mut guard) = self.begin(&[cells.len()], persist)? else {
-            return Ok(None);
-        };
-        guard.append(stripe, cells, encode)?;
-        guard.sync()?;
-        Ok(Some(guard))
-    }
-
     /// Writes one record at the live end (no fsync — that is the
     /// guard's [`CommitGuard::sync`]) and stamps a terminator after
     /// it, so replay can never run past the last live record into
@@ -584,14 +554,28 @@ mod tests {
         owned.iter().map(|(c, d)| (*c, d.as_slice())).collect()
     }
 
+    /// One single-record commit, start to finish: reserve, append,
+    /// sync, release the guard.
+    fn commit(
+        j: &Journal,
+        stripe: usize,
+        cells: &[(CellIdx, Vec<u8>)],
+        encode: bool,
+        persist: impl Fn() -> Result<(), Error>,
+    ) {
+        let mut g = j.begin(&[cells.len()], persist).unwrap().unwrap();
+        g.append(stripe, &borrow(cells), encode).unwrap();
+        g.sync().unwrap();
+    }
+
     #[test]
     fn append_replay_round_trip() {
         let dir = tmpdir("rt");
         let j = Journal::open_or_create(&dir, 16, 1 << 20).unwrap();
         let a = cells(16, 1, 4);
         let b = cells(16, 9, 2);
-        drop(j.commit(3, &borrow(&a), false, || Ok(())).unwrap());
-        drop(j.commit(5, &borrow(&b), false, || Ok(())).unwrap());
+        commit(&j, 3, &a, false, || Ok(()));
+        commit(&j, 5, &b, false, || Ok(()));
         let mut seen = Vec::new();
         let n = j
             .replay(|rec| {
@@ -615,8 +599,8 @@ mod tests {
         let dir = tmpdir("torn");
         let j = Journal::open_or_create(&dir, 8, 1 << 20).unwrap();
         let a = cells(8, 2, 3);
-        drop(j.commit(1, &borrow(&a), false, || Ok(())).unwrap());
-        drop(j.commit(2, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 1, &a, false, || Ok(()));
+        commit(&j, 2, &a, false, || Ok(()));
         // Tear the second record: chop bytes off the live end (the
         // reopen preallocates the tail back to zeros, exactly what a
         // torn write leaves behind).
@@ -640,7 +624,7 @@ mod tests {
         let dir = tmpdir("corrupt");
         let j = Journal::open_or_create(&dir, 8, 1 << 20).unwrap();
         let a = cells(8, 3, 2);
-        drop(j.commit(0, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 0, &a, false, || Ok(()));
         // Flip one payload byte: the checksum no longer matches.
         let live_end = j.used_bytes() as usize;
         drop(j);
@@ -665,11 +649,11 @@ mod tests {
             persists.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             Ok(())
         };
-        drop(j.commit(0, &borrow(&a), false, persist).unwrap());
+        commit(&j, 0, &a, false, persist);
         assert_eq!(persists.load(std::sync::atomic::Ordering::Relaxed), 0);
         // Second commit overflows → checkpoint (persist ran, segment
         // truncated) → append succeeds.
-        drop(j.commit(1, &borrow(&a), false, persist).unwrap());
+        commit(&j, 1, &a, false, persist);
         assert_eq!(persists.load(std::sync::atomic::Ordering::Relaxed), 1);
         let n = j.replay(|rec| {
             assert_eq!(rec.stripe, 1);
@@ -684,7 +668,7 @@ mod tests {
         let dir = tmpdir("oversized");
         let j = Journal::open_or_create(&dir, 64, 16).unwrap();
         let a = cells(64, 5, 4);
-        drop(j.commit(7, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 7, &a, false, || Ok(()));
         assert_eq!(j.replay(|_| Ok(())).unwrap(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -694,7 +678,7 @@ mod tests {
         let dir = tmpdir("ckpt");
         let j = Journal::open_or_create(&dir, 8, 1 << 20).unwrap();
         let a = cells(8, 6, 2);
-        drop(j.commit(0, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 0, &a, false, || Ok(()));
         assert!(j.used_bytes() > HEADER_LEN);
         j.checkpoint(|| Ok(())).unwrap();
         assert_eq!(j.used_bytes(), HEADER_LEN);
@@ -738,14 +722,14 @@ mod tests {
         let dir = tmpdir("stale");
         let j = Journal::open_or_create(&dir, 8, 1 << 20).unwrap();
         let a = cells(8, 1, 2);
-        drop(j.commit(0, &borrow(&a), false, || Ok(())).unwrap());
-        drop(j.commit(1, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 0, &a, false, || Ok(()));
+        commit(&j, 1, &a, false, || Ok(()));
         j.checkpoint(|| Ok(())).unwrap();
         // Only the stamp separates the now-stale records from replay.
         assert_eq!(j.replay(|_| Ok(())).unwrap(), 0);
         // A fresh record overwrites the first stale one; replay must
         // stop at its terminator, not run on into stale record two.
-        drop(j.commit(7, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 7, &a, false, || Ok(()));
         let mut stripes = Vec::new();
         let n = j
             .replay(|rec| {
@@ -764,8 +748,8 @@ mod tests {
         let j = Journal::open_or_create(&dir, 16, 1 << 20).unwrap();
         let a = cells(16, 2, 3);
         let b = cells(16, 5, 2);
-        drop(j.commit(1, &borrow(&a), true, || Ok(())).unwrap());
-        drop(j.commit(2, &borrow(&b), false, || Ok(())).unwrap());
+        commit(&j, 1, &a, true, || Ok(()));
+        commit(&j, 2, &b, false, || Ok(()));
         let mut kinds = Vec::new();
         let n = j
             .replay(|rec| {

@@ -13,6 +13,9 @@
 //! * a flat logical **block space** (one block = one data sector) mapped
 //!   onto stripes laid out across `n` per-device backing files
 //!   ([`BlockMap`]);
+//! * **one data path** — `read_at`, `write_at` and the scatter-gather
+//!   [`StripeStore::submit`] all run the same per-stripe planner over
+//!   borrowed op views ([`OpRef`]); a lone call is a one-op batch;
 //! * a **write path** that batches dirty blocks per stripe — full-stripe
 //!   writes re-encode in one pass, small writes take the parity-delta
 //!   update path ([`StripeStore::write_at`]);
@@ -75,8 +78,9 @@ mod repair;
 mod scrub;
 mod store;
 
+pub use batch::OpRef;
 pub use codec::build_codec;
-pub use device_impl::{gf_metrics, repair_outcome, scrub_outcome, shard_health, write_outcome};
+pub use device_impl::{gf_metrics, repair_outcome, scrub_outcome, shard_health};
 pub use error::Error;
 pub use inject::InjectionOutcome;
 pub use integrity::{BadSector, DeviceState, Health};
@@ -85,4 +89,4 @@ pub use layout::{BlockLocation, BlockMap};
 pub use meta::StoreMeta;
 pub use repair::RepairReport;
 pub use scrub::ScrubReport;
-pub use store::{IoStats, StoreOptions, StoreStatus, StripeStore, WriteReport};
+pub use store::{IoStats, StoreOptions, StoreStatus, StripeStore};

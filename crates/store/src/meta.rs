@@ -2,15 +2,13 @@
 //! descriptor, sector size, and stripe count that every other on-disk
 //! structure is interpreted against.
 //!
-//! The superblock is versioned. `v3` adds crash-consistency state: the
-//! journal segment capacity and a `clean_shutdown` flag that records
-//! whether the last close checkpointed the journal. `v2` records the
-//! codec as a [`CodecSpec`] string, so [`crate::StripeStore::open`] can
-//! rebuild any supported erasure code; legacy `v1` superblocks (which
-//! spelled out the STAIR parameters as separate `n`/`r`/`m`/`e` keys)
-//! still parse and map onto a `stair:` spec. Both older versions load
-//! with journal defaults (and `clean_shutdown = true`: a pre-journal
-//! store has no journal to have left dirty).
+//! The superblock is versioned and this build reads exactly one
+//! version, `v3`: the codec as a [`CodecSpec`] string (so
+//! [`crate::StripeStore::open`] can rebuild any supported erasure
+//! code) plus the crash-consistency state — the journal segment
+//! capacity and a `clean_shutdown` flag recording whether the last
+//! close checkpointed the journal. Any other magic is refused with an
+//! error naming the supported version.
 
 use std::fs;
 use std::path::Path;
@@ -25,10 +23,6 @@ use crate::Error;
 pub const META_FILE: &str = "store.meta";
 /// Magic first line; bump the version when the layout changes.
 pub const META_MAGIC: &str = "stair-store v3";
-/// Previous superblock version, still accepted on load.
-pub const META_MAGIC_V2: &str = "stair-store v2";
-/// Oldest superblock version, still accepted on load.
-pub const META_MAGIC_V1: &str = "stair-store v1";
 
 /// The immutable shape of a store (plus the two mutable
 /// crash-consistency fields the v3 superblock tracks).
@@ -61,8 +55,7 @@ impl StoreMeta {
         Ok(())
     }
 
-    /// Serializes to the superblock text format (always the current
-    /// `v3` layout; older versions are read-compatible only).
+    /// Serializes to the superblock text format.
     pub fn to_text(&self) -> String {
         format!(
             "{META_MAGIC}\ncodec {}\nsymbol {}\nstripes {}\njournal_segment {}\nclean_shutdown {}\n",
@@ -74,7 +67,7 @@ impl StoreMeta {
         )
     }
 
-    /// Parses either superblock version and validates it end to end
+    /// Parses a superblock and validates it end to end
     /// (including building the codec, so a parsed superblock is always an
     /// openable one).
     ///
@@ -95,24 +88,20 @@ impl StoreMeta {
     ) -> Result<(Self, Box<dyn stair_code::ErasureCode>), Error> {
         let mut lines = text.lines();
         let magic = lines.next().unwrap_or_default();
-        let meta = match magic {
-            META_MAGIC => Self::parse_v2v3(lines, true),
-            META_MAGIC_V2 => Self::parse_v2v3(lines, false),
-            META_MAGIC_V1 => Self::parse_v1(lines),
-            other => Err(Error::Meta(format!(
-                "bad magic `{other}`, expected `{META_MAGIC}` (or legacy `{META_MAGIC_V2}` / \
-                 `{META_MAGIC_V1}`)"
-            ))),
-        }?;
+        if magic != META_MAGIC {
+            return Err(Error::Meta(format!(
+                "unsupported superblock `{magic}`: this build reads only `{META_MAGIC}`"
+            )));
+        }
+        let meta = Self::parse_body(lines)?;
         meta.validate()?;
         let codec = crate::build_codec(&meta.codec)?; // must be constructible
         Ok((meta, codec))
     }
 
-    /// Shared v2/v3 body parser: v3 accepts (and defaults) the journal
-    /// keys, v2 rejects them — a v2 superblock with journal state is a
-    /// version-tagging bug, not a store to guess about.
-    fn parse_v2v3<'a>(lines: impl Iterator<Item = &'a str>, v3: bool) -> Result<Self, Error> {
+    /// The key/value lines after the magic; the journal keys default
+    /// when absent.
+    fn parse_body<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Self, Error> {
         let mut codec = None;
         let mut symbol = None;
         let mut stripes = None;
@@ -125,10 +114,10 @@ impl StoreMeta {
                 }
                 "symbol" => symbol = Some(parse_usize(&key, &value)?),
                 "stripes" => stripes = Some(parse_usize(&key, &value)?),
-                "journal_segment" if v3 => {
+                "journal_segment" => {
                     journal_segment = Some(parse_usize(&key, &value)? as u64);
                 }
-                "clean_shutdown" if v3 => {
+                "clean_shutdown" => {
                     clean_shutdown = Some(match value.as_str() {
                         "0" => false,
                         "1" => true,
@@ -151,47 +140,8 @@ impl StoreMeta {
         })
     }
 
-    /// Legacy v1 superblocks are always STAIR-coded.
-    fn parse_v1<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Self, Error> {
-        let mut n = None;
-        let mut r = None;
-        let mut m = None;
-        let mut e: Option<Vec<usize>> = None;
-        let mut symbol = None;
-        let mut stripes = None;
-        for (key, value) in fields(lines)? {
-            match key.as_str() {
-                "n" => n = Some(parse_usize(&key, &value)?),
-                "r" => r = Some(parse_usize(&key, &value)?),
-                "m" => m = Some(parse_usize(&key, &value)?),
-                "symbol" => symbol = Some(parse_usize(&key, &value)?),
-                "stripes" => stripes = Some(parse_usize(&key, &value)?),
-                "e" => {
-                    let parsed: Result<Vec<usize>, Error> = value
-                        .split(',')
-                        .map(|x| parse_usize("e", x.trim()))
-                        .collect();
-                    e = Some(parsed?);
-                }
-                _ => return Err(Error::Meta(format!("unknown key `{key}`"))),
-            }
-        }
-        Ok(StoreMeta {
-            codec: CodecSpec::Stair {
-                n: n.ok_or_else(|| missing("n"))?,
-                r: r.ok_or_else(|| missing("r"))?,
-                m: m.ok_or_else(|| missing("m"))?,
-                e: e.ok_or_else(|| missing("e"))?,
-            },
-            symbol: symbol.ok_or_else(|| missing("symbol"))?,
-            stripes: stripes.ok_or_else(|| missing("stripes"))?,
-            journal_segment: DEFAULT_JOURNAL_SEGMENT,
-            clean_shutdown: true,
-        })
-    }
-
     /// Writes the superblock into `dir` — atomically (temp file +
-    /// rename), because v3 rewrites it on every open/close transition
+    /// rename), because it is rewritten on every open/close transition
     /// and a torn superblock would brick the store.
     pub fn save(&self, dir: &Path) -> Result<(), Error> {
         crate::integrity::write_atomic(dir, META_FILE, self.to_text().as_bytes())
@@ -270,20 +220,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_superblocks_parse_as_stair() {
-        let text = "stair-store v1\nn 8\nr 4\nm 2\ne 1,1,2\nsymbol 512\nstripes 16\n";
-        assert_eq!(StoreMeta::parse(text).unwrap(), meta());
-    }
-
-    #[test]
-    fn v2_superblocks_parse_with_journal_defaults() {
-        let text = "stair-store v2\ncodec stair:8,4,2,1-1-2\nsymbol 512\nstripes 16\n";
-        assert_eq!(StoreMeta::parse(text).unwrap(), meta());
-        // The journal keys are a v3 invention; a v2 superblock carrying
-        // them is mis-tagged and must be rejected, not guessed at.
-        let mixed = "stair-store v2\ncodec stair:8,4,2,1-1-2\nsymbol 512\nstripes 16\n\
-                     clean_shutdown 1\n";
-        assert!(StoreMeta::parse(mixed).is_err());
+    fn older_superblock_versions_are_refused_by_name() {
+        for old in [
+            "stair-store v1\nn 8\nr 4\nm 2\ne 1,1,2\nsymbol 512\nstripes 16\n",
+            "stair-store v2\ncodec stair:8,4,2,1-1-2\nsymbol 512\nstripes 16\n",
+        ] {
+            match StoreMeta::parse(old) {
+                Err(Error::Meta(msg)) => {
+                    assert!(
+                        msg.contains(META_MAGIC),
+                        "must name the supported version: {msg}"
+                    );
+                    assert!(msg.contains(&old[..14]), "must name the offered one: {msg}");
+                }
+                other => panic!("expected a Meta refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

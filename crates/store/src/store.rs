@@ -4,6 +4,10 @@
 //!
 //! # Data path design
 //!
+//! Every read and write — a lone `read_at`/`write_at` as much as a
+//! scatter-gather `submit` — runs through the one per-stripe planner in
+//! `batch.rs`; this module holds what the planner stands on.
+//!
 //! * **Writes** are batched per stripe. A write covering *every* data
 //!   block of a stripe never reads old state: the stripe is rebuilt in
 //!   memory and fully re-encoded (one sequential pass). A partial write
@@ -65,24 +69,6 @@ impl Default for StoreOptions {
             stripes: 64,
         }
     }
-}
-
-/// Statistics returned by [`StripeStore::write_at`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WriteReport {
-    /// Logical blocks written.
-    pub blocks_written: usize,
-    /// Stripes the write touched.
-    pub stripes_touched: usize,
-    /// Stripes served by the full-re-encode path.
-    pub full_stripe_encodes: usize,
-    /// Individual parity-delta sector updates performed.
-    pub delta_updates: usize,
-    /// Parity sectors patched by delta updates.
-    pub parity_sectors_patched: usize,
-    /// Previously-damaged sectors opportunistically rewritten with
-    /// reconstructed contents.
-    pub sectors_healed: usize,
 }
 
 /// A point-in-time summary of the store's health and geometry.
@@ -253,7 +239,7 @@ impl StripeStore {
     }
 
     /// Opens an existing store, rebuilding whichever codec the superblock
-    /// names (v2 `codec` specs, or legacy v1 STAIR superblocks).
+    /// names.
     ///
     /// A device whose backing file is missing but which the health record
     /// still lists as healthy is demoted to failed (crash between a
@@ -281,7 +267,7 @@ impl StripeStore {
         meta.clean_shutdown = false;
         let store = Self::assemble(dir, meta, codec, devices, integrity, journal, was_clean)?;
         // Finish any commit a crash interrupted, then mark the store
-        // live (also upgrades v1/v2 superblocks to v3 in place).
+        // live.
         store.replay_journal()?;
         store.shared.meta.save(dir)?;
         Ok(store)
@@ -375,9 +361,7 @@ impl StripeStore {
             }
         }
         sh.codec.encode(&mut stripe)?;
-        let targets = self.write_back_targets(&stripe, None);
-        self.apply_write_back(rec.stripe, &targets)?;
-        Ok(())
+        self.apply_write_back(rec.stripe, &self.write_back_targets(&stripe, None))
     }
 
     fn assemble(
@@ -678,28 +662,6 @@ impl StripeStore {
     // Read path
     // ------------------------------------------------------------------
 
-    /// Reads `len` bytes starting at logical byte `offset`, transparently
-    /// reconstructing sectors lost to failed devices or latent damage.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::OutOfRange`] if the span exceeds capacity;
-    /// * [`Error::Unrecoverable`] if a needed stripe carries more damage
-    ///   than the codec's coverage.
-    pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, Error> {
-        let span = self.shared.blocks.block_span(offset, len)?;
-        let mut out = vec![0u8; len];
-        let per = self.blocks_per_stripe();
-        let mut block = span.start;
-        while block < span.end {
-            let stripe = block / per;
-            let stripe_end = ((stripe + 1) * per).min(span.end);
-            self.read_stripe_blocks(stripe, block..stripe_end, offset, &mut out)?;
-            block = stripe_end;
-        }
-        Ok(out)
-    }
-
     /// Copies the overlap of `block` with the request window into `out`.
     pub(crate) fn copy_block(&self, block: usize, cell_data: &[u8], offset: u64, out: &mut [u8]) {
         let sym = self.block_size() as u64;
@@ -711,23 +673,12 @@ impl StripeStore {
         out[(from - offset) as usize..(to - offset) as usize].copy_from_slice(src);
     }
 
-    fn read_stripe_blocks(
-        &self,
-        stripe_idx: usize,
-        blocks: std::ops::Range<usize>,
-        offset: u64,
-        out: &mut [u8],
-    ) -> Result<(), Error> {
-        let _guard = self.lock_stripe(stripe_idx);
-        self.read_stripe_blocks_locked(stripe_idx, blocks, offset, out)
-    }
-
-    /// [`read_stripe_blocks`](Self::read_stripe_blocks) minus the lock
-    /// acquisition — the batched submit path holds each stripe lock
-    /// once across many ops and calls this per read fragment.
+    /// Serves the blocks of one read fragment into `out`: the verified
+    /// fast path first, the degraded path (full erasure set, planner
+    /// reconstructs exactly the wanted cells) on any miss.
     ///
     /// Callers must hold the stripe lock.
-    pub(crate) fn read_stripe_blocks_locked(
+    pub(crate) fn read_blocks_locked(
         &self,
         stripe_idx: usize,
         blocks: std::ops::Range<usize>,
@@ -867,33 +818,6 @@ impl StripeStore {
     // Write path
     // ------------------------------------------------------------------
 
-    /// Writes `data` at logical byte `offset`. Partial blocks are merged
-    /// read-modify-write; dirty blocks are batched per stripe and each
-    /// stripe takes either the full-re-encode or the parity-delta path.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::OutOfRange`] if the span exceeds capacity;
-    /// * [`Error::Unrecoverable`] when writing through a stripe whose
-    ///   existing damage exceeds coverage.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteReport, Error> {
-        let span = self.shared.blocks.block_span(offset, data.len())?;
-        let mut report = WriteReport::default();
-        if data.is_empty() {
-            return Ok(report);
-        }
-        let per = self.blocks_per_stripe();
-        let mut block = span.start;
-        while block < span.end {
-            let stripe = block / per;
-            let stripe_end = ((stripe + 1) * per).min(span.end);
-            self.write_stripe_blocks(stripe, block..stripe_end, offset, data, &mut report)?;
-            block = stripe_end;
-        }
-        self.shared.integrity.persist()?;
-        Ok(report)
-    }
-
     /// The byte window of `block` that overlaps the write request, as
     /// (slice of incoming data, start offset within the block).
     pub(crate) fn incoming_for_block<'d>(
@@ -911,94 +835,6 @@ impl StripeStore {
             &data[(from - offset) as usize..(to - offset) as usize],
             (from - block_start) as usize,
         )
-    }
-
-    fn write_stripe_blocks(
-        &self,
-        stripe_idx: usize,
-        blocks: std::ops::Range<usize>,
-        offset: u64,
-        data: &[u8],
-        report: &mut WriteReport,
-    ) -> Result<(), Error> {
-        let sh = &self.shared;
-        let per = self.blocks_per_stripe();
-        let sym = self.block_size();
-        let _guard = self.lock_stripe(stripe_idx);
-        report.stripes_touched += 1;
-        report.blocks_written += blocks.len();
-
-        let full_cover = blocks.len() == per
-            && offset <= (blocks.start as u64) * sym as u64
-            && offset + data.len() as u64 >= (blocks.end as u64) * sym as u64;
-
-        if full_cover {
-            // Full-stripe write: no old state needed, one re-encode.
-            let geom = &sh.geometry;
-            let mut stripe = StripeBuf::new(geom.r, geom.n, sym)?;
-            let start = (blocks.start as u64 * sym as u64 - offset) as usize;
-            stripe.write_cells(&geom.data_cells, &data[start..start + per * sym])?;
-            sh.codec.encode(&mut stripe)?;
-            sh.counters.count_encode();
-            self.write_back_cells(stripe_idx, &stripe, None)?;
-            report.full_stripe_encodes += 1;
-            return Ok(());
-        }
-
-        // Partial write: load (and if degraded, first restore) the stripe.
-        let (mut stripe, erased) = self.load_stripe_restored(stripe_idx)?;
-        let mut touched: std::collections::BTreeSet<CellIdx> = std::collections::BTreeSet::new();
-        for block in blocks {
-            let loc = sh.blocks.locate(block)?;
-            let (incoming, at) = self.incoming_for_block(block, offset, data);
-            let mut contents = stripe.cell(loc.cell).to_vec();
-            contents[at..at + incoming.len()].copy_from_slice(incoming);
-            let patched = sh.codec.update(&mut stripe, loc.cell, &contents)?;
-            sh.counters.count_update();
-            report.delta_updates += 1;
-            report.parity_sectors_patched += patched.len();
-            touched.insert(loc.cell);
-            touched.extend(patched);
-        }
-        // Previously-erased cells were reconstructed above; rewriting them
-        // heals latent damage on writable devices for free.
-        touched.extend(erased.iter());
-        let written = self.write_back_cells(stripe_idx, &stripe, Some(&touched))?;
-        report.sectors_healed += erased.iter().filter(|c| written.contains(c)).count();
-        Ok(())
-    }
-
-    /// Writes stripe cells to disk and records their checksums, returning
-    /// the cells actually written. `only` restricts to a subset (None =
-    /// every cell). Only `Failed` devices are skipped (their contents live
-    /// on implicitly through parity); `Rebuilding` replacements *must* be
-    /// written, otherwise a write landing on a stripe the repair pass has
-    /// already rebuilt would be lost when the device is promoted back to
-    /// healthy. Rewritten cells are removed from the bad-sector map.
-    ///
-    /// This is the journaled commit path: the post-image of every cell
-    /// about to be written is appended (and by default fsync'd) to the
-    /// write-ahead journal **before** the first in-place sector write,
-    /// and the commit guard is held until the last one — so a crash at
-    /// any instant leaves either an un-started commit (old stripe
-    /// intact) or a replayable record. Every other in-place stripe
-    /// write in this crate must route through here (enforced by the
-    /// `persist-ordering` lint).
-    pub(crate) fn write_back_cells(
-        &self,
-        stripe_idx: usize,
-        stripe: &StripeBuf,
-        only: Option<&std::collections::BTreeSet<CellIdx>>,
-    ) -> Result<std::collections::BTreeSet<CellIdx>, Error> {
-        let sh = &self.shared;
-        let targets = self.write_back_targets(stripe, only);
-        let (record, encode) = self.journal_cells(stripe, only);
-        // Journal-first: intent durable before any in-place mutation.
-        let _commit = sh.journal.commit(stripe_idx, &record, encode, || {
-            sh.devices.sync()?;
-            sh.integrity.persist()
-        })?;
-        self.apply_write_back(stripe_idx, &targets)
     }
 
     /// The journal payload of one stripe commit. A partial commit
@@ -1030,7 +866,11 @@ impl StripeStore {
     /// The cells one stripe commit will persist: every non-`Failed`
     /// device's cell, optionally restricted to `only`. This is both
     /// the journal record's payload and the write-back's work list —
-    /// computed once so the two can never disagree.
+    /// computed once so the two can never disagree. Only `Failed`
+    /// devices are skipped (their contents live on implicitly through
+    /// parity); `Rebuilding` replacements *must* be written, otherwise
+    /// a write landing on a stripe the repair pass has already rebuilt
+    /// would be lost when the device is promoted back to healthy.
     pub(crate) fn write_back_targets<'s>(
         &self,
         stripe: &'s StripeBuf,
@@ -1057,26 +897,26 @@ impl StripeStore {
 
     /// The in-place leg of a commit: raw sector writes plus checksum
     /// recording, after the journal record covering `targets` is
-    /// durable. Callers arrive here only through [`Self::write_back_cells`]
-    /// or the batch group commit (both journal-first).
+    /// durable. Callers arrive here only through the planner's group
+    /// commit or journal replay — both journal-first, which the
+    /// `persist-ordering` lint enforces for every sector write in this
+    /// crate. Rewritten cells leave the bad-sector map.
     pub(crate) fn apply_write_back(
         &self,
         stripe_idx: usize,
         targets: &[(CellIdx, &[u8])],
-    ) -> Result<std::collections::BTreeSet<CellIdx>, Error> {
+    ) -> Result<(), Error> {
         let sh = &self.shared;
-        let mut written: std::collections::BTreeSet<CellIdx> = std::collections::BTreeSet::new();
         for &((row, dev), cell) in targets {
             sh.devices.write_sector(dev, stripe_idx, row, cell)?;
             sh.integrity.record(stripe_idx, row, dev, cell);
-            written.insert((row, dev));
         }
         sh.integrity.update_health(|h| {
-            for &(row, dev) in &written {
+            for &((row, dev), _) in targets {
                 h.bad_sectors.remove(&(stripe_idx, row, dev));
             }
         });
-        Ok(written)
+        Ok(())
     }
 }
 
@@ -1168,7 +1008,6 @@ mod tests {
         let report = store.write_at(30, &patch).unwrap();
         assert_eq!(report.full_stripe_encodes, 0);
         assert!(report.delta_updates >= 2);
-        assert!(report.parity_sectors_patched > 0);
         let mut expected = base.clone();
         expected[30..130].copy_from_slice(&patch);
         assert_eq!(store.read_at(0, expected.len()).unwrap(), expected);
@@ -1261,7 +1100,7 @@ mod tests {
         for off in [0, 77, store.capacity()] {
             assert_eq!(store.read_at(off, 0).unwrap(), Vec::<u8>::new());
             let report = store.write_at(off, &[]).unwrap();
-            assert_eq!(report, WriteReport::default());
+            assert_eq!(report, stair_device::WriteOutcome::default());
         }
         // One byte past capacity is out of range even for len 1.
         assert!(store.read_at(store.capacity(), 1).is_err());

@@ -160,10 +160,6 @@ fn every_codec_family_survives_the_same_e2e_sequence() {
         let patch = payload(100);
         let report = store.write_at(10, &patch).unwrap();
         assert!(report.delta_updates > 0, "{spec}: no delta updates");
-        assert!(
-            report.parity_sectors_patched > 0,
-            "{spec}: no parities patched"
-        );
         let mut expected = data.clone();
         expected[10..110].copy_from_slice(&patch);
 
