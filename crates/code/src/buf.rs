@@ -104,20 +104,16 @@ impl StripeBuf {
         Ok(())
     }
 
-    /// The common front half of a parity-delta update: validates the
-    /// replacement contents' length and the cell coordinate, installs the
-    /// new contents, and returns the XOR delta `old ⊕ new` for the caller
-    /// to fold into its dependent parities.
+    /// The front half of a parity-delta update: validates the
+    /// replacement contents' length and the cell coordinate and returns
+    /// the XOR delta `old ⊕ new` for the caller to fold into the cell's
+    /// dependent parities (the buffer is not changed).
     ///
     /// # Errors
     ///
     /// * [`CodeError::ShapeMismatch`] on a length mismatch;
     /// * [`CodeError::InvalidPattern`] on out-of-range coordinates.
-    pub fn begin_update(
-        &mut self,
-        cell: CellIdx,
-        new_contents: &[u8],
-    ) -> Result<Vec<u8>, CodeError> {
+    pub fn delta(&self, cell: CellIdx, new_contents: &[u8]) -> Result<Vec<u8>, CodeError> {
         if new_contents.len() != self.symbol {
             return Err(CodeError::ShapeMismatch(format!(
                 "sector update is {} bytes, sectors are {}",
@@ -135,7 +131,6 @@ impl StripeBuf {
         for (d, &o) in delta.iter_mut().zip(self.cell(cell)) {
             *d ^= o;
         }
-        self.set_cell(cell, new_contents);
         Ok(delta)
     }
 

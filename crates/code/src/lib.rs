@@ -20,9 +20,15 @@
 //!   cost lives; plans are built once per erasure pattern and applied to
 //!   any number of stripes);
 //! * [`ErasureCode::apply`] — execute a plan against one stripe;
-//! * [`ErasureCode::update`] — overwrite one data cell and patch only the
-//!   dependent parity cells (the small-write path), returning which parity
-//!   cells were touched.
+//! * [`ErasureCode::dependents`] / [`ErasureCode::fold_delta`] — the
+//!   small-write primitives: which parity cells a data cell's update
+//!   patches, and `parity ^= c·(old ⊕ new)` for one of them. A caller
+//!   that holds only those cells (the store's partial-stripe write) works
+//!   from these directly;
+//! * [`ErasureCode::update`] — the same over a whole [`StripeBuf`]:
+//!   overwrite one data cell and patch its dependents in place, returning
+//!   which parity cells were touched. Provided, so the delta arithmetic
+//!   has one definition per codec.
 //!
 //! # The stripe buffer
 //!
@@ -62,6 +68,7 @@ mod error;
 mod geometry;
 mod plan;
 mod spec;
+mod update;
 
 pub use buf::StripeBuf;
 pub use erasure::{CellIdx, ErasureSet};
@@ -69,6 +76,7 @@ pub use error::CodeError;
 pub use geometry::Geometry;
 pub use plan::Plan;
 pub use spec::CodecSpec;
+pub use update::UpdateMap;
 
 /// The common interface every erasure code in the workspace implements.
 ///
@@ -125,6 +133,36 @@ pub trait ErasureCode: Send + Sync {
     ///   different codec (unrecognized plan detail).
     fn apply(&self, plan: &Plan, stripe: &mut StripeBuf) -> Result<(), CodeError>;
 
+    /// The parity cells an update of data cell `cell` patches — with
+    /// `cell` itself, the footprint of a small write (§6.3's update
+    /// penalty is this slice's length). Precomputed per codec.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::InvalidPattern`] if `cell` is out of range or not a
+    ///   data cell;
+    /// * [`CodeError::Unsupported`] if the codec's parities do not all
+    ///   live in the `r × n` grid.
+    fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError>;
+
+    /// Folds the change `delta = old ⊕ new` of data cell `cell` into the
+    /// contents `into` of its dependent `parity`: `into ^= c·delta`,
+    /// with `c` the coefficient of `cell` in `parity`.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::InvalidPattern`] if `parity` is not one of
+    ///   [`ErasureCode::dependents`]`(cell)`;
+    /// * [`CodeError::ShapeMismatch`] if `delta` and `into` differ in
+    ///   length or are not whole field elements.
+    fn fold_delta(
+        &self,
+        cell: CellIdx,
+        parity: CellIdx,
+        delta: &[u8],
+        into: &mut [u8],
+    ) -> Result<(), CodeError>;
+
     /// Overwrites data cell `cell` with `new_contents` and patches every
     /// dependent parity cell in place, returning the parity cells touched
     /// (the realized update penalty, §6.3 of the paper).
@@ -142,5 +180,17 @@ pub trait ErasureCode: Send + Sync {
         stripe: &mut StripeBuf,
         cell: CellIdx,
         new_contents: &[u8],
-    ) -> Result<Vec<CellIdx>, CodeError>;
+    ) -> Result<Vec<CellIdx>, CodeError> {
+        let parities = self.dependents(cell)?;
+        let geom = self.geometry();
+        stripe.check_shape(geom.r, geom.n, 1)?;
+        let delta = stripe.delta(cell, new_contents)?;
+        // Parities first: a shape error fails every fold alike, so the
+        // stripe is either fully updated or untouched.
+        for &parity in parities {
+            self.fold_delta(cell, parity, &delta, stripe.cell_mut(parity))?;
+        }
+        stripe.set_cell(cell, new_contents);
+        Ok(parities.to_vec())
+    }
 }

@@ -22,7 +22,7 @@ use proptest::{TestRng, TestRngCore};
 use stair_device::{AdminDevice, BlockDevice, DeviceError, DeviceSpec, IoBatch, IoOp, OpResult};
 use stair_net::protocol::MAX_IO_BYTES;
 use stair_net::{open_admin, open_device, Client, NetError, Server, ServerConfig, ShardSet};
-use stair_store::{StoreOptions, StripeStore};
+use stair_store::{build_codec, StoreOptions, StripeStore};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("stair-conform-{tag}-{}", std::process::id()));
@@ -471,6 +471,16 @@ enum Step {
     Submit(IoBatch),
     /// Lose a device and corrupt a sector burst on the fault shard.
     Fault,
+    /// Damage the footprint of a one-block write — corrupt the sector
+    /// of its first parity, or fail the device holding its last — then
+    /// write block `block` of the fault shard's stripe `stripe`: the
+    /// store must take the restore path.
+    DamagedWrite {
+        stripe: usize,
+        block: usize,
+        fail_parity: bool,
+        data: Vec<u8>,
+    },
 }
 
 fn bytes(rng: &mut TestRng, len: usize) -> Vec<u8> {
@@ -511,6 +521,15 @@ fn session(capacity: usize) -> Vec<Step> {
     for i in 0..48 {
         if i == 20 {
             steps.push(Step::Fault);
+        }
+        // One damaged footprint on a clean store, one on a degraded one.
+        if i == 12 || i == 26 {
+            steps.push(Step::DamagedWrite {
+                stripe: 7 + i / 13,
+                block: rng.gen_range(0..20usize),
+                fail_parity: i == 26,
+                data: bytes(rng, MODEL_BLOCK),
+            });
         }
         // Two ops past the per-frame cap: one clean, one degraded.
         if i == 8 || i == 30 {
@@ -555,12 +574,22 @@ fn session(capacity: usize) -> Vec<Step> {
     steps
 }
 
+fn recover_passes(dev: &dyn AdminDevice) -> u64 {
+    let metrics = dev.metrics().expect("metrics");
+    metrics.counter("store.recover_passes").expect("counter")
+}
+
 /// Replays the session on `dev`, checking every result against the
-/// byte-array model; ends with repair, a clean scrub and a full
+/// byte-array model — and the restore path against the damage: no
+/// recover pass while nothing is damaged, at least one per write into
+/// a damaged footprint; ends with repair, a clean scrub and a full
 /// read-back.
 fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) {
     let capacity = dev.capacity() as usize;
     assert_eq!(capacity, MODEL_STRIPES * 20 * MODEL_BLOCK);
+    let shards = dev.status().expect("status").shards.len();
+    let codec = build_codec(&model_opts(shards).code).expect("codec");
+    let mut damaged = false;
     // A fresh store is zero-filled.
     let mut model = vec![0u8; capacity];
     for (n, step) in session(capacity).into_iter().enumerate() {
@@ -596,9 +625,44 @@ fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) {
                 }
             }
             Step::Fault => {
+                damaged = true;
                 dev.fail_device(fault_shard, 3).expect("fail device");
                 dev.corrupt_sectors(fault_shard, 5, 2, 1, 2)
                     .expect("corrupt burst");
+            }
+            Step::DamagedWrite {
+                stripe,
+                block,
+                fail_parity,
+                data,
+            } => {
+                if !damaged {
+                    assert_eq!(recover_passes(dev), 0, "step {n}: nothing was damaged yet");
+                }
+                let cell = codec.geometry().data_cells[block];
+                let parities = codec.dependents(cell).expect("data cell");
+                if fail_parity {
+                    damaged = true;
+                    let (_, device) = *parities.last().expect("a parity");
+                    dev.fail_device(fault_shard, device).expect("fail parity");
+                } else {
+                    let (row, device) = parities[0];
+                    dev.corrupt_sectors(fault_shard, device, stripe, row, 1)
+                        .expect("corrupt parity");
+                }
+                // Local stripe → global range → byte offset (round-robin).
+                let at = ((stripe * shards + fault_shard) * 20 + block) * MODEL_BLOCK;
+                let before = recover_passes(dev);
+                dev.write_at(at as u64, &data).expect("damaged write");
+                assert!(recover_passes(dev) > before, "step {n}: restore path");
+                model[at..at + data.len()].copy_from_slice(&data);
+                if !fail_parity {
+                    // The restore healed the sector: the footprint is
+                    // clean again and the same write pays nothing.
+                    let before = recover_passes(dev);
+                    dev.write_at(at as u64, &data).expect("healed write");
+                    assert_eq!(recover_passes(dev), before, "step {n}: healed");
+                }
             }
         }
     }

@@ -1,7 +1,9 @@
 //! Plain Reed–Solomon array coding: `m` parity devices, no sector-level
 //! protection. The paper's "traditional erasure code" baseline (§6.1, §7).
 
-use stair_code::{CellIdx, CodeError, ErasureCode, ErasureSet, Geometry, Plan, StripeBuf};
+use stair_code::{
+    CellIdx, CodeError, ErasureCode, ErasureSet, Geometry, Plan, StripeBuf, UpdateMap,
+};
 use stair_gf::Field;
 use stair_gfmatrix::Matrix;
 use stair_rs::MdsCode;
@@ -27,9 +29,9 @@ pub struct RsArrayCode<F: Field> {
     r: usize,
     m: usize,
     code: MdsCode<F>,
-    /// `(n−m) × m` data→parity coefficients, precomputed so the
-    /// small-write update path pays no per-call solve.
-    update_coeff: Matrix<F>,
+    /// The row code's data→parity coefficients per data cell,
+    /// precomputed so the small-write path pays no per-call solve.
+    updates: UpdateMap<F::Elem>,
 }
 
 impl<F: Field> RsArrayCode<F> {
@@ -47,13 +49,24 @@ impl<F: Field> RsArrayCode<F> {
         let code = MdsCode::new(n, n - m)?;
         let data_idx: Vec<usize> = (0..n - m).collect();
         let parity_idx: Vec<usize> = (n - m..n).collect();
-        let update_coeff = code.recovery_coefficients(&data_idx, &parity_idx)?;
+        let row_coeff = code.recovery_coefficients(&data_idx, &parity_idx)?;
+        let grid = |cols: &[usize]| -> Vec<CellIdx> {
+            let cells = (0..r).flat_map(|i| cols.iter().map(move |&c| (i, c)));
+            cells.collect()
+        };
+        let (data, parity) = (grid(&data_idx), grid(&parity_idx));
+        // A parity depends only on the data cells of its own row.
+        let coeff = |p: usize, d: usize| match (parity[p], data[d]) {
+            ((pi, pc), (di, dc)) if pi == di => row_coeff.get(dc, pc - (n - m)),
+            _ => F::zero(),
+        };
+        let updates = UpdateMap::new((r, n), F::ELEM_BYTES, &data, &parity, F::zero(), coeff);
         Ok(RsArrayCode {
             n,
             r,
             m,
             code,
-            update_coeff,
+            updates,
         })
     }
 
@@ -270,35 +283,19 @@ impl<F: Field> ErasureCode for RsArrayCode<F> {
         Ok(())
     }
 
-    fn update(
+    fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
+        self.updates.dependents(cell)
+    }
+
+    fn fold_delta(
         &self,
-        stripe: &mut StripeBuf,
         cell: CellIdx,
-        new_contents: &[u8],
-    ) -> Result<Vec<CellIdx>, CodeError> {
-        self.check_buf(stripe)?;
-        let (row, col) = cell;
-        if row >= self.r || col >= self.n {
-            return Err(CodeError::InvalidPattern(format!(
-                "({row},{col}) out of range"
-            )));
-        }
-        if col >= self.n - self.m {
-            return Err(CodeError::InvalidPattern(format!(
-                "({row},{col}) is a parity sector; updates must target data"
-            )));
-        }
-        let delta = stripe.begin_update(cell, new_contents)?;
-        let mut touched = Vec::new();
-        for (j, pc) in (self.n - self.m..self.n).enumerate() {
-            let c = self.update_coeff.get(col, j);
-            if c == F::zero() {
-                continue;
-            }
-            F::mult_xor_region(stripe.cell_mut((row, pc)), &delta, c);
-            touched.push((row, pc));
-        }
-        Ok(touched)
+        parity: CellIdx,
+        delta: &[u8],
+        into: &mut [u8],
+    ) -> Result<(), CodeError> {
+        self.updates
+            .fold(cell, parity, delta, into, F::mult_xor_region)
     }
 }
 

@@ -19,7 +19,9 @@
 //! of SD codes encodes stripes in a decoding manner", §6.2 of the STAIR
 //! paper) — this is the property the paper's speed comparison measures.
 
-use stair_code::{CellIdx, CodeError, ErasureCode, ErasureSet, Geometry, Plan, StripeBuf};
+use stair_code::{
+    CellIdx, CodeError, ErasureCode, ErasureSet, Geometry, Plan, StripeBuf, UpdateMap,
+};
 use stair_gf::Field;
 use stair_gfmatrix::{Error as MatrixError, Matrix};
 
@@ -41,6 +43,8 @@ pub struct SdCode<F: Field> {
     data_pos: Vec<usize>,
     /// Dense encoding matrix: `parity = encode · data`.
     encode: Matrix<F>,
+    /// `encode` per data symbol: the parities a small write patches.
+    updates: UpdateMap<F::Elem>,
 }
 
 /// A plain `r × n` stripe of sector buffers for [`SdCode`].
@@ -139,6 +143,10 @@ impl<F: Field> SdCode<F> {
             }
             Err(e) => return Err(e.into()),
         };
+        let cells = |pos: &[usize]| pos.iter().map(|&q| (q / n, q % n)).collect::<Vec<_>>();
+        let (data, parity) = (cells(&data_pos), cells(&parity_pos));
+        let coeff = |p, d| encode.get(p, d);
+        let updates = UpdateMap::new((r, n), F::ELEM_BYTES, &data, &parity, F::zero(), coeff);
         Ok(SdCode {
             n,
             r,
@@ -148,6 +156,7 @@ impl<F: Field> SdCode<F> {
             parity_pos,
             data_pos,
             encode,
+            updates,
         })
     }
 
@@ -514,37 +523,19 @@ impl<F: Field> ErasureCode for SdCode<F> {
         Ok(())
     }
 
-    fn update(
+    fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
+        self.updates.dependents(cell)
+    }
+
+    fn fold_delta(
         &self,
-        stripe: &mut StripeBuf,
         cell: CellIdx,
-        new_contents: &[u8],
-    ) -> Result<Vec<CellIdx>, CodeError> {
-        self.check_buf(stripe)?;
-        let (row, col) = cell;
-        if row >= self.r || col >= self.n {
-            return Err(CodeError::InvalidPattern(format!(
-                "({row},{col}) out of range"
-            )));
-        }
-        let q = row * self.n + col;
-        let Some(d) = self.data_pos.iter().position(|&dq| dq == q) else {
-            return Err(CodeError::InvalidPattern(format!(
-                "({row},{col}) is a parity sector; updates must target data"
-            )));
-        };
-        let delta = stripe.begin_update(cell, new_contents)?;
-        let mut touched = Vec::new();
-        for (p, &ppos) in self.parity_pos.iter().enumerate() {
-            let coeff = self.encode.get(p, d);
-            if coeff == F::zero() {
-                continue;
-            }
-            let pcell = self.cell_of(ppos);
-            F::mult_xor_region(stripe.cell_mut(pcell), &delta, coeff);
-            touched.push(pcell);
-        }
-        Ok(touched)
+        parity: CellIdx,
+        delta: &[u8],
+        into: &mut [u8],
+    ) -> Result<(), CodeError> {
+        self.updates
+            .fold(cell, parity, delta, into, F::mult_xor_region)
     }
 }
 

@@ -84,14 +84,24 @@ impl<F: Field> ErasureCode for StairCodec<F> {
         Ok(())
     }
 
-    fn update(
+    fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
+        if self.config().placement() != GlobalPlacement::Inside {
+            return Err(CodeError::Unsupported(
+                "outside globals are parities with no cell in the r×n grid".into(),
+            ));
+        }
+        self.updates.dependents(cell)
+    }
+
+    fn fold_delta(
         &self,
-        stripe: &mut StripeBuf,
         cell: CellIdx,
-        new_contents: &[u8],
-    ) -> Result<Vec<CellIdx>, CodeError> {
-        self.check_buf(stripe)?;
-        Ok(self.update_grid(stripe, cell.0, cell.1, new_contents)?)
+        parity: CellIdx,
+        delta: &[u8],
+        into: &mut [u8],
+    ) -> Result<(), CodeError> {
+        self.updates
+            .fold(cell, parity, delta, into, F::mult_xor_region)
     }
 }
 

@@ -1,6 +1,7 @@
 //! The user-facing STAIR codec: construction, encoding (upstairs /
 //! downstairs / standard / baseline two-phase), and upstairs decoding.
 
+use stair_code::UpdateMap;
 use stair_gf::{Field, Gf8};
 use stair_rs::MdsCode;
 
@@ -83,6 +84,8 @@ pub struct StairCodec<F: Field = Gf8> {
     enc_downstairs: Option<Schedule<F>>,
     enc_two_phase: Option<Schedule<F>>,
     relations: ParityRelations<F>,
+    /// `relations` per data cell: the parities a small write patches.
+    pub(crate) updates: UpdateMap<F::Elem>,
     counts: MultXorCounts,
     best: EncodingMethod,
 }
@@ -148,6 +151,8 @@ impl<F: Field> StairCodec<F> {
             .expect("one encode schedule always exists");
         let relations = ParityRelations::derive(&layout, relation_schedule, parity_targets.clone());
 
+        let updates = relations.update_map(&layout);
+
         let mut counts = MultXorCounts::analytic(&config);
         counts.standard = relations.standard_mult_xors();
         let best = match config.placement() {
@@ -164,6 +169,7 @@ impl<F: Field> StairCodec<F> {
             enc_downstairs,
             enc_two_phase,
             relations,
+            updates,
             counts,
             best,
         })

@@ -13,6 +13,7 @@
 //!   `(i₀, j₀)` depends only on data symbols `(i, j)` with `i ≤ i₀`,
 //!   `j ≤ j₀`, with tread/riser exclusions).
 
+use stair_code::UpdateMap;
 use stair_gf::Field;
 
 use crate::layout::{Cell, Layout};
@@ -94,6 +95,21 @@ impl<F: Field> ParityRelations<F> {
         (0..self.parity_cells.len())
             .map(|p| self.contributors(p))
             .sum()
+    }
+
+    /// The relation transposed for the small-write path: per data cell,
+    /// the parities with a non-zero coefficient (the cells §6.3 counts).
+    pub(crate) fn update_map(&self, layout: &Layout) -> UpdateMap<F::Elem> {
+        let coeff = |p: usize, d: usize| self.coeffs[p][d];
+        let (data, parity) = (&self.data_cells, &self.parity_cells);
+        UpdateMap::new(
+            (layout.r(), layout.n()),
+            F::ELEM_BYTES,
+            data,
+            parity,
+            F::zero(),
+            coeff,
+        )
     }
 
     /// The update-penalty statistics of §6.3.

@@ -8,10 +8,9 @@
 //! linear, so a change `Δ = old ⊕ new` in a data sector changes each
 //! dependent parity by `c·Δ`.
 
-use stair_code::StripeBuf;
+use stair_code::{CodeError, ErasureCode};
 use stair_gf::Field;
 
-use crate::layout::{Cell, CellKind};
 use crate::stripe::Stripe;
 use crate::{Error, StairCodec};
 
@@ -21,13 +20,14 @@ impl<F: Field> StairCodec<F> {
     /// sectors were updated (the realized update penalty).
     ///
     /// The stripe must already be consistently encoded; after the call it
-    /// is again consistently encoded.
+    /// is again consistently encoded. This is [`ErasureCode::update`] on
+    /// the stripe's grid — the one definition of the delta arithmetic.
     ///
     /// # Errors
     ///
     /// * [`Error::InvalidPattern`] if `(row, col)` is not a data sector
     ///   (row parities and inside global parities cannot be updated
-    ///   directly);
+    ///   directly) or the stripe keeps its globals outside the grid;
     /// * [`Error::ShapeMismatch`] if the stripe belongs to another
     ///   configuration or `new_contents` has the wrong length.
     pub fn update_data(
@@ -43,55 +43,12 @@ impl<F: Field> StairCodec<F> {
             ));
         }
         let (grid, _) = stripe.parts_mut();
-        Ok(self.update_grid(grid, row, col, new_contents)?.len())
-    }
-
-    /// The grid-level core of [`StairCodec::update_data`], shared with the
-    /// [`stair_code::ErasureCode`] impl: patches dependent parities and
-    /// returns the cells touched.
-    pub(crate) fn update_grid(
-        &self,
-        grid: &mut StripeBuf,
-        row: usize,
-        col: usize,
-        new_contents: &[u8],
-    ) -> Result<Vec<Cell>, Error> {
-        if new_contents.len() != grid.symbol() {
-            return Err(Error::ShapeMismatch(format!(
-                "sector update is {} bytes, sectors are {}",
-                new_contents.len(),
-                grid.symbol()
-            )));
+        match self.update(grid, (row, col), new_contents) {
+            Ok(touched) => Ok(touched.len()),
+            Err(CodeError::ShapeMismatch(m)) => Err(Error::ShapeMismatch(m)),
+            Err(CodeError::InvalidPattern(m)) => Err(Error::InvalidPattern(m)),
+            Err(other) => Err(Error::InvalidPattern(other.to_string())),
         }
-        if row >= self.config().r() || col >= self.config().n() {
-            return Err(Error::InvalidPattern(format!("({row},{col}) out of range")));
-        }
-        if self.layout().kind((row, col)) != CellKind::Data {
-            return Err(Error::InvalidPattern(format!(
-                "({row},{col}) is a parity sector; updates must target data"
-            )));
-        }
-
-        // Δ = old ⊕ new.
-        let mut delta = new_contents.to_vec();
-        for (d, &o) in delta.iter_mut().zip(grid.cell((row, col))) {
-            *d ^= o;
-        }
-        grid.set_cell((row, col), new_contents);
-
-        let relations = self.relations();
-        let mut touched = Vec::new();
-        for &(pi, pj) in relations.parity_cells() {
-            let coeff = relations
-                .coefficient((pi, pj), (row, col))
-                .expect("data cell is part of the relation");
-            if coeff == F::zero() {
-                continue;
-            }
-            F::mult_xor_region(grid.cell_mut((pi, pj)), &delta, coeff);
-            touched.push((pi, pj));
-        }
-        Ok(touched)
     }
 }
 

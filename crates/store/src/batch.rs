@@ -8,22 +8,40 @@
 //! * **one** lock acquisition,
 //! * **one** re-encode-vs-parity-delta decision — writes covering every
 //!   byte of the stripe rebuild it in memory and encode once (no old
-//!   state read at all); anything less loads + restores the stripe
-//!   once and patches only the dirty cells,
+//!   state read at all); anything less is a read-modify-write over its
+//!   **footprint** (below),
 //! * **one** write-back and (per plan, not per stripe) **one** journal
 //!   fsync and **one** integrity persist.
 //!
+//! # The footprint rule
+//!
+//! A partial-stripe write needs, and therefore reads, stages and holds,
+//! only: for every written block its data cell and the parity cells
+//! that depend on it ([`stair_code::ErasureCode::dependents`] — `1 +
+//! penalty(d)` sectors, the paper's §6.3 update cost), and for every
+//! read fragment in the same stripe its data cell. Each is read once
+//! and checksum-verified into a small per-stripe cell map, patched
+//! with `parity ^= c·(old ⊕ new)`
+//! ([`stair_code::ErasureCode::fold_delta`]), journaled and written
+//! back. That holds while every footprint cell sits on a `Healthy`
+//! device and verifies. Otherwise — a `Failed` or `Rebuilding` device
+//! or a bad checksum anywhere in the footprint — the stripe takes the
+//! **restore path**: the whole grid is loaded, every lost cell
+//! reconstructed, the same patch applied in place, and the
+//! reconstructed cells written back with it (healing latent damage for
+//! free). Damage *outside* the footprint is neither read nor paid for.
+//!
 //! Reads ride along: a stripe that is only read serves the verified
 //! fast path under the same single lock; a stripe that is also written
-//! serves reads straight from the restored in-memory buffer. Ops that
+//! serves reads from the cells the write staged. Ops that
 //! conflict (a write overlapping anything — see
 //! [`stair_device::IoBatch::has_conflicts`]) run as one-op plans in
 //! submission order, where overlap semantics are trivially right.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use stair_code::{CellIdx, StripeBuf};
+use stair_code::{CellIdx, CodeError, ErasureCode, StripeBuf};
 use stair_device::{spans_conflict, BatchResult, IoBatch, IoOp, OpResult, WriteOutcome};
 
 use crate::{Error, StripeStore};
@@ -133,12 +151,63 @@ struct Fragment {
     blocks: Range<usize>,
 }
 
+/// The cells a staged stripe holds from staging to group commit.
+enum StagedCells {
+    /// The whole `r × n` grid: a full-stripe re-encode, or the restore
+    /// path of a partial write on a damaged footprint.
+    Grid(StripeBuf),
+    /// Only the footprint of a partial write, every cell verified on a
+    /// healthy device — ~`1 + penalty(d)` sectors per written block
+    /// instead of the stripe.
+    Sparse(BTreeMap<CellIdx, Vec<u8>>),
+}
+
+impl StagedCells {
+    /// The staged contents of `cell`.
+    fn cell(&self, cell: CellIdx) -> &[u8] {
+        match self {
+            StagedCells::Grid(stripe) => stripe.cell(cell),
+            // check: panic-ok planner invariant: only footprint cells are asked for
+            StagedCells::Sparse(cells) => cells.get(&cell).expect("cell is in the footprint"),
+        }
+    }
+
+    /// Installs `contents` in data cell `cell` and patches its dependent
+    /// parities, returning them. Both arms run the codec's one
+    /// definition of the delta arithmetic.
+    fn update(
+        &mut self,
+        codec: &dyn ErasureCode,
+        cell: CellIdx,
+        contents: Vec<u8>,
+    ) -> Result<Vec<CellIdx>, CodeError> {
+        let cells = match self {
+            StagedCells::Grid(stripe) => return codec.update(stripe, cell, &contents),
+            StagedCells::Sparse(cells) => cells,
+        };
+        let outside =
+            |c: CellIdx| CodeError::Internal(format!("{c:?} is outside the staged footprint"));
+        let parities = codec.dependents(cell)?;
+        let old = cells.get(&cell).ok_or_else(|| outside(cell))?;
+        let mut delta = contents.clone();
+        for (d, &o) in delta.iter_mut().zip(old) {
+            *d ^= o;
+        }
+        for &parity in parities {
+            let into = cells.get_mut(&parity).ok_or_else(|| outside(parity))?;
+            codec.fold_delta(cell, parity, &delta, into)?;
+        }
+        cells.insert(cell, contents);
+        Ok(parities.to_vec())
+    }
+}
+
 /// A stripe staged in memory (encoded, results recorded) whose
 /// write-back is deferred to the plan's group commit: all records are
 /// journaled under one fsync, then every stripe persists in place.
 struct StagedWrite {
     stripe_idx: usize,
-    stripe: StripeBuf,
+    cells: StagedCells,
     /// Cells to persist — `None` persists the full stripe (a whole
     /// -stripe re-encode), `Some` only the patched set.
     touched: Option<BTreeSet<CellIdx>>,
@@ -274,14 +343,14 @@ impl StripeStore {
         let sh = &self.shared;
         let targets: Vec<Vec<(CellIdx, &[u8])>> = staged
             .iter()
-            .map(|s| self.write_back_targets(&s.stripe, s.touched.as_ref()))
+            .map(|s| self.write_back_targets(s.touched.as_ref(), |c| s.cells.cell(c)))
             .collect();
         // Journal payloads diverge from the write-back lists for
         // full-stripe stages: those journal a data image (parity
         // recomputed at replay) while still persisting every cell.
         let records: Vec<JournalRecord> = staged
             .iter()
-            .map(|s| self.journal_cells(&s.stripe, s.touched.as_ref()))
+            .map(|s| self.journal_cells(s.touched.as_ref(), |c| s.cells.cell(c)))
             .collect();
         let reserve: Vec<usize> = records.iter().map(|(cells, _)| cells.len()).collect();
         let guard = {
@@ -377,25 +446,48 @@ impl StripeStore {
             w.full_stripe_encodes += 1;
             return Ok(Some(StagedWrite {
                 stripe_idx,
-                stripe,
+                cells: StagedCells::Grid(stripe),
                 touched: None,
             }));
         }
 
-        // Partial: load + restore once, patch every dirty cell, serve
-        // reads from the restored buffer, write back once.
+        // Partial: read-modify-write over the footprint — each written
+        // block's data cell and dependent parities, each read block's
+        // data cell — or, when any of it is damaged, over the restored
+        // stripe. Either way: load once, patch every dirty cell, serve
+        // reads from the staged cells, write back once.
         let _delta = stair_obs::trace::span(stair_obs::trace::names::STORE_DELTA);
-        let (mut stripe, erased) = self.load_stripe_restored(stripe_idx)?;
+        let mut footprint: BTreeSet<CellIdx> = BTreeSet::new();
+        for f in frags {
+            for block in f.blocks.clone() {
+                let cell = sh.blocks.locate(block)?.cell;
+                footprint.insert(cell);
+                if ops[f.op].is_write() {
+                    footprint.extend(sh.codec.dependents(cell)?);
+                }
+            }
+        }
         let mut touched: BTreeSet<CellIdx> = BTreeSet::new();
+        let mut cells = match self.load_cells(stripe_idx, &footprint)? {
+            Some(cells) => StagedCells::Sparse(cells),
+            None => {
+                let (stripe, erased) = self.load_stripe_restored(stripe_idx)?;
+                // Erased cells were reconstructed by the restore;
+                // rewriting them heals latent damage on writable
+                // devices for free.
+                touched.extend(erased.iter());
+                StagedCells::Grid(stripe)
+            }
+        };
         for f in frags {
             match ops[f.op] {
                 OpRef::Write { offset, data } => {
                     for block in f.blocks.clone() {
                         let loc = sh.blocks.locate(block)?;
                         let (incoming, at) = self.incoming_for_block(block, offset, data);
-                        let mut contents = stripe.cell(loc.cell).to_vec();
+                        let mut contents = cells.cell(loc.cell).to_vec();
                         contents[at..at + incoming.len()].copy_from_slice(incoming);
-                        let patched = sh.codec.update(&mut stripe, loc.cell, &contents)?;
+                        let patched = cells.update(sh.codec.as_ref(), loc.cell, contents)?;
                         sh.counters.count_update();
                         touched.insert(loc.cell);
                         touched.extend(patched);
@@ -406,8 +498,8 @@ impl StripeStore {
                     write_slot(results, f.op).bytes += self.fragment_bytes(&ops[f.op], &f.blocks);
                 }
                 OpRef::Read { offset, .. } => {
-                    // The restored buffer is fully verified, and reads
-                    // are disjoint from the plan's writes, so patching
+                    // Every staged cell is verified, and reads are
+                    // disjoint from the plan's writes, so patching
                     // cannot have changed the bytes a read wants.
                     let OpResult::Read(out) = &mut results[f.op] else {
                         // check: panic-ok planner invariant: read fragments index read results
@@ -415,18 +507,15 @@ impl StripeStore {
                     };
                     for block in f.blocks.clone() {
                         let cell = sh.blocks.locate(block)?.cell;
-                        self.copy_block(block, stripe.cell(cell), offset, out);
+                        self.copy_block(block, cells.cell(cell), offset, out);
                     }
                 }
             }
         }
-        // Erased cells were reconstructed by the restore; rewriting
-        // them heals latent damage on writable devices for free.
-        touched.extend(erased.iter());
         write_slot(results, first_write).stripes_touched += 1;
         Ok(Some(StagedWrite {
             stripe_idx,
-            stripe,
+            cells,
             touched: Some(touched),
         }))
     }
@@ -451,7 +540,7 @@ fn write_slot(results: &mut [OpResult], i: usize) -> &mut WriteOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StoreOptions, StripeStore};
+    use crate::{DeviceState, StoreOptions, StripeStore};
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -636,9 +725,10 @@ mod tests {
         let (dir, store, base) = small_store("degraded");
         let sym = store.block_size() as u64;
         store.fail_device(1).unwrap();
+        // Block 1 lives in cell (0, 1) — on the failed device.
         let mut batch = IoBatch::new();
         batch
-            .write(0, pattern(sym as usize, 80))
+            .write(sym, pattern(sym as usize, 80))
             .read(5 * sym, (2 * sym) as usize);
         let before = store.io_stats();
         let result = store.submit(&batch).unwrap();
@@ -651,9 +741,294 @@ mod tests {
         };
         assert_eq!(got, &base[(5 * sym) as usize..(7 * sym) as usize]);
         let mut expected = base.clone();
-        expected[..sym as usize].copy_from_slice(&pattern(sym as usize, 80));
+        expected[sym as usize..2 * sym as usize].copy_from_slice(&pattern(sym as usize, 80));
+        assert_eq!(store.read_at(0, expected.len()).unwrap(), expected);
+
+        // Block 0 — cell (0, 0), parities on devices 3..8 — and the same
+        // read: the footprint avoids the failed device, so the degraded
+        // stripe is not restored (and not paid for) at all.
+        let mut batch = IoBatch::new();
+        batch
+            .write(0, pattern(sym as usize, 81))
+            .read(5 * sym, (2 * sym) as usize);
+        let before = store.io_stats();
+        let result = store.submit(&batch).unwrap();
+        let after = store.io_stats();
+        assert_eq!(after.recover_passes, before.recover_passes);
+        assert_eq!(result.write.delta_updates, 1);
+        let OpResult::Read(got) = &result.results[1] else {
+            panic!("op 1 is a read")
+        };
+        assert_eq!(got, &base[(5 * sym) as usize..(7 * sym) as usize]);
+        expected[..sym as usize].copy_from_slice(&pattern(sym as usize, 81));
         assert_eq!(store.read_at(0, expected.len()).unwrap(), expected);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The three codec families on the ledger's geometry.
+    const FAMILIES: [&str; 3] = ["stair:8,16,2,1-2", "sd:8,16,2,3", "rs:8,16,2"];
+
+    /// Every sector of every device file, keyed `(stripe, row, dev)`.
+    fn disk_image(store: &StripeStore) -> BTreeMap<(usize, usize, usize), Vec<u8>> {
+        let geom = store.geometry();
+        let sym = store.block_size();
+        let mut image = BTreeMap::new();
+        for dev in 0..geom.n {
+            let raw =
+                std::fs::read(store.dir().join(crate::device::device_file_name(dev))).unwrap();
+            for (k, sector) in raw.chunks(sym).enumerate() {
+                image.insert((k / geom.r, k % geom.r, dev), sector.to_vec());
+            }
+        }
+        image
+    }
+
+    #[test]
+    fn healthy_single_block_write_touches_one_plus_penalty_sectors() {
+        for spec in FAMILIES {
+            let dir = tmpdir(&format!("footprint-{}", &spec[..2]));
+            let opts = StoreOptions {
+                code: spec.parse().unwrap(),
+                symbol: 16,
+                stripes: 2,
+            };
+            let store = StripeStore::create(&dir, &opts).unwrap();
+            store
+                .write_at(0, &pattern(store.capacity() as usize, 5))
+                .unwrap();
+            let sym = store.block_size();
+            let per = store.blocks_per_stripe();
+            let data_cells = store.geometry().data_cells.clone();
+            let mut read_total = 0u64;
+            // Stripe 1, so a stripe-index mix-up cannot hide in stripe 0.
+            for (k, &cell) in data_cells.iter().enumerate() {
+                let mut footprint: BTreeSet<CellIdx> = store
+                    .codec()
+                    .dependents(cell)
+                    .unwrap()
+                    .iter()
+                    .copied()
+                    .collect();
+                footprint.insert(cell);
+                let disk_before = disk_image(&store);
+                let before = store.io_stats();
+                // Every byte differs from the old block, so every
+                // dependent parity's bytes change too (c ≠ 0, Δ ≠ 0).
+                let old = store.read_at(((per + k) * sym) as u64, sym).unwrap();
+                let fresh: Vec<u8> = old.iter().map(|b| b ^ (k as u8 | 0x80)).collect();
+                let reads_of_old = store.io_stats().sector_reads - before.sector_reads;
+                assert_eq!(reads_of_old, 1);
+                let before = store.io_stats();
+                store.write_at(((per + k) * sym) as u64, &fresh).unwrap();
+                let after = store.io_stats();
+                let read = after.sector_reads - before.sector_reads;
+                assert_eq!(read, footprint.len() as u64, "{spec} cell {cell:?}");
+                assert_eq!(after.recover_passes, before.recover_passes);
+                read_total += read;
+                // ... and writes exactly the same set.
+                let disk_after = disk_image(&store);
+                let written: BTreeSet<CellIdx> = disk_after
+                    .iter()
+                    .filter(|(key, sector)| disk_before[*key] != **sector)
+                    .map(|(&(stripe, row, dev), _)| {
+                        assert_eq!(stripe, 1, "{spec} cell {cell:?}");
+                        (row, dev)
+                    })
+                    .collect();
+                assert_eq!(written, footprint, "{spec} cell {cell:?}");
+            }
+            if spec.starts_with("stair") {
+                // §6.3: 1 + the mean update penalty of stair:8,16,2,1-2.
+                let mean = read_total as f64 / data_cells.len() as f64;
+                assert!((mean - 9.516).abs() < 5e-4, "mean footprint {mean}");
+            }
+            assert!(store.scrub(1).unwrap().clean());
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn sixteen_stripe_batch_reads_the_sum_of_its_footprints() {
+        for spec in FAMILIES {
+            let dir = tmpdir(&format!("sum-{}", &spec[..2]));
+            let opts = StoreOptions {
+                code: spec.parse().unwrap(),
+                symbol: 16,
+                stripes: 16,
+            };
+            let store = StripeStore::create(&dir, &opts).unwrap();
+            let sym = store.block_size();
+            let per = store.blocks_per_stripe();
+            let data_cells = store.geometry().data_cells.clone();
+            let mut batch = IoBatch::new();
+            let mut expected = 0u64;
+            for stripe in 0..16 {
+                let k = (stripe * 37 + 11) % per;
+                batch.write(
+                    ((stripe * per + k) * sym) as u64,
+                    pattern(sym, stripe as u8),
+                );
+                expected += 1 + store.codec().dependents(data_cells[k]).unwrap().len() as u64;
+            }
+            let before = store.io_stats();
+            let result = store.submit(&batch).unwrap();
+            let after = store.io_stats();
+            assert_eq!(result.write.stripes_touched, 16);
+            assert_eq!(after.sector_reads - before.sector_reads, expected, "{spec}");
+            let geom = store.geometry();
+            assert!(expected < 16 * (geom.r * geom.n) as u64 / 4);
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// xorshift64*, so the session below replays exactly.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+        }
+    }
+
+    /// A store next to the model of everything the restore path reacts
+    /// to: the bytes, the devices that are not `Healthy`, and the
+    /// corrupted sectors no write has healed yet.
+    struct Modelled {
+        store: StripeStore,
+        bytes: Vec<u8>,
+        down: BTreeSet<usize>,
+        bad: BTreeSet<(usize, usize, usize)>,
+        rng: Rng,
+    }
+
+    impl Modelled {
+        /// Per touched stripe, the footprint of writing `len` bytes at
+        /// `offset`.
+        fn footprints(&self, offset: usize, len: usize) -> BTreeMap<usize, BTreeSet<CellIdx>> {
+            let (sym, per) = (self.store.block_size(), self.store.blocks_per_stripe());
+            let mut by_stripe: BTreeMap<usize, BTreeSet<CellIdx>> = BTreeMap::new();
+            for block in offset / sym..(offset + len).div_ceil(sym) {
+                let cell = self.store.geometry().data_cells[block % per];
+                let footprint = by_stripe.entry(block / per).or_default();
+                footprint.insert(cell);
+                footprint.extend(self.store.codec().dependents(cell).unwrap());
+            }
+            by_stripe
+        }
+
+        /// Writes, and holds the store to the rule: one restore pass
+        /// per stripe whose footprint is damaged, none otherwise.
+        fn write(&mut self, offset: usize, len: usize) {
+            let data = pattern(len, self.rng.below(251) as u8);
+            let mut damaged = 0u64;
+            for (stripe, footprint) in self.footprints(offset, len) {
+                let hit = |&(row, dev): &CellIdx| {
+                    self.down.contains(&dev) || self.bad.contains(&(stripe, row, dev))
+                };
+                if footprint.iter().any(hit) {
+                    damaged += 1;
+                    // The restore path rewrites every erased cell.
+                    self.bad.retain(|&(s, _, _)| s != stripe);
+                }
+            }
+            let before = self.store.io_stats().recover_passes;
+            self.store.write_at(offset as u64, &data).unwrap();
+            let passes = self.store.io_stats().recover_passes - before;
+            assert_eq!(passes, damaged, "write {offset}+{len}");
+            self.bytes[offset..offset + len].copy_from_slice(&data);
+        }
+
+        /// A partial write of up to three blocks, off alignment.
+        fn random_write(&mut self) {
+            let sym = self.store.block_size();
+            let len = 1 + self.rng.below(3 * sym);
+            let offset = self.rng.below(self.bytes.len() - len);
+            self.write(offset, len);
+        }
+
+        fn assert_bytes(&self) {
+            let got = self.store.read_at(0, self.bytes.len()).unwrap();
+            assert!(got == self.bytes, "store diverged from the byte array");
+        }
+    }
+
+    #[test]
+    fn damaged_footprints_fall_back_and_stay_a_byte_array() {
+        for spec in ["stair:8,4,2,1-1-2", "sd:8,4,2,2", "rs:8,4,2"] {
+            let dir = tmpdir(&format!("fallback-{}", &spec[..2]));
+            let opts = StoreOptions {
+                code: spec.parse().unwrap(),
+                symbol: 64,
+                stripes: 6,
+            };
+            let store = StripeStore::create(&dir, &opts).unwrap();
+            let base = pattern(store.capacity() as usize, 9);
+            store.write_at(0, &base).unwrap();
+            let (sym, per) = (store.block_size(), store.blocks_per_stripe());
+            let mut m = Modelled {
+                store,
+                bytes: base,
+                down: BTreeSet::new(),
+                bad: BTreeSet::new(),
+                rng: Rng(0x5EED ^ spec.len() as u64),
+            };
+            for _ in 0..12 {
+                m.random_write();
+            }
+            // Corrupt one sector inside the next write's footprint —
+            // the data cell, then a parity — one stripe at a time (RS
+            // rows tolerate no more).
+            for stripe in 0..4 {
+                let block = stripe * per + m.rng.below(per);
+                let footprint = m.footprints(block * sym, sym).remove(&stripe).unwrap();
+                let pick = if stripe % 2 == 0 {
+                    0
+                } else {
+                    m.rng.below(footprint.len())
+                };
+                let (row, dev) = *footprint.iter().nth(pick).unwrap();
+                m.store.corrupt_sectors(dev, stripe, row, 1).unwrap();
+                m.bad.insert((stripe, row, dev));
+                // A neighbour stripe's write neither sees nor pays.
+                m.write(((stripe + 1) * per) * sym + 3, sym);
+                m.write(block * sym, sym);
+                assert!(m.bad.is_empty());
+            }
+            // Fail the device holding one parity of the next write.
+            let block = 4 * per + m.rng.below(per);
+            let cell = m.store.geometry().data_cells[block % per];
+            let (_, parity_dev) = *m.store.codec().dependents(cell).unwrap().last().unwrap();
+            m.store.fail_device(parity_dev).unwrap();
+            m.down.insert(parity_dev);
+            m.write(block * sym, sym);
+            for _ in 0..12 {
+                m.random_write();
+            }
+            m.assert_bytes();
+            // An interrupted repair: the replacement is attached and
+            // `Rebuilding`, no stripe rebuilt yet. Writes go on — through
+            // the restore path exactly when they touch it.
+            m.store.shared.devices.replace(parity_dev).unwrap();
+            let rebuilding =
+                |h: &mut crate::Health| h.devices[parity_dev] = DeviceState::Rebuilding;
+            m.store.shared.integrity.update_health(rebuilding);
+            for _ in 0..12 {
+                m.random_write();
+            }
+            m.assert_bytes();
+            assert!(m.store.repair(2).unwrap().complete());
+            let scrub = m.store.scrub(2).unwrap();
+            assert!(scrub.clean(), "{spec}: {scrub:?}");
+            m.assert_bytes();
+            let Modelled { store, .. } = m;
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

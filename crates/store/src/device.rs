@@ -10,6 +10,7 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use crate::Error;
@@ -35,6 +36,8 @@ pub struct DeviceSet {
     symbol: usize,
     stripes: usize,
     slots: Vec<RwLock<Option<File>>>,
+    /// Sectors read back whole, on any path (a statistic: relaxed).
+    sector_reads: AtomicU64,
 }
 
 impl DeviceSet {
@@ -57,6 +60,7 @@ impl DeviceSet {
             symbol,
             stripes,
             slots,
+            sector_reads: AtomicU64::new(0),
         }
     }
 
@@ -112,10 +116,18 @@ impl DeviceSet {
             return Ok(SectorRead::Missing);
         };
         match file.read_exact_at(buf, self.offset(stripe, row)) {
-            Ok(()) => Ok(SectorRead::Ok),
+            Ok(()) => {
+                self.sector_reads.fetch_add(1, Ordering::Relaxed);
+                Ok(SectorRead::Ok)
+            }
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(SectorRead::Missing),
             Err(e) => Err(e.into()),
         }
+    }
+
+    /// Sectors read back whole since this set was opened.
+    pub fn sector_reads(&self) -> u64 {
+        self.sector_reads.load(Ordering::Relaxed)
     }
 
     /// Writes sector `(stripe, row)` of `device`.

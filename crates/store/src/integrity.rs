@@ -10,6 +10,7 @@
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::checksum::fletcher32;
@@ -157,6 +158,12 @@ pub struct Integrity {
     /// Open handle on the checksum table file for positioned writes.
     table_file: std::fs::File,
     health: RwLock<Health>,
+    /// Set by every health update, cleared by the persist that writes
+    /// `health.txt` — a batch that changed no health rewrites nothing.
+    health_dirty: AtomicBool,
+    /// `health.bad_sectors.len()`, refreshed under the health write lock
+    /// — lets a commit on an undamaged store skip that lock entirely.
+    bad_sector_count: AtomicUsize,
     /// Serializes [`Integrity::persist`] so concurrent foreground writes
     /// and repair/scrub passes never interleave file updates.
     persist_lock: std::sync::Mutex<()>,
@@ -202,6 +209,7 @@ impl Integrity {
             .write(true)
             .open(dir.join(CHECKSUM_FILE))?;
         let health_text = fs::read_to_string(dir.join(HEALTH_FILE)).unwrap_or_default();
+        let health = Health::parse(&health_text, n)?;
         Ok(Integrity {
             dir: dir.to_path_buf(),
             n,
@@ -209,7 +217,9 @@ impl Integrity {
             checksums: RwLock::new(checksums),
             dirty: std::sync::Mutex::new(std::collections::BTreeSet::new()),
             table_file,
-            health: RwLock::new(Health::parse(&health_text, n)?),
+            health_dirty: AtomicBool::new(false),
+            bad_sector_count: AtomicUsize::new(health.bad_sectors.len()),
+            health: RwLock::new(health),
             persist_lock: std::sync::Mutex::new(()),
         })
     }
@@ -254,18 +264,38 @@ impl Integrity {
         read_lock(&self.health).bad_sectors.contains(&key)
     }
 
-    /// Applies `f` to the health record and returns whether it changed.
-    pub fn update_health(&self, f: impl FnOnce(&mut Health)) -> bool {
+    /// Applies `f` to the health record and marks it for the next
+    /// [`Integrity::persist`].
+    pub fn update_health(&self, f: impl FnOnce(&mut Health)) {
         let mut guard = write_lock(&self.health);
-        let before = guard.clone();
+        // Armed under the write lock, before `f` runs: `persist` clears
+        // the flag and only then takes the read lock, so it either
+        // writes this update or leaves the flag set for the next one.
+        self.health_dirty.store(true, Ordering::SeqCst);
         f(&mut guard);
-        *guard != before
+        self.bad_sector_count
+            .store(guard.bad_sectors.len(), Ordering::SeqCst);
+    }
+
+    /// Drops freshly rewritten sectors from the bad-sector record. While
+    /// the record is empty — every commit on an undamaged store — this
+    /// takes no lock and dirties nothing.
+    pub fn clear_bad(&self, rewritten: impl Iterator<Item = BadSector>) {
+        if self.bad_sector_count.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        self.update_health(|h| {
+            for key in rewritten {
+                h.bad_sectors.remove(&key);
+            }
+        });
     }
 
     /// Persists dirty checksum entries (positioned 4-byte writes into the
-    /// table file — O(entries changed), not O(store size)) and the health
-    /// record (small; rewritten atomically via temp file + rename). The
-    /// persist lock keeps concurrent callers from interleaving.
+    /// table file — O(entries changed), not O(store size)) and, if it
+    /// changed since the last persist, the health record (small;
+    /// rewritten atomically via temp file + rename). The persist lock
+    /// keeps concurrent callers from interleaving.
     pub fn persist(&self) -> Result<(), Error> {
         use std::os::unix::fs::FileExt;
         let _serial = mutex_lock(&self.persist_lock);
@@ -279,8 +309,13 @@ impl Integrity {
                     .write_all_at(&checksums[idx].to_le_bytes(), idx as u64 * 4)?;
             }
         }
-        let health_text = read_lock(&self.health).to_text();
-        write_atomic(&self.dir, HEALTH_FILE, health_text.as_bytes())?;
+        if self.health_dirty.swap(false, Ordering::SeqCst) {
+            let health_text = read_lock(&self.health).to_text();
+            if let Err(e) = write_atomic(&self.dir, HEALTH_FILE, health_text.as_bytes()) {
+                self.health_dirty.store(true, Ordering::SeqCst);
+                return Err(e);
+            }
+        }
         Ok(())
     }
 }

@@ -193,11 +193,7 @@ impl StripeStore {
             cleared.push((stripe_idx, row, dev));
             written += 1;
         }
-        sh.integrity.update_health(|h| {
-            for key in cleared {
-                h.bad_sectors.remove(&key);
-            }
-        });
+        sh.integrity.clear_bad(cleared.into_iter());
         Ok(RepairOutcome::Repaired(written))
     }
 }

@@ -11,10 +11,16 @@
 //! * **Writes** are batched per stripe. A write covering *every* data
 //!   block of a stripe never reads old state: the stripe is rebuilt in
 //!   memory and fully re-encoded (one sequential pass). A partial write
-//!   loads the stripe, overwrites the dirty data sectors, and patches only
-//!   the dependent parity sectors via the codec's parity-delta update
-//!   ([`stair_code::ErasureCode::update`]) — the §6.3 update-penalty path,
-//!   now measurable per codec.
+//!   is a read-modify-write over its **footprint** only — each written
+//!   block's data sector plus the parity sectors that depend on it
+//!   ([`stair_code::ErasureCode::dependents`]), `1 + penalty(d)` sectors
+//!   read, patched with the codec's parity delta
+//!   ([`stair_code::ErasureCode::fold_delta`]) and written back: the
+//!   §6.3 update cost, measurable per codec as `sector_reads` in
+//!   [`IoStats`]. If any footprint sector sits on a device that is not
+//!   healthy or fails its checksum, the write takes the restore path
+//!   instead: the whole stripe is loaded, lost sectors reconstructed,
+//!   the same patch applied, and the reconstructed sectors healed.
 //! * **Reads** verify every sector against the Fletcher-32 table. A clean
 //!   stripe is served straight from the data sectors. Any missing file,
 //!   short read, or checksum mismatch switches the stripe to a **degraded
@@ -25,10 +31,12 @@
 //!   guarded by striped locks, so reads, writes, scrubbing, and repair of
 //!   *different* stripes proceed concurrently.
 //!
-//! Stripes move through the engine as flat [`StripeBuf`]s — the same
-//! memory the codecs encode and decode in place, with no per-cell
-//! reshaping between the I/O layer and the math.
+//! Whole stripes move through the engine as flat [`StripeBuf`]s — the
+//! same memory the codecs encode and decode in place, with no per-cell
+//! reshaping between the I/O layer and the math. A partial write's
+//! footprint is a map of just its sectors.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -118,6 +126,10 @@ pub struct IoStats {
     /// Recovery plan applications (`ErasureCode::apply`) on the
     /// foreground read/write path.
     pub recover_passes: u64,
+    /// Sectors read from the device files, on every path. A one-block
+    /// write on a healthy stripe reads `1 + penalty(d)` of them — the
+    /// paper's §6.3 update cost, observed where the I/O happens.
+    pub sector_reads: u64,
 }
 
 /// The live counters behind [`IoStats`]; relaxed ordering is enough
@@ -320,11 +332,7 @@ impl StripeStore {
                 sh.integrity.record(rec.stripe, row, dev, data);
                 healed.push((rec.stripe, row, dev));
             }
-            sh.integrity.update_health(|h| {
-                for key in &healed {
-                    h.bad_sectors.remove(key);
-                }
-            });
+            sh.integrity.clear_bad(healed.into_iter());
             Ok(())
         })?;
         sh.counters
@@ -348,8 +356,7 @@ impl StripeStore {
         let sh = &self.shared;
         let geom = &sh.geometry;
         let mut stripe = StripeBuf::new(geom.r, geom.n, sh.meta.symbol)?;
-        let mut have: std::collections::BTreeMap<CellIdx, &[u8]> =
-            rec.cells.iter().copied().collect();
+        let mut have: BTreeMap<CellIdx, &[u8]> = rec.cells.iter().copied().collect();
         for &cell in &geom.data_cells {
             if let Some(data) = have.remove(&cell) {
                 stripe.set_cell(cell, data);
@@ -361,7 +368,10 @@ impl StripeStore {
             }
         }
         sh.codec.encode(&mut stripe)?;
-        self.apply_write_back(rec.stripe, &self.write_back_targets(&stripe, None))
+        self.apply_write_back(
+            rec.stripe,
+            &self.write_back_targets(None, |c| stripe.cell(c)),
+        )
     }
 
     fn assemble(
@@ -532,6 +542,7 @@ impl StripeStore {
             encode_passes: c.encode_passes.load(Ordering::Relaxed),
             delta_update_calls: c.delta_update_calls.load(Ordering::Relaxed),
             recover_passes: c.recover_passes.load(Ordering::Relaxed),
+            sector_reads: self.shared.devices.sector_reads(),
         }
     }
 
@@ -549,6 +560,7 @@ impl StripeStore {
         snap.add_counter("store.encode_passes", stats.encode_passes);
         snap.add_counter("store.delta_update_calls", stats.delta_update_calls);
         snap.add_counter("store.recover_passes", stats.recover_passes);
+        snap.add_counter("store.sector_reads", stats.sector_reads);
         snap.add_gauge(
             "store.scrub.stripes_done",
             c.scrub_stripes_done.load(Ordering::Relaxed) as i64,
@@ -814,6 +826,37 @@ impl StripeStore {
         Ok((stripe, erased))
     }
 
+    /// Reads exactly the cells of `footprint` — one positioned read and
+    /// one checksum verification each — or returns `None` when any of
+    /// them is not cleanly there (a device that is not `Healthy`, a
+    /// missing or short file, a checksum mismatch): the caller then
+    /// falls back to [`StripeStore::load_stripe_restored`], which also
+    /// records and heals the damage. Nothing outside the footprint is
+    /// read, so nothing outside it is vouched for.
+    ///
+    /// Callers must hold the stripe lock.
+    pub(crate) fn load_cells(
+        &self,
+        stripe_idx: usize,
+        footprint: &BTreeSet<CellIdx>,
+    ) -> Result<Option<BTreeMap<CellIdx, Vec<u8>>>, Error> {
+        let sh = &self.shared;
+        let devices = sh.integrity.device_states();
+        let mut cells = BTreeMap::new();
+        for &(row, dev) in footprint {
+            if devices[dev] != DeviceState::Healthy {
+                return Ok(None);
+            }
+            let mut buf = vec![0u8; sh.meta.symbol];
+            let read = sh.devices.read_sector(dev, stripe_idx, row, &mut buf)?;
+            if read != SectorRead::Ok || !sh.integrity.verify(stripe_idx, row, dev, &buf) {
+                return Ok(None);
+            }
+            cells.insert((row, dev), buf);
+        }
+        Ok(Some(cells))
+    }
+
     // ------------------------------------------------------------------
     // Write path
     // ------------------------------------------------------------------
@@ -837,7 +880,8 @@ impl StripeStore {
         )
     }
 
-    /// The journal payload of one stripe commit. A partial commit
+    /// The journal payload of one stripe commit, drawn from `cell` (the
+    /// staged stripe's view of a cell's post-image). A partial commit
     /// journals its exact write-back targets as literal post-images. A
     /// full-stripe commit (`only == None`) journals a **data image** —
     /// only the data cells, parity recomputed at replay — cutting the
@@ -847,52 +891,41 @@ impl StripeStore {
     /// does), so replay re-encodes from a complete image.
     pub(crate) fn journal_cells<'s>(
         &self,
-        stripe: &'s StripeBuf,
-        only: Option<&std::collections::BTreeSet<CellIdx>>,
+        only: Option<&BTreeSet<CellIdx>>,
+        cell: impl Fn(CellIdx) -> &'s [u8],
     ) -> (Vec<(CellIdx, &'s [u8])>, bool) {
         if only.is_some() {
-            return (self.write_back_targets(stripe, only), false);
+            return (self.write_back_targets(only, cell), false);
         }
-        let cells = self
-            .shared
-            .geometry
-            .data_cells
-            .iter()
-            .map(|&cell| (cell, stripe.cell(cell)))
-            .collect();
-        (cells, true)
+        let data = self.shared.geometry.data_cells.iter();
+        (data.map(|&c| (c, cell(c))).collect(), true)
     }
 
-    /// The cells one stripe commit will persist: every non-`Failed`
-    /// device's cell, optionally restricted to `only`. This is both
-    /// the journal record's payload and the write-back's work list —
-    /// computed once so the two can never disagree. Only `Failed`
-    /// devices are skipped (their contents live on implicitly through
-    /// parity); `Rebuilding` replacements *must* be written, otherwise
-    /// a write landing on a stripe the repair pass has already rebuilt
-    /// would be lost when the device is promoted back to healthy.
+    /// The cells one stripe commit will persist, in row-major order:
+    /// every non-`Failed` device's cell, optionally restricted to `only`.
+    /// This is both the journal record's payload and the write-back's
+    /// work list — computed once so the two can never disagree. Only
+    /// `Failed` devices are skipped (their contents live on implicitly
+    /// through parity); `Rebuilding` replacements *must* be written,
+    /// otherwise a write landing on a stripe the repair pass has already
+    /// rebuilt would be lost when the device is promoted back to healthy.
     pub(crate) fn write_back_targets<'s>(
         &self,
-        stripe: &'s StripeBuf,
-        only: Option<&std::collections::BTreeSet<CellIdx>>,
+        only: Option<&BTreeSet<CellIdx>>,
+        cell: impl Fn(CellIdx) -> &'s [u8],
     ) -> Vec<(CellIdx, &'s [u8])> {
-        let sh = &self.shared;
-        let devices = sh.integrity.device_states();
-        let mut targets: Vec<(CellIdx, &[u8])> = Vec::new();
-        for row in 0..sh.geometry.r {
-            for (dev, &state) in devices.iter().enumerate() {
-                if let Some(set) = only {
-                    if !set.contains(&(row, dev)) {
-                        continue;
-                    }
-                }
-                if state == DeviceState::Failed {
-                    continue;
-                }
-                targets.push(((row, dev), stripe.cell((row, dev))));
+        let geom = &self.shared.geometry;
+        let devices = self.shared.integrity.device_states();
+        let writable = |&(_, dev): &CellIdx| devices[dev] != DeviceState::Failed;
+        let target = |c: CellIdx| (c, cell(c));
+        match only {
+            // A `BTreeSet<(row, dev)>` iterates row-major already.
+            Some(set) => set.iter().copied().filter(writable).map(target).collect(),
+            None => {
+                let grid = (0..geom.r).flat_map(|row| (0..geom.n).map(move |dev| (row, dev)));
+                grid.filter(writable).map(target).collect()
             }
         }
-        targets
     }
 
     /// The in-place leg of a commit: raw sector writes plus checksum
@@ -911,11 +944,10 @@ impl StripeStore {
             sh.devices.write_sector(dev, stripe_idx, row, cell)?;
             sh.integrity.record(stripe_idx, row, dev, cell);
         }
-        sh.integrity.update_health(|h| {
-            for &((row, dev), _) in targets {
-                h.bad_sectors.remove(&(stripe_idx, row, dev));
-            }
-        });
+        let rewritten = targets
+            .iter()
+            .map(|&((row, dev), _)| (stripe_idx, row, dev));
+        sh.integrity.clear_bad(rewritten);
         Ok(())
     }
 }
@@ -1015,6 +1047,57 @@ mod tests {
         drop(store);
         let store = StripeStore::open(&dir).unwrap();
         assert_eq!(store.read_at(0, expected.len()).unwrap(), expected);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn health_file_is_rewritten_only_when_health_changes() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmpdir("healthfile");
+        let store = StripeStore::create(&dir, &small_opts()).unwrap();
+        let payload = pattern(store.capacity() as usize, 5);
+        store.write_at(0, &payload).unwrap();
+        let health = dir.join(crate::integrity::HEALTH_FILE);
+        // A rewrite is a temp file + rename: a new inode, a new ctime.
+        let stamp = || {
+            let m = std::fs::metadata(&health).unwrap();
+            (
+                m.ino(),
+                m.mtime(),
+                m.mtime_nsec(),
+                m.ctime(),
+                m.ctime_nsec(),
+            )
+        };
+        let created = stamp();
+        for k in 0..100u64 {
+            let data = pattern(64, k as u8);
+            store.write_at((k * 77) % 7000 + 5, &data).unwrap();
+        }
+        assert_eq!(
+            stamp(),
+            created,
+            "healthy writes must not rewrite health.txt"
+        );
+        assert_eq!(store.io_stats().recover_passes, 0);
+
+        // A declared failure is on disk when `fail_device` returns ...
+        store.fail_device(2).unwrap();
+        let text = std::fs::read_to_string(&health).unwrap();
+        assert!(text.contains("failed 2"), "{text}");
+        // ... and damage a read detected is on disk after the next
+        // persist, then cleared again by the write that heals it.
+        store.corrupt_sectors(4, 1, 0, 1).unwrap();
+        let per_stripe = store.blocks_per_stripe() as u64 * 64;
+        store.read_at(per_stripe, per_stripe as usize).unwrap();
+        store.flush().unwrap();
+        let text = std::fs::read_to_string(&health).unwrap();
+        assert!(text.contains("bad 1 0 4"), "{text}");
+        store
+            .write_at(per_stripe + 4 * 64, &pattern(64, 1))
+            .unwrap();
+        let text = std::fs::read_to_string(&health).unwrap();
+        assert!(!text.contains("bad"), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

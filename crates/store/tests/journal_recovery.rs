@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
+use stair_device::IoBatch;
 use stair_store::{StoreOptions, StripeStore, JOURNAL_FILE};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -158,6 +159,58 @@ fn torn_write_back_is_finished_by_replay() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Partial-stripe commits of every shape the planner stages: one
+/// block, an unaligned span over two, a batch mixing writes and reads
+/// in one stripe with a second written stripe and a read-only third,
+/// and a write across a stripe boundary.
+fn partial_commits(store: &StripeStore) {
+    let sym = store.block_size() as u64;
+    store.write_at(3 * sym, &pattern(sym as usize, 40)).unwrap();
+    store.write_at(30, &pattern(100, 41)).unwrap();
+    let mut batch = IoBatch::new();
+    batch
+        .write(25 * sym, pattern(sym as usize, 42))
+        .write(27 * sym + 9, pattern(20, 43))
+        .read(30 * sym, sym as usize)
+        .write(47 * sym, pattern(sym as usize, 44))
+        .read(10 * sym, 2 * sym as usize);
+    store.submit(&batch).unwrap();
+    store.write_at(40 * sym - 30, &pattern(60, 45)).unwrap();
+}
+
+/// The journal is a persistent format and the footprint stager must
+/// not have moved a byte of it: `tests/fixtures/parent_partial_journal.bin`
+/// is the live region the commit before sparse staging (which loaded
+/// and restored the whole stripe for each of these) wrote for
+/// [`partial_commits`]. Same cells, same post-images, same order — so
+/// every prefix replays to the same store it did then.
+#[test]
+fn sparse_commits_journal_the_bytes_the_dense_path_did() {
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_partial_journal.bin");
+    let dir = tmpdir("sparse-bytes");
+    let store = StripeStore::create(&dir, &opts()).unwrap();
+    store
+        .write_at(0, &pattern(store.capacity() as usize, 3))
+        .unwrap();
+    store.flush().unwrap();
+    let before = store.io_stats();
+    partial_commits(&store);
+    let after = store.io_stats();
+    // Staged sparsely: nothing restored, and far fewer sectors read
+    // than the 32 per stripe a whole-grid load costs (7 stripe visits).
+    assert_eq!(after.recover_passes, before.recover_passes);
+    assert!(after.sector_reads - before.sector_reads < 7 * 32 / 2);
+    let journal = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+    let live = &journal[..live_end(&journal)];
+    assert!(
+        live == std::fs::read(fixture).unwrap(),
+        "journal bytes moved"
+    );
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn disabled_journal_still_replays_existing_records() {
     // STAIR_JOURNAL=0 gates appends, not recovery: a log written by an
@@ -183,12 +236,15 @@ proptest! {
 
     /// Replaying **any byte prefix** of the journal, **twice**,
     /// converges to a scrub-clean store where every block holds either
-    /// its pre-crash or its acknowledged post-write contents.
+    /// its pre-crash or its acknowledged post-write contents. The
+    /// records come from sparse-staged commits: single writes and
+    /// batches of up to four, each batch with a read riding along.
     #[test]
     fn replaying_any_prefix_twice_converges(
         blocks in proptest::collection::btree_set(0usize..120, 1..12),
         seed_base in 0u8..250,
         cut_permille in 0u32..=1000,
+        batch_len in 1usize..5,
     ) {
         let writes: BTreeMap<usize, u8> = blocks
             .iter()
@@ -202,11 +258,21 @@ proptest! {
         store.flush().unwrap();
         let durable = snapshot(&dir); // the pre-crash durable state
 
-        // Distinct-block writes, each one journal record per stripe
-        // fragment, applied in deterministic order.
-        for (&block, &seed) in &writes {
-            store.write_at((block * sym) as u64, &pattern(sym, seed)).unwrap();
+        // Distinct-block writes, one journal record per written stripe
+        // of each batch, applied in deterministic order.
+        let ordered: Vec<(usize, u8)> = writes.iter().map(|(&b, &s)| (b, s)).collect();
+        for group in ordered.chunks(batch_len) {
+            let mut batch = IoBatch::new();
+            for &(block, seed) in group {
+                batch.write((block * sym) as u64, pattern(sym, seed));
+            }
+            if batch_len > 1 {
+                batch.read((((group[0].0 + 1) % 120) * sym) as u64, sym);
+            }
+            store.submit(&batch).unwrap();
         }
+        // Healthy footprints: every commit above was staged sparsely.
+        prop_assert_eq!(store.io_stats().recover_passes, 0);
         let journal = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
         let meta_live = std::fs::read(dir.join("store.meta")).unwrap();
         drop(store);
