@@ -15,10 +15,11 @@
 //!   sectors, which cells hold data (in logical payload order) and which
 //!   hold parity, and the advertised failure tolerance;
 //! * [`ErasureCode::encode`] — recompute every parity cell of a stripe;
-//! * [`ErasureCode::plan`] / [`ErasureCode::plan_recover`] — turn an
-//!   [`ErasureSet`] into a reusable [`Plan`] (planning is where decoding
-//!   cost lives; plans are built once per erasure pattern and applied to
-//!   any number of stripes);
+//! * [`ErasureCode::plan_recover`] / [`ErasureCode::plan`] — turn an
+//!   [`ErasureSet`] and the lost cells wanted back (all of them, for
+//!   `plan`) into a reusable [`Plan`] that names the stored cells it
+//!   reads ([`Plan::sources`]), so a degraded read loads those and not
+//!   the stripe;
 //! * [`ErasureCode::apply`] — execute a plan against one stripe;
 //! * [`ErasureCode::dependents`] / [`ErasureCode::fold_delta`] — the
 //!   small-write primitives: which parity cells a data cell's update
@@ -95,36 +96,33 @@ pub trait ErasureCode: Send + Sync {
     /// geometry.
     fn encode(&self, stripe: &mut StripeBuf) -> Result<(), CodeError>;
 
-    /// Builds a reusable plan recovering every cell of `erased`.
+    /// Builds a reusable plan recovering every cell of `erased`:
+    /// [`ErasureCode::plan_recover`] with everything wanted.
     ///
     /// # Errors
     ///
     /// * [`CodeError::InvalidPattern`] for out-of-range coordinates;
     /// * [`CodeError::Unrecoverable`] if the pattern exceeds the code's
     ///   capability.
-    fn plan(&self, erased: &ErasureSet) -> Result<Plan, CodeError>;
+    fn plan(&self, erased: &ErasureSet) -> Result<Plan, CodeError> {
+        self.plan_recover(erased, erased.cells())
+    }
 
     /// Builds a plan recovering only the `wanted` subset of `erased` — the
-    /// degraded-read path. The default implementation plans a full repair;
-    /// codecs with partial-recovery support (STAIR) override it.
+    /// degraded-read path. The plan does, and [`Plan::sources`] names,
+    /// only what the wanted cells need (§4.2.1: "recover only the symbols
+    /// that will later be used"), so a caller reads that much of the
+    /// stripe and no more.
     ///
     /// # Errors
     ///
     /// As [`ErasureCode::plan`], plus [`CodeError::InvalidPattern`] if
     /// `wanted` is not a subset of `erased`.
-    fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError> {
-        for w in wanted {
-            if !erased.contains(*w) {
-                return Err(CodeError::InvalidPattern(format!(
-                    "wanted cell {w:?} is not in the erased set"
-                )));
-            }
-        }
-        self.plan(erased)
-    }
+    fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError>;
 
     /// Executes a plan against one stripe, reconstructing the cells in
-    /// [`Plan::recovers`] in place.
+    /// [`Plan::recovers`] in place. Reads only [`Plan::sources`] (and
+    /// cells it reconstructed on the way).
     ///
     /// # Errors
     ///

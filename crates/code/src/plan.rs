@@ -16,18 +16,31 @@ use crate::CellIdx;
 /// implementation stores its own schedule/matrix type and downcasts it in
 /// `apply`. Handing a plan to a different codec yields
 /// [`crate::CodeError::InvalidPattern`], not a wrong answer.
+///
+/// A plan also names its [`sources`](Plan::sources): the stored cells
+/// `apply` reads. A caller holding a stripe on disk loads those and
+/// nothing else — which is why no plan can be built without them.
 #[derive(Debug)]
 pub struct Plan {
     recovers: Vec<CellIdx>,
+    sources: Vec<CellIdx>,
     mult_xors: Option<usize>,
     detail: Box<dyn Any + Send + Sync>,
 }
 
 impl Plan {
-    /// Wraps a codec-private plan payload.
-    pub fn new(recovers: Vec<CellIdx>, detail: impl Any + Send + Sync) -> Self {
+    /// Wraps a codec-private plan payload that reconstructs `recovers`
+    /// from `sources` (any order, duplicates allowed).
+    pub fn new(
+        recovers: Vec<CellIdx>,
+        mut sources: Vec<CellIdx>,
+        detail: impl Any + Send + Sync,
+    ) -> Self {
+        sources.sort_unstable();
+        sources.dedup();
         Plan {
             recovers,
+            sources,
             mult_xors: None,
             detail: Box::new(detail),
         }
@@ -43,6 +56,15 @@ impl Plan {
     /// The cells this plan reconstructs.
     pub fn recovers(&self) -> &[CellIdx] {
         &self.recovers
+    }
+
+    /// The stored cells `apply` reads and does not itself produce,
+    /// sorted and duplicate-free: with these holding their true contents
+    /// (and anything at all everywhere else), `apply` reconstructs every
+    /// cell of [`Plan::recovers`]. Disjoint from the erased set the plan
+    /// was built for.
+    pub fn sources(&self) -> &[CellIdx] {
+        &self.sources
     }
 
     /// Planned `Mult_XOR` operations per stripe, if the codec reports it.
@@ -62,8 +84,10 @@ mod tests {
 
     #[test]
     fn detail_downcasts_to_the_stored_type_only() {
-        let plan = Plan::new(vec![(0, 1)], String::from("payload")).with_mult_xors(7);
+        let sources = vec![(1, 1), (0, 0), (1, 1)];
+        let plan = Plan::new(vec![(0, 1)], sources, String::from("payload")).with_mult_xors(7);
         assert_eq!(plan.recovers(), &[(0, 1)]);
+        assert_eq!(plan.sources(), &[(0, 0), (1, 1)]);
         assert_eq!(plan.mult_xors(), Some(7));
         assert_eq!(plan.detail::<String>().unwrap(), "payload");
         assert!(plan.detail::<usize>().is_none());

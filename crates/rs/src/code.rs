@@ -1,9 +1,19 @@
 //! The systematic `(η, κ)` MDS code.
 
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Mutex, PoisonError};
+
 use stair_gf::Field;
 use stair_gfmatrix::{cauchy_parity, Matrix};
 
 use crate::Error;
+
+/// Most coefficient matrices one code remembers (see
+/// [`MdsCode::recovery_coefficients`]). A matrix is at most `κ × (η − κ)`
+/// elements and its key `η` indices, so a full memo of the paper's codes
+/// is ≈ 150 KiB.
+const MEMO_CAPACITY: usize = 512;
 
 /// A systematic `(η, κ)` MDS code over the field `F` (Cauchy Reed–Solomon).
 ///
@@ -24,12 +34,38 @@ use crate::Error;
 /// assert_eq!((code.total_len(), code.data_len(), code.parity_len()), (5, 3, 2));
 /// # Ok::<(), stair_rs::Error>(())
 /// ```
-#[derive(Clone, Debug, Eq, PartialEq)]
 pub struct MdsCode<F: Field> {
     total: usize,
     data: usize,
     /// The κ×η systematic generator `[I | A]`.
     generator: Matrix<F>,
+    /// Solved coefficient matrices, keyed by the `available` indices
+    /// followed by the `wanted` ones (`available` is always κ long, so
+    /// the split is unambiguous). A pure function of the generator:
+    /// nothing ever invalidates an entry, and once [`MEMO_CAPACITY`]
+    /// entries are held new ones are simply not kept.
+    memo: Mutex<HashMap<Vec<usize>, Matrix<F>>>,
+}
+
+impl<F: Field> Clone for MdsCode<F> {
+    /// The clone is the same code with a cold memo.
+    fn clone(&self) -> Self {
+        MdsCode {
+            total: self.total,
+            data: self.data,
+            generator: self.generator.clone(),
+            memo: Mutex::default(),
+        }
+    }
+}
+
+impl<F: Field> fmt::Debug for MdsCode<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MdsCode")
+            .field("total", &self.total)
+            .field("data", &self.data)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<F: Field> MdsCode<F> {
@@ -67,6 +103,7 @@ impl<F: Field> MdsCode<F> {
             total,
             data,
             generator,
+            memo: Mutex::default(),
         })
     }
 
@@ -162,12 +199,44 @@ impl<F: Field> MdsCode<F> {
     /// it expresses *any* codeword symbols as linear combinations of *any* κ
     /// available ones (`d = c_A · G_A⁻¹`, then `c_W = d · G_W`).
     ///
+    /// Decode planning asks for the same few index sets again and again
+    /// (every stripe of a store with two failed devices wants the same
+    /// row recovery), so solved matrices are remembered, up to a fixed
+    /// number of them.
+    ///
     /// # Errors
     ///
     /// * [`Error::WrongSymbolCount`] if `available.len() != κ`;
     /// * [`Error::IndexOutOfRange`] / [`Error::DuplicateIndex`] for bad
     ///   index sets.
     pub fn recovery_coefficients(
+        &self,
+        available: &[usize],
+        wanted: &[usize],
+    ) -> Result<Matrix<F>, Error> {
+        let key: Vec<usize> = available.iter().chain(wanted).copied().collect();
+        // Entries are inserted whole and never changed, so a memo some
+        // panicking thread held is still valid.
+        let lock = || self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if available.len() == self.data {
+            if let Some(hit) = lock().get(&key) {
+                // Debug builds re-solve every hit, so every test that
+                // plans a decode also checks the memo against the solver.
+                debug_assert_eq!(Ok(hit), self.solve_coefficients(available, wanted).as_ref());
+                return Ok(hit.clone());
+            }
+        }
+        let coeff = self.solve_coefficients(available, wanted)?;
+        let mut memo = lock();
+        if memo.len() < MEMO_CAPACITY {
+            memo.insert(key, coeff.clone());
+        }
+        Ok(coeff)
+    }
+
+    /// [`Self::recovery_coefficients`] without the memo: validation and
+    /// the solve itself.
+    fn solve_coefficients(
         &self,
         available: &[usize],
         wanted: &[usize],
@@ -464,6 +533,41 @@ mod tests {
             code.recovery_coefficients(&[0, 1, 2, 2], &[5]),
             Err(Error::DuplicateIndex(2))
         );
+    }
+
+    #[test]
+    fn memo_matches_the_solver_and_stops_at_capacity() {
+        let code: MdsCode<Gf8> = MdsCode::new(20, 10).unwrap();
+        let held = || code.memo.lock().unwrap().len();
+        // Twice as many distinct (available, wanted) pairs as fit.
+        let mut order: Vec<usize> = (0..20).collect();
+        let mut state = 0x9E37_79B9u64;
+        for round in 0..2 * MEMO_CAPACITY {
+            for i in (1..order.len()).rev() {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                order.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let (available, rest) = order.split_at(10);
+            let wanted = &rest[..1 + round % 3];
+            let solved = code.solve_coefficients(available, wanted).unwrap();
+            // The first call may insert, the second may hit; past
+            // capacity both solve. All three agree.
+            assert_eq!(
+                code.recovery_coefficients(available, wanted),
+                Ok(solved.clone())
+            );
+            assert_eq!(code.recovery_coefficients(available, wanted), Ok(solved));
+            assert!(held() <= MEMO_CAPACITY);
+        }
+        assert_eq!(held(), MEMO_CAPACITY);
+        // Failures are not remembered, and a clone starts cold.
+        assert!(code
+            .recovery_coefficients(&order[..9], &order[10..11])
+            .is_err());
+        assert_eq!(held(), MEMO_CAPACITY);
+        assert_eq!(code.clone().memo.lock().unwrap().len(), 0);
     }
 
     #[test]

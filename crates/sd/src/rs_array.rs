@@ -220,30 +220,40 @@ impl<F: Field> ErasureCode for RsArrayCode<F> {
         Ok(())
     }
 
-    fn plan(&self, erased: &ErasureSet) -> Result<Plan, CodeError> {
+    fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError> {
         erased.check_bounds(self.r, self.n)?;
         if erased.is_empty() {
             return Err(CodeError::InvalidPattern("empty erasure pattern".into()));
         }
-        let mut lost_by_row: Vec<Vec<usize>> = vec![Vec::new(); self.r];
-        for (row, col) in erased.iter() {
-            lost_by_row[row].push(col);
+        // Rows are independent codewords: only a row holding a wanted
+        // cell is planned (or can fail the plan), and only its wanted
+        // cells are rebuilt.
+        let mut wanted_by_row: Vec<Vec<usize>> = vec![Vec::new(); self.r];
+        for &(row, col) in wanted {
+            if !erased.contains((row, col)) {
+                return Err(CodeError::InvalidPattern(format!(
+                    "wanted cell {:?} is not in the erased set",
+                    (row, col)
+                )));
+            }
+            wanted_by_row[row].push(col);
         }
         let mut rows = Vec::new();
+        let mut sources = Vec::new();
         let mut cost = 0usize;
-        for (row, lost) in lost_by_row.into_iter().enumerate() {
+        for (row, lost) in wanted_by_row.into_iter().enumerate() {
             if lost.is_empty() {
                 continue;
             }
-            if lost.len() > self.m {
+            let gone = erased.iter().filter(|&(i, _)| i == row).count();
+            if gone > self.m {
                 return Err(CodeError::Unrecoverable(format!(
-                    "row {row} lost {} sectors, an (n, n-m) MDS row repairs at most {}",
-                    lost.len(),
+                    "row {row} lost {gone} sectors, an (n, n-m) MDS row repairs at most {}",
                     self.m
                 )));
             }
             let survivors: Vec<usize> = (0..self.n)
-                .filter(|c| !lost.contains(c))
+                .filter(|&c| !erased.contains((row, c)))
                 .take(self.n - self.m)
                 .collect();
             let coeff = self.code.recovery_coefficients(&survivors, &lost)?;
@@ -254,6 +264,7 @@ impl<F: Field> ErasureCode for RsArrayCode<F> {
                     }
                 }
             }
+            sources.extend(survivors.iter().map(|&c| (row, c)));
             rows.push(RsRowPlan {
                 row,
                 lost,
@@ -261,7 +272,7 @@ impl<F: Field> ErasureCode for RsArrayCode<F> {
                 coeff,
             });
         }
-        Ok(Plan::new(erased.cells().to_vec(), rows).with_mult_xors(cost))
+        Ok(Plan::new(wanted.to_vec(), sources, rows).with_mult_xors(cost))
     }
 
     fn apply(&self, plan: &Plan, stripe: &mut StripeBuf) -> Result<(), CodeError> {

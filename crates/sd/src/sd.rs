@@ -436,7 +436,8 @@ impl SdStripe {
 /// recovery matrix plus the symbol-index bookkeeping to apply it.
 #[derive(Debug)]
 struct SdPlanDetail<F: Field> {
-    erased_q: Vec<usize>,
+    /// Symbol indices of the cells to rebuild, one per `coeff` row.
+    wanted_q: Vec<usize>,
     known_q: Vec<usize>,
     coeff: Matrix<F>,
 }
@@ -479,30 +480,40 @@ impl<F: Field> ErasureCode for SdCode<F> {
         Ok(())
     }
 
-    fn plan(&self, erased: &ErasureSet) -> Result<Plan, CodeError> {
+    fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError> {
         erased.check_bounds(self.r, self.n)?;
         if erased.is_empty() {
             return Err(CodeError::InvalidPattern("empty erasure pattern".into()));
         }
-        let coeff = self.recovery_matrix(erased.cells())?;
-        let erased_q: Vec<usize> = erased.iter().map(|(i, c)| i * self.n + c).collect();
+        // One recovery-matrix row per erased cell, in `erased` order;
+        // the wanted cells keep theirs.
+        let mut keep = Vec::with_capacity(wanted.len());
+        for w in wanted {
+            keep.push(erased.cells().binary_search(w).map_err(|_| {
+                CodeError::InvalidPattern(format!("wanted cell {w:?} is not in the erased set"))
+            })?);
+        }
+        let coeff = self.recovery_matrix(erased.cells())?.select_rows(&keep);
         let known_q: Vec<usize> = (0..self.r * self.n)
-            .filter(|q| !erased_q.contains(q))
+            .filter(|&q| !erased.contains(self.cell_of(q)))
             .collect();
+        // A known symbol is read iff some kept row weighs it.
         let mut cost = 0usize;
-        for x in 0..coeff.rows() {
-            for k in 0..coeff.cols() {
-                if coeff.get(x, k) != F::zero() {
-                    cost += 1;
-                }
+        let mut sources = Vec::new();
+        for (k, &q) in known_q.iter().enumerate() {
+            let weighs = (0..coeff.rows()).filter(|&x| coeff.get(x, k) != F::zero());
+            let rows = weighs.count();
+            if rows > 0 {
+                cost += rows;
+                sources.push(self.cell_of(q));
             }
         }
         let detail = SdPlanDetail {
-            erased_q,
+            wanted_q: wanted.iter().map(|&(i, c)| i * self.n + c).collect(),
             known_q,
             coeff,
         };
-        Ok(Plan::new(erased.cells().to_vec(), detail).with_mult_xors(cost))
+        Ok(Plan::new(wanted.to_vec(), sources, detail).with_mult_xors(cost))
     }
 
     fn apply(&self, plan: &Plan, stripe: &mut StripeBuf) -> Result<(), CodeError> {
@@ -513,7 +524,7 @@ impl<F: Field> ErasureCode for SdCode<F> {
         let mut scratch = vec![0u8; stripe.symbol()];
         // Erased cells are never inputs (the recovery matrix combines
         // known symbols only), so writing them one by one is safe.
-        for (x, &q) in detail.erased_q.iter().enumerate() {
+        for (x, &q) in detail.wanted_q.iter().enumerate() {
             let known = detail.known_q.iter().enumerate();
             let terms =
                 known.map(|(k, &kq)| (stripe.cell(self.cell_of(kq)), detail.coeff.get(x, k)));

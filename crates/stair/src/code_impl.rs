@@ -62,16 +62,10 @@ impl<F: Field> ErasureCode for StairCodec<F> {
         Ok(())
     }
 
-    fn plan(&self, erased: &ErasureSet) -> Result<Plan, CodeError> {
-        let dp = self.plan_decode(erased.cells())?;
-        let cost = dp.mult_xors();
-        Ok(Plan::new(erased.cells().to_vec(), dp).with_mult_xors(cost))
-    }
-
     fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError> {
         let dp = StairCodec::plan_recover(self, erased.cells(), wanted)?;
         let cost = dp.mult_xors();
-        Ok(Plan::new(wanted.to_vec(), dp).with_mult_xors(cost))
+        Ok(Plan::new(wanted.to_vec(), dp.sources().to_vec(), dp).with_mult_xors(cost))
     }
 
     fn apply(&self, plan: &Plan, stripe: &mut StripeBuf) -> Result<(), CodeError> {
@@ -190,7 +184,7 @@ mod tests {
             Err(CodeError::ShapeMismatch(_))
         ));
         let mut buf = encoded_buf(&codec, 1);
-        let alien = Plan::new(vec![(0, 0)], String::from("not a stair plan"));
+        let alien = Plan::new(vec![(0, 0)], vec![], String::from("not a stair plan"));
         assert!(matches!(
             codec.apply(&alien, &mut buf),
             Err(CodeError::InvalidPattern(_))

@@ -33,6 +33,7 @@ pub enum EncodingMethod {
 #[derive(Clone, Debug)]
 pub struct DecodePlan<F: Field = Gf8> {
     erased: Vec<Cell>,
+    sources: Vec<Cell>,
     schedule: Schedule<F>,
 }
 
@@ -52,6 +53,13 @@ impl<F: Field> DecodePlan<F> {
     /// [`StairCodec::plan_recover`] plans.
     pub fn recovers(&self) -> &[(usize, usize)] {
         &self.erased
+    }
+
+    /// The stored sectors the schedule reads: every step input inside
+    /// the `r × n` grid that no earlier step produced, sorted. Surviving
+    /// sectors outside this set never influence the result.
+    pub fn sources(&self) -> &[(usize, usize)] {
+        &self.sources
     }
 }
 
@@ -83,6 +91,8 @@ pub struct StairCodec<F: Field = Gf8> {
     enc_upstairs: Option<Schedule<F>>,
     enc_downstairs: Option<Schedule<F>>,
     enc_two_phase: Option<Schedule<F>>,
+    /// Which canonical cells a decode starts from, before erasures.
+    decode_avail: Vec<bool>,
     relations: ParityRelations<F>,
     /// `relations` per data cell: the parities a small write patches.
     pub(crate) updates: UpdateMap<F::Elem>,
@@ -161,6 +171,7 @@ impl<F: Field> StairCodec<F> {
         };
 
         Ok(StairCodec {
+            decode_avail: decode_availability(&layout),
             config,
             layout,
             crow,
@@ -291,19 +302,20 @@ impl<F: Field> StairCodec<F> {
         wanted: &[(usize, usize)],
     ) -> Result<DecodePlan<F>, Error> {
         let counts = self.config.erasure_counts(erased)?;
-        for w in wanted {
-            if !erased.contains(w) {
-                return Err(Error::InvalidPattern(format!(
-                    "wanted cell {w:?} is not in the erased set"
-                )));
-            }
-        }
         let ccols = self.layout.canonical_cols();
-        let mut avail = decode_availability(&self.layout);
+        let mut avail = self.decode_avail.clone();
         for &(row, col) in erased {
             avail[row * ccols + col] = false;
         }
-        let targets: Vec<Cell> = wanted.to_vec();
+        let stored = |&(row, col): &Cell| row < self.config.r() && col < self.config.n();
+        if let Some(w) = wanted
+            .iter()
+            .find(|&w| !stored(w) || avail[w.0 * ccols + w.1])
+        {
+            return Err(Error::InvalidPattern(format!(
+                "wanted cell {w:?} is not in the erased set"
+            )));
+        }
 
         // §4.3: designate the m chunks with the most lost symbols as the
         // "failed chunks" recovered by row parities last; everything else
@@ -316,19 +328,27 @@ impl<F: Field> StairCodec<F> {
             .take(self.config.m())
             .filter(|&c| counts[c] > 0)
             .collect();
-        let restricted = Peeler::new(&self.layout, &self.crow, &self.ccol, avail.clone())
-            .with_excluded_cols(&excluded)
-            .build(&targets, PeelOrder::Upstairs);
-        let schedule = match restricted {
-            Ok(s) => s,
-            Err(Error::Unrecoverable { .. }) => {
-                Peeler::new(&self.layout, &self.crow, &self.ccol, avail)
-                    .build(&targets, PeelOrder::Upstairs)?
-            }
-            Err(e) => return Err(e),
+        let peel = |excluded: &[usize]| {
+            Peeler::new(&self.layout, &self.crow, &self.ccol, avail.clone())
+                .with_excluded_cols(excluded)
+                .build(wanted, PeelOrder::Upstairs)
         };
+        let schedule = match peel(&excluded) {
+            Err(Error::Unrecoverable { .. }) => peel(&[])?,
+            other => other?,
+        };
+        // An input is either produced by an earlier step or was there
+        // from the start; of the latter, the stored ones are read.
+        let inputs = schedule.steps().iter().flat_map(|s| &s.inputs);
+        let mut sources: Vec<Cell> = inputs
+            .filter(|&c| stored(c) && avail[c.0 * ccols + c.1])
+            .copied()
+            .collect();
+        sources.sort_unstable();
+        sources.dedup();
         Ok(DecodePlan {
-            erased: targets,
+            erased: wanted.to_vec(),
+            sources,
             schedule,
         })
     }
@@ -394,7 +414,7 @@ impl<F: Field> StairCodec<F> {
 
 /// Initial availability for encoding: data cells and pinned/outside global
 /// cells are available; every parity and virtual cell is unknown.
-fn encode_availability(layout: &Layout) -> Vec<bool> {
+pub(crate) fn encode_availability(layout: &Layout) -> Vec<bool> {
     grid_availability(layout, |kind| {
         matches!(kind, CellKind::Data | CellKind::OutsideGlobal { .. })
     })
@@ -403,7 +423,7 @@ fn encode_availability(layout: &Layout) -> Vec<bool> {
 /// Initial availability for decoding: all stored cells plus global cells
 /// (outside globals are assumed always available, §3; pinned zeros under
 /// inside placement).
-fn decode_availability(layout: &Layout) -> Vec<bool> {
+pub(crate) fn decode_availability(layout: &Layout) -> Vec<bool> {
     grid_availability(layout, |kind| {
         matches!(
             kind,

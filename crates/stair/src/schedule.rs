@@ -69,38 +69,6 @@ impl<F: Field> Schedule<F> {
         self.steps.iter().map(Step::mult_xors).sum()
     }
 
-    /// Removes every output (and every step) not needed to produce the
-    /// `targets`, walking the schedule backwards. This implements the
-    /// paper's "we only need to recover the symbols that will later be
-    /// used" optimization (§4.2.1).
-    pub(crate) fn prune(&mut self, layout: &Layout, targets: &[Cell]) {
-        let ccols = layout.canonical_cols();
-        let idx = |c: Cell| c.0 * ccols + c.1;
-        let mut needed = vec![false; layout.canonical_rows() * ccols];
-        for &t in targets {
-            needed[idx(t)] = true;
-        }
-        let mut kept_steps = Vec::with_capacity(self.steps.len());
-        for mut step in std::mem::take(&mut self.steps).into_iter().rev() {
-            let keep: Vec<usize> = (0..step.outputs.len())
-                .filter(|&j| needed[idx(step.outputs[j])])
-                .collect();
-            if keep.is_empty() {
-                continue;
-            }
-            if keep.len() != step.outputs.len() {
-                step.outputs = keep.iter().map(|&j| step.outputs[j]).collect();
-                step.coeff = step.coeff.select_cols(&keep);
-            }
-            for &i in &step.inputs {
-                needed[idx(i)] = true;
-            }
-            kept_steps.push(step);
-        }
-        kept_steps.reverse();
-        self.steps = kept_steps;
-    }
-
     /// Executes the schedule over the byte regions of a [`Canvas`].
     ///
     /// A step's outputs are by construction disjoint from its inputs (an

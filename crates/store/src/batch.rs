@@ -31,10 +31,24 @@
 //! reconstructed cells written back with it (healing latent damage for
 //! free). Damage *outside* the footprint is neither read nor paid for.
 //!
-//! Reads ride along: a stripe that is only read serves the verified
-//! fast path under the same single lock; a stripe that is also written
-//! serves reads from the cells the write staged. Ops that
-//! conflict (a write overlapping anything — see
+//! # The source rule
+//!
+//! A read fragment in a stripe that is only read needs, and therefore
+//! reads: its own data cells, when none of them is known lost (a device
+//! that is not `Healthy`, a recorded bad sector — decided before any
+//! I/O); otherwise the **sources** of the plan that reconstructs the
+//! lost ones ([`stair_code::Plan::sources`], planned against the known
+//! erasures) plus its surviving cells — rows × (n − m) sectors for a
+//! STAIR window clear of the bursts, not the `r·(n − m)` that survive.
+//! Each is checksum-verified; consecutive rows of one device are one
+//! positioned read. A sector that fails where none was known bad ends
+//! that: the stripe is loaded whole, the damage recorded, the wanted
+//! cells reconstructed, and the next read plans around it. Damage
+//! *outside* the sources is neither read nor healed — the scrub finds
+//! it.
+//!
+//! A stripe that is also written serves its reads from the cells the
+//! write staged. Ops that conflict (a write overlapping anything — see
 //! [`stair_device::IoBatch::has_conflicts`]) run as one-op plans in
 //! submission order, where overlap semantics are trivially right.
 
@@ -401,8 +415,8 @@ impl StripeStore {
             }
         }
         let Some(first_write) = first_write else {
-            // Read-only stripe: the verified fast path per fragment,
-            // all under the one lock.
+            // Read-only stripe: each fragment reads what the source rule
+            // names, all under the one lock.
             for f in frags {
                 let OpResult::Read(out) = &mut results[f.op] else {
                     // check: panic-ok planner invariant: read fragments index read results
@@ -540,7 +554,8 @@ fn write_slot(results: &mut [OpResult], i: usize) -> &mut WriteOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeviceState, StoreOptions, StripeStore};
+    use crate::{BadSector, DeviceState, StoreOptions, StripeStore};
+    use stair_code::ErasureSet;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -951,6 +966,52 @@ mod tests {
             self.write(offset, len);
         }
 
+        /// Reads, and holds the store to the rule: the store's bytes
+        /// are the array's, and a stripe costs one recovery pass exactly
+        /// when a block wanted from it is lost — damage elsewhere in the
+        /// stripe is not this read's business.
+        fn read(&mut self, offset: usize, len: usize) {
+            let (sym, per) = (self.store.block_size(), self.store.blocks_per_stripe());
+            let mut lossy: BTreeSet<usize> = BTreeSet::new();
+            for block in offset / sym..(offset + len).div_ceil(sym) {
+                let (row, dev) = self.store.geometry().data_cells[block % per];
+                if self.down.contains(&dev) || self.bad.contains(&(block / per, row, dev)) {
+                    lossy.insert(block / per);
+                }
+            }
+            let before = self.store.io_stats().recover_passes;
+            let got = self.store.read_at(offset as u64, len).unwrap();
+            let passes = self.store.io_stats().recover_passes - before;
+            assert!(
+                got == self.bytes[offset..offset + len],
+                "read {offset}+{len}"
+            );
+            assert_eq!(passes, lossy.len() as u64, "read {offset}+{len}");
+        }
+
+        /// A read of up to twelve blocks, off alignment.
+        fn random_read(&mut self) {
+            let sym = self.store.block_size();
+            let len = 1 + self.rng.below(12 * sym);
+            let offset = self.rng.below(self.bytes.len() - len);
+            self.read(offset, len);
+        }
+
+        /// Flips one sector nobody has a record of; `None` if the draw
+        /// would take its stripe past one bad sector (what every codec
+        /// here survives next to a lost device).
+        fn corrupt_somewhere(&mut self) -> Option<BadSector> {
+            let geom = self.store.geometry();
+            let stripe = self.rng.below(self.store.stripe_count());
+            let (row, dev) = (self.rng.below(geom.r), self.rng.below(geom.n));
+            if self.down.contains(&dev) || self.bad.iter().any(|&(s, _, _)| s == stripe) {
+                return None;
+            }
+            self.store.corrupt_sectors(dev, stripe, row, 1).unwrap();
+            self.bad.insert((stripe, row, dev));
+            Some((stripe, row, dev))
+        }
+
         fn assert_bytes(&self) {
             let got = self.store.read_at(0, self.bytes.len()).unwrap();
             assert!(got == self.bytes, "store diverged from the byte array");
@@ -1013,14 +1074,248 @@ mod tests {
             // An interrupted repair: the replacement is attached and
             // `Rebuilding`, no stripe rebuilt yet. Writes go on — through
             // the restore path exactly when they touch it.
-            m.store.shared.devices.replace(parity_dev).unwrap();
-            let rebuilding =
-                |h: &mut crate::Health| h.devices[parity_dev] = DeviceState::Rebuilding;
-            m.store.shared.integrity.update_health(rebuilding);
+            rebuilding(&m.store, parity_dev);
             for _ in 0..12 {
                 m.random_write();
             }
             m.assert_bytes();
+            assert!(m.store.repair(2).unwrap().complete());
+            let scrub = m.store.scrub(2).unwrap();
+            assert!(scrub.clean(), "{spec}: {scrub:?}");
+            m.assert_bytes();
+            let Modelled { store, .. } = m;
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A ledger-geometry store, filled, plus its contents.
+    fn family_store(tag: &str, spec: &str) -> (PathBuf, StripeStore, Vec<u8>) {
+        let dir = tmpdir(&format!("{tag}-{}", &spec[..2]));
+        let opts = StoreOptions {
+            code: spec.parse().unwrap(),
+            symbol: 16,
+            stripes: 3,
+        };
+        let store = StripeStore::create(&dir, &opts).unwrap();
+        let base = pattern(store.capacity() as usize, 7);
+        store.write_at(0, &base).unwrap();
+        (dir, store, base)
+    }
+
+    /// What a read of `blocks` (all in `stripe`) must load when `erased`
+    /// is everything known lost there: the sources of the plan for its
+    /// lost cells, and its surviving cells.
+    fn planned_need(
+        store: &StripeStore,
+        erased: &ErasureSet,
+        blocks: Range<usize>,
+    ) -> BTreeSet<CellIdx> {
+        let per = store.blocks_per_stripe();
+        let cells = blocks.map(|b| store.geometry().data_cells[b % per]);
+        let (lost, surviving): (Vec<CellIdx>, Vec<CellIdx>) =
+            cells.partition(|&c| erased.contains(c));
+        let plan = store.codec().plan_recover(erased, &lost).unwrap();
+        assert!(plan.sources().iter().all(|&c| !erased.contains(c)));
+        plan.sources().iter().copied().chain(surviving).collect()
+    }
+
+    /// Reads `blocks`, checks the bytes, and returns the (sectors read,
+    /// recovery passes) it cost.
+    fn read_cost(store: &StripeStore, base: &[u8], blocks: Range<usize>) -> (u64, u64) {
+        let sym = store.block_size();
+        let (from, to) = (blocks.start * sym, blocks.end * sym);
+        let before = store.io_stats();
+        assert!(store.read_at(from as u64, to - from).unwrap() == base[from..to]);
+        let after = store.io_stats();
+        (
+            after.sector_reads - before.sector_reads,
+            after.recover_passes - before.recover_passes,
+        )
+    }
+
+    fn rebuilding(store: &StripeStore, dev: usize) {
+        store.shared.devices.replace(dev).unwrap();
+        let state = |h: &mut crate::Health| h.devices[dev] = DeviceState::Rebuilding;
+        store.shared.integrity.update_health(state);
+    }
+
+    #[test]
+    fn degraded_window_reads_its_plans_sources_not_the_stripe() {
+        for spec in FAMILIES {
+            let (dir, store, base) = family_store("sources", spec);
+            let geom = store.geometry().clone();
+            let per = store.blocks_per_stripe();
+            store.fail_device(0).unwrap();
+            store.fail_device(1).unwrap();
+            let erased = ErasureSet::devices(&[0, 1], geom.r);
+            // Sixteen blocks of stripe 1, rows 3 to 5: five or six of
+            // them sit on the failed devices.
+            let window = per + 18..per + 34;
+            let need = planned_need(&store, &erased, window.clone());
+            if spec.starts_with("stair") {
+                // Row-local: every touched row reads its n − m survivors.
+                assert_eq!(need.len(), 3 * (geom.n - geom.m));
+                assert!(need.len() < geom.r * (geom.n - geom.m) / 3);
+            }
+            let cost = read_cost(&store, &base, window.clone());
+            assert_eq!(cost, (need.len() as u64, 1), "{spec}");
+            // A window with nothing lost: the fast path, its own sectors.
+            assert_eq!(read_cost(&store, &base, per + 20..per + 24), (4, 0));
+
+            // A replacement being rebuilt is as lost as a failed device,
+            // and as unread: its zeros would not verify.
+            rebuilding(&store, 1);
+            let cost = read_cost(&store, &base, window);
+            assert_eq!(cost, (need.len() as u64, 1), "{spec} rebuilding");
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn recorded_damage_is_planned_around_and_unrecorded_damage_falls_back_once() {
+        for spec in FAMILIES {
+            let (dir, store, base) = family_store("burst", spec);
+            let geom = store.geometry().clone();
+            let per = store.blocks_per_stripe();
+            // RS rows survive m = 2 losses in all: one device, and the
+            // sector damage below.
+            let failed: &[usize] = if spec.starts_with("rs") {
+                &[0]
+            } else {
+                &[0, 1]
+            };
+            for &dev in failed {
+                store.fail_device(dev).unwrap();
+            }
+            let healthy = (geom.n - failed.len()) as u64;
+            let mut erased = ErasureSet::devices(failed, geom.r);
+
+            // A burst in stripe 1, found and recorded by a scrub. A
+            // window over its rows then reads exactly what its plan —
+            // made around the burst — names.
+            let burst: &[CellIdx] = if spec.starts_with("rs") {
+                &[(4, 3)]
+            } else {
+                &[(4, 3), (5, 3), (9, 2)]
+            };
+            for &(row, dev) in burst {
+                store.corrupt_sectors(dev, 1, row, 1).unwrap();
+            }
+            assert_eq!(store.scrub(1).unwrap().mismatches.len(), burst.len());
+            erased = erased.iter().chain(burst.iter().copied()).collect();
+            let window = per + 18..per + 34;
+            let need = planned_need(&store, &erased, window.clone());
+            let cost = read_cost(&store, &base, window.clone());
+            assert_eq!(cost, (need.len() as u64, 1), "{spec} recorded burst");
+            assert_eq!(store.status().known_bad_sectors, burst.len());
+
+            // Stripe 2: one source of the same window is corrupt and
+            // nobody knows. The planned load meets it, the whole stripe
+            // is loaded instead, the bytes are right, the sector is on
+            // record ...
+            let window = 2 * per + 18..2 * per + 34;
+            let mut erased = ErasureSet::devices(failed, geom.r);
+            let need = planned_need(&store, &erased, window.clone());
+            let wanted: Vec<CellIdx> = window.clone().map(|b| geom.data_cells[b % per]).collect();
+            let (row, dev) = *need.iter().find(|c| !wanted.contains(c)).unwrap();
+            store.corrupt_sectors(dev, 2, row, 1).unwrap();
+            let cost = read_cost(&store, &base, window.clone());
+            let fallback = need.len() as u64 + geom.r as u64 * healthy;
+            assert_eq!(cost, (fallback, 1), "{spec} unrecorded source");
+            assert!(store.shared.integrity.is_recorded_bad((2, row, dev)));
+            // ... and the next read of the window plans around it.
+            erased = erased.iter().chain([(row, dev)]).collect();
+            let need = planned_need(&store, &erased, window.clone());
+            let cost = read_cost(&store, &base, window);
+            assert_eq!(cost, (need.len() as u64, 1), "{spec} after the fallback");
+
+            // Stripe 0: the unknown damage is one of four wanted sectors,
+            // none on a failed device. The fast path serves the three
+            // that verify, records the fourth, and reads only that one's
+            // sources on top — not the three again, not the stripe.
+            let mut erased = ErasureSet::devices(failed, geom.r);
+            store.corrupt_sectors(3, 0, 3, 1).unwrap();
+            erased = erased.iter().chain([(3, 3)]).collect();
+            let plan = store.codec().plan_recover(&erased, &[(3, 3)]).unwrap();
+            let cost = read_cost(&store, &base, 20..24);
+            assert_eq!(
+                cost,
+                (4 + plan.sources().len() as u64, 1),
+                "{spec} in-window"
+            );
+            assert!(store.shared.integrity.is_recorded_bad((0, 3, 3)));
+            let need = planned_need(&store, &erased, 20..24);
+            assert_eq!(read_cost(&store, &base, 20..24), (need.len() as u64, 1));
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn degraded_reads_plan_fall_back_and_stay_a_byte_array() {
+        for spec in ["stair:8,4,2,1-1-2", "sd:8,4,2,2", "rs:8,4,2"] {
+            let dir = tmpdir(&format!("readmodel-{}", &spec[..2]));
+            let opts = StoreOptions {
+                code: spec.parse().unwrap(),
+                symbol: 64,
+                stripes: 6,
+            };
+            let store = StripeStore::create(&dir, &opts).unwrap();
+            let base = pattern(store.capacity() as usize, 4);
+            store.write_at(0, &base).unwrap();
+            let (sym, per) = (store.block_size(), store.blocks_per_stripe());
+            let mut m = Modelled {
+                store,
+                bytes: base,
+                down: BTreeSet::new(),
+                bad: BTreeSet::new(),
+                rng: Rng(0xD15C ^ spec.len() as u64),
+            };
+            // Reads, writes and fresh latent damage, interleaved; each
+            // damaged sector is then read head-on, twice (found, then
+            // planned around).
+            let session = |m: &mut Modelled, rounds: usize| {
+                for round in 0..rounds {
+                    m.random_read();
+                    if round % 3 == 0 {
+                        m.random_write();
+                    }
+                    if let Some((stripe, row, dev)) = m.corrupt_somewhere() {
+                        let cell = (row, dev);
+                        let slot = m
+                            .store
+                            .geometry()
+                            .data_cells
+                            .iter()
+                            .position(|&c| c == cell);
+                        if let Some(slot) = slot {
+                            let at = (stripe * per + slot) * sym;
+                            m.read(at.saturating_sub(sym), 3 * sym.min(m.bytes.len() - at));
+                            m.read(at + 5, sym - 5);
+                        }
+                    }
+                }
+            };
+            session(&mut m, 20);
+            // A device goes; every window over it is planned.
+            let gone = m.rng.below(m.store.geometry().n);
+            m.store.fail_device(gone).unwrap();
+            m.down.insert(gone);
+            m.bad.retain(|&(_, _, dev)| dev != gone);
+            session(&mut m, 30);
+            m.assert_bytes();
+            // Its replacement is attached but not rebuilt: still lost.
+            rebuilding(&m.store, gone);
+            session(&mut m, 20);
+            m.assert_bytes();
+            assert!(m.store.repair(2).unwrap().complete());
+            m.down.clear();
+            m.bad.clear();
+            session(&mut m, 10);
+            // Damage no read had cause to touch is the scrub's to find.
+            m.store.scrub(2).unwrap();
             assert!(m.store.repair(2).unwrap().complete());
             let scrub = m.store.scrub(2).unwrap();
             assert!(scrub.clean(), "{spec}: {scrub:?}");

@@ -96,13 +96,50 @@ impl DeviceSet {
         ((stripe * self.r + row) * self.symbol) as u64
     }
 
-    /// Reads sector `(stripe, row)` of `device` into `buf`
-    /// (`buf.len() == symbol`).
+    /// Reads the `buf.len() / symbol` consecutive sectors of `device`
+    /// that start at `(stripe, row)` — one contiguous span of its file —
+    /// with a single positioned read, and returns how many came back
+    /// whole: fewer than asked when the file ends early, none when it is
+    /// absent (a failed device).
     ///
     /// # Errors
     ///
-    /// Propagates real I/O errors; an absent or truncated file is reported
-    /// as [`SectorRead::Missing`], not an error.
+    /// Propagates real I/O errors.
+    pub fn read_run(
+        &self,
+        device: usize,
+        stripe: usize,
+        row: usize,
+        buf: &mut [u8],
+    ) -> Result<usize, Error> {
+        debug_assert_eq!(buf.len() % self.symbol, 0);
+        let slot = self.slots[device].read().unwrap_or_else(|e| e.into_inner());
+        let Some(file) = slot.as_ref() else {
+            return Ok(0);
+        };
+        let start = self.offset(stripe, row);
+        let mut filled = 0;
+        while filled < buf.len() {
+            match file.read_at(&mut buf[filled..], start + filled as u64) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        let whole = filled / self.symbol;
+        self.sector_reads.fetch_add(whole as u64, Ordering::Relaxed);
+        Ok(whole)
+    }
+
+    /// Reads sector `(stripe, row)` of `device` into `buf`
+    /// (`buf.len() == symbol`): a [`DeviceSet::read_run`] of one. An
+    /// absent or truncated file is reported as [`SectorRead::Missing`],
+    /// not an error.
+    ///
+    /// # Errors
+    ///
+    /// Propagates real I/O errors.
     pub fn read_sector(
         &self,
         device: usize,
@@ -111,18 +148,10 @@ impl DeviceSet {
         buf: &mut [u8],
     ) -> Result<SectorRead, Error> {
         debug_assert_eq!(buf.len(), self.symbol);
-        let slot = self.slots[device].read().unwrap_or_else(|e| e.into_inner());
-        let Some(file) = slot.as_ref() else {
-            return Ok(SectorRead::Missing);
-        };
-        match file.read_exact_at(buf, self.offset(stripe, row)) {
-            Ok(()) => {
-                self.sector_reads.fetch_add(1, Ordering::Relaxed);
-                Ok(SectorRead::Ok)
-            }
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(SectorRead::Missing),
-            Err(e) => Err(e.into()),
-        }
+        Ok(match self.read_run(device, stripe, row, buf)? {
+            0 => SectorRead::Missing,
+            _ => SectorRead::Ok,
+        })
     }
 
     /// Sectors read back whole since this set was opened.
@@ -218,6 +247,33 @@ mod tests {
         // Neighbouring sector untouched (still zero).
         assert_eq!(set.read_sector(2, 3, 2, &mut buf).unwrap(), SectorRead::Ok);
         assert_eq!(buf, [0u8; 16]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_run_is_one_read_of_consecutive_rows_and_stops_at_the_file_end() {
+        let dir = tmpdir("run");
+        let set = DeviceSet::create(&dir, 2, 4, 8, 3).unwrap();
+        for row in 0..4 {
+            set.write_sector(1, 2, row, &[row as u8 + 1; 8]).unwrap();
+        }
+        let mut buf = [0u8; 24];
+        assert_eq!(set.read_run(1, 2, 1, &mut buf).unwrap(), 3);
+        assert_eq!(buf[..8], [2u8; 8]);
+        assert_eq!(buf[16..], [4u8; 8]);
+        assert_eq!(set.sector_reads(), 3);
+        // The file cut inside the last stripe's third sector: the run
+        // hands back the two whole sectors before the cut.
+        let file = OpenOptions::new()
+            .write(true)
+            .open(dir.join(device_file_name(1)))
+            .unwrap();
+        file.set_len(((2 * 4 + 2) * 8 + 5) as u64).unwrap();
+        let mut buf = [0u8; 32];
+        assert_eq!(set.read_run(1, 2, 0, &mut buf).unwrap(), 2);
+        assert_eq!(set.sector_reads(), 5);
+        set.remove(1).unwrap();
+        assert_eq!(set.read_run(1, 2, 0, &mut buf).unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

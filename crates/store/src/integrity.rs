@@ -264,6 +264,17 @@ impl Integrity {
         read_lock(&self.health).bad_sectors.contains(&key)
     }
 
+    /// The recorded bad sectors of one stripe, as `(row, device)`. While
+    /// the record is empty — an undamaged store — this takes no lock.
+    pub fn recorded_bad_in(&self, stripe: usize) -> Vec<(usize, usize)> {
+        if self.bad_sector_count.load(Ordering::SeqCst) == 0 {
+            return Vec::new();
+        }
+        let health = read_lock(&self.health);
+        let of_stripe = health.bad_sectors.range((stripe, 0, 0)..(stripe + 1, 0, 0));
+        of_stripe.map(|&(_, row, dev)| (row, dev)).collect()
+    }
+
     /// Applies `f` to the health record and marks it for the next
     /// [`Integrity::persist`].
     pub fn update_health(&self, f: impl FnOnce(&mut Health)) {

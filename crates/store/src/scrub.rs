@@ -10,7 +10,6 @@
 
 use std::sync::Mutex;
 
-use crate::device::SectorRead;
 use crate::integrity::{BadSector, DeviceState};
 use crate::store::StripeStore;
 use crate::Error;
@@ -66,30 +65,29 @@ impl StripeStore {
         let mismatches = Mutex::new(Vec::new());
         let verified = Mutex::new(0usize);
         let shard = stripes.div_ceil(threads).max(1);
-        let results =
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for w in 0..threads {
-                    let lo = (w * shard).min(stripes);
-                    let hi = ((w + 1) * shard).min(stripes);
-                    if lo == hi {
-                        continue;
-                    }
-                    let mismatches = &mismatches;
-                    let verified = &verified;
-                    let unavailable = &unavailable;
-                    handles.push(scope.spawn(move |_| {
-                        self.scrub_range(lo..hi, unavailable, mismatches, verified)
-                    }));
+        let results = crossbeam::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for w in 0..threads {
+                let lo = (w * shard).min(stripes);
+                let hi = ((w + 1) * shard).min(stripes);
+                if lo == hi {
+                    continue;
                 }
-                handles
-                    .into_iter()
-                    // check: panic-ok a panicked scrub worker is a bug — propagate, don't mask as Error
-                    .map(|h| h.join().expect("scrub worker panicked"))
-                    .collect::<Vec<_>>()
-            })
-            // check: panic-ok crossbeam scope only errs if a child panicked; propagate
-            .expect("scrub scope panicked");
+                let mismatches = &mismatches;
+                let verified = &verified;
+                let devices = &health.devices;
+                handles.push(
+                    scope.spawn(move |_| self.scrub_range(lo..hi, devices, mismatches, verified)),
+                );
+            }
+            handles
+                .into_iter()
+                // check: panic-ok a panicked scrub worker is a bug — propagate, don't mask as Error
+                .map(|h| h.join().expect("scrub worker panicked"))
+                .collect::<Vec<_>>()
+        })
+        // check: panic-ok crossbeam scope only errs if a child panicked; propagate
+        .expect("scrub scope panicked");
         for r in results {
             r?;
         }
@@ -129,34 +127,24 @@ impl StripeStore {
     fn scrub_range(
         &self,
         range: std::ops::Range<usize>,
-        unavailable: &[usize],
+        devices: &[DeviceState],
         mismatches: &Mutex<Vec<BadSector>>,
         verified: &Mutex<usize>,
     ) -> Result<(), Error> {
-        let sh = &self.shared;
-        let mut buf = vec![0u8; sh.meta.symbol];
+        let geom = &self.shared.geometry;
+        let available = (0..geom.n).filter(|&dev| devices[dev] == DeviceState::Healthy);
+        let grid: Vec<_> = available
+            .flat_map(|dev| (0..geom.r).map(move |row| (row, dev)))
+            .collect();
         let mut local_bad = Vec::new();
         let mut local_ok = 0usize;
         for stripe in range {
             let _guard = self.lock_stripe(stripe);
-            for dev in 0..sh.geometry.n {
-                if unavailable.contains(&dev) {
-                    continue;
-                }
-                for row in 0..sh.geometry.r {
-                    match sh.devices.read_sector(dev, stripe, row, &mut buf)? {
-                        SectorRead::Missing => local_bad.push((stripe, row, dev)),
-                        SectorRead::Ok => {
-                            if sh.integrity.verify(stripe, row, dev, &buf) {
-                                local_ok += 1;
-                            } else {
-                                local_bad.push((stripe, row, dev));
-                            }
-                        }
-                    }
-                }
-            }
-            sh.counters
+            let bad = self.load_verified(stripe, devices, grid.iter().copied(), |_, _| {})?;
+            local_ok += grid.len() - bad.len();
+            local_bad.extend(bad.into_iter().map(|(row, dev)| (stripe, row, dev)));
+            self.shared
+                .counters
                 .scrub_stripes_done
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }

@@ -21,14 +21,21 @@
 //!   healthy or fails its checksum, the write takes the restore path
 //!   instead: the whole stripe is loaded, lost sectors reconstructed,
 //!   the same patch applied, and the reconstructed sectors healed.
-//! * **Reads** verify every sector against the Fletcher-32 table. A clean
-//!   stripe is served straight from the data sectors. Any missing file,
-//!   short read, or checksum mismatch switches the stripe to a **degraded
-//!   read**: the erasure set is assembled and the codec's planner
-//!   ([`stair_code::ErasureCode::plan_recover`]) reconstructs exactly the
-//!   requested sectors.
-//! * All sector I/O is positioned (`pread`/`pwrite`), and stripes are
-//!   guarded by striped locks, so reads, writes, scrubbing, and repair of
+//! * **Reads** verify every sector against the Fletcher-32 table. A
+//!   fragment with nothing lost is served straight from its data
+//!   sectors. When a wanted sector sits on a device that is not healthy
+//!   or is recorded bad, the read is **degraded** and plans first: the
+//!   codec's planner ([`stair_code::ErasureCode::plan_recover`]) works
+//!   out how to reconstruct exactly the wanted lost sectors from what is
+//!   known lost, and only the plan's sources
+//!   ([`stair_code::Plan::sources`]) and the surviving wanted sectors are
+//!   read. Damage nobody knew of — a missing file, a short read, a
+//!   checksum mismatch where none was recorded — falls back to loading
+//!   the whole stripe, which records it for the next read.
+//! * All sector I/O is positioned (`pread`/`pwrite`) and goes through
+//!   one verified loader that reads consecutive rows of a device — which
+//!   its file stores contiguously — as one run. Stripes are guarded by
+//!   striped locks, so reads, writes, scrubbing, and repair of
 //!   *different* stripes proceed concurrently.
 //!
 //! Whole stripes move through the engine as flat [`StripeBuf`]s — the
@@ -685,9 +692,20 @@ impl StripeStore {
         out[(from - offset) as usize..(to - offset) as usize].copy_from_slice(src);
     }
 
-    /// Serves the blocks of one read fragment into `out`: the verified
-    /// fast path first, the degraded path (full erasure set, planner
-    /// reconstructs exactly the wanted cells) on any miss.
+    /// Serves the blocks of one read fragment into `out`, reading what
+    /// the fragment needs and not the stripe.
+    ///
+    /// What is lost is decided before any I/O, from the device states and
+    /// the stripe's recorded bad sectors. With no wanted sector known
+    /// lost, each is read, verified and copied straight out (the fast
+    /// path). Otherwise the codec plans the wanted lost sectors against
+    /// the known erasures, and exactly the plan's sources plus the
+    /// surviving wanted sectors are read, each verified, before the plan
+    /// is applied. A sector that does not verify where none was known
+    /// bad — damage no one has recorded yet — ends either path: the
+    /// whole stripe is then loaded as before
+    /// ([`StripeStore::load_stripe_degraded`]), which records the damage
+    /// so the next read plans around it.
     ///
     /// Callers must hold the stripe lock.
     pub(crate) fn read_blocks_locked(
@@ -698,51 +716,73 @@ impl StripeStore {
         out: &mut [u8],
     ) -> Result<(), Error> {
         let sh = &self.shared;
-        let devices = sh.integrity.device_states();
-
-        // Fast path: every wanted sector reads back and verifies. A sector
-        // is copied out as soon as it verifies; if a later one does not, the
-        // degraded path below rewrites every block of the window anyway.
-        let mut buf = vec![0u8; sh.meta.symbol];
-        let mut degraded = false;
-        for block in blocks.clone() {
-            let (row, dev) = sh.blocks.locate(block)?.cell;
-            degraded = devices[dev] != DeviceState::Healthy
-                || !matches!(
-                    sh.devices.read_sector(dev, stripe_idx, row, &mut buf)?,
-                    SectorRead::Ok
-                )
-                || !sh.integrity.verify(stripe_idx, row, dev, &buf);
-            if degraded {
-                break;
-            }
-            self.copy_block(block, &buf, offset, out);
-        }
-        if !degraded {
-            return Ok(());
-        }
-
-        // Degraded path: assemble the stripe's full erasure set and let the
-        // codec's planner reconstruct exactly the wanted cells.
-        let (mut stripe, erased) = self.load_stripe_degraded(stripe_idx)?;
-        let wanted: Vec<CellIdx> = blocks
+        let cells = blocks
             .clone()
             .map(|b| sh.blocks.locate(b).map(|l| l.cell))
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .filter(|&c| erased.contains(c))
-            .collect();
-        if !wanted.is_empty() {
+            .collect::<Result<Vec<CellIdx>, _>>()?;
+        let serve = |cell: CellIdx, data: &[u8], out: &mut [u8]| {
+            if let Some(k) = cells.iter().position(|&c| c == cell) {
+                self.copy_block(blocks.start + k, data, offset, out);
+            }
+        };
+        let devices = sh.integrity.device_states();
+        let mut erased = self.known_erasures(stripe_idx, &devices);
+
+        // The cells whose bytes are not in `out` yet.
+        let unserved = if cells.iter().any(|&c| erased.contains(c)) {
+            cells.clone()
+        } else {
+            let verified = |cell, data: &[u8]| serve(cell, data, out);
+            let wanted = cells.iter().copied();
+            let failed = self.load_verified(stripe_idx, &devices, wanted, verified)?;
+            if failed.is_empty() {
+                return Ok(());
+            }
+            // Damage inside the window itself: known from here on. What
+            // did verify is served, and is not read again to serve it.
+            let found = failed.iter().map(|&(row, dev)| (stripe_idx, row, dev));
+            sh.integrity.update_health(|h| h.bad_sectors.extend(found));
+            erased = erased.iter().chain(failed.iter().copied()).collect();
+            failed
+        };
+
+        let lost = |erased: &ErasureSet| -> Vec<CellIdx> {
+            let lost = unserved.iter().filter(|&&c| erased.contains(c));
+            lost.copied().collect()
+        };
+        // A plan the known erasures do not allow is left to the fallback,
+        // whose error names everything the stripe has lost.
+        if let Ok(plan) = sh.codec.plan_recover(&erased, &lost(&erased)) {
+            let geom = &sh.geometry;
+            let mut stripe = StripeBuf::new(geom.r, geom.n, sh.meta.symbol)?;
+            let surviving = unserved.iter().filter(|&&c| !erased.contains(c));
+            let need = plan.sources().iter().chain(surviving).copied();
+            let loaded = |cell, data: &[u8]| stripe.set_cell(cell, data);
+            if self
+                .load_verified(stripe_idx, &devices, need, loaded)?
+                .is_empty()
+            {
+                sh.codec.apply(&plan, &mut stripe)?;
+                sh.counters.count_recover();
+                for &cell in &unserved {
+                    serve(cell, stripe.cell(cell), out);
+                }
+                return Ok(());
+            }
+        }
+
+        let (mut stripe, erased) = self.load_stripe_degraded(stripe_idx)?;
+        let lost = lost(&erased);
+        if !lost.is_empty() {
             let plan = sh
                 .codec
-                .plan_recover(&erased, &wanted)
+                .plan_recover(&erased, &lost)
                 .map_err(|e| self.unrecoverable(stripe_idx, &erased, e))?;
             sh.codec.apply(&plan, &mut stripe)?;
             sh.counters.count_recover();
         }
-        for block in blocks {
-            let cell = sh.blocks.locate(block)?.cell;
-            self.copy_block(block, stripe.cell(cell), offset, out);
+        for &cell in &unserved {
+            serve(cell, stripe.cell(cell), out);
         }
         Ok(())
     }
@@ -757,9 +797,65 @@ impl StripeStore {
         }
     }
 
+    /// What a stripe is known to have lost before anything is read: every
+    /// sector of a device that is not `Healthy`, and the sectors recorded
+    /// bad.
+    fn known_erasures(&self, stripe_idx: usize, devices: &[DeviceState]) -> ErasureSet {
+        let r = self.shared.geometry.r;
+        let down = devices.iter().enumerate();
+        let down = down.filter(|&(_, &state)| state != DeviceState::Healthy);
+        let columns = down.flat_map(|(dev, _)| (0..r).map(move |row| (row, dev)));
+        columns
+            .chain(self.shared.integrity.recorded_bad_in(stripe_idx))
+            .collect()
+    }
+
+    /// The one loader: reads `cells` of a stripe — one positioned read
+    /// per run of consecutive rows on one device, which the device files
+    /// store contiguously — verifies every sector against its checksum,
+    /// hands each good one to `sink`, and returns the rest: sectors that
+    /// are missing or corrupt, and (unread) those on a device that is not
+    /// `Healthy`.
+    ///
+    /// Callers must hold the stripe lock.
+    pub(crate) fn load_verified(
+        &self,
+        stripe_idx: usize,
+        devices: &[DeviceState],
+        cells: impl IntoIterator<Item = CellIdx>,
+        mut sink: impl FnMut(CellIdx, &[u8]),
+    ) -> Result<Vec<CellIdx>, Error> {
+        let sh = &self.shared;
+        let sym = sh.meta.symbol;
+        let mut cells: Vec<CellIdx> = cells.into_iter().collect();
+        cells.sort_unstable_by_key(|&(row, dev)| (dev, row));
+        cells.dedup();
+        let mut failed = Vec::new();
+        let mut buf = Vec::new();
+        for run in cells.chunk_by(|a, b| *b == (a.0 + 1, a.1)) {
+            let (row, dev) = run[0];
+            if buf.len() < run.len() * sym {
+                buf.resize(run.len() * sym, 0);
+            }
+            let span = &mut buf[..run.len() * sym];
+            let whole = match devices[dev] {
+                DeviceState::Healthy => sh.devices.read_run(dev, stripe_idx, row, span)?,
+                _ => 0,
+            };
+            for (k, (&cell, sector)) in run.iter().zip(span.chunks_exact(sym)).enumerate() {
+                if k < whole && sh.integrity.verify(stripe_idx, cell.0, dev, sector) {
+                    sink(cell, sector);
+                } else {
+                    failed.push(cell);
+                }
+            }
+        }
+        Ok(failed)
+    }
+
     /// Reads the full stripe grid from disk, treating non-healthy devices,
     /// missing files, and checksum mismatches as erasures. Erased cells
-    /// are zeroed; newly discovered damage is recorded in the health map.
+    /// are zero; newly discovered damage is recorded in the health map.
     ///
     /// Callers must hold the stripe lock.
     pub(crate) fn load_stripe_degraded(
@@ -770,30 +866,15 @@ impl StripeStore {
         let geom = &sh.geometry;
         let mut stripe = StripeBuf::new(geom.r, geom.n, sh.meta.symbol)?;
         let devices = sh.integrity.device_states();
-        let mut erased: Vec<CellIdx> = Vec::new();
-        let mut newly_bad: Vec<(usize, usize, usize)> = Vec::new();
-        for (dev, &state) in devices.iter().enumerate() {
-            let dead = state != DeviceState::Healthy;
-            for row in 0..geom.r {
-                if dead {
-                    erased.push((row, dev));
-                    continue;
-                }
-                let buf = stripe.cell_mut((row, dev));
-                match sh.devices.read_sector(dev, stripe_idx, row, buf)? {
-                    SectorRead::Missing => erased.push((row, dev)),
-                    SectorRead::Ok => {
-                        if !sh.integrity.verify(stripe_idx, row, dev, buf) {
-                            erased.push((row, dev));
-                            if !sh.integrity.is_recorded_bad((stripe_idx, row, dev)) {
-                                newly_bad.push((stripe_idx, row, dev));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        stripe.erase(&erased);
+        let grid = (0..geom.n).flat_map(|dev| (0..geom.r).map(move |row| (row, dev)));
+        let loaded = |cell, data: &[u8]| stripe.set_cell(cell, data);
+        let erased = self.load_verified(stripe_idx, &devices, grid, loaded)?;
+        let newly_bad: Vec<_> = erased
+            .iter()
+            .filter(|&&(_, dev)| devices[dev] == DeviceState::Healthy)
+            .map(|&(row, dev)| (stripe_idx, row, dev))
+            .filter(|&key| !sh.integrity.is_recorded_bad(key))
+            .collect();
         if !newly_bad.is_empty() {
             sh.integrity
                 .update_health(|h| h.bad_sectors.extend(newly_bad));
@@ -826,13 +907,12 @@ impl StripeStore {
         Ok((stripe, erased))
     }
 
-    /// Reads exactly the cells of `footprint` — one positioned read and
-    /// one checksum verification each — or returns `None` when any of
-    /// them is not cleanly there (a device that is not `Healthy`, a
-    /// missing or short file, a checksum mismatch): the caller then
-    /// falls back to [`StripeStore::load_stripe_restored`], which also
-    /// records and heals the damage. Nothing outside the footprint is
-    /// read, so nothing outside it is vouched for.
+    /// Reads exactly the cells of `footprint`, each verified, or returns
+    /// `None` when any of them is not cleanly there (a device that is
+    /// not `Healthy`, a missing or short file, a checksum mismatch): the
+    /// caller then falls back to [`StripeStore::load_stripe_restored`],
+    /// which also records and heals the damage. Nothing outside the
+    /// footprint is read, so nothing outside it is vouched for.
     ///
     /// Callers must hold the stripe lock.
     pub(crate) fn load_cells(
@@ -840,21 +920,12 @@ impl StripeStore {
         stripe_idx: usize,
         footprint: &BTreeSet<CellIdx>,
     ) -> Result<Option<BTreeMap<CellIdx, Vec<u8>>>, Error> {
-        let sh = &self.shared;
-        let devices = sh.integrity.device_states();
+        let devices = self.shared.integrity.device_states();
         let mut cells = BTreeMap::new();
-        for &(row, dev) in footprint {
-            if devices[dev] != DeviceState::Healthy {
-                return Ok(None);
-            }
-            let mut buf = vec![0u8; sh.meta.symbol];
-            let read = sh.devices.read_sector(dev, stripe_idx, row, &mut buf)?;
-            if read != SectorRead::Ok || !sh.integrity.verify(stripe_idx, row, dev, &buf) {
-                return Ok(None);
-            }
-            cells.insert((row, dev), buf);
-        }
-        Ok(Some(cells))
+        let loaded = |cell, data: &[u8]| drop(cells.insert(cell, data.to_vec()));
+        let wanted = footprint.iter().copied();
+        let failed = self.load_verified(stripe_idx, &devices, wanted, loaded)?;
+        Ok(failed.is_empty().then_some(cells))
     }
 
     // ------------------------------------------------------------------
