@@ -15,7 +15,7 @@
 //!   repair always see reconstructed data, never a stale frame).
 //! * **Write-back tier** (optional, `wb=on`) — full-block staging with
 //!   group commit: absorbed writes are acknowledged immediately and
-//!   drained as one coalesced [`IoBatch`] when the group-commit
+//!   drained as one coalesced op list when the group-commit
 //!   interval elapses, when buffered blocks cross the pressure
 //!   threshold, or synchronously on [`flush`](BlockDevice::flush).
 //!   Coalescing turns N single-block writes to a stripe into one
@@ -56,9 +56,8 @@ use std::thread;
 use std::time::Duration;
 
 use stair_device::{
-    seed_results, BatchResult, BlockDevice, CacheTierStatus, DeviceError, DeviceStatus, FaultAdmin,
-    IoBatch, IoOp, OpResult, RepairOutcome, ScrubOutcome, WriteOutcome, CACHE_DEFAULT_INTERVAL_MS,
-    CACHE_DEFAULT_MB,
+    BlockDevice, CacheTierStatus, DeviceError, DeviceStatus, FaultAdmin, OpRef, OpResult,
+    RepairOutcome, ScrubOutcome, WriteOutcome, CACHE_DEFAULT_INTERVAL_MS, CACHE_DEFAULT_MB,
 };
 use stair_obs::trace::{self, names};
 use stair_obs::{metric_names, Counter, MetricsRegistry, MetricsSnapshot};
@@ -520,6 +519,27 @@ impl<D: BlockDevice> Core<D> {
         Ok(())
     }
 
+    /// The one stage-or-forward decision: with a write-back tier, an
+    /// in-range write is staged and acknowledged volatile — bytes only,
+    /// no stripe accounting until the drain runs. `None` leaves the
+    /// write to the inner device (so out-of-range errors keep its text).
+    fn absorb(&self, offset: u64, data: &[u8]) -> Result<Option<WriteOutcome>, DeviceError> {
+        let end = offset.checked_add(data.len() as u64);
+        let in_range = !data.is_empty() && end.is_some_and(|e| e <= self.capacity);
+        let Some(wb) = self.wb.as_ref().filter(|_| in_range) else {
+            return Ok(None);
+        };
+        let mut staged = lock(&wb.staged);
+        self.stage(&mut staged, offset, data)?;
+        if staged.len() >= wb.pressure {
+            self.drain_locked(&mut staged)?;
+        }
+        Ok(Some(WriteOutcome {
+            bytes: data.len() as u64,
+            ..WriteOutcome::default()
+        }))
+    }
+
     /// Drains the wb tier (if any) as one coalesced batch.
     fn drain(&self) -> Result<(), DeviceError> {
         let Some(wb) = &self.wb else { return Ok(()) };
@@ -537,7 +557,6 @@ impl<D: BlockDevice> Core<D> {
         }
         let taken = std::mem::take(staged);
         let block = self.block as u64;
-        let mut batch = IoBatch::new();
         let mut runs: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut total = 0u64;
         for (&b, data) in &taken {
@@ -550,16 +569,19 @@ impl<D: BlockDevice> Core<D> {
                 _ => runs.push((off, data.clone())),
             }
         }
-        let ops = runs.len() as u64;
-        for (off, data) in runs {
-            batch.write(off, data);
-        }
+        let ops: Vec<OpRef<'_>> = runs
+            .iter()
+            .map(|(offset, data)| OpRef::Write {
+                offset: *offset,
+                data,
+            })
+            .collect();
         let mut span = trace::span_or_root(names::WB_FLUSH);
         span.set_bytes(total);
-        match self.inner.submit(&batch) {
+        match self.inner.submit_ops(&ops) {
             Ok(_) => {
                 self.flushed.add(taken.len() as u64);
-                self.coalesced.add(ops);
+                self.coalesced.add(ops.len() as u64);
                 let gen = self.gen.load(Ordering::Acquire);
                 let mut clock = lock(&self.clock);
                 for (b, data) in taken {
@@ -612,98 +634,49 @@ impl<D: BlockDevice> BlockDevice for CachedDevice<D> {
         self.core.block
     }
 
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
-        self.core.read_cached(offset, len)
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
+    fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
         let core = &self.core;
-        let end = offset.checked_add(data.len() as u64);
-        let in_range = !data.is_empty() && end.is_some_and(|e| e <= core.capacity);
-        match &core.wb {
-            Some(wb) if in_range => {
-                let mut staged = lock(&wb.staged);
-                core.stage(&mut staged, offset, data)?;
-                if staged.len() >= wb.pressure {
-                    core.drain_locked(&mut staged)?;
-                }
-                // Acknowledged volatile: bytes only, no stripe
-                // accounting until the drain runs.
-                Ok(WriteOutcome {
-                    bytes: data.len() as u64,
-                    ..WriteOutcome::default()
-                })
-            }
-            _ => {
-                let outcome = core.inner.write_at(offset, data);
-                core.invalidate_span(offset, data.len());
-                outcome
-            }
-        }
-    }
-
-    fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
-        let core = &self.core;
-        if batch.is_empty() || batch.has_conflicts() {
-            // Conflicting batches need submission-order semantics the
+        if OpRef::conflicts(ops) {
+            // Conflicting ops need submission-order semantics the
             // tiers would obscure: drain staged writes so the inner
-            // device sees the newest data, forward the batch whole,
+            // device sees the newest data, forward the list whole,
             // then invalidate what its writes touched.
             core.drain()?;
-            let result = core.inner.submit(batch);
-            for op in batch.ops() {
-                if let IoOp::Write { offset, data } = op {
-                    core.invalidate_span(*offset, data.len());
-                }
+            let result = core.inner.submit_ops(ops);
+            for op in ops.iter().filter(|op| op.is_write()) {
+                core.invalidate_span(op.offset(), op.byte_len());
             }
             return result;
         }
         // Disjoint ops: reads go through the cached path one by one
         // (hits are free, misses fill); writes stage in wb mode or
-        // forward as one sub-batch so the store still groups them.
-        let ops = batch.ops();
-        let mut results = seed_results(ops);
-        let mut forward = IoBatch::new();
+        // forward as one borrowed sub-list so the store still groups
+        // them. A lone read allocates nothing but its result slot.
+        let mut results = Vec::with_capacity(ops.len());
+        let mut forward: Vec<OpRef<'_>> = Vec::new();
         let mut forward_slots: Vec<usize> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
-            match op {
-                IoOp::Read { offset, len } => {
-                    results[i] = OpResult::Read(core.read_cached(*offset, *len)?);
+            results.push(match *op {
+                OpRef::Read { offset, len } => OpResult::Read(core.read_cached(offset, len)?),
+                OpRef::Write { offset, data } => {
+                    OpResult::Write(core.absorb(offset, data)?.unwrap_or_else(|| {
+                        forward.push(*op);
+                        forward_slots.push(i);
+                        WriteOutcome::default()
+                    }))
                 }
-                IoOp::Write { offset, data } => {
-                    let end = offset.checked_add(data.len() as u64);
-                    let in_range = !data.is_empty() && end.is_some_and(|e| e <= core.capacity);
-                    match &core.wb {
-                        Some(wb) if in_range => {
-                            let mut staged = lock(&wb.staged);
-                            core.stage(&mut staged, *offset, data)?;
-                            if staged.len() >= wb.pressure {
-                                core.drain_locked(&mut staged)?;
-                            }
-                            results[i] = OpResult::Write(WriteOutcome {
-                                bytes: data.len() as u64,
-                                ..WriteOutcome::default()
-                            });
-                        }
-                        _ => {
-                            forward.write(*offset, data.clone());
-                            forward_slots.push(i);
-                        }
-                    }
-                }
-            }
+            });
         }
         if !forward.is_empty() {
-            let sub = core.inner.submit(&forward);
-            for op in forward.ops() {
+            let sub = core.inner.submit_ops(&forward);
+            for op in &forward {
                 core.invalidate_span(op.offset(), op.byte_len());
             }
-            let sub = sub?;
-            for (slot, result) in forward_slots.into_iter().zip(sub.results) {
+            for (slot, result) in forward_slots.into_iter().zip(sub?) {
                 results[slot] = result;
             }
         }
-        Ok(BatchResult::from_results(results))
+        Ok(results)
     }
 
     fn flush(&self) -> Result<(), DeviceError> {
@@ -772,15 +745,20 @@ impl<D: BlockDevice + FaultAdmin> FaultAdmin for CachedDevice<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stair_device::{IoBatch, IoOp};
 
     const BLOCK: usize = 16;
 
     /// An in-memory device that counts the reads and writes reaching
-    /// it, so tests can assert what the tiers absorbed.
+    /// it, so tests can assert what the tiers absorbed — and, being a
+    /// `submit_ops`-only implementor, that the trait's provided
+    /// `read_at`/`write_at`/`submit` need nothing else.
     struct MemDevice {
         data: Mutex<Vec<u8>>,
         reads: AtomicU64,
         writes: AtomicU64,
+        /// Address of the last write payload seen.
+        last_payload: AtomicU64,
     }
 
     impl MemDevice {
@@ -789,6 +767,7 @@ mod tests {
                 data: Mutex::new(vec![0; len]),
                 reads: AtomicU64::new(0),
                 writes: AtomicU64::new(0),
+                last_payload: AtomicU64::new(0),
             }
         }
 
@@ -810,31 +789,35 @@ mod tests {
             BLOCK
         }
 
-        fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
-            self.reads.fetch_add(1, Ordering::SeqCst);
-            let data = lock(&self.data);
-            let start = offset as usize;
-            match start.checked_add(len).filter(|&e| e <= data.len()) {
-                Some(end) => Ok(data[start..end].to_vec()),
-                None => Err(DeviceError::OutOfRange("read past end".into())),
+        fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
+            let mut bytes = lock(&self.data);
+            let mut results = Vec::with_capacity(ops.len());
+            for op in ops {
+                let start = op.offset() as usize;
+                let end = start
+                    .checked_add(op.byte_len())
+                    .filter(|&e| e <= bytes.len())
+                    .ok_or_else(|| DeviceError::OutOfRange("op past end".into()))?;
+                results.push(match op {
+                    OpRef::Read { .. } => {
+                        self.reads.fetch_add(1, Ordering::SeqCst);
+                        OpResult::Read(bytes[start..end].to_vec())
+                    }
+                    OpRef::Write { data, .. } => {
+                        self.writes.fetch_add(1, Ordering::SeqCst);
+                        self.last_payload
+                            .store(data.as_ptr() as u64, Ordering::SeqCst);
+                        bytes[start..end].copy_from_slice(data);
+                        OpResult::Write(WriteOutcome {
+                            bytes: data.len() as u64,
+                            blocks_written: 1,
+                            stripes_touched: 1,
+                            ..WriteOutcome::default()
+                        })
+                    }
+                });
             }
-        }
-
-        fn write_at(&self, offset: u64, bytes: &[u8]) -> Result<WriteOutcome, DeviceError> {
-            self.writes.fetch_add(1, Ordering::SeqCst);
-            let mut data = lock(&self.data);
-            let start = offset as usize;
-            let end = start
-                .checked_add(bytes.len())
-                .filter(|&e| e <= data.len())
-                .ok_or_else(|| DeviceError::OutOfRange("write past end".into()))?;
-            data[start..end].copy_from_slice(bytes);
-            Ok(WriteOutcome {
-                bytes: bytes.len() as u64,
-                blocks_written: 1,
-                stripes_touched: 1,
-                ..WriteOutcome::default()
-            })
+            Ok(results)
         }
 
         fn flush(&self) -> Result<(), DeviceError> {
@@ -1103,6 +1086,45 @@ mod tests {
             dev.inner().read_at(BLOCK as u64, BLOCK).unwrap(),
             vec![4u8; BLOCK]
         );
+    }
+
+    #[test]
+    fn forwarded_writes_borrow_and_staging_has_one_entry() {
+        // Write-through: the inner device sees the caller's buffer, from
+        // `write_at` and from a batch alike — no copy on the way down.
+        let dev = CachedDevice::new(MemDevice::new(8 * BLOCK), small_config());
+        let payload = vec![9u8; BLOCK];
+        dev.write_at(0, &payload).unwrap();
+        let seen = || dev.inner().last_payload.load(Ordering::SeqCst);
+        assert_eq!(seen(), payload.as_ptr() as u64);
+        let mut batch = IoBatch::new();
+        batch.read(0, BLOCK).write(BLOCK as u64, vec![8u8; BLOCK]);
+        dev.submit(&batch).unwrap();
+        let IoOp::Write { data, .. } = &batch.ops()[1] else {
+            unreachable!("op 1 is the write")
+        };
+        assert_eq!(seen(), data.as_ptr() as u64);
+
+        // Write-back: `write_at` and a one-write `submit` are the same
+        // list, so they stage, acknowledge and drain identically.
+        let run = |by_submit: bool| {
+            let dev = CachedDevice::new(MemDevice::new(8 * BLOCK), wb_config());
+            let outcome = if by_submit {
+                let mut batch = IoBatch::new();
+                batch.write(3, vec![5u8; 2 * BLOCK]);
+                dev.submit(&batch).unwrap().write
+            } else {
+                dev.write_at(3, &[5u8; 2 * BLOCK]).unwrap()
+            };
+            let staged_writes = dev.inner().writes();
+            dev.flush().unwrap();
+            let absorbed = dev.metrics().unwrap().counter(metric_names::WB_ABSORBED);
+            (outcome, staged_writes, absorbed, dev.inner().writes())
+        };
+        assert_eq!(run(false), run(true));
+        let (outcome, staged_writes, absorbed, drained_writes) = run(true);
+        assert_eq!(outcome.bytes, 2 * BLOCK as u64);
+        assert_eq!((staged_writes, absorbed, drained_writes), (0, Some(3), 1));
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! dense collision-free discriminants), (b) keeps the deleted
 //! compatibility machinery deleted — one `*_VERSION` constant, no `_v`
 //! codec variants taking a session version, no `Read`/`Write` opcode
-//! beside BATCH — and (c) flags any other file that *redeclares* a
-//! wire constant instead of importing it.
+//! beside BATCH — (c) flags any other file that *redeclares* a wire
+//! constant instead of importing it, and (d) holds the same one-path
+//! rule above the wire: `submit_ops` is the only data-path method an
+//! `impl BlockDevice for …` block defines.
 
 use std::collections::BTreeMap;
 
@@ -36,8 +38,14 @@ pub struct ProtocolFacts {
     pub wire_names: Vec<(String, String)>,
 }
 
+/// The two files that may spell a lone op as a `pub fn`: the trait's
+/// provided methods, and `StripeStore`'s typed-error trio the layer
+/// ledger calls.
+const LONE_OP_HOMES: &[&str] = &["crates/device/src/api.rs", "crates/store/src/batch.rs"];
+
 /// Appends wire findings; returns the extracted facts for reuse.
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) -> ProtocolFacts {
+    check_one_device_method(ws, out);
     let Some(proto) = ws.file(PROTOCOL_RS) else {
         out.push(Finding::new(
             Lint::WireConstants,
@@ -87,6 +95,88 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) -> ProtocolFacts {
         }
     }
     facts
+}
+
+/// (d) `read_at`/`write_at`/`submit` are written once, in the
+/// `BlockDevice` trait: every implementor defines `submit_ops` and none
+/// of those three (a per-op fork above the wire is how a layer ends up
+/// wrapping three methods; the trait's `submit_ops` fallback exists for
+/// out-of-workspace devices only and recurses if neither side is
+/// defined), and no type outside [`LONE_OP_HOMES`] offers
+/// `pub fn read_at|write_at` sugar beside its `submit_ops`.
+fn check_one_device_method(ws: &Workspace, out: &mut Vec<Finding>) {
+    for f in &ws.files {
+        let tf = &f.tf;
+        let n = tf.code.len();
+        let mut flag = |ci: usize, msg: String| {
+            let t = tf.ctok(ci);
+            out.push(Finding::new(
+                Lint::WireConstants,
+                &f.rel,
+                t.line,
+                t.col,
+                msg,
+                tf.line_text(t.line),
+            ));
+        };
+        for ci in 0..n {
+            let lone = |k: usize| tf.is_ident(k, "read_at") || tf.is_ident(k, "write_at");
+            if tf.is_ident(ci, "pub")
+                && tf.is_ident(ci + 1, "fn")
+                && lone(ci + 2)
+                && !LONE_OP_HOMES.contains(&f.rel.as_str())
+            {
+                let name = tf.ctext(ci + 2);
+                flag(
+                    ci + 2,
+                    format!(
+                        "`pub fn {name}` outside the BlockDevice trait: a type's one data-path \
+                         entry is `submit_ops`; callers take `{name}` from the trait"
+                    ),
+                );
+            }
+            if !(tf.is_ident(ci, "BlockDevice") && tf.is_ident(ci + 1, "for")) {
+                continue;
+            }
+            // The impl body: first `{` after the header to its match.
+            let Some(open) = (ci + 2..n).find(|&k| tf.is_punct(k, "{")) else {
+                continue;
+            };
+            let (mut depth, mut has_submit_ops) = (0i32, false);
+            for k in open..n {
+                match tf.ctext(k) {
+                    "{" => depth += 1,
+                    "}" => depth -= 1,
+                    _ => {}
+                }
+                if depth == 0 {
+                    break;
+                }
+                if depth != 1 || !tf.is_ident(k, "fn") {
+                    continue;
+                }
+                has_submit_ops |= tf.is_ident(k + 1, "submit_ops");
+                if lone(k + 1) || tf.is_ident(k + 1, "submit") {
+                    let name = tf.ctext(k + 1);
+                    flag(
+                        k + 1,
+                        format!(
+                            "`fn {name}` inside an `impl BlockDevice for …` block: implement \
+                             `submit_ops` only — `{name}` is provided by the trait"
+                        ),
+                    );
+                }
+            }
+            if !has_submit_ops {
+                flag(
+                    ci,
+                    "`impl BlockDevice for …` block without `fn submit_ops`: it is the one \
+                     data-path method a device implements"
+                        .into(),
+                );
+            }
+        }
+    }
 }
 
 /// Coherence checks inside protocol.rs itself.

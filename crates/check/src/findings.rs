@@ -108,7 +108,7 @@ impl Lint {
             Lint::IndexInLib => "no slice/array indexing in library crates (opt-in)",
             Lint::WireConstants => {
                 "wire constants and opcode tables must agree with protocol.rs, which speaks one \
-                 version and one data opcode"
+                 version and one data opcode; a BlockDevice impl defines one data-path method"
             }
             Lint::ErrorConversions => "registered error types need their promised From impls",
             Lint::DocDrift => "README tables must name every opcode/scheme/codec family in code",

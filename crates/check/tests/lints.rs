@@ -201,6 +201,48 @@ fn wire_single_version_near_misses_are_clean() {
     assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
 }
 
+#[test]
+fn device_per_op_forks_are_flagged_outside_their_two_homes() {
+    let proto = fixture("wire_protocol_good.rs");
+    let bad = fixture("wire_device_fork_bad.rs");
+    let r = run_ws(&[
+        ("crates/net/src/protocol.rs", &proto),
+        ("crates/cache/src/lib.rs", &bad),
+        // The same `pub fn write_at` is at home in these two files; the
+        // impl-block rule holds everywhere.
+        ("crates/store/src/batch.rs", &bad),
+    ]);
+    let hits = of(&r, Lint::WireConstants);
+    assert_eq!(hits.len(), 9, "{hits:?}");
+    for file in ["cache/src/lib.rs", "store/src/batch.rs"] {
+        // read_at + submit in `Layer`, write_at + no submit_ops in `Legacy`.
+        let here = |h: &&String| h.contains(file) && h.contains("impl BlockDevice for");
+        assert_eq!(hits.iter().filter(here).count(), 4, "{file}: {hits:?}");
+    }
+    assert!(hits.iter().any(|h| h.contains("without `fn submit_ops`")));
+    assert!(hits
+        .iter()
+        .any(|h| h.contains("`fn read_at`") && h.contains("provided by the trait")));
+    assert!(hits.iter().any(|h| h.contains("`fn submit`")));
+    let sugar: Vec<_> = hits
+        .iter()
+        .filter(|h| h.contains("`pub fn write_at`"))
+        .collect();
+    assert_eq!(sugar.len(), 1, "{hits:?}");
+    assert!(sugar[0].contains("cache/src/lib.rs"));
+}
+
+#[test]
+fn device_one_method_near_misses_are_clean() {
+    let proto = fixture("wire_protocol_good.rs");
+    let near = fixture("wire_device_fork_near_miss.rs");
+    let r = run_ws(&[
+        ("crates/net/src/protocol.rs", &proto),
+        ("crates/cache/src/lib.rs", &near),
+    ]);
+    assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
+}
+
 // ---- L4 error-conversions ------------------------------------------
 
 #[test]

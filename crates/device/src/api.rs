@@ -3,12 +3,26 @@
 use stair_obs::MetricsSnapshot;
 
 use crate::{
-    BatchResult, DeviceError, DeviceStatus, IoBatch, IoOp, OpResult, RepairOutcome, ScrubOutcome,
+    BatchResult, DeviceError, DeviceStatus, IoBatch, OpRef, OpResult, RepairOutcome, ScrubOutcome,
     WriteOutcome,
 };
 
 /// The unified data-path API over any storage backend — a local stripe
 /// store, an in-process shard set, or a remote TCP client.
+///
+/// An implementor — backend or layer — writes **one** data-path method,
+/// [`submit_ops`](BlockDevice::submit_ops); `read_at`, `write_at` and
+/// `submit` are provided here, once, as lists of one op, one op and a
+/// batch's views. A layer that wraps `submit_ops` therefore wraps every
+/// read and write there is.
+///
+/// (`submit_ops` carries a fallback body — the list run one op at a
+/// time through `read_at`/`write_at` — only so that a device written
+/// against the older shape of this trait, defining those two instead,
+/// still compiles; `benchmark/tests/selfcheck.rs` holds the one such
+/// device. A device that defines neither side recurses; inside the
+/// workspace the `wire-constants` lint requires `submit_ops` of every
+/// impl and forbids the other three.)
 ///
 /// Every method takes `&self`: backends with inherently mutable state
 /// (e.g. a network connection) hide it behind interior mutability, so
@@ -23,49 +37,69 @@ pub trait BlockDevice: Send + Sync {
     /// Logical block size in bytes.
     fn block_size(&self) -> usize;
 
-    /// Reads `len` bytes at byte `offset`. Degraded backends
-    /// reconstruct transparently; the returned bytes are always
-    /// verified (checksums locally, frame checksums over the wire).
+    /// The data path: executes `ops`, returning one result per op in
+    /// submission order. Degraded backends reconstruct transparently;
+    /// returned bytes are always verified (checksums locally, frame
+    /// checksums over the wire).
+    ///
+    /// Backends amortize work across the list: a stripe store takes
+    /// each stripe lock once with one re-encode-vs-parity-delta
+    /// decision per touched stripe, a shard set splits by placement and
+    /// runs shards in parallel, a remote client ships the whole list in
+    /// one request frame per shard. Overlap semantics and failure
+    /// behavior are specified on [`IoBatch`].
     ///
     /// # Errors
     ///
-    /// Out-of-range spans, damage beyond coverage, and backend
-    /// failures.
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError>;
+    /// Out-of-range spans (before any side effect), damage beyond
+    /// coverage, and backend failures. The first failing op aborts the
+    /// rest; writes that already executed stay applied.
+    fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
+        ops.iter()
+            .map(|op| match *op {
+                OpRef::Read { offset, len } => self.read_at(offset, len).map(OpResult::Read),
+                OpRef::Write { offset, data } => self.write_at(offset, data).map(OpResult::Write),
+            })
+            .collect()
+    }
 
-    /// Writes `data` at byte `offset`, returning the aggregated
-    /// [`WriteOutcome`].
+    /// Reads `len` bytes at byte `offset` — a one-read
+    /// [`submit_ops`](BlockDevice::submit_ops).
     ///
     /// # Errors
     ///
-    /// Out-of-range spans and backend failures.
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError>;
-
-    /// Submits a scatter-gather batch, returning per-op results in
-    /// submission order plus the aggregated write outcome.
-    ///
-    /// The default implementation loops over `read_at`/`write_at`, so
-    /// every existing implementor stays source-compatible. Native
-    /// backends override it to amortize work across ops: a stripe
-    /// store takes each stripe lock once with one
-    /// re-encode-vs-parity-delta decision per touched stripe, a shard
-    /// set splits by placement and runs shards in parallel, a remote
-    /// client ships the whole batch in one request frame per shard.
-    /// Overlap semantics and failure behavior are specified on
-    /// [`IoBatch`].
-    ///
-    /// # Errors
-    ///
-    /// The first failing op aborts the batch; writes that already
-    /// executed stay applied.
-    fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
-        let mut results = Vec::with_capacity(batch.len());
-        for op in batch.ops() {
-            results.push(match op {
-                IoOp::Read { offset, len } => OpResult::Read(self.read_at(*offset, *len)?),
-                IoOp::Write { offset, data } => OpResult::Write(self.write_at(*offset, data)?),
-            });
+    /// As [`submit_ops`](BlockDevice::submit_ops).
+    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
+        match self.submit_ops(&[OpRef::Read { offset, len }])?.pop() {
+            Some(OpResult::Read(data)) => Ok(data),
+            _ => Err(DeviceError::Backend(
+                "a one-read submission did not produce a read result".into(),
+            )),
         }
+    }
+
+    /// Writes `data` at byte `offset` — a one-write
+    /// [`submit_ops`](BlockDevice::submit_ops) over the caller's buffer
+    /// (no copy) — returning the aggregated [`WriteOutcome`].
+    ///
+    /// # Errors
+    ///
+    /// As [`submit_ops`](BlockDevice::submit_ops).
+    fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
+        let results = self.submit_ops(&[OpRef::Write { offset, data }])?;
+        Ok(BatchResult::from_results(results).write)
+    }
+
+    /// Submits a scatter-gather batch —
+    /// [`submit_ops`](BlockDevice::submit_ops) over views of its ops —
+    /// returning per-op results in submission order plus the aggregated
+    /// write outcome.
+    ///
+    /// # Errors
+    ///
+    /// As [`submit_ops`](BlockDevice::submit_ops).
+    fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
+        let results = self.submit_ops(&OpRef::views(batch.ops()))?;
         Ok(BatchResult::from_results(results))
     }
 
@@ -121,12 +155,13 @@ pub trait BlockDevice: Send + Sync {
     }
 }
 
-/// Forwarding impl so a boxed device is itself a device — what lets
-/// wrappers like [`Instrumented`](crate::Instrumented) sit in front of
-/// whatever `open_device()` returned. Every method forwards (including
-/// the ones with default bodies, so a backend's native `submit` and
-/// `metrics` are never shadowed by the trait defaults).
-impl BlockDevice for Box<dyn BlockDevice> {
+/// Forwarding impl so a boxed device — `Box<dyn BlockDevice>`,
+/// `Box<dyn AdminDevice>` or a boxed concrete one — is itself a device:
+/// what lets wrappers like [`Instrumented`](crate::Instrumented) or a
+/// cache tier sit in front of whatever `open_device()`/`open_admin()`
+/// returned. `metrics` forwards too, so a backend's native snapshot is
+/// never shadowed by the trait default.
+impl<T: BlockDevice + ?Sized> BlockDevice for Box<T> {
     fn capacity(&self) -> u64 {
         (**self).capacity()
     }
@@ -135,64 +170,8 @@ impl BlockDevice for Box<dyn BlockDevice> {
         (**self).block_size()
     }
 
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
-        (**self).read_at(offset, len)
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        (**self).write_at(offset, data)
-    }
-
-    fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
-        (**self).submit(batch)
-    }
-
-    fn flush(&self) -> Result<(), DeviceError> {
-        (**self).flush()
-    }
-
-    fn status(&self) -> Result<DeviceStatus, DeviceError> {
-        (**self).status()
-    }
-
-    fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
-        (**self).scrub(threads)
-    }
-
-    fn repair(&self, threads: usize) -> Result<RepairOutcome, DeviceError> {
-        (**self).repair(threads)
-    }
-
-    fn metrics(&self) -> Result<MetricsSnapshot, DeviceError> {
-        (**self).metrics()
-    }
-}
-
-/// Forwarding impl so a boxed **admin** device is itself a device —
-/// what lets generic wrappers (e.g. a cache tier) sit in front of
-/// whatever `open_admin()` returned while keeping the fault verbs
-/// reachable. Paired with the [`FaultAdmin`] forwarding impl below,
-/// the blanket [`AdminDevice`] impl then covers
-/// `Box<dyn AdminDevice>` too.
-impl BlockDevice for Box<dyn AdminDevice> {
-    fn capacity(&self) -> u64 {
-        (**self).capacity()
-    }
-
-    fn block_size(&self) -> usize {
-        (**self).block_size()
-    }
-
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
-        (**self).read_at(offset, len)
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        (**self).write_at(offset, data)
-    }
-
-    fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
-        (**self).submit(batch)
+    fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
+        (**self).submit_ops(ops)
     }
 
     fn flush(&self) -> Result<(), DeviceError> {
@@ -245,8 +224,9 @@ pub trait FaultAdmin {
     ) -> Result<(), DeviceError>;
 }
 
-/// Forwarding impl paired with the `BlockDevice` one above.
-impl FaultAdmin for Box<dyn AdminDevice> {
+/// Forwarding impl paired with the `BlockDevice` one above, so the
+/// blanket [`AdminDevice`] impl covers `Box<dyn AdminDevice>` too.
+impl<T: FaultAdmin + ?Sized> FaultAdmin for Box<T> {
     fn fail_device(&self, shard: usize, device: usize) -> Result<(), DeviceError> {
         (**self).fail_device(shard, device)
     }

@@ -8,6 +8,11 @@
 //! re-encode-vs-parity-delta decision), per shard for a sharded or
 //! remote one (parallel execution, one request frame per shard).
 //!
+//! Callers build an owned [`IoBatch`]; devices and layers work on
+//! borrowed views of its ops ([`OpRef`]) — the one form
+//! [`BlockDevice::submit_ops`](crate::BlockDevice::submit_ops) takes —
+//! so a payload is never copied on its way down the stack.
+//!
 //! # Semantics
 //!
 //! * Results come back **per op, in submission order**
@@ -15,8 +20,8 @@
 //! * Backends may reorder and merge **disjoint** ops freely; ops whose
 //!   byte ranges conflict (a write overlapping anything) must take
 //!   effect as if executed one at a time in submission order.
-//!   [`IoBatch::has_conflicts`] is the shared detector backends use to
-//!   fall back to the sequential path.
+//!   [`OpRef::conflicts`] is the shared detector backends use to fall
+//!   back to the sequential path.
 //! * A batch is not atomic: the first failing op aborts the rest, and
 //!   writes that already executed stay applied. Callers needing
 //!   all-or-nothing run their own journal above the device.
@@ -93,19 +98,9 @@ impl IoBatch {
         self
     }
 
-    /// Appends an already-built op.
-    pub fn push(&mut self, op: IoOp) {
-        self.ops.push(op);
-    }
-
     /// The ops, in submission order.
     pub fn ops(&self) -> &[IoOp] {
         &self.ops
-    }
-
-    /// Consumes the batch into its ops.
-    pub fn into_ops(self) -> Vec<IoOp> {
-        self.ops
     }
 
     /// Number of ops.
@@ -118,47 +113,129 @@ impl IoBatch {
         self.ops.is_empty()
     }
 
-    /// `true` when any two ops overlap and at least one of the pair is
-    /// a write — the condition under which execution order is
+    /// [`OpRef::conflicts`] over this batch's ops.
+    pub fn has_conflicts(&self) -> bool {
+        OpRef::conflicts(&OpRef::views(&self.ops))
+    }
+}
+
+/// A borrowed view of one read or write — what every device and layer
+/// works on, so a `write_at` payload is never copied into an owned
+/// [`IoOp`] on its way to the stripe buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpRef<'a> {
+    /// Read `len` bytes at byte `offset`.
+    Read {
+        /// Byte offset in the device's logical space.
+        offset: u64,
+        /// Bytes to read.
+        len: usize,
+    },
+    /// Write `data` at byte `offset`.
+    Write {
+        /// Byte offset in the device's logical space.
+        offset: u64,
+        /// Bytes to store.
+        data: &'a [u8],
+    },
+}
+
+impl<'a> OpRef<'a> {
+    /// The op's starting byte offset.
+    pub fn offset(&self) -> u64 {
+        match self {
+            OpRef::Read { offset, .. } | OpRef::Write { offset, .. } => *offset,
+        }
+    }
+
+    /// Bytes the op touches.
+    pub fn byte_len(&self) -> usize {
+        match self {
+            OpRef::Read { len, .. } => *len,
+            OpRef::Write { data, .. } => data.len(),
+        }
+    }
+
+    /// One byte past the op's span (`offset + byte_len`).
+    pub fn end(&self) -> u64 {
+        self.offset() + self.byte_len() as u64
+    }
+
+    /// `true` for writes.
+    pub fn is_write(&self) -> bool {
+        matches!(self, OpRef::Write { .. })
+    }
+
+    /// Borrowed views of owned ops, in order.
+    pub fn views(ops: &'a [IoOp]) -> Vec<OpRef<'a>> {
+        ops.iter().map(OpRef::from).collect()
+    }
+
+    /// The `len` bytes of this op starting `at` bytes in, re-addressed
+    /// to `offset` — how a layer cuts an op at shard or frame bounds.
+    pub fn piece(&self, at: usize, len: usize, offset: u64) -> OpRef<'a> {
+        match *self {
+            OpRef::Read { .. } => OpRef::Read { offset, len },
+            OpRef::Write { data, .. } => OpRef::Write {
+                offset,
+                data: &data[at..at + len],
+            },
+        }
+    }
+
+    /// The zeroed result slot an executor fills in for this op: a
+    /// buffer of the read's length, or an empty write outcome. Every
+    /// executor seeds with this, so result slots and ops can never
+    /// disagree on kind.
+    pub fn seed(&self) -> OpResult {
+        match self {
+            OpRef::Read { len, .. } => OpResult::Read(vec![0u8; *len]),
+            OpRef::Write { .. } => OpResult::Write(WriteOutcome::default()),
+        }
+    }
+
+    /// `true` when any two of `ops` overlap and at least one of the
+    /// pair is a write — the condition under which execution order is
     /// observable, so backends must fall back to submission order
     /// instead of regrouping. Overlapping reads are not conflicts.
-    pub fn has_conflicts(&self) -> bool {
-        let spans = self.ops.iter();
-        spans_conflict(spans.map(|op| (op.offset(), op.end(), op.is_write())))
-    }
-}
-
-/// [`IoBatch::has_conflicts`] over bare `(start, end, is_write)` spans,
-/// for backends that plan over borrowed views of the ops.
-pub fn spans_conflict(spans: impl Iterator<Item = (u64, u64, bool)>) -> bool {
-    // Sweep the spans in start order, tracking the furthest end seen
-    // over all ops and over writes alone; a later-starting op
-    // conflicts exactly when it begins before the relevant frontier.
-    let mut spans: Vec<(u64, u64, bool)> = spans.filter(|&(start, end, _)| end > start).collect();
-    spans.sort_unstable();
-    let (mut any_end, mut write_end) = (0u64, 0u64);
-    for (start, end, is_write) in spans {
-        if start < write_end || (is_write && start < any_end) {
-            return true;
+    pub fn conflicts(ops: &[OpRef<'_>]) -> bool {
+        if ops.len() < 2 {
+            return false;
         }
-        any_end = any_end.max(end);
-        if is_write {
-            write_end = write_end.max(end);
+        // Sweep the spans in start order, tracking the furthest end
+        // seen over all ops and over writes alone; a later-starting op
+        // conflicts exactly when it begins before the relevant frontier.
+        let mut spans: Vec<(u64, u64, bool)> = ops
+            .iter()
+            .filter(|op| op.byte_len() > 0)
+            .map(|op| (op.offset(), op.end(), op.is_write()))
+            .collect();
+        spans.sort_unstable();
+        let (mut any_end, mut write_end) = (0u64, 0u64);
+        for (start, end, is_write) in spans {
+            if start < write_end || (is_write && start < any_end) {
+                return true;
+            }
+            any_end = any_end.max(end);
+            if is_write {
+                write_end = write_end.max(end);
+            }
         }
-    }
-    false
-}
-
-impl From<Vec<IoOp>> for IoBatch {
-    fn from(ops: Vec<IoOp>) -> Self {
-        IoBatch { ops }
+        false
     }
 }
 
-impl FromIterator<IoOp> for IoBatch {
-    fn from_iter<I: IntoIterator<Item = IoOp>>(iter: I) -> Self {
-        IoBatch {
-            ops: iter.into_iter().collect(),
+impl<'a> From<&'a IoOp> for OpRef<'a> {
+    fn from(op: &'a IoOp) -> Self {
+        match op {
+            IoOp::Read { offset, len } => OpRef::Read {
+                offset: *offset,
+                len: *len,
+            },
+            IoOp::Write { offset, data } => OpRef::Write {
+                offset: *offset,
+                data,
+            },
         }
     }
 }
@@ -199,19 +276,6 @@ impl BatchResult {
         }
         BatchResult { results, write }
     }
-}
-
-/// The zeroed per-op result slots a backend fills in while executing a
-/// batch: reads get a zeroed buffer of their length, writes an empty
-/// outcome. Every native `submit` implementation seeds with this, so
-/// result slots and ops can never disagree on kind.
-pub fn seed_results(ops: &[IoOp]) -> Vec<OpResult> {
-    ops.iter()
-        .map(|op| match op {
-            IoOp::Read { len, .. } => OpResult::Read(vec![0u8; *len]),
-            IoOp::Write { .. } => OpResult::Write(WriteOutcome::default()),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -331,12 +395,11 @@ mod tests {
         assert!(!pairwise(sparse.ops()));
 
         // Flip exactly one lane onto a neighbour: now conflicting.
-        let mut ops = sparse.into_ops();
-        ops[77] = IoOp::Write {
-            offset: ops[78].offset(),
+        let mut bumped = sparse;
+        bumped.ops[77] = IoOp::Write {
+            offset: bumped.ops[78].offset(),
             data: vec![0u8],
         };
-        let bumped = IoBatch::from(ops);
         assert!(bumped.has_conflicts());
         assert!(pairwise(bumped.ops()));
     }

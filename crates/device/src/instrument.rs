@@ -1,14 +1,13 @@
 //! [`Instrumented`]: per-op metrics for any [`BlockDevice`].
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use stair_obs::trace::{self, names};
 use stair_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 
 use crate::{
-    BatchResult, BlockDevice, DeviceError, DeviceStatus, FaultAdmin, IoBatch, IoOp, RepairOutcome,
-    ScrubOutcome, WriteOutcome,
+    BlockDevice, DeviceError, DeviceStatus, FaultAdmin, OpRef, OpResult, RepairOutcome,
+    ScrubOutcome,
 };
 
 /// Handles for one op kind, registered once at construction so the hot
@@ -41,7 +40,7 @@ impl OpMeter {
 /// the whole stack's view.
 pub struct Instrumented<D: BlockDevice> {
     inner: D,
-    registry: Arc<MetricsRegistry>,
+    registry: MetricsRegistry,
     read: OpMeter,
     write: OpMeter,
     batch: OpMeter,
@@ -55,12 +54,7 @@ pub struct Instrumented<D: BlockDevice> {
 impl<D: BlockDevice> Instrumented<D> {
     /// Wraps `inner` with a fresh registry.
     pub fn new(inner: D) -> Self {
-        Self::with_registry(inner, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// Wraps `inner`, recording into a caller-provided registry (shared
-    /// with other wrappers or the surrounding process).
-    pub fn with_registry(inner: D, registry: Arc<MetricsRegistry>) -> Self {
+        let registry = MetricsRegistry::new();
         Instrumented {
             read: OpMeter::new(&registry, "read"),
             write: OpMeter::new(&registry, "write"),
@@ -75,39 +69,23 @@ impl<D: BlockDevice> Instrumented<D> {
         }
     }
 
-    /// The wrapper's registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// Unwraps, dropping the instrumentation.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
-
     /// Times `f`, charging one op (and on failure one error) to
-    /// `meter`, `bytes` moved to `bytes_counter`, and a journal event
-    /// of `kind`. `span_name` opens a trace span over the op — a child
-    /// of the caller's span, or a fresh root when tracing is enabled
-    /// and this wrapper is the outermost traced layer.
+    /// `meter` and a journal event of `kind` moving `bytes`.
+    /// `span_name` opens a trace span over the op — a child of the
+    /// caller's span, or a fresh root when tracing is enabled and this
+    /// wrapper is the outermost traced layer.
     fn observe<T>(
         &self,
         meter: &OpMeter,
         kind: &str,
         span_name: &'static str,
+        bytes: u64,
         f: impl FnOnce() -> Result<T, DeviceError>,
-        bytes_of: impl FnOnce(&Result<T, DeviceError>) -> u64,
     ) -> Result<T, DeviceError> {
         let mut span = trace::span_or_root(span_name);
         let t0 = Instant::now();
         let result = f();
         let elapsed = t0.elapsed();
-        let bytes = bytes_of(&result);
         span.set_bytes(bytes);
         if result.is_err() {
             span.fail();
@@ -132,49 +110,24 @@ impl<D: BlockDevice> BlockDevice for Instrumented<D> {
         self.inner.block_size()
     }
 
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
-        let result = self.observe(
-            &self.read,
-            "read",
-            names::DEV_READ,
-            || self.inner.read_at(offset, len),
-            |r| r.as_ref().map(|d| d.len() as u64).unwrap_or(0),
-        );
-        if let Ok(data) = &result {
-            self.bytes_read.add(data.len() as u64);
-        }
-        result
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        let result = self.observe(
-            &self.write,
-            "write",
-            names::DEV_WRITE,
-            || self.inner.write_at(offset, data),
-            |_| data.len() as u64,
-        );
-        if result.is_ok() {
-            self.bytes_written.add(data.len() as u64);
-        }
-        result
-    }
-
-    fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
+    fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
+        // The label is a function of the op list, not of the provided
+        // method that built it: a lone read or write meters as one.
+        let (meter, kind, span_name) = match ops {
+            [OpRef::Read { .. }] => (&self.read, "read", names::DEV_READ),
+            [OpRef::Write { .. }] => (&self.write, "write", names::DEV_WRITE),
+            _ => (&self.batch, "batch", names::DEV_BATCH),
+        };
         let (mut read_bytes, mut write_bytes) = (0u64, 0u64);
-        for op in batch.ops() {
+        for op in ops {
             match op {
-                IoOp::Read { len, .. } => read_bytes += *len as u64,
-                IoOp::Write { data, .. } => write_bytes += data.len() as u64,
+                OpRef::Read { len, .. } => read_bytes += *len as u64,
+                OpRef::Write { data, .. } => write_bytes += data.len() as u64,
             }
         }
-        let result = self.observe(
-            &self.batch,
-            "batch",
-            names::DEV_BATCH,
-            || self.inner.submit(batch),
-            |_| read_bytes + write_bytes,
-        );
+        let result = self.observe(meter, kind, span_name, read_bytes + write_bytes, || {
+            self.inner.submit_ops(ops)
+        });
         if result.is_ok() {
             self.bytes_read.add(read_bytes);
             self.bytes_written.add(write_bytes);
@@ -183,13 +136,9 @@ impl<D: BlockDevice> BlockDevice for Instrumented<D> {
     }
 
     fn flush(&self) -> Result<(), DeviceError> {
-        self.observe(
-            &self.flush,
-            "flush",
-            names::DEV_FLUSH,
-            || self.inner.flush(),
-            |_| 0,
-        )
+        self.observe(&self.flush, "flush", names::DEV_FLUSH, 0, || {
+            self.inner.flush()
+        })
     }
 
     fn status(&self) -> Result<DeviceStatus, DeviceError> {
@@ -197,23 +146,15 @@ impl<D: BlockDevice> BlockDevice for Instrumented<D> {
     }
 
     fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
-        self.observe(
-            &self.scrub,
-            "scrub",
-            names::DEV_SCRUB,
-            || self.inner.scrub(threads),
-            |_| 0,
-        )
+        self.observe(&self.scrub, "scrub", names::DEV_SCRUB, 0, || {
+            self.inner.scrub(threads)
+        })
     }
 
     fn repair(&self, threads: usize) -> Result<RepairOutcome, DeviceError> {
-        self.observe(
-            &self.repair,
-            "repair",
-            names::DEV_REPAIR,
-            || self.inner.repair(threads),
-            |_| 0,
-        )
+        self.observe(&self.repair, "repair", names::DEV_REPAIR, 0, || {
+            self.inner.repair(threads)
+        })
     }
 
     fn metrics(&self) -> Result<MetricsSnapshot, DeviceError> {
@@ -245,6 +186,7 @@ impl<D: BlockDevice + FaultAdmin> FaultAdmin for Instrumented<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IoBatch, WriteOutcome};
 
     /// A tiny in-memory device for exercising the wrapper.
     struct MemDevice {
@@ -268,28 +210,30 @@ mod tests {
             16
         }
 
-        fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
-            let data = self.data.lock().unwrap();
-            let start = offset as usize;
-            let end = start.checked_add(len).filter(|&e| e <= data.len());
-            match end {
-                Some(end) => Ok(data[start..end].to_vec()),
-                None => Err(DeviceError::OutOfRange("read past end".into())),
-            }
-        }
-
-        fn write_at(&self, offset: u64, bytes: &[u8]) -> Result<WriteOutcome, DeviceError> {
-            let mut data = self.data.lock().unwrap();
-            let start = offset as usize;
-            let end = start
-                .checked_add(bytes.len())
-                .filter(|&e| e <= data.len())
-                .ok_or_else(|| DeviceError::OutOfRange("write past end".into()))?;
-            data[start..end].copy_from_slice(bytes);
-            Ok(WriteOutcome {
-                bytes: bytes.len() as u64,
-                ..WriteOutcome::default()
-            })
+        fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
+            let mut bytes = self.data.lock().unwrap();
+            let span = |op: &OpRef<'_>| {
+                let start = op.offset() as usize;
+                match start.checked_add(op.byte_len()) {
+                    Some(end) if end <= bytes.len() => Ok(start..end),
+                    _ => Err(DeviceError::OutOfRange("op past end".into())),
+                }
+            };
+            let spans = ops.iter().map(span).collect::<Result<Vec<_>, _>>()?;
+            Ok(ops
+                .iter()
+                .zip(spans)
+                .map(|(op, span)| match op {
+                    OpRef::Read { .. } => OpResult::Read(bytes[span].to_vec()),
+                    OpRef::Write { data, .. } => {
+                        bytes[span].copy_from_slice(data);
+                        OpResult::Write(WriteOutcome {
+                            bytes: data.len() as u64,
+                            ..WriteOutcome::default()
+                        })
+                    }
+                })
+                .collect())
         }
 
         fn flush(&self) -> Result<(), DeviceError> {
@@ -354,7 +298,7 @@ mod tests {
     #[test]
     fn slow_op_capture_retains_context() {
         let dev = Instrumented::new(MemDevice::new(64));
-        dev.registry().journal().set_slow_threshold_us(0);
+        dev.registry.journal().set_slow_threshold_us(0);
         dev.write_at(0, &[9u8; 10]).unwrap();
         let snap = dev.metrics().unwrap();
         assert!(!snap.slow_ops.is_empty());

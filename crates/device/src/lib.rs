@@ -8,14 +8,18 @@
 //! that collapses them, exactly as `stair-code`'s `ErasureCode` trait
 //! did for the codecs one level down:
 //!
-//! * **[`BlockDevice`]** — the object-safe data-path trait
-//!   (`read_at`/`write_at`/`submit`/`flush`/`status`/`scrub`/`repair`),
-//!   all on `&self`, all `Send + Sync`, so any backend works behind
-//!   `Arc<dyn BlockDevice>`;
-//! * **[`IoBatch`] / [`IoOp`] / [`BatchResult`]** — the scatter-gather
-//!   batch types behind `submit`: many ops named up front so a backend
+//! * **[`BlockDevice`]** — the object-safe data-path trait, all on
+//!   `&self`, all `Send + Sync`, so any backend works behind
+//!   `Arc<dyn BlockDevice>`. An implementor writes one data-path
+//!   method, `submit_ops`, plus `capacity`/`block_size`/`flush`/
+//!   `status`/`scrub`/`repair`; callers get `read_at`/`write_at`/
+//!   `submit` from the trait, written once over it;
+//! * **[`IoBatch`] / [`IoOp`] / [`OpRef`] / [`BatchResult`]** — the
+//!   scatter-gather batch types: many ops named up front so a backend
 //!   can group them (per stripe locally, per shard remotely) instead of
-//!   paying per-op locks, codec passes, and round trips;
+//!   paying per-op locks, codec passes, and round trips. Callers own an
+//!   `IoBatch`; devices see borrowed `OpRef` views, so no layer copies
+//!   a payload;
 //! * **[`FaultAdmin`]** — the fault-injection split
 //!   (`fail_device`/`corrupt_sectors`); kept separate because remote or
 //!   production deployments may refuse admin operations;
@@ -53,7 +57,7 @@ mod report;
 mod spec;
 
 pub use api::{AdminDevice, BlockDevice, FaultAdmin};
-pub use batch::{seed_results, spans_conflict, BatchResult, IoBatch, IoOp, OpResult};
+pub use batch::{BatchResult, IoBatch, IoOp, OpRef, OpResult};
 pub use error::DeviceError;
 pub use instrument::Instrumented;
 pub use report::{

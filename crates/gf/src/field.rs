@@ -5,7 +5,7 @@ use core::hash::Hash;
 
 pub(crate) mod sealed {
     /// Prevents downstream crates from implementing [`super::Field`]; the
-    /// rest of the workspace relies on the algebraic guarantees of the three
+    /// rest of the workspace relies on the algebraic guarantees of the two
     /// fields shipped here.
     pub trait Sealed {}
 }
@@ -13,8 +13,8 @@ pub(crate) mod sealed {
 /// A binary extension field GF(2^w) with log/exp arithmetic and sector-sized
 /// region kernels.
 ///
-/// This trait is *sealed*: it is implemented only by [`crate::Gf4`],
-/// [`crate::Gf8`], and [`crate::Gf16`]. Implementations are zero-sized
+/// This trait is *sealed*: it is implemented only by [`crate::Gf8`]
+/// and [`crate::Gf16`]. Implementations are zero-sized
 /// "tag" types; all methods are associated functions.
 ///
 /// Addition in GF(2^w) is bitwise XOR (every element is its own additive

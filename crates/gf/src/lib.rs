@@ -5,7 +5,7 @@
 //! library; this crate is a from-scratch portable replacement providing:
 //!
 //! * single-element arithmetic (add/mul/div/inv/pow) via log/exp tables for
-//!   GF(2^4), GF(2^8), and GF(2^16) — see [`Gf4`], [`Gf8`], [`Gf16`];
+//!   GF(2^8) and GF(2^16) — see [`Gf8`], [`Gf16`];
 //! * *region* kernels operating on whole sectors of bytes, most importantly
 //!   [`Field::mult_xor_region`], the paper's `Mult_XOR(R1, R2, a)` primitive
 //!   (§5.3): multiply region `R1` by constant `a` and XOR the product into
@@ -43,7 +43,6 @@
 pub mod counters;
 mod field;
 mod gf16;
-mod gf4;
 mod gf8;
 #[allow(unsafe_code)]
 mod simd;
@@ -51,5 +50,4 @@ mod tables;
 
 pub use field::Field;
 pub use gf16::Gf16;
-pub use gf4::Gf4;
 pub use gf8::Gf8;

@@ -3,7 +3,7 @@
 //! them.
 
 use proptest::prelude::*;
-use stair_gf::{Field, Gf16, Gf4, Gf8};
+use stair_gf::{Field, Gf16, Gf8};
 
 macro_rules! axioms {
     ($modname:ident, $f:ty, $max:expr) => {
@@ -81,7 +81,6 @@ macro_rules! axioms {
     };
 }
 
-axioms!(gf4, Gf4, 15);
 axioms!(gf8, Gf8, 255);
 axioms!(gf16, Gf16, 65535);
 

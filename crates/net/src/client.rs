@@ -1,15 +1,15 @@
 //! Blocking client for the stair-net protocol.
 //!
 //! [`Client`] owns one connection and reuses it across calls. All data
-//! moves as **batches**: [`Client::submit`] ships many ops in one BATCH
-//! frame — one round trip instead of one per op — and
-//! [`Client::read_at`] / [`Client::write_at`] are one-op batches on the
-//! same path. Ops larger than [`MAX_IO_BYTES`] are cut into several
-//! frames and **pipelined**: up to a window of frames are in flight
-//! before the first response is awaited, and responses are matched back
-//! by request ID (the server's worker pool may complete them out of
-//! order). [`StripedClient`] splits a batch by placement so each
-//! touched shard gets its own frame, sent down the lanes in parallel.
+//! moves as **batches**: [`Client::submit_ops`] ships many ops in one
+//! BATCH frame — one round trip instead of one per op — and the
+//! `read_at` / `write_at` / `submit` the [`BlockDevice`] trait provides
+//! are lists on the same path. Ops larger than [`MAX_IO_BYTES`] are cut
+//! into several frames and **pipelined**: up to a window of frames are
+//! in flight before the first response is awaited, and responses are
+//! matched back by request ID (the server's worker pool may complete
+//! them out of order). [`StripedClient`] splits a batch by placement so
+//! each touched shard gets its own frame, sent down the lanes in parallel.
 //! Every response payload is checksum-verified by the frame layer
 //! before it is trusted, and server-reported failures are normalized by
 //! one shared helper ([`ok_or_remote`]).
@@ -30,6 +30,7 @@
 //! serialize on the connection.
 //!
 //! [`ok_or_remote`]: crate::protocol::ok_or_remote
+//! [`BlockDevice`]: stair_device::BlockDevice
 
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -37,11 +38,11 @@ use std::str::FromStr;
 use std::sync::{Mutex, MutexGuard};
 
 use stair_code::CodecSpec;
-use stair_device::{BatchResult, IoBatch, OpResult, RepairOutcome, ScrubOutcome, WriteOutcome};
+use stair_device::{OpRef, OpResult, RepairOutcome, ScrubOutcome};
 use stair_obs::trace::{self, names};
-use stair_store::{OpRef, StoreStatus};
+use stair_store::StoreStatus;
 
-use crate::device_impl::{sole_read, stitch};
+use crate::device_impl::stitch;
 use crate::protocol::{
     encode_batch, ok_or_remote, read_response, write_frame, write_request_traced, Opcode, Request,
     Response, ServerInfo, WireShardStatus, WireTrace, MAX_BATCH_OPS, MAX_IO_BYTES,
@@ -256,52 +257,27 @@ impl Client {
         }
     }
 
-    /// Reads `len` bytes at global byte `offset` — a one-op batch.
-    ///
-    /// # Errors
-    ///
-    /// Transport, checksum, and server failures.
-    pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, NetError> {
-        sole_read(self.submit_ops(names::CLIENT_READ, &[OpRef::Read { offset, len }])?)
-    }
-
-    /// Writes `data` at global byte `offset` — a one-op batch — returning
-    /// the aggregated outcome.
-    ///
-    /// # Errors
-    ///
-    /// Transport, checksum, and server failures.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, NetError> {
-        let results = self.submit_ops(names::CLIENT_WRITE, &[OpRef::Write { offset, data }])?;
-        Ok(BatchResult::from_results(results).write)
-    }
-
-    /// Submits a scatter-gather batch: every op travels in one BATCH
-    /// frame (several frames only past the per-request caps), so N
-    /// small ops cost one round trip instead of N.
+    /// The one data path: every op of `ops` travels in one BATCH frame
+    /// (several frames only past the per-request caps), so N small ops
+    /// cost one round trip instead of N. Every submission is retryable
+    /// — each frame's bytes (batch id included) are encoded once,
+    /// before any send, so a retry over a fresh connection reissues
+    /// them verbatim and the server can recognise the redelivery.
     ///
     /// # Errors
     ///
     /// Transport, checksum, and server failures; a failing op aborts
     /// the whole batch server-side.
-    pub fn submit(&self, batch: &IoBatch) -> Result<BatchResult, NetError> {
-        let results = self.submit_ops(names::CLIENT_SUBMIT, &OpRef::views(batch.ops()))?;
-        Ok(BatchResult::from_results(results))
-    }
-
-    /// The one data path: frames `ops` and sends them, under a span
-    /// named for the entry point. Every batch is retryable — each
-    /// frame's bytes (batch id included) are encoded once, before any
-    /// send, so a retry over a fresh connection reissues them verbatim
-    /// and the server can recognise the redelivery.
-    pub(crate) fn submit_ops(
-        &self,
-        span: &'static str,
-        ops: &[OpRef<'_>],
-    ) -> Result<Vec<OpResult>, NetError> {
+    pub fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, NetError> {
         if ops.is_empty() {
             return Ok(Vec::new());
         }
+        // Named for what the list is, whichever method built it.
+        let span = match ops {
+            [OpRef::Read { .. }] => names::CLIENT_READ,
+            [OpRef::Write { .. }] => names::CLIENT_WRITE,
+            _ => names::CLIENT_SUBMIT,
+        };
         let mut op = trace::span_or_root(span);
         op.set_bytes(ops.iter().map(|op| op.byte_len() as u64).sum());
         let frames = {
@@ -589,40 +565,17 @@ impl StripedClient {
         self.lane0().pull_traces()
     }
 
-    /// Reads `len` bytes at `offset` — a one-op batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`StripedClient::submit`].
-    pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, NetError> {
-        sole_read(self.submit_ops(names::CLIENT_READ, &[OpRef::Read { offset, len }])?)
-    }
-
-    /// Writes `data` at `offset` — a one-op batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`StripedClient::submit`].
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, NetError> {
-        let results = self.submit_ops(names::CLIENT_WRITE, &[OpRef::Write { offset, data }])?;
-        Ok(BatchResult::from_results(results).write)
-    }
-
-    /// Submits a batch with **one request frame per touched shard**:
-    /// ops are grouped by the server's placement map (reconstructed
-    /// from the HELLO geometry), each shard group ships as a single
-    /// BATCH frame, and the groups run across the lanes in parallel.
+    /// The one data path, with **one request frame per touched
+    /// shard**: ops are grouped by the server's placement map
+    /// (reconstructed from the HELLO geometry), each shard group ships
+    /// as a single BATCH frame, and the groups run across the lanes in
+    /// parallel.
     ///
     /// # Errors
     ///
     /// Span errors surface before anything is sent; afterwards the
     /// first shard failure wins.
-    pub fn submit(&self, batch: &IoBatch) -> Result<BatchResult, NetError> {
-        let results = self.submit_ops(names::CLIENT_SUBMIT, &OpRef::views(batch.ops()))?;
-        Ok(BatchResult::from_results(results))
-    }
-
-    fn submit_ops(&self, span: &'static str, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, NetError> {
+    pub fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, NetError> {
         let placement = self.lanes[0].info().placement()?;
         let mut groups = crate::placement::split_batch(&placement, ops)?;
         // The grouping is what we're after: split_batch localizes
@@ -635,7 +588,7 @@ impl StripedClient {
             }
         }
         crate::placement::run_groups(ops, &groups, |g| {
-            self.lanes[g.shard % self.lanes.len()].submit_ops(span, &g.ops)
+            self.lanes[g.shard % self.lanes.len()].submit_ops(&g.ops)
         })
     }
 }

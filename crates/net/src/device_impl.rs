@@ -4,10 +4,10 @@
 //! `stair_store::build_codec()`.
 
 use stair_device::{
-    BatchResult, BlockDevice, DeviceError, DeviceSpec, DeviceStatus, FaultAdmin, IoBatch, OpResult,
-    RepairOutcome, ScrubOutcome, ShardHealth, WriteOutcome,
+    BlockDevice, DeviceError, DeviceSpec, DeviceStatus, FaultAdmin, OpRef, OpResult, RepairOutcome,
+    ScrubOutcome, ShardHealth,
 };
-use stair_store::{shard_health, OpRef, StoreStatus, StripeStore};
+use stair_store::{shard_health, StoreStatus, StripeStore};
 
 use crate::{Client, NetError, ShardSet, StripedClient};
 
@@ -90,16 +90,6 @@ fn device_status(backend: &str, statuses: &[StoreStatus]) -> Result<DeviceStatus
     })
 }
 
-/// The bytes of a one-read submission.
-pub(crate) fn sole_read(mut results: Vec<OpResult>) -> Result<Vec<u8>, NetError> {
-    match results.pop() {
-        Some(OpResult::Read(data)) if results.is_empty() => Ok(data),
-        _ => Err(NetError::Protocol(
-            "a one-read batch did not produce exactly one read result".into(),
-        )),
-    }
-}
-
 /// Stitches one sub-batch's results back into the global result slots:
 /// `map[j]` names the global op and the byte offset sub-op `j` covers.
 /// Read bytes are copied into place; write outcomes fold additively.
@@ -151,17 +141,8 @@ impl BlockDevice for ShardSet {
         ShardSet::block_size(self)
     }
 
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
-        Ok(ShardSet::read_at(self, offset, len)?)
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        Ok(ShardSet::write_at(self, offset, data)?)
-    }
-
-    fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
-        let results = self.submit_ops(&OpRef::views(batch.ops()))?;
-        Ok(BatchResult::from_results(results))
+    fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
+        Ok(ShardSet::submit_ops(self, ops)?)
     }
 
     fn flush(&self) -> Result<(), DeviceError> {
@@ -217,16 +198,8 @@ impl BlockDevice for Client {
         Client::block_size(self)
     }
 
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
-        Ok(Client::read_at(self, offset, len)?)
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        Ok(Client::write_at(self, offset, data)?)
-    }
-
-    fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
-        Ok(Client::submit(self, batch)?)
+    fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
+        Ok(Client::submit_ops(self, ops)?)
     }
 
     fn flush(&self) -> Result<(), DeviceError> {
@@ -278,16 +251,8 @@ impl BlockDevice for StripedClient {
         self.info().block_size as usize
     }
 
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
-        Ok(StripedClient::read_at(self, offset, len)?)
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        Ok(StripedClient::write_at(self, offset, data)?)
-    }
-
-    fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
-        Ok(StripedClient::submit(self, batch)?)
+    fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
+        Ok(StripedClient::submit_ops(self, ops)?)
     }
 
     fn flush(&self) -> Result<(), DeviceError> {

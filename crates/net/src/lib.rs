@@ -18,7 +18,8 @@
 //!   reader thread per connection and a fixed worker pool executing
 //!   each BATCH frame as one placement-split, per-stripe-planned pass;
 //! * **[`Client`] / [`StripedClient`]** — blocking, connection-reusing
-//!   clients on which `read_at`/`write_at` are one-op batches; the
+//!   clients whose one data-path entry is `submit_ops` (`read_at`/
+//!   `write_at`/`submit` come from `stair_device::BlockDevice`); the
 //!   striped variant sends each touched shard's group down its own
 //!   connection;
 //! * **[`json`]** — a dependency-free JSON builder for the `--json`
@@ -31,6 +32,7 @@
 //! # Example
 //!
 //! ```
+//! use stair_device::BlockDevice; // read_at / write_at / submit
 //! use stair_net::{Client, Server, ServerConfig, ShardSet};
 //! use stair_store::StoreOptions;
 //!

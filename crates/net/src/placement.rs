@@ -17,9 +17,8 @@
 //! touches every shard in turn, so concurrent sequential clients spread
 //! across all shards instead of queueing on one.
 
-use stair_device::OpResult;
+use stair_device::{OpRef, OpResult};
 use stair_obs::trace;
-use stair_store::OpRef;
 
 use crate::NetError;
 

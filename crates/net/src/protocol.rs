@@ -43,10 +43,9 @@
 
 use std::io::{Read, Write};
 
-use stair_device::{IoOp, OpResult, RepairOutcome, ScrubOutcome, WriteOutcome};
+use stair_device::{IoOp, OpRef, OpResult, RepairOutcome, ScrubOutcome, WriteOutcome};
 use stair_obs::{HistogramSnapshot, MetricsSnapshot, SpanCtx, TraceEvent, BUCKETS};
 use stair_store::checksum::fletcher32;
-use stair_store::OpRef;
 
 use crate::NetError;
 

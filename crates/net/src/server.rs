@@ -27,9 +27,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use stair_device::OpRef;
 use stair_obs::trace::{self, names};
 use stair_obs::{MetricsRegistry, SpanCtx};
-use stair_store::OpRef;
 
 use crate::protocol::{
     read_request_traced, write_response, Request, Response, ServerInfo, WireTrace, PROTOCOL_VERSION,

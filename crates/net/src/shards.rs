@@ -10,10 +10,9 @@
 
 use std::path::{Path, PathBuf};
 
-use stair_device::{BatchResult, OpResult, RepairOutcome, ScrubOutcome, WriteOutcome};
-use stair_store::{OpRef, StoreOptions, StoreStatus, StripeStore};
+use stair_device::{OpRef, OpResult, RepairOutcome, ScrubOutcome};
+use stair_store::{StoreOptions, StoreStatus, StripeStore};
 
-use crate::device_impl::sole_read;
 use crate::placement::{run_groups, split_batch, Placement};
 use crate::protocol::WireShardStatus;
 use crate::NetError;
@@ -184,28 +183,6 @@ impl ShardSet {
         self.stores[0].codec_spec().to_string()
     }
 
-    /// Reads `len` bytes at global byte `offset` — a one-op
-    /// [`ShardSet::submit_ops`] (degraded shards reconstruct
-    /// transparently).
-    ///
-    /// # Errors
-    ///
-    /// Span errors and store errors propagate.
-    pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, NetError> {
-        sole_read(self.submit_ops(&[OpRef::Read { offset, len }])?)
-    }
-
-    /// Writes `data` at global byte `offset` — a one-op
-    /// [`ShardSet::submit_ops`] — returning the aggregated outcome.
-    ///
-    /// # Errors
-    ///
-    /// Span errors and store errors propagate.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, NetError> {
-        let results = self.submit_ops(&[OpRef::Write { offset, data }])?;
-        Ok(BatchResult::from_results(results).write)
-    }
-
     /// Executes `ops` (global offsets), returning per-op results in
     /// submission order: splits them by placement and runs the shard
     /// groups in parallel — shards share nothing, and each group runs
@@ -305,6 +282,7 @@ pub fn wire_status(status: &StoreStatus) -> WireShardStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stair_device::BlockDevice;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("stair-shards-{tag}-{}", std::process::id()));

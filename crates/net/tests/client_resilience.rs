@@ -9,6 +9,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 
+use stair_device::BlockDevice;
 use stair_net::{Client, Server, ServerConfig, ShardSet};
 use stair_store::StoreOptions;
 

@@ -19,7 +19,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::{TestRng, TestRngCore};
-use stair_device::{AdminDevice, BlockDevice, DeviceError, DeviceSpec, IoBatch, IoOp, OpResult};
+use stair_device::{
+    AdminDevice, BlockDevice, DeviceError, DeviceSpec, Instrumented, IoBatch, IoOp, OpResult,
+};
 use stair_net::protocol::MAX_IO_BYTES;
 use stair_net::{open_admin, open_device, Client, NetError, Server, ServerConfig, ShardSet};
 use stair_store::{build_codec, StoreOptions, StripeStore};
@@ -571,6 +573,13 @@ fn session(capacity: usize) -> Vec<Step> {
             }
         });
     }
+    // A lone op is the same list whether `read_at`/`write_at` or a
+    // one-op `submit` carried it (appended, so the draws above hold).
+    let (offset, len) = span(rng, capacity);
+    let (mut write, mut read) = (IoBatch::new(), IoBatch::new());
+    write.write(offset, bytes(rng, len));
+    read.read(offset, len);
+    steps.extend([Step::Submit(write), Step::Submit(read)]);
     steps
 }
 
@@ -583,8 +592,10 @@ fn recover_passes(dev: &dyn AdminDevice) -> u64 {
 /// byte-array model — and the restore path against the damage: no
 /// recover pass while nothing is damaged, at least one per write into
 /// a damaged footprint; ends with repair, a clean scrub and a full
-/// read-back.
-fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) {
+/// read-back. Returns how many one-read, one-write and other op lists
+/// it submitted — what a metering layer in front of `dev` must count.
+fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) -> [u64; 3] {
+    let (mut reads, mut writes, mut batches) = (2u64, 0u64, 0u64); // the two read-backs
     let capacity = dev.capacity() as usize;
     assert_eq!(capacity, MODEL_STRIPES * 20 * MODEL_BLOCK);
     let shards = dev.status().expect("status").shards.len();
@@ -595,17 +606,24 @@ fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) {
     for (n, step) in session(capacity).into_iter().enumerate() {
         match step {
             Step::Read(offset, len) => {
+                reads += 1;
                 let got = dev.read_at(offset, len).expect("read_at");
                 let at = offset as usize;
                 assert!(got == model[at..at + len], "step {n}: read {offset}+{len}");
             }
             Step::Write(offset, data) => {
+                writes += 1;
                 let outcome = dev.write_at(offset, &data).expect("write_at");
                 assert_eq!(outcome.bytes as usize, data.len(), "step {n}");
                 let at = offset as usize;
                 model[at..at + data.len()].copy_from_slice(&data);
             }
             Step::Submit(batch) => {
+                match batch.ops() {
+                    [IoOp::Read { .. }] => reads += 1,
+                    [IoOp::Write { .. }] => writes += 1,
+                    _ => batches += 1,
+                }
                 let result = dev.submit(&batch).expect("submit");
                 assert_eq!(result.results.len(), batch.len(), "step {n}");
                 // Submission order is the semantics: exact for
@@ -653,6 +671,7 @@ fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) {
                 // Local stripe → global range → byte offset (round-robin).
                 let at = ((stripe * shards + fault_shard) * 20 + block) * MODEL_BLOCK;
                 let before = recover_passes(dev);
+                writes += 1;
                 dev.write_at(at as u64, &data).expect("damaged write");
                 assert!(recover_passes(dev) > before, "step {n}: restore path");
                 model[at..at + data.len()].copy_from_slice(&data);
@@ -660,6 +679,7 @@ fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) {
                     // The restore healed the sector: the footprint is
                     // clean again and the same write pays nothing.
                     let before = recover_passes(dev);
+                    writes += 1;
                     dev.write_at(at as u64, &data).expect("healed write");
                     assert_eq!(recover_passes(dev), before, "step {n}: healed");
                 }
@@ -671,6 +691,7 @@ fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) {
     let scrub = dev.scrub(2).expect("scrub");
     assert!(scrub.clean(), "{scrub:?}");
     assert!(dev.read_at(0, capacity).expect("final read-back") == model);
+    [reads, writes, batches]
 }
 
 #[test]
@@ -685,6 +706,25 @@ fn device_matches_a_byte_array_on_every_backend() {
         drop(dev);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+    // file: behind the metering layer: one `observe` per submitted
+    // list, labelled by what the list is.
+    let dir = tmpdir("model-instrumented");
+    StripeStore::create(&dir, &model_opts(1)).expect("create store");
+    let spec = format!("file:{}", dir.display());
+    let dev = Instrumented::new(open_admin(&spec.parse().unwrap()).expect("open"));
+    let issued = check_against_byte_array(&dev, 0);
+    let metrics = dev.metrics().expect("metrics");
+    let counted = ["read", "write", "batch"].map(|kind| {
+        let errors = metrics.counter(&format!("dev.errors.{kind}"));
+        assert_eq!(errors, Some(0), "dev.errors.{kind}");
+        metrics
+            .counter(&format!("dev.ops.{kind}"))
+            .expect("counter")
+    });
+    assert_eq!(counted, issued, "dev.ops.read|write|batch");
+    assert!(issued.iter().all(|&n| n > 0), "{issued:?}");
+    drop(dev);
+    std::fs::remove_dir_all(&dir).unwrap();
     // shards: in process.
     let dir = tmpdir("model-shards");
     ShardSet::create(&dir, 2, &model_opts(2)).expect("create shards");

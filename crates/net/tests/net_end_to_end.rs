@@ -7,6 +7,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
+use stair_device::{BlockDevice, DeviceError, OpRef};
 use stair_net::{Client, NetError, Server, ServerConfig, ShardSet, StripedClient};
 use stair_store::StoreOptions;
 
@@ -168,8 +169,8 @@ fn damage_beyond_coverage_comes_back_as_remote_error() {
         client.fail_device(0, dev).expect("fail");
     }
     match client.read_at(0, capacity) {
-        Err(NetError::Remote(msg)) => assert!(msg.contains("unrecoverable"), "{msg}"),
-        other => panic!("expected Remote(unrecoverable), got {other:?}"),
+        Err(DeviceError::Corrupt(msg)) => assert!(msg.contains("unrecoverable"), "{msg}"),
+        other => panic!("expected Corrupt(unrecoverable), got {other:?}"),
     }
     // Shard 1 is untouched: spans entirely on it still read.
     let range = client.info().range_blocks as usize * client.block_size();
@@ -178,8 +179,12 @@ fn damage_beyond_coverage_comes_back_as_remote_error() {
 
     // Out-of-range and bad-shard requests come back as clean errors,
     // and the connection stays usable afterwards.
+    let past = OpRef::Read {
+        offset: client.capacity(),
+        len: 1,
+    };
     assert!(matches!(
-        client.read_at(client.capacity(), 1),
+        client.submit_ops(&[past]),
         Err(NetError::Remote(_))
     ));
     assert!(matches!(

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use stair_device::IoBatch;
+use stair_device::{BlockDevice, IoBatch};
 use stair_net::{Client, Server, ServerConfig, ShardSet};
 use stair_obs::trace::names;
 use stair_obs::{SpanRecord, TraceRecord};

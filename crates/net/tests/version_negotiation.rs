@@ -5,6 +5,7 @@
 
 use std::net::{TcpListener, TcpStream};
 
+use stair_device::BlockDevice;
 use stair_net::protocol::{
     read_request, read_response, write_request, write_response, Request, Response, ServerInfo,
     PROTOCOL_VERSION,

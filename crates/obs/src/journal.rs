@@ -72,14 +72,20 @@ impl Journal {
 
     /// Records one completed op.
     pub fn record(&self, kind: &str, shard: u32, bytes: u64, duration: Duration, ok: bool) {
-        let event = TraceEvent {
-            t_us: self.start.elapsed().as_micros() as u64,
+        let mut event = TraceEvent {
+            t_us: 0,
             kind: kind.to_string(),
             shard,
             bytes,
             duration_us: duration.as_micros() as u64,
             ok,
         };
+        // Stamped under the lock that orders the ring: a writer that
+        // stamped first and locked second could be overtaken, leaving
+        // the ring out of timestamp order. The slow ring nests inside
+        // (always ring → slow), so it is in stamp order too.
+        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        event.t_us = self.start.elapsed().as_micros() as u64;
         if event.duration_us >= self.slow_threshold_us() {
             let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
             if slow.len() == SLOW_CAP {
@@ -87,7 +93,6 @@ impl Journal {
             }
             slow.push_back(event.clone());
         }
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() == RING_CAP {
             ring.pop_front();
         }

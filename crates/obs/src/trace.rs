@@ -39,11 +39,12 @@ use std::time::{Duration, Instant, SystemTime};
 /// by the `span-discipline` lint), so a typo cannot silently split a
 /// span family in two.
 pub mod names {
-    /// Client batch submission (root on the client side).
+    /// Client submission of any list but a lone op (root on the client
+    /// side).
     pub const CLIENT_SUBMIT: &str = "client.submit";
-    /// Client `read_at` (root on the client side).
+    /// Client submission of one read (root on the client side).
     pub const CLIENT_READ: &str = "client.read";
-    /// Client `write_at` (root on the client side).
+    /// Client submission of one write (root on the client side).
     pub const CLIENT_WRITE: &str = "client.write";
     /// Packing requests into wire frames.
     pub const CLIENT_ENCODE: &str = "client.encode";
@@ -68,11 +69,11 @@ pub mod names {
     pub const STORE_DELTA: &str = "store.delta";
     /// Persisting integrity metadata after a write-back.
     pub const STORE_PERSIST: &str = "store.persist";
-    /// `Instrumented` device read.
+    /// `Instrumented` device submission of one read.
     pub const DEV_READ: &str = "dev.read";
-    /// `Instrumented` device write.
+    /// `Instrumented` device submission of one write.
     pub const DEV_WRITE: &str = "dev.write";
-    /// `Instrumented` device batch submit.
+    /// `Instrumented` device submission of any other op list.
     pub const DEV_BATCH: &str = "dev.batch";
     /// `Instrumented` device flush.
     pub const DEV_FLUSH: &str = "dev.flush";

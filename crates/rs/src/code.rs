@@ -384,7 +384,7 @@ impl<F: Field> MdsCode<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stair_gf::{Gf4, Gf8};
+    use stair_gf::Gf8;
 
     fn sample_data(k: usize) -> Vec<u8> {
         (0..k).map(|i| ((i * 37 + 11) % 256) as u8).collect()
@@ -453,10 +453,10 @@ mod tests {
             Err(Error::InvalidParams { .. })
         ));
         assert!(matches!(
-            MdsCode::<Gf4>::new(17, 4),
+            MdsCode::<Gf8>::new(257, 4),
             Err(Error::InvalidParams { .. })
         ));
-        assert!(MdsCode::<Gf4>::new(16, 4).is_ok());
+        assert!(MdsCode::<Gf8>::new(256, 4).is_ok());
     }
 
     #[test]

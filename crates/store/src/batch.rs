@@ -1,6 +1,7 @@
 //! The stripe store's one data path: every `read_at`, `write_at` and
-//! `submit` is a list of borrowed op views ([`OpRef`]) run through the
-//! same per-stripe planner — a lone call is simply a one-op batch.
+//! `submit` is a list of borrowed op views ([`stair_device::OpRef`])
+//! run through the same per-stripe planner — a lone call is simply a
+//! one-op batch.
 //!
 //! The ops are grouped **per stripe** first, so each touched stripe
 //! costs:
@@ -49,111 +50,16 @@
 //!
 //! A stripe that is also written serves its reads from the cells the
 //! write staged. Ops that conflict (a write overlapping anything — see
-//! [`stair_device::IoBatch::has_conflicts`]) run as one-op plans in
+//! [`stair_device::OpRef::conflicts`]) run as one-op plans in
 //! submission order, where overlap semantics are trivially right.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use stair_code::{CellIdx, CodeError, ErasureCode, StripeBuf};
-use stair_device::{spans_conflict, BatchResult, IoBatch, IoOp, OpResult, WriteOutcome};
+use stair_device::{BatchResult, IoBatch, OpRef, OpResult, WriteOutcome};
 
 use crate::{Error, StripeStore};
-
-/// A borrowed view of one read or write — what the planner (and the
-/// shard and wire layers above it) work on, so a `write_at` payload is
-/// never copied into an owned [`IoOp`] on its way to the stripe buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpRef<'a> {
-    /// Read `len` bytes at byte `offset`.
-    Read {
-        /// Byte offset in the device's logical space.
-        offset: u64,
-        /// Bytes to read.
-        len: usize,
-    },
-    /// Write `data` at byte `offset`.
-    Write {
-        /// Byte offset in the device's logical space.
-        offset: u64,
-        /// Bytes to store.
-        data: &'a [u8],
-    },
-}
-
-impl<'a> OpRef<'a> {
-    /// The op's starting byte offset.
-    pub fn offset(&self) -> u64 {
-        match self {
-            OpRef::Read { offset, .. } | OpRef::Write { offset, .. } => *offset,
-        }
-    }
-
-    /// Bytes the op touches.
-    pub fn byte_len(&self) -> usize {
-        match self {
-            OpRef::Read { len, .. } => *len,
-            OpRef::Write { data, .. } => data.len(),
-        }
-    }
-
-    /// One byte past the op's span (`offset + byte_len`).
-    pub fn end(&self) -> u64 {
-        self.offset() + self.byte_len() as u64
-    }
-
-    /// `true` for writes.
-    pub fn is_write(&self) -> bool {
-        matches!(self, OpRef::Write { .. })
-    }
-
-    /// Borrowed views of owned ops, in order.
-    pub fn views(ops: &'a [IoOp]) -> Vec<OpRef<'a>> {
-        ops.iter().map(OpRef::from).collect()
-    }
-
-    /// The `len` bytes of this op starting `at` bytes in, re-addressed
-    /// to `offset` — how a layer cuts an op at shard or frame bounds.
-    pub fn piece(&self, at: usize, len: usize, offset: u64) -> OpRef<'a> {
-        match *self {
-            OpRef::Read { .. } => OpRef::Read { offset, len },
-            OpRef::Write { data, .. } => OpRef::Write {
-                offset,
-                data: &data[at..at + len],
-            },
-        }
-    }
-
-    /// The zeroed result slot an executor fills in for this op: a
-    /// buffer of the read's length, or an empty write outcome.
-    pub fn seed(&self) -> OpResult {
-        match self {
-            OpRef::Read { len, .. } => OpResult::Read(vec![0u8; *len]),
-            OpRef::Write { .. } => OpResult::Write(WriteOutcome::default()),
-        }
-    }
-
-    /// `true` when any two of `ops` overlap and one of the pair writes
-    /// ([`stair_device::IoBatch::has_conflicts`] over views).
-    pub fn conflicts(ops: &[OpRef<'_>]) -> bool {
-        spans_conflict(ops.iter().map(|op| (op.offset(), op.end(), op.is_write())))
-    }
-}
-
-impl<'a> From<&'a IoOp> for OpRef<'a> {
-    fn from(op: &'a IoOp) -> Self {
-        match op {
-            IoOp::Read { offset, len } => OpRef::Read {
-                offset: *offset,
-                len: *len,
-            },
-            IoOp::Write { offset, data } => OpRef::Write {
-                offset: *offset,
-                data,
-            },
-        }
-    }
-}
 
 /// A stripe's journal payload: the cells to record, and whether they
 /// form a full-stripe data image (parity recomputed at replay).
@@ -227,6 +133,10 @@ struct StagedWrite {
     touched: Option<BTreeSet<CellIdx>>,
 }
 
+// `read_at`, `write_at` and `submit` below are the one place outside
+// `stair_device::BlockDevice` that still spells a lone op as a method:
+// the layer ledger (`benchmark/src/ladder.rs`) times the store through
+// them with the typed `Error`. Everything else enters by `submit_ops`.
 impl StripeStore {
     /// Reads `len` bytes starting at logical byte `offset`, transparently
     /// reconstructing sectors lost to failed devices or latent damage.
@@ -556,6 +466,7 @@ mod tests {
     use super::*;
     use crate::{BadSector, DeviceState, StoreOptions, StripeStore};
     use stair_code::ErasureSet;
+    use stair_device::IoOp;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {

@@ -2,8 +2,8 @@
 //! [`StripeStore`] — the `file:` backend of the unified device API.
 
 use stair_device::{
-    BatchResult, BlockDevice, DeviceError, DeviceStatus, FaultAdmin, IoBatch, RepairOutcome,
-    ScrubOutcome, ShardHealth, WriteOutcome,
+    BlockDevice, DeviceError, DeviceStatus, FaultAdmin, OpRef, OpResult, RepairOutcome,
+    ScrubOutcome, ShardHealth,
 };
 
 use crate::{Error, RepairReport, ScrubReport, StoreStatus, StripeStore};
@@ -84,16 +84,8 @@ impl BlockDevice for StripeStore {
         StripeStore::block_size(self)
     }
 
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
-        Ok(StripeStore::read_at(self, offset, len)?)
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        Ok(StripeStore::write_at(self, offset, data)?)
-    }
-
-    fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
-        Ok(StripeStore::submit(self, batch)?)
+    fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
+        Ok(StripeStore::submit_ops(self, ops)?)
     }
 
     fn flush(&self) -> Result<(), DeviceError> {

@@ -15,7 +15,8 @@
 //!   ([`BlockMap`]);
 //! * **one data path** — `read_at`, `write_at` and the scatter-gather
 //!   [`StripeStore::submit`] all run the same per-stripe planner over
-//!   borrowed op views ([`OpRef`]); a lone call is a one-op batch;
+//!   borrowed op views ([`stair_device::OpRef`]); a lone call is a
+//!   one-op batch;
 //! * a **write path** that batches dirty blocks per stripe — full-stripe
 //!   writes re-encode in one pass, small writes take the parity-delta
 //!   update path ([`StripeStore::write_at`]);
@@ -78,7 +79,6 @@ mod repair;
 mod scrub;
 mod store;
 
-pub use batch::OpRef;
 pub use codec::build_codec;
 pub use device_impl::{gf_metrics, repair_outcome, scrub_outcome, shard_health};
 pub use error::Error;
