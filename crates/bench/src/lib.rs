@@ -1,5 +1,5 @@
-//! Shared infrastructure for the table/figure harnesses and Criterion
-//! benches that regenerate the STAIR paper's evaluation (§5.3, §6, §7).
+//! Shared infrastructure for the table/figure harnesses that regenerate
+//! the STAIR paper's evaluation (§5.3, §6, §7).
 //!
 //! Each binary under `src/bin/` reproduces one table or figure and prints
 //! the same rows/series the paper reports. Absolute throughput depends on
@@ -9,16 +9,12 @@
 //! Environment knobs:
 //! * `STAIR_BENCH_STRIPE_MB` — stripe size for speed tests (default 8; the
 //!   paper uses 32);
-//! * `STAIR_BENCH_REPS` — timed repetitions per point (default 3);
-//! * `STAIR_TRACE=1` — enable request tracing during the measurement, so
-//!   every driver submission roots a `bench.submit` trace whose duration
-//!   can be cross-checked against the reported latency percentiles
-//!   (tracing costs a little, so leave it off for headline numbers).
+//! * `STAIR_BENCH_REPS` — timed repetitions per point (default 3).
+//!
+//! Numbers about the *system* around the codes (store, cache, wire) come
+//! from `benchmark/run.sh`, not from this crate.
 
 #![forbid(unsafe_code)]
-
-pub mod driver;
-pub mod zipf;
 
 use std::time::Instant;
 
@@ -41,16 +37,6 @@ pub fn reps() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
-}
-
-/// Enables request tracing when `STAIR_TRACE=1` is set, so driver
-/// submissions root `bench.submit` traces. Harness binaries call this
-/// once at startup; the default (unset) keeps the measured path free
-/// of recording overhead.
-pub fn trace_from_env() {
-    if std::env::var("STAIR_TRACE").is_ok_and(|v| v == "1") {
-        stair_obs::trace::set_enabled(true);
-    }
 }
 
 /// Measures throughput in MB/s over `reps` runs of `f` (after one warmup),

@@ -3,7 +3,10 @@
 //! `CodecSpec` family that exists in code must appear in README.md —
 //! the names are extracted from the `name()`/`scheme()`/`family()`
 //! match arms, so adding a variant without documenting it fails the
-//! build.
+//! build. The README also says one instrument answers each question
+//! (`benchmark/` for the system, the paper bins for the paper); a
+//! `benches/` directory, a `[[bench]]` table or a root `BENCH_*.json`
+//! would be a second one.
 
 use crate::analyzers::wire::{fn_body_range, parse_name_arms, PROTOCOL_RS};
 use crate::findings::{Finding, Lint};
@@ -12,6 +15,19 @@ use crate::workspace::Workspace;
 
 /// Appends findings for names present in code but absent from README.
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
+    for stray in &ws.stray_harnesses {
+        out.push(Finding::new(
+            Lint::DocDrift,
+            stray,
+            0,
+            0,
+            format!(
+                "`{stray}` is a second timing harness; timing harnesses live in \
+                 `benchmark/` or `crates/bench/src/bin`"
+            ),
+            &format!("stray harness {stray}"),
+        ));
+    }
     let Some(readme) = ws.doc("README.md") else {
         out.push(Finding::new(
             Lint::DocDrift,

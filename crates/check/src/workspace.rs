@@ -1,5 +1,5 @@
 //! Workspace discovery: which files exist, which crate each belongs
-//! to, what role it plays (library source, test, bench, …), where its
+//! to, what role it plays (library source, test, example, …), where its
 //! `#[cfg(test)]` modules sit, and which waiver comments it carries.
 
 use std::fs;
@@ -17,8 +17,6 @@ pub enum FileKind {
     BinSrc,
     /// Integration tests (`tests/`).
     Test,
-    /// Benchmarks (`benches/`).
-    Bench,
     /// Examples (`examples/`).
     Example,
 }
@@ -30,7 +28,6 @@ impl FileKind {
             FileKind::LibSrc => "lib",
             FileKind::BinSrc => "bin",
             FileKind::Test => "test",
-            FileKind::Bench => "bench",
             FileKind::Example => "example",
         }
     }
@@ -60,12 +57,9 @@ impl SourceFile {
     }
 
     /// `true` when the file as a whole is test-only code (integration
-    /// tests, benches, examples).
+    /// tests, examples).
     pub fn is_test_like(&self) -> bool {
-        matches!(
-            self.kind,
-            FileKind::Test | FileKind::Bench | FileKind::Example
-        )
+        matches!(self.kind, FileKind::Test | FileKind::Example)
     }
 
     /// Looks for a waiver with `key` on `line` or the line above it —
@@ -87,6 +81,10 @@ pub struct Workspace {
     /// `(rel-path, contents)` for README.md / EXPERIMENTS.md when
     /// present.
     pub docs: Vec<(String, String)>,
+    /// Timing harnesses outside `benchmark/` and `crates/bench/src/bin`:
+    /// a member's `benches/` directory, a member manifest with a
+    /// `[[bench]]` table, a root `BENCH_*.json` (workspace-relative).
+    pub stray_harnesses: Vec<String>,
 }
 
 impl Workspace {
@@ -107,6 +105,13 @@ impl Workspace {
         members.push(String::from("."));
 
         let mut files = Vec::new();
+        let mut stray_harnesses: Vec<String> = fs::read_dir(&root)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .collect();
         for member in &members {
             let dir = if member == "." {
                 root.clone()
@@ -117,10 +122,15 @@ impl Workspace {
                 .strip_prefix("crates/")
                 .unwrap_or(member.as_str())
                 .to_string();
+            if dir.join("benches").is_dir() {
+                stray_harnesses.push(format!("{member}/benches"));
+            }
+            if fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|m| m.contains("[[bench]]")) {
+                stray_harnesses.push(format!("{member}/Cargo.toml"));
+            }
             for (sub, kind) in [
                 ("src", FileKind::LibSrc),
                 ("tests", FileKind::Test),
-                ("benches", FileKind::Bench),
                 ("examples", FileKind::Example),
             ] {
                 let base = dir.join(sub);
@@ -174,7 +184,12 @@ impl Workspace {
                 docs.push((name.to_string(), text));
             }
         }
-        Ok(Workspace { root, files, docs })
+        Ok(Workspace {
+            root,
+            files,
+            docs,
+            stray_harnesses,
+        })
     }
 
     /// The file at workspace-relative path `rel`, if scanned.

@@ -296,6 +296,31 @@ fn doc_drift_complete_readme_is_clean() {
     assert_eq!(of(&r, Lint::DocDrift), Vec::<String>::new());
 }
 
+#[test]
+fn doc_drift_flags_a_second_timing_harness() {
+    let r = run_ws(&[
+        ("README.md", &fixture("doc_readme_good.md")),
+        ("BENCH_x.json", "{}\n"),
+        ("crates/bench/Cargo.toml", "[[bench]]\nname = \"x\"\n"),
+        ("crates/bench/benches/x.rs", "fn main() {}\n"),
+        // At home: a bin, and a `[[bin]]` table.
+        ("crates/gf/Cargo.toml", "[[bin]]\nname = \"y\"\n"),
+        ("crates/gf/src/bin/y.rs", "fn main() {}\n"),
+    ]);
+    let hits = of(&r, Lint::DocDrift);
+    assert_eq!(hits.len(), 3, "{hits:?}");
+    for stray in [
+        "BENCH_x.json",
+        "crates/bench/Cargo.toml",
+        "crates/bench/benches",
+    ] {
+        assert!(
+            hits.iter().any(|h| h.starts_with(&format!("{stray}:0 "))),
+            "{stray}: {hits:?}"
+        );
+    }
+}
+
 // ---- L6 counter-discipline -----------------------------------------
 
 #[test]
@@ -443,14 +468,13 @@ const GF_ROOT: (&str, &str) = ("crates/gf/src/lib.rs", "#![deny(unsafe_code)]\nm
 #[test]
 fn unsafe_outside_the_simd_module_is_flagged_everywhere() {
     let bad = fixture("unsafe_bad.rs");
-    // Library, binary, integration-test and bench code alike; the SAFETY
+    // Library, binary and integration-test code alike; the SAFETY
     // comment and the `# Safety` docs in the fixture buy nothing here.
     for rel in [
         "crates/net/src/frame.rs",
         "crates/gf/src/gf8.rs",
         "crates/cli/src/main.rs",
         "crates/store/tests/io.rs",
-        "crates/bench/benches/k.rs",
     ] {
         let r = run_ws(&[(rel, &bad)]);
         let hits = of(&r, Lint::UnsafeConfined);

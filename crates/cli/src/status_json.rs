@@ -10,9 +10,9 @@ use stair_net::{WireSpan, WireTrace};
 use stair_obs::MetricsSnapshot;
 
 /// A metrics snapshot as a JSON object — the serializer `stair dev
-/// metrics` and `stair remote metrics` share with the bench drivers
-/// (arrays of uniform objects, so the key shape is identical across
-/// backends whose metric-name sets differ).
+/// metrics` and `stair remote metrics` share (arrays of uniform
+/// objects, so the key shape is identical across backends whose
+/// metric-name sets differ).
 pub fn metrics_json(snap: &MetricsSnapshot) -> Json {
     stair_net::json::metrics_json(snap)
 }

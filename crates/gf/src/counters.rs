@@ -18,7 +18,7 @@
 //!
 //! The counter is cumulative and shared between threads (relaxed atomics);
 //! for a precise per-operation count, measure deltas on a single thread as
-//! the benchmark harnesses in `stair-bench` do.
+//! the `gf_counters` test in `stair` does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

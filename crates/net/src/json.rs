@@ -4,7 +4,7 @@
 //! module covers the one direction the tooling needs: building a value
 //! and rendering it as spec-compliant JSON text (string escaping,
 //! `null` for non-finite floats). Shared by `stair store status --json`,
-//! `stair remote status --json`, and the benchmark `--json` reports.
+//! `stair remote status --json`, and `chaos_kill9`'s `--json` report.
 
 use std::fmt;
 
@@ -62,10 +62,10 @@ impl Json {
 }
 
 /// Renders a metrics snapshot as the one JSON shape every surface
-/// shares (`stair dev metrics`, `stair remote metrics`, and the bench
-/// drivers' `--json` output): counters, gauges, histograms, and slow
-/// ops as **arrays of uniform objects**, so the key shape is identical
-/// across backends even though the metric *name* sets differ.
+/// shares (`stair dev metrics`, `stair remote metrics`): counters,
+/// gauges, histograms, and slow ops as **arrays of uniform objects**,
+/// so the key shape is identical across backends even though the
+/// metric *name* sets differ.
 pub fn metrics_json(snap: &stair_obs::MetricsSnapshot) -> Json {
     Json::obj([
         (

@@ -406,7 +406,7 @@ fn worker_loop(state: &State, shards: &ShardSet, info: &ServerInfo) {
         // starts when the reader parsed the frame and joins the
         // client's trace; the queue wait is recorded as the interval
         // between parse and this worker popping the job.
-        let mut root = job.ctx.map(|ctx| {
+        let root = job.ctx.map(|ctx| {
             let g =
                 trace::wire_root_at(names::SRV_REQUEST, ctx.trace_id, ctx.span_id, job.received);
             trace::span_at(
@@ -422,16 +422,16 @@ fn worker_loop(state: &State, shards: &ShardSet, info: &ServerInfo) {
         };
         let elapsed = start.elapsed();
         record_request(&state.registry, kind, bytes, elapsed, &resp);
-        if let Some(g) = root.as_mut() {
+        // The root closes before the response frame is written: a
+        // client holding its reply can already pull this trace, and
+        // `srv.request` lies inside the client span that waited on it.
+        if let Some(mut g) = root {
             g.set_bytes(bytes);
             if matches!(resp, Response::Error(_)) {
                 g.fail();
             }
         }
         job.writer.send(job.id, &resp);
-        // The root closes only after the response frame is written,
-        // so the server span covers the write-back too.
-        drop(root);
     }
 }
 

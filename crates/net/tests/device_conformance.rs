@@ -302,6 +302,40 @@ fn cache_write_back_tcp_round_trips_after_flush() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The write tier's group-commit payoff, in counts: the same
+/// one-block-at-a-time fill of every stripe costs write-through one
+/// stripe lock and one parity-delta call per block, and write-back —
+/// whose drain hands each stripe's blocks to the store as one
+/// full-stripe commit — one lock and one encode pass per stripe.
+#[test]
+fn cache_write_back_pays_one_encode_pass_per_stripe() {
+    let counts = |query: &str| {
+        let dir = tmpdir("cache-wb-counts");
+        StripeStore::create(&dir, &opts()).expect("create store");
+        let spec = format!("cache:file:{}?mb=1{query}", dir.display());
+        let dev = open_device(&spec.parse().unwrap()).expect("open cached file device");
+        let block = dev.block_size();
+        let payload = pattern(dev.capacity() as usize, 73);
+        for (slot, bytes) in payload.chunks(block).enumerate() {
+            dev.write_at((slot * block) as u64, bytes).expect("write");
+        }
+        dev.flush().expect("flush");
+        let metrics = dev.metrics().expect("metrics");
+        assert_eq!(dev.read_at(0, payload.len()).expect("read back"), payload);
+        drop(dev);
+        std::fs::remove_dir_all(&dir).unwrap();
+        ["encode_passes", "delta_update_calls", "stripe_locks"]
+            .map(|name| metrics.counter(&format!("store.{name}")).expect("counter"))
+    };
+    // [encode passes, delta calls, stripe locks] of a fresh store
+    // handle; r·(n−m) − Σe = 20 data blocks per stripe.
+    let stripes = opts().stripes as u64;
+    let blocks = stripes * 20;
+    assert_eq!(counts(""), [0, blocks, blocks], "write-through");
+    let back = counts("&wb=on&interval_ms=0");
+    assert_eq!(back, [stripes, 0, stripes], "write-back");
+}
+
 /// A span crossing the placement wrap boundary — the end of shard k-1's
 /// first range into shard 0's second range — must read and write
 /// identically through the trait, both in-process and over the wire.

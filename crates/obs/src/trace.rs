@@ -81,7 +81,8 @@ pub mod names {
     pub const DEV_SCRUB: &str = "dev.scrub";
     /// `Instrumented` device repair.
     pub const DEV_REPAIR: &str = "dev.repair";
-    /// One timed submission in the bench driver.
+    /// One timed submission in `benchmark/`'s load engine.
+    // check: span-ok recorded by benchmark/src/{engine,ladder}.rs, a package outside the workspace scan
     pub const BENCH_SUBMIT: &str = "bench.submit";
     /// Appending (and fsyncing) one intent record to the stripe journal.
     pub const JRNL_APPEND: &str = "jrnl.append";

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use stair_obs::Histogram;
 
-/// Exact nearest-rank percentile over raw samples — the definition the
-/// bench driver used before the shared histogram replaced it.
+/// Exact nearest-rank percentile over raw samples — the definition
+/// the shared histogram's quantiles are held to.
 fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
