@@ -1,12 +1,16 @@
 //! L8 `persist-ordering`: the crash-consistency invariant behind the
 //! journal, shipped as a lint instead of prose. In `crates/store`,
 //! mutating a stripe in place is only safe after the journal holds a
-//! durable record of the post-image — so the only functions allowed to
-//! call `.write_sector(…)` are the legs of the journal protocol:
+//! durable record of the post-image — so the sector-write primitives
+//! (`.write_run(…)`, `.write_sector(…)`, and the store's one recorded
+//! writer over them, `.write_recorded(…)`) may only be called from the
+//! legs of the journal protocol:
 //!
 //! * `apply_write_back` — the in-place leg of the planner's group
-//!   commit and of data-image replay (both journal-first);
-//! * `replay_journal` — re-applies already-durable records at open.
+//!   commit and of replay (both journal-first);
+//! * `replay_journal` — re-applies already-durable records at open;
+//! * `write_recorded` itself — the one function that turns a commit's
+//!   cells into per-device runs.
 //!
 //! Any other call site is a write the journal cannot finish after a
 //! crash: a torn stripe that is neither old nor new, the exact
@@ -27,9 +31,12 @@ use crate::workspace::{FileKind, SourceFile, Workspace};
 /// tests, not callers under the ordering policy.
 const DEVICE_RS: &str = "crates/store/src/device.rs";
 
+/// The calls that write sectors in place.
+const SECTOR_WRITES: &[&str] = &["write_run", "write_sector", "write_recorded"];
+
 /// The journaled commit path: the only enclosing functions that may
 /// write sectors in place without a waiver.
-const ALLOWED_FNS: &[&str] = &["apply_write_back", "replay_journal"];
+const ALLOWED_FNS: &[&str] = &["write_recorded", "apply_write_back", "replay_journal"];
 
 /// Appends persist-ordering findings.
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
@@ -77,7 +84,7 @@ fn scan_file(f: &SourceFile, out: &mut Vec<Finding>) {
             ";" => {
                 pending = None;
             }
-            "write_sector" => {
+            name if SECTOR_WRITES.contains(&name) => {
                 if !(tf.is_punct(ci.wrapping_sub(1), ".") && tf.is_punct(ci + 1, "(")) {
                     continue;
                 }
@@ -100,8 +107,8 @@ fn scan_file(f: &SourceFile, out: &mut Vec<Finding>) {
                     tok.line,
                     tok.col,
                     format!(
-                        "in-place sector write in `{site}`, outside the journaled commit path \
-                         ({}): journal the post-image first and route through `apply_write_back`; \
+                        "in-place sector write (`.{name}`) in `{site}`, outside the journaled commit \
+                         path ({}): journal the post-image first and route through `apply_write_back`; \
                          a deliberate bypass needs `// check: persist-ok <reason>`",
                         ALLOWED_FNS.join(" / ")
                     ),

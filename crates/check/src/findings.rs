@@ -28,8 +28,9 @@ pub enum Lint {
     /// L7: span names recorded outside the declared `stair-obs` set,
     /// or declared span names nothing ever records.
     SpanDiscipline,
-    /// L8: an in-place stripe write-back (`.write_sector(…)`) in
-    /// `crates/store` outside the journaled commit path.
+    /// L8: an in-place stripe write-back (`.write_run(…)`,
+    /// `.write_sector(…)`, `.write_recorded(…)`) in `crates/store`
+    /// outside the journaled commit path.
     PersistOrdering,
     /// L9: `unsafe` outside `crates/gf/src/simd.rs`, an `unsafe` inside
     /// it without a `// SAFETY:` comment, or a library crate root without

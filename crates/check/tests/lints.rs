@@ -431,9 +431,12 @@ fn unjournaled_sector_writes_are_flagged() {
     let bad = fixture("persist_bad.rs");
     let r = run_ws(&[("crates/store/src/store.rs", &bad)]);
     let hits = of(&r, Lint::PersistOrdering);
-    assert_eq!(hits.len(), 2, "{hits:?}");
+    assert_eq!(hits.len(), 4, "{hits:?}");
     assert!(hits.iter().any(|h| h.contains("sneaky_overwrite")));
     assert!(hits.iter().any(|h| h.contains("flush_cache_line")));
+    let in_fn = |site: &str, call: &str| hits.iter().any(|h| h.contains(site) && h.contains(call));
+    assert!(in_fn("overwrite_column", ".write_run"));
+    assert!(in_fn("heal_in_passing", ".write_recorded"));
     assert_ne!(r.exit_code(), 0);
 }
 

@@ -11,8 +11,10 @@
 //!   byte of the stripe rebuild it in memory and encode once (no old
 //!   state read at all); anything less is a read-modify-write over its
 //!   **footprint** (below),
-//! * **one** write-back and (per plan, not per stripe) **one** journal
-//!   fsync and **one** integrity persist.
+//! * **one** write-back — a positioned write per run of consecutive
+//!   rows per device (the run rule, below) — and, per plan, not per
+//!   stripe, **one** journal write under **one** fsync and **one**
+//!   integrity persist.
 //!
 //! # The footprint rule
 //!
@@ -47,6 +49,22 @@
 //! cells reconstructed, and the next read plans around it. Damage
 //! *outside* the sources is neither read nor healed — the scrub finds
 //! it.
+//!
+//! # The run rule
+//!
+//! A commit writes runs, not sectors. A device file stores the rows of
+//! a stripe contiguously, the checksum table is one flat row-major
+//! array, and a plan's records sit back to back in the journal — so the
+//! write-back issues one positioned write per run of consecutive rows
+//! on one device (`StripeStore::write_recorded`, the one place that
+//! writes sectors, counterpart of the one loader), the integrity
+//! persist one per run of consecutive table entries, and the group
+//! commit one for all the plan's records. A healthy full-stripe write
+//! is `n` device writes, one table write and one journal write — ≈ 10
+//! system calls for `r·n` = 128 sectors — and a footprint's row
+//! parities and global-parity rows coalesce where they abut. The bytes
+//! and where they land are what sector-by-sector order produced;
+//! [`IoStats`](crate::IoStats) counts `sector_writes` and `write_runs`.
 //!
 //! A stripe that is also written serves its reads from the cells the
 //! write staged. Ops that conflict (a write overlapping anything — see
@@ -281,13 +299,10 @@ impl StripeStore {
             // Covers the reservation too: when the segment is full that
             // is a checkpoint — the journal's cost, not the caller's.
             let _span = stair_obs::trace::span(stair_obs::trace::names::JRNL_APPEND);
-            let mut guard = sh.journal.begin(&reserve, || {
-                sh.devices.sync()?;
-                sh.integrity.persist()
-            })?;
+            let mut guard = sh.journal.begin(&reserve, || sh.make_durable())?;
             if let Some(g) = guard.as_mut() {
                 for (stage, (cells, encode)) in staged.iter().zip(&records) {
-                    g.append(stage.stripe_idx, cells, *encode)?;
+                    g.append(stage.stripe_idx, cells, *encode);
                 }
                 g.sync()?;
             }
@@ -694,14 +709,17 @@ mod tests {
     /// The three codec families on the ledger's geometry.
     const FAMILIES: [&str; 3] = ["stair:8,16,2,1-2", "sd:8,16,2,3", "rs:8,16,2"];
 
-    /// Every sector of every device file, keyed `(stripe, row, dev)`.
+    /// Every sector of every device file present, keyed `(stripe, row, dev)`.
     fn disk_image(store: &StripeStore) -> BTreeMap<(usize, usize, usize), Vec<u8>> {
         let geom = store.geometry();
         let sym = store.block_size();
         let mut image = BTreeMap::new();
         for dev in 0..geom.n {
-            let raw =
-                std::fs::read(store.dir().join(crate::device::device_file_name(dev))).unwrap();
+            // A failed device has no file, and so no sectors.
+            let Ok(raw) = std::fs::read(store.dir().join(crate::device::device_file_name(dev)))
+            else {
+                continue;
+            };
             for (k, sector) in raw.chunks(sym).enumerate() {
                 image.insert((k / geom.r, k % geom.r, dev), sector.to_vec());
             }
@@ -771,6 +789,138 @@ mod tests {
             assert!(store.scrub(1).unwrap().clean());
             drop(store);
             std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// How many positioned writes `cells` of one stripe take: one per
+    /// run of consecutive rows on one device.
+    fn runs_of(cells: &BTreeSet<CellIdx>) -> u64 {
+        let mut by_dev: Vec<(usize, usize)> = cells.iter().map(|&(row, dev)| (dev, row)).collect();
+        by_dev.sort_unstable();
+        by_dev.chunk_by(|a, b| *b == (a.0, a.1 + 1)).count() as u64
+    }
+
+    /// Writes `cells` of `stripe` the way the store did before the run
+    /// rule: one `write_sector` each, in row-major order.
+    fn write_sector_by_sector(
+        store: &StripeStore,
+        stripe: usize,
+        from: &StripeBuf,
+        cells: &BTreeSet<CellIdx>,
+    ) {
+        for &(row, dev) in cells {
+            let devices = &store.shared.devices;
+            devices
+                .write_sector(dev, stripe, row, from.cell((row, dev)))
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn full_stripe_write_is_one_run_per_writable_device_and_the_same_bytes() {
+        for spec in FAMILIES {
+            for down in [
+                None,
+                Some(DeviceState::Failed),
+                Some(DeviceState::Rebuilding),
+            ] {
+                // The write under test goes to one store, its reference —
+                // sector by sector — to an identical twin.
+                let (dir, store, _) = family_store("wruns", spec);
+                let (twin_dir, twin, _) = family_store("wruns-twin", spec);
+                let gone = 2;
+                for s in [&store, &twin] {
+                    if down.is_some() {
+                        s.fail_device(gone).unwrap();
+                    }
+                    if down == Some(DeviceState::Rebuilding) {
+                        rebuilding(s, gone);
+                    }
+                }
+                let geom = store.geometry().clone();
+                let (sym, per) = (store.block_size(), store.blocks_per_stripe());
+                let fresh = pattern(per * sym, 91);
+                let before = store.io_stats();
+                store.write_at((per * sym) as u64, &fresh).unwrap();
+                let after = store.io_stats();
+                // A `Failed` device is not written; a `Rebuilding` one is.
+                let failed = down == Some(DeviceState::Failed);
+                let writable = (geom.n - usize::from(failed)) as u64;
+                let tag = format!("{spec} {down:?}");
+                assert_eq!(after.write_runs - before.write_runs, writable, "{tag}");
+                let sectors = after.sector_writes - before.sector_writes;
+                assert_eq!(sectors, geom.r as u64 * writable, "{tag}");
+
+                let mut stripe = StripeBuf::new(geom.r, geom.n, sym).unwrap();
+                for (&cell, block) in geom.data_cells.iter().zip(fresh.chunks(sym)) {
+                    stripe.set_cell(cell, block);
+                }
+                twin.codec().encode(&mut stripe).unwrap();
+                let grid = (0..geom.r).flat_map(|row| (0..geom.n).map(move |dev| (row, dev)));
+                let cells = grid.filter(|&(_, dev)| !(failed && dev == gone)).collect();
+                write_sector_by_sector(&twin, 1, &stripe, &cells);
+                assert!(disk_image(&store) == disk_image(&twin), "{tag}");
+                let got = store.read_at((per * sym) as u64, fresh.len()).unwrap();
+                assert!(got == fresh, "{tag}");
+                drop((store, twin));
+                std::fs::remove_dir_all(&dir).unwrap();
+                std::fs::remove_dir_all(&twin_dir).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn healthy_single_block_write_writes_its_footprint_in_runs_and_the_same_bytes() {
+        for spec in FAMILIES {
+            let (dir, store, base) = family_store("wfoot", spec);
+            let (twin_dir, twin, _) = family_store("wfoot-twin", spec);
+            let geom = store.geometry().clone();
+            let (sym, per) = (store.block_size(), store.blocks_per_stripe());
+            for (k, &cell) in geom.data_cells.iter().enumerate() {
+                let at = (per + k) * sym;
+                // Every byte differs from the old block, so every
+                // dependent parity's bytes change too (c ≠ 0, Δ ≠ 0).
+                let fresh: Vec<u8> = base[at..at + sym]
+                    .iter()
+                    .map(|b| b ^ (k as u8 | 0x80))
+                    .collect();
+                let mut footprint: BTreeSet<CellIdx> = store
+                    .codec()
+                    .dependents(cell)
+                    .unwrap()
+                    .iter()
+                    .copied()
+                    .collect();
+                footprint.insert(cell);
+                let before = store.io_stats();
+                store.write_at(at as u64, &fresh).unwrap();
+                let after = store.io_stats();
+                let sectors = after.sector_writes - before.sector_writes;
+                let runs = after.write_runs - before.write_runs;
+                assert_eq!(sectors, footprint.len() as u64, "{spec} cell {cell:?}");
+                assert_eq!(runs, runs_of(&footprint), "{spec} cell {cell:?}");
+                assert!(runs <= sectors);
+
+                // The twin: the same patch on the stripe as its files hold
+                // it, written back one sector at a time.
+                let mut stripe = StripeBuf::new(geom.r, geom.n, sym).unwrap();
+                for ((s, row, dev), sector) in disk_image(&twin) {
+                    if s == 1 {
+                        stripe.set_cell((row, dev), &sector);
+                    }
+                }
+                let patched = twin.codec().update(&mut stripe, cell, &fresh).unwrap();
+                assert_eq!(patched.len() + 1, footprint.len());
+                write_sector_by_sector(&twin, 1, &stripe, &footprint);
+                assert!(
+                    disk_image(&store) == disk_image(&twin),
+                    "{spec} cell {cell:?}"
+                );
+            }
+            assert!(store.scrub(1).unwrap().clean());
+            drop((store, twin));
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::remove_dir_all(&twin_dir).unwrap();
         }
     }
 

@@ -4,7 +4,9 @@
 //! sector `(stripe, row)` of device `j` lives at byte offset
 //! `(stripe·r + row)·symbol` of `dev_j`'s file. Reads and writes use
 //! positioned I/O (`pread`/`pwrite`), so concurrent stripe operations
-//! never contend on a shared cursor.
+//! never contend on a shared cursor. Consecutive rows of one stripe are
+//! contiguous in a device's file, so a **run** of them is one positioned
+//! read ([`DeviceSet::read_run`]) or write ([`DeviceSet::write_run`]).
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -38,6 +40,10 @@ pub struct DeviceSet {
     slots: Vec<RwLock<Option<File>>>,
     /// Sectors read back whole, on any path (a statistic: relaxed).
     sector_reads: AtomicU64,
+    /// Sectors written, on any path (a statistic: relaxed).
+    sector_writes: AtomicU64,
+    /// Positioned writes those sectors took (a statistic: relaxed).
+    write_runs: AtomicU64,
 }
 
 impl DeviceSet {
@@ -61,6 +67,8 @@ impl DeviceSet {
             stripes,
             slots,
             sector_reads: AtomicU64::new(0),
+            sector_writes: AtomicU64::new(0),
+            write_runs: AtomicU64::new(0),
         }
     }
 
@@ -159,7 +167,37 @@ impl DeviceSet {
         self.sector_reads.load(Ordering::Relaxed)
     }
 
-    /// Writes sector `(stripe, row)` of `device`.
+    /// Writes the `data.len() / symbol` consecutive sectors of `device`
+    /// that start at `(stripe, row)` — one contiguous span of its file —
+    /// with a single positioned write: the mirror of
+    /// [`DeviceSet::read_run`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Device`] if the device file is absent.
+    pub fn write_run(
+        &self,
+        device: usize,
+        stripe: usize,
+        row: usize,
+        data: &[u8],
+    ) -> Result<(), Error> {
+        debug_assert_eq!(data.len() % self.symbol, 0);
+        let slot = self.slots[device].read().unwrap_or_else(|e| e.into_inner());
+        let Some(file) = slot.as_ref() else {
+            return Err(Error::Device(format!(
+                "device {device} has no backing file (failed?)"
+            )));
+        };
+        file.write_all_at(data, self.offset(stripe, row))?;
+        let sectors = (data.len() / self.symbol) as u64;
+        self.sector_writes.fetch_add(sectors, Ordering::Relaxed);
+        self.write_runs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Writes sector `(stripe, row)` of `device` (`data.len() ==
+    /// symbol`): a [`DeviceSet::write_run`] of one.
     ///
     /// # Errors
     ///
@@ -172,14 +210,17 @@ impl DeviceSet {
         data: &[u8],
     ) -> Result<(), Error> {
         debug_assert_eq!(data.len(), self.symbol);
-        let slot = self.slots[device].read().unwrap_or_else(|e| e.into_inner());
-        let Some(file) = slot.as_ref() else {
-            return Err(Error::Device(format!(
-                "device {device} has no backing file (failed?)"
-            )));
-        };
-        file.write_all_at(data, self.offset(stripe, row))?;
-        Ok(())
+        self.write_run(device, stripe, row, data)
+    }
+
+    /// Sectors written since this set was opened.
+    pub fn sector_writes(&self) -> u64 {
+        self.sector_writes.load(Ordering::Relaxed)
+    }
+
+    /// Positioned writes issued since this set was opened.
+    pub fn write_runs(&self) -> u64 {
+        self.write_runs.load(Ordering::Relaxed)
     }
 
     /// Drops the handle and deletes the backing file (device failure).
@@ -274,6 +315,29 @@ mod tests {
         assert_eq!(set.sector_reads(), 5);
         set.remove(1).unwrap();
         assert_eq!(set.read_run(1, 2, 0, &mut buf).unwrap(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_write_run_is_one_write_of_consecutive_rows() {
+        let dir = tmpdir("wrun");
+        let set = DeviceSet::create(&dir, 2, 4, 8, 3).unwrap();
+        let run: Vec<u8> = (1..=3u8).flat_map(|row| [row; 8]).collect();
+        set.write_run(1, 2, 1, &run).unwrap();
+        assert_eq!((set.sector_writes(), set.write_runs()), (3, 1));
+        let mut stripe = [0u8; 32];
+        assert_eq!(set.read_run(1, 2, 0, &mut stripe).unwrap(), 4);
+        assert_eq!(stripe[..8], [0u8; 8]);
+        assert_eq!(stripe[8..], run[..]);
+        // The neighbouring stripe and device are untouched.
+        assert_eq!(set.read_run(1, 1, 0, &mut stripe).unwrap(), 4);
+        assert_eq!(stripe, [0u8; 32]);
+        assert_eq!(set.read_run(0, 2, 0, &mut stripe).unwrap(), 4);
+        assert_eq!(stripe, [0u8; 32]);
+        set.write_sector(0, 0, 0, &[9u8; 8]).unwrap();
+        assert_eq!((set.sector_writes(), set.write_runs()), (4, 2));
+        set.remove(1).unwrap();
+        assert!(set.write_run(1, 2, 1, &run).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

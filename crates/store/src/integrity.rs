@@ -6,12 +6,21 @@
 //! every read path. The health record is a cache of what detection has
 //! already found (plus explicit failure declarations), so repair knows
 //! what to rebuild without rescanning the world.
+//!
+//! The table is one flat row-major array — entry `(stripe·r + row)·n +
+//! dev`, little-endian `u32`s — on disk exactly as in memory, so
+//! [`Integrity::persist`] rewrites each run of consecutive changed
+//! entries with one positioned write (a full stripe's `r·n` entries: one
+//! write). `persist` only writes; the checkpoint that rewinds the journal
+//! follows it with [`Integrity::sync_table`].
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use stair_code::CellIdx;
 
 use crate::checksum::fletcher32;
 use crate::Error;
@@ -153,7 +162,8 @@ pub struct Integrity {
     /// `checksums[(stripe·r + row)·n + dev]`, guarding every stored sector.
     checksums: RwLock<Vec<u32>>,
     /// Table indices whose entries changed since the last persist; persist
-    /// rewrites only these (positioned 4-byte writes), not the whole file.
+    /// rewrites only these (one positioned write per run of consecutive
+    /// indices), not the whole file.
     dirty: std::sync::Mutex<std::collections::BTreeSet<usize>>,
     /// Open handle on the checksum table file for positioned writes.
     table_file: std::fs::File,
@@ -238,13 +248,22 @@ impl Integrity {
         fletcher32(data) == self.expected(stripe, row, dev)
     }
 
-    /// Records the checksum of freshly written sector contents (persisted
-    /// on the next [`Integrity::persist`]).
-    pub fn record(&self, stripe: usize, row: usize, dev: usize, data: &[u8]) {
-        let sum = fletcher32(data);
-        let idx = self.index(stripe, row, dev);
-        write_lock(&self.checksums)[idx] = sum;
-        mutex_lock(&self.dirty).insert(idx);
+    /// Records the checksums of freshly written sectors of one stripe
+    /// (persisted on the next [`Integrity::persist`]): the sums are
+    /// computed first, then installed under one table-lock and marked
+    /// under one dirty-set acquisition, however many cells there are.
+    pub fn record_cells(&self, stripe: usize, cells: &[(CellIdx, &[u8])]) {
+        let sums: Vec<(usize, u32)> = cells
+            .iter()
+            .map(|&((row, dev), data)| (self.index(stripe, row, dev), fletcher32(data)))
+            .collect();
+        {
+            let mut table = write_lock(&self.checksums);
+            for &(idx, sum) in &sums {
+                table[idx] = sum;
+            }
+        }
+        mutex_lock(&self.dirty).extend(sums.iter().map(|&(idx, _)| idx));
     }
 
     /// Snapshot of the current health record (clones the bad-sector set;
@@ -302,24 +321,16 @@ impl Integrity {
         });
     }
 
-    /// Persists dirty checksum entries (positioned 4-byte writes into the
-    /// table file — O(entries changed), not O(store size)) and, if it
-    /// changed since the last persist, the health record (small;
+    /// Persists dirty checksum entries — one positioned write per run of
+    /// consecutive table indices, so O(runs changed), not O(entries) or
+    /// O(store size): a full stripe's `r·n` entries are one write — and,
+    /// if it changed since the last persist, the health record (small;
     /// rewritten atomically via temp file + rename). The persist lock
-    /// keeps concurrent callers from interleaving.
+    /// keeps concurrent callers from interleaving. Nothing here is
+    /// fsync'd: a checkpoint follows with [`Integrity::sync_table`].
     pub fn persist(&self) -> Result<(), Error> {
-        use std::os::unix::fs::FileExt;
         let _serial = mutex_lock(&self.persist_lock);
-        let dirty: Vec<usize> = std::mem::take(&mut *mutex_lock(&self.dirty))
-            .into_iter()
-            .collect();
-        {
-            let checksums = read_lock(&self.checksums);
-            for idx in dirty {
-                self.table_file
-                    .write_all_at(&checksums[idx].to_le_bytes(), idx as u64 * 4)?;
-            }
-        }
+        self.write_dirty_runs()?;
         if self.health_dirty.swap(false, Ordering::SeqCst) {
             let health_text = read_lock(&self.health).to_text();
             if let Err(e) = write_atomic(&self.dir, HEALTH_FILE, health_text.as_bytes()) {
@@ -327,6 +338,36 @@ impl Integrity {
                 return Err(e);
             }
         }
+        Ok(())
+    }
+
+    /// Writes every dirty table entry to the table file, one positioned
+    /// write per run of consecutive indices, and returns how many writes
+    /// that took.
+    fn write_dirty_runs(&self) -> Result<usize, Error> {
+        use std::os::unix::fs::FileExt;
+        let dirty: Vec<usize> = std::mem::take(&mut *mutex_lock(&self.dirty))
+            .into_iter()
+            .collect();
+        let checksums = read_lock(&self.checksums);
+        let mut raw = Vec::new();
+        let mut writes = 0;
+        for run in dirty.chunk_by(|a, b| *b == a + 1) {
+            let first = run[0];
+            raw.clear();
+            for sum in &checksums[first..first + run.len()] {
+                raw.extend_from_slice(&sum.to_le_bytes());
+            }
+            self.table_file.write_all_at(&raw, first as u64 * 4)?;
+            writes += 1;
+        }
+        Ok(writes)
+    }
+
+    /// Flushes the checksum table file to disk — the last step of a
+    /// checkpoint, after the device files and [`Integrity::persist`].
+    pub fn sync_table(&self) -> Result<(), Error> {
+        self.table_file.sync_data()?;
         Ok(())
     }
 }
@@ -350,7 +391,7 @@ mod tests {
         assert!(integ.verify(0, 0, 0, &zero));
         let data = [9u8; 16];
         assert!(!integ.verify(2, 1, 3, &data));
-        integ.record(2, 1, 3, &data);
+        integ.record_cells(2, &[((1, 3), &data)]);
         assert!(integ.verify(2, 1, 3, &data));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -371,7 +412,7 @@ mod tests {
         // Health, checksum, and persist paths all still work.
         assert_eq!(integ.health().devices.len(), 4);
         integ.update_health(|h| h.devices[1] = DeviceState::Failed);
-        integ.record(0, 0, 0, &[1u8; 16]);
+        integ.record_cells(0, &[((0, 0), &[1u8; 16])]);
         assert!(integ.verify(0, 0, 0, &[1u8; 16]));
         integ.persist().unwrap();
         assert_eq!(
@@ -385,7 +426,7 @@ mod tests {
     fn persistence_round_trips_health_and_checksums() {
         let dir = tmpdir("prt");
         let integ = Integrity::create(&dir, 4, 2, 16, 3).unwrap();
-        integ.record(1, 0, 2, &[5u8; 16]);
+        integ.record_cells(1, &[((0, 2), &[5u8; 16])]);
         integ.update_health(|h| {
             h.devices[3] = DeviceState::Failed;
             h.bad_sectors.insert((1, 1, 0));
@@ -396,6 +437,37 @@ mod tests {
         let health = again.health();
         assert_eq!(health.devices[3], DeviceState::Failed);
         assert!(health.bad_sectors.contains(&(1, 1, 0)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn persist_writes_one_run_per_span_of_consecutive_entries() {
+        let dir = tmpdir("runs");
+        // stair:8,16,2,1-2's table shape: a stripe is 128 entries.
+        let (n, r) = (8, 16);
+        let integ = Integrity::create(&dir, n, r, 16, 4).unwrap();
+        let sector = |seed: usize| vec![seed as u8 ^ 0x5A; 16];
+        let owned: Vec<(CellIdx, Vec<u8>)> =
+            (0..r * n).map(|k| ((k / n, k % n), sector(k))).collect();
+        let stripe: Vec<(CellIdx, &[u8])> = owned.iter().map(|(c, d)| (*c, &d[..])).collect();
+        integ.record_cells(1, &stripe);
+        integ.record_cells(0, &[((3, 5), &sector(200))]);
+        integ.record_cells(3, &[((0, 2), &sector(201))]);
+        assert_eq!(integ.write_dirty_runs().unwrap(), 3);
+        assert_eq!(integ.write_dirty_runs().unwrap(), 0);
+        // Entries that only abut across a stripe boundary still coalesce:
+        // the table is one flat array.
+        integ.record_cells(1, &[((r - 1, n - 1), &sector(7))]);
+        integ.record_cells(2, &[((0, 0), &sector(8)), ((0, 1), &sector(9))]);
+        assert_eq!(integ.write_dirty_runs().unwrap(), 1);
+        let again = Integrity::load(&dir, n, r, 4).unwrap();
+        assert_eq!(
+            *read_lock(&again.checksums),
+            *read_lock(&integ.checksums),
+            "the reloaded table is the in-memory one"
+        );
+        assert!(again.verify(1, 2, 3, &sector(2 * n + 3)));
+        assert!(again.verify(3, 0, 2, &sector(201)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

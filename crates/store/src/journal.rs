@@ -1,7 +1,7 @@
 //! stair-journal: the store's write-ahead intent log.
 //!
 //! The store persists stripes **in place**, so a crash between the
-//! first and last `write_sector` of a stripe write-back leaves the
+//! first and last sector write of a stripe write-back leaves the
 //! stripe neither old nor new — the one corruption mode an erasure
 //! code cannot see (old parity over new data *verifies* per cell but
 //! decodes garbage). The journal closes that hole by inverting the
@@ -27,32 +27,59 @@
 //! the data, so journaling it would only add bytes to the record's
 //! fsync — the dominant per-commit cost.
 //!
+//! A *partial* commit cannot drop its parity post-images the same way.
+//! Replay could re-derive them only from the stripe's data cells, and
+//! the ones the commit did not write are on disk alone. Crash mid
+//! write-back, then lose one device (or meet one latent bad sector)
+//! before the reopen: an untouched data cell of the written row is now
+//! gone, and the parities that could rebuild it — the row's, and the
+//! stair/global ones — are exactly the written cell's dependents, the
+//! torn ones, each old or new and nobody knows which. The row holds
+//! `m + 1` unknowns against `m` parity equations: the RAID write hole.
+//! The literal post-images close it, so they stay.
+//! Nor can a full-stripe overwrite go record-less: its acked data would
+//! sit only in the page cache until `n` device fsyncs replaced the one
+//! journal `fdatasync`.
+//!
 //! The log is a single fixed-capacity segment file (`journal.stair`),
-//! **preallocated to its full capacity at open** so the per-append
+//! **preallocated to its full capacity at open** so the per-commit
 //! fsync never carries a file-size metadata update (on a journaling
 //! filesystem that halves its cost). The live region is delimited not
 //! by the file length but by an eight-byte zero **terminator stamp**
 //! written right after the last record: replay parses records until it
 //! hits the stamp (a zero length field), a torn record (checksum
-//! mismatch), or a sequence break. When an append would overflow the
+//! mismatch), or a sequence break. When a group would overflow the
 //! segment, the committer first takes a **checkpoint**: under an
 //! exclusive gate (waiting out every commit that is mid-flight between
-//! its append and its sector writes), the device files and the
-//! integrity table are made durable and the stamp is rewound to the
-//! header — no truncation, no metadata churn. Everything after the
-//! last checkpoint is therefore always still in the journal.
+//! its append and its sector writes), everything the journal vouches
+//! for is made durable in place, in this order — the device files
+//! (`fdatasync` each), then the dirty checksum-table entries and the
+//! health record (written), then the table file (`fdatasync`) — and
+//! only then is the stamp rewound to the header: no truncation, no
+//! metadata churn. The table goes after the devices and is synced like
+//! them because an empty journal replays nothing: a table left in the
+//! page cache would, after a power loss, call every sector written
+//! since its last flush corrupt. Everything after the last checkpoint
+//! is therefore always still in the journal.
 //!
 //! Every commit — one stripe or a whole batch of them — goes through
 //! the group-commit API ([`Journal::begin`] → [`CommitGuard::append`]
-//! per stripe → one [`CommitGuard::sync`]): every record of the
-//! submission shares a single fsync, amortizing the dominant
-//! per-commit cost across it.
+//! per stripe → one [`CommitGuard::sync`]): the records are encoded
+//! once, back to back, into the guard's buffer, and `sync` lands them
+//! with **one** positioned write (terminator included) and **one**
+//! fsync, amortizing the dominant per-commit cost across the
+//! submission. Sequence numbers are handed out under the same lock
+//! acquisition as that write, so a group is contiguous in the file and
+//! in the numbering. The fsync takes the lock again rather than keeping
+//! it: a second committer can land its group while the first is about
+//! to sync, one `fdatasync` then flushes both, and the second's own
+//! finds nothing dirty.
 //!
 //! Knobs (read once per store open):
 //!
 //! * `STAIR_JOURNAL=0` disables appends (replay of an existing journal
 //!   still runs — a log written by an enabled run must still recover);
-//! * `STAIR_JOURNAL_SYNC=0` skips the per-append fsync (still correct
+//! * `STAIR_JOURNAL_SYNC=0` skips the per-commit fsync (still correct
 //!   against `kill -9`, which does not drop the page cache; only
 //!   power loss needs the fsync);
 //! * `STAIR_JOURNAL_SEGMENT=<bytes>` sets the segment capacity at
@@ -139,7 +166,7 @@ struct Inner {
 }
 
 /// Eight zero bytes: a zero record-length field, which replay treats
-/// as end-of-log. Stamped after every append and at each checkpoint.
+/// as end-of-log. Stamped after every group and at each checkpoint.
 const TERMINATOR: [u8; 8] = [0; 8];
 
 /// One record decoded during replay: the stripe it commits and the
@@ -161,51 +188,44 @@ pub struct ReplayRecord<'a> {
 /// in-place sector writes are done; a checkpoint's exclusive gate
 /// waits out every live guard, so the stamp rewind never races a
 /// half-applied commit. Committers call [`CommitGuard::append`] once
-/// per stripe and [`CommitGuard::sync`] once — group commit: one fsync
-/// covers every record of the submission.
+/// per stripe and [`CommitGuard::sync`] once — group commit: the
+/// records gather in the guard and reach the segment in one write under
+/// one fsync.
 pub struct CommitGuard<'a> {
     journal: &'a Journal,
     _gate: RwLockReadGuard<'a, ()>,
-    appended: u64,
+    /// The group's records, encoded back to back, their sequence numbers
+    /// and checksums blank until [`CommitGuard::sync`] lands them.
+    group: Vec<u8>,
 }
 
 impl CommitGuard<'_> {
-    /// Appends one stripe record (post-image of every cell in `cells`)
-    /// without fsyncing. Call [`CommitGuard::sync`] before the first
-    /// in-place sector write the record covers. `encode` marks a
-    /// full-stripe data image (`cells` must then be exactly the data
-    /// cells) whose parity the replayer recomputes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the segment write.
-    pub fn append(
-        &mut self,
-        stripe: usize,
-        cells: &[(CellIdx, &[u8])],
-        encode: bool,
-    ) -> Result<(), Error> {
-        if cells.is_empty() {
-            return Ok(());
+    /// Adds one stripe record (post-image of every cell in `cells`) to
+    /// the group; nothing reaches the segment before
+    /// [`CommitGuard::sync`]. `encode` marks a full-stripe data image
+    /// (`cells` must then be exactly the data cells) whose parity the
+    /// replayer recomputes.
+    pub fn append(&mut self, stripe: usize, cells: &[(CellIdx, &[u8])], encode: bool) {
+        if !cells.is_empty() {
+            self.journal
+                .encode_record(&mut self.group, stripe, cells, encode);
         }
-        self.journal.append_record(stripe, cells, encode)?;
-        self.appended += 1;
-        Ok(())
     }
 
-    /// Makes every record appended through this guard durable (one
-    /// fdatasync, skipped under `STAIR_JOURNAL_SYNC=0` or when nothing
-    /// was appended). Must run before the caller's first in-place
-    /// sector write.
+    /// Lands every record appended through this guard at the live end
+    /// of the segment — one positioned write, terminator included — and
+    /// makes them durable (one fdatasync, skipped under
+    /// `STAIR_JOURNAL_SYNC=0`). Nothing appended, nothing done. Must run
+    /// before the caller's first in-place sector write.
     ///
     /// # Errors
     ///
-    /// Propagates the fsync error.
-    pub fn sync(&self) -> Result<(), Error> {
-        if self.journal.sync && self.appended > 0 {
-            mutex_lock(&self.journal.inner).file.sync_data()?;
+    /// Propagates I/O errors from the segment write and the fsync.
+    pub fn sync(&mut self) -> Result<(), Error> {
+        if self.group.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        self.journal.land(std::mem::take(&mut self.group))
     }
 }
 
@@ -354,7 +374,7 @@ impl Journal {
                     return Ok(Some(CommitGuard {
                         journal: self,
                         _gate: gate,
-                        appended: 0,
+                        group: Vec::with_capacity(need as usize + TERMINATOR.len()),
                     }));
                 }
             }
@@ -363,33 +383,51 @@ impl Journal {
         }
     }
 
-    /// Writes one record at the live end (no fsync — that is the
-    /// guard's [`CommitGuard::sync`]) and stamps a terminator after
-    /// it, so replay can never run past the last live record into
-    /// stale pre-checkpoint bytes.
-    fn append_record(
-        &self,
-        stripe: usize,
-        cells: &[(CellIdx, &[u8])],
-        encode: bool,
-    ) -> Result<(), Error> {
+    /// Lands one group — whole records back to back, as
+    /// [`Journal::encode_record`] left them — at the live end. One
+    /// acquisition of `inner` covers the write: each record takes the
+    /// next sequence number and then its checksum, and the group and a
+    /// terminator after it go out in one write (so replay can never run
+    /// past the last live record into stale pre-checkpoint bytes) —
+    /// records are consecutive in the file in the order of their
+    /// numbers, and a group is never interleaved with another. The
+    /// fsync takes `inner` afresh: a committer that landed its group in
+    /// between is flushed by the same `fdatasync`, and finds its own
+    /// with nothing left to do.
+    fn land(&self, mut group: Vec<u8>) -> Result<(), Error> {
         let mut inner = mutex_lock(&self.inner);
-        let seq = inner.seq;
-        inner.seq += 1;
-        let mut record = self.encode_record(seq, stripe, cells, encode);
+        let mut seq = inner.seq;
+        let mut at = 0;
+        while at < group.len() {
+            let len = u32::from_le_bytes([group[at], group[at + 1], group[at + 2], group[at + 3]]);
+            let body = at + 8..at + 8 + len as usize;
+            group[body.start..body.start + 8].copy_from_slice(&seq.to_le_bytes());
+            let sum = fletcher32(&group[body.clone()]);
+            group[at + 4..at + 8].copy_from_slice(&sum.to_le_bytes());
+            seq += 1;
+            at = body.end;
+        }
         let at = inner.used;
-        let end = at + record.len() as u64;
+        let end = at + group.len() as u64;
         // The terminator rides in the same write when it fits inside
         // the preallocated region; at the very end of the file, EOF
         // itself terminates the parse.
         if end + TERMINATOR.len() as u64 <= inner.file_len {
-            record.extend_from_slice(&TERMINATOR);
+            group.extend_from_slice(&TERMINATOR);
         }
-        inner.file.write_all_at(&record, at)?;
+        inner.file.write_all_at(&group, at)?;
+        // Numbers are spent only by a write that happened: replay stops
+        // at a sequence break, so a failed append must not leave one.
+        let records = seq - inner.seq;
+        inner.seq = seq;
         inner.used = end;
-        inner.file_len = inner.file_len.max(at + record.len() as u64);
+        inner.file_len = inner.file_len.max(at + group.len() as u64);
         self.appends
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            .fetch_add(records, std::sync::atomic::Ordering::Relaxed);
+        drop(inner);
+        if self.sync {
+            mutex_lock(&self.inner).file.sync_data()?;
+        }
         Ok(())
     }
 
@@ -419,30 +457,30 @@ impl Journal {
         Ok(())
     }
 
+    /// Encodes one record at the end of `out`: body length, a checksum
+    /// slot, then the body with a blank sequence number — both filled in
+    /// by [`Journal::land`], which knows the number. The cell payloads
+    /// are copied once, here.
     fn encode_record(
         &self,
-        seq: u64,
+        out: &mut Vec<u8>,
         stripe: usize,
         cells: &[(CellIdx, &[u8])],
         encode: bool,
-    ) -> Vec<u8> {
+    ) {
         let body_len = BODY_FIXED + cells.len() * (CELL_FIXED + self.symbol);
-        let mut body = Vec::with_capacity(body_len);
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(&(stripe as u32).to_le_bytes());
+        out.reserve(8 + body_len);
+        out.extend_from_slice(&(body_len as u32).to_le_bytes());
+        out.extend_from_slice(&[0; 4 + 8]); // checksum, sequence number
+        out.extend_from_slice(&(stripe as u32).to_le_bytes());
         let count = cells.len() as u32 | if encode { ENCODE_FLAG } else { 0 };
-        body.extend_from_slice(&count.to_le_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
         for &((row, dev), data) in cells {
             debug_assert_eq!(data.len(), self.symbol);
-            body.extend_from_slice(&(row as u32).to_le_bytes());
-            body.extend_from_slice(&(dev as u32).to_le_bytes());
-            body.extend_from_slice(data);
+            out.extend_from_slice(&(row as u32).to_le_bytes());
+            out.extend_from_slice(&(dev as u32).to_le_bytes());
+            out.extend_from_slice(data);
         }
-        let mut record = Vec::with_capacity(8 + body.len());
-        record.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        record.extend_from_slice(&fletcher32(&body).to_le_bytes());
-        record.extend_from_slice(&body);
-        record
     }
 
     /// Replays every whole record in file order, calling `apply` per
@@ -544,7 +582,9 @@ mod tests {
         dir
     }
 
-    fn cells(symbol: usize, seed: u8, n: usize) -> Vec<(CellIdx, Vec<u8>)> {
+    type OwnedCells = Vec<(CellIdx, Vec<u8>)>;
+
+    fn cells(symbol: usize, seed: u8, n: usize) -> OwnedCells {
         (0..n)
             .map(|i| ((i / 3, i % 3), vec![seed.wrapping_add(i as u8); symbol]))
             .collect()
@@ -564,7 +604,7 @@ mod tests {
         persist: impl Fn() -> Result<(), Error>,
     ) {
         let mut g = j.begin(&[cells.len()], persist).unwrap().unwrap();
-        g.append(stripe, &borrow(cells), encode).unwrap();
+        g.append(stripe, &borrow(cells), encode);
         g.sync().unwrap();
     }
 
@@ -700,8 +740,8 @@ mod tests {
         let b = cells(16, 7, 3);
         {
             let mut g = j.begin(&[2, 3], || Ok(())).unwrap().unwrap();
-            g.append(4, &borrow(&a), false).unwrap();
-            g.append(9, &borrow(&b), true).unwrap();
+            g.append(4, &borrow(&a), false);
+            g.append(9, &borrow(&b), true);
             g.sync().unwrap();
         }
         assert_eq!(j.append_count(), 2);
@@ -714,6 +754,97 @@ mod tests {
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(stripes, vec![4, 9]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Three records through one guard.
+    fn commit_group(j: &Journal, group: [(usize, &OwnedCells, bool); 3]) {
+        let reserve = group.map(|(_, cells, _)| cells.len());
+        let mut g = j.begin(&reserve, || Ok(())).unwrap().unwrap();
+        for (stripe, cells, encode) in group {
+            g.append(stripe, &borrow(cells), encode);
+        }
+        g.sync().unwrap();
+    }
+
+    #[test]
+    fn a_group_lands_the_bytes_three_single_commits_did() {
+        let (a, b, c) = (cells(16, 1, 2), cells(16, 7, 3), cells(16, 40, 1));
+        let singly = tmpdir("bytes-singly");
+        let j = Journal::open_or_create(&singly, 16, 4096).unwrap();
+        commit(&j, 4, &a, false, || Ok(()));
+        commit(&j, 9, &b, true, || Ok(()));
+        commit(&j, 2, &c, false, || Ok(()));
+        let grouped = tmpdir("bytes-grouped");
+        // Without the fsync the group is written all the same.
+        for sync in [true, false] {
+            let _ = std::fs::remove_file(grouped.join(JOURNAL_FILE));
+            let mut g = Journal::open_or_create(&grouped, 16, 4096).unwrap();
+            g.sync = sync;
+            commit_group(&g, [(4, &a, false), (9, &b, true), (2, &c, false)]);
+            assert_eq!(g.append_count(), 3);
+            assert_eq!(g.used_bytes(), j.used_bytes());
+            assert!(
+                std::fs::read(grouped.join(JOURNAL_FILE)).unwrap()
+                    == std::fs::read(singly.join(JOURNAL_FILE)).unwrap(),
+                "sync = {sync}"
+            );
+        }
+        std::fs::remove_dir_all(&singly).unwrap();
+        std::fs::remove_dir_all(&grouped).unwrap();
+    }
+
+    #[test]
+    fn a_group_torn_inside_its_second_record_replays_the_first() {
+        let dir = tmpdir("group-torn");
+        let j = Journal::open_or_create(&dir, 8, 4096).unwrap();
+        let (a, b, c) = (cells(8, 1, 2), cells(8, 7, 3), cells(8, 40, 1));
+        commit_group(&j, [(4, &a, false), (9, &b, false), (2, &c, false)]);
+        let cut = HEADER_LEN + j.record_len(a.len()) + j.record_len(b.len()) / 2;
+        drop(j);
+        let file = OpenOptions::new()
+            .write(true)
+            .open(dir.join(JOURNAL_FILE))
+            .unwrap();
+        file.set_len(cut).unwrap();
+        drop(file);
+        let j = Journal::open_or_create(&dir, 8, 4096).unwrap();
+        let mut stripes = Vec::new();
+        let n = j.replay(|rec| {
+            stripes.push(rec.stripe);
+            Ok(())
+        });
+        assert_eq!((n.unwrap(), stripes), (1, vec![4]));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_group_whose_reservation_checkpoints_still_lands_whole() {
+        let dir = tmpdir("group-ckpt");
+        // Room for three 1-cell records (40 bytes each) past the header.
+        let j = Journal::open_or_create(&dir, 8, 12 + 120).unwrap();
+        let a = cells(8, 4, 1);
+        let persists = std::sync::atomic::AtomicU64::new(0);
+        commit(&j, 0, &a, false, || Ok(()));
+        {
+            let persist = || {
+                persists.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Ok(())
+            };
+            let mut g = j.begin(&[1, 1, 1], persist).unwrap().unwrap();
+            for stripe in [5, 6, 7] {
+                g.append(stripe, &borrow(&a), false);
+            }
+            g.sync().unwrap();
+        }
+        assert_eq!(persists.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(j.used_bytes(), 12 + 120);
+        let mut stripes = Vec::new();
+        let n = j.replay(|rec| {
+            stripes.push(rec.stripe);
+            Ok(())
+        });
+        assert_eq!((n.unwrap(), stripes), (3, vec![5, 6, 7]));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -178,23 +178,16 @@ impl StripeStore {
         sh.codec.apply(&plan, &mut stripe)?;
 
         // Write every reconstructed cell back to devices that can take it
-        // (healthy, or rebuilding replacements).
-        let health = sh.integrity.health();
-        let mut written = 0usize;
-        let mut cleared = Vec::new();
-        for (row, dev) in erased.iter() {
-            if health.devices[dev] == DeviceState::Failed {
-                continue; // still no backing file
-            }
-            let cell = stripe.cell((row, dev));
-            // check: persist-ok repair rewrites cells already recorded erased: a torn repair write stays erased and is re-repaired
-            sh.devices.write_sector(dev, stripe_idx, row, cell)?;
-            sh.integrity.record(stripe_idx, row, dev, cell);
-            cleared.push((stripe_idx, row, dev));
-            written += 1;
-        }
-        sh.integrity.clear_bad(cleared.into_iter());
-        Ok(RepairOutcome::Repaired(written))
+        // (healthy, or rebuilding replacements; a failed one still has no
+        // backing file).
+        let devices = sh.integrity.device_states();
+        let writable = erased
+            .iter()
+            .filter(|&(_, dev)| devices[dev] != DeviceState::Failed);
+        let cells: Vec<_> = writable.map(|cell| (cell, stripe.cell(cell))).collect();
+        // check: persist-ok repair rewrites cells already recorded erased: a torn repair write stays erased and is re-repaired
+        self.write_recorded(stripe_idx, &cells)?;
+        Ok(RepairOutcome::Repaired(cells.len()))
     }
 }
 

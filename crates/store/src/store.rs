@@ -33,10 +33,11 @@
 //!   checksum mismatch where none was recorded — falls back to loading
 //!   the whole stripe, which records it for the next read.
 //! * All sector I/O is positioned (`pread`/`pwrite`) and goes through
-//!   one verified loader that reads consecutive rows of a device — which
-//!   its file stores contiguously — as one run. Stripes are guarded by
-//!   striped locks, so reads, writes, scrubbing, and repair of
-//!   *different* stripes proceed concurrently.
+//!   one verified loader and one recorded writer, which read and write
+//!   consecutive rows of a device — which its file stores contiguously —
+//!   as one run: a full-stripe write-back is `n` positioned writes, not
+//!   `r·n`. Stripes are guarded by striped locks, so reads, writes,
+//!   scrubbing, and repair of *different* stripes proceed concurrently.
 //!
 //! Whole stripes move through the engine as flat [`StripeBuf`]s — the
 //! same memory the codecs encode and decode in place, with no per-cell
@@ -137,6 +138,12 @@ pub struct IoStats {
     /// write on a healthy stripe reads `1 + penalty(d)` of them — the
     /// paper's §6.3 update cost, observed where the I/O happens.
     pub sector_reads: u64,
+    /// Sectors written to the device files, on every path.
+    pub sector_writes: u64,
+    /// Positioned writes those sectors took: one per run of consecutive
+    /// rows on one device — `n` for a healthy full-stripe write, against
+    /// `r·n` sectors.
+    pub write_runs: u64,
 }
 
 /// The live counters behind [`IoStats`]; relaxed ordering is enough
@@ -187,6 +194,20 @@ pub(crate) struct Shared {
     stripe_locks: Vec<Mutex<()>>,
 }
 
+impl Shared {
+    /// What every checkpoint runs before the journal is rewound, in
+    /// this order: the device files are flushed, the dirty checksum
+    /// entries (and the health record) written, then the table file
+    /// flushed too — a table left in the page cache with the journal
+    /// already empty would, after a power loss, read every sector
+    /// written since its last flush as corrupt.
+    pub(crate) fn make_durable(&self) -> Result<(), Error> {
+        self.devices.sync()?;
+        self.integrity.persist()?;
+        self.integrity.sync_table()
+    }
+}
+
 impl Drop for Shared {
     /// Best-effort clean shutdown on the last handle: make everything
     /// durable, truncate the journal, and mark the superblock clean. A
@@ -195,14 +216,7 @@ impl Drop for Shared {
     /// open replays. Errors are ignored: failing to mark clean only
     /// costs the next open a (correct, idempotent) replay.
     fn drop(&mut self) {
-        let ok = self
-            .journal
-            .checkpoint(|| {
-                self.devices.sync()?;
-                self.integrity.persist()
-            })
-            .is_ok();
-        if ok {
+        if self.journal.checkpoint(|| self.make_durable()).is_ok() {
             let mut meta = self.meta.clone();
             meta.clean_shutdown = true;
             let _ = meta.save(&self.dir);
@@ -327,29 +341,19 @@ impl StripeStore {
                 return self.replay_data_image(rec);
             }
             let devices = sh.integrity.device_states();
-            let mut healed: Vec<(usize, usize, usize)> = Vec::new();
-            for &((row, dev), data) in &rec.cells {
-                if row >= sh.geometry.r || dev >= sh.geometry.n {
-                    continue;
-                }
-                if devices[dev] == DeviceState::Failed {
-                    continue; // lives on implicitly through parity
-                }
-                sh.devices.write_sector(dev, rec.stripe, row, data)?;
-                sh.integrity.record(rec.stripe, row, dev, data);
-                healed.push((rec.stripe, row, dev));
-            }
-            sh.integrity.clear_bad(healed.into_iter());
-            Ok(())
+            // Cells on a `Failed` device live on implicitly through
+            // parity; ones outside the grid are not this store's.
+            let writable = |&&((row, dev), _): &&(CellIdx, &[u8])| {
+                row < sh.geometry.r && dev < sh.geometry.n && devices[dev] != DeviceState::Failed
+            };
+            let cells: Vec<(CellIdx, &[u8])> = rec.cells.iter().filter(writable).copied().collect();
+            self.apply_write_back(rec.stripe, &cells)
         })?;
         sh.counters
             .journal_replayed
             .store(replayed, Ordering::Relaxed);
         // Make the replayed state durable and truncate the journal.
-        sh.journal.checkpoint(|| {
-            sh.devices.sync()?;
-            sh.integrity.persist()
-        })?;
+        sh.journal.checkpoint(|| sh.make_durable())?;
         Ok(replayed)
     }
 
@@ -491,10 +495,7 @@ impl StripeStore {
     /// Propagates file-system errors.
     pub fn flush(&self) -> Result<(), Error> {
         let sh = &self.shared;
-        sh.journal.checkpoint(|| {
-            sh.devices.sync()?;
-            sh.integrity.persist()
-        })
+        sh.journal.checkpoint(|| sh.make_durable())
     }
 
     // Stripe locks guard no data (`Mutex<()>` taken for mutual exclusion
@@ -550,6 +551,8 @@ impl StripeStore {
             delta_update_calls: c.delta_update_calls.load(Ordering::Relaxed),
             recover_passes: c.recover_passes.load(Ordering::Relaxed),
             sector_reads: self.shared.devices.sector_reads(),
+            sector_writes: self.shared.devices.sector_writes(),
+            write_runs: self.shared.devices.write_runs(),
         }
     }
 
@@ -568,6 +571,8 @@ impl StripeStore {
         snap.add_counter("store.delta_update_calls", stats.delta_update_calls);
         snap.add_counter("store.recover_passes", stats.recover_passes);
         snap.add_counter("store.sector_reads", stats.sector_reads);
+        snap.add_counter("store.sector_writes", stats.sector_writes);
+        snap.add_counter("store.write_runs", stats.write_runs);
         snap.add_gauge(
             "store.scrub.stripes_done",
             c.scrub_stripes_done.load(Ordering::Relaxed) as i64,
@@ -999,25 +1004,60 @@ impl StripeStore {
         }
     }
 
-    /// The in-place leg of a commit: raw sector writes plus checksum
-    /// recording, after the journal record covering `targets` is
-    /// durable. Callers arrive here only through the planner's group
-    /// commit or journal replay — both journal-first, which the
-    /// `persist-ordering` lint enforces for every sector write in this
-    /// crate. Rewritten cells leave the bad-sector map.
+    /// The in-place leg of a commit, after the journal record covering
+    /// `targets` is durable. Callers arrive here only through the
+    /// planner's group commit or journal replay — both journal-first,
+    /// which the `persist-ordering` lint enforces for every sector write
+    /// in this crate. It adds only its name to the writer below: the
+    /// gate the lint knows, so an un-journaled caller of the writer
+    /// (repair) has to say so at its call site.
     pub(crate) fn apply_write_back(
         &self,
         stripe_idx: usize,
         targets: &[(CellIdx, &[u8])],
     ) -> Result<(), Error> {
+        self.write_recorded(stripe_idx, targets)
+    }
+
+    /// The one writer, counterpart of [`StripeStore::load_verified`]:
+    /// writes `cells` of a stripe — one positioned write per run of
+    /// consecutive rows on one device, which the device files store
+    /// contiguously — then records every checksum under one table lock
+    /// and takes the rewritten sectors off the bad-sector map. Write
+    /// order is device-major; a crash inside it is the journal's to
+    /// finish, whatever the order. Every cell must sit on a device with
+    /// a backing file (not `Failed`).
+    ///
+    /// Callers must hold the stripe lock, and — the `persist-ordering`
+    /// lint holds them to it — have the post-images durable in the
+    /// journal first.
+    pub(crate) fn write_recorded(
+        &self,
+        stripe_idx: usize,
+        cells: &[(CellIdx, &[u8])],
+    ) -> Result<(), Error> {
         let sh = &self.shared;
-        for &((row, dev), cell) in targets {
-            sh.devices.write_sector(dev, stripe_idx, row, cell)?;
-            sh.integrity.record(stripe_idx, row, dev, cell);
+        let mut sorted = cells.to_vec();
+        // Stable: a replayed record naming a cell twice keeps its last
+        // image, as sector-by-sector order would.
+        sorted.sort_by_key(|&((row, dev), _)| (dev, row));
+        let mut buf = Vec::new();
+        for run in sorted.chunk_by(|a, b| b.0 == (a.0 .0 + 1, a.0 .1)) {
+            let ((row, dev), first) = run[0];
+            let span = if run.len() == 1 {
+                first
+            } else {
+                buf.clear();
+                buf.reserve(run.len() * first.len());
+                for &(_, data) in run {
+                    buf.extend_from_slice(data);
+                }
+                &buf[..]
+            };
+            sh.devices.write_run(dev, stripe_idx, row, span)?;
         }
-        let rewritten = targets
-            .iter()
-            .map(|&((row, dev), _)| (stripe_idx, row, dev));
+        sh.integrity.record_cells(stripe_idx, cells);
+        let rewritten = cells.iter().map(|&((row, dev), _)| (stripe_idx, row, dev));
         sh.integrity.clear_bad(rewritten);
         Ok(())
     }

@@ -24,6 +24,10 @@ def gt(want):
     return (f"> {want}", lambda v: v > want)
 
 
+def le(want):
+    return (f"<= {want}", lambda v: v <= want)
+
+
 # (workload or "*", rung, predicate)
 RUNGS = [
     ("*", "gf.mult_xors_per_stripe_encode", eq(402)),
@@ -36,6 +40,9 @@ RUNGS = [
     ("seq_write_file", "store.jrnl_appends_per_op", eq(1)),
     ("seq_write_file", "store.delta_updates_per_op", eq(0)),
     ("seq_write_file", "store.recover_passes_per_op", eq(0)),
+    # The run rule: n device writes + 1 table write + 1 journal write
+    # per full stripe (≈ 10), not one per sector and entry (257).
+    ("seq_write_file", "store.syscw_per_op", le(16)),
     ("small_rw_tcp", "store.encode_passes_per_op", eq(0)),
     ("small_rw_tcp", "store.recover_passes_per_op", eq(0)),
     ("small_rw_tcp", "net.srv_requests_per_op", eq(1)),
