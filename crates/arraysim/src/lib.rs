@@ -35,7 +35,6 @@
 //! # Ok::<(), stair_arraysim::Error>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod array;

@@ -14,8 +14,6 @@
 //! Numbers about the *system* around the codes (store, cache, wire) come
 //! from `benchmark/run.sh`, not from this crate.
 
-#![forbid(unsafe_code)]
-
 use std::time::Instant;
 
 use stair::{Config, MultXorCounts, StairCodec, Stripe};

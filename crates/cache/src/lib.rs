@@ -46,7 +46,18 @@
 //! until the next generation bump), which is the same single-owner
 //! contract the stripe store itself has.
 
-#![forbid(unsafe_code)]
+// A no-panic zone: library code returns errors instead (tests may panic).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, HashMap};

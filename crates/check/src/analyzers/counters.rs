@@ -108,7 +108,6 @@ fn check_atomic_counters(ws: &Workspace, out: &mut Vec<Finding>) {
                     "Counters field `{field}` is {what} in crates/store; delete it or wire it up \
                      (waive with `// check: metric-ok <reason>`)"
                 ),
-                &format!("Counters.{field} {what}"),
             ));
         }
     }
@@ -232,7 +231,6 @@ fn check_named_metrics(
                          consumes it (or the consumer spells it differently); document it, read \
                          it somewhere, or waive with `// check: metric-ok <reason>`"
                     ),
-                    &format!("metric {name}"),
                 ));
             }
             None => {
@@ -253,7 +251,6 @@ fn check_named_metrics(
                         "documented metric `{name}` is never produced by any code path; fix the \
                          doc or the code"
                     ),
-                    &format!("doc metric {name}"),
                 ));
             }
         }
@@ -415,7 +412,6 @@ fn check_reserved_literals(
                              cache-tier names are declared once in stair-obs; {fix} (waive with \
                              `// check: metric-ok <reason>`)"
                         ),
-                        &format!("reserved metric literal {name}"),
                     ));
                 }
                 _ => {}
@@ -453,7 +449,6 @@ fn check_declared_metric_names(
                      anywhere; delete it or wire up the counter it was meant for (waive with \
                      `// check: metric-ok <reason>`)"
                 ),
-                &format!("dead metric name {name}"),
             ));
         }
         let documented = ws
@@ -471,7 +466,6 @@ fn check_declared_metric_names(
                      add it (backticked) to README.md or EXPERIMENTS.md so operators can find it \
                      (waive with `// check: metric-ok <reason>`)"
                 ),
-                &format!("undocumented metric name {name}"),
             ));
         }
     }

@@ -6,7 +6,10 @@
 //! build. The README also says one instrument answers each question
 //! (`benchmark/` for the system, the paper bins for the paper); a
 //! `benches/` directory, a `[[bench]]` table or a root `BENCH_*.json`
-//! would be a second one.
+//! would be a second one. And where `unsafe` may appear is a compiler
+//! setting only while every manifest that declares a package inherits
+//! the workspace lint table (`[lints] workspace = true`); `crates/gf`,
+//! which hosts the one `unsafe` module, carries its own table instead.
 
 use crate::analyzers::wire::{fn_body_range, parse_name_arms, PROTOCOL_RS};
 use crate::findings::{Finding, Lint};
@@ -25,7 +28,18 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
                 "`{stray}` is a second timing harness; timing harnesses live in \
                  `benchmark/` or `crates/bench/src/bin`"
             ),
-            &format!("stray harness {stray}"),
+        ));
+    }
+    for manifest in &ws.unlinted_manifests {
+        out.push(Finding::new(
+            Lint::DocDrift,
+            manifest,
+            0,
+            0,
+            format!(
+                "`{manifest}` does not inherit the workspace lints; add `[lints]` with \
+                 `workspace = true`, or its targets escape `unsafe_code = \"forbid\"`"
+            ),
         ));
     }
     let Some(readme) = ws.doc("README.md") else {
@@ -35,7 +49,6 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
             0,
             0,
             "README.md not found at the workspace root".into(),
-            "missing README",
         ));
         return;
     };
@@ -55,7 +68,6 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
                         "opcode `{variant}` (wire name `{wire}`) is not mentioned in README.md; \
                          update the wire-protocol section"
                     ),
-                    &format!("opcode {wire}"),
                 ));
             }
         }
@@ -90,7 +102,6 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
                         "{what} `{name}` (from {rel}) does not appear as `{with_colon}` in \
                          README.md; update the {section}"
                     ),
-                    &format!("{what} {name}"),
                 ));
             }
         }

@@ -24,7 +24,7 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
 /// `true` when code tokens at `ci` open `.lock()` / `.read()` /
 /// `.write()` — an *empty-argument* call, which is what distinguishes
 /// a poisonable guard acquisition from `io::Read::read(&mut buf)`.
-pub fn is_guard_acquisition(f: &SourceFile, ci: usize) -> bool {
+fn is_guard_acquisition(f: &SourceFile, ci: usize) -> bool {
     let tf = &f.tf;
     tf.is_punct(ci, ".")
         && (tf.is_ident(ci + 1, "lock")
@@ -75,7 +75,6 @@ fn scan_file(f: &SourceFile, out: &mut Vec<Finding>) {
                  correctness gate — use `unwrap_or_else(|e| e.into_inner())` or waive with \
                  `// check: lock-ok <reason>`"
             ),
-            tf.line_text(site.line),
         ));
     }
 }

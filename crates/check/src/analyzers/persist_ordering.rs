@@ -112,7 +112,6 @@ fn scan_file(f: &SourceFile, out: &mut Vec<Finding>) {
                          a deliberate bypass needs `// check: persist-ok <reason>`",
                         ALLOWED_FNS.join(" / ")
                     ),
-                    tf.line_text(tok.line),
                 ));
             }
             _ => {}

@@ -125,7 +125,6 @@ fn check_literal_sites(
                             "span recorded under a string literal `{name}` — names are declared \
                              once in stair-obs; {fix} (waive with `// check: span-ok <reason>`)"
                         ),
-                        &format!("span literal {name}"),
                     ));
                 }
                 _ => {}
@@ -160,7 +159,6 @@ fn check_dead_names(
                  delete it or instrument the path it was meant for (waive with \
                  `// check: span-ok <reason>`)"
             ),
-            &format!("dead span name {name}"),
         ));
     }
 }

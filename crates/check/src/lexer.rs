@@ -427,33 +427,6 @@ fn scan_number(c: &mut Cursor<'_>) -> TokKind {
     }
 }
 
-/// Parses an integer literal's value (`0x…`, `0o…`, `0b…`, underscores,
-/// type suffix), for the wire-constant evaluator. `None` when the text
-/// is not a clean integer.
-pub fn int_value(text: &str) -> Option<u64> {
-    let t = text.replace('_', "");
-    let (digits, radix) = if let Some(rest) = t.strip_prefix("0x") {
-        (rest, 16)
-    } else if let Some(rest) = t.strip_prefix("0o") {
-        (rest, 8)
-    } else if let Some(rest) = t.strip_prefix("0b") {
-        (rest, 2)
-    } else {
-        (t.as_str(), 10)
-    };
-    // Strip a type suffix: the first char that is not a digit of the
-    // radix opens the suffix.
-    let end = digits
-        .char_indices()
-        .find(|(_, ch)| !ch.is_digit(radix))
-        .map(|(i, _)| i)
-        .unwrap_or(digits.len());
-    if end == 0 {
-        return None;
-    }
-    u64::from_str_radix(&digits[..end], radix).ok()
-}
-
 /// Unquotes a string literal token's text to its contents (handles
 /// plain, raw, and byte forms; escape sequences are kept verbatim —
 /// the analyzers only match names, which never use escapes).
@@ -531,16 +504,6 @@ mod tests {
         let tf = TokenFile::lex("ab\n  cd".to_string());
         assert_eq!((tf.toks[0].line, tf.toks[0].col), (1, 1));
         assert_eq!((tf.toks[1].line, tf.toks[1].col), (2, 3));
-    }
-
-    #[test]
-    fn int_values_parse() {
-        assert_eq!(int_value("42"), Some(42));
-        assert_eq!(int_value("4096u32"), Some(4096));
-        assert_eq!(int_value("0xFF_u8"), Some(255));
-        assert_eq!(int_value("0b101"), Some(5));
-        assert_eq!(int_value("1_000_000"), Some(1_000_000));
-        assert_eq!(int_value("x"), None);
     }
 
     #[test]

@@ -1,61 +1,34 @@
-//! stair-check: a dependency-free static analysis pass that
-//! machine-checks the invariants the stack depends on.
+//! stair-check: a dependency-free static analysis pass for the
+//! cross-crate invariants that neither rustc nor clippy can see.
 //!
-//! Six PRs of prose rules — the lock-poison policy, the single-source
-//! wire constants, the no-panic zones, the README tables, the metric
-//! registry — become lints here, run on every build. The tool is a
+//! A rule lives in the cheapest thing that enforces it. Where `unsafe`
+//! may appear and which crates may not panic are compiler settings (the
+//! workspace `[lints]` table, `crates/gf`'s own table, and a clippy
+//! `deny` at each no-panic crate root); an exhaustive `match`, a lookup
+//! table or a required `From` impl holds what a type can. What remains
+//! is here: the lock-poison idiom, the single-source wire constants,
+//! the README tables and manifest lint inheritance, the metric and span
+//! registries, and the journal's write ordering. The tool is a
 //! hand-rolled lexer ([`lexer`]) feeding token-level analyzers
-//! ([`analyzers`]); findings carry stable fingerprints ([`findings`])
-//! so grandfathered ones can live in a `check.allow` baseline
-//! ([`baseline`]) that is itself checked for staleness.
+//! ([`analyzers`]); a deliberate exception carries an inline
+//! `// check: <key> <reason>` waiver, collected into the report.
 //!
-//! Driver: `cargo run -p stair-check -- [--json] [--deny <lint>]
-//! [--allow <lint>] [--baseline <path>] <workspace-root>`.
-
-#![forbid(unsafe_code)]
+//! Driver: `cargo run -p stair-check -- [--json] <workspace-root>`.
 
 pub mod analyzers;
-pub mod baseline;
 pub mod findings;
 pub mod lexer;
 pub mod workspace;
 
-use std::path::PathBuf;
+use std::path::Path;
 
-use baseline::Baseline;
-use findings::{disambiguate, Finding, Lint, Waiver};
+use findings::{Finding, Waiver};
 use workspace::Workspace;
-
-/// How a run is configured (the CLI flags, parsed).
-pub struct Config {
-    /// Workspace root to scan.
-    pub root: PathBuf,
-    /// Lints enabled *in addition to* the on-by-default set.
-    pub deny: Vec<String>,
-    /// Lints disabled even if on by default.
-    pub allow: Vec<String>,
-    /// Baseline file; defaults to `<root>/check.allow`.
-    pub baseline: Option<PathBuf>,
-}
-
-impl Config {
-    /// A default config for `root`.
-    pub fn new(root: impl Into<PathBuf>) -> Config {
-        Config {
-            root: root.into(),
-            deny: Vec::new(),
-            allow: Vec::new(),
-            baseline: None,
-        }
-    }
-}
 
 /// The outcome of a run.
 pub struct Report {
-    /// Findings that fail the build (not baselined).
+    /// Every finding; any one fails the build.
     pub findings: Vec<Finding>,
-    /// Findings suppressed by `check.allow`.
-    pub baselined: Vec<Finding>,
     /// Every waiver comment in the workspace (the audit trail).
     pub waivers: Vec<Waiver>,
     /// How many source files were scanned.
@@ -75,12 +48,24 @@ impl Report {
     /// The machine-readable report (schema documented in
     /// EXPERIMENTS.md).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"tool\": \"stair-check\",\n  \"schema_version\": 1,\n");
+        let mut s = String::from("{\n  \"tool\": \"stair-check\",\n  \"schema_version\": 2,\n");
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         s.push_str("  \"findings\": [");
-        push_findings(&mut s, &self.findings);
-        s.push_str("],\n  \"baselined\": [");
-        push_findings(&mut s, &self.baselined);
+        for (i, f) in self.findings.iter().enumerate() {
+            s.push_str(if i == 0 { "\n" } else { ",\n" });
+            s.push_str(&format!(
+                "    {{\"lint\": {}, \"severity\": \"error\", \"file\": {}, \"line\": {}, \
+                 \"col\": {}, \"message\": {}}}",
+                json_str(f.lint.id()),
+                json_str(&f.file),
+                f.line,
+                f.col,
+                json_str(&f.message)
+            ));
+        }
+        if !self.findings.is_empty() {
+            s.push_str("\n  ");
+        }
         s.push_str("],\n  \"waivers\": [");
         for (i, w) in self.waivers.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -96,9 +81,8 @@ impl Report {
             s.push_str("\n  ");
         }
         s.push_str(&format!(
-            "],\n  \"summary\": {{\"active\": {}, \"baselined\": {}, \"waivers\": {}}}\n}}\n",
+            "],\n  \"summary\": {{\"active\": {}, \"waivers\": {}}}\n}}\n",
             self.findings.len(),
-            self.baselined.len(),
             self.waivers.len()
         ));
         s
@@ -109,37 +93,17 @@ impl Report {
         let mut s = String::new();
         for f in &self.findings {
             s.push_str(&format!(
-                "{}:{}:{}: [{}] {}\n    fingerprint: {}\n",
-                f.file, f.line, f.col, f.lint, f.message, f.fingerprint
+                "{}:{}:{}: [{}] {}\n",
+                f.file, f.line, f.col, f.lint, f.message
             ));
         }
         s.push_str(&format!(
-            "stair-check: {} file(s) scanned, {} finding(s), {} baselined, {} waiver(s)\n",
+            "stair-check: {} file(s) scanned, {} finding(s), {} waiver(s)\n",
             self.files_scanned,
             self.findings.len(),
-            self.baselined.len(),
             self.waivers.len()
         ));
         s
-    }
-}
-
-fn push_findings(s: &mut String, findings: &[Finding]) {
-    for (i, f) in findings.iter().enumerate() {
-        s.push_str(if i == 0 { "\n" } else { ",\n" });
-        s.push_str(&format!(
-            "    {{\"lint\": {}, \"severity\": \"error\", \"file\": {}, \"line\": {}, \
-             \"col\": {}, \"message\": {}, \"fingerprint\": {}}}",
-            json_str(f.lint.id()),
-            json_str(&f.file),
-            f.line,
-            f.col,
-            json_str(&f.message),
-            json_str(&f.fingerprint)
-        ));
-    }
-    if !findings.is_empty() {
-        s.push_str("\n  ");
     }
 }
 
@@ -162,39 +126,17 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-/// Runs the full pass: walk, analyze, filter, baseline.
+/// Runs the full pass over the workspace at `root`: walk, analyze, sort.
 ///
 /// # Errors
 ///
-/// Returns a rendered message when the workspace or baseline cannot be
-/// loaded (distinct from "findings exist", which is a clean `Report`).
-pub fn run(cfg: &Config) -> Result<Report, String> {
-    let ws = Workspace::load(&cfg.root)?;
-    let mut all = Vec::new();
-    analyzers::run_all(&ws, &mut all);
-
-    let enabled = |l: Lint| -> bool {
-        if cfg.allow.iter().any(|s| s == l.id()) {
-            return false;
-        }
-        l.on_by_default() || cfg.deny.iter().any(|s| s == l.id())
-    };
-    all.retain(|f| enabled(f.lint));
-    all.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.col, a.lint).cmp(&(b.file.as_str(), b.line, b.col, b.lint))
-    });
-    disambiguate(&mut all);
-
-    let bl_path = cfg
-        .baseline
-        .clone()
-        .unwrap_or_else(|| cfg.root.join("check.allow"));
-    let bl = Baseline::load(&bl_path, "check.allow")?;
-    let (mut active, baselined) = bl.apply(all);
-    if !enabled(Lint::StaleBaseline) {
-        active.retain(|f| f.lint != Lint::StaleBaseline);
-    }
-    active.sort_by(|a, b| {
+/// Returns a rendered message when the workspace cannot be loaded
+/// (distinct from "findings exist", which is a clean `Report`).
+pub fn run(root: &Path) -> Result<Report, String> {
+    let ws = Workspace::load(root)?;
+    let mut findings = Vec::new();
+    analyzers::run_all(&ws, &mut findings);
+    findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.lint).cmp(&(b.file.as_str(), b.line, b.col, b.lint))
     });
 
@@ -202,8 +144,7 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     waivers.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
 
     Ok(Report {
-        findings: active,
-        baselined,
+        findings,
         waivers,
         files_scanned: ws.files.len(),
     })
@@ -223,7 +164,6 @@ mod tests {
     fn empty_report_is_clean_and_valid_json() {
         let r = Report {
             findings: vec![],
-            baselined: vec![],
             waivers: vec![],
             files_scanned: 3,
         };

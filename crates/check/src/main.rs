@@ -1,14 +1,14 @@
 //! The stair-check driver binary.
 //!
-//! Usage: `stair-check [--json] [--deny <lint>] [--allow <lint>]
-//! [--baseline <path>] [--list] [<workspace-root>]`
+//! Usage: `stair-check [--json] [--list] [<workspace-root>]`
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use stair_check::findings::ALL_LINTS;
-use stair_check::{run, Config};
+use stair_check::run;
 
 const USAGE: &str = "\
 stair-check: static analysis for the stair workspace
@@ -18,44 +18,23 @@ USAGE:
 
 OPTIONS:
     --json               machine-readable output (schema in EXPERIMENTS.md)
-    --deny <lint>        also enable an off-by-default lint (e.g. index-in-lib)
-    --allow <lint>       disable a lint for this run
-    --baseline <path>    baseline file (default: <root>/check.allow)
     --list               list lints and exit
     -h, --help           this text
 ";
 
 fn main() -> ExitCode {
-    let mut cfg = Config::new(".");
+    let mut root: Option<PathBuf> = None;
     let mut json = false;
-    let mut root_set = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "--json" => json = true,
-            "--deny" | "--allow" | "--baseline" => {
-                let Some(v) = args.next() else {
-                    eprintln!("error: {a} needs a value\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                match a.as_str() {
-                    "--deny" => cfg.deny.push(v),
-                    "--allow" => cfg.allow.push(v),
-                    _ => cfg.baseline = Some(v.into()),
-                }
-            }
             "--list" => {
                 for l in ALL_LINTS {
-                    let default = if l.on_by_default() { "on " } else { "off" };
                     let waive = l
                         .waiver_key()
                         .map(|k| format!("// check: {k} <reason>"))
                         .unwrap_or_else(|| "not waivable".into());
-                    println!(
-                        "{:<20} [{default}] {:<72} waiver: {waive}",
-                        l.id(),
-                        l.describe()
-                    );
+                    println!("{:<20} {:<72} waiver: {waive}", l.id(), l.describe());
                 }
                 return ExitCode::SUCCESS;
             }
@@ -67,23 +46,14 @@ fn main() -> ExitCode {
                 eprintln!("error: unknown flag {a}\n\n{USAGE}");
                 return ExitCode::from(2);
             }
-            _ if !root_set => {
-                cfg.root = a.into();
-                root_set = true;
-            }
+            _ if root.is_none() => root = Some(a.into()),
             _ => {
                 eprintln!("error: more than one root given\n\n{USAGE}");
                 return ExitCode::from(2);
             }
         }
     }
-    for lint in cfg.deny.iter().chain(cfg.allow.iter()) {
-        if stair_check::findings::Lint::from_id(lint).is_none() {
-            eprintln!("error: unknown lint `{lint}` (try --list)");
-            return ExitCode::from(2);
-        }
-    }
-    match run(&cfg) {
+    match run(&root.unwrap_or_else(|| PathBuf::from("."))) {
         Ok(report) => {
             if json {
                 print!("{}", report.to_json());

@@ -1,6 +1,7 @@
 //! Workspace discovery: which files exist, which crate each belongs
 //! to, what role it plays (library source, test, example, …), where its
-//! `#[cfg(test)]` modules sit, and which waiver comments it carries.
+//! `#[cfg(test)]` modules sit, and which waiver comments it carries —
+//! plus the two manifest facts `doc-drift` checks.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -19,18 +20,6 @@ pub enum FileKind {
     Test,
     /// Examples (`examples/`).
     Example,
-}
-
-impl FileKind {
-    /// String form for JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FileKind::LibSrc => "lib",
-            FileKind::BinSrc => "bin",
-            FileKind::Test => "test",
-            FileKind::Example => "example",
-        }
-    }
 }
 
 /// One lexed source file plus everything analyzers ask about it.
@@ -85,6 +74,9 @@ pub struct Workspace {
     /// a member's `benches/` directory, a member manifest with a
     /// `[[bench]]` table, a root `BENCH_*.json` (workspace-relative).
     pub stray_harnesses: Vec<String>,
+    /// Manifests declaring a package (a member's, or the root's) that do
+    /// not inherit the workspace lint table (workspace-relative).
+    pub unlinted_manifests: Vec<String>,
 }
 
 impl Workspace {
@@ -112,6 +104,7 @@ impl Workspace {
             .filter_map(|e| e.file_name().into_string().ok())
             .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
             .collect();
+        let mut unlinted_manifests = Vec::new();
         for member in &members {
             let dir = if member == "." {
                 root.clone()
@@ -125,8 +118,23 @@ impl Workspace {
             if dir.join("benches").is_dir() {
                 stray_harnesses.push(format!("{member}/benches"));
             }
-            if fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|m| m.contains("[[bench]]")) {
-                stray_harnesses.push(format!("{member}/Cargo.toml"));
+            let manifest_rel = if member == "." {
+                String::from("Cargo.toml")
+            } else {
+                format!("{member}/Cargo.toml")
+            };
+            if let Ok(m) = fs::read_to_string(dir.join("Cargo.toml")) {
+                if m.contains("[[bench]]") {
+                    stray_harnesses.push(manifest_rel.clone());
+                }
+                // `crates/gf` hosts the one `unsafe` module, so it carries
+                // its own table, which must still deny `unsafe_code`.
+                let linted = table_has(&m, "lints", "workspace=true")
+                    || (member == "crates/gf"
+                        && table_has(&m, "lints.rust", "unsafe_code=\"deny\""));
+                if m.contains("[package]") && !linted {
+                    unlinted_manifests.push(manifest_rel);
+                }
             }
             for (sub, kind) in [
                 ("src", FileKind::LibSrc),
@@ -189,6 +197,7 @@ impl Workspace {
             files,
             docs,
             stray_harnesses,
+            unlinted_manifests,
         })
     }
 
@@ -213,6 +222,20 @@ fn classify(base: FileKind, rel: &str) -> FileKind {
     } else {
         base
     }
+}
+
+/// `true` when TOML table `[table]` of `manifest` holds the line `entry`
+/// (spaces ignored) — a line scan from the header to the next one, not
+/// a TOML parser.
+fn table_has(manifest: &str, table: &str, entry: &str) -> bool {
+    let header = format!("[{table}]");
+    manifest
+        .lines()
+        .map(|l| l.replace(' ', ""))
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .any(|l| l == entry)
 }
 
 /// Pulls the `members = [ "…", … ]` list out of `[workspace]` without a

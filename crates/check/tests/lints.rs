@@ -1,14 +1,14 @@
 //! Per-lint fixture tests: each lint gets at least one true-positive
 //! and one near-miss-negative workspace, assembled in a temp directory
 //! from the snippets under `tests/fixtures/` and run through the full
-//! pipeline (`stair_check::run`), baseline included.
+//! pipeline (`stair_check::run`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use stair_check::findings::Lint;
-use stair_check::{run, Config, Report};
+use stair_check::{run, Report};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -57,7 +57,7 @@ fn build_ws(files: &[(&str, &str)]) -> PathBuf {
 /// Runs the pipeline on a fixture workspace.
 fn run_ws(files: &[(&str, &str)]) -> Report {
     let dir = build_ws(files);
-    run(&Config::new(&dir)).expect("fixture workspace must load")
+    run(&dir).expect("fixture workspace must load")
 }
 
 /// The active findings of one lint.
@@ -92,66 +92,7 @@ fn lock_poison_near_misses_stay_clean() {
     assert!(r.waivers.iter().any(|w| w.key == "lock-ok"));
 }
 
-// ---- L2 no-panic-in-lib --------------------------------------------
-
-#[test]
-fn no_panic_true_positives_in_zone_crate() {
-    let bad = fixture("no_panic_bad.rs");
-    let r = run_ws(&[("crates/store/src/lib.rs", &bad)]);
-    let hits = of(&r, Lint::NoPanicInLib);
-    assert_eq!(hits.len(), 3, "{hits:?}");
-    assert_ne!(r.exit_code(), 0);
-}
-
-#[test]
-fn no_panic_ignores_non_zone_crates_bins_and_tests() {
-    let bad = fixture("no_panic_bad.rs");
-    // Same violations, but in a non-zone crate, a binary, and an
-    // integration test: all exempt.
-    let r = run_ws(&[
-        ("crates/cli/src/lib.rs", &bad),
-        ("crates/store/src/main.rs", &bad),
-        ("crates/store/tests/a_test.rs", &bad),
-    ]);
-    assert_eq!(of(&r, Lint::NoPanicInLib), Vec::<String>::new());
-}
-
-#[test]
-fn no_panic_near_misses_stay_clean() {
-    let ok = fixture("no_panic_near_miss.rs");
-    let r = run_ws(&[("crates/store/src/lib.rs", &ok)]);
-    assert_eq!(of(&r, Lint::NoPanicInLib), Vec::<String>::new());
-}
-
-#[test]
-fn index_lint_is_opt_in() {
-    let src = "pub fn f(v: &[u8], i: usize) -> u8 { v[i] }\n";
-    let files = [("crates/store/src/lib.rs", src)];
-    let quiet = run_ws(&files);
-    assert_eq!(of(&quiet, Lint::IndexInLib), Vec::<String>::new());
-    let dir = build_ws(&files);
-    let mut cfg = Config::new(&dir);
-    cfg.deny.push("index-in-lib".into());
-    let loud = run(&cfg).unwrap();
-    assert_eq!(of(&loud, Lint::IndexInLib).len(), 1);
-}
-
 // ---- L3 wire-constants ---------------------------------------------
-
-#[test]
-fn wire_incoherent_protocol_is_flagged() {
-    let bad = fixture("wire_protocol_bad.rs");
-    let r = run_ws(&[("crates/net/src/protocol.rs", &bad)]);
-    let hits = of(&r, Lint::WireConstants);
-    assert!(
-        hits.iter().any(|h| h.contains("not dense")),
-        "want density finding in {hits:?}"
-    );
-    assert!(hits.iter().any(|h| h.contains("from_u8 has no arm")));
-    assert!(hits.iter().any(|h| h.contains("from_u8 accepts 9")));
-    assert!(hits.iter().any(|h| h.contains("name() has no arm")));
-    assert!(hits.iter().any(|h| h.contains("`Opcode::ALL` is missing")));
-}
 
 #[test]
 fn wire_redeclaration_is_flagged_import_is_not() {
@@ -243,25 +184,6 @@ fn device_one_method_near_misses_are_clean() {
     assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
 }
 
-// ---- L4 error-conversions ------------------------------------------
-
-#[test]
-fn missing_from_impl_is_flagged() {
-    let bad = fixture("error_conv_bad.rs");
-    let r = run_ws(&[("crates/device/src/error.rs", &bad)]);
-    let hits = of(&r, Lint::ErrorConversions);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("NetError"));
-    assert!(hits[0].contains("DeviceError"));
-}
-
-#[test]
-fn complete_registry_is_clean() {
-    let good = fixture("error_conv_good.rs");
-    let r = run_ws(&[("crates/device/src/error.rs", &good)]);
-    assert_eq!(of(&r, Lint::ErrorConversions), Vec::<String>::new());
-}
-
 // ---- L5 doc-drift --------------------------------------------------
 
 #[test]
@@ -319,6 +241,49 @@ fn doc_drift_flags_a_second_timing_harness() {
             "{stray}: {hits:?}"
         );
     }
+}
+
+#[test]
+fn doc_drift_flags_a_manifest_outside_the_workspace_lints() {
+    let r = run_ws(&[
+        ("README.md", &fixture("doc_readme_good.md")),
+        // A package with no `[lints]` table, one with its own table
+        // instead of the workspace's, and `crates/gf`'s table without
+        // the `unsafe_code` deny that exempts it.
+        ("crates/a/Cargo.toml", "[package]\nname = \"a\"\n"),
+        (
+            "crates/b/Cargo.toml",
+            "[package]\nname = \"b\"\n\n[lints.rust]\nunsafe_code = \"allow\"\n",
+        ),
+        (
+            "crates/gf/Cargo.toml",
+            "[package]\nname = \"stair-gf\"\n\n[lints.clippy]\nmissing_safety_doc = \"deny\"\n",
+        ),
+    ]);
+    let hits = of(&r, Lint::DocDrift);
+    assert_eq!(hits.len(), 3, "{hits:?}");
+    for manifest in ["crates/a", "crates/b", "crates/gf"] {
+        let at = format!("{manifest}/Cargo.toml:0 ");
+        assert!(hits.iter().any(|h| h.starts_with(&at)), "{at}: {hits:?}");
+    }
+}
+
+#[test]
+fn doc_drift_accepts_inherited_and_gf_own_lint_tables() {
+    let r = run_ws(&[
+        ("README.md", &fixture("doc_readme_good.md")),
+        (
+            "crates/a/Cargo.toml",
+            "[package]\nname = \"a\"\n\n[lints]\nworkspace = true\n\n[dependencies]\n",
+        ),
+        (
+            "crates/gf/Cargo.toml",
+            "[package]\nname = \"stair-gf\"\n\n[lints.rust]\nunsafe_code = \"deny\"\n",
+        ),
+        // No `[package]`: not a crate manifest, nothing to inherit.
+        ("crates/c/Cargo.toml", "[[bin]]\nname = \"c\"\n"),
+    ]);
+    assert_eq!(of(&r, Lint::DocDrift), Vec::<String>::new());
 }
 
 // ---- L6 counter-discipline -----------------------------------------
@@ -463,105 +428,6 @@ fn journaled_waived_and_test_writes_stay_clean() {
     assert!(r.waivers.iter().any(|w| w.key == "persist-ok"));
 }
 
-// ---- L9 unsafe-confined --------------------------------------------
-
-const SIMD_RS: &str = "crates/gf/src/simd.rs";
-const GF_ROOT: (&str, &str) = ("crates/gf/src/lib.rs", "#![deny(unsafe_code)]\nmod simd;\n");
-
-#[test]
-fn unsafe_outside_the_simd_module_is_flagged_everywhere() {
-    let bad = fixture("unsafe_bad.rs");
-    // Library, binary and integration-test code alike; the SAFETY
-    // comment and the `# Safety` docs in the fixture buy nothing here.
-    for rel in [
-        "crates/net/src/frame.rs",
-        "crates/gf/src/gf8.rs",
-        "crates/cli/src/main.rs",
-        "crates/store/tests/io.rs",
-    ] {
-        let r = run_ws(&[(rel, &bad)]);
-        let hits = of(&r, Lint::UnsafeConfined);
-        assert_eq!(hits.len(), 3, "{rel}: {hits:?}");
-        assert!(hits.iter().all(|h| h.starts_with(rel)));
-        assert_ne!(r.exit_code(), 0);
-    }
-}
-
-#[test]
-fn library_crate_roots_must_carry_the_unsafe_code_attribute() {
-    let near = fixture("unsafe_near_miss.rs");
-    // `forbid` everywhere...
-    let r = run_ws(&[("crates/net/src/lib.rs", &near), GF_ROOT]);
-    assert_eq!(of(&r, Lint::UnsafeConfined), Vec::<String>::new());
-    // ...a root without it is a finding...
-    let r = run_ws(&[("crates/net/src/lib.rs", "pub fn f() {}\n")]);
-    let hits = of(&r, Lint::UnsafeConfined);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("forbid(unsafe_code)"));
-    // ...and the gf root, which hosts the one module, needs `deny`.
-    let r = run_ws(&[("crates/gf/src/lib.rs", &near)]);
-    let hits = of(&r, Lint::UnsafeConfined);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("deny(unsafe_code)"));
-}
-
-#[test]
-fn the_word_unsafe_in_comments_strings_and_names_stays_clean() {
-    let near = fixture("unsafe_near_miss.rs");
-    let r = run_ws(&[("crates/net/src/frame.rs", &near)]);
-    assert_eq!(of(&r, Lint::UnsafeConfined), Vec::<String>::new());
-}
-
-#[test]
-fn inside_the_simd_module_every_unsafe_needs_its_safety_comment() {
-    let good = fixture("unsafe_simd_good.rs");
-    let r = run_ws(&[(SIMD_RS, &good), GF_ROOT]);
-    assert_eq!(of(&r, Lint::UnsafeConfined), Vec::<String>::new());
-
-    let bad = fixture("unsafe_simd_bad.rs");
-    let r = run_ws(&[(SIMD_RS, &bad), GF_ROOT]);
-    let hits = of(&r, Lint::UnsafeConfined);
-    assert_eq!(hits.len(), 3, "{hits:?}");
-    for line in [6, 13, 17] {
-        let at = format!("{SIMD_RS}:{line} ");
-        assert!(hits.iter().any(|h| h.starts_with(&at)), "{at}: {hits:?}");
-    }
-}
-
-// ---- baseline ------------------------------------------------------
-
-#[test]
-fn baseline_suppresses_then_goes_stale() {
-    let bad = fixture("no_panic_bad.rs");
-    let files = [("crates/store/src/lib.rs", bad.as_str())];
-    let dir = build_ws(&files);
-    let first = run(&Config::new(&dir)).unwrap();
-    assert_eq!(of(&first, Lint::NoPanicInLib).len(), 3);
-
-    // Baseline everything (the mini-workspace also trips the registry
-    // lints): the run goes clean, findings move aside.
-    let mut allow = String::from("# grandfathered\n");
-    for f in &first.findings {
-        allow.push_str(&format!("{} {} {} legacy\n", f.fingerprint, f.lint, f.file));
-    }
-    fs::write(dir.join("check.allow"), &allow).unwrap();
-    let second = run(&Config::new(&dir)).unwrap();
-    assert_eq!(second.exit_code(), 0);
-    assert_eq!(second.findings.len(), 0);
-    assert_eq!(second.baselined.len(), first.findings.len());
-
-    // Fix the code: the baseline entries are now stale and fail the
-    // run until deleted.
-    fs::write(
-        dir.join("crates/store/src/lib.rs"),
-        "pub fn fixed() -> u64 { 7 }\n",
-    )
-    .unwrap();
-    let third = run(&Config::new(&dir)).unwrap();
-    assert_ne!(third.exit_code(), 0);
-    assert_eq!(of(&third, Lint::StaleBaseline).len(), 3);
-}
-
 // ---- self-check ----------------------------------------------------
 
 /// The real workspace must pass its own lints (acceptance criterion:
@@ -569,7 +435,7 @@ fn baseline_suppresses_then_goes_stale() {
 #[test]
 fn real_workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let r = run(&Config::new(root)).unwrap();
+    let r = run(&root).unwrap();
     assert_eq!(
         r.exit_code(),
         0,
@@ -592,7 +458,7 @@ fn json_report_carries_findings_and_waivers() {
     ]);
     let json = r.to_json();
     assert!(json.contains("\"lint\": \"lock-poison\""));
-    assert!(json.contains("\"fingerprint\""));
+    assert!(!json.contains("fingerprint") && !json.contains("baselined"));
     assert!(json.contains("\"key\": \"lock-ok\""));
     assert!(json.contains(&format!("\"active\": {}", r.findings.len())));
 }

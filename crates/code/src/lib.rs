@@ -60,7 +60,18 @@
 //! Specs round-trip through `Display`/`FromStr` and are embedded in the
 //! store superblock, so a store directory records which codec wrote it.
 
-#![forbid(unsafe_code)]
+// A no-panic zone: library code returns errors instead (tests may panic).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 mod buf;

@@ -46,7 +46,18 @@
 //!
 //! [`StripeStore`]: https://docs.rs/stair-store
 
-#![forbid(unsafe_code)]
+// A no-panic zone: library code returns errors instead (tests may panic).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 mod api;

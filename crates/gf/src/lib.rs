@@ -36,14 +36,26 @@
 //! assert!(dst.iter().all(|&x| x == Gf8::value(p) as u8));
 //! ```
 
-// `simd` is the one module of the workspace that may use `unsafe`.
-#![deny(unsafe_code)]
+// A no-panic zone: library code returns errors instead (tests may panic).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod counters;
 mod field;
 mod gf16;
 mod gf8;
+// The one module of the workspace that may use `unsafe`: this crate's
+// manifest denies `unsafe_code` everywhere else.
 #[allow(unsafe_code)]
 mod simd;
 mod tables;

@@ -1,11 +1,16 @@
 //! The GF(2^8) region kernel and its SIMD tiers.
 //!
-//! This is the only module of the workspace that contains `unsafe` (the
-//! `unsafe-confined` lint of `stair-check` holds that line): vector loads
-//! and stores go through raw pointers, and a `#[target_feature]` function
-//! may only be entered once the CPU is known to have the feature. Everything
-//! else — every other module of this crate and every other library crate —
-//! stays safe code.
+//! This is the only module of the workspace that contains `unsafe`: vector
+//! loads and stores go through raw pointers, and a `#[target_feature]`
+//! function may only be entered once the CPU is known to have the feature.
+//! Everything else stays safe code, and the compiler holds that line: the
+//! workspace lint table forbids `unsafe_code` in every other crate, this
+//! crate's own table denies it outside this module (`#[allow]`ed at its
+//! `mod` line), and the same table makes an `unsafe` block without a
+//! `// SAFETY:` comment, an unsafe operation outside a block inside an
+//! `unsafe fn`, and a public `unsafe fn` without a `# Safety` section
+//! errors. A private `unsafe fn` (like `span` below) is not checked for its
+//! `# Safety` section — write it anyway.
 //!
 //! One kernel serves `Gf8::mult_xor_region`, `Gf8::mult_region` and
 //! `Gf8::mult_xor_regions`:

@@ -26,7 +26,6 @@
 //! # Ok::<(), stair_gfmatrix::Error>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod builders;

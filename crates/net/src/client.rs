@@ -227,7 +227,10 @@ impl Client {
                 }
                 *slot = Some(conn);
             }
-            // check: panic-ok slot was filled two lines up; None here is a local logic bug
+            #[expect(
+                clippy::expect_used,
+                reason = "slot was filled two lines up; None here is a local logic bug"
+            )]
             match f(slot.as_mut().expect("connected above")) {
                 Ok(v) => return Ok(v),
                 Err(e) => {
@@ -241,8 +244,13 @@ impl Client {
                 }
             }
         }
-        // check: panic-ok the retry loop returns on attempt 1; falling out is a logic bug
-        unreachable!("loop returns on the second attempt")
+        #[expect(
+            clippy::unreachable,
+            reason = "the retry loop returns on attempt 1; falling out is a logic bug"
+        )]
+        {
+            unreachable!("loop returns on the second attempt")
+        }
     }
 
     /// Per-shard health snapshots.

@@ -224,8 +224,13 @@ pub(crate) fn run_groups<E: Into<NetError> + Send>(
                 .collect();
             handles
                 .into_iter()
-                // check: panic-ok a panicked group thread is a bug — propagate, don't mask as NetError
-                .map(|h| h.join().expect("shard group thread"))
+                .map(
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a panicked group thread is a bug — propagate, don't mask as NetError"
+                    )]
+                    |h| h.join().expect("shard group thread"),
+                )
                 .collect()
         })
     };

@@ -93,9 +93,11 @@ pub enum Opcode {
 }
 
 impl Opcode {
-    /// Every opcode, in discriminant order. Keep in sync with the enum
-    /// — stair-check (wire-constants) and the density test below both
-    /// fail the build if a variant is missing here.
+    /// Every opcode, in discriminant order — and the decoder's table:
+    /// `from_u8` accepts exactly these bytes. A variant left out cannot
+    /// be decoded (`requests_round_trip` fails), a duplicate discriminant
+    /// does not compile (E0081), nor does a `name()` without an arm for
+    /// it (E0004); the tests below hold density and unique wire names.
     pub const ALL: [Opcode; 10] = [
         Opcode::Hello,
         Opcode::Status,
@@ -127,19 +129,10 @@ impl Opcode {
     }
 
     fn from_u8(b: u8) -> Result<Self, NetError> {
-        Ok(match b {
-            1 => Opcode::Hello,
-            2 => Opcode::Status,
-            3 => Opcode::Batch,
-            4 => Opcode::Flush,
-            5 => Opcode::Fail,
-            6 => Opcode::Scrub,
-            7 => Opcode::Repair,
-            8 => Opcode::Shutdown,
-            9 => Opcode::Metrics,
-            10 => Opcode::Trace,
-            other => return Err(NetError::Protocol(format!("unknown opcode {other}"))),
-        })
+        Opcode::ALL
+            .into_iter()
+            .find(|&op| op as u8 == b)
+            .ok_or_else(|| NetError::Protocol(format!("unknown opcode {b}")))
     }
 }
 

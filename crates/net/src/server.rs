@@ -500,10 +500,11 @@ fn execute(
                 );
                 Response::Traces(traces)
             }
-            Request::Shutdown => {
-                // check: panic-ok the reader loop answers shutdowns inline, before execute()
-                unreachable!("handled before execute()")
-            }
+            #[expect(
+                clippy::unreachable,
+                reason = "the reader loop answers shutdowns inline, before execute()"
+            )]
+            Request::Shutdown => unreachable!("handled before execute()"),
             // A BATCH executes as one unit through the shard set: split
             // by placement, shards in parallel, one stripe lock + one
             // codec decision per touched stripe.

@@ -29,7 +29,18 @@
 //! bound clamped to the observed maximum, so estimates are exact to
 //! within one bucket: `exact ≤ estimate < 2 × exact`.
 
-#![forbid(unsafe_code)]
+// A no-panic zone: library code returns errors instead (tests may panic).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 mod hist;

@@ -31,7 +31,6 @@
 //! assert!(stair > 100.0 * rs);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod burst;

@@ -33,7 +33,6 @@
 //! # Ok::<(), stair_sd::Error>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

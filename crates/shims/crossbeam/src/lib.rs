@@ -10,7 +10,6 @@
 //! handles and `expect`s the results, so the difference is unobservable
 //! here.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Scoped threads adapted from `std::thread::scope`.

@@ -5,7 +5,6 @@
 //! thread panicked while holding it; matching `parking_lot` semantics, we
 //! simply continue with the inner data.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync;

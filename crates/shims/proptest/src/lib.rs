@@ -17,7 +17,6 @@
 //! * `prop_assume!` skips the current case rather than drawing a
 //!   replacement, so a test runs *up to* `cases` cases.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::SmallRng;

@@ -9,7 +9,6 @@
 //! bit-compatible with the real crate; nothing in this workspace depends on
 //! specific streams, only on determinism per seed.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// A source of random 64-bit words.

@@ -51,7 +51,6 @@
 //! # Ok::<(), stair::Error>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod code_impl;

@@ -105,7 +105,10 @@ impl StagedCells {
     fn cell(&self, cell: CellIdx) -> &[u8] {
         match self {
             StagedCells::Grid(stripe) => stripe.cell(cell),
-            // check: panic-ok planner invariant: only footprint cells are asked for
+            #[expect(
+                clippy::expect_used,
+                reason = "planner invariant: only footprint cells are asked for"
+            )]
             StagedCells::Sparse(cells) => cells.get(&cell).expect("cell is in the footprint"),
         }
     }
@@ -167,7 +170,10 @@ impl StripeStore {
     pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, Error> {
         match self.plan(&[OpRef::Read { offset, len }])?.pop() {
             Some(OpResult::Read(out)) => Ok(out),
-            // check: panic-ok planner invariant: one read op yields one read result
+            #[expect(
+                clippy::unreachable,
+                reason = "planner invariant: one read op yields one read result"
+            )]
             _ => unreachable!("one read op yields one read result"),
         }
     }
@@ -343,8 +349,11 @@ impl StripeStore {
             // Read-only stripe: each fragment reads what the source rule
             // names, all under the one lock.
             for f in frags {
+                #[expect(
+                    clippy::unreachable,
+                    reason = "planner invariant: read fragments index read results"
+                )]
                 let OpResult::Read(out) = &mut results[f.op] else {
-                    // check: panic-ok planner invariant: read fragments index read results
                     unreachable!("read fragment indexed a write result")
                 };
                 self.read_blocks_locked(stripe_idx, f.blocks.clone(), ops[f.op].offset(), out)?;
@@ -362,8 +371,11 @@ impl StripeStore {
             let geom = &sh.geometry;
             let mut stripe = StripeBuf::new(geom.r, geom.n, sym)?;
             for f in frags {
+                #[expect(
+                    clippy::unreachable,
+                    reason = "full_cover arithmetic leaves no room for read fragments"
+                )]
                 let OpRef::Write { offset, data } = ops[f.op] else {
-                    // check: panic-ok full_cover arithmetic leaves no room for read fragments
                     unreachable!("full stripe cover leaves no room for reads")
                 };
                 for block in f.blocks.clone() {
@@ -440,8 +452,11 @@ impl StripeStore {
                     // Every staged cell is verified, and reads are
                     // disjoint from the plan's writes, so patching
                     // cannot have changed the bytes a read wants.
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "planner invariant: read fragments index read results"
+                    )]
                     let OpResult::Read(out) = &mut results[f.op] else {
-                        // check: panic-ok planner invariant: read fragments index read results
                         unreachable!("read fragment indexed a write result")
                     };
                     for block in f.blocks.clone() {
@@ -471,7 +486,10 @@ impl StripeStore {
 fn write_slot(results: &mut [OpResult], i: usize) -> &mut WriteOutcome {
     match &mut results[i] {
         OpResult::Write(w) => w,
-        // check: panic-ok planner invariant: write fragments index write results
+        #[expect(
+            clippy::unreachable,
+            reason = "planner invariant: write fragments index write results"
+        )]
         OpResult::Read(_) => unreachable!("write fragment indexed a read result"),
     }
 }

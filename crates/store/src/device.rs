@@ -92,6 +92,34 @@ impl DeviceSet {
         Ok(Self::open(dir, n, r, symbol, stripes))
     }
 
+    /// Refuses a geometry that no present device file agrees with.
+    /// Device files are created at their full length and keep it (one
+    /// cut short is damage the codec reads around), so when every present
+    /// file has another length, the superblock's `symbol` or `stripes` is
+    /// not what the files were written with — and trusting it would size
+    /// reads after a capacity the files do not have.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Meta`] naming both lengths.
+    pub fn check_file_lengths(&self) -> Result<(), Error> {
+        let want = (self.stripes * self.r * self.symbol) as u64;
+        let mut lens = Vec::new();
+        for slot in &self.slots {
+            if let Some(file) = slot.read().unwrap_or_else(|e| e.into_inner()).as_ref() {
+                lens.push(file.metadata()?.len());
+            }
+        }
+        if lens.is_empty() || lens.contains(&want) {
+            return Ok(());
+        }
+        lens.sort_unstable();
+        lens.dedup();
+        Err(Error::Meta(format!(
+            "the superblock implies {want}-byte device files, but they are {lens:?} bytes"
+        )))
+    }
+
     /// Whether device `j`'s backing file is currently present.
     pub fn is_present(&self, device: usize) -> bool {
         self.slots[device]

@@ -233,6 +233,11 @@ impl CommitGuard<'_> {
 pub struct Journal {
     symbol: usize,
     capacity: u64,
+    /// The segment file's length before this handle preallocated it.
+    /// Beyond it, and beyond what this handle has appended since, the
+    /// file holds only the zeros preallocation wrote — so replay reads
+    /// no further, whatever capacity the superblock claims.
+    len_at_open: u64,
     enabled: bool,
     sync: bool,
     inner: Mutex<Inner>,
@@ -293,6 +298,7 @@ impl Journal {
         Ok(Journal {
             symbol,
             capacity,
+            len_at_open: len,
             enabled: env_flag("STAIR_JOURNAL"),
             sync: env_flag("STAIR_JOURNAL_SYNC"),
             // `used` starts at the header: the file length no longer
@@ -503,7 +509,8 @@ impl Journal {
         let _span = stair_obs::trace::span(stair_obs::trace::names::JRNL_REPLAY);
         let buf = {
             let inner = mutex_lock(&self.inner);
-            let len = inner.file.metadata()?.len() as usize;
+            let written = self.len_at_open.max(inner.used);
+            let len = inner.file.metadata()?.len().min(written) as usize;
             let mut buf = vec![0u8; len];
             inner.file.read_exact_at(&mut buf, 0)?;
             buf
@@ -549,7 +556,8 @@ impl Journal {
         let raw_count = u32::from_le_bytes(body[12..16].try_into().ok()?);
         let encode = raw_count & ENCODE_FLAG != 0;
         let count = (raw_count & !ENCODE_FLAG) as usize;
-        if body.len() != BODY_FIXED + count * (CELL_FIXED + self.symbol) {
+        let cells_len = count.checked_mul(CELL_FIXED + self.symbol)?;
+        if body.len() != BODY_FIXED.checked_add(cells_len)? {
             return None;
         }
         let mut cells = Vec::with_capacity(count);

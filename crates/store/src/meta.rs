@@ -94,9 +94,35 @@ impl StoreMeta {
             )));
         }
         let meta = Self::parse_body(lines)?;
-        meta.validate()?;
-        let codec = crate::build_codec(&meta.codec)?; // must be constructible
+        let codec = meta.checked_codec()?;
         Ok((meta, codec))
+    }
+
+    /// Validates the scalar fields, builds the codec the spec names, and
+    /// computes every size the superblock implies with checked
+    /// arithmetic — the checksum table (`stripes·r·n` four-byte entries)
+    /// and the device files (`stripes·r·n` sectors of `symbol` bytes; the
+    /// capacity, `stripes·k·symbol`, is smaller). A forged `stripes` or
+    /// `symbol` is then an [`Error::Meta`] naming it, never an overflow
+    /// further in. `create` runs the same check on its options.
+    pub(crate) fn checked_codec(&self) -> Result<Box<dyn stair_code::ErasureCode>, Error> {
+        self.validate()?;
+        let codec = crate::build_codec(&self.codec)?;
+        let g = codec.geometry();
+        let sectors = self.stripes.checked_mul(g.r * g.n);
+        if sectors.and_then(|s| s.checked_mul(4)).is_none() {
+            return Err(Error::Meta(format!(
+                "stripes {}: the checksum table's size overflows",
+                self.stripes
+            )));
+        }
+        if sectors.and_then(|s| s.checked_mul(self.symbol)).is_none() {
+            return Err(Error::Meta(format!(
+                "stripes {} × symbol {}: the device files' size overflows",
+                self.stripes, self.symbol
+            )));
+        }
+        Ok(codec)
     }
 
     /// The key/value lines after the magic; the journal keys default

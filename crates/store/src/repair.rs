@@ -94,6 +94,10 @@ impl StripeStore {
         let rewritten = Mutex::new(0usize);
         let unrecoverable = Mutex::new(Vec::new());
         let shard = work.len().div_ceil(threads).max(1);
+        #[expect(
+            clippy::expect_used,
+            reason = "crossbeam scope only errs if a child panicked; propagate"
+        )]
         let results = crossbeam::thread::scope(|scope| {
             let mut handles = Vec::new();
             for chunk in work.chunks(shard) {
@@ -125,11 +129,15 @@ impl StripeStore {
             }
             handles
                 .into_iter()
-                // check: panic-ok a panicked repair worker is a bug — propagate, don't mask as Error
-                .map(|h| h.join().expect("repair worker panicked"))
+                .map(
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a panicked repair worker is a bug — propagate, don't mask as Error"
+                    )]
+                    |h| h.join().expect("repair worker panicked"),
+                )
                 .collect::<Vec<_>>()
         })
-        // check: panic-ok crossbeam scope only errs if a child panicked; propagate
         .expect("repair scope panicked");
         for r in results {
             r?;

@@ -65,6 +65,10 @@ impl StripeStore {
         let mismatches = Mutex::new(Vec::new());
         let verified = Mutex::new(0usize);
         let shard = stripes.div_ceil(threads).max(1);
+        #[expect(
+            clippy::expect_used,
+            reason = "crossbeam scope only errs if a child panicked; propagate"
+        )]
         let results = crossbeam::thread::scope(|scope| {
             let mut handles = Vec::new();
             for w in 0..threads {
@@ -82,11 +86,15 @@ impl StripeStore {
             }
             handles
                 .into_iter()
-                // check: panic-ok a panicked scrub worker is a bug — propagate, don't mask as Error
-                .map(|h| h.join().expect("scrub worker panicked"))
+                .map(
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a panicked scrub worker is a bug — propagate, don't mask as Error"
+                    )]
+                    |h| h.join().expect("scrub worker panicked"),
+                )
                 .collect::<Vec<_>>()
         })
-        // check: panic-ok crossbeam scope only errs if a child panicked; propagate
         .expect("scrub scope panicked");
         for r in results {
             r?;

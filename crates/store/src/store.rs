@@ -51,7 +51,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use stair_code::{CellIdx, CodeError, CodecSpec, ErasureCode, ErasureSet, Geometry, StripeBuf};
 
-use crate::codec::build_codec;
 use crate::device::{DeviceSet, SectorRead};
 use crate::integrity::{DeviceState, Integrity};
 use crate::journal::{env_journal_segment, Journal};
@@ -241,9 +240,9 @@ impl StripeStore {
     /// # Errors
     ///
     /// Fails if the spec does not describe a constructible codec, the
-    /// scalar geometry is degenerate (zero `symbol`/`stripes` — validated
-    /// here, not just on reopen), or any file operation fails (including
-    /// `dir` already holding a store).
+    /// scalar geometry is degenerate (zero `symbol`/`stripes`, or sizes
+    /// that overflow — validated here, not just on reopen), or any file
+    /// operation fails (including `dir` already holding a store).
     pub fn create(dir: &Path, opts: &StoreOptions) -> Result<Self, Error> {
         let meta = StoreMeta {
             codec: opts.code.clone(),
@@ -255,8 +254,7 @@ impl StripeStore {
         };
         // The same checks `open` applies when parsing the superblock, so a
         // store that creates is always a store that reopens.
-        meta.validate()?;
-        let codec = build_codec(&meta.codec)?;
+        let codec = meta.checked_codec()?;
         let geometry = codec.geometry();
         std::fs::create_dir_all(dir)?;
         // Device files first (create_new fails fast on an existing store);
@@ -280,11 +278,14 @@ impl StripeStore {
     ///
     /// # Errors
     ///
-    /// Fails on absent/corrupt metadata or unreadable integrity state.
+    /// Fails on absent/corrupt metadata (including a superblock whose
+    /// `symbol`/`stripes` no present device file agrees with) or
+    /// unreadable integrity state.
     pub fn open(dir: &Path) -> Result<Self, Error> {
         let (mut meta, codec) = StoreMeta::load_with_codec(dir)?;
         let geometry = codec.geometry();
         let devices = DeviceSet::open(dir, geometry.n, geometry.r, meta.symbol, meta.stripes);
+        devices.check_file_lengths()?;
         let integrity = Integrity::load(dir, geometry.n, geometry.r, meta.stripes)?;
         for dev in 0..geometry.n {
             if !devices.is_present(dev) {

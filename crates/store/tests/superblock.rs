@@ -193,3 +193,63 @@ fn malformed_superblocks_are_rejected_not_panicked() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Sizes derived from a forged superblock are computed with checked
+/// arithmetic: on `stair:8,4,2,1-2` (n = 8, r = 4), 4 stripes of 512-byte
+/// sectors, each value below was a debug-build overflow panic, or — in
+/// release — a store that opened with its table size wrapped back to the
+/// true one. Each is now refused by name.
+#[test]
+fn oversized_superblock_values_are_refused_not_overflowed() {
+    let dir = tmpdir("oversized");
+    let opts = StoreOptions {
+        code: "stair:8,4,2,1-2".parse().unwrap(),
+        symbol: 512,
+        stripes: 4,
+    };
+    drop(StripeStore::create(&dir, &opts).unwrap());
+    let good = std::fs::read_to_string(dir.join("store.meta")).unwrap();
+    for (case, from, to) in [
+        (
+            "stripes = usize::MAX",
+            "stripes 4",
+            "stripes 18446744073709551615",
+        ),
+        ("stripes = 2^62", "stripes 4", "stripes 4611686018427387904"),
+        (
+            "stripes = 2^57 + 4: the table size wraps to the true 512 bytes",
+            "stripes 4",
+            "stripes 144115188075855876",
+        ),
+        ("symbol = 2^62", "symbol 512", "symbol 4611686018427387904"),
+    ] {
+        std::fs::write(dir.join("store.meta"), good.replace(from, to)).unwrap();
+        match StripeStore::open(&dir) {
+            Err(Error::Meta(msg)) => assert!(msg.contains(to), "{case}: {msg}"),
+            Err(other) => panic!("{case}: expected a Meta error, got {other:?}"),
+            Ok(_) => panic!("{case}: must not open"),
+        }
+    }
+    // The store itself is untouched by the refusals.
+    std::fs::write(dir.join("store.meta"), &good).unwrap();
+    assert_eq!(StripeStore::open(&dir).unwrap().stripe_count(), 4);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `stair store init --stripes` reaches `create` unchecked: an
+/// overflowing geometry is refused before anything touches the disk.
+#[test]
+fn create_refuses_stripes_that_overflow() {
+    let dir = tmpdir("create-overflow");
+    let opts = StoreOptions {
+        code: "stair:8,4,2,1-2".parse().unwrap(),
+        symbol: 512,
+        stripes: usize::MAX,
+    };
+    match StripeStore::create(&dir, &opts) {
+        Err(Error::Meta(msg)) => assert!(msg.contains("stripes"), "{msg}"),
+        Err(other) => panic!("expected a Meta error, got {other:?}"),
+        Ok(_) => panic!("an overflowing geometry must not create"),
+    }
+    assert!(!dir.exists(), "a refused create must leave nothing behind");
+}

@@ -6,8 +6,6 @@
 //! individual crates (`stair`, `stair-rs`, `stair-reliability`, ...)
 //! directly.
 
-#![forbid(unsafe_code)]
-
 pub use stair;
 pub use stair_arraysim as arraysim;
 pub use stair_cache as cache;
