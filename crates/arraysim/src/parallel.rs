@@ -4,7 +4,7 @@
 //! for CPU scaling ("the encoding operations can also be parallelized with
 //! modern multi-core CPUs", §6.2.1).
 
-use stair::{DecodePlan, StairCodec, Stripe};
+use stair::{Plan, StairCodec, Stripe};
 
 use crate::Error;
 
@@ -59,7 +59,7 @@ pub fn encode_stripes(
 /// Panics if `threads` is zero.
 pub fn repair_stripes(
     codec: &StairCodec,
-    plan: &DecodePlan,
+    plan: &Plan,
     stripes: &mut [Stripe],
     threads: usize,
 ) -> Result<(), Error> {

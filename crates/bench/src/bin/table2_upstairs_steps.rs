@@ -1,20 +1,8 @@
 //! Regenerates **Table 2**: the upstairs decoding schedule for the paper's
 //! running example (n = 8, r = 4, m = 2, e = (1,1,2)) under the Fig. 4
-//! worst-case failure pattern.
-
-use stair::{Config, GlobalPlacement, StairCodec};
+//! worst-case failure pattern. `crates/bench/tests/fixtures` pins the
+//! output byte for byte.
 
 fn main() {
-    let config =
-        Config::with_placement(8, 4, 2, &[1, 1, 2], GlobalPlacement::Outside).expect("config");
-    let codec: StairCodec = StairCodec::new(config).expect("codec");
-    let erased: Vec<(usize, usize)> = (0..4)
-        .flat_map(|i| [(i, 6), (i, 7)])
-        .chain([(3, 3), (3, 4), (2, 5), (3, 5)])
-        .collect();
-    let plan = codec.plan_decode(&erased).expect("plan");
-    println!("Table 2: upstairs decoding, n=8 r=4 m=2 e=(1,1,2)");
-    println!("failure pattern: chunks 6,7 failed; sector failures (3,3) (3,4) (2,5) (3,5)\n");
-    print!("{}", plan.schedule().render(codec.layout()));
-    println!("\ntotal Mult_XORs: {}", plan.mult_xors());
+    print!("{}", stair_bench::table2());
 }

@@ -1,27 +1,8 @@
 //! Regenerates **Table 3**: the downstairs encoding schedule for the
 //! paper's running example (n = 8, r = 4, m = 2, e = (1,1,2)) with inside
-//! global parities.
-
-use stair::{Config, EncodingMethod, StairCodec};
+//! global parities. `crates/bench/tests/fixtures` pins the output byte
+//! for byte.
 
 fn main() {
-    let config = Config::new(8, 4, 2, &[1, 1, 2]).expect("config");
-    let codec: StairCodec = StairCodec::new(config).expect("codec");
-    let schedule = codec
-        .encode_schedule(EncodingMethod::Downstairs)
-        .expect("schedule");
-    println!("Table 3: downstairs encoding, n=8 r=4 m=2 e=(1,1,2)\n");
-    print!("{}", schedule.render(codec.layout()));
-    println!(
-        "\ntotal Mult_XORs: {} (Eq. 6 predicts {})",
-        schedule.mult_xors(),
-        {
-            let c = stair::MultXorCounts::analytic(codec.config());
-            c.downstairs
-        }
-    );
-    let up = codec
-        .encode_schedule(EncodingMethod::Upstairs)
-        .expect("schedule");
-    println!("upstairs Mult_XORs: {} (Eq. 5)", up.mult_xors());
+    print!("{}", stair_bench::table3());
 }

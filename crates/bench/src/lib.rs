@@ -14,9 +14,10 @@
 //! Numbers about the *system* around the codes (store, cache, wire) come
 //! from `benchmark/run.sh`, not from this crate.
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
-use stair::{Config, MultXorCounts, StairCodec, Stripe};
+use stair::{Config, EncodingMethod, GlobalPlacement, MultXorCounts, StairCodec, Stripe};
 use stair_gf::{Field, Gf16, Gf8};
 use stair_sd::{SdCode, SdStripe};
 
@@ -201,6 +202,53 @@ impl AnySd {
         erased.extend((0..s.min(r)).map(|row| (row, m)));
         erased
     }
+}
+
+/// **Table 2**, as `table2_upstairs_steps` prints it: the upstairs
+/// decoding schedule of the running example (n = 8, r = 4, m = 2,
+/// e = (1,1,2), outside globals) under the Fig. 4 worst case, and the
+/// `Mult_XOR` count of the plan it lowers to.
+pub fn table2() -> String {
+    let config =
+        Config::with_placement(8, 4, 2, &[1, 1, 2], GlobalPlacement::Outside).expect("config");
+    let codec: StairCodec = StairCodec::new(config).expect("codec");
+    let erased: Vec<(usize, usize)> = (0..4)
+        .flat_map(|i| [(i, 6), (i, 7)])
+        .chain([(3, 3), (3, 4), (2, 5), (3, 5)])
+        .collect();
+    let schedule = codec.decode_schedule(&erased, &erased).expect("schedule");
+    let plan = codec.plan_decode(&erased).expect("plan");
+    let mut out = String::new();
+    let _ = writeln!(out, "Table 2: upstairs decoding, n=8 r=4 m=2 e=(1,1,2)");
+    let _ = writeln!(
+        out,
+        "failure pattern: chunks 6,7 failed; sector failures (3,3) (3,4) (2,5) (3,5)\n"
+    );
+    out += &schedule.render(codec.layout());
+    let _ = writeln!(out, "\ntotal Mult_XORs: {}", plan.mult_xors());
+    out
+}
+
+/// **Table 3**, as `table3_downstairs_steps` prints it: the downstairs
+/// encoding schedule of the running example with inside global parities,
+/// against Eq. 6, and the upstairs cost against Eq. 5.
+pub fn table3() -> String {
+    let config = Config::new(8, 4, 2, &[1, 1, 2]).expect("config");
+    let codec: StairCodec = StairCodec::new(config).expect("codec");
+    let schedule = |method| codec.encode_schedule(method).expect("schedule");
+    let down = schedule(EncodingMethod::Downstairs);
+    let mut out = String::new();
+    let _ = writeln!(out, "Table 3: downstairs encoding, n=8 r=4 m=2 e=(1,1,2)\n");
+    out += &down.render(codec.layout());
+    let _ = writeln!(
+        out,
+        "\ntotal Mult_XORs: {} (Eq. 6 predicts {})",
+        down.mult_xors(),
+        MultXorCounts::analytic(codec.config()).downstairs
+    );
+    let up = schedule(EncodingMethod::Upstairs);
+    let _ = writeln!(out, "upstairs Mult_XORs: {} (Eq. 5)", up.mult_xors());
+    out
 }
 
 /// Prints a labelled measurement row in a fixed-width layout.

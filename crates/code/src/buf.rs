@@ -1,6 +1,6 @@
 //! The flat stripe buffer shared by every codec.
 
-use crate::{CellIdx, CodeError};
+use crate::{CellIdx, CellLookup, CodeError};
 
 /// One stripe's worth of sectors in a single contiguous allocation.
 ///
@@ -247,6 +247,29 @@ impl StripeBuf {
             out.extend_from_slice(self.cell(cell));
         }
         out
+    }
+}
+
+/// A whole stripe as a plan's lookup: every cell is a source, and
+/// targets are written in place.
+impl CellLookup for StripeBuf {
+    fn symbol(&self) -> usize {
+        self.symbol
+    }
+
+    fn source(&self, (row, col): CellIdx) -> Option<&[u8]> {
+        (row < self.rows && col < self.cols).then(|| self.cell((row, col)))
+    }
+
+    fn recovered(&mut self, (row, col): CellIdx, bytes: &[u8]) -> Result<(), CodeError> {
+        if row >= self.rows || col >= self.cols || bytes.len() != self.symbol {
+            return Err(CodeError::InvalidPattern(format!(
+                "({row},{col}) is not a cell of this {}x{} stripe",
+                self.rows, self.cols
+            )));
+        }
+        self.set_cell((row, col), bytes);
+        Ok(())
     }
 }
 

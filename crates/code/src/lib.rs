@@ -14,13 +14,19 @@
 //! * [`ErasureCode::geometry`] — the stripe shape: `n` devices × `r`
 //!   sectors, which cells hold data (in logical payload order) and which
 //!   hold parity, and the advertised failure tolerance;
+//! * [`ErasureCode::codec_id`] — which codec this is, as its plans
+//!   record it;
 //! * [`ErasureCode::encode`] — recompute every parity cell of a stripe;
 //! * [`ErasureCode::plan_recover`] / [`ErasureCode::plan`] — turn an
 //!   [`ErasureSet`] and the lost cells wanted back (all of them, for
 //!   `plan`) into a reusable [`Plan`] that names the stored cells it
 //!   reads ([`Plan::sources`]), so a degraded read loads those and not
 //!   the stripe;
-//! * [`ErasureCode::apply`] — execute a plan against one stripe;
+//! * [`ErasureCode::apply`] — execute a plan against one stripe.
+//!   Provided: every codec's plan is the same concrete program of dot
+//!   products, run by the one executor, [`Plan::execute`], which reads
+//!   through a [`CellLookup`] — a [`StripeBuf`] here, only the sectors a
+//!   degraded read loaded in `stair-store`;
 //! * [`ErasureCode::dependents`] / [`ErasureCode::fold_delta`] — the
 //!   small-write primitives: which parity cells a data cell's update
 //!   patches, and `parity ^= c·(old ⊕ new)` for one of them. A caller
@@ -86,7 +92,7 @@ pub use buf::StripeBuf;
 pub use erasure::{CellIdx, ErasureSet};
 pub use error::CodeError;
 pub use geometry::Geometry;
-pub use plan::Plan;
+pub use plan::{CellLookup, CodecId, Plan, PlanBuilder};
 pub use spec::CodecSpec;
 pub use update::UpdateMap;
 
@@ -98,6 +104,10 @@ pub use update::UpdateMap;
 pub trait ErasureCode: Send + Sync {
     /// The stripe geometry: shape, cell roles, and failure tolerance.
     fn geometry(&self) -> Geometry;
+
+    /// Which codec this is: recorded in every plan it builds, and
+    /// required of every plan it applies.
+    fn codec_id(&self) -> &CodecId;
 
     /// Recomputes every parity cell from the data cells, in place.
     ///
@@ -132,15 +142,19 @@ pub trait ErasureCode: Send + Sync {
     fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError>;
 
     /// Executes a plan against one stripe, reconstructing the cells in
-    /// [`Plan::recovers`] in place. Reads only [`Plan::sources`] (and
-    /// cells it reconstructed on the way).
+    /// [`Plan::recovers`] in place. Reads only [`Plan::sources`]: the
+    /// one executor, [`Plan::execute`], with the stripe as its lookup.
     ///
     /// # Errors
     ///
     /// * [`CodeError::ShapeMismatch`] for foreign buffers;
     /// * [`CodeError::InvalidPattern`] if the plan was built by a
-    ///   different codec (unrecognized plan detail).
-    fn apply(&self, plan: &Plan, stripe: &mut StripeBuf) -> Result<(), CodeError>;
+    ///   different codec ([`ErasureCode::codec_id`]).
+    fn apply(&self, plan: &Plan, stripe: &mut StripeBuf) -> Result<(), CodeError> {
+        let id = self.codec_id();
+        stripe.check_shape(id.spec.r(), id.spec.n(), id.elem_bytes())?;
+        plan.execute(id, stripe)
+    }
 
     /// The parity cells an update of data cell `cell` patches — with
     /// `cell` itself, the footprint of a small write (§6.3's update

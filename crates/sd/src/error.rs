@@ -23,6 +23,9 @@ pub enum Error {
     Matrix(stair_gfmatrix::Error),
     /// Underlying MDS-code error.
     Mds(stair_rs::Error),
+    /// A failure of the shared plan machinery with no variant of its own
+    /// here (a malformed plan).
+    Code(stair_code::CodeError),
 }
 
 impl fmt::Display for Error {
@@ -35,6 +38,7 @@ impl fmt::Display for Error {
             Error::ConstructionFailed(m) => write!(f, "construction failed: {m}"),
             Error::Matrix(e) => write!(f, "matrix error: {e}"),
             Error::Mds(e) => write!(f, "MDS code error: {e}"),
+            Error::Code(e) => write!(f, "{e}"),
         }
     }
 }
@@ -44,6 +48,7 @@ impl std::error::Error for Error {
         match self {
             Error::Matrix(e) => Some(e),
             Error::Mds(e) => Some(e),
+            Error::Code(e) => Some(e),
             _ => None,
         }
     }
@@ -69,7 +74,20 @@ impl From<Error> for stair_code::CodeError {
             Error::InvalidPattern(m) => CodeError::InvalidPattern(m),
             Error::Unrecoverable(m) => CodeError::Unrecoverable(m),
             Error::ShapeMismatch(m) => CodeError::ShapeMismatch(m),
+            Error::Code(e) => e,
             other => CodeError::Internal(other.to_string()),
+        }
+    }
+}
+
+impl From<stair_code::CodeError> for Error {
+    fn from(e: stair_code::CodeError) -> Error {
+        use stair_code::CodeError;
+        match e {
+            CodeError::InvalidPattern(m) => Error::InvalidPattern(m),
+            CodeError::Unrecoverable(m) => Error::Unrecoverable(m),
+            CodeError::ShapeMismatch(m) => Error::ShapeMismatch(m),
+            other => Error::Code(other),
         }
     }
 }

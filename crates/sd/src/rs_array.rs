@@ -2,10 +2,10 @@
 //! protection. The paper's "traditional erasure code" baseline (§6.1, §7).
 
 use stair_code::{
-    CellIdx, CodeError, ErasureCode, ErasureSet, Geometry, Plan, StripeBuf, UpdateMap,
+    CellIdx, CodeError, CodecId, CodecSpec, ErasureCode, ErasureSet, Geometry, Plan, StripeBuf,
+    UpdateMap,
 };
 use stair_gf::Field;
-use stair_gfmatrix::Matrix;
 use stair_rs::MdsCode;
 
 use crate::Error;
@@ -32,6 +32,7 @@ pub struct RsArrayCode<F: Field> {
     /// The row code's data→parity coefficients per data cell,
     /// precomputed so the small-write path pays no per-call solve.
     updates: UpdateMap<F::Elem>,
+    id: CodecId,
 }
 
 impl<F: Field> RsArrayCode<F> {
@@ -67,6 +68,11 @@ impl<F: Field> RsArrayCode<F> {
             m,
             code,
             updates,
+            id: CodecId {
+                spec: CodecSpec::Rs { n, r, m },
+                width: F::W,
+                outside_globals: false,
+            },
         })
     }
 
@@ -170,16 +176,6 @@ impl<F: Field> RsArrayCode<F> {
 // has no sector-level protection — the comparison point of §6.1/§7).
 // ---------------------------------------------------------------------
 
-/// One row's recovery recipe inside an RS [`Plan`].
-#[derive(Debug)]
-struct RsRowPlan<F: Field> {
-    row: usize,
-    lost: Vec<usize>,
-    survivors: Vec<usize>,
-    /// `|survivors| × |lost|` recovery coefficients.
-    coeff: Matrix<F>,
-}
-
 impl<F: Field> RsArrayCode<F> {
     fn check_buf(&self, buf: &StripeBuf) -> Result<(), CodeError> {
         buf.check_shape(self.r, self.n, F::ELEM_BYTES)
@@ -187,6 +183,10 @@ impl<F: Field> RsArrayCode<F> {
 }
 
 impl<F: Field> ErasureCode for RsArrayCode<F> {
+    fn codec_id(&self) -> &CodecId {
+        &self.id
+    }
+
     fn geometry(&self) -> Geometry {
         let data_cells = (0..self.r)
             .flat_map(|i| (0..self.n - self.m).map(move |c| (i, c)))
@@ -227,20 +227,19 @@ impl<F: Field> ErasureCode for RsArrayCode<F> {
         }
         // Rows are independent codewords: only a row holding a wanted
         // cell is planned (or can fail the plan), and only its wanted
-        // cells are rebuilt.
-        let mut wanted_by_row: Vec<Vec<usize>> = vec![Vec::new(); self.r];
-        for &(row, col) in wanted {
+        // cells are rebuilt. Each keeps its place among the targets.
+        let mut wanted_by_row: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.r];
+        for (target, &(row, col)) in wanted.iter().enumerate() {
             if !erased.contains((row, col)) {
                 return Err(CodeError::InvalidPattern(format!(
                     "wanted cell {:?} is not in the erased set",
                     (row, col)
                 )));
             }
-            wanted_by_row[row].push(col);
+            wanted_by_row[row].push((col, target));
         }
-        let mut rows = Vec::new();
         let mut sources = Vec::new();
-        let mut cost = 0usize;
+        let mut rows = Vec::new();
         for (row, lost) in wanted_by_row.into_iter().enumerate() {
             if lost.is_empty() {
                 continue;
@@ -256,42 +255,25 @@ impl<F: Field> ErasureCode for RsArrayCode<F> {
                 .filter(|&c| !erased.contains((row, c)))
                 .take(self.n - self.m)
                 .collect();
-            let coeff = self.code.recovery_coefficients(&survivors, &lost)?;
-            for i in 0..coeff.rows() {
-                for j in 0..coeff.cols() {
-                    if coeff.get(i, j) != F::zero() {
-                        cost += 1;
-                    }
-                }
-            }
+            let cols: Vec<usize> = lost.iter().map(|&(col, _)| col).collect();
+            let coeff = self.code.recovery_coefficients(&survivors, &cols)?;
+            rows.push((sources.len(), lost, coeff));
             sources.extend(survivors.iter().map(|&c| (row, c)));
-            rows.push(RsRowPlan {
-                row,
-                lost,
-                survivors,
-                coeff,
-            });
         }
-        Ok(Plan::new(wanted.to_vec(), sources, rows).with_mult_xors(cost))
-    }
-
-    fn apply(&self, plan: &Plan, stripe: &mut StripeBuf) -> Result<(), CodeError> {
-        self.check_buf(stripe)?;
-        let rows = plan.detail::<Vec<RsRowPlan<F>>>().ok_or_else(|| {
-            CodeError::InvalidPattern("plan was built by a different codec".into())
-        })?;
-        let mut scratch = vec![0u8; stripe.symbol()];
-        for rp in rows {
-            // Lost cells are never survivors, so in-place writes are safe.
-            for (x, &lc) in rp.lost.iter().enumerate() {
-                let survivors = rp.survivors.iter().enumerate();
-                let terms =
-                    survivors.map(|(k, &sc)| (stripe.cell((rp.row, sc)), rp.coeff.get(k, x)));
-                F::dot_regions(&mut scratch, terms.filter(crate::sd::nonzero::<F>));
-                stripe.set_cell((rp.row, lc), &scratch);
+        // One step per wanted cell, over its row's survivors.
+        let first_target = sources.len();
+        let mut plan = Plan::builder(self.id.clone(), sources, [], wanted);
+        for (base, lost, coeff) in rows {
+            for (x, &(_, target)) in lost.iter().enumerate() {
+                let terms = (0..coeff.rows()).map(|k| (base + k, coeff.get(k, x)));
+                let terms = terms.filter(|&(_, c)| c != F::zero());
+                plan.step(
+                    first_target + target,
+                    terms.map(|(s, c)| (s, F::value(c) as u16)),
+                );
             }
         }
-        Ok(())
+        plan.finish()
     }
 
     fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {

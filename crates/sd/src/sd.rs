@@ -20,7 +20,8 @@
 //! paper) — this is the property the paper's speed comparison measures.
 
 use stair_code::{
-    CellIdx, CodeError, ErasureCode, ErasureSet, Geometry, Plan, StripeBuf, UpdateMap,
+    CellIdx, CellLookup, CodeError, CodecId, CodecSpec, ErasureCode, ErasureSet, Geometry, Plan,
+    StripeBuf, UpdateMap,
 };
 use stair_gf::Field;
 use stair_gfmatrix::{Error as MatrixError, Matrix};
@@ -45,6 +46,7 @@ pub struct SdCode<F: Field> {
     encode: Matrix<F>,
     /// `encode` per data symbol: the parities a small write patches.
     updates: UpdateMap<F::Elem>,
+    id: CodecId,
 }
 
 /// A plain `r × n` stripe of sector buffers for [`SdCode`].
@@ -157,6 +159,11 @@ impl<F: Field> SdCode<F> {
             data_pos,
             encode,
             updates,
+            id: CodecId {
+                spec: CodecSpec::Sd { n, r, m, s },
+                width: F::W,
+                outside_globals: false,
+            },
         })
     }
 
@@ -233,7 +240,8 @@ impl<F: Field> SdCode<F> {
         Ok(())
     }
 
-    /// Repairs the erased sectors in place by solving the check equations.
+    /// Repairs the erased sectors in place: the pattern's
+    /// [`ErasureCode::plan`], run by the one executor over the stripe.
     ///
     /// # Errors
     ///
@@ -244,19 +252,14 @@ impl<F: Field> SdCode<F> {
     ///   the situation STAIR codes eliminate).
     pub fn decode(&self, stripe: &mut SdStripe, erased: &[(usize, usize)]) -> Result<(), Error> {
         self.check_stripe(stripe)?;
-        let coeff = self.recovery_matrix(erased)?;
-        let erased_q: Vec<usize> = erased.iter().map(|&(i, c)| i * self.n + c).collect();
-        let known_q: Vec<usize> = (0..self.r * self.n)
-            .filter(|q| !erased_q.contains(q))
-            .collect();
-        for (x, &q) in erased_q.iter().enumerate() {
-            let mut buf = std::mem::take(&mut stripe.cells[q]);
-            let known = known_q.iter().enumerate();
-            let terms = known.map(|(k, &kq)| (&stripe.cells[kq][..], coeff.get(x, k)));
-            F::dot_regions(&mut buf, terms.filter(nonzero::<F>));
-            stripe.cells[q] = buf;
+        let set = ErasureSet::new(erased.iter().copied());
+        if set.len() != erased.len() {
+            return Err(Error::InvalidPattern(format!(
+                "duplicate cell in {erased:?}"
+            )));
         }
-        Ok(())
+        let plan = self.plan(&set)?;
+        Ok(plan.execute(&self.id, stripe)?)
     }
 
     /// Solves the check equations symbolically for an erasure pattern,
@@ -428,19 +431,32 @@ impl SdStripe {
     }
 }
 
+/// A stripe as a plan's lookup: every cell is a source, and targets are
+/// written in place.
+impl CellLookup for SdStripe {
+    fn symbol(&self) -> usize {
+        self.symbol
+    }
+
+    fn source(&self, (row, col): CellIdx) -> Option<&[u8]> {
+        (row < self.r && col < self.n).then(|| self.cell(row, col))
+    }
+
+    fn recovered(&mut self, (row, col): CellIdx, bytes: &[u8]) -> Result<(), CodeError> {
+        if row >= self.r || col >= self.n || bytes.len() != self.symbol {
+            return Err(CodeError::InvalidPattern(format!(
+                "({row},{col}) is not a sector of this {}x{} stripe",
+                self.r, self.n
+            )));
+        }
+        self.cell_mut(row, col).copy_from_slice(bytes);
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------
 // The codec-generic face: `stair_code::ErasureCode` for `SdCode`.
 // ---------------------------------------------------------------------
-
-/// The codec-private payload of an SD decoding [`Plan`]: the solved
-/// recovery matrix plus the symbol-index bookkeeping to apply it.
-#[derive(Debug)]
-struct SdPlanDetail<F: Field> {
-    /// Symbol indices of the cells to rebuild, one per `coeff` row.
-    wanted_q: Vec<usize>,
-    known_q: Vec<usize>,
-    coeff: Matrix<F>,
-}
 
 impl<F: Field> SdCode<F> {
     fn check_buf(&self, buf: &StripeBuf) -> Result<(), CodeError> {
@@ -453,6 +469,10 @@ impl<F: Field> SdCode<F> {
 }
 
 impl<F: Field> ErasureCode for SdCode<F> {
+    fn codec_id(&self) -> &CodecId {
+        &self.id
+    }
+
     fn geometry(&self) -> Geometry {
         Geometry {
             n: self.n,
@@ -497,41 +517,27 @@ impl<F: Field> ErasureCode for SdCode<F> {
         let known_q: Vec<usize> = (0..self.r * self.n)
             .filter(|&q| !erased.contains(self.cell_of(q)))
             .collect();
-        // A known symbol is read iff some kept row weighs it.
-        let mut cost = 0usize;
+        // A known symbol is a source iff some kept row weighs it.
+        let mut slot = vec![0; known_q.len()];
         let mut sources = Vec::new();
         for (k, &q) in known_q.iter().enumerate() {
-            let weighs = (0..coeff.rows()).filter(|&x| coeff.get(x, k) != F::zero());
-            let rows = weighs.count();
-            if rows > 0 {
-                cost += rows;
+            if (0..coeff.rows()).any(|x| coeff.get(x, k) != F::zero()) {
+                slot[k] = sources.len();
                 sources.push(self.cell_of(q));
             }
         }
-        let detail = SdPlanDetail {
-            wanted_q: wanted.iter().map(|&(i, c)| i * self.n + c).collect(),
-            known_q,
-            coeff,
-        };
-        Ok(Plan::new(wanted.to_vec(), sources, detail).with_mult_xors(cost))
-    }
-
-    fn apply(&self, plan: &Plan, stripe: &mut StripeBuf) -> Result<(), CodeError> {
-        self.check_buf(stripe)?;
-        let detail = plan.detail::<SdPlanDetail<F>>().ok_or_else(|| {
-            CodeError::InvalidPattern("plan was built by a different codec".into())
-        })?;
-        let mut scratch = vec![0u8; stripe.symbol()];
-        // Erased cells are never inputs (the recovery matrix combines
-        // known symbols only), so writing them one by one is safe.
-        for (x, &q) in detail.wanted_q.iter().enumerate() {
-            let known = detail.known_q.iter().enumerate();
-            let terms =
-                known.map(|(k, &kq)| (stripe.cell(self.cell_of(kq)), detail.coeff.get(x, k)));
-            F::dot_regions(&mut scratch, terms.filter(nonzero::<F>));
-            stripe.set_cell(self.cell_of(q), &scratch);
+        // One step per wanted cell, over the known cells it weighs.
+        let first_target = sources.len();
+        let mut plan = Plan::builder(self.id.clone(), sources, [], wanted);
+        for x in 0..wanted.len() {
+            let terms = (0..known_q.len()).map(|k| (slot[k], coeff.get(x, k)));
+            let terms = terms.filter(|&(_, c)| c != F::zero());
+            plan.step(
+                first_target + x,
+                terms.map(|(s, c)| (s, F::value(c) as u16)),
+            );
         }
-        Ok(())
+        plan.finish()
     }
 
     fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
@@ -551,7 +557,7 @@ impl<F: Field> ErasureCode for SdCode<F> {
 }
 
 /// Keeps the terms that cost a `Mult_XOR`: dense SD matrices have zeros.
-pub(crate) fn nonzero<F: Field>(term: &(&[u8], F::Elem)) -> bool {
+fn nonzero<F: Field>(term: &(&[u8], F::Elem)) -> bool {
     term.1 != F::zero()
 }
 

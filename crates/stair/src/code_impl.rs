@@ -2,17 +2,17 @@
 //! [`StairCodec`], plus the [`CodeError`] conversion.
 //!
 //! The impl operates directly on flat [`StripeBuf`] grids — the same
-//! memory `stair-store` reads sectors into — by building the scheduling
-//! [`Canvas`] over the buffer, so no per-operation stripe copies are made.
-//! Only [`GlobalPlacement::Inside`] configurations are supported through
-//! this interface: a bare `r × n` grid has nowhere to store outside
-//! globals.
+//! memory `stair-store` reads sectors into: encoding builds the
+//! scheduling [`Canvas`] over the buffer, and decoding is the provided
+//! `apply`, the shared executor running the lowered plan. Only
+//! [`GlobalPlacement::Inside`] configurations are supported through this
+//! interface: a bare `r × n` grid has nowhere to store outside globals.
 
-use stair_code::{CellIdx, CodeError, ErasureCode, ErasureSet, Geometry, Plan, StripeBuf};
+use stair_code::{CellIdx, CodeError, CodecId, ErasureCode, ErasureSet, Geometry, Plan, StripeBuf};
 use stair_gf::Field;
 
 use crate::schedule::Canvas;
-use crate::{DecodePlan, Error, GlobalPlacement, StairCodec};
+use crate::{Error, GlobalPlacement, StairCodec};
 
 impl From<Error> for CodeError {
     fn from(e: Error) -> CodeError {
@@ -23,13 +23,14 @@ impl From<Error> for CodeError {
                 "peeling stalled with {remaining} cells unrecovered"
             )),
             Error::ShapeMismatch(m) => CodeError::ShapeMismatch(m),
+            Error::Code(e) => e,
             other => CodeError::Internal(other.to_string()),
         }
     }
 }
 
 impl<F: Field> StairCodec<F> {
-    fn check_buf(&self, buf: &StripeBuf) -> Result<(), CodeError> {
+    fn check_inside(&self) -> Result<(), CodeError> {
         if self.config().placement() != GlobalPlacement::Inside {
             return Err(CodeError::Unsupported(
                 "outside-placement STAIR stripes store globals outside the r×n grid; \
@@ -37,7 +38,7 @@ impl<F: Field> StairCodec<F> {
                     .into(),
             ));
         }
-        buf.check_shape(self.config().r(), self.config().n(), F::ELEM_BYTES)
+        Ok(())
     }
 }
 
@@ -55,35 +56,25 @@ impl<F: Field> ErasureCode for StairCodec<F> {
         }
     }
 
+    fn codec_id(&self) -> &CodecId {
+        &self.id
+    }
+
     fn encode(&self, stripe: &mut StripeBuf) -> Result<(), CodeError> {
-        self.check_buf(stripe)?;
+        self.check_inside()?;
+        stripe.check_shape(self.config().r(), self.config().n(), F::ELEM_BYTES)?;
         let mut canvas = Canvas::over(self.layout(), stripe);
         self.encode_on(self.best_method(), &mut canvas)?;
         Ok(())
     }
 
     fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError> {
-        let dp = StairCodec::plan_recover(self, erased.cells(), wanted)?;
-        let cost = dp.mult_xors();
-        Ok(Plan::new(wanted.to_vec(), dp.sources().to_vec(), dp).with_mult_xors(cost))
-    }
-
-    fn apply(&self, plan: &Plan, stripe: &mut StripeBuf) -> Result<(), CodeError> {
-        self.check_buf(stripe)?;
-        let dp = plan.detail::<DecodePlan<F>>().ok_or_else(|| {
-            CodeError::InvalidPattern("plan was built by a different codec".into())
-        })?;
-        let mut canvas = Canvas::over(self.layout(), stripe);
-        dp.schedule().execute(&mut canvas);
-        Ok(())
+        self.check_inside()?;
+        Ok(StairCodec::plan_recover(self, erased.cells(), wanted)?)
     }
 
     fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
-        if self.config().placement() != GlobalPlacement::Inside {
-            return Err(CodeError::Unsupported(
-                "outside globals are parities with no cell in the r×n grid".into(),
-            ));
-        }
+        self.check_inside()?;
         self.updates.dependents(cell)
     }
 
@@ -145,7 +136,7 @@ mod tests {
         ]));
         buf.erase(erased.cells());
         let plan = ErasureCode::plan(&codec, &erased).unwrap();
-        assert!(plan.mult_xors().unwrap() > 0);
+        assert!(plan.mult_xors() > 0);
         codec.apply(&plan, &mut buf).unwrap();
         assert_eq!(buf, pristine);
     }
@@ -157,7 +148,7 @@ mod tests {
         let full = ErasureCode::plan(&codec, &erased).unwrap();
         let partial = ErasureCode::plan_recover(&codec, &erased, &[(2, 6)]).unwrap();
         assert_eq!(partial.recovers(), &[(2, 6)]);
-        assert!(partial.mult_xors().unwrap() < full.mult_xors().unwrap());
+        assert!(partial.mult_xors() < full.mult_xors());
     }
 
     #[test]
@@ -176,18 +167,62 @@ mod tests {
     }
 
     #[test]
-    fn foreign_buffers_and_plans_rejected() {
+    fn foreign_buffers_rejected() {
         let codec = codec();
         let mut wrong = StripeBuf::new(3, 8, 16).unwrap();
         assert!(matches!(
             ErasureCode::encode(&codec, &mut wrong),
             Err(CodeError::ShapeMismatch(_))
         ));
-        let mut buf = encoded_buf(&codec, 1);
-        let alien = Plan::new(vec![(0, 0)], vec![], String::from("not a stair plan"));
+        let plan = ErasureCode::plan(&codec, &ErasureSet::devices(&[0], 4)).unwrap();
         assert!(matches!(
-            codec.apply(&alien, &mut buf),
+            codec.apply(&plan, &mut wrong),
+            Err(CodeError::ShapeMismatch(_))
+        ));
+    }
+
+    /// Regression: the two codecs share a shape and a field, so a plan
+    /// of one used to run on the other — `Ok` with wrong bytes one way,
+    /// a panic inside the canvas the other.
+    #[test]
+    fn plans_from_another_stair_codec_are_refused() {
+        let codec = |e: &[usize]| -> StairCodec {
+            StairCodec::new(Config::new(8, 4, 2, e).unwrap()).unwrap()
+        };
+        let (a, b) = (codec(&[2, 2]), codec(&[1, 1, 2]));
+        let erased = ErasureSet::devices(&[0, 3], 4)
+            .iter()
+            .chain([(2, 5), (3, 5), (3, 4)])
+            .collect();
+        for (from, to) in [(&a, &b), (&b, &a)] {
+            let plan = ErasureCode::plan(from, &erased).unwrap();
+            let mut buf = encoded_buf(to, 2);
+            let before = buf.clone();
+            assert!(matches!(
+                to.apply(&plan, &mut buf),
+                Err(CodeError::InvalidPattern(_))
+            ));
+            assert_eq!(buf, before, "a refused plan writes nothing");
+        }
+        // The same spec over GF(2^16) ...
+        let wide: StairCodec<stair_gf::Gf16> = StairCodec::new(b.config().clone()).unwrap();
+        let plan = ErasureCode::plan(&wide, &erased).unwrap();
+        let mut buf = encoded_buf(&b, 2);
+        assert!(matches!(
+            b.apply(&plan, &mut buf),
             Err(CodeError::InvalidPattern(_))
+        ));
+        // ... and with the globals kept outside the grid: refused through
+        // the inherent API too.
+        let outside: StairCodec = StairCodec::new(
+            Config::with_placement(8, 4, 2, &[1, 1, 2], GlobalPlacement::Outside).unwrap(),
+        )
+        .unwrap();
+        let plan = outside.plan_decode(erased.cells()).unwrap();
+        let mut stripe = Stripe::new(b.config().clone(), 16).unwrap();
+        assert!(matches!(
+            b.apply_plan(&plan, &mut stripe),
+            Err(Error::InvalidPattern(_))
         ));
     }
 
@@ -198,6 +233,10 @@ mod tests {
         let mut buf = StripeBuf::new(4, 8, 16).unwrap();
         assert!(matches!(
             ErasureCode::encode(&codec, &mut buf),
+            Err(CodeError::Unsupported(_))
+        ));
+        assert!(matches!(
+            ErasureCode::plan(&codec, &ErasureSet::devices(&[0], 4)),
             Err(CodeError::Unsupported(_))
         ));
     }

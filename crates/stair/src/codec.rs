@@ -1,7 +1,7 @@
 //! The user-facing STAIR codec: construction, encoding (upstairs /
 //! downstairs / standard / baseline two-phase), and upstairs decoding.
 
-use stair_code::UpdateMap;
+use stair_code::{CodecId, CodecSpec, Plan, UpdateMap};
 use stair_gf::{Field, Gf8};
 use stair_rs::MdsCode;
 
@@ -26,41 +26,6 @@ pub enum EncodingMethod {
     /// intermediate parities, then column phase producing global parities).
     /// Outside placement only.
     TwoPhase,
-}
-
-/// A reusable decoding plan for one erasure pattern (schedule plus its
-/// cost), produced by [`StairCodec::plan_decode`].
-#[derive(Clone, Debug)]
-pub struct DecodePlan<F: Field = Gf8> {
-    erased: Vec<Cell>,
-    sources: Vec<Cell>,
-    schedule: Schedule<F>,
-}
-
-impl<F: Field> DecodePlan<F> {
-    /// The schedule's planned `Mult_XOR` count.
-    pub fn mult_xors(&self) -> usize {
-        self.schedule.mult_xors()
-    }
-
-    /// The underlying schedule (e.g. for rendering as in Table 2).
-    pub fn schedule(&self) -> &Schedule<F> {
-        &self.schedule
-    }
-
-    /// The cells this plan recovers: the full erasure pattern for
-    /// [`StairCodec::plan_decode`] plans, or the `wanted` subset for
-    /// [`StairCodec::plan_recover`] plans.
-    pub fn recovers(&self) -> &[(usize, usize)] {
-        &self.erased
-    }
-
-    /// The stored sectors the schedule reads: every step input inside
-    /// the `r × n` grid that no earlier step produced, sorted. Surviving
-    /// sectors outside this set never influence the result.
-    pub fn sources(&self) -> &[(usize, usize)] {
-        &self.sources
-    }
 }
 
 /// A STAIR encoder/decoder for one configuration.
@@ -98,6 +63,8 @@ pub struct StairCodec<F: Field = Gf8> {
     pub(crate) updates: UpdateMap<F::Elem>,
     counts: MultXorCounts,
     best: EncodingMethod,
+    /// What the plans this codec builds record, and it requires.
+    pub(crate) id: CodecId,
 }
 
 impl<F: Field> StairCodec<F> {
@@ -170,8 +137,19 @@ impl<F: Field> StairCodec<F> {
             GlobalPlacement::Outside => EncodingMethod::TwoPhase,
         };
 
+        let id = CodecId {
+            spec: CodecSpec::Stair {
+                n,
+                r,
+                m,
+                e: config.e().to_vec(),
+            },
+            width: F::W,
+            outside_globals: config.placement() == GlobalPlacement::Outside,
+        };
         Ok(StairCodec {
             decode_avail: decode_availability(&layout),
+            id,
             config,
             layout,
             crow,
@@ -283,13 +261,15 @@ impl<F: Field> StairCodec<F> {
     /// * [`Error::InvalidPattern`] for malformed patterns;
     /// * [`Error::Unrecoverable`] if peeling cannot repair the pattern
     ///   (never happens within the `(m, e)` coverage).
-    pub fn plan_decode(&self, erased: &[(usize, usize)]) -> Result<DecodePlan<F>, Error> {
+    pub fn plan_decode(&self, erased: &[(usize, usize)]) -> Result<Plan, Error> {
         self.plan_recover(erased, erased)
     }
 
     /// Builds a plan that recovers only the `wanted` subset of the erased
     /// sectors — the degraded-read path: serving one lost sector does not
-    /// require repairing the whole stripe.
+    /// require repairing the whole stripe. The pruned
+    /// [`StairCodec::decode_schedule`], lowered to one step per output
+    /// cell.
     ///
     /// # Errors
     ///
@@ -300,17 +280,41 @@ impl<F: Field> StairCodec<F> {
         &self,
         erased: &[(usize, usize)],
         wanted: &[(usize, usize)],
-    ) -> Result<DecodePlan<F>, Error> {
+    ) -> Result<Plan, Error> {
+        let (schedule, avail) = self.peel_decode(erased, wanted)?;
+        self.lower(&schedule, &avail, wanted)
+    }
+
+    /// The upstairs decoding schedule a plan for `wanted` is lowered
+    /// from, pruned to what `wanted` needs (Table 2 renders it).
+    ///
+    /// # Errors
+    ///
+    /// As [`StairCodec::plan_recover`].
+    pub fn decode_schedule(
+        &self,
+        erased: &[(usize, usize)],
+        wanted: &[(usize, usize)],
+    ) -> Result<Schedule<F>, Error> {
+        Ok(self.peel_decode(erased, wanted)?.0)
+    }
+
+    /// Peels the pattern; returns the pruned schedule and which canonical
+    /// cells were available before it ran.
+    fn peel_decode(
+        &self,
+        erased: &[Cell],
+        wanted: &[Cell],
+    ) -> Result<(Schedule<F>, Vec<bool>), Error> {
         let counts = self.config.erasure_counts(erased)?;
         let ccols = self.layout.canonical_cols();
         let mut avail = self.decode_avail.clone();
         for &(row, col) in erased {
             avail[row * ccols + col] = false;
         }
-        let stored = |&(row, col): &Cell| row < self.config.r() && col < self.config.n();
         if let Some(w) = wanted
             .iter()
-            .find(|&w| !stored(w) || avail[w.0 * ccols + w.1])
+            .find(|&&w| !self.layout.is_stored(w) || avail[w.0 * ccols + w.1])
         {
             return Err(Error::InvalidPattern(format!(
                 "wanted cell {w:?} is not in the erased set"
@@ -337,33 +341,98 @@ impl<F: Field> StairCodec<F> {
             Err(Error::Unrecoverable { .. }) => peel(&[])?,
             other => other?,
         };
-        // An input is either produced by an earlier step or was there
-        // from the start; of the latter, the stored ones are read.
-        let inputs = schedule.steps().iter().flat_map(|s| &s.inputs);
-        let mut sources: Vec<Cell> = inputs
-            .filter(|&c| stored(c) && avail[c.0 * ccols + c.1])
-            .copied()
-            .collect();
-        sources.sort_unstable();
-        sources.dedup();
-        Ok(DecodePlan {
-            erased: wanted.to_vec(),
-            sources,
-            schedule,
-        })
+        Ok((schedule, avail))
     }
 
-    /// Repairs a stripe in place according to a plan.
+    /// Lowers a decode schedule to a [`Plan`]: one step per output cell,
+    /// over all of its schedule step's inputs — zero coefficients too,
+    /// so the plan costs exactly what the schedule does. An input that
+    /// was available from the start is a source if the stripe stores it
+    /// (the grid, and the outside globals where the placement keeps
+    /// them); the pinned-zero globals of inside placement share one
+    /// zero slot. Every other input is an earlier step's output.
+    fn lower(
+        &self,
+        schedule: &Schedule<F>,
+        avail: &[bool],
+        wanted: &[Cell],
+    ) -> Result<Plan, Error> {
+        // Slots by canonical cell index, marked first, numbered after; a
+        // cell left unset is no slot, which `finish` refuses.
+        const SOURCE: usize = usize::MAX - 3;
+        const PINNED: usize = usize::MAX - 2;
+        const WANTED: usize = usize::MAX - 1;
+        const UNSET: usize = usize::MAX;
+        let ccols = self.layout.canonical_cols();
+        let at = |(row, col): Cell| row * ccols + col;
+        let outside = self.config.placement() == GlobalPlacement::Outside;
+        let mut slot = vec![UNSET; avail.len()];
+        for &w in wanted {
+            slot[at(w)] = WANTED;
+        }
+        let mut zero_cell = None;
+        for c in schedule
+            .steps()
+            .iter()
+            .flat_map(|s| s.inputs.iter().copied())
+        {
+            if avail[at(c)] {
+                let stored = self.layout.is_stored(c) || outside;
+                slot[at(c)] = if stored { SOURCE } else { PINNED };
+                zero_cell = zero_cell.or((!stored).then_some(c));
+            }
+        }
+        // Row-major index order is sorted (row, col) order.
+        let mut sources = Vec::new();
+        for (i, s) in slot.iter_mut().enumerate().filter(|(_, s)| **s == SOURCE) {
+            *s = sources.len();
+            sources.push((i / ccols, i % ccols));
+        }
+        let mut intermediates = Vec::new();
+        for out in schedule
+            .steps()
+            .iter()
+            .flat_map(|s| s.outputs.iter().copied())
+        {
+            if slot[at(out)] != WANTED {
+                slot[at(out)] = sources.len() + intermediates.len();
+                intermediates.push(out);
+            }
+        }
+        let zero = sources.len() + intermediates.len();
+        intermediates.extend(zero_cell);
+        for s in slot.iter_mut().filter(|s| **s == PINNED) {
+            *s = zero;
+        }
+        let first_target = sources.len() + intermediates.len();
+        for (k, &w) in wanted.iter().enumerate() {
+            slot[at(w)] = first_target + k;
+        }
+
+        let mut plan = Plan::builder(self.id.clone(), sources, intermediates, wanted);
+        let mut inputs = Vec::new();
+        for step in schedule.steps() {
+            inputs.clear();
+            inputs.extend(step.inputs.iter().map(|&c| slot[at(c)]));
+            for (j, &out) in step.outputs.iter().enumerate() {
+                let coeffs = (0..inputs.len()).map(|i| F::value(step.coeff.get(i, j)) as u16);
+                plan.step(slot[at(out)], inputs.iter().copied().zip(coeffs));
+            }
+        }
+        Ok(plan.finish()?)
+    }
+
+    /// Repairs a stripe in place according to a plan: the one executor,
+    /// [`Plan::execute`], over the stripe's grid and outside globals.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ShapeMismatch`] if the stripe belongs to another
-    /// configuration.
-    pub fn apply_plan(&self, plan: &DecodePlan<F>, stripe: &mut Stripe) -> Result<(), Error> {
+    /// * [`Error::ShapeMismatch`] if the stripe belongs to another
+    ///   configuration;
+    /// * [`Error::InvalidPattern`] if another codec built the plan.
+    pub fn apply_plan(&self, plan: &Plan, stripe: &mut Stripe) -> Result<(), Error> {
         self.check_stripe(stripe)?;
-        let mut canvas = Canvas::new(&self.layout, stripe);
-        plan.schedule.execute(&mut canvas);
-        Ok(())
+        Ok(plan.execute(&self.id, stripe)?)
     }
 
     /// Repairs the listed erased sectors in place (plan + apply).

@@ -21,6 +21,9 @@ pub enum Error {
     /// An underlying MDS-code failure (never expected for valid configs;
     /// surfaced instead of panicking).
     Mds(stair_rs::Error),
+    /// A failure of the shared plan machinery with no variant of its own
+    /// here: another codec's plan, or a malformed one.
+    Code(stair_code::CodeError),
 }
 
 impl fmt::Display for Error {
@@ -36,6 +39,7 @@ impl fmt::Display for Error {
             }
             Error::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
             Error::Mds(e) => write!(f, "MDS code error: {e}"),
+            Error::Code(e) => write!(f, "{e}"),
         }
     }
 }
@@ -44,6 +48,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Mds(e) => Some(e),
+            Error::Code(e) => Some(e),
             _ => None,
         }
     }
@@ -52,5 +57,16 @@ impl std::error::Error for Error {
 impl From<stair_rs::Error> for Error {
     fn from(e: stair_rs::Error) -> Self {
         Error::Mds(e)
+    }
+}
+
+impl From<stair_code::CodeError> for Error {
+    fn from(e: stair_code::CodeError) -> Self {
+        use stair_code::CodeError;
+        match e {
+            CodeError::InvalidPattern(m) => Error::InvalidPattern(m),
+            CodeError::ShapeMismatch(m) => Error::ShapeMismatch(m),
+            other => Error::Code(other),
+        }
     }
 }

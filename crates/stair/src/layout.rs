@@ -250,6 +250,14 @@ impl Layout {
         cells
     }
 
+    /// Where `cell` sits in [`Layout::outside_global_cells`] order, if it
+    /// is an outside global `g_{h,l}`.
+    pub(crate) fn outside_global_index(&self, (row, col): Cell) -> Option<usize> {
+        let (h, l) = (row.checked_sub(self.r)?, col.checked_sub(self.n)?);
+        let before: usize = self.e.get(..l)?.iter().sum();
+        (h < *self.e.get(l)?).then_some(before + h)
+    }
+
     /// True for cells that are stored on devices (`row < r`, `col < n`).
     pub fn is_stored(&self, cell: Cell) -> bool {
         cell.0 < self.r && cell.1 < self.n
@@ -307,6 +315,12 @@ mod tests {
         // 2 parity chunks × 4 rows + 4 inside globals.
         assert_eq!(l.parity_cells().len(), 8 + 4);
         assert_eq!(l.outside_global_cells().len(), 4);
+        for (i, &cell) in l.outside_global_cells().iter().enumerate() {
+            assert_eq!(l.outside_global_index(cell), Some(i));
+        }
+        for cell in [(5, 8), (4, 0), (0, 8), (4, 11)] {
+            assert_eq!(l.outside_global_index(cell), None, "{cell:?}");
+        }
     }
 
     #[test]

@@ -66,12 +66,13 @@ mod standard;
 mod stripe;
 mod update;
 
-pub use codec::{DecodePlan, EncodingMethod, StairCodec};
+pub use codec::{EncodingMethod, StairCodec};
 pub use complexity::MultXorCounts;
 pub use config::{Config, GlobalPlacement};
 pub use error::Error;
 pub use layout::{Cell, CellKind, Layout};
 pub use schedule::{Schedule, Step, StepCode};
 pub use space::{devices_saved, storage_efficiency, SpaceComparison};
+pub use stair_code::Plan;
 pub use standard::{ParityRelations, UpdatePenalty};
 pub use stripe::Stripe;

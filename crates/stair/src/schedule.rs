@@ -20,7 +20,7 @@ use stair_gfmatrix::Matrix;
 
 use crate::layout::{Cell, CellKind, Layout};
 use crate::stripe::Stripe;
-use crate::{Error, GlobalPlacement};
+use crate::Error;
 
 /// Which constituent code a step applies, and to which row/column.
 #[derive(Clone, Copy, Debug, Eq, Hash, PartialEq)]
@@ -69,7 +69,9 @@ impl<F: Field> Schedule<F> {
         self.steps.iter().map(Step::mult_xors).sum()
     }
 
-    /// Executes the schedule over the byte regions of a [`Canvas`].
+    /// Executes the schedule over the byte regions of a [`Canvas`] — how
+    /// a stripe is encoded. (Decoding runs the schedule lowered to a
+    /// [`stair_code::Plan`].)
     ///
     /// A step's outputs are by construction disjoint from its inputs (an
     /// output was unavailable when its inputs were read), so writing one
@@ -135,10 +137,11 @@ pub(crate) fn cell_name(layout: &Layout, cell: Cell) -> String {
     }
 }
 
-/// The byte-region workspace for one stripe: stored cells live in the
-/// borrowed flat [`StripeBuf`] grid; virtual cells (augmented rows,
+/// The byte-region workspace for encoding one stripe: stored cells live
+/// in the borrowed flat [`StripeBuf`] grid; virtual cells (augmented rows,
 /// intermediate chunks, and the global-parity corner) are carved from one
-/// freshly zeroed arena.
+/// freshly zeroed arena, where the outside globals read as the zeros
+/// encoding pins them to.
 pub(crate) struct Canvas<'a> {
     ccols: usize,
     r: usize,
@@ -158,19 +161,9 @@ pub(crate) struct Canvas<'a> {
 
 impl<'a> Canvas<'a> {
     /// Builds a canvas over a stripe, zero-initializing all virtual cells.
-    /// For outside placement, copies the stripe's global buffers into the
-    /// global corner (they may be decode inputs).
     pub(crate) fn new(layout: &Layout, stripe: &'a mut Stripe) -> Self {
-        let placement = stripe.config().placement();
         let (grid, outside) = stripe.parts_mut();
-        let mut canvas = Self::build(layout, grid, outside);
-        if placement == GlobalPlacement::Outside {
-            for (i, &cell) in layout.outside_global_cells().iter().enumerate() {
-                let at = canvas.virt_range(cell);
-                canvas.virt[at].copy_from_slice(&canvas.outside[i]);
-            }
-        }
-        canvas
+        Self::build(layout, grid, outside)
     }
 
     /// Builds a canvas directly over a bare grid — the codec-generic

@@ -1,7 +1,7 @@
 //! The stored stripe: `r × n` sector buffers plus, for outside placement,
 //! the `s` external global-parity buffers.
 
-use stair_code::StripeBuf;
+use stair_code::{CellLookup, CodeError, StripeBuf};
 
 use crate::layout::{Cell, CellKind, Layout};
 use crate::{Config, Error, GlobalPlacement};
@@ -117,7 +117,8 @@ impl Stripe {
     }
 
     /// Splits the stripe into its grid and outside-global buffers for
-    /// simultaneous mutation (the [`crate::schedule`] canvas needs both).
+    /// simultaneous mutation (the [`crate::schedule`] canvas encodes
+    /// into both).
     pub(crate) fn parts_mut(&mut self) -> (&mut StripeBuf, &mut [Vec<u8>]) {
         (&mut self.grid, &mut self.outside_globals)
     }
@@ -206,6 +207,26 @@ impl Stripe {
     pub fn chunk_cells(&self, col: usize) -> Vec<Cell> {
         assert!(col < self.config.n(), "chunk {col} out of range");
         (0..self.config.r()).map(|row| (row, col)).collect()
+    }
+}
+
+/// A stripe as a plan's lookup: the grid, plus the outside globals where
+/// the placement stores them; targets are written into the grid.
+impl CellLookup for Stripe {
+    fn symbol(&self) -> usize {
+        self.grid.symbol()
+    }
+
+    fn source(&self, cell: Cell) -> Option<&[u8]> {
+        if self.layout.is_stored(cell) {
+            return self.grid.source(cell);
+        }
+        let at = self.layout.outside_global_index(cell)?;
+        self.outside_globals.get(at).map(Vec::as_slice)
+    }
+
+    fn recovered(&mut self, cell: Cell, bytes: &[u8]) -> Result<(), CodeError> {
+        self.grid.recovered(cell, bytes)
     }
 }
 

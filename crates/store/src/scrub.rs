@@ -148,7 +148,7 @@ impl StripeStore {
         let mut local_ok = 0usize;
         for stripe in range {
             let _guard = self.lock_stripe(stripe);
-            let bad = self.load_verified(stripe, devices, grid.iter().copied(), |_, _| {})?;
+            let bad = self.load_each(stripe, devices, grid.iter().copied(), |_, _| {})?;
             local_ok += grid.len() - bad.len();
             local_bad.extend(bad.into_iter().map(|(row, dev)| (stripe, row, dev)));
             self.shared

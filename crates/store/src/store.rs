@@ -29,7 +29,9 @@
 //!   out how to reconstruct exactly the wanted lost sectors from what is
 //!   known lost, and only the plan's sources
 //!   ([`stair_code::Plan::sources`]) and the surviving wanted sectors are
-//!   read. Damage nobody knew of — a missing file, a short read, a
+//!   read. The plan then runs over those sectors where the loader put
+//!   them, and its targets land in the caller's buffer: no stripe is
+//!   assembled. Damage nobody knew of — a missing file, a short read, a
 //!   checksum mismatch where none was recorded — falls back to loading
 //!   the whole stripe, which records it for the next read.
 //! * All sector I/O is positioned (`pread`/`pwrite`) and goes through
@@ -42,14 +44,17 @@
 //! Whole stripes move through the engine as flat [`StripeBuf`]s — the
 //! same memory the codecs encode and decode in place, with no per-cell
 //! reshaping between the I/O layer and the math. A partial write's
-//! footprint is a map of just its sectors.
+//! footprint is a map of just its sectors, and a degraded read's sectors
+//! stay in the loader's buffer.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use stair_code::{CellIdx, CodeError, CodecSpec, ErasureCode, ErasureSet, Geometry, StripeBuf};
+use stair_code::{
+    CellIdx, CellLookup, CodeError, CodecSpec, ErasureCode, ErasureSet, Geometry, StripeBuf,
+};
 
 use crate::device::{DeviceSet, SectorRead};
 use crate::integrity::{DeviceState, Integrity};
@@ -705,13 +710,13 @@ impl StripeStore {
     /// the stripe's recorded bad sectors. With no wanted sector known
     /// lost, each is read, verified and copied straight out (the fast
     /// path). Otherwise the codec plans the wanted lost sectors against
-    /// the known erasures, and exactly the plan's sources plus the
-    /// surviving wanted sectors are read, each verified, before the plan
-    /// is applied. A sector that does not verify where none was known
-    /// bad — damage no one has recorded yet — ends either path: the
-    /// whole stripe is then loaded as before
-    /// ([`StripeStore::load_stripe_degraded`]), which records the damage
-    /// so the next read plans around it.
+    /// the known erasures, exactly the plan's sources plus the surviving
+    /// wanted sectors are read, each verified, and the plan runs over
+    /// them where they were read, writing its targets into `out`. A
+    /// sector that does not verify where none was known bad — damage no
+    /// one has recorded yet — ends either path: the whole stripe is then
+    /// loaded as before ([`StripeStore::load_stripe_degraded`]), which
+    /// records the damage so the next read plans around it.
     ///
     /// Callers must hold the stripe lock.
     pub(crate) fn read_blocks_locked(
@@ -740,7 +745,7 @@ impl StripeStore {
         } else {
             let verified = |cell, data: &[u8]| serve(cell, data, out);
             let wanted = cells.iter().copied();
-            let failed = self.load_verified(stripe_idx, &devices, wanted, verified)?;
+            let failed = self.load_each(stripe_idx, &devices, wanted, verified)?;
             if failed.is_empty() {
                 return Ok(());
             }
@@ -759,19 +764,25 @@ impl StripeStore {
         // A plan the known erasures do not allow is left to the fallback,
         // whose error names everything the stripe has lost.
         if let Ok(plan) = sh.codec.plan_recover(&erased, &lost(&erased)) {
-            let geom = &sh.geometry;
-            let mut stripe = StripeBuf::new(geom.r, geom.n, sh.meta.symbol)?;
             let surviving = unserved.iter().filter(|&&c| !erased.contains(c));
-            let need = plan.sources().iter().chain(surviving).copied();
-            let loaded = |cell, data: &[u8]| stripe.set_cell(cell, data);
+            let mut read = Sectors::new(sh.meta.symbol);
+            read.select(plan.sources().iter().chain(surviving).copied());
             if self
-                .load_verified(stripe_idx, &devices, need, loaded)?
+                .load_verified(stripe_idx, &devices, &mut read)?
                 .is_empty()
             {
-                sh.codec.apply(&plan, &mut stripe)?;
+                let mut planned = Planned {
+                    read: &read,
+                    recovered: |cell, data: &[u8]| serve(cell, data, out),
+                };
+                plan.execute(sh.codec.codec_id(), &mut planned)?;
                 sh.counters.count_recover();
+                // The targets are in `out`; the surviving wanted cells
+                // are where they were read.
                 for &cell in &unserved {
-                    serve(cell, stripe.cell(cell), out);
+                    if let Some(data) = read.get(cell) {
+                        serve(cell, data, out);
+                    }
                 }
                 return Ok(());
             }
@@ -816,45 +827,65 @@ impl StripeStore {
             .collect()
     }
 
-    /// The one loader: reads `cells` of a stripe — one positioned read
-    /// per run of consecutive rows on one device, which the device files
-    /// store contiguously — verifies every sector against its checksum,
-    /// hands each good one to `sink`, and returns the rest: sectors that
-    /// are missing or corrupt, and (unread) those on a device that is not
-    /// `Healthy`.
+    /// The one loader: reads the cells `sectors` selected — one
+    /// positioned read per run of consecutive rows on one device, which
+    /// the device files store contiguously, straight into the sectors'
+    /// buffer — verifies every sector against its checksum, and returns
+    /// the ones that did not verify: missing or corrupt, and (unread)
+    /// those on a device that is not `Healthy`. Their bytes in `sectors`
+    /// are meaningless.
     ///
     /// Callers must hold the stripe lock.
-    pub(crate) fn load_verified(
+    fn load_verified(
+        &self,
+        stripe_idx: usize,
+        devices: &[DeviceState],
+        sectors: &mut Sectors,
+    ) -> Result<Vec<CellIdx>, Error> {
+        let sh = &self.shared;
+        let sym = sectors.sym;
+        let mut failed = Vec::new();
+        let mut at = 0;
+        for run in sectors.cells.chunk_by(|a, b| *b == (a.0 + 1, a.1)) {
+            let (row, dev) = run[0];
+            let span = &mut sectors.data[at * sym..(at + run.len()) * sym];
+            at += run.len();
+            let whole = match devices[dev] {
+                DeviceState::Healthy => sh.devices.read_run(dev, stripe_idx, row, span)?,
+                _ => 0,
+            };
+            for (k, (&cell, sector)) in run.iter().zip(span.chunks_exact(sym)).enumerate() {
+                if k >= whole || !sh.integrity.verify(stripe_idx, cell.0, dev, sector) {
+                    failed.push(cell);
+                }
+            }
+        }
+        Ok(failed)
+    }
+
+    /// [`StripeStore::load_verified`] a device at a time through one
+    /// buffer — one device's share of `cells` — handing each sector that
+    /// verified to `sink`; returns the rest.
+    ///
+    /// Callers must hold the stripe lock.
+    pub(crate) fn load_each(
         &self,
         stripe_idx: usize,
         devices: &[DeviceState],
         cells: impl IntoIterator<Item = CellIdx>,
         mut sink: impl FnMut(CellIdx, &[u8]),
     ) -> Result<Vec<CellIdx>, Error> {
-        let sh = &self.shared;
-        let sym = sh.meta.symbol;
         let mut cells: Vec<CellIdx> = cells.into_iter().collect();
-        cells.sort_unstable_by_key(|&(row, dev)| (dev, row));
-        cells.dedup();
+        cells.sort_unstable_by_key(|&(_, dev)| dev);
+        let mut sectors = Sectors::new(self.shared.meta.symbol);
         let mut failed = Vec::new();
-        let mut buf = Vec::new();
-        for run in cells.chunk_by(|a, b| *b == (a.0 + 1, a.1)) {
-            let (row, dev) = run[0];
-            if buf.len() < run.len() * sym {
-                buf.resize(run.len() * sym, 0);
+        for column in cells.chunk_by(|a, b| a.1 == b.1) {
+            sectors.select(column.iter().copied());
+            let bad = self.load_verified(stripe_idx, devices, &mut sectors)?;
+            for (cell, data) in sectors.iter().filter(|(c, _)| !bad.contains(c)) {
+                sink(cell, data);
             }
-            let span = &mut buf[..run.len() * sym];
-            let whole = match devices[dev] {
-                DeviceState::Healthy => sh.devices.read_run(dev, stripe_idx, row, span)?,
-                _ => 0,
-            };
-            for (k, (&cell, sector)) in run.iter().zip(span.chunks_exact(sym)).enumerate() {
-                if k < whole && sh.integrity.verify(stripe_idx, cell.0, dev, sector) {
-                    sink(cell, sector);
-                } else {
-                    failed.push(cell);
-                }
-            }
+            failed.extend(bad);
         }
         Ok(failed)
     }
@@ -874,7 +905,7 @@ impl StripeStore {
         let devices = sh.integrity.device_states();
         let grid = (0..geom.n).flat_map(|dev| (0..geom.r).map(move |row| (row, dev)));
         let loaded = |cell, data: &[u8]| stripe.set_cell(cell, data);
-        let erased = self.load_verified(stripe_idx, &devices, grid, loaded)?;
+        let erased = self.load_each(stripe_idx, &devices, grid, loaded)?;
         let newly_bad: Vec<_> = erased
             .iter()
             .filter(|&&(_, dev)| devices[dev] == DeviceState::Healthy)
@@ -930,7 +961,7 @@ impl StripeStore {
         let mut cells = BTreeMap::new();
         let loaded = |cell, data: &[u8]| drop(cells.insert(cell, data.to_vec()));
         let wanted = footprint.iter().copied();
-        let failed = self.load_verified(stripe_idx, &devices, wanted, loaded)?;
+        let failed = self.load_each(stripe_idx, &devices, wanted, loaded)?;
         Ok(failed.is_empty().then_some(cells))
     }
 
@@ -1060,6 +1091,79 @@ impl StripeStore {
         sh.integrity.record_cells(stripe_idx, cells);
         let rewritten = cells.iter().map(|&((row, dev), _)| (stripe_idx, row, dev));
         sh.integrity.clear_bad(rewritten);
+        Ok(())
+    }
+}
+
+/// Sectors of one stripe as [`StripeStore::load_verified`] read them,
+/// kept where they landed: cell `cells[k]` is `data[k·sym..(k+1)·sym]`,
+/// in (device, row) order — the order the device files store them, so a
+/// run of rows is one read into one span.
+struct Sectors {
+    sym: usize,
+    cells: Vec<CellIdx>,
+    data: Vec<u8>,
+}
+
+impl Sectors {
+    fn new(sym: usize) -> Self {
+        Sectors {
+            sym,
+            cells: Vec::new(),
+            data: Vec::new(),
+        }
+    }
+
+    /// Chooses the cells the next load reads, keeping the buffer.
+    fn select(&mut self, cells: impl IntoIterator<Item = CellIdx>) {
+        self.cells.clear();
+        self.cells.extend(cells);
+        self.cells.sort_unstable_by_key(|&(row, dev)| (dev, row));
+        self.cells.dedup();
+        let len = self.cells.len() * self.sym;
+        if self.data.len() < len {
+            self.data.resize(len, 0);
+        }
+    }
+
+    /// The bytes of `cell`, if it was selected.
+    fn get(&self, (row, dev): CellIdx) -> Option<&[u8]> {
+        let by_device = |&(row, dev): &CellIdx| (dev, row);
+        let k = self
+            .cells
+            .binary_search_by_key(&(dev, row), by_device)
+            .ok()?;
+        self.data.get(k * self.sym..(k + 1) * self.sym)
+    }
+
+    /// Every selected cell with its bytes.
+    fn iter(&self) -> impl Iterator<Item = (CellIdx, &[u8])> {
+        self.cells
+            .iter()
+            .copied()
+            .zip(self.data.chunks_exact(self.sym))
+    }
+}
+
+/// A degraded fragment as its plan sees it: sources where the loader read
+/// them, targets handed to `recovered` (which copies them into the
+/// caller's buffer).
+struct Planned<'a, F> {
+    read: &'a Sectors,
+    recovered: F,
+}
+
+impl<F: FnMut(CellIdx, &[u8])> CellLookup for Planned<'_, F> {
+    fn symbol(&self) -> usize {
+        self.read.sym
+    }
+
+    fn source(&self, cell: CellIdx) -> Option<&[u8]> {
+        self.read.get(cell)
+    }
+
+    fn recovered(&mut self, cell: CellIdx, bytes: &[u8]) -> Result<(), CodeError> {
+        (self.recovered)(cell, bytes);
         Ok(())
     }
 }
