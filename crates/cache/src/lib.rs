@@ -8,7 +8,9 @@
 //!
 //! * **Read tier** — a block-granular CLOCK cache under a fixed byte
 //!   budget. Fills happen on miss from the (always verified) inner
-//!   read path and are checksummed in memory, so a corrupted frame is
+//!   read path. Each frame's Fletcher-32 ([`stair_gf::fletcher32`], the
+//!   store's own sector checksum at the CPU's widest tier) is taken at
+//!   fill and checked on every hit, so a frame corrupted in memory is
 //!   detected and refilled rather than served. Writes invalidate the
 //!   blocks they touch; scrub, repair, and fault injection bump a
 //!   generation counter that lazily drops every frame (reads after a
@@ -67,9 +69,11 @@ use std::thread;
 use std::time::Duration;
 
 use stair_device::{
-    BlockDevice, CacheTierStatus, DeviceError, DeviceStatus, FaultAdmin, OpRef, OpResult,
-    RepairOutcome, ScrubOutcome, WriteOutcome, CACHE_DEFAULT_INTERVAL_MS, CACHE_DEFAULT_MB,
+    cache_budget_bytes, BlockDevice, CacheTierStatus, DeviceError, DeviceStatus, FaultAdmin, OpRef,
+    OpResult, RepairOutcome, ScrubOutcome, WriteOutcome, CACHE_DEFAULT_INTERVAL_MS,
+    CACHE_DEFAULT_MB,
 };
+use stair_gf::fletcher32;
 use stair_obs::trace::{self, names};
 use stair_obs::{metric_names, Counter, MetricsRegistry, MetricsSnapshot};
 
@@ -88,19 +92,29 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Builds a config from the spec-grammar units (budget in MiB).
-    pub fn from_spec(mb: usize, write_back: bool, interval_ms: u64) -> Self {
-        CacheConfig {
-            budget_bytes: (mb as u64) << 20,
+    /// Builds a config from the spec-grammar units (budget in MiB); a
+    /// budget whose byte count overflows `u64` is a [`DeviceError::Spec`].
+    pub fn from_spec(mb: usize, write_back: bool, interval_ms: u64) -> Result<Self, DeviceError> {
+        let budget_bytes = cache_budget_bytes(mb).ok_or_else(|| {
+            DeviceError::Spec(format!(
+                "cache budget mb={mb} overflows a 64-bit byte count"
+            ))
+        })?;
+        Ok(CacheConfig {
+            budget_bytes,
             write_back,
             interval_ms,
-        }
+        })
     }
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig::from_spec(CACHE_DEFAULT_MB, false, CACHE_DEFAULT_INTERVAL_MS)
+        CacheConfig {
+            budget_bytes: (CACHE_DEFAULT_MB as u64) << 20,
+            write_back: false,
+            interval_ms: CACHE_DEFAULT_INTERVAL_MS,
+        }
     }
 }
 
@@ -112,8 +126,9 @@ struct Frame {
     /// Generation the block was filled under; served only while it
     /// matches the device's current generation.
     gen: u64,
-    /// In-memory checksum of `data`, verified on every hit so a
-    /// corrupted frame demotes to a miss instead of returning garbage.
+    /// Fletcher-32 of `data`, taken at fill and verified on every hit,
+    /// so a frame corrupted in memory demotes to a miss instead of
+    /// returning garbage.
     sum: u32,
     /// Second-chance bit for the CLOCK hand.
     referenced: bool,
@@ -181,17 +196,6 @@ pub struct CachedDevice<D: BlockDevice> {
 /// cannot leave the tier wedged.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// FNV-1a over a frame's bytes: cheap in-memory corruption detection
-/// for cached data (the inner device owns on-disk integrity).
-fn checksum(data: &[u8]) -> u32 {
-    let mut h = 0x811C_9DC5u32;
-    for &byte in data {
-        h ^= byte as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 /// Copies the overlap between a block at `block_off` and the request
@@ -314,7 +318,7 @@ impl<D: BlockDevice> Core<D> {
     fn lookup(clock: &mut Clock, b: u64, gen: u64) -> Option<&[u8]> {
         let idx = *clock.map.get(&b)?;
         let frame = &mut clock.frames[idx];
-        if !frame.live || frame.gen != gen || checksum(&frame.data) != frame.sum {
+        if !frame.live || frame.gen != gen || fletcher32(&frame.data) != frame.sum {
             frame.live = false;
             clock.map.remove(&b);
             return None;
@@ -327,7 +331,7 @@ impl<D: BlockDevice> Core<D> {
     /// the table is full. Dead and stale-generation frames are
     /// preferred victims and don't count as evictions.
     fn insert_frame(&self, clock: &mut Clock, b: u64, gen: u64, data: Vec<u8>) {
-        let sum = checksum(&data);
+        let sum = fletcher32(&data);
         if let Some(&idx) = clock.map.get(&b) {
             let frame = &mut clock.frames[idx];
             frame.data = data;

@@ -192,6 +192,11 @@ fn cmd_info(flags: &Flags) -> Result<(), String> {
         "  avg update penalty      : {:.2}",
         codec.relations().update_penalty().average
     );
+    println!(
+        "  byte kernels            : gf8 {}, fletcher32 {}",
+        stair_gf::gf8_tier(),
+        stair_gf::fletcher32_tier()
+    );
     Ok(())
 }
 

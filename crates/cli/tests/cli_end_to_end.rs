@@ -63,6 +63,13 @@ fn full_cli_session() {
 
     let (ok, out) = run(&["info", "--n", "8", "--r", "16", "--m", "2", "--e", "1,2"]);
     assert!(ok && out.contains("storage efficiency"), "{out}");
+    // The kernel tiers this host dispatches to, by the names stair-gf reads.
+    let kernels = format!(
+        "byte kernels            : gf8 {}, fletcher32 {}",
+        stair_gf::gf8_tier(),
+        stair_gf::fletcher32_tier()
+    );
+    assert!(out.contains(&kernels), "{out}");
 
     // Unknown command and bad flags fail cleanly.
     assert!(!run(&["frobnicate"]).0);

@@ -74,4 +74,4 @@ pub use instrument::Instrumented;
 pub use report::{
     CacheTierStatus, DeviceStatus, RepairOutcome, ScrubOutcome, ShardHealth, WriteOutcome,
 };
-pub use spec::{DeviceSpec, CACHE_DEFAULT_INTERVAL_MS, CACHE_DEFAULT_MB};
+pub use spec::{cache_budget_bytes, DeviceSpec, CACHE_DEFAULT_INTERVAL_MS, CACHE_DEFAULT_MB};

@@ -64,7 +64,8 @@ pub enum DeviceSpec {
     Cache {
         /// The backend being fronted (never itself `Cache`).
         inner: Box<DeviceSpec>,
-        /// Read-tier budget in MiB (≥ 1).
+        /// Read-tier budget in MiB (≥ 1, and < 2⁴⁴ so its byte count
+        /// fits a `u64`; see [`cache_budget_bytes`]).
         mb: usize,
         /// Write-back tier enabled (`wb=on`); the default is
         /// write-through — the safe choice, especially over `tcp:`.
@@ -80,6 +81,12 @@ pub enum DeviceSpec {
 pub const CACHE_DEFAULT_MB: usize = 64;
 /// Default group-commit interval in milliseconds for `cache:` specs.
 pub const CACHE_DEFAULT_INTERVAL_MS: u64 = 50;
+
+/// A `cache:` budget of `mb` MiB in bytes, or `None` where that does not
+/// fit a `u64`.
+pub fn cache_budget_bytes(mb: usize) -> Option<u64> {
+    u64::try_from(mb).ok()?.checked_mul(1 << 20)
+}
 
 impl DeviceSpec {
     /// The scheme name (`"file"`, `"shards"`, `"tcp"`, or `"cache"`).
@@ -262,6 +269,11 @@ impl FromStr for DeviceSpec {
                             mb = int("mb", value)?;
                             if mb == 0 {
                                 return Err(bad("mb must be at least 1"));
+                            }
+                            if cache_budget_bytes(mb).is_none() {
+                                return Err(bad(&format!(
+                                    "mb={mb} overflows a 64-bit byte budget"
+                                )));
                             }
                             seen_mb = true;
                         }
@@ -448,5 +460,28 @@ mod tests {
                 "`{text}` should fail as a spec error, got {err:?}"
             );
         }
+    }
+
+    /// 2⁴⁴ MiB is 2⁶⁴ bytes: it used to wrap to a budget of 0 (one
+    /// frame), and 2⁴⁴ + 8 MiB to 8 MiB.
+    #[test]
+    fn cache_budgets_that_overflow_u64_are_refused() {
+        for mb in [1u64 << 44, (1 << 44) + 8] {
+            let err = format!("cache:file:/x?mb={mb}")
+                .parse::<DeviceSpec>()
+                .unwrap_err();
+            assert!(
+                matches!(&err, DeviceError::Spec(m) if m.contains(&format!("mb={mb} overflows"))),
+                "mb={mb}: {err:?}"
+            );
+        }
+        let max = (1u64 << 44) - 1;
+        assert!(format!("cache:file:/x?mb={max}")
+            .parse::<DeviceSpec>()
+            .is_ok());
+        assert_eq!(
+            cache_budget_bytes(max as usize),
+            Some(u64::MAX - (1 << 20) + 1)
+        );
     }
 }

@@ -157,6 +157,37 @@ const fn build_split() -> [Split; 256] {
     all
 }
 
+/// Multiplication by each constant `c` as an 8×8 bit matrix, in the operand
+/// layout of `GF2P8AFFINEQB`: output bit `i` is the parity of `x` AND byte
+/// `7 − i`, so bit `j` of byte `7 − i` is bit `i` of `c·2ʲ`. Built at compile
+/// time from [`SPLIT`] (`c·2ʲ` is `lo[2ʲ]` below bit 4 and `hi[2ʲ⁻⁴]` from
+/// it). The instruction's sibling `GF2P8MULB` cannot be used instead: it
+/// multiplies modulo 0x11b, not this field's 0x11d.
+pub(crate) static MATRIX: [u64; 256] = build_matrix(&SPLIT);
+
+const fn build_matrix(split: &[Split; 256]) -> [u64; 256] {
+    let mut all = [0u64; 256];
+    let mut c = 0;
+    while c < 256 {
+        let mut j = 0;
+        while j < 8 {
+            let column = if j < 4 {
+                split[c].lo[1 << j]
+            } else {
+                split[c].hi[1 << (j - 4)]
+            };
+            let mut i = 0;
+            while i < 8 {
+                all[c] |= (((column >> i) & 1) as u64) << (8 * (7 - i) + j);
+                i += 1;
+            }
+            j += 1;
+        }
+        c += 1;
+    }
+    all
+}
+
 /// The portable region kernel: `dst[i] = (dst[i] if xor else 0) ^ Σ c·src[i]`
 /// over bytes `from..`. It is the whole kernel where no SIMD tier applies,
 /// the tail of the SIMD tiers, and the oracle the SIMD tiers are tested

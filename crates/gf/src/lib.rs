@@ -12,8 +12,13 @@
 //!   `R2`, and [`Field::mult_xor_regions`], the fused dot product a codec
 //!   issues per output sector. Region kernels use per-constant split nibble
 //!   tables, the same algorithmic structure as GF-Complete's SPLIT tables;
-//!   GF(2^8) runs them through AVX2 `PSHUFB` where the CPU has it (chosen at
-//!   run time, no switch) and through the scalar loop everywhere else;
+//!   GF(2^8) runs one `VGF2P8AFFINEQB` per 64 bytes where the CPU has GFNI
+//!   and AVX-512F, AVX2 `PSHUFB` over the SPLIT tables where it has AVX2
+//!   (chosen at run time, no switch), and the scalar loop everywhere else;
+//! * [`fletcher32`], the workspace's one checksum, tiered the same way
+//!   (AVX-512BW, AVX2, portable);
+//! * [`gf8_tier`] and [`fletcher32_tier`], naming the tier each kernel runs
+//!   on this CPU;
 //! * global [`counters`] tracking how many `Mult_XOR` operations were
 //!   executed, so measured operation counts can be checked against the
 //!   paper's analytical formulas (Eq. 5 and Eq. 6).
@@ -52,6 +57,7 @@
 
 pub mod counters;
 mod field;
+mod fletcher;
 mod gf16;
 mod gf8;
 // The one module of the workspace that may use `unsafe`: this crate's
@@ -61,5 +67,7 @@ mod simd;
 mod tables;
 
 pub use field::Field;
+pub use fletcher::fletcher32;
 pub use gf16::Gf16;
 pub use gf8::Gf8;
+pub use simd::{fletcher32_tier, gf8_tier};

@@ -62,11 +62,8 @@ pub fn open_admin(spec: &DeviceSpec) -> Result<Box<dyn stair_device::AdminDevice
             wb,
             interval_ms,
         } => {
-            let inner = open_admin(inner)?;
-            Box::new(stair_cache::CachedDevice::new(
-                inner,
-                stair_cache::CacheConfig::from_spec(*mb, *wb, *interval_ms),
-            ))
+            let config = stair_cache::CacheConfig::from_spec(*mb, *wb, *interval_ms)?;
+            Box::new(stair_cache::CachedDevice::new(open_admin(inner)?, config))
         }
     })
 }

@@ -1,142 +1,10 @@
-//! A small self-contained sector checksum (Fletcher-32 over 16-bit words),
-//! used to *detect* latent sector errors; the erasure code then repairs
-//! them. Real arrays use exactly this split: detection by checksum or
-//! drive error, correction by redundancy.
+//! The sector checksum: Fletcher-32 over 16-bit words, used to *detect*
+//! latent sector errors; the erasure code then repairs them.
 //!
-//! This is the single implementation shared by the store engine and the
-//! archive tool (`stair_cli::checksum` re-exports it).
+//! This is [`stair_gf::fletcher32`], re-exported: the one implementation the
+//! store's checksum table, journal records, the wire frames and the archive
+//! tool (`stair_cli`) share, running the widest tier the CPU supports. Its
+//! values are persisted, so they are pinned on every tier by `stair-gf`'s
+//! tests and by the parent-written fixtures in `tests/journal_recovery.rs`.
 
-/// 16-bit words per row: the sums are kept per lane so a row is one
-/// element-wise add, which the compiler turns into vector adds.
-const LANES: usize = 16;
-/// Rows per block; the sums are reduced modulo 65535 once per block.
-const ROWS: usize = 256;
-
-/// Fletcher-32 over the byte stream (odd trailing byte zero-padded).
-///
-/// By definition `sum1 = (sum1 + word) % 65535; sum2 = (sum2 + sum1) % 65535`
-/// per little-endian 16-bit word, both starting at `0xFFFF`. Reduction
-/// commutes with addition, so this adds up a block of `N` words first —
-/// `sum1 += Σ wᵢ`, `sum2 += N·sum1 + Σ (N − i)·wᵢ` — and reduces once per
-/// block. The value is the definition's for every input: it is persisted in
-/// checksum tables, journal records and wire frames.
-pub fn fletcher32(data: &[u8]) -> u32 {
-    let (mut sum1, mut sum2) = (0xFFFFu64, 0xFFFFu64);
-    for block in data.chunks(2 * LANES * ROWS) {
-        // Word `i = t·LANES + l` sits in row `t`, lane `l`. With `a[l] = Σₜ w`
-        // and `b[l] = Σₜ (rows − t)·w` (the running sum of `a[l]`), the
-        // weight `N − i = LANES·(rows − t) − l` gives
-        // `Σ (N − i)·wᵢ = Σₗ LANES·b[l] − l·a[l]`.
-        //
-        // No overflow: `a[l] ≤ ROWS·0xFFFF < 2²⁴` and `b[l] ≤
-        // ROWS·(ROWS + 1)/2·0xFFFF < 2³²` fit the `u32` lanes (ROWS ≤ 361
-        // would), and with `sum1, sum2 ≤ 0xFFFF` on entry everything below
-        // stays under 2⁴¹ in `u64`.
-        let mut rows = block.chunks_exact(2 * LANES);
-        let words = (rows.len() * LANES) as u64;
-        let (mut a, mut b) = ([0u32; LANES], [0u32; LANES]);
-        for row in &mut rows {
-            for l in 0..LANES {
-                a[l] += u16::from_le_bytes([row[2 * l], row[2 * l + 1]]) as u32;
-                b[l] += a[l];
-            }
-        }
-        sum2 += words * sum1;
-        for l in 0..LANES {
-            sum1 += a[l] as u64;
-            sum2 += LANES as u64 * b[l] as u64 - l as u64 * a[l] as u64;
-        }
-        // Under one row is left, in the data's last block only.
-        let mut tail = rows.remainder().chunks_exact(2);
-        for w in &mut tail {
-            sum1 += u16::from_le_bytes([w[0], w[1]]) as u64;
-            sum2 += sum1;
-        }
-        if let [last] = tail.remainder() {
-            sum1 += *last as u64;
-            sum2 += sum1;
-        }
-        sum1 %= 65535;
-        sum2 %= 65535;
-    }
-    ((sum2 << 16) | sum1) as u32
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// The definition, one modulo per sum per word: what `fletcher32` was
-    /// before the deferred reduction, kept as the oracle.
-    fn per_word_modulo(data: &[u8]) -> u32 {
-        let mut sum1: u32 = 0xFFFF;
-        let mut sum2: u32 = 0xFFFF;
-        let mut chunks = data.chunks_exact(2);
-        for w in &mut chunks {
-            let word = u16::from_le_bytes([w[0], w[1]]) as u32;
-            sum1 = (sum1 + word) % 65535;
-            sum2 = (sum2 + sum1) % 65535;
-        }
-        if let [last] = chunks.remainder() {
-            sum1 = (sum1 + *last as u32) % 65535;
-            sum2 = (sum2 + sum1) % 65535;
-        }
-        (sum2 << 16) | sum1
-    }
-
-    proptest! {
-        /// Lengths on both sides of a row (32 B) and of a block (8 KiB), odd
-        /// and even.
-        #[test]
-        fn matches_the_definition(len in 0usize..=8200, seed in any::<u64>()) {
-            let mut x = seed | 1;
-            let data: Vec<u8> = (0..len)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x >> 32) as u8
-                })
-                .collect();
-            prop_assert_eq!(fletcher32(&data), per_word_modulo(&data));
-        }
-    }
-
-    /// All-ones words make every intermediate sum as large as it can get;
-    /// the lengths sit on both sides of a row, of a block and of 1 MiB.
-    #[test]
-    fn no_overflow_on_saturated_input() {
-        for len in [1, 2, 31, 32, 33, 8191, 8192, 8193, (1 << 20) + 31, 3 << 20] {
-            let data = vec![0xFF; len];
-            assert_eq!(fletcher32(&data), per_word_modulo(&data), "len {len}");
-        }
-    }
-
-    #[test]
-    fn detects_single_byte_changes() {
-        let a = vec![1u8; 512];
-        let mut b = a.clone();
-        b[300] ^= 0x40;
-        assert_ne!(fletcher32(&a), fletcher32(&b));
-    }
-
-    /// Values computed by the per-word-modulo loop at the commit before the
-    /// deferred reduction: the sums are persisted (checksum tables, journal
-    /// records, wire frames), so they may never change.
-    #[test]
-    fn stable_for_known_input() {
-        assert_eq!(fletcher32(b""), 0xFFFF_FFFF);
-        assert_eq!(fletcher32(b"a"), 0x0061_0061);
-        assert_eq!(fletcher32(b"abcde"), 0xF04F_C729);
-        assert_eq!(fletcher32(&[0xFF; 4096]), 0);
-        let ramp: Vec<u8> = (0..1 << 20).map(|i| i as u8).collect();
-        assert_eq!(fletcher32(&ramp), 0x6844_03FC);
-        assert_ne!(fletcher32(b"abcde"), fletcher32(b"abcdf"));
-    }
-
-    #[test]
-    fn odd_length_handled() {
-        assert_ne!(fletcher32(&[1, 2, 3]), fletcher32(&[1, 2]));
-    }
-}
+pub use stair_gf::fletcher32;
