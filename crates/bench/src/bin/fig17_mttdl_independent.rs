@@ -2,7 +2,8 @@
 //! failures — (a) RS, STAIR/SD s = 1, STAIR e = (2), (1,1), SD s = 2;
 //! (b) STAIR s = 3 variants e = (3), (1,2), (1,1,1).
 
-use stair_reliability::{Scheme, SectorModel, SystemParams};
+use stair_code::CodecSpec;
+use stair_reliability::{SectorModel, SystemParams};
 
 fn main() {
     let params = SystemParams::paper_defaults();
@@ -12,42 +13,41 @@ fn main() {
         .collect();
 
     println!("Fig. 17(a): MTTDL_sys (hours) vs P_bit, independent sector failures\n");
-    let schemes_a: Vec<(&str, Scheme)> = vec![
-        ("RS (s=0)", Scheme::reed_solomon()),
-        ("STAIR/SD s=1", Scheme::stair(&[1])),
-        ("STAIR e=(2)", Scheme::stair(&[2])),
-        ("STAIR e=(1,1)", Scheme::stair(&[1, 1])),
-        ("SD s=2", Scheme::sd(2)),
+    let codes_a = [
+        ("RS (s=0)", "rs:8,16,1"),
+        ("STAIR/SD s=1", "stair:8,16,1,1"),
+        ("STAIR e=(2)", "stair:8,16,1,2"),
+        ("STAIR e=(1,1)", "stair:8,16,1,1-1"),
+        ("SD s=2", "sd:8,16,1,2"),
     ];
-    print_curves(&params, &model, &pbits, &schemes_a);
+    print_curves(&params, &model, &pbits, &codes_a);
 
     println!("\nFig. 17(b): STAIR configurations with s = 3\n");
-    let schemes_b: Vec<(&str, Scheme)> = vec![
-        ("STAIR e=(3)", Scheme::stair(&[3])),
-        ("STAIR e=(1,2)", Scheme::stair(&[1, 2])),
-        ("STAIR e=(1,1,1)", Scheme::stair(&[1, 1, 1])),
+    let codes_b = [
+        ("STAIR e=(3)", "stair:8,16,1,3"),
+        ("STAIR e=(1,2)", "stair:8,16,1,1-2"),
+        ("STAIR e=(1,1,1)", "stair:8,16,1,1-1-1"),
     ];
-    print_curves(&params, &model, &pbits, &schemes_b);
+    print_curves(&params, &model, &pbits, &codes_b);
 
     println!("\n(paper: s=1 beats RS by >2 orders at P_bit=1e-14; e=(1,2) is the most");
     println!(" reliable s=3 shape under independent failures — §7.2.1)");
 }
 
-fn print_curves(
-    params: &SystemParams,
-    model: &SectorModel,
-    pbits: &[f64],
-    schemes: &[(&str, Scheme)],
-) {
+fn print_curves(params: &SystemParams, model: &SectorModel, pbits: &[f64], codes: &[(&str, &str)]) {
+    let specs: Vec<CodecSpec> = codes
+        .iter()
+        .map(|(_, spec)| spec.parse().expect("valid spec"))
+        .collect();
     print!("{:>10}", "P_bit");
-    for (name, _) in schemes {
+    for (name, _) in codes {
         print!(" {name:>16}");
     }
     println!();
     for &pb in pbits {
         print!("{pb:>10.1e}");
-        for (_, scheme) in schemes {
-            print!(" {:>16.3e}", params.mttdl_sys(scheme, model, pb));
+        for spec in &specs {
+            print!(" {:>16.3e}", params.mttdl_sys(spec, model, pb));
         }
         println!();
     }

@@ -2,7 +2,8 @@
 //! e = (1, s−1) as s grows, for four (b1, α) burstiness levels and
 //! P_bit ∈ {1e-14, 1e-12, 1e-10}.
 
-use stair_reliability::{BurstModel, Scheme, SectorModel, SystemParams};
+use stair_code::CodecSpec;
+use stair_reliability::{BurstModel, SectorModel, SystemParams};
 
 fn main() {
     let params = SystemParams::paper_defaults();
@@ -18,10 +19,14 @@ fn main() {
         for s in 1..=12usize {
             print!("{s:>4}");
             for (b1, a) in pairs {
-                let model = SectorModel::Correlated(BurstModel::from_pareto(b1, a, params.r));
-                let es = params.mttdl_sys(&Scheme::stair(&[s]), &model, pb);
+                let model = SectorModel::Correlated(BurstModel::from_pareto(b1, a, 16));
+                let mttdl = |spec: String| {
+                    let spec: CodecSpec = spec.parse().expect("valid spec");
+                    params.mttdl_sys(&spec, &model, pb)
+                };
+                let es = mttdl(format!("stair:8,16,1,{s}"));
                 let e1s = if s >= 2 {
-                    params.mttdl_sys(&Scheme::stair(&[1, s - 1]), &model, pb)
+                    mttdl(format!("stair:8,16,1,1-{}", s - 1))
                 } else {
                     es
                 };

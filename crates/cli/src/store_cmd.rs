@@ -31,11 +31,10 @@
 
 use std::str::FromStr;
 
-use stair_arraysim::FailureInjector;
 use stair_code::CodecSpec;
 use stair_device::DeviceSpec;
 use stair_net::json::Json;
-use stair_reliability::BurstModel;
+use stair_reliability::{BurstModel, FailureInjector, SectorModel};
 use stair_store::{StoreOptions, StripeStore};
 
 use crate::flags::{dir_flag, u64_flag, usize_flag, Flags};
@@ -167,17 +166,31 @@ fn cmd_inject(flags: &Flags) -> Result<(), String> {
         .map_err(|_| "--p-sec expects a probability".to_string())?;
     let seed = u64_flag(flags, "seed", 42)?;
     let r = store.geometry().r;
-    let mut injector = match flags.get("burst") {
-        None => FailureInjector::independent(r, p_sec, seed),
+    let model = match flags.get("burst") {
+        None => SectorModel::Independent,
         Some(spec) => {
             let (b1, alpha) = spec
                 .split_once(',')
                 .ok_or_else(|| "--burst expects B1,ALPHA".to_string())?;
-            let b1: f64 = b1.trim().parse().map_err(|_| "bad B1".to_string())?;
-            let alpha: f64 = alpha.trim().parse().map_err(|_| "bad ALPHA".to_string())?;
-            FailureInjector::correlated(r, p_sec, BurstModel::from_pareto(b1, alpha, r), seed)
+            let b1: f64 = b1
+                .trim()
+                .parse()
+                .map_err(|_| "--burst: bad B1".to_string())?;
+            let alpha: f64 = alpha
+                .trim()
+                .parse()
+                .map_err(|_| "--burst: bad ALPHA".to_string())?;
+            if b1.is_nan() || b1 <= 0.0 || b1 > 1.0 {
+                return Err(format!("--burst: B1 = {b1} must be in (0, 1]"));
+            }
+            if alpha.is_nan() || alpha <= 0.0 {
+                return Err(format!("--burst: ALPHA = {alpha} must be positive"));
+            }
+            SectorModel::Correlated(BurstModel::from_pareto(b1, alpha, r))
         }
     };
+    let mut injector =
+        FailureInjector::new(r, p_sec, &model, seed).map_err(|e| format!("--p-sec: {e}"))?;
     let outcome = store
         .inject_failures(&mut injector)
         .map_err(|e| e.to_string())?;

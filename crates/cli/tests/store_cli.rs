@@ -231,6 +231,41 @@ fn store_cli_inject_detect_repair() {
     std::fs::remove_dir_all(&work).unwrap();
 }
 
+/// A failure model the sampler cannot take is a clean `error:` exit 1
+/// naming the flag — never a panic (exit 101).
+#[test]
+fn store_cli_inject_rejects_bad_model_parameters() {
+    let work = std::env::temp_dir().join(format!("stair-store-cli-badinj-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&work);
+    let dir_s = work.to_str().unwrap();
+    let (ok, out) = run(&[
+        "store",
+        "init",
+        "--dir",
+        dir_s,
+        "--code",
+        "stair:8,4,2,1-1-2",
+        "--stripes",
+        "2",
+    ]);
+    assert!(ok, "{out}");
+    for (flags, named) in [
+        (["--p-sec", "2", "--seed", "1"], "--p-sec"),
+        (["--p-sec", "NaN", "--seed", "1"], "--p-sec"),
+        (["--p-sec", "0.01", "--burst", "0,1"], "--burst"),
+    ] {
+        let out = std::process::Command::new(common::bin())
+            .args(["store", "inject", "--dir", dir_s])
+            .args(flags)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.contains(named), "{flags:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&work).unwrap();
+}
+
 #[test]
 fn store_init_requires_a_codec_spec() {
     let work = std::env::temp_dir().join(format!("stair-store-cli-nocode-{}", std::process::id()));

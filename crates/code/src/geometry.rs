@@ -6,9 +6,9 @@ use crate::CellIdx;
 /// tolerate.
 ///
 /// The store derives everything layout-related from this: device-file
-/// shapes from `n`/`r`, the logical block space from `data_cells` (one
-/// block per data cell, in this order), and failure-injection scenarios
-/// from `m`/`s`.
+/// shapes from `n`/`r`, and the logical block space from `data_cells` (one
+/// block per data cell, in this order). Which failure patterns a code
+/// survives is [`crate::CodecSpec::covers`].
 #[derive(Clone, Debug, Eq, PartialEq)]
 pub struct Geometry {
     /// Devices (chunks) per stripe.
@@ -22,7 +22,7 @@ pub struct Geometry {
     pub s: usize,
     /// Largest sector burst tolerated in a *single* surviving chunk on
     /// top of `m` device failures (STAIR's `e_max`, SD's `s`, `0` for
-    /// RS). Failure injectors use this to stay within coverage.
+    /// RS).
     pub burst: usize,
     /// Cells holding user data, in logical payload order.
     pub data_cells: Vec<CellIdx>,

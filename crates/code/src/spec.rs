@@ -3,7 +3,7 @@
 use core::fmt;
 use std::str::FromStr;
 
-use crate::CodeError;
+use crate::{CodeError, ErasureSet};
 
 /// A parsed codec descriptor.
 ///
@@ -101,6 +101,48 @@ impl CodecSpec {
             CodecSpec::Stair { e, .. } => e.iter().sum(),
             CodecSpec::Sd { s, .. } => *s,
             CodecSpec::Rs { .. } => 0,
+        }
+    }
+
+    /// Whether the code guarantees to recover `erased` (§2): the one
+    /// definition of coverage in the workspace. Drop the `m` devices with
+    /// the most erasures; the per-device counts left must fit under `e`
+    /// reversed (STAIR), sum to at most `s` (SD), or be empty (RS). A
+    /// cell outside the `r × n` stripe is not covered.
+    ///
+    /// Coverage is a guarantee, not a characterisation: a decoder may
+    /// also recover patterns outside it. It is downward-closed — every
+    /// subset of a covered pattern is covered.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use stair_code::{CodecSpec, ErasureSet};
+    ///
+    /// let spec: CodecSpec = "stair:8,4,2,1-1-2".parse()?;
+    /// let devices = || (0..4).flat_map(|row| [(row, 6), (row, 7)]);
+    /// // Devices 6 and 7, a 2-sector burst in device 2, one sector in 4.
+    /// let lost = devices().chain([(1, 2), (2, 2), (0, 4)]);
+    /// assert!(spec.covers(&ErasureSet::new(lost)));
+    /// // With both device failures spent, a 3-sector burst exceeds e_max = 2.
+    /// let lost = devices().chain([(0, 2), (1, 2), (2, 2)]);
+    /// assert!(!spec.covers(&ErasureSet::new(lost)));
+    /// # Ok::<(), stair_code::CodeError>(())
+    /// ```
+    pub fn covers(&self, erased: &ErasureSet) -> bool {
+        if erased.check_bounds(self.r(), self.n()).is_err() {
+            return false;
+        }
+        let mut counts = erased.per_device(self.n());
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        let mut rest = counts.iter().skip(self.m()).copied().take_while(|&c| c > 0);
+        match self {
+            CodecSpec::Stair { e, .. } => {
+                let mut limits = e.iter().rev();
+                rest.all(|c| limits.next().is_some_and(|&limit| c <= limit))
+            }
+            CodecSpec::Sd { s, .. } => rest.sum::<usize>() <= *s,
+            CodecSpec::Rs { .. } => rest.count() == 0,
         }
     }
 }
@@ -212,6 +254,68 @@ mod tests {
                 e: vec![1, 1, 2]
             }
         );
+    }
+
+    /// Whether `spec` covers `counts[d]` erased sectors (rows from 0) on
+    /// each device `d`.
+    fn covered(spec: &str, counts: &[usize]) -> bool {
+        let spec: CodecSpec = spec.parse().unwrap();
+        let cells = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(dev, &c)| (0..c).map(move |row| (row, dev)));
+        spec.covers(&ErasureSet::new(cells))
+    }
+
+    #[test]
+    fn stair_coverage_accepts_patterns_within_m_and_e() {
+        let spec = "stair:8,4,2,1-1-2";
+        // Worst case: 2 full chunks + (1,1,2) sector failures.
+        assert!(covered(spec, &[4, 4, 2, 1, 1, 0, 0, 0]));
+        // Fewer failures is always fine.
+        assert!(covered(spec, &[0; 8]));
+        assert!(covered(spec, &[4, 0, 0, 1, 0, 0, 0, 0]));
+        // The m dropped chunks need not be fully failed, nor first.
+        assert!(covered(spec, &[3, 3, 2, 1, 1, 0, 0, 0]));
+        assert!(covered(spec, &[0, 1, 0, 4, 2, 0, 1, 4]));
+    }
+
+    #[test]
+    fn stair_coverage_rejects_patterns_beyond_m_and_e() {
+        let spec = "stair:8,4,2,1-1-2";
+        // Three chunks beyond the m = 2 worst, but (2,2,1) ⋠ (2,1,1).
+        assert!(!covered(spec, &[4, 4, 2, 2, 1, 0, 0, 0]));
+        // Four partially-failed chunks exceed m' = 3.
+        assert!(!covered(spec, &[4, 4, 1, 1, 1, 1, 0, 0]));
+        // A burst of 3 exceeds e_max = 2.
+        assert!(!covered(spec, &[4, 4, 3, 0, 0, 0, 0, 0]));
+    }
+
+    #[test]
+    fn sd_coverage_is_m_devices_plus_s_sectors_anywhere() {
+        let spec = "sd:6,4,1,2";
+        assert!(covered(spec, &[0, 0, 4, 0, 0, 0]));
+        assert!(covered(spec, &[1, 0, 4, 0, 0, 1]));
+        assert!(covered(spec, &[0, 0, 4, 2, 0, 0]));
+        assert!(covered(spec, &[2, 0, 3, 0, 0, 0]));
+        assert!(!covered(spec, &[1, 1, 4, 1, 0, 0]));
+        assert!(!covered(spec, &[0, 0, 4, 3, 0, 0]));
+        // Two full devices exceed m = 1 by far.
+        assert!(!covered("sd:6,4,1,1", &[4, 4, 0, 0, 0, 0]));
+    }
+
+    #[test]
+    fn rs_coverage_is_m_devices() {
+        assert!(covered("rs:5,3,2", &[3, 0, 2, 0, 0]));
+        assert!(!covered("rs:5,3,2", &[3, 1, 3, 0, 0]));
+    }
+
+    #[test]
+    fn out_of_range_cells_are_not_covered() {
+        let spec: CodecSpec = "stair:8,4,2,1-1-2".parse().unwrap();
+        assert!(!spec.covers(&ErasureSet::new([(4, 0)])));
+        assert!(!spec.covers(&ErasureSet::new([(0, 8)])));
+        assert!(spec.covers(&ErasureSet::new([(0, 0), (1, 0)])));
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub fn pstr_sd_closed(s: usize, n: usize, m: usize, pchk: &[f64]) -> Option<f64>
 
 #[cfg(test)]
 mod tests {
-    use crate::{p_chk, p_str, BurstModel, Scheme, SectorModel};
+    use crate::{p_chk, p_str, spec, BurstModel, SectorModel};
 
     use super::*;
 
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn enumerator_matches_rs_closed_form() {
         for pchk in models(16) {
-            let a = p_str(&Scheme::reed_solomon(), 8, 1, &pchk);
+            let a = p_str(&spec("rs:8,16,1"), &pchk);
             let b = pstr_rs_closed(8, 1, &pchk);
             assert!((a - b).abs() < 1e-15, "{a} vs {b}");
         }
@@ -158,7 +158,9 @@ mod tests {
                 let Some(closed) = pstr_stair_closed(e, 8, 1, &pchk) else {
                     continue;
                 };
-                let enumerated = p_str(&Scheme::stair(e), 8, 1, &pchk);
+                let e_text: Vec<String> = e.iter().map(|x| x.to_string()).collect();
+                let code = spec(&format!("stair:8,16,1,{}", e_text.join("-")));
+                let enumerated = p_str(&code, &pchk);
                 assert!(
                     (closed - enumerated).abs() < 1e-15 * (1.0 + closed.abs()),
                     "e={e:?}: closed {closed} vs enumerated {enumerated}"
@@ -172,7 +174,7 @@ mod tests {
         for pchk in models(16) {
             for s in 1..=3 {
                 let closed = pstr_sd_closed(s, 8, 1, &pchk).unwrap();
-                let enumerated = p_str(&Scheme::sd(s), 8, 1, &pchk);
+                let enumerated = p_str(&spec(&format!("sd:8,16,1,{s}")), &pchk);
                 assert!(
                     (closed - enumerated).abs() < 1e-15 * (1.0 + closed.abs()),
                     "s={s}: closed {closed} vs enumerated {enumerated}"

@@ -3,7 +3,9 @@
 //! favour deep coverage `e = (s)`, scattered failures favour spreading the
 //! budget across chunks.
 
-use crate::{Scheme, SectorModel, SystemParams};
+use stair_code::CodecSpec;
+
+use crate::{SectorModel, SystemParams};
 
 /// A ranked coverage recommendation.
 #[derive(Clone, Debug, PartialEq)]
@@ -16,15 +18,16 @@ pub struct Recommendation {
     pub s: usize,
 }
 
-/// Evaluates every non-decreasing coverage vector with `Σ e ≤ max_s`,
-/// `len(e) ≤ n − m`, and `e_max ≤ r`, and returns them best-first by
-/// MTTDL (ties broken toward fewer parity sectors).
+/// Evaluates every STAIR code `stair:n,r,1,e` with `e` non-decreasing,
+/// `Σ e ≤ max_s`, `len(e) ≤ n − 1`, and `e_max ≤ r`, and returns them
+/// best-first by MTTDL (ties broken toward fewer parity sectors).
 ///
 /// # Panics
 ///
 /// Panics if `max_s` is zero.
 pub fn rank_coverages(
     params: &SystemParams,
+    (n, r): (usize, usize),
     model: &SectorModel,
     p_bit: f64,
     max_s: usize,
@@ -33,10 +36,16 @@ pub fn rank_coverages(
     let mut out = Vec::new();
     for s in 1..=max_s {
         for e in partitions(s) {
-            if e.len() > params.n - 1 || *e.last().expect("non-empty") > params.r {
+            if e.len() > n - 1 || *e.last().expect("non-empty") > r {
                 continue;
             }
-            let mttdl = params.mttdl_sys(&Scheme::stair(&e), model, p_bit);
+            let spec = CodecSpec::Stair {
+                n,
+                r,
+                m: 1,
+                e: e.clone(),
+            };
+            let mttdl = params.mttdl_sys(&spec, model, p_bit);
             out.push(Recommendation {
                 s,
                 e,
@@ -60,11 +69,12 @@ pub fn rank_coverages(
 /// Panics if `max_s` is zero.
 pub fn recommend_e(
     params: &SystemParams,
+    (n, r): (usize, usize),
     model: &SectorModel,
     p_bit: f64,
     max_s: usize,
 ) -> Recommendation {
-    rank_coverages(params, model, p_bit, max_s)
+    rank_coverages(params, (n, r), model, p_bit, max_s)
         .into_iter()
         .next()
         .expect("max_s ≥ 1 yields at least e = (1)")
@@ -101,8 +111,8 @@ mod tests {
     #[test]
     fn bursty_failures_recommend_deep_coverage() {
         let params = SystemParams::paper_defaults();
-        let model = SectorModel::Correlated(BurstModel::from_pareto(0.9, 1.0, params.r));
-        let rec = recommend_e(&params, &model, 1e-12, 3);
+        let model = SectorModel::Correlated(BurstModel::from_pareto(0.9, 1.0, 16));
+        let rec = recommend_e(&params, (8, 16), &model, 1e-12, 3);
         assert_eq!(rec.e, vec![3], "got {rec:?}");
     }
 
@@ -111,14 +121,14 @@ mod tests {
     #[test]
     fn independent_failures_recommend_spread_coverage() {
         let params = SystemParams::paper_defaults();
-        let rec = recommend_e(&params, &SectorModel::Independent, 1e-11, 3);
+        let rec = recommend_e(&params, (8, 16), &SectorModel::Independent, 1e-11, 3);
         assert_eq!(rec.e, vec![1, 2], "got {rec:?}");
     }
 
     #[test]
     fn ranking_is_sorted_and_complete() {
         let params = SystemParams::paper_defaults();
-        let ranked = rank_coverages(&params, &SectorModel::Independent, 1e-12, 3);
+        let ranked = rank_coverages(&params, (8, 16), &SectorModel::Independent, 1e-12, 3);
         // partitions: (1), (2), (1,1), (3), (1,2), (1,1,1) = 6 entries.
         assert_eq!(ranked.len(), 6);
         assert!(ranked

@@ -10,25 +10,31 @@
 //!    fitted by `(b1, α)` (Schroeder et al., the paper's ref. 41) — gives
 //!    the per-chunk failure distribution
 //!    `P_chk(i)` (Eqs. 13–17);
-//! 3. a scheme's sector-failure coverage gives `P_str`, the probability
+//! 3. a code's failure coverage ([`CodecSpec::covers`](stair_code::CodecSpec::covers), the one rule the
+//!    codecs and the decode oracle share) gives `P_str`, the probability
 //!    that a stripe in critical mode is unrecoverable (Appendix B);
 //! 4. `P_arr` (Eq. 11), a Markov model (Fig. 16, Eq. 10), and the array
 //!    count `N_arr` (Eq. 7) give the system MTTDL (Eq. 9).
 //!
-//! `P_str` is computed by a *general enumerator* over per-chunk failure
-//! counts, so any coverage vector `e` is supported; the closed forms of
-//! Appendix B are also provided and tested against the enumerator.
+//! A code is named by its [`CodecSpec`](stair_code::CodecSpec) — the same `stair:8,16,1,1-2`
+//! string the store takes. `P_str` is computed by a *general enumerator*
+//! over per-chunk failure counts, so any family and coverage vector is
+//! supported; the closed forms of Appendix B are also provided and tested
+//! against the enumerator. [`FailureInjector`] samples the §7.1.2 models
+//! chunk by chunk, and [`montecarlo::estimate_p_str`] cross-checks the
+//! enumerator with it.
 //!
 //! # Example
 //!
 //! ```
-//! use stair_reliability::{Scheme, SectorModel, SystemParams};
+//! use stair_reliability::{SectorModel, SystemParams};
 //!
 //! let params = SystemParams::paper_defaults();
-//! let rs = params.mttdl_sys(&Scheme::reed_solomon(), &SectorModel::Independent, 1e-14);
-//! let stair = params.mttdl_sys(&Scheme::stair(&[1]), &SectorModel::Independent, 1e-14);
+//! let mttdl = |spec: &str| {
+//!     params.mttdl_sys(&spec.parse().unwrap(), &SectorModel::Independent, 1e-14)
+//! };
 //! // Fig. 17(a): one extra parity sector buys > two orders of magnitude.
-//! assert!(stair > 100.0 * rs);
+//! assert!(mttdl("stair:8,16,1,1") > 100.0 * mttdl("rs:8,16,1"));
 //! ```
 
 #![warn(missing_docs)]
@@ -36,11 +42,20 @@
 mod burst;
 mod closed_forms;
 mod configure;
+mod failure;
 mod model;
+pub mod montecarlo;
 mod pstr;
 
 pub use burst::BurstModel;
 pub use closed_forms::{pstr_rs_closed, pstr_sd_closed, pstr_stair_closed};
 pub use configure::{rank_coverages, recommend_e, Recommendation};
+pub use failure::FailureInjector;
 pub use model::{narr, storage_efficiency, SystemParams};
-pub use pstr::{p_chk, p_sec, p_str, Scheme, SectorModel};
+pub use pstr::{p_chk, p_sec, p_str, SectorModel};
+
+/// Parses a spec in tests.
+#[cfg(test)]
+fn spec(text: &str) -> stair_code::CodecSpec {
+    text.parse().expect("test spec parses")
+}

@@ -3,6 +3,8 @@
 // Coordinate-indexed loops mirror the paper's (row, column) notation and
 // stay symmetric with the write side; iterator adaptors would obscure that.
 #![allow(clippy::needless_range_loop)]
+use stair_code::{CodecSpec, ErasureSet};
+
 use crate::BurstModel;
 
 /// A sector-failure model (§7.1.2): how sector failures are distributed
@@ -13,93 +15,6 @@ pub enum SectorModel {
     Independent,
     /// Correlated failures arriving as bursts (Eqs. 14–17).
     Correlated(BurstModel),
-}
-
-/// The erasure scheme whose sector-failure coverage defines `P_str`.
-#[derive(Clone, Debug, Eq, PartialEq)]
-pub enum Scheme {
-    /// Reed–Solomon: no sector failures tolerated in critical mode.
-    ReedSolomon,
-    /// A STAIR code with coverage vector `e` (non-decreasing).
-    Stair(Vec<usize>),
-    /// An SD code tolerating any `s` sector failures in critical mode.
-    Sd(usize),
-}
-
-impl Scheme {
-    /// Convenience constructor for Reed–Solomon.
-    pub fn reed_solomon() -> Self {
-        Scheme::ReedSolomon
-    }
-
-    /// Convenience constructor for a STAIR scheme.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is empty, contains zero, or is not non-decreasing.
-    pub fn stair(e: &[usize]) -> Self {
-        assert!(
-            !e.is_empty() && !e.contains(&0),
-            "e must be non-empty and positive"
-        );
-        assert!(
-            e.windows(2).all(|w| w[0] <= w[1]),
-            "e must be non-decreasing"
-        );
-        Scheme::Stair(e.to_vec())
-    }
-
-    /// Convenience constructor for an SD scheme.
-    pub fn sd(s: usize) -> Self {
-        Scheme::Sd(s)
-    }
-
-    /// The number of parity sectors (beyond parity devices) the scheme
-    /// spends per stripe: 0 for RS, `s` for SD and STAIR.
-    pub fn s(&self) -> usize {
-        match self {
-            Scheme::ReedSolomon => 0,
-            Scheme::Stair(e) => e.iter().sum(),
-            Scheme::Sd(s) => *s,
-        }
-    }
-
-    /// Whether a vector of per-chunk sector-failure counts (for the `n − m`
-    /// non-failed chunks, any order) is within the scheme's critical-mode
-    /// coverage. Used by the Monte-Carlo cross-check in `stair-arraysim`.
-    pub fn covers_counts(&self, counts: &[usize]) -> bool {
-        let mut desc: Vec<usize> = counts.iter().copied().filter(|&c| c > 0).collect();
-        desc.sort_unstable_by(|a, b| b.cmp(a));
-        self.covers_desc(&desc)
-    }
-
-    /// The maximum number of chunks that may carry sector failures.
-    fn max_nonzero_chunks(&self) -> usize {
-        match self {
-            Scheme::ReedSolomon => 0,
-            Scheme::Stair(e) => e.len(),
-            Scheme::Sd(s) => *s,
-        }
-    }
-
-    /// Whether a non-increasing vector of per-chunk failure counts is
-    /// within the scheme's critical-mode coverage.
-    fn covers_desc(&self, counts_desc: &[usize]) -> bool {
-        match self {
-            Scheme::ReedSolomon => counts_desc.is_empty(),
-            Scheme::Sd(s) => counts_desc.iter().sum::<usize>() <= *s,
-            Scheme::Stair(e) => {
-                let m_prime = e.len();
-                if counts_desc.len() > m_prime {
-                    return false;
-                }
-                counts_desc
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &c)| c <= e[m_prime - 1 - i])
-            }
-        }
-    }
 }
 
 /// Sector-failure probability from the bit-error rate: Eq. (12),
@@ -148,22 +63,31 @@ pub fn p_chk(model: &SectorModel, psec: f64, r: usize) -> Vec<f64> {
     }
 }
 
-/// `P_str`: probability that a stripe in critical mode has unrecoverable
-/// sector failures in its `n − m` non-failed chunks (§7.1.1, Appendix B) —
-/// computed by exact enumeration of per-chunk failure counts, supporting
-/// *any* coverage vector.
-pub fn p_str(scheme: &Scheme, n: usize, m: usize, pchk: &[f64]) -> f64 {
+/// `P_str`: probability that a stripe of `spec` in critical mode — its
+/// `m` devices failed — has unrecoverable sector failures in its `n − m`
+/// surviving chunks (§7.1.1, Appendix B), computed by exact enumeration
+/// of per-chunk failure counts. Recoverable means [`CodecSpec::covers`],
+/// so any family and any coverage vector is supported.
+///
+/// # Panics
+///
+/// Panics unless `n > m` and `pchk` has the `r + 1` entries
+/// `P_chk(0..=r)`.
+pub fn p_str(spec: &CodecSpec, pchk: &[f64]) -> f64 {
+    let (n, m, r) = (spec.n(), spec.m(), spec.r());
     assert!(n > m, "need n > m");
+    assert_eq!(pchk.len(), r + 1, "P_chk must cover 0..=r failures");
     let chunks = n - m;
-    let r = pchk.len() - 1;
-    let max_k = scheme.max_nonzero_chunks().min(chunks);
+    // Devices 0..m are the failed ones; chunk i is device m + i.
+    let failed = ErasureSet::devices(&(0..m).collect::<Vec<_>>(), r);
     // P(covered) = Σ over non-increasing count vectors (c_1 ≥ … ≥ c_k ≥ 1)
     // within coverage of: #arrangements · Π P_chk(c_i) · P_chk(0)^(chunks−k).
     let mut covered = 0.0;
-    let mut counts: Vec<usize> = Vec::new();
-    enumerate(&mut counts, r, max_k, &mut |desc: &[usize]| {
-        if !scheme.covers_desc(desc) {
-            return;
+    enumerate(&mut Vec::new(), r, chunks, &mut |desc: &[usize]| {
+        let sectors = desc.iter().enumerate();
+        let sectors = sectors.flat_map(|(i, &c)| (0..c).map(move |row| (row, m + i)));
+        if !spec.covers(&ErasureSet::new(failed.iter().chain(sectors))) {
+            return false;
         }
         let k = desc.len();
         let mut weight = choose(chunks, k) * perm_multiset(desc);
@@ -172,20 +96,23 @@ pub fn p_str(scheme: &Scheme, n: usize, m: usize, pchk: &[f64]) -> f64 {
         }
         weight *= pchk[0].powi((chunks - k) as i32);
         covered += weight;
+        true
     });
     (1.0 - covered).max(0.0)
 }
 
-/// Enumerates all non-increasing vectors with entries in `1..=max_val` and
-/// length `0..=max_len`, invoking `f` on each (including the empty vector).
+/// Walks all non-increasing vectors with entries in `1..=max_val` and
+/// length `0..=max_len` depth-first (the empty vector first, larger
+/// entries before smaller), invoking `f` on each. A vector for which `f`
+/// returns `false` is not extended: coverage is downward-closed, so no
+/// extension of an uncovered pattern is covered.
 fn enumerate(
     counts: &mut Vec<usize>,
     max_val: usize,
     max_len: usize,
-    f: &mut impl FnMut(&[usize]),
+    f: &mut impl FnMut(&[usize]) -> bool,
 ) {
-    f(counts);
-    if counts.len() == max_len {
+    if !f(counts) || counts.len() == max_len {
         return;
     }
     let upper = counts.last().copied().unwrap_or(max_val);
@@ -237,6 +164,7 @@ fn choose(n: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec;
 
     #[test]
     fn psec_approximation_matches_eq_12() {
@@ -265,7 +193,7 @@ mod tests {
     #[test]
     fn rs_pstr_matches_complement_of_no_failures() {
         let pchk = p_chk(&SectorModel::Independent, 1e-4, 16);
-        let p = p_str(&Scheme::reed_solomon(), 8, 1, &pchk);
+        let p = p_str(&spec("rs:8,16,1"), &pchk);
         let expect = 1.0 - pchk[0].powi(7);
         assert!((p - expect).abs() < 1e-15);
     }
@@ -274,22 +202,22 @@ mod tests {
     fn coverage_ordering_reduces_pstr() {
         // A strictly wider coverage must give a strictly smaller P_str.
         let pchk = p_chk(&SectorModel::Independent, 1e-4, 16);
-        let p_rs = p_str(&Scheme::reed_solomon(), 8, 1, &pchk);
-        let p_e1 = p_str(&Scheme::stair(&[1]), 8, 1, &pchk);
-        let p_e11 = p_str(&Scheme::stair(&[1, 1]), 8, 1, &pchk);
-        let p_e12 = p_str(&Scheme::stair(&[1, 2]), 8, 1, &pchk);
-        let p_sd3 = p_str(&Scheme::sd(3), 8, 1, &pchk);
+        let p = |text| p_str(&spec(text), &pchk);
+        let p_rs = p("rs:8,16,1");
+        let p_e1 = p("stair:8,16,1,1");
+        let p_e11 = p("stair:8,16,1,1-1");
+        let p_e12 = p("stair:8,16,1,1-2");
         assert!(p_rs > p_e1 && p_e1 > p_e11 && p_e11 > p_e12);
         // SD with s=3 covers every pattern STAIR e=(1,2) covers, and more.
-        assert!(p_sd3 <= p_e12);
+        assert!(p("sd:8,16,1,3") <= p_e12);
     }
 
     #[test]
     fn stair_e1_equals_sd_s1() {
         // §2: e = (1) is exactly a PMDS/SD code with s = 1.
         let pchk = p_chk(&SectorModel::Independent, 1e-5, 8);
-        let a = p_str(&Scheme::stair(&[1]), 10, 1, &pchk);
-        let b = p_str(&Scheme::sd(1), 10, 1, &pchk);
+        let a = p_str(&spec("stair:10,8,1,1"), &pchk);
+        let b = p_str(&spec("sd:10,8,1,1"), &pchk);
         assert!((a - b).abs() < 1e-18);
     }
 
@@ -300,18 +228,5 @@ mod tests {
         assert_eq!(perm_multiset(&[2, 1]), 2.0);
         assert_eq!(perm_multiset(&[1, 1]), 1.0);
         assert_eq!(perm_multiset(&[2, 1, 1]), 3.0);
-    }
-
-    #[test]
-    fn scheme_validation() {
-        assert_eq!(Scheme::stair(&[1, 2]).s(), 3);
-        assert_eq!(Scheme::sd(2).s(), 2);
-        assert_eq!(Scheme::reed_solomon().s(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn stair_scheme_rejects_decreasing_e() {
-        let _ = Scheme::stair(&[2, 1]);
     }
 }

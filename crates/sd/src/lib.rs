@@ -5,7 +5,9 @@
 //!   any `s` sector failures. Built from the Blaum–Plank check-equation
 //!   construction; encoded "in a decoding manner without any parity reuse",
 //!   exactly like the open-source SD implementation the paper benchmarks
-//!   against (§6.2).
+//!   against (§6.2). The construction is a candidate, not a proof: over
+//!   GF(2^8) the shipped `sd:8,16,2,3` refuses some patterns its coverage
+//!   promises (`tests/coverage_oracle.rs` pins how many).
 //! * [`IdrScheme`] — intra-device redundancy [11, 12, 41]: each chunk
 //!   carries its own `(r, r−ε)` code, plus `m` device-level parity chunks.
 //! * [`RsArrayCode`] — a plain Reed–Solomon array code with `m` parity

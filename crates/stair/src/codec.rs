@@ -1,7 +1,7 @@
 //! The user-facing STAIR codec: construction, encoding (upstairs /
 //! downstairs / standard / baseline two-phase), and upstairs decoding.
 
-use stair_code::{CodecId, CodecSpec, Plan, UpdateMap};
+use stair_code::{CodecId, Plan, UpdateMap};
 use stair_gf::{Field, Gf8};
 use stair_rs::MdsCode;
 
@@ -138,12 +138,7 @@ impl<F: Field> StairCodec<F> {
         };
 
         let id = CodecId {
-            spec: CodecSpec::Stair {
-                n,
-                r,
-                m,
-                e: config.e().to_vec(),
-            },
+            spec: config.spec(),
             width: F::W,
             outside_globals: config.placement() == GlobalPlacement::Outside,
         };
@@ -614,7 +609,10 @@ mod tests {
             .flat_map(|i| [(i, 5), (i, 6), (i, 7)])
             .chain([(0, 0)])
             .collect();
-        assert!(!codec.config().covers(&erased).unwrap());
+        assert!(!codec
+            .config()
+            .spec()
+            .covers(&erased.iter().copied().collect()));
         let err = codec.decode(&mut stripe, &erased).unwrap_err();
         assert!(matches!(err, Error::Unrecoverable { .. }));
     }

@@ -1,5 +1,6 @@
-//! STAIR code configuration `(n, r, m, e)` and the sector-failure coverage
-//! test (§2 of the paper).
+//! STAIR code configuration `(n, r, m, e)` (§2 of the paper).
+
+use stair_code::CodecSpec;
 
 use crate::Error;
 
@@ -199,49 +200,16 @@ impl Config {
         }
     }
 
-    /// Decides whether an erasure pattern (per-chunk erased-sector counts)
-    /// falls within the failure coverage defined by `m` and `e` (§2).
-    ///
-    /// The rule: after discarding the `m` chunks with the most erasures
-    /// (the "device failures"), the remaining non-zero counts, sorted
-    /// descending, must fit component-wise under `e` reversed, and there may
-    /// be at most `m'` of them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != n`.
-    pub fn covers_counts(&self, counts: &[usize]) -> bool {
-        assert_eq!(counts.len(), self.n, "one count per chunk required");
-        if counts.iter().any(|&c| c > self.r) {
-            return false;
+    /// The codec spec naming this configuration (`stair:n,r,m,e…`);
+    /// [`CodecSpec::covers`] is its failure coverage (§2). Placement is
+    /// not part of the spec.
+    pub fn spec(&self) -> CodecSpec {
+        CodecSpec::Stair {
+            n: self.n,
+            r: self.r,
+            m: self.m,
+            e: self.e.clone(),
         }
-        let mut sorted: Vec<usize> = counts.to_vec();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        // Discard the m chunks with the most failures (tolerated as device
-        // failures, whatever their count).
-        let rest = &sorted[self.m..];
-        let m_prime = self.m_prime();
-        for (i, &c) in rest.iter().enumerate() {
-            if c == 0 {
-                break;
-            }
-            if i >= m_prime || c > self.e[m_prime - 1 - i] {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Like [`Config::covers_counts`], taking explicit `(row, col)` erased
-    /// coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidPattern`] for out-of-range or duplicate
-    /// coordinates.
-    pub fn covers(&self, erased: &[(usize, usize)]) -> Result<bool, Error> {
-        let counts = self.erasure_counts(erased)?;
-        Ok(self.covers_counts(&counts))
     }
 
     /// Counts erased sectors per chunk, validating coordinates.
@@ -313,46 +281,5 @@ mod tests {
         assert!(Config::new(8, 16, 2, &[16]).is_ok());
         // e = (ε,...,ε) with m' = n−m: the IDR scheme.
         assert!(Config::new(8, 16, 2, &[2; 6]).is_ok());
-    }
-
-    #[test]
-    fn coverage_accepts_patterns_within_m_and_e() {
-        let cfg = Config::new(8, 4, 2, &[1, 1, 2]).unwrap();
-        // Worst case: 2 full chunks + (1,1,2) sector failures.
-        assert!(cfg.covers_counts(&[4, 4, 2, 1, 1, 0, 0, 0]));
-        // Fewer failures is always fine.
-        assert!(cfg.covers_counts(&[0; 8]));
-        assert!(cfg.covers_counts(&[4, 0, 0, 1, 0, 0, 0, 0]));
-        // The m discarded chunks need not be fully failed.
-        assert!(cfg.covers_counts(&[3, 3, 2, 1, 1, 0, 0, 0]));
-    }
-
-    #[test]
-    fn coverage_rejects_patterns_beyond_m_and_e() {
-        let cfg = Config::new(8, 4, 2, &[1, 1, 2]).unwrap();
-        // Three chunks beyond the m = 2 worst, but (2,2,1) ⋠ (2,1,1).
-        assert!(!cfg.covers_counts(&[4, 4, 2, 2, 1, 0, 0, 0]));
-        // Four partially-failed chunks exceed m' = 3.
-        assert!(!cfg.covers_counts(&[4, 4, 1, 1, 1, 1, 0, 0]));
-        // A burst of 3 exceeds e_max = 2.
-        assert!(!cfg.covers_counts(&[4, 4, 3, 0, 0, 0, 0, 0]));
-    }
-
-    #[test]
-    fn covers_validates_coordinates() {
-        let cfg = Config::new(8, 4, 2, &[1, 1, 2]).unwrap();
-        assert!(matches!(
-            cfg.covers(&[(4, 0)]),
-            Err(Error::InvalidPattern(_))
-        ));
-        assert!(matches!(
-            cfg.covers(&[(0, 8)]),
-            Err(Error::InvalidPattern(_))
-        ));
-        assert!(matches!(
-            cfg.covers(&[(0, 0), (0, 0)]),
-            Err(Error::InvalidPattern(_))
-        ));
-        assert!(cfg.covers(&[(0, 0), (1, 0)]).unwrap());
     }
 }

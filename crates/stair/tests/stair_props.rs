@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 use stair::{CellKind, Config, EncodingMethod, GlobalPlacement, StairCodec, Stripe};
+use stair_code::ErasureSet;
 
 /// A random valid configuration plus a random within-coverage erasure
 /// pattern, generated together.
@@ -107,7 +108,7 @@ proptest! {
         case in arb_case(GlobalPlacement::Inside),
         seed in any::<u8>(),
     ) {
-        prop_assume!(case.config.covers(&case.erased).unwrap());
+        prop_assume!(case.config.spec().covers(&ErasureSet::from(&case.erased[..])));
         let (codec, stripe) = encoded_stripe(&case.config, seed);
         let pristine = stripe.clone();
         let mut damaged = stripe;
@@ -122,7 +123,7 @@ proptest! {
         case in arb_case(GlobalPlacement::Outside),
         seed in any::<u8>(),
     ) {
-        prop_assume!(case.config.covers(&case.erased).unwrap());
+        prop_assume!(case.config.spec().covers(&ErasureSet::from(&case.erased[..])));
         let (codec, stripe) = encoded_stripe(&case.config, seed);
         let pristine = stripe.clone();
         let mut damaged = stripe;
@@ -213,7 +214,7 @@ proptest! {
         case in arb_case(GlobalPlacement::Inside),
         seed in any::<u8>(),
     ) {
-        prop_assume!(case.config.covers(&case.erased).unwrap());
+        prop_assume!(case.config.spec().covers(&ErasureSet::from(&case.erased[..])));
         prop_assume!(!case.erased.is_empty());
         let (codec, pristine) = encoded_stripe(&case.config, seed);
         let mut a = pristine.clone();
@@ -263,7 +264,10 @@ fn exhaustive_worst_case_assignments_decode() {
                 erased.push(((pick + 2) % 4, c2));
                 erased.push(((pick + 1) % 4, c1a));
                 erased.push(((pick + 3) % 4, c1b));
-                assert!(config.covers(&erased).unwrap(), "{erased:?}");
+                assert!(
+                    config.spec().covers(&ErasureSet::from(&erased[..])),
+                    "{erased:?}"
+                );
                 let mut damaged = pristine.clone();
                 damaged.erase(&erased).unwrap();
                 codec.decode(&mut damaged, &erased).unwrap();

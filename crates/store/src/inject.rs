@@ -1,14 +1,14 @@
-//! Failure injection: replay `stair_arraysim`'s sector-failure models
-//! (§7.1.2 — independent sector errors, or Pareto-tailed correlated
-//! bursts) against a *real* on-disk store.
+//! Failure injection: replay the paper's sector-failure models (§7.1.2 —
+//! independent sector errors, or Pareto-tailed correlated bursts) against
+//! a *real* on-disk store.
 //!
-//! `arraysim` samples failures into an in-memory byte array; this module
-//! drives the same [`FailureInjector`] over the store's stripes and
-//! devices, corrupting actual file contents. Simulated reliability
-//! scenarios thereby become executable end-to-end workloads: inject,
-//! scrub (detect), read degraded, repair.
+//! The reliability model's [`FailureInjector`] — the sampler behind its
+//! Monte-Carlo `P_str` — is driven over the store's stripes and devices,
+//! corrupting actual file contents. Simulated reliability scenarios
+//! thereby become executable end-to-end workloads: inject, scrub
+//! (detect), read degraded, repair.
 
-use stair_arraysim::FailureInjector;
+use stair_reliability::FailureInjector;
 
 use crate::integrity::DeviceState;
 use crate::store::StripeStore;
@@ -86,6 +86,7 @@ fn contiguous_runs(rows: &[usize]) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::StoreOptions;
+    use stair_reliability::SectorModel;
 
     #[test]
     fn runs_are_collapsed() {
@@ -114,7 +115,8 @@ mod tests {
 
         // High rate so the pass reliably corrupts something; seeded, so
         // the test is deterministic.
-        let mut injector = FailureInjector::independent(8, 0.05, 0xC0FFEE);
+        let mut injector =
+            FailureInjector::new(8, 0.05, &SectorModel::Independent, 0xC0FFEE).unwrap();
         let outcome = store.inject_failures(&mut injector).unwrap();
         assert!(outcome.sectors_corrupted > 0, "{outcome:?}");
         assert_eq!(outcome.chunks_sampled, 8 * 8);

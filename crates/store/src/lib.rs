@@ -27,8 +27,8 @@
 //!   ([`StripeStore::scrub`]) and an **online repair** pass that rebuilds
 //!   lost chunks onto replacement files while foreground I/O continues
 //!   ([`StripeStore::repair`]);
-//! * a **failure-injection** bridge replaying `stair_arraysim`'s sector
-//!   failure models against the real store
+//! * a **failure-injection** bridge replaying the reliability model's
+//!   sector-failure samplers against the real store
 //!   ([`StripeStore::inject_failures`]).
 //!
 //! # Example

@@ -5,9 +5,8 @@
 //! Failed devices first get fresh zero-filled replacement files and move
 //! to the `Rebuilding` state — reads keep treating their sectors as erased
 //! (served degraded), so correctness never depends on rebuild progress.
-//! Worker threads then shard the stripe range (the
-//! `stair_arraysim::parallel` idiom), and each stripe is repaired under
-//! its stripe lock: load degraded, decode, write reconstructed cells,
+//! Scoped worker threads then shard the stripe range, and each stripe is
+//! repaired under its stripe lock: load degraded, decode, write reconstructed cells,
 //! refresh checksums. Only when every stripe is done do the replacements
 //! become `Healthy`.
 
@@ -94,17 +93,13 @@ impl StripeStore {
         let rewritten = Mutex::new(0usize);
         let unrecoverable = Mutex::new(Vec::new());
         let shard = work.len().div_ceil(threads).max(1);
-        #[expect(
-            clippy::expect_used,
-            reason = "crossbeam scope only errs if a child panicked; propagate"
-        )]
-        let results = crossbeam::thread::scope(|scope| {
+        let results = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for chunk in work.chunks(shard) {
                 let repaired = &repaired;
                 let rewritten = &rewritten;
                 let unrecoverable = &unrecoverable;
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     for &stripe in chunk {
                         match self.repair_stripe(stripe)? {
                             RepairOutcome::Clean => {}
@@ -137,8 +132,7 @@ impl StripeStore {
                     |h| h.join().expect("repair worker panicked"),
                 )
                 .collect::<Vec<_>>()
-        })
-        .expect("repair scope panicked");
+        });
         for r in results {
             r?;
         }
@@ -293,9 +287,9 @@ mod tests {
 
         let bps = store.blocks_per_stripe() * store.block_size();
         let mut expected = payload.clone();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let repair_store = store.clone();
-            let repair = scope.spawn(move |_| repair_store.repair(2).unwrap());
+            let repair = scope.spawn(move || repair_store.repair(2).unwrap());
             // Patch one block in every stripe while the rebuild runs, so
             // some writes land before and some after each stripe's repair.
             for stripe in 0..48usize {
@@ -305,8 +299,7 @@ mod tests {
                 expected[off..off + patch.len()].copy_from_slice(&patch);
             }
             assert!(repair.join().expect("repair").complete());
-        })
-        .unwrap();
+        });
 
         // Post-promotion reads take the fast path; every write must be
         // visible, and the store must verify end to end.
@@ -336,9 +329,9 @@ mod tests {
         let reader = store.clone();
         let len = payload.len();
         let expected = payload.clone();
-        crossbeam::thread::scope(|scope| {
-            let repair = scope.spawn(|_| store.repair(2).unwrap());
-            let reads = scope.spawn(move |_| {
+        std::thread::scope(|scope| {
+            let repair = scope.spawn(|| store.repair(2).unwrap());
+            let reads = scope.spawn(move || {
                 for i in 0..20 {
                     let off = (i * 97) % (len - 256);
                     let got = reader.read_at(off as u64, 256).unwrap();
@@ -348,8 +341,7 @@ mod tests {
             reads.join().expect("reader");
             let report = repair.join().expect("repair");
             assert!(report.complete());
-        })
-        .unwrap();
+        });
         assert_eq!(store.read_at(0, payload.len()).unwrap(), payload);
         std::fs::remove_dir_all(&dir).unwrap();
     }

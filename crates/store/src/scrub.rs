@@ -4,9 +4,9 @@
 //! Scrubbing is the detection half of the paper's operational story (§8):
 //! latent sector errors are silent until something reads the sector, so
 //! arrays periodically scan themselves; the erasure code then repairs
-//! whatever the scan uncovers. The walk is sharded across worker threads
-//! with the same scoped-thread idiom as `stair_arraysim::parallel`, and
-//! takes the per-stripe locks, so it can run behind foreground I/O.
+//! whatever the scan uncovers. The walk is sharded across scoped worker
+//! threads and takes the per-stripe locks, so it can run behind
+//! foreground I/O.
 
 use std::sync::Mutex;
 
@@ -65,11 +65,7 @@ impl StripeStore {
         let mismatches = Mutex::new(Vec::new());
         let verified = Mutex::new(0usize);
         let shard = stripes.div_ceil(threads).max(1);
-        #[expect(
-            clippy::expect_used,
-            reason = "crossbeam scope only errs if a child panicked; propagate"
-        )]
-        let results = crossbeam::thread::scope(|scope| {
+        let results = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for w in 0..threads {
                 let lo = (w * shard).min(stripes);
@@ -81,7 +77,7 @@ impl StripeStore {
                 let verified = &verified;
                 let devices = &health.devices;
                 handles.push(
-                    scope.spawn(move |_| self.scrub_range(lo..hi, devices, mismatches, verified)),
+                    scope.spawn(move || self.scrub_range(lo..hi, devices, mismatches, verified)),
                 );
             }
             handles
@@ -94,8 +90,7 @@ impl StripeStore {
                     |h| h.join().expect("scrub worker panicked"),
                 )
                 .collect::<Vec<_>>()
-        })
-        .expect("scrub scope panicked");
+        });
         for r in results {
             r?;
         }

@@ -1,11 +1,12 @@
 //! Configuring the sector-failure coverage `e` for burst tolerance (§2):
 //! compares STAIR against intra-device redundancy (IDR), SD codes, and
 //! whole-device parity for a β = 4 burst requirement, and demonstrates a
-//! recovery SD codes cannot be built for.
+//! recovery the SD candidate construction promises but cannot do.
 //!
 //! Run with: `cargo run --release --example burst_tolerance`
 
 use stair::{Config, SpaceComparison, StairCodec, Stripe};
+use stair_code::{ErasureCode, ErasureSet};
 use stair_gf::Gf8;
 use stair_sd::SdCode;
 
@@ -29,13 +30,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cmp.idr_sectors - cmp.stair_sectors
     );
 
-    // SD codes cannot express this: they would need s = 5 > 3.
-    match SdCode::<Gf8>::new(n, r, m, 5) {
-        Ok(code) => match code.verify_fault_tolerance() {
-            Ok(()) => println!("\nSD s=5: unexpectedly verified (construction found!)"),
-            Err(e) => println!("\nSD s=5 candidate construction fails verification: {e}"),
-        },
-        Err(e) => println!("\nSD s=5: {e}"),
+    // SD codes cannot express this: they would need s = 5 > 3, beyond the
+    // parameters SD constructions are known for. The candidate
+    // construction builds, but a pattern its coverage promises — devices
+    // 0 and 1 plus five sectors — does not decode.
+    let sd: SdCode<Gf8> = SdCode::new(n, r, m, 5)?;
+    let extra = [(0, 2), (0, 3), (0, 4), (0, 6), (1, 6)];
+    let lost: ErasureSet = (0..r)
+        .flat_map(|row| [(row, 0), (row, 1)])
+        .chain(extra)
+        .collect();
+    let covered = sd.codec_id().spec.covers(&lost);
+    match sd.plan(&lost) {
+        Ok(_) => println!("\nSD s=5: devices 0,1 + {extra:?} decode (construction found!)"),
+        Err(e) => println!("\nSD s=5: devices 0,1 + {extra:?} is covered ({covered}), yet {e}"),
     }
 
     // STAIR handles it: survive two device failures + a 4-burst + 1 sector.

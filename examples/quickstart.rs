@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use stair::{Config, StairCodec, Stripe};
+use stair_code::ErasureSet;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A RAID-6-like array: n = 8 devices, r = 16 sectors per chunk,
@@ -42,7 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     erased.extend((0..16).map(|i| (i, 6)));
     erased.extend((0..16).map(|i| (i, 7)));
     erased.extend([(9, 2), (10, 2), (3, 4)]);
-    assert!(config.covers(&erased)?, "within the configured coverage");
+    assert!(
+        config.spec().covers(&ErasureSet::from(&erased[..])),
+        "within the configured coverage"
+    );
     stripe.erase(&erased)?;
 
     codec.decode(&mut stripe, &erased)?;

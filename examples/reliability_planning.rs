@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --release --example reliability_planning`
 
-use stair_reliability::{BurstModel, Scheme, SectorModel, SystemParams};
+use stair_code::CodecSpec;
+use stair_reliability::{BurstModel, SectorModel, SystemParams};
 
 fn main() {
     let params = SystemParams::paper_defaults();
@@ -27,15 +28,21 @@ fn main() {
         ("independent sector failures", SectorModel::Independent),
         (
             "bursty failures (b1=0.9, α=1)",
-            SectorModel::Correlated(BurstModel::from_pareto(0.9, 1.0, params.r)),
+            SectorModel::Correlated(BurstModel::from_pareto(0.9, 1.0, 16)),
         ),
     ] {
         println!("assuming {name}, P_bit = {p_bit:.0e}, target MTTDL ≥ {target_hours:.0e} h:");
         let mut best: Option<(&Vec<usize>, usize, f64)> = None;
         for e in &candidates {
-            let scheme = Scheme::stair(e);
-            let mttdl = params.mttdl_sys(&scheme, &model, p_bit);
-            let s = scheme.s();
+            // The paper's arrays: n = 8 devices of r = 16 sectors, m = 1.
+            let spec = CodecSpec::Stair {
+                n: 8,
+                r: 16,
+                m: 1,
+                e: e.clone(),
+            };
+            let mttdl = params.mttdl_sys(&spec, &model, p_bit);
+            let s = spec.s();
             println!(
                 "  e={:<12} s={s}  MTTDL_sys = {mttdl:>12.3e} h",
                 format!("{e:?}")

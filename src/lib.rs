@@ -7,7 +7,6 @@
 //! directly.
 
 pub use stair;
-pub use stair_arraysim as arraysim;
 pub use stair_cache as cache;
 pub use stair_code as code;
 pub use stair_device as device;

@@ -1,12 +1,13 @@
 //! Workspace-level integration: the full Fig. 11 configuration grid
-//! constructs and round-trips; STAIR covers configurations where the SD
-//! candidate construction provably is not SD; analytic and simulated
-//! reliability agree end-to-end.
+//! constructs and round-trips; STAIR decodes a pattern the SD candidate
+//! construction promises but refuses; analytic and simulated reliability
+//! agree end-to-end.
 
 use stair::{Config, StairCodec, Stripe};
-use stair_arraysim::montecarlo::estimate_p_str;
+use stair_code::{CellIdx, CodeError, CodecSpec, ErasureCode, ErasureSet};
 use stair_gf::Gf8;
-use stair_reliability::{p_chk, p_str, Scheme, SectorModel};
+use stair_reliability::montecarlo::estimate_p_str;
+use stair_reliability::{p_chk, p_str, SectorModel};
 use stair_sd::SdCode;
 
 /// Every configuration of the paper's speed sweeps (§6.2) must construct
@@ -67,74 +68,74 @@ fn worst_case_e(n: usize, r: usize, m: usize, s: usize) -> Option<Vec<usize>> {
     None
 }
 
-/// The paper's motivating gap: an SD candidate construction that fails
-/// exhaustive verification at parameters where STAIR provably works.
+/// The paper's motivating gap: an SD candidate construction whose decoder
+/// refuses a pattern its coverage promises (one device plus `s` sectors),
+/// at parameters where STAIR with the matching `e` decodes it.
 #[test]
 fn stair_covers_where_sd_candidate_fails() {
-    // Search small parameter space for a candidate that is NOT SD.
     let mut found = None;
-    'outer: for n in 4..=6usize {
+    'search: for n in 4..=6usize {
         for r in 2..=4usize {
-            for s in 2..=3usize {
-                if s + 1 >= n {
-                    continue;
-                }
-                if let Ok(code) = SdCode::<Gf8>::new(n, r, 1, s) {
-                    if code.verify_fault_tolerance().is_err() {
-                        found = Some((n, r, 1usize, s));
-                        break 'outer;
+            for s in (2..=3usize).filter(|&s| s + 1 < n) {
+                let sd = SdCode::<Gf8>::new(n, r, 1, s).unwrap();
+                for dev in 0..n {
+                    let others: Vec<CellIdx> = (0..r)
+                        .flat_map(|row| (0..n).map(move |col| (row, col)))
+                        .filter(|&(_, col)| col != dev)
+                        .collect();
+                    for extra in subsets(&others, s) {
+                        let lost: ErasureSet = (0..r).map(|row| (row, dev)).chain(extra).collect();
+                        assert!(sd.codec_id().spec.covers(&lost));
+                        if let Err(e) = sd.plan(&lost) {
+                            assert!(matches!(e, CodeError::Unrecoverable(_)), "{e}");
+                            found = Some((n, r, lost));
+                            break 'search;
+                        }
                     }
                 }
             }
         }
     }
-    let Some((n, r, m, s)) = found else {
-        // All small candidates verified — the algebraic family is strong
-        // here; that is fine, the claim is about generality, not about a
-        // specific failure. Exercise STAIR at s = 4 instead (beyond any
-        // known SD construction).
-        let config = Config::new(8, 8, 1, &[1, 1, 1, 1]).unwrap();
-        assert!(StairCodec::<Gf8>::new(config).is_ok());
-        return;
-    };
-    // STAIR at the same (n, r, m) with e = (1,...,1) summing to s always
-    // constructs and repairs its coverage.
-    let e = vec![1usize; s];
-    let config = Config::new(n, r, m, &e).unwrap();
+    let (n, r, lost) = found.expect("a small SD candidate refuses a covered pattern");
+    // STAIR's e is that pattern's sector counts beyond the failed device.
+    let mut e: Vec<usize> = lost.per_device(n).into_iter().filter(|&c| c > 0).collect();
+    e.sort_unstable();
+    e.pop();
+    let config = Config::new(n, r, 1, &e).unwrap();
+    assert!(config.spec().covers(&lost));
     let codec: StairCodec = StairCodec::new(config.clone()).unwrap();
     let mut stripe = Stripe::new(config, 4).unwrap();
     stripe.fill_pattern(1);
     codec.encode(&mut stripe).unwrap();
     let pristine = stripe.clone();
-    let mut erased: Vec<(usize, usize)> = (0..r).map(|i| (i, 0)).collect();
-    for k in 0..s {
-        erased.push((0, 1 + k));
+    stripe.erase(lost.cells()).unwrap();
+    codec.decode(&mut stripe, lost.cells()).unwrap();
+    assert_eq!(stripe, pristine, "STAIR e={e:?} at n={n} r={r}: {lost:?}");
+}
+
+/// Every `k`-subset of `items`, in lexicographic order.
+fn subsets(items: &[CellIdx], k: usize) -> Vec<Vec<CellIdx>> {
+    if k == 0 {
+        return vec![Vec::new()];
     }
-    stripe.erase(&erased).unwrap();
-    codec.decode(&mut stripe, &erased).unwrap();
-    assert_eq!(stripe, pristine, "STAIR at (n={n}, r={r}, m={m}, s={s})");
+    let mut out = Vec::new();
+    for (i, &first) in items.iter().enumerate() {
+        for rest in subsets(&items[i + 1..], k - 1) {
+            out.push([vec![first], rest].concat());
+        }
+    }
+    out
 }
 
 /// End-to-end reliability pipeline: the Monte-Carlo estimate through the
-/// arraysim failure injector agrees with the Appendix-B enumerator.
+/// failure injector agrees with the Appendix-B enumerator.
 #[test]
 fn reliability_pipeline_agrees() {
-    let (n, m, r) = (8usize, 1usize, 8usize);
+    let spec: CodecSpec = "stair:8,8,1,1-1".parse().unwrap();
     let p = 0.01;
-    let scheme = Scheme::stair(&[1, 1]);
-    let pchk = p_chk(&SectorModel::Independent, p, r);
-    let analytic = p_str(&scheme, n, m, &pchk);
-    let est = estimate_p_str(
-        &scheme,
-        n,
-        m,
-        r,
-        p,
-        &SectorModel::Independent,
-        300_000,
-        4,
-        99,
-    );
+    let model = SectorModel::Independent;
+    let analytic = p_str(&spec, &p_chk(&model, p, 8));
+    let est = estimate_p_str(&spec, p, &model, 300_000, 4, 99).unwrap();
     assert!(
         (est.p - analytic).abs() < 5.0 * est.std_err.max(1e-6),
         "MC {} ± {} vs analytic {}",
