@@ -1,16 +1,16 @@
-//! The `stair dev` subcommand family — and the single data path behind
-//! `stair store` and `stair remote`.
+//! `stair dev`: the one data surface of the `stair` binary. Every verb
+//! runs against any backend a `stair_device::DeviceSpec` names —
+//! `file:<dir>`, `shards:<root>[?n=K]`, `tcp:<host:port>[?lanes=L]` or
+//! `cache:<inner>[...]` — through the unified `BlockDevice` API, so
+//! every backend runs the identical code and prints the identical
+//! output. Three verbs act on what only one kind of backend has:
+//! `init` creates a `file:` store or a `shards:` set, `inject` replays
+//! §7's sector-failure model into a `file:` store, and `shutdown` stops
+//! a `tcp:` server.
 //!
-//! ```text
-//! stair dev status --dev SPEC [--json]
-//! stair dev read   --dev SPEC --output FILE [--offset BYTES] [--len BYTES]
-//! stair dev write  --dev SPEC --input FILE [--offset BYTES]
-//! stair dev batch  --dev SPEC --from SCRIPT
-//! stair dev fail   --dev SPEC --device J [--shard S] [--stripe I --sector K --len L]
-//! stair dev scrub  --dev SPEC [--threads T] [--json]
-//! stair dev repair --dev SPEC [--threads T] [--json]
-//! stair dev flush  --dev SPEC
-//! ```
+//! [`VERBS`] is the only list of verbs: each row's usage line is what
+//! `stair dev` prints, and its `--words` are exactly the flags the verb
+//! accepts — any other flag, or one given twice, is an error.
 //!
 //! `batch` replays an **op-script** — one op per line, `#` comments and
 //! blank lines ignored:
@@ -27,37 +27,101 @@
 //! decision per touched stripe locally, and one request frame per
 //! shard over the wire. Results print as one JSON object whose shape
 //! is identical across backends.
-//!
-//! `SPEC` is a `stair_device::DeviceSpec`: `file:<dir>`,
-//! `shards:<root>[?n=K]`, or `tcp:<host:port>[?lanes=L]`. The legacy
-//! `stair store …` / `stair remote …` verbs are thin aliases that build
-//! the spec from `--dir` / `--addr` and land here, so every backend
-//! runs the identical code and prints the identical output.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
+use stair_code::CodecSpec;
 use stair_device::{BatchResult, BlockDevice, DeviceSpec, Instrumented, IoBatch, IoOp, OpResult};
-use stair_net::json::Json;
-use stair_net::{open_admin, open_device, Client, WireTrace};
+use stair_net::json::{metrics_json, Json};
+use stair_net::{open_admin, open_device, Client, ShardSet, WireTrace};
+use stair_reliability::{BurstModel, FailureInjector, SectorModel};
+use stair_store::{StoreOptions, StripeStore};
 
-use crate::flags::{u64_flag, usize_flag, Flags};
+use crate::flags::{num_flag, parse, required, Flags};
 use crate::status_json;
 
-/// Usage text for the `dev` family.
-pub const DEV_USAGE: &str = "usage:
-  stair dev status --dev SPEC [--json]
-  stair dev read   --dev SPEC --output FILE [--offset BYTES] [--len BYTES]
-  stair dev write  --dev SPEC --input FILE [--offset BYTES]
-  stair dev batch  --dev SPEC --from SCRIPT
-  stair dev fail   --dev SPEC --device J [--shard S] [--stripe I --sector K --len L]
-  stair dev scrub  --dev SPEC [--threads T] [--json]
-  stair dev repair --dev SPEC [--threads T] [--json]
-  stair dev flush  --dev SPEC
-  stair dev metrics --dev SPEC [--json] [--from SCRIPT]
-  stair dev trace   --dev SPEC [--json] [--from SCRIPT]
-  (SPEC: file:<dir> | shards:<root>[?n=K] | tcp:<host:port>[?lanes=L]
-         | cache:<inner>[?mb=M&wb=on|off&interval_ms=T])
+/// One `stair dev` verb: its name, its flags as the usage text shows
+/// them (the `--words` there are exactly the flags it accepts) and its
+/// handler.
+struct Verb {
+    name: &'static str,
+    usage: &'static str,
+    run: fn(&Flags, &DeviceSpec) -> Result<(), String>,
+}
+
+/// Every `stair dev` verb, in the order the usage text lists them.
+const VERBS: &[Verb] = &[
+    Verb {
+        name: "init",
+        usage: "--dev file:DIR|shards:ROOT?n=K --code SPEC [--symbol S --stripes T]",
+        run: cmd_init,
+    },
+    Verb {
+        name: "status",
+        usage: "--dev SPEC [--json]",
+        run: cmd_status,
+    },
+    Verb {
+        name: "read",
+        usage: "--dev SPEC --output FILE [--offset BYTES] [--len BYTES]",
+        run: cmd_read,
+    },
+    Verb {
+        name: "write",
+        usage: "--dev SPEC --input FILE [--offset BYTES]",
+        run: cmd_write,
+    },
+    Verb {
+        name: "batch",
+        usage: "--dev SPEC --from SCRIPT",
+        run: cmd_batch,
+    },
+    Verb {
+        name: "fail",
+        usage: "--dev SPEC --device J [--shard S] [--stripe I --sector K --len L]",
+        run: cmd_fail,
+    },
+    Verb {
+        name: "inject",
+        usage: "--dev file:DIR --p-sec P [--seed S] [--burst B1,ALPHA]",
+        run: cmd_inject,
+    },
+    Verb {
+        name: "scrub",
+        usage: "--dev SPEC [--threads T] [--json]",
+        run: cmd_scrub,
+    },
+    Verb {
+        name: "repair",
+        usage: "--dev SPEC [--threads T] [--json]",
+        run: cmd_repair,
+    },
+    Verb {
+        name: "flush",
+        usage: "--dev SPEC",
+        run: cmd_flush,
+    },
+    Verb {
+        name: "metrics",
+        usage: "--dev SPEC [--json] [--from SCRIPT]",
+        run: cmd_metrics,
+    },
+    Verb {
+        name: "trace",
+        usage: "--dev SPEC [--json] [--from SCRIPT]",
+        run: cmd_trace,
+    },
+    Verb {
+        name: "shutdown",
+        usage: "--dev tcp:HOST:PORT",
+        run: cmd_shutdown,
+    },
+];
+
+const NOTES: &str = "  (SPEC: file:<dir> | shards:<root>[?n=K] | tcp:<host:port>[?lanes=L]
+         | cache:<inner>[?mb=M&wb=on|off&interval_ms=T];
+   init's --code SPEC: stair:n,r,m,e1-e2-... | sd:n,r,m,s | rs:n,r,m)
   (SCRIPT lines: `read <offset> <len>` | `write <offset> <hex-bytes>`;
    `#` comments and blank lines ignored; results print as JSON)
   (metrics --from replays a SCRIPT through the instrumented device
@@ -66,39 +130,125 @@ pub const DEV_USAGE: &str = "usage:
    prints this process's flight recorder — and the server's, pulled
    over TRACE, when SPEC is tcp:)";
 
-/// Dispatches a `stair dev <verb> ...` invocation.
-pub fn run(verb: &str, flags: &Flags) -> Result<(), String> {
-    let spec = flags
-        .get("dev")
-        .filter(|v| !v.is_empty())
-        .ok_or_else(|| format!("--dev is required\n{DEV_USAGE}"))?;
-    let spec = DeviceSpec::from_str(spec).map_err(|e| e.to_string())?;
-    run_with_spec(verb, flags, &spec, "stair dev")
+/// Usage text for `stair dev`, one line per row of [`VERBS`].
+fn usage() -> String {
+    let lines: String = VERBS
+        .iter()
+        .map(|v| format!("  stair dev {:<8} {}\n", v.name, v.usage))
+        .collect();
+    format!("usage:\n{lines}{NOTES}")
 }
 
-/// Runs one verb against the backend `spec` names. `family` is the
-/// command prefix used in follow-up hints (`"stair store"`,
-/// `"stair remote"`, or `"stair dev"`), so aliases keep suggesting
-/// commands in the caller's own dialect.
-pub fn run_with_spec(
-    verb: &str,
-    flags: &Flags,
-    spec: &DeviceSpec,
-    family: &str,
-) -> Result<(), String> {
-    match verb {
-        "status" => cmd_status(flags, spec),
-        "read" => cmd_read(flags, spec),
-        "write" => cmd_write(flags, spec),
-        "batch" => cmd_batch(flags, spec),
-        "fail" => cmd_fail(flags, spec),
-        "scrub" => cmd_scrub(flags, spec, family),
-        "repair" => cmd_repair(flags, spec),
-        "flush" => cmd_flush(spec),
-        "metrics" => cmd_metrics(flags, spec),
-        "trace" => cmd_trace(flags, spec),
-        _ => Err(format!("unknown {family} command `{verb}`\n{DEV_USAGE}")),
+/// Runs `stair dev <verb> <flags>...`.
+pub fn run(args: &[String]) -> Result<(), String> {
+    let Some((verb, args)) = args.split_first() else {
+        return Err(format!("no verb given\n{}", usage()));
+    };
+    let row = VERBS
+        .iter()
+        .find(|v| v.name == verb)
+        .ok_or_else(|| format!("unknown stair dev command `{verb}`\n{}", usage()))?;
+    let flags = parse(args, &format!("stair dev {verb} {}", row.usage))?;
+    let spec = DeviceSpec::from_str(required(&flags, "dev")?).map_err(|e| e.to_string())?;
+    (row.run)(&flags, &spec)
+}
+
+/// The error for a verb that acts on one kind of backend only.
+fn wrong_scheme(verb: &str, wanted: &str, spec: &DeviceSpec) -> String {
+    format!(
+        "`stair dev {verb}` takes a {wanted} device, not {}:",
+        spec.scheme()
+    )
+}
+
+fn cmd_init(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
+    let opts = StoreOptions {
+        code: CodecSpec::from_str(required(flags, "code")?).map_err(|e| e.to_string())?,
+        symbol: num_flag(flags, "symbol", 512)?,
+        stripes: num_flag(flags, "stripes", 64)?,
+    };
+    match spec {
+        DeviceSpec::File { dir } => {
+            let store = StripeStore::create(dir, &opts).map_err(|e| e.to_string())?;
+            print_created(&store, 1, dir);
+        }
+        DeviceSpec::Shards { root, shards } => {
+            let shards = shards.ok_or("`stair dev init` needs the shard count: shards:ROOT?n=K")?;
+            let set = ShardSet::create(root, shards, &opts).map_err(|e| e.to_string())?;
+            print_created(set.shard(0).map_err(|e| e.to_string())?, shards, root);
+        }
+        _ => return Err(wrong_scheme("init", "file: or shards:", spec)),
     }
+    Ok(())
+}
+
+fn print_created(store: &StripeStore, shards: usize, at: &Path) {
+    println!(
+        "initialized {} store at {}: {shards} shard(s) x {} stripes x {} blocks x {} bytes = {} bytes, {} devices per shard",
+        store.codec_spec(),
+        at.display(),
+        store.stripe_count(),
+        store.blocks_per_stripe(),
+        store.block_size(),
+        store.capacity() * shards as u64,
+        store.geometry().n
+    );
+}
+
+fn cmd_inject(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
+    let DeviceSpec::File { dir } = spec else {
+        return Err(wrong_scheme("inject", "file:", spec));
+    };
+    let p_sec: f64 = required(flags, "p-sec")?
+        .parse()
+        .map_err(|_| "--p-sec expects a probability".to_string())?;
+    let seed = num_flag(flags, "seed", 42)?;
+    let store = StripeStore::open(dir).map_err(|e| e.to_string())?;
+    let r = store.geometry().r;
+    let model = match flags.get("burst") {
+        None => SectorModel::Independent,
+        Some(spec) => {
+            let (b1, alpha) = spec
+                .split_once(',')
+                .ok_or_else(|| "--burst expects B1,ALPHA".to_string())?;
+            let b1: f64 = b1
+                .trim()
+                .parse()
+                .map_err(|_| "--burst: bad B1".to_string())?;
+            let alpha: f64 = alpha
+                .trim()
+                .parse()
+                .map_err(|_| "--burst: bad ALPHA".to_string())?;
+            if b1.is_nan() || b1 <= 0.0 || b1 > 1.0 {
+                return Err(format!("--burst: B1 = {b1} must be in (0, 1]"));
+            }
+            if alpha.is_nan() || alpha <= 0.0 {
+                return Err(format!("--burst: ALPHA = {alpha} must be positive"));
+            }
+            SectorModel::Correlated(BurstModel::from_pareto(b1, alpha, r))
+        }
+    };
+    let mut injector =
+        FailureInjector::new(r, p_sec, &model, seed).map_err(|e| format!("--p-sec: {e}"))?;
+    let outcome = store
+        .inject_failures(&mut injector)
+        .map_err(|e| e.to_string())?;
+    println!(
+        "sampled {} chunks: corrupted {} sector(s) across {} chunk(s)",
+        outcome.chunks_sampled, outcome.sectors_corrupted, outcome.chunks_hit
+    );
+    Ok(())
+}
+
+fn cmd_shutdown(_: &Flags, spec: &DeviceSpec) -> Result<(), String> {
+    let DeviceSpec::Tcp { addr, .. } = spec else {
+        return Err(wrong_scheme("shutdown", "tcp:", spec));
+    };
+    Client::connect(addr)
+        .and_then(|client| client.shutdown_server())
+        .map_err(|e| e.to_string())?;
+    println!("server shutting down");
+    Ok(())
 }
 
 fn open(spec: &DeviceSpec) -> Result<Box<dyn BlockDevice>, String> {
@@ -179,13 +329,9 @@ fn storage_efficiency(shard: &stair_device::ShardHealth) -> Option<f64> {
 
 fn cmd_read(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     let dev = open(spec)?;
-    let output = flags
-        .get("output")
-        .map(PathBuf::from)
-        .ok_or_else(|| "--output is required".to_string())?;
-    let offset = u64_flag(flags, "offset", 0)?;
-    let default_len = dev.capacity().saturating_sub(offset);
-    let len = u64_flag(flags, "len", default_len)? as usize;
+    let output = PathBuf::from(required(flags, "output")?);
+    let offset = num_flag(flags, "offset", 0)?;
+    let len = num_flag(flags, "len", dev.capacity().saturating_sub(offset) as usize)?;
     let data = dev.read_at(offset, len).map_err(|e| e.to_string())?;
     std::fs::write(&output, &data).map_err(|e| e.to_string())?;
     let mode = match dev.status() {
@@ -204,12 +350,9 @@ fn cmd_read(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
 
 fn cmd_write(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     let dev = open(spec)?;
-    let input = flags
-        .get("input")
-        .map(PathBuf::from)
-        .ok_or_else(|| "--input is required".to_string())?;
-    let offset = u64_flag(flags, "offset", 0)?;
-    let data = std::fs::read(&input).map_err(|e| e.to_string())?;
+    let input = required(flags, "input")?;
+    let offset = num_flag(flags, "offset", 0)?;
+    let data = std::fs::read(input).map_err(|e| e.to_string())?;
     let outcome = dev.write_at(offset, &data).map_err(|e| e.to_string())?;
     println!(
         "wrote {} bytes at offset {offset}: {} stripes touched ({} full re-encodes, {} delta updates)",
@@ -219,10 +362,7 @@ fn cmd_write(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
 }
 
 fn cmd_batch(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
-    let from = flags
-        .get("from")
-        .filter(|v| !v.is_empty())
-        .ok_or_else(|| format!("--from is required\n{DEV_USAGE}"))?;
+    let from = required(flags, "from")?;
     let text =
         std::fs::read_to_string(from).map_err(|e| format!("cannot read op-script {from}: {e}"))?;
     let batch = parse_op_script(&text)?;
@@ -337,15 +477,13 @@ fn batch_json(batch: &IoBatch, result: &BatchResult) -> Json {
 
 fn cmd_fail(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     let dev = open_admin(spec).map_err(|e| e.to_string())?;
-    let device = usize_flag(flags, "device", usize::MAX)?;
-    if device == usize::MAX {
-        return Err("--device is required".into());
-    }
+    required(flags, "device")?;
+    let device = num_flag(flags, "device", 0)?;
     // Defaulting the shard is only safe when there is exactly one;
     // silently picking shard 0 on a sharded backend would inject the
     // fault somewhere the operator did not name.
     let shard = match flags.get("shard") {
-        Some(_) => usize_flag(flags, "shard", 0)?,
+        Some(_) => num_flag(flags, "shard", 0)?,
         None => {
             let shards = dev.status().map_err(|e| e.to_string())?.shards.len();
             if shards > 1 {
@@ -357,9 +495,9 @@ fn cmd_fail(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
         }
     };
     if flags.contains_key("stripe") || flags.contains_key("sector") {
-        let stripe = usize_flag(flags, "stripe", 0)?;
-        let sector = usize_flag(flags, "sector", 0)?;
-        let len = usize_flag(flags, "len", 1)?;
+        let stripe = num_flag(flags, "stripe", 0)?;
+        let sector = num_flag(flags, "sector", 0)?;
+        let len = num_flag(flags, "len", 1)?;
         dev.corrupt_sectors(shard, device, stripe, sector, len)
             .map_err(|e| e.to_string())?;
         println!(
@@ -372,9 +510,9 @@ fn cmd_fail(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_scrub(flags: &Flags, spec: &DeviceSpec, family: &str) -> Result<(), String> {
+fn cmd_scrub(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     let dev = open(spec)?;
-    let threads = usize_flag(flags, "threads", 4)?;
+    let threads = num_flag(flags, "threads", 4)?;
     let outcome = dev.scrub(threads).map_err(|e| e.to_string())?;
     if flags.contains_key("json") {
         print!("{}", status_json::scrub_json(&outcome).to_text());
@@ -391,14 +529,14 @@ fn cmd_scrub(flags: &Flags, spec: &DeviceSpec, family: &str) -> Result<(), Strin
     if outcome.clean() {
         println!("device clean");
     } else {
-        println!("run `{family} repair` to reconstruct");
+        println!("run `stair dev repair` to reconstruct");
     }
     Ok(())
 }
 
 fn cmd_repair(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     let dev = open(spec)?;
-    let threads = usize_flag(flags, "threads", 4)?;
+    let threads = num_flag(flags, "threads", 4)?;
     let outcome = dev.repair(threads).map_err(|e| e.to_string())?;
     if flags.contains_key("json") {
         print!("{}", status_json::repair_json(&outcome).to_text());
@@ -421,7 +559,7 @@ fn cmd_repair(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     }
 }
 
-fn cmd_flush(spec: &DeviceSpec) -> Result<(), String> {
+fn cmd_flush(_: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     let dev = open(spec)?;
     dev.flush().map_err(|e| e.to_string())?;
     println!("flushed");
@@ -444,7 +582,7 @@ fn cmd_metrics(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     }
     let snap = dev.metrics().map_err(|e| e.to_string())?;
     if flags.contains_key("json") {
-        print!("{}", status_json::metrics_json(&snap).to_text());
+        print!("{}", metrics_json(&snap).to_text());
         return Ok(());
     }
     println!("counters:");
@@ -484,8 +622,8 @@ fn cmd_metrics(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
 /// op-script (`--from`, same grammar as `batch`) through an
 /// [`Instrumented`] device so every layer records spans, then prints
 /// this process's flight recorder — plus the server's, pulled over the
-/// TRACE opcode, when `spec` is `tcp:`. Output goes through the same
-/// serializer as `stair remote trace`, so the shapes cannot drift.
+/// TRACE opcode, when `spec` is `tcp:`. Both go through one serializer,
+/// so their shapes cannot drift.
 fn cmd_trace(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     stair_obs::trace::set_enabled(true);
     let dev = Instrumented::new(open(spec)?);

@@ -19,27 +19,21 @@ use stair_code::CodecSpec;
 use stair_net::{Server, ServerConfig, ShardSet};
 use stair_store::StoreOptions;
 
-use crate::flags::{usize_flag, Flags};
+use crate::flags::{num_flag, parse, required};
 
 /// Usage text for `stair serve`.
-pub const SERVE_USAGE: &str = "usage:
-  stair serve --dir ROOT --addr HOST:PORT [--shards K] [--code SPEC]
-              [--symbol S] [--stripes T] [--workers W]
-  (new roots are initialized with K shards of the given shape; existing
-   roots are reopened and --shards must match)";
+pub const SERVE_USAGE: &str = "stair serve --dir ROOT --addr HOST:PORT [--shards K] [--code SPEC]
+                   [--symbol S] [--stripes T] [--workers W]
+(new roots are initialized with K shards of the given shape; existing
+ roots are reopened and --shards must match)";
 
-/// Runs `stair serve`, blocking until the server is shut down.
-pub fn run(flags: &Flags) -> Result<(), String> {
-    let dir = flags
-        .get("dir")
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
-        .ok_or_else(|| format!("--dir is required\n{SERVE_USAGE}"))?;
-    let addr = flags
-        .get("addr")
-        .filter(|v| !v.is_empty())
-        .ok_or_else(|| format!("--addr is required\n{SERVE_USAGE}"))?;
-    let shards = usize_flag(flags, "shards", 4)?;
+/// Runs `stair serve` with the flags in `args`, blocking until the
+/// server is shut down.
+pub fn run(args: &[String]) -> Result<(), String> {
+    let flags = &parse(args, SERVE_USAGE)?;
+    let dir = PathBuf::from(required(flags, "dir")?);
+    let addr = required(flags, "addr")?;
+    let shards = num_flag(flags, "shards", 4)?;
     let code = match flags.get("code") {
         Some(spec) => CodecSpec::from_str(spec).map_err(|e| e.to_string())?,
         None => CodecSpec::Stair {
@@ -51,15 +45,15 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     };
     let opts = StoreOptions {
         code,
-        symbol: usize_flag(flags, "symbol", 512)?,
-        stripes: usize_flag(flags, "stripes", 64)?,
+        symbol: num_flag(flags, "symbol", 512)?,
+        stripes: num_flag(flags, "stripes", 64)?,
     };
     if dir.exists() && !dir.is_dir() {
         return Err(format!("{} exists and is not a directory", dir.display()));
     }
     let set = ShardSet::open_or_create(&dir, shards, &opts).map_err(|e| e.to_string())?;
     let config = ServerConfig {
-        workers: usize_flag(flags, "workers", 4)?.max(1),
+        workers: num_flag(flags, "workers", 4usize)?.max(1),
     };
     let server = Server::bind(addr, set, config).map_err(|e| e.to_string())?;
     let info = server.info();

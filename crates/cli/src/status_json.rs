@@ -1,21 +1,10 @@
-//! The one JSON serializer for device health and maintenance reports —
-//! shared by `stair dev … --json` and the `stair store` /
-//! `stair remote` aliases, so the three surfaces can never drift
-//! apart: `--dev file:…` and `--dev tcp:…` produce byte-identical
-//! shapes.
+//! The one JSON serializer for `stair dev … --json` device health,
+//! maintenance and trace reports: every backend goes through it, so
+//! `--dev file:…` and `--dev tcp:…` produce byte-identical shapes.
 
 use stair_device::{CacheTierStatus, DeviceStatus, RepairOutcome, ScrubOutcome, ShardHealth};
 use stair_net::json::Json;
 use stair_net::{WireSpan, WireTrace};
-use stair_obs::MetricsSnapshot;
-
-/// A metrics snapshot as a JSON object — the serializer `stair dev
-/// metrics` and `stair remote metrics` share (arrays of uniform
-/// objects, so the key shape is identical across backends whose
-/// metric-name sets differ).
-pub fn metrics_json(snap: &MetricsSnapshot) -> Json {
-    stair_net::json::metrics_json(snap)
-}
 
 /// One shard's health as a JSON object.
 fn shard_json(shard: &ShardHealth) -> Json {
@@ -123,8 +112,8 @@ fn one_trace_json(trace: &WireTrace, origin: &str) -> Json {
     ])
 }
 
-/// Flight-recorder pulls as one JSON object — the serializer
-/// `stair dev trace` and `stair remote trace` share. `local` traces
+/// Flight-recorder pulls as one JSON object, for `stair dev trace` on
+/// every backend. `local` traces
 /// come from this process's recorder, `server` traces from a TRACE
 /// pull; each trace is tagged with its origin, and span timestamps are
 /// relative to the *originating* process's recorder epoch (the two

@@ -31,6 +31,18 @@ pub fn run(args: &[&str]) -> (bool, String) {
     (out.status.success(), text)
 }
 
+/// Runs the `stair` binary, returning (exit code, stderr).
+pub fn exit_code(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin())
+        .args(args)
+        .output()
+        .expect("spawn stair binary");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
 /// Spawns `stair serve` over `dir` on an ephemeral port (2 shards of
 /// `stair:8,4,2,1-1-2`, 128-byte symbols, 8 stripes, plus `extra`
 /// flags) and parses the bound address from its first stdout line.
@@ -70,6 +82,48 @@ pub fn spawn_server(dir: &str, extra: &[&str]) -> (Child, String) {
         .trim()
         .to_string();
     (child, addr)
+}
+
+/// Runs `stair dev init --dev SPEC --code CODE --symbol S --stripes T`,
+/// asserting success; returns the output.
+pub fn init(dev: &str, code: &str, symbol: &str, stripes: &str) -> String {
+    let (ok, out) = run(&[
+        "dev",
+        "init",
+        "--dev",
+        dev,
+        "--code",
+        code,
+        "--symbol",
+        symbol,
+        "--stripes",
+        stripes,
+    ]);
+    assert!(ok, "init {dev}: {out}");
+    out
+}
+
+/// Stops the server at `addr` with `stair dev shutdown` and asserts
+/// it exits successfully.
+pub fn shutdown(mut server: Child, addr: &str) {
+    let (ok, out) = run(&["dev", "shutdown", "--dev", &format!("tcp:{addr}")]);
+    assert!(ok, "shutdown: {out}");
+    assert!(server.wait().expect("server wait").success());
+}
+
+/// The `stair dev` verb table as the binary prints it: one
+/// `(verb, usage)` per `  stair dev VERB USAGE` line of the usage text.
+pub fn dev_verbs() -> Vec<(String, String)> {
+    let (ok, out) = run(&["dev"]);
+    assert!(!ok, "`stair dev` alone must fail with the usage text");
+    let verbs: Vec<(String, String)> = out
+        .lines()
+        .filter_map(|line| line.strip_prefix("  stair dev "))
+        .filter_map(|rest| rest.split_once(' '))
+        .map(|(verb, usage)| (verb.to_string(), usage.trim().to_string()))
+        .collect();
+    assert!(!verbs.is_empty(), "no verbs in the usage text: {out}");
+    verbs
 }
 
 /// Extracts the ordered key sequence of a compact JSON document (no

@@ -1,11 +1,12 @@
 //! End-to-end test of the `stair dev` CLI surface: the same verbs
 //! driven by `--dev` specs against a local store and a served shard
 //! set, with byte-identical data and identical JSON shapes across
-//! backends, plus clean errors for bad specs.
+//! backends, plus clean errors for bad specs and flags, and README's
+//! verb table held to the code's.
 
 mod common;
 
-use common::{run, spawn_server};
+use common::{dev_verbs, exit_code, init, run, shutdown, spawn_server};
 
 /// Runs the same write → fail → degraded read → scrub → repair → read
 /// session through `stair dev`, returning the final status JSON. The
@@ -94,24 +95,17 @@ fn dev_cli_runs_identical_sessions_on_file_and_tcp_backends() {
     std::fs::write(&input, &payload).unwrap();
 
     let store_dir = work.join("store");
-    let (ok, out) = run(&[
-        "store",
-        "init",
-        "--dir",
-        store_dir.to_str().unwrap(),
-        "--code",
+    init(
+        &format!("file:{}", store_dir.display()),
         "stair:8,4,2,1-1-2",
-        "--symbol",
         "128",
-        "--stripes",
         "16",
-    ]);
-    assert!(ok, "{out}");
+    );
     let file_spec = format!("file:{}", store_dir.display());
     let file_json = session(&file_spec, "0", &work, &input);
 
     let root = work.join("net-root");
-    let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
+    let (server, addr) = spawn_server(root.to_str().unwrap(), &[]);
     let tcp_spec = format!("tcp:{addr}");
     let tcp_json = session(&tcp_spec, "1", &work, &input);
 
@@ -122,9 +116,7 @@ fn dev_cli_runs_identical_sessions_on_file_and_tcp_backends() {
     assert!(!ok, "{out}");
     assert!(out.contains("--shard is required"), "{out}");
 
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
-    assert!(ok);
-    assert!(server.wait().expect("server wait").success());
+    shutdown(server, &addr);
 
     // After shutdown the same root is usable in-process via shards:.
     let shards_spec = format!("shards:{}?n=2", root.display());
@@ -181,24 +173,17 @@ fn dev_batch_replays_the_same_op_script_on_file_and_tcp() {
     .unwrap();
 
     let store_dir = work.join("store");
-    let (ok, out) = run(&[
-        "store",
-        "init",
-        "--dir",
-        store_dir.to_str().unwrap(),
-        "--code",
+    init(
+        &format!("file:{}", store_dir.display()),
         "stair:8,4,2,1-1-2",
-        "--symbol",
         "128",
-        "--stripes",
         "16",
-    ]);
-    assert!(ok, "{out}");
+    );
     let file_spec = format!("file:{}", store_dir.display());
     let file_json = replay(&file_spec, &script);
 
     let root = work.join("net-root");
-    let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
+    let (server, addr) = spawn_server(root.to_str().unwrap(), &[]);
     let tcp_spec = format!("tcp:{addr}");
     let tcp_json = replay(&tcp_spec, &script);
 
@@ -243,9 +228,7 @@ fn dev_batch_replays_the_same_op_script_on_file_and_tcp() {
         std::fs::read(&tcp_out).unwrap()
     );
 
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
-    assert!(ok);
-    assert!(server.wait().expect("server wait").success());
+    shutdown(server, &addr);
 
     // Malformed scripts are clean errors with a line number.
     let bad = work.join("bad.txt");
@@ -294,4 +277,92 @@ fn dev_cli_rejects_bad_specs_cleanly() {
     assert!(!ok);
     assert!(out.contains("error:"), "{out}");
     assert!(!out.contains("panicked"), "{out}");
+}
+
+/// Every verb refuses a flag it does not take, and a flag given twice,
+/// with exit 1 and an `error:` naming the flag — before it touches the
+/// device.
+#[test]
+fn every_verb_refuses_unknown_and_repeated_flags() {
+    let work = std::env::temp_dir().join(format!("stair-dev-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&work);
+    std::fs::create_dir_all(&work).unwrap();
+    let dev = format!("file:{}", work.join("store").display());
+    init(&dev, "stair:8,4,2,1-1-2", "128", "2");
+
+    // A misspelled --offset must not read from offset 0 and succeed.
+    let output = work.join("o.bin");
+    let output_s = output.to_str().unwrap();
+    let (code, err) = exit_code(&[
+        "dev", "read", "--dev", &dev, "--output", output_s, "--offest", "4096",
+    ]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("error: unknown flag `--offest`"), "{err}");
+    assert!(!output.exists(), "a refused read must write nothing");
+    let (code, err) = exit_code(&[
+        "dev", "read", "--dev", &dev, "--output", output_s, "--offset", "0", "--offset", "128",
+    ]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("error: flag `--offset` given twice"), "{err}");
+
+    for (verb, _) in dev_verbs() {
+        let (code, err) = exit_code(&["dev", &verb, "--dev", &dev, "--bogus-flag", "1"]);
+        assert_eq!(code, Some(1), "{verb}: {err}");
+        assert!(
+            err.contains("error: unknown flag `--bogus-flag`"),
+            "{verb}: {err}"
+        );
+        let (code, err) = exit_code(&["dev", &verb, "--dev", &dev, "--dev", &dev]);
+        assert_eq!(code, Some(1), "{verb}: {err}");
+        assert!(
+            err.contains("error: flag `--dev` given twice"),
+            "{verb}: {err}"
+        );
+        let (code, err) = exit_code(&["dev", &verb, "stray", "--dev", &dev]);
+        assert_eq!(code, Some(1), "{verb}: {err}");
+        assert!(
+            err.contains("error: unexpected argument `stray`"),
+            "{verb}: {err}"
+        );
+    }
+    // Nothing above reached the store: it is as `init` left it.
+    let (ok, out) = run(&["dev", "status", "--dev", &dev]);
+    assert!(ok && out.contains("failed devices    : []"), "{out}");
+    std::fs::remove_dir_all(&work).unwrap();
+}
+
+/// README's `stair dev` verb table is the code's: the same verbs in the
+/// same order with the same usage, and README names no other verb.
+#[test]
+fn readme_verb_table_is_the_code_table() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+        .expect("README.md");
+    let table: Vec<(String, String)> = readme
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `stair dev "))
+        .map(|row| {
+            let (verb, usage) = row
+                .split_once("` | `")
+                .unwrap_or_else(|| panic!("malformed verb row: {row}"));
+            let usage = usage
+                .strip_suffix("` |")
+                .unwrap_or_else(|| panic!("malformed verb row: {row}"));
+            (verb.to_string(), usage.replace("\\|", "|"))
+        })
+        .collect();
+    let verbs = dev_verbs();
+    assert_eq!(
+        table, verbs,
+        "README's verb table differs from `stair dev`'s"
+    );
+    for (at, _) in readme.match_indices("stair dev ") {
+        let word: String = readme[at + "stair dev ".len()..]
+            .chars()
+            .take_while(char::is_ascii_lowercase)
+            .collect();
+        assert!(
+            word.is_empty() || verbs.iter().any(|(verb, _)| *verb == word),
+            "README names `stair dev {word}`, which is not a verb"
+        );
+    }
 }

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{key_shape, run, spawn_server};
+use common::{init, key_shape, run, shutdown, spawn_server};
 
 /// Entry key shapes of the four metrics arrays; `slow_ops` may be
 /// empty (the default 10 ms threshold rarely trips on loopback), so
@@ -107,27 +107,18 @@ fn dev_metrics_reports_one_json_shape_across_all_backends() {
     .unwrap();
 
     let store_dir = work.join("store");
-    let (ok, out) = run(&[
-        "store",
-        "init",
-        "--dir",
-        store_dir.to_str().unwrap(),
-        "--code",
+    init(
+        &format!("file:{}", store_dir.display()),
         "stair:8,4,2,1-1-2",
-        "--symbol",
         "128",
-        "--stripes",
         "8",
-    ]);
-    assert!(ok, "{out}");
+    );
     let file_doc = metrics(&format!("file:{}", store_dir.display()), &script);
 
     let root = work.join("net-root");
-    let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
+    let (server, addr) = spawn_server(root.to_str().unwrap(), &[]);
     let tcp_doc = metrics(&format!("tcp:{addr}"), &script);
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
-    assert!(ok);
-    assert!(server.wait().expect("server wait").success());
+    shutdown(server, &addr);
 
     // The same root, reopened in-process.
     let shards_doc = metrics(&format!("shards:{}?n=2", root.display()), &script);

@@ -1,12 +1,12 @@
-//! End-to-end test of the `stair serve` / `stair remote` CLI surface:
-//! a real server child process on a loopback port driven by real client
+//! End-to-end test of `stair serve` and `stair dev … --dev tcp:`: a
+//! real server child process on a loopback port driven by real client
 //! invocations, plus the clean-failure paths (busy port, bad root,
 //! unreachable server) that must exit with an error message, never a
 //! panic.
 
 mod common;
 
-use common::{run, spawn_server};
+use common::{init, run, shutdown, spawn_server};
 
 #[test]
 fn serve_remote_session_round_trips_degraded_data() {
@@ -15,6 +15,7 @@ fn serve_remote_session_round_trips_degraded_data() {
     std::fs::create_dir_all(&work).unwrap();
     let root = work.join("net-root");
     let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
+    let dev = format!("tcp:{addr}");
 
     // capacity = 2 shards × 8 stripes × 20 blocks × 128 bytes.
     let capacity = 2 * 8 * 20 * 128usize;
@@ -23,10 +24,10 @@ fn serve_remote_session_round_trips_degraded_data() {
     std::fs::write(&input, &payload).unwrap();
 
     let (ok, out) = run(&[
-        "remote",
+        "dev",
         "write",
-        "--addr",
-        &addr,
+        "--dev",
+        &dev,
         "--input",
         input.to_str().unwrap(),
     ]);
@@ -36,10 +37,10 @@ fn serve_remote_session_round_trips_degraded_data() {
     // Clean read round-trips.
     let output = work.join("out.bin");
     let (ok, out) = run(&[
-        "remote",
+        "dev",
         "read",
-        "--addr",
-        &addr,
+        "--dev",
+        &dev,
         "--output",
         output.to_str().unwrap(),
     ]);
@@ -49,19 +50,19 @@ fn serve_remote_session_round_trips_degraded_data() {
     // Fail a device on shard 1 and corrupt a burst on shard 0; the
     // degraded read must still return the exact payload.
     let (ok, out) = run(&[
-        "remote", "fail", "--addr", &addr, "--shard", "1", "--device", "3",
+        "dev", "fail", "--dev", &dev, "--shard", "1", "--device", "3",
     ]);
     assert!(ok, "{out}");
     let (ok, out) = run(&[
-        "remote", "fail", "--addr", &addr, "--shard", "0", "--device", "5", "--stripe", "2",
-        "--sector", "1", "--len", "2",
+        "dev", "fail", "--dev", &dev, "--shard", "0", "--device", "5", "--stripe", "2", "--sector",
+        "1", "--len", "2",
     ]);
     assert!(ok, "{out}");
     let (ok, out) = run(&[
-        "remote",
+        "dev",
         "read",
-        "--addr",
-        &addr,
+        "--dev",
+        &dev,
         "--output",
         output.to_str().unwrap(),
     ]);
@@ -69,96 +70,75 @@ fn serve_remote_session_round_trips_degraded_data() {
     assert_eq!(std::fs::read(&output).unwrap(), payload, "degraded read");
 
     // Status (human + JSON) reflects the failure.
-    let (ok, out) = run(&["remote", "status", "--addr", &addr]);
+    let (ok, out) = run(&["dev", "status", "--dev", &dev]);
     assert!(ok, "{out}");
     assert!(out.contains("shard 1: failed [3]"), "{out}");
-    let (ok, json) = run(&["remote", "status", "--addr", &addr, "--json"]);
+    let (ok, json) = run(&["dev", "status", "--dev", &dev, "--json"]);
     assert!(ok, "{json}");
     assert!(json.trim_start().starts_with('{'), "{json}");
     assert!(json.contains("\"failed_devices\":[3]"), "{json}");
     assert!(json.contains("\"healthy\":false"), "{json}");
 
     // Scrub flags the burst, repair heals everything, scrub then clean.
-    let (ok, out) = run(&["remote", "scrub", "--addr", &addr]);
+    let (ok, out) = run(&["dev", "scrub", "--dev", &dev]);
     assert!(ok, "{out}");
-    assert!(out.contains("run `stair remote repair`"), "{out}");
-    let (ok, out) = run(&["remote", "repair", "--addr", &addr]);
+    assert!(out.contains("run `stair dev repair`"), "{out}");
+    let (ok, out) = run(&["dev", "repair", "--dev", &dev]);
     assert!(ok, "{out}");
     assert!(out.contains("repair complete"), "{out}");
-    let (ok, out) = run(&["remote", "scrub", "--addr", &addr]);
+    let (ok, out) = run(&["dev", "scrub", "--dev", &dev]);
     assert!(ok, "{out}");
     assert!(out.contains("device clean"), "{out}");
 
-    let (ok, json) = run(&["remote", "status", "--addr", &addr, "--json"]);
+    let (ok, json) = run(&["dev", "status", "--dev", &dev, "--json"]);
     assert!(ok, "{json}");
     assert!(json.contains("\"healthy\":true"), "{json}");
 
     // Flush, then clean shutdown: the child must exit successfully.
-    let (ok, out) = run(&["remote", "flush", "--addr", &addr]);
+    let (ok, out) = run(&["dev", "flush", "--dev", &dev]);
     assert!(ok, "{out}");
-    let (ok, out) = run(&["remote", "shutdown", "--addr", &addr]);
+    let (ok, out) = run(&["dev", "shutdown", "--dev", &dev]);
     assert!(ok, "{out}");
     let status = server.wait().expect("server wait");
     assert!(status.success(), "server exit: {status:?}");
 
     // The shards persisted: a second server over the same root serves
     // the same bytes.
-    let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
+    let (server, addr) = spawn_server(root.to_str().unwrap(), &[]);
+    let dev = format!("tcp:{addr}");
     let (ok, out) = run(&[
-        "remote",
+        "dev",
         "read",
-        "--addr",
-        &addr,
+        "--dev",
+        &dev,
         "--output",
         output.to_str().unwrap(),
     ]);
     assert!(ok, "{out}");
     assert_eq!(std::fs::read(&output).unwrap(), payload, "after restart");
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
-    assert!(ok);
-    assert!(server.wait().expect("wait").success());
+    shutdown(server, &addr);
 
     std::fs::remove_dir_all(&work).unwrap();
 }
 
 #[test]
-fn store_and_remote_status_json_share_one_shape() {
+fn file_and_tcp_status_json_share_one_shape() {
     let work = std::env::temp_dir().join(format!("stair-json-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&work);
     std::fs::create_dir_all(&work).unwrap();
 
     // A local store…
-    let store_dir = work.join("store");
-    let (ok, out) = run(&[
-        "store",
-        "init",
-        "--dir",
-        store_dir.to_str().unwrap(),
-        "--code",
-        "stair:8,4,2,1-1-2",
-        "--symbol",
-        "128",
-        "--stripes",
-        "8",
-    ]);
-    assert!(ok, "{out}");
-    let (ok, local) = run(&[
-        "store",
-        "status",
-        "--dir",
-        store_dir.to_str().unwrap(),
-        "--json",
-    ]);
+    let file = format!("file:{}", work.join("store").display());
+    init(&file, "stair:8,4,2,1-1-2", "128", "8");
+    let (ok, local) = run(&["dev", "status", "--dev", &file, "--json"]);
     assert!(ok, "{local}");
 
     // …and a served shard set of the same shape.
     let root = work.join("net-root");
-    let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
-    let (ok, remote) = run(&["remote", "status", "--addr", &addr, "--json"]);
+    let (server, addr) = spawn_server(root.to_str().unwrap(), &[]);
+    let (ok, remote) = run(&["dev", "status", "--dev", &format!("tcp:{addr}"), "--json"]);
     assert!(ok, "{remote}");
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
-    assert!(ok);
-    assert!(server.wait().expect("wait").success());
+    shutdown(server, &addr);
 
     // Both went through the same serializer: every key of the unified
     // shape appears verbatim in both documents (a local store is simply
@@ -250,10 +230,8 @@ fn serve_refuses_bad_roots_with_clean_errors() {
 
     // Root holds shards but the count disagrees.
     let root = work.join("root");
-    let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
-    assert!(ok);
-    assert!(server.wait().expect("wait").success());
+    let (server, addr) = spawn_server(root.to_str().unwrap(), &[]);
+    shutdown(server, &addr);
     let (ok, out) = run(&[
         "serve",
         "--dir",
@@ -297,21 +275,21 @@ fn serve_refuses_bad_roots_with_clean_errors() {
 }
 
 #[test]
-fn remote_against_no_server_is_a_clean_error() {
+fn tcp_against_no_server_is_a_clean_error() {
     // Port 9 (discard) on localhost is almost certainly closed; if an
     // OS quirk makes connect hang, the test harness timeout covers us.
-    let (ok, out) = run(&["remote", "status", "--addr", "127.0.0.1:9"]);
-    assert!(!ok);
-    assert!(
-        out.contains("error:") && out.contains("cannot connect"),
-        "{out}"
-    );
-    assert!(!out.contains("panicked"), "{out}");
+    for verb in ["status", "shutdown"] {
+        let (ok, out) = run(&["dev", verb, "--dev", "tcp:127.0.0.1:9"]);
+        assert!(!ok);
+        assert!(
+            out.contains("error:") && out.contains("cannot connect"),
+            "{verb}: {out}"
+        );
+        assert!(!out.contains("panicked"), "{verb}: {out}");
+    }
 
-    let (ok, out) = run(&["remote", "bogus", "--addr", "127.0.0.1:9"]);
+    let (ok, out) = run(&["dev", "bogus", "--dev", "tcp:127.0.0.1:9"]);
     assert!(!ok);
-    // Connection is attempted first; either failure is fine as long as
-    // it is clean.
-    assert!(out.contains("error:"), "{out}");
+    assert!(out.contains("unknown stair dev command `bogus`"), "{out}");
     assert!(!out.contains("panicked"), "{out}");
 }

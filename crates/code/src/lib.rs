@@ -55,7 +55,7 @@
 //! # Codec specs
 //!
 //! [`CodecSpec`] is the one-line grammar the store and CLI use to name a
-//! codec (`stair store init --code <spec>`):
+//! codec (`stair dev init --code <spec>`):
 //!
 //! ```text
 //! stair:n,r,m,e1-e2-...   e.g. stair:8,4,2,1-1-2

@@ -3,9 +3,8 @@
 //! arrays use exactly this split: detection by checksum or drive error,
 //! correction by redundancy.
 //!
-//! The store's checksum table, journal records, wire frames and archive
-//! manifests persist its values (`stair_store::checksum` re-exports it),
-//! and the cache checks every frame it serves with it. Its SIMD tiers live
+//! The store's checksum table, journal records and wire frames persist
+//! its values, and the cache checks every frame it serves with it. Its SIMD tiers live
 //! in `simd.rs` and compile the one body below, [`portable`], under
 //! `#[target_feature]`; they cannot differ from it in value.
 

@@ -3,8 +3,8 @@
 //! The workspace has no registry access, so instead of serde this tiny
 //! module covers the one direction the tooling needs: building a value
 //! and rendering it as spec-compliant JSON text (string escaping,
-//! `null` for non-finite floats). Shared by `stair store status --json`,
-//! `stair remote status --json`, and `chaos_kill9`'s `--json` report.
+//! `null` for non-finite floats). Shared by every `stair dev … --json`
+//! report and `chaos_kill9`'s `--json` report.
 
 use std::fmt;
 
@@ -62,7 +62,7 @@ impl Json {
 }
 
 /// Renders a metrics snapshot as the one JSON shape every surface
-/// shares (`stair dev metrics`, `stair remote metrics`): counters,
+/// shares (`stair dev metrics` on every backend): counters,
 /// gauges, histograms, and slow ops as **arrays of uniform objects**,
 /// so the key shape is identical across backends even though the
 /// metric *name* sets differ.

@@ -44,8 +44,8 @@
 use std::io::{Read, Write};
 
 use stair_device::{IoOp, OpRef, OpResult, RepairOutcome, ScrubOutcome, WriteOutcome};
+use stair_gf::fletcher32;
 use stair_obs::{HistogramSnapshot, MetricsSnapshot, SpanCtx, TraceEvent, BUCKETS};
-use stair_store::checksum::fletcher32;
 
 use crate::NetError;
 

@@ -215,7 +215,7 @@ fn only_the_dense_opcode_table_decodes() {
         frame.extend_from_slice(&13u32.to_le_bytes());
         frame.extend_from_slice(&1u64.to_le_bytes());
         frame.push(byte);
-        let sum = stair_store::checksum::fletcher32(&[]);
+        let sum = stair_gf::fletcher32(&[]);
         frame.extend_from_slice(&sum.to_le_bytes());
         let got = read_response(&mut frame.as_slice());
         if byte > n {

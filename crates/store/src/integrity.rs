@@ -22,8 +22,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockW
 
 use stair_code::CellIdx;
 
-use crate::checksum::fletcher32;
 use crate::Error;
+use stair_gf::fletcher32;
 
 // Lock poisoning policy: every lock in this module is taken with
 // `unwrap_or_else(PoisonError::into_inner)` instead of `unwrap()`. A

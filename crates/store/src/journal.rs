@@ -92,8 +92,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockW
 
 use stair_code::CellIdx;
 
-use crate::checksum::fletcher32;
 use crate::Error;
+use stair_gf::fletcher32;
 
 /// File name of the journal segment inside a store directory.
 pub const JOURNAL_FILE: &str = "journal.stair";

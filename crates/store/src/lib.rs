@@ -76,7 +76,6 @@
 #![warn(missing_docs)]
 
 mod batch;
-pub mod checksum;
 mod codec;
 mod device;
 mod device_impl;

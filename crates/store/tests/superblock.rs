@@ -236,7 +236,7 @@ fn oversized_superblock_values_are_refused_not_overflowed() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `stair store init --stripes` reaches `create` unchecked: an
+/// `stair dev init --stripes` reaches `create` unchecked: an
 /// overflowing geometry is refused before anything touches the disk.
 #[test]
 fn create_refuses_stripes_that_overflow() {

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use stair_store::checksum::fletcher32;
+use stair_gf::fletcher32;
 use stair_store::{StripeStore, JOURNAL_FILE};
 
 const META: &str = "store.meta";
