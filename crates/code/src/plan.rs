@@ -187,6 +187,21 @@ impl Plan {
         &self.slots[..self.sources]
     }
 
+    /// The cell each slot holds: the [`sources`](Plan::sources), then the
+    /// intermediates, then the targets ([`Plan::recovers`]).
+    pub fn slots(&self) -> &[CellIdx] {
+        &self.slots
+    }
+
+    /// The program, in execution order: per step, the slot it writes and
+    /// its terms — the input slots and their coefficients, pairwise.
+    pub fn steps(&self) -> impl Iterator<Item = (usize, &[usize], &[u16])> {
+        self.steps.iter().map(|s| {
+            let terms = s.terms.clone();
+            (s.out, &self.inputs[terms.clone()], &self.coeffs[terms])
+        })
+    }
+
     /// Planned `Mult_XOR` operations per stripe (the paper's decoding
     /// cost, §5.3): the number of terms. One execution ticks
     /// `stair_gf::counters` by exactly this.
@@ -294,6 +309,13 @@ fn reuse<'b, E>(mut terms: Vec<(&[u8], E)>) -> Vec<(&'b [u8], E)> {
 }
 
 impl PlanBuilder {
+    /// Makes room for `steps` more steps of `terms` terms in all.
+    pub fn reserve(&mut self, steps: usize, terms: usize) {
+        self.plan.steps.reserve(steps);
+        self.plan.inputs.reserve(terms);
+        self.plan.coeffs.reserve(terms);
+    }
+
     /// Appends a step writing slot `out` as `Σ coeff · slot` over
     /// `terms`, each `(input slot, coefficient)`.
     pub fn step(&mut self, out: usize, terms: impl IntoIterator<Item = (usize, u16)>) {

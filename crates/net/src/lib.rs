@@ -1,10 +1,9 @@
 //! `stair-net`: a sharded network storage service over codec-generic
 //! stripe stores.
 //!
-//! PRs 1–2 built a fault-tolerant [`stair_store::StripeStore`] that
-//! reproduces the paper's device+sector failure coverage on a real I/O
-//! path, but only in-process. This crate is the scale-out layer the
-//! ROADMAP's "heavy traffic" north star requires:
+//! A [`stair_store::StripeStore`] reproduces the paper's device+sector
+//! failure coverage on a real I/O path, in one process. This crate
+//! shards it and serves it over TCP:
 //!
 //! * **[`ShardSet`]** — `k` equally-shaped stripe stores under one root,
 //!   glued into a single logical block space by a deterministic

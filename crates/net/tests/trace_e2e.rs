@@ -151,6 +151,15 @@ fn traced_batch_yields_a_contained_four_layer_span_tree() {
         .expect("a codec pass span (encode or delta)");
     assert_eq!(codec.parent_id, stripe.span_id);
     assert_contained(codec, stripe);
+    // The commit: its journal append, then the in-place write-back it
+    // made durable, both beside the stripe spans.
+    let append = find(&spans, names::JRNL_APPEND);
+    let write_back = find(&spans, names::STORE_WRITE_BACK);
+    for span in [append, write_back] {
+        assert_eq!(span.parent_id, stripe.parent_id, "`{}`", span.name);
+        assert_contained(span, shards_submit);
+    }
+    assert!(write_back.start_us + 10 >= append.start_us + append.duration_us);
 
     // Self-times: for every span in the tree, its direct children's
     // durations sum to no more than its own duration (plus rounding

@@ -69,6 +69,9 @@ pub mod names {
     pub const STORE_DELTA: &str = "store.delta";
     /// Persisting integrity metadata after a write-back.
     pub const STORE_PERSIST: &str = "store.persist";
+    /// A commit's in-place sector writes, after its journal record is
+    /// durable.
+    pub const STORE_WRITE_BACK: &str = "store.write_back";
     /// `Instrumented` device submission of one read.
     pub const DEV_READ: &str = "dev.read";
     /// `Instrumented` device submission of one write.
@@ -110,6 +113,7 @@ pub mod names {
         STORE_ENCODE,
         STORE_DELTA,
         STORE_PERSIST,
+        STORE_WRITE_BACK,
         DEV_READ,
         DEV_WRITE,
         DEV_BATCH,

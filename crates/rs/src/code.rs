@@ -2,7 +2,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use stair_gf::Field;
 use stair_gfmatrix::{cauchy_parity, Matrix};
@@ -14,6 +15,63 @@ use crate::Error;
 /// elements and its key `η` indices, so a full memo of the paper's codes
 /// is ≈ 150 KiB.
 const MEMO_CAPACITY: usize = 512;
+
+/// Solved coefficient matrices by `available` index set, then by
+/// `wanted` index set: a lookup borrows both slices, so a hit allocates
+/// nothing and clones an [`Arc`]. A pure function of the generator:
+/// nothing ever invalidates an entry, and once [`MEMO_CAPACITY`] entries
+/// are held new ones are simply not kept.
+struct Memo<F: Field> {
+    solved: IndexMap<IndexMap<Arc<Matrix<F>>>>,
+    entries: usize,
+}
+
+/// A map keyed by an index set.
+type IndexMap<V> = HashMap<Box<[usize]>, V, BuildHasherDefault<IndexHasher>>;
+
+/// Hashes the memo's keys — index sets a planner computes, never bytes
+/// from outside the program, and at most [`MEMO_CAPACITY`] of them — at
+/// one multiply per index rather than SipHash's rounds: the lookup is
+/// most of what a remembered matrix costs.
+#[derive(Default)]
+struct IndexHasher(u64);
+
+impl IndexHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut le = [0; 8];
+            le.copy_from_slice(word);
+            self.mix(u64::from_le_bytes(le));
+        }
+        for &byte in words.remainder() {
+            self.mix(u64::from(byte));
+        }
+    }
+
+    fn write_usize(&mut self, index: usize) {
+        self.mix(index as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl<F: Field> Default for Memo<F> {
+    fn default() -> Self {
+        Memo {
+            solved: IndexMap::default(),
+            entries: 0,
+        }
+    }
+}
 
 /// A systematic `(η, κ)` MDS code over the field `F` (Cauchy Reed–Solomon).
 ///
@@ -39,12 +97,7 @@ pub struct MdsCode<F: Field> {
     data: usize,
     /// The κ×η systematic generator `[I | A]`.
     generator: Matrix<F>,
-    /// Solved coefficient matrices, keyed by the `available` indices
-    /// followed by the `wanted` ones (`available` is always κ long, so
-    /// the split is unambiguous). A pure function of the generator:
-    /// nothing ever invalidates an entry, and once [`MEMO_CAPACITY`]
-    /// entries are held new ones are simply not kept.
-    memo: Mutex<HashMap<Vec<usize>, Matrix<F>>>,
+    memo: Mutex<Memo<F>>,
 }
 
 impl<F: Field> Clone for MdsCode<F> {
@@ -202,7 +255,8 @@ impl<F: Field> MdsCode<F> {
     /// Decode planning asks for the same few index sets again and again
     /// (every stripe of a store with two failed devices wants the same
     /// row recovery), so solved matrices are remembered, up to a fixed
-    /// number of them.
+    /// number of them, and shared: a remembered matrix is returned
+    /// without copying it.
     ///
     /// # Errors
     ///
@@ -213,23 +267,34 @@ impl<F: Field> MdsCode<F> {
         &self,
         available: &[usize],
         wanted: &[usize],
-    ) -> Result<Matrix<F>, Error> {
-        let key: Vec<usize> = available.iter().chain(wanted).copied().collect();
+    ) -> Result<Arc<Matrix<F>>, Error> {
         // Entries are inserted whole and never changed, so a memo some
         // panicking thread held is still valid.
         let lock = || self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if available.len() == self.data {
-            if let Some(hit) = lock().get(&key) {
-                // Debug builds re-solve every hit, so every test that
-                // plans a decode also checks the memo against the solver.
-                debug_assert_eq!(Ok(hit), self.solve_coefficients(available, wanted).as_ref());
-                return Ok(hit.clone());
-            }
+        let hit = lock()
+            .solved
+            .get(available)
+            .and_then(|by| by.get(wanted))
+            .cloned();
+        if let Some(hit) = hit {
+            // Debug builds re-solve every hit, so every test that plans
+            // a decode also checks the memo against the solver.
+            debug_assert_eq!(
+                Ok(&*hit),
+                self.solve_coefficients(available, wanted).as_ref()
+            );
+            return Ok(hit);
         }
-        let coeff = self.solve_coefficients(available, wanted)?;
+        let coeff = Arc::new(self.solve_coefficients(available, wanted)?);
         let mut memo = lock();
-        if memo.len() < MEMO_CAPACITY {
-            memo.insert(key, coeff.clone());
+        if memo.entries < MEMO_CAPACITY {
+            let by_wanted = memo.solved.entry(available.into()).or_default();
+            if by_wanted
+                .insert(wanted.into(), Arc::clone(&coeff))
+                .is_none()
+            {
+                memo.entries += 1;
+            }
         }
         Ok(coeff)
     }
@@ -538,7 +603,12 @@ mod tests {
     #[test]
     fn memo_matches_the_solver_and_stops_at_capacity() {
         let code: MdsCode<Gf8> = MdsCode::new(20, 10).unwrap();
-        let held = || code.memo.lock().unwrap().len();
+        let held = || code.memo.lock().unwrap().entries;
+        // A hit is the remembered matrix itself, not a copy.
+        let (available, wanted): (Vec<usize>, _) = ((0..10).collect(), [12, 15]);
+        let first = code.recovery_coefficients(&available, &wanted).unwrap();
+        let again = code.recovery_coefficients(&available, &wanted).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
         // Twice as many distinct (available, wanted) pairs as fit.
         let mut order: Vec<usize> = (0..20).collect();
         let mut state = 0x9E37_79B9u64;
@@ -554,11 +624,9 @@ mod tests {
             let solved = code.solve_coefficients(available, wanted).unwrap();
             // The first call may insert, the second may hit; past
             // capacity both solve. All three agree.
-            assert_eq!(
-                code.recovery_coefficients(available, wanted),
-                Ok(solved.clone())
-            );
-            assert_eq!(code.recovery_coefficients(available, wanted), Ok(solved));
+            let solved = Ok(Arc::new(solved));
+            assert_eq!(code.recovery_coefficients(available, wanted), solved);
+            assert_eq!(code.recovery_coefficients(available, wanted), solved);
             assert!(held() <= MEMO_CAPACITY);
         }
         assert_eq!(held(), MEMO_CAPACITY);
@@ -567,7 +635,7 @@ mod tests {
             .recovery_coefficients(&order[..9], &order[10..11])
             .is_err());
         assert_eq!(held(), MEMO_CAPACITY);
-        assert_eq!(code.clone().memo.lock().unwrap().len(), 0);
+        assert_eq!(code.clone().memo.lock().unwrap().entries, 0);
     }
 
     #[test]

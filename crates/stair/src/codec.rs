@@ -6,7 +6,7 @@ use stair_gf::{Field, Gf8};
 use stair_rs::MdsCode;
 
 use crate::layout::{Cell, CellKind, Layout};
-use crate::peel::{PeelOrder, Peeler};
+use crate::peel::{Availability, PeelOrder, Peeler};
 use crate::schedule::{Canvas, Schedule};
 use crate::standard::ParityRelations;
 use crate::stripe::Stripe;
@@ -57,7 +57,7 @@ pub struct StairCodec<F: Field = Gf8> {
     enc_downstairs: Option<Schedule<F>>,
     enc_two_phase: Option<Schedule<F>>,
     /// Which canonical cells a decode starts from, before erasures.
-    decode_avail: Vec<bool>,
+    decode_avail: Availability,
     relations: ParityRelations<F>,
     /// `relations` per data cell: the parities a small write patches.
     pub(crate) updates: UpdateMap<F::Elem>,
@@ -262,7 +262,7 @@ impl<F: Field> StairCodec<F> {
 
     /// Builds a plan that recovers only the `wanted` subset of the erased
     /// sectors — the degraded-read path: serving one lost sector does not
-    /// require repairing the whole stripe. The pruned
+    /// require repairing the whole stripe. The pruned peel of
     /// [`StairCodec::decode_schedule`], lowered to one step per output
     /// cell.
     ///
@@ -276,8 +276,8 @@ impl<F: Field> StairCodec<F> {
         erased: &[(usize, usize)],
         wanted: &[(usize, usize)],
     ) -> Result<Plan, Error> {
-        let (schedule, avail) = self.peel_decode(erased, wanted)?;
-        self.lower(&schedule, &avail, wanted)
+        let (peeler, avail) = self.peel_decode(erased, wanted)?;
+        self.lower(&peeler, &avail, wanted)
     }
 
     /// The upstairs decoding schedule a plan for `wanted` is lowered
@@ -291,25 +291,26 @@ impl<F: Field> StairCodec<F> {
         erased: &[(usize, usize)],
         wanted: &[(usize, usize)],
     ) -> Result<Schedule<F>, Error> {
-        Ok(self.peel_decode(erased, wanted)?.0)
+        let (peeler, avail) = self.peel_decode(erased, wanted)?;
+        peeler.schedule(&avail)
     }
 
-    /// Peels the pattern; returns the pruned schedule and which canonical
-    /// cells were available before it ran.
+    /// Peels the pattern and prunes it to `wanted`; returns the peeler
+    /// holding the pruned steps and which canonical cells were available
+    /// before it ran.
     fn peel_decode(
         &self,
         erased: &[Cell],
         wanted: &[Cell],
-    ) -> Result<(Schedule<F>, Vec<bool>), Error> {
+    ) -> Result<(Peeler<'_, F>, Availability), Error> {
         let counts = self.config.erasure_counts(erased)?;
-        let ccols = self.layout.canonical_cols();
         let mut avail = self.decode_avail.clone();
-        for &(row, col) in erased {
-            avail[row * ccols + col] = false;
+        for &cell in erased {
+            avail.remove(cell);
         }
         if let Some(w) = wanted
             .iter()
-            .find(|&&w| !self.layout.is_stored(w) || avail[w.0 * ccols + w.1])
+            .find(|&&w| !self.layout.is_stored(w) || avail.contains(w))
         {
             return Err(Error::InvalidPattern(format!(
                 "wanted cell {w:?} is not in the erased set"
@@ -322,34 +323,31 @@ impl<F: Field> StairCodec<F> {
         // peel stalls (can only happen outside the guaranteed coverage).
         let mut order: Vec<usize> = (0..self.config.n()).collect();
         order.sort_by_key(|&c| std::cmp::Reverse(counts[c]));
-        let excluded: Vec<usize> = order
-            .into_iter()
-            .take(self.config.m())
-            .filter(|&c| counts[c] > 0)
-            .collect();
+        order.truncate(self.config.m());
+        order.retain(|&c| counts[c] > 0);
         let peel = |excluded: &[usize]| {
-            Peeler::new(&self.layout, &self.crow, &self.ccol, avail.clone())
-                .with_excluded_cols(excluded)
-                .build(wanted, PeelOrder::Upstairs)
+            let mut peeler = Peeler::new(&self.layout, &self.crow, &self.ccol, avail.clone())
+                .with_excluded_cols(excluded);
+            peeler.peel(wanted, PeelOrder::Upstairs).map(|()| peeler)
         };
-        let schedule = match peel(&excluded) {
+        let peeler = match peel(&order) {
             Err(Error::Unrecoverable { .. }) => peel(&[])?,
             other => other?,
         };
-        Ok((schedule, avail))
+        Ok((peeler, avail))
     }
 
-    /// Lowers a decode schedule to a [`Plan`]: one step per output cell,
-    /// over all of its schedule step's inputs — zero coefficients too,
-    /// so the plan costs exactly what the schedule does. An input that
-    /// was available from the start is a source if the stripe stores it
-    /// (the grid, and the outside globals where the placement keeps
-    /// them); the pinned-zero globals of inside placement share one
-    /// zero slot. Every other input is an earlier step's output.
+    /// Lowers a pruned decode peel to a [`Plan`]: one step per output
+    /// cell, over all of its peeled step's inputs — zero coefficients
+    /// too, so the plan costs exactly what the schedule does. An input
+    /// that was available from the start is a source if the stripe stores
+    /// it (the grid, and the outside globals where the placement keeps
+    /// them); the pinned-zero globals of inside placement share one zero
+    /// slot. Every other input is an earlier step's output.
     fn lower(
         &self,
-        schedule: &Schedule<F>,
-        avail: &[bool],
+        peeler: &Peeler<'_, F>,
+        avail: &Availability,
         wanted: &[Cell],
     ) -> Result<Plan, Error> {
         // Slots by canonical cell index, marked first, numbered after; a
@@ -361,20 +359,18 @@ impl<F: Field> StairCodec<F> {
         let ccols = self.layout.canonical_cols();
         let at = |(row, col): Cell| row * ccols + col;
         let outside = self.config.placement() == GlobalPlacement::Outside;
-        let mut slot = vec![UNSET; avail.len()];
+        let mut slot = vec![UNSET; self.layout.canonical_rows() * ccols];
         for &w in wanted {
             slot[at(w)] = WANTED;
         }
         let mut zero_cell = None;
-        for c in schedule
-            .steps()
-            .iter()
-            .flat_map(|s| s.inputs.iter().copied())
-        {
-            if avail[at(c)] {
-                let stored = self.layout.is_stored(c) || outside;
-                slot[at(c)] = if stored { SOURCE } else { PINNED };
-                zero_cell = zero_cell.or((!stored).then_some(c));
+        for step in peeler.steps() {
+            for c in step.input_cells() {
+                if avail.contains(c) {
+                    let stored = self.layout.is_stored(c) || outside;
+                    slot[at(c)] = if stored { SOURCE } else { PINNED };
+                    zero_cell = zero_cell.or((!stored).then_some(c));
+                }
             }
         }
         // Row-major index order is sorted (row, col) order.
@@ -384,14 +380,12 @@ impl<F: Field> StairCodec<F> {
             sources.push((i / ccols, i % ccols));
         }
         let mut intermediates = Vec::new();
-        for out in schedule
-            .steps()
-            .iter()
-            .flat_map(|s| s.outputs.iter().copied())
-        {
-            if slot[at(out)] != WANTED {
-                slot[at(out)] = sources.len() + intermediates.len();
-                intermediates.push(out);
+        for step in peeler.steps() {
+            for out in step.output_cells() {
+                if slot[at(out)] != WANTED {
+                    slot[at(out)] = sources.len() + intermediates.len();
+                    intermediates.push(out);
+                }
             }
         }
         let zero = sources.len() + intermediates.len();
@@ -405,12 +399,20 @@ impl<F: Field> StairCodec<F> {
         }
 
         let mut plan = Plan::builder(self.id.clone(), sources, intermediates, wanted);
+        let (steps, terms) = peeler.steps().fold((0, 0), |(steps, terms), s| {
+            (
+                steps + s.outputs.len(),
+                terms + s.outputs.len() * s.inputs.len(),
+            )
+        });
+        plan.reserve(steps, terms);
         let mut inputs = Vec::new();
-        for step in schedule.steps() {
+        for step in peeler.steps() {
+            let coeff = peeler.coefficients(&step)?;
             inputs.clear();
-            inputs.extend(step.inputs.iter().map(|&c| slot[at(c)]));
-            for (j, &out) in step.outputs.iter().enumerate() {
-                let coeffs = (0..inputs.len()).map(|i| F::value(step.coeff.get(i, j)) as u16);
+            inputs.extend(step.input_cells().map(|c| slot[at(c)]));
+            for (j, out) in step.output_cells().enumerate() {
+                let coeffs = (0..inputs.len()).map(|i| F::value(coeff.get(i, j)) as u16);
                 plan.step(slot[at(out)], inputs.iter().copied().zip(coeffs));
             }
         }
@@ -478,7 +480,7 @@ impl<F: Field> StairCodec<F> {
 
 /// Initial availability for encoding: data cells and pinned/outside global
 /// cells are available; every parity and virtual cell is unknown.
-pub(crate) fn encode_availability(layout: &Layout) -> Vec<bool> {
+pub(crate) fn encode_availability(layout: &Layout) -> Availability {
     grid_availability(layout, |kind| {
         matches!(kind, CellKind::Data | CellKind::OutsideGlobal { .. })
     })
@@ -487,7 +489,7 @@ pub(crate) fn encode_availability(layout: &Layout) -> Vec<bool> {
 /// Initial availability for decoding: all stored cells plus global cells
 /// (outside globals are assumed always available, §3; pinned zeros under
 /// inside placement).
-pub(crate) fn decode_availability(layout: &Layout) -> Vec<bool> {
+pub(crate) fn decode_availability(layout: &Layout) -> Availability {
     grid_availability(layout, |kind| {
         matches!(
             kind,
@@ -499,12 +501,12 @@ pub(crate) fn decode_availability(layout: &Layout) -> Vec<bool> {
     })
 }
 
-fn grid_availability(layout: &Layout, f: impl Fn(CellKind) -> bool) -> Vec<bool> {
-    let mut avail = vec![false; layout.canonical_rows() * layout.canonical_cols()];
+fn grid_availability(layout: &Layout, f: impl Fn(CellKind) -> bool) -> Availability {
+    let mut avail = Availability::none(layout);
     for row in 0..layout.canonical_rows() {
         for col in 0..layout.canonical_cols() {
             if f(layout.kind((row, col))) {
-                avail[row * layout.canonical_cols() + col] = true;
+                avail.insert((row, col));
             }
         }
     }

@@ -19,12 +19,24 @@
 //!
 //! Planning costs what the targets need, too: peeling and pruning work
 //! on availability and step *shapes* alone (which cells a step reads and
-//! produces), and recovery coefficients — a Gaussian elimination each —
-//! are solved only for the steps, and the outputs of those steps, that
-//! survive pruning. `G_A⁻¹·G_W` restricted to some columns of `W` is
-//! `G_A⁻¹·G_{W'}`, so the schedule is the one solving first would give.
+//! produces), and recovery coefficients — a Gaussian elimination each,
+//! remembered by the constituent code — are solved only for the steps,
+//! and the outputs of those steps, that survive pruning. `G_A⁻¹·G_W`
+//! restricted to some columns of `W` is `G_A⁻¹·G_{W'}`, so the schedule
+//! is the one solving first would give.
+//!
+//! Availability is a bit set per canonical row and per canonical column
+//! ([`Availability`]), so whether a line can make a step is a popcount and
+//! its inputs and outputs are a scan of its bits; every shape's cells sit
+//! in one flat buffer of positions along their lines. A decode plan is
+//! lowered from the pruned shapes directly (`StairCodec::plan_recover`);
+//! [`Peeler::schedule`] turns them into a [`Schedule`] for encoding and
+//! for rendering Tables 2 and 3.
+
+use std::sync::Arc;
 
 use stair_gf::Field;
+use stair_gfmatrix::Matrix;
 use stair_rs::MdsCode;
 
 use crate::layout::{Cell, Layout};
@@ -43,27 +55,112 @@ pub(crate) enum PeelOrder {
     Downstairs,
 }
 
-/// A step before its coefficients are solved.
+/// Which cells of the canonical stripe are available: one bit set per
+/// canonical row (bit `col`) and one per canonical column (bit `row`),
+/// each `⌈len / 64⌉` words, whatever the stripe's size.
+#[derive(Clone, Debug)]
+pub(crate) struct Availability {
+    row_words: usize,
+    col_words: usize,
+    rows: Vec<u64>,
+    cols: Vec<u64>,
+}
+
+impl Availability {
+    /// No cell available.
+    pub(crate) fn none(layout: &Layout) -> Self {
+        let (crows, ccols) = (layout.canonical_rows(), layout.canonical_cols());
+        let (row_words, col_words) = (ccols.div_ceil(64), crows.div_ceil(64));
+        Availability {
+            row_words,
+            col_words,
+            rows: vec![0; crows * row_words],
+            cols: vec![0; ccols * col_words],
+        }
+    }
+
+    pub(crate) fn contains(&self, (row, col): Cell) -> bool {
+        self.rows[row * self.row_words + col / 64] >> (col % 64) & 1 == 1
+    }
+
+    pub(crate) fn insert(&mut self, (row, col): Cell) {
+        self.rows[row * self.row_words + col / 64] |= 1 << (col % 64);
+        self.cols[col * self.col_words + row / 64] |= 1 << (row % 64);
+    }
+
+    pub(crate) fn remove(&mut self, (row, col): Cell) {
+        self.rows[row * self.row_words + col / 64] &= !(1 << (col % 64));
+        self.cols[col * self.col_words + row / 64] &= !(1 << (row % 64));
+    }
+
+    /// The bits of a step's line: its row's, or its column's.
+    fn line(&self, code: StepCode) -> &[u64] {
+        match code {
+            StepCode::Row(i) => &self.rows[i * self.row_words..][..self.row_words],
+            StepCode::Col(j) => &self.cols[j * self.col_words..][..self.col_words],
+        }
+    }
+}
+
+/// Appends to `out` the first `limit` positions below `len` whose bit in
+/// `words` is `set`, ascending.
+fn push_positions(out: &mut Vec<usize>, words: &[u64], len: usize, set: bool, mut limit: usize) {
+    for (w, &bits) in words.iter().enumerate() {
+        let mut bits = if set { bits } else { !bits };
+        while bits != 0 && limit > 0 {
+            let at = w * 64 + bits.trailing_zeros() as usize;
+            if at >= len {
+                return;
+            }
+            out.push(at);
+            bits &= bits - 1;
+            limit -= 1;
+        }
+    }
+}
+
+/// A step before its coefficients are solved: a line, and its inputs
+/// then its outputs as positions along it, at `start` in the peeler's
+/// flat buffer.
+#[derive(Clone, Copy, Debug)]
 struct Shape {
     code: StepCode,
-    inputs: Vec<Cell>,
-    outputs: Vec<Cell>,
+    start: usize,
+    inputs: usize,
+    outputs: usize,
+}
+
+/// A step the pruned peel kept, its coefficients not yet solved.
+pub(crate) struct Peeled<'p> {
+    pub(crate) code: StepCode,
+    /// Positions along the line of the κ cells the step reads.
+    pub(crate) inputs: &'p [usize],
+    /// Positions along the line of the cells it produces.
+    pub(crate) outputs: &'p [usize],
+}
+
+impl Peeled<'_> {
+    pub(crate) fn input_cells(&self) -> impl Iterator<Item = Cell> + '_ {
+        self.inputs.iter().map(|&at| self.code.cell(at))
+    }
+
+    pub(crate) fn output_cells(&self) -> impl Iterator<Item = Cell> + '_ {
+        self.outputs.iter().map(|&at| self.code.cell(at))
+    }
 }
 
 pub(crate) struct Peeler<'a, F: Field> {
     layout: &'a Layout,
     crow: &'a MdsCode<F>,
     ccol: &'a MdsCode<F>,
-    available: Vec<bool>,
-    /// Available cells per canonical row and per canonical column: a line
-    /// that cannot make a step costs a comparison, not a scan.
-    row_avail: Vec<usize>,
-    col_avail: Vec<usize>,
+    available: Availability,
     /// Columns excluded from `C_col` recovery. The paper always recovers the
     /// `m` "failed" chunks row-by-row *last* (§4.2.2 step 3); modelling that
     /// exclusion keeps schedule costs exactly on the Eq. (5) formula.
     no_col: Vec<bool>,
     shapes: Vec<Shape>,
+    /// Every shape's inputs and outputs, as positions along its line.
+    lines: Vec<usize>,
 }
 
 impl<'a, F: Field> Peeler<'a, F> {
@@ -71,25 +168,19 @@ impl<'a, F: Field> Peeler<'a, F> {
         layout: &'a Layout,
         crow: &'a MdsCode<F>,
         ccol: &'a MdsCode<F>,
-        available: Vec<bool>,
+        available: Availability,
     ) -> Self {
-        let (crows, ccols) = (layout.canonical_rows(), layout.canonical_cols());
-        debug_assert_eq!(available.len(), crows * ccols);
-        let mut row_avail = vec![0; crows];
-        let mut col_avail = vec![0; ccols];
-        for (at, _) in available.iter().enumerate().filter(|(_, &a)| a) {
-            row_avail[at / ccols] += 1;
-            col_avail[at % ccols] += 1;
-        }
         Peeler {
             layout,
             crow,
             ccol,
             available,
-            row_avail,
-            col_avail,
-            no_col: vec![false; ccols],
-            shapes: Vec::new(),
+            no_col: vec![false; layout.canonical_cols()],
+            // Each line steps at most once (afterwards it is whole), with
+            // at most its length in inputs and outputs: every row and
+            // every column once is 2·rows·cols positions.
+            shapes: Vec::with_capacity(layout.canonical_rows() + layout.canonical_cols()),
+            lines: Vec::with_capacity(2 * layout.canonical_rows() * layout.canonical_cols()),
         }
     }
 
@@ -102,39 +193,85 @@ impl<'a, F: Field> Peeler<'a, F> {
         self
     }
 
-    fn idx(&self, cell: Cell) -> usize {
-        cell.0 * self.layout.canonical_cols() + cell.1
-    }
-
     /// Peels, prunes to the targets, and solves what is left.
     pub(crate) fn build(
         mut self,
         targets: &[Cell],
         order: PeelOrder,
     ) -> Result<Schedule<F>, Error> {
-        #[cfg(debug_assertions)]
         let initial = self.available.clone();
+        self.peel(targets, order)?;
+        self.schedule(&initial)
+    }
+
+    /// Peels, then prunes every step and output the targets do not need:
+    /// what is left is [`Peeler::steps`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Unrecoverable`] if the peel stalls short of a target.
+    pub(crate) fn peel(&mut self, targets: &[Cell], order: PeelOrder) -> Result<(), Error> {
         match order {
             PeelOrder::Upstairs => self.run_upstairs(),
             PeelOrder::Downstairs => self.run_downstairs(),
         }
         let remaining = targets
             .iter()
-            .filter(|&&t| !self.available[self.idx(t)])
+            .filter(|&&t| !self.available.contains(t))
             .count();
         if remaining > 0 {
             return Err(Error::Unrecoverable { remaining });
         }
         self.prune(targets);
-        let steps = std::mem::take(&mut self.shapes).into_iter();
-        let steps = steps.map(|s| self.solve(s)).collect::<Result<_, _>>()?;
-        let schedule = Schedule { steps };
-        #[cfg(debug_assertions)]
-        schedule
-            .check_dataflow(self.layout, |c| {
-                initial[c.0 * self.layout.canonical_cols() + c.1]
+        Ok(())
+    }
+
+    /// The pruned steps, in execution order.
+    pub(crate) fn steps(&self) -> impl Iterator<Item = Peeled<'_>> {
+        self.shapes.iter().filter(|s| s.outputs > 0).map(|s| {
+            let (inputs, rest) = self.lines[s.start..].split_at(s.inputs);
+            Peeled {
+                code: s.code,
+                inputs,
+                outputs: &rest[..s.outputs],
+            }
+        })
+    }
+
+    /// A pruned step's recovery coefficients, `|inputs| × |outputs|`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the constituent code's solver errors (a bug: a peeled
+    /// step always reads κ distinct cells of its line).
+    pub(crate) fn coefficients(&self, step: &Peeled<'_>) -> Result<Arc<Matrix<F>>, Error> {
+        let code = match step.code {
+            StepCode::Row(_) => self.crow,
+            StepCode::Col(_) => self.ccol,
+        };
+        Ok(code.recovery_coefficients(step.inputs, step.outputs)?)
+    }
+
+    /// The pruned steps with their coefficients solved: the schedule of
+    /// a peel that started from `initial`.
+    pub(crate) fn schedule(&self, initial: &Availability) -> Result<Schedule<F>, Error> {
+        let step = |s: Peeled<'_>| -> Result<Step<F>, Error> {
+            Ok(Step {
+                code: s.code,
+                inputs: s.input_cells().collect(),
+                outputs: s.output_cells().collect(),
+                coeff: self.coefficients(&s)?,
             })
-            .expect("pruned schedule must remain topologically valid");
+        };
+        let schedule = Schedule {
+            steps: self.steps().map(step).collect::<Result<_, _>>()?,
+        };
+        debug_assert!(
+            schedule
+                .check_dataflow(self.layout, |c| initial.contains(c))
+                .is_ok(),
+            "pruned schedule must remain topologically valid"
+        );
         Ok(schedule)
     }
 
@@ -186,86 +323,58 @@ impl<'a, F: Field> Peeler<'a, F> {
     /// cells) or `C_col` recovery on a canonical column (needs `r`): the
     /// first κ available cells of the line produce all its unknown ones.
     fn try_step(&mut self, code: StepCode) -> bool {
-        let (k, len, have) = match code {
-            StepCode::Row(i) => (
-                self.crow.data_len(),
-                self.layout.canonical_cols(),
-                self.row_avail[i],
-            ),
+        let (k, len) = match code {
+            StepCode::Row(_) => (self.crow.data_len(), self.layout.canonical_cols()),
             StepCode::Col(j) if self.no_col[j] => return false,
-            StepCode::Col(j) => (
-                self.ccol.data_len(),
-                self.layout.canonical_rows(),
-                self.col_avail[j],
-            ),
+            StepCode::Col(_) => (self.ccol.data_len(), self.layout.canonical_rows()),
         };
-        if have < k || have == len {
+        let line = self.available.line(code);
+        let have: u32 = line.iter().map(|w| w.count_ones()).sum();
+        if (have as usize) < k || have as usize == len {
             return false;
         }
-        let line = (0..len).map(|x| match code {
-            StepCode::Row(i) => (i, x),
-            StepCode::Col(j) => (x, j),
-        });
-        let (mut inputs, outputs): (Vec<Cell>, Vec<Cell>) =
-            line.partition(|&c| self.available[self.idx(c)]);
-        inputs.truncate(k);
-        for &(row, col) in &outputs {
-            let at = self.idx((row, col));
-            self.available[at] = true;
-            self.row_avail[row] += 1;
-            self.col_avail[col] += 1;
+        let start = self.lines.len();
+        push_positions(&mut self.lines, line, len, true, k);
+        push_positions(&mut self.lines, line, len, false, usize::MAX);
+        for &at in &self.lines[start + k..] {
+            self.available.insert(code.cell(at));
         }
         self.shapes.push(Shape {
             code,
-            inputs,
-            outputs,
+            start,
+            inputs: k,
+            outputs: self.lines.len() - start - k,
         });
         true
     }
 
     /// Drops every output (and every step) the `targets` do not need,
     /// walking the steps backwards (§4.2.1: "we only need to recover the
-    /// symbols that will later be used").
+    /// symbols that will later be used"). A shape's kept outputs move to
+    /// the front of its output positions; a shape that keeps none is left
+    /// with zero.
     fn prune(&mut self, targets: &[Cell]) {
-        let mut needed = vec![false; self.available.len()];
+        let mut needed = Availability::none(self.layout);
         for &t in targets {
-            needed[self.idx(t)] = true;
+            needed.insert(t);
         }
-        let mut kept = Vec::with_capacity(self.shapes.len());
-        for mut shape in std::mem::take(&mut self.shapes).into_iter().rev() {
-            shape.outputs.retain(|&o| needed[self.idx(o)]);
-            if shape.outputs.is_empty() {
-                continue;
+        for shape in self.shapes.iter_mut().rev() {
+            let first = shape.start + shape.inputs;
+            let mut kept = first;
+            for k in first..first + shape.outputs {
+                let pos = self.lines[k];
+                if needed.contains(shape.code.cell(pos)) {
+                    self.lines[kept] = pos;
+                    kept += 1;
+                }
             }
-            for &i in &shape.inputs {
-                needed[self.idx(i)] = true;
+            shape.outputs = kept - first;
+            if shape.outputs > 0 {
+                for &pos in &self.lines[shape.start..first] {
+                    needed.insert(shape.code.cell(pos));
+                }
             }
-            kept.push(shape);
         }
-        kept.reverse();
-        self.shapes = kept;
-    }
-
-    /// Solves a shape's recovery coefficients, making it a step.
-    fn solve(&self, shape: Shape) -> Result<Step<F>, Error> {
-        let along = |cells: &[Cell]| -> Vec<usize> {
-            let pick = |&(row, col): &Cell| match shape.code {
-                StepCode::Row(_) => col,
-                StepCode::Col(_) => row,
-            };
-            cells.iter().map(pick).collect()
-        };
-        let code = match shape.code {
-            StepCode::Row(_) => self.crow,
-            StepCode::Col(_) => self.ccol,
-        };
-        let coeff = code.recovery_coefficients(&along(&shape.inputs), &along(&shape.outputs))?;
-        Ok(Step {
-            code: shape.code,
-            inputs: shape.inputs,
-            outputs: shape.outputs,
-            coeff,
-        })
     }
 }
 
@@ -276,36 +385,104 @@ mod tests {
     use crate::{Config, GlobalPlacement};
     use stair_gf::Gf8;
 
-    /// The planner this one replaced, kept as the oracle: solve every
-    /// raw step in full, then prune by dropping coefficient columns.
+    /// The planner this one replaced, kept as the oracle: the line scan
+    /// over a `Vec<bool>` that peeled before availability became bit
+    /// sets, with every raw step solved in full, then pruned by dropping
+    /// coefficient columns.
     fn solve_then_prune(
-        mut peeler: Peeler<'_, Gf8>,
+        parts: &Parts,
+        start: &Availability,
+        excluded: &[usize],
         targets: &[Cell],
         order: PeelOrder,
     ) -> Schedule<Gf8> {
-        match order {
-            PeelOrder::Upstairs => peeler.run_upstairs(),
-            PeelOrder::Downstairs => peeler.run_downstairs(),
+        let layout = &parts.layout;
+        let (crows, ccols) = (layout.canonical_rows(), layout.canonical_cols());
+        let (r, n) = (layout.r(), layout.n());
+        let idx = |(row, col): Cell| row * ccols + col;
+        let mut avail: Vec<bool> = (0..crows * ccols)
+            .map(|i| start.contains((i / ccols, i % ccols)))
+            .collect();
+        let mut raw: Vec<(StepCode, Vec<Cell>, Vec<Cell>)> = Vec::new();
+        {
+            let mut try_step = |code: StepCode| {
+                let (k, len) = match code {
+                    StepCode::Row(_) => (parts.crow.data_len(), ccols),
+                    StepCode::Col(j) if excluded.contains(&j) => return false,
+                    StepCode::Col(_) => (parts.ccol.data_len(), crows),
+                };
+                let line = (0..len).map(|x| match code {
+                    StepCode::Row(i) => (i, x),
+                    StepCode::Col(j) => (x, j),
+                });
+                let (mut inputs, outputs): (Vec<Cell>, Vec<Cell>) =
+                    line.partition(|&c| avail[idx(c)]);
+                if inputs.len() < k || outputs.is_empty() {
+                    return false;
+                }
+                inputs.truncate(k);
+                for &c in &outputs {
+                    avail[idx(c)] = true;
+                }
+                raw.push((code, inputs, outputs));
+                true
+            };
+            loop {
+                let mut progress = false;
+                if order == PeelOrder::Upstairs {
+                    for j in 0..ccols {
+                        progress |= try_step(StepCode::Col(j));
+                    }
+                    for i in r..crows {
+                        progress |= try_step(StepCode::Row(i));
+                    }
+                    if !progress {
+                        for i in 0..r {
+                            progress |= try_step(StepCode::Row(i));
+                        }
+                    }
+                } else {
+                    for i in 0..r {
+                        progress |= try_step(StepCode::Row(i));
+                    }
+                    for j in (n..ccols).rev() {
+                        progress |= try_step(StepCode::Col(j));
+                    }
+                }
+                if !progress {
+                    break;
+                }
+            }
         }
-        let mut needed = vec![false; peeler.available.len()];
+        assert!(targets.iter().all(|&t| avail[idx(t)]), "the oracle stalled");
+        let mut needed = vec![false; crows * ccols];
         for &t in targets {
-            needed[peeler.idx(t)] = true;
+            needed[idx(t)] = true;
         }
         let mut steps = Vec::new();
-        for shape in std::mem::take(&mut peeler.shapes).into_iter().rev() {
-            let mut step = peeler.solve(shape).unwrap();
-            let keep: Vec<usize> = (0..step.outputs.len())
-                .filter(|&j| needed[peeler.idx(step.outputs[j])])
+        for (code, inputs, outputs) in raw.into_iter().rev() {
+            let (mds, along): (_, fn(&Cell) -> usize) = match code {
+                StepCode::Row(_) => (&parts.crow, |c| c.1),
+                StepCode::Col(_) => (&parts.ccol, |c| c.0),
+            };
+            let all: Vec<usize> = outputs.iter().map(along).collect();
+            let ins: Vec<usize> = inputs.iter().map(along).collect();
+            let coeff = mds.recovery_coefficients(&ins, &all).unwrap();
+            let keep: Vec<usize> = (0..outputs.len())
+                .filter(|&j| needed[idx(outputs[j])])
                 .collect();
             if keep.is_empty() {
                 continue;
             }
-            step.outputs = keep.iter().map(|&j| step.outputs[j]).collect();
-            step.coeff = step.coeff.select_cols(&keep);
-            for &i in &step.inputs {
-                needed[peeler.idx(i)] = true;
+            for &i in &inputs {
+                needed[idx(i)] = true;
             }
-            steps.push(step);
+            steps.push(Step {
+                code,
+                inputs,
+                outputs: keep.iter().map(|&j| outputs[j]).collect(),
+                coeff: Arc::new(coeff.select_cols(&keep)),
+            });
         }
         steps.reverse();
         Schedule { steps }
@@ -319,15 +496,19 @@ mod tests {
 
     impl Parts {
         fn new(placement: GlobalPlacement) -> Self {
-            let config = Config::with_placement(8, 4, 2, &[1, 1, 2], placement).unwrap();
+            Self::of(Config::with_placement(8, 4, 2, &[1, 1, 2], placement).unwrap())
+        }
+
+        fn of(config: Config) -> Self {
+            let (n, r, m) = (config.n(), config.r(), config.m());
             Parts {
                 layout: Layout::new(&config),
-                crow: MdsCode::new(8 + 3, 6).unwrap(),
-                ccol: MdsCode::new(4 + 2, 4).unwrap(),
+                crow: MdsCode::new(n + config.m_prime(), n - m).unwrap(),
+                ccol: MdsCode::new(r + config.e_max(), r).unwrap(),
             }
         }
 
-        fn peeler(&self, available: Vec<bool>, excluded: &[usize]) -> Peeler<'_, Gf8> {
+        fn peeler(&self, available: Availability, excluded: &[usize]) -> Peeler<'_, Gf8> {
             Peeler::new(&self.layout, &self.crow, &self.ccol, available)
                 .with_excluded_cols(excluded)
         }
@@ -336,14 +517,10 @@ mod tests {
         /// they agree on.
         fn decode(&self, erased: &[Cell], wanted: &[Cell], excluded: &[usize]) -> Schedule<Gf8> {
             let mut available = decode_availability(&self.layout);
-            for &(row, col) in erased {
-                available[row * self.layout.canonical_cols() + col] = false;
+            for &cell in erased {
+                available.remove(cell);
             }
-            let old = solve_then_prune(
-                self.peeler(available.clone(), excluded),
-                wanted,
-                PeelOrder::Upstairs,
-            );
+            let old = solve_then_prune(self, &available, excluded, wanted, PeelOrder::Upstairs);
             let new = self
                 .peeler(available, excluded)
                 .build(wanted, PeelOrder::Upstairs)
@@ -387,42 +564,64 @@ mod tests {
             (PeelOrder::Upstairs, &[6, 7][..]),
             (PeelOrder::Downstairs, &[][..]),
         ] {
-            let old = solve_then_prune(parts.peeler(available.clone(), excluded), &targets, order);
+            let old = solve_then_prune(&parts, &available, excluded, &targets, order);
             let new = parts.peeler(available.clone(), excluded);
             assert_eq!(new.build(&targets, order).unwrap(), old);
         }
     }
 
-    #[test]
-    fn random_patterns_and_wanted_subsets_plan_as_before() {
-        let parts = Parts::new(GlobalPlacement::Inside);
-        let mut state = 0x5EED_u64;
+    /// `cases` covered patterns — up to `m` whole chunks plus a burst of
+    /// up to `e_max` in one further chunk — each with a random subset of
+    /// its cells wanted, planned by both planners.
+    fn random_patterns_plan_as_before(parts: &Parts, cases: usize, seed: u64) {
+        let layout = &parts.layout;
+        let (n, r) = (layout.n(), layout.r());
+        let mut state = seed;
         let mut below = |n: usize| {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize % n
         };
-        for _ in 0..200 {
-            // Up to m = 2 whole chunks, plus a burst of up to e_max = 2
-            // in one further chunk: inside the coverage.
-            let mut chunks: Vec<usize> = (0..8).collect();
-            for i in (1..8).rev() {
+        let mut planned = 0;
+        while planned < cases {
+            let mut chunks: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
                 chunks.swap(i, below(i + 1));
             }
-            let failed = &chunks[..below(3)];
+            let failed = &chunks[..below(layout.m() + 1)];
             let mut erased: Vec<Cell> = failed
                 .iter()
-                .flat_map(|&c| (0..4).map(move |i| (i, c)))
+                .flat_map(|&c| (0..r).map(move |i| (i, c)))
                 .collect();
-            let burst = 1 + below(2);
-            let start = below(4 - burst + 1);
-            erased.extend((start..start + burst).map(|i| (i, chunks[2])));
+            let burst = 1 + below(layout.e_max());
+            let start = below(r - burst + 1);
+            erased.extend((start..start + burst).map(|i| (i, chunks[layout.m()])));
             let wanted: Vec<Cell> = erased.iter().copied().filter(|_| below(3) == 0).collect();
-            if wanted.is_empty() {
-                continue;
+            if !wanted.is_empty() {
+                parts.decode(&erased, &wanted, failed);
+                planned += 1;
             }
-            parts.decode(&erased, &wanted, failed);
         }
+    }
+
+    #[test]
+    fn random_patterns_and_wanted_subsets_plan_as_before() {
+        random_patterns_plan_as_before(&Parts::new(GlobalPlacement::Inside), 200, 0x5EED);
+    }
+
+    /// More than 64 canonical rows and columns: a line's bits span two
+    /// words.
+    #[test]
+    fn wide_stripes_plan_as_before() {
+        let parts = Parts::of(Config::new(66, 65, 2, &[1, 2]).unwrap());
+        assert!(parts.layout.canonical_rows() > 64 && parts.layout.canonical_cols() > 64);
+        random_patterns_plan_as_before(&parts, 6, 0xD1DE);
+        // The whole of both failed chunks, the widest plan.
+        let erased: Vec<Cell> = (0..65)
+            .flat_map(|i| [(i, 0), (i, 65)])
+            .chain([(64, 3)])
+            .collect();
+        parts.decode(&erased, &erased, &[0, 65]);
     }
 }

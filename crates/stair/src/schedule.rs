@@ -13,6 +13,7 @@
 //! quantity the paper's Eq. (5)/(6) predict.
 
 use core::fmt::Write as _;
+use std::sync::Arc;
 
 use stair_code::StripeBuf;
 use stair_gf::Field;
@@ -32,6 +33,17 @@ pub enum StepCode {
     Col(usize),
 }
 
+impl StepCode {
+    /// The cell at position `at` along this step's line: column `at` of
+    /// the row, or row `at` of the column.
+    pub(crate) fn cell(self, at: usize) -> Cell {
+        match self {
+            StepCode::Row(i) => (i, at),
+            StepCode::Col(j) => (at, j),
+        }
+    }
+}
+
 /// One step of a schedule: `outputs = inputs · coeff` over byte regions.
 #[derive(Clone, Debug, Eq, PartialEq)]
 pub struct Step<F: Field> {
@@ -41,7 +53,8 @@ pub struct Step<F: Field> {
     pub inputs: Vec<Cell>,
     /// Cells produced by this step.
     pub outputs: Vec<Cell>,
-    pub(crate) coeff: Matrix<F>,
+    /// `|inputs| × |outputs|`, shared with the code's memo.
+    pub(crate) coeff: Arc<Matrix<F>>,
 }
 
 impl<F: Field> Step<F> {

@@ -314,6 +314,7 @@ impl StripeStore {
             }
             guard
         };
+        let _write_back = stair_obs::trace::span(stair_obs::trace::names::STORE_WRITE_BACK);
         for (stage, cells) in staged.iter().zip(&targets) {
             self.apply_write_back(stage.stripe_idx, cells)?;
         }

@@ -50,7 +50,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use stair_code::{
     CellIdx, CellLookup, CodeError, CodecSpec, ErasureCode, ErasureSet, Geometry, StripeBuf,
@@ -196,7 +196,17 @@ pub(crate) struct Shared {
     /// clean, as read when this handle family opened.
     pub(crate) clean_shutdown: bool,
     stripe_locks: Vec<Mutex<()>>,
+    /// Buffers [`Sectors`] lent out and got back.
+    spare_sectors: Mutex<Vec<Vec<u8>>>,
 }
+
+/// Most sector buffers a store keeps for reuse: one each for a few
+/// readers loading at once (more borrow fresh ones, and the surplus is
+/// dropped when they give them back). A buffer holds at most one
+/// stripe's sectors, so what a store keeps is bounded, and it goes with
+/// the store — a thread-local buffer would stay with every thread that
+/// ever read, one per connection on a server.
+const SPARE_SECTOR_BUFFERS: usize = 4;
 
 impl Shared {
     /// What every checkpoint runs before the journal is rewound, in
@@ -418,6 +428,7 @@ impl StripeStore {
                 journal,
                 clean_shutdown,
                 stripe_locks,
+                spare_sectors: Mutex::default(),
             }),
         })
     }
@@ -765,7 +776,7 @@ impl StripeStore {
         // whose error names everything the stripe has lost.
         if let Ok(plan) = sh.codec.plan_recover(&erased, &lost(&erased)) {
             let surviving = unserved.iter().filter(|&&c| !erased.contains(c));
-            let mut read = Sectors::new(sh.meta.symbol);
+            let mut read = Sectors::lend(sh);
             read.select(plan.sources().iter().chain(surviving).copied());
             if self
                 .load_verified(stripe_idx, &devices, &mut read)?
@@ -840,7 +851,7 @@ impl StripeStore {
         &self,
         stripe_idx: usize,
         devices: &[DeviceState],
-        sectors: &mut Sectors,
+        sectors: &mut Sectors<'_>,
     ) -> Result<Vec<CellIdx>, Error> {
         let sh = &self.shared;
         let sym = sectors.sym;
@@ -877,7 +888,7 @@ impl StripeStore {
     ) -> Result<Vec<CellIdx>, Error> {
         let mut cells: Vec<CellIdx> = cells.into_iter().collect();
         cells.sort_unstable_by_key(|&(_, dev)| dev);
-        let mut sectors = Sectors::new(self.shared.meta.symbol);
+        let mut sectors = Sectors::lend(&self.shared);
         let mut failed = Vec::new();
         for column in cells.chunk_by(|a, b| a.1 == b.1) {
             sectors.select(column.iter().copied());
@@ -1099,18 +1110,32 @@ impl StripeStore {
 /// kept where they landed: cell `cells[k]` is `data[k·sym..(k+1)·sym]`,
 /// in (device, row) order — the order the device files store them, so a
 /// run of rows is one read into one span.
-struct Sectors {
+///
+/// The bytes live in a buffer lent from the store's spares and given back
+/// on drop, so a load reads into memory an earlier one used rather than a
+/// fresh zero-filled allocation; only growth is zero-filled. Whatever a
+/// selected sector held before, the loader vouches for it only once it
+/// has read it whole and verified it; one it could not is reported lost,
+/// never served.
+struct Sectors<'s> {
     sym: usize,
     cells: Vec<CellIdx>,
     data: Vec<u8>,
+    spares: &'s Mutex<Vec<Vec<u8>>>,
 }
 
-impl Sectors {
-    fn new(sym: usize) -> Self {
+impl<'s> Sectors<'s> {
+    /// Borrows a buffer from the store's spares (a new, empty one if it
+    /// has none).
+    fn lend(shared: &'s Shared) -> Self {
+        let spares = &shared.spare_sectors;
+        // A spare is just memory: a panicking holder left nothing to undo.
+        let data = spares.lock().unwrap_or_else(PoisonError::into_inner).pop();
         Sectors {
-            sym,
+            sym: shared.meta.symbol,
             cells: Vec::new(),
-            data: Vec::new(),
+            data: data.unwrap_or_default(),
+            spares,
         }
     }
 
@@ -1145,11 +1170,21 @@ impl Sectors {
     }
 }
 
+impl Drop for Sectors<'_> {
+    /// Gives the buffer back, unless the store keeps enough already.
+    fn drop(&mut self) {
+        let mut spares = self.spares.lock().unwrap_or_else(PoisonError::into_inner);
+        if spares.len() < SPARE_SECTOR_BUFFERS {
+            spares.push(std::mem::take(&mut self.data));
+        }
+    }
+}
+
 /// A degraded fragment as its plan sees it: sources where the loader read
 /// them, targets handed to `recovered` (which copies them into the
 /// caller's buffer).
 struct Planned<'a, F> {
-    read: &'a Sectors,
+    read: &'a Sectors<'a>,
     recovered: F,
 }
 

@@ -1,4 +1,4 @@
-//! Untrusted bytes at rest (ROADMAP aims 3 and 5): a store whose
+//! Untrusted bytes at rest (ROADMAP aim 3): a store whose
 //! superblock, journal segment or health record was damaged or forged
 //! either refuses to open with an error, or opens and serves — a
 //! full-capacity read and a scrub return, `Ok` or `Err`. It never

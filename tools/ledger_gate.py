@@ -56,7 +56,7 @@ RUNGS = [
 ]
 
 # Ratios that wobble between runs of one commit — printed, not gated,
-# until the instrument holds them still (ROADMAP item 2(b)).
+# until the instrument holds them still (ROADMAP item 6(d)).
 WATCHED = [
     "trace.ladder_agreement",
     "store.degraded_over_codec_decode",
