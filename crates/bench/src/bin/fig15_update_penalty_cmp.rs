@@ -2,8 +2,8 @@
 //! feasible e) vs SD vs Reed–Solomon, for n = r = 16, m ∈ {1, 2, 3}.
 
 use stair::{Config, StairCodec};
-use stair_bench::{feasible_es, AnySd};
-use stair_gf::Field;
+use stair_bench::{feasible_es, sd_code};
+use stair_code::ErasureCode;
 
 fn main() {
     let (n, r) = (16usize, 16usize);
@@ -27,8 +27,8 @@ fn main() {
                 penalties.last().expect("non-empty"),
             );
             if s <= 3 {
-                match AnySd::new(n, r, m, s) {
-                    Ok(code) => print!("   SD = {:.2}", sd_update_penalty(&code)),
+                match sd_code(n, r, m, s) {
+                    Ok(code) => print!("   SD = {:.2}", sd_update_penalty(&*code)),
                     Err(_) => print!("   SD = (no construction)"),
                 }
             } else {
@@ -42,27 +42,12 @@ fn main() {
 }
 
 /// Average number of parity sectors touched when one SD data sector is
-/// updated (non-zero columns of the dense encoding matrix).
-fn sd_update_penalty(code: &AnySd) -> f64 {
-    match code {
-        AnySd::G8(c) => dense_penalty(c),
-        AnySd::G16(c) => dense_penalty(c),
-    }
-}
-
-fn dense_penalty<F: Field>(code: &stair_sd::SdCode<F>) -> f64 {
-    // encode matrix is parity × data; penalty of data symbol d = number of
-    // parities with a non-zero coefficient on d.
-    let data = code.data_positions().len();
-    let mut total = 0usize;
-    for d in 0..data {
-        let mut touched = 0usize;
-        for p in 0..code.parity_positions().len() {
-            if code.encode_coefficient(p, d) != F::zero() {
-                touched += 1;
-            }
-        }
-        total += touched;
-    }
-    total as f64 / data as f64
+/// updated (the non-zero column of the dense encoding matrix).
+fn sd_update_penalty(code: &dyn ErasureCode) -> f64 {
+    let data = code.geometry().data_cells;
+    let touched: usize = data
+        .iter()
+        .map(|&cell| code.dependents(cell).expect("a data cell").len())
+        .sum();
+    touched as f64 / data.len() as f64
 }

@@ -18,8 +18,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use stair::{Config, EncodingMethod, GlobalPlacement, MultXorCounts, StairCodec, Stripe};
+use stair_code::{ErasureCode, ErasureSet, StripeBuf};
 use stair_gf::{Field, Gf16, Gf8};
-use stair_sd::{SdCode, SdStripe};
+use stair_sd::SdCode;
 
 /// Stripe size in bytes for throughput measurements.
 pub fn stripe_bytes() -> usize {
@@ -135,73 +136,41 @@ impl StairBench {
 
 /// An SD code over whichever field its stripe size requires (`w = 8` when
 /// `r·n ≤ 255`, else `w = 16` — §6.2.1's "smallest feasible w").
-pub enum AnySd {
-    /// GF(2^8) instance.
-    G8(SdCode<Gf8>),
-    /// GF(2^16) instance.
-    G16(SdCode<Gf16>),
+///
+/// # Errors
+///
+/// As [`SdCode::new`].
+pub fn sd_code(
+    n: usize,
+    r: usize,
+    m: usize,
+    s: usize,
+) -> Result<Box<dyn ErasureCode>, stair_sd::Error> {
+    if r * n < Gf8::ORDER {
+        Ok(Box::new(SdCode::<Gf8>::new(n, r, m, s)?))
+    } else {
+        Ok(Box::new(SdCode::<Gf16>::new(n, r, m, s)?))
+    }
 }
 
-impl AnySd {
-    /// Builds the SD code with the smallest feasible word size.
-    pub fn new(n: usize, r: usize, m: usize, s: usize) -> Result<Self, stair_sd::Error> {
-        if r * n < Gf8::ORDER {
-            Ok(AnySd::G8(SdCode::new(n, r, m, s)?))
-        } else {
-            Ok(AnySd::G16(SdCode::new(n, r, m, s)?))
-        }
-    }
+/// An SD stripe of `symbol`-byte sectors with every data sector filled,
+/// for speed tests.
+fn sd_stripe(code: &dyn ErasureCode, symbol: usize) -> StripeBuf {
+    let g = code.geometry();
+    let mut stripe = StripeBuf::new(g.r, g.n, symbol).expect("stripe");
+    let data = vec![0xC3; g.data_per_stripe() * symbol];
+    stripe.write_cells(&g.data_cells, &data).expect("data");
+    stripe
+}
 
-    /// The field width in bits.
-    pub fn w(&self) -> u32 {
-        match self {
-            AnySd::G8(_) => 8,
-            AnySd::G16(_) => 16,
-        }
-    }
-
-    /// Allocates a matching stripe.
-    pub fn stripe(&self, symbol: usize) -> SdStripe {
-        match self {
-            AnySd::G8(c) => SdStripe::new(c, symbol),
-            AnySd::G16(c) => SdStripe::new(c, symbol & !1),
-        }
-    }
-
-    /// Encodes in place.
-    pub fn encode(&self, stripe: &mut SdStripe) -> Result<(), stair_sd::Error> {
-        match self {
-            AnySd::G8(c) => c.encode(stripe),
-            AnySd::G16(c) => c.encode(stripe),
-        }
-    }
-
-    /// Decodes in place.
-    pub fn decode(
-        &self,
-        stripe: &mut SdStripe,
-        erased: &[(usize, usize)],
-    ) -> Result<(), stair_sd::Error> {
-        match self {
-            AnySd::G8(c) => c.decode(stripe, erased),
-            AnySd::G16(c) => c.decode(stripe, erased),
-        }
-    }
-
-    /// The worst-case erasure pattern: `m` leftmost devices + `s` sectors
-    /// at the top of device `m`.
-    pub fn worst_case_erasures(&self, r: usize) -> Vec<(usize, usize)> {
-        let (m, s) = match self {
-            AnySd::G8(c) => (c.m(), c.s()),
-            AnySd::G16(c) => (c.m(), c.s()),
-        };
-        let mut erased: Vec<(usize, usize)> = Vec::new();
-        for c in 0..m {
-            erased.extend((0..r).map(|row| (row, c)));
-        }
-        erased.extend((0..s.min(r)).map(|row| (row, m)));
-        erased
-    }
+/// SD's worst-case erasure pattern: the `m` leftmost devices plus `s`
+/// sectors at the top of device `m`.
+fn sd_worst_case_erasures(code: &dyn ErasureCode) -> ErasureSet {
+    let g = code.geometry();
+    let devices = (0..g.m).flat_map(|c| (0..g.r).map(move |row| (row, c)));
+    devices
+        .chain((0..g.s.min(g.r)).map(|row| (row, g.m)))
+        .collect()
 }
 
 /// **Table 2**, as `table2_upstairs_steps` prints it: the upstairs
@@ -288,27 +257,27 @@ pub fn stair_decode_speed(n: usize, r: usize, m: usize, e: &[usize], stripe_size
 
 /// SD encode throughput (MB/s); `None` if no construction exists.
 pub fn sd_encode_speed(n: usize, r: usize, m: usize, s: usize, stripe_size: usize) -> Option<f64> {
-    let code = AnySd::new(n, r, m, s).ok()?;
+    let code = sd_code(n, r, m, s).ok()?;
     let symbol = (stripe_size / (n * r)).max(16) & !15;
-    let mut stripe = code.stripe(symbol);
-    stripe.fill_pattern(0xC3);
+    let mut stripe = sd_stripe(&*code, symbol);
     let total = symbol * n * r;
     Some(throughput_mbps(total, reps(), move || {
         code.encode(&mut stripe).expect("sd encode");
     }))
 }
 
-/// SD worst-case decode throughput (MB/s); `None` if no construction.
+/// SD worst-case decode throughput (MB/s), planning and applying on every
+/// run; `None` if no construction.
 pub fn sd_decode_speed(n: usize, r: usize, m: usize, s: usize, stripe_size: usize) -> Option<f64> {
-    let code = AnySd::new(n, r, m, s).ok()?;
+    let code = sd_code(n, r, m, s).ok()?;
     let symbol = (stripe_size / (n * r)).max(16) & !15;
-    let mut stripe = code.stripe(symbol);
-    stripe.fill_pattern(0xC3);
+    let mut stripe = sd_stripe(&*code, symbol);
     code.encode(&mut stripe).ok()?;
-    let erased = code.worst_case_erasures(r);
+    let erased = sd_worst_case_erasures(&*code);
     let total = symbol * n * r;
     Some(throughput_mbps(total, reps(), move || {
-        code.decode(&mut stripe, &erased).expect("sd decode");
+        let plan = code.plan(&erased).expect("sd plan");
+        code.apply(&plan, &mut stripe).expect("sd decode");
     }))
 }
 

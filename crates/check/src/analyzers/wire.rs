@@ -4,10 +4,12 @@
 //! no `_v` codec variants taking a session version, no `read`/`write`
 //! opcode beside BATCH — (c) flags any other file that *redeclares* a
 //! wire constant instead of importing it, and (d) holds the same
-//! one-path rule above the wire: `submit_ops` is the only data-path
-//! method an `impl BlockDevice for …` block defines. The opcode table's
-//! own coherence is code, not a lint: `Opcode::from_u8` is a lookup in
-//! `Opcode::ALL`, and `match` exhaustiveness covers `name()`.
+//! one-path rule above the wire and in the codec layer: per trait in
+//! `ONE_METHOD_TRAITS`, every `impl <Trait> for …` block defines the
+//! one method its implementors own and none of the methods the trait
+//! provides over it. The opcode table's own coherence is code, not a
+//! lint: `Opcode::from_u8` is a lookup in `Opcode::ALL`, and `match`
+//! exhaustiveness covers `name()`.
 
 use crate::findings::{Finding, Lint};
 use crate::lexer::{str_contents, TokKind, TokenFile};
@@ -30,9 +32,30 @@ pub const WIRE_CONSTS: &[&str] = &[
 /// ledger calls.
 const LONE_OP_HOMES: &[&str] = &["crates/device/src/api.rs", "crates/store/src/batch.rs"];
 
+/// Traits written as one method per implementor plus provided methods
+/// over it: `(trait, the method every impl defines, the provided methods
+/// no impl may define)`. The compiler cannot hold this — a provided
+/// method may always be overridden — and an override is a second path:
+/// a device's own `read_at` beside `submit_ops` (the per-op fork above
+/// the wire; the trait's `submit_ops` fallback exists for
+/// out-of-workspace devices only and recurses if neither side is
+/// defined), or a codec's own `encode` or `apply` beside `Plan::execute`.
+const ONE_METHOD_TRAITS: &[(&str, &str, &[&str])] = &[
+    (
+        "BlockDevice",
+        "submit_ops",
+        &["read_at", "write_at", "submit"],
+    ),
+    (
+        "ErasureCode",
+        "encode_plan",
+        &["encode", "apply", "plan", "update"],
+    ),
+];
+
 /// Appends wire findings.
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
-    check_one_device_method(ws, out);
+    check_one_method_traits(ws, out);
     let Some(proto) = ws.file(PROTOCOL_RS) else {
         out.push(Finding::new(
             Lint::WireConstants,
@@ -75,14 +98,11 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 }
 
-/// (d) `read_at`/`write_at`/`submit` are written once, in the
-/// `BlockDevice` trait: every implementor defines `submit_ops` and none
-/// of those three (a per-op fork above the wire is how a layer ends up
-/// wrapping three methods; the trait's `submit_ops` fallback exists for
-/// out-of-workspace devices only and recurses if neither side is
-/// defined), and no type outside [`LONE_OP_HOMES`] offers
+/// (d) Per [`ONE_METHOD_TRAITS`] entry, every `impl <Trait> for …`
+/// block defines the trait's one implementor method and none it
+/// provides; and no type outside [`LONE_OP_HOMES`] offers
 /// `pub fn read_at|write_at` sugar beside its `submit_ops`.
-fn check_one_device_method(ws: &Workspace, out: &mut Vec<Finding>) {
+fn check_one_method_traits(ws: &Workspace, out: &mut Vec<Finding>) {
     for f in &ws.files {
         let tf = &f.tf;
         let n = tf.code.len();
@@ -112,14 +132,17 @@ fn check_one_device_method(ws: &Workspace, out: &mut Vec<Finding>) {
                     ),
                 );
             }
-            if !(tf.is_ident(ci, "BlockDevice") && tf.is_ident(ci + 1, "for")) {
+            let Some(&(tr, owned, provided)) = ONE_METHOD_TRAITS
+                .iter()
+                .find(|(tr, ..)| tf.is_ident(ci, tr) && tf.is_ident(ci + 1, "for"))
+            else {
                 continue;
-            }
+            };
             // The impl body: first `{` after the header to its match.
             let Some(open) = (ci + 2..n).find(|&k| tf.is_punct(k, "{")) else {
                 continue;
             };
-            let (mut depth, mut has_submit_ops) = (0i32, false);
+            let (mut depth, mut has_owned) = (0i32, false);
             for k in open..n {
                 match tf.ctext(k) {
                     "{" => depth += 1,
@@ -132,24 +155,25 @@ fn check_one_device_method(ws: &Workspace, out: &mut Vec<Finding>) {
                 if depth != 1 || !tf.is_ident(k, "fn") {
                     continue;
                 }
-                has_submit_ops |= tf.is_ident(k + 1, "submit_ops");
-                if lone(k + 1) || tf.is_ident(k + 1, "submit") {
-                    let name = tf.ctext(k + 1);
+                has_owned |= tf.is_ident(k + 1, owned);
+                let name = tf.ctext(k + 1);
+                if provided.contains(&name) {
                     flag(
                         k + 1,
                         format!(
-                            "`fn {name}` inside an `impl BlockDevice for …` block: implement \
-                             `submit_ops` only — `{name}` is provided by the trait"
+                            "`fn {name}` inside an `impl {tr} for …` block: implement \
+                             `{owned}` — `{name}` is provided by the trait"
                         ),
                     );
                 }
             }
-            if !has_submit_ops {
+            if !has_owned {
                 flag(
                     ci,
-                    "`impl BlockDevice for …` block without `fn submit_ops`: it is the one \
-                     data-path method a device implements"
-                        .into(),
+                    format!(
+                        "`impl {tr} for …` block without `fn {owned}`: every implementor \
+                         defines it"
+                    ),
                 );
             }
         }

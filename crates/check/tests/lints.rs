@@ -184,6 +184,39 @@ fn device_one_method_near_misses_are_clean() {
     assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
 }
 
+#[test]
+fn codec_overrides_of_provided_methods_are_flagged() {
+    let proto = fixture("wire_protocol_good.rs");
+    let bad = fixture("wire_code_fork_bad.rs");
+    let r = run_ws(&[
+        ("crates/net/src/protocol.rs", &proto),
+        ("crates/sd/src/lib.rs", &bad),
+    ]);
+    let hits = of(&r, Lint::WireConstants);
+    assert_eq!(hits.len(), 5, "{hits:?}");
+    // encode + apply in `Fork`; plan + update + no encode_plan in `Legacy`.
+    for name in ["encode", "apply", "plan", "update"] {
+        let fork = format!("`fn {name}` inside an `impl ErasureCode for …` block");
+        assert!(
+            hits.iter()
+                .any(|h| h.contains(&fork) && h.contains("provided by the trait")),
+            "{name}: {hits:?}"
+        );
+    }
+    assert!(hits.iter().any(|h| h.contains("without `fn encode_plan`")));
+}
+
+#[test]
+fn codec_one_plan_near_misses_are_clean() {
+    let proto = fixture("wire_protocol_good.rs");
+    let near = fixture("wire_code_fork_near_miss.rs");
+    let r = run_ws(&[
+        ("crates/net/src/protocol.rs", &proto),
+        ("crates/sd/src/lib.rs", &near),
+    ]);
+    assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
+}
+
 // ---- L5 doc-drift --------------------------------------------------
 
 #[test]

@@ -1,6 +1,6 @@
 //! The flat stripe buffer shared by every codec.
 
-use crate::{CellIdx, CellLookup, CodeError};
+use crate::{CellIdx, CellLookup, CodeError, Lent};
 
 /// One stripe's worth of sectors in a single contiguous allocation.
 ///
@@ -271,6 +271,19 @@ impl CellLookup for StripeBuf {
         self.set_cell((row, col), bytes);
         Ok(())
     }
+
+    fn lend(&mut self, sources: &[CellIdx], targets: &[CellIdx]) -> Option<Lent<'_>> {
+        let (rows, cols) = (self.rows, self.cols);
+        let mut cells: Vec<Option<&mut [u8]>> =
+            self.data.chunks_exact_mut(self.symbol).map(Some).collect();
+        let mut take = |(row, col): CellIdx| {
+            let at = (row < rows && col < cols).then_some(row * cols + col)?;
+            cells[at].take()
+        };
+        let targets: Option<Vec<&mut [u8]>> = targets.iter().map(|&c| take(c)).collect();
+        let sources: Option<Vec<&[u8]>> = sources.iter().map(|&c| take(c).map(|s| &*s)).collect();
+        Some((sources?, targets?))
+    }
 }
 
 #[cfg(test)]
@@ -308,6 +321,23 @@ mod tests {
         assert!(buf.write_cells(&cells, &[0; 5]).is_err());
         buf.erase(&[(1, 1)]);
         assert_eq!(buf.cell((1, 1)), &[0, 0]);
+    }
+
+    #[test]
+    fn lends_each_cell_once_in_the_order_asked() {
+        let mut buf = StripeBuf::new(2, 2, 1).unwrap();
+        buf.write_cells(&[(0, 0), (0, 1), (1, 0), (1, 1)], &[1, 2, 3, 4])
+            .unwrap();
+        let (sources, mut targets) = buf.lend(&[(1, 1), (0, 0)], &[(1, 0)]).unwrap();
+        assert_eq!(sources, [&[4][..], &[1]]);
+        targets[0][0] = 9;
+        assert_eq!(buf.cell((1, 0)), &[9]);
+        for (sources, targets) in [(&[(0, 0)][..], &[(0, 0)][..]), (&[(2, 0)], &[])] {
+            assert!(
+                buf.lend(sources, targets).is_none(),
+                "{sources:?} {targets:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,17 +16,20 @@
 //!   hold parity, and the advertised failure tolerance;
 //! * [`ErasureCode::codec_id`] — which codec this is, as its plans
 //!   record it;
-//! * [`ErasureCode::encode`] — recompute every parity cell of a stripe;
+//! * [`ErasureCode::encode_plan`] — the [`Plan`] that computes every
+//!   parity cell from the data cells, built once at construction;
+//!   [`ErasureCode::encode`] runs it over a stripe (provided);
 //! * [`ErasureCode::plan_recover`] / [`ErasureCode::plan`] — turn an
 //!   [`ErasureSet`] and the lost cells wanted back (all of them, for
 //!   `plan`) into a reusable [`Plan`] that names the stored cells it
 //!   reads ([`Plan::sources`]), so a degraded read loads those and not
 //!   the stripe;
 //! * [`ErasureCode::apply`] — execute a plan against one stripe.
-//!   Provided: every codec's plan is the same concrete program of dot
-//!   products, run by the one executor, [`Plan::execute`], which reads
-//!   through a [`CellLookup`] — a [`StripeBuf`] here, only the sectors a
-//!   degraded read loaded in `stair-store`;
+//!   Provided: every codec's plans, for encode and decode alike, are the
+//!   same concrete program of dot products, run by the one executor,
+//!   [`Plan::execute`], which reads through a [`CellLookup`] — a
+//!   [`StripeBuf`] here, only the sectors a degraded read loaded in
+//!   `stair-store`;
 //! * [`ErasureCode::dependents`] / [`ErasureCode::fold_delta`] — the
 //!   small-write primitives: which parity cells a data cell's update
 //!   patches, and `parity ^= c·(old ⊕ new)` for one of them. A caller
@@ -92,7 +95,7 @@ pub use buf::StripeBuf;
 pub use erasure::{CellIdx, ErasureSet};
 pub use error::CodeError;
 pub use geometry::Geometry;
-pub use plan::{CellLookup, CodecId, Plan, PlanBuilder};
+pub use plan::{CellLookup, CodecId, Lent, Plan, PlanBuilder};
 pub use spec::CodecSpec;
 pub use update::UpdateMap;
 
@@ -101,6 +104,12 @@ pub use update::UpdateMap;
 /// Implementations operate on [`StripeBuf`] stripes of their
 /// [`Geometry`]'s shape. All methods validate the buffer shape and return
 /// [`CodeError::ShapeMismatch`] rather than panicking on foreign stripes.
+///
+/// A codec defines how it plans; it never defines [`ErasureCode::encode`],
+/// [`ErasureCode::plan`], [`ErasureCode::apply`] or
+/// [`ErasureCode::update`], which are written once here (`stair-check`'s
+/// `wire-constants` lint holds that, since the compiler lets a provided
+/// method be overridden).
 pub trait ErasureCode: Send + Sync {
     /// The stripe geometry: shape, cell roles, and failure tolerance.
     fn geometry(&self) -> Geometry;
@@ -109,13 +118,29 @@ pub trait ErasureCode: Send + Sync {
     /// required of every plan it applies.
     fn codec_id(&self) -> &CodecId;
 
-    /// Recomputes every parity cell from the data cells, in place.
+    /// The plan that encodes a stripe, built once per codec: the data
+    /// cells are its sources, the parity cells its targets (in
+    /// [`Geometry::parity_cells`] order), and whatever a family computes
+    /// on the way — STAIR's virtual cells — its intermediates. Its
+    /// [`Plan::mult_xors`] is the codec's encoding cost (§5.3).
     ///
     /// # Errors
     ///
-    /// [`CodeError::ShapeMismatch`] if the buffer does not match the
-    /// geometry.
-    fn encode(&self, stripe: &mut StripeBuf) -> Result<(), CodeError>;
+    /// [`CodeError::Unsupported`] if the codec's parities do not all live
+    /// in the `r × n` grid.
+    fn encode_plan(&self) -> Result<&Plan, CodeError>;
+
+    /// Recomputes every parity cell from the data cells, in place: the
+    /// [`ErasureCode::encode_plan`], applied to the stripe.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::ShapeMismatch`] if the buffer does not match the
+    ///   geometry;
+    /// * [`CodeError::Unsupported`] as [`ErasureCode::encode_plan`].
+    fn encode(&self, stripe: &mut StripeBuf) -> Result<(), CodeError> {
+        self.apply(self.encode_plan()?, stripe)
+    }
 
     /// Builds a reusable plan recovering every cell of `erased`:
     /// [`ErasureCode::plan_recover`] with everything wanted.

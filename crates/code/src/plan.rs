@@ -1,15 +1,18 @@
-//! Decoding plans: straight-line programs of dot products, and the one
-//! executor that runs them.
+//! Plans: straight-line programs of dot products, and the one executor
+//! that runs them — for encoding and decoding alike.
 //!
 //! Every codec lowers what its planner works out — STAIR's pruned
 //! peeling schedule, SD's solved recovery matrix, RS's per-row
-//! coefficients — to the same [`Plan`]:
+//! coefficients — to the same [`Plan`], and builds its encoder as one
+//! too (§5.1: upstairs and downstairs encoding are peels that treat the
+//! parity cells as lost; §6.2: SD "encodes stripes in a decoding
+//! manner"):
 //!
 //! * **slots**, one sector each: the *sources* (stored cells the plan
 //!   reads, sorted), then *intermediates* (cells the plan computes on the
 //!   way and throws away — STAIR's virtual cells and the erased cells it
-//!   was not asked for), then *targets* (the cells it recovers, in the
-//!   order they were asked for);
+//!   was not asked for), then *targets* (the cells it recovers or
+//!   encodes, in the order they were asked for);
 //! * **steps**, in execution order. A step writes one slot as the dot
 //!   product `Σ c·slot` over a range of terms; the terms of all steps sit
 //!   in two flat arrays, input slots and `u16` coefficients, so the terms
@@ -21,16 +24,19 @@
 //! An intermediate no step writes reads as zero: STAIR's outside global
 //! parities are pinned to zero under inside placement and all of them
 //! share one such slot. [`Plan::mult_xors`] is the number of terms, each
-//! one `Mult_XOR` (§5.3), so the paper's decoding costs are properties of
-//! the plan, and one execution ticks `stair_gf::counters` by exactly that.
+//! one `Mult_XOR` (§5.3), so the paper's encoding and decoding costs are
+//! properties of the plan, and one execution ticks `stair_gf::counters` by
+//! exactly that.
 //!
-//! [`Plan::execute`] is the only decoder in the workspace. It reads the
-//! sources through a [`CellLookup`] — a whole [`crate::StripeBuf`], a
-//! STAIR stripe with its outside globals, or just the sectors a store
-//! read for one degraded fragment — keeps intermediates and targets in
-//! one buffer the size of the plan, and hands each target to the lookup.
-//! A plan records the codec that built it ([`CodecId`]) and runs for that
-//! codec only.
+//! [`Plan::execute`] is the only encoder and the only decoder in the
+//! workspace. It reads the sources through a [`CellLookup`] — a whole
+//! [`crate::StripeBuf`], a STAIR stripe with its outside globals, or just
+//! the sectors a store read for one degraded fragment — and keeps the
+//! intermediates in one buffer. A whole stripe lends the targets' own
+//! sectors, so an encode writes the parity where it is stored; any other
+//! lookup gets each target handed over from the same buffer. A plan
+//! records the codec that built it ([`CodecId`]) and runs for that codec
+//! only.
 
 use core::fmt;
 use std::ops::Range;
@@ -86,7 +92,22 @@ pub trait CellLookup {
     ///
     /// Whatever the lookup refuses, e.g. a cell it has no room for.
     fn recovered(&mut self, cell: CellIdx, bytes: &[u8]) -> Result<(), CodeError>;
+
+    /// Lends the plan's `sources`, one sector each, and the sectors of its
+    /// `targets` to be written in place, in the orders asked — when this
+    /// lookup holds all of them, each cell once: a whole stripe does, so
+    /// encoding writes the parity where it is stored. `None` (the
+    /// default): the executor reads through [`CellLookup::source`] and
+    /// hands each target to [`CellLookup::recovered`].
+    fn lend(&mut self, sources: &[CellIdx], targets: &[CellIdx]) -> Option<Lent<'_>> {
+        let _ = (sources, targets);
+        None
+    }
 }
+
+/// What a [`CellLookup`] lends a plan: its sources' sectors to read, and
+/// its targets' to write in place.
+pub type Lent<'a> = (Vec<&'a [u8]>, Vec<&'a mut [u8]>);
 
 /// One step: `slots[out] = Σ coeffs[k] · slots[inputs[k]]` over `terms`.
 #[derive(Clone, Debug, Eq, PartialEq)]
@@ -95,15 +116,15 @@ struct Step {
     terms: Range<usize>,
 }
 
-/// A reusable recovery recipe for one erasure pattern: a straight-line
-/// program of dot products over sector-sized slots (see the module
-/// documentation).
+/// A reusable recipe — a codec's encoder, or the recovery of one erasure
+/// pattern: a straight-line program of dot products over sector-sized
+/// slots (see the module documentation).
 ///
-/// Plans separate the expensive part of decoding (solving for recovery
+/// Plans separate the expensive part of coding (solving for
 /// coefficients, scheduling peeling steps) from the cheap part (streaming
-/// byte regions through the coefficients), so one plan repairs any number
-/// of stripes carrying the same pattern — the idiom `stair-store` uses
-/// for whole-device rebuilds.
+/// byte regions through the coefficients), so one plan encodes, or
+/// repairs, any number of stripes — the idiom `stair-store` uses for
+/// every write and for whole-device rebuilds.
 ///
 /// A plan names its [`sources`](Plan::sources): the stored cells it reads.
 /// A caller holding a stripe on disk loads those and nothing else.
@@ -173,6 +194,29 @@ impl Plan {
         }
     }
 
+    /// A plan of one step per target, each a dense combination of the
+    /// sources: target `t` is `Σ coeff(t, s) · sources[s]` over the
+    /// non-zero coefficients — how SD, RS and STAIR's standard method
+    /// encode (§5.3), every parity straight from the data.
+    ///
+    /// # Errors
+    ///
+    /// As [`PlanBuilder::finish`].
+    pub fn dense(
+        codec: CodecId,
+        sources: Vec<CellIdx>,
+        targets: &[CellIdx],
+        coeff: impl Fn(usize, usize) -> u16,
+    ) -> Result<Plan, CodeError> {
+        let n = sources.len();
+        let mut plan = Plan::builder(codec, sources, [], targets);
+        for t in 0..targets.len() {
+            let terms = (0..n).map(|s| (s, coeff(t, s)));
+            plan.step(n + t, terms.filter(|&(_, c)| c != 0));
+        }
+        plan.finish()
+    }
+
     /// The cells this plan reconstructs, in the order they were asked
     /// for.
     pub fn recovers(&self) -> &[CellIdx] {
@@ -209,8 +253,10 @@ impl Plan {
         self.inputs.len()
     }
 
-    /// Runs the plan for `codec`: reads the sources from `cells`, then
-    /// hands it every target, in [`Plan::recovers`] order.
+    /// Runs the plan for `codec`: reads the sources from `cells` and
+    /// writes every target into it — in place, where the lookup lends the
+    /// targets' sectors ([`CellLookup::lend`]), else through
+    /// [`CellLookup::recovered`], in [`Plan::recovers`] order.
     ///
     /// # Errors
     ///
@@ -244,10 +290,17 @@ impl Plan {
                 F::W
             )));
         }
-        let s = self.sources;
-        // Intermediates and targets. Zeroed: each slot is written at most
-        // once, accumulated into from zero, and one no step writes is the
-        // zero slot.
+        // Intermediates, then targets: a sector each of one zeroed buffer
+        // (each slot is written at most once, and one no step writes is
+        // the zero slot), or the targets in the lookup itself.
+        let (s, first) = (self.sources, self.slots.len() - self.targets);
+        if let Some((sources, targets)) = cells.lend(self.sources(), self.recovers()) {
+            let mut work = vec![0u8; (first - s) * sym];
+            let mut homes: Vec<&mut [u8]> = work.chunks_exact_mut(sym).collect();
+            homes.extend(targets);
+            self.compute::<F>(&sources, &mut homes, first - s);
+            return Ok(());
+        }
         let mut work = vec![0u8; (self.slots.len() - s) * sym];
         {
             let mut sources = Vec::with_capacity(s);
@@ -267,33 +320,47 @@ impl Plan {
                     }
                 }
             }
-            let mut spare = Vec::new();
-            for step in &self.steps {
-                let at = (step.out - s) * sym;
-                let (before, rest) = work.split_at_mut(at);
-                let (out, after) = rest.split_at_mut(sym);
-                let mut terms = reuse(spare);
-                for k in step.terms.clone() {
-                    let slot = self.inputs[k];
-                    let region: &[u8] = if slot < s {
-                        sources[slot]
-                    } else if (slot - s) * sym < at {
-                        &before[(slot - s) * sym..][..sym]
-                    } else {
-                        &after[(slot - s) * sym - at - sym..][..sym]
-                    };
-                    terms.push((region, F::elem(usize::from(self.coeffs[k]))));
-                }
-                F::mult_xor_regions(out, &terms);
-                spare = reuse(terms);
-            }
+            let mut homes: Vec<&mut [u8]> = work.chunks_exact_mut(sym).collect();
+            let zeroed = homes.len();
+            self.compute::<F>(&sources, &mut homes, zeroed);
         }
-        let first = self.slots.len() - self.targets;
         let targets = work[(first - s) * sym..].chunks_exact(sym);
         for (&cell, bytes) in self.recovers().iter().zip(targets) {
             cells.recovered(cell, bytes)?;
         }
         Ok(())
+    }
+
+    /// The program over `sources` and `homes`, one sector per slot after
+    /// the sources; the first `zeroed` homes start as zeros, and any other
+    /// is zeroed before its step writes it.
+    fn compute<F: Field>(&self, sources: &[&[u8]], homes: &mut [&mut [u8]], zeroed: usize) {
+        let s = self.sources;
+        let mut spare = Vec::new();
+        for step in &self.steps {
+            let at = step.out - s;
+            let (before, rest) = homes.split_at_mut(at);
+            let Some((out, after)) = rest.split_first_mut() else {
+                continue; // `finish` refuses a step past the last slot
+            };
+            let mut terms = reuse(spare);
+            for k in step.terms.clone() {
+                let slot = self.inputs[k];
+                let region: &[u8] = if slot < s {
+                    sources[slot]
+                } else if slot - s < at {
+                    &*before[slot - s]
+                } else {
+                    &*after[slot - s - at - 1]
+                };
+                terms.push((region, F::elem(usize::from(self.coeffs[k]))));
+            }
+            if at >= zeroed {
+                out.fill(0);
+            }
+            F::mult_xor_regions(out, &terms);
+            spare = reuse(terms);
+        }
     }
 }
 

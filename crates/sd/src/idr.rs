@@ -80,9 +80,9 @@ impl<F: Field> IdrScheme<F> {
         self.m * self.r + (self.n - self.m) * self.epsilon
     }
 
-    /// Encodes a stripe of `n` chunks × `r` sectors (row-major cells like
-    /// [`crate::SdStripe`]): fills each data chunk's local parity sectors,
-    /// then the `m` parity chunks.
+    /// Encodes a stripe of `n` chunks × `r` sectors (row-major cells,
+    /// sector `i` of chunk `c` at `i·n + c`): fills each data chunk's
+    /// local parity sectors, then the `m` parity chunks.
     ///
     /// # Errors
     ///

@@ -17,22 +17,24 @@
 //! # Example
 //!
 //! ```
+//! use stair_code::{ErasureCode, ErasureSet, StripeBuf};
 //! use stair_gf::Gf8;
-//! use stair_sd::{SdCode, SdStripe};
+//! use stair_sd::SdCode;
 //!
 //! // n = 6 devices, r = 4 sectors/chunk, 1 parity device + 2 parity sectors.
 //! let code: SdCode<Gf8> = SdCode::new(6, 4, 1, 2)?;
-//! let mut stripe = SdStripe::new(&code, 64);
-//! stripe.fill_pattern(3);
+//! let g = code.geometry();
+//! let mut stripe = StripeBuf::new(4, 6, 64)?;
+//! stripe.write_cells(&g.data_cells, &vec![3; g.data_cells.len() * 64])?;
 //! code.encode(&mut stripe)?;
 //!
 //! // Any one device plus any two extra sectors may fail.
-//! let erased = vec![(0, 5), (1, 5), (2, 5), (3, 5), (2, 0), (0, 3)];
+//! let lost = ErasureSet::new([(0, 5), (1, 5), (2, 5), (3, 5), (2, 0), (0, 3)]);
 //! let pristine = stripe.clone();
-//! stripe.erase(&erased);
-//! code.decode(&mut stripe, &erased)?;
+//! stripe.erase(lost.cells());
+//! code.apply(&code.plan(&lost)?, &mut stripe)?;
 //! assert_eq!(stripe, pristine);
-//! # Ok::<(), stair_sd::Error>(())
+//! # Ok::<(), stair_code::CodeError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -45,4 +47,4 @@ mod sd;
 pub use error::Error;
 pub use idr::IdrScheme;
 pub use rs_array::RsArrayCode;
-pub use sd::{SdCode, SdStripe};
+pub use sd::SdCode;

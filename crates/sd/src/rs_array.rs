@@ -2,8 +2,7 @@
 //! protection. The paper's "traditional erasure code" baseline (§6.1, §7).
 
 use stair_code::{
-    CellIdx, CodeError, CodecId, CodecSpec, ErasureCode, ErasureSet, Geometry, Plan, StripeBuf,
-    UpdateMap,
+    CellIdx, CodeError, CodecId, CodecSpec, ErasureCode, ErasureSet, Geometry, Plan, UpdateMap,
 };
 use stair_gf::Field;
 use stair_rs::MdsCode;
@@ -15,13 +14,23 @@ use crate::Error;
 /// # Example
 ///
 /// ```
+/// use stair_code::{ErasureCode, ErasureSet, StripeBuf};
 /// use stair_gf::Gf8;
 /// use stair_sd::RsArrayCode;
 ///
 /// let code: RsArrayCode<Gf8> = RsArrayCode::new(8, 16, 2)?;
-/// let mut chunks: Vec<Vec<u8>> = (0..8).map(|c| vec![c as u8; 16 * 4]).collect();
-/// code.encode_chunks(&mut chunks)?;
-/// # Ok::<(), stair_sd::Error>(())
+/// let g = code.geometry();
+/// let mut stripe = StripeBuf::new(16, 8, 4)?;
+/// stripe.write_cells(&g.data_cells, &vec![0x5a; g.data_cells.len() * 4])?;
+/// code.encode(&mut stripe)?;
+///
+/// // Any two devices may fail.
+/// let pristine = stripe.clone();
+/// let lost = ErasureSet::devices(&[1, 6], 16);
+/// stripe.erase(lost.cells());
+/// code.apply(&code.plan(&lost)?, &mut stripe)?;
+/// assert_eq!(stripe, pristine);
+/// # Ok::<(), stair_code::CodeError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct RsArrayCode<F: Field> {
@@ -32,6 +41,10 @@ pub struct RsArrayCode<F: Field> {
     /// The row code's data→parity coefficients per data cell,
     /// precomputed so the small-write path pays no per-call solve.
     updates: UpdateMap<F::Elem>,
+    /// The same coefficients as a plan, each row's parities from its
+    /// data: its sources and targets are the geometry's data and parity
+    /// cells.
+    encode: Plan,
     id: CodecId,
 }
 
@@ -61,18 +74,23 @@ impl<F: Field> RsArrayCode<F> {
             ((pi, pc), (di, dc)) if pi == di => row_coeff.get(dc, pc - (n - m)),
             _ => F::zero(),
         };
-        let updates = UpdateMap::new((r, n), F::ELEM_BYTES, &data, &parity, F::zero(), coeff);
+        let updates = UpdateMap::new((r, n), F::ELEM_BYTES, &data, &parity, F::zero(), &coeff);
+        let id = CodecId {
+            spec: CodecSpec::Rs { n, r, m },
+            width: F::W,
+            outside_globals: false,
+        };
+        let encode = Plan::dense(id.clone(), data.clone(), &parity, |p, d| {
+            F::value(coeff(p, d)) as u16
+        })?;
         Ok(RsArrayCode {
             n,
             r,
             m,
             code,
             updates,
-            id: CodecId {
-                spec: CodecSpec::Rs { n, r, m },
-                width: F::W,
-                outside_globals: false,
-            },
+            encode,
+            id,
         })
     }
 
@@ -90,82 +108,6 @@ impl<F: Field> RsArrayCode<F> {
     pub fn m(&self) -> usize {
         self.m
     }
-
-    /// Encodes whole chunks: `chunks[0..n−m]` are data, the last `m` are
-    /// overwritten with parity. Each chunk is one contiguous buffer of
-    /// `r · sector` bytes (row interleaving is irrelevant to RS coding).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] on wrong chunk count or sizes.
-    pub fn encode_chunks(&self, chunks: &mut [Vec<u8>]) -> Result<(), Error> {
-        if chunks.len() != self.n {
-            return Err(Error::ShapeMismatch(format!(
-                "expected {} chunks, got {}",
-                self.n,
-                chunks.len()
-            )));
-        }
-        let len = chunks[0].len();
-        if chunks.iter().any(|c| c.len() != len) {
-            return Err(Error::ShapeMismatch("chunks must have equal length".into()));
-        }
-        let (data, parity) = chunks.split_at_mut(self.n - self.m);
-        let data_refs: Vec<&[u8]> = data.iter().map(|c| c.as_slice()).collect();
-        let mut parity_refs: Vec<&mut [u8]> = parity.iter_mut().map(|c| c.as_mut_slice()).collect();
-        self.code.encode_regions(&data_refs, &mut parity_refs)?;
-        Ok(())
-    }
-
-    /// Recovers up to `m` lost chunks from the survivors.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::Unrecoverable`] if more than `m` chunks are lost;
-    /// * [`Error::ShapeMismatch`] / [`Error::InvalidPattern`] on malformed
-    ///   input.
-    pub fn decode_chunks(&self, chunks: &mut [Vec<u8>], lost: &[usize]) -> Result<(), Error> {
-        if chunks.len() != self.n {
-            return Err(Error::ShapeMismatch(format!(
-                "expected {} chunks, got {}",
-                self.n,
-                chunks.len()
-            )));
-        }
-        if lost.iter().any(|&c| c >= self.n) {
-            return Err(Error::InvalidPattern(
-                "lost chunk index out of range".into(),
-            ));
-        }
-        if lost.len() > self.m {
-            return Err(Error::Unrecoverable(format!(
-                "{} chunks lost, only {} tolerated",
-                lost.len(),
-                self.m
-            )));
-        }
-        let survivors: Vec<usize> = (0..self.n)
-            .filter(|c| !lost.contains(c))
-            .take(self.n - self.m)
-            .collect();
-        let available: Vec<(usize, &[u8])> = survivors
-            .iter()
-            .map(|&c| (c, chunks[c].as_slice()))
-            .collect();
-        let coeff = self.code.recovery_coefficients(&survivors, lost)?;
-        let len = chunks[0].len();
-        let mut outs: Vec<Vec<u8>> = lost.iter().map(|_| vec![0u8; len]).collect();
-        {
-            let avail_refs: Vec<&[u8]> = available.iter().map(|&(_, r)| r).collect();
-            let mut out_refs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-            self.code
-                .apply_coefficients(&coeff, &avail_refs, &mut out_refs)?;
-        }
-        for (&c, buf) in lost.iter().zip(outs) {
-            chunks[c] = buf;
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -176,48 +118,25 @@ impl<F: Field> RsArrayCode<F> {
 // has no sector-level protection — the comparison point of §6.1/§7).
 // ---------------------------------------------------------------------
 
-impl<F: Field> RsArrayCode<F> {
-    fn check_buf(&self, buf: &StripeBuf) -> Result<(), CodeError> {
-        buf.check_shape(self.r, self.n, F::ELEM_BYTES)
-    }
-}
-
 impl<F: Field> ErasureCode for RsArrayCode<F> {
     fn codec_id(&self) -> &CodecId {
         &self.id
     }
 
     fn geometry(&self) -> Geometry {
-        let data_cells = (0..self.r)
-            .flat_map(|i| (0..self.n - self.m).map(move |c| (i, c)))
-            .collect();
-        let parity_cells = (0..self.r)
-            .flat_map(|i| (self.n - self.m..self.n).map(move |c| (i, c)))
-            .collect();
         Geometry {
             n: self.n,
             r: self.r,
             m: self.m,
             s: 0,
             burst: 0,
-            data_cells,
-            parity_cells,
+            data_cells: self.encode.sources().to_vec(),
+            parity_cells: self.encode.recovers().to_vec(),
         }
     }
 
-    fn encode(&self, stripe: &mut StripeBuf) -> Result<(), CodeError> {
-        self.check_buf(stripe)?;
-        let symbol = stripe.symbol();
-        // Rows are contiguous in the flat buffer, so each row splits into
-        // data and parity regions without copying.
-        for i in 0..self.r {
-            let row = stripe.row_mut(i);
-            let (data, parity) = row.split_at_mut((self.n - self.m) * symbol);
-            let data_refs: Vec<&[u8]> = data.chunks(symbol).collect();
-            let mut parity_refs: Vec<&mut [u8]> = parity.chunks_mut(symbol).collect();
-            self.code.encode_regions(&data_refs, &mut parity_refs)?;
-        }
-        Ok(())
+    fn encode_plan(&self) -> Result<&Plan, CodeError> {
+        Ok(&self.encode)
     }
 
     fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError> {
@@ -296,31 +215,6 @@ impl<F: Field> ErasureCode for RsArrayCode<F> {
 mod tests {
     use super::*;
     use stair_gf::Gf8;
-
-    #[test]
-    fn chunk_round_trip() {
-        let code: RsArrayCode<Gf8> = RsArrayCode::new(6, 4, 2).unwrap();
-        let mut chunks: Vec<Vec<u8>> = (0..6)
-            .map(|c| (0..32).map(|b| (c * 31 + b) as u8).collect())
-            .collect();
-        code.encode_chunks(&mut chunks).unwrap();
-        let pristine = chunks.clone();
-        chunks[1].fill(0);
-        chunks[5].fill(0);
-        code.decode_chunks(&mut chunks, &[1, 5]).unwrap();
-        assert_eq!(chunks, pristine);
-    }
-
-    #[test]
-    fn too_many_losses_rejected() {
-        let code: RsArrayCode<Gf8> = RsArrayCode::new(4, 2, 1).unwrap();
-        let mut chunks: Vec<Vec<u8>> = (0..4).map(|_| vec![0u8; 8]).collect();
-        code.encode_chunks(&mut chunks).unwrap();
-        assert!(matches!(
-            code.decode_chunks(&mut chunks, &[0, 1]),
-            Err(Error::Unrecoverable(_))
-        ));
-    }
 
     #[test]
     fn validation() {

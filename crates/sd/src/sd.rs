@@ -26,14 +26,14 @@
 //! reject these parameters: what fixes it — a field width recorded per
 //! spec, or a searched construction — changes the store's on-disk format.
 //!
-//! Encoding deliberately has **no parity reuse**: every parity symbol is a
-//! dense combination of the data symbols ("the open-source implementation
-//! of SD codes encodes stripes in a decoding manner", §6.2 of the STAIR
-//! paper) — this is the property the paper's speed comparison measures.
+//! Encoding deliberately has **no parity reuse**: the encode plan computes
+//! every parity symbol as a dense combination of the data symbols ("the
+//! open-source implementation of SD codes encodes stripes in a decoding
+//! manner", §6.2 of the STAIR paper) — this is the property the paper's
+//! speed comparison measures.
 
 use stair_code::{
-    CellIdx, CellLookup, CodeError, CodecId, CodecSpec, ErasureCode, ErasureSet, Geometry, Plan,
-    StripeBuf, UpdateMap,
+    CellIdx, CodeError, CodecId, CodecSpec, ErasureCode, ErasureSet, Geometry, Plan, UpdateMap,
 };
 use stair_gf::Field;
 use stair_gfmatrix::{Error as MatrixError, Matrix};
@@ -50,25 +50,13 @@ pub struct SdCode<F: Field> {
     s: usize,
     /// Parity-check matrix, `(m·r + s) × (r·n)`.
     check: Matrix<F>,
-    /// Symbol indices (q = i·n + c) of the parity positions.
-    parity_pos: Vec<usize>,
-    /// Symbol indices of the data positions.
-    data_pos: Vec<usize>,
-    /// Dense encoding matrix: `parity = encode · data`.
-    encode: Matrix<F>,
-    /// `encode` per data symbol: the parities a small write patches.
+    /// The dense encoding matrix per data symbol: the parities a small
+    /// write patches.
     updates: UpdateMap<F::Elem>,
+    /// The dense encoding matrix as a plan: its sources are the data
+    /// cells in payload order, its targets the parity cells.
+    encode: Plan,
     id: CodecId,
-}
-
-/// A plain `r × n` stripe of sector buffers for [`SdCode`].
-#[derive(Clone, Debug, Eq, PartialEq)]
-pub struct SdStripe {
-    n: usize,
-    r: usize,
-    symbol: usize,
-    cells: Vec<Vec<u8>>,
-    parity_pos: Vec<usize>,
 }
 
 impl<F: Field> SdCode<F> {
@@ -146,7 +134,8 @@ impl<F: Field> SdCode<F> {
 
         let h_p = check.select_cols(&parity_pos);
         let h_d = check.select_cols(&data_pos);
-        let encode = match h_p.solve(&h_d) {
+        // `parity = dense · data`.
+        let dense = match h_p.solve(&h_d) {
             Ok(e) => e,
             Err(MatrixError::Singular | MatrixError::Underdetermined { .. }) => {
                 return Err(Error::ConstructionFailed(format!(
@@ -159,23 +148,25 @@ impl<F: Field> SdCode<F> {
         };
         let cells = |pos: &[usize]| pos.iter().map(|&q| (q / n, q % n)).collect::<Vec<_>>();
         let (data, parity) = (cells(&data_pos), cells(&parity_pos));
-        let coeff = |p, d| encode.get(p, d);
+        let coeff = |p, d| dense.get(p, d);
         let updates = UpdateMap::new((r, n), F::ELEM_BYTES, &data, &parity, F::zero(), coeff);
+        let id = CodecId {
+            spec: CodecSpec::Sd { n, r, m, s },
+            width: F::W,
+            outside_globals: false,
+        };
+        let encode = Plan::dense(id.clone(), data, &parity, |p, d| {
+            F::value(coeff(p, d)) as u16
+        })?;
         Ok(SdCode {
             n,
             r,
             m,
             s,
             check,
-            parity_pos,
-            data_pos,
-            encode,
             updates,
-            id: CodecId {
-                spec: CodecSpec::Sd { n, r, m, s },
-                width: F::W,
-                outside_globals: false,
-            },
+            encode,
+            id,
         })
     }
 
@@ -199,61 +190,8 @@ impl<F: Field> SdCode<F> {
         self.s
     }
 
-    /// Symbol indices (`q = i·n + c`) of parity positions.
-    pub fn parity_positions(&self) -> &[usize] {
-        &self.parity_pos
-    }
-
-    /// Symbol indices of data positions, in payload order.
-    pub fn data_positions(&self) -> &[usize] {
-        &self.data_pos
-    }
-
-    /// The dense-encoding coefficient of data symbol `data_idx` (index into
-    /// [`SdCode::data_positions`]) in parity symbol `parity_idx` (index
-    /// into [`SdCode::parity_positions`]). Non-zero entries determine the
-    /// update penalty (§6.3 of the STAIR paper).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range indices.
-    pub fn encode_coefficient(&self, parity_idx: usize, data_idx: usize) -> F::Elem {
-        self.encode.get(parity_idx, data_idx)
-    }
-
-    /// `Mult_XOR` cost of one stripe encode (dense, no reuse): the number of
-    /// non-zero entries of the encoding matrix.
-    pub fn encode_mult_xors(&self) -> usize {
-        let mut count = 0;
-        for p in 0..self.encode.rows() {
-            for d in 0..self.encode.cols() {
-                if self.encode.get(p, d) != F::zero() {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
-    /// Encodes a stripe in place (recomputes every parity sector).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] if the stripe shape differs.
-    pub fn encode(&self, stripe: &mut SdStripe) -> Result<(), Error> {
-        self.check_stripe(stripe)?;
-        for (p, &ppos) in self.parity_pos.iter().enumerate() {
-            let mut buf = std::mem::take(&mut stripe.cells[ppos]);
-            let data = self.data_pos.iter().enumerate();
-            let terms = data.map(|(d, &dpos)| (&stripe.cells[dpos][..], self.encode.get(p, d)));
-            F::dot_regions(&mut buf, terms.filter(nonzero::<F>));
-            stripe.cells[ppos] = buf;
-        }
-        Ok(())
-    }
-
-    /// Repairs the erased sectors in place: the pattern's
-    /// [`ErasureCode::plan`], run by the one executor over the stripe.
+    /// Solves the check equations symbolically for an erasure pattern,
+    /// returning the `|erased| × |known|` recovery matrix.
     ///
     /// # Errors
     ///
@@ -262,24 +200,6 @@ impl<F: Field> SdCode<F> {
     ///   capability (`> m` devices, `> s` extra sectors, or an admissible
     ///   pattern at parameters where the construction is simply not SD —
     ///   the situation STAIR codes eliminate).
-    pub fn decode(&self, stripe: &mut SdStripe, erased: &[(usize, usize)]) -> Result<(), Error> {
-        self.check_stripe(stripe)?;
-        let set = ErasureSet::new(erased.iter().copied());
-        if set.len() != erased.len() {
-            return Err(Error::InvalidPattern(format!(
-                "duplicate cell in {erased:?}"
-            )));
-        }
-        let plan = self.plan(&set)?;
-        Ok(plan.execute(&self.id, stripe)?)
-    }
-
-    /// Solves the check equations symbolically for an erasure pattern,
-    /// returning the `|erased| × |known|` recovery matrix.
-    ///
-    /// # Errors
-    ///
-    /// See [`SdCode::decode`].
     pub fn recovery_matrix(&self, erased: &[(usize, usize)]) -> Result<Matrix<F>, Error> {
         let total = self.r * self.n;
         let mut seen = vec![false; total];
@@ -314,112 +234,6 @@ impl<F: Field> SdCode<F> {
         }
     }
 
-    fn check_stripe(&self, stripe: &SdStripe) -> Result<(), Error> {
-        if stripe.n != self.n || stripe.r != self.r {
-            return Err(Error::ShapeMismatch(format!(
-                "stripe is {}x{}, code needs {}x{}",
-                stripe.r, stripe.n, self.r, self.n
-            )));
-        }
-        Ok(())
-    }
-}
-
-impl SdStripe {
-    /// Allocates a zeroed stripe matching `code`.
-    pub fn new<F: Field>(code: &SdCode<F>, symbol_size: usize) -> Self {
-        assert!(symbol_size > 0, "symbol size must be positive");
-        assert!(
-            symbol_size.is_multiple_of(F::ELEM_BYTES),
-            "symbol size must be a multiple of the field element size"
-        );
-        SdStripe {
-            n: code.n(),
-            r: code.r(),
-            symbol: symbol_size,
-            cells: vec![vec![0u8; symbol_size]; code.n() * code.r()],
-            parity_pos: code.parity_positions().to_vec(),
-        }
-    }
-
-    /// Bytes per sector.
-    pub fn symbol_size(&self) -> usize {
-        self.symbol
-    }
-
-    /// Borrows sector `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn cell(&self, row: usize, col: usize) -> &[u8] {
-        assert!(row < self.r && col < self.n, "cell out of range");
-        &self.cells[row * self.n + col]
-    }
-
-    /// Mutably borrows sector `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn cell_mut(&mut self, row: usize, col: usize) -> &mut [u8] {
-        assert!(row < self.r && col < self.n, "cell out of range");
-        &mut self.cells[row * self.n + col]
-    }
-
-    /// Fills every *data* sector with a deterministic pattern.
-    pub fn fill_pattern(&mut self, seed: u8) {
-        for q in 0..self.r * self.n {
-            if self.parity_pos.contains(&q) {
-                continue;
-            }
-            let base = (q as u8).wrapping_mul(37).wrapping_add(seed);
-            for (b, byte) in self.cells[q].iter_mut().enumerate() {
-                *byte = base.wrapping_add((b as u8).wrapping_mul(11));
-            }
-        }
-    }
-
-    /// Zero-fills the listed sectors (simulated loss).
-    pub fn erase(&mut self, erased: &[(usize, usize)]) {
-        for &(row, col) in erased {
-            self.cell_mut(row, col).fill(0);
-        }
-    }
-}
-
-/// A stripe as a plan's lookup: every cell is a source, and targets are
-/// written in place.
-impl CellLookup for SdStripe {
-    fn symbol(&self) -> usize {
-        self.symbol
-    }
-
-    fn source(&self, (row, col): CellIdx) -> Option<&[u8]> {
-        (row < self.r && col < self.n).then(|| self.cell(row, col))
-    }
-
-    fn recovered(&mut self, (row, col): CellIdx, bytes: &[u8]) -> Result<(), CodeError> {
-        if row >= self.r || col >= self.n || bytes.len() != self.symbol {
-            return Err(CodeError::InvalidPattern(format!(
-                "({row},{col}) is not a sector of this {}x{} stripe",
-                self.r, self.n
-            )));
-        }
-        self.cell_mut(row, col).copy_from_slice(bytes);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// The codec-generic face: `stair_code::ErasureCode` for `SdCode`.
-// ---------------------------------------------------------------------
-
-impl<F: Field> SdCode<F> {
-    fn check_buf(&self, buf: &StripeBuf) -> Result<(), CodeError> {
-        buf.check_shape(self.r, self.n, F::ELEM_BYTES)
-    }
-
     fn cell_of(&self, q: usize) -> CellIdx {
         (q / self.n, q % self.n)
     }
@@ -437,24 +251,13 @@ impl<F: Field> ErasureCode for SdCode<F> {
             m: self.m,
             s: self.s,
             burst: self.s.min(self.r),
-            data_cells: self.data_pos.iter().map(|&q| self.cell_of(q)).collect(),
-            parity_cells: self.parity_pos.iter().map(|&q| self.cell_of(q)).collect(),
+            data_cells: self.encode.sources().to_vec(),
+            parity_cells: self.encode.recovers().to_vec(),
         }
     }
 
-    fn encode(&self, stripe: &mut StripeBuf) -> Result<(), CodeError> {
-        self.check_buf(stripe)?;
-        // Dense, no parity reuse — the §6.2 "encoding in a decoding
-        // manner" the paper measures against.
-        let mut scratch = vec![0u8; stripe.symbol()];
-        for (p, &ppos) in self.parity_pos.iter().enumerate() {
-            let data = self.data_pos.iter().enumerate();
-            let terms =
-                data.map(|(d, &dpos)| (stripe.cell(self.cell_of(dpos)), self.encode.get(p, d)));
-            F::dot_regions(&mut scratch, terms.filter(nonzero::<F>));
-            stripe.set_cell(self.cell_of(ppos), &scratch);
-        }
-        Ok(())
+    fn encode_plan(&self) -> Result<&Plan, CodeError> {
+        Ok(&self.encode)
     }
 
     fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError> {
@@ -513,24 +316,34 @@ impl<F: Field> ErasureCode for SdCode<F> {
     }
 }
 
-/// Keeps the terms that cost a `Mult_XOR`: dense SD matrices have zeros.
-fn nonzero<F: Field>(term: &(&[u8], F::Elem)) -> bool {
-    term.1 != F::zero()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stair_code::StripeBuf;
     use stair_gf::{Gf16, Gf8};
+
+    /// An encoded `symbol`-byte stripe of `code` over seeded data.
+    fn encoded(code: &SdCode<Gf8>, symbol: usize, seed: u8) -> StripeBuf {
+        let g = code.geometry();
+        let mut stripe = StripeBuf::new(g.r, g.n, symbol).unwrap();
+        let data: Vec<u8> = (0..g.data_per_stripe() * symbol)
+            .map(|b| (b as u8).wrapping_mul(37).wrapping_add(seed))
+            .collect();
+        stripe.write_cells(&g.data_cells, &data).unwrap();
+        code.encode(&mut stripe).unwrap();
+        stripe
+    }
 
     #[test]
     fn construction_and_shapes() {
         let code: SdCode<Gf8> = SdCode::new(6, 4, 1, 2).unwrap();
-        assert_eq!(code.parity_positions().len(), 4 + 2);
-        assert_eq!(code.data_positions().len(), 24 - 6);
+        let g = code.geometry();
+        assert_eq!(g.parity_cells.len(), 4 + 2);
+        assert_eq!(g.data_cells.len(), 24 - 6);
         // Parity sectors live in the bottom row next to the parity device.
-        assert!(code.parity_positions().contains(&(3 * 6 + 3)));
-        assert!(code.parity_positions().contains(&(3 * 6 + 4)));
+        assert!(g.parity_cells.contains(&(3, 3)));
+        assert!(g.parity_cells.contains(&(3, 4)));
+        assert_eq!(code.encode_plan().unwrap().recovers(), g.parity_cells);
     }
 
     #[test]
@@ -562,32 +375,16 @@ mod tests {
     #[test]
     fn encode_then_checks_hold() {
         let code: SdCode<Gf8> = SdCode::new(5, 3, 1, 1).unwrap();
-        let mut stripe = SdStripe::new(&code, 2);
-        stripe.fill_pattern(9);
-        code.encode(&mut stripe).unwrap();
+        let stripe = encoded(&code, 2, 9);
         // Verify every check equation over the first byte of each sector.
         for row in 0..code.check.rows() {
             let mut acc = 0u8;
             for q in 0..15 {
-                let x = stripe.cells[q][0];
+                let x = stripe.cell((q / 5, q % 5))[0];
                 acc ^= Gf8::mul(code.check.get(row, q), x);
             }
             assert_eq!(acc, 0, "check {row} violated");
         }
-    }
-
-    #[test]
-    fn device_plus_sector_failures_decode() {
-        let code: SdCode<Gf8> = SdCode::new(6, 4, 1, 2).unwrap();
-        let mut stripe = SdStripe::new(&code, 8);
-        stripe.fill_pattern(17);
-        code.encode(&mut stripe).unwrap();
-        let pristine = stripe.clone();
-        let erased = vec![(0, 2), (1, 2), (2, 2), (3, 2), (0, 0), (3, 5)];
-        assert!(code.codec_id().spec.covers(&ErasureSet::from(&erased[..])));
-        stripe.erase(&erased);
-        code.decode(&mut stripe, &erased).unwrap();
-        assert_eq!(stripe, pristine);
     }
 
     /// Regression: patterns *smaller* than the check count must decode.
@@ -596,34 +393,18 @@ mod tests {
     #[test]
     fn partial_patterns_decode() {
         let code: SdCode<Gf8> = SdCode::new(6, 4, 1, 2).unwrap();
-        let mut stripe = SdStripe::new(&code, 8);
-        stripe.fill_pattern(5);
-        code.encode(&mut stripe).unwrap();
-        let pristine = stripe.clone();
+        let pristine = encoded(&code, 8, 5);
         for erased in [
             vec![(2, 1)],                                 // one sector
             vec![(0, 0), (3, 4)],                         // two sectors
             vec![(0, 2), (1, 2), (2, 2), (3, 2)],         // one device only
             vec![(0, 5), (1, 5), (2, 5), (3, 5), (1, 3)], // device + one sector
         ] {
+            let mut stripe = pristine.clone();
             stripe.erase(&erased);
-            code.decode(&mut stripe, &erased).unwrap();
+            let plan = code.plan(&ErasureSet::from(&erased[..])).unwrap();
+            code.apply(&plan, &mut stripe).unwrap();
             assert_eq!(stripe, pristine, "pattern {erased:?}");
         }
-    }
-
-    #[test]
-    fn beyond_coverage_fails_cleanly() {
-        let code: SdCode<Gf8> = SdCode::new(6, 4, 1, 1).unwrap();
-        let mut stripe = SdStripe::new(&code, 4);
-        stripe.fill_pattern(3);
-        code.encode(&mut stripe).unwrap();
-        // Two full devices exceed m = 1 by far.
-        let erased: Vec<(usize, usize)> = (0..4).flat_map(|i| [(i, 0), (i, 1)]).collect();
-        assert!(!code.codec_id().spec.covers(&ErasureSet::from(&erased[..])));
-        assert!(matches!(
-            code.decode(&mut stripe, &erased),
-            Err(Error::Unrecoverable(_))
-        ));
     }
 }

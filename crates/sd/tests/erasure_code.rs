@@ -31,25 +31,6 @@ fn sd_device_plus_sectors_round_trip() {
 }
 
 #[test]
-fn sd_trait_encode_matches_inherent_encode() {
-    let code: SdCode<Gf8> = SdCode::new(6, 4, 1, 2).unwrap();
-    let buf = filled_buf(&code, 8, 3);
-    let geom = code.geometry();
-    let mut stripe = stair_sd::SdStripe::new(&code, 8);
-    for &(row, col) in &geom.data_cells {
-        stripe
-            .cell_mut(row, col)
-            .copy_from_slice(buf.cell((row, col)));
-    }
-    code.encode(&mut stripe).unwrap();
-    for row in 0..4 {
-        for col in 0..6 {
-            assert_eq!(stripe.cell(row, col), buf.cell((row, col)), "({row},{col})");
-        }
-    }
-}
-
-#[test]
 fn sd_update_equals_reencode() {
     let code: SdCode<Gf8> = SdCode::new(6, 4, 1, 2).unwrap();
     let mut buf = filled_buf(&code, 8, 29);

@@ -1,17 +1,16 @@
 //! The codec-generic face of STAIR: [`stair_code::ErasureCode`] for
 //! [`StairCodec`], plus the [`CodeError`] conversion.
 //!
-//! The impl operates directly on flat [`StripeBuf`] grids — the same
-//! memory `stair-store` reads sectors into: encoding builds the
-//! scheduling [`Canvas`] over the buffer, and decoding is the provided
-//! `apply`, the shared executor running the lowered plan. Only
+//! The impl operates directly on flat [`stair_code::StripeBuf`] grids —
+//! the same memory `stair-store` reads sectors into: encoding and decoding
+//! are the provided `encode` and `apply`, the shared executor running the
+//! codec's encode plan or a lowered decode plan. Only
 //! [`GlobalPlacement::Inside`] configurations are supported through this
 //! interface: a bare `r × n` grid has nowhere to store outside globals.
 
-use stair_code::{CellIdx, CodeError, CodecId, ErasureCode, ErasureSet, Geometry, Plan, StripeBuf};
+use stair_code::{CellIdx, CodeError, CodecId, ErasureCode, ErasureSet, Geometry, Plan};
 use stair_gf::Field;
 
-use crate::schedule::Canvas;
 use crate::{Error, GlobalPlacement, StairCodec};
 
 impl From<Error> for CodeError {
@@ -60,12 +59,9 @@ impl<F: Field> ErasureCode for StairCodec<F> {
         &self.id
     }
 
-    fn encode(&self, stripe: &mut StripeBuf) -> Result<(), CodeError> {
+    fn encode_plan(&self) -> Result<&Plan, CodeError> {
         self.check_inside()?;
-        stripe.check_shape(self.config().r(), self.config().n(), F::ELEM_BYTES)?;
-        let mut canvas = Canvas::over(self.layout(), stripe);
-        self.encode_on(self.best_method(), &mut canvas)?;
-        Ok(())
+        Ok(&self.encode)
     }
 
     fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError> {
@@ -94,6 +90,7 @@ impl<F: Field> ErasureCode for StairCodec<F> {
 mod tests {
     use super::*;
     use crate::{Config, Stripe};
+    use stair_code::StripeBuf;
 
     fn codec() -> StairCodec {
         StairCodec::new(Config::new(8, 4, 2, &[1, 1, 2]).unwrap()).unwrap()
@@ -108,19 +105,6 @@ mod tests {
         buf.write_cells(&geom.data_cells, &payload).unwrap();
         ErasureCode::encode(codec, &mut buf).unwrap();
         buf
-    }
-
-    #[test]
-    fn trait_encode_matches_inherent_encode() {
-        let codec = codec();
-        let buf = encoded_buf(&codec, 3);
-        let geom = codec.geometry();
-        let mut stripe = Stripe::new(codec.config().clone(), 16).unwrap();
-        stripe
-            .write_data(&buf.read_cells(&geom.data_cells))
-            .unwrap();
-        codec.encode(&mut stripe).unwrap();
-        assert_eq!(stripe.grid(), &buf);
     }
 
     #[test]

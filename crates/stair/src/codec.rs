@@ -1,5 +1,6 @@
 //! The user-facing STAIR codec: construction, encoding (upstairs /
-//! downstairs / standard / baseline two-phase), and upstairs decoding.
+//! downstairs / standard / baseline two-phase), and upstairs decoding —
+//! each lowered to a [`Plan`] and run by [`Plan::execute`].
 
 use stair_code::{CodecId, Plan, UpdateMap};
 use stair_gf::{Field, Gf8};
@@ -7,7 +8,7 @@ use stair_rs::MdsCode;
 
 use crate::layout::{Cell, CellKind, Layout};
 use crate::peel::{Availability, PeelOrder, Peeler};
-use crate::schedule::{Canvas, Schedule};
+use crate::schedule::Schedule;
 use crate::standard::ParityRelations;
 use crate::stripe::Stripe;
 use crate::{Config, Error, GlobalPlacement, MultXorCounts};
@@ -30,11 +31,11 @@ pub enum EncodingMethod {
 
 /// A STAIR encoder/decoder for one configuration.
 ///
-/// Construction precomputes the `C_row`/`C_col` codes, both encoding
-/// schedules, the dense parity relations, and the per-method `Mult_XOR`
-/// counts; the cheapest method is then used by [`StairCodec::encode`]
-/// (§5.3: "we always pre-compute the number of Mult_XORs for each of the
-/// encoding methods, and then choose the one with the fewest").
+/// Construction precomputes the `C_row`/`C_col` codes, the dense parity
+/// relations, the per-method `Mult_XOR` counts, and the encode plan of
+/// the cheapest method, which [`StairCodec::encode`] runs (§5.3: "we
+/// always pre-compute the number of Mult_XORs for each of the encoding
+/// methods, and then choose the one with the fewest").
 ///
 /// # Example
 ///
@@ -53,9 +54,6 @@ pub struct StairCodec<F: Field = Gf8> {
     layout: Layout,
     crow: MdsCode<F>,
     ccol: MdsCode<F>,
-    enc_upstairs: Option<Schedule<F>>,
-    enc_downstairs: Option<Schedule<F>>,
-    enc_two_phase: Option<Schedule<F>>,
     /// Which canonical cells a decode starts from, before erasures.
     decode_avail: Availability,
     relations: ParityRelations<F>,
@@ -63,6 +61,9 @@ pub struct StairCodec<F: Field = Gf8> {
     pub(crate) updates: UpdateMap<F::Elem>,
     counts: MultXorCounts,
     best: EncodingMethod,
+    /// The `best` method's plan: the data cells to every parity cell (and
+    /// outside global, under outside placement).
+    pub(crate) encode: Plan,
     /// What the plans this codec builds record, and it requires.
     pub(crate) id: CodecId,
 }
@@ -92,44 +93,23 @@ impl<F: Field> StairCodec<F> {
         let layout = Layout::new(&config);
         let crow = MdsCode::new(n + m_prime, n - m)?;
         let ccol = MdsCode::new(r + e_max, r)?;
-
-        let parity_targets: Vec<Cell> = match config.placement() {
-            GlobalPlacement::Inside => layout.parity_cells(),
-            GlobalPlacement::Outside => {
-                let mut t = layout.parity_cells();
-                t.extend(layout.outside_global_cells());
-                t
-            }
+        let id = CodecId {
+            spec: config.spec(),
+            width: F::W,
+            outside_globals: config.placement() == GlobalPlacement::Outside,
         };
 
-        let (enc_upstairs, enc_downstairs, enc_two_phase) = match config.placement() {
-            GlobalPlacement::Inside => {
-                let avail = encode_availability(&layout);
-                // The m row-parity chunks play the role of the "failed
-                // chunks" during upstairs encoding and are recovered
-                // row-by-row last (§5.1.1), never by column steps.
-                let parity_cols: Vec<usize> = (n - m..n).collect();
-                let up = Peeler::new(&layout, &crow, &ccol, avail.clone())
-                    .with_excluded_cols(&parity_cols)
-                    .build(&parity_targets, PeelOrder::Upstairs)?;
-                let down = Peeler::new(&layout, &crow, &ccol, avail)
-                    .build(&parity_targets, PeelOrder::Downstairs)?;
-                (Some(up), Some(down), None)
-            }
-            GlobalPlacement::Outside => {
-                let two = two_phase_schedule(&layout, &crow, &ccol)?;
-                (None, None, Some(two))
-            }
+        // Upstairs encodes inside placement and two-phase outside: the
+        // plan of either yields the dense relations, and from them the
+        // standard method's cost.
+        let first = match config.placement() {
+            GlobalPlacement::Inside => EncodingMethod::Upstairs,
+            GlobalPlacement::Outside => EncodingMethod::TwoPhase,
         };
-
-        let relation_schedule = enc_upstairs
-            .as_ref()
-            .or(enc_two_phase.as_ref())
-            .expect("one encode schedule always exists");
-        let relations = ParityRelations::derive(&layout, relation_schedule, parity_targets.clone());
-
+        let (peeler, avail) = peel_encode(&layout, &crow, &ccol, first)?;
+        let encode = peeler.lower(&id, &avail, &layout.encode_targets())?;
+        let relations = ParityRelations::derive(&layout, &encode);
         let updates = relations.update_map(&layout);
-
         let mut counts = MultXorCounts::analytic(&config);
         counts.standard = relations.standard_mult_xors();
         let best = match config.placement() {
@@ -137,26 +117,23 @@ impl<F: Field> StairCodec<F> {
             GlobalPlacement::Outside => EncodingMethod::TwoPhase,
         };
 
-        let id = CodecId {
-            spec: config.spec(),
-            width: F::W,
-            outside_globals: config.placement() == GlobalPlacement::Outside,
-        };
-        Ok(StairCodec {
+        let mut codec = StairCodec {
             decode_avail: decode_availability(&layout),
             id,
             config,
             layout,
             crow,
             ccol,
-            enc_upstairs,
-            enc_downstairs,
-            enc_two_phase,
             relations,
             updates,
             counts,
             best,
-        })
+            encode,
+        };
+        if best != first {
+            codec.encode = codec.plan_encode(best)?;
+        }
+        Ok(codec)
     }
 
     /// The configuration.
@@ -186,14 +163,26 @@ impl<F: Field> StairCodec<F> {
         &self.relations
     }
 
-    /// The encoding schedule for a method, if available for this placement.
-    pub fn encode_schedule(&self, method: EncodingMethod) -> Option<&Schedule<F>> {
-        match method {
-            EncodingMethod::Upstairs => self.enc_upstairs.as_ref(),
-            EncodingMethod::Downstairs => self.enc_downstairs.as_ref(),
-            EncodingMethod::TwoPhase => self.enc_two_phase.as_ref(),
-            EncodingMethod::Standard => None,
+    /// The peeling schedule of an encoding method, solved (Table 3
+    /// renders the downstairs one). Built on the call.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] for [`EncodingMethod::Standard`], which is
+    /// no peel, and for a method this placement lacks.
+    pub fn encode_schedule(&self, method: EncodingMethod) -> Result<Schedule<F>, Error> {
+        let (peeler, avail) = peel_encode(&self.layout, &self.crow, &self.ccol, method)?;
+        peeler.schedule(&avail)
+    }
+
+    /// An encoding method's plan: its peel lowered as a decode's is, or
+    /// for [`EncodingMethod::Standard`] the dense relations.
+    fn plan_encode(&self, method: EncodingMethod) -> Result<Plan, Error> {
+        if method == EncodingMethod::Standard {
+            return Ok(self.relations.plan(self.id.clone())?);
         }
+        let (peeler, avail) = peel_encode(&self.layout, &self.crow, &self.ccol, method)?;
+        peeler.lower(&self.id, &avail, &self.layout.encode_targets())
     }
 
     /// Encodes a stripe in place with the cheapest method.
@@ -201,48 +190,25 @@ impl<F: Field> StairCodec<F> {
     /// # Errors
     ///
     /// Returns [`Error::ShapeMismatch`] if the stripe was allocated for a
-    /// different configuration.
+    /// different configuration, or its sectors do not hold whole field
+    /// elements.
     pub fn encode(&self, stripe: &mut Stripe) -> Result<(), Error> {
-        self.encode_with(self.best, stripe)
+        self.apply_plan(&self.encode, stripe)
     }
 
-    /// Encodes a stripe in place with an explicit method.
+    /// Encodes a stripe in place with an explicit method; any but
+    /// [`StairCodec::best_method`] is lowered to a plan on the call.
     ///
     /// # Errors
     ///
-    /// * [`Error::ShapeMismatch`] if the stripe belongs to another config;
+    /// * [`Error::ShapeMismatch`] as [`StairCodec::encode`];
     /// * [`Error::InvalidConfig`] if the method is unavailable for this
     ///   placement (e.g. upstairs with outside globals).
     pub fn encode_with(&self, method: EncodingMethod, stripe: &mut Stripe) -> Result<(), Error> {
-        self.check_stripe(stripe)?;
-        let mut canvas = Canvas::new(&self.layout, stripe);
-        self.encode_on(method, &mut canvas)?;
-        if self.config.placement() == GlobalPlacement::Outside {
-            canvas.export_outside_globals(&self.layout);
+        if method == self.best {
+            return self.encode(stripe);
         }
-        Ok(())
-    }
-
-    /// Runs one encoding method against an already-built canvas (shared by
-    /// the inherent API and the [`stair_code::ErasureCode`] impl).
-    pub(crate) fn encode_on(
-        &self,
-        method: EncodingMethod,
-        canvas: &mut Canvas<'_>,
-    ) -> Result<(), Error> {
-        match method {
-            EncodingMethod::Standard => self.relations.encode(canvas),
-            _ => {
-                let schedule = self.encode_schedule(method).ok_or_else(|| {
-                    Error::InvalidConfig(format!(
-                        "{method:?} encoding is unavailable for {:?} placement",
-                        self.config.placement()
-                    ))
-                })?;
-                schedule.execute(canvas);
-                Ok(())
-            }
-        }
+        self.apply_plan(&self.plan_encode(method)?, stripe)
     }
 
     /// Builds a reusable decoding plan for an erasure pattern.
@@ -277,7 +243,7 @@ impl<F: Field> StairCodec<F> {
         wanted: &[(usize, usize)],
     ) -> Result<Plan, Error> {
         let (peeler, avail) = self.peel_decode(erased, wanted)?;
-        self.lower(&peeler, &avail, wanted)
+        peeler.lower(&self.id, &avail, wanted)
     }
 
     /// The upstairs decoding schedule a plan for `wanted` is lowered
@@ -337,95 +303,14 @@ impl<F: Field> StairCodec<F> {
         Ok((peeler, avail))
     }
 
-    /// Lowers a pruned decode peel to a [`Plan`]: one step per output
-    /// cell, over all of its peeled step's inputs — zero coefficients
-    /// too, so the plan costs exactly what the schedule does. An input
-    /// that was available from the start is a source if the stripe stores
-    /// it (the grid, and the outside globals where the placement keeps
-    /// them); the pinned-zero globals of inside placement share one zero
-    /// slot. Every other input is an earlier step's output.
-    fn lower(
-        &self,
-        peeler: &Peeler<'_, F>,
-        avail: &Availability,
-        wanted: &[Cell],
-    ) -> Result<Plan, Error> {
-        // Slots by canonical cell index, marked first, numbered after; a
-        // cell left unset is no slot, which `finish` refuses.
-        const SOURCE: usize = usize::MAX - 3;
-        const PINNED: usize = usize::MAX - 2;
-        const WANTED: usize = usize::MAX - 1;
-        const UNSET: usize = usize::MAX;
-        let ccols = self.layout.canonical_cols();
-        let at = |(row, col): Cell| row * ccols + col;
-        let outside = self.config.placement() == GlobalPlacement::Outside;
-        let mut slot = vec![UNSET; self.layout.canonical_rows() * ccols];
-        for &w in wanted {
-            slot[at(w)] = WANTED;
-        }
-        let mut zero_cell = None;
-        for step in peeler.steps() {
-            for c in step.input_cells() {
-                if avail.contains(c) {
-                    let stored = self.layout.is_stored(c) || outside;
-                    slot[at(c)] = if stored { SOURCE } else { PINNED };
-                    zero_cell = zero_cell.or((!stored).then_some(c));
-                }
-            }
-        }
-        // Row-major index order is sorted (row, col) order.
-        let mut sources = Vec::new();
-        for (i, s) in slot.iter_mut().enumerate().filter(|(_, s)| **s == SOURCE) {
-            *s = sources.len();
-            sources.push((i / ccols, i % ccols));
-        }
-        let mut intermediates = Vec::new();
-        for step in peeler.steps() {
-            for out in step.output_cells() {
-                if slot[at(out)] != WANTED {
-                    slot[at(out)] = sources.len() + intermediates.len();
-                    intermediates.push(out);
-                }
-            }
-        }
-        let zero = sources.len() + intermediates.len();
-        intermediates.extend(zero_cell);
-        for s in slot.iter_mut().filter(|s| **s == PINNED) {
-            *s = zero;
-        }
-        let first_target = sources.len() + intermediates.len();
-        for (k, &w) in wanted.iter().enumerate() {
-            slot[at(w)] = first_target + k;
-        }
-
-        let mut plan = Plan::builder(self.id.clone(), sources, intermediates, wanted);
-        let (steps, terms) = peeler.steps().fold((0, 0), |(steps, terms), s| {
-            (
-                steps + s.outputs.len(),
-                terms + s.outputs.len() * s.inputs.len(),
-            )
-        });
-        plan.reserve(steps, terms);
-        let mut inputs = Vec::new();
-        for step in peeler.steps() {
-            let coeff = peeler.coefficients(&step)?;
-            inputs.clear();
-            inputs.extend(step.input_cells().map(|c| slot[at(c)]));
-            for (j, out) in step.output_cells().enumerate() {
-                let coeffs = (0..inputs.len()).map(|i| F::value(coeff.get(i, j)) as u16);
-                plan.step(slot[at(out)], inputs.iter().copied().zip(coeffs));
-            }
-        }
-        Ok(plan.finish()?)
-    }
-
-    /// Repairs a stripe in place according to a plan: the one executor,
-    /// [`Plan::execute`], over the stripe's grid and outside globals.
+    /// Runs a plan — a repair, or an encode — over a stripe in place: the
+    /// one executor, [`Plan::execute`], over the stripe's grid and outside
+    /// globals.
     ///
     /// # Errors
     ///
     /// * [`Error::ShapeMismatch`] if the stripe belongs to another
-    ///   configuration;
+    ///   configuration or its sectors do not hold whole field elements;
     /// * [`Error::InvalidPattern`] if another codec built the plan.
     pub fn apply_plan(&self, plan: &Plan, stripe: &mut Stripe) -> Result<(), Error> {
         self.check_stripe(stripe)?;
@@ -478,11 +363,52 @@ impl<F: Field> StairCodec<F> {
     }
 }
 
-/// Initial availability for encoding: data cells and pinned/outside global
-/// cells are available; every parity and virtual cell is unknown.
+/// The peel that encodes with `method` (§5.1): every cell it writes
+/// (the parity cells, and the outside globals where they are stored)
+/// treated as lost. Upstairs recovers the row-parity chunks by rows alone
+/// and last (§5.1.1); downstairs goes rows first (§5.1.2), and so does
+/// two-phase, its form for outside globals (§3). Returns the peel and
+/// which cells it started from.
+fn peel_encode<'a, F: Field>(
+    layout: &'a Layout,
+    crow: &'a MdsCode<F>,
+    ccol: &'a MdsCode<F>,
+    method: EncodingMethod,
+) -> Result<(Peeler<'a, F>, Availability), Error> {
+    let placement = layout.placement();
+    let (order, row_only) = match (method, placement) {
+        (EncodingMethod::Upstairs, GlobalPlacement::Inside) => {
+            (PeelOrder::Upstairs, layout.n() - layout.m()..layout.n())
+        }
+        (EncodingMethod::Downstairs, GlobalPlacement::Inside)
+        | (EncodingMethod::TwoPhase, GlobalPlacement::Outside) => (PeelOrder::Downstairs, 0..0),
+        (EncodingMethod::Standard, _) => {
+            return Err(Error::InvalidConfig(
+                "standard encoding is one dense combination per parity, not a peel".into(),
+            ))
+        }
+        _ => {
+            return Err(Error::InvalidConfig(format!(
+                "{method:?} encoding is unavailable for {placement:?} placement"
+            )))
+        }
+    };
+    let avail = encode_availability(layout);
+    let row_only: Vec<usize> = row_only.collect();
+    let mut peeler = Peeler::new(layout, crow, ccol, avail.clone()).with_excluded_cols(&row_only);
+    peeler.peel(&layout.encode_targets(), order)?;
+    Ok((peeler, avail))
+}
+
+/// Initial availability for encoding: the data cells, and under inside
+/// placement the outside globals, pinned to zero (§5.1); every parity and
+/// virtual cell is unknown.
 pub(crate) fn encode_availability(layout: &Layout) -> Availability {
-    grid_availability(layout, |kind| {
-        matches!(kind, CellKind::Data | CellKind::OutsideGlobal { .. })
+    let inside = layout.placement() == GlobalPlacement::Inside;
+    grid_availability(layout, |kind| match kind {
+        CellKind::Data => true,
+        CellKind::OutsideGlobal { .. } => inside,
+        _ => false,
     })
 }
 
@@ -511,51 +437,6 @@ fn grid_availability(layout: &Layout, f: impl Fn(CellKind) -> bool) -> Availabil
         }
     }
     avail
-}
-
-/// The literal two-phase baseline encoding of §3 (outside placement):
-/// Phase 1 encodes every row from its data symbols; Phase 2 encodes each
-/// intermediate chunk down to its real global parities.
-fn two_phase_schedule<F: Field>(
-    layout: &Layout,
-    crow: &MdsCode<F>,
-    ccol: &MdsCode<F>,
-) -> Result<Schedule<F>, Error> {
-    let (n, r, m) = (layout.n(), layout.r(), layout.m());
-    let m_prime = layout.m_prime();
-    let mut steps = Vec::new();
-    let data_idx: Vec<usize> = (0..n - m).collect();
-    let parity_idx: Vec<usize> = (n - m..n + m_prime).collect();
-    let row_coeff = crow.recovery_coefficients(&data_idx, &parity_idx)?;
-    for i in 0..r {
-        steps.push(crate::schedule::Step {
-            code: crate::schedule::StepCode::Row(i),
-            inputs: data_idx.iter().map(|&j| (i, j)).collect(),
-            outputs: parity_idx.iter().map(|&j| (i, j)).collect(),
-            coeff: row_coeff.clone(),
-        });
-    }
-    let col_in: Vec<usize> = (0..r).collect();
-    for l in 0..m_prime {
-        let el = layout_e(layout, l);
-        let wanted: Vec<usize> = (r..r + el).collect();
-        let coeff = ccol.recovery_coefficients(&col_in, &wanted)?;
-        steps.push(crate::schedule::Step {
-            code: crate::schedule::StepCode::Col(n + l),
-            inputs: col_in.iter().map(|&i| (i, n + l)).collect(),
-            outputs: wanted.iter().map(|&i| (i, n + l)).collect(),
-            coeff,
-        });
-    }
-    Ok(Schedule { steps })
-}
-
-fn layout_e(layout: &Layout, l: usize) -> usize {
-    layout
-        .outside_global_cells()
-        .iter()
-        .filter(|&&(_, col)| col == layout.n() + l)
-        .count()
 }
 
 #[cfg(test)]

@@ -98,6 +98,11 @@ impl Layout {
         self.n
     }
 
+    /// Where the global parities live.
+    pub(crate) fn placement(&self) -> GlobalPlacement {
+        self.placement
+    }
+
     /// Sectors per chunk `r`.
     pub fn r(&self) -> usize {
         self.r
@@ -235,6 +240,16 @@ impl Layout {
                     _ => {}
                 }
             }
+        }
+        cells
+    }
+
+    /// Every cell an encode writes: [`Layout::parity_cells`], then, where
+    /// the placement stores them, [`Layout::outside_global_cells`].
+    pub(crate) fn encode_targets(&self) -> Vec<Cell> {
+        let mut cells = self.parity_cells();
+        if self.placement == GlobalPlacement::Outside {
+            cells.extend(self.outside_global_cells());
         }
         cells
     }

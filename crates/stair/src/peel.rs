@@ -28,13 +28,14 @@
 //! Availability is a bit set per canonical row and per canonical column
 //! ([`Availability`]), so whether a line can make a step is a popcount and
 //! its inputs and outputs are a scan of its bits; every shape's cells sit
-//! in one flat buffer of positions along their lines. A decode plan is
-//! lowered from the pruned shapes directly (`StairCodec::plan_recover`);
-//! [`Peeler::schedule`] turns them into a [`Schedule`] for encoding and
-//! for rendering Tables 2 and 3.
+//! in one flat buffer of positions along their lines. Encode and decode
+//! plans alike are lowered from the pruned shapes directly
+//! ([`Peeler::lower`]); [`Peeler::schedule`] turns them into a
+//! [`Schedule`] for rendering Tables 2 and 3.
 
 use std::sync::Arc;
 
+use stair_code::{CodecId, Plan};
 use stair_gf::Field;
 use stair_gfmatrix::Matrix;
 use stair_rs::MdsCode;
@@ -193,17 +194,6 @@ impl<'a, F: Field> Peeler<'a, F> {
         self
     }
 
-    /// Peels, prunes to the targets, and solves what is left.
-    pub(crate) fn build(
-        mut self,
-        targets: &[Cell],
-        order: PeelOrder,
-    ) -> Result<Schedule<F>, Error> {
-        let initial = self.available.clone();
-        self.peel(targets, order)?;
-        self.schedule(&initial)
-    }
-
     /// Peels, then prunes every step and output the targets do not need:
     /// what is left is [`Peeler::steps`].
     ///
@@ -273,6 +263,93 @@ impl<'a, F: Field> Peeler<'a, F> {
             "pruned schedule must remain topologically valid"
         );
         Ok(schedule)
+    }
+
+    /// Lowers the pruned peel, which started from `initial`, to a [`Plan`]
+    /// for `codec` recovering `wanted`: one step per output cell, over all
+    /// of its peeled step's inputs — zero coefficients too, so the plan
+    /// costs exactly what the schedule does. An input that was available
+    /// from the start is a source if the stripe stores it (the grid, and
+    /// the outside globals where the placement keeps them); the pinned-zero
+    /// globals of inside placement share one zero slot. Every other input
+    /// is an earlier step's output.
+    ///
+    /// # Errors
+    ///
+    /// As [`Peeler::coefficients`] and [`stair_code::PlanBuilder::finish`]
+    /// (a wanted cell named twice).
+    pub(crate) fn lower(
+        &self,
+        codec: &CodecId,
+        initial: &Availability,
+        wanted: &[Cell],
+    ) -> Result<Plan, Error> {
+        // Slots by canonical cell index, marked first, numbered after; a
+        // cell left unset is no slot, which `finish` refuses.
+        const SOURCE: usize = usize::MAX - 3;
+        const PINNED: usize = usize::MAX - 2;
+        const WANTED: usize = usize::MAX - 1;
+        const UNSET: usize = usize::MAX;
+        let ccols = self.layout.canonical_cols();
+        let at = |(row, col): Cell| row * ccols + col;
+        let mut slot = vec![UNSET; self.layout.canonical_rows() * ccols];
+        for &w in wanted {
+            slot[at(w)] = WANTED;
+        }
+        let mut zero_cell = None;
+        for step in self.steps() {
+            for c in step.input_cells() {
+                if initial.contains(c) {
+                    let stored = self.layout.is_stored(c) || codec.outside_globals;
+                    slot[at(c)] = if stored { SOURCE } else { PINNED };
+                    zero_cell = zero_cell.or((!stored).then_some(c));
+                }
+            }
+        }
+        // Row-major index order is sorted (row, col) order.
+        let mut sources = Vec::new();
+        for (i, s) in slot.iter_mut().enumerate().filter(|(_, s)| **s == SOURCE) {
+            *s = sources.len();
+            sources.push((i / ccols, i % ccols));
+        }
+        let mut intermediates = Vec::new();
+        for step in self.steps() {
+            for out in step.output_cells() {
+                if slot[at(out)] != WANTED {
+                    slot[at(out)] = sources.len() + intermediates.len();
+                    intermediates.push(out);
+                }
+            }
+        }
+        let zero = sources.len() + intermediates.len();
+        intermediates.extend(zero_cell);
+        for s in slot.iter_mut().filter(|s| **s == PINNED) {
+            *s = zero;
+        }
+        let first_target = sources.len() + intermediates.len();
+        for (k, &w) in wanted.iter().enumerate() {
+            slot[at(w)] = first_target + k;
+        }
+
+        let mut plan = Plan::builder(codec.clone(), sources, intermediates, wanted);
+        let (steps, terms) = self.steps().fold((0, 0), |(steps, terms), s| {
+            (
+                steps + s.outputs.len(),
+                terms + s.outputs.len() * s.inputs.len(),
+            )
+        });
+        plan.reserve(steps, terms);
+        let mut inputs = Vec::new();
+        for step in self.steps() {
+            let coeff = self.coefficients(&step)?;
+            inputs.clear();
+            inputs.extend(step.input_cells().map(|c| slot[at(c)]));
+            for (j, out) in step.output_cells().enumerate() {
+                let coeffs = (0..inputs.len()).map(|i| F::value(coeff.get(i, j)) as u16);
+                plan.step(slot[at(out)], inputs.iter().copied().zip(coeffs));
+            }
+        }
+        Ok(plan.finish()?)
     }
 
     fn run_upstairs(&mut self) {
@@ -508,9 +585,18 @@ mod tests {
             }
         }
 
-        fn peeler(&self, available: Availability, excluded: &[usize]) -> Peeler<'_, Gf8> {
-            Peeler::new(&self.layout, &self.crow, &self.ccol, available)
-                .with_excluded_cols(excluded)
+        /// The schedule the planner under test peels from `available`.
+        fn peeled(
+            &self,
+            available: &Availability,
+            excluded: &[usize],
+            targets: &[Cell],
+            order: PeelOrder,
+        ) -> Schedule<Gf8> {
+            let mut peeler = Peeler::new(&self.layout, &self.crow, &self.ccol, available.clone())
+                .with_excluded_cols(excluded);
+            peeler.peel(targets, order).unwrap();
+            peeler.schedule(available).unwrap()
         }
 
         /// Both planners on one decode problem; returns the schedule
@@ -521,10 +607,7 @@ mod tests {
                 available.remove(cell);
             }
             let old = solve_then_prune(self, &available, excluded, wanted, PeelOrder::Upstairs);
-            let new = self
-                .peeler(available, excluded)
-                .build(wanted, PeelOrder::Upstairs)
-                .unwrap();
+            let new = self.peeled(&available, excluded, wanted, PeelOrder::Upstairs);
             assert_eq!(new, old, "erased {erased:?} wanted {wanted:?}");
             new
         }
@@ -565,8 +648,7 @@ mod tests {
             (PeelOrder::Downstairs, &[][..]),
         ] {
             let old = solve_then_prune(&parts, &available, excluded, &targets, order);
-            let new = parts.peeler(available.clone(), excluded);
-            assert_eq!(new.build(&targets, order).unwrap(), old);
+            assert_eq!(parts.peeled(&available, excluded, &targets, order), old);
         }
     }
 

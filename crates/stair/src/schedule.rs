@@ -1,26 +1,24 @@
-//! Coding schedules: precomputed sequences of `C_row`/`C_col` steps.
+//! Coding schedules: sequences of `C_row`/`C_col` steps, as the paper
+//! writes them.
 //!
 //! Every STAIR operation — upstairs decoding (§4), upstairs encoding,
-//! downstairs encoding (§5.1) — is expressed as a [`Schedule`]: an ordered
-//! list of [`Step`]s, each of which recovers some cells of the canonical
-//! stripe as a linear combination of already-available cells of one row
-//! (via `C_row`) or one column (via `C_col`).
-//!
-//! Schedules are built once per configuration (or per erasure pattern),
-//! carry their Galois-field coefficient matrices, and are then *executed*
-//! against sector-sized byte regions using the `Mult_XOR` kernel. The
-//! planned `Mult_XOR` count of a schedule (`Σ |inputs|·|outputs|`) is the
-//! quantity the paper's Eq. (5)/(6) predict.
+//! downstairs encoding (§5.1) — is a peel of the canonical stripe: an
+//! ordered list of [`Step`]s, each of which recovers some cells as a
+//! linear combination of already-available cells of one row (via
+//! `C_row`) or one column (via `C_col`). The codec lowers each peel
+//! straight to a [`stair_code::Plan`], which is what runs. A [`Schedule`]
+//! is the same peel with its steps whole and their coefficient matrices
+//! solved: [`Schedule::render`] prints it as the paper's Tables 2–3 do,
+//! and its planned `Mult_XOR` count (`Σ |inputs|·|outputs|`) is the
+//! quantity the paper's Eq. (5)/(6) predict — and the plan's.
 
 use core::fmt::Write as _;
 use std::sync::Arc;
 
-use stair_code::StripeBuf;
 use stair_gf::Field;
 use stair_gfmatrix::Matrix;
 
 use crate::layout::{Cell, CellKind, Layout};
-use crate::stripe::Stripe;
 use crate::Error;
 
 /// Which constituent code a step applies, and to which row/column.
@@ -82,22 +80,6 @@ impl<F: Field> Schedule<F> {
         self.steps.iter().map(Step::mult_xors).sum()
     }
 
-    /// Executes the schedule over the byte regions of a [`Canvas`] — how
-    /// a stripe is encoded. (Decoding runs the schedule lowered to a
-    /// [`stair_code::Plan`].)
-    ///
-    /// A step's outputs are by construction disjoint from its inputs (an
-    /// output was unavailable when its inputs were read), so writing one
-    /// output never corrupts another's inputs.
-    pub(crate) fn execute(&self, canvas: &mut Canvas<'_>) {
-        for step in &self.steps {
-            for (j, &oc) in step.outputs.iter().enumerate() {
-                let inputs = step.inputs.iter().enumerate();
-                canvas.combine::<F>(oc, inputs.map(|(i, &ic)| (ic, step.coeff.get(i, j))));
-            }
-        }
-    }
-
     /// Renders the schedule in the style of the paper's Tables 2–3, e.g.
     ///
     /// ```text
@@ -150,168 +132,10 @@ pub(crate) fn cell_name(layout: &Layout, cell: Cell) -> String {
     }
 }
 
-/// The byte-region workspace for encoding one stripe: stored cells live
-/// in the borrowed flat [`StripeBuf`] grid; virtual cells (augmented rows,
-/// intermediate chunks, and the global-parity corner) are carved from one
-/// freshly zeroed arena, where the outside globals read as the zeros
-/// encoding pins them to.
-pub(crate) struct Canvas<'a> {
-    ccols: usize,
-    r: usize,
-    n: usize,
-    symbol: usize,
-    grid: &'a mut StripeBuf,
-    /// Outside-placement global buffers of the borrowed stripe (empty when
-    /// the canvas wraps a bare grid or an inside-placement stripe).
-    outside: &'a mut [Vec<u8>],
-    /// Every canonical cell outside the stored grid, one sector each: the
-    /// intermediate parities of the stored rows (`r × m'`), then the
-    /// augmented rows at full canonical width (`e_max × (n + m')`).
-    virt: Vec<u8>,
-    /// One output sector, accumulated here before it is copied into place.
-    scratch: Vec<u8>,
-}
-
-impl<'a> Canvas<'a> {
-    /// Builds a canvas over a stripe, zero-initializing all virtual cells.
-    pub(crate) fn new(layout: &Layout, stripe: &'a mut Stripe) -> Self {
-        let (grid, outside) = stripe.parts_mut();
-        Self::build(layout, grid, outside)
-    }
-
-    /// Builds a canvas directly over a bare grid — the codec-generic
-    /// [`stair_code::ErasureCode`] path. Inside placement only (a bare
-    /// grid has nowhere to store outside globals).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the grid matches the layout's stored shape.
-    pub(crate) fn over(layout: &Layout, grid: &'a mut StripeBuf) -> Self {
-        debug_assert!(
-            grid.has_shape(layout.r(), layout.n()),
-            "grid shape does not match layout"
-        );
-        Self::build(layout, grid, &mut [])
-    }
-
-    fn build(layout: &Layout, grid: &'a mut StripeBuf, outside: &'a mut [Vec<u8>]) -> Self {
-        let symbol = grid.symbol();
-        let ccols = layout.canonical_cols();
-        let n = layout.n();
-        let r = layout.r();
-        let virtual_cells = layout.canonical_rows() * ccols - r * n;
-        Canvas {
-            ccols,
-            r,
-            n,
-            symbol,
-            virt: vec![0u8; virtual_cells * symbol],
-            scratch: vec![0u8; symbol],
-            grid,
-            outside,
-        }
-    }
-
-    /// Copies the global corner back into the stripe's outside-global
-    /// buffers (used after outside-placement encoding).
-    pub(crate) fn export_outside_globals(&mut self, layout: &Layout) {
-        for (i, &cell) in layout.outside_global_cells().iter().enumerate() {
-            let at = self.virt_range(cell);
-            self.outside[i].copy_from_slice(&self.virt[at]);
-        }
-    }
-
-    /// The bytes of `virt` holding a canonical cell outside the stored grid.
-    fn virt_range(&self, (row, col): Cell) -> std::ops::Range<usize> {
-        let m_prime = self.ccols - self.n;
-        let index = if row < self.r {
-            row * m_prime + (col - self.n)
-        } else {
-            self.r * m_prime + (row - self.r) * self.ccols + col
-        };
-        index * self.symbol..(index + 1) * self.symbol
-    }
-
-    fn is_stored(&self, (row, col): Cell) -> bool {
-        row < self.r && col < self.n
-    }
-
-    pub(crate) fn get(&self, cell: Cell) -> &[u8] {
-        if self.is_stored(cell) {
-            self.grid.cell(cell)
-        } else {
-            &self.virt[self.virt_range(cell)]
-        }
-    }
-
-    /// Overwrites canonical cell `out` with `Σ coeff · cell` over `inputs`,
-    /// none of which may be `out` itself.
-    pub(crate) fn combine<F: Field>(
-        &mut self,
-        out: Cell,
-        inputs: impl Iterator<Item = (Cell, F::Elem)>,
-    ) {
-        let mut acc = std::mem::take(&mut self.scratch);
-        F::dot_regions(&mut acc, inputs.map(|(cell, c)| (self.get(cell), c)));
-        if self.is_stored(out) {
-            self.grid.set_cell(out, &acc);
-        } else {
-            let at = self.virt_range(out);
-            self.virt[at].copy_from_slice(&acc);
-        }
-        self.scratch = acc;
-    }
-}
-
 impl<F: Field> Schedule<F> {
-    /// Executes the schedule *symbolically*: every canonical cell holds a
-    /// dense coefficient vector over the `basis` cells, and each step
-    /// propagates those vectors instead of bytes. Used to derive the
-    /// standard-encoding generator (and from it, update penalties and the
-    /// uneven parity relations of §5.2).
-    ///
-    /// `init(cell)` must return `Some(vector)` for every initially-available
-    /// cell (unit vectors for data cells, zero vectors for pinned-zero
-    /// globals) and `None` for cells this schedule will produce.
-    pub(crate) fn execute_symbolic(
-        &self,
-        layout: &Layout,
-        basis_len: usize,
-        init: impl Fn(Cell) -> Option<Vec<F::Elem>>,
-    ) -> std::collections::HashMap<Cell, Vec<F::Elem>> {
-        let mut values: std::collections::HashMap<Cell, Vec<F::Elem>> = Default::default();
-        for row in 0..layout.canonical_rows() {
-            for col in 0..layout.canonical_cols() {
-                if let Some(v) = init((row, col)) {
-                    assert_eq!(v.len(), basis_len, "init vector length mismatch");
-                    values.insert((row, col), v);
-                }
-            }
-        }
-        for step in &self.steps {
-            for (j, &out) in step.outputs.iter().enumerate() {
-                let mut acc = vec![F::zero(); basis_len];
-                for (i, &ic) in step.inputs.iter().enumerate() {
-                    let c = step.coeff.get(i, j);
-                    if c == F::zero() {
-                        continue;
-                    }
-                    let src = values
-                        .get(&ic)
-                        .unwrap_or_else(|| panic!("step input {ic:?} not yet available"));
-                    for (a, &s) in acc.iter_mut().zip(src) {
-                        *a = F::add(*a, F::mul(c, s));
-                    }
-                }
-                values.insert(out, acc);
-            }
-        }
-        values
-    }
-
     /// Validates internal consistency: every step's inputs must be available
     /// before the step runs (initially-available cells or prior outputs).
-    /// Exercised by debug builds only (see `Peeler::build`).
+    /// Exercised by debug builds only (see `Peeler::schedule`).
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub(crate) fn check_dataflow(
         &self,

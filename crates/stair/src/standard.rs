@@ -2,8 +2,8 @@
 //!
 //! After relocating the global parities inside the stripe, each parity
 //! symbol is some fixed linear combination of the data symbols. This module
-//! derives that dense relation by executing an encoding schedule
-//! *symbolically* (unit vectors in place of sectors), yielding:
+//! derives that dense relation by executing an encode plan *symbolically*
+//! (unit vectors in place of sectors), yielding:
 //!
 //! * the **standard encoding** method of §5.3 (each parity computed directly
 //!   from its contributing data symbols, as in classical Reed–Solomon);
@@ -13,12 +13,10 @@
 //!   `(i₀, j₀)` depends only on data symbols `(i, j)` with `i ≤ i₀`,
 //!   `j ≤ j₀`, with tread/riser exclusions).
 
-use stair_code::UpdateMap;
+use stair_code::{CodeError, CodecId, Plan, UpdateMap};
 use stair_gf::Field;
 
 use crate::layout::{Cell, Layout};
-use crate::schedule::{Canvas, Schedule};
-use crate::Error;
 
 /// The dense data→parity coefficient map of one configuration.
 #[derive(Clone, Debug, Eq, PartialEq)]
@@ -30,35 +28,34 @@ pub struct ParityRelations<F: Field> {
 }
 
 impl<F: Field> ParityRelations<F> {
-    /// Derives the relations by symbolically executing `schedule`, which
-    /// must compute every parity cell from the data cells and pinned-zero
-    /// (or outside) globals.
-    pub(crate) fn derive(layout: &Layout, schedule: &Schedule<F>, parity_cells: Vec<Cell>) -> Self {
+    /// Derives the relations by executing `encode` symbolically: each
+    /// slot holds its coefficients over the data cells — a unit vector per
+    /// data source, zero for a slot no step writes (the pinned-zero
+    /// globals) — and each step combines them as it would sectors. Any
+    /// encode plan gives the same relation; its targets are the parity
+    /// cells.
+    pub(crate) fn derive(layout: &Layout, encode: &Plan) -> Self {
         let data_cells = layout.data_cells();
         let basis = data_cells.len();
-        let index_of = |cell: Cell| data_cells.iter().position(|&c| c == cell);
-        let values = schedule.execute_symbolic(layout, basis, |cell| {
-            if let Some(i) = index_of(cell) {
-                let mut v = vec![F::zero(); basis];
-                v[i] = F::one();
-                return Some(v);
+        let mut values = vec![vec![F::zero(); basis]; encode.slots().len()];
+        for (slot, cell) in encode.sources().iter().enumerate() {
+            // Row-major order is sorted order.
+            if let Ok(d) = data_cells.binary_search(cell) {
+                values[slot][d] = F::one();
             }
-            // Outside/pinned-zero globals contribute nothing to the
-            // data-relative relation.
-            if matches!(layout.kind(cell), crate::CellKind::OutsideGlobal { .. }) {
-                return Some(vec![F::zero(); basis]);
+        }
+        for (out, inputs, coeffs) in encode.steps() {
+            let mut acc = vec![F::zero(); basis];
+            for (&input, &c) in inputs.iter().zip(coeffs) {
+                let c = F::elem(usize::from(c));
+                for (a, &v) in acc.iter_mut().zip(&values[input]) {
+                    *a = F::add(*a, F::mul(c, v));
+                }
             }
-            None
-        });
-        let coeffs = parity_cells
-            .iter()
-            .map(|c| {
-                values
-                    .get(c)
-                    .unwrap_or_else(|| panic!("parity {c:?} not computed"))
-                    .clone()
-            })
-            .collect();
+            values[out] = acc;
+        }
+        let parity_cells = encode.recovers().to_vec();
+        let coeffs = values.split_off(values.len() - parity_cells.len());
         ParityRelations {
             data_cells,
             parity_cells,
@@ -127,14 +124,11 @@ impl<F: Field> ParityRelations<F> {
         }
     }
 
-    /// Standard encoding over byte regions: every parity cell is computed
-    /// directly as its dense combination of data cells.
-    pub(crate) fn encode(&self, canvas: &mut Canvas<'_>) -> Result<(), Error> {
-        for (coeffs, &pcell) in self.coeffs.iter().zip(&self.parity_cells) {
-            let data = self.data_cells.iter().copied().zip(coeffs.iter().copied());
-            canvas.combine::<F>(pcell, data.filter(|&(_, c)| c != F::zero()));
-        }
-        Ok(())
+    /// The standard encoding method as a plan: every parity cell straight
+    /// from the data cells it depends on.
+    pub(crate) fn plan(&self, codec: CodecId) -> Result<Plan, CodeError> {
+        let coeff = |p: usize, d: usize| F::value(self.coeffs[p][d]) as u16;
+        Plan::dense(codec, self.data_cells.clone(), &self.parity_cells, coeff)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The stored stripe: `r × n` sector buffers plus, for outside placement,
 //! the `s` external global-parity buffers.
 
-use stair_code::{CellLookup, CodeError, StripeBuf};
+use stair_code::{CellLookup, CodeError, Lent, StripeBuf};
 
 use crate::layout::{Cell, CellKind, Layout};
 use crate::{Config, Error, GlobalPlacement};
@@ -116,11 +116,9 @@ impl Stripe {
         &self.outside_globals
     }
 
-    /// Splits the stripe into its grid and outside-global buffers for
-    /// simultaneous mutation (the [`crate::schedule`] canvas encodes
-    /// into both).
-    pub(crate) fn parts_mut(&mut self) -> (&mut StripeBuf, &mut [Vec<u8>]) {
-        (&mut self.grid, &mut self.outside_globals)
+    /// The flat `r × n` sector grid, mutably.
+    pub(crate) fn grid_mut(&mut self) -> &mut StripeBuf {
+        &mut self.grid
     }
 
     /// Writes a user payload across the data sectors in row-major order
@@ -211,7 +209,7 @@ impl Stripe {
 }
 
 /// A stripe as a plan's lookup: the grid, plus the outside globals where
-/// the placement stores them; targets are written into the grid.
+/// the placement stores them, as sources and as targets.
 impl CellLookup for Stripe {
     fn symbol(&self) -> usize {
         self.grid.symbol()
@@ -226,7 +224,20 @@ impl CellLookup for Stripe {
     }
 
     fn recovered(&mut self, cell: Cell, bytes: &[u8]) -> Result<(), CodeError> {
-        self.grid.recovered(cell, bytes)
+        let at = self.layout.outside_global_index(cell);
+        match at.and_then(|at| self.outside_globals.get_mut(at)) {
+            Some(global) if global.len() == bytes.len() => {
+                global.copy_from_slice(bytes);
+                Ok(())
+            }
+            _ => self.grid.recovered(cell, bytes),
+        }
+    }
+
+    /// The grid lends what it holds; a plan that reads or writes the
+    /// outside globals runs through `source` and `recovered`.
+    fn lend(&mut self, sources: &[Cell], targets: &[Cell]) -> Option<Lent<'_>> {
+        self.grid.lend(sources, targets)
     }
 }
 

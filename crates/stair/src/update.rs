@@ -42,8 +42,7 @@ impl<F: Field> StairCodec<F> {
                 "stripe was allocated for a different configuration".into(),
             ));
         }
-        let (grid, _) = stripe.parts_mut();
-        match self.update(grid, (row, col), new_contents) {
+        match self.update(stripe.grid_mut(), (row, col), new_contents) {
             Ok(touched) => Ok(touched.len()),
             Err(CodeError::ShapeMismatch(m)) => Err(Error::ShapeMismatch(m)),
             Err(CodeError::InvalidPattern(m)) => Err(Error::InvalidPattern(m)),

@@ -3,7 +3,7 @@
 //! chunks (large r) — the regime where STAIR's space saving approaches m'
 //! (Fig. 10).
 
-use stair::{Config, EncodingMethod, StairCodec, Stripe};
+use stair::{Config, EncodingMethod, Error, StairCodec, Stripe};
 use stair_gf::Gf16;
 
 #[test]
@@ -55,6 +55,41 @@ fn gf16_encoding_methods_agree() {
     }
     assert_eq!(stripes[0], stripes[1]);
     assert_eq!(stripes[0], stripes[2]);
+}
+
+/// Regression: a sector that does not hold whole GF(2^16) elements used
+/// to panic inside the region kernel when encoded, where decoding the
+/// same stripe returned `ShapeMismatch`. Every encode now says so too,
+/// and leaves the stripe as it was.
+#[test]
+fn gf16_refuses_odd_sectors_without_panicking() {
+    let config = Config::new(8, 4, 2, &[1, 1, 2]).unwrap();
+    let codec: StairCodec<Gf16> = StairCodec::new(config.clone()).unwrap();
+    let mut stripe = Stripe::new(config, 7).unwrap();
+    stripe.fill_pattern(4);
+    let before = stripe.clone();
+    assert!(matches!(
+        codec.encode(&mut stripe),
+        Err(Error::ShapeMismatch(_))
+    ));
+    for method in [
+        EncodingMethod::Upstairs,
+        EncodingMethod::Downstairs,
+        EncodingMethod::Standard,
+    ] {
+        assert!(
+            matches!(
+                codec.encode_with(method, &mut stripe),
+                Err(Error::ShapeMismatch(_))
+            ),
+            "{method:?}"
+        );
+    }
+    assert!(matches!(
+        codec.decode(&mut stripe, &[(0, 0)]),
+        Err(Error::ShapeMismatch(_))
+    ));
+    assert_eq!(stripe, before);
 }
 
 /// GF(2^8) caps r + e_max at 256; GF(2^16) goes beyond.

@@ -3,9 +3,9 @@
 //! `(n, n−m−1)` code, or like the IDR scheme.
 
 use stair::{Config, StairCodec, Stripe};
-use stair_code::ErasureSet;
+use stair_code::{ErasureCode, ErasureSet, StripeBuf};
 use stair_gf::Gf8;
-use stair_sd::{IdrScheme, SdCode, SdStripe};
+use stair_sd::{IdrScheme, SdCode};
 
 fn encoded(config: &Config, seed: u8) -> (StairCodec, Stripe) {
     let codec: StairCodec = StairCodec::new(config.clone()).unwrap();
@@ -23,10 +23,11 @@ fn e_equals_1_matches_sd_coverage() {
     let config = Config::new(n, r, m, &[1]).unwrap();
     let (codec, pristine) = encoded(&config, 3);
     let sd: SdCode<Gf8> = SdCode::new(n, r, m, 1).unwrap();
-    let mut sd_stripe = SdStripe::new(&sd, 8);
-    sd_stripe.fill_pattern(3);
-    sd.encode(&mut sd_stripe).unwrap();
-    let sd_pristine = sd_stripe.clone();
+    let g = sd.geometry();
+    let mut sd_pristine = StripeBuf::new(r, n, 8).unwrap();
+    let data: Vec<u8> = (0..g.data_per_stripe() * 8).map(|b| b as u8).collect();
+    sd_pristine.write_cells(&g.data_cells, &data).unwrap();
+    sd.encode(&mut sd_pristine).unwrap();
 
     // Every (device, extra-sector) combination must be repairable by both.
     for dev in 0..n {
@@ -48,7 +49,8 @@ fn e_equals_1_matches_sd_coverage() {
 
             let mut sd_damaged = sd_pristine.clone();
             sd_damaged.erase(&erased);
-            sd.decode(&mut sd_damaged, &erased).unwrap();
+            let plan = sd.plan(&ErasureSet::from(&erased[..])).unwrap();
+            sd.apply(&plan, &mut sd_damaged).unwrap();
             assert_eq!(
                 sd_damaged, sd_pristine,
                 "SD failed at dev={dev} extra=({row},{col})"
