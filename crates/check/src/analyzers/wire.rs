@@ -9,7 +9,11 @@
 //! one method its implementors own and none of the methods the trait
 //! provides over it. The opcode table's own coherence is code, not a
 //! lint: `Opcode::from_u8` is a lookup in `Opcode::ALL`, and `match`
-//! exhaustiveness covers `name()`.
+//! exhaustiveness covers `name()`. (d) also keeps the admin path
+//! single: in the files of the backends whose trait impls live in
+//! `crates/net/src/device_impl.rs`, no inherent `pub fn` takes the name
+//! of a `BlockDevice`/`FaultAdmin` method, because an inherent method
+//! silently shadows the trait's on the concrete type.
 
 use crate::findings::{Finding, Lint};
 use crate::lexer::{str_contents, TokKind, TokenFile};
@@ -31,6 +35,24 @@ pub const WIRE_CONSTS: &[&str] = &[
 /// provided methods, and `StripeStore`'s typed-error trio the layer
 /// ledger calls.
 const LONE_OP_HOMES: &[&str] = &["crates/device/src/api.rs", "crates/store/src/batch.rs"];
+
+/// The backends whose `BlockDevice`/`FaultAdmin` impls are their only
+/// admin path, and the trait methods no inherent `pub fn` of theirs may
+/// be named (`submit_ops` keeps its typed-error inherent twin;
+/// `read_at`/`write_at` are held everywhere by the lone-op rule).
+const TRAIT_ONLY_HOMES: &[&str] = &["crates/net/src/client.rs", "crates/net/src/shards.rs"];
+const TRAIT_ONLY_METHODS: &[&str] = &[
+    "capacity",
+    "block_size",
+    "submit",
+    "flush",
+    "status",
+    "scrub",
+    "repair",
+    "metrics",
+    "fail_device",
+    "corrupt_sectors",
+];
 
 /// Traits written as one method per implementor plus provided methods
 /// over it: `(trait, the method every impl defines, the provided methods
@@ -100,8 +122,9 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
 
 /// (d) Per [`ONE_METHOD_TRAITS`] entry, every `impl <Trait> for …`
 /// block defines the trait's one implementor method and none it
-/// provides; and no type outside [`LONE_OP_HOMES`] offers
-/// `pub fn read_at|write_at` sugar beside its `submit_ops`.
+/// provides; no type outside [`LONE_OP_HOMES`] offers
+/// `pub fn read_at|write_at` sugar beside its `submit_ops`; and no
+/// `pub fn` in [`TRAIT_ONLY_HOMES`] is named after a trait method.
 fn check_one_method_traits(ws: &Workspace, out: &mut Vec<Finding>) {
     for f in &ws.files {
         let tf = &f.tf;
@@ -131,6 +154,31 @@ fn check_one_method_traits(ws: &Workspace, out: &mut Vec<Finding>) {
                          entry is `submit_ops`; callers take `{name}` from the trait"
                     ),
                 );
+            }
+            if tf.is_ident(ci, "pub") && TRAIT_ONLY_HOMES.contains(&f.rel.as_str()) {
+                // `pub fn` or `pub(…) fn`: the name follows the `fn`.
+                let fn_at = if tf.is_punct(ci + 1, "(") {
+                    (ci + 2..n)
+                        .find(|&k| tf.is_punct(k, ")"))
+                        .map_or(n, |k| k + 1)
+                } else {
+                    ci + 1
+                };
+                let name_at = fn_at + 1;
+                if tf.is_ident(fn_at, "fn")
+                    && name_at < n
+                    && TRAIT_ONLY_METHODS.contains(&tf.ctext(name_at))
+                {
+                    let name = tf.ctext(name_at);
+                    flag(
+                        name_at,
+                        format!(
+                            "inherent `fn {name}` beside the trait impls: it shadows the \
+                             `BlockDevice`/`FaultAdmin` method of the same name; write it \
+                             once, in the impl in `crates/net/src/device_impl.rs`"
+                        ),
+                    );
+                }
             }
             let Some(&(tr, owned, provided)) = ONE_METHOD_TRAITS
                 .iter()

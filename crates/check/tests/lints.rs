@@ -185,6 +185,41 @@ fn device_one_method_near_misses_are_clean() {
 }
 
 #[test]
+fn inherent_admin_copies_are_flagged_in_the_backend_files() {
+    let proto = fixture("wire_protocol_good.rs");
+    let bad = fixture("wire_admin_shadow_bad.rs");
+    let r = run_ws(&[
+        ("crates/net/src/protocol.rs", &proto),
+        ("crates/net/src/client.rs", &bad),
+        ("crates/net/src/shards.rs", &bad),
+        // Outside the two backend files the same methods are at home.
+        ("crates/store/src/store.rs", &bad),
+    ]);
+    let hits = of(&r, Lint::WireConstants);
+    assert_eq!(hits.len(), 8, "{hits:?}");
+    for file in ["net/src/client.rs", "net/src/shards.rs"] {
+        for name in ["capacity", "status", "scrub", "fail_device"] {
+            let shadow = format!("inherent `fn {name}` beside the trait impls");
+            assert!(
+                hits.iter().any(|h| h.contains(file) && h.contains(&shadow)),
+                "{file} {name}: {hits:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn admin_trait_impls_and_other_names_are_clean() {
+    let proto = fixture("wire_protocol_good.rs");
+    let near = fixture("wire_admin_shadow_near_miss.rs");
+    let r = run_ws(&[
+        ("crates/net/src/protocol.rs", &proto),
+        ("crates/net/src/client.rs", &near),
+    ]);
+    assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
+}
+
+#[test]
 fn codec_overrides_of_provided_methods_are_flagged() {
     let proto = fixture("wire_protocol_good.rs");
     let bad = fixture("wire_code_fork_bad.rs");

@@ -34,7 +34,7 @@ use std::str::FromStr;
 use stair_code::CodecSpec;
 use stair_device::{BatchResult, BlockDevice, DeviceSpec, Instrumented, IoBatch, IoOp, OpResult};
 use stair_net::json::{metrics_json, Json};
-use stair_net::{open_admin, open_device, Client, ShardSet, WireTrace};
+use stair_net::{open_admin, open_device, recorded_traces, Client, ShardSet};
 use stair_reliability::{BurstModel, FailureInjector, SectorModel};
 use stair_store::{StoreOptions, StripeStore};
 
@@ -688,21 +688,4 @@ fn print_span_tree(spans: &[stair_net::WireSpan], span_id: u64, depth: usize) {
     for child in children {
         print_span_tree(spans, child.span_id, depth + 1);
     }
-}
-
-/// This process's flight recorder as wire traces: the completed ring
-/// plus any slow/errored captures the main ring has already evicted —
-/// the same merge the server performs for a TRACE pull.
-fn recorded_traces() -> Vec<WireTrace> {
-    let rec = stair_obs::trace::recorder();
-    let mut traces: Vec<WireTrace> = rec.traces().iter().map(WireTrace::from).collect();
-    let seen: std::collections::HashSet<(u64, u64)> =
-        traces.iter().map(|t| (t.trace_id, t.root_span)).collect();
-    traces.extend(
-        rec.slow_traces()
-            .iter()
-            .filter(|t| !seen.contains(&(t.trace_id, t.root_span)))
-            .map(WireTrace::from),
-    );
-    traces
 }

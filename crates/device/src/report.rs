@@ -5,6 +5,8 @@
 //! the benchmarks, the conformance tests) see one vocabulary
 //! regardless of where the bytes live.
 
+use crate::DeviceError;
+
 /// Health and geometry of one erasure-coded shard. A single-store
 /// backend reports exactly one; a sharded or remote backend reports one
 /// per shard, in shard order.
@@ -90,6 +92,30 @@ pub struct DeviceStatus {
 }
 
 impl DeviceStatus {
+    /// A plain backend's status over its shards, in shard order: the
+    /// capacity is their sum and the block size the first's. Every
+    /// backend builds its status here, so the contract that `shards` is
+    /// never empty is checked once — a remote peer's STATUS answer
+    /// cannot be trusted to keep it.
+    ///
+    /// # Errors
+    ///
+    /// [`DeviceError::Backend`] when `shards` is empty.
+    pub fn new(backend: &str, shards: Vec<ShardHealth>) -> Result<Self, DeviceError> {
+        let Some(first) = shards.first() else {
+            return Err(DeviceError::Backend(format!(
+                "{backend} backend reported no shards"
+            )));
+        };
+        Ok(DeviceStatus {
+            backend: backend.into(),
+            capacity: shards.iter().map(|s| s.capacity).sum(),
+            block_size: first.block_size,
+            shards,
+            cache: None,
+        })
+    }
+
     /// `true` when every shard is healthy.
     pub fn healthy(&self) -> bool {
         self.shards.iter().all(ShardHealth::healthy)
@@ -243,6 +269,22 @@ mod tests {
             ..Default::default()
         }
         .complete());
+    }
+
+    #[test]
+    fn a_status_sums_its_shards_and_is_never_empty() {
+        let shard = |capacity| ShardHealth {
+            capacity,
+            block_size: 64,
+            ..ShardHealth::default()
+        };
+        let status = DeviceStatus::new("shards", vec![shard(100), shard(50)]).unwrap();
+        assert_eq!((status.capacity, status.block_size), (150, 64));
+        assert_eq!((status.backend.as_str(), status.cache), ("shards", None));
+        match DeviceStatus::new("tcp", Vec::new()) {
+            Err(DeviceError::Backend(msg)) => assert!(msg.contains("tcp"), "{msg}"),
+            other => panic!("expected a Backend error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! before it is trusted, and server-reported failures are normalized by
 //! one shared helper ([`ok_or_remote`]).
 //!
+//! This file holds the connection, the data path and the two calls no
+//! trait has (TRACE pull, SHUTDOWN). Status, flush, scrub, repair,
+//! metrics and fault injection are the clients' `BlockDevice`/
+//! `FaultAdmin` methods in `device_impl.rs`, each one request through
+//! `Client::call`; there is no inherent copy beside them.
+//!
 //! **Resilience**: a broken connection is not a dead client. Any call
 //! that hits a transport error drops the connection and the next call
 //! redials transparently; *idempotent* requests additionally retry once
@@ -34,19 +40,15 @@
 
 use std::collections::HashMap;
 use std::net::TcpStream;
-use std::str::FromStr;
 use std::sync::{Mutex, MutexGuard};
 
-use stair_code::CodecSpec;
-use stair_device::{OpRef, OpResult, RepairOutcome, ScrubOutcome};
+use stair_device::{OpRef, OpResult};
 use stair_obs::trace::{self, names};
-use stair_store::StoreStatus;
 
 use crate::device_impl::stitch;
 use crate::protocol::{
     encode_batch, ok_or_remote, read_response, write_frame, write_request_traced, Opcode, Request,
-    Response, ServerInfo, WireShardStatus, WireTrace, MAX_BATCH_OPS, MAX_IO_BYTES,
-    PROTOCOL_VERSION,
+    Response, ServerInfo, WireTrace, MAX_BATCH_OPS, MAX_IO_BYTES, PROTOCOL_VERSION,
 };
 use crate::NetError;
 
@@ -180,16 +182,6 @@ impl Client {
         &self.info
     }
 
-    /// Total logical capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.info.capacity
-    }
-
-    /// Logical block size in bytes.
-    pub fn block_size(&self) -> usize {
-        self.info.block_size as usize
-    }
-
     /// Locks the connection slot. Poisoning means another thread
     /// panicked mid-call; the stream may hold half a conversation, but
     /// the next frame either parses or surfaces a protocol error, so
@@ -253,18 +245,6 @@ impl Client {
         }
     }
 
-    /// Per-shard health snapshots.
-    ///
-    /// # Errors
-    ///
-    /// Transport or server failures.
-    pub fn status(&self) -> Result<Vec<StoreStatus>, NetError> {
-        match self.with_conn(true, |conn| conn.call(&Request::Status))? {
-            Response::Status(shards) => shards.iter().map(store_status).collect(),
-            other => Err(unexpected("STATUS", &other)),
-        }
-    }
-
     /// The one data path: every op of `ops` travels in one BATCH frame
     /// (several frames only past the per-request caps), so N small ops
     /// cost one round trip instead of N. Every submission is retryable
@@ -308,109 +288,6 @@ impl Client {
         .inspect_err(|_| op.fail())
     }
 
-    /// Persists every shard on the server.
-    ///
-    /// # Errors
-    ///
-    /// Transport or server failures.
-    pub fn flush(&self) -> Result<(), NetError> {
-        match self.with_conn(true, |conn| conn.call(&Request::Flush))? {
-            Response::Flushed => Ok(()),
-            other => Err(unexpected("FLUSH", &other)),
-        }
-    }
-
-    /// Declares `device` of `shard` failed.
-    ///
-    /// # Errors
-    ///
-    /// Transport or server failures (bad indices come back as
-    /// [`NetError::Remote`]).
-    pub fn fail_device(&self, shard: usize, device: usize) -> Result<(), NetError> {
-        match self.with_conn(false, |conn| {
-            conn.call(&Request::FailDevice {
-                shard: shard as u32,
-                device: device as u32,
-            })
-        })? {
-            Response::Failed => Ok(()),
-            other => Err(unexpected("FAIL", &other)),
-        }
-    }
-
-    /// Corrupts a sector burst on one shard device (latent damage).
-    ///
-    /// # Errors
-    ///
-    /// Transport or server failures.
-    pub fn corrupt_sectors(
-        &self,
-        shard: usize,
-        device: usize,
-        stripe: usize,
-        row: usize,
-        len: usize,
-    ) -> Result<(), NetError> {
-        match self.with_conn(false, |conn| {
-            conn.call(&Request::CorruptSectors {
-                shard: shard as u32,
-                device: device as u32,
-                stripe: stripe as u32,
-                row: row as u32,
-                len: len as u32,
-            })
-        })? {
-            Response::Failed => Ok(()),
-            other => Err(unexpected("FAIL", &other)),
-        }
-    }
-
-    /// Scrubs every shard with `threads` workers each.
-    ///
-    /// # Errors
-    ///
-    /// Transport or server failures.
-    pub fn scrub(&self, threads: usize) -> Result<ScrubOutcome, NetError> {
-        match self.with_conn(true, |conn| {
-            conn.call(&Request::Scrub {
-                threads: threads as u32,
-            })
-        })? {
-            Response::Scrubbed(s) => Ok(s),
-            other => Err(unexpected("SCRUB", &other)),
-        }
-    }
-
-    /// Repairs every shard with `threads` workers each.
-    ///
-    /// # Errors
-    ///
-    /// Transport or server failures.
-    pub fn repair(&self, threads: usize) -> Result<RepairOutcome, NetError> {
-        match self.with_conn(true, |conn| {
-            conn.call(&Request::Repair {
-                threads: threads as u32,
-            })
-        })? {
-            Response::Repaired(r) => Ok(r),
-            other => Err(unexpected("REPAIR", &other)),
-        }
-    }
-
-    /// Pulls the server's metrics snapshot: per-opcode request counters
-    /// and latency histograms, connection gauges, slow-op captures, and
-    /// the aggregated `store.*`/`gf.*` counters across shards.
-    ///
-    /// # Errors
-    ///
-    /// Transport or server failures.
-    pub fn metrics(&self) -> Result<stair_obs::MetricsSnapshot, NetError> {
-        match self.with_conn(true, |conn| conn.call(&Request::Metrics))? {
-            Response::Metrics(snap) => Ok(snap),
-            other => Err(unexpected("METRICS", &other)),
-        }
-    }
-
     /// Pulls the server's flight recorder: completed traces plus the
     /// slow/errored captures the main ring has already evicted.
     ///
@@ -418,10 +295,10 @@ impl Client {
     ///
     /// Transport or server failures.
     pub fn pull_traces(&self) -> Result<Vec<WireTrace>, NetError> {
-        match self.with_conn(true, |conn| conn.call(&Request::Trace))? {
+        self.call(true, &Request::Trace, |resp| match resp {
             Response::Traces(traces) => Ok(traces),
-            other => Err(unexpected("TRACE", &other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Asks the server to shut down cleanly.
@@ -430,10 +307,25 @@ impl Client {
     ///
     /// Transport or server failures.
     pub fn shutdown_server(&self) -> Result<(), NetError> {
-        match self.with_conn(false, |conn| conn.call(&Request::Shutdown))? {
+        self.call(false, &Request::Shutdown, |resp| match resp {
             Response::ShuttingDown => Ok(()),
-            other => Err(unexpected("SHUTDOWN", &other)),
-        }
+            other => Err(other),
+        })
+    }
+
+    /// One request, one response — every call but BATCH, whose frames
+    /// pipeline. `pick` takes the answer `req` expects and hands back
+    /// anything else, which is a protocol error. `idempotent` is chosen
+    /// per request: only those retry over a fresh connection
+    /// ([`Client::with_conn`]).
+    pub(crate) fn call<T>(
+        &self,
+        idempotent: bool,
+        req: &Request,
+        pick: impl FnOnce(Response) -> Result<T, Response>,
+    ) -> Result<T, NetError> {
+        let resp = self.with_conn(idempotent, |conn| conn.call(req))?;
+        pick(resp).map_err(|other| unexpected(&req.opcode().name().to_uppercase(), &other))
     }
 }
 
@@ -553,26 +445,6 @@ impl StripedClient {
         self.lanes[0].info().clone()
     }
 
-    /// Pulls the server's metrics snapshot down lane 0 (the metrics are
-    /// server-side and connection-independent, so one lane suffices).
-    ///
-    /// # Errors
-    ///
-    /// Transport or server failures.
-    pub fn metrics(&self) -> Result<stair_obs::MetricsSnapshot, NetError> {
-        self.lane0().metrics()
-    }
-
-    /// Pulls the server's flight recorder down lane 0 (the recorder is
-    /// process-wide server-side, so one lane sees every trace).
-    ///
-    /// # Errors
-    ///
-    /// Transport or server failures.
-    pub fn pull_traces(&self) -> Result<Vec<WireTrace>, NetError> {
-        self.lane0().pull_traces()
-    }
-
     /// The one data path, with **one request frame per touched
     /// shard**: ops are grouped by the server's placement map
     /// (reconstructed from the HELLO geometry), each shard group ships
@@ -620,22 +492,6 @@ fn next_batch_id() -> u64 {
 
 fn unexpected(what: &str, got: &Response) -> NetError {
     NetError::Protocol(format!("unexpected response to {what}: {got:?}"))
-}
-
-fn store_status(w: &WireShardStatus) -> Result<StoreStatus, NetError> {
-    Ok(StoreStatus {
-        codec: CodecSpec::from_str(&w.codec)
-            .map_err(|e| NetError::Protocol(format!("bad codec spec in status: {e}")))?,
-        capacity: w.capacity,
-        block_size: w.block_size as usize,
-        stripes: w.stripes as usize,
-        blocks_per_stripe: w.blocks_per_stripe as usize,
-        failed_devices: w.failed_devices.iter().map(|&d| d as usize).collect(),
-        rebuilding_devices: w.rebuilding_devices.iter().map(|&d| d as usize).collect(),
-        known_bad_sectors: w.known_bad_sectors as usize,
-        clean_shutdown: w.clean_shutdown,
-        replayed_records: w.replayed_records,
-    })
 }
 
 #[cfg(test)]

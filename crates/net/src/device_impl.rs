@@ -2,13 +2,21 @@
 //! and remote backends, plus the [`open_device`] registry that turns a
 //! [`DeviceSpec`] into a live device — the storage-layer mirror of
 //! `stair_store::build_codec()`.
+//!
+//! Every admin operation (status, flush, scrub, repair, metrics, fault
+//! injection) of `ShardSet`, `Client` and `StripedClient` is written
+//! here, once, as its trait method; none of the three has an inherent
+//! copy to drift from it. The server answers each admin request by
+//! calling the same method on its `ShardSet`.
 
 use stair_device::{
     BlockDevice, DeviceError, DeviceSpec, DeviceStatus, FaultAdmin, OpRef, OpResult, RepairOutcome,
-    ScrubOutcome, ShardHealth,
+    ScrubOutcome,
 };
-use stair_store::{shard_health, StoreStatus, StripeStore};
+use stair_obs::MetricsSnapshot;
+use stair_store::{gf_metrics, repair_outcome, scrub_outcome, StripeStore};
 
+use crate::protocol::{Request, Response};
 use crate::{Client, NetError, ShardSet, StripedClient};
 
 /// Opens the backend a spec names as a data-path device.
@@ -68,25 +76,6 @@ pub fn open_admin(spec: &DeviceSpec) -> Result<Box<dyn stair_device::AdminDevice
     })
 }
 
-/// Builds the unified status, enforcing the `DeviceStatus` contract
-/// that `shards` is never empty (a `ShardSet` guarantees it by
-/// construction; a remote peer's STATUS response cannot be trusted to).
-fn device_status(backend: &str, statuses: &[StoreStatus]) -> Result<DeviceStatus, DeviceError> {
-    let shards: Vec<ShardHealth> = statuses.iter().map(shard_health).collect();
-    let Some(first) = shards.first() else {
-        return Err(DeviceError::Backend(format!(
-            "{backend} backend reported no shards"
-        )));
-    };
-    Ok(DeviceStatus {
-        backend: backend.into(),
-        capacity: shards.iter().map(|s| s.capacity).sum(),
-        block_size: first.block_size,
-        shards,
-        cache: None,
-    })
-}
-
 /// Stitches one sub-batch's results back into the global result slots:
 /// `map[j]` names the global op and the byte offset sub-op `j` covers.
 /// Read bytes are copied into place; write outcomes fold additively.
@@ -131,11 +120,11 @@ pub(crate) fn stitch(
 
 impl BlockDevice for ShardSet {
     fn capacity(&self) -> u64 {
-        ShardSet::capacity(self)
+        self.placement().capacity()
     }
 
     fn block_size(&self) -> usize {
-        ShardSet::block_size(self)
+        self.placement().block_size()
     }
 
     fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
@@ -143,23 +132,47 @@ impl BlockDevice for ShardSet {
     }
 
     fn flush(&self) -> Result<(), DeviceError> {
-        Ok(ShardSet::flush(self)?)
+        for store in &self.stores {
+            store.flush()?;
+        }
+        Ok(())
     }
 
     fn status(&self) -> Result<DeviceStatus, DeviceError> {
-        device_status("shards", &ShardSet::status(self))
+        DeviceStatus::new(
+            "shards",
+            self.stores.iter().map(StripeStore::status).collect(),
+        )
     }
 
+    /// Scrubs the shards one after another, `threads` workers each.
     fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
-        Ok(ShardSet::scrub(self, threads)?)
+        let mut total = ScrubOutcome::default();
+        for store in &self.stores {
+            total.absorb(&scrub_outcome(&store.scrub(threads)?));
+        }
+        Ok(total)
     }
 
+    /// Repairs the shards one after another, `threads` workers each.
     fn repair(&self, threads: usize) -> Result<RepairOutcome, DeviceError> {
-        Ok(ShardSet::repair(self, threads)?)
+        let mut total = RepairOutcome::default();
+        for store in &self.stores {
+            total.absorb(&repair_outcome(&store.repair(threads)?));
+        }
+        Ok(total)
     }
 
-    fn metrics(&self) -> Result<stair_obs::MetricsSnapshot, DeviceError> {
-        Ok(ShardSet::metrics(self))
+    /// The shards' `store.*` counters summed, plus the process-global
+    /// `gf.*` counters folded in once (every codec instance shares them,
+    /// so merging them per shard would multiply them).
+    fn metrics(&self) -> Result<MetricsSnapshot, DeviceError> {
+        let mut snap = MetricsSnapshot::default();
+        for store in &self.stores {
+            snap.merge(&store.store_metrics());
+        }
+        snap.merge(&gf_metrics());
+        Ok(snap)
     }
 }
 
@@ -188,59 +201,6 @@ impl FaultAdmin for ShardSet {
 
 impl BlockDevice for Client {
     fn capacity(&self) -> u64 {
-        Client::capacity(self)
-    }
-
-    fn block_size(&self) -> usize {
-        Client::block_size(self)
-    }
-
-    fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
-        Ok(Client::submit_ops(self, ops)?)
-    }
-
-    fn flush(&self) -> Result<(), DeviceError> {
-        Ok(Client::flush(self)?)
-    }
-
-    fn status(&self) -> Result<DeviceStatus, DeviceError> {
-        device_status("tcp", &Client::status(self)?)
-    }
-
-    fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
-        Ok(Client::scrub(self, threads)?)
-    }
-
-    fn repair(&self, threads: usize) -> Result<RepairOutcome, DeviceError> {
-        Ok(Client::repair(self, threads)?)
-    }
-
-    fn metrics(&self) -> Result<stair_obs::MetricsSnapshot, DeviceError> {
-        Ok(Client::metrics(self)?)
-    }
-}
-
-impl FaultAdmin for Client {
-    fn fail_device(&self, shard: usize, device: usize) -> Result<(), DeviceError> {
-        Ok(Client::fail_device(self, shard, device)?)
-    }
-
-    fn corrupt_sectors(
-        &self,
-        shard: usize,
-        device: usize,
-        stripe: usize,
-        row: usize,
-        len: usize,
-    ) -> Result<(), DeviceError> {
-        Ok(Client::corrupt_sectors(
-            self, shard, device, stripe, row, len,
-        )?)
-    }
-}
-
-impl BlockDevice for StripedClient {
-    fn capacity(&self) -> u64 {
         self.info().capacity
     }
 
@@ -249,33 +209,67 @@ impl BlockDevice for StripedClient {
     }
 
     fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
-        Ok(StripedClient::submit_ops(self, ops)?)
+        Ok(Client::submit_ops(self, ops)?)
     }
 
     fn flush(&self) -> Result<(), DeviceError> {
-        Ok(self.lane0().flush()?)
+        Ok(self.call(true, &Request::Flush, |resp| match resp {
+            Response::Flushed => Ok(()),
+            other => Err(other),
+        })?)
     }
 
     fn status(&self) -> Result<DeviceStatus, DeviceError> {
-        device_status("tcp", &self.lane0().status()?)
+        let shards = self.call(true, &Request::Status, |resp| match resp {
+            Response::Status(shards) => Ok(shards),
+            other => Err(other),
+        })?;
+        DeviceStatus::new("tcp", shards)
     }
 
     fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
-        Ok(self.lane0().scrub(threads)?)
+        let req = Request::Scrub {
+            threads: threads.try_into().unwrap_or(u32::MAX),
+        };
+        Ok(self.call(true, &req, |resp| match resp {
+            Response::Scrubbed(outcome) => Ok(outcome),
+            other => Err(other),
+        })?)
     }
 
     fn repair(&self, threads: usize) -> Result<RepairOutcome, DeviceError> {
-        Ok(self.lane0().repair(threads)?)
+        let req = Request::Repair {
+            threads: threads.try_into().unwrap_or(u32::MAX),
+        };
+        Ok(self.call(true, &req, |resp| match resp {
+            Response::Repaired(outcome) => Ok(outcome),
+            other => Err(other),
+        })?)
     }
 
-    fn metrics(&self) -> Result<stair_obs::MetricsSnapshot, DeviceError> {
-        Ok(StripedClient::metrics(self)?)
+    /// The server's snapshot: per-opcode request counters and latency
+    /// histograms, connection gauges, slow-op captures, and the
+    /// `store.*`/`gf.*` counters of its shard set.
+    fn metrics(&self) -> Result<MetricsSnapshot, DeviceError> {
+        Ok(self.call(true, &Request::Metrics, |resp| match resp {
+            Response::Metrics(snap) => Ok(snap),
+            other => Err(other),
+        })?)
     }
 }
 
-impl FaultAdmin for StripedClient {
+/// Fault injection never retries: re-sending after a lost answer could
+/// apply it twice.
+impl FaultAdmin for Client {
     fn fail_device(&self, shard: usize, device: usize) -> Result<(), DeviceError> {
-        Ok(self.lane0().fail_device(shard, device)?)
+        let req = Request::FailDevice {
+            shard: wire_index(shard)?,
+            device: wire_index(device)?,
+        };
+        Ok(self.call(false, &req, |resp| match resp {
+            Response::Failed => Ok(()),
+            other => Err(other),
+        })?)
     }
 
     fn corrupt_sectors(
@@ -286,8 +280,78 @@ impl FaultAdmin for StripedClient {
         row: usize,
         len: usize,
     ) -> Result<(), DeviceError> {
-        Ok(self
-            .lane0()
-            .corrupt_sectors(shard, device, stripe, row, len)?)
+        let req = Request::CorruptSectors {
+            shard: wire_index(shard)?,
+            device: wire_index(device)?,
+            stripe: wire_index(stripe)?,
+            row: wire_index(row)?,
+            len: wire_index(len)?,
+        };
+        Ok(self.call(false, &req, |resp| match resp {
+            Response::Failed => Ok(()),
+            other => Err(other),
+        })?)
+    }
+}
+
+/// An admin index as the wire's `u32`. One that does not fit names
+/// nothing on the server, so it is refused here rather than truncated
+/// into an index that does.
+fn wire_index(i: usize) -> Result<u32, DeviceError> {
+    u32::try_from(i)
+        .map_err(|_| DeviceError::OutOfRange(format!("index {i} exceeds the wire's u32")))
+}
+
+/// Admin calls go down lane 0: what they act on is server-side and
+/// connection-independent.
+impl BlockDevice for StripedClient {
+    fn capacity(&self) -> u64 {
+        self.lane0().capacity()
+    }
+
+    fn block_size(&self) -> usize {
+        self.lane0().block_size()
+    }
+
+    fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
+        Ok(StripedClient::submit_ops(self, ops)?)
+    }
+
+    fn flush(&self) -> Result<(), DeviceError> {
+        self.lane0().flush()
+    }
+
+    fn status(&self) -> Result<DeviceStatus, DeviceError> {
+        self.lane0().status()
+    }
+
+    fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
+        self.lane0().scrub(threads)
+    }
+
+    fn repair(&self, threads: usize) -> Result<RepairOutcome, DeviceError> {
+        self.lane0().repair(threads)
+    }
+
+    fn metrics(&self) -> Result<MetricsSnapshot, DeviceError> {
+        self.lane0().metrics()
+    }
+}
+
+impl FaultAdmin for StripedClient {
+    fn fail_device(&self, shard: usize, device: usize) -> Result<(), DeviceError> {
+        self.lane0().fail_device(shard, device)
+    }
+
+    fn corrupt_sectors(
+        &self,
+        shard: usize,
+        device: usize,
+        stripe: usize,
+        row: usize,
+        len: usize,
+    ) -> Result<(), DeviceError> {
+        self.lane0()
+            .corrupt_sectors(shard, device, stripe, row, len)
     }
 }

@@ -17,10 +17,15 @@
 //!   reader thread per connection and a fixed worker pool executing
 //!   each BATCH frame as one placement-split, per-stripe-planned pass;
 //! * **[`Client`] / [`StripedClient`]** — blocking, connection-reusing
-//!   clients whose one data-path entry is `submit_ops` (`read_at`/
-//!   `write_at`/`submit` come from `stair_device::BlockDevice`); the
-//!   striped variant sends each touched shard's group down its own
-//!   connection;
+//!   clients whose one inherent data-path entry is `submit_ops`
+//!   (`read_at`/`write_at`/`submit` come from
+//!   `stair_device::BlockDevice`); the striped variant sends each
+//!   touched shard's group down its own connection;
+//! * **admin** — status, flush, scrub, repair, metrics and fault
+//!   injection exist only as the `BlockDevice`/`FaultAdmin` methods of
+//!   [`ShardSet`], [`Client`] and [`StripedClient`] (one body each, in
+//!   `device_impl.rs`); the server calls the shard set's, and STATUS
+//!   carries `stair_device::ShardHealth` records end to end;
 //! * **[`json`]** — a dependency-free JSON builder for the `--json`
 //!   surfaces of the CLI and benchmarks;
 //! * **[`open_device`] / [`open_admin`]** — the registry turning a
@@ -31,7 +36,7 @@
 //! # Example
 //!
 //! ```
-//! use stair_device::BlockDevice; // read_at / write_at / submit
+//! use stair_device::{BlockDevice, FaultAdmin}; // read_at / write_at, fail_device
 //! use stair_net::{Client, Server, ServerConfig, ShardSet};
 //! use stair_store::StoreOptions;
 //!
@@ -82,6 +87,6 @@ pub use client::{Client, StripedClient};
 pub use device_impl::{open_admin, open_device};
 pub use error::NetError;
 pub use placement::{Placement, ShardSpan};
-pub use protocol::{WireSpan, WireTrace};
+pub use protocol::{recorded_traces, WireSpan, WireTrace};
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use shards::{shard_dir_name, wire_status, ShardSet};
+pub use shards::{shard_dir_name, ShardSet};

@@ -43,7 +43,8 @@
 
 use std::io::{Read, Write};
 
-use stair_device::{IoOp, OpRef, OpResult, RepairOutcome, ScrubOutcome, WriteOutcome};
+use stair_code::CodecSpec;
+use stair_device::{IoOp, OpRef, OpResult, RepairOutcome, ScrubOutcome, ShardHealth, WriteOutcome};
 use stair_gf::fletcher32;
 use stair_obs::{HistogramSnapshot, MetricsSnapshot, SpanCtx, TraceEvent, BUCKETS};
 
@@ -289,6 +290,25 @@ impl From<&stair_obs::TraceRecord> for WireTrace {
     }
 }
 
+/// This process's flight recorder as wire traces: the completed ring,
+/// then the slow/errored captures the ring has already evicted (a trace
+/// in both is listed once, keyed by `(trace_id, root_span)`). What a
+/// server answers a TRACE pull with, and what `stair dev trace` prints
+/// for its own process.
+pub fn recorded_traces() -> Vec<WireTrace> {
+    let rec = stair_obs::trace::recorder();
+    let mut traces: Vec<WireTrace> = rec.traces().iter().map(WireTrace::from).collect();
+    let seen: std::collections::HashSet<(u64, u64)> =
+        traces.iter().map(|t| (t.trace_id, t.root_span)).collect();
+    traces.extend(
+        rec.slow_traces()
+            .iter()
+            .filter(|t| !seen.contains(&(t.trace_id, t.root_span)))
+            .map(WireTrace::from),
+    );
+    traces
+}
+
 /// What the server tells a client at HELLO time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServerInfo {
@@ -343,39 +363,15 @@ impl ServerInfo {
     }
 }
 
-/// One shard's health snapshot on the wire (mirrors
-/// [`stair_store::StoreStatus`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireShardStatus {
-    /// Codec spec string.
-    pub codec: String,
-    /// Logical capacity of the shard in bytes.
-    pub capacity: u64,
-    /// Logical block size in bytes.
-    pub block_size: u32,
-    /// Stripes in the shard.
-    pub stripes: u32,
-    /// Data blocks per stripe.
-    pub blocks_per_stripe: u32,
-    /// Devices currently failed.
-    pub failed_devices: Vec<u32>,
-    /// Devices currently rebuilding.
-    pub rebuilding_devices: Vec<u32>,
-    /// Known-damaged sectors awaiting repair.
-    pub known_bad_sectors: u32,
-    /// Whether the shard's previous close checkpointed its journal.
-    pub clean_shutdown: bool,
-    /// Journal records replayed when the shard opened.
-    pub replayed_records: u64,
-}
-
 /// A parsed response.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Response {
     /// HELLO answer.
     Hello(ServerInfo),
-    /// STATUS answer: one entry per shard, in shard order.
-    Status(Vec<WireShardStatus>),
+    /// STATUS answer: one entry per shard, in shard order. The two
+    /// tolerances do not travel: the decoder derives them from the
+    /// codec spec.
+    Status(Vec<ShardHealth>),
     /// FLUSH answer.
     Flushed,
     /// FAIL answer.
@@ -422,10 +418,10 @@ impl Enc {
         self.u32(v.len() as u32);
         self.bytes(v.as_bytes());
     }
-    fn u32s(&mut self, v: &[u32]) {
+    fn u32s(&mut self, v: &[usize]) {
         self.u32(v.len() as u32);
         for &x in v {
-            self.u32(x);
+            self.u32(x as u32);
         }
     }
 }
@@ -469,13 +465,13 @@ impl<'a> Dec<'a> {
         String::from_utf8(bytes.to_vec())
             .map_err(|_| NetError::Protocol("string field is not UTF-8".into()))
     }
-    fn u32s(&mut self) -> Result<Vec<u32>, NetError> {
+    fn u32s(&mut self) -> Result<Vec<usize>, NetError> {
         let len = self.u32()? as usize;
         // Cap pre-allocation at what the remaining bytes could hold.
         if len > self.buf.len().saturating_sub(self.at) / 4 {
             return Err(NetError::Protocol("list length exceeds frame".into()));
         }
-        (0..len).map(|_| self.u32()).collect()
+        (0..len).map(|_| Ok(self.u32()? as usize)).collect()
     }
     fn finish(self) -> Result<(), NetError> {
         if self.at != self.buf.len() {
@@ -826,12 +822,12 @@ fn encode_response_payload(resp: &Response) -> (u8, Vec<u8>) {
             for s in shards {
                 e.str(&s.codec);
                 e.u64(s.capacity);
-                e.u32(s.block_size);
-                e.u32(s.stripes);
-                e.u32(s.blocks_per_stripe);
+                e.u32(s.block_size as u32);
+                e.u32(s.stripes as u32);
+                e.u32(s.blocks_per_stripe as u32);
                 e.u32s(&s.failed_devices);
                 e.u32s(&s.rebuilding_devices);
-                e.u32(s.known_bad_sectors);
+                e.u32(s.known_bad_sectors as u32);
                 e.u8(s.clean_shutdown as u8);
                 e.u64(s.replayed_records);
             }
@@ -908,15 +904,21 @@ fn decode_response_payload(status: u8, payload: &[u8]) -> Result<Response, NetEr
             let count = d.u32()? as usize;
             let mut shards = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
-                shards.push(WireShardStatus {
-                    codec: d.str()?,
+                let codec = d.str()?;
+                let spec: CodecSpec = codec
+                    .parse()
+                    .map_err(|e| NetError::Protocol(format!("bad codec spec in status: {e}")))?;
+                shards.push(ShardHealth {
+                    codec,
                     capacity: d.u64()?,
-                    block_size: d.u32()?,
-                    stripes: d.u32()?,
-                    blocks_per_stripe: d.u32()?,
+                    block_size: d.u32()? as usize,
+                    stripes: d.u32()? as usize,
+                    blocks_per_stripe: d.u32()? as usize,
+                    device_tolerance: spec.m(),
+                    sector_tolerance: spec.s(),
                     failed_devices: d.u32s()?,
                     rebuilding_devices: d.u32s()?,
-                    known_bad_sectors: d.u32()?,
+                    known_bad_sectors: d.u32()? as usize,
                     clean_shutdown: decode_bool(&mut d, "clean_shutdown")?,
                     replayed_records: d.u64()?,
                 });
@@ -1477,12 +1479,14 @@ mod tests {
             range_blocks: 20,
             codec: "stair:8,4,2,1-1-2".into(),
         }));
-        round_trip_response(Response::Status(vec![WireShardStatus {
+        round_trip_response(Response::Status(vec![ShardHealth {
             codec: "sd:8,4,2,3".into(),
             capacity: 999,
             block_size: 128,
             stripes: 12,
             blocks_per_stripe: 17,
+            device_tolerance: 2,
+            sector_tolerance: 3,
             failed_devices: vec![1, 5],
             rebuilding_devices: vec![],
             known_bad_sectors: 2,
@@ -1534,6 +1538,89 @@ mod tests {
             ok_or_remote(Response::Flushed),
             Ok(Response::Flushed)
         ));
+    }
+
+    /// A STATUS response frame (request id 7) as the encoder of commit
+    /// 78e4504 wrote it, when the wire form was a struct of its own
+    /// (`WireShardStatus`): one shard per codec family.
+    const PARENT_STATUS_FRAME: &str = "cc000000070000000000000002f0dd4620030000001100000073746169723a382c342c322c312d312d320040010000000000000100001000000014000000010000000200000000000000030000000100000000000000000b00000073643a382c31362c322c33004017000000000000100000040000005d000000020000000000000005000000010000000100000000000000002a000000000000000800000072733a362c342c320000010000000000000200000800000010000000000000000000000000000000010000000000000000";
+
+    #[test]
+    fn status_bytes_match_the_parent_encoder() {
+        fn shard(
+            codec: &str,
+            (capacity, block_size, stripes, blocks_per_stripe): (u64, usize, usize, usize),
+            (device_tolerance, sector_tolerance): (usize, usize),
+            failed_devices: &[usize],
+            rebuilding_devices: &[usize],
+            (known_bad_sectors, clean_shutdown, replayed_records): (usize, bool, u64),
+        ) -> ShardHealth {
+            ShardHealth {
+                codec: codec.into(),
+                capacity,
+                block_size,
+                stripes,
+                blocks_per_stripe,
+                device_tolerance,
+                sector_tolerance,
+                failed_devices: failed_devices.to_vec(),
+                rebuilding_devices: rebuilding_devices.to_vec(),
+                known_bad_sectors,
+                clean_shutdown,
+                replayed_records,
+            }
+        }
+        let want = Response::Status(vec![
+            shard(
+                "stair:8,4,2,1-1-2",
+                (81920, 256, 16, 20),
+                (2, 4),
+                &[2],
+                &[],
+                (3, true, 0),
+            ),
+            shard(
+                "sd:8,16,2,3",
+                (1523712, 4096, 4, 93),
+                (2, 3),
+                &[0, 5],
+                &[1],
+                (0, false, 42),
+            ),
+            shard(
+                "rs:6,4,2",
+                (65536, 512, 8, 16),
+                (2, 0),
+                &[],
+                &[],
+                (0, true, 0),
+            ),
+        ]);
+        let frame: Vec<u8> = (0..PARENT_STATUS_FRAME.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PARENT_STATUS_FRAME[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(
+            read_response(&mut frame.as_slice()).unwrap(),
+            (7, want.clone())
+        );
+        let mut wire = Vec::new();
+        write_response(&mut wire, 7, &want).unwrap();
+        assert_eq!(wire, frame, "STATUS bytes moved");
+    }
+
+    #[test]
+    fn status_with_an_unparsable_codec_is_a_protocol_error() {
+        let bad = Response::Status(vec![ShardHealth {
+            codec: "stair:banana".into(),
+            ..ShardHealth::default()
+        }]);
+        let mut wire = Vec::new();
+        write_response(&mut wire, 1, &bad).unwrap();
+        match read_response(&mut wire.as_slice()) {
+            Err(NetError::Protocol(msg)) => assert!(msg.contains("codec spec"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -14,7 +14,11 @@
 //! * all data arrives as **BATCH** frames and executes through
 //!   [`ShardSet::submit_ops`] — one planner pass per touched stripe
 //!   however many ops the frame carries; there is no second,
-//!   server-side coalescing layer.
+//!   server-side coalescing layer;
+//! * every other request calls the shard set's `BlockDevice` /
+//!   `FaultAdmin` method of the same name — the code an in-process
+//!   `shards:` caller runs, bounds checks and thread clamping included —
+//!   and a failure travels back as the error's text.
 //!
 //! Shutdown (a SHUTDOWN frame, or [`ServerHandle::shutdown`]) stops the
 //! accept loop, drains the queue, joins every thread, and flushes the
@@ -27,14 +31,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use stair_device::OpRef;
+use stair_device::{BlockDevice, FaultAdmin, OpRef};
 use stair_obs::trace::{self, names};
 use stair_obs::{MetricsRegistry, SpanCtx};
 
 use crate::protocol::{
-    read_request_traced, write_response, Request, Response, ServerInfo, WireTrace, PROTOCOL_VERSION,
+    read_request_traced, recorded_traces, write_response, Request, Response, ServerInfo,
+    PROTOCOL_VERSION,
 };
-use crate::shards::{wire_status, ShardSet};
+use crate::shards::ShardSet;
 use crate::NetError;
 
 /// Tunables for [`Server::bind`].
@@ -307,7 +312,9 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
-        self.shards.flush()
+        self.shards
+            .flush()
+            .map_err(|e| NetError::Io(io::Error::other(e)))
     }
 }
 
@@ -474,32 +481,18 @@ fn execute(
     registry: &MetricsRegistry,
     req: Request,
 ) -> Response {
-    let result = (|| -> Result<Response, NetError> {
+    let result = (|| -> Result<Response, Box<dyn std::error::Error>> {
         Ok(match req {
             Request::Hello { .. } => Response::Hello(info.clone()),
-            Request::Status => Response::Status(shards.status().iter().map(wire_status).collect()),
+            Request::Status => Response::Status(shards.status()?.shards),
             // The server's own request metrics plus the aggregated
             // store counters, one frame.
             Request::Metrics => {
                 let mut snap = registry.snapshot();
-                snap.merge(&shards.metrics());
+                snap.merge(&shards.metrics()?);
                 Response::Metrics(snap)
             }
-            // The flight recorder's completed ring plus any slow/errored
-            // traces the main ring has already evicted.
-            Request::Trace => {
-                let rec = trace::recorder();
-                let mut traces: Vec<WireTrace> = rec.traces().iter().map(WireTrace::from).collect();
-                let seen: std::collections::HashSet<(u64, u64)> =
-                    traces.iter().map(|t| (t.trace_id, t.root_span)).collect();
-                traces.extend(
-                    rec.slow_traces()
-                        .iter()
-                        .filter(|t| !seen.contains(&(t.trace_id, t.root_span)))
-                        .map(WireTrace::from),
-                );
-                Response::Traces(traces)
-            }
+            Request::Trace => Response::Traces(recorded_traces()),
             #[expect(
                 clippy::unreachable,
                 reason = "the reader loop answers shutdowns inline, before execute()"
@@ -516,7 +509,7 @@ fn execute(
                 Response::Flushed
             }
             Request::FailDevice { shard, device } => {
-                shards.shard(shard as usize)?.fail_device(device as usize)?;
+                shards.fail_device(shard as usize, device as usize)?;
                 Response::Failed
             }
             Request::CorruptSectors {
@@ -526,7 +519,8 @@ fn execute(
                 row,
                 len,
             } => {
-                shards.shard(shard as usize)?.corrupt_sectors(
+                shards.corrupt_sectors(
+                    shard as usize,
                     device as usize,
                     stripe as usize,
                     row as usize,
@@ -534,12 +528,8 @@ fn execute(
                 )?;
                 Response::Failed
             }
-            Request::Scrub { threads } => {
-                Response::Scrubbed(shards.scrub((threads as usize).max(1))?)
-            }
-            Request::Repair { threads } => {
-                Response::Repaired(shards.repair((threads as usize).max(1))?)
-            }
+            Request::Scrub { threads } => Response::Scrubbed(shards.scrub(threads as usize)?),
+            Request::Repair { threads } => Response::Repaired(shards.repair(threads as usize)?),
         })
     })();
     result.unwrap_or_else(|e| Response::Error(e.to_string()))

@@ -7,14 +7,18 @@
 //! range. The set is usable in-process (the benchmarks drive it through
 //! the server, tests may drive it directly); the TCP server is a thin
 //! wire layer on top.
+//!
+//! This file holds how a set is made and its data path
+//! ([`ShardSet::submit_ops`]). Everything else a set does — capacity,
+//! status, flush, scrub, repair, metrics, fault injection — is its
+//! `BlockDevice`/`FaultAdmin` impl in `device_impl.rs`, written once.
 
 use std::path::{Path, PathBuf};
 
-use stair_device::{OpRef, OpResult, RepairOutcome, ScrubOutcome};
-use stair_store::{StoreOptions, StoreStatus, StripeStore};
+use stair_device::{DeviceError, OpRef, OpResult};
+use stair_store::{StoreOptions, StripeStore};
 
 use crate::placement::{run_groups, split_batch, Placement};
-use crate::protocol::WireShardStatus;
 use crate::NetError;
 
 /// Directory name of shard `i` under the serve root.
@@ -26,7 +30,7 @@ pub fn shard_dir_name(i: usize) -> String {
 /// map over them.
 pub struct ShardSet {
     root: PathBuf,
-    stores: Vec<StripeStore>,
+    pub(crate) stores: Vec<StripeStore>,
     placement: Placement,
 }
 
@@ -158,24 +162,11 @@ impl ShardSet {
     ///
     /// # Errors
     ///
-    /// Out-of-range indices are rejected.
-    pub fn shard(&self, i: usize) -> Result<&StripeStore, NetError> {
+    /// [`DeviceError::OutOfRange`] for an index past the last shard.
+    pub fn shard(&self, i: usize) -> Result<&StripeStore, DeviceError> {
         self.stores.get(i).ok_or_else(|| {
-            NetError::Shards(format!(
-                "shard {i} out of range (have {})",
-                self.stores.len()
-            ))
+            DeviceError::OutOfRange(format!("shard {i} (the set has {})", self.stores.len()))
         })
-    }
-
-    /// Total logical capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.placement.capacity()
-    }
-
-    /// Logical block size in bytes.
-    pub fn block_size(&self) -> usize {
-        self.placement.block_size()
     }
 
     /// The codec spec string every shard runs.
@@ -198,84 +189,6 @@ impl ShardSet {
         let _split = stair_obs::trace::span(stair_obs::trace::names::SHARDS_SUBMIT);
         let groups = split_batch(&self.placement, ops)?;
         run_groups(ops, &groups, |g| self.stores[g.shard].submit_ops(&g.ops))
-    }
-
-    /// Health snapshot of every shard, in shard order.
-    pub fn status(&self) -> Vec<StoreStatus> {
-        self.stores.iter().map(|s| s.status()).collect()
-    }
-
-    /// Persists every shard.
-    ///
-    /// # Errors
-    ///
-    /// The first store error aborts the pass.
-    pub fn flush(&self) -> Result<(), NetError> {
-        for s in &self.stores {
-            s.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Scrubs every shard with `threads` workers each, returning the
-    /// outcome aggregated across shards.
-    ///
-    /// # Errors
-    ///
-    /// The first store error aborts the pass.
-    pub fn scrub(&self, threads: usize) -> Result<ScrubOutcome, NetError> {
-        let mut total = ScrubOutcome::default();
-        for s in &self.stores {
-            total.absorb(&stair_store::scrub_outcome(&s.scrub(threads)?));
-        }
-        Ok(total)
-    }
-
-    /// Repairs every shard with `threads` workers each, returning the
-    /// outcome aggregated across shards.
-    ///
-    /// # Errors
-    ///
-    /// The first store error aborts the pass.
-    pub fn repair(&self, threads: usize) -> Result<RepairOutcome, NetError> {
-        let mut total = RepairOutcome::default();
-        for s in &self.stores {
-            total.absorb(&stair_store::repair_outcome(&s.repair(threads)?));
-        }
-        Ok(total)
-    }
-
-    /// Aggregated metrics across every shard: the per-shard `store.*`
-    /// counters summed, plus the process-global `gf.*` field-arithmetic
-    /// counters folded in exactly once (they are shared by every codec
-    /// instance, so per-shard merging would multiply them).
-    pub fn metrics(&self) -> stair_obs::MetricsSnapshot {
-        let mut snap = stair_obs::MetricsSnapshot::default();
-        for store in &self.stores {
-            snap.merge(&store.store_metrics());
-        }
-        snap.merge(&stair_store::gf_metrics());
-        snap
-    }
-}
-
-/// Converts a store status to its wire form.
-pub fn wire_status(status: &StoreStatus) -> WireShardStatus {
-    WireShardStatus {
-        codec: status.codec.to_string(),
-        capacity: status.capacity,
-        block_size: status.block_size as u32,
-        stripes: status.stripes as u32,
-        blocks_per_stripe: status.blocks_per_stripe as u32,
-        failed_devices: status.failed_devices.iter().map(|&d| d as u32).collect(),
-        rebuilding_devices: status
-            .rebuilding_devices
-            .iter()
-            .map(|&d| d as u32)
-            .collect(),
-        known_bad_sectors: status.known_bad_sectors as u32,
-        clean_shutdown: status.clean_shutdown,
-        replayed_records: status.replayed_records,
     }
 }
 

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use stair_device::{BlockDevice, IoBatch, IoOp, OpResult};
+use stair_device::{BlockDevice, FaultAdmin, IoBatch, IoOp, OpResult};
 use stair_net::{Client, Server, ServerConfig, ShardSet, StripedClient};
 use stair_store::{StoreOptions, StripeStore};
 

@@ -59,7 +59,7 @@ fn every_op_survives_a_connection_killed_between_ops() {
 
     // Status and a read-only batch ride the same retry path.
     handle.disconnect_all();
-    assert_eq!(client.status().expect("status after kill").len(), 2);
+    assert_eq!(client.status().expect("status after kill").shards.len(), 2);
     handle.disconnect_all();
     let mut batch = stair_device::IoBatch::new();
     batch.read(100, 64).read(1000, 64);

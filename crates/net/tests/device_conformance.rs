@@ -100,13 +100,38 @@ fn exercise(dev: &dyn BlockDevice) {
     assert!(scrub.sectors_verified > 0);
 }
 
-/// The generic fault script: fail a device + corrupt a sector burst,
-/// degraded-read the exact original bytes, watch status go unhealthy,
-/// scrub-detect, repair online, scrub clean again.
+/// The generic fault script: refuse bad indices, fail a device +
+/// corrupt a sector burst, degraded-read the exact original bytes,
+/// watch status go unhealthy, scrub-detect, repair online, scrub clean
+/// again. The scrub and repair that find and heal the damage ask for
+/// zero threads, which every backend runs as one.
 fn exercise_faults(dev: &dyn BlockDevice, admin: &dyn stair_device::FaultAdmin, shard: usize) {
     let capacity = dev.capacity() as usize;
     let payload = pattern(capacity, 11);
     dev.write_at(0, &payload).expect("seed write");
+
+    // A bad shard, a bad device, a burst whose end overflows and a row
+    // past the wire's u32 are `OutOfRange` on every backend, and change
+    // nothing.
+    for (what, result) in [
+        ("bad shard fail", admin.fail_device(99, 0)),
+        ("bad shard burst", admin.corrupt_sectors(99, 5, 2, 1, 2)),
+        ("bad device fail", admin.fail_device(shard, 99)),
+        (
+            "overflowing burst",
+            admin.corrupt_sectors(shard, 5, 2, usize::MAX, 2),
+        ),
+        (
+            "u32-wide row",
+            admin.corrupt_sectors(shard, 5, 2, 1 << 32, 1),
+        ),
+    ] {
+        assert!(
+            matches!(result, Err(DeviceError::OutOfRange(_))),
+            "{what}: {result:?}"
+        );
+    }
+    assert!(dev.status().expect("status").healthy());
 
     admin.fail_device(shard, 3).expect("fail device");
     admin
@@ -122,12 +147,12 @@ fn exercise_faults(dev: &dyn BlockDevice, admin: &dyn stair_device::FaultAdmin, 
 
     // Scrub finds the burst (the failed device is skipped, reported
     // unavailable).
-    let scrub = dev.scrub(2).expect("scrub degraded");
+    let scrub = dev.scrub(0).expect("scrub degraded");
     assert!(!scrub.clean());
     assert_eq!(scrub.mismatches, 2, "{scrub:?}");
 
     // Online repair heals everything; scrub then reports clean.
-    let repair = dev.repair(2).expect("repair");
+    let repair = dev.repair(0).expect("repair");
     assert!(repair.complete(), "{repair:?}");
     assert!(repair.devices_replaced >= 1);
     let scrub = dev.scrub(2).expect("scrub clean");

@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
-use stair_device::{BlockDevice, DeviceError, OpRef};
+use stair_device::{BlockDevice, DeviceError, FaultAdmin, OpRef};
 use stair_net::{Client, NetError, Server, ServerConfig, ShardSet, StripedClient};
 use stair_store::StoreOptions;
 
@@ -83,7 +83,7 @@ fn eight_clients_mixed_rw_with_mid_traffic_device_failure() {
                         // (each region stripes across all 4 shards).
                         let status = client.status().expect("status");
                         assert_eq!(
-                            status[1].failed_devices,
+                            status.shards[1].failed_devices,
                             vec![2],
                             "client {c}: device failure not visible"
                         );
@@ -118,8 +118,8 @@ fn eight_clients_mixed_rw_with_mid_traffic_device_failure() {
     // The failure is visible in status, reads still verify end to end.
     let admin = Client::connect(&addr).expect("admin");
     let status = admin.status().expect("status");
-    assert_eq!(status.len(), 4);
-    assert_eq!(status[1].failed_devices, vec![2]);
+    assert_eq!(status.shards.len(), 4);
+    assert_eq!(status.shards[1].failed_devices, vec![2]);
 
     // Online repair brings the store back to clean.
     let repair = admin.repair(2).expect("repair");
@@ -128,7 +128,7 @@ fn eight_clients_mixed_rw_with_mid_traffic_device_failure() {
     let scrub = admin.scrub(2).expect("scrub");
     assert!(scrub.clean(), "{scrub:?}");
     let status = admin.status().expect("status after repair");
-    assert!(status.iter().all(|s| s.failed_devices.is_empty()));
+    assert!(status.shards.iter().all(|s| s.failed_devices.is_empty()));
 
     admin.shutdown_server().expect("shutdown");
     server.join().expect("server thread").expect("server run");
@@ -189,7 +189,7 @@ fn damage_beyond_coverage_comes_back_as_remote_error() {
     ));
     assert!(matches!(
         client.fail_device(99, 0),
-        Err(NetError::Remote(_))
+        Err(DeviceError::OutOfRange(_))
     ));
     assert!(client.status().is_ok());
 
@@ -206,7 +206,7 @@ fn server_survives_abrupt_client_disconnects() {
         drop(client); // no goodbye
     }
     let client = Client::connect(&addr).expect("connect after hangups");
-    assert_eq!(client.status().expect("status").len(), 2);
+    assert_eq!(client.status().expect("status").shards.len(), 2);
     client.shutdown_server().expect("shutdown");
     server.join().expect("server thread").expect("server run");
     std::fs::remove_dir_all(&dir).unwrap();

@@ -3,10 +3,10 @@
 
 use stair_device::{
     BlockDevice, DeviceError, DeviceStatus, FaultAdmin, OpRef, OpResult, RepairOutcome,
-    ScrubOutcome, ShardHealth,
+    ScrubOutcome,
 };
 
-use crate::{Error, RepairReport, ScrubReport, StoreStatus, StripeStore};
+use crate::{Error, RepairReport, ScrubReport, StripeStore};
 
 impl From<Error> for DeviceError {
     fn from(e: Error) -> Self {
@@ -16,26 +16,6 @@ impl From<Error> for DeviceError {
             e @ Error::Unrecoverable { .. } => DeviceError::Corrupt(e.to_string()),
             e => DeviceError::Backend(e.to_string()),
         }
-    }
-}
-
-/// Converts one store's status into the unified per-shard health form
-/// (tolerances come from the codec spec, so the remote client derives
-/// the identical record from its wire status).
-pub fn shard_health(status: &StoreStatus) -> ShardHealth {
-    ShardHealth {
-        codec: status.codec.to_string(),
-        capacity: status.capacity,
-        block_size: status.block_size,
-        stripes: status.stripes,
-        blocks_per_stripe: status.blocks_per_stripe,
-        device_tolerance: status.codec.m(),
-        sector_tolerance: status.codec.s(),
-        failed_devices: status.failed_devices.clone(),
-        rebuilding_devices: status.rebuilding_devices.clone(),
-        known_bad_sectors: status.known_bad_sectors,
-        clean_shutdown: status.clean_shutdown,
-        replayed_records: status.replayed_records,
     }
 }
 
@@ -93,14 +73,7 @@ impl BlockDevice for StripeStore {
     }
 
     fn status(&self) -> Result<DeviceStatus, DeviceError> {
-        let status = StripeStore::status(self);
-        Ok(DeviceStatus {
-            backend: "file".into(),
-            capacity: status.capacity,
-            block_size: status.block_size,
-            shards: vec![shard_health(&status)],
-            cache: None,
-        })
+        DeviceStatus::new("file", vec![StripeStore::status(self)])
     }
 
     fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
@@ -146,4 +119,32 @@ fn only_shard_zero(shard: usize) -> Result<(), DeviceError> {
         )));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::StoreOptions;
+
+    /// A burst whose end overflows `usize` is out of range, not a
+    /// panic (debug) or a silent no-op reported as done (release).
+    #[test]
+    fn overflowing_bursts_are_out_of_range() {
+        let dir = std::env::temp_dir().join(format!("stair-burst-bounds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = StripeStore::create(&dir, &StoreOptions::default()).unwrap();
+        let admin: &dyn FaultAdmin = &store;
+        for (row, len) in [(usize::MAX, 2), (1, usize::MAX), (4, 1)] {
+            assert!(
+                matches!(
+                    admin.corrupt_sectors(0, 2, 0, row, len),
+                    Err(DeviceError::OutOfRange(_))
+                ),
+                "rows {row}+{len}"
+            );
+        }
+        admin.corrupt_sectors(0, 2, 0, 3, 1).unwrap();
+        assert_eq!(store.scrub(1).unwrap().mismatches.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -90,7 +90,7 @@ mod scrub;
 mod store;
 
 pub use codec::build_codec;
-pub use device_impl::{gf_metrics, repair_outcome, scrub_outcome, shard_health};
+pub use device_impl::{gf_metrics, repair_outcome, scrub_outcome};
 pub use error::Error;
 pub use inject::InjectionOutcome;
 pub use integrity::{BadSector, DeviceState, Health};
@@ -99,4 +99,4 @@ pub use layout::{BlockLocation, BlockMap};
 pub use meta::StoreMeta;
 pub use repair::RepairReport;
 pub use scrub::ScrubReport;
-pub use store::{IoStats, StoreOptions, StoreStatus, StripeStore};
+pub use store::{IoStats, StoreOptions, StripeStore};

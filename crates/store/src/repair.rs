@@ -38,7 +38,8 @@ impl RepairReport {
 }
 
 impl StripeStore {
-    /// Repairs the store with `threads` workers: replaces failed devices,
+    /// Repairs the store with `threads` workers (zero counts as one, as
+    /// for [`StripeStore::scrub`]): replaces failed devices,
     /// reconstructs their chunks, and rewrites known-bad sectors.
     ///
     /// # Errors
@@ -46,12 +47,8 @@ impl StripeStore {
     /// Propagates the first I/O error; stripes beyond coverage are
     /// *reported* (in [`RepairReport::unrecoverable_stripes`]), not
     /// errors, so one lost stripe does not abort the rebuild of the rest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
     pub fn repair(&self, threads: usize) -> Result<RepairReport, Error> {
-        assert!(threads > 0, "need at least one repair thread");
+        let threads = threads.max(1);
         let sh = &self.shared;
         sh.counters
             .repair_stripes_done

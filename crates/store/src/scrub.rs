@@ -41,17 +41,14 @@ impl ScrubReport {
 impl StripeStore {
     /// Scrubs the whole store with `threads` workers, updating the health
     /// record with every mismatch found (and clearing records that no
-    /// longer reproduce).
+    /// longer reproduce). Zero threads count as one: this is where every
+    /// backend's thread count is clamped.
     ///
     /// # Errors
     ///
     /// Propagates the first I/O error a worker hits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
     pub fn scrub(&self, threads: usize) -> Result<ScrubReport, Error> {
-        assert!(threads > 0, "need at least one scrub thread");
+        let threads = threads.max(1);
         let sh = &self.shared;
         let stripes = sh.meta.stripes;
         sh.counters

@@ -55,6 +55,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use stair_code::{
     CellIdx, CellLookup, CodeError, CodecSpec, ErasureCode, ErasureSet, Geometry, StripeBuf,
 };
+use stair_device::ShardHealth;
 
 use crate::device::{DeviceSet, SectorRead};
 use crate::integrity::{DeviceState, Integrity};
@@ -89,33 +90,6 @@ impl Default for StoreOptions {
             stripes: 64,
         }
     }
-}
-
-/// A point-in-time summary of the store's health and geometry.
-#[derive(Clone, Debug)]
-pub struct StoreStatus {
-    /// The codec spec protecting the stripes.
-    pub codec: CodecSpec,
-    /// Logical capacity in bytes.
-    pub capacity: u64,
-    /// Logical block size in bytes.
-    pub block_size: usize,
-    /// Stripe count.
-    pub stripes: usize,
-    /// Data blocks per stripe.
-    pub blocks_per_stripe: usize,
-    /// Devices currently failed (no backing file).
-    pub failed_devices: Vec<usize>,
-    /// Devices currently being rebuilt.
-    pub rebuilding_devices: Vec<usize>,
-    /// Known-damaged sectors awaiting repair.
-    pub known_bad_sectors: usize,
-    /// Whether the previous close checkpointed the journal (a fresh
-    /// store reports `true`; after a crash, `false` until the next
-    /// clean shutdown).
-    pub clean_shutdown: bool,
-    /// Journal records replayed when this store handle opened.
-    pub replayed_records: u64,
 }
 
 /// A point-in-time snapshot of the store's data-path instrumentation:
@@ -473,8 +447,8 @@ impl StripeStore {
         self.shared.blocks.blocks_per_stripe()
     }
 
-    /// Current health and geometry summary.
-    pub fn status(&self) -> StoreStatus {
+    /// Current health and geometry summary: the store is one shard.
+    pub fn status(&self) -> ShardHealth {
         let health = self.shared.integrity.health();
         let by_state = |want: DeviceState| {
             health
@@ -485,12 +459,15 @@ impl StripeStore {
                 .map(|(j, _)| j)
                 .collect::<Vec<_>>()
         };
-        StoreStatus {
-            codec: self.shared.meta.codec.clone(),
+        let codec = &self.shared.meta.codec;
+        ShardHealth {
+            codec: codec.to_string(),
             capacity: self.capacity(),
             block_size: self.block_size(),
             stripes: self.stripe_count(),
             blocks_per_stripe: self.blocks_per_stripe(),
+            device_tolerance: codec.m(),
+            sector_tolerance: codec.s(),
             failed_devices: by_state(DeviceState::Failed),
             rebuilding_devices: by_state(DeviceState::Rebuilding),
             known_bad_sectors: health.bad_sectors.len(),
@@ -635,10 +612,10 @@ impl StripeStore {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Device`] for out-of-range indices.
+    /// Returns [`Error::OutOfRange`] for out-of-range indices.
     pub fn fail_device(&self, dev: usize) -> Result<(), Error> {
         if dev >= self.shared.geometry.n {
-            return Err(Error::Device(format!(
+            return Err(Error::OutOfRange(format!(
                 "device {dev} out of range (n={})",
                 self.shared.geometry.n
             )));
@@ -672,18 +649,16 @@ impl StripeStore {
     ) -> Result<(), Error> {
         let geom = &self.shared.geometry;
         let stripes = self.shared.meta.stripes;
-        if dev >= geom.n || stripe >= stripes || row + len > geom.r {
+        let end = row.checked_add(len).filter(|&end| end <= geom.r);
+        let (Some(end), true) = (end, dev < geom.n && stripe < stripes) else {
             return Err(Error::OutOfRange(format!(
-                "burst dev={dev} stripe={stripe} rows {row}..{} outside {}x{}x{}",
-                row + len,
-                stripes,
-                geom.r,
-                geom.n
+                "burst dev={dev} stripe={stripe} rows {row}+{len} outside {}x{}x{}",
+                stripes, geom.r, geom.n
             )));
-        }
+        };
         let _guard = self.lock_stripe(stripe);
         let mut buf = vec![0u8; self.shared.meta.symbol];
-        for k in row..row + len {
+        for k in row..end {
             match self.shared.devices.read_sector(dev, stripe, k, &mut buf)? {
                 SectorRead::Missing => {
                     return Err(Error::Device(format!("device {dev} has no backing file")))
