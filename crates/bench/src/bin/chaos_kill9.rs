@@ -36,8 +36,8 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use stair_device::{BlockDevice, DeviceSpec, IoBatch};
-use stair_net::json::Json;
 use stair_net::{open_device, ShardSet};
+use stair_obs::json::Json;
 use stair_store::{StoreOptions, StripeStore};
 
 /// Small geometry: crashes must land inside multi-stripe batches, not

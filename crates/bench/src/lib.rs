@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use stair::{Config, EncodingMethod, GlobalPlacement, MultXorCounts, StairCodec, Stripe};
-use stair_code::{ErasureCode, ErasureSet, StripeBuf};
+use stair_code::{CodeError, ErasureCode, ErasureSet, StripeBuf};
 use stair_gf::{Field, Gf16, Gf8};
 use stair_sd::SdCode;
 
@@ -140,12 +140,7 @@ impl StairBench {
 /// # Errors
 ///
 /// As [`SdCode::new`].
-pub fn sd_code(
-    n: usize,
-    r: usize,
-    m: usize,
-    s: usize,
-) -> Result<Box<dyn ErasureCode>, stair_sd::Error> {
+pub fn sd_code(n: usize, r: usize, m: usize, s: usize) -> Result<Box<dyn ErasureCode>, CodeError> {
     if r * n < Gf8::ORDER {
         Ok(Box::new(SdCode::<Gf8>::new(n, r, m, s)?))
     } else {

@@ -13,7 +13,10 @@
 //! single: in the files of the backends whose trait impls live in
 //! `crates/net/src/device_impl.rs`, no inherent `pub fn` takes the name
 //! of a `BlockDevice`/`FaultAdmin` method, because an inherent method
-//! silently shadows the trait's on the concrete type.
+//! silently shadows the trait's on the concrete type. And (d) keeps the
+//! codec error single: no codec crate in `ONE_ERROR_HOMES` declares an
+//! `enum` of its own named `Error` or `…Error` beside
+//! `stair_code::CodeError`.
 
 use crate::findings::{Finding, Lint};
 use crate::lexer::{str_contents, TokKind, TokenFile};
@@ -53,6 +56,11 @@ const TRAIT_ONLY_METHODS: &[&str] = &[
     "fail_device",
     "corrupt_sectors",
 ];
+
+/// The codec crates whose one error type is `stair_code::CodeError`:
+/// no `enum` named `Error` or `…Error` is declared under them (an alias
+/// or an `…ErrorKind` is not a second error type).
+const ONE_ERROR_HOMES: &[&str] = &["crates/rs/src/", "crates/sd/src/", "crates/stair/src/"];
 
 /// Traits written as one method per implementor plus provided methods
 /// over it: `(trait, the method every impl defines, the provided methods
@@ -123,11 +131,13 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
 /// (d) Per [`ONE_METHOD_TRAITS`] entry, every `impl <Trait> for …`
 /// block defines the trait's one implementor method and none it
 /// provides; no type outside [`LONE_OP_HOMES`] offers
-/// `pub fn read_at|write_at` sugar beside its `submit_ops`; and no
-/// `pub fn` in [`TRAIT_ONLY_HOMES`] is named after a trait method.
+/// `pub fn read_at|write_at` sugar beside its `submit_ops`; no
+/// `pub fn` in [`TRAIT_ONLY_HOMES`] is named after a trait method; and
+/// no file under [`ONE_ERROR_HOMES`] declares an error enum.
 fn check_one_method_traits(ws: &Workspace, out: &mut Vec<Finding>) {
     for f in &ws.files {
         let tf = &f.tf;
+        let one_error = ONE_ERROR_HOMES.iter().any(|home| f.rel.starts_with(home));
         let n = tf.code.len();
         let mut flag = |ci: usize, msg: String| {
             let t = tf.ctok(ci);
@@ -140,6 +150,16 @@ fn check_one_method_traits(ws: &Workspace, out: &mut Vec<Finding>) {
             ));
         };
         for ci in 0..n {
+            if one_error && tf.is_ident(ci, "enum") && tf.ctext(ci + 1).ends_with("Error") {
+                let name = tf.ctext(ci + 1);
+                flag(
+                    ci + 1,
+                    format!(
+                        "`enum {name}` in a codec crate: every codec returns \
+                         `stair_code::CodeError`, built where the error arises"
+                    ),
+                );
+            }
             let lone = |k: usize| tf.is_ident(k, "read_at") || tf.is_ident(k, "write_at");
             if tf.is_ident(ci, "pub")
                 && tf.is_ident(ci + 1, "fn")

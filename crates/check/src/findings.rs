@@ -72,7 +72,8 @@ impl Lint {
             }
             Lint::WireConstants => {
                 "wire constants live in protocol.rs, which speaks one version and one data \
-                 opcode; a BlockDevice impl defines one data-path method"
+                 opcode; a BlockDevice impl defines one data-path method; codecs return \
+                 CodeError"
             }
             Lint::DocDrift => {
                 "README tables must name every opcode/scheme/codec family in code; one timing \

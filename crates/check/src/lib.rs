@@ -1,5 +1,5 @@
-//! stair-check: a dependency-free static analysis pass for the
-//! cross-crate invariants that neither rustc nor clippy can see.
+//! stair-check: a static analysis pass, with no registry dependency,
+//! for the cross-crate invariants that neither rustc nor clippy can see.
 //!
 //! A rule lives in the cheapest thing that enforces it. Where `unsafe`
 //! may appear and which crates may not panic are compiler settings (the
@@ -23,6 +23,7 @@ pub mod workspace;
 use std::path::Path;
 
 use findings::{Finding, Waiver};
+use stair_obs::json::Json;
 use workspace::Workspace;
 
 /// The outcome of a run.
@@ -45,47 +46,43 @@ impl Report {
         }
     }
 
-    /// The machine-readable report (schema documented in
+    /// The machine-readable report, one line (schema documented in
     /// EXPERIMENTS.md).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"tool\": \"stair-check\",\n  \"schema_version\": 2,\n");
-        s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"lint\": {}, \"severity\": \"error\", \"file\": {}, \"line\": {}, \
-                 \"col\": {}, \"message\": {}}}",
-                json_str(f.lint.id()),
-                json_str(&f.file),
-                f.line,
-                f.col,
-                json_str(&f.message)
-            ));
-        }
-        if !self.findings.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n  \"waivers\": [");
-        for (i, w) in self.waivers.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"key\": {}, \"file\": {}, \"line\": {}, \"reason\": {}}}",
-                json_str(&w.key),
-                json_str(&w.file),
-                w.line,
-                json_str(&w.reason)
-            ));
-        }
-        if !self.waivers.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str(&format!(
-            "],\n  \"summary\": {{\"active\": {}, \"waivers\": {}}}\n}}\n",
-            self.findings.len(),
-            self.waivers.len()
-        ));
-        s
+        let num = |v: u32| Json::int64(u64::from(v));
+        let findings = self.findings.iter().map(|f| {
+            Json::obj([
+                ("lint", Json::str(f.lint.id())),
+                ("severity", Json::str("error")),
+                ("file", Json::str(f.file.clone())),
+                ("line", num(f.line)),
+                ("col", num(f.col)),
+                ("message", Json::str(f.message.clone())),
+            ])
+        });
+        let waivers = self.waivers.iter().map(|w| {
+            Json::obj([
+                ("key", Json::str(w.key.clone())),
+                ("file", Json::str(w.file.clone())),
+                ("line", num(w.line)),
+                ("reason", Json::str(w.reason.clone())),
+            ])
+        });
+        Json::obj([
+            ("tool", Json::str("stair-check")),
+            ("schema_version", Json::int(2)),
+            ("files_scanned", Json::int(self.files_scanned)),
+            ("findings", Json::arr(findings)),
+            ("waivers", Json::arr(waivers)),
+            (
+                "summary",
+                Json::obj([
+                    ("active", Json::int(self.findings.len())),
+                    ("waivers", Json::int(self.waivers.len())),
+                ]),
+            ),
+        ])
+        .to_text()
     }
 
     /// The human-readable report.
@@ -105,25 +102,6 @@ impl Report {
         ));
         s
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Runs the full pass over the workspace at `root`: walk, analyze, sort.
@@ -155,12 +133,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("plain"), "\"plain\"");
-    }
-
-    #[test]
     fn empty_report_is_clean_and_valid_json() {
         let r = Report {
             findings: vec![],
@@ -168,8 +140,10 @@ mod tests {
             files_scanned: 3,
         };
         assert_eq!(r.exit_code(), 0);
-        let j = r.to_json();
-        assert!(j.contains("\"findings\": []"));
-        assert!(j.contains("\"summary\""));
+        assert_eq!(
+            r.to_json(),
+            "{\"tool\":\"stair-check\",\"schema_version\":2,\"files_scanned\":3,\
+             \"findings\":[],\"waivers\":[],\"summary\":{\"active\":0,\"waivers\":0}}\n"
+        );
     }
 }

@@ -252,6 +252,41 @@ fn codec_one_plan_near_misses_are_clean() {
     assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
 }
 
+#[test]
+fn codec_error_enums_are_flagged_in_the_codec_crates() {
+    let proto = fixture("wire_protocol_good.rs");
+    let bad = fixture("wire_code_error_bad.rs");
+    let r = run_ws(&[
+        ("crates/net/src/protocol.rs", &proto),
+        ("crates/rs/src/lib.rs", &bad),
+        ("crates/stair/src/peel.rs", &bad),
+        // Outside the codec crates an error enum is at home.
+        ("crates/store/src/error.rs", &bad),
+    ]);
+    let hits = of(&r, Lint::WireConstants);
+    assert_eq!(hits.len(), 6, "{hits:?}");
+    for file in ["crates/rs/src/lib.rs", "crates/stair/src/peel.rs"] {
+        for name in ["Error", "PeelError", "MdsError"] {
+            let own = format!("`enum {name}` in a codec crate");
+            assert!(
+                hits.iter().any(|h| h.starts_with(file) && h.contains(&own)),
+                "{file} {name}: {hits:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn codec_error_aliases_and_kinds_are_clean() {
+    let proto = fixture("wire_protocol_good.rs");
+    let near = fixture("wire_code_error_near_miss.rs");
+    let r = run_ws(&[
+        ("crates/net/src/protocol.rs", &proto),
+        ("crates/sd/src/lib.rs", &near),
+    ]);
+    assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
+}
+
 // ---- L5 doc-drift --------------------------------------------------
 
 #[test]
@@ -525,8 +560,8 @@ fn json_report_carries_findings_and_waivers() {
         ),
     ]);
     let json = r.to_json();
-    assert!(json.contains("\"lint\": \"lock-poison\""));
+    assert!(json.contains("\"lint\":\"lock-poison\""));
     assert!(!json.contains("fingerprint") && !json.contains("baselined"));
-    assert!(json.contains("\"key\": \"lock-ok\""));
-    assert!(json.contains(&format!("\"active\": {}", r.findings.len())));
+    assert!(json.contains("\"key\":\"lock-ok\""));
+    assert!(json.contains(&format!("\"active\":{}", r.findings.len())));
 }

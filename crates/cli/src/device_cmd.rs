@@ -33,8 +33,8 @@ use std::str::FromStr;
 
 use stair_code::CodecSpec;
 use stair_device::{BatchResult, BlockDevice, DeviceSpec, Instrumented, IoBatch, IoOp, OpResult};
-use stair_net::json::{metrics_json, Json};
 use stair_net::{open_admin, open_device, recorded_traces, Client, ShardSet};
+use stair_obs::json::{metrics_json, Json};
 use stair_reliability::{BurstModel, FailureInjector, SectorModel};
 use stair_store::{StoreOptions, StripeStore};
 

@@ -3,8 +3,8 @@
 //! `--dev file:…` and `--dev tcp:…` produce byte-identical shapes.
 
 use stair_device::{CacheTierStatus, DeviceStatus, RepairOutcome, ScrubOutcome, ShardHealth};
-use stair_net::json::Json;
 use stair_net::{WireSpan, WireTrace};
+use stair_obs::json::Json;
 
 /// One shard's health as a JSON object.
 fn shard_json(shard: &ShardHealth) -> Json {

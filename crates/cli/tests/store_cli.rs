@@ -276,6 +276,20 @@ fn store_init_requires_a_codec_spec() {
     }
 }
 
+/// A spec too wide for GF(2^8) is the user's bad configuration, not a
+/// codec bug: exit 1, named as such, nothing created.
+#[test]
+fn oversized_codec_spec_is_a_config_error() {
+    let work = std::env::temp_dir().join(format!("stair-store-cli-wide-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&work);
+    let dev = format!("file:{}", work.display());
+    let (code, stderr) = exit_code(&["dev", "init", "--dev", &dev, "--code", "rs:300,4,2"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("invalid codec configuration"), "{stderr}");
+    assert!(!stderr.contains("internal"), "{stderr}");
+    assert!(!work.exists(), "a refused init must create nothing");
+}
+
 /// `init` and `inject` act on local stores only, `shutdown` on a
 /// server only: any other scheme is a clean error naming the verb.
 #[test]

@@ -2,12 +2,10 @@
 
 use core::fmt;
 
-/// Errors shared by every [`crate::ErasureCode`] implementation.
-///
-/// Each codec crate converts its native error into this type (`impl
-/// From<stair::Error>`, `From<stair_sd::Error>`, `From<stair_rs::Error>`
-/// live next to the respective native types), so codec-generic callers
-/// like `stair-store` match on one enum instead of chaining `map_err`s.
+/// The one error type of every codec crate: `stair`, `stair-sd` and
+/// `stair-rs` return it from their inherent methods and their
+/// [`crate::ErasureCode`] impls alike, so codec-generic callers like
+/// `stair-store` match on one enum instead of chaining `map_err`s.
 #[derive(Clone, Debug, Eq, PartialEq)]
 #[non_exhaustive]
 pub enum CodeError {
@@ -41,3 +39,16 @@ impl fmt::Display for CodeError {
 }
 
 impl std::error::Error for CodeError {}
+
+/// The one conversion into [`CodeError`]: a matrix builder refusing its
+/// points is a bad configuration; any other linear-algebra failure
+/// inside a codec is a broken invariant (the codecs branch on
+/// `Singular`/`Underdetermined` themselves where those mean something).
+impl From<stair_gfmatrix::Error> for CodeError {
+    fn from(e: stair_gfmatrix::Error) -> CodeError {
+        match e {
+            stair_gfmatrix::Error::InvalidPoints(_) => CodeError::InvalidConfig(e.to_string()),
+            _ => CodeError::Internal(format!("matrix error: {e}")),
+        }
+    }
+}

@@ -26,8 +26,6 @@
 //!   [`ShardSet`], [`Client`] and [`StripedClient`] (one body each, in
 //!   `device_impl.rs`); the server calls the shard set's, and STATUS
 //!   carries `stair_device::ShardHealth` records end to end;
-//! * **[`json`]** — a dependency-free JSON builder for the `--json`
-//!   surfaces of the CLI and benchmarks;
 //! * **[`open_device`] / [`open_admin`]** — the registry turning a
 //!   `stair_device::DeviceSpec` (`file:…`, `shards:…`, `tcp:…`) into a
 //!   live `Box<dyn BlockDevice>`; every backend here implements the
@@ -77,7 +75,6 @@
 mod client;
 mod device_impl;
 mod error;
-pub mod json;
 mod placement;
 pub mod protocol;
 mod server;

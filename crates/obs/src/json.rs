@@ -4,7 +4,7 @@
 //! module covers the one direction the tooling needs: building a value
 //! and rendering it as spec-compliant JSON text (string escaping,
 //! `null` for non-finite floats). Shared by every `stair dev … --json`
-//! report and `chaos_kill9`'s `--json` report.
+//! report, `chaos_kill9`'s and `stair-check`'s.
 
 use std::fmt;
 
@@ -66,7 +66,7 @@ impl Json {
 /// gauges, histograms, and slow ops as **arrays of uniform objects**,
 /// so the key shape is identical across backends even though the
 /// metric *name* sets differ.
-pub fn metrics_json(snap: &stair_obs::MetricsSnapshot) -> Json {
+pub fn metrics_json(snap: &crate::MetricsSnapshot) -> Json {
     Json::obj([
         (
             "counters",

@@ -20,8 +20,10 @@
 //! * **[`MetricsSnapshot`]** — a point-in-time, plain-data copy of
 //!   everything above. Snapshots merge (counters sum, histograms add
 //!   bucket-wise), which is how per-shard and per-layer views fold into
-//!   one report, and serialize trivially (the wire and JSON encodings
-//!   live with the protocol/CLI, keeping this crate dependency-free).
+//!   one report, and serialize trivially: the wire encoding lives with
+//!   the protocol, and [`json::metrics_json`] is the one JSON shape.
+//! * **[`json`]** — the workspace's one JSON writer, behind every
+//!   `--json` report (the CLI's, `chaos_kill9`'s and `stair-check`'s).
 //!
 //! Histogram buckets are powers of two: bucket `i` holds values whose
 //! bit width is `i` (bucket 0 = {0}, bucket 1 = {1}, bucket 2 = 2–3,
@@ -45,6 +47,7 @@
 
 mod hist;
 mod journal;
+pub mod json;
 mod registry;
 mod snapshot;
 pub mod trace;

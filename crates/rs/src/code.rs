@@ -5,10 +5,9 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use stair_code::CodeError;
 use stair_gf::Field;
 use stair_gfmatrix::{cauchy_parity, Matrix};
-
-use crate::Error;
 
 /// Most coefficient matrices one code remembers (see
 /// [`MdsCode::recovery_coefficients`]). A matrix is at most `κ × (η − κ)`
@@ -90,7 +89,7 @@ impl<F: Field> Default for Memo<F> {
 ///
 /// let code: MdsCode<Gf8> = MdsCode::new(5, 3)?;
 /// assert_eq!((code.total_len(), code.data_len(), code.parity_len()), (5, 3, 2));
-/// # Ok::<(), stair_rs::Error>(())
+/// # Ok::<(), stair_code::CodeError>(())
 /// ```
 pub struct MdsCode<F: Field> {
     total: usize,
@@ -126,29 +125,20 @@ impl<F: Field> MdsCode<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParams`] if `data == 0`, `data >= total`, or
-    /// `total` exceeds the field order (not enough Cauchy points).
-    pub fn new(total: usize, data: usize) -> Result<Self, Error> {
+    /// Returns [`CodeError::InvalidConfig`] if `data == 0`, `data >= total`,
+    /// or `total` exceeds the field order (not enough Cauchy points).
+    pub fn new(total: usize, data: usize) -> Result<Self, CodeError> {
+        let invalid = |reason: &str| {
+            CodeError::InvalidConfig(format!("invalid ({total},{data})-code: {reason}"))
+        };
         if data == 0 {
-            return Err(Error::InvalidParams {
-                total,
-                data,
-                reason: "κ must be positive",
-            });
+            return Err(invalid("κ must be positive"));
         }
         if data >= total {
-            return Err(Error::InvalidParams {
-                total,
-                data,
-                reason: "κ must be less than η",
-            });
+            return Err(invalid("κ must be less than η"));
         }
         if total > F::ORDER {
-            return Err(Error::InvalidParams {
-                total,
-                data,
-                reason: "η exceeds the field order; use a wider field",
-            });
+            return Err(invalid("η exceeds the field order; use a wider field"));
         }
         let parity = cauchy_parity::<F>(data, total - data)?;
         let generator = Matrix::identity(data).hstack(&parity)?;
@@ -175,23 +165,13 @@ impl<F: Field> MdsCode<F> {
         self.total - self.data
     }
 
-    /// The κ×η systematic generator matrix `[I | A]`.
-    pub fn generator(&self) -> &Matrix<F> {
-        &self.generator
-    }
-
     /// Encodes κ data elements, returning the η − κ parity elements.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::WrongSymbolCount`] if `data.len() != κ`.
-    pub fn encode_elems(&self, data: &[F::Elem]) -> Result<Vec<F::Elem>, Error> {
-        if data.len() != self.data {
-            return Err(Error::WrongSymbolCount {
-                got: data.len(),
-                expected: self.data,
-            });
-        }
+    /// Returns [`CodeError::ShapeMismatch`] if `data.len() != κ`.
+    pub fn encode_elems(&self, data: &[F::Elem]) -> Result<Vec<F::Elem>, CodeError> {
+        symbol_count(data.len(), self.data)?;
         let mut parity = vec![F::zero(); self.parity_len()];
         for (j, p) in parity.iter_mut().enumerate() {
             let col = self.data + j;
@@ -210,25 +190,21 @@ impl<F: Field> MdsCode<F> {
     ///
     /// # Errors
     ///
-    /// * [`Error::WrongSymbolCount`] if `codeword.len() != η`;
-    /// * [`Error::NotEnoughSymbols`] if fewer than κ symbols are present.
-    pub fn decode_elems(&self, codeword: &[Option<F::Elem>]) -> Result<Vec<F::Elem>, Error> {
-        if codeword.len() != self.total {
-            return Err(Error::WrongSymbolCount {
-                got: codeword.len(),
-                expected: self.total,
-            });
-        }
+    /// * [`CodeError::ShapeMismatch`] if `codeword.len() != η`;
+    /// * [`CodeError::Unrecoverable`] if fewer than κ symbols are present.
+    pub fn decode_elems(&self, codeword: &[Option<F::Elem>]) -> Result<Vec<F::Elem>, CodeError> {
+        symbol_count(codeword.len(), self.total)?;
         let present: Vec<usize> = codeword
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.map(|_| i))
             .collect();
         if present.len() < self.data {
-            return Err(Error::NotEnoughSymbols {
-                available: present.len(),
-                needed: self.data,
-            });
+            return Err(CodeError::Unrecoverable(format!(
+                "not enough symbols: {} available, {} needed",
+                present.len(),
+                self.data
+            )));
         }
         let use_idx = &present[..self.data];
         let wanted: Vec<usize> = (0..self.total).collect();
@@ -260,14 +236,15 @@ impl<F: Field> MdsCode<F> {
     ///
     /// # Errors
     ///
-    /// * [`Error::WrongSymbolCount`] if `available.len() != κ`;
-    /// * [`Error::IndexOutOfRange`] / [`Error::DuplicateIndex`] for bad
-    ///   index sets.
+    /// * [`CodeError::ShapeMismatch`] if `available.len() != κ` or
+    ///   `wanted` is empty;
+    /// * [`CodeError::InvalidPattern`] for an index out of range, or one
+    ///   `available` names twice.
     pub fn recovery_coefficients(
         &self,
         available: &[usize],
         wanted: &[usize],
-    ) -> Result<Arc<Matrix<F>>, Error> {
+    ) -> Result<Arc<Matrix<F>>, CodeError> {
         // Entries are inserted whole and never changed, so a memo some
         // panicking thread held is still valid.
         let lock = || self.memo.lock().unwrap_or_else(PoisonError::into_inner);
@@ -305,24 +282,16 @@ impl<F: Field> MdsCode<F> {
         &self,
         available: &[usize],
         wanted: &[usize],
-    ) -> Result<Matrix<F>, Error> {
-        if available.len() != self.data {
-            return Err(Error::WrongSymbolCount {
-                got: available.len(),
-                expected: self.data,
-            });
-        }
+    ) -> Result<Matrix<F>, CodeError> {
+        symbol_count(available.len(), self.data)?;
         self.check_indices(available)?;
-        for &w in wanted {
-            if w >= self.total {
-                return Err(Error::IndexOutOfRange {
-                    index: w,
-                    total: self.total,
-                });
-            }
+        if let Some(w) = wanted.iter().find(|&&w| w >= self.total) {
+            return Err(self.out_of_range(*w));
         }
         if wanted.is_empty() {
-            return Err(Error::RegionMismatch("wanted set must be non-empty".into()));
+            return Err(CodeError::ShapeMismatch(
+                "region mismatch: wanted set must be non-empty".into(),
+            ));
         }
         // G_A: columns of the generator at the available positions (κ×κ).
         let ga = self.generator.select_cols(available);
@@ -340,27 +309,15 @@ impl<F: Field> MdsCode<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::WrongSymbolCount`] or [`Error::RegionMismatch`] on
-    /// shape violations.
-    pub fn encode_regions(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<(), Error> {
-        if data.len() != self.data {
-            return Err(Error::WrongSymbolCount {
-                got: data.len(),
-                expected: self.data,
-            });
-        }
-        if parity.len() != self.parity_len() {
-            return Err(Error::WrongSymbolCount {
-                got: parity.len(),
-                expected: self.parity_len(),
-            });
-        }
-        let len = data[0].len();
-        if data.iter().any(|d| d.len() != len) || parity.iter().any(|p| p.len() != len) {
-            return Err(Error::RegionMismatch(
-                "all regions must have equal length".into(),
-            ));
-        }
+    /// Returns [`CodeError::ShapeMismatch`] on shape violations.
+    pub fn encode_regions(
+        &self,
+        data: &[&[u8]],
+        parity: &mut [&mut [u8]],
+    ) -> Result<(), CodeError> {
+        symbol_count(data.len(), self.data)?;
+        symbol_count(parity.len(), self.parity_len())?;
+        equal_lengths(data, parity)?;
         for (j, p) in parity.iter_mut().enumerate() {
             let col = self.data + j;
             let terms = data.iter().enumerate();
@@ -376,32 +333,16 @@ impl<F: Field> MdsCode<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::WrongSymbolCount`] or [`Error::RegionMismatch`] on
-    /// shape violations.
+    /// Returns [`CodeError::ShapeMismatch`] on shape violations.
     pub fn apply_coefficients(
         &self,
         coeff: &Matrix<F>,
         available: &[&[u8]],
         out: &mut [&mut [u8]],
-    ) -> Result<(), Error> {
-        if available.len() != coeff.rows() {
-            return Err(Error::WrongSymbolCount {
-                got: available.len(),
-                expected: coeff.rows(),
-            });
-        }
-        if out.len() != coeff.cols() {
-            return Err(Error::WrongSymbolCount {
-                got: out.len(),
-                expected: coeff.cols(),
-            });
-        }
-        let len = available.first().map(|a| a.len()).unwrap_or(0);
-        if available.iter().any(|a| a.len() != len) || out.iter().any(|o| o.len() != len) {
-            return Err(Error::RegionMismatch(
-                "all regions must have equal length".into(),
-            ));
-        }
+    ) -> Result<(), CodeError> {
+        symbol_count(available.len(), coeff.rows())?;
+        symbol_count(out.len(), coeff.cols())?;
+        equal_lengths(available, out)?;
         for (j, o) in out.iter_mut().enumerate() {
             let terms = available.iter().enumerate();
             F::dot_regions(o, terms.map(|(i, &a)| (a, coeff.get(i, j))));
@@ -409,41 +350,49 @@ impl<F: Field> MdsCode<F> {
         Ok(())
     }
 
-    /// Reconstructs the regions at `wanted` positions from κ `available`
-    /// `(index, region)` pairs. Convenience wrapper combining
-    /// [`Self::recovery_coefficients`] and [`Self::apply_coefficients`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of the two wrapped steps.
-    pub fn decode_regions(
-        &self,
-        available: &[(usize, &[u8])],
-        wanted: &[usize],
-        out: &mut [&mut [u8]],
-    ) -> Result<(), Error> {
-        let idx: Vec<usize> = available.iter().map(|&(i, _)| i).collect();
-        let regions: Vec<&[u8]> = available.iter().map(|&(_, r)| r).collect();
-        let coeff = self.recovery_coefficients(&idx, wanted)?;
-        self.apply_coefficients(&coeff, &regions, out)
-    }
-
-    fn check_indices(&self, idx: &[usize]) -> Result<(), Error> {
+    fn check_indices(&self, idx: &[usize]) -> Result<(), CodeError> {
         let mut seen = vec![false; self.total];
         for &i in idx {
             if i >= self.total {
-                return Err(Error::IndexOutOfRange {
-                    index: i,
-                    total: self.total,
-                });
+                return Err(self.out_of_range(i));
             }
             if seen[i] {
-                return Err(Error::DuplicateIndex(i));
+                return Err(CodeError::InvalidPattern(format!(
+                    "symbol index {i} supplied twice"
+                )));
             }
             seen[i] = true;
         }
         Ok(())
     }
+
+    fn out_of_range(&self, index: usize) -> CodeError {
+        CodeError::InvalidPattern(format!(
+            "symbol index {index} out of range for codeword length {}",
+            self.total
+        ))
+    }
+}
+
+/// `got` symbols where the code needs `expected`.
+fn symbol_count(got: usize, expected: usize) -> Result<(), CodeError> {
+    if got != expected {
+        return Err(CodeError::ShapeMismatch(format!(
+            "wrong symbol count: got {got}, expected {expected}"
+        )));
+    }
+    Ok(())
+}
+
+/// Every input and output region the same length.
+fn equal_lengths(inputs: &[&[u8]], outputs: &[&mut [u8]]) -> Result<(), CodeError> {
+    let len = inputs.first().map_or(0, |r| r.len());
+    if inputs.iter().any(|r| r.len() != len) || outputs.iter().any(|r| r.len() != len) {
+        return Err(CodeError::ShapeMismatch(
+            "region mismatch: all regions must have equal length".into(),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -500,27 +449,20 @@ mod tests {
         let cw: Vec<Option<u8>> = vec![Some(1), Some(2), Some(3), None, None, None];
         assert_eq!(
             code.decode_elems(&cw),
-            Err(Error::NotEnoughSymbols {
-                available: 3,
-                needed: 4
-            })
+            Err(CodeError::Unrecoverable(
+                "not enough symbols: 3 available, 4 needed".into()
+            ))
         );
     }
 
     #[test]
     fn construction_validation() {
-        assert!(matches!(
-            MdsCode::<Gf8>::new(4, 0),
-            Err(Error::InvalidParams { .. })
-        ));
-        assert!(matches!(
-            MdsCode::<Gf8>::new(4, 4),
-            Err(Error::InvalidParams { .. })
-        ));
-        assert!(matches!(
-            MdsCode::<Gf8>::new(257, 4),
-            Err(Error::InvalidParams { .. })
-        ));
+        for (total, data) in [(4, 0), (4, 4), (257, 4)] {
+            assert!(matches!(
+                MdsCode::<Gf8>::new(total, data),
+                Err(CodeError::InvalidConfig(_))
+            ));
+        }
         assert!(MdsCode::<Gf8>::new(256, 4).is_ok());
     }
 
@@ -568,13 +510,14 @@ mod tests {
             code.encode_regions(&data_refs, &mut parity).unwrap();
         }
         // Erase data symbols 0 and 2; recover from 1, 3 and both parities.
-        let available: Vec<(usize, &[u8])> =
-            vec![(1, &regions[1]), (3, &regions[3]), (4, &p0), (5, &p1)];
+        let coeff = code.recovery_coefficients(&[1, 3, 4, 5], &[0, 2]).unwrap();
+        let available: [&[u8]; 4] = [&regions[1], &regions[3], &p0, &p1];
         let mut r0 = vec![0u8; 16];
         let mut r2 = vec![0u8; 16];
         {
             let mut out: Vec<&mut [u8]> = vec![&mut r0, &mut r2];
-            code.decode_regions(&available, &[0, 2], &mut out).unwrap();
+            code.apply_coefficients(&coeff, &available, &mut out)
+                .unwrap();
         }
         assert_eq!(r0, regions[0]);
         assert_eq!(r2, regions[2]);
@@ -583,20 +526,18 @@ mod tests {
     #[test]
     fn recovery_coefficient_errors() {
         let code: MdsCode<Gf8> = MdsCode::new(6, 4).unwrap();
+        let err = |available: &[usize]| code.recovery_coefficients(available, &[5]).unwrap_err();
         assert_eq!(
-            code.recovery_coefficients(&[0, 1, 2], &[5]),
-            Err(Error::WrongSymbolCount {
-                got: 3,
-                expected: 4
-            })
+            err(&[0, 1, 2]),
+            CodeError::ShapeMismatch("wrong symbol count: got 3, expected 4".into())
         );
         assert_eq!(
-            code.recovery_coefficients(&[0, 1, 2, 9], &[5]),
-            Err(Error::IndexOutOfRange { index: 9, total: 6 })
+            err(&[0, 1, 2, 9]),
+            CodeError::InvalidPattern("symbol index 9 out of range for codeword length 6".into())
         );
         assert_eq!(
-            code.recovery_coefficients(&[0, 1, 2, 2], &[5]),
-            Err(Error::DuplicateIndex(2))
+            err(&[0, 1, 2, 2]),
+            CodeError::InvalidPattern("symbol index 2 supplied twice".into())
         );
     }
 

@@ -30,13 +30,11 @@
 //! codeword[4] = None;
 //! let recovered = code.decode_elems(&codeword)?;
 //! assert_eq!(&recovered[..4], &data);
-//! # Ok::<(), stair_rs::Error>(())
+//! # Ok::<(), stair_code::CodeError>(())
 //! ```
 
 #![warn(missing_docs)]
 
 mod code;
-mod error;
 
 pub use code::MdsCode;
-pub use error::Error;

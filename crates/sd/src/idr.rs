@@ -6,10 +6,9 @@
 //! (§2): protecting every chunk against an `ε`-sector burst costs
 //! `(n−m)·ε` redundant sectors per stripe, versus STAIR's `s`.
 
+use stair_code::CodeError;
 use stair_gf::Field;
 use stair_rs::MdsCode;
-
-use crate::Error;
 
 /// The IDR scheme: per-chunk `(r, r−ε)` codes plus `m` parity devices.
 ///
@@ -32,16 +31,16 @@ impl<F: Field> IdrScheme<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParams`] for degenerate shapes (`ε = 0`,
+    /// Returns [`CodeError::InvalidConfig`] for degenerate shapes (`ε = 0`,
     /// `ε ≥ r`, `m ≥ n`, ...).
-    pub fn new(n: usize, r: usize, m: usize, epsilon: usize) -> Result<Self, Error> {
+    pub fn new(n: usize, r: usize, m: usize, epsilon: usize) -> Result<Self, CodeError> {
         if n < 2 || m == 0 || m >= n {
-            return Err(Error::InvalidParams(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "need 0 < m < n (got n={n}, m={m})"
             )));
         }
         if epsilon == 0 || epsilon >= r {
-            return Err(Error::InvalidParams(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "need 0 < ε < r (got ε={epsilon}, r={r})"
             )));
         }
@@ -86,8 +85,8 @@ impl<F: Field> IdrScheme<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ShapeMismatch`] on wrong shapes.
-    pub fn encode(&self, cells: &mut [Vec<u8>]) -> Result<(), Error> {
+    /// Returns [`CodeError::ShapeMismatch`] on wrong shapes.
+    pub fn encode(&self, cells: &mut [Vec<u8>]) -> Result<(), CodeError> {
         self.check_cells(cells)?;
         let (n, r, m, eps) = (self.n, self.r, self.m, self.epsilon);
         // Local parity inside each data chunk.
@@ -125,15 +124,19 @@ impl<F: Field> IdrScheme<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Unrecoverable`] if more than `m` chunks need
+    /// Returns [`CodeError::Unrecoverable`] if more than `m` chunks need
     /// device-level repair.
-    pub fn decode(&self, cells: &mut [Vec<u8>], erased: &[(usize, usize)]) -> Result<(), Error> {
+    pub fn decode(
+        &self,
+        cells: &mut [Vec<u8>],
+        erased: &[(usize, usize)],
+    ) -> Result<(), CodeError> {
         self.check_cells(cells)?;
         let (n, r, m, eps) = (self.n, self.r, self.m, self.epsilon);
         let mut per_chunk: Vec<Vec<usize>> = vec![Vec::new(); n];
         for &(i, c) in erased {
             if i >= r || c >= n {
-                return Err(Error::InvalidPattern(format!("({i},{c}) out of range")));
+                return Err(CodeError::InvalidPattern(format!("({i},{c}) out of range")));
             }
             per_chunk[c].push(i);
         }
@@ -165,7 +168,7 @@ impl<F: Field> IdrScheme<F> {
             }
         }
         if device_repair.len() > m {
-            return Err(Error::Unrecoverable(format!(
+            return Err(CodeError::Unrecoverable(format!(
                 "{} chunks need device-level repair, only {} tolerated",
                 device_repair.len(),
                 m
@@ -204,9 +207,9 @@ impl<F: Field> IdrScheme<F> {
         Ok(())
     }
 
-    fn check_cells(&self, cells: &[Vec<u8>]) -> Result<(), Error> {
+    fn check_cells(&self, cells: &[Vec<u8>]) -> Result<(), CodeError> {
         if cells.len() != self.n * self.r {
-            return Err(Error::ShapeMismatch(format!(
+            return Err(CodeError::ShapeMismatch(format!(
                 "expected {} cells, got {}",
                 self.n * self.r,
                 cells.len()
@@ -214,7 +217,9 @@ impl<F: Field> IdrScheme<F> {
         }
         let len = cells[0].len();
         if cells.iter().any(|c| c.len() != len) {
-            return Err(Error::ShapeMismatch("cells must have equal length".into()));
+            return Err(CodeError::ShapeMismatch(
+                "cells must have equal length".into(),
+            ));
         }
         Ok(())
     }
@@ -275,7 +280,7 @@ mod tests {
         let erased = vec![(0, 0), (1, 0), (0, 1), (1, 1)];
         assert!(matches!(
             scheme.decode(&mut cells, &erased),
-            Err(Error::Unrecoverable(_))
+            Err(CodeError::Unrecoverable(_))
         ));
     }
 

@@ -39,12 +39,10 @@
 
 #![warn(missing_docs)]
 
-mod error;
 mod idr;
 mod rs_array;
 mod sd;
 
-pub use error::Error;
 pub use idr::IdrScheme;
 pub use rs_array::RsArrayCode;
 pub use sd::SdCode;

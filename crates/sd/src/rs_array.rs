@@ -7,8 +7,6 @@ use stair_code::{
 use stair_gf::Field;
 use stair_rs::MdsCode;
 
-use crate::Error;
-
 /// An `r × n` array protected row-wise by an `(n, n−m)` MDS code.
 ///
 /// # Example
@@ -53,10 +51,10 @@ impl<F: Field> RsArrayCode<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParams`] for degenerate shapes.
-    pub fn new(n: usize, r: usize, m: usize) -> Result<Self, Error> {
+    /// Returns [`CodeError::InvalidConfig`] for degenerate shapes.
+    pub fn new(n: usize, r: usize, m: usize) -> Result<Self, CodeError> {
         if n < 2 || r == 0 || m == 0 || m >= n {
-            return Err(Error::InvalidParams(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "need n ≥ 2, r ≥ 1, 0 < m < n (got n={n}, r={r}, m={m})"
             )));
         }

@@ -38,8 +38,6 @@ use stair_code::{
 use stair_gf::Field;
 use stair_gfmatrix::{Error as MatrixError, Matrix};
 
-use crate::Error;
-
 /// An SD code over the field `F`; see the module documentation for the
 /// construction.
 #[derive(Clone, Debug)]
@@ -67,34 +65,36 @@ impl<F: Field> SdCode<F> {
     ///
     /// # Errors
     ///
-    /// * [`Error::InvalidParams`] for impossible shapes (`m = 0` is allowed
-    ///   — a pure-PMDS-style sector-only code — but `m + ⌈s/r⌉ ≥ n` is not);
-    /// * [`Error::ConstructionFailed`] if the candidate check matrix cannot
-    ///   be solved for the parity positions (the construction does not
-    ///   exist at these parameters over this field).
-    pub fn new(n: usize, r: usize, m: usize, s: usize) -> Result<Self, Error> {
+    /// [`CodeError::InvalidConfig`] for impossible shapes (`m = 0` is
+    /// allowed — a pure-PMDS-style sector-only code — but `m + ⌈s/r⌉ ≥ n`
+    /// is not), and if the candidate check matrix cannot be solved for the
+    /// parity positions (the construction does not exist at these
+    /// parameters over this field).
+    pub fn new(n: usize, r: usize, m: usize, s: usize) -> Result<Self, CodeError> {
         if n < 2 || r == 0 {
-            return Err(Error::InvalidParams(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "need n ≥ 2, r ≥ 1 (got n={n}, r={r})"
             )));
         }
         if m >= n {
-            return Err(Error::InvalidParams(format!("m = {m} must be < n = {n}")));
+            return Err(CodeError::InvalidConfig(format!(
+                "m = {m} must be < n = {n}"
+            )));
         }
         if s > (n - m).saturating_sub(1) {
-            return Err(Error::InvalidParams(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "s = {s} parity sectors must fit in one row of the n−m−1 = {} remaining data \
                  devices",
                 n - m - 1
             )));
         }
         if m == 0 && s == 0 {
-            return Err(Error::InvalidParams(
+            return Err(CodeError::InvalidConfig(
                 "m = s = 0 provides no redundancy".into(),
             ));
         }
         if r * n > F::ORDER - 1 {
-            return Err(Error::ConstructionFailed(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "stripe has {} symbols but the global-check coefficients α^q only take {} \
                  distinct values; use a wider field",
                 r * n,
@@ -138,7 +138,7 @@ impl<F: Field> SdCode<F> {
         let dense = match h_p.solve(&h_d) {
             Ok(e) => e,
             Err(MatrixError::Singular | MatrixError::Underdetermined { .. }) => {
-                return Err(Error::ConstructionFailed(format!(
+                return Err(CodeError::InvalidConfig(format!(
                     "parity submatrix is singular for (n={n}, r={r}, m={m}, s={s}) over \
                      GF(2^{})",
                     F::W
@@ -195,25 +195,35 @@ impl<F: Field> SdCode<F> {
     ///
     /// # Errors
     ///
-    /// * [`Error::InvalidPattern`] for malformed patterns;
-    /// * [`Error::Unrecoverable`] if the pattern exceeds the code's
+    /// * [`CodeError::InvalidPattern`] for malformed patterns;
+    /// * [`CodeError::Unrecoverable`] if the pattern exceeds the code's
     ///   capability (`> m` devices, `> s` extra sectors, or an admissible
     ///   pattern at parameters where the construction is simply not SD —
     ///   the situation STAIR codes eliminate).
-    pub fn recovery_matrix(&self, erased: &[(usize, usize)]) -> Result<Matrix<F>, Error> {
+    pub fn recovery_matrix(&self, erased: &[(usize, usize)]) -> Result<Matrix<F>, CodeError> {
         let total = self.r * self.n;
         let mut seen = vec![false; total];
         for &(i, c) in erased {
             if i >= self.r || c >= self.n {
-                return Err(Error::InvalidPattern(format!("({i},{c}) out of range")));
+                return Err(CodeError::InvalidPattern(format!("({i},{c}) out of range")));
             }
             if seen[i * self.n + c] {
-                return Err(Error::InvalidPattern(format!("duplicate ({i},{c})")));
+                return Err(CodeError::InvalidPattern(format!("duplicate ({i},{c})")));
             }
             seen[i * self.n + c] = true;
         }
         if erased.is_empty() {
-            return Err(Error::InvalidPattern("empty erasure pattern".into()));
+            return Err(CodeError::InvalidPattern("empty erasure pattern".into()));
+        }
+        // More unknowns than check equations never solve; this also
+        // refuses a stripe with no survivors, which has nothing to solve
+        // from.
+        if erased.len() > self.check.rows() {
+            return Err(CodeError::Unrecoverable(format!(
+                "{} erasures exceed the {} check equations",
+                erased.len(),
+                self.check.rows()
+            )));
         }
         let erased_q: Vec<usize> = erased.iter().map(|&(i, c)| i * self.n + c).collect();
         let known_q: Vec<usize> = (0..total).filter(|&q| !seen[q]).collect();
@@ -225,7 +235,7 @@ impl<F: Field> SdCode<F> {
         match h_x.solve_subspace(&h_k) {
             Ok(m) => Ok(m),
             Err(MatrixError::Singular | MatrixError::Underdetermined { .. }) => {
-                Err(Error::Unrecoverable(format!(
+                Err(CodeError::Unrecoverable(format!(
                     "{} erasures exceed this SD code's capability",
                     erased.len()
                 )))
@@ -350,24 +360,24 @@ mod tests {
     fn parameter_validation() {
         assert!(matches!(
             SdCode::<Gf8>::new(1, 4, 0, 1),
-            Err(Error::InvalidParams(_))
+            Err(CodeError::InvalidConfig(_))
         ));
         assert!(matches!(
             SdCode::<Gf8>::new(6, 4, 6, 1),
-            Err(Error::InvalidParams(_))
+            Err(CodeError::InvalidConfig(_))
         ));
         assert!(matches!(
             SdCode::<Gf8>::new(6, 4, 1, 5),
-            Err(Error::InvalidParams(_))
+            Err(CodeError::InvalidConfig(_))
         ));
         assert!(matches!(
             SdCode::<Gf8>::new(6, 4, 0, 0),
-            Err(Error::InvalidParams(_))
+            Err(CodeError::InvalidConfig(_))
         ));
         // 16 × 16 = 256 symbols exceed GF(2^8)'s 255 distinct coefficients.
         assert!(matches!(
             SdCode::<Gf8>::new(16, 16, 1, 1),
-            Err(Error::ConstructionFailed(_))
+            Err(CodeError::InvalidConfig(_))
         ));
         assert!(SdCode::<Gf16>::new(16, 16, 1, 1).is_ok());
     }

@@ -50,11 +50,15 @@ fn sd_update_equals_reencode() {
 #[test]
 fn sd_beyond_coverage_unrecoverable() {
     let code: SdCode<Gf8> = SdCode::new(6, 4, 1, 1).unwrap();
-    let erased = ErasureSet::devices(&[0, 1], 4);
-    assert!(matches!(
-        code.plan(&erased),
-        Err(CodeError::Unrecoverable(_))
-    ));
+    // Two devices, and every device: a stripe with no survivors used to
+    // panic selecting zero known columns.
+    for devices in [&[0, 1][..], &[0, 1, 2, 3, 4, 5]] {
+        let erased = ErasureSet::devices(devices, 4);
+        assert!(matches!(
+            code.plan(&erased),
+            Err(CodeError::Unrecoverable(_))
+        ));
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! The codec-generic face of STAIR: [`stair_code::ErasureCode`] for
-//! [`StairCodec`], plus the [`CodeError`] conversion.
+//! [`StairCodec`].
 //!
 //! The impl operates directly on flat [`stair_code::StripeBuf`] grids —
 //! the same memory `stair-store` reads sectors into: encoding and decoding
@@ -11,22 +11,7 @@
 use stair_code::{CellIdx, CodeError, CodecId, ErasureCode, ErasureSet, Geometry, Plan};
 use stair_gf::Field;
 
-use crate::{Error, GlobalPlacement, StairCodec};
-
-impl From<Error> for CodeError {
-    fn from(e: Error) -> CodeError {
-        match e {
-            Error::InvalidConfig(m) => CodeError::InvalidConfig(m),
-            Error::InvalidPattern(m) => CodeError::InvalidPattern(m),
-            Error::Unrecoverable { remaining } => CodeError::Unrecoverable(format!(
-                "peeling stalled with {remaining} cells unrecovered"
-            )),
-            Error::ShapeMismatch(m) => CodeError::ShapeMismatch(m),
-            Error::Code(e) => e,
-            other => CodeError::Internal(other.to_string()),
-        }
-    }
-}
+use crate::{GlobalPlacement, StairCodec};
 
 impl<F: Field> StairCodec<F> {
     fn check_inside(&self) -> Result<(), CodeError> {
@@ -66,7 +51,7 @@ impl<F: Field> ErasureCode for StairCodec<F> {
 
     fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError> {
         self.check_inside()?;
-        Ok(StairCodec::plan_recover(self, erased.cells(), wanted)?)
+        StairCodec::plan_recover(self, erased.cells(), wanted)
     }
 
     fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
@@ -206,7 +191,7 @@ mod tests {
         let mut stripe = Stripe::new(b.config().clone(), 16).unwrap();
         assert!(matches!(
             b.apply_plan(&plan, &mut stripe),
-            Err(Error::InvalidPattern(_))
+            Err(CodeError::InvalidPattern(_))
         ));
     }
 

@@ -2,7 +2,7 @@
 //! downstairs / standard / baseline two-phase), and upstairs decoding —
 //! each lowered to a [`Plan`] and run by [`Plan::execute`].
 
-use stair_code::{CodecId, Plan, UpdateMap};
+use stair_code::{CodeError, CodecId, Plan, UpdateMap};
 use stair_gf::{Field, Gf8};
 use stair_rs::MdsCode;
 
@@ -11,7 +11,7 @@ use crate::peel::{Availability, PeelOrder, Peeler};
 use crate::schedule::Schedule;
 use crate::standard::ParityRelations;
 use crate::stripe::Stripe;
-use crate::{Config, Error, GlobalPlacement, MultXorCounts};
+use crate::{Config, GlobalPlacement, MultXorCounts};
 
 /// The encoding methods of the paper.
 #[derive(Clone, Copy, Debug, Eq, Hash, PartialEq)]
@@ -46,7 +46,7 @@ pub enum EncodingMethod {
 /// let codec: StairCodec = StairCodec::new(config.clone())?;
 /// // For this configuration upstairs encoding is the cheapest.
 /// assert_eq!(codec.best_method(), EncodingMethod::Upstairs);
-/// # Ok::<(), stair::Error>(())
+/// # Ok::<(), stair_code::CodeError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct StairCodec<F: Field = Gf8> {
@@ -73,17 +73,17 @@ impl<F: Field> StairCodec<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] if the configuration needs a wider
+    /// Returns [`CodeError::InvalidConfig`] if the configuration needs a wider
     /// field than `F` (`n + m' > F::ORDER` or `r + e_max > F::ORDER`), and
     /// propagates construction failures of the constituent codes.
-    pub fn new(config: Config) -> Result<Self, Error> {
+    pub fn new(config: Config) -> Result<Self, CodeError> {
         let n = config.n();
         let r = config.r();
         let m = config.m();
         let m_prime = config.m_prime();
         let e_max = config.e_max();
         if n + m_prime > F::ORDER || r + e_max > F::ORDER {
-            return Err(Error::InvalidConfig(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "code lengths (n+m'={}, r+e_max={}) exceed field order {}",
                 n + m_prime,
                 r + e_max,
@@ -168,18 +168,18 @@ impl<F: Field> StairCodec<F> {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] for [`EncodingMethod::Standard`], which is
+    /// [`CodeError::InvalidConfig`] for [`EncodingMethod::Standard`], which is
     /// no peel, and for a method this placement lacks.
-    pub fn encode_schedule(&self, method: EncodingMethod) -> Result<Schedule<F>, Error> {
+    pub fn encode_schedule(&self, method: EncodingMethod) -> Result<Schedule<F>, CodeError> {
         let (peeler, avail) = peel_encode(&self.layout, &self.crow, &self.ccol, method)?;
         peeler.schedule(&avail)
     }
 
     /// An encoding method's plan: its peel lowered as a decode's is, or
     /// for [`EncodingMethod::Standard`] the dense relations.
-    fn plan_encode(&self, method: EncodingMethod) -> Result<Plan, Error> {
+    fn plan_encode(&self, method: EncodingMethod) -> Result<Plan, CodeError> {
         if method == EncodingMethod::Standard {
-            return Ok(self.relations.plan(self.id.clone())?);
+            return self.relations.plan(self.id.clone());
         }
         let (peeler, avail) = peel_encode(&self.layout, &self.crow, &self.ccol, method)?;
         peeler.lower(&self.id, &avail, &self.layout.encode_targets())
@@ -189,10 +189,10 @@ impl<F: Field> StairCodec<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ShapeMismatch`] if the stripe was allocated for a
+    /// Returns [`CodeError::ShapeMismatch`] if the stripe was allocated for a
     /// different configuration, or its sectors do not hold whole field
     /// elements.
-    pub fn encode(&self, stripe: &mut Stripe) -> Result<(), Error> {
+    pub fn encode(&self, stripe: &mut Stripe) -> Result<(), CodeError> {
         self.apply_plan(&self.encode, stripe)
     }
 
@@ -201,10 +201,14 @@ impl<F: Field> StairCodec<F> {
     ///
     /// # Errors
     ///
-    /// * [`Error::ShapeMismatch`] as [`StairCodec::encode`];
-    /// * [`Error::InvalidConfig`] if the method is unavailable for this
+    /// * [`CodeError::ShapeMismatch`] as [`StairCodec::encode`];
+    /// * [`CodeError::InvalidConfig`] if the method is unavailable for this
     ///   placement (e.g. upstairs with outside globals).
-    pub fn encode_with(&self, method: EncodingMethod, stripe: &mut Stripe) -> Result<(), Error> {
+    pub fn encode_with(
+        &self,
+        method: EncodingMethod,
+        stripe: &mut Stripe,
+    ) -> Result<(), CodeError> {
         if method == self.best {
             return self.encode(stripe);
         }
@@ -219,10 +223,10 @@ impl<F: Field> StairCodec<F> {
     ///
     /// # Errors
     ///
-    /// * [`Error::InvalidPattern`] for malformed patterns;
-    /// * [`Error::Unrecoverable`] if peeling cannot repair the pattern
+    /// * [`CodeError::InvalidPattern`] for malformed patterns;
+    /// * [`CodeError::Unrecoverable`] if peeling cannot repair the pattern
     ///   (never happens within the `(m, e)` coverage).
-    pub fn plan_decode(&self, erased: &[(usize, usize)]) -> Result<Plan, Error> {
+    pub fn plan_decode(&self, erased: &[(usize, usize)]) -> Result<Plan, CodeError> {
         self.plan_recover(erased, erased)
     }
 
@@ -234,14 +238,14 @@ impl<F: Field> StairCodec<F> {
     ///
     /// # Errors
     ///
-    /// * [`Error::InvalidPattern`] if `wanted` is not a subset of `erased`
+    /// * [`CodeError::InvalidPattern`] if `wanted` is not a subset of `erased`
     ///   or either set is malformed;
-    /// * [`Error::Unrecoverable`] if peeling cannot reach the wanted cells.
+    /// * [`CodeError::Unrecoverable`] if peeling cannot reach the wanted cells.
     pub fn plan_recover(
         &self,
         erased: &[(usize, usize)],
         wanted: &[(usize, usize)],
-    ) -> Result<Plan, Error> {
+    ) -> Result<Plan, CodeError> {
         let (peeler, avail) = self.peel_decode(erased, wanted)?;
         peeler.lower(&self.id, &avail, wanted)
     }
@@ -256,7 +260,7 @@ impl<F: Field> StairCodec<F> {
         &self,
         erased: &[(usize, usize)],
         wanted: &[(usize, usize)],
-    ) -> Result<Schedule<F>, Error> {
+    ) -> Result<Schedule<F>, CodeError> {
         let (peeler, avail) = self.peel_decode(erased, wanted)?;
         peeler.schedule(&avail)
     }
@@ -268,7 +272,7 @@ impl<F: Field> StairCodec<F> {
         &self,
         erased: &[Cell],
         wanted: &[Cell],
-    ) -> Result<(Peeler<'_, F>, Availability), Error> {
+    ) -> Result<(Peeler<'_, F>, Availability), CodeError> {
         let counts = self.config.erasure_counts(erased)?;
         let mut avail = self.decode_avail.clone();
         for &cell in erased {
@@ -278,7 +282,7 @@ impl<F: Field> StairCodec<F> {
             .iter()
             .find(|&&w| !self.layout.is_stored(w) || avail.contains(w))
         {
-            return Err(Error::InvalidPattern(format!(
+            return Err(CodeError::InvalidPattern(format!(
                 "wanted cell {w:?} is not in the erased set"
             )));
         }
@@ -297,7 +301,7 @@ impl<F: Field> StairCodec<F> {
             peeler.peel(wanted, PeelOrder::Upstairs).map(|()| peeler)
         };
         let peeler = match peel(&order) {
-            Err(Error::Unrecoverable { .. }) => peel(&[])?,
+            Err(CodeError::Unrecoverable(_)) => peel(&[])?,
             other => other?,
         };
         Ok((peeler, avail))
@@ -309,12 +313,12 @@ impl<F: Field> StairCodec<F> {
     ///
     /// # Errors
     ///
-    /// * [`Error::ShapeMismatch`] if the stripe belongs to another
+    /// * [`CodeError::ShapeMismatch`] if the stripe belongs to another
     ///   configuration or its sectors do not hold whole field elements;
-    /// * [`Error::InvalidPattern`] if another codec built the plan.
-    pub fn apply_plan(&self, plan: &Plan, stripe: &mut Stripe) -> Result<(), Error> {
+    /// * [`CodeError::InvalidPattern`] if another codec built the plan.
+    pub fn apply_plan(&self, plan: &Plan, stripe: &mut Stripe) -> Result<(), CodeError> {
         self.check_stripe(stripe)?;
-        Ok(plan.execute(&self.id, stripe)?)
+        plan.execute(&self.id, stripe)
     }
 
     /// Repairs the listed erased sectors in place (plan + apply).
@@ -322,40 +326,14 @@ impl<F: Field> StairCodec<F> {
     /// # Errors
     ///
     /// See [`StairCodec::plan_decode`] and [`StairCodec::apply_plan`].
-    pub fn decode(&self, stripe: &mut Stripe, erased: &[(usize, usize)]) -> Result<(), Error> {
+    pub fn decode(&self, stripe: &mut Stripe, erased: &[(usize, usize)]) -> Result<(), CodeError> {
         let plan = self.plan_decode(erased)?;
         self.apply_plan(&plan, stripe)
     }
 
-    /// Degraded read: returns the contents of sector `(row, col)` while the
-    /// stripe carries the given erasures, reconstructing (and repairing in
-    /// place) only what that one sector needs.
-    ///
-    /// # Errors
-    ///
-    /// See [`StairCodec::plan_recover`]; reads of healthy sectors never
-    /// fail.
-    pub fn read_sector_degraded(
-        &self,
-        stripe: &mut Stripe,
-        erased: &[(usize, usize)],
-        row: usize,
-        col: usize,
-    ) -> Result<Vec<u8>, Error> {
-        self.check_stripe(stripe)?;
-        if row >= self.config.r() || col >= self.config.n() {
-            return Err(Error::InvalidPattern(format!("({row},{col}) out of range")));
-        }
-        if erased.contains(&(row, col)) {
-            let plan = self.plan_recover(erased, &[(row, col)])?;
-            self.apply_plan(&plan, stripe)?;
-        }
-        Ok(stripe.cell(row, col).to_vec())
-    }
-
-    fn check_stripe(&self, stripe: &Stripe) -> Result<(), Error> {
+    fn check_stripe(&self, stripe: &Stripe) -> Result<(), CodeError> {
         if stripe.config() != &self.config {
-            return Err(Error::ShapeMismatch(
+            return Err(CodeError::ShapeMismatch(
                 "stripe was allocated for a different configuration".into(),
             ));
         }
@@ -374,7 +352,7 @@ fn peel_encode<'a, F: Field>(
     crow: &'a MdsCode<F>,
     ccol: &'a MdsCode<F>,
     method: EncodingMethod,
-) -> Result<(Peeler<'a, F>, Availability), Error> {
+) -> Result<(Peeler<'a, F>, Availability), CodeError> {
     let placement = layout.placement();
     let (order, row_only) = match (method, placement) {
         (EncodingMethod::Upstairs, GlobalPlacement::Inside) => {
@@ -383,12 +361,12 @@ fn peel_encode<'a, F: Field>(
         (EncodingMethod::Downstairs, GlobalPlacement::Inside)
         | (EncodingMethod::TwoPhase, GlobalPlacement::Outside) => (PeelOrder::Downstairs, 0..0),
         (EncodingMethod::Standard, _) => {
-            return Err(Error::InvalidConfig(
+            return Err(CodeError::InvalidConfig(
                 "standard encoding is one dense combination per parity, not a peel".into(),
             ))
         }
         _ => {
-            return Err(Error::InvalidConfig(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "{method:?} encoding is unavailable for {placement:?} placement"
             )))
         }
@@ -497,7 +475,7 @@ mod tests {
             .spec()
             .covers(&erased.iter().copied().collect()));
         let err = codec.decode(&mut stripe, &erased).unwrap_err();
-        assert!(matches!(err, Error::Unrecoverable { .. }));
+        assert!(matches!(err, CodeError::Unrecoverable(_)));
     }
 
     #[test]
@@ -532,7 +510,7 @@ mod tests {
         let mut stripe = Stripe::new(config, 8).unwrap();
         assert!(matches!(
             codec.encode_with(EncodingMethod::Upstairs, &mut stripe),
-            Err(Error::InvalidConfig(_))
+            Err(CodeError::InvalidConfig(_))
         ));
     }
 
@@ -557,30 +535,23 @@ mod tests {
     }
 
     #[test]
-    fn degraded_read_recovers_single_sector_cheaply() {
+    fn one_lost_sector_recovers_cheaply() {
         let codec = paper_codec();
         let mut stripe = encode_round_trip(&codec, EncodingMethod::Upstairs);
         let pristine = stripe.clone();
-        // Two devices fail; read one sector from the first.
+        // Two devices fail; recover one sector of the first.
         let erased: Vec<(usize, usize)> = (0..4).flat_map(|i| [(i, 6), (i, 7)]).collect();
         stripe.erase(&erased).unwrap();
-        let got = codec
-            .read_sector_degraded(&mut stripe, &erased, 2, 6)
-            .unwrap();
-        assert_eq!(got.as_slice(), pristine.cell(2, 6));
-        // A single-sector plan must be cheaper than the full repair plan.
         let single = codec.plan_recover(&erased, &[(2, 6)]).unwrap();
+        codec.apply_plan(&single, &mut stripe).unwrap();
+        assert_eq!(stripe.cell(2, 6), pristine.cell(2, 6));
+        // A single-sector plan must be cheaper than the full repair plan.
         let full = codec.plan_decode(&erased).unwrap();
         assert!(single.mult_xors() < full.mult_xors());
-        // Healthy sectors read straight through.
-        let healthy = codec
-            .read_sector_degraded(&mut stripe, &erased, 0, 0)
-            .unwrap();
-        assert_eq!(healthy.as_slice(), pristine.cell(0, 0));
         // Wanted-not-erased is rejected.
         assert!(matches!(
             codec.plan_recover(&erased, &[(0, 0)]),
-            Err(Error::InvalidPattern(_))
+            Err(CodeError::InvalidPattern(_))
         ));
     }
 

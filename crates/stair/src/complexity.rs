@@ -16,7 +16,7 @@ use crate::Config;
 /// let counts = MultXorCounts::analytic(&cfg);
 /// assert_eq!(counts.upstairs, 120);
 /// assert_eq!(counts.downstairs, 136);
-/// # Ok::<(), stair::Error>(())
+/// # Ok::<(), stair_code::CodeError>(())
 /// ```
 #[derive(Clone, Copy, Debug, Default, Eq, Hash, PartialEq)]
 pub struct MultXorCounts {

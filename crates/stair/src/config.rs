@@ -1,8 +1,6 @@
 //! STAIR code configuration `(n, r, m, e)` (§2 of the paper).
 
-use stair_code::CodecSpec;
-
-use crate::Error;
+use stair_code::{CodeError, CodecSpec};
 
 /// Where the `s` global parity symbols live.
 ///
@@ -39,7 +37,7 @@ pub enum GlobalPlacement {
 /// assert_eq!(cfg.m_prime(), 3);
 /// assert_eq!(cfg.s(), 4);
 /// assert_eq!(cfg.e_max(), 2);
-/// # Ok::<(), stair::Error>(())
+/// # Ok::<(), stair_code::CodeError>(())
 /// ```
 #[derive(Clone, Debug, Eq, Hash, PartialEq)]
 pub struct Config {
@@ -56,7 +54,7 @@ impl Config {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] when any of the paper's structural
+    /// Returns [`CodeError::InvalidConfig`] when any of the paper's structural
     /// requirements is violated:
     ///
     /// * `m ≥ n` (must leave at least one surviving chunk);
@@ -64,7 +62,7 @@ impl Config {
     /// * `m' > n − m` (more partially-failed chunks than survivors);
     /// * no data symbols left (`r·(n−m) ≤ s` for inside placement);
     /// * code lengths exceeding GF(2^8): `n + m' > 256` or `r + e_max > 256`.
-    pub fn new(n: usize, r: usize, m: usize, e: &[usize]) -> Result<Self, Error> {
+    pub fn new(n: usize, r: usize, m: usize, e: &[usize]) -> Result<Self, CodeError> {
         Self::with_placement(n, r, m, e, GlobalPlacement::Inside)
     }
 
@@ -80,64 +78,66 @@ impl Config {
         m: usize,
         e: &[usize],
         placement: GlobalPlacement,
-    ) -> Result<Self, Error> {
+    ) -> Result<Self, CodeError> {
         if n < 2 {
-            return Err(Error::InvalidConfig(format!("n = {n} must be at least 2")));
+            return Err(CodeError::InvalidConfig(format!(
+                "n = {n} must be at least 2"
+            )));
         }
         if r == 0 {
-            return Err(Error::InvalidConfig("r must be positive".into()));
+            return Err(CodeError::InvalidConfig("r must be positive".into()));
         }
         if m == 0 {
-            return Err(Error::InvalidConfig(
+            return Err(CodeError::InvalidConfig(
                 "m must be positive (use a plain intra-device code for m = 0)".into(),
             ));
         }
         if m >= n {
-            return Err(Error::InvalidConfig(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "m = {m} must be less than n = {n}"
             )));
         }
         if e.is_empty() {
-            return Err(Error::InvalidConfig(
+            return Err(CodeError::InvalidConfig(
                 "e must be non-empty (use a plain MDS code for s = 0)".into(),
             ));
         }
         if e.contains(&0) {
-            return Err(Error::InvalidConfig("all e_i must be positive".into()));
+            return Err(CodeError::InvalidConfig("all e_i must be positive".into()));
         }
         if e.windows(2).any(|w| w[0] > w[1]) {
-            return Err(Error::InvalidConfig(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "e = {e:?} must be non-decreasing"
             )));
         }
         let m_prime = e.len();
         if m_prime > n - m {
-            return Err(Error::InvalidConfig(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "m' = {m_prime} exceeds the n − m = {} surviving chunks",
                 n - m
             )));
         }
         let e_max = *e.last().expect("e is non-empty");
         if e_max > r {
-            return Err(Error::InvalidConfig(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "e_max = {e_max} exceeds the chunk size r = {r}"
             )));
         }
         let s: usize = e.iter().sum();
         if placement == GlobalPlacement::Inside && r * (n - m) <= s {
-            return Err(Error::InvalidConfig(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "no data symbols left: r·(n−m) = {} ≤ s = {s}",
                 r * (n - m)
             )));
         }
         if n + m_prime > 256 {
-            return Err(Error::InvalidConfig(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "C_row length n + m' = {} exceeds GF(2^8)",
                 n + m_prime
             )));
         }
         if r + e_max > 256 {
-            return Err(Error::InvalidConfig(format!(
+            return Err(CodeError::InvalidConfig(format!(
                 "C_col length r + e_max = {} exceeds GF(2^8)",
                 r + e_max
             )));
@@ -216,21 +216,21 @@ impl Config {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidPattern`] for out-of-range or duplicate
+    /// Returns [`CodeError::InvalidPattern`] for out-of-range or duplicate
     /// coordinates.
-    pub fn erasure_counts(&self, erased: &[(usize, usize)]) -> Result<Vec<usize>, Error> {
+    pub fn erasure_counts(&self, erased: &[(usize, usize)]) -> Result<Vec<usize>, CodeError> {
         let mut seen = vec![false; self.r * self.n];
         let mut counts = vec![0usize; self.n];
         for &(row, col) in erased {
             if row >= self.r || col >= self.n {
-                return Err(Error::InvalidPattern(format!(
+                return Err(CodeError::InvalidPattern(format!(
                     "coordinate ({row},{col}) out of range for r={} n={}",
                     self.r, self.n
                 )));
             }
             let idx = row * self.n + col;
             if seen[idx] {
-                return Err(Error::InvalidPattern(format!(
+                return Err(CodeError::InvalidPattern(format!(
                     "duplicate coordinate ({row},{col})"
                 )));
             }

@@ -60,7 +60,7 @@ pub enum CellKind {
 /// let layout = Layout::new(&cfg);
 /// // ĝ_{0,0} replaces the bottom sector of data chunk 3 (Fig. 5).
 /// assert_eq!(layout.inside_global_cell(0, 0), (3, 3));
-/// # Ok::<(), stair::Error>(())
+/// # Ok::<(), stair_code::CodeError>(())
 /// ```
 #[derive(Clone, Debug, Eq, PartialEq)]
 pub struct Layout {

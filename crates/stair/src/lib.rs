@@ -48,7 +48,7 @@
 //! stripe.erase(&erased)?;
 //! codec.decode(&mut stripe, &erased)?;
 //! assert_eq!(stripe.read_data()?, payload);
-//! # Ok::<(), stair::Error>(())
+//! # Ok::<(), stair_code::CodeError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -57,7 +57,6 @@ mod code_impl;
 mod codec;
 mod complexity;
 mod config;
-mod error;
 mod layout;
 mod peel;
 mod schedule;
@@ -69,7 +68,6 @@ mod update;
 pub use codec::{EncodingMethod, StairCodec};
 pub use complexity::MultXorCounts;
 pub use config::{Config, GlobalPlacement};
-pub use error::Error;
 pub use layout::{Cell, CellKind, Layout};
 pub use schedule::{Schedule, Step, StepCode};
 pub use space::{devices_saved, storage_efficiency, SpaceComparison};

@@ -35,14 +35,13 @@
 
 use std::sync::Arc;
 
-use stair_code::{CodecId, Plan};
+use stair_code::{CodeError, CodecId, Plan};
 use stair_gf::Field;
 use stair_gfmatrix::Matrix;
 use stair_rs::MdsCode;
 
 use crate::layout::{Cell, Layout};
 use crate::schedule::{Schedule, Step, StepCode};
-use crate::Error;
 
 /// Pass ordering for the peeler.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
@@ -199,8 +198,8 @@ impl<'a, F: Field> Peeler<'a, F> {
     ///
     /// # Errors
     ///
-    /// [`Error::Unrecoverable`] if the peel stalls short of a target.
-    pub(crate) fn peel(&mut self, targets: &[Cell], order: PeelOrder) -> Result<(), Error> {
+    /// [`CodeError::Unrecoverable`] if the peel stalls short of a target.
+    pub(crate) fn peel(&mut self, targets: &[Cell], order: PeelOrder) -> Result<(), CodeError> {
         match order {
             PeelOrder::Upstairs => self.run_upstairs(),
             PeelOrder::Downstairs => self.run_downstairs(),
@@ -210,7 +209,9 @@ impl<'a, F: Field> Peeler<'a, F> {
             .filter(|&&t| !self.available.contains(t))
             .count();
         if remaining > 0 {
-            return Err(Error::Unrecoverable { remaining });
+            return Err(CodeError::Unrecoverable(format!(
+                "peeling stalled with {remaining} cells unrecovered"
+            )));
         }
         self.prune(targets);
         Ok(())
@@ -232,20 +233,21 @@ impl<'a, F: Field> Peeler<'a, F> {
     ///
     /// # Errors
     ///
-    /// Propagates the constituent code's solver errors (a bug: a peeled
-    /// step always reads κ distinct cells of its line).
-    pub(crate) fn coefficients(&self, step: &Peeled<'_>) -> Result<Arc<Matrix<F>>, Error> {
+    /// [`CodeError::Internal`] if the constituent code refuses the step
+    /// (a bug: a peeled step always reads κ distinct cells of its line).
+    pub(crate) fn coefficients(&self, step: &Peeled<'_>) -> Result<Arc<Matrix<F>>, CodeError> {
         let code = match step.code {
             StepCode::Row(_) => self.crow,
             StepCode::Col(_) => self.ccol,
         };
-        Ok(code.recovery_coefficients(step.inputs, step.outputs)?)
+        code.recovery_coefficients(step.inputs, step.outputs)
+            .map_err(|e| CodeError::Internal(format!("MDS code error: {e}")))
     }
 
     /// The pruned steps with their coefficients solved: the schedule of
     /// a peel that started from `initial`.
-    pub(crate) fn schedule(&self, initial: &Availability) -> Result<Schedule<F>, Error> {
-        let step = |s: Peeled<'_>| -> Result<Step<F>, Error> {
+    pub(crate) fn schedule(&self, initial: &Availability) -> Result<Schedule<F>, CodeError> {
+        let step = |s: Peeled<'_>| -> Result<Step<F>, CodeError> {
             Ok(Step {
                 code: s.code,
                 inputs: s.input_cells().collect(),
@@ -283,7 +285,7 @@ impl<'a, F: Field> Peeler<'a, F> {
         codec: &CodecId,
         initial: &Availability,
         wanted: &[Cell],
-    ) -> Result<Plan, Error> {
+    ) -> Result<Plan, CodeError> {
         // Slots by canonical cell index, marked first, numbered after; a
         // cell left unset is no slot, which `finish` refuses.
         const SOURCE: usize = usize::MAX - 3;
@@ -349,7 +351,7 @@ impl<'a, F: Field> Peeler<'a, F> {
                 plan.step(slot[at(out)], inputs.iter().copied().zip(coeffs));
             }
         }
-        Ok(plan.finish()?)
+        plan.finish()
     }
 
     fn run_upstairs(&mut self) {

@@ -15,11 +15,11 @@
 use core::fmt::Write as _;
 use std::sync::Arc;
 
+use stair_code::CodeError;
 use stair_gf::Field;
 use stair_gfmatrix::Matrix;
 
 use crate::layout::{Cell, CellKind, Layout};
-use crate::Error;
 
 /// Which constituent code a step applies, and to which row/column.
 #[derive(Clone, Copy, Debug, Eq, Hash, PartialEq)]
@@ -141,7 +141,7 @@ impl<F: Field> Schedule<F> {
         &self,
         layout: &Layout,
         initially_available: impl Fn(Cell) -> bool,
-    ) -> Result<(), Error> {
+    ) -> Result<(), CodeError> {
         let ccols = layout.canonical_cols();
         let idx = |c: Cell| c.0 * ccols + c.1;
         let mut avail = vec![false; layout.canonical_rows() * ccols];
@@ -155,7 +155,7 @@ impl<F: Field> Schedule<F> {
         for (k, step) in self.steps.iter().enumerate() {
             for &i in &step.inputs {
                 if !avail[idx(i)] {
-                    return Err(Error::InvalidPattern(format!(
+                    return Err(CodeError::InvalidPattern(format!(
                         "step {k} reads unavailable cell {i:?}"
                     )));
                 }

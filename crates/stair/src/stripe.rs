@@ -4,7 +4,7 @@
 use stair_code::{CellLookup, CodeError, Lent, StripeBuf};
 
 use crate::layout::{Cell, CellKind, Layout};
-use crate::{Config, Error, GlobalPlacement};
+use crate::{Config, GlobalPlacement};
 
 /// One stripe's worth of sectors.
 ///
@@ -26,7 +26,7 @@ use crate::{Config, Error, GlobalPlacement};
 /// let payload = vec![7u8; stripe.data_capacity()];
 /// stripe.write_data(&payload)?;
 /// assert_eq!(stripe.read_data()?, payload);
-/// # Ok::<(), stair::Error>(())
+/// # Ok::<(), stair_code::CodeError>(())
 /// ```
 #[derive(Clone, Debug, Eq, PartialEq)]
 pub struct Stripe {
@@ -44,14 +44,10 @@ impl Stripe {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ShapeMismatch`] if `symbol_size` is zero.
-    pub fn new(config: Config, symbol_size: usize) -> Result<Self, Error> {
-        if symbol_size == 0 {
-            return Err(Error::ShapeMismatch("symbol size must be positive".into()));
-        }
+    /// Returns [`CodeError::ShapeMismatch`] if `symbol_size` is zero.
+    pub fn new(config: Config, symbol_size: usize) -> Result<Self, CodeError> {
+        let grid = StripeBuf::new(config.r(), config.n(), symbol_size)?;
         let layout = Layout::new(&config);
-        let grid = StripeBuf::new(config.r(), config.n(), symbol_size)
-            .map_err(|e| Error::ShapeMismatch(e.to_string()))?;
         let globals = match config.placement() {
             GlobalPlacement::Outside => vec![vec![0u8; symbol_size]; config.s()],
             GlobalPlacement::Inside => Vec::new(),
@@ -126,11 +122,11 @@ impl Stripe {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ShapeMismatch`] unless
+    /// Returns [`CodeError::ShapeMismatch`] unless
     /// `payload.len() == self.data_capacity()`.
-    pub fn write_data(&mut self, payload: &[u8]) -> Result<(), Error> {
+    pub fn write_data(&mut self, payload: &[u8]) -> Result<(), CodeError> {
         if payload.len() != self.data_capacity() {
-            return Err(Error::ShapeMismatch(format!(
+            return Err(CodeError::ShapeMismatch(format!(
                 "payload is {} bytes, stripe holds {}",
                 payload.len(),
                 self.data_capacity()
@@ -149,7 +145,7 @@ impl Stripe {
     ///
     /// Currently infallible; returns `Result` for forward compatibility
     /// with checksummed stripes.
-    pub fn read_data(&self) -> Result<Vec<u8>, Error> {
+    pub fn read_data(&self) -> Result<Vec<u8>, CodeError> {
         let mut out = Vec::with_capacity(self.data_capacity());
         for (row, col) in self.layout.data_cells() {
             out.extend_from_slice(self.cell(row, col));
@@ -163,9 +159,9 @@ impl Stripe {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidPattern`] for out-of-range or duplicate
+    /// Returns [`CodeError::InvalidPattern`] for out-of-range or duplicate
     /// coordinates.
-    pub fn erase(&mut self, erased: &[(usize, usize)]) -> Result<(), Error> {
+    pub fn erase(&mut self, erased: &[(usize, usize)]) -> Result<(), CodeError> {
         self.config.erasure_counts(erased)?; // validates
         for &(row, col) in erased {
             self.cell_mut(row, col).fill(0);
@@ -195,16 +191,6 @@ impl Stripe {
     /// Panics if the coordinate is out of range.
     pub fn kind(&self, row: usize, col: usize) -> CellKind {
         self.layout.kind((row, col))
-    }
-
-    /// The stored cells of an entire chunk (device) `col`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col >= n`.
-    pub fn chunk_cells(&self, col: usize) -> Vec<Cell> {
-        assert!(col < self.config.n(), "chunk {col} out of range");
-        (0..self.config.r()).map(|row| (row, col)).collect()
     }
 }
 
@@ -265,7 +251,7 @@ mod tests {
         let mut s = stripe();
         assert!(matches!(
             s.write_data(&[0u8; 3]),
-            Err(Error::ShapeMismatch(_))
+            Err(CodeError::ShapeMismatch(_))
         ));
     }
 
@@ -276,7 +262,10 @@ mod tests {
         assert!(s.cell(0, 0).iter().any(|&b| b != 0));
         s.erase(&[(0, 0)]).unwrap();
         assert!(s.cell(0, 0).iter().all(|&b| b == 0));
-        assert!(matches!(s.erase(&[(9, 0)]), Err(Error::InvalidPattern(_))));
+        assert!(matches!(
+            s.erase(&[(9, 0)]),
+            Err(CodeError::InvalidPattern(_))
+        ));
     }
 
     #[test]
@@ -290,6 +279,9 @@ mod tests {
     #[test]
     fn zero_symbol_size_rejected() {
         let cfg = Config::new(8, 4, 2, &[1]).unwrap();
-        assert!(matches!(Stripe::new(cfg, 0), Err(Error::ShapeMismatch(_))));
+        assert!(matches!(
+            Stripe::new(cfg, 0),
+            Err(CodeError::ShapeMismatch(_))
+        ));
     }
 }

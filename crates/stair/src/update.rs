@@ -12,7 +12,7 @@ use stair_code::{CodeError, ErasureCode};
 use stair_gf::Field;
 
 use crate::stripe::Stripe;
-use crate::{Error, StairCodec};
+use crate::StairCodec;
 
 impl<F: Field> StairCodec<F> {
     /// Overwrites data sector `(row, col)` with `new_contents` and patches
@@ -25,10 +25,12 @@ impl<F: Field> StairCodec<F> {
     ///
     /// # Errors
     ///
-    /// * [`Error::InvalidPattern`] if `(row, col)` is not a data sector
+    /// * [`CodeError::InvalidPattern`] if `(row, col)` is not a data sector
     ///   (row parities and inside global parities cannot be updated
-    ///   directly) or the stripe keeps its globals outside the grid;
-    /// * [`Error::ShapeMismatch`] if the stripe belongs to another
+    ///   directly);
+    /// * [`CodeError::Unsupported`] if the stripe keeps its globals outside
+    ///   the grid;
+    /// * [`CodeError::ShapeMismatch`] if the stripe belongs to another
     ///   configuration or `new_contents` has the wrong length.
     pub fn update_data(
         &self,
@@ -36,18 +38,15 @@ impl<F: Field> StairCodec<F> {
         row: usize,
         col: usize,
         new_contents: &[u8],
-    ) -> Result<usize, Error> {
+    ) -> Result<usize, CodeError> {
         if stripe.config() != self.config() {
-            return Err(Error::ShapeMismatch(
+            return Err(CodeError::ShapeMismatch(
                 "stripe was allocated for a different configuration".into(),
             ));
         }
-        match self.update(stripe.grid_mut(), (row, col), new_contents) {
-            Ok(touched) => Ok(touched.len()),
-            Err(CodeError::ShapeMismatch(m)) => Err(Error::ShapeMismatch(m)),
-            Err(CodeError::InvalidPattern(m)) => Err(Error::InvalidPattern(m)),
-            Err(other) => Err(Error::InvalidPattern(other.to_string())),
-        }
+        Ok(self
+            .update(stripe.grid_mut(), (row, col), new_contents)?
+            .len())
     }
 }
 
@@ -110,15 +109,15 @@ mod tests {
         // (0, 6) is a row parity; (3, 3) is an inside global.
         assert!(matches!(
             codec.update_data(&mut stripe, 0, 6, &[0; 16]),
-            Err(Error::InvalidPattern(_))
+            Err(CodeError::InvalidPattern(_))
         ));
         assert!(matches!(
             codec.update_data(&mut stripe, 3, 3, &[0; 16]),
-            Err(Error::InvalidPattern(_))
+            Err(CodeError::InvalidPattern(_))
         ));
         assert!(matches!(
             codec.update_data(&mut stripe, 0, 0, &[0; 5]),
-            Err(Error::ShapeMismatch(_))
+            Err(CodeError::ShapeMismatch(_))
         ));
     }
 }

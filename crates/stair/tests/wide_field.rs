@@ -3,7 +3,8 @@
 //! chunks (large r) — the regime where STAIR's space saving approaches m'
 //! (Fig. 10).
 
-use stair::{Config, EncodingMethod, Error, StairCodec, Stripe};
+use stair::{Config, EncodingMethod, StairCodec, Stripe};
+use stair_code::CodeError;
 use stair_gf::Gf16;
 
 #[test]
@@ -70,7 +71,7 @@ fn gf16_refuses_odd_sectors_without_panicking() {
     let before = stripe.clone();
     assert!(matches!(
         codec.encode(&mut stripe),
-        Err(Error::ShapeMismatch(_))
+        Err(CodeError::ShapeMismatch(_))
     ));
     for method in [
         EncodingMethod::Upstairs,
@@ -80,14 +81,14 @@ fn gf16_refuses_odd_sectors_without_panicking() {
         assert!(
             matches!(
                 codec.encode_with(method, &mut stripe),
-                Err(Error::ShapeMismatch(_))
+                Err(CodeError::ShapeMismatch(_))
             ),
             "{method:?}"
         );
     }
     assert!(matches!(
         codec.decode(&mut stripe, &[(0, 0)]),
-        Err(Error::ShapeMismatch(_))
+        Err(CodeError::ShapeMismatch(_))
     ));
     assert_eq!(stripe, before);
 }

@@ -22,18 +22,15 @@ use crate::Error;
 pub fn build_codec(spec: &CodecSpec) -> Result<Box<dyn ErasureCode>, Error> {
     match spec {
         CodecSpec::Stair { n, r, m, e } => {
-            let config = Config::new(*n, *r, *m, e).map_err(stair_code::CodeError::from)?;
-            let codec: StairCodec = StairCodec::new(config).map_err(stair_code::CodeError::from)?;
+            let codec: StairCodec = StairCodec::new(Config::new(*n, *r, *m, e)?)?;
             Ok(Box::new(codec))
         }
         CodecSpec::Sd { n, r, m, s } => {
-            let code: SdCode<stair_gf::Gf8> =
-                SdCode::new(*n, *r, *m, *s).map_err(stair_code::CodeError::from)?;
+            let code: SdCode<stair_gf::Gf8> = SdCode::new(*n, *r, *m, *s)?;
             Ok(Box::new(code))
         }
         CodecSpec::Rs { n, r, m } => {
-            let code: RsArrayCode<stair_gf::Gf8> =
-                RsArrayCode::new(*n, *r, *m).map_err(stair_code::CodeError::from)?;
+            let code: RsArrayCode<stair_gf::Gf8> = RsArrayCode::new(*n, *r, *m)?;
             Ok(Box::new(code))
         }
     }
@@ -42,6 +39,7 @@ pub fn build_codec(spec: &CodecSpec) -> Result<Box<dyn ErasureCode>, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stair_code::CodeError;
 
     #[test]
     fn builds_every_family() {
@@ -56,11 +54,25 @@ mod tests {
         }
     }
 
+    /// Every family refuses parameters it cannot build as a bad
+    /// configuration, never as a codec bug: too wide for GF(2^8), or
+    /// impossible at any width.
     #[test]
     fn impossible_specs_fail() {
-        for spec in ["stair:8,4,2,9-9-9", "sd:4,4,3,3", "rs:4,4,4"] {
-            let spec: CodecSpec = spec.parse().unwrap();
-            assert!(build_codec(&spec).is_err(), "{spec} should not build");
+        for spec in [
+            "rs:300,4,2",
+            "sd:300,4,1,1",
+            "stair:300,4,1,1",
+            "stair:8,4,2,9-9-9",
+            "sd:4,4,3,3",
+            "rs:4,4,4",
+        ] {
+            let parsed: CodecSpec = spec.parse().unwrap();
+            let err = build_codec(&parsed).err();
+            assert!(
+                matches!(err, Some(Error::Code(CodeError::InvalidConfig(_)))),
+                "{spec}: {err:?}"
+            );
         }
     }
 }

@@ -15,8 +15,8 @@ use std::fmt::Write as _;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use stair::{Config, EncodingMethod, Error, GlobalPlacement, StairCodec, Stripe};
-use stair_code::{CodecSpec, ErasureCode, StripeBuf};
+use stair::{Config, EncodingMethod, GlobalPlacement, StairCodec, Stripe};
+use stair_code::{CodeError, CodecSpec, ErasureCode, StripeBuf};
 use stair_gf::{counters, Gf16};
 use stair_sd::{RsArrayCode, SdCode};
 use stair_store::build_codec;
@@ -142,7 +142,7 @@ fn outside(spec: &CodecSpec, method: EncodingMethod, seed: u64) -> String {
                 .for_each(|g| bytes.extend(g));
             format!("{:016x} {mult_xors}", fnv64(&bytes))
         }
-        Err(Error::InvalidConfig(_)) => "unavailable".into(),
+        Err(CodeError::InvalidConfig(_)) => "unavailable".into(),
         Err(e) => panic!("{spec} {method:?}: {e}"),
     }
 }
