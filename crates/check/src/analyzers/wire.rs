@@ -16,7 +16,9 @@
 //! silently shadows the trait's on the concrete type. And (d) keeps the
 //! codec error single: no codec crate in `ONE_ERROR_HOMES` declares an
 //! `enum` of its own named `Error` or `…Error` beside
-//! `stair_code::CodeError`.
+//! `stair_code::CodeError`. Last, (d) keeps names that belong to one
+//! file there (`ONE_HOME_NAMES`): in the codec crates only the plan
+//! executor runs a multi-term region product.
 
 use crate::findings::{Finding, Lint};
 use crate::lexer::{str_contents, TokKind, TokenFile};
@@ -60,7 +62,19 @@ const TRAIT_ONLY_METHODS: &[&str] = &[
 /// The codec crates whose one error type is `stair_code::CodeError`:
 /// no `enum` named `Error` or `…Error` is declared under them (an alias
 /// or an `…ErrorKind` is not a second error type).
-const ONE_ERROR_HOMES: &[&str] = &["crates/rs/src/", "crates/sd/src/", "crates/stair/src/"];
+const ONE_ERROR_HOMES: &[&str] = &["crates/sd/src/", "crates/stair/src/"];
+
+/// `(names, the trees they are held in, the one file there that may
+/// name them, why)`: a name outside its home, in code, is a second copy
+/// of what the home does. The multi-term region kernels are
+/// `Plan::execute`'s alone — a codec that calls them runs its own
+/// encode or decode loop.
+const ONE_HOME_NAMES: &[(&[&str], &[&str], &str, &str)] = &[(
+    &["mult_xor_regions", "dot_regions"],
+    &["crates/code/src/", "crates/sd/src/", "crates/stair/src/"],
+    "crates/code/src/plan.rs",
+    "`Plan::execute` is the codec layer's one region executor; lower the work to a `Plan`",
+)];
 
 /// Traits written as one method per implementor plus provided methods
 /// over it: `(trait, the method every impl defines, the provided methods
@@ -86,6 +100,7 @@ const ONE_METHOD_TRAITS: &[(&str, &str, &[&str])] = &[
 /// Appends wire findings.
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
     check_one_method_traits(ws, out);
+    check_one_home_names(ws, out);
     let Some(proto) = ws.file(PROTOCOL_RS) else {
         out.push(Finding::new(
             Lint::WireConstants,
@@ -243,6 +258,30 @@ fn check_one_method_traits(ws: &Workspace, out: &mut Vec<Finding>) {
                          defines it"
                     ),
                 );
+            }
+        }
+    }
+}
+
+/// (d) Per [`ONE_HOME_NAMES`] entry: under its trees, only its home
+/// names one of its names in code (comments and strings are not code).
+fn check_one_home_names(ws: &Workspace, out: &mut Vec<Finding>) {
+    for &(names, trees, home, why) in ONE_HOME_NAMES {
+        let held = |rel: &str| rel != home && trees.iter().any(|tree| rel.starts_with(tree));
+        for f in ws.files.iter().filter(|f| held(&f.rel)) {
+            let tf = &f.tf;
+            for ci in 0..tf.code.len() {
+                let Some(name) = names.iter().find(|name| tf.is_ident(ci, name)) else {
+                    continue;
+                };
+                let t = tf.ctok(ci);
+                out.push(Finding::new(
+                    Lint::WireConstants,
+                    &f.rel,
+                    t.line,
+                    t.col,
+                    format!("`{name}` named outside `{home}`: {why}"),
+                ));
             }
         }
     }

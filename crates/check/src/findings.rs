@@ -73,7 +73,7 @@ impl Lint {
             Lint::WireConstants => {
                 "wire constants live in protocol.rs, which speaks one version and one data \
                  opcode; a BlockDevice impl defines one data-path method; codecs return \
-                 CodeError"
+                 CodeError and run region products only through the plan executor"
             }
             Lint::DocDrift => {
                 "README tables must name every opcode/scheme/codec family in code; one timing \

@@ -258,14 +258,14 @@ fn codec_error_enums_are_flagged_in_the_codec_crates() {
     let bad = fixture("wire_code_error_bad.rs");
     let r = run_ws(&[
         ("crates/net/src/protocol.rs", &proto),
-        ("crates/rs/src/lib.rs", &bad),
+        ("crates/sd/src/lib.rs", &bad),
         ("crates/stair/src/peel.rs", &bad),
         // Outside the codec crates an error enum is at home.
         ("crates/store/src/error.rs", &bad),
     ]);
     let hits = of(&r, Lint::WireConstants);
     assert_eq!(hits.len(), 6, "{hits:?}");
-    for file in ["crates/rs/src/lib.rs", "crates/stair/src/peel.rs"] {
+    for file in ["crates/sd/src/lib.rs", "crates/stair/src/peel.rs"] {
         for name in ["Error", "PeelError", "MdsError"] {
             let own = format!("`enum {name}` in a codec crate");
             assert!(
@@ -283,6 +283,49 @@ fn codec_error_aliases_and_kinds_are_clean() {
     let r = run_ws(&[
         ("crates/net/src/protocol.rs", &proto),
         ("crates/sd/src/lib.rs", &near),
+    ]);
+    assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
+}
+
+#[test]
+fn region_products_outside_the_plan_executor_are_flagged() {
+    let proto = fixture("wire_protocol_good.rs");
+    let bad = fixture("wire_one_executor_bad.rs");
+    let r = run_ws(&[
+        ("crates/net/src/protocol.rs", &proto),
+        ("crates/sd/src/idr.rs", &bad),
+        ("crates/stair/src/codec.rs", &bad),
+        ("crates/code/src/buf.rs", &bad),
+        // The executor itself, and crates outside the codec layer.
+        ("crates/code/src/plan.rs", &bad),
+        ("crates/gf/src/field.rs", &bad),
+        ("crates/store/src/batch.rs", &bad),
+    ]);
+    let hits = of(&r, Lint::WireConstants);
+    assert_eq!(hits.len(), 9, "{hits:?}");
+    for file in [
+        "crates/sd/src/idr.rs",
+        "crates/stair/src/codec.rs",
+        "crates/code/src/buf.rs",
+    ] {
+        for (line, name) in [
+            (9, "mult_xor_regions"),
+            (14, "dot_regions"),
+            (18, "mult_xor_regions"),
+        ] {
+            let at = format!("{file}:{line} `{name}` named outside `crates/code/src/plan.rs`");
+            assert!(hits.iter().any(|h| h.starts_with(&at)), "{at}: {hits:?}");
+        }
+    }
+}
+
+#[test]
+fn single_term_kernels_and_names_in_prose_are_clean() {
+    let proto = fixture("wire_protocol_good.rs");
+    let near = fixture("wire_one_executor_near_miss.rs");
+    let r = run_ws(&[
+        ("crates/net/src/protocol.rs", &proto),
+        ("crates/stair/src/code_impl.rs", &near),
     ]);
     assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
 }

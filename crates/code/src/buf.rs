@@ -178,17 +178,6 @@ impl StripeBuf {
         &self.data[at..at + self.cols * self.symbol]
     }
 
-    /// Mutable contiguous bytes of one row (see [`StripeBuf::row`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn row_mut(&mut self, row: usize) -> &mut [u8] {
-        let at = self.offset((row, 0));
-        let width = self.cols * self.symbol;
-        &mut self.data[at..at + width]
-    }
-
     /// The whole allocation, row-major.
     pub fn as_flat(&self) -> &[u8] {
         &self.data

@@ -2,9 +2,9 @@
 
 use core::fmt;
 
-/// The one error type of every codec crate: `stair`, `stair-sd` and
-/// `stair-rs` return it from their inherent methods and their
-/// [`crate::ErasureCode`] impls alike, so codec-generic callers like
+/// The one error type of every codec: `stair`, `stair-sd` and this
+/// crate's [`crate::MdsCode`] return it from their inherent methods and
+/// their [`crate::ErasureCode`] impls alike, so codec-generic callers like
 /// `stair-store` match on one enum instead of chaining `map_err`s.
 #[derive(Clone, Debug, Eq, PartialEq)]
 #[non_exhaustive]

@@ -55,6 +55,13 @@
 //! the paper's coordinates, identical across codecs. An [`ErasureSet`] is
 //! a validated, sorted, duplicate-free set of erased cells.
 //!
+//! # The MDS construction
+//!
+//! [`MdsCode`] is the systematic Cauchy Reed–Solomon `(η, κ)` code that
+//! STAIR's `C_row`/`C_col` and the RS array are built from: a generator
+//! and the coefficient matrices it solves, remembered. It touches no
+//! bytes; the codecs lower its coefficients to [`Plan`] steps.
+//!
 //! # Codec specs
 //!
 //! [`CodecSpec`] is the one-line grammar the store and CLI use to name a
@@ -87,6 +94,7 @@ mod buf;
 mod erasure;
 mod error;
 mod geometry;
+mod mds;
 mod plan;
 mod spec;
 mod update;
@@ -95,6 +103,7 @@ pub use buf::StripeBuf;
 pub use erasure::{CellIdx, ErasureSet};
 pub use error::CodeError;
 pub use geometry::Geometry;
+pub use mds::MdsCode;
 pub use plan::{CellLookup, CodecId, Lent, Plan, PlanBuilder};
 pub use spec::CodecSpec;
 pub use update::UpdateMap;

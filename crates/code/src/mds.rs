@@ -1,13 +1,23 @@
-//! The systematic `(η, κ)` MDS code.
+//! The systematic `(η, κ)` MDS code: Cauchy Reed–Solomon.
+//!
+//! The paper's STAIR construction composes two systematic MDS codes (§2):
+//! `C_row`, an `(n+m', n−m)`-code applied across stripe rows, and `C_col`,
+//! an `(r+e_max, r)`-code applied down chunks. Both are Cauchy
+//! Reed–Solomon codes [8, 38]: the generator matrix is `[I | A]` with `A`
+//! a Cauchy block, which makes any `κ` of the `η` codeword symbols
+//! sufficient to recover the rest (the MDS property). A code here is that
+//! construction and the coefficients it solves; codecs lower them to a
+//! [`crate::Plan`], which is what touches bytes.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use stair_code::CodeError;
 use stair_gf::Field;
 use stair_gfmatrix::{cauchy_parity, Matrix};
+
+use crate::CodeError;
 
 /// Most coefficient matrices one code remembers (see
 /// [`MdsCode::recovery_coefficients`]). A matrix is at most `κ × (η − κ)`
@@ -84,11 +94,22 @@ impl<F: Field> Default for Memo<F> {
 /// # Example
 ///
 /// ```
+/// use stair_code::MdsCode;
 /// use stair_gf::Gf8;
-/// use stair_rs::MdsCode;
 ///
-/// let code: MdsCode<Gf8> = MdsCode::new(5, 3)?;
-/// assert_eq!((code.total_len(), code.data_len(), code.parity_len()), (5, 3, 2));
+/// // A (6,4)-code: 4 data symbols, 2 parity symbols.
+/// let code: MdsCode<Gf8> = MdsCode::new(6, 4)?;
+/// assert_eq!((code.total_len(), code.data_len(), code.parity_len()), (6, 4, 2));
+///
+/// // Symbols 4 and 5 are combinations of the data symbols 0..4 ...
+/// let data = [1u8, 2, 3, 4];
+/// let encode = code.recovery_coefficients(&[0, 1, 2, 3], &[4, 5])?;
+/// let parity = encode.transpose().mul_vec(&data)?;
+///
+/// // ... and any four symbols give back the others: erase 1 and 4.
+/// let survivors = [data[0], data[2], data[3], parity[1]];
+/// let decode = code.recovery_coefficients(&[0, 2, 3, 5], &[1, 4])?;
+/// assert_eq!(decode.transpose().mul_vec(&survivors)?, [data[1], parity[0]]);
 /// # Ok::<(), stair_code::CodeError>(())
 /// ```
 pub struct MdsCode<F: Field> {
@@ -165,62 +186,6 @@ impl<F: Field> MdsCode<F> {
         self.total - self.data
     }
 
-    /// Encodes κ data elements, returning the η − κ parity elements.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::ShapeMismatch`] if `data.len() != κ`.
-    pub fn encode_elems(&self, data: &[F::Elem]) -> Result<Vec<F::Elem>, CodeError> {
-        symbol_count(data.len(), self.data)?;
-        let mut parity = vec![F::zero(); self.parity_len()];
-        for (j, p) in parity.iter_mut().enumerate() {
-            let col = self.data + j;
-            let mut acc = F::zero();
-            for (i, &d) in data.iter().enumerate() {
-                acc = F::add(acc, F::mul(self.generator.get(i, col), d));
-            }
-            *p = acc;
-        }
-        Ok(parity)
-    }
-
-    /// Recovers the *full* codeword from any κ (or more) present symbols.
-    ///
-    /// `codeword[i]` is `Some` if symbol `i` is available, `None` if erased.
-    ///
-    /// # Errors
-    ///
-    /// * [`CodeError::ShapeMismatch`] if `codeword.len() != η`;
-    /// * [`CodeError::Unrecoverable`] if fewer than κ symbols are present.
-    pub fn decode_elems(&self, codeword: &[Option<F::Elem>]) -> Result<Vec<F::Elem>, CodeError> {
-        symbol_count(codeword.len(), self.total)?;
-        let present: Vec<usize> = codeword
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|_| i))
-            .collect();
-        if present.len() < self.data {
-            return Err(CodeError::Unrecoverable(format!(
-                "not enough symbols: {} available, {} needed",
-                present.len(),
-                self.data
-            )));
-        }
-        let use_idx = &present[..self.data];
-        let wanted: Vec<usize> = (0..self.total).collect();
-        let coeff = self.recovery_coefficients(use_idx, &wanted)?;
-        let avail: Vec<F::Elem> = use_idx.iter().map(|&i| codeword[i].unwrap()).collect();
-        let mut out = vec![F::zero(); self.total];
-        for (w, o) in out.iter_mut().enumerate() {
-            let mut acc = F::zero();
-            for (a, &v) in avail.iter().enumerate() {
-                acc = F::add(acc, F::mul(coeff.get(a, w), v));
-            }
-            *o = acc;
-        }
-        Ok(out)
-    }
-
     /// Computes the κ×|wanted| coefficient matrix `M` such that for a valid
     /// codeword `c`: `c[wanted[j]] = Σ_i M[i][j] · c[available[i]]`.
     ///
@@ -283,7 +248,13 @@ impl<F: Field> MdsCode<F> {
         available: &[usize],
         wanted: &[usize],
     ) -> Result<Matrix<F>, CodeError> {
-        symbol_count(available.len(), self.data)?;
+        if available.len() != self.data {
+            return Err(CodeError::ShapeMismatch(format!(
+                "wrong symbol count: got {}, expected {}",
+                available.len(),
+                self.data
+            )));
+        }
         self.check_indices(available)?;
         if let Some(w) = wanted.iter().find(|&&w| w >= self.total) {
             return Err(self.out_of_range(*w));
@@ -299,55 +270,6 @@ impl<F: Field> MdsCode<F> {
         let ga_inv = ga.inverted()?;
         let gw = self.generator.select_cols(wanted);
         Ok(ga_inv.mul(&gw)?)
-    }
-
-    /// Encodes sector-sized regions: `data` holds κ equal-length regions,
-    /// `parity` receives the η − κ parity regions (overwritten).
-    ///
-    /// Costs exactly `κ · (η − κ)` `Mult_XOR` operations, matching how the
-    /// paper counts encoding work (§5.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::ShapeMismatch`] on shape violations.
-    pub fn encode_regions(
-        &self,
-        data: &[&[u8]],
-        parity: &mut [&mut [u8]],
-    ) -> Result<(), CodeError> {
-        symbol_count(data.len(), self.data)?;
-        symbol_count(parity.len(), self.parity_len())?;
-        equal_lengths(data, parity)?;
-        for (j, p) in parity.iter_mut().enumerate() {
-            let col = self.data + j;
-            let terms = data.iter().enumerate();
-            F::dot_regions(p, terms.map(|(i, &d)| (d, self.generator.get(i, col))));
-        }
-        Ok(())
-    }
-
-    /// Applies a coefficient matrix from [`Self::recovery_coefficients`] to
-    /// regions: `out[j] = Σ_i coeff[i][j] · available[i]`.
-    ///
-    /// Costs `κ` `Mult_XOR`s per output region.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::ShapeMismatch`] on shape violations.
-    pub fn apply_coefficients(
-        &self,
-        coeff: &Matrix<F>,
-        available: &[&[u8]],
-        out: &mut [&mut [u8]],
-    ) -> Result<(), CodeError> {
-        symbol_count(available.len(), coeff.rows())?;
-        symbol_count(out.len(), coeff.cols())?;
-        equal_lengths(available, out)?;
-        for (j, o) in out.iter_mut().enumerate() {
-            let terms = available.iter().enumerate();
-            F::dot_regions(o, terms.map(|(i, &a)| (a, coeff.get(i, j))));
-        }
-        Ok(())
     }
 
     fn check_indices(&self, idx: &[usize]) -> Result<(), CodeError> {
@@ -374,86 +296,10 @@ impl<F: Field> MdsCode<F> {
     }
 }
 
-/// `got` symbols where the code needs `expected`.
-fn symbol_count(got: usize, expected: usize) -> Result<(), CodeError> {
-    if got != expected {
-        return Err(CodeError::ShapeMismatch(format!(
-            "wrong symbol count: got {got}, expected {expected}"
-        )));
-    }
-    Ok(())
-}
-
-/// Every input and output region the same length.
-fn equal_lengths(inputs: &[&[u8]], outputs: &[&mut [u8]]) -> Result<(), CodeError> {
-    let len = inputs.first().map_or(0, |r| r.len());
-    if inputs.iter().any(|r| r.len() != len) || outputs.iter().any(|r| r.len() != len) {
-        return Err(CodeError::ShapeMismatch(
-            "region mismatch: all regions must have equal length".into(),
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use stair_gf::Gf8;
-
-    fn sample_data(k: usize) -> Vec<u8> {
-        (0..k).map(|i| ((i * 37 + 11) % 256) as u8).collect()
-    }
-
-    #[test]
-    fn systematic_property() {
-        let code: MdsCode<Gf8> = MdsCode::new(8, 5).unwrap();
-        let data = sample_data(5);
-        let parity = code.encode_elems(&data).unwrap();
-        let full: Vec<Option<u8>> = data.iter().chain(&parity).map(|&x| Some(x)).collect();
-        let decoded = code.decode_elems(&full).unwrap();
-        assert_eq!(&decoded[..5], &data[..]);
-        assert_eq!(&decoded[5..], &parity[..]);
-    }
-
-    /// Exhaustive MDS check on a small code: every κ-subset of symbol
-    /// positions recovers the full codeword.
-    #[test]
-    fn any_k_of_n_recovers_exhaustive() {
-        let code: MdsCode<Gf8> = MdsCode::new(7, 4).unwrap();
-        let data = sample_data(4);
-        let parity = code.encode_elems(&data).unwrap();
-        let full: Vec<u8> = data.iter().chain(&parity).copied().collect();
-
-        // Iterate all C(7,4) = 35 subsets via bitmasks.
-        for mask in 0u32..(1 << 7) {
-            if mask.count_ones() != 4 {
-                continue;
-            }
-            let cw: Vec<Option<u8>> = (0..7)
-                .map(|i| {
-                    if mask & (1 << i) != 0 {
-                        Some(full[i])
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let decoded = code.decode_elems(&cw).unwrap();
-            assert_eq!(decoded, full, "mask {mask:b}");
-        }
-    }
-
-    #[test]
-    fn too_few_symbols_rejected() {
-        let code: MdsCode<Gf8> = MdsCode::new(6, 4).unwrap();
-        let cw: Vec<Option<u8>> = vec![Some(1), Some(2), Some(3), None, None, None];
-        assert_eq!(
-            code.decode_elems(&cw),
-            Err(CodeError::Unrecoverable(
-                "not enough symbols: 3 available, 4 needed".into()
-            ))
-        );
-    }
 
     #[test]
     fn construction_validation() {
@@ -464,63 +310,6 @@ mod tests {
             ));
         }
         assert!(MdsCode::<Gf8>::new(256, 4).is_ok());
-    }
-
-    #[test]
-    fn region_encode_matches_element_encode() {
-        let code: MdsCode<Gf8> = MdsCode::new(6, 4).unwrap();
-        // Each region holds several independent codewords, element-wise.
-        let regions: Vec<Vec<u8>> = (0..4)
-            .map(|i| {
-                (0..32)
-                    .map(|j| ((i * 61 + j * 13 + 7) % 256) as u8)
-                    .collect()
-            })
-            .collect();
-        let data_refs: Vec<&[u8]> = regions.iter().map(Vec::as_slice).collect();
-        let mut p0 = vec![0u8; 32];
-        let mut p1 = vec![0u8; 32];
-        {
-            let mut parity: Vec<&mut [u8]> = vec![&mut p0, &mut p1];
-            code.encode_regions(&data_refs, &mut parity).unwrap();
-        }
-        for byte in 0..32 {
-            let col: Vec<u8> = regions.iter().map(|r| r[byte]).collect();
-            let parity = code.encode_elems(&col).unwrap();
-            assert_eq!(p0[byte], parity[0]);
-            assert_eq!(p1[byte], parity[1]);
-        }
-    }
-
-    #[test]
-    fn region_decode_round_trip() {
-        let code: MdsCode<Gf8> = MdsCode::new(6, 4).unwrap();
-        let regions: Vec<Vec<u8>> = (0..4)
-            .map(|i| {
-                (0..16)
-                    .map(|j| ((i * 31 + j * 17 + 3) % 256) as u8)
-                    .collect()
-            })
-            .collect();
-        let data_refs: Vec<&[u8]> = regions.iter().map(Vec::as_slice).collect();
-        let mut p0 = vec![0u8; 16];
-        let mut p1 = vec![0u8; 16];
-        {
-            let mut parity: Vec<&mut [u8]> = vec![&mut p0, &mut p1];
-            code.encode_regions(&data_refs, &mut parity).unwrap();
-        }
-        // Erase data symbols 0 and 2; recover from 1, 3 and both parities.
-        let coeff = code.recovery_coefficients(&[1, 3, 4, 5], &[0, 2]).unwrap();
-        let available: [&[u8]; 4] = [&regions[1], &regions[3], &p0, &p1];
-        let mut r0 = vec![0u8; 16];
-        let mut r2 = vec![0u8; 16];
-        {
-            let mut out: Vec<&mut [u8]> = vec![&mut r0, &mut r2];
-            code.apply_coefficients(&coeff, &available, &mut out)
-                .unwrap();
-        }
-        assert_eq!(r0, regions[0]);
-        assert_eq!(r2, regions[2]);
     }
 
     #[test]
@@ -577,20 +366,5 @@ mod tests {
             .is_err());
         assert_eq!(held(), MEMO_CAPACITY);
         assert_eq!(code.clone().memo.lock().unwrap().entries, 0);
-    }
-
-    #[test]
-    fn mult_xor_cost_matches_model() {
-        let code: MdsCode<Gf8> = MdsCode::new(9, 6).unwrap();
-        let regions: Vec<Vec<u8>> = (0..6).map(|_| vec![0u8; 64]).collect();
-        let data_refs: Vec<&[u8]> = regions.iter().map(Vec::as_slice).collect();
-        let mut ps: Vec<Vec<u8>> = (0..3).map(|_| vec![0u8; 64]).collect();
-        let before = stair_gf::counters::mult_xors();
-        {
-            let mut parity: Vec<&mut [u8]> = ps.iter_mut().map(Vec::as_mut_slice).collect();
-            code.encode_regions(&data_refs, &mut parity).unwrap();
-        }
-        // κ·(η−κ) = 6·3 = 18 Mult_XORs per stripe-row encode.
-        assert_eq!(stair_gf::counters::mult_xors() - before, 18);
     }
 }

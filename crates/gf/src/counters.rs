@@ -43,12 +43,6 @@ pub fn region_bytes() -> u64 {
     REGION_BYTES.load(Ordering::Relaxed)
 }
 
-/// Resets both counters to zero. Intended for single-threaded measurement.
-pub fn reset() {
-    MULT_XORS.store(0, Ordering::Relaxed);
-    REGION_BYTES.store(0, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -124,19 +124,6 @@ pub trait Field:
         }
     }
 
-    /// Overwrites `dst` with the dot product `Σ c * src` over `terms`: one
-    /// output sector of an encode or decode, as a single
-    /// [`Self::mult_xor_regions`] into the zeroed `dst`.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::mult_xor_regions`].
-    fn dot_regions<'a>(dst: &mut [u8], terms: impl IntoIterator<Item = (&'a [u8], Self::Elem)>) {
-        let srcs: Vec<_> = terms.into_iter().collect();
-        dst.fill(0);
-        Self::mult_xor_regions(dst, &srcs);
-    }
-
     /// Computes `dst[i] = c * src[i]` element-wise (overwriting `dst`).
     ///
     /// # Panics

@@ -8,8 +8,6 @@
 //!   against (§6.2). The construction is a candidate, not a proof: over
 //!   GF(2^8) the shipped `sd:8,16,2,3` refuses some patterns its coverage
 //!   promises (`tests/coverage_oracle.rs` pins how many).
-//! * [`IdrScheme`] — intra-device redundancy [11, 12, 41]: each chunk
-//!   carries its own `(r, r−ε)` code, plus `m` device-level parity chunks.
 //! * [`RsArrayCode`] — a plain Reed–Solomon array code with `m` parity
 //!   devices and no sector-level protection (the paper's "traditional
 //!   erasure code" baseline).
@@ -39,10 +37,8 @@
 
 #![warn(missing_docs)]
 
-mod idr;
 mod rs_array;
 mod sd;
 
-pub use idr::IdrScheme;
 pub use rs_array::RsArrayCode;
 pub use sd::SdCode;

@@ -2,10 +2,10 @@
 //! protection. The paper's "traditional erasure code" baseline (§6.1, §7).
 
 use stair_code::{
-    CellIdx, CodeError, CodecId, CodecSpec, ErasureCode, ErasureSet, Geometry, Plan, UpdateMap,
+    CellIdx, CodeError, CodecId, CodecSpec, ErasureCode, ErasureSet, Geometry, MdsCode, Plan,
+    UpdateMap,
 };
 use stair_gf::Field;
-use stair_rs::MdsCode;
 
 /// An `r × n` array protected row-wise by an `(n, n−m)` MDS code.
 ///

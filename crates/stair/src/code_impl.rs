@@ -66,6 +66,7 @@ impl<F: Field> ErasureCode for StairCodec<F> {
         delta: &[u8],
         into: &mut [u8],
     ) -> Result<(), CodeError> {
+        self.check_inside()?;
         self.updates
             .fold(cell, parity, delta, into, F::mult_xor_region)
     }
@@ -195,18 +196,42 @@ mod tests {
         ));
     }
 
+    /// Every trait method that reaches the codec refuses an outside
+    /// placement (`apply` only runs plans, and this codec gives none).
+    /// Regression: `fold_delta` used to patch cells outside the grid.
     #[test]
     fn outside_placement_unsupported_via_trait() {
-        let config = Config::with_placement(8, 4, 2, &[1, 1, 2], GlobalPlacement::Outside).unwrap();
+        let config = Config::with_placement(6, 4, 1, &[1, 2], GlobalPlacement::Outside).unwrap();
         let codec: StairCodec = StairCodec::new(config).unwrap();
-        let mut buf = StripeBuf::new(4, 8, 16).unwrap();
-        assert!(matches!(
-            ErasureCode::encode(&codec, &mut buf),
-            Err(CodeError::Unsupported(_))
-        ));
-        assert!(matches!(
-            ErasureCode::plan(&codec, &ErasureSet::devices(&[0], 4)),
-            Err(CodeError::Unsupported(_))
-        ));
+        let mut buf = StripeBuf::new(4, 6, 16).unwrap();
+        let (delta, mut into) = ([1u8; 16], [0u8; 16]);
+        let erased = ErasureSet::devices(&[0], 4);
+        let calls: [(&str, Result<(), CodeError>); 8] = [
+            ("encode_plan", codec.encode_plan().map(drop)),
+            ("encode", ErasureCode::encode(&codec, &mut buf)),
+            ("plan", ErasureCode::plan(&codec, &erased).map(drop)),
+            (
+                "plan_recover",
+                ErasureCode::plan_recover(&codec, &erased, &[(1, 0)]).map(drop),
+            ),
+            ("dependents", codec.dependents((0, 0)).map(drop)),
+            (
+                "fold_delta g_00",
+                codec.fold_delta((0, 0), (4, 6), &delta, &mut into),
+            ),
+            (
+                "fold_delta g_11",
+                codec.fold_delta((0, 0), (5, 7), &delta, &mut into),
+            ),
+            ("update", codec.update(&mut buf, (0, 0), &delta).map(drop)),
+        ];
+        for (method, result) in calls {
+            assert!(
+                matches!(result, Err(CodeError::Unsupported(_))),
+                "{method}: {result:?}"
+            );
+        }
+        assert_eq!(into, [0; 16], "a refused fold writes nothing");
+        assert_eq!(buf, StripeBuf::new(4, 6, 16).unwrap());
     }
 }

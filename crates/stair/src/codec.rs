@@ -2,9 +2,8 @@
 //! downstairs / standard / baseline two-phase), and upstairs decoding —
 //! each lowered to a [`Plan`] and run by [`Plan::execute`].
 
-use stair_code::{CodeError, CodecId, Plan, UpdateMap};
+use stair_code::{CodeError, CodecId, MdsCode, Plan, UpdateMap};
 use stair_gf::{Field, Gf8};
-use stair_rs::MdsCode;
 
 use crate::layout::{Cell, CellKind, Layout};
 use crate::peel::{Availability, PeelOrder, Peeler};

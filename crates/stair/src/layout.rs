@@ -202,19 +202,6 @@ impl Layout {
         (self.r - self.e[l] + h, col)
     }
 
-    /// The canonical cell holding outside global parity `g_{h,l}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l ≥ m'` or `h ≥ e_l`.
-    pub fn outside_global_cell(&self, h: usize, l: usize) -> Cell {
-        assert!(
-            l < self.m_prime() && h < self.e[l],
-            "g index ({h},{l}) out of range"
-        );
-        (self.r + h, self.n + l)
-    }
-
     /// Iterates the stored data cells in row-major order — the order in
     /// which [`crate::Stripe::write_data`] lays out user payload.
     pub fn data_cells(&self) -> Vec<Cell> {

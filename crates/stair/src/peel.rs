@@ -35,10 +35,9 @@
 
 use std::sync::Arc;
 
-use stair_code::{CodeError, CodecId, Plan};
+use stair_code::{CodeError, CodecId, MdsCode, Plan};
 use stair_gf::Field;
 use stair_gfmatrix::Matrix;
-use stair_rs::MdsCode;
 
 use crate::layout::{Cell, Layout};
 use crate::schedule::{Schedule, Step, StepCode};

@@ -3,7 +3,7 @@
 //! Re-exports the public API of every member crate so that the runnable
 //! examples in `examples/` and the cross-crate integration tests in `tests/`
 //! can use a single dependency. Library users should normally depend on the
-//! individual crates (`stair`, `stair-rs`, `stair-reliability`, ...)
+//! individual crates (`stair`, `stair-code`, `stair-reliability`, ...)
 //! directly.
 
 pub use stair;
@@ -15,6 +15,5 @@ pub use stair_gfmatrix as gfmatrix;
 pub use stair_net as net;
 pub use stair_obs as obs;
 pub use stair_reliability as reliability;
-pub use stair_rs as rs;
 pub use stair_sd as sd;
 pub use stair_store as store;
