@@ -26,13 +26,14 @@
 //! and checksum-verified into a small per-stripe cell map, patched
 //! with `parity ^= c·(old ⊕ new)`
 //! ([`stair_code::ErasureCode::fold_delta`]), journaled and written
-//! back. That holds while every footprint cell sits on a `Healthy`
-//! device and verifies. Otherwise — a `Failed` or `Rebuilding` device
-//! or a bad checksum anywhere in the footprint — the stripe takes the
-//! **restore path**: the whole grid is loaded, every lost cell
-//! reconstructed, the same patch applied in place, and the
-//! reconstructed cells written back with it (healing latent damage for
-//! free). Damage *outside* the footprint is neither read nor paid for.
+//! back. A footprint cell that is lost — on a `Failed` or `Rebuilding`
+//! device, recorded bad, or failing its checksum — is **restored**
+//! (`StripeStore::restore`): the footprint's lost cells are planned, only
+//! the plan's sources are read on top, and the restored cells are
+//! written back with the patch, healed. Damage *outside* the footprint
+//! and its plan is neither read nor paid for, and a stripe beyond
+//! coverage elsewhere still takes a write its footprint can be restored
+//! for.
 //!
 //! # The source rule
 //!
@@ -44,11 +45,10 @@
 //! erasures) plus its surviving cells — rows × (n − m) sectors for a
 //! STAIR window clear of the bursts, not the `r·(n − m)` that survive.
 //! Each is checksum-verified; consecutive rows of one device are one
-//! positioned read. A sector that fails where none was known bad ends
-//! that: the stripe is loaded whole, the damage recorded, the wanted
-//! cells reconstructed, and the next read plans around it. Damage
-//! *outside* the sources is neither read nor healed — the scrub finds
-//! it.
+//! positioned read. A sector that fails where none was known bad is
+//! recorded, and the cells still wanted are planned again around it,
+//! reading only the sources not read yet. Damage *outside* the sources
+//! is neither read nor healed — the scrub finds it.
 //!
 //! # The run rule
 //!
@@ -91,12 +91,11 @@ struct Fragment {
 
 /// The cells a staged stripe holds from staging to group commit.
 enum StagedCells {
-    /// The whole `r × n` grid: a full-stripe re-encode, or the restore
-    /// path of a partial write on a damaged footprint.
+    /// The whole `r × n` grid of a full-stripe re-encode.
     Grid(StripeBuf),
-    /// Only the footprint of a partial write, every cell verified on a
-    /// healthy device — ~`1 + penalty(d)` sectors per written block
-    /// instead of the stripe.
+    /// Only the footprint of a partial write — ~`1 + penalty(d)` sectors
+    /// per written block instead of the stripe — each verified or
+    /// restored.
     Sparse(BTreeMap<CellIdx, Vec<u8>>),
 }
 
@@ -112,35 +111,33 @@ impl StagedCells {
             StagedCells::Sparse(cells) => cells.get(&cell).expect("cell is in the footprint"),
         }
     }
+}
 
-    /// Installs `contents` in data cell `cell` and patches its dependent
-    /// parities, returning them. Both arms run the codec's one
-    /// definition of the delta arithmetic.
-    fn update(
-        &mut self,
-        codec: &dyn ErasureCode,
-        cell: CellIdx,
-        contents: Vec<u8>,
-    ) -> Result<Vec<CellIdx>, CodeError> {
-        let cells = match self {
-            StagedCells::Grid(stripe) => return codec.update(stripe, cell, &contents),
-            StagedCells::Sparse(cells) => cells,
-        };
-        let outside =
-            |c: CellIdx| CodeError::Internal(format!("{c:?} is outside the staged footprint"));
-        let parities = codec.dependents(cell)?;
-        let old = cells.get(&cell).ok_or_else(|| outside(cell))?;
-        let mut delta = contents.clone();
-        for (d, &o) in delta.iter_mut().zip(old) {
-            *d ^= o;
-        }
-        for &parity in parities {
-            let into = cells.get_mut(&parity).ok_or_else(|| outside(parity))?;
-            codec.fold_delta(cell, parity, &delta, into)?;
-        }
-        cells.insert(cell, contents);
-        Ok(parities.to_vec())
+/// Writes `incoming` at byte `at` of data cell `cell` in a staged
+/// footprint and folds the change into its dependent parities — the
+/// codec's one definition of the delta arithmetic — returning them.
+fn patch<'c>(
+    cells: &mut BTreeMap<CellIdx, Vec<u8>>,
+    codec: &'c dyn ErasureCode,
+    cell: CellIdx,
+    incoming: &[u8],
+    at: usize,
+) -> Result<&'c [CellIdx], CodeError> {
+    let outside =
+        |c: CellIdx| CodeError::Internal(format!("{c:?} is outside the staged footprint"));
+    let parities = codec.dependents(cell)?;
+    let old = cells.get_mut(&cell).ok_or_else(|| outside(cell))?;
+    let mut delta = vec![0; old.len()];
+    let window = delta.iter_mut().zip(old.iter_mut()).skip(at);
+    for ((d, o), &new) in window.zip(incoming) {
+        *d = *o ^ new;
+        *o = new;
     }
+    for &parity in parities {
+        let into = cells.get_mut(&parity).ok_or_else(|| outside(parity))?;
+        codec.fold_delta(cell, parity, &delta, into)?;
+    }
+    Ok(parities)
 }
 
 /// A stripe staged in memory (encoded, results recorded) whose
@@ -405,9 +402,9 @@ impl StripeStore {
 
         // Partial: read-modify-write over the footprint — each written
         // block's data cell and dependent parities, each read block's
-        // data cell — or, when any of it is damaged, over the restored
-        // stripe. Either way: load once, patch every dirty cell, serve
-        // reads from the staged cells, write back once.
+        // data cell — restored where any of it is lost. Load once, patch
+        // every dirty cell, serve reads from the staged cells, write back
+        // once.
         let _delta = stair_obs::trace::span(stair_obs::trace::names::STORE_DELTA);
         let mut footprint: BTreeSet<CellIdx> = BTreeSet::new();
         for f in frags {
@@ -419,27 +416,20 @@ impl StripeStore {
                 }
             }
         }
-        let mut touched: BTreeSet<CellIdx> = BTreeSet::new();
-        let mut cells = match self.load_cells(stripe_idx, &footprint)? {
-            Some(cells) => StagedCells::Sparse(cells),
-            None => {
-                let (stripe, erased) = self.load_stripe_restored(stripe_idx)?;
-                // Erased cells were reconstructed by the restore;
-                // rewriting them heals latent damage on writable
-                // devices for free.
-                touched.extend(erased.iter());
-                StagedCells::Grid(stripe)
-            }
-        };
+        let mut cells = BTreeMap::new();
+        let staged = |cell, data: &[u8]| drop(cells.insert(cell, data.to_vec()));
+        let erased = self.restore(stripe_idx, |_| footprint.iter().copied().collect(), staged)?;
+        // Footprint cells the restore reconstructed are written back with
+        // the patch, healing them on writable devices.
+        let lost = footprint.iter().filter(|&&c| erased.contains(c));
+        let mut touched: BTreeSet<CellIdx> = lost.copied().collect();
         for f in frags {
             match ops[f.op] {
                 OpRef::Write { offset, data } => {
                     for block in f.blocks.clone() {
                         let loc = sh.blocks.locate(block)?;
                         let (incoming, at) = self.incoming_for_block(block, offset, data);
-                        let mut contents = cells.cell(loc.cell).to_vec();
-                        contents[at..at + incoming.len()].copy_from_slice(incoming);
-                        let patched = cells.update(sh.codec.as_ref(), loc.cell, contents)?;
+                        let patched = patch(&mut cells, sh.codec.as_ref(), loc.cell, incoming, at)?;
                         sh.counters.count_update();
                         touched.insert(loc.cell);
                         touched.extend(patched);
@@ -450,9 +440,9 @@ impl StripeStore {
                     write_slot(results, f.op).bytes += self.fragment_bytes(&ops[f.op], &f.blocks);
                 }
                 OpRef::Read { offset, .. } => {
-                    // Every staged cell is verified, and reads are
-                    // disjoint from the plan's writes, so patching
-                    // cannot have changed the bytes a read wants.
+                    // Every staged cell is verified or restored, and
+                    // reads are disjoint from the plan's writes, so
+                    // patching cannot have changed the bytes a read wants.
                     #[expect(
                         clippy::unreachable,
                         reason = "planner invariant: read fragments index read results"
@@ -462,7 +452,10 @@ impl StripeStore {
                     };
                     for block in f.blocks.clone() {
                         let cell = sh.blocks.locate(block)?.cell;
-                        self.copy_block(block, cells.cell(cell), offset, out);
+                        let staged = cells.get(&cell).ok_or_else(|| {
+                            CodeError::Internal(format!("{cell:?} is not staged"))
+                        })?;
+                        self.copy_block(block, staged, offset, out);
                     }
                 }
             }
@@ -470,7 +463,7 @@ impl StripeStore {
         write_slot(results, first_write).stripes_touched += 1;
         Ok(Some(StagedWrite {
             stripe_idx,
-            cells,
+            cells: StagedCells::Sparse(cells),
             touched: Some(touched),
         }))
     }
@@ -1016,25 +1009,40 @@ mod tests {
             by_stripe
         }
 
+        /// Sectors one restore may read: each healthy sector once.
+        fn restore_bound(&self) -> u64 {
+            let geom = self.store.geometry();
+            (geom.r * (geom.n - self.down.len())) as u64
+        }
+
         /// Writes, and holds the store to the rule: one restore pass
-        /// per stripe whose footprint is damaged, none otherwise.
+        /// per stripe whose footprint is damaged, none otherwise, and
+        /// no more sectors read than its healthy ones.
         fn write(&mut self, offset: usize, len: usize) {
             let data = pattern(len, self.rng.below(251) as u8);
-            let mut damaged = 0u64;
+            let (mut damaged, mut bound) = (0u64, 0u64);
             for (stripe, footprint) in self.footprints(offset, len) {
                 let hit = |&(row, dev): &CellIdx| {
                     self.down.contains(&dev) || self.bad.contains(&(stripe, row, dev))
                 };
                 if footprint.iter().any(hit) {
                     damaged += 1;
-                    // The restore path rewrites every erased cell.
-                    self.bad.retain(|&(s, _, _)| s != stripe);
+                    bound += self.restore_bound();
+                    // The restored footprint is written back, healed.
+                    let healed =
+                        |&(s, row, dev): &BadSector| s == stripe && footprint.contains(&(row, dev));
+                    self.bad.retain(|b| !healed(b));
+                } else {
+                    bound += footprint.len() as u64;
                 }
             }
-            let before = self.store.io_stats().recover_passes;
+            let before = self.store.io_stats();
             self.store.write_at(offset as u64, &data).unwrap();
-            let passes = self.store.io_stats().recover_passes - before;
+            let after = self.store.io_stats();
+            let passes = after.recover_passes - before.recover_passes;
             assert_eq!(passes, damaged, "write {offset}+{len}");
+            let reads = after.sector_reads - before.sector_reads;
+            assert!(reads <= bound, "write {offset}+{len} read {reads}");
             self.bytes[offset..offset + len].copy_from_slice(&data);
         }
 
@@ -1049,24 +1057,30 @@ mod tests {
         /// Reads, and holds the store to the rule: the store's bytes
         /// are the array's, and a stripe costs one recovery pass exactly
         /// when a block wanted from it is lost — damage elsewhere in the
-        /// stripe is not this read's business.
+        /// stripe is not this read's business — and reads no more than
+        /// its wanted sectors and, when it restores, its healthy ones.
         fn read(&mut self, offset: usize, len: usize) {
             let (sym, per) = (self.store.block_size(), self.store.blocks_per_stripe());
+            let blocks = offset / sym..(offset + len).div_ceil(sym);
             let mut lossy: BTreeSet<usize> = BTreeSet::new();
-            for block in offset / sym..(offset + len).div_ceil(sym) {
+            for block in blocks.clone() {
                 let (row, dev) = self.store.geometry().data_cells[block % per];
                 if self.down.contains(&dev) || self.bad.contains(&(block / per, row, dev)) {
                     lossy.insert(block / per);
                 }
             }
-            let before = self.store.io_stats().recover_passes;
+            let before = self.store.io_stats();
             let got = self.store.read_at(offset as u64, len).unwrap();
-            let passes = self.store.io_stats().recover_passes - before;
+            let after = self.store.io_stats();
+            let passes = after.recover_passes - before.recover_passes;
             assert!(
                 got == self.bytes[offset..offset + len],
                 "read {offset}+{len}"
             );
             assert_eq!(passes, lossy.len() as u64, "read {offset}+{len}");
+            let reads = after.sector_reads - before.sector_reads;
+            let bound = blocks.len() as u64 + lossy.len() as u64 * self.restore_bound();
+            assert!(reads <= bound, "read {offset}+{len} read {reads}");
         }
 
         /// A read of up to twelve blocks, off alignment.
@@ -1254,7 +1268,7 @@ mod tests {
     }
 
     #[test]
-    fn recorded_damage_is_planned_around_and_unrecorded_damage_falls_back_once() {
+    fn recorded_damage_is_planned_around_and_unrecorded_damage_is_replanned_once() {
         for spec in FAMILIES {
             let (dir, store, base) = family_store("burst", spec);
             let geom = store.geometry().clone();
@@ -1269,7 +1283,6 @@ mod tests {
             for &dev in failed {
                 store.fail_device(dev).unwrap();
             }
-            let healthy = (geom.n - failed.len()) as u64;
             let mut erased = ErasureSet::devices(failed, geom.r);
 
             // A burst in stripe 1, found and recorded by a scrub. A
@@ -1292,24 +1305,28 @@ mod tests {
             assert_eq!(store.status().known_bad_sectors, burst.len());
 
             // Stripe 2: one source of the same window is corrupt and
-            // nobody knows. The planned load meets it, the whole stripe
-            // is loaded instead, the bytes are right, the sector is on
-            // record ...
+            // nobody knows. The planned load meets it, the sector goes on
+            // record, and the plan made around it reads only the sources
+            // the first load did not — the bytes are right ...
             let window = 2 * per + 18..2 * per + 34;
-            let mut erased = ErasureSet::devices(failed, geom.r);
-            let need = planned_need(&store, &erased, window.clone());
+            let erased = ErasureSet::devices(failed, geom.r);
+            let first = planned_need(&store, &erased, window.clone());
             let wanted: Vec<CellIdx> = window.clone().map(|b| geom.data_cells[b % per]).collect();
-            let (row, dev) = *need.iter().find(|c| !wanted.contains(c)).unwrap();
+            let (row, dev) = *first.iter().find(|c| !wanted.contains(c)).unwrap();
             store.corrupt_sectors(dev, 2, row, 1).unwrap();
-            let cost = read_cost(&store, &base, window.clone());
-            let fallback = need.len() as u64 + geom.r as u64 * healthy;
-            assert_eq!(cost, (fallback, 1), "{spec} unrecorded source");
-            assert!(store.shared.integrity.is_recorded_bad((2, row, dev)));
-            // ... and the next read of the window plans around it.
-            erased = erased.iter().chain([(row, dev)]).collect();
+            let erased: ErasureSet = erased.iter().chain([(row, dev)]).collect();
             let need = planned_need(&store, &erased, window.clone());
+            let cost = read_cost(&store, &base, window.clone());
+            let replanned = first.len() + need.difference(&first).count();
+            assert_eq!(cost, (replanned as u64, 1), "{spec} unrecorded source");
+            assert!(store
+                .shared
+                .integrity
+                .recorded_bad_in(2)
+                .contains(&(row, dev)));
+            // ... and the next read of the window plans around it.
             let cost = read_cost(&store, &base, window);
-            assert_eq!(cost, (need.len() as u64, 1), "{spec} after the fallback");
+            assert_eq!(cost, (need.len() as u64, 1), "{spec} after the replan");
 
             // Stripe 0: the unknown damage is one of four wanted sectors,
             // none on a failed device. The fast path serves the three
@@ -1325,12 +1342,126 @@ mod tests {
                 (4 + plan.sources().len() as u64, 1),
                 "{spec} in-window"
             );
-            assert!(store.shared.integrity.is_recorded_bad((0, 3, 3)));
+            assert!(store.shared.integrity.recorded_bad_in(0).contains(&(3, 3)));
             let need = planned_need(&store, &erased, 20..24);
             assert_eq!(read_cost(&store, &base, 20..24), (need.len() as u64, 1));
             drop(store);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// Repairs `store`, checks it against its never-damaged `twin` byte
+    /// for byte, and returns the sectors read and rewritten per stripe.
+    fn repair_cost(store: &StripeStore, twin: &StripeStore) -> (u64, usize) {
+        let stripes = store.stripe_count();
+        let before = store.io_stats();
+        let report = store.repair(1).unwrap();
+        let reads = store.io_stats().sector_reads - before.sector_reads;
+        assert!(report.complete());
+        assert!(disk_image(store) == disk_image(twin));
+        assert!(store.scrub(1).unwrap().clean());
+        assert_eq!(store.status().known_bad_sectors, 0);
+        let (reads, rewritten) = (reads as usize, report.sectors_rewritten);
+        assert_eq!((reads % stripes, rewritten % stripes), (0, 0));
+        ((reads / stripes) as u64, rewritten / stripes)
+    }
+
+    #[test]
+    fn repair_reads_its_plans_sources_not_the_stripe() {
+        // One failed device: a row-local plan reads n − m survivors per
+        // row; SD's plan is dense and reads them all.
+        for (spec, reads) in FAMILIES.into_iter().zip([96, 112, 96]) {
+            let (dir, store, _) = family_store("repair-dev", spec);
+            let (twin_dir, twin, _) = family_store("repair-dev-twin", spec);
+            store.fail_device(0).unwrap();
+            assert_eq!(repair_cost(&store, &twin), (reads, 16), "{spec}");
+            drop((store, twin));
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::remove_dir_all(&twin_dir).unwrap();
+        }
+
+        let spec = FAMILIES[0];
+        let bursts = [(5, 2), (9, 3), (10, 3)];
+        let (dir, store, _) = family_store("repair-burst", spec);
+        let (twin_dir, twin, _) = family_store("repair-burst-twin", spec);
+        // Recorded bursts only: each lost sector's row, not the stripe.
+        for stripe in 0..store.stripe_count() {
+            for (row, dev) in bursts {
+                store.corrupt_sectors(dev, stripe, row, 1).unwrap();
+            }
+        }
+        store.scrub(1).unwrap();
+        assert_eq!(repair_cost(&store, &twin), (18, 3), "{spec} bursts");
+
+        // The ledger's worst case: devices 0 and 1 rebuilt, the bursts
+        // unrecorded. The rebuild reads every survivor, finds the bursts
+        // and rebuilds them too, from the sectors it already read.
+        for stripe in 0..store.stripe_count() {
+            for (row, dev) in bursts {
+                store.corrupt_sectors(dev, stripe, row, 1).unwrap();
+            }
+        }
+        store.fail_device(0).unwrap();
+        store.fail_device(1).unwrap();
+        assert_eq!(store.status().known_bad_sectors, 0);
+        assert_eq!(repair_cost(&store, &twin), (96, 35), "{spec} worst case");
+        drop((store, twin));
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&twin_dir).unwrap();
+    }
+
+    /// A write needs only the lost sectors of its footprint back, as a
+    /// read needs only its own: a stripe with damage beyond coverage
+    /// elsewhere takes both.
+    #[test]
+    fn a_write_is_as_available_as_a_read() {
+        let dir = tmpdir("available");
+        let opts = StoreOptions {
+            code: "rs:8,4,2".parse().unwrap(),
+            symbol: 64,
+            stripes: 2,
+        };
+        let store = StripeStore::create(&dir, &opts).unwrap();
+        let base = pattern(store.capacity() as usize, 6);
+        store.write_at(0, &base).unwrap();
+        // Row 0 loses three sectors, one more than RS rows survive; row 2
+        // loses one.
+        for (row, dev) in [(0, 0), (0, 1), (0, 2), (2, 0)] {
+            store.corrupt_sectors(dev, 0, row, 1).unwrap();
+        }
+        assert_eq!(store.scrub(1).unwrap().mismatches.len(), 4);
+        let erased = ErasureSet::new([(0, 0), (0, 1), (0, 2), (2, 0)]);
+        assert!(store.codec().plan(&erased).is_err());
+        assert!(store.codec().plan_recover(&erased, &[(2, 0)]).is_ok());
+
+        let sym = store.block_size();
+        let k = store
+            .geometry()
+            .data_cells
+            .iter()
+            .position(|&c| c == (2, 0))
+            .unwrap();
+        let block = k * sym..(k + 1) * sym;
+        assert!(store.read_at(block.start as u64, sym).unwrap() == base[block.clone()]);
+        let fresh = pattern(sym, 99);
+        store.write_at(block.start as u64, &fresh).unwrap();
+        assert!(store.read_at(block.start as u64, sym).unwrap() == fresh);
+        // The write healed its sector; row 0 is still beyond coverage.
+        assert!(!store.shared.integrity.recorded_bad_in(0).contains(&(2, 0)));
+        assert!(matches!(
+            store.read_at(0, sym),
+            Err(Error::Unrecoverable { stripe: 0, .. })
+        ));
+        let rows = 1..store.geometry().r;
+        let after_row_0 = rows.start * (store.geometry().n - 2) * sym;
+        let mut expected = base[..store.capacity() as usize].to_vec();
+        expected[block].copy_from_slice(&fresh);
+        let got = store
+            .read_at(after_row_0 as u64, expected.len() - after_row_0)
+            .unwrap();
+        assert!(got == expected[after_row_0..]);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1390,6 +1521,9 @@ mod tests {
             rebuilding(&m.store, gone);
             session(&mut m, 20);
             m.assert_bytes();
+            // Repair reads only what it rebuilds from: damage no read
+            // had cause to touch is the scrub's to find first.
+            m.store.scrub(2).unwrap();
             assert!(m.store.repair(2).unwrap().complete());
             m.down.clear();
             m.bad.clear();

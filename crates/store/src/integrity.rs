@@ -268,7 +268,7 @@ impl Integrity {
 
     /// Snapshot of the current health record (clones the bad-sector set;
     /// hot per-stripe paths should prefer [`Integrity::device_states`] /
-    /// [`Integrity::is_recorded_bad`]).
+    /// [`Integrity::recorded_bad_in`]).
     pub fn health(&self) -> Health {
         read_lock(&self.health).clone()
     }
@@ -276,11 +276,6 @@ impl Integrity {
     /// Per-device states only — cheap (`n` entries) for per-stripe paths.
     pub fn device_states(&self) -> Vec<DeviceState> {
         read_lock(&self.health).devices.clone()
-    }
-
-    /// Whether a sector is already recorded as bad, without cloning.
-    pub fn is_recorded_bad(&self, key: BadSector) -> bool {
-        read_lock(&self.health).bad_sectors.contains(&key)
     }
 
     /// The recorded bad sectors of one stripe, as `(row, device)`. While

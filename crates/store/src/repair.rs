@@ -6,11 +6,18 @@
 //! to the `Rebuilding` state — reads keep treating their sectors as erased
 //! (served degraded), so correctness never depends on rebuild progress.
 //! Scoped worker threads then shard the stripe range, and each stripe is
-//! repaired under its stripe lock: load degraded, decode, write reconstructed cells,
-//! refresh checksums. Only when every stripe is done do the replacements
+//! repaired under its stripe lock by the store's one restore rule: its
+//! lost cells on writable devices are planned, only the plan's sources
+//! are read, and the reconstructed cells are written with fresh
+//! checksums. A source that fails its checksum is recorded, planned
+//! around and rebuilt too. Repair does not read the sectors its plans do
+//! not need, so it finds no other damage: finding unrecorded damage is
+//! the scrub's job. Only when every stripe is done do the replacements
 //! become `Healthy`.
 
 use std::sync::Mutex;
+
+use stair_code::ErasureSet;
 
 use crate::integrity::DeviceState;
 use crate::store::StripeStore;
@@ -25,8 +32,9 @@ pub struct RepairReport {
     pub stripes_repaired: usize,
     /// Sectors rewritten with reconstructed contents.
     pub sectors_rewritten: usize,
-    /// Stripes whose damage exceeded the `(m, e)` coverage; their data is
-    /// lost and they are left untouched.
+    /// Stripes whose lost cells could not be planned: their known damage
+    /// — including sources this pass found bad — exceeds what the codec
+    /// decodes. They are left unwritten.
     pub unrecoverable_stripes: Vec<usize>,
 }
 
@@ -161,29 +169,32 @@ impl StripeStore {
     }
 
     fn repair_stripe(&self, stripe_idx: usize) -> Result<RepairOutcome, Error> {
-        let sh = &self.shared;
         let _guard = self.lock_stripe(stripe_idx);
-        let (mut stripe, erased) = self.load_stripe_degraded(stripe_idx)?;
-        if erased.is_empty() {
+        // Every lost cell a device can take back — healthy, or a
+        // rebuilding replacement; a failed one still has no backing file
+        // — including any this repair's own reads find bad.
+        let devices = self.shared.integrity.device_states();
+        let writable = |erased: &ErasureSet| {
+            let writable = erased
+                .iter()
+                .filter(|&(_, dev)| devices[dev] != DeviceState::Failed);
+            writable.collect()
+        };
+        let (mut cells, mut bytes) = (Vec::new(), Vec::new());
+        let restored = |cell, data: &[u8]| {
+            cells.push(cell);
+            bytes.extend_from_slice(data);
+        };
+        match self.restore(stripe_idx, writable, restored) {
+            Ok(_) => {}
+            Err(Error::Unrecoverable { .. }) => return Ok(RepairOutcome::Unrecoverable),
+            Err(e) => return Err(e),
+        }
+        if cells.is_empty() {
             return Ok(RepairOutcome::Clean);
         }
-        let plan = match sh.codec.plan(&erased) {
-            Ok(plan) => plan,
-            Err(stair_code::CodeError::Unrecoverable(_)) => {
-                return Ok(RepairOutcome::Unrecoverable)
-            }
-            Err(e) => return Err(e.into()),
-        };
-        sh.codec.apply(&plan, &mut stripe)?;
-
-        // Write every reconstructed cell back to devices that can take it
-        // (healthy, or rebuilding replacements; a failed one still has no
-        // backing file).
-        let devices = sh.integrity.device_states();
-        let writable = erased
-            .iter()
-            .filter(|&(_, dev)| devices[dev] != DeviceState::Failed);
-        let cells: Vec<_> = writable.map(|cell| (cell, stripe.cell(cell))).collect();
+        let sectors = bytes.chunks_exact(self.block_size());
+        let cells: Vec<_> = cells.into_iter().zip(sectors).collect();
         // check: persist-ok repair rewrites cells already recorded erased: a torn repair write stays erased and is re-repaired
         self.write_recorded(stripe_idx, &cells)?;
         Ok(RepairOutcome::Repaired(cells.len()))

@@ -17,23 +17,21 @@
 //!   read, patched with the codec's parity delta
 //!   ([`stair_code::ErasureCode::fold_delta`]) and written back: the
 //!   §6.3 update cost, measurable per codec as `sector_reads` in
-//!   [`IoStats`]. If any footprint sector sits on a device that is not
-//!   healthy or fails its checksum, the write takes the restore path
-//!   instead: the whole stripe is loaded, lost sectors reconstructed,
-//!   the same patch applied, and the reconstructed sectors healed.
+//!   [`IoStats`]. A footprint sector that is lost is restored (below)
+//!   and written back with the patch, healed.
 //! * **Reads** verify every sector against the Fletcher-32 table. A
 //!   fragment with nothing lost is served straight from its data
-//!   sectors. When a wanted sector sits on a device that is not healthy
-//!   or is recorded bad, the read is **degraded** and plans first: the
+//!   sectors; otherwise its lost sectors are restored.
+//! * **Restores** — a degraded read, a damaged footprint, a repair — run
+//!   one rule, `StripeStore::restore`: what is lost is decided before any
+//!   I/O (devices that are not healthy, recorded bad sectors), the
 //!   codec's planner ([`stair_code::ErasureCode::plan_recover`]) works
-//!   out how to reconstruct exactly the wanted lost sectors from what is
-//!   known lost, and only the plan's sources
-//!   ([`stair_code::Plan::sources`]) and the surviving wanted sectors are
-//!   read. The plan then runs over those sectors where the loader put
-//!   them, and its targets land in the caller's buffer: no stripe is
-//!   assembled. Damage nobody knew of — a missing file, a short read, a
-//!   checksum mismatch where none was recorded — falls back to loading
-//!   the whole stripe, which records it for the next read.
+//!   out how to reconstruct exactly the wanted lost sectors, and only the
+//!   plan's sources ([`stair_code::Plan::sources`]) and the surviving
+//!   wanted sectors are read. The plan runs over them where the loader
+//!   put them: no stripe is assembled. Damage nobody knew of — a missing
+//!   file, a short read, a checksum mismatch — is recorded where it is
+//!   met and planned around, reading only the sources not read yet.
 //! * All sector I/O is positioned (`pread`/`pwrite`) and goes through
 //!   one verified loader and one recorded writer, which read and write
 //!   consecutive rows of a device — which its file stores contiguously —
@@ -41,11 +39,9 @@
 //!   `r·n`. Stripes are guarded by striped locks, so reads, writes,
 //!   scrubbing, and repair of *different* stripes proceed concurrently.
 //!
-//! Whole stripes move through the engine as flat [`StripeBuf`]s — the
-//! same memory the codecs encode and decode in place, with no per-cell
-//! reshaping between the I/O layer and the math. A partial write's
-//! footprint is a map of just its sectors, and a degraded read's sectors
-//! stay in the loader's buffer.
+//! Only a full-stripe write holds a whole [`StripeBuf`] — the memory the
+//! codec encodes in place. A partial write's footprint is a map of just
+//! its sectors, and a restore's sectors stay in the loader's buffers.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -106,11 +102,12 @@ pub struct IoStats {
     pub stripe_locks: u64,
     /// Full-stripe encode passes (`ErasureCode::encode`).
     pub encode_passes: u64,
-    /// Parity-delta update calls (`ErasureCode::update`), one per
-    /// dirty cell.
+    /// Parity-delta patches ([`ErasureCode::fold_delta`] into each
+    /// dependent parity), one per dirty data cell.
     pub delta_update_calls: u64,
-    /// Recovery plan applications (`ErasureCode::apply`) on the
-    /// foreground read/write path.
+    /// Recovery plans executed: one per restore that lost a wanted
+    /// sector — a degraded read fragment, a damaged footprint, a repaired
+    /// stripe.
     pub recover_passes: u64,
     /// Sectors read from the device files, on every path. A one-block
     /// write on a healthy stripe reads `1 + penalty(d)` of them — the
@@ -692,17 +689,15 @@ impl StripeStore {
     /// Serves the blocks of one read fragment into `out`, reading what
     /// the fragment needs and not the stripe.
     ///
-    /// What is lost is decided before any I/O, from the device states and
-    /// the stripe's recorded bad sectors. With no wanted sector known
-    /// lost, each is read, verified and copied straight out (the fast
-    /// path). Otherwise the codec plans the wanted lost sectors against
-    /// the known erasures, exactly the plan's sources plus the surviving
-    /// wanted sectors are read, each verified, and the plan runs over
-    /// them where they were read, writing its targets into `out`. A
-    /// sector that does not verify where none was known bad — damage no
-    /// one has recorded yet — ends either path: the whole stripe is then
-    /// loaded as before ([`StripeStore::load_stripe_degraded`]), which
-    /// records the damage so the next read plans around it.
+    /// With no wanted sector known lost (a device that is not `Healthy`,
+    /// a recorded bad sector), each is read, verified and copied straight
+    /// out: the fast path. A sector that does not verify there is
+    /// recorded bad, and what did verify is served and not read again.
+    /// Whatever is left — the whole window when a wanted sector was known
+    /// lost from the start — is [restored](StripeStore::restore): the
+    /// wanted lost sectors planned, only the plan's sources and the
+    /// surviving wanted sectors read, and the plan's targets written into
+    /// `out`.
     ///
     /// Callers must hold the stripe lock.
     pub(crate) fn read_blocks_locked(
@@ -717,80 +712,33 @@ impl StripeStore {
             .clone()
             .map(|b| sh.blocks.locate(b).map(|l| l.cell))
             .collect::<Result<Vec<CellIdx>, _>>()?;
-        let serve = |cell: CellIdx, data: &[u8], out: &mut [u8]| {
+        let mut serve = |cell: CellIdx, data: &[u8]| {
             if let Some(k) = cells.iter().position(|&c| c == cell) {
                 self.copy_block(blocks.start + k, data, offset, out);
             }
         };
         let devices = sh.integrity.device_states();
-        let mut erased = self.known_erasures(stripe_idx, &devices);
+        let erased = self.known_erasures(stripe_idx, &devices);
 
         // The cells whose bytes are not in `out` yet.
         let unserved = if cells.iter().any(|&c| erased.contains(c)) {
             cells.clone()
         } else {
-            let verified = |cell, data: &[u8]| serve(cell, data, out);
             let wanted = cells.iter().copied();
-            let failed = self.load_each(stripe_idx, &devices, wanted, verified)?;
+            let failed = self.load_each(stripe_idx, &devices, wanted, &mut serve)?;
             if failed.is_empty() {
                 return Ok(());
             }
-            // Damage inside the window itself: known from here on. What
-            // did verify is served, and is not read again to serve it.
+            // Damage inside the window itself: known from here on.
             let found = failed.iter().map(|&(row, dev)| (stripe_idx, row, dev));
             sh.integrity.update_health(|h| h.bad_sectors.extend(found));
-            erased = erased.iter().chain(failed.iter().copied()).collect();
             failed
         };
-
-        let lost = |erased: &ErasureSet| -> Vec<CellIdx> {
-            let lost = unserved.iter().filter(|&&c| erased.contains(c));
-            lost.copied().collect()
-        };
-        // A plan the known erasures do not allow is left to the fallback,
-        // whose error names everything the stripe has lost.
-        if let Ok(plan) = sh.codec.plan_recover(&erased, &lost(&erased)) {
-            let surviving = unserved.iter().filter(|&&c| !erased.contains(c));
-            let mut read = Sectors::lend(sh);
-            read.select(plan.sources().iter().chain(surviving).copied());
-            if self
-                .load_verified(stripe_idx, &devices, &mut read)?
-                .is_empty()
-            {
-                let mut planned = Planned {
-                    read: &read,
-                    recovered: |cell, data: &[u8]| serve(cell, data, out),
-                };
-                plan.execute(sh.codec.codec_id(), &mut planned)?;
-                sh.counters.count_recover();
-                // The targets are in `out`; the surviving wanted cells
-                // are where they were read.
-                for &cell in &unserved {
-                    if let Some(data) = read.get(cell) {
-                        serve(cell, data, out);
-                    }
-                }
-                return Ok(());
-            }
-        }
-
-        let (mut stripe, erased) = self.load_stripe_degraded(stripe_idx)?;
-        let lost = lost(&erased);
-        if !lost.is_empty() {
-            let plan = sh
-                .codec
-                .plan_recover(&erased, &lost)
-                .map_err(|e| self.unrecoverable(stripe_idx, &erased, e))?;
-            sh.codec.apply(&plan, &mut stripe)?;
-            sh.counters.count_recover();
-        }
-        for &cell in &unserved {
-            serve(cell, stripe.cell(cell), out);
-        }
+        self.restore(stripe_idx, |_| unserved.clone(), serve)?;
         Ok(())
     }
 
-    pub(crate) fn unrecoverable(&self, stripe: usize, erased: &ErasureSet, e: CodeError) -> Error {
+    fn unrecoverable(&self, stripe: usize, erased: &ErasureSet, e: CodeError) -> Error {
         match e {
             CodeError::Unrecoverable(_) => Error::Unrecoverable {
                 stripe,
@@ -876,79 +824,88 @@ impl StripeStore {
         Ok(failed)
     }
 
-    /// Reads the full stripe grid from disk, treating non-healthy devices,
-    /// missing files, and checksum mismatches as erasures. Erased cells
-    /// are zero; newly discovered damage is recorded in the health map.
+    /// The one restore rule, for every path that needs the sectors of a
+    /// stripe that may have lost some: hands `sink` the bytes of each
+    /// `wanted` cell, reconstructing the lost ones from the fewest reads
+    /// the codec's planner knows.
+    ///
+    /// What is lost is decided before any I/O: every sector of a device
+    /// that is not `Healthy`, and the stripe's recorded bad sectors. The
+    /// wanted lost cells are planned against that
+    /// ([`stair_code::ErasureCode::plan_recover`]; nothing is planned
+    /// when none is lost), and only the plan's sources and the surviving
+    /// wanted cells are read. A sector that does not verify is recorded
+    /// bad, joins the erasures, and the cells wanted by then are planned
+    /// again; what verified is kept and never read again, so a restore
+    /// reads each healthy sector of the stripe at most once. `wanted` is
+    /// asked each round, with what is lost by then: repair wants whatever
+    /// turns out lost.
+    ///
+    /// Returns everything known lost once the wanted cells are served.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Unrecoverable`], naming every cell known lost by then,
+    /// when the wanted lost cells cannot be planned.
     ///
     /// Callers must hold the stripe lock.
-    pub(crate) fn load_stripe_degraded(
+    pub(crate) fn restore(
         &self,
         stripe_idx: usize,
-    ) -> Result<(StripeBuf, ErasureSet), Error> {
+        wanted: impl Fn(&ErasureSet) -> Vec<CellIdx>,
+        mut sink: impl FnMut(CellIdx, &[u8]),
+    ) -> Result<ErasureSet, Error> {
         let sh = &self.shared;
-        let geom = &sh.geometry;
-        let mut stripe = StripeBuf::new(geom.r, geom.n, sh.meta.symbol)?;
         let devices = sh.integrity.device_states();
-        let grid = (0..geom.n).flat_map(|dev| (0..geom.r).map(move |row| (row, dev)));
-        let loaded = |cell, data: &[u8]| stripe.set_cell(cell, data);
-        let erased = self.load_each(stripe_idx, &devices, grid, loaded)?;
-        let newly_bad: Vec<_> = erased
-            .iter()
-            .filter(|&&(_, dev)| devices[dev] == DeviceState::Healthy)
-            .map(|&(row, dev)| (stripe_idx, row, dev))
-            .filter(|&key| !sh.integrity.is_recorded_bad(key))
-            .collect();
-        if !newly_bad.is_empty() {
-            sh.integrity
-                .update_health(|h| h.bad_sectors.extend(newly_bad));
-        }
-        Ok((stripe, ErasureSet::new(erased)))
-    }
-
-    /// Loads the stripe and, when anything was erased, restores every
-    /// lost cell via a full recovery plan — the shape the write paths
-    /// need before patching (parity deltas are computed against a
-    /// consistent stripe). Returns the restored buffer plus the set
-    /// that had been erased (its members now hold reconstructed
-    /// contents).
-    ///
-    /// Callers must hold the stripe lock.
-    pub(crate) fn load_stripe_restored(
-        &self,
-        stripe_idx: usize,
-    ) -> Result<(StripeBuf, ErasureSet), Error> {
-        let sh = &self.shared;
-        let (mut stripe, erased) = self.load_stripe_degraded(stripe_idx)?;
-        if !erased.is_empty() {
-            let plan = sh
-                .codec
-                .plan(&erased)
+        let mut erased = self.known_erasures(stripe_idx, &devices);
+        // Earlier rounds' loads; a cell in one of them verified unless it
+        // is erased, and no cell is in two.
+        let mut held: Vec<Sectors<'_>> = Vec::new();
+        loop {
+            let cells = wanted(&erased);
+            let lost: Vec<CellIdx> = cells
+                .iter()
+                .copied()
+                .filter(|&c| erased.contains(c))
+                .collect();
+            let plan = (!lost.is_empty())
+                .then(|| sh.codec.plan_recover(&erased, &lost))
+                .transpose()
                 .map_err(|e| self.unrecoverable(stripe_idx, &erased, e))?;
-            sh.codec.apply(&plan, &mut stripe)?;
-            sh.counters.count_recover();
+            let sources = plan.as_ref().map_or(&[][..], |plan| plan.sources());
+            let surviving = cells.iter().filter(|&&c| !erased.contains(c));
+            let unread = |&cell: &CellIdx| held.iter().all(|h| h.get(cell).is_none());
+            let mut read = Sectors::lend(sh);
+            read.select(
+                sources
+                    .iter()
+                    .chain(surviving.clone())
+                    .copied()
+                    .filter(unread),
+            );
+            let failed = self.load_verified(stripe_idx, &devices, &mut read)?;
+            if failed.is_empty() {
+                if let Some(plan) = &plan {
+                    let mut planned = Planned {
+                        read: &read,
+                        held: &held,
+                        recovered: &mut sink,
+                    };
+                    plan.execute(sh.codec.codec_id(), &mut planned)?;
+                    sh.counters.count_recover();
+                }
+                for &cell in surviving {
+                    if let Some(data) = held_sector(&read, &held, cell) {
+                        sink(cell, data);
+                    }
+                }
+                return Ok(erased);
+            }
+            let found = failed.iter().map(|&(row, dev)| (stripe_idx, row, dev));
+            sh.integrity.update_health(|h| h.bad_sectors.extend(found));
+            erased = erased.iter().chain(failed).collect();
+            held.push(read);
         }
-        Ok((stripe, erased))
-    }
-
-    /// Reads exactly the cells of `footprint`, each verified, or returns
-    /// `None` when any of them is not cleanly there (a device that is
-    /// not `Healthy`, a missing or short file, a checksum mismatch): the
-    /// caller then falls back to [`StripeStore::load_stripe_restored`],
-    /// which also records and heals the damage. Nothing outside the
-    /// footprint is read, so nothing outside it is vouched for.
-    ///
-    /// Callers must hold the stripe lock.
-    pub(crate) fn load_cells(
-        &self,
-        stripe_idx: usize,
-        footprint: &BTreeSet<CellIdx>,
-    ) -> Result<Option<BTreeMap<CellIdx, Vec<u8>>>, Error> {
-        let devices = self.shared.integrity.device_states();
-        let mut cells = BTreeMap::new();
-        let loaded = |cell, data: &[u8]| drop(cells.insert(cell, data.to_vec()));
-        let wanted = footprint.iter().copied();
-        let failed = self.load_each(stripe_idx, &devices, wanted, loaded)?;
-        Ok(failed.is_empty().then_some(cells))
     }
 
     // ------------------------------------------------------------------
@@ -1116,7 +1073,11 @@ impl<'s> Sectors<'s> {
 
     /// Chooses the cells the next load reads, keeping the buffer.
     fn select(&mut self, cells: impl IntoIterator<Item = CellIdx>) {
+        let cells = cells.into_iter();
         self.cells.clear();
+        // A filtered selection grows once, not by doubling.
+        let (least, most) = cells.size_hint();
+        self.cells.reserve(most.unwrap_or(least));
         self.cells.extend(cells);
         self.cells.sort_unstable_by_key(|&(row, dev)| (dev, row));
         self.cells.dedup();
@@ -1155,12 +1116,22 @@ impl Drop for Sectors<'_> {
     }
 }
 
-/// A degraded fragment as its plan sees it: sources where the loader read
-/// them, targets handed to `recovered` (which copies them into the
-/// caller's buffer).
+/// A restore as its plan sees it: sources where the loads read them,
+/// targets handed to `recovered`.
 struct Planned<'a, F> {
     read: &'a Sectors<'a>,
+    held: &'a [Sectors<'a>],
     recovered: F,
+}
+
+/// The bytes of `cell` in whichever of a restore's loads holds them.
+fn held_sector<'a>(
+    read: &'a Sectors<'_>,
+    held: &'a [Sectors<'_>],
+    cell: CellIdx,
+) -> Option<&'a [u8]> {
+    read.get(cell)
+        .or_else(|| held.iter().find_map(|load| load.get(cell)))
 }
 
 impl<F: FnMut(CellIdx, &[u8])> CellLookup for Planned<'_, F> {
@@ -1169,7 +1140,7 @@ impl<F: FnMut(CellIdx, &[u8])> CellLookup for Planned<'_, F> {
     }
 
     fn source(&self, cell: CellIdx) -> Option<&[u8]> {
-        self.read.get(cell)
+        held_sector(self.read, self.held, cell)
     }
 
     fn recovered(&mut self, cell: CellIdx, bytes: &[u8]) -> Result<(), CodeError> {
