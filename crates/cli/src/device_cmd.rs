@@ -35,6 +35,7 @@ use stair_code::CodecSpec;
 use stair_device::{BatchResult, BlockDevice, DeviceSpec, Instrumented, IoBatch, IoOp, OpResult};
 use stair_net::{open_admin, open_device, recorded_traces, Client, ShardSet};
 use stair_obs::json::{metrics_json, Json};
+use stair_obs::SpanRecord;
 use stair_reliability::{BurstModel, FailureInjector, SectorModel};
 use stair_store::{StoreOptions, StripeStore};
 
@@ -603,18 +604,6 @@ fn cmd_metrics(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
             h.max
         );
     }
-    println!("slow ops captured: {}", snap.slow_ops.len());
-    for ev in &snap.slow_ops {
-        println!(
-            "  t+{}us {} shard {} {} bytes in {}us ({})",
-            ev.t_us,
-            ev.kind,
-            ev.shard,
-            ev.bytes,
-            ev.duration_us,
-            if ev.ok { "ok" } else { "failed" }
-        );
-    }
     Ok(())
 }
 
@@ -666,7 +655,7 @@ fn cmd_trace(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
 /// Prints `span_id` and its descendants, indented by depth. Orphan
 /// spans (parent evicted past the per-trace cap) simply do not print —
 /// the JSON view still carries them.
-fn print_span_tree(spans: &[stair_net::WireSpan], span_id: u64, depth: usize) {
+fn print_span_tree(spans: &[SpanRecord], span_id: u64, depth: usize) {
     let Some(span) = spans.iter().find(|s| s.span_id == span_id) else {
         return;
     };
@@ -682,8 +671,7 @@ fn print_span_tree(spans: &[stair_net::WireSpan], span_id: u64, depth: usize) {
         },
         if span.ok { "" } else { " FAILED" },
     );
-    let mut children: Vec<&stair_net::WireSpan> =
-        spans.iter().filter(|s| s.parent_id == span_id).collect();
+    let mut children: Vec<&SpanRecord> = spans.iter().filter(|s| s.parent_id == span_id).collect();
     children.sort_by_key(|s| s.start_us);
     for child in children {
         print_span_tree(spans, child.span_id, depth + 1);

@@ -3,8 +3,8 @@
 //! `--dev file:…` and `--dev tcp:…` produce byte-identical shapes.
 
 use stair_device::{CacheTierStatus, DeviceStatus, RepairOutcome, ScrubOutcome, ShardHealth};
-use stair_net::{WireSpan, WireTrace};
 use stair_obs::json::Json;
+use stair_obs::{SpanRecord, TraceRecord};
 
 /// One shard's health as a JSON object.
 fn shard_json(shard: &ShardHealth) -> Json {
@@ -88,11 +88,11 @@ fn id_json(id: u64) -> Json {
     }
 }
 
-fn span_json(span: &WireSpan) -> Json {
+fn span_json(span: &SpanRecord) -> Json {
     Json::obj([
         ("span_id", id_json(span.span_id)),
         ("parent_id", id_json(span.parent_id)),
-        ("name", Json::str(span.name.clone())),
+        ("name", Json::str(span.name)),
         ("start_us", Json::int64(span.start_us)),
         ("duration_us", Json::int64(span.duration_us)),
         ("ok", Json::Bool(span.ok)),
@@ -100,7 +100,7 @@ fn span_json(span: &WireSpan) -> Json {
     ])
 }
 
-fn one_trace_json(trace: &WireTrace, origin: &str) -> Json {
+fn one_trace_json(trace: &TraceRecord, origin: &str) -> Json {
     Json::obj([
         ("trace_id", id_json(trace.trace_id)),
         ("root_span", id_json(trace.root_span)),
@@ -119,7 +119,7 @@ fn one_trace_json(trace: &WireTrace, origin: &str) -> Json {
 /// relative to the *originating* process's recorder epoch (the two
 /// clocks are not comparable — join traces by `trace_id` and parent
 /// span ids, not by `start_us`).
-pub fn traces_json(local: &[WireTrace], server: &[WireTrace]) -> Json {
+pub fn traces_json(local: &[TraceRecord], server: &[TraceRecord]) -> Json {
     Json::obj([
         ("op", Json::str("trace")),
         ("local_traces", Json::int(local.len())),

@@ -8,28 +8,24 @@ mod common;
 
 use common::{init, key_shape, run, shutdown, spawn_server};
 
-/// Entry key shapes of the four metrics arrays; `slow_ops` may be
-/// empty (the default 10 ms threshold rarely trips on loopback), so
-/// its entry shape is asserted only when present.
+/// Entry key shapes of the three metrics arrays.
 const COUNTER_KEYS: [&str; 2] = ["name", "value"];
 const GAUGE_KEYS: [&str; 2] = ["name", "value"];
 const HIST_KEYS: [&str; 7] = [
     "name", "count", "sum_us", "mean_us", "p50_us", "p99_us", "max_us",
 ];
-const SLOW_OP_KEYS: [&str; 6] = ["t_us", "kind", "shard", "bytes", "duration_us", "ok"];
 
-/// Asserts `doc` is a metrics document: the four top-level arrays in
-/// order, every entry within an array sharing that array's uniform key
+/// Asserts `doc` is a metrics document: the three top-level arrays in
+/// order and nothing else, every entry within an array sharing that array's uniform key
 /// shape. Because the shape is pinned against these constants (not
 /// against another document), passing for two backends means their
 /// shapes are identical even when their metric-name sets differ.
 fn assert_metrics_shape(doc: &str) {
     let keys = key_shape(doc);
-    let sections: [(&str, &[&str]); 4] = [
+    let sections: [(&str, &[&str]); 3] = [
         ("counters", &COUNTER_KEYS),
         ("gauges", &GAUGE_KEYS),
         ("histograms", &HIST_KEYS),
-        ("slow_ops", &SLOW_OP_KEYS),
     ];
     let mut i = 0;
     for (s, (section, entry)) in sections.iter().enumerate() {

@@ -31,9 +31,10 @@ impl OpMeter {
 /// Wraps any [`BlockDevice`] and records per-op and per-batch metrics
 /// into its own [`MetricsRegistry`]: counters (`dev.ops.<kind>`,
 /// `dev.errors.<kind>`, `dev.bytes.read`, `dev.bytes.written`), log₂
-/// latency histograms (`dev.lat_us.<kind>`), and journal events with
-/// slow-op capture. `<kind>` is one of `read`, `write`, `batch`,
-/// `flush`, `scrub`, `repair`.
+/// latency histograms (`dev.lat_us.<kind>`), and a `dev.<kind>` span
+/// per op — an untraced one reaches the flight recorder's slow ring
+/// only when it failed or was slow ([`trace::finish_op`]). `<kind>` is
+/// one of `read`, `write`, `batch`, `flush`, `scrub`, `repair`.
 ///
 /// [`metrics`](BlockDevice::metrics) returns the wrapper's registry
 /// merged with whatever the inner backend reports, so one call yields
@@ -70,33 +71,26 @@ impl<D: BlockDevice> Instrumented<D> {
     }
 
     /// Times `f`, charging one op (and on failure one error) to
-    /// `meter` and a journal event of `kind` moving `bytes`.
-    /// `span_name` opens a trace span over the op — a child of the
-    /// caller's span, or a fresh root when tracing is enabled and this
-    /// wrapper is the outermost traced layer.
+    /// `meter`. `span_name` names the op's trace span — a child of the
+    /// caller's span, a fresh root when tracing is enabled and this
+    /// wrapper is the outermost traced layer, and otherwise the name of
+    /// the outlier [`trace::finish_op`] may file.
     fn observe<T>(
         &self,
         meter: &OpMeter,
-        kind: &str,
         span_name: &'static str,
         bytes: u64,
         f: impl FnOnce() -> Result<T, DeviceError>,
     ) -> Result<T, DeviceError> {
-        let mut span = trace::span_or_root(span_name);
+        let span = trace::span_or_root(span_name);
         let t0 = Instant::now();
         let result = f();
-        let elapsed = t0.elapsed();
-        span.set_bytes(bytes);
-        if result.is_err() {
-            span.fail();
-        }
         meter.ops.inc();
-        meter.lat_us.record(elapsed.as_micros() as u64);
+        meter.lat_us.record(t0.elapsed().as_micros() as u64);
         if result.is_err() {
             meter.errors.inc();
         }
-        self.registry
-            .record_op(kind, 0, bytes, elapsed, result.is_ok());
+        trace::finish_op(Some(span), span_name, t0, bytes, result.is_ok());
         result
     }
 }
@@ -113,10 +107,10 @@ impl<D: BlockDevice> BlockDevice for Instrumented<D> {
     fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
         // The label is a function of the op list, not of the provided
         // method that built it: a lone read or write meters as one.
-        let (meter, kind, span_name) = match ops {
-            [OpRef::Read { .. }] => (&self.read, "read", names::DEV_READ),
-            [OpRef::Write { .. }] => (&self.write, "write", names::DEV_WRITE),
-            _ => (&self.batch, "batch", names::DEV_BATCH),
+        let (meter, span_name) = match ops {
+            [OpRef::Read { .. }] => (&self.read, names::DEV_READ),
+            [OpRef::Write { .. }] => (&self.write, names::DEV_WRITE),
+            _ => (&self.batch, names::DEV_BATCH),
         };
         let (mut read_bytes, mut write_bytes) = (0u64, 0u64);
         for op in ops {
@@ -125,7 +119,7 @@ impl<D: BlockDevice> BlockDevice for Instrumented<D> {
                 OpRef::Write { data, .. } => write_bytes += data.len() as u64,
             }
         }
-        let result = self.observe(meter, kind, span_name, read_bytes + write_bytes, || {
+        let result = self.observe(meter, span_name, read_bytes + write_bytes, || {
             self.inner.submit_ops(ops)
         });
         if result.is_ok() {
@@ -136,9 +130,7 @@ impl<D: BlockDevice> BlockDevice for Instrumented<D> {
     }
 
     fn flush(&self) -> Result<(), DeviceError> {
-        self.observe(&self.flush, "flush", names::DEV_FLUSH, 0, || {
-            self.inner.flush()
-        })
+        self.observe(&self.flush, names::DEV_FLUSH, 0, || self.inner.flush())
     }
 
     fn status(&self) -> Result<DeviceStatus, DeviceError> {
@@ -146,13 +138,13 @@ impl<D: BlockDevice> BlockDevice for Instrumented<D> {
     }
 
     fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
-        self.observe(&self.scrub, "scrub", names::DEV_SCRUB, 0, || {
+        self.observe(&self.scrub, names::DEV_SCRUB, 0, || {
             self.inner.scrub(threads)
         })
     }
 
     fn repair(&self, threads: usize) -> Result<RepairOutcome, DeviceError> {
-        self.observe(&self.repair, "repair", names::DEV_REPAIR, 0, || {
+        self.observe(&self.repair, names::DEV_REPAIR, 0, || {
             self.inner.repair(threads)
         })
     }
@@ -296,16 +288,24 @@ mod tests {
     }
 
     #[test]
-    fn slow_op_capture_retains_context() {
+    fn an_untraced_failing_op_is_a_slow_trace_only() {
         let dev = Instrumented::new(MemDevice::new(64));
-        dev.registry.journal().set_slow_threshold_us(0);
-        dev.write_at(0, &[9u8; 10]).unwrap();
-        let snap = dev.metrics().unwrap();
-        assert!(!snap.slow_ops.is_empty());
-        let op = &snap.slow_ops[0];
-        assert_eq!(op.kind, "write");
-        assert_eq!(op.bytes, 10);
-        assert!(op.ok);
+        // 60 + 17 bytes run past the end: the op fails, no span covers it.
+        assert!(dev.write_at(60, &[9u8; 17]).is_err());
+        let recorder = trace::recorder();
+        let failed = |t: &stair_obs::TraceRecord| {
+            t.spans
+                .iter()
+                .any(|s| s.name == names::DEV_WRITE && s.bytes == 17)
+        };
+        let kept: Vec<_> = recorder.slow_traces().into_iter().filter(failed).collect();
+        assert_eq!(kept.len(), 1);
+        let t = &kept[0];
+        assert!(!t.ok && t.slow);
+        assert_eq!(t.spans.len(), 1);
+        assert_eq!((t.spans[0].parent_id, t.spans[0].ok), (0, false));
+        assert!(!recorder.traces().iter().any(failed));
+        assert_eq!(dev.metrics().unwrap().counter("dev.errors.write"), Some(1));
     }
 
     #[test]

@@ -44,11 +44,12 @@ use std::sync::{Mutex, MutexGuard};
 
 use stair_device::{OpRef, OpResult};
 use stair_obs::trace::{self, names};
+use stair_obs::TraceRecord;
 
 use crate::device_impl::stitch;
 use crate::protocol::{
     encode_batch, ok_or_remote, read_response, write_frame, write_request_traced, Opcode, Request,
-    Response, ServerInfo, WireTrace, MAX_BATCH_OPS, MAX_IO_BYTES, PROTOCOL_VERSION,
+    Response, ServerInfo, MAX_BATCH_OPS, MAX_IO_BYTES, PROTOCOL_VERSION,
 };
 use crate::NetError;
 
@@ -294,7 +295,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport or server failures.
-    pub fn pull_traces(&self) -> Result<Vec<WireTrace>, NetError> {
+    pub fn pull_traces(&self) -> Result<Vec<TraceRecord>, NetError> {
         self.call(true, &Request::Trace, |resp| match resp {
             Response::Traces(traces) => Ok(traces),
             other => Err(other),

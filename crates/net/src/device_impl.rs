@@ -248,7 +248,7 @@ impl BlockDevice for Client {
     }
 
     /// The server's snapshot: per-opcode request counters and latency
-    /// histograms, connection gauges, slow-op captures, and the
+    /// histograms, connection gauges, and the
     /// `store.*`/`gf.*` counters of its shard set.
     fn metrics(&self) -> Result<MetricsSnapshot, DeviceError> {
         Ok(self.call(true, &Request::Metrics, |resp| match resp {

@@ -84,6 +84,6 @@ pub use client::{Client, StripedClient};
 pub use device_impl::{open_admin, open_device};
 pub use error::NetError;
 pub use placement::{Placement, ShardSpan};
-pub use protocol::{recorded_traces, WireSpan, WireTrace};
+pub use protocol::recorded_traces;
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use shards::{shard_dir_name, ShardSet};

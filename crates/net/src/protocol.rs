@@ -46,12 +46,13 @@ use std::io::{Read, Write};
 use stair_code::CodecSpec;
 use stair_device::{IoOp, OpRef, OpResult, RepairOutcome, ScrubOutcome, ShardHealth, WriteOutcome};
 use stair_gf::fletcher32;
-use stair_obs::{HistogramSnapshot, MetricsSnapshot, SpanCtx, TraceEvent, BUCKETS};
+use stair_obs::trace::names;
+use stair_obs::{HistogramSnapshot, MetricsSnapshot, SpanCtx, SpanRecord, TraceRecord, BUCKETS};
 
 use crate::NetError;
 
 /// The one protocol version this build speaks; HELLO refuses any other.
-pub const PROTOCOL_VERSION: u32 = 5;
+pub const PROTOCOL_VERSION: u32 = 6;
 /// High bit of the request opcode byte: set when the payload is
 /// prefixed with a `[u64 trace_id][u64 span_id]` span context.
 pub const TRACE_FLAG: u8 = 0x80;
@@ -196,9 +197,9 @@ pub enum Request {
         /// at [`MAX_IO_BYTES`], the count at [`MAX_BATCH_OPS`].
         ops: Vec<IoOp>,
     },
-    /// Pull the server's metrics snapshot (request/connection counters,
-    /// latency histograms, slow-op captures, plus the store's own
-    /// counters aggregated across shards).
+    /// Pull the server's metrics snapshot (request/connection counters
+    /// and latency histograms, plus the store's own counters aggregated
+    /// across shards).
     Metrics,
     /// Pull the server's flight recorder: recently completed traces
     /// plus the slow/errored ones retained past the main ring's wrap.
@@ -223,88 +224,21 @@ impl Request {
     }
 }
 
-/// One span of a pulled trace on the wire (the trace id lives on the
-/// enclosing [`WireTrace`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireSpan {
-    /// Span id (nonzero).
-    pub span_id: u64,
-    /// Parent span id; 0 for a freshly minted root. A server-side
-    /// process root carries the *client's* span id here, which is how
-    /// the two halves of a cross-process tree stitch together.
-    pub parent_id: u64,
-    /// Declared span name (`client.submit`, `srv.queue`, …).
-    pub name: String,
-    /// Start in microseconds since the *recording process'* epoch —
-    /// only comparable to other spans from the same process.
-    pub start_us: u64,
-    /// Duration in microseconds (epoch-free, comparable everywhere).
-    pub duration_us: u64,
-    /// Whether the spanned work succeeded.
-    pub ok: bool,
-    /// Bytes moved by the spanned work.
-    pub bytes: u64,
-}
-
-/// One completed trace pulled from a flight recorder.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireTrace {
-    /// Trace id shared by every span of the request, on both sides of
-    /// the wire.
-    pub trace_id: u64,
-    /// Span id of the recording process' root.
-    pub root_span: u64,
-    /// End-to-end duration of the root in microseconds.
-    pub duration_us: u64,
-    /// Whether the root succeeded.
-    pub ok: bool,
-    /// `true` when the recorder retained this trace in its
-    /// slow/errored ring.
-    pub slow: bool,
-    /// The spans, in completion order (root last).
-    pub spans: Vec<WireSpan>,
-}
-
-impl From<&stair_obs::TraceRecord> for WireTrace {
-    fn from(t: &stair_obs::TraceRecord) -> Self {
-        WireTrace {
-            trace_id: t.trace_id,
-            root_span: t.root_span,
-            duration_us: t.duration_us,
-            ok: t.ok,
-            slow: t.slow,
-            spans: t
-                .spans
-                .iter()
-                .map(|s| WireSpan {
-                    span_id: s.span_id,
-                    parent_id: s.parent_id,
-                    name: s.name.to_string(),
-                    start_us: s.start_us,
-                    duration_us: s.duration_us,
-                    ok: s.ok,
-                    bytes: s.bytes,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// This process's flight recorder as wire traces: the completed ring,
-/// then the slow/errored captures the ring has already evicted (a trace
-/// in both is listed once, keyed by `(trace_id, root_span)`). What a
-/// server answers a TRACE pull with, and what `stair dev trace` prints
-/// for its own process.
-pub fn recorded_traces() -> Vec<WireTrace> {
+/// This process's flight recorder: the completed ring, then the
+/// slow/errored captures it does not hold — traces it has already
+/// evicted, and untraced outliers, which only the slow ring keeps (a
+/// trace in both is listed once, keyed by `(trace_id, root_span)`).
+/// What a server answers a TRACE pull with, and what `stair dev trace`
+/// prints for its own process.
+pub fn recorded_traces() -> Vec<TraceRecord> {
     let rec = stair_obs::trace::recorder();
-    let mut traces: Vec<WireTrace> = rec.traces().iter().map(WireTrace::from).collect();
+    let mut traces = rec.traces();
     let seen: std::collections::HashSet<(u64, u64)> =
         traces.iter().map(|t| (t.trace_id, t.root_span)).collect();
     traces.extend(
         rec.slow_traces()
-            .iter()
-            .filter(|t| !seen.contains(&(t.trace_id, t.root_span)))
-            .map(WireTrace::from),
+            .into_iter()
+            .filter(|t| !seen.contains(&(t.trace_id, t.root_span))),
     );
     traces
 }
@@ -385,8 +319,8 @@ pub enum Response {
     /// METRICS answer: the server's snapshot at the time of the request.
     Metrics(MetricsSnapshot),
     /// TRACE answer: completed traces (recent ring, then slow-ring
-    /// entries the recent ring has already dropped).
-    Traces(Vec<WireTrace>),
+    /// entries the recent ring does not hold).
+    Traces(Vec<TraceRecord>),
     /// SHUTDOWN answer (sent before the server exits).
     ShuttingDown,
     /// The request could not be executed.
@@ -624,9 +558,6 @@ fn decode_request_payload(op: Opcode, payload: &[u8]) -> Result<Request, NetErro
     Ok(req)
 }
 
-/// Most slow-op records one METRICS response may carry (the server-side
-/// journal retains far fewer; this bounds hostile frames).
-const MAX_SLOW_OPS: u32 = 1024;
 /// Most named metrics of one kind a METRICS response may carry.
 const MAX_METRICS: u32 = 65_536;
 /// Most traces one TRACE response may carry (the recorder rings retain
@@ -655,15 +586,6 @@ fn encode_metrics(e: &mut Enc, snap: &MetricsSnapshot) {
         }
         e.u64(h.sum);
         e.u64(h.max);
-    }
-    e.u32(snap.slow_ops.len() as u32);
-    for ev in &snap.slow_ops {
-        e.u64(ev.t_us);
-        e.str(&ev.kind);
-        e.u32(ev.shard);
-        e.u64(ev.bytes);
-        e.u64(ev.duration_us);
-        e.u8(ev.ok as u8);
     }
 }
 
@@ -705,34 +627,13 @@ fn decode_metrics(d: &mut Dec<'_>) -> Result<MetricsSnapshot, NetError> {
         h.max = d.u64()?;
         snap.histograms.push((name, h));
     }
-    let slow = d.u32()?;
-    if slow > MAX_SLOW_OPS {
-        return Err(NetError::Protocol("metrics slow-op list too long".into()));
-    }
-    for _ in 0..slow {
-        let t_us = d.u64()?;
-        let kind = d.str()?;
-        let shard = d.u32()?;
-        let bytes = d.u64()?;
-        let duration_us = d.u64()?;
-        let ok = match d.u8()? {
-            0 => false,
-            1 => true,
-            k => return Err(NetError::Protocol(format!("bad slow-op ok byte {k}"))),
-        };
-        snap.slow_ops.push(TraceEvent {
-            t_us,
-            kind,
-            shard,
-            bytes,
-            duration_us,
-            ok,
-        });
-    }
     Ok(snap)
 }
 
-fn encode_traces(e: &mut Enc, traces: &[WireTrace]) {
+/// A TRACE body: per trace its header and spans. A span's trace id is
+/// its trace's, so it does not travel; its name travels as a string and
+/// must decode to a declared one ([`names::ALL`]).
+fn encode_traces(e: &mut Enc, traces: &[TraceRecord]) {
     e.u32(traces.len() as u32);
     for t in traces {
         e.u64(t.trace_id);
@@ -744,7 +645,7 @@ fn encode_traces(e: &mut Enc, traces: &[WireTrace]) {
         for s in &t.spans {
             e.u64(s.span_id);
             e.u64(s.parent_id);
-            e.str(&s.name);
+            e.str(s.name);
             e.u64(s.start_us);
             e.u64(s.duration_us);
             e.u8(s.ok as u8);
@@ -761,7 +662,7 @@ fn decode_bool(d: &mut Dec<'_>, what: &str) -> Result<bool, NetError> {
     }
 }
 
-fn decode_traces(d: &mut Dec<'_>) -> Result<Vec<WireTrace>, NetError> {
+fn decode_traces(d: &mut Dec<'_>) -> Result<Vec<TraceRecord>, NetError> {
     let count = d.u32()?;
     if count > MAX_TRACES {
         return Err(NetError::Protocol("trace list too long".into()));
@@ -779,17 +680,24 @@ fn decode_traces(d: &mut Dec<'_>) -> Result<Vec<WireTrace>, NetError> {
         }
         let mut spans = Vec::with_capacity(nspans.min(256) as usize);
         for _ in 0..nspans {
-            spans.push(WireSpan {
-                span_id: d.u64()?,
-                parent_id: d.u64()?,
-                name: d.str()?,
+            let span_id = d.u64()?;
+            let parent_id = d.u64()?;
+            let name = d.str()?;
+            let Some(&name) = names::ALL.iter().find(|&&n| n == name) else {
+                return Err(NetError::Protocol(format!("undeclared span name {name:?}")));
+            };
+            spans.push(SpanRecord {
+                trace_id,
+                span_id,
+                parent_id,
+                name,
                 start_us: d.u64()?,
                 duration_us: d.u64()?,
                 ok: decode_bool(d, "span ok")?,
                 bytes: d.u64()?,
             });
         }
-        traces.push(WireTrace {
+        traces.push(TraceRecord {
             trace_id,
             root_span,
             duration_us,
@@ -1292,54 +1200,89 @@ mod tests {
         assert_eq!(back, req);
     }
 
-    #[test]
-    fn trace_responses_round_trip() {
-        round_trip_response(Response::Traces(vec![]));
-        round_trip_response(Response::Traces(vec![
-            WireTrace {
-                trace_id: 7,
+    /// Two traces as the recorder holds them: a client-side tree, and
+    /// an errored server outlier.
+    fn two_traces() -> Vec<TraceRecord> {
+        let span =
+            |trace_id, span_id, parent_id, name, start_us, duration_us, ok, bytes| SpanRecord {
+                trace_id,
+                span_id,
+                parent_id,
+                name,
+                start_us,
+                duration_us,
+                ok,
+                bytes,
+            };
+        let t1 = 0x0123_4567_89ab_cdef;
+        vec![
+            TraceRecord {
+                trace_id: t1,
                 root_span: 11,
                 duration_us: 1234,
                 ok: true,
                 slow: false,
                 spans: vec![
-                    WireSpan {
-                        span_id: 12,
-                        parent_id: 11,
-                        name: "store.stripe".into(),
-                        start_us: 10,
-                        duration_us: 900,
-                        ok: true,
-                        bytes: 4096,
-                    },
-                    WireSpan {
-                        span_id: 11,
-                        parent_id: 0,
-                        name: "client.submit".into(),
-                        start_us: 0,
-                        duration_us: 1234,
-                        ok: true,
-                        bytes: 8192,
-                    },
+                    span(t1, 12, 11, names::STORE_STRIPE, 10, 900, true, 4096),
+                    span(t1, 13, 12, names::STORE_LOCK, 12, 3, true, 0),
+                    span(t1, 11, 0, names::CLIENT_SUBMIT, 0, 1234, true, 8192),
                 ],
             },
-            WireTrace {
+            TraceRecord {
                 trace_id: 8,
                 root_span: 21,
                 duration_us: 50_000,
                 ok: false,
                 slow: true,
-                spans: vec![WireSpan {
-                    span_id: 21,
-                    parent_id: 77,
-                    name: "srv.request".into(),
-                    start_us: 3,
-                    duration_us: 50_000,
-                    ok: false,
-                    bytes: 0,
-                }],
+                spans: vec![span(8, 21, 0, names::SRV_REQUEST, 3, 50_000, false, 0)],
             },
-        ]));
+        ]
+    }
+
+    #[test]
+    fn trace_responses_round_trip() {
+        round_trip_response(Response::Traces(vec![]));
+        round_trip_response(Response::Traces(two_traces()));
+    }
+
+    /// [`two_traces`] in a TRACE response frame (request id 7) as the
+    /// encoder of commit 9c47915 wrote it, from its own wire types.
+    const PARENT_TRACE_FRAME: &str = "2f01000007000000000000000a2fcbaea202000000efcdab89674523010b00000000000000d2040000000000000100030000000c000000000000000b000000000000000c00000073746f72652e7374726970650a0000000000000084030000000000000100100000000000000d000000000000000c000000000000000a00000073746f72652e6c6f636b0c0000000000000003000000000000000100000000000000000b0000000000000000000000000000000d000000636c69656e742e7375626d69740000000000000000d2040000000000000100200000000000000800000000000000150000000000000050c3000000000000000101000000150000000000000000000000000000000b0000007372762e72657175657374030000000000000050c3000000000000000000000000000000";
+
+    #[test]
+    fn trace_bytes_match_the_parent_encoder() {
+        let want = Response::Traces(two_traces());
+        let frame = unhex(PARENT_TRACE_FRAME);
+        assert_eq!(
+            read_response(&mut frame.as_slice()).unwrap(),
+            (7, want.clone())
+        );
+        let mut wire = Vec::new();
+        write_response(&mut wire, 7, &want).unwrap();
+        assert_eq!(wire, frame, "TRACE bytes moved");
+    }
+
+    #[test]
+    fn an_undeclared_span_name_is_a_protocol_error() {
+        let mut traces = two_traces();
+        traces.truncate(1);
+        let mut e = Enc(Vec::new());
+        encode_traces(&mut e, &traces);
+        // Same length as `store.lock`, so only the name is wrong.
+        let at = e.0.windows(10).position(|w| w == b"store.lock").unwrap();
+        e.0[at..at + 10].copy_from_slice(b"store.lick");
+        let payload = e.0;
+        let sum = fletcher32(&payload);
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(13 + payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&5u64.to_le_bytes());
+        frame.push(Opcode::Trace as u8);
+        frame.extend_from_slice(&sum.to_le_bytes());
+        frame.extend_from_slice(&payload);
+        match read_response(&mut frame.as_slice()) {
+            Err(NetError::Protocol(msg)) => assert!(msg.contains("store.lick"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1399,22 +1342,6 @@ mod tests {
                 max: 7,
             },
         );
-        snap.slow_ops.push(TraceEvent {
-            t_us: 123_456,
-            kind: "write".into(),
-            shard: 2,
-            bytes: 4096,
-            duration_us: 15_000,
-            ok: true,
-        });
-        snap.slow_ops.push(TraceEvent {
-            t_us: 200_000,
-            kind: "scrub".into(),
-            shard: 0,
-            bytes: 0,
-            duration_us: 99_000,
-            ok: false,
-        });
         round_trip_response(Response::Metrics(snap));
     }
 
@@ -1540,6 +1467,13 @@ mod tests {
         ));
     }
 
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
     /// A STATUS response frame (request id 7) as the encoder of commit
     /// 78e4504 wrote it, when the wire form was a struct of its own
     /// (`WireShardStatus`): one shard per codec family.
@@ -1596,10 +1530,7 @@ mod tests {
                 (0, true, 0),
             ),
         ]);
-        let frame: Vec<u8> = (0..PARENT_STATUS_FRAME.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&PARENT_STATUS_FRAME[i..i + 2], 16).unwrap())
-            .collect();
+        let frame = unhex(PARENT_STATUS_FRAME);
         assert_eq!(
             read_response(&mut frame.as_slice()).unwrap(),
             (7, want.clone())

@@ -98,8 +98,8 @@ struct State {
     /// readers at server shutdown. Each reader removes its own entry on
     /// exit, so dead connections do not leak file descriptors.
     conns: Mutex<std::collections::HashMap<u64, TcpStream>>,
-    /// Per-opcode request counters, latency histograms, and the trace
-    /// journal; served back over the METRICS opcode.
+    /// Per-opcode request counters and latency histograms; served back
+    /// over the METRICS opcode.
     registry: MetricsRegistry,
     /// Ring of recent nonzero BATCH ids, server-wide: a client that
     /// lost its socket mid-batch reissues the frame under the same id
@@ -427,23 +427,20 @@ fn worker_loop(state: &State, shards: &ShardSet, info: &ServerInfo) {
             let _exec = trace::span(names::SRV_EXEC);
             execute(shards, info, &state.registry, job.req)
         };
-        let elapsed = start.elapsed();
-        record_request(&state.registry, kind, bytes, elapsed, &resp);
+        let ok = !matches!(resp, Response::Error(_));
+        record_request(&state.registry, kind, bytes, start.elapsed(), ok);
         // The root closes before the response frame is written: a
         // client holding its reply can already pull this trace, and
         // `srv.request` lies inside the client span that waited on it.
-        if let Some(mut g) = root {
-            g.set_bytes(bytes);
-            if matches!(resp, Response::Error(_)) {
-                g.fail();
-            }
-        }
+        // An untraced request is timed over the same interval, from
+        // frame parse, and kept only if it failed or was slow.
+        trace::finish_op(root, names::SRV_REQUEST, job.received, bytes, ok);
         job.writer.send(job.id, &resp);
     }
 }
 
 /// The byte count a request moves (write payloads plus requested read
-/// lengths); what the journal and throughput counters attribute to it.
+/// lengths); what its span and the throughput counters attribute to it.
 fn request_bytes(req: &Request) -> u64 {
     match req {
         Request::Batch { ops, .. } => ops.iter().map(|op| op.byte_len() as u64).sum(),
@@ -452,15 +449,14 @@ fn request_bytes(req: &Request) -> u64 {
 }
 
 /// Charges one completed request to the per-opcode counters, latency
-/// histogram, byte counter, and trace journal.
+/// histogram and byte counter.
 fn record_request(
     registry: &MetricsRegistry,
     kind: &str,
     bytes: u64,
     elapsed: std::time::Duration,
-    resp: &Response,
+    ok: bool,
 ) {
-    let ok = !matches!(resp, Response::Error(_));
     registry.counter(&format!("srv.req.{kind}")).inc();
     if !ok {
         registry.counter(&format!("srv.errors.{kind}")).inc();
@@ -471,7 +467,6 @@ fn record_request(
     if bytes > 0 {
         registry.counter(&format!("srv.bytes.{kind}")).add(bytes);
     }
-    registry.record_op(kind, 0, bytes, elapsed, ok);
 }
 
 /// Executes one request.

@@ -534,8 +534,10 @@ enum Step {
     Fault,
     /// Damage the footprint of a one-block write — corrupt the sector
     /// of its first parity, or fail the device holding its last — then
-    /// write block `block` of the fault shard's stripe `stripe`: the
-    /// store must take the restore path.
+    /// write block `block` of the fault shard's stripe `stripe`. The
+    /// store must restore a corrupted parity, and a data cell on a
+    /// failed device; a parity on a failed device is never written, so
+    /// it is left out.
     DamagedWrite {
         stripe: usize,
         block: usize,
@@ -649,8 +651,8 @@ fn recover_passes(dev: &dyn AdminDevice) -> u64 {
 
 /// Replays the session on `dev`, checking every result against the
 /// byte-array model — and the restore path against the damage: no
-/// recover pass while nothing is damaged, at least one per write into
-/// a damaged footprint; ends with repair, a clean scrub and a full
+/// recover pass while nothing is damaged, at least one per write whose
+/// footprint lost a sector it writes; ends with repair, a clean scrub and a full
 /// read-back. Returns how many one-read, one-write and other op lists
 /// it submitted — what a metering layer in front of `dev` must count.
 fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) -> [u64; 3] {
@@ -660,6 +662,8 @@ fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) -> [u64; 
     let shards = dev.status().expect("status").shards.len();
     let codec = build_codec(&model_opts(shards).code).expect("codec");
     let mut damaged = false;
+    // Devices failed on the fault shard so far.
+    let mut failed = Vec::new();
     // A fresh store is zero-filled.
     let mut model = vec![0u8; capacity];
     for (n, step) in session(capacity).into_iter().enumerate() {
@@ -704,6 +708,7 @@ fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) -> [u64; 
             Step::Fault => {
                 damaged = true;
                 dev.fail_device(fault_shard, 3).expect("fail device");
+                failed.push(3);
                 dev.corrupt_sectors(fault_shard, 5, 2, 1, 2)
                     .expect("corrupt burst");
             }
@@ -722,6 +727,7 @@ fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) -> [u64; 
                     damaged = true;
                     let (_, device) = *parities.last().expect("a parity");
                     dev.fail_device(fault_shard, device).expect("fail parity");
+                    failed.push(device);
                 } else {
                     let (row, device) = parities[0];
                     dev.corrupt_sectors(fault_shard, device, stripe, row, 1)
@@ -732,7 +738,9 @@ fn check_against_byte_array(dev: &dyn AdminDevice, fault_shard: usize) -> [u64; 
                 let before = recover_passes(dev);
                 writes += 1;
                 dev.write_at(at as u64, &data).expect("damaged write");
-                assert!(recover_passes(dev) > before, "step {n}: restore path");
+                let restores = !fail_parity || failed.contains(&cell.1);
+                let restored = recover_passes(dev) > before;
+                assert_eq!(restored, restores, "step {n}: restore path");
                 model[at..at + data.len()].copy_from_slice(&data);
                 if !fail_parity {
                     // The restore healed the sector: the footprint is

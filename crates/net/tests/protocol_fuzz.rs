@@ -19,7 +19,8 @@ use stair_net::protocol::{
     MAX_FRAME, PROTOCOL_VERSION, TRACE_FLAG,
 };
 use stair_net::{Client, NetError, Server, ServerConfig, ShardSet};
-use stair_obs::{HistogramSnapshot, MetricsSnapshot, TraceEvent};
+use stair_obs::trace::names;
+use stair_obs::{HistogramSnapshot, MetricsSnapshot, SpanRecord, TraceRecord};
 
 /// A representative valid request frame of every opcode family.
 fn sample_requests() -> Vec<Vec<u8>> {
@@ -76,15 +77,28 @@ fn sample_metrics() -> MetricsSnapshot {
             max: 3,
         },
     );
-    snap.slow_ops.push(TraceEvent {
-        t_us: 77,
-        kind: "batch".into(),
-        shard: 1,
-        bytes: 4096,
-        duration_us: 20_000,
-        ok: true,
-    });
     snap
+}
+
+/// A server outlier as a TRACE pull carries it: a one-span root.
+fn sample_trace() -> TraceRecord {
+    TraceRecord {
+        trace_id: 5,
+        root_span: 6,
+        duration_us: 20_000,
+        ok: false,
+        slow: true,
+        spans: vec![SpanRecord {
+            trace_id: 5,
+            span_id: 6,
+            parent_id: 0,
+            name: names::SRV_REQUEST,
+            start_us: 77,
+            duration_us: 20_000,
+            ok: false,
+            bytes: 4096,
+        }],
+    }
 }
 
 fn sample_responses() -> Vec<Vec<u8>> {
@@ -96,6 +110,7 @@ fn sample_responses() -> Vec<Vec<u8>> {
         Response::Flushed,
         Response::Batched(vec![]),
         Response::Metrics(sample_metrics()),
+        Response::Traces(vec![sample_trace()]),
         Response::Error("nope".into()),
     ];
     resps

@@ -8,11 +8,12 @@
 //! into the same flight recorder with the same clock epoch — which is
 //! what lets this test assert *interval* containment, not just parent
 //! pointers (the CI smoke checks the cross-process case, where only
-//! structure and durations are comparable).
+//! structure and durations are comparable). An untraced request the
+//! server fails comes back from a TRACE pull as a one-span outlier.
 
 use std::collections::HashMap;
 
-use stair_device::{BlockDevice, IoBatch};
+use stair_device::{BlockDevice, FaultAdmin, IoBatch};
 use stair_net::{Client, Server, ServerConfig, ShardSet};
 use stair_obs::trace::names;
 use stair_obs::{SpanRecord, TraceRecord};
@@ -195,6 +196,41 @@ fn traced_batch_yields_a_contained_four_layer_span_tree() {
             );
         }
     }
+
+    handle.shutdown();
+    server.join().expect("server thread").expect("server run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_untraced_failed_request_is_a_server_outlier() {
+    let dir = tmpdir("outlier");
+    let set = ShardSet::create(&dir, 1, &opts()).expect("create shards");
+    let server = Server::bind("127.0.0.1:0", set, ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = server.handle();
+    let server = std::thread::spawn(move || server.run());
+
+    // No span on this thread, so the frame carries no trace context.
+    let client = Client::connect(&addr).expect("connect");
+    assert!(client.fail_device(0, 99).is_err());
+    let outliers: Vec<TraceRecord> = client
+        .pull_traces()
+        .expect("pull")
+        .into_iter()
+        .filter(|t| !t.ok && t.spans.iter().any(|s| s.name == names::SRV_REQUEST))
+        .collect();
+    assert_eq!(outliers.len(), 1, "{outliers:?}");
+    let t = &outliers[0];
+    assert!(t.slow);
+    assert_eq!(t.spans.len(), 1);
+    let request = &t.spans[0];
+    assert_eq!(request.parent_id, 0, "no client span sent it");
+    assert!(!request.ok);
+    assert_eq!(
+        (request.span_id, request.trace_id),
+        (t.root_span, t.trace_id)
+    );
 
     handle.shutdown();
     server.join().expect("server thread").expect("server run");

@@ -107,5 +107,5 @@ fn a_server_of_any_other_version_is_refused_by_the_client() {
         theirs: 4,
     };
     let msg = err.to_string();
-    assert!(msg.contains("v5") && msg.contains("v4"), "{msg}");
+    assert!(msg.contains("v6") && msg.contains("v4"), "{msg}");
 }

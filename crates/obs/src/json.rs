@@ -62,8 +62,8 @@ impl Json {
 }
 
 /// Renders a metrics snapshot as the one JSON shape every surface
-/// shares (`stair dev metrics` on every backend): counters,
-/// gauges, histograms, and slow ops as **arrays of uniform objects**,
+/// shares (`stair dev metrics` on every backend): counters, gauges
+/// and histograms as **arrays of uniform objects**,
 /// so the key shape is identical across backends even though the
 /// metric *name* sets differ.
 pub fn metrics_json(snap: &crate::MetricsSnapshot) -> Json {
@@ -94,19 +94,6 @@ pub fn metrics_json(snap: &crate::MetricsSnapshot) -> Json {
                     ("p50_us", Json::int64(h.p50())),
                     ("p99_us", Json::int64(h.p99())),
                     ("max_us", Json::int64(h.max)),
-                ])
-            })),
-        ),
-        (
-            "slow_ops",
-            Json::arr(snap.slow_ops.iter().map(|ev| {
-                Json::obj([
-                    ("t_us", Json::int64(ev.t_us)),
-                    ("kind", Json::str(ev.kind.clone())),
-                    ("shard", Json::int(ev.shard as usize)),
-                    ("bytes", Json::int64(ev.bytes)),
-                    ("duration_us", Json::int64(ev.duration_us)),
-                    ("ok", Json::Bool(ev.ok)),
                 ])
             })),
         ),

@@ -1,24 +1,20 @@
 //! Dependency-free observability for the stair stack.
 //!
-//! Three layers, all safe to hammer from many threads:
+//! Four parts, all safe to hammer from many threads:
 //!
 //! * **[`MetricsRegistry`]** — named [`Counter`]s, [`Gauge`]s, and
 //!   fixed-bucket log₂ latency [`Histogram`]s. Registration (name →
 //!   handle) takes a lock once; the handles themselves are `Arc`-backed
 //!   atomics, so the hot path is lock-free relaxed increments.
-//! * **[`Journal`]** — a bounded ring buffer of structured
-//!   [`TraceEvent`]s (monotonic timestamp, op kind, shard, byte count,
-//!   duration, outcome) with a **slow-op capture**: events whose
-//!   duration exceeds a configurable threshold are retained in their own
-//!   ring with full context, so the outliers survive long after the
-//!   main ring has wrapped.
 //! * **[`trace`]** — request-scoped span trees: every layer of one
 //!   operation opens a named, timed span, context crosses threads and
 //!   (in trace-flagged frames) the wire, and completed traces land in a
 //!   per-process [`FlightRecorder`] whose slow/errored ring survives
-//!   the main ring's wrap — the journal's slow-op idiom, one level up.
-//! * **[`MetricsSnapshot`]** — a point-in-time, plain-data copy of
-//!   everything above. Snapshots merge (counters sum, histograms add
+//!   the main ring's wrap. That ring is the one outlier record: an op
+//!   no span covers lands there as a one-span trace when it failed or
+//!   was slow ([`trace::finish_op`]).
+//! * **[`MetricsSnapshot`]** — a point-in-time, plain-data copy of a
+//!   registry. Snapshots merge (counters sum, histograms add
 //!   bucket-wise), which is how per-shard and per-layer views fold into
 //!   one report, and serialize trivially: the wire encoding lives with
 //!   the protocol, and [`json::metrics_json`] is the one JSON shape.
@@ -46,14 +42,12 @@
 #![warn(missing_docs)]
 
 mod hist;
-mod journal;
 pub mod json;
 mod registry;
 mod snapshot;
 pub mod trace;
 
 pub use hist::{bucket_upper_bound, Histogram, HistogramSnapshot, BUCKETS};
-pub use journal::{Journal, TraceEvent, DEFAULT_SLOW_THRESHOLD_US};
 pub use registry::{metric_names, Counter, Gauge, MetricsRegistry};
 pub use snapshot::MetricsSnapshot;
 pub use trace::{FlightRecorder, SpanCtx, SpanRecord, TraceRecord};

@@ -3,10 +3,8 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::hist::Histogram;
-use crate::journal::Journal;
 use crate::snapshot::MetricsSnapshot;
 
 /// Reserved metric names, declared once.
@@ -95,7 +93,7 @@ impl Gauge {
     }
 }
 
-/// A registry of named metrics plus an embedded trace [`Journal`].
+/// A registry of named metrics.
 ///
 /// Registration (`counter`/`gauge`/`histogram`) takes a short lock to
 /// look up or create the named cell and hands back a lock-free handle;
@@ -109,7 +107,6 @@ pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    journal: Journal,
 }
 
 impl MetricsRegistry {
@@ -136,18 +133,7 @@ impl MetricsRegistry {
         map.entry(name.to_string()).or_default().clone()
     }
 
-    /// The embedded trace journal (ring buffer + slow-op capture).
-    pub fn journal(&self) -> &Journal {
-        &self.journal
-    }
-
-    /// Convenience: journal one completed op.
-    pub fn record_op(&self, kind: &str, shard: u32, bytes: u64, duration: Duration, ok: bool) {
-        self.journal.record(kind, shard, bytes, duration, ok);
-    }
-
-    /// A point-in-time copy of every registered metric plus the
-    /// journal's slow ops, names sorted.
+    /// A point-in-time copy of every registered metric, names sorted.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = self
             .counters
@@ -174,7 +160,6 @@ impl MetricsRegistry {
             counters,
             gauges,
             histograms,
-            slow_ops: self.journal.slow_ops(),
         }
     }
 }
@@ -208,8 +193,6 @@ mod tests {
         reg.counter("a.first").add(2);
         reg.gauge("mid").set(-7);
         reg.histogram("lat").record(42);
-        reg.journal().set_slow_threshold_us(0);
-        reg.record_op("read", 1, 64, Duration::from_micros(9), true);
 
         let snap = reg.snapshot();
         assert_eq!(
@@ -219,7 +202,5 @@ mod tests {
         assert_eq!(snap.gauges, vec![("mid".to_string(), -7)]);
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].1.count(), 1);
-        assert_eq!(snap.slow_ops.len(), 1);
-        assert_eq!(snap.slow_ops[0].kind, "read");
     }
 }

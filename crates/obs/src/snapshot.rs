@@ -1,14 +1,10 @@
 //! Plain-data snapshots of a registry, mergeable across layers.
 
 use crate::hist::HistogramSnapshot;
-use crate::journal::TraceEvent;
-
-/// Slow ops a merged snapshot retains (the slowest win).
-const MERGED_SLOW_CAP: usize = 64;
 
 /// A point-in-time copy of a [`MetricsRegistry`](crate::MetricsRegistry):
-/// sorted `(name, value)` lists plus the captured slow ops. Pure data —
-/// cloneable, comparable, and encodable by whoever owns a wire format.
+/// sorted `(name, value)` lists. Pure data — cloneable, comparable, and
+/// encodable by whoever owns a wire format.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counters, sorted by name.
@@ -17,8 +13,6 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(String, i64)>,
     /// Histograms, sorted by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Captured slow ops (each source's capture, merged by slowness).
-    pub slow_ops: Vec<TraceEvent>,
 }
 
 impl MetricsSnapshot {
@@ -75,10 +69,7 @@ impl MetricsSnapshot {
     }
 
     /// Folds another snapshot into this one: same-named counters and
-    /// gauges add, same-named histograms merge bucket-wise, and the
-    /// slow-op lists concatenate keeping the 64 slowest
-    /// (timestamps from different sources share no epoch, so slowness is
-    /// the only meaningful order).
+    /// gauges add, same-named histograms merge bucket-wise.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, v) in &other.counters {
             self.add_counter(name, *v);
@@ -89,10 +80,6 @@ impl MetricsSnapshot {
         for (name, h) in &other.histograms {
             self.add_histogram(name, h);
         }
-        self.slow_ops.extend(other.slow_ops.iter().cloned());
-        self.slow_ops
-            .sort_by_key(|ev| std::cmp::Reverse(ev.duration_us));
-        self.slow_ops.truncate(MERGED_SLOW_CAP);
     }
 }
 
@@ -138,29 +125,5 @@ mod tests {
         let h = a.histogram("lat").unwrap();
         assert_eq!(h.count(), 3);
         assert_eq!(h.max, 100_000);
-    }
-
-    #[test]
-    fn merged_slow_ops_keep_the_slowest() {
-        let event = |d: u64| TraceEvent {
-            t_us: 0,
-            kind: "read".into(),
-            shard: 0,
-            bytes: 0,
-            duration_us: d,
-            ok: true,
-        };
-        let mut a = MetricsSnapshot {
-            slow_ops: (0..60).map(event).collect(),
-            ..Default::default()
-        };
-        let b = MetricsSnapshot {
-            slow_ops: (1000..1010).map(event).collect(),
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.slow_ops.len(), MERGED_SLOW_CAP);
-        assert_eq!(a.slow_ops[0].duration_us, 1009);
-        assert!(a.slow_ops.iter().all(|e| e.duration_us >= 6));
     }
 }

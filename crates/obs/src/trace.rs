@@ -12,8 +12,10 @@
 //!
 //! Completed traces land in the process-global [`FlightRecorder`]: a
 //! bounded ring of recent traces plus a second ring that retains slow
-//! or errored traces after the main ring has wrapped — the same
-//! slow-op idiom as [`Journal`](crate::Journal), one level up.
+//! or errored traces after the main ring has wrapped. That slow ring is
+//! the stack's one outlier record: an op no recording span covers is
+//! filed there too, as a one-span trace, when it failed or was slow
+//! ([`finish_op`]).
 //!
 //! Tracing is **off by default**; [`set_enabled`] turns root-span
 //! minting on for the process. A disabled process still records spans
@@ -138,9 +140,9 @@ const MAX_PENDING_TRACES: usize = 256;
 /// Spans buffered per in-flight trace.
 const MAX_SPANS_PER_TRACE: usize = 512;
 
-/// Default slow-trace threshold: 10 ms end-to-end, matching the
-/// journal's slow-op default.
-pub const DEFAULT_SLOW_TRACE_US: u64 = crate::DEFAULT_SLOW_THRESHOLD_US;
+/// Default slow-trace threshold: 10 ms end-to-end. On a local or
+/// loopback data path anything slower is an outlier worth keeping.
+pub const DEFAULT_SLOW_TRACE_US: u64 = 10_000;
 
 /// The wire-portable part of a span: which trace, which span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -196,8 +198,7 @@ pub struct TraceRecord {
 
 /// The per-process trace sink: an epoch for timestamps, a buffer of
 /// in-flight traces, and two bounded rings of completed ones — recent
-/// traces, and slow/errored traces that survive the main ring's wrap
-/// (the [`Journal`](crate::Journal) slow-op idiom, one level up).
+/// traces, and slow/errored traces that survive the main ring's wrap.
 pub struct FlightRecorder {
     epoch: Instant,
     threshold_us: AtomicU64,
@@ -288,17 +289,34 @@ impl FlightRecorder {
             },
         };
         if record.slow {
-            let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
-            if slow.len() == SLOW_TRACE_CAP {
-                slow.pop_front();
-            }
-            slow.push_back(record.clone());
+            self.keep_slow(record.clone());
         }
         let mut ring = self.completed.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() == TRACE_RING_CAP {
             ring.pop_front();
         }
         ring.push_back(record);
+    }
+
+    /// Files `record` in the slow ring, dropping its oldest entry when
+    /// full. A one-span root — an untraced outlier, or a traced op with
+    /// no children — holds no context beyond its own timing, so those
+    /// fill at most half the ring: once they do, a new one replaces the
+    /// oldest of them, and a burst of failing untraced requests cannot
+    /// push out the traced slow traces `stair dev trace` explains.
+    fn keep_slow(&self, record: TraceRecord) {
+        let bare = |t: &TraceRecord| t.spans.len() == 1 && t.spans[0].parent_id == 0;
+        let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
+        let bares = slow.iter().filter(|t| bare(t)).count();
+        let evict = if bare(&record) && bares >= SLOW_TRACE_CAP / 2 {
+            slow.iter().position(bare)
+        } else {
+            (slow.len() == SLOW_TRACE_CAP).then_some(0)
+        };
+        if let Some(i) = evict {
+            slow.remove(i);
+        }
+        slow.push_back(record);
     }
 
     /// The retained completed traces, oldest first.
@@ -557,6 +575,52 @@ pub fn wire_root_at(
     g
 }
 
+/// Ends one op that started at `start` and moved `bytes` — the one
+/// capture rule for layer entry points. When `span` records, it takes
+/// the bytes and the outcome and closes. An op no recording span covers
+/// is kept only as an outlier: if it failed, or took at least the
+/// recorder's slow threshold, it is filed as a one-span root trace named
+/// `name`, marked slow, in the slow ring alone (the recent ring holds
+/// traced ops only).
+pub fn finish_op(
+    span: Option<SpanGuard>,
+    name: &'static str,
+    start: Instant,
+    bytes: u64,
+    ok: bool,
+) {
+    if let Some(mut g) = span.filter(SpanGuard::is_recording) {
+        g.set_bytes(bytes);
+        if !ok {
+            g.fail();
+        }
+        return;
+    }
+    let rec = recorder();
+    let duration_us = start.elapsed().as_micros() as u64;
+    if ok && duration_us < rec.slow_threshold_us() {
+        return;
+    }
+    let (trace_id, span_id) = (next_id(), next_id());
+    rec.keep_slow(TraceRecord {
+        trace_id,
+        root_span: span_id,
+        duration_us,
+        ok,
+        slow: true,
+        spans: vec![SpanRecord {
+            trace_id,
+            span_id,
+            parent_id: 0,
+            name,
+            start_us: rec.instant_us(start),
+            duration_us,
+            ok,
+            bytes,
+        }],
+    });
+}
+
 /// Records an already-measured interval as a child of the current
 /// span (no-op without one) — for waits measured with explicit
 /// timestamps, like queue time between enqueue and dequeue.
@@ -696,6 +760,94 @@ mod tests {
             .expect("errored trace retained");
         assert!(!t.ok);
         assert!(t.slow);
+    }
+
+    #[test]
+    fn an_untraced_outlier_is_a_one_span_slow_trace() {
+        let _flag = flag_lock();
+        set_enabled(false);
+        let t0 = Instant::now();
+        let held = |bytes| {
+            let slow = recorder().slow_traces();
+            slow.into_iter().find(|t| t.spans[0].bytes == bytes)
+        };
+        // Fast and ok: nothing kept.
+        finish_op(
+            Some(span_or_root(names::DEV_READ)),
+            names::DEV_READ,
+            t0,
+            777_101,
+            true,
+        );
+        assert!(held(777_101).is_none());
+        // Failed: kept in the slow ring, not the recent one.
+        finish_op(None, names::DEV_WRITE, t0, 777_102, false);
+        let t = held(777_102).expect("failed op kept");
+        assert!(!t.ok && t.slow);
+        assert_eq!(t.spans.len(), 1);
+        let root = &t.spans[0];
+        assert_eq!((root.name, root.parent_id), (names::DEV_WRITE, 0));
+        assert_eq!((root.span_id, root.trace_id), (t.root_span, t.trace_id));
+        assert!(recorder().traces().iter().all(|r| r.trace_id != t.trace_id));
+        // Slow and ok: kept too.
+        let long_ago = t0.checked_sub(Duration::from_micros(DEFAULT_SLOW_TRACE_US));
+        if let Some(long_ago) = long_ago {
+            finish_op(None, names::DEV_FLUSH, long_ago, 777_103, true);
+            assert!(held(777_103).expect("slow op kept").ok);
+        }
+    }
+
+    #[test]
+    fn a_burst_of_untraced_outliers_leaves_traced_slow_traces_kept() {
+        let rec = FlightRecorder::new();
+        let span = |trace_id, span_id, parent_id, ok| SpanRecord {
+            trace_id,
+            span_id,
+            parent_id,
+            name: names::CLIENT_WRITE,
+            start_us: 0,
+            duration_us: 2 * DEFAULT_SLOW_TRACE_US,
+            ok,
+            bytes: 0,
+        };
+        let cap = SLOW_TRACE_CAP as u64;
+        for id in 1..=cap {
+            rec.record_span(span(id, 2 * id, id, true));
+            rec.finish_root(span(id, id, 0, true));
+        }
+        for id in cap + 1..=4 * cap {
+            rec.keep_slow(TraceRecord {
+                trace_id: id,
+                root_span: id,
+                duration_us: 1,
+                ok: false,
+                slow: true,
+                spans: vec![span(id, id, 0, false)],
+            });
+        }
+        let kept: Vec<u64> = rec.slow_traces().iter().map(|t| t.trace_id).collect();
+        // The newest half of the traced ones, then the newest outliers.
+        let traced = cap / 2 + 1..=cap;
+        let outliers = 4 * cap - cap / 2 + 1..=4 * cap;
+        assert_eq!(kept, traced.chain(outliers).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_traced_op_is_its_span_not_an_outlier() {
+        let _flag = flag_lock();
+        set_enabled(true);
+        let span = span_or_root(names::DEV_SCRUB);
+        let ctx = span.ctx().expect("recording");
+        finish_op(Some(span), names::DEV_SCRUB, Instant::now(), 64, false);
+        set_enabled(false);
+        let t = find_trace(ctx.trace_id).expect("traced op completed");
+        assert_eq!(t.spans.len(), 1);
+        assert_eq!((t.spans[0].bytes, t.spans[0].ok), (64, false));
+        let slow = recorder().slow_traces();
+        assert_eq!(
+            slow.iter().filter(|s| s.trace_id == ctx.trace_id).count(),
+            1
+        );
     }
 
     #[test]

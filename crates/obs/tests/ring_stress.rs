@@ -1,133 +1,24 @@
-//! Ring-wrap and slow-retention stress for the two bounded recorders:
-//! the [`Journal`] event rings and the [`FlightRecorder`] trace rings.
-//! Both are written from request paths on many threads at once, so the
-//! properties under test are concurrent ones — events are never torn
-//! (every retained record is internally consistent with what exactly
-//! one writer produced), the main ring wraps at its cap, and slow
-//! entries survive a main-ring wrap in their own ring.
+//! Ring-wrap and slow-retention stress for the bounded recorder, the
+//! [`FlightRecorder`]'s trace rings. They are written from request
+//! paths on many threads at once, so the properties under test are
+//! concurrent ones — traces are never torn (every retained record is
+//! internally consistent with what exactly one writer produced), the
+//! main ring wraps at its cap, and slow entries survive a main-ring
+//! wrap in their own ring.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
-use stair_obs::{FlightRecorder, Journal, SpanRecord};
+use stair_obs::{FlightRecorder, SpanRecord};
 
 const WRITERS: usize = 8;
-const JOURNAL_RING_CAP: usize = 1024;
-const JOURNAL_SLOW_CAP: usize = 64;
 const TRACE_RING_CAP: usize = 128;
 const SLOW_TRACE_CAP: usize = 32;
 
-/// Encodes (writer, seq) into an event so a retained record can be
+/// Encodes (writer, seq) into a span so a retained record can be
 /// checked against exactly what its writer constructed.
 fn fingerprint(writer: u64, seq: u64) -> u64 {
     writer * 1_000_000 + seq
 }
-
-#[test]
-fn journal_ring_wraps_without_tearing_under_concurrent_writers() {
-    let journal = Journal::new();
-    // Every event is fast; each writer floods well past the ring cap.
-    let per_writer = (2 * JOURNAL_RING_CAP) as u64;
-    std::thread::scope(|scope| {
-        for w in 0..WRITERS as u64 {
-            let journal = &journal;
-            scope.spawn(move || {
-                for seq in 0..per_writer {
-                    // kind and bytes both derive from (writer, seq): a
-                    // torn event would disagree with itself.
-                    let kind = if seq.is_multiple_of(2) {
-                        "read"
-                    } else {
-                        "write"
-                    };
-                    journal.record(
-                        kind,
-                        w as u32,
-                        fingerprint(w, seq),
-                        Duration::from_micros(seq % 2),
-                        true,
-                    );
-                }
-            });
-        }
-    });
-
-    let recent = journal.recent();
-    assert_eq!(recent.len(), JOURNAL_RING_CAP, "main ring wraps at cap");
-    for event in &recent {
-        let w = event.shard as u64;
-        assert!(w < WRITERS as u64, "shard field is a writer id");
-        let seq = event.bytes - fingerprint(w, 0);
-        assert!(seq < per_writer, "bytes fingerprint matches its writer");
-        let expected_kind = if seq.is_multiple_of(2) {
-            "read"
-        } else {
-            "write"
-        };
-        assert_eq!(
-            event.kind, expected_kind,
-            "kind agrees with the bytes fingerprint — the event is not torn"
-        );
-        assert_eq!(event.duration_us, seq % 2);
-        assert!(event.ok);
-    }
-    // Timestamps are monotone non-decreasing in retention order: ring
-    // order is real arrival order, not interleaved garbage.
-    for pair in recent.windows(2) {
-        assert!(pair[0].t_us <= pair[1].t_us);
-    }
-}
-
-#[test]
-fn journal_slow_ops_survive_main_ring_wrap() {
-    let journal = Journal::new();
-    journal.set_slow_threshold_us(1_000);
-
-    // Phase 1: a handful of slow ops, concurrently.
-    std::thread::scope(|scope| {
-        for w in 0..4u64 {
-            let journal = &journal;
-            scope.spawn(move || {
-                for seq in 0..4u64 {
-                    journal.record(
-                        "slow",
-                        w as u32,
-                        fingerprint(w, seq),
-                        Duration::from_millis(2),
-                        true,
-                    );
-                }
-            });
-        }
-    });
-
-    // Phase 2: flood the main ring with fast ops until it wraps many
-    // times over.
-    std::thread::scope(|scope| {
-        for w in 0..WRITERS as u64 {
-            let journal = &journal;
-            scope.spawn(move || {
-                for seq in 0..(2 * JOURNAL_RING_CAP) as u64 {
-                    journal.record("fast", w as u32, seq, Duration::from_micros(1), true);
-                }
-            });
-        }
-    });
-
-    // The main ring has forgotten the slow phase entirely …
-    assert!(journal.recent().iter().all(|e| e.kind == "fast"));
-    // … but the slow ring retained every slow op, intact.
-    let slow = journal.slow_ops();
-    assert_eq!(slow.len(), 16, "all slow ops retained");
-    assert!(slow.len() <= JOURNAL_SLOW_CAP);
-    for event in &slow {
-        assert_eq!(event.kind, "slow");
-        let w = event.shard as u64;
-        assert!(w < 4 && event.bytes - fingerprint(w, 0) < 4, "not torn");
-    }
-}
-
-// ---- flight recorder ----------------------------------------------
 
 /// One writer's traces: `roots` roots under distinct trace ids, each
 /// with `children` child spans, every field derived from

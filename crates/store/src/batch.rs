@@ -22,8 +22,9 @@
 //! only: for every written block its data cell and the parity cells
 //! that depend on it ([`stair_code::ErasureCode::dependents`] — `1 +
 //! penalty(d)` sectors, the paper's §6.3 update cost), and for every
-//! read fragment in the same stripe its data cell. Each is read once
-//! and checksum-verified into a small per-stripe cell map, patched
+//! read fragment in the same stripe its data cell. A parity on a
+//! `Failed` device is never written, so it is left out. Each is read
+//! once and checksum-verified into a small per-stripe cell map, patched
 //! with `parity ^= c·(old ⊕ new)`
 //! ([`stair_code::ErasureCode::fold_delta`]), journaled and written
 //! back. A footprint cell that is lost — on a `Failed` or `Rebuilding`
@@ -77,7 +78,7 @@ use std::ops::Range;
 use stair_code::{CellIdx, CodeError, ErasureCode, StripeBuf};
 use stair_device::{BatchResult, IoBatch, OpRef, OpResult, WriteOutcome};
 
-use crate::{Error, StripeStore};
+use crate::{DeviceState, Error, StripeStore};
 
 /// A stripe's journal payload: the cells to record, and whether they
 /// form a full-stripe data image (parity recomputed at replay).
@@ -114,30 +115,34 @@ impl StagedCells {
 }
 
 /// Writes `incoming` at byte `at` of data cell `cell` in a staged
-/// footprint and folds the change into its dependent parities — the
-/// codec's one definition of the delta arithmetic — returning them.
-fn patch<'c>(
+/// footprint and folds the change into those of its dependent parities
+/// the footprint staged — the codec's one definition of the delta
+/// arithmetic — returning them. The footprint decides which parities a
+/// write keeps, so what is returned is always staged.
+fn patch(
     cells: &mut BTreeMap<CellIdx, Vec<u8>>,
-    codec: &'c dyn ErasureCode,
+    codec: &dyn ErasureCode,
     cell: CellIdx,
     incoming: &[u8],
     at: usize,
-) -> Result<&'c [CellIdx], CodeError> {
-    let outside =
-        |c: CellIdx| CodeError::Internal(format!("{c:?} is outside the staged footprint"));
-    let parities = codec.dependents(cell)?;
-    let old = cells.get_mut(&cell).ok_or_else(|| outside(cell))?;
+) -> Result<Vec<CellIdx>, CodeError> {
+    let old = cells
+        .get_mut(&cell)
+        .ok_or_else(|| CodeError::Internal(format!("{cell:?} is outside the staged footprint")))?;
     let mut delta = vec![0; old.len()];
     let window = delta.iter_mut().zip(old.iter_mut()).skip(at);
     for ((d, o), &new) in window.zip(incoming) {
         *d = *o ^ new;
         *o = new;
     }
-    for &parity in parities {
-        let into = cells.get_mut(&parity).ok_or_else(|| outside(parity))?;
-        codec.fold_delta(cell, parity, &delta, into)?;
+    let mut patched = Vec::new();
+    for &parity in codec.dependents(cell)? {
+        if let Some(into) = cells.get_mut(&parity) {
+            codec.fold_delta(cell, parity, &delta, into)?;
+            patched.push(parity);
+        }
     }
-    Ok(parities)
+    Ok(patched)
 }
 
 /// A stripe staged in memory (encoded, results recorded) whose
@@ -401,18 +406,22 @@ impl StripeStore {
         }
 
         // Partial: read-modify-write over the footprint — each written
-        // block's data cell and dependent parities, each read block's
+        // block's data cell and its dependent parities not on a `Failed`
+        // device (never written, so never needed), each read block's
         // data cell — restored where any of it is lost. Load once, patch
         // every dirty cell, serve reads from the staged cells, write back
         // once.
         let _delta = stair_obs::trace::span(stair_obs::trace::names::STORE_DELTA);
+        let devices = sh.integrity.device_states();
         let mut footprint: BTreeSet<CellIdx> = BTreeSet::new();
         for f in frags {
             for block in f.blocks.clone() {
                 let cell = sh.blocks.locate(block)?.cell;
                 footprint.insert(cell);
                 if ops[f.op].is_write() {
-                    footprint.extend(sh.codec.dependents(cell)?);
+                    let parities = sh.codec.dependents(cell)?.iter();
+                    footprint
+                        .extend(parities.filter(|&&(_, dev)| devices[dev] != DeviceState::Failed));
                 }
             }
         }
@@ -491,7 +500,7 @@ fn write_slot(results: &mut [OpResult], i: usize) -> &mut WriteOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BadSector, DeviceState, StoreOptions, StripeStore};
+    use crate::{BadSector, StoreOptions, StripeStore};
     use stair_code::ErasureSet;
     use stair_device::IoOp;
     use std::path::PathBuf;
@@ -990,6 +999,9 @@ mod tests {
         store: StripeStore,
         bytes: Vec<u8>,
         down: BTreeSet<usize>,
+        /// The devices of `down` that are `Failed`: never written, so
+        /// a write's footprint leaves their parities out.
+        failed: BTreeSet<usize>,
         bad: BTreeSet<(usize, usize, usize)>,
         rng: Rng,
     }
@@ -1004,7 +1016,8 @@ mod tests {
                 let cell = self.store.geometry().data_cells[block % per];
                 let footprint = by_stripe.entry(block / per).or_default();
                 footprint.insert(cell);
-                footprint.extend(self.store.codec().dependents(cell).unwrap());
+                let parities = self.store.codec().dependents(cell).unwrap().iter();
+                footprint.extend(parities.filter(|(_, dev)| !self.failed.contains(dev)));
             }
             by_stripe
         }
@@ -1129,6 +1142,7 @@ mod tests {
                 store,
                 bytes: base,
                 down: BTreeSet::new(),
+                failed: BTreeSet::new(),
                 bad: BTreeSet::new(),
                 rng: Rng(0x5EED ^ spec.len() as u64),
             };
@@ -1154,12 +1168,14 @@ mod tests {
                 m.write(block * sym, sym);
                 assert!(m.bad.is_empty());
             }
-            // Fail the device holding one parity of the next write.
+            // Fail the device holding one parity of the next write: the
+            // write leaves that parity out and restores nothing.
             let block = 4 * per + m.rng.below(per);
             let cell = m.store.geometry().data_cells[block % per];
             let (_, parity_dev) = *m.store.codec().dependents(cell).unwrap().last().unwrap();
             m.store.fail_device(parity_dev).unwrap();
             m.down.insert(parity_dev);
+            m.failed.insert(parity_dev);
             m.write(block * sym, sym);
             for _ in 0..12 {
                 m.random_write();
@@ -1169,6 +1185,7 @@ mod tests {
             // `Rebuilding`, no stripe rebuilt yet. Writes go on — through
             // the restore path exactly when they touch it.
             rebuilding(&m.store, parity_dev);
+            m.failed.remove(&parity_dev);
             for _ in 0..12 {
                 m.random_write();
             }
@@ -1464,6 +1481,132 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A parity on a `Failed` device is never written, so a write does
+    /// not need it back: with row 0 at its limit (a failed parity device
+    /// and two bad data sectors), a write to a surviving data sector of
+    /// that row still lands, and the row's live parity follows it.
+    #[test]
+    fn a_write_does_not_restore_a_parity_it_cannot_write() {
+        let dir = tmpdir("failed-parity");
+        let opts = StoreOptions {
+            code: "rs:8,4,2".parse().unwrap(),
+            symbol: 64,
+            stripes: 2,
+        };
+        let store = StripeStore::create(&dir, &opts).unwrap();
+        let base = pattern(store.capacity() as usize, 8);
+        store.write_at(0, &base).unwrap();
+        store.fail_device(7).unwrap();
+        for dev in [1, 2] {
+            store.corrupt_sectors(dev, 0, 0, 1).unwrap();
+        }
+        assert_eq!(store.scrub(1).unwrap().mismatches.len(), 2);
+
+        let sym = store.block_size();
+        let k = store
+            .geometry()
+            .data_cells
+            .iter()
+            .position(|&c| c == (0, 0))
+            .unwrap();
+        let block = k * sym..(k + 1) * sym;
+        assert!(store.read_at(block.start as u64, sym).unwrap() == base[block.clone()]);
+        let fresh = pattern(sym, 77);
+        store.write_at(block.start as u64, &fresh).unwrap();
+        assert!(store.read_at(block.start as u64, sym).unwrap() == fresh);
+
+        // (0,6) is the parity the whole row, new bytes included, encodes to.
+        let mut expected = base.clone();
+        expected[block].copy_from_slice(&fresh);
+        let stripe = stripe_zero(&store, &expected);
+        assert!(disk_image(&store)[&(0, 0, 6)] == stripe.cell((0, 6)));
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Stripe 0 as the codec encodes it from the logical bytes `bytes`.
+    fn stripe_zero(store: &StripeStore, bytes: &[u8]) -> StripeBuf {
+        let geom = store.geometry();
+        let sym = store.block_size();
+        let mut stripe = StripeBuf::new(geom.r, geom.n, sym).unwrap();
+        for (j, &cell) in geom.data_cells.iter().enumerate() {
+            stripe.set_cell(cell, &bytes[j * sym..(j + 1) * sym]);
+        }
+        store.codec().encode(&mut stripe).unwrap();
+        stripe
+    }
+
+    /// Repair's first phase moves `Failed` devices to `Rebuilding`
+    /// without a stripe lock, so it can land between a write's staging
+    /// and its commit. The commit then finds the device writable, but
+    /// the write never staged its parity there: it persists only what it
+    /// patched, and the repair that follows rebuilds that parity from
+    /// the new row.
+    #[test]
+    fn a_parity_device_rebuilding_before_the_commit_is_left_to_repair() {
+        let dir = tmpdir("rebuilding-parity");
+        let opts = StoreOptions {
+            code: "rs:8,4,2".parse().unwrap(),
+            symbol: 64,
+            stripes: 2,
+        };
+        let store = StripeStore::create(&dir, &opts).unwrap();
+        let base = pattern(store.capacity() as usize, 8);
+        store.write_at(0, &base).unwrap();
+        store.fail_device(7).unwrap();
+
+        let sym = store.block_size();
+        let k = store
+            .geometry()
+            .data_cells
+            .iter()
+            .position(|&c| c == (0, 0))
+            .unwrap();
+        let block = k * sym..(k + 1) * sym;
+        let fresh = pattern(sym, 77);
+        let ops = [OpRef::Write {
+            offset: block.start as u64,
+            data: &fresh,
+        }];
+        let mut results: Vec<OpResult> = ops.iter().map(OpRef::seed).collect();
+        let frags = [Fragment {
+            op: 0,
+            blocks: k..k + 1,
+        }];
+        {
+            let _guards = store.lock_stripes(&[0]);
+            let staged = store
+                .stage_stripe(0, &frags, &ops, &mut results)
+                .unwrap()
+                .unwrap();
+            let (StagedCells::Sparse(cells), Some(touched)) = (&staged.cells, &staged.touched)
+            else {
+                panic!("a one-block write stages its footprint");
+            };
+            assert!(!cells.contains_key(&(0, 7)));
+            assert!(touched.iter().all(|c| cells.contains_key(c)));
+            rebuilding(&store, 7);
+            store.group_commit(&[staged]).unwrap();
+            store.shared.integrity.persist().unwrap();
+        }
+        assert!(store.read_at(block.start as u64, sym).unwrap() == fresh);
+
+        let report = store.repair(1).unwrap();
+        assert!(report.complete());
+        let mut expected = base.clone();
+        expected[block].copy_from_slice(&fresh);
+        let stripe = stripe_zero(&store, &expected);
+        let image = disk_image(&store);
+        for (&(s, row, dev), sector) in &image {
+            if s == 0 {
+                assert!(*sector == stripe.cell((row, dev)), "({row},{dev})");
+            }
+        }
+        assert!(store.scrub(1).unwrap().mismatches.is_empty());
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn degraded_reads_plan_fall_back_and_stay_a_byte_array() {
         for spec in ["stair:8,4,2,1-1-2", "sd:8,4,2,2", "rs:8,4,2"] {
@@ -1481,6 +1624,7 @@ mod tests {
                 store,
                 bytes: base,
                 down: BTreeSet::new(),
+                failed: BTreeSet::new(),
                 bad: BTreeSet::new(),
                 rng: Rng(0xD15C ^ spec.len() as u64),
             };
@@ -1514,11 +1658,13 @@ mod tests {
             let gone = m.rng.below(m.store.geometry().n);
             m.store.fail_device(gone).unwrap();
             m.down.insert(gone);
+            m.failed.insert(gone);
             m.bad.retain(|&(_, _, dev)| dev != gone);
             session(&mut m, 30);
             m.assert_bytes();
             // Its replacement is attached but not rebuilt: still lost.
             rebuilding(&m.store, gone);
+            m.failed.remove(&gone);
             session(&mut m, 20);
             m.assert_bytes();
             // Repair reads only what it rebuilds from: damage no read

@@ -75,15 +75,11 @@
 //! to sync, one `fdatasync` then flushes both, and the second's own
 //! finds nothing dirty.
 //!
-//! Knobs (read once per store open):
-//!
-//! * `STAIR_JOURNAL=0` disables appends (replay of an existing journal
-//!   still runs — a log written by an enabled run must still recover);
-//! * `STAIR_JOURNAL_SYNC=0` skips the per-commit fsync (still correct
-//!   against `kill -9`, which does not drop the page cache; only
-//!   power loss needs the fsync);
-//! * `STAIR_JOURNAL_SEGMENT=<bytes>` sets the segment capacity at
-//!   store creation (recorded in the v3 superblock thereafter).
+//! One knob, read once per store open: `STAIR_JOURNAL=0` disables
+//! appends (replay of an existing journal still runs — a log written by
+//! an enabled run must still recover). A store is created with a
+//! [`DEFAULT_JOURNAL_SEGMENT`] segment, which its v3 superblock records;
+//! a store opens with whatever capacity its superblock records.
 
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -98,8 +94,7 @@ use stair_gf::fletcher32;
 /// File name of the journal segment inside a store directory.
 pub const JOURNAL_FILE: &str = "journal.stair";
 
-/// Segment capacity used when `STAIR_JOURNAL_SEGMENT` is unset at
-/// store creation.
+/// Segment capacity a store is created with.
 pub const DEFAULT_JOURNAL_SEGMENT: u64 = 8 * 1024 * 1024;
 
 /// Magic prefix of the segment file.
@@ -141,15 +136,6 @@ fn mutex_lock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `true` unless env var `name` is set to exactly `0`.
 fn env_flag(name: &str) -> bool {
     !matches!(std::env::var(name).as_deref(), Ok("0"))
-}
-
-/// The segment capacity requested by the environment at store creation.
-pub fn env_journal_segment() -> u64 {
-    std::env::var("STAIR_JOURNAL_SEGMENT")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(|v| v.max(HEADER_LEN))
-        .unwrap_or(DEFAULT_JOURNAL_SEGMENT)
 }
 
 struct Inner {
@@ -214,8 +200,8 @@ impl CommitGuard<'_> {
 
     /// Lands every record appended through this guard at the live end
     /// of the segment — one positioned write, terminator included — and
-    /// makes them durable (one fdatasync, skipped under
-    /// `STAIR_JOURNAL_SYNC=0`). Nothing appended, nothing done. Must run
+    /// makes them durable (one fdatasync). Nothing appended, nothing
+    /// done. Must run
     /// before the caller's first in-place sector write.
     ///
     /// # Errors
@@ -239,7 +225,6 @@ pub struct Journal {
     /// no further, whatever capacity the superblock claims.
     len_at_open: u64,
     enabled: bool,
-    sync: bool,
     inner: Mutex<Inner>,
     /// Shared by committers (append → write-back), exclusive for
     /// checkpoint truncation. Gate holders acquire no further locks
@@ -300,7 +285,6 @@ impl Journal {
             capacity,
             len_at_open: len,
             enabled: env_flag("STAIR_JOURNAL"),
-            sync: env_flag("STAIR_JOURNAL_SYNC"),
             // `used` starts at the header: the file length no longer
             // marks the live end. A reopen over live records must
             // replay first — replay re-derives `used` from the parse —
@@ -431,9 +415,7 @@ impl Journal {
         self.appends
             .fetch_add(records, std::sync::atomic::Ordering::Relaxed);
         drop(inner);
-        if self.sync {
-            mutex_lock(&self.inner).file.sync_data()?;
-        }
+        mutex_lock(&self.inner).file.sync_data()?;
         Ok(())
     }
 
@@ -453,9 +435,7 @@ impl Journal {
         let mut inner = mutex_lock(&self.inner);
         persist()?;
         inner.file.write_all_at(&TERMINATOR, HEADER_LEN)?;
-        if self.sync {
-            inner.file.sync_data()?;
-        }
+        inner.file.sync_data()?;
         inner.used = HEADER_LEN;
         inner.file_len = inner.file_len.max(HEADER_LEN + TERMINATOR.len() as u64);
         self.checkpoints
@@ -784,20 +764,14 @@ mod tests {
         commit(&j, 9, &b, true, || Ok(()));
         commit(&j, 2, &c, false, || Ok(()));
         let grouped = tmpdir("bytes-grouped");
-        // Without the fsync the group is written all the same.
-        for sync in [true, false] {
-            let _ = std::fs::remove_file(grouped.join(JOURNAL_FILE));
-            let mut g = Journal::open_or_create(&grouped, 16, 4096).unwrap();
-            g.sync = sync;
-            commit_group(&g, [(4, &a, false), (9, &b, true), (2, &c, false)]);
-            assert_eq!(g.append_count(), 3);
-            assert_eq!(g.used_bytes(), j.used_bytes());
-            assert!(
-                std::fs::read(grouped.join(JOURNAL_FILE)).unwrap()
-                    == std::fs::read(singly.join(JOURNAL_FILE)).unwrap(),
-                "sync = {sync}"
-            );
-        }
+        let g = Journal::open_or_create(&grouped, 16, 4096).unwrap();
+        commit_group(&g, [(4, &a, false), (9, &b, true), (2, &c, false)]);
+        assert_eq!(g.append_count(), 3);
+        assert_eq!(g.used_bytes(), j.used_bytes());
+        assert!(
+            std::fs::read(grouped.join(JOURNAL_FILE)).unwrap()
+                == std::fs::read(singly.join(JOURNAL_FILE)).unwrap()
+        );
         std::fs::remove_dir_all(&singly).unwrap();
         std::fs::remove_dir_all(&grouped).unwrap();
     }

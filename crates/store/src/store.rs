@@ -55,7 +55,7 @@ use stair_device::ShardHealth;
 
 use crate::device::{DeviceSet, SectorRead};
 use crate::integrity::{DeviceState, Integrity};
-use crate::journal::{env_journal_segment, Journal};
+use crate::journal::{Journal, DEFAULT_JOURNAL_SEGMENT};
 use crate::layout::BlockMap;
 use crate::meta::StoreMeta;
 use crate::Error;
@@ -234,7 +234,7 @@ impl StripeStore {
             codec: opts.code.clone(),
             symbol: opts.symbol,
             stripes: opts.stripes,
-            journal_segment: env_journal_segment(),
+            journal_segment: DEFAULT_JOURNAL_SEGMENT,
             // The store is live from here until a clean close.
             clean_shutdown: false,
         };
