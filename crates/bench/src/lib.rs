@@ -1,54 +1,124 @@
-//! Shared infrastructure for the table/figure harnesses that regenerate
-//! the STAIR paper's evaluation (§5.3, §6, §7).
+//! Li & Lee's evaluation (§5.3, §6, §7, App. B), regenerated as one
+//! table of figures.
 //!
-//! Each binary under `src/bin/` reproduces one table or figure and prints
-//! the same rows/series the paper reports. Absolute throughput depends on
-//! the host; the *shapes* (who wins, by what factor, where crossovers sit)
-//! are the reproduction targets recorded in `EXPERIMENTS.md`.
-//!
-//! Environment knobs:
-//! * `STAIR_BENCH_STRIPE_MB` — stripe size for speed tests (default 8; the
-//!   paper uses 32);
-//! * `STAIR_BENCH_REPS` — timed repetitions per point (default 3).
+//! Each entry of [`FIGURES`] computes one table or figure at a [`Scale`]
+//! and returns a [`Figure`]: its labelled rows, and the paper's claims
+//! about them as predicates over those rows. The `paper` bin prints a
+//! figure (`paper <name>`) or evaluates every claim (`paper --check`);
+//! `tests/paper.rs` at the workspace root holds the analytic claims.
+//! Absolute speeds depend on the host, so a timed claim (Figs. 11–13) is
+//! a ratio of two speeds measured in one window, never a number.
 //!
 //! Numbers about the *system* around the codes (store, cache, wire) come
 //! from `benchmark/run.sh`, not from this crate.
 
-use std::fmt::Write as _;
-use std::time::Instant;
+mod analytic;
+mod figure;
+mod speed;
 
-use stair::{Config, EncodingMethod, GlobalPlacement, MultXorCounts, StairCodec, Stripe};
-use stair_code::{CodeError, ErasureCode, ErasureSet, StripeBuf};
+pub use figure::{Claim, Figure, Scale, Verdict};
+
+use analytic::{
+    fig09, fig10, fig14, fig15, fig17, fig18, fig19a, fig19b, mc, table2, table3, table4,
+};
+use speed::{fig11, fig12, fig13};
+use stair::{Config, MultXorCounts};
+use stair_code::{CodeError, ErasureCode};
 use stair_gf::{Field, Gf16, Gf8};
 use stair_sd::SdCode;
 
-/// Stripe size in bytes for throughput measurements.
-pub fn stripe_bytes() -> usize {
-    let mb: usize = std::env::var("STAIR_BENCH_STRIPE_MB")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    mb * 1024 * 1024
+/// One entry of the figure table.
+pub struct Entry {
+    /// What `paper <name>` takes.
+    pub name: &'static str,
+    /// The paper artifact it regenerates.
+    pub artifact: &'static str,
+    /// Computes the figure.
+    pub run: fn(Scale) -> Figure,
 }
 
-/// Timed repetitions per measurement point.
-pub fn reps() -> usize {
-    std::env::var("STAIR_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-}
+/// Every table and figure of the paper's evaluation, in paper order.
+pub const FIGURES: &[Entry] = &[
+    Entry {
+        name: "table2",
+        artifact: "Table 2: upstairs decoding of the running example",
+        run: table2,
+    },
+    Entry {
+        name: "table3",
+        artifact: "Table 3: downstairs encoding of the running example",
+        run: table3,
+    },
+    Entry {
+        name: "fig09",
+        artifact: "Fig. 9: Mult_XORs of the three encoding methods",
+        run: fig09,
+    },
+    Entry {
+        name: "fig10",
+        artifact: "Fig. 10: devices saved",
+        run: fig10,
+    },
+    Entry {
+        name: "fig11",
+        artifact: "Fig. 11: encoding speed, STAIR vs SD (timed)",
+        run: fig11,
+    },
+    Entry {
+        name: "fig12",
+        artifact: "Fig. 12: encoding speed vs stripe size (timed)",
+        run: fig12,
+    },
+    Entry {
+        name: "fig13",
+        artifact: "Fig. 13: worst-case decoding speed (timed)",
+        run: fig13,
+    },
+    Entry {
+        name: "fig14",
+        artifact: "Fig. 14: update penalty of STAIR codes",
+        run: fig14,
+    },
+    Entry {
+        name: "fig15",
+        artifact: "Fig. 15: update penalty, STAIR vs SD vs RS",
+        run: fig15,
+    },
+    Entry {
+        name: "table4",
+        artifact: "Table 4: arrays N_arr for 10 PiB (Eq. 7)",
+        run: table4,
+    },
+    Entry {
+        name: "fig17",
+        artifact: "Fig. 17: MTTDL, independent sector failures",
+        run: fig17,
+    },
+    Entry {
+        name: "fig18",
+        artifact: "Fig. 18: MTTDL, correlated sector failures",
+        run: fig18,
+    },
+    Entry {
+        name: "fig19a",
+        artifact: "Fig. 19(a): burst-length CDFs",
+        run: fig19a,
+    },
+    Entry {
+        name: "fig19b",
+        artifact: "Fig. 19(b): MTTDL vs s, e = (s) vs (1, s−1)",
+        run: fig19b,
+    },
+    Entry {
+        name: "mc",
+        artifact: "App. B: Monte-Carlo cross-check of P_str",
+        run: mc,
+    },
+];
 
-/// Measures throughput in MB/s over `reps` runs of `f` (after one warmup),
-/// counting `total_bytes` of payload per run.
-pub fn throughput_mbps(total_bytes: usize, reps: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    (total_bytes as f64 * reps as f64) / elapsed / (1024.0 * 1024.0)
+/// The figure table's entry called `name`.
+pub fn figure(name: &str) -> Option<&'static Entry> {
+    FIGURES.iter().find(|e| e.name == name)
 }
 
 /// All non-decreasing partitions of `s` (the candidate `e` vectors for a
@@ -92,188 +162,27 @@ pub fn worst_case_e(n: usize, r: usize, m: usize, s: usize) -> Option<Vec<usize>
     })
 }
 
-/// An encoded STAIR stripe ready for benchmarking, with its codec.
-pub struct StairBench {
-    /// The codec under test.
-    pub codec: StairCodec,
-    /// An encoded stripe of roughly [`stripe_bytes`] size.
-    pub stripe: Stripe,
-}
-
-impl StairBench {
-    /// Builds codec and filled stripe for `(n, r, m, e)` sized to
-    /// `stripe_size` bytes total.
-    pub fn new(n: usize, r: usize, m: usize, e: &[usize], stripe_size: usize) -> Self {
-        let config = Config::new(n, r, m, e).expect("valid benchmark config");
-        let symbol = (stripe_size / (n * r)).max(16) & !15; // 16-byte aligned
-        let codec = StairCodec::new(config.clone()).expect("codec");
-        let mut stripe = Stripe::new(config, symbol.max(16)).expect("stripe");
-        stripe.fill_pattern(0x5A);
-        Self { codec, stripe }
-    }
-
-    /// Total stored bytes of the stripe.
-    pub fn total_bytes(&self) -> usize {
-        self.stripe.symbol_size() * self.codec.config().n() * self.codec.config().r()
-    }
-
-    /// The worst-case erasure pattern of §6.2.2: the `m` leftmost chunks
-    /// plus `e_i` sectors at the bottom of the following `m'` chunks.
-    pub fn worst_case_erasures(&self) -> Vec<(usize, usize)> {
-        let cfg = self.codec.config();
-        let (r, m) = (cfg.r(), cfg.m());
-        let mut erased: Vec<(usize, usize)> = Vec::new();
-        for c in 0..m {
-            erased.extend((0..r).map(|row| (row, c)));
-        }
-        for (i, &el) in cfg.e().iter().enumerate() {
-            let c = m + i;
-            erased.extend((r - el..r).map(|row| (row, c)));
-        }
-        erased
+/// The field width an SD code over an `n × r` stripe needs: 8 when
+/// `r·n ≤ 255`, else 16 (§6.2.1's "smallest feasible w").
+pub fn sd_width(n: usize, r: usize) -> usize {
+    if r * n < Gf8::ORDER {
+        8
+    } else {
+        16
     }
 }
 
-/// An SD code over whichever field its stripe size requires (`w = 8` when
-/// `r·n ≤ 255`, else `w = 16` — §6.2.1's "smallest feasible w").
+/// An SD code over the field [`sd_width`] picks.
 ///
 /// # Errors
 ///
 /// As [`SdCode::new`].
 pub fn sd_code(n: usize, r: usize, m: usize, s: usize) -> Result<Box<dyn ErasureCode>, CodeError> {
-    if r * n < Gf8::ORDER {
+    if sd_width(n, r) == 8 {
         Ok(Box::new(SdCode::<Gf8>::new(n, r, m, s)?))
     } else {
         Ok(Box::new(SdCode::<Gf16>::new(n, r, m, s)?))
     }
-}
-
-/// An SD stripe of `symbol`-byte sectors with every data sector filled,
-/// for speed tests.
-fn sd_stripe(code: &dyn ErasureCode, symbol: usize) -> StripeBuf {
-    let g = code.geometry();
-    let mut stripe = StripeBuf::new(g.r, g.n, symbol).expect("stripe");
-    let data = vec![0xC3; g.data_per_stripe() * symbol];
-    stripe.write_cells(&g.data_cells, &data).expect("data");
-    stripe
-}
-
-/// SD's worst-case erasure pattern: the `m` leftmost devices plus `s`
-/// sectors at the top of device `m`.
-fn sd_worst_case_erasures(code: &dyn ErasureCode) -> ErasureSet {
-    let g = code.geometry();
-    let devices = (0..g.m).flat_map(|c| (0..g.r).map(move |row| (row, c)));
-    devices
-        .chain((0..g.s.min(g.r)).map(|row| (row, g.m)))
-        .collect()
-}
-
-/// **Table 2**, as `table2_upstairs_steps` prints it: the upstairs
-/// decoding schedule of the running example (n = 8, r = 4, m = 2,
-/// e = (1,1,2), outside globals) under the Fig. 4 worst case, and the
-/// `Mult_XOR` count of the plan it lowers to.
-pub fn table2() -> String {
-    let config =
-        Config::with_placement(8, 4, 2, &[1, 1, 2], GlobalPlacement::Outside).expect("config");
-    let codec: StairCodec = StairCodec::new(config).expect("codec");
-    let erased: Vec<(usize, usize)> = (0..4)
-        .flat_map(|i| [(i, 6), (i, 7)])
-        .chain([(3, 3), (3, 4), (2, 5), (3, 5)])
-        .collect();
-    let schedule = codec.decode_schedule(&erased, &erased).expect("schedule");
-    let plan = codec.plan_decode(&erased).expect("plan");
-    let mut out = String::new();
-    let _ = writeln!(out, "Table 2: upstairs decoding, n=8 r=4 m=2 e=(1,1,2)");
-    let _ = writeln!(
-        out,
-        "failure pattern: chunks 6,7 failed; sector failures (3,3) (3,4) (2,5) (3,5)\n"
-    );
-    out += &schedule.render(codec.layout());
-    let _ = writeln!(out, "\ntotal Mult_XORs: {}", plan.mult_xors());
-    out
-}
-
-/// **Table 3**, as `table3_downstairs_steps` prints it: the downstairs
-/// encoding schedule of the running example with inside global parities,
-/// against Eq. 6, and the upstairs cost against Eq. 5.
-pub fn table3() -> String {
-    let config = Config::new(8, 4, 2, &[1, 1, 2]).expect("config");
-    let codec: StairCodec = StairCodec::new(config).expect("codec");
-    let schedule = |method| codec.encode_schedule(method).expect("schedule");
-    let down = schedule(EncodingMethod::Downstairs);
-    let mut out = String::new();
-    let _ = writeln!(out, "Table 3: downstairs encoding, n=8 r=4 m=2 e=(1,1,2)\n");
-    out += &down.render(codec.layout());
-    let _ = writeln!(
-        out,
-        "\ntotal Mult_XORs: {} (Eq. 6 predicts {})",
-        down.mult_xors(),
-        MultXorCounts::analytic(codec.config()).downstairs
-    );
-    let up = schedule(EncodingMethod::Upstairs);
-    let _ = writeln!(out, "upstairs Mult_XORs: {} (Eq. 5)", up.mult_xors());
-    out
-}
-
-/// Prints a labelled measurement row in a fixed-width layout.
-pub fn print_row(label: &str, values: &[(String, f64)]) {
-    print!("{label:<28}");
-    for (name, v) in values {
-        print!("  {name}={v:>9.1}");
-    }
-    println!();
-}
-
-/// STAIR encode throughput (MB/s) for one config with the auto-selected
-/// method.
-pub fn stair_encode_speed(n: usize, r: usize, m: usize, e: &[usize], stripe_size: usize) -> f64 {
-    let mut b = StairBench::new(n, r, m, e, stripe_size);
-    let total = b.total_bytes();
-    let codec = b.codec.clone();
-    throughput_mbps(total, reps(), move || {
-        codec.encode(&mut b.stripe).expect("encode");
-    })
-}
-
-/// STAIR worst-case decode throughput (MB/s), plan reused across runs (the
-/// plan is tiny compared to the data volume, matching how the paper's
-/// implementation caches coefficients per configuration).
-pub fn stair_decode_speed(n: usize, r: usize, m: usize, e: &[usize], stripe_size: usize) -> f64 {
-    let mut b = StairBench::new(n, r, m, e, stripe_size);
-    b.codec.encode(&mut b.stripe).expect("encode");
-    let erased = b.worst_case_erasures();
-    let plan = b.codec.plan_decode(&erased).expect("plan");
-    let total = b.total_bytes();
-    let codec = b.codec.clone();
-    throughput_mbps(total, reps(), move || {
-        codec.apply_plan(&plan, &mut b.stripe).expect("decode");
-    })
-}
-
-/// SD encode throughput (MB/s); `None` if no construction exists.
-pub fn sd_encode_speed(n: usize, r: usize, m: usize, s: usize, stripe_size: usize) -> Option<f64> {
-    let code = sd_code(n, r, m, s).ok()?;
-    let symbol = (stripe_size / (n * r)).max(16) & !15;
-    let mut stripe = sd_stripe(&*code, symbol);
-    let total = symbol * n * r;
-    Some(throughput_mbps(total, reps(), move || {
-        code.encode(&mut stripe).expect("sd encode");
-    }))
-}
-
-/// SD worst-case decode throughput (MB/s), planning and applying on every
-/// run; `None` if no construction.
-pub fn sd_decode_speed(n: usize, r: usize, m: usize, s: usize, stripe_size: usize) -> Option<f64> {
-    let code = sd_code(n, r, m, s).ok()?;
-    let symbol = (stripe_size / (n * r)).max(16) & !15;
-    let mut stripe = sd_stripe(&*code, symbol);
-    code.encode(&mut stripe).ok()?;
-    let erased = sd_worst_case_erasures(&*code);
-    let total = symbol * n * r;
-    Some(throughput_mbps(total, reps(), move || {
-        let plan = code.plan(&erased).expect("sd plan");
-        code.apply(&plan, &mut stripe).expect("sd decode");
-    }))
 }
 
 #[cfg(test)]
@@ -301,25 +210,5 @@ mod tests {
     fn worst_case_e_is_feasible_and_maximal() {
         let e = worst_case_e(16, 16, 2, 4).unwrap();
         assert!(Config::new(16, 16, 2, &e).is_ok());
-    }
-
-    #[test]
-    fn speed_helpers_produce_positive_numbers() {
-        std::env::set_var("STAIR_BENCH_REPS", "1");
-        let v = stair_encode_speed(8, 8, 1, &[1, 1], 64 * 1024);
-        assert!(v > 0.0);
-        let d = stair_decode_speed(8, 8, 1, &[1, 1], 64 * 1024);
-        assert!(d > 0.0);
-        let sd = sd_encode_speed(8, 8, 1, 2, 64 * 1024).unwrap();
-        assert!(sd > 0.0);
-    }
-
-    #[test]
-    fn worst_case_erasures_are_covered() {
-        let b = StairBench::new(8, 16, 2, &[1, 2], 64 * 1024);
-        let erased = b.worst_case_erasures();
-        let erased_set = stair_code::ErasureSet::from(&erased[..]);
-        assert!(b.codec.config().spec().covers(&erased_set));
-        assert_eq!(erased.len(), 2 * 16 + 3);
     }
 }

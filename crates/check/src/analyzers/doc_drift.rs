@@ -26,7 +26,7 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
             0,
             format!(
                 "`{stray}` is a second timing harness; timing harnesses live in \
-                 `benchmark/` or `crates/bench/src/bin`"
+                 `benchmark/` or `crates/bench/src`"
             ),
         ));
     }

@@ -70,7 +70,7 @@ pub struct Workspace {
     /// `(rel-path, contents)` for README.md / EXPERIMENTS.md when
     /// present.
     pub docs: Vec<(String, String)>,
-    /// Timing harnesses outside `benchmark/` and `crates/bench/src/bin`:
+    /// Timing harnesses outside `benchmark/` and `crates/bench/src`:
     /// a member's `benches/` directory, a member manifest with a
     /// `[[bench]]` table, a root `BENCH_*.json` (workspace-relative).
     pub stray_harnesses: Vec<String>,

@@ -98,100 +98,13 @@ impl SystemParams {
 
 #[cfg(test)]
 mod tests {
-    use crate::{spec, BurstModel};
+    use crate::spec;
 
     use super::*;
 
     /// `MTTDL_sys` of a spec under the §7.2 defaults.
     fn mttdl(text: &str, model: &SectorModel, p_bit: f64) -> f64 {
         SystemParams::paper_defaults().mttdl_sys(&spec(text), model, p_bit)
-    }
-
-    /// §7.2: the `N_arr` table for s = 0..12 must reproduce exactly.
-    #[test]
-    fn narr_table_matches_paper() {
-        let params = SystemParams::paper_defaults();
-        let expected = [
-            4994, 5039, 5085, 5131, 5179, 5227, 5276, 5327, 5378, 5430, 5483, 5538, 5593,
-        ];
-        for (s, &want) in expected.iter().enumerate() {
-            let code = if s == 0 {
-                spec("rs:8,16,1")
-            } else {
-                spec(&format!("sd:8,16,1,{s}"))
-            };
-            assert_eq!(params.narr(&code), want, "s = {s}");
-        }
-    }
-
-    /// Fig. 17(a): at P_bit = 1e-14 under independent failures, STAIR/SD
-    /// with s = 1 beat RS by more than two orders of magnitude.
-    #[test]
-    fn fig17_one_parity_sector_buys_two_orders() {
-        let model = SectorModel::Independent;
-        let rs = mttdl("rs:8,16,1", &model, 1e-14);
-        let s1 = mttdl("stair:8,16,1,1", &model, 1e-14);
-        assert!(s1 / rs > 100.0, "ratio {}", s1 / rs);
-    }
-
-    /// Fig. 17(b): under independent failures with s = 3, e = (1,2) is the
-    /// most reliable configuration (beats (3) and (1,1,1)).
-    #[test]
-    fn fig17b_e12_wins_under_independent_failures() {
-        let model = SectorModel::Independent;
-        let p_bit = 1e-11;
-        let e12 = mttdl("stair:8,16,1,1-2", &model, p_bit);
-        let e3 = mttdl("stair:8,16,1,3", &model, p_bit);
-        let e111 = mttdl("stair:8,16,1,1-1-1", &model, p_bit);
-        assert!(e12 > e3, "e=(1,2) {e12} must beat e=(3) {e3}");
-        assert!(e12 > e111, "e=(1,2) {e12} must beat e=(1,1,1) {e111}");
-    }
-
-    /// Fig. 18(b): under correlated bursts (b1=0.98, α=1.79), e = (s) is
-    /// the most reliable shape and matches SD with the same s.
-    #[test]
-    fn fig18_es_wins_under_bursts() {
-        let model = SectorModel::Correlated(BurstModel::from_pareto(0.98, 1.79, 16));
-        let p_bit = 1e-12;
-        let e3 = mttdl("stair:8,16,1,3", &model, p_bit);
-        let e12 = mttdl("stair:8,16,1,1-2", &model, p_bit);
-        let e111 = mttdl("stair:8,16,1,1-1-1", &model, p_bit);
-        let sd3 = mttdl("sd:8,16,1,3", &model, p_bit);
-        assert!(e3 > e12 && e12 > e111);
-        // "almost the same reliability as the SD code with the same s".
-        assert!((e3 / sd3 - 1.0).abs() < 0.05, "e=(3) {e3} vs SD3 {sd3}");
-    }
-
-    /// Fig. 19(b): under bursty failures (b1 = 0.9, α = 1), e = (s) grows
-    /// with s and always beats e = (1, s−1); under nearly-independent
-    /// failures (b1 = 0.9999, α = 4) at high P_bit, the ordering can
-    /// *invert* — the paper's observation that e = (1, s−1) is sometimes
-    /// better when failures are scattered.
-    #[test]
-    fn fig19b_wide_e_matters_for_bursty_failures() {
-        let bursty = SectorModel::Correlated(BurstModel::from_pareto(0.9, 1.0, 16));
-        let p_bit = 1e-14;
-        let es: Vec<f64> = (2..=8)
-            .map(|s| mttdl(&format!("stair:8,16,1,{s}"), &bursty, p_bit))
-            .collect();
-        assert!(
-            es.windows(2).all(|w| w[1] > w[0]),
-            "e=(s) must grow with s: {es:?}"
-        );
-        for s in 2..=8usize {
-            let e_s = mttdl(&format!("stair:8,16,1,{s}"), &bursty, p_bit);
-            let e_1s = mttdl(&format!("stair:8,16,1,1-{}", s - 1), &bursty, p_bit);
-            assert!(e_s > e_1s, "s={s}: e=(s) {e_s} must beat e=(1,s−1) {e_1s}");
-        }
-        let mild = SectorModel::Correlated(BurstModel::from_pareto(0.9999, 4.0, 16));
-        let inverted = (2..=8usize).any(|s| {
-            mttdl(&format!("stair:8,16,1,1-{}", s - 1), &mild, 1e-10)
-                > mttdl(&format!("stair:8,16,1,{s}"), &mild, 1e-10)
-        });
-        assert!(
-            inverted,
-            "mild bursts at high P_bit should favour e=(1,s−1) somewhere"
-        );
     }
 
     /// MTTDL decreases monotonically in P_bit (power-law decrease regions

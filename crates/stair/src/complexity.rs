@@ -65,26 +65,6 @@ impl MultXorCounts {
 mod tests {
     use super::*;
 
-    /// §5.3 case study: n = 8, m = 2, s = 4. For a given s, upstairs cost
-    /// grows with e_max and downstairs cost grows with m' — so (4) favours
-    /// downstairs and (1,1,1,1) favours upstairs.
-    #[test]
-    fn crossover_between_methods_matches_section_5_3() {
-        let r = 16;
-        let e4 = Config::new(8, r, 2, &[4]).unwrap(); // m' = 1, e_max = 4
-        let e1111 = Config::new(8, r, 2, &[1, 1, 1, 1]).unwrap(); // m' = 4, e_max = 1
-        let c4 = MultXorCounts::analytic(&e4);
-        let c1111 = MultXorCounts::analytic(&e1111);
-        assert!(
-            c4.downstairs < c4.upstairs,
-            "small m' should favour downstairs: {c4:?}"
-        );
-        assert!(
-            c1111.upstairs < c1111.downstairs,
-            "large m' should favour upstairs: {c1111:?}"
-        );
-    }
-
     #[test]
     fn formulas_match_hand_computation() {
         // n=8, r=4, m=2, e=(1,1,2): s=4, m'=3, e_max=2.
@@ -92,23 +72,5 @@ mod tests {
         let c = MultXorCounts::analytic(&cfg);
         assert_eq!(c.upstairs, 6 * (2 * 4 + 4) + 4 * (6 * 2));
         assert_eq!(c.downstairs, 6 * ((2 + 3) * 4) + 4 * 4);
-    }
-
-    #[test]
-    fn upstairs_grows_with_e_max_for_fixed_s() {
-        // Fixed s = 4, r = 32, n = 8, m = 2 (Fig. 9's right panel).
-        let configs = [
-            vec![1, 1, 1, 1],
-            vec![1, 1, 2],
-            vec![2, 2],
-            vec![1, 3],
-            vec![4],
-        ];
-        let ups: Vec<usize> = configs
-            .iter()
-            .map(|e| MultXorCounts::analytic(&Config::new(8, 32, 2, e).unwrap()).upstairs)
-            .collect();
-        // e_max: 1, 2, 2, 3, 4 — upstairs cost must be non-decreasing.
-        assert!(ups.windows(2).all(|w| w[0] <= w[1]), "{ups:?}");
     }
 }

@@ -1,7 +1,8 @@
 //! The paper's worked examples — Table 2 (upstairs decoding) and Table 3
 //! (downstairs encoding) for the running configuration n = 8, r = 4,
 //! m = 2, e = (1, 1, 2). Their schedules and costs are pinned byte for
-//! byte by `crates/bench/tests/tables.rs` against the golden files in
+//! byte by the workspace's `tests/paper.rs` (the `table2`/`table3`
+//! figures' claims) against the golden files in
 //! `crates/bench/tests/fixtures/`; what is left here is the one check
 //! those files cannot make.
 
