@@ -8,7 +8,8 @@
 //! An empty root is initialized with `K` fresh shards (`--code`,
 //! `--symbol`, `--stripes` pick their shape); a root that already holds
 //! shards is reopened, in which case `--shards` must match what is on
-//! disk and the shape flags are ignored. Every failure — busy port, bad
+//! disk and the shape flags are ignored. `--workers` bounds the requests
+//! executing at once across all connections. Every failure — busy port, bad
 //! root, mismatched shard count — is a clean error message and a
 //! non-zero exit, never a panic.
 
@@ -25,7 +26,8 @@ use crate::flags::{num_flag, parse, required};
 pub const SERVE_USAGE: &str = "stair serve --dir ROOT --addr HOST:PORT [--shards K] [--code SPEC]
                    [--symbol S] [--stripes T] [--workers W]
 (new roots are initialized with K shards of the given shape; existing
- roots are reopened and --shards must match)";
+ roots are reopened and --shards must match; --workers W bounds the
+ requests executing at once, default 4)";
 
 /// Runs `stair serve` with the flags in `args`, blocking until the
 /// server is shut down.
@@ -58,7 +60,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let server = Server::bind(addr, set, config).map_err(|e| e.to_string())?;
     let info = server.info();
     println!(
-        "serving {} shard(s) of {} ({} bytes, {}-byte blocks) on {} with {} worker(s)",
+        "serving {} shard(s) of {} ({} bytes, {}-byte blocks) on {} with at most {} request(s) executing at once",
         info.shards,
         info.codec,
         info.capacity,

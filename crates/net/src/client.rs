@@ -5,11 +5,13 @@
 //! BATCH frame — one round trip instead of one per op — and the
 //! `read_at` / `write_at` / `submit` the [`BlockDevice`] trait provides
 //! are lists on the same path. Ops larger than [`MAX_IO_BYTES`] are cut
-//! into several frames and **pipelined**: up to a window of frames are
-//! in flight before the first response is awaited, and responses are
-//! matched back by request ID (the server's worker pool may complete
-//! them out of order). [`StripedClient`] splits a batch by placement so
-//! each touched shard gets its own frame, sent down the lanes in parallel.
+//! into several frames sent **one at a time**: the server executes a
+//! connection's frames in order on the thread that reads them, so a
+//! second frame in flight would not run any sooner — and a client still
+//! writing while whole-frame replies fill the socket would deadlock
+//! with a server that is writing them. Each response is matched to its
+//! request by ID. [`StripedClient`] splits a batch by placement so each
+//! touched shard gets its own frame, sent down the lanes in parallel.
 //! Every response payload is checksum-verified by the frame layer
 //! before it is trusted, and server-reported failures are normalized by
 //! one shared helper ([`ok_or_remote`]).
@@ -38,7 +40,6 @@
 //! [`ok_or_remote`]: crate::protocol::ok_or_remote
 //! [`BlockDevice`]: stair_device::BlockDevice
 
-use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
 
@@ -52,9 +53,6 @@ use crate::protocol::{
     Response, ServerInfo, MAX_BATCH_OPS, MAX_IO_BYTES, PROTOCOL_VERSION,
 };
 use crate::NetError;
-
-/// Chunk requests in flight per connection during pipelined transfers.
-const PIPELINE_WINDOW: usize = 8;
 
 /// Stitch-back map: per sub-op, `(global op index, byte offset of the
 /// fragment within that op's span)`.
@@ -73,13 +71,6 @@ impl Conn {
         self.next_id - 1
     }
 
-    /// Awaits the next response frame (server errors become
-    /// [`NetError::Remote`]), returning the request id it answers.
-    fn recv(&mut self) -> Result<(u64, Result<Response, NetError>), NetError> {
-        let (rid, resp) = read_response(&mut self.stream)?;
-        Ok((rid, ok_or_remote(resp)))
-    }
-
     /// One request, one response.
     fn call(&mut self, req: &Request) -> Result<Response, NetError> {
         let id = self.next_id();
@@ -87,70 +78,32 @@ impl Conn {
         self.response_to(id)
     }
 
-    /// The response to request `id`, with nothing else in flight.
+    /// The response to request `id`, the one request in flight (server
+    /// errors become [`NetError::Remote`]).
     fn response_to(&mut self, id: u64) -> Result<Response, NetError> {
-        let (rid, resp) = self.recv()?;
+        let (rid, resp) = read_response(&mut self.stream)?;
         if rid != id {
             return Err(NetError::Protocol(format!(
                 "response for request {rid} while awaiting {id}"
             )));
         }
-        resp
+        ok_or_remote(resp)
     }
 
-    /// Sends `frames` as BATCH requests keeping up to
-    /// [`PIPELINE_WINDOW`] in flight (one at a time when `ordered`),
-    /// folding each response into `results`. On the first failure no
-    /// new frames are sent, but outstanding responses are still drained
-    /// so the connection stays usable.
-    fn send_frames(
-        &mut self,
-        frames: &[Frame],
-        ordered: bool,
-        results: &mut [OpResult],
-    ) -> Result<(), NetError> {
-        let window = if ordered { 1 } else { PIPELINE_WINDOW };
-        let mut pending: HashMap<u64, usize> = HashMap::new();
-        let mut next = 0usize;
-        let mut first_err: Option<NetError> = None;
-        loop {
-            while next < frames.len() && pending.len() < window && first_err.is_none() {
-                let id = self.next_id();
-                let ctx = trace::current();
-                match write_frame(
-                    &mut self.stream,
-                    id,
-                    Opcode::Batch,
-                    ctx,
-                    &frames[next].payload,
-                ) {
-                    Ok(()) => {
-                        pending.insert(id, next);
-                        next += 1;
-                    }
-                    Err(e) => first_err = Some(e),
-                }
-            }
-            if pending.is_empty() {
-                break;
-            }
-            let (rid, resp) = match self.recv() {
-                Ok(x) => x,
-                // The stream is broken; outstanding responses are lost.
-                Err(e) => return Err(first_err.unwrap_or(e)),
-            };
-            let Some(frame) = pending.remove(&rid) else {
-                return Err(NetError::Protocol(format!("unsolicited response {rid}")));
-            };
-            let folded = resp.and_then(|resp| match resp {
-                Response::Batched(sub) => stitch(results, &frames[frame].map, sub),
-                other => Err(unexpected("BATCH", &other)),
-            });
-            if let Err(e) = folded {
-                first_err.get_or_insert(e);
+    /// Sends `frames` as BATCH requests, each answered before the next
+    /// goes out, folding each response into `results`. The first
+    /// failure stops the transfer with nothing left in flight, so the
+    /// connection stays usable.
+    fn send_frames(&mut self, frames: &[Frame], results: &mut [OpResult]) -> Result<(), NetError> {
+        for frame in frames {
+            let (id, ctx) = (self.next_id(), trace::current());
+            write_frame(&mut self.stream, id, Opcode::Batch, ctx, &frame.payload)?;
+            match self.response_to(id)? {
+                Response::Batched(sub) => stitch(results, &frame.map, sub)?,
+                other => return Err(unexpected("BATCH", &other)),
             }
         }
-        first_err.map_or(Ok(()), Err)
+        Ok(())
     }
 }
 
@@ -273,17 +226,14 @@ impl Client {
             let _enc = trace::span(names::CLIENT_ENCODE);
             batch_frames(ops)
         };
-        // Conflicting ops must take effect in submission order. Within
-        // one frame the server guarantees it (one planner call); across
-        // frames the worker pool may execute pipelined requests out of
-        // order, so a conflicted multi-frame batch serializes: each
-        // frame completes before the next is sent.
-        let ordered = frames.len() > 1 && OpRef::conflicts(ops);
+        // Conflicting ops take effect in submission order: within one
+        // frame the server's planner guarantees it, and frames complete
+        // one after another.
         self.with_conn(true, |conn| {
             // Seeded per attempt: a retry must not fold write outcomes
             // on top of what the failed attempt's frames reported.
             let mut results: Vec<OpResult> = ops.iter().map(OpRef::seed).collect();
-            conn.send_frames(&frames, ordered, &mut results)?;
+            conn.send_frames(&frames, &mut results)?;
             Ok(results)
         })
         .inspect_err(|_| op.fail())
@@ -314,10 +264,10 @@ impl Client {
         })
     }
 
-    /// One request, one response — every call but BATCH, whose frames
-    /// pipeline. `pick` takes the answer `req` expects and hands back
-    /// anything else, which is a protocol error. `idempotent` is chosen
-    /// per request: only those retry over a fresh connection
+    /// One request, one response — every call but BATCH, which may
+    /// take several frames. `pick` takes the answer `req` expects and
+    /// hands back anything else, which is a protocol error. `idempotent`
+    /// is chosen per request: only those retry over a fresh connection
     /// ([`Client::with_conn`]).
     pub(crate) fn call<T>(
         &self,
@@ -408,8 +358,8 @@ fn batch_frames(ops: &[OpRef<'_>]) -> Vec<Frame> {
 
 /// A multi-connection client: each batch is split by placement into
 /// one group per touched shard and the groups run down the lanes on
-/// scoped threads, so a single caller can keep several server workers
-/// busy.
+/// scoped threads, so a single caller can keep several server
+/// connections executing at once.
 pub struct StripedClient {
     lanes: Vec<Client>,
 }

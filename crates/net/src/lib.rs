@@ -10,12 +10,12 @@
 //!   round-robin [`Placement`] map (one placement range = one stripe);
 //! * **[`protocol`]** — a single-version, length-prefixed binary
 //!   protocol (HELLO/STATUS/BATCH/FLUSH/FAIL/SCRUB/REPAIR/SHUTDOWN/
-//!   METRICS/TRACE) with request IDs for pipelining and Fletcher-32
-//!   checksums on every response payload; BATCH is the only data
-//!   opcode;
+//!   METRICS/TRACE) with request IDs and Fletcher-32 checksums on
+//!   every response payload; BATCH is the only data opcode;
 //! * **[`Server`]** — a multi-threaded TCP service on `std::net`: one
-//!   reader thread per connection and a fixed worker pool executing
-//!   each BATCH frame as one placement-split, per-stripe-planned pass;
+//!   thread per connection reads, executes and answers each frame in
+//!   turn, at most `workers` requests executing at once, and a BATCH
+//!   frame runs as one placement-split, per-stripe-planned pass;
 //! * **[`Client`] / [`StripedClient`]** — blocking, connection-reusing
 //!   clients whose one inherent data-path entry is `submit_ops`
 //!   (`read_at`/`write_at`/`submit` come from

@@ -1,5 +1,5 @@
 //! The stair-net wire protocol: length-prefixed binary frames with
-//! request IDs for pipelining and per-response payload checksums.
+//! request IDs and per-response payload checksums.
 //!
 //! # Framing
 //!
@@ -23,8 +23,9 @@
 //! with `status = 0` for an error (payload is a UTF-8 message) and
 //! `status = opcode` of the request otherwise, and `checksum` the
 //! Fletcher-32 of the payload bytes. Request IDs are chosen by the client
-//! and echoed verbatim; responses may arrive in any order, which is what
-//! makes pipelining across a shared connection possible.
+//! and echoed verbatim, so a reply is matched to its request. A
+//! connection carries one request at a time: the server executes a
+//! frame on the thread that read it and answers before reading the next.
 //!
 //! # One version, one data opcode
 //!
@@ -41,7 +42,7 @@
 //! the ops, answered by one checksummed response with a reply per op. A
 //! lone `read_at`/`write_at` is a one-op batch.
 
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use stair_code::CodecSpec;
 use stair_device::{IoOp, OpRef, OpResult, RepairOutcome, ScrubOutcome, ShardHealth, WriteOutcome};
@@ -63,7 +64,7 @@ pub const MAGIC: &[u8; 8] = b"STAIRNET";
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 /// Largest span one batch op may carry, and the combined byte budget
 /// (write data plus requested read lengths) of one BATCH frame; clients
-/// split bigger transfers into multiple pipelined frames.
+/// split bigger transfers into several frames, sent one after another.
 pub const MAX_IO_BYTES: u32 = 4 * 1024 * 1024;
 /// Most ops one BATCH frame may carry.
 pub const MAX_BATCH_OPS: u32 = 4096;
@@ -709,8 +710,28 @@ fn decode_traces(d: &mut Dec<'_>) -> Result<Vec<TraceRecord>, NetError> {
     Ok(traces)
 }
 
-fn encode_response_payload(resp: &Response) -> (u8, Vec<u8>) {
-    let mut e = Enc(Vec::new());
+/// Bytes of a response frame ahead of its payload: `[u32 len]
+/// [u64 request_id] [u8 status] [u32 checksum]`.
+const RESPONSE_HEADER: usize = 17;
+
+/// Encodes `resp` as a whole response frame: [`RESPONSE_HEADER`] bytes
+/// reserved (zero) for [`write_response`] to fill, then the payload,
+/// in one buffer sized up front — a read reply's data is copied once.
+fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
+    // A BATCH reply's size, per the encoding below: kind + length +
+    // data per read, kind + five counters per write.
+    let payload = match resp {
+        Response::Batched(results) => results
+            .iter()
+            .map(|r| match r {
+                OpResult::Read(data) => 5 + data.len(),
+                OpResult::Write(_) => 41,
+            })
+            .sum::<usize>(),
+        _ => 0,
+    };
+    let mut e = Enc(Vec::with_capacity(RESPONSE_HEADER + 4 + payload));
+    e.0.resize(RESPONSE_HEADER, 0);
     let status = match resp {
         Response::Error(msg) => {
             e.bytes(msg.as_bytes());
@@ -895,8 +916,15 @@ fn read_frame(stream: &mut impl Read) -> Result<Vec<u8>, NetError> {
             "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    stream.read_exact(&mut body)?;
+    // Reserved, not zero-filled: the body overwrites every byte.
+    let mut body = Vec::with_capacity(len as usize);
+    Read::take(&mut *stream, u64::from(len)).read_to_end(&mut body)?;
+    if body.len() < len as usize {
+        return Err(NetError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "frame body ends early",
+        )));
+    }
     Ok(body)
 }
 
@@ -932,6 +960,8 @@ pub fn write_request_traced(
 /// Writes one request frame around an already-encoded payload (see
 /// [`encode_batch`]). Span context sets [`TRACE_FLAG`] on the opcode
 /// byte and prefixes the payload with `[u64 trace_id][u64 span_id]`.
+/// Header and payload go out in one vectored write, so the payload a
+/// client keeps for retries is never copied into a frame buffer.
 ///
 /// # Errors
 ///
@@ -944,19 +974,25 @@ pub fn write_frame(
     payload: &[u8],
 ) -> Result<(), NetError> {
     let prefix = if ctx.is_some() { 16 } else { 0 };
-    let mut frame = Vec::with_capacity(4 + 9 + prefix + payload.len());
-    frame.extend_from_slice(&(9 + (prefix + payload.len()) as u32).to_le_bytes());
-    frame.extend_from_slice(&id.to_le_bytes());
-    match ctx {
-        Some(ctx) => {
-            frame.push(opcode as u8 | TRACE_FLAG);
-            frame.extend_from_slice(&ctx.trace_id.to_le_bytes());
-            frame.extend_from_slice(&ctx.span_id.to_le_bytes());
-        }
-        None => frame.push(opcode as u8),
+    let mut header = [0u8; 13 + 16];
+    header[..4].copy_from_slice(&(9 + (prefix + payload.len()) as u32).to_le_bytes());
+    header[4..12].copy_from_slice(&id.to_le_bytes());
+    header[12] = opcode as u8;
+    if let Some(ctx) = ctx {
+        header[12] |= TRACE_FLAG;
+        header[13..21].copy_from_slice(&ctx.trace_id.to_le_bytes());
+        header[21..].copy_from_slice(&ctx.span_id.to_le_bytes());
     }
-    frame.extend_from_slice(payload);
-    stream.write_all(&frame)?;
+    let mut bufs = [IoSlice::new(&header[..13 + prefix]), IoSlice::new(payload)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => return Err(NetError::Io(io::ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(NetError::Io(e)),
+        }
+    }
     Ok(())
 }
 
@@ -1001,29 +1037,28 @@ pub fn read_request_traced(
 }
 
 /// Writes one response frame (status byte + Fletcher-32 of the
-/// payload).
+/// payload). The payload is encoded behind its header's reserved bytes
+/// and checksummed in place, so the frame is built once.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_response(stream: &mut impl Write, id: u64, resp: &Response) -> Result<(), NetError> {
-    let (status, payload) = encode_response_payload(resp);
-    let sum = fletcher32(&payload);
-    let mut frame = Vec::with_capacity(4 + 13 + payload.len());
-    frame.extend_from_slice(&(13 + payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&id.to_le_bytes());
-    frame.push(status);
-    frame.extend_from_slice(&sum.to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let (status, mut frame) = encode_response(resp);
+    let sum = fletcher32(&frame[RESPONSE_HEADER..]);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..12].copy_from_slice(&id.to_le_bytes());
+    frame[12] = status;
+    frame[13..RESPONSE_HEADER].copy_from_slice(&sum.to_le_bytes());
     stream.write_all(&frame)?;
     Ok(())
 }
 
 /// Normalizes a checksum-verified response: a [`Response::Error`]
 /// becomes [`NetError::Remote`], anything else passes through. The one
-/// post-verification step shared by the client's simple (`call`) and
-/// pipelined paths, so server-reported failures cannot be interpreted
-/// differently on the two.
+/// post-verification step of every client call, BATCH frames included,
+/// so server-reported failures cannot be interpreted differently.
 ///
 /// # Errors
 ///

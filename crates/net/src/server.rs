@@ -3,14 +3,16 @@
 //!
 //! # Architecture
 //!
-//! * one **reader thread per connection** parses frames and enqueues
-//!   jobs (HELLO and SHUTDOWN are answered inline);
-//! * a fixed **worker pool** pops jobs and executes them against the
-//!   shard set — stripe locks inside each shard keep concurrent workers
-//!   safe, and different shards share nothing;
-//! * responses are written back under a per-connection mutex, tagged
-//!   with the request ID, so a pipelining client may see completions out
-//!   of order;
+//! * one **thread per connection** reads a frame, executes it and
+//!   writes the reply itself: a request never changes threads, and a
+//!   connection's requests run in the order they arrived;
+//! * at most [`ServerConfig::workers`] requests **execute at once**. A
+//!   connection takes a permit after parsing a frame (the wait is the
+//!   `srv.queue` span) and gives it back when the request is done. One
+//!   waiting for a permit reads nothing more, so a busy server pushes
+//!   back through TCP instead of growing a queue. Stripe locks inside
+//!   each shard keep concurrent requests safe, and different shards
+//!   share nothing;
 //! * all data arrives as **BATCH** frames and executes through
 //!   [`ShardSet::submit_ops`] — one planner pass per touched stripe
 //!   however many ops the frame carries; there is no second,
@@ -20,23 +22,28 @@
 //!   `shards:` caller runs, bounds checks and thread clamping included —
 //!   and a failure travels back as the error's text.
 //!
+//! A panic while executing a request ends that one connection: the
+//! permit guard gives its permit back as the thread unwinds, the
+//! connection is deregistered and closed, and every other connection
+//! keeps serving.
+//!
 //! Shutdown (a SHUTDOWN frame, or [`ServerHandle::shutdown`]) stops the
-//! accept loop, drains the queue, joins every thread, and flushes the
-//! shards before [`Server::run`] returns.
+//! accept loop, lets the requests already read finish, joins every
+//! thread, and flushes the shards before [`Server::run`] returns.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use stair_device::{BlockDevice, FaultAdmin, OpRef};
 use stair_obs::trace::{self, names};
 use stair_obs::{MetricsRegistry, SpanCtx};
 
 use crate::protocol::{
-    read_request_traced, recorded_traces, write_response, Request, Response, ServerInfo,
+    read_request_traced, recorded_traces, write_response, Opcode, Request, Response, ServerInfo,
     PROTOCOL_VERSION,
 };
 use crate::shards::ShardSet;
@@ -45,7 +52,7 @@ use crate::NetError;
 /// Tunables for [`Server::bind`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing requests.
+    /// Requests executing at once, across all connections.
     pub workers: usize,
 }
 
@@ -55,52 +62,105 @@ impl Default for ServerConfig {
     }
 }
 
-/// One queued request plus where its response goes.
-struct Job {
-    writer: Arc<ConnWriter>,
-    id: u64,
-    req: Request,
-    /// When the reader parsed the frame — the start of the server-side
-    /// span and the base of the queue-wait measurement.
-    received: Instant,
-    /// The trace context carried on the frame, if the client traced it.
-    ctx: Option<SpanCtx>,
-}
-
 /// Most recently-seen BATCH ids remembered for duplicate-delivery
 /// accounting.
 const RECENT_BATCH_IDS: usize = 64;
 
-/// The write half of a connection; workers serialize frames under the
-/// lock. A send to a dead peer is ignored — the reader thread notices
-/// the hangup and retires the connection.
-struct ConnWriter {
-    stream: Mutex<TcpStream>,
+/// A counting semaphore: the bound on requests executing at once.
+struct Permits {
+    free: Mutex<usize>,
+    returned: Condvar,
 }
 
-impl ConnWriter {
-    fn send(&self, id: u64, resp: &Response) {
-        // Poisoning here would mean a worker panicked mid-frame; the
-        // stream is unusable either way, so take the guard regardless.
-        let mut stream = self
-            .stream
+impl Permits {
+    fn new(n: usize) -> Self {
+        Permits {
+            free: Mutex::new(n),
+            returned: Condvar::new(),
+        }
+    }
+
+    /// Blocks until a permit is free and takes it.
+    fn acquire(&self) -> Permit<'_> {
+        let mut free = self
+            .free
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = write_response(&mut *stream, id, resp);
+        while *free == 0 {
+            free = self
+                .returned
+                .wait(free)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        *free -= 1;
+        Permit(self)
+    }
+}
+
+/// A held permit; dropping it — unwinding included — gives it back.
+struct Permit<'a>(&'a Permits);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *self
+            .0
+            .free
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
+        self.0.returned.notify_one();
+    }
+}
+
+/// One opcode's metric names, built once per server so that charging a
+/// request formats nothing.
+struct OpMetrics {
+    req: String,
+    errors: String,
+    lat_us: String,
+    bytes: String,
+}
+
+impl OpMetrics {
+    fn new(op: Opcode) -> Self {
+        let kind = op.name();
+        OpMetrics {
+            req: format!("srv.req.{kind}"),
+            errors: format!("srv.errors.{kind}"),
+            lat_us: format!("srv.lat_us.{kind}"),
+            bytes: format!("srv.bytes.{kind}"),
+        }
+    }
+
+    /// Charges one completed request to the counters, latency histogram
+    /// and byte counter.
+    fn record(&self, registry: &MetricsRegistry, bytes: u64, elapsed: Duration, ok: bool) {
+        registry.counter(&self.req).inc();
+        if !ok {
+            registry.counter(&self.errors).inc();
+        }
+        registry
+            .histogram(&self.lat_us)
+            .record(elapsed.as_micros() as u64);
+        if bytes > 0 {
+            registry.counter(&self.bytes).add(bytes);
+        }
     }
 }
 
 struct State {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
     shutdown: AtomicBool,
     /// Cloned handles of *live* connections, shut down to unblock their
-    /// readers at server shutdown. Each reader removes its own entry on
-    /// exit, so dead connections do not leak file descriptors.
-    conns: Mutex<std::collections::HashMap<u64, TcpStream>>,
+    /// threads at server shutdown. Each connection removes its own
+    /// entry on exit, so dead connections do not leak file descriptors.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// The bound on requests executing at once.
+    permits: Permits,
     /// Per-opcode request counters and latency histograms; served back
     /// over the METRICS opcode.
     registry: MetricsRegistry,
+    /// [`OpMetrics`] per opcode, indexed by `opcode - 1` (the opcode
+    /// table is dense from 1).
+    op_metrics: [OpMetrics; Opcode::ALL.len()],
     /// Ring of recent nonzero BATCH ids, server-wide: a client that
     /// lost its socket mid-batch reissues the frame under the same id
     /// over a *new* connection, so a repeat here is a redelivery.
@@ -108,12 +168,8 @@ struct State {
 }
 
 impl State {
-    fn push(&self, job: Job) {
-        self.queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push_back(job);
-        self.available.notify_one();
+    fn metrics(&self, op: Opcode) -> &OpMetrics {
+        &self.op_metrics[op as usize - 1]
     }
 
     /// Records `batch_id` and reports whether it was already seen (a
@@ -134,6 +190,24 @@ impl State {
     }
 }
 
+/// A connection's entry in [`State::conns`] and the `srv.connections`
+/// gauge, undone on drop — also when the connection's thread unwinds.
+struct Registered<'a> {
+    state: &'a State,
+    id: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.state.registry.gauge("srv.connections").add(-1);
+        self.state
+            .conns
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .remove(&self.id);
+    }
+}
+
 /// A handle for stopping a running server from another thread.
 #[derive(Clone)]
 pub struct ServerHandle {
@@ -142,8 +216,8 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Asks the server to stop: no new connections, queued work drains,
-    /// then [`Server::run`] returns.
+    /// Asks the server to stop: no new connections, requests already
+    /// read finish, then [`Server::run`] returns.
     pub fn shutdown(&self) {
         begin_shutdown(&self.state, self.addr);
     }
@@ -170,8 +244,7 @@ fn begin_shutdown(state: &State, addr: SocketAddr) {
     if state.shutdown.swap(true, Ordering::SeqCst) {
         return; // already shutting down
     }
-    state.available.notify_all();
-    // Unblock readers parked in read_exact.
+    // Unblock connections parked in a read.
     for conn in state
         .conns
         .lock()
@@ -189,7 +262,6 @@ pub struct Server {
     listener: TcpListener,
     shards: Arc<ShardSet>,
     state: Arc<State>,
-    config: ServerConfig,
     addr: SocketAddr,
 }
 
@@ -213,14 +285,13 @@ impl Server {
             listener,
             shards: Arc::new(shards),
             state: Arc::new(State {
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
                 shutdown: AtomicBool::new(false),
-                conns: Mutex::new(std::collections::HashMap::new()),
+                conns: Mutex::new(HashMap::new()),
+                permits: Permits::new(config.workers),
                 registry: MetricsRegistry::new(),
+                op_metrics: Opcode::ALL.map(OpMetrics::new),
                 recent_batches: Mutex::new(VecDeque::new()),
             }),
-            config,
             addr: local,
         })
     }
@@ -250,7 +321,7 @@ impl Server {
         }
     }
 
-    /// Serves until shutdown, then drains, joins every thread, and
+    /// Serves until shutdown, then joins every connection's thread and
     /// flushes the shards.
     ///
     /// # Errors
@@ -258,26 +329,16 @@ impl Server {
     /// Only the final flush can fail; per-connection errors retire that
     /// connection silently.
     pub fn run(self) -> Result<(), NetError> {
-        let mut workers = Vec::with_capacity(self.config.workers);
-        for _ in 0..self.config.workers {
-            let state = Arc::clone(&self.state);
-            let shards = Arc::clone(&self.shards);
-            let info = self.info();
-            workers.push(std::thread::spawn(move || {
-                worker_loop(&state, &shards, &info)
-            }));
-        }
-
-        let mut readers = Vec::new();
+        let mut conns = Vec::new();
         let mut next_conn: u64 = 0;
         for stream in self.listener.incoming() {
             if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(stream) = stream else { continue };
-            // Reap finished reader threads so neither the handle list nor
-            // the live-connection map grows with connection churn.
-            readers.retain(|h: &std::thread::JoinHandle<()>| !h.is_finished());
+            // Reap finished connection threads so neither the handle
+            // list nor the live-connection map grows with churn.
+            conns.retain(|h: &std::thread::JoinHandle<()>| !h.is_finished());
             let conn_id = next_conn;
             next_conn += 1;
             if let Ok(clone) = stream.try_clone() {
@@ -290,27 +351,22 @@ impl Server {
             self.state.registry.counter("srv.connections_total").inc();
             self.state.registry.gauge("srv.connections").add(1);
             let state = Arc::clone(&self.state);
+            let shards = Arc::clone(&self.shards);
             let info = self.info();
             let addr = self.addr;
-            readers.push(std::thread::spawn(move || {
-                reader_loop(stream, &state, &info, addr);
-                state.registry.gauge("srv.connections").add(-1);
-                state
-                    .conns
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .remove(&conn_id);
+            conns.push(std::thread::spawn(move || {
+                let _registered = Registered {
+                    state: &state,
+                    id: conn_id,
+                };
+                serve_conn(stream, &state, &shards, &info, addr);
             }));
         }
 
-        // Shutdown: wake everything and wait for it to drain.
+        // Shutdown: wake every connection and wait for it to finish.
         begin_shutdown(&self.state, self.addr);
-        for r in readers {
-            let _ = r.join();
-        }
-        self.state.available.notify_all();
-        for w in workers {
-            let _ = w.join();
+        for c in conns {
+            let _ = c.join();
         }
         self.shards
             .flush()
@@ -318,46 +374,49 @@ impl Server {
     }
 }
 
-/// Parses frames off one connection until EOF, error, or shutdown.
-fn reader_loop(stream: TcpStream, state: &State, info: &ServerInfo, addr: SocketAddr) {
-    let writer = Arc::new(ConnWriter {
-        stream: match stream.try_clone() {
-            Ok(s) => Mutex::new(s),
-            Err(_) => return,
-        },
-    });
-    let mut stream = stream;
+/// Serves one connection until EOF, error, or shutdown: each frame is
+/// parsed, executed and answered before the next is read.
+fn serve_conn(
+    mut stream: TcpStream,
+    state: &State,
+    shards: &ShardSet,
+    info: &ServerInfo,
+    addr: SocketAddr,
+) {
     loop {
         let (id, req, ctx) = match read_request_traced(&mut stream) {
             Ok(x) => x,
             Err(NetError::Protocol(msg)) => {
                 // A malformed frame desynchronizes the stream; report and
                 // hang up rather than guessing where the next frame starts.
-                writer.send(u64::MAX, &Response::Error(format!("protocol error: {msg}")));
+                let msg = format!("protocol error: {msg}");
+                let _ = write_response(&mut stream, u64::MAX, &Response::Error(msg));
                 return;
             }
             Err(_) => return, // EOF or socket error
         };
         let received = Instant::now();
-        match req {
+        let resp = match req {
             Request::Hello { version } => {
-                state.registry.counter("srv.req.hello").inc();
+                let metrics = state.metrics(Opcode::Hello);
+                state.registry.counter(&metrics.req).inc();
                 if version != info.version {
-                    state.registry.counter("srv.errors.hello").inc();
-                    writer.send(
-                        id,
-                        &Response::Error(format!(
-                            "version mismatch: server speaks v{}, client v{version}",
-                            info.version
-                        )),
+                    state.registry.counter(&metrics.errors).inc();
+                    let msg = format!(
+                        "version mismatch: server speaks v{}, client v{version}",
+                        info.version
                     );
+                    let _ = write_response(&mut stream, id, &Response::Error(msg));
                     return;
                 }
-                writer.send(id, &Response::Hello(info.clone()));
+                Response::Hello(info.clone())
             }
             Request::Shutdown => {
-                state.registry.counter("srv.req.shutdown").inc();
-                writer.send(id, &Response::ShuttingDown);
+                state
+                    .registry
+                    .counter(&state.metrics(Opcode::Shutdown).req)
+                    .inc();
+                let _ = write_response(&mut stream, id, &Response::ShuttingDown);
                 begin_shutdown(state, addr);
                 return;
             }
@@ -371,72 +430,55 @@ fn reader_loop(stream: TcpStream, state: &State, info: &ServerInfo, addr: Socket
                         state.registry.counter("srv.batch.redelivered").inc();
                     }
                 }
-                state.push(Job {
-                    writer: Arc::clone(&writer),
-                    id,
-                    req,
-                    received,
-                    ctx,
-                });
+                serve_request(state, shards, info, req, received, ctx)
             }
-        }
-        if state.shutdown.load(Ordering::SeqCst) {
+        };
+        // A send to a dead peer ends the connection.
+        let sent = write_response(&mut stream, id, &resp);
+        if sent.is_err() || state.shutdown.load(Ordering::SeqCst) {
             return;
         }
     }
 }
 
-fn worker_loop(state: &State, shards: &ShardSet, info: &ServerInfo) {
-    loop {
-        let job = {
-            let mut queue = state
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = state
-                    .available
-                    .wait(queue)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
-        let kind = job.req.opcode().name();
-        let bytes = request_bytes(&job.req);
-        let start = Instant::now();
-        // A traced frame roots a server-side span tree: the root
-        // starts when the reader parsed the frame and joins the
-        // client's trace; the queue wait is recorded as the interval
-        // between parse and this worker popping the job.
-        let root = job.ctx.map(|ctx| {
-            let g =
-                trace::wire_root_at(names::SRV_REQUEST, ctx.trace_id, ctx.span_id, job.received);
-            trace::span_at(
-                names::SRV_QUEUE,
-                job.received,
-                start.saturating_duration_since(job.received),
-            );
-            g
-        });
-        let resp = {
-            let _exec = trace::span(names::SRV_EXEC);
-            execute(shards, info, &state.registry, job.req)
-        };
-        let ok = !matches!(resp, Response::Error(_));
-        record_request(&state.registry, kind, bytes, start.elapsed(), ok);
-        // The root closes before the response frame is written: a
-        // client holding its reply can already pull this trace, and
-        // `srv.request` lies inside the client span that waited on it.
-        // An untraced request is timed over the same interval, from
-        // frame parse, and kept only if it failed or was slow.
-        trace::finish_op(root, names::SRV_REQUEST, job.received, bytes, ok);
-        job.writer.send(job.id, &resp);
-    }
+/// Executes one parsed request under a permit and returns its reply.
+fn serve_request(
+    state: &State,
+    shards: &ShardSet,
+    info: &ServerInfo,
+    req: Request,
+    received: Instant,
+    ctx: Option<SpanCtx>,
+) -> Response {
+    let metrics = state.metrics(req.opcode());
+    let bytes = request_bytes(&req);
+    let _permit = state.permits.acquire();
+    let start = Instant::now();
+    // A traced frame roots a server-side span tree: the root starts
+    // when the frame was parsed and joins the client's trace; the
+    // permit wait is recorded as the interval between parse and now.
+    let root = ctx.map(|ctx| {
+        let g = trace::wire_root_at(names::SRV_REQUEST, ctx.trace_id, ctx.span_id, received);
+        trace::span_at(
+            names::SRV_QUEUE,
+            received,
+            start.saturating_duration_since(received),
+        );
+        g
+    });
+    let resp = {
+        let _exec = trace::span(names::SRV_EXEC);
+        execute(shards, info, &state.registry, req)
+    };
+    let ok = !matches!(resp, Response::Error(_));
+    metrics.record(&state.registry, bytes, start.elapsed(), ok);
+    // The root closes before the response frame is written: a client
+    // holding its reply can already pull this trace, and `srv.request`
+    // lies inside the client span that waited on it. An untraced
+    // request is timed over the same interval, from frame parse, and
+    // kept only if it failed or was slow.
+    trace::finish_op(root, names::SRV_REQUEST, received, bytes, ok);
+    resp
 }
 
 /// The byte count a request moves (write payloads plus requested read
@@ -445,27 +487,6 @@ fn request_bytes(req: &Request) -> u64 {
     match req {
         Request::Batch { ops, .. } => ops.iter().map(|op| op.byte_len() as u64).sum(),
         _ => 0,
-    }
-}
-
-/// Charges one completed request to the per-opcode counters, latency
-/// histogram and byte counter.
-fn record_request(
-    registry: &MetricsRegistry,
-    kind: &str,
-    bytes: u64,
-    elapsed: std::time::Duration,
-    ok: bool,
-) {
-    registry.counter(&format!("srv.req.{kind}")).inc();
-    if !ok {
-        registry.counter(&format!("srv.errors.{kind}")).inc();
-    }
-    registry
-        .histogram(&format!("srv.lat_us.{kind}"))
-        .record(elapsed.as_micros() as u64);
-    if bytes > 0 {
-        registry.counter(&format!("srv.bytes.{kind}")).add(bytes);
     }
 }
 
@@ -490,7 +511,7 @@ fn execute(
             Request::Trace => Response::Traces(recorded_traces()),
             #[expect(
                 clippy::unreachable,
-                reason = "the reader loop answers shutdowns inline, before execute()"
+                reason = "a connection answers shutdowns itself, before execute()"
             )]
             Request::Shutdown => unreachable!("handled before execute()"),
             // A BATCH executes as one unit through the shard set: split
@@ -528,4 +549,46 @@ fn execute(
         })
     })();
     result.unwrap_or_else(|e| Response::Error(e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn at_most_n_requests_hold_a_permit_and_a_panicking_holder_returns_its() {
+        const PERMITS: usize = 3;
+        let permits = Permits::new(PERMITS);
+        let holding = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..16 {
+                scope.spawn(|| {
+                    for _ in 0..200 {
+                        let _permit = permits.acquire();
+                        let now = holding.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::yield_now();
+                        holding.fetch_sub(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=PERMITS).contains(&peak), "{peak} held at once");
+
+        // Every holder panics: each permit comes back as it unwinds.
+        for _ in 0..2 * PERMITS {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _permit = permits.acquire();
+                panic!("request panicked");
+            }));
+            assert!(unwound.is_err());
+        }
+        let held: Vec<Permit<'_>> = (0..PERMITS).map(|_| permits.acquire()).collect();
+        assert_eq!(*permits.free.lock().unwrap(), 0);
+        drop(held);
+        assert_eq!(*permits.free.lock().unwrap(), PERMITS);
+    }
 }

@@ -2,12 +2,14 @@
 //! concurrent mixed read/write traffic from 8 clients, with a device
 //! failure injected mid-traffic — every read (clean or degraded) must
 //! return checksum-verified data, and repair + scrub must restore a
-//! clean store. Mirrors the PR's acceptance scenario.
+//! clean store — once with four requests executing at once and once
+//! with one, so connections wait for the permit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
-use stair_device::{BlockDevice, DeviceError, FaultAdmin, OpRef};
+use stair_device::{BlockDevice, DeviceError, FaultAdmin, OpRef, OpResult};
+use stair_net::protocol::MAX_IO_BYTES;
 use stair_net::{Client, NetError, Server, ServerConfig, ShardSet, StripedClient};
 use stair_store::StoreOptions;
 
@@ -31,18 +33,20 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Spawns a server over fresh shards; returns (addr, run-thread, dir).
-fn start_server(
-    tag: &str,
-    shards: usize,
-    workers: usize,
-) -> (
+type Running = (
     String,
     std::thread::JoinHandle<Result<(), NetError>>,
     std::path::PathBuf,
-) {
+);
+
+/// Spawns a server over fresh shards; returns (addr, run-thread, dir).
+fn start_server(tag: &str, shards: usize, workers: usize) -> Running {
+    start_server_with(tag, shards, workers, &opts())
+}
+
+fn start_server_with(tag: &str, shards: usize, workers: usize, opts: &StoreOptions) -> Running {
     let dir = tmpdir(tag);
-    let set = ShardSet::create(&dir, shards, &opts()).expect("create shards");
+    let set = ShardSet::create(&dir, shards, opts).expect("create shards");
     let server = Server::bind("127.0.0.1:0", set, ServerConfig { workers }).expect("bind");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run());
@@ -51,11 +55,17 @@ fn start_server(
 
 #[test]
 fn eight_clients_mixed_rw_with_mid_traffic_device_failure() {
+    for workers in [4, 1] {
+        mixed_rw_with_mid_traffic_device_failure(workers);
+    }
+}
+
+fn mixed_rw_with_mid_traffic_device_failure(workers: usize) {
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 6;
     const FAIL_AT: usize = 3;
 
-    let (addr, server, dir) = start_server("mixed", 4, 4);
+    let (addr, server, dir) = start_server(&format!("mixed-w{workers}"), 4, workers);
     let capacity = Client::connect(&addr).expect("probe").capacity() as usize;
     let region = capacity / CLIENTS;
     assert!(region > 0);
@@ -131,6 +141,66 @@ fn eight_clients_mixed_rw_with_mid_traffic_device_failure() {
     assert!(status.shards.iter().all(|s| s.failed_devices.is_empty()));
 
     admin.shutdown_server().expect("shutdown");
+    server.join().expect("server thread").expect("server run");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One `submit_ops` of four `MAX_IO_BYTES` reads then two
+/// `MAX_IO_BYTES` writes moves more bytes each way than the loopback
+/// socket buffers hold. The server executes a connection's frames on
+/// the thread that reads them, so a client with several frames in
+/// flight hangs here: the server blocks writing a read's reply while
+/// the client blocks writing the next write frame.
+#[test]
+fn a_batch_of_whole_frames_each_way_completes() {
+    const CAP: usize = MAX_IO_BYTES as usize;
+    // 2 shards × 160 stripes × 20 data blocks × 4 KiB = 25 MiB.
+    let opts = StoreOptions {
+        symbol: 4096,
+        stripes: 160,
+        ..opts()
+    };
+    let (addr, server, dir) = start_server_with("whole-frames", 2, 2, &opts);
+    let client = Client::connect(&addr).expect("client");
+    assert!(client.capacity() as usize >= 6 * CAP);
+    let old = pattern(4 * CAP, 5);
+    client.write_at(0, &old).expect("seed write");
+    let new = pattern(2 * CAP, 6);
+
+    let (done, result) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let mut ops: Vec<OpRef<'_>> = (0..4)
+            .map(|k| OpRef::Read {
+                offset: (k * CAP) as u64,
+                len: CAP,
+            })
+            .collect();
+        ops.extend((0..2).map(|k| OpRef::Write {
+            offset: ((4 + k) * CAP) as u64,
+            data: &new[k * CAP..(k + 1) * CAP],
+        }));
+        let _ = done.send(client.submit_ops(&ops).map(|results| (client, results)));
+    });
+    let (client, results) = result
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the batch hung")
+        .expect("batch");
+    worker.join().expect("batch thread");
+    for (k, got) in results[..4].iter().enumerate() {
+        let OpResult::Read(got) = got else {
+            panic!("op {k} is a read, got {got:?}");
+        };
+        assert!(
+            got[..] == old[k * CAP..(k + 1) * CAP],
+            "read {k} returned other bytes"
+        );
+    }
+    assert_eq!(
+        client.read_at(4 * CAP as u64, 2 * CAP).expect("read back"),
+        pattern(2 * CAP, 6)
+    );
+
+    client.shutdown_server().expect("shutdown");
     server.join().expect("server thread").expect("server run");
     std::fs::remove_dir_all(&dir).unwrap();
 }

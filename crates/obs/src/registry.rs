@@ -117,20 +117,17 @@ impl MetricsRegistry {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string()).or_default().clone()
+        cell(&self.counters, name)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string()).or_default().clone()
+        cell(&self.gauges, name)
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string()).or_default().clone()
+        cell(&self.histograms, name)
     }
 
     /// A point-in-time copy of every registered metric, names sorted.
@@ -164,6 +161,17 @@ impl MetricsRegistry {
     }
 }
 
+/// The cell named `name` in `map`, created on first use. A metric that
+/// exists is found by a borrowed lookup, so only its first use
+/// allocates the name.
+fn cell<T: Clone + Default>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
+    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(cell) = map.get(name) {
+        return cell.clone();
+    }
+    map.entry(name.to_string()).or_default().clone()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +192,14 @@ mod tests {
 
         reg.histogram("lat").record(100);
         assert_eq!(reg.histogram("lat").count(), 1);
+
+        // Two lookups of one name hand out one cell, and a repeat
+        // lookup registers nothing new.
+        assert!(Arc::ptr_eq(&a.0, &reg.counter("ops").0));
+        assert!(Arc::ptr_eq(&g.0, &reg.gauge("depth").0));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters.len() + snap.gauges.len(), 2);
+        assert_eq!(snap.histograms.len(), 1);
     }
 
     #[test]
