@@ -271,15 +271,22 @@ pub(crate) fn fig10(_: Scale) -> Figure {
     ))
 }
 
-/// The average number of parity cells one data-cell update touches (the
-/// non-zero column of the code's encoding matrix).
-fn update_penalty(code: &dyn ErasureCode) -> f64 {
+/// The parity cells the updates of every data cell touch in all (each
+/// the non-zero column of the code's encoding matrix), and the number of
+/// data cells.
+fn update_cost(code: &dyn ErasureCode) -> (usize, usize) {
     let data = code.geometry().data_cells;
-    let touched: usize = data
+    let touched = data
         .iter()
         .map(|&cell| code.dependents(cell).expect("a data cell").len())
         .sum();
-    touched as f64 / data.len() as f64
+    (touched, data.len())
+}
+
+/// The average number of parity cells one data-cell update touches.
+fn update_penalty(code: &dyn ErasureCode) -> f64 {
+    let (touched, data) = update_cost(code);
+    touched as f64 / data as f64
 }
 
 /// **Fig. 14**: the average update penalty of STAIR codes for every e,
@@ -305,7 +312,7 @@ pub(crate) fn fig14(_: Scale) -> Figure {
             values.extend((1..=3usize).map(|m| {
                 let config = Config::new(n, r, m, &e).ok()?;
                 let codec: StairCodec = StairCodec::new(config).expect("codec");
-                Some(codec.relations().update_penalty().average)
+                Some(update_penalty(&codec))
             }));
             t.push(format!("{e:?}"), values);
         }
@@ -313,7 +320,7 @@ pub(crate) fn fig14(_: Scale) -> Figure {
     }
     let codec: StairCodec =
         StairCodec::new(Config::new(8, 16, 2, &[1, 2]).expect("config")).expect("codec");
-    let penalty = codec.relations().update_penalty();
+    let (touched, data) = update_cost(&codec);
     let mut ledger = Table::new(
         "the layer ledger's configuration, stair:8,16,2,1-2",
         "e",
@@ -323,13 +330,12 @@ pub(crate) fn fig14(_: Scale) -> Figure {
             ("average", Fmt::Fixed(3)),
         ],
     );
-    let touched: usize = penalty.per_data.iter().sum();
     ledger.push(
         "[1, 2]",
         vec![
             Some(touched as f64),
-            Some(penalty.per_data.len() as f64),
-            Some(penalty.average),
+            Some(data as f64),
+            Some(touched as f64 / data as f64),
         ],
     );
     fig.tables.push(ledger);
@@ -413,7 +419,7 @@ pub(crate) fn fig15(_: Scale) -> Figure {
                 .map(|e| {
                     let codec: StairCodec =
                         StairCodec::new(Config::new(n, r, m, e).expect("feasible")).expect("codec");
-                    codec.relations().update_penalty().average
+                    update_penalty(&codec)
                 })
                 .collect();
             p.sort_by(f64::total_cmp);

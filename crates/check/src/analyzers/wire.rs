@@ -18,7 +18,7 @@
 //! `enum` of its own named `Error` or `…Error` beside
 //! `stair_code::CodeError`. Last, (d) keeps names that belong to one
 //! file there (`ONE_HOME_NAMES`): in the codec crates only the plan
-//! executor runs a multi-term region product.
+//! executor runs a region product, and the store runs none of its own.
 
 use crate::findings::{Finding, Lint};
 use crate::lexer::{str_contents, TokKind, TokenFile};
@@ -66,15 +66,30 @@ const ONE_ERROR_HOMES: &[&str] = &["crates/sd/src/", "crates/stair/src/"];
 
 /// `(names, the trees they are held in, the one file there that may
 /// name them, why)`: a name outside its home, in code, is a second copy
-/// of what the home does. The multi-term region kernels are
-/// `Plan::execute`'s alone — a codec that calls them runs its own
-/// encode or decode loop.
-const ONE_HOME_NAMES: &[(&[&str], &[&str], &str, &str)] = &[(
-    &["mult_xor_regions", "dot_regions"],
-    &["crates/code/src/", "crates/sd/src/", "crates/stair/src/"],
-    "crates/code/src/plan.rs",
-    "`Plan::execute` is the codec layer's one region executor; lower the work to a `Plan`",
-)];
+/// of what the home does. The region kernels are `Plan::execute`'s
+/// alone — a codec that calls the multi-term ones runs its own encode or
+/// decode loop, and a codec or store that calls the single-term one
+/// patches parity beside the update plan.
+const ONE_HOME_NAMES: &[(&[&str], &[&str], &str, &str)] = &[
+    (
+        &["mult_xor_regions", "dot_regions"],
+        &["crates/code/src/", "crates/sd/src/", "crates/stair/src/"],
+        "crates/code/src/plan.rs",
+        "`Plan::execute` is the codec layer's one region executor; lower the work to a `Plan`",
+    ),
+    (
+        &["mult_xor_region"],
+        &[
+            "crates/code/src/",
+            "crates/sd/src/",
+            "crates/stair/src/",
+            "crates/store/src/",
+        ],
+        "crates/code/src/plan.rs",
+        "a small write is `ErasureCode::update_plan` run by `Plan::execute`; add the delta \
+         through it",
+    ),
+];
 
 /// Traits written as one method per implementor plus provided methods
 /// over it: `(trait, the method every impl defines, the provided methods
@@ -93,7 +108,14 @@ const ONE_METHOD_TRAITS: &[(&str, &str, &[&str])] = &[
     (
         "ErasureCode",
         "encode_plan",
-        &["encode", "apply", "plan", "update"],
+        &[
+            "encode",
+            "apply",
+            "plan",
+            "dependents",
+            "update_plan",
+            "update",
+        ],
     ),
 ];
 

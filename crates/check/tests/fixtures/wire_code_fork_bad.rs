@@ -1,6 +1,7 @@
 // Fixture: a second encoder and decoder beside `Plan::execute` — a codec
 // that overrides the provided `encode` and `apply`, and one that writes
-// its own `plan` and `update` and never defines its encode plan.
+// its own `plan`, `dependents` and `update` and never defines its encode
+// plan.
 pub struct Fork {
     encode: Plan,
 }
@@ -24,6 +25,10 @@ pub struct Legacy<F>(F);
 impl<F: Field> stair_code::ErasureCode for Legacy<F> {
     fn plan(&self, erased: &ErasureSet) -> Result<Plan, CodeError> {
         solve(erased)
+    }
+
+    fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
+        self.updates.dependents(cell)
     }
 
     fn update(&self, stripe: &mut StripeBuf, cell: CellIdx, new: &[u8]) -> Result<Vec<CellIdx>, CodeError> {

@@ -1,21 +1,13 @@
-// Fixture: what the one-executor rule must NOT flag in a codec crate —
-// the single-term kernel handed to `UpdateMap::fold`, and the fused
-// kernels' names in comments and strings.
-use stair_code::{CellIdx, CodeError, UpdateMap};
-use stair_gf::Field;
+// Fixture: what the one-executor rule must NOT flag in a codec or store
+// crate — the region kernels' names in comments and strings.
+use stair_code::{CellIdx, CodeError, ErasureCode, Patch};
 
 // Encoding is `Plan::execute`'s: it alone calls F::mult_xor_regions.
-/* Nor F::dot_regions: a delta is one term. */
-pub fn fold_delta<F: Field>(
-    updates: &UpdateMap,
-    cell: CellIdx,
-    parity: CellIdx,
-    delta: &[u8],
-    into: &mut [u8],
-) -> Result<(), CodeError> {
-    updates.fold(cell, parity, delta, into, F::mult_xor_region)
+/* Nor F::dot_regions, nor F::mult_xor_region: a delta is a plan too. */
+pub fn patch(codec: &dyn ErasureCode, cells: &[CellIdx], into: &mut Patch) -> Result<(), CodeError> {
+    codec.update_plan(cells, &|_| true)?.execute(codec.codec_id(), into)
 }
 
 pub fn describe() -> &'static str {
-    "mult_xor_regions and dot_regions are named in crates/code/src/plan.rs"
+    "mult_xor_regions, dot_regions and mult_xor_region are named in crates/code/src/plan.rs"
 }

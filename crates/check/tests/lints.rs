@@ -228,9 +228,10 @@ fn codec_overrides_of_provided_methods_are_flagged() {
         ("crates/sd/src/lib.rs", &bad),
     ]);
     let hits = of(&r, Lint::WireConstants);
-    assert_eq!(hits.len(), 5, "{hits:?}");
-    // encode + apply in `Fork`; plan + update + no encode_plan in `Legacy`.
-    for name in ["encode", "apply", "plan", "update"] {
+    assert_eq!(hits.len(), 6, "{hits:?}");
+    // encode + apply in `Fork`; plan + dependents + update + no
+    // encode_plan in `Legacy`.
+    for name in ["encode", "apply", "plan", "dependents", "update"] {
         let fork = format!("`fn {name}` inside an `impl ErasureCode for …` block");
         assert!(
             hits.iter()
@@ -320,12 +321,41 @@ fn region_products_outside_the_plan_executor_are_flagged() {
 }
 
 #[test]
-fn single_term_kernels_and_names_in_prose_are_clean() {
+fn single_term_kernels_outside_the_plan_executor_are_flagged() {
+    let proto = fixture("wire_protocol_good.rs");
+    let bad = fixture("wire_one_executor_single_term_bad.rs");
+    let r = run_ws(&[
+        ("crates/net/src/protocol.rs", &proto),
+        ("crates/stair/src/code_impl.rs", &bad),
+        ("crates/store/src/batch.rs", &bad),
+        ("crates/code/src/update.rs", &bad),
+        // The kernels' own crate, and crates above the store.
+        ("crates/gf/src/field.rs", &bad),
+        ("crates/net/src/server.rs", &bad),
+    ]);
+    let hits = of(&r, Lint::WireConstants);
+    assert_eq!(hits.len(), 6, "{hits:?}");
+    for file in [
+        "crates/stair/src/code_impl.rs",
+        "crates/store/src/batch.rs",
+        "crates/code/src/update.rs",
+    ] {
+        for line in [13, 17] {
+            let at =
+                format!("{file}:{line} `mult_xor_region` named outside `crates/code/src/plan.rs`");
+            assert!(hits.iter().any(|h| h.starts_with(&at)), "{at}: {hits:?}");
+        }
+    }
+}
+
+#[test]
+fn region_kernel_names_in_prose_are_clean() {
     let proto = fixture("wire_protocol_good.rs");
     let near = fixture("wire_one_executor_near_miss.rs");
     let r = run_ws(&[
         ("crates/net/src/protocol.rs", &proto),
         ("crates/stair/src/code_impl.rs", &near),
+        ("crates/store/src/batch.rs", &near),
     ]);
     assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
 }

@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use stair::{Config, StairCodec};
-use stair_code::CodecSpec;
+use stair_code::{CodecSpec, ErasureCode};
 use stair_reliability::storage_efficiency;
 
 fn main() -> ExitCode {
@@ -82,9 +82,15 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         c.standard,
         codec.best_method()
     );
+    let data = codec.geometry().data_cells;
+    let touched: usize = data
+        .iter()
+        .map(|&cell| codec.dependents(cell).map(<[_]>::len))
+        .sum::<Result<_, _>>()
+        .map_err(|e| e.to_string())?;
     println!(
         "  avg update penalty      : {:.2}",
-        codec.relations().update_penalty().average
+        touched as f64 / data.len() as f64
     );
     println!(
         "  byte kernels            : gf8 {}, fletcher32 {}",

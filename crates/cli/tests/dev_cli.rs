@@ -150,6 +150,15 @@ fn replay(dev: &str, script: &std::path::Path) -> String {
     json
 }
 
+/// The `data` of every read result of a `dev batch` JSON report, in
+/// order.
+fn read_data(json: &str) -> Vec<String> {
+    json.split("\"data\":\"")
+        .skip(1)
+        .map(|rest| rest.split('"').next().unwrap_or_default().to_string())
+        .collect()
+}
+
 #[test]
 fn dev_batch_replays_the_same_op_script_on_file_and_tcp() {
     let work = std::env::temp_dir().join(format!("stair-dev-batch-{}", std::process::id()));
@@ -157,7 +166,10 @@ fn dev_batch_replays_the_same_op_script_on_file_and_tcp() {
     std::fs::create_dir_all(&work).unwrap();
 
     // An op-script with scattered writes, then reads of the same spans:
-    // comments, blank lines, and an unaligned cross-block write.
+    // comments, blank lines, an unaligned cross-block write, a write in a
+    // later block row (2000) and one in the next stripe (2600, past the
+    // 20 × 128 bytes of stripe 0), and a read spanning unwritten and
+    // written bytes.
     let script = work.join("ops.txt");
     std::fs::write(
         &script,
@@ -166,9 +178,13 @@ fn dev_batch_replays_the_same_op_script_on_file_and_tcp() {
          write 256 00112233445566778899\n\
          \n\
          write 130 feedface # trailing comment\n\
+         write 2000 cafebabe\n\
+         write 2600 0badf00d\n\
          read 0 4\n\
          read 256 10\n\
-         read 130 4\n",
+         read 130 4\n\
+         read 1990 24\n\
+         read 2600 4\n",
     )
     .unwrap();
 
@@ -187,13 +203,20 @@ fn dev_batch_replays_the_same_op_script_on_file_and_tcp() {
     let tcp_spec = format!("tcp:{addr}");
     let tcp_json = replay(&tcp_spec, &script);
 
-    // Reads echo exactly what the writes stored, on both backends.
+    // Reads echo exactly what the writes stored, in order, on both
+    // backends; unwritten bytes read as zeros.
+    let zeros = "00".repeat(10);
+    let expected = [
+        "aabbccdd".to_string(),
+        "00112233445566778899".into(),
+        "feedface".into(),
+        format!("{zeros}cafebabe{zeros}"),
+        "0badf00d".into(),
+    ];
     for json in [&file_json, &tcp_json] {
         assert!(json.contains("\"op\":\"batch\""), "{json}");
-        assert!(json.contains("\"ops\":6"), "{json}");
-        assert!(json.contains("\"data\":\"aabbccdd\""), "{json}");
-        assert!(json.contains("\"data\":\"00112233445566778899\""), "{json}");
-        assert!(json.contains("\"data\":\"feedface\""), "{json}");
+        assert!(json.contains("\"ops\":10"), "{json}");
+        assert_eq!(read_data(json), expected, "{json}");
     }
     // Identical JSON key shape across backends.
     common::assert_same_key_shape(&file_json, &tcp_json);
@@ -209,7 +232,7 @@ fn dev_batch_replays_the_same_op_script_on_file_and_tcp() {
         "--output",
         file_out.to_str().unwrap(),
         "--len",
-        "1024",
+        "4096",
     ]);
     assert!(ok);
     let (ok, _) = run(&[
@@ -220,7 +243,7 @@ fn dev_batch_replays_the_same_op_script_on_file_and_tcp() {
         "--output",
         tcp_out.to_str().unwrap(),
         "--len",
-        "1024",
+        "4096",
     ]);
     assert!(ok);
     assert_eq!(

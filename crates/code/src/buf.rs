@@ -106,8 +106,8 @@ impl StripeBuf {
 
     /// The front half of a parity-delta update: validates the
     /// replacement contents' length and the cell coordinate and returns
-    /// the XOR delta `old ⊕ new` for the caller to fold into the cell's
-    /// dependent parities (the buffer is not changed).
+    /// the XOR delta `old ⊕ new` an update plan reads for the cell (the
+    /// buffer is not changed).
     ///
     /// # Errors
     ///

@@ -30,15 +30,17 @@
 //!   [`Plan::execute`], which reads through a [`CellLookup`] — a
 //!   [`StripeBuf`] here, only the sectors a degraded read loaded in
 //!   `stair-store`;
-//! * [`ErasureCode::dependents`] / [`ErasureCode::fold_delta`] — the
-//!   small-write primitives: which parity cells a data cell's update
-//!   patches, and `parity ^= c·(old ⊕ new)` for one of them. A caller
-//!   that holds only those cells (the store's partial-stripe write) works
-//!   from these directly;
-//! * [`ErasureCode::update`] — the same over a whole [`StripeBuf`]:
-//!   overwrite one data cell and patch its dependents in place, returning
-//!   which parity cells were touched. Provided, so the delta arithmetic
-//!   has one definition per codec.
+//! * [`ErasureCode::update_map`] — the small write: per data cell, the
+//!   parity cells that depend on it and with what coefficient, built once
+//!   at construction. Over it, provided:
+//!   [`ErasureCode::dependents`] names a data cell's parities (with the
+//!   cell itself, a small write's footprint), and
+//!   [`ErasureCode::update_plan`] is the [`Plan`] that adds the changed
+//!   cells' deltas `c·(old ⊕ new)` into the parities a caller holds, run
+//!   by the same executor through the one [`Patch`] lookup — the store's
+//!   partial-stripe write and [`ErasureCode::update`], which overwrites
+//!   one data cell of a whole [`StripeBuf`] and returns the parity cells
+//!   it touched.
 //!
 //! # The stripe buffer
 //!
@@ -90,6 +92,8 @@
 )]
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
+
 mod buf;
 mod erasure;
 mod error;
@@ -106,7 +110,7 @@ pub use geometry::Geometry;
 pub use mds::MdsCode;
 pub use plan::{CellLookup, CodecId, Lent, Plan, PlanBuilder};
 pub use spec::CodecSpec;
-pub use update::UpdateMap;
+pub use update::{Patch, UpdateMap};
 
 /// The common interface every erasure code in the workspace implements.
 ///
@@ -114,11 +118,12 @@ pub use update::UpdateMap;
 /// [`Geometry`]'s shape. All methods validate the buffer shape and return
 /// [`CodeError::ShapeMismatch`] rather than panicking on foreign stripes.
 ///
-/// A codec defines how it plans; it never defines [`ErasureCode::encode`],
-/// [`ErasureCode::plan`], [`ErasureCode::apply`] or
-/// [`ErasureCode::update`], which are written once here (`stair-check`'s
-/// `wire-constants` lint holds that, since the compiler lets a provided
-/// method be overridden).
+/// A codec defines how it plans and which parities depend on which data;
+/// it never defines [`ErasureCode::encode`], [`ErasureCode::plan`],
+/// [`ErasureCode::apply`], [`ErasureCode::dependents`],
+/// [`ErasureCode::update_plan`] or [`ErasureCode::update`], which are
+/// written once here (`stair-check`'s `wire-constants` lint holds that,
+/// since the compiler lets a provided method be overridden).
 pub trait ErasureCode: Send + Sync {
     /// The stripe geometry: shape, cell roles, and failure tolerance.
     fn geometry(&self) -> Geometry;
@@ -190,39 +195,54 @@ pub trait ErasureCode: Send + Sync {
         plan.execute(id, stripe)
     }
 
+    /// The small-write relation: per data cell, the parity cells that
+    /// depend on it and their coefficients (§6.3's update penalty is the
+    /// number of them), built once per codec.
+    ///
+    /// # Errors
+    ///
+    /// [`CodeError::Unsupported`] if the codec's parities do not all live
+    /// in the `r × n` grid.
+    fn update_map(&self) -> Result<&UpdateMap, CodeError>;
+
     /// The parity cells an update of data cell `cell` patches — with
     /// `cell` itself, the footprint of a small write (§6.3's update
-    /// penalty is this slice's length). Precomputed per codec.
+    /// penalty is this slice's length), in [`Geometry::parity_cells`]
+    /// order.
     ///
     /// # Errors
     ///
     /// * [`CodeError::InvalidPattern`] if `cell` is out of range or not a
     ///   data cell;
-    /// * [`CodeError::Unsupported`] if the codec's parities do not all
-    ///   live in the `r × n` grid.
-    fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError>;
+    /// * [`CodeError::Unsupported`] as [`ErasureCode::update_map`].
+    fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
+        self.update_map()?.dependents(cell)
+    }
 
-    /// Folds the change `delta = old ⊕ new` of data cell `cell` into the
-    /// contents `into` of its dependent `parity`: `into ^= c·delta`,
-    /// with `c` the coefficient of `cell` in `parity`.
+    /// The plan of a small write that changed the data `cells`: it reads
+    /// each as its delta `old ⊕ new` and adds `Σ c·Δ` into every
+    /// dependent parity that lies `within` what the caller holds, one
+    /// fused step per parity, through a [`Patch`]. Its
+    /// [`Plan::mult_xors`] is the number of (cell, parity) pairs — for
+    /// one cell, the length of [`ErasureCode::dependents`], and a plan
+    /// built once ([`UpdateMap::plan`]) if all of them are held.
     ///
     /// # Errors
     ///
-    /// * [`CodeError::InvalidPattern`] if `parity` is not one of
-    ///   [`ErasureCode::dependents`]`(cell)`;
-    /// * [`CodeError::ShapeMismatch`] if `delta` and `into` differ in
-    ///   length or are not whole field elements.
-    fn fold_delta(
+    /// As [`ErasureCode::dependents`], for any of `cells`.
+    fn update_plan(
         &self,
-        cell: CellIdx,
-        parity: CellIdx,
-        delta: &[u8],
-        into: &mut [u8],
-    ) -> Result<(), CodeError>;
+        cells: &[CellIdx],
+        within: &dyn Fn(CellIdx) -> bool,
+    ) -> Result<std::borrow::Cow<'_, Plan>, CodeError> {
+        self.update_map()?.plan(cells, within)
+    }
 
     /// Overwrites data cell `cell` with `new_contents` and patches every
-    /// dependent parity cell in place, returning the parity cells touched
-    /// (the realized update penalty, §6.3 of the paper).
+    /// dependent parity cell in place — the [`ErasureCode::update_plan`]
+    /// of that one cell, run over the stripe's parities — returning the
+    /// parity cells touched (the realized update penalty, §6.3 of the
+    /// paper).
     ///
     /// The stripe must already be consistently encoded; after the call it
     /// is again consistently encoded.
@@ -231,23 +251,32 @@ pub trait ErasureCode: Send + Sync {
     ///
     /// * [`CodeError::InvalidPattern`] if `cell` is not a data cell;
     /// * [`CodeError::ShapeMismatch`] for foreign buffers or wrong-length
-    ///   contents.
+    ///   contents;
+    /// * [`CodeError::Unsupported`] as [`ErasureCode::update_map`].
     fn update(
         &self,
         stripe: &mut StripeBuf,
         cell: CellIdx,
         new_contents: &[u8],
     ) -> Result<Vec<CellIdx>, CodeError> {
-        let parities = self.dependents(cell)?;
-        let geom = self.geometry();
-        stripe.check_shape(geom.r, geom.n, 1)?;
-        let delta = stripe.delta(cell, new_contents)?;
-        // Parities first: a shape error fails every fold alike, so the
+        let plan = self.update_plan(&[cell], &|_| true)?;
+        let id = self.codec_id();
+        stripe.check_shape(id.spec.r(), id.spec.n(), id.elem_bytes())?;
+        let deltas = BTreeMap::from([(cell, stripe.delta(cell, new_contents)?)]);
+        let symbol = stripe.symbol();
+        // A stripe lends every cell of its shape; the patch refuses a
+        // target it was not lent.
+        let (_, parities) = stripe.lend(&[], plan.recovers()).unwrap_or_default();
+        let parities = plan.recovers().iter().copied().zip(parities).collect();
+        // The plan checks every shape before it patches a parity, so the
         // stripe is either fully updated or untouched.
-        for &parity in parities {
-            self.fold_delta(cell, parity, &delta, stripe.cell_mut(parity))?;
-        }
+        let mut patch = Patch {
+            symbol,
+            deltas: &deltas,
+            parities,
+        };
+        plan.execute(id, &mut patch)?;
         stripe.set_cell(cell, new_contents);
-        Ok(parities.to_vec())
+        Ok(plan.recovers().to_vec())
     }
 }

@@ -28,10 +28,11 @@
 //! properties of the plan, and one execution ticks `stair_gf::counters` by
 //! exactly that.
 //!
-//! [`Plan::execute`] is the only encoder and the only decoder in the
-//! workspace. It reads the sources through a [`CellLookup`] — a whole
-//! [`crate::StripeBuf`], a STAIR stripe with its outside globals, or just
-//! the sectors a store read for one degraded fragment — and keeps the
+//! [`Plan::execute`] is the only encoder, the only decoder and the only
+//! small-write patcher in the workspace. It reads the sources through a
+//! [`CellLookup`] — a whole [`crate::StripeBuf`], a STAIR stripe with its
+//! outside globals, just the sectors a store read for one degraded
+//! fragment, or a small write's deltas ([`crate::Patch`]) — and keeps the
 //! intermediates in one buffer. A whole stripe lends the targets' own
 //! sectors, so an encode writes the parity where it is stored; any other
 //! lookup gets each target handed over from the same buffer. A plan
@@ -102,6 +103,14 @@ pub trait CellLookup {
     fn lend(&mut self, sources: &[CellIdx], targets: &[CellIdx]) -> Option<Lent<'_>> {
         let _ = (sources, targets);
         None
+    }
+
+    /// Whether each step's output is added into its lent target
+    /// (`target ^= Σ c·slot`) instead of written over it: a small write's
+    /// parities take their update that way ([`crate::Patch`]). `false`
+    /// (the default) for every lookup that recovers or encodes.
+    fn adds(&self) -> bool {
+        false
     }
 }
 
@@ -223,10 +232,12 @@ impl Plan {
         &self.slots[self.slots.len() - self.targets..]
     }
 
-    /// The stored cells the plan reads and does not itself produce,
-    /// sorted and duplicate-free: with these holding their true contents,
-    /// [`Plan::execute`] reconstructs every cell of [`Plan::recovers`].
-    /// Disjoint from the erased set the plan was built for.
+    /// The cells the plan reads and does not itself produce, sorted and
+    /// duplicate-free: with these holding their true contents,
+    /// [`Plan::execute`] computes every cell of [`Plan::recovers`]. A
+    /// recovery plan's are stored cells, disjoint from the erased set it
+    /// was built for; an update plan's are the changed data cells, which
+    /// its lookup reads as their deltas.
     pub fn sources(&self) -> &[CellIdx] {
         &self.slots[..self.sources]
     }
@@ -294,11 +305,13 @@ impl Plan {
         // (each slot is written at most once, and one no step writes is
         // the zero slot), or the targets in the lookup itself.
         let (s, first) = (self.sources, self.slots.len() - self.targets);
+        let adds = cells.adds();
         if let Some((sources, targets)) = cells.lend(self.sources(), self.recovers()) {
             let mut work = vec![0u8; (first - s) * sym];
             let mut homes: Vec<&mut [u8]> = work.chunks_exact_mut(sym).collect();
             homes.extend(targets);
-            self.compute::<F>(&sources, &mut homes, first - s);
+            let kept = if adds { homes.len() } else { first - s };
+            self.compute::<F>(&sources, &mut homes, kept);
             return Ok(());
         }
         let mut work = vec![0u8; (self.slots.len() - s) * sym];
@@ -321,8 +334,8 @@ impl Plan {
                 }
             }
             let mut homes: Vec<&mut [u8]> = work.chunks_exact_mut(sym).collect();
-            let zeroed = homes.len();
-            self.compute::<F>(&sources, &mut homes, zeroed);
+            let kept = homes.len();
+            self.compute::<F>(&sources, &mut homes, kept);
         }
         let targets = work[(first - s) * sym..].chunks_exact(sym);
         for (&cell, bytes) in self.recovers().iter().zip(targets) {
@@ -332,9 +345,10 @@ impl Plan {
     }
 
     /// The program over `sources` and `homes`, one sector per slot after
-    /// the sources; the first `zeroed` homes start as zeros, and any other
-    /// is zeroed before its step writes it.
-    fn compute<F: Field>(&self, sources: &[&[u8]], homes: &mut [&mut [u8]], zeroed: usize) {
+    /// the sources. A step adds into the first `kept` homes — zeros, or a
+    /// lent target that adds ([`CellLookup::adds`]) — and zeroes any other
+    /// before it writes it.
+    fn compute<F: Field>(&self, sources: &[&[u8]], homes: &mut [&mut [u8]], kept: usize) {
         let s = self.sources;
         let mut spare = Vec::new();
         for step in &self.steps {
@@ -355,7 +369,7 @@ impl Plan {
                 };
                 terms.push((region, F::elem(usize::from(self.coeffs[k]))));
             }
-            if at >= zeroed {
+            if at >= kept {
                 out.fill(0);
             }
             F::mult_xor_regions(out, &terms);

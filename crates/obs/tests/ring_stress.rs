@@ -4,7 +4,9 @@
 //! concurrent ones — traces are never torn (every retained record is
 //! internally consistent with what exactly one writer produced), the
 //! main ring wraps at its cap, and slow entries survive a main-ring
-//! wrap in their own ring.
+//! wrap in their own ring. Each concurrent property is checked on
+//! `ROUNDS` fresh recorders, so an interleaving that one run in a few
+//! hits is met within the test.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -13,6 +15,7 @@ use stair_obs::{FlightRecorder, SpanRecord};
 const WRITERS: usize = 8;
 const TRACE_RING_CAP: usize = 128;
 const SLOW_TRACE_CAP: usize = 32;
+const ROUNDS: usize = 20;
 
 /// Encodes (writer, seq) into a span so a retained record can be
 /// checked against exactly what its writer constructed.
@@ -55,77 +58,81 @@ fn record_traces(rec: &FlightRecorder, ids: &AtomicU64, writer: u64, roots: u64,
 
 #[test]
 fn flight_recorder_ring_wraps_without_tearing_under_concurrent_writers() {
-    let rec = FlightRecorder::new();
-    rec.set_slow_threshold_us(u64::MAX); // only errors would be slow
-    let ids = AtomicU64::new(0);
-    let per_writer = (TRACE_RING_CAP) as u64;
-    std::thread::scope(|scope| {
-        for w in 0..WRITERS as u64 {
-            let (rec, ids) = (&rec, &ids);
-            scope.spawn(move || record_traces(rec, ids, w, per_writer, false));
-        }
-    });
+    for _ in 0..ROUNDS {
+        let rec = FlightRecorder::new();
+        rec.set_slow_threshold_us(u64::MAX); // only errors would be slow
+        let ids = AtomicU64::new(0);
+        let per_writer = (TRACE_RING_CAP) as u64;
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS as u64 {
+                let (rec, ids) = (&rec, &ids);
+                scope.spawn(move || record_traces(rec, ids, w, per_writer, false));
+            }
+        });
 
-    let traces = rec.traces();
-    assert_eq!(traces.len(), TRACE_RING_CAP, "trace ring wraps at cap");
-    for trace in &traces {
-        // Structure: every span shares the trace id, the root is last,
-        // children point at the root — an interleaved (torn) trace
-        // would mix spans of different trace ids or writers.
-        assert!(trace.spans.iter().all(|s| s.trace_id == trace.trace_id));
-        let root = trace.spans.last().expect("root span");
-        assert_eq!(root.span_id, trace.root_span);
-        assert_eq!(root.parent_id, 0);
-        assert_eq!(root.name, "client.submit");
-        let children = &trace.spans[..trace.spans.len() - 1];
-        assert_eq!(children.len(), 3, "all three children retained");
-        for child in children {
-            assert_eq!(child.parent_id, root.span_id);
-            assert_eq!(child.name, "store.stripe");
-            assert_eq!(child.bytes, root.bytes, "same writer produced the tree");
+        let traces = rec.traces();
+        assert_eq!(traces.len(), TRACE_RING_CAP, "trace ring wraps at cap");
+        for trace in &traces {
+            // Structure: every span shares the trace id, the root is last,
+            // children point at the root — an interleaved (torn) trace
+            // would mix spans of different trace ids or writers.
+            assert!(trace.spans.iter().all(|s| s.trace_id == trace.trace_id));
+            let root = trace.spans.last().expect("root span");
+            assert_eq!(root.span_id, trace.root_span);
+            assert_eq!(root.parent_id, 0);
+            assert_eq!(root.name, "client.submit");
+            let children = &trace.spans[..trace.spans.len() - 1];
+            assert_eq!(children.len(), 3, "all three children retained");
+            for child in children {
+                assert_eq!(child.parent_id, root.span_id);
+                assert_eq!(child.name, "store.stripe");
+                assert_eq!(child.bytes, root.bytes, "same writer produced the tree");
+            }
+            assert!(!trace.slow);
         }
-        assert!(!trace.slow);
+        assert_eq!(rec.dropped_spans(), 0, "no caps were hit");
     }
-    assert_eq!(rec.dropped_spans(), 0, "no caps were hit");
 }
 
 #[test]
 fn slow_traces_survive_main_ring_wrap() {
-    let rec = FlightRecorder::new();
-    rec.set_slow_threshold_us(500_000);
-    let ids = AtomicU64::new(0);
+    for _ in 0..ROUNDS {
+        let rec = FlightRecorder::new();
+        rec.set_slow_threshold_us(500_000);
+        let ids = AtomicU64::new(0);
 
-    // Phase 1: a few slow traces from concurrent writers.
-    std::thread::scope(|scope| {
-        for w in 0..4u64 {
-            let (rec, ids) = (&rec, &ids);
-            scope.spawn(move || record_traces(rec, ids, w, 4, true));
+        // Phase 1: a few slow traces from concurrent writers.
+        std::thread::scope(|scope| {
+            for w in 0..4u64 {
+                let (rec, ids) = (&rec, &ids);
+                scope.spawn(move || record_traces(rec, ids, w, 4, true));
+            }
+        });
+
+        // Phase 2: wrap the main ring with fast traces.
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS as u64 {
+                let (rec, ids) = (&rec, &ids);
+                scope.spawn(move || record_traces(rec, ids, w, 2 * TRACE_RING_CAP as u64, false));
+            }
+        });
+
+        // The main ring only remembers fast traces …
+        assert!(rec.traces().iter().all(|t| !t.slow));
+        // … while the slow ring kept the slow phase, trees intact.
+        let slow = rec.slow_traces();
+        assert_eq!(slow.len(), 16, "all slow traces retained");
+        assert!(slow.len() <= SLOW_TRACE_CAP);
+        for trace in &slow {
+            assert!(trace.slow);
+            assert_eq!(trace.duration_us, 1_000_000);
+            let root = trace.spans.last().expect("root span");
+            assert_eq!(root.span_id, trace.root_span);
+            assert!(trace
+                .spans
+                .iter()
+                .all(|s| s.trace_id == trace.trace_id && s.bytes == root.bytes));
         }
-    });
-
-    // Phase 2: wrap the main ring with fast traces.
-    std::thread::scope(|scope| {
-        for w in 0..WRITERS as u64 {
-            let (rec, ids) = (&rec, &ids);
-            scope.spawn(move || record_traces(rec, ids, w, 2 * TRACE_RING_CAP as u64, false));
-        }
-    });
-
-    // The main ring only remembers fast traces …
-    assert!(rec.traces().iter().all(|t| !t.slow));
-    // … while the slow ring kept the slow phase, trees intact.
-    let slow = rec.slow_traces();
-    assert_eq!(slow.len(), 16, "all slow traces retained");
-    assert!(slow.len() <= SLOW_TRACE_CAP);
-    for trace in &slow {
-        assert!(trace.slow);
-        assert_eq!(trace.duration_us, 1_000_000);
-        let root = trace.spans.last().expect("root span");
-        assert_eq!(root.span_id, trace.root_span);
-        assert!(trace
-            .spans
-            .iter()
-            .all(|s| s.trace_id == trace.trace_id && s.bytes == root.bytes));
     }
 }
 

@@ -38,7 +38,7 @@ pub struct RsArrayCode<F: Field> {
     code: MdsCode<F>,
     /// The row code's data→parity coefficients per data cell,
     /// precomputed so the small-write path pays no per-call solve.
-    updates: UpdateMap<F::Elem>,
+    updates: UpdateMap,
     /// The same coefficients as a plan, each row's parities from its
     /// data: its sources and targets are the geometry's data and parity
     /// cells.
@@ -69,18 +69,16 @@ impl<F: Field> RsArrayCode<F> {
         let (data, parity) = (grid(&data_idx), grid(&parity_idx));
         // A parity depends only on the data cells of its own row.
         let coeff = |p: usize, d: usize| match (parity[p], data[d]) {
-            ((pi, pc), (di, dc)) if pi == di => row_coeff.get(dc, pc - (n - m)),
-            _ => F::zero(),
+            ((pi, pc), (di, dc)) if pi == di => F::value(row_coeff.get(dc, pc - (n - m))) as u16,
+            _ => 0,
         };
-        let updates = UpdateMap::new((r, n), F::ELEM_BYTES, &data, &parity, F::zero(), &coeff);
         let id = CodecId {
             spec: CodecSpec::Rs { n, r, m },
             width: F::W,
             outside_globals: false,
         };
-        let encode = Plan::dense(id.clone(), data.clone(), &parity, |p, d| {
-            F::value(coeff(p, d)) as u16
-        })?;
+        let updates = UpdateMap::new(id.clone(), (r, n), &data, &parity, coeff)?;
+        let encode = Plan::dense(id.clone(), data.clone(), &parity, coeff)?;
         Ok(RsArrayCode {
             n,
             r,
@@ -193,19 +191,8 @@ impl<F: Field> ErasureCode for RsArrayCode<F> {
         plan.finish()
     }
 
-    fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
-        self.updates.dependents(cell)
-    }
-
-    fn fold_delta(
-        &self,
-        cell: CellIdx,
-        parity: CellIdx,
-        delta: &[u8],
-        into: &mut [u8],
-    ) -> Result<(), CodeError> {
-        self.updates
-            .fold(cell, parity, delta, into, F::mult_xor_region)
+    fn update_map(&self) -> Result<&UpdateMap, CodeError> {
+        Ok(&self.updates)
     }
 }
 

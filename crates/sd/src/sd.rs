@@ -50,7 +50,7 @@ pub struct SdCode<F: Field> {
     check: Matrix<F>,
     /// The dense encoding matrix per data symbol: the parities a small
     /// write patches.
-    updates: UpdateMap<F::Elem>,
+    updates: UpdateMap,
     /// The dense encoding matrix as a plan: its sources are the data
     /// cells in payload order, its targets the parity cells.
     encode: Plan,
@@ -148,16 +148,14 @@ impl<F: Field> SdCode<F> {
         };
         let cells = |pos: &[usize]| pos.iter().map(|&q| (q / n, q % n)).collect::<Vec<_>>();
         let (data, parity) = (cells(&data_pos), cells(&parity_pos));
-        let coeff = |p, d| dense.get(p, d);
-        let updates = UpdateMap::new((r, n), F::ELEM_BYTES, &data, &parity, F::zero(), coeff);
+        let coeff = |p, d| F::value(dense.get(p, d)) as u16;
         let id = CodecId {
             spec: CodecSpec::Sd { n, r, m, s },
             width: F::W,
             outside_globals: false,
         };
-        let encode = Plan::dense(id.clone(), data, &parity, |p, d| {
-            F::value(coeff(p, d)) as u16
-        })?;
+        let updates = UpdateMap::new(id.clone(), (r, n), &data, &parity, coeff)?;
+        let encode = Plan::dense(id.clone(), data, &parity, coeff)?;
         Ok(SdCode {
             n,
             r,
@@ -310,19 +308,8 @@ impl<F: Field> ErasureCode for SdCode<F> {
         plan.finish()
     }
 
-    fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
-        self.updates.dependents(cell)
-    }
-
-    fn fold_delta(
-        &self,
-        cell: CellIdx,
-        parity: CellIdx,
-        delta: &[u8],
-        into: &mut [u8],
-    ) -> Result<(), CodeError> {
-        self.updates
-            .fold(cell, parity, delta, into, F::mult_xor_region)
+    fn update_map(&self) -> Result<&UpdateMap, CodeError> {
+        Ok(&self.updates)
     }
 }
 

@@ -8,7 +8,7 @@
 //! [`GlobalPlacement::Inside`] configurations are supported through this
 //! interface: a bare `r × n` grid has nowhere to store outside globals.
 
-use stair_code::{CellIdx, CodeError, CodecId, ErasureCode, ErasureSet, Geometry, Plan};
+use stair_code::{CellIdx, CodeError, CodecId, ErasureCode, ErasureSet, Geometry, Plan, UpdateMap};
 use stair_gf::Field;
 
 use crate::{GlobalPlacement, StairCodec};
@@ -54,21 +54,9 @@ impl<F: Field> ErasureCode for StairCodec<F> {
         StairCodec::plan_recover(self, erased.cells(), wanted)
     }
 
-    fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
+    fn update_map(&self) -> Result<&UpdateMap, CodeError> {
         self.check_inside()?;
-        self.updates.dependents(cell)
-    }
-
-    fn fold_delta(
-        &self,
-        cell: CellIdx,
-        parity: CellIdx,
-        delta: &[u8],
-        into: &mut [u8],
-    ) -> Result<(), CodeError> {
-        self.check_inside()?;
-        self.updates
-            .fold(cell, parity, delta, into, F::mult_xor_region)
+        Ok(&self.updates)
     }
 }
 
@@ -136,6 +124,60 @@ mod tests {
         assert_eq!(buf, reference);
     }
 
+    /// An update touches exactly its cell's dependents, and its plan
+    /// costs one `Mult_XOR` per dependent (§6.3's penalty).
+    #[test]
+    fn touched_cells_are_the_dependents() {
+        let codec = codec();
+        let mut buf = encoded_buf(&codec, 7);
+        for (d, &cell) in codec.geometry().data_cells.iter().enumerate() {
+            let touched = codec.update(&mut buf, cell, &[d as u8 + 1; 16]).unwrap();
+            let dependents = codec.dependents(cell).unwrap();
+            assert_eq!(touched, dependents, "data cell {cell:?}");
+            let plan = codec.update_plan(&[cell], &|_| true).unwrap();
+            assert_eq!(plan.mult_xors(), dependents.len());
+        }
+    }
+
+    #[test]
+    fn updated_stripe_still_decodes() {
+        let codec = codec();
+        let mut buf = encoded_buf(&codec, 7);
+        codec.update(&mut buf, (0, 0), &[0x99; 16]).unwrap();
+        codec.update(&mut buf, (3, 1), &[0x77; 16]).unwrap();
+        let pristine = buf.clone();
+        let erased = ErasureSet::new((0..4).flat_map(|i| [(i, 6), (i, 7)]).chain([
+            (3, 3),
+            (3, 4),
+            (2, 5),
+            (3, 5),
+        ]));
+        buf.erase(erased.cells());
+        codec
+            .apply(&ErasureCode::plan(&codec, &erased).unwrap(), &mut buf)
+            .unwrap();
+        assert_eq!(buf, pristine);
+    }
+
+    #[test]
+    fn updates_of_parity_or_wrong_lengths_are_refused() {
+        let codec = codec();
+        let mut buf = encoded_buf(&codec, 7);
+        let before = buf.clone();
+        // (0, 6) is a row parity; (3, 3) is an inside global.
+        for parity in [(0, 6), (3, 3)] {
+            assert!(matches!(
+                codec.update(&mut buf, parity, &[0; 16]),
+                Err(CodeError::InvalidPattern(_))
+            ));
+        }
+        assert!(matches!(
+            codec.update(&mut buf, (0, 0), &[0; 5]),
+            Err(CodeError::ShapeMismatch(_))
+        ));
+        assert_eq!(buf, before, "a refused update writes nothing");
+    }
+
     #[test]
     fn foreign_buffers_rejected() {
         let codec = codec();
@@ -198,13 +240,13 @@ mod tests {
 
     /// Every trait method that reaches the codec refuses an outside
     /// placement (`apply` only runs plans, and this codec gives none).
-    /// Regression: `fold_delta` used to patch cells outside the grid.
+    /// Regression: the small-write path used to patch cells outside the
+    /// grid.
     #[test]
     fn outside_placement_unsupported_via_trait() {
         let config = Config::with_placement(6, 4, 1, &[1, 2], GlobalPlacement::Outside).unwrap();
         let codec: StairCodec = StairCodec::new(config).unwrap();
         let mut buf = StripeBuf::new(4, 6, 16).unwrap();
-        let (delta, mut into) = ([1u8; 16], [0u8; 16]);
         let erased = ErasureSet::devices(&[0], 4);
         let calls: [(&str, Result<(), CodeError>); 8] = [
             ("encode_plan", codec.encode_plan().map(drop)),
@@ -214,16 +256,13 @@ mod tests {
                 "plan_recover",
                 ErasureCode::plan_recover(&codec, &erased, &[(1, 0)]).map(drop),
             ),
+            ("update_map", codec.update_map().map(drop)),
             ("dependents", codec.dependents((0, 0)).map(drop)),
             (
-                "fold_delta g_00",
-                codec.fold_delta((0, 0), (4, 6), &delta, &mut into),
+                "update_plan",
+                codec.update_plan(&[(0, 0)], &|_| true).map(drop),
             ),
-            (
-                "fold_delta g_11",
-                codec.fold_delta((0, 0), (5, 7), &delta, &mut into),
-            ),
-            ("update", codec.update(&mut buf, (0, 0), &delta).map(drop)),
+            ("update", codec.update(&mut buf, (0, 0), &[1; 16]).map(drop)),
         ];
         for (method, result) in calls {
             assert!(
@@ -231,7 +270,6 @@ mod tests {
                 "{method}: {result:?}"
             );
         }
-        assert_eq!(into, [0; 16], "a refused fold writes nothing");
         assert_eq!(buf, StripeBuf::new(4, 6, 16).unwrap());
     }
 }

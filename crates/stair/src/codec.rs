@@ -57,7 +57,7 @@ pub struct StairCodec<F: Field = Gf8> {
     decode_avail: Availability,
     relations: ParityRelations<F>,
     /// `relations` per data cell: the parities a small write patches.
-    pub(crate) updates: UpdateMap<F::Elem>,
+    pub(crate) updates: UpdateMap,
     counts: MultXorCounts,
     best: EncodingMethod,
     /// The `best` method's plan: the data cells to every parity cell (and
@@ -108,7 +108,7 @@ impl<F: Field> StairCodec<F> {
         let (peeler, avail) = peel_encode(&layout, &crow, &ccol, first)?;
         let encode = peeler.lower(&id, &avail, &layout.encode_targets())?;
         let relations = ParityRelations::derive(&layout, &encode);
-        let updates = relations.update_map(&layout);
+        let updates = relations.update_map(id.clone(), &layout)?;
         let mut counts = MultXorCounts::analytic(&config);
         counts.standard = relations.standard_mult_xors();
         let best = match config.placement() {

@@ -63,7 +63,6 @@ mod schedule;
 mod space;
 mod standard;
 mod stripe;
-mod update;
 
 pub use codec::{EncodingMethod, StairCodec};
 pub use complexity::MultXorCounts;
@@ -72,5 +71,5 @@ pub use layout::{Cell, CellKind, Layout};
 pub use schedule::{Schedule, Step, StepCode};
 pub use space::{devices_saved, storage_efficiency, SpaceComparison};
 pub use stair_code::Plan;
-pub use standard::{ParityRelations, UpdatePenalty};
+pub use standard::ParityRelations;
 pub use stripe::Stripe;

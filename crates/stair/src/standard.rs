@@ -7,8 +7,9 @@
 //!
 //! * the **standard encoding** method of §5.3 (each parity computed directly
 //!   from its contributing data symbols, as in classical Reed–Solomon);
-//! * the **update penalty** metric of §6.3 (how many parity sectors must be
-//!   rewritten when one data sector changes);
+//! * the **update map** behind §6.3's update penalty (which parity sectors
+//!   must be rewritten when one data sector changes, and with what
+//!   coefficient);
 //! * a machine-checkable form of **Property 5.1** (parity symbol at
 //!   `(i₀, j₀)` depends only on data symbols `(i, j)` with `i ≤ i₀`,
 //!   `j ≤ j₀`, with tread/riser exclusions).
@@ -96,32 +97,10 @@ impl<F: Field> ParityRelations<F> {
 
     /// The relation transposed for the small-write path: per data cell,
     /// the parities with a non-zero coefficient (the cells §6.3 counts).
-    pub(crate) fn update_map(&self, layout: &Layout) -> UpdateMap<F::Elem> {
-        let coeff = |p: usize, d: usize| self.coeffs[p][d];
-        let (data, parity) = (&self.data_cells, &self.parity_cells);
-        UpdateMap::new(
-            (layout.r(), layout.n()),
-            F::ELEM_BYTES,
-            data,
-            parity,
-            F::zero(),
-            coeff,
-        )
-    }
-
-    /// The update-penalty statistics of §6.3.
-    pub fn update_penalty(&self) -> UpdatePenalty {
-        let n_data = self.data_cells.len();
-        let per_data: Vec<usize> = (0..n_data)
-            .map(|d| self.coeffs.iter().filter(|row| row[d] != F::zero()).count())
-            .collect();
-        let sum: usize = per_data.iter().sum();
-        UpdatePenalty {
-            average: sum as f64 / n_data as f64,
-            min: per_data.iter().copied().min().unwrap_or(0),
-            max: per_data.iter().copied().max().unwrap_or(0),
-            per_data,
-        }
+    pub(crate) fn update_map(&self, id: CodecId, layout: &Layout) -> Result<UpdateMap, CodeError> {
+        let coeff = |p: usize, d: usize| F::value(self.coeffs[p][d]) as u16;
+        let grid = (layout.r(), layout.n());
+        UpdateMap::new(id, grid, &self.data_cells, &self.parity_cells, coeff)
     }
 
     /// The standard encoding method as a plan: every parity cell straight
@@ -130,18 +109,4 @@ impl<F: Field> ParityRelations<F> {
         let coeff = |p: usize, d: usize| F::value(self.coeffs[p][d]) as u16;
         Plan::dense(codec, self.data_cells.clone(), &self.parity_cells, coeff)
     }
-}
-
-/// Update-penalty statistics: the number of parity sectors that must be
-/// updated when a single data sector is modified (§6.3).
-#[derive(Clone, Debug, PartialEq)]
-pub struct UpdatePenalty {
-    /// Mean over all data symbols — the quantity plotted in Figs. 14–15.
-    pub average: f64,
-    /// Cheapest data symbol to update.
-    pub min: usize,
-    /// Most expensive data symbol to update.
-    pub max: usize,
-    /// Penalty of each data symbol, in payload order.
-    pub per_data: Vec<usize>,
 }

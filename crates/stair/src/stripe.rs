@@ -112,11 +112,6 @@ impl Stripe {
         &self.outside_globals
     }
 
-    /// The flat `r × n` sector grid, mutably.
-    pub(crate) fn grid_mut(&mut self) -> &mut StripeBuf {
-        &mut self.grid
-    }
-
     /// Writes a user payload across the data sectors in row-major order
     /// (skipping parity positions).
     ///

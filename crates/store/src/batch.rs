@@ -24,9 +24,12 @@
 //! penalty(d)` sectors, the paper's §6.3 update cost), and for every
 //! read fragment in the same stripe its data cell. A parity on a
 //! `Failed` device is never written, so it is left out. Each is read
-//! once and checksum-verified into a small per-stripe cell map, patched
-//! with `parity ^= c·(old ⊕ new)`
-//! ([`stair_code::ErasureCode::fold_delta`]), journaled and written
+//! once and checksum-verified into a small per-stripe cell map. Every
+//! write of the stripe is staged there first, each changed data cell
+//! accumulating its delta `old ⊕ new`; then **one** plan
+//! ([`stair_code::ErasureCode::update_plan`], within the staged cells)
+//! adds `c·Δ` into every staged dependent parity through the
+//! [`stair_code::Patch`] lookup, and the result is journaled and written
 //! back. A footprint cell that is lost — on a `Failed` or `Rebuilding`
 //! device, recorded bad, or failing its checksum — is **restored**
 //! (`StripeStore::restore`): the footprint's lost cells are planned, only
@@ -75,7 +78,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use stair_code::{CellIdx, CodeError, ErasureCode, StripeBuf};
+use stair_code::{CellIdx, CodeError, Patch, StripeBuf};
 use stair_device::{BatchResult, IoBatch, OpRef, OpResult, WriteOutcome};
 
 use crate::{DeviceState, Error, StripeStore};
@@ -112,37 +115,6 @@ impl StagedCells {
             StagedCells::Sparse(cells) => cells.get(&cell).expect("cell is in the footprint"),
         }
     }
-}
-
-/// Writes `incoming` at byte `at` of data cell `cell` in a staged
-/// footprint and folds the change into those of its dependent parities
-/// the footprint staged — the codec's one definition of the delta
-/// arithmetic — returning them. The footprint decides which parities a
-/// write keeps, so what is returned is always staged.
-fn patch(
-    cells: &mut BTreeMap<CellIdx, Vec<u8>>,
-    codec: &dyn ErasureCode,
-    cell: CellIdx,
-    incoming: &[u8],
-    at: usize,
-) -> Result<Vec<CellIdx>, CodeError> {
-    let old = cells
-        .get_mut(&cell)
-        .ok_or_else(|| CodeError::Internal(format!("{cell:?} is outside the staged footprint")))?;
-    let mut delta = vec![0; old.len()];
-    let window = delta.iter_mut().zip(old.iter_mut()).skip(at);
-    for ((d, o), &new) in window.zip(incoming) {
-        *d = *o ^ new;
-        *o = new;
-    }
-    let mut patched = Vec::new();
-    for &parity in codec.dependents(cell)? {
-        if let Some(into) = cells.get_mut(&parity) {
-            codec.fold_delta(cell, parity, &delta, into)?;
-            patched.push(parity);
-        }
-    }
-    Ok(patched)
 }
 
 /// A stripe staged in memory (encoded, results recorded) whose
@@ -432,16 +404,26 @@ impl StripeStore {
         // the patch, healing them on writable devices.
         let lost = footprint.iter().filter(|&&c| erased.contains(c));
         let mut touched: BTreeSet<CellIdx> = lost.copied().collect();
+        let mut deltas = BTreeMap::new();
         for f in frags {
             match ops[f.op] {
                 OpRef::Write { offset, data } => {
                     for block in f.blocks.clone() {
                         let loc = sh.blocks.locate(block)?;
                         let (incoming, at) = self.incoming_for_block(block, offset, data);
-                        let patched = patch(&mut cells, sh.codec.as_ref(), loc.cell, incoming, at)?;
+                        let old = cells.get_mut(&loc.cell).ok_or_else(|| {
+                            CodeError::Internal(format!("{:?} is not staged", loc.cell))
+                        })?;
+                        // Two disjoint writes into one block add up to
+                        // one delta `old ⊕ new`.
+                        let delta = deltas.entry(loc.cell).or_insert_with(|| vec![0; old.len()]);
+                        let window = delta.iter_mut().zip(old.iter_mut()).skip(at);
+                        for ((d, o), &new) in window.zip(incoming) {
+                            *d ^= *o ^ new;
+                            *o = new;
+                        }
                         sh.counters.count_update();
                         touched.insert(loc.cell);
-                        touched.extend(patched);
                         let w = write_slot(results, f.op);
                         w.blocks_written += 1;
                         w.delta_updates += 1;
@@ -451,7 +433,7 @@ impl StripeStore {
                 OpRef::Read { offset, .. } => {
                     // Every staged cell is verified or restored, and
                     // reads are disjoint from the plan's writes, so
-                    // patching cannot have changed the bytes a read wants.
+                    // staging cannot have changed the bytes a read wants.
                     #[expect(
                         clippy::unreachable,
                         reason = "planner invariant: read fragments index read results"
@@ -469,6 +451,21 @@ impl StripeStore {
                 }
             }
         }
+        // One plan adds every delta into the dependent parities the
+        // footprint staged: its targets are in `cells` by construction.
+        let changed: Vec<CellIdx> = deltas.keys().copied().collect();
+        let plan = sh
+            .codec
+            .update_plan(&changed, &|c| cells.contains_key(&c))?;
+        let targets = plan.recovers();
+        let parities = cells.iter_mut().filter(|(c, _)| targets.contains(c));
+        let mut patch = Patch {
+            symbol: sym,
+            deltas: &deltas,
+            parities: parities.map(|(&c, p)| (c, &mut p[..])).collect(),
+        };
+        plan.execute(sh.codec.codec_id(), &mut patch)?;
+        touched.extend(targets);
         write_slot(results, first_write).stripes_touched += 1;
         Ok(Some(StagedWrite {
             stripe_idx,
@@ -654,6 +651,63 @@ mod tests {
             panic!("op 4 is a read")
         };
         assert_eq!(got, &base[(9 * sym) as usize..(10 * sym) as usize]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `OpRef::conflicts` works per byte, so two disjoint sub-block writes
+    /// can land in one block of one batch: the block's delta is the sum
+    /// of both, and the one update plan adds it once.
+    #[test]
+    fn disjoint_writes_into_one_block_add_up_to_one_delta() {
+        let (dir, store, base) = small_store("one-block-twice");
+        let sym = store.block_size();
+        // Blocks 3 and 9 of stripe 0: two cells, two data devices.
+        let (a, b) = (pattern(10, 90), pattern(20, 91));
+        let other = pattern(sym, 92);
+        let ops = [
+            OpRef::Write {
+                offset: (3 * sym + 4) as u64,
+                data: &a,
+            },
+            OpRef::Write {
+                offset: (9 * sym) as u64,
+                data: &other,
+            },
+            OpRef::Write {
+                offset: (3 * sym + 30) as u64,
+                data: &b,
+            },
+        ];
+        assert!(!OpRef::conflicts(&ops));
+        let before = store.io_stats();
+        store.submit_ops(&ops).unwrap();
+        let after = store.io_stats();
+        assert_eq!(after.stripe_locks - before.stripe_locks, 1);
+        assert_eq!(after.delta_update_calls - before.delta_update_calls, 3);
+        let mut expected = base.clone();
+        expected[3 * sym + 4..3 * sym + 14].copy_from_slice(&a);
+        expected[3 * sym + 30..3 * sym + 50].copy_from_slice(&b);
+        expected[9 * sym..10 * sym].copy_from_slice(&other);
+        assert_eq!(store.read_at(0, expected.len()).unwrap(), expected);
+        assert!(store.scrub(1).unwrap().clean());
+        // Every parity on disk is the re-encode of the new bytes.
+        let encoded = stripe_zero(&store, &expected);
+        for (&(stripe, row, dev), sector) in &disk_image(&store) {
+            if stripe == 0 {
+                assert_eq!(sector, encoded.cell((row, dev)), "({row},{dev})");
+            }
+        }
+        // With block 3's device and a parity device failed, block 3 is
+        // rebuilt from the patched parity.
+        let (_, dev) = store.geometry().data_cells[3];
+        let parity_dev = store.geometry().n - 1;
+        store.fail_device(dev).unwrap();
+        store.fail_device(parity_dev).unwrap();
+        let stripe_bytes = store.blocks_per_stripe() * sym;
+        let before = store.io_stats();
+        let got = store.read_at(0, stripe_bytes).unwrap();
+        assert_eq!(got, expected[..stripe_bytes]);
+        assert!(store.io_stats().recover_passes > before.recover_passes);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

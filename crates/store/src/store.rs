@@ -14,8 +14,8 @@
 //!   is a read-modify-write over its **footprint** only — each written
 //!   block's data sector plus the parity sectors that depend on it
 //!   ([`stair_code::ErasureCode::dependents`]), `1 + penalty(d)` sectors
-//!   read, patched with the codec's parity delta
-//!   ([`stair_code::ErasureCode::fold_delta`]) and written back: the
+//!   read, patched by one update plan per stripe
+//!   ([`stair_code::ErasureCode::update_plan`]) and written back: the
 //!   §6.3 update cost, measurable per codec as `sector_reads` in
 //!   [`IoStats`]. A footprint sector that is lost is restored (below)
 //!   and written back with the patch, healed.
@@ -102,8 +102,9 @@ pub struct IoStats {
     pub stripe_locks: u64,
     /// Full-stripe encode passes (`ErasureCode::encode`).
     pub encode_passes: u64,
-    /// Parity-delta patches ([`ErasureCode::fold_delta`] into each
-    /// dependent parity), one per dirty data cell.
+    /// Data blocks written by parity delta rather than re-encode, one
+    /// per written block; each stripe's blocks add into their dependent
+    /// parities through one [`ErasureCode::update_plan`].
     pub delta_update_calls: u64,
     /// Recovery plans executed: one per restore that lost a wanted
     /// sector — a degraded read fragment, a damaged footprint, a repaired

@@ -36,6 +36,23 @@ fn fig14_update_penalty_grows_with_m_and_e_max() {
     holds("fig14");
 }
 
+/// §6.3's penalty is the cost of an update plan: one `Mult_XOR` per
+/// dependent parity of the changed cell — 792 over the 93 data cells of
+/// the layer ledger's `stair:8,16,2,1-2`, 8.516 per update.
+#[test]
+fn fig14_an_update_plan_costs_its_cells_dependents() {
+    let codec = stair_store::build_codec(&"stair:8,16,2,1-2".parse().unwrap()).unwrap();
+    let data = codec.geometry().data_cells;
+    let mut total = 0;
+    for &cell in &data {
+        let cost = codec.update_plan(&[cell], &|_| true).unwrap().mult_xors();
+        assert_eq!(cost, codec.dependents(cell).unwrap().len(), "{cell:?}");
+        total += cost;
+    }
+    assert_eq!((total, data.len()), (792, 93));
+    assert_eq!(format!("{:.3}", total as f64 / data.len() as f64), "8.516");
+}
+
 #[test]
 fn fig15_stair_range_covers_sd_and_both_exceed_rs() {
     holds("fig15");
