@@ -64,7 +64,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -74,6 +74,7 @@ use stair_device::{
     CACHE_DEFAULT_MB,
 };
 use stair_gf::fletcher32;
+use stair_obs::sync::lock;
 use stair_obs::trace::{self, names};
 use stair_obs::{metric_names, Counter, MetricsRegistry, MetricsSnapshot};
 
@@ -190,12 +191,6 @@ struct Core<D> {
 pub struct CachedDevice<D: BlockDevice> {
     core: Arc<Core<D>>,
     flusher: Option<thread::JoinHandle<()>>,
-}
-
-/// Locks a mutex, adopting the data on poison — a panicked peer
-/// cannot leave the tier wedged.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Copies the overlap between a block at `block_off` and the request

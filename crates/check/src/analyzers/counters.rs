@@ -81,7 +81,7 @@ fn check_atomic_counters(ws: &Workspace, out: &mut Vec<Finding>) {
     let store_files: Vec<&SourceFile> = ws
         .files
         .iter()
-        .filter(|f| f.crate_name == "store")
+        .filter(|f| f.rel.starts_with("crates/store/"))
         .collect();
     for (field, line) in fields {
         let wrote = store_files

@@ -25,7 +25,7 @@ use crate::lexer::{str_contents, TokKind, TokenFile};
 use crate::workspace::Workspace;
 
 /// Where the protocol truth lives.
-pub const PROTOCOL_RS: &str = "crates/net/src/protocol.rs";
+const PROTOCOL_RS: &str = "crates/net/src/protocol.rs";
 
 /// The constants whose redeclaration anywhere else is drift.
 pub const WIRE_CONSTS: &[&str] = &[
@@ -356,7 +356,7 @@ fn check_single_data_path(tf: &TokenFile, out: &mut Vec<Finding>) {
 }
 
 /// Collects `Opcode::Name => "wire"` arms from `fn name`.
-pub fn parse_name_arms(tf: &TokenFile) -> Vec<(String, String)> {
+fn parse_name_arms(tf: &TokenFile) -> Vec<(String, String)> {
     let mut out = Vec::new();
     let Some((lo, hi)) = fn_body_range(tf, "name") else {
         return out;
@@ -379,7 +379,7 @@ pub fn parse_name_arms(tf: &TokenFile) -> Vec<(String, String)> {
 }
 
 /// The code-token index range of the body of the first `fn <name>`.
-pub fn fn_body_range(tf: &TokenFile, name: &str) -> Option<(usize, usize)> {
+fn fn_body_range(tf: &TokenFile, name: &str) -> Option<(usize, usize)> {
     let n = tf.code.len();
     let at = (0..n).find(|&ci| tf.is_ident(ci, "fn") && tf.is_ident(ci + 1, name))?;
     let mut k = at + 2;

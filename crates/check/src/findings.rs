@@ -6,47 +6,30 @@ use std::fmt;
 /// waiver comments and the JSON report use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
-    /// A poisonable guard (`.lock()`/`.read()`/`.write()`) consumed with
-    /// `unwrap`/`expect` instead of the approved
-    /// `unwrap_or_else(|e| e.into_inner())` idiom.
-    LockPoison,
     /// Wire constants redeclared, the deleted compatibility machinery
     /// regrown, or a `BlockDevice` impl with more than one data method.
     WireConstants,
-    /// README tables drifting from the names found in code, a second
-    /// timing harness, or a manifest outside the workspace lint table.
-    DocDrift,
     /// Declared-but-dead or mentioned-but-undeclared metrics.
     CounterDiscipline,
     /// Span names recorded outside the declared `stair-obs` set, or
     /// declared span names nothing ever records.
     SpanDiscipline,
-    /// An in-place stripe write-back (`.write_run(…)`,
-    /// `.write_sector(…)`, `.write_recorded(…)`) in `crates/store`
-    /// outside the journaled commit path.
-    PersistOrdering,
 }
 
 /// Every lint, in reporting order.
-pub const ALL_LINTS: [Lint; 6] = [
-    Lint::LockPoison,
+pub const ALL_LINTS: [Lint; 3] = [
     Lint::WireConstants,
-    Lint::DocDrift,
     Lint::CounterDiscipline,
     Lint::SpanDiscipline,
-    Lint::PersistOrdering,
 ];
 
 impl Lint {
     /// The stable string id (waivers, JSON).
     pub fn id(self) -> &'static str {
         match self {
-            Lint::LockPoison => "lock-poison",
             Lint::WireConstants => "wire-constants",
-            Lint::DocDrift => "doc-drift",
             Lint::CounterDiscipline => "counter-discipline",
             Lint::SpanDiscipline => "span-discipline",
-            Lint::PersistOrdering => "persist-ordering",
         }
     }
 
@@ -54,39 +37,26 @@ impl Lint {
     /// comments, when the lint is waivable at a site.
     pub fn waiver_key(self) -> Option<&'static str> {
         match self {
-            Lint::LockPoison => Some("lock-ok"),
             Lint::CounterDiscipline => Some("metric-ok"),
             Lint::SpanDiscipline => Some("span-ok"),
-            Lint::PersistOrdering => Some("persist-ok"),
-            // Wire and doc coherence are workspace-level facts; a site
-            // comment cannot waive them.
-            Lint::WireConstants | Lint::DocDrift => None,
+            // Wire coherence is a workspace-level fact; a site comment
+            // cannot waive it.
+            Lint::WireConstants => None,
         }
     }
 
     /// One-line rule statement (for `--list` and docs).
     pub fn describe(self) -> &'static str {
         match self {
-            Lint::LockPoison => {
-                "poisonable lock guards must use `unwrap_or_else(|e| e.into_inner())`"
-            }
             Lint::WireConstants => {
                 "wire constants live in protocol.rs, which speaks one version and one data \
                  opcode; a BlockDevice impl defines one data-path method; codecs return \
                  CodeError and run region products only through the plan executor"
             }
-            Lint::DocDrift => {
-                "README tables must name every opcode/scheme/codec family in code; one timing \
-                 harness; every manifest inherits the workspace lints"
-            }
             Lint::CounterDiscipline => "every metric must be both produced and consumed somewhere",
             Lint::SpanDiscipline => {
                 "span names live in stair-obs `names`: record only declared names, declare only \
                  recorded ones"
-            }
-            Lint::PersistOrdering => {
-                "in crates/store, sectors are written in place only from the journaled commit \
-                 path (apply_write_back / replay_journal)"
             }
         }
     }
@@ -129,7 +99,7 @@ impl Finding {
 /// A waiver comment found in source: `// check: <key> <reason>`.
 #[derive(Clone, Debug)]
 pub struct Waiver {
-    /// The waiver keyword (e.g. `lock-ok`).
+    /// The waiver keyword (e.g. `metric-ok`).
     pub key: String,
     /// Justification text after the keyword.
     pub reason: String,

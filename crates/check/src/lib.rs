@@ -1,17 +1,22 @@
 //! stair-check: a static analysis pass, with no registry dependency,
 //! for the cross-crate invariants that neither rustc nor clippy can see.
 //!
-//! A rule lives in the cheapest thing that enforces it. Where `unsafe`
+//! A rule lives in the strongest thing that can hold it. Where `unsafe`
 //! may appear and which crates may not panic are compiler settings (the
 //! workspace `[lints]` table, `crates/gf`'s own table, and a clippy
-//! `deny` at each no-panic crate root); an exhaustive `match`, a lookup
+//! `deny` at each no-panic crate root). Lock poison is clippy's: the
+//! root `clippy.toml` disallows `Mutex::lock` and `RwLock::read`/`write`
+//! outside `stair_obs::sync`. The journal's write ordering is module
+//! privacy: only `crates/store/src/device/persist.rs` can write a sector.
+//! README drift, a second timing harness and an unlinted manifest fail
+//! the root package's `tests/docs.rs`. An exhaustive `match`, a lookup
 //! table or a required `From` impl holds what a type can. What remains
-//! is here: the lock-poison idiom, the single-source wire constants,
-//! the README tables and manifest lint inheritance, the metric and span
-//! registries, and the journal's write ordering. The tool is a
-//! hand-rolled lexer ([`lexer`]) feeding token-level analyzers
-//! ([`analyzers`]); a deliberate exception carries an inline
-//! `// check: <key> <reason>` waiver, collected into the report.
+//! is here: the single-source wire constants and the one-method trait
+//! shapes (`wire-constants`), and the metric and span registries
+//! (`counter-discipline`, `span-discipline`). The tool is a hand-rolled
+//! lexer ([`lexer`]) feeding token-level analyzers ([`analyzers`]); a
+//! deliberate exception carries an inline `// check: <key> <reason>`
+//! waiver, collected into the report.
 //!
 //! Driver: `cargo run -p stair-check -- [--json] <workspace-root>`.
 

@@ -1,7 +1,6 @@
 //! Workspace discovery: which files exist, which crate each belongs
 //! to, what role it plays (library source, test, example, …), where its
-//! `#[cfg(test)]` modules sit, and which waiver comments it carries —
-//! plus the two manifest facts `doc-drift` checks.
+//! `#[cfg(test)]` modules sit, and which waiver comments it carries.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -12,10 +11,8 @@ use crate::lexer::{TokKind, TokenFile};
 /// The role a file plays, which decides which lints apply to it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileKind {
-    /// A crate's library source (`src/` minus binary entry points).
-    LibSrc,
-    /// A binary entry point (`src/main.rs`, `src/bin/…`).
-    BinSrc,
+    /// A crate's source (`src/`).
+    Src,
     /// Integration tests (`tests/`).
     Test,
     /// Examples (`examples/`).
@@ -26,9 +23,6 @@ pub enum FileKind {
 pub struct SourceFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel: String,
-    /// The owning crate's directory name (`store`, `net`,
-    /// `shims/rand`, or `.` for the root package).
-    pub crate_name: String,
     /// Role.
     pub kind: FileKind,
     /// Lexed content.
@@ -63,20 +57,11 @@ impl SourceFile {
 /// A loaded workspace: lexed sources plus the prose docs some lints
 /// cross-check.
 pub struct Workspace {
-    /// Absolute root.
-    pub root: PathBuf,
     /// Every `.rs` file found, lexed.
     pub files: Vec<SourceFile>,
-    /// `(rel-path, contents)` for README.md / EXPERIMENTS.md when
-    /// present.
+    /// `(rel-path, contents)` for README.md / EXPERIMENTS.md /
+    /// ROADMAP.md when present.
     pub docs: Vec<(String, String)>,
-    /// Timing harnesses outside `benchmark/` and `crates/bench/src`:
-    /// a member's `benches/` directory, a member manifest with a
-    /// `[[bench]]` table, a root `BENCH_*.json` (workspace-relative).
-    pub stray_harnesses: Vec<String>,
-    /// Manifests declaring a package (a member's, or the root's) that do
-    /// not inherit the workspace lint table (workspace-relative).
-    pub unlinted_manifests: Vec<String>,
 }
 
 impl Workspace {
@@ -97,47 +82,14 @@ impl Workspace {
         members.push(String::from("."));
 
         let mut files = Vec::new();
-        let mut stray_harnesses: Vec<String> = fs::read_dir(&root)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            .collect();
-        let mut unlinted_manifests = Vec::new();
         for member in &members {
             let dir = if member == "." {
                 root.clone()
             } else {
                 root.join(member)
             };
-            let crate_name = member
-                .strip_prefix("crates/")
-                .unwrap_or(member.as_str())
-                .to_string();
-            if dir.join("benches").is_dir() {
-                stray_harnesses.push(format!("{member}/benches"));
-            }
-            let manifest_rel = if member == "." {
-                String::from("Cargo.toml")
-            } else {
-                format!("{member}/Cargo.toml")
-            };
-            if let Ok(m) = fs::read_to_string(dir.join("Cargo.toml")) {
-                if m.contains("[[bench]]") {
-                    stray_harnesses.push(manifest_rel.clone());
-                }
-                // `crates/gf` hosts the one `unsafe` module, so it carries
-                // its own table, which must still deny `unsafe_code`.
-                let linted = table_has(&m, "lints", "workspace=true")
-                    || (member == "crates/gf"
-                        && table_has(&m, "lints.rust", "unsafe_code=\"deny\""));
-                if m.contains("[package]") && !linted {
-                    unlinted_manifests.push(manifest_rel);
-                }
-            }
             for (sub, kind) in [
-                ("src", FileKind::LibSrc),
+                ("src", FileKind::Src),
                 ("tests", FileKind::Test),
                 ("examples", FileKind::Example),
             ] {
@@ -169,13 +121,11 @@ impl Workspace {
                     if member == "." && rel.starts_with("crates/") {
                         continue;
                     }
-                    let kind = classify(kind, &rel);
                     let tf = TokenFile::lex(text);
                     let test_spans = find_test_spans(&tf);
                     let waivers = find_waivers(&tf, &rel);
                     files.push(SourceFile {
                         rel,
-                        crate_name: crate_name.clone(),
                         kind,
                         tf,
                         test_spans,
@@ -192,13 +142,7 @@ impl Workspace {
                 docs.push((name.to_string(), text));
             }
         }
-        Ok(Workspace {
-            root,
-            files,
-            docs,
-            stray_harnesses,
-            unlinted_manifests,
-        })
+        Ok(Workspace { files, docs })
     }
 
     /// The file at workspace-relative path `rel`, if scanned.
@@ -213,29 +157,6 @@ impl Workspace {
             .find(|(n, _)| n == name)
             .map(|(_, t)| t.as_str())
     }
-}
-
-/// Demotes a `src` file to a binary entry point when the path says so.
-fn classify(base: FileKind, rel: &str) -> FileKind {
-    if base == FileKind::LibSrc && (rel.ends_with("/main.rs") || rel.contains("/src/bin/")) {
-        FileKind::BinSrc
-    } else {
-        base
-    }
-}
-
-/// `true` when TOML table `[table]` of `manifest` holds the line `entry`
-/// (spaces ignored) — a line scan from the header to the next one, not
-/// a TOML parser.
-fn table_has(manifest: &str, table: &str, entry: &str) -> bool {
-    let header = format!("[{table}]");
-    manifest
-        .lines()
-        .map(|l| l.replace(' ', ""))
-        .skip_while(|l| *l != header)
-        .skip(1)
-        .take_while(|l| !l.starts_with('['))
-        .any(|l| l == entry)
 }
 
 /// Pulls the `members = [ "…", … ]` list out of `[workspace]` without a
@@ -445,12 +366,12 @@ mod tests {
 
     #[test]
     fn waivers_parse_and_attach() {
-        let src = "// check: lock-ok guards only a counter\nlet g = m.lock().unwrap();\n/// check: lock-ok not a waiver (doc comment)\nfn f() {}\n";
+        let src = "// check: metric-ok registered by a package outside the scan\nr.counter(\"x\");\n/// check: metric-ok not a waiver (doc comment)\nfn f() {}\n";
         let tf = TokenFile::lex(src.to_string());
         let w = find_waivers(&tf, "x.rs");
         assert_eq!(w.len(), 1);
-        assert_eq!(w[0].key, "lock-ok");
-        assert_eq!(w[0].reason, "guards only a counter");
+        assert_eq!(w[0].key, "metric-ok");
+        assert_eq!(w[0].reason, "registered by a package outside the scan");
         assert_eq!(w[0].line, 1);
     }
 }

@@ -70,28 +70,6 @@ fn of(report: &Report, lint: Lint) -> Vec<String> {
         .collect()
 }
 
-// ---- L1 lock-poison ------------------------------------------------
-
-#[test]
-fn lock_poison_true_positives() {
-    let bad = fixture("lock_poison_bad.rs");
-    let r = run_ws(&[("crates/misc/src/lib.rs", &bad)]);
-    let hits = of(&r, Lint::LockPoison);
-    assert_eq!(hits.len(), 3, "{hits:?}");
-    assert!(hits.iter().any(|h| h.contains("unwrap")));
-    assert!(hits.iter().any(|h| h.contains("expect")));
-    assert_ne!(r.exit_code(), 0);
-}
-
-#[test]
-fn lock_poison_near_misses_stay_clean() {
-    let ok = fixture("lock_poison_near_miss.rs");
-    let r = run_ws(&[("crates/misc/src/lib.rs", &ok)]);
-    assert_eq!(of(&r, Lint::LockPoison), Vec::<String>::new());
-    // The waiver shows up in the audit trail.
-    assert!(r.waivers.iter().any(|w| w.key == "lock-ok"));
-}
-
 // ---- L3 wire-constants ---------------------------------------------
 
 #[test]
@@ -360,108 +338,6 @@ fn region_kernel_names_in_prose_are_clean() {
     assert_eq!(of(&r, Lint::WireConstants), Vec::<String>::new());
 }
 
-// ---- L5 doc-drift --------------------------------------------------
-
-#[test]
-fn doc_drift_flags_undocumented_names() {
-    let r = run_ws(&[
-        (
-            "crates/net/src/protocol.rs",
-            &fixture("wire_protocol_good.rs"),
-        ),
-        ("crates/device/src/spec.rs", &fixture("doc_spec_device.rs")),
-        ("crates/code/src/spec.rs", &fixture("doc_spec_code.rs")),
-        ("README.md", &fixture("doc_readme_bad.md")),
-    ]);
-    let hits = of(&r, Lint::DocDrift);
-    assert_eq!(hits.len(), 3, "{hits:?}");
-    assert!(hits.iter().any(|h| h.contains("`status`")));
-    assert!(hits.iter().any(|h| h.contains("`mem`")));
-    assert!(hits.iter().any(|h| h.contains("`xor`")));
-}
-
-#[test]
-fn doc_drift_complete_readme_is_clean() {
-    let r = run_ws(&[
-        (
-            "crates/net/src/protocol.rs",
-            &fixture("wire_protocol_good.rs"),
-        ),
-        ("crates/device/src/spec.rs", &fixture("doc_spec_device.rs")),
-        ("crates/code/src/spec.rs", &fixture("doc_spec_code.rs")),
-        ("README.md", &fixture("doc_readme_good.md")),
-    ]);
-    assert_eq!(of(&r, Lint::DocDrift), Vec::<String>::new());
-}
-
-#[test]
-fn doc_drift_flags_a_second_timing_harness() {
-    let r = run_ws(&[
-        ("README.md", &fixture("doc_readme_good.md")),
-        ("BENCH_x.json", "{}\n"),
-        ("crates/bench/Cargo.toml", "[[bench]]\nname = \"x\"\n"),
-        ("crates/bench/benches/x.rs", "fn main() {}\n"),
-        // At home: a bin, and a `[[bin]]` table.
-        ("crates/gf/Cargo.toml", "[[bin]]\nname = \"y\"\n"),
-        ("crates/gf/src/bin/y.rs", "fn main() {}\n"),
-    ]);
-    let hits = of(&r, Lint::DocDrift);
-    assert_eq!(hits.len(), 3, "{hits:?}");
-    for stray in [
-        "BENCH_x.json",
-        "crates/bench/Cargo.toml",
-        "crates/bench/benches",
-    ] {
-        assert!(
-            hits.iter().any(|h| h.starts_with(&format!("{stray}:0 "))),
-            "{stray}: {hits:?}"
-        );
-    }
-}
-
-#[test]
-fn doc_drift_flags_a_manifest_outside_the_workspace_lints() {
-    let r = run_ws(&[
-        ("README.md", &fixture("doc_readme_good.md")),
-        // A package with no `[lints]` table, one with its own table
-        // instead of the workspace's, and `crates/gf`'s table without
-        // the `unsafe_code` deny that exempts it.
-        ("crates/a/Cargo.toml", "[package]\nname = \"a\"\n"),
-        (
-            "crates/b/Cargo.toml",
-            "[package]\nname = \"b\"\n\n[lints.rust]\nunsafe_code = \"allow\"\n",
-        ),
-        (
-            "crates/gf/Cargo.toml",
-            "[package]\nname = \"stair-gf\"\n\n[lints.clippy]\nmissing_safety_doc = \"deny\"\n",
-        ),
-    ]);
-    let hits = of(&r, Lint::DocDrift);
-    assert_eq!(hits.len(), 3, "{hits:?}");
-    for manifest in ["crates/a", "crates/b", "crates/gf"] {
-        let at = format!("{manifest}/Cargo.toml:0 ");
-        assert!(hits.iter().any(|h| h.starts_with(&at)), "{at}: {hits:?}");
-    }
-}
-
-#[test]
-fn doc_drift_accepts_inherited_and_gf_own_lint_tables() {
-    let r = run_ws(&[
-        ("README.md", &fixture("doc_readme_good.md")),
-        (
-            "crates/a/Cargo.toml",
-            "[package]\nname = \"a\"\n\n[lints]\nworkspace = true\n\n[dependencies]\n",
-        ),
-        (
-            "crates/gf/Cargo.toml",
-            "[package]\nname = \"stair-gf\"\n\n[lints.rust]\nunsafe_code = \"deny\"\n",
-        ),
-        // No `[package]`: not a crate manifest, nothing to inherit.
-        ("crates/c/Cargo.toml", "[[bin]]\nname = \"c\"\n"),
-    ]);
-    assert_eq!(of(&r, Lint::DocDrift), Vec::<String>::new());
-}
-
 // ---- L6 counter-discipline -----------------------------------------
 
 #[test]
@@ -565,45 +441,6 @@ fn constant_span_names_and_waived_literals_are_clean() {
     assert_eq!(of(&r, Lint::SpanDiscipline), Vec::<String>::new());
 }
 
-// ---- L8 persist-ordering -------------------------------------------
-
-#[test]
-fn unjournaled_sector_writes_are_flagged() {
-    let bad = fixture("persist_bad.rs");
-    let r = run_ws(&[("crates/store/src/store.rs", &bad)]);
-    let hits = of(&r, Lint::PersistOrdering);
-    assert_eq!(hits.len(), 4, "{hits:?}");
-    assert!(hits.iter().any(|h| h.contains("sneaky_overwrite")));
-    assert!(hits.iter().any(|h| h.contains("flush_cache_line")));
-    let in_fn = |site: &str, call: &str| hits.iter().any(|h| h.contains(site) && h.contains(call));
-    assert!(in_fn("overwrite_column", ".write_run"));
-    assert!(in_fn("heal_in_passing", ".write_recorded"));
-    assert_ne!(r.exit_code(), 0);
-}
-
-#[test]
-fn persist_ordering_scope_is_store_lib_only() {
-    let bad = fixture("persist_bad.rs");
-    // The same call sites in the defining module, another crate, a
-    // store binary, and an integration test are all out of scope.
-    let r = run_ws(&[
-        ("crates/store/src/device.rs", &bad),
-        ("crates/net/src/lib.rs", &bad),
-        ("crates/store/src/main.rs", &bad),
-        ("crates/store/tests/crash.rs", &bad),
-    ]);
-    assert_eq!(of(&r, Lint::PersistOrdering), Vec::<String>::new());
-}
-
-#[test]
-fn journaled_waived_and_test_writes_stay_clean() {
-    let ok = fixture("persist_near_miss.rs");
-    let r = run_ws(&[("crates/store/src/store.rs", &ok)]);
-    assert_eq!(of(&r, Lint::PersistOrdering), Vec::<String>::new());
-    // The deliberate bypass shows up in the waiver audit trail.
-    assert!(r.waivers.iter().any(|w| w.key == "persist-ok"));
-}
-
 // ---- self-check ----------------------------------------------------
 
 /// The real workspace must pass its own lints (acceptance criterion:
@@ -626,15 +463,12 @@ fn real_workspace_is_clean() {
 #[test]
 fn json_report_carries_findings_and_waivers() {
     let r = run_ws(&[
-        ("crates/misc/src/lib.rs", &fixture("lock_poison_bad.rs")),
-        (
-            "crates/other/src/lib.rs",
-            &fixture("lock_poison_near_miss.rs"),
-        ),
+        ("crates/store/src/store.rs", &fixture("counters_bad.rs")),
+        ("crates/other/src/lib.rs", &fixture("counters_good.rs")),
     ]);
     let json = r.to_json();
-    assert!(json.contains("\"lint\":\"lock-poison\""));
+    assert!(json.contains("\"lint\":\"counter-discipline\""));
     assert!(!json.contains("fingerprint") && !json.contains("baselined"));
-    assert!(json.contains("\"key\":\"lock-ok\""));
+    assert!(json.contains("\"key\":\"metric-ok\""));
     assert!(json.contains(&format!("\"active\":{}", r.findings.len())));
 }

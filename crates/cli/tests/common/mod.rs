@@ -43,10 +43,23 @@ pub fn exit_code(args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
+/// A spawned `stair serve`. A test that fails before it shuts the
+/// server down would leave the process running; dropping this kills it.
+pub struct Served(pub Child);
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        if let Ok(None) = self.0.try_wait() {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+}
+
 /// Spawns `stair serve` over `dir` on an ephemeral port (2 shards of
 /// `stair:8,4,2,1-1-2`, 128-byte symbols, 8 stripes, plus `extra`
 /// flags) and parses the bound address from its first stdout line.
-pub fn spawn_server(dir: &str, extra: &[&str]) -> (Child, String) {
+pub fn spawn_server(dir: &str, extra: &[&str]) -> (Served, String) {
     let mut args = vec![
         "serve",
         "--dir",
@@ -81,7 +94,7 @@ pub fn spawn_server(dir: &str, extra: &[&str]) -> (Child, String) {
         .unwrap_or_else(|| panic!("no address in banner: {first:?}"))
         .trim()
         .to_string();
-    (child, addr)
+    (Served(child), addr)
 }
 
 /// Runs `stair dev init --dev SPEC --code CODE --symbol S --stripes T`,
@@ -105,10 +118,10 @@ pub fn init(dev: &str, code: &str, symbol: &str, stripes: &str) -> String {
 
 /// Stops the server at `addr` with `stair dev shutdown` and asserts
 /// it exits successfully.
-pub fn shutdown(mut server: Child, addr: &str) {
+pub fn shutdown(mut server: Served, addr: &str) {
     let (ok, out) = run(&["dev", "shutdown", "--dev", &format!("tcp:{addr}")]);
     assert!(ok, "shutdown: {out}");
-    assert!(server.wait().expect("server wait").success());
+    assert!(server.0.wait().expect("server wait").success());
 }
 
 /// The `stair dev` verb table as the binary prints it: one

@@ -9,9 +9,17 @@ mod common;
 use common::{dev_verbs, exit_code, init, run, shutdown, spawn_server};
 
 /// Runs the same write → fail → degraded read → scrub → repair → read
-/// session through `stair dev`, returning the final status JSON. The
-/// returned bytes must equal the input for every backend.
-fn session(dev: &str, shard: &str, work: &std::path::Path, input: &std::path::Path) -> String {
+/// → scrub session through `stair dev`, returning the final status
+/// JSON. The returned bytes must equal the input for every backend, and
+/// the repair must rewrite `rewritten` sectors: `r` = 4 per stripe of
+/// the failed device's store.
+fn session(
+    dev: &str,
+    shard: &str,
+    rewritten: usize,
+    work: &std::path::Path,
+    input: &std::path::Path,
+) -> String {
     let tag = dev.split(':').next().unwrap();
     let (ok, out) = run(&[
         "dev",
@@ -55,6 +63,8 @@ fn session(dev: &str, shard: &str, work: &std::path::Path, input: &std::path::Pa
     assert!(ok, "{dev} repair: {json}");
     assert!(json.contains("\"op\":\"repair\""), "{json}");
     assert!(json.contains("\"complete\":true"), "{json}");
+    let sectors = format!("\"sectors_rewritten\":{rewritten},");
+    assert!(json.contains(&sectors), "{dev} repair: {json}");
 
     let healed = work.join(format!("healed-{tag}.bin"));
     let (ok, out) = run(&[
@@ -70,6 +80,12 @@ fn session(dev: &str, shard: &str, work: &std::path::Path, input: &std::path::Pa
         std::fs::read(&healed).unwrap(),
         std::fs::read(input).unwrap(),
         "{dev}: post-repair read must return the original data"
+    );
+
+    let (ok, json) = run(&["dev", "scrub", "--dev", dev, "--json"]);
+    assert!(
+        ok && json.contains("\"clean\":true"),
+        "{dev} re-scrub: {json}"
     );
 
     let (ok, _) = run(&["dev", "flush", "--dev", dev]);
@@ -102,12 +118,12 @@ fn dev_cli_runs_identical_sessions_on_file_and_tcp_backends() {
         "16",
     );
     let file_spec = format!("file:{}", store_dir.display());
-    let file_json = session(&file_spec, "0", &work, &input);
+    let file_json = session(&file_spec, "0", 64, &work, &input);
 
     let root = work.join("net-root");
     let (server, addr) = spawn_server(root.to_str().unwrap(), &[]);
     let tcp_spec = format!("tcp:{addr}");
-    let tcp_json = session(&tcp_spec, "1", &work, &input);
+    let tcp_json = session(&tcp_spec, "1", 32, &work, &input);
 
     // Omitting --shard on a multi-shard backend is refused (defaulting
     // to shard 0 would fault a shard the operator never named); a
@@ -118,20 +134,23 @@ fn dev_cli_runs_identical_sessions_on_file_and_tcp_backends() {
 
     shutdown(server, &addr);
 
-    // After shutdown the same root is usable in-process via shards:.
+    // After shutdown the same root runs the whole session in-process
+    // via shards:.
     let shards_spec = format!("shards:{}?n=2", root.display());
-    let (ok, json) = run(&["dev", "status", "--dev", shards_spec.as_str(), "--json"]);
-    assert!(ok, "{json}");
-    assert!(json.contains("\"backend\":\"shards\""), "{json}");
+    let shards_json = session(&shards_spec, "1", 32, &work, &input);
+    assert!(
+        shards_json.contains("\"backend\":\"shards\""),
+        "{shards_json}"
+    );
 
-    // The two backends produced identical data (both equal the input,
+    // The three backends produced identical data (each equals the input;
     // compare them to each other for good measure) and identical JSON
     // status shapes.
-    assert_eq!(
-        std::fs::read(work.join("healed-file.bin")).unwrap(),
-        std::fs::read(work.join("healed-tcp.bin")).unwrap()
-    );
+    let healed = |tag: &str| std::fs::read(work.join(format!("healed-{tag}.bin"))).unwrap();
+    assert_eq!(healed("file"), healed("tcp"));
+    assert_eq!(healed("tcp"), healed("shards"));
     common::assert_same_status_shape(&file_json, &tcp_json);
+    common::assert_same_status_shape(&tcp_json, &shards_json);
 
     std::fs::remove_dir_all(&work).unwrap();
 }

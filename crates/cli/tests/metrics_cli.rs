@@ -114,6 +114,9 @@ fn dev_metrics_reports_one_json_shape_across_all_backends() {
     let root = work.join("net-root");
     let (server, addr) = spawn_server(root.to_str().unwrap(), &[]);
     let tcp_doc = metrics(&format!("tcp:{addr}"), &script);
+    // The human-readable pull works too.
+    let (ok, out) = run(&["dev", "metrics", "--dev", &format!("tcp:{addr}")]);
+    assert!(ok && out.contains("srv.req.batch"), "{out}");
     shutdown(server, &addr);
 
     // The same root, reopened in-process.

@@ -99,7 +99,7 @@ fn serve_remote_session_round_trips_degraded_data() {
     assert!(ok, "{out}");
     let (ok, out) = run(&["dev", "shutdown", "--dev", &dev]);
     assert!(ok, "{out}");
-    let status = server.wait().expect("server wait");
+    let status = server.0.wait().expect("server wait");
     assert!(status.success(), "server exit: {status:?}");
 
     // The shards persisted: a second server over the same root serves

@@ -12,10 +12,11 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use stair_gf::Field;
 use stair_gfmatrix::{cauchy_parity, Matrix};
+use stair_obs::sync::lock;
 
 use crate::CodeError;
 
@@ -212,8 +213,7 @@ impl<F: Field> MdsCode<F> {
     ) -> Result<Arc<Matrix<F>>, CodeError> {
         // Entries are inserted whole and never changed, so a memo some
         // panicking thread held is still valid.
-        let lock = || self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        let hit = lock()
+        let hit = lock(&self.memo)
             .solved
             .get(available)
             .and_then(|by| by.get(wanted))
@@ -228,7 +228,7 @@ impl<F: Field> MdsCode<F> {
             return Ok(hit);
         }
         let coeff = Arc::new(self.solve_coefficients(available, wanted)?);
-        let mut memo = lock();
+        let mut memo = lock(&self.memo);
         if memo.entries < MEMO_CAPACITY {
             let by_wanted = memo.solved.entry(available.into()).or_default();
             if by_wanted
@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn memo_matches_the_solver_and_stops_at_capacity() {
         let code: MdsCode<Gf8> = MdsCode::new(20, 10).unwrap();
-        let held = || code.memo.lock().unwrap().entries;
+        let held = || lock(&code.memo).entries;
         // A hit is the remembered matrix itself, not a copy.
         let (available, wanted): (Vec<usize>, _) = ((0..10).collect(), [12, 15]);
         let first = code.recovery_coefficients(&available, &wanted).unwrap();
@@ -365,6 +365,6 @@ mod tests {
             .recovery_coefficients(&order[..9], &order[10..11])
             .is_err());
         assert_eq!(held(), MEMO_CAPACITY);
-        assert_eq!(code.clone().memo.lock().unwrap().entries, 0);
+        assert_eq!(lock(&code.clone().memo).entries, 0);
     }
 }

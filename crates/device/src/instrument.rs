@@ -179,6 +179,7 @@ impl<D: BlockDevice + FaultAdmin> FaultAdmin for Instrumented<D> {
 mod tests {
     use super::*;
     use crate::{IoBatch, WriteOutcome};
+    use stair_obs::sync::lock;
 
     /// A tiny in-memory device for exercising the wrapper.
     struct MemDevice {
@@ -195,7 +196,7 @@ mod tests {
 
     impl BlockDevice for MemDevice {
         fn capacity(&self) -> u64 {
-            self.data.lock().unwrap().len() as u64
+            lock(&self.data).len() as u64
         }
 
         fn block_size(&self) -> usize {
@@ -203,7 +204,7 @@ mod tests {
         }
 
         fn submit_ops(&self, ops: &[OpRef<'_>]) -> Result<Vec<OpResult>, DeviceError> {
-            let mut bytes = self.data.lock().unwrap();
+            let mut bytes = lock(&self.data);
             let span = |op: &OpRef<'_>| {
                 let start = op.offset() as usize;
                 match start.checked_add(op.byte_len()) {

@@ -44,6 +44,7 @@ use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
 
 use stair_device::{OpRef, OpResult};
+use stair_obs::sync::lock;
 use stair_obs::trace::{self, names};
 use stair_obs::TraceRecord;
 
@@ -141,9 +142,7 @@ impl Client {
     /// the next frame either parses or surfaces a protocol error, so
     /// the guard is taken regardless.
     fn slot(&self) -> MutexGuard<'_, Option<Conn>> {
-        self.conn
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock(&self.conn)
     }
 
     /// Runs `f` against a live connection, redialing a dropped one

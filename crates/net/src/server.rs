@@ -39,6 +39,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use stair_device::{BlockDevice, FaultAdmin, OpRef};
+use stair_obs::sync::lock;
 use stair_obs::trace::{self, names};
 use stair_obs::{MetricsRegistry, SpanCtx};
 
@@ -82,10 +83,7 @@ impl Permits {
 
     /// Blocks until a permit is free and takes it.
     fn acquire(&self) -> Permit<'_> {
-        let mut free = self
-            .free
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut free = lock(&self.free);
         while *free == 0 {
             free = self
                 .returned
@@ -102,11 +100,7 @@ struct Permit<'a>(&'a Permits);
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        *self
-            .0
-            .free
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
+        *lock(&self.0.free) += 1;
         self.0.returned.notify_one();
     }
 }
@@ -175,10 +169,7 @@ impl State {
     /// Records `batch_id` and reports whether it was already seen (a
     /// duplicate delivery of a retried batch).
     fn batch_seen_before(&self, batch_id: u64) -> bool {
-        let mut recent = self
-            .recent_batches
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut recent = lock(&self.recent_batches);
         if recent.contains(&batch_id) {
             return true;
         }
@@ -200,11 +191,7 @@ struct Registered<'a> {
 impl Drop for Registered<'_> {
     fn drop(&mut self) {
         self.state.registry.gauge("srv.connections").add(-1);
-        self.state
-            .conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&self.id);
+        lock(&self.state.conns).remove(&self.id);
     }
 }
 
@@ -228,13 +215,7 @@ impl ServerHandle {
     /// regression test uses to kill sockets between ops. Clients
     /// reconnect on their next call.
     pub fn disconnect_all(&self) {
-        for conn in self
-            .state
-            .conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
+        for conn in lock(&self.state.conns).values() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
     }
@@ -245,12 +226,7 @@ fn begin_shutdown(state: &State, addr: SocketAddr) {
         return; // already shutting down
     }
     // Unblock connections parked in a read.
-    for conn in state
-        .conns
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .values()
-    {
+    for conn in lock(&state.conns).values() {
         let _ = conn.shutdown(std::net::Shutdown::Both);
     }
     // Unblock the accept loop with a throwaway connection.
@@ -342,11 +318,7 @@ impl Server {
             let conn_id = next_conn;
             next_conn += 1;
             if let Ok(clone) = stream.try_clone() {
-                self.state
-                    .conns
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .insert(conn_id, clone);
+                lock(&self.state.conns).insert(conn_id, clone);
             }
             self.state.registry.counter("srv.connections_total").inc();
             self.state.registry.gauge("srv.connections").add(1);
@@ -587,8 +559,8 @@ mod tests {
             assert!(unwound.is_err());
         }
         let held: Vec<Permit<'_>> = (0..PERMITS).map(|_| permits.acquire()).collect();
-        assert_eq!(*permits.free.lock().unwrap(), 0);
+        assert_eq!(*lock(&permits.free), 0);
         drop(held);
-        assert_eq!(*permits.free.lock().unwrap(), PERMITS);
+        assert_eq!(*lock(&permits.free), PERMITS);
     }
 }

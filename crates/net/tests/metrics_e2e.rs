@@ -79,9 +79,9 @@ fn server_collects_per_opcode_metrics_served_over_the_wire() {
     // 4096, plus 512 + 512 in the mixed batch's combined budget.
     assert_eq!(snap.counter("srv.bytes.batch"), Some(3 * 4096 + 1024));
     // The store's folded counters and the process-global gf counters
-    // travel in the same snapshot.
+    // travel in the same snapshot; the full-stripe writes encoded.
     assert!(snap.counter("store.stripe_locks").is_some_and(|v| v > 0));
-    assert!(snap.counter("gf.mult_xors").is_some());
+    assert!(snap.counter("gf.mult_xors").is_some_and(|v| v > 0));
     // Connection accounting: both clients counted, both still open.
     assert!(snap
         .counter("srv.connections_total")

@@ -7,8 +7,8 @@
 //! Client and server run in one process here, so both sides record
 //! into the same flight recorder with the same clock epoch — which is
 //! what lets this test assert *interval* containment, not just parent
-//! pointers (the CI smoke checks the cross-process case, where only
-//! structure and durations are comparable). An untraced request the
+//! pointers (`crates/cli/tests/trace_cli.rs` checks the cross-process
+//! case, where only structure and durations are comparable). An untraced request the
 //! server fails comes back from a TRACE pull as a one-span outlier.
 
 use std::collections::HashMap;

@@ -1,6 +1,6 @@
 //! Dependency-free observability for the stair stack.
 //!
-//! Four parts, all safe to hammer from many threads:
+//! Five parts, all safe to hammer from many threads:
 //!
 //! * **[`MetricsRegistry`]** — named [`Counter`]s, [`Gauge`]s, and
 //!   fixed-bucket log₂ latency [`Histogram`]s. Registration (name →
@@ -20,6 +20,9 @@
 //!   the protocol, and [`json::metrics_json`] is the one JSON shape.
 //! * **[`json`]** — the workspace's one JSON writer, behind every
 //!   `--json` report (the CLI's, `chaos_kill9`'s and `stair-check`'s).
+//! * **[`sync`]** — the workspace's one way to take a `Mutex` or
+//!   `RwLock`: poison is adopted, never unwrapped (clippy holds every
+//!   other crate to it).
 //!
 //! Histogram buckets are powers of two: bucket `i` holds values whose
 //! bit width is `i` (bucket 0 = {0}, bucket 1 = {1}, bucket 2 = 2–3,
@@ -45,6 +48,7 @@ mod hist;
 pub mod json;
 mod registry;
 mod snapshot;
+pub mod sync;
 pub mod trace;
 
 pub use hist::{bucket_upper_bound, Histogram, HistogramSnapshot, BUCKETS};

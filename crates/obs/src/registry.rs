@@ -6,6 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::hist::Histogram;
 use crate::snapshot::MetricsSnapshot;
+use crate::sync::lock;
 
 /// Reserved metric names, declared once.
 ///
@@ -132,24 +133,15 @@ impl MetricsRegistry {
 
     /// A point-in-time copy of every registered metric, names sorted.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        let counters = lock(&self.counters)
             .iter()
             .map(|(name, c)| (name.clone(), c.get()))
             .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        let gauges = lock(&self.gauges)
             .iter()
             .map(|(name, g)| (name.clone(), g.get()))
             .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        let histograms = lock(&self.histograms)
             .iter()
             .map(|(name, h)| (name.clone(), h.snapshot()))
             .collect();
@@ -165,7 +157,7 @@ impl MetricsRegistry {
 /// exists is found by a borrowed lookup, so only its first use
 /// allocates the name.
 fn cell<T: Clone + Default>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
-    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    let mut map = lock(map);
     if let Some(cell) = map.get(name) {
         return cell.clone();
     }

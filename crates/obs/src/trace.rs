@@ -34,6 +34,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
+use crate::sync::lock;
+
 /// The span names the stack records, declared once.
 ///
 /// Each constant is the single source of truth for one span name;
@@ -252,7 +254,7 @@ impl FlightRecorder {
     /// Spans beyond the per-trace or pending-trace caps are counted in
     /// [`dropped_spans`](Self::dropped_spans) and discarded.
     pub fn record_span(&self, rec: SpanRecord) {
-        let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
+        let mut pending = lock(&self.pending);
         if let Some(spans) = pending.get_mut(&rec.trace_id) {
             if spans.len() >= MAX_SPANS_PER_TRACE {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -271,10 +273,7 @@ impl FlightRecorder {
     /// (`duration ≥ threshold`) or errored traces are also retained in
     /// the slow ring.
     pub fn finish_root(&self, root: SpanRecord) {
-        let mut spans = self
-            .pending
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        let mut spans = lock(&self.pending)
             .remove(&root.trace_id)
             .unwrap_or_default();
         let record = TraceRecord {
@@ -291,7 +290,7 @@ impl FlightRecorder {
         if record.slow {
             self.keep_slow(record.clone());
         }
-        let mut ring = self.completed.lock().unwrap_or_else(|e| e.into_inner());
+        let mut ring = lock(&self.completed);
         if ring.len() == TRACE_RING_CAP {
             ring.pop_front();
         }
@@ -306,7 +305,7 @@ impl FlightRecorder {
     /// push out the traced slow traces `stair dev trace` explains.
     fn keep_slow(&self, record: TraceRecord) {
         let bare = |t: &TraceRecord| t.spans.len() == 1 && t.spans[0].parent_id == 0;
-        let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slow = lock(&self.slow);
         let bares = slow.iter().filter(|t| bare(t)).count();
         let evict = if bare(&record) && bares >= SLOW_TRACE_CAP / 2 {
             slow.iter().position(bare)
@@ -321,23 +320,13 @@ impl FlightRecorder {
 
     /// The retained completed traces, oldest first.
     pub fn traces(&self) -> Vec<TraceRecord> {
-        self.completed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
+        lock(&self.completed).iter().cloned().collect()
     }
 
     /// The retained slow/errored traces, oldest first. These survive
     /// the main ring's wrap.
     pub fn slow_traces(&self) -> Vec<TraceRecord> {
-        self.slow
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
+        lock(&self.slow).iter().cloned().collect()
     }
 
     /// Spans discarded because a buffering cap was hit.
@@ -676,7 +665,7 @@ mod tests {
     /// Serializes tests that toggle the process-global enabled flag.
     fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&LOCK)
     }
 
     #[test]

@@ -60,8 +60,8 @@
 //! a stripe contiguously, the checksum table is one flat row-major
 //! array, and a plan's records sit back to back in the journal — so the
 //! write-back issues one positioned write per run of consecutive rows
-//! on one device (`StripeStore::write_recorded`, the one place that
-//! writes sectors, counterpart of the one loader), the integrity
+//! on one device (`StripeStore::write_recorded` in `device::persist`,
+//! the one place that writes sectors, counterpart of the one loader), the integrity
 //! persist one per run of consecutive table entries, and the group
 //! commit one for all the plan's records. A healthy full-stripe write
 //! is `n` device writes, one table write and one journal write — ≈ 10
@@ -876,18 +876,21 @@ mod tests {
     }
 
     /// Writes `cells` of `stripe` the way the store did before the run
-    /// rule: one `write_sector` each, in row-major order.
+    /// rule: one positioned write each, in row-major order, straight
+    /// into the device files.
     fn write_sector_by_sector(
         store: &StripeStore,
         stripe: usize,
         from: &StripeBuf,
         cells: &BTreeSet<CellIdx>,
     ) {
+        use std::os::unix::fs::FileExt;
+        let (r, sym) = (store.geometry().r, store.block_size());
         for &(row, dev) in cells {
-            let devices = &store.shared.devices;
-            devices
-                .write_sector(dev, stripe, row, from.cell((row, dev)))
-                .unwrap();
+            let path = store.dir().join(crate::device::device_file_name(dev));
+            let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+            let at = ((stripe * r + row) * sym) as u64;
+            file.write_all_at(from.cell((row, dev)), at).unwrap();
         }
     }
 

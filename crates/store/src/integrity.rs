@@ -18,38 +18,24 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::RwLock;
 
 use stair_code::CellIdx;
+use stair_gf::fletcher32;
+use stair_obs::sync::{lock, read, write};
 
 use crate::Error;
-use stair_gf::fletcher32;
 
-// Lock poisoning policy: every lock in this module is taken with
-// `unwrap_or_else(PoisonError::into_inner)` instead of `unwrap()`. A
-// poisoned lock only means some other thread panicked while holding it;
-// propagating that panic would turn one crashed worker into a cascade
-// through every thread serving the store (including a network server's
-// whole worker pool). Continuing is sound here because this state is
-// *detection* metadata with no cross-field invariants to break:
-// checksum-table entries are single `u32` assignments (never observable
-// half-written under the lock), and the worst a torn health update can
-// leave behind is a stale or spurious bad-sector record — which makes a
-// read treat the sector as erased and reconstruct it from parity, or a
-// later scrub clear the record. Either way reads stay checksum-correct;
-// poisoning can cost a reconstruction, never data integrity.
-
-fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn mutex_lock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    lock.lock().unwrap_or_else(PoisonError::into_inner)
-}
+// Lock poisoning policy: every lock here is taken through
+// `stair_obs::sync`, which adopts a poisoned lock's data. Continuing is
+// sound because this state is *detection* metadata with no cross-field
+// invariants to break: checksum-table entries are single `u32`
+// assignments (never observable half-written under the lock), and the
+// worst a torn health update can leave behind is a stale or spurious
+// bad-sector record — which makes a read treat the sector as erased and
+// reconstruct it from parity, or a later scrub clear the record. Either
+// way reads stay checksum-correct; poisoning can cost a reconstruction,
+// never data integrity.
 
 /// File name of the checksum table.
 pub const CHECKSUM_FILE: &str = "checksums.bin";
@@ -240,7 +226,7 @@ impl Integrity {
 
     /// The stored checksum for a sector.
     pub fn expected(&self, stripe: usize, row: usize, dev: usize) -> u32 {
-        read_lock(&self.checksums)[self.index(stripe, row, dev)]
+        read(&self.checksums)[self.index(stripe, row, dev)]
     }
 
     /// Verifies `data` against the stored checksum.
@@ -258,24 +244,24 @@ impl Integrity {
             .map(|&((row, dev), data)| (self.index(stripe, row, dev), fletcher32(data)))
             .collect();
         {
-            let mut table = write_lock(&self.checksums);
+            let mut table = write(&self.checksums);
             for &(idx, sum) in &sums {
                 table[idx] = sum;
             }
         }
-        mutex_lock(&self.dirty).extend(sums.iter().map(|&(idx, _)| idx));
+        lock(&self.dirty).extend(sums.iter().map(|&(idx, _)| idx));
     }
 
     /// Snapshot of the current health record (clones the bad-sector set;
     /// hot per-stripe paths should prefer [`Integrity::device_states`] /
     /// [`Integrity::recorded_bad_in`]).
     pub fn health(&self) -> Health {
-        read_lock(&self.health).clone()
+        read(&self.health).clone()
     }
 
     /// Per-device states only — cheap (`n` entries) for per-stripe paths.
     pub fn device_states(&self) -> Vec<DeviceState> {
-        read_lock(&self.health).devices.clone()
+        read(&self.health).devices.clone()
     }
 
     /// The recorded bad sectors of one stripe, as `(row, device)`. While
@@ -284,7 +270,7 @@ impl Integrity {
         if self.bad_sector_count.load(Ordering::SeqCst) == 0 {
             return Vec::new();
         }
-        let health = read_lock(&self.health);
+        let health = read(&self.health);
         let of_stripe = health.bad_sectors.range((stripe, 0, 0)..(stripe + 1, 0, 0));
         of_stripe.map(|&(_, row, dev)| (row, dev)).collect()
     }
@@ -292,7 +278,7 @@ impl Integrity {
     /// Applies `f` to the health record and marks it for the next
     /// [`Integrity::persist`].
     pub fn update_health(&self, f: impl FnOnce(&mut Health)) {
-        let mut guard = write_lock(&self.health);
+        let mut guard = write(&self.health);
         // Armed under the write lock, before `f` runs: `persist` clears
         // the flag and only then takes the read lock, so it either
         // writes this update or leaves the flag set for the next one.
@@ -324,10 +310,10 @@ impl Integrity {
     /// keeps concurrent callers from interleaving. Nothing here is
     /// fsync'd: a checkpoint follows with [`Integrity::sync_table`].
     pub fn persist(&self) -> Result<(), Error> {
-        let _serial = mutex_lock(&self.persist_lock);
+        let _serial = lock(&self.persist_lock);
         self.write_dirty_runs()?;
         if self.health_dirty.swap(false, Ordering::SeqCst) {
-            let health_text = read_lock(&self.health).to_text();
+            let health_text = read(&self.health).to_text();
             if let Err(e) = write_atomic(&self.dir, HEALTH_FILE, health_text.as_bytes()) {
                 self.health_dirty.store(true, Ordering::SeqCst);
                 return Err(e);
@@ -341,10 +327,10 @@ impl Integrity {
     /// that took.
     fn write_dirty_runs(&self) -> Result<usize, Error> {
         use std::os::unix::fs::FileExt;
-        let dirty: Vec<usize> = std::mem::take(&mut *mutex_lock(&self.dirty))
+        let dirty: Vec<usize> = std::mem::take(&mut *lock(&self.dirty))
             .into_iter()
             .collect();
-        let checksums = read_lock(&self.checksums);
+        let checksums = read(&self.checksums);
         let mut raw = Vec::new();
         let mut writes = 0;
         for run in dirty.chunk_by(|a, b| *b == a + 1) {
@@ -392,32 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_locks_stay_usable() {
-        // Regression: a worker panicking while holding the health lock
-        // used to poison it and turn every later lock().unwrap() into a
-        // panic cascade; now the store keeps serving.
-        let dir = tmpdir("poison");
-        let integ = std::sync::Arc::new(Integrity::create(&dir, 4, 2, 16, 3).unwrap());
-        let clone = std::sync::Arc::clone(&integ);
-        let died = std::thread::spawn(move || {
-            clone.update_health(|_| panic!("worker dies mid-update"));
-        })
-        .join();
-        assert!(died.is_err(), "the worker must have panicked");
-        // Health, checksum, and persist paths all still work.
-        assert_eq!(integ.health().devices.len(), 4);
-        integ.update_health(|h| h.devices[1] = DeviceState::Failed);
-        integ.record_cells(0, &[((0, 0), &[1u8; 16])]);
-        assert!(integ.verify(0, 0, 0, &[1u8; 16]));
-        integ.persist().unwrap();
-        assert_eq!(
-            Integrity::load(&dir, 4, 2, 3).unwrap().health().devices[1],
-            DeviceState::Failed
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn persistence_round_trips_health_and_checksums() {
         let dir = tmpdir("prt");
         let integ = Integrity::create(&dir, 4, 2, 16, 3).unwrap();
@@ -457,8 +417,8 @@ mod tests {
         assert_eq!(integ.write_dirty_runs().unwrap(), 1);
         let again = Integrity::load(&dir, n, r, 4).unwrap();
         assert_eq!(
-            *read_lock(&again.checksums),
-            *read_lock(&integ.checksums),
+            *read(&again.checksums),
+            *read(&integ.checksums),
             "the reloaded table is the in-memory one"
         );
         assert!(again.verify(1, 2, 3, &sector(2 * n + 3)));

@@ -84,12 +84,13 @@
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use stair_code::CellIdx;
+use stair_gf::fletcher32;
+use stair_obs::sync::{lock, read, write};
 
 use crate::Error;
-use stair_gf::fletcher32;
 
 /// File name of the journal segment inside a store directory.
 pub const JOURNAL_FILE: &str = "journal.stair";
@@ -116,22 +117,10 @@ const CELL_FIXED: usize = 8;
 /// the saving is directly visible in write throughput.
 const ENCODE_FLAG: u32 = 1 << 31;
 
-// Same poisoning policy as `integrity.rs`: a thread that panicked while
-// holding a journal lock left no half-written *in-memory* invariant
-// worth dying over (the file tail may hold a torn record, which replay
-// already tolerates), so every guard recovers the lock.
-
-fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn mutex_lock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    lock.lock().unwrap_or_else(PoisonError::into_inner)
-}
+// Same poisoning policy as `integrity.rs` (`stair_obs::sync`): a thread
+// that panicked while holding a journal lock left no half-written
+// *in-memory* invariant worth dying over (the file tail may hold a torn
+// record, which replay already tolerates).
 
 /// `true` unless env var `name` is set to exactly `0`.
 fn env_flag(name: &str) -> bool {
@@ -324,7 +313,7 @@ impl Journal {
 
     /// Bytes of the segment currently holding records (header included).
     pub fn used_bytes(&self) -> u64 {
-        mutex_lock(&self.inner).used
+        lock(&self.inner).used
     }
 
     /// Total on-disk bytes one record with `cells` cells occupies.
@@ -359,8 +348,8 @@ impl Journal {
         let mut checkpointed = false;
         loop {
             {
-                let gate = read_lock(&self.commit_gate);
-                if mutex_lock(&self.inner).used + need <= self.capacity || checkpointed {
+                let gate = read(&self.commit_gate);
+                if lock(&self.inner).used + need <= self.capacity || checkpointed {
                     return Ok(Some(CommitGuard {
                         journal: self,
                         _gate: gate,
@@ -385,7 +374,7 @@ impl Journal {
     /// between is flushed by the same `fdatasync`, and finds its own
     /// with nothing left to do.
     fn land(&self, mut group: Vec<u8>) -> Result<(), Error> {
-        let mut inner = mutex_lock(&self.inner);
+        let mut inner = lock(&self.inner);
         let mut seq = inner.seq;
         let mut at = 0;
         while at < group.len() {
@@ -415,7 +404,7 @@ impl Journal {
         self.appends
             .fetch_add(records, std::sync::atomic::Ordering::Relaxed);
         drop(inner);
-        mutex_lock(&self.inner).file.sync_data()?;
+        lock(&self.inner).file.sync_data()?;
         Ok(())
     }
 
@@ -431,8 +420,8 @@ impl Journal {
     ///
     /// Propagates errors from `persist` and the stamp write.
     pub fn checkpoint(&self, persist: impl Fn() -> Result<(), Error>) -> Result<(), Error> {
-        let _gate = write_lock(&self.commit_gate);
-        let mut inner = mutex_lock(&self.inner);
+        let _gate = write(&self.commit_gate);
+        let mut inner = lock(&self.inner);
         persist()?;
         inner.file.write_all_at(&TERMINATOR, HEADER_LEN)?;
         inner.file.sync_data()?;
@@ -488,7 +477,7 @@ impl Journal {
     ) -> Result<u64, Error> {
         let _span = stair_obs::trace::span(stair_obs::trace::names::JRNL_REPLAY);
         let buf = {
-            let inner = mutex_lock(&self.inner);
+            let inner = lock(&self.inner);
             let written = self.len_at_open.max(inner.used);
             let len = inner.file.metadata()?.len().min(written) as usize;
             let mut buf = vec![0u8; len];
@@ -524,7 +513,7 @@ impl Journal {
         // Appends after a dirty reopen continue from the live end
         // (the store checkpoints first, which rewinds this to the
         // header — but correctness must not depend on that).
-        let mut inner = mutex_lock(&self.inner);
+        let mut inner = lock(&self.inner);
         inner.used = inner.used.max(at as u64);
         inner.seq = inner.seq.max(prev_seq.map_or(0, |p| p + 1));
         Ok(applied)

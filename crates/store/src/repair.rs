@@ -15,8 +15,6 @@
 //! the scrub's job. Only when every stripe is done do the replacements
 //! become `Healthy`.
 
-use std::sync::Mutex;
-
 use stair_code::ErasureSet;
 
 use crate::integrity::DeviceState;
@@ -94,37 +92,27 @@ impl StripeStore {
             (0..sh.meta.stripes).collect()
         };
 
-        let repaired = Mutex::new(0usize);
-        let rewritten = Mutex::new(0usize);
-        let unrecoverable = Mutex::new(Vec::new());
         let shard = work.len().div_ceil(threads).max(1);
         let results = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for chunk in work.chunks(shard) {
-                let repaired = &repaired;
-                let rewritten = &rewritten;
-                let unrecoverable = &unrecoverable;
                 handles.push(scope.spawn(move || {
+                    let (mut repaired, mut rewritten, mut unrecoverable) = (0, 0, Vec::new());
                     for &stripe in chunk {
                         match self.repair_stripe(stripe)? {
                             RepairOutcome::Clean => {}
                             RepairOutcome::Repaired(sectors) => {
-                                *repaired.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-                                *rewritten.lock().unwrap_or_else(|e| e.into_inner()) += sectors;
+                                repaired += 1;
+                                rewritten += sectors;
                             }
-                            RepairOutcome::Unrecoverable => {
-                                unrecoverable
-                                    .lock()
-                                    .unwrap_or_else(|e| e.into_inner())
-                                    .push(stripe);
-                            }
+                            RepairOutcome::Unrecoverable => unrecoverable.push(stripe),
                         }
                         self.shared
                             .counters
                             .repair_stripes_done
                             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
-                    Ok::<(), Error>(())
+                    Ok::<_, Error>((repaired, rewritten, unrecoverable))
                 }));
             }
             handles
@@ -138,15 +126,16 @@ impl StripeStore {
                 )
                 .collect::<Vec<_>>()
         });
+        let (mut repaired, mut rewritten, mut unrecoverable) = (0, 0, Vec::new());
         for r in results {
-            r?;
+            let (stripes, sectors, lost) = r?;
+            repaired += stripes;
+            rewritten += sectors;
+            unrecoverable.extend(lost);
         }
 
         // Phase 3: promote fully rebuilt replacements. Only devices still
         // in `Rebuilding` — one re-failed concurrently must stay failed.
-        let mut unrecoverable = unrecoverable
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner());
         unrecoverable.sort_unstable();
         if unrecoverable.is_empty() {
             sh.integrity.update_health(|h| {
@@ -162,8 +151,8 @@ impl StripeStore {
 
         Ok(RepairReport {
             devices_replaced: rebuilding,
-            stripes_repaired: repaired.into_inner().unwrap_or_else(|e| e.into_inner()),
-            sectors_rewritten: rewritten.into_inner().unwrap_or_else(|e| e.into_inner()),
+            stripes_repaired: repaired,
+            sectors_rewritten: rewritten,
             unrecoverable_stripes: unrecoverable,
         })
     }
@@ -195,8 +184,7 @@ impl StripeStore {
         }
         let sectors = bytes.chunks_exact(self.block_size());
         let cells: Vec<_> = cells.into_iter().zip(sectors).collect();
-        // check: persist-ok repair rewrites cells already recorded erased: a torn repair write stays erased and is re-repaired
-        self.write_recorded(stripe_idx, &cells)?;
+        self.rewrite_erased(stripe_idx, &cells)?;
         Ok(RepairOutcome::Repaired(cells.len()))
     }
 }

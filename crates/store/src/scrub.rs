@@ -8,8 +8,6 @@
 //! threads and takes the per-stripe locks, so it can run behind
 //! foreground I/O.
 
-use std::sync::Mutex;
-
 use crate::integrity::{BadSector, DeviceState};
 use crate::store::StripeStore;
 use crate::Error;
@@ -59,8 +57,6 @@ impl StripeStore {
             .filter(|&d| health.devices[d] != DeviceState::Healthy)
             .collect();
 
-        let mismatches = Mutex::new(Vec::new());
-        let verified = Mutex::new(0usize);
         let shard = stripes.div_ceil(threads).max(1);
         let results = std::thread::scope(|scope| {
             let mut handles = Vec::new();
@@ -70,12 +66,8 @@ impl StripeStore {
                 if lo == hi {
                     continue;
                 }
-                let mismatches = &mismatches;
-                let verified = &verified;
                 let devices = &health.devices;
-                handles.push(
-                    scope.spawn(move || self.scrub_range(lo..hi, devices, mismatches, verified)),
-                );
+                handles.push(scope.spawn(move || self.scrub_range(lo..hi, devices)));
             }
             handles
                 .into_iter()
@@ -88,11 +80,12 @@ impl StripeStore {
                 )
                 .collect::<Vec<_>>()
         });
+        let (mut mismatches, mut verified) = (Vec::new(), 0);
         for r in results {
-            r?;
+            let (bad, ok) = r?;
+            mismatches.extend(bad);
+            verified += ok;
         }
-
-        let mismatches = mismatches.into_inner().unwrap_or_else(|e| e.into_inner());
         // Reconcile against the snapshot taken when the pass started: a
         // record from *before* the pass whose sector now verifies is
         // stale and cleared; records added concurrently (by degraded
@@ -117,7 +110,7 @@ impl StripeStore {
 
         Ok(ScrubReport {
             stripes_scanned: stripes,
-            sectors_verified: verified.into_inner().unwrap_or_else(|e| e.into_inner()),
+            sectors_verified: verified,
             mismatches,
             unavailable_devices: unavailable,
             records_cleared,
@@ -128,9 +121,7 @@ impl StripeStore {
         &self,
         range: std::ops::Range<usize>,
         devices: &[DeviceState],
-        mismatches: &Mutex<Vec<BadSector>>,
-        verified: &Mutex<usize>,
-    ) -> Result<(), Error> {
+    ) -> Result<(Vec<BadSector>, usize), Error> {
         let geom = &self.shared.geometry;
         let available = (0..geom.n).filter(|&dev| devices[dev] == DeviceState::Healthy);
         let grid: Vec<_> = available
@@ -148,12 +139,7 @@ impl StripeStore {
                 .scrub_stripes_done
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
-        mismatches
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend(local_bad);
-        *verified.lock().unwrap_or_else(|e| e.into_inner()) += local_ok;
-        Ok(())
+        Ok((local_bad, local_ok))
     }
 }
 

@@ -46,14 +46,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use stair_code::{
     CellIdx, CellLookup, CodeError, CodecSpec, ErasureCode, ErasureSet, Geometry, StripeBuf,
 };
 use stair_device::ShardHealth;
+use stair_obs::sync::lock;
 
-use crate::device::{DeviceSet, SectorRead};
+use crate::device::DeviceSet;
 use crate::integrity::{DeviceState, Integrity};
 use crate::journal::{Journal, DEFAULT_JOURNAL_SEGMENT};
 use crate::layout::BlockMap;
@@ -502,9 +503,7 @@ impl StripeStore {
             .counters
             .stripe_locks
             .fetch_add(1, Ordering::Relaxed);
-        locks[stripe % locks.len()]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock(&locks[stripe % locks.len()])
     }
 
     /// Locks every pool slot covering `stripes` at once, for a batch
@@ -522,14 +521,7 @@ impl StripeStore {
             .counters
             .stripe_locks
             .fetch_add(slots.len() as u64, Ordering::Relaxed);
-        slots
-            .into_iter()
-            .map(|s| {
-                locks[s]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            })
-            .collect()
+        slots.into_iter().map(|s| lock(&locks[s])).collect()
     }
 
     /// Snapshot of the cumulative data-path instrumentation counters.
@@ -594,11 +586,7 @@ impl StripeStore {
     /// deadlock because stripe operations hold at most one stripe lock at
     /// a time and the locks are taken here in index order.
     fn lock_all_stripes(&self) -> Vec<MutexGuard<'_, ()>> {
-        self.shared
-            .stripe_locks
-            .iter()
-            .map(|l| l.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-            .collect()
+        self.shared.stripe_locks.iter().map(|l| lock(l)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -655,21 +643,7 @@ impl StripeStore {
             )));
         };
         let _guard = self.lock_stripe(stripe);
-        let mut buf = vec![0u8; self.shared.meta.symbol];
-        for k in row..end {
-            match self.shared.devices.read_sector(dev, stripe, k, &mut buf)? {
-                SectorRead::Missing => {
-                    return Err(Error::Device(format!("device {dev} has no backing file")))
-                }
-                SectorRead::Ok => {}
-            }
-            for b in buf.iter_mut() {
-                *b ^= 0xA5;
-            }
-            // check: persist-ok fault injection: deliberately un-journaled damage
-            self.shared.devices.write_sector(dev, stripe, k, &buf)?;
-        }
-        Ok(())
+        self.corrupt_run(dev, stripe, row..end)
     }
 
     // ------------------------------------------------------------------
@@ -979,64 +953,6 @@ impl StripeStore {
             }
         }
     }
-
-    /// The in-place leg of a commit, after the journal record covering
-    /// `targets` is durable. Callers arrive here only through the
-    /// planner's group commit or journal replay — both journal-first,
-    /// which the `persist-ordering` lint enforces for every sector write
-    /// in this crate. It adds only its name to the writer below: the
-    /// gate the lint knows, so an un-journaled caller of the writer
-    /// (repair) has to say so at its call site.
-    pub(crate) fn apply_write_back(
-        &self,
-        stripe_idx: usize,
-        targets: &[(CellIdx, &[u8])],
-    ) -> Result<(), Error> {
-        self.write_recorded(stripe_idx, targets)
-    }
-
-    /// The one writer, counterpart of [`StripeStore::load_verified`]:
-    /// writes `cells` of a stripe — one positioned write per run of
-    /// consecutive rows on one device, which the device files store
-    /// contiguously — then records every checksum under one table lock
-    /// and takes the rewritten sectors off the bad-sector map. Write
-    /// order is device-major; a crash inside it is the journal's to
-    /// finish, whatever the order. Every cell must sit on a device with
-    /// a backing file (not `Failed`).
-    ///
-    /// Callers must hold the stripe lock, and — the `persist-ordering`
-    /// lint holds them to it — have the post-images durable in the
-    /// journal first.
-    pub(crate) fn write_recorded(
-        &self,
-        stripe_idx: usize,
-        cells: &[(CellIdx, &[u8])],
-    ) -> Result<(), Error> {
-        let sh = &self.shared;
-        let mut sorted = cells.to_vec();
-        // Stable: a replayed record naming a cell twice keeps its last
-        // image, as sector-by-sector order would.
-        sorted.sort_by_key(|&((row, dev), _)| (dev, row));
-        let mut buf = Vec::new();
-        for run in sorted.chunk_by(|a, b| b.0 == (a.0 .0 + 1, a.0 .1)) {
-            let ((row, dev), first) = run[0];
-            let span = if run.len() == 1 {
-                first
-            } else {
-                buf.clear();
-                buf.reserve(run.len() * first.len());
-                for &(_, data) in run {
-                    buf.extend_from_slice(data);
-                }
-                &buf[..]
-            };
-            sh.devices.write_run(dev, stripe_idx, row, span)?;
-        }
-        sh.integrity.record_cells(stripe_idx, cells);
-        let rewritten = cells.iter().map(|&((row, dev), _)| (stripe_idx, row, dev));
-        sh.integrity.clear_bad(rewritten);
-        Ok(())
-    }
 }
 
 /// Sectors of one stripe as [`StripeStore::load_verified`] read them,
@@ -1063,7 +979,7 @@ impl<'s> Sectors<'s> {
     fn lend(shared: &'s Shared) -> Self {
         let spares = &shared.spare_sectors;
         // A spare is just memory: a panicking holder left nothing to undo.
-        let data = spares.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let data = lock(spares).pop();
         Sectors {
             sym: shared.meta.symbol,
             cells: Vec::new(),
@@ -1110,7 +1026,7 @@ impl<'s> Sectors<'s> {
 impl Drop for Sectors<'_> {
     /// Gives the buffer back, unless the store keeps enough already.
     fn drop(&mut self) {
-        let mut spares = self.spares.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut spares = lock(self.spares);
         if spares.len() < SPARE_SECTOR_BUFFERS {
             spares.push(std::mem::take(&mut self.data));
         }
