@@ -34,8 +34,10 @@
 //! outside globals, just the sectors a store read for one degraded
 //! fragment, or a small write's deltas ([`crate::Patch`]) — and keeps the
 //! intermediates in one buffer. A whole stripe lends the targets' own
-//! sectors, so an encode writes the parity where it is stored; any other
-//! lookup gets each target handed over from the same buffer. A plan
+//! sectors, so an encode writes the parity where it is stored, and a
+//! store's degraded read lends the caller's buffer, so a lost block is
+//! decoded where it is wanted; any other lookup gets each target handed
+//! over from the same buffer. A plan
 //! records the codec that built it ([`CodecId`]) and runs for that codec
 //! only.
 

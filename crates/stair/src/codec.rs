@@ -267,11 +267,42 @@ impl<F: Field> StairCodec<F> {
     /// Peels the pattern and prunes it to `wanted`; returns the peeler
     /// holding the pruned steps and which canonical cells were available
     /// before it ran.
+    ///
+    /// When every wanted cell sits in a row that lost only cells of the
+    /// designated failed chunks — a degraded read around failed devices,
+    /// mostly — the plan is those rows' `C_row` steps and nothing else
+    /// ([`PeelOrder::TargetRows`]): the steps the full peel would keep,
+    /// found without walking every other line.
     fn peel_decode(
         &self,
         erased: &[Cell],
         wanted: &[Cell],
     ) -> Result<(Peeler<'_, F>, Availability), CodeError> {
+        let (avail, failed) = self.decode_start(erased, wanted)?;
+        let mut mixed = vec![false; self.config.r()];
+        for &(row, col) in erased {
+            mixed[row] |= !failed.contains(&col);
+        }
+        if wanted.iter().all(|&(row, _)| !mixed[row]) {
+            let mut peeler = Peeler::new(&self.layout, &self.crow, &self.ccol, avail.clone())
+                .with_excluded_cols(&failed);
+            peeler.peel(wanted, PeelOrder::TargetRows)?;
+            return Ok((peeler, avail));
+        }
+        self.peel_upstairs(avail, &failed, wanted)
+    }
+
+    /// Where a decode starts: the canonical cells available once `erased`
+    /// is gone, and the designated failed chunks.
+    ///
+    /// §4.3: the `m` chunks with the most lost symbols are the "failed
+    /// chunks", recovered by row parities last; everything else may use
+    /// column recovery.
+    fn decode_start(
+        &self,
+        erased: &[Cell],
+        wanted: &[Cell],
+    ) -> Result<(Availability, Vec<usize>), CodeError> {
         let counts = self.config.erasure_counts(erased)?;
         let mut avail = self.decode_avail.clone();
         for &cell in erased {
@@ -285,21 +316,29 @@ impl<F: Field> StairCodec<F> {
                 "wanted cell {w:?} is not in the erased set"
             )));
         }
+        let mut failed: Vec<usize> = (0..self.config.n()).collect();
+        failed.sort_by_key(|&c| std::cmp::Reverse(counts[c]));
+        failed.truncate(self.config.m());
+        failed.retain(|&c| counts[c] > 0);
+        Ok((avail, failed))
+    }
 
-        // §4.3: designate the m chunks with the most lost symbols as the
-        // "failed chunks" recovered by row parities last; everything else
-        // may use column recovery. Retry unrestricted if the restricted
-        // peel stalls (can only happen outside the guaranteed coverage).
-        let mut order: Vec<usize> = (0..self.config.n()).collect();
-        order.sort_by_key(|&c| std::cmp::Reverse(counts[c]));
-        order.truncate(self.config.m());
-        order.retain(|&c| counts[c] > 0);
+    /// The full upstairs peel from `avail` with the `failed` chunks
+    /// excluded from column recovery, pruned to `wanted`. Retries
+    /// unrestricted if the restricted peel stalls (which can only happen
+    /// outside the guaranteed coverage).
+    fn peel_upstairs(
+        &self,
+        avail: Availability,
+        failed: &[usize],
+        wanted: &[Cell],
+    ) -> Result<(Peeler<'_, F>, Availability), CodeError> {
         let peel = |excluded: &[usize]| {
             let mut peeler = Peeler::new(&self.layout, &self.crow, &self.ccol, avail.clone())
                 .with_excluded_cols(excluded);
             peeler.peel(wanted, PeelOrder::Upstairs).map(|()| peeler)
         };
-        let peeler = match peel(&order) {
+        let peeler = match peel(failed) {
             Err(CodeError::Unrecoverable(_)) => peel(&[])?,
             other => other?,
         };
@@ -552,6 +591,96 @@ mod tests {
             codec.plan_recover(&erased, &[(0, 0)]),
             Err(CodeError::InvalidPattern(_))
         ));
+    }
+
+    /// The plan of the full upstairs peel, whatever the pattern: the
+    /// oracle for the plans built on demand.
+    fn full_peel_plan(codec: &StairCodec, erased: &[Cell], wanted: &[Cell]) -> Plan {
+        let (avail, failed) = codec.decode_start(erased, wanted).unwrap();
+        let (peeler, avail) = codec.peel_upstairs(avail, &failed, wanted).unwrap();
+        peeler.lower(&codec.id, &avail, wanted).unwrap()
+    }
+
+    /// `cases` random covered patterns — up to `m` failed chunks and up
+    /// to `m'` bursts of up to `e_max` in other chunks — each with a
+    /// random wanted subset (every cell with chance ⅓) and a read
+    /// window's (the lost cells of one to three consecutive rows): the
+    /// plan must equal the full peel's, step for step, source for source
+    /// and coefficient for coefficient. Returns how many of the plans
+    /// were built from the wanted rows alone.
+    fn on_demand_plans_are_the_full_peels(codec: &StairCodec, cases: usize, seed: u64) -> usize {
+        let config = codec.config();
+        let (n, r, m) = (config.n(), config.r(), config.m());
+        let spec = config.spec();
+        let mut state = seed;
+        let mut below = |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let (mut planned, mut on_demand) = (0, 0);
+        while planned < cases {
+            let mut chunks: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                chunks.swap(i, below(i + 1));
+            }
+            let failed = below(m + 1);
+            let mut erased: Vec<Cell> = chunks[..failed]
+                .iter()
+                .flat_map(|&c| (0..r).map(move |i| (i, c)))
+                .collect();
+            for &chunk in &chunks[failed..failed + below(config.m_prime() + 1)] {
+                let burst = 1 + below(config.e_max());
+                let start = below(r - burst + 1);
+                erased.extend((start..start + burst).map(|i| (i, chunk)));
+            }
+            erased.sort_unstable();
+            if erased.is_empty() || !spec.covers(&erased.iter().copied().collect()) {
+                continue;
+            }
+            let first = below(r);
+            let rows = first..r.min(first + 1 + below(3));
+            let subsets: [Vec<Cell>; 2] = [
+                erased.iter().copied().filter(|_| below(3) == 0).collect(),
+                erased
+                    .iter()
+                    .copied()
+                    .filter(|c| rows.contains(&c.0))
+                    .collect(),
+            ];
+            for wanted in subsets.iter().filter(|w| !w.is_empty()) {
+                let plan = codec.plan_recover(&erased, wanted).unwrap();
+                let full = full_peel_plan(codec, &erased, wanted);
+                assert_eq!(plan, full, "erased {erased:?} wanted {wanted:?}");
+                let (_, failed) = codec.decode_start(&erased, wanted).unwrap();
+                let mixed = |row| erased.iter().any(|&c| c.0 == row && !failed.contains(&c.1));
+                on_demand += usize::from(wanted.iter().all(|&(row, _)| !mixed(row)));
+                planned += 1;
+            }
+        }
+        on_demand
+    }
+
+    #[test]
+    fn plans_on_demand_equal_the_full_peel() {
+        for (config, cases, seed) in [
+            (Config::new(8, 4, 2, &[1, 1, 2]).unwrap(), 400, 0x5EED),
+            (
+                Config::with_placement(8, 4, 2, &[1, 1, 2], GlobalPlacement::Outside).unwrap(),
+                200,
+                0xACE,
+            ),
+            (Config::new(8, 16, 2, &[1, 2]).unwrap(), 400, 0xF00D),
+            (Config::new(66, 65, 2, &[1, 2]).unwrap(), 12, 0xD1DE),
+        ] {
+            let codec: StairCodec = StairCodec::new(config.clone()).unwrap();
+            let on_demand = on_demand_plans_are_the_full_peels(&codec, cases, seed);
+            assert!(
+                on_demand > 0 && on_demand < cases,
+                "{config:?}: {on_demand} of {cases} plans on demand"
+            );
+        }
     }
 
     #[test]

@@ -52,6 +52,13 @@ pub(crate) enum PeelOrder {
     /// (downstairs, §5.1.2). Never uses augmented rows of the first `n`
     /// columns.
     Downstairs,
+    /// The targets' stored rows alone, top→bottom, one `C_row` step
+    /// each. A row whose every lost cell is in an excluded column is one
+    /// no column step reaches, so upstairs steps it in its first
+    /// last-resort pass over the same first κ cells: when every target
+    /// sits in such a row, this is the upstairs peel pruned to the
+    /// targets, without the walk over every other line.
+    TargetRows,
 }
 
 /// Which cells of the canonical stripe are available: one bit set per
@@ -202,6 +209,7 @@ impl<'a, F: Field> Peeler<'a, F> {
         match order {
             PeelOrder::Upstairs => self.run_upstairs(),
             PeelOrder::Downstairs => self.run_downstairs(),
+            PeelOrder::TargetRows => self.run_target_rows(targets),
         }
         let remaining = targets
             .iter()
@@ -394,6 +402,15 @@ impl<'a, F: Field> Peeler<'a, F> {
             if !progress {
                 return;
             }
+        }
+    }
+
+    fn run_target_rows(&mut self, targets: &[Cell]) {
+        let mut rows: Vec<usize> = targets.iter().map(|&(row, _)| row).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        for i in rows {
+            self.try_step(StepCode::Row(i));
         }
     }
 

@@ -98,41 +98,59 @@ fn derived_slots(plan: &Plan, (r, n): (usize, usize)) -> Vec<CellIdx> {
         .collect()
 }
 
-/// The fixture, as the planner under test writes it.
-fn render() -> String {
+/// The family, in fixture order: per pattern `(one, two)`, the erasures
+/// and, per fragment, the plan of its lost cells — `None` where it lost
+/// none.
+fn family(mut visit: impl FnMut((usize, usize), &ErasureSet, Option<Plan>)) {
     let codec: StairCodec = StairCodec::new(Config::new(8, 16, 2, &[1, 2]).unwrap()).unwrap();
     let cells = codec.geometry().data_cells;
     let blocks = cells.len();
     let windows = (0..blocks).map(|b| &cells[b..blocks.min(b + 16)]);
     let fragments: Vec<&[CellIdx]> = windows.chain((1..16).map(|k| &cells[..k])).collect();
-
-    let (mut step_ids, mut plan_ids) = (HashMap::new(), HashMap::new());
-    let (mut steps, mut plans, mut patterns) = (String::new(), String::new(), String::new());
     for one in 0..16 {
         for two in 0..15 {
             let devices = (0..16).flat_map(|row| [(row, 0), (row, 1)]);
             let erased: ErasureSet = devices.chain([(one, 2), (two, 3), (two + 1, 3)]).collect();
-            write!(patterns, "pattern {one} {two}").unwrap();
             for fragment in &fragments {
                 let lost = fragment.iter().filter(|&&c| erased.contains(c));
                 let wanted: Vec<CellIdx> = lost.copied().collect();
-                if wanted.is_empty() {
-                    patterns.push_str(" .");
-                    continue;
+                let plan = (!wanted.is_empty())
+                    .then(|| ErasureCode::plan_recover(&codec, &erased, &wanted).unwrap());
+                if let Some(plan) = &plan {
+                    assert_eq!(plan.recovers(), wanted);
                 }
-                let plan = ErasureCode::plan_recover(&codec, &erased, &wanted).unwrap();
-                assert_eq!(plan.recovers(), wanted);
-                assert_eq!(plan.slots(), derived_slots(&plan, (16, 8)), "{wanted:?}");
-                let mut ids = String::new();
-                for step in cell_steps(&plan) {
-                    ids += &intern(&mut step_ids, &mut steps, "step", 2, step);
-                }
-                let id = intern(&mut plan_ids, &mut plans, "plan", 3, ids);
-                write!(patterns, " {id}").unwrap();
+                visit((one, two), &erased, plan);
             }
-            patterns.push('\n');
         }
     }
+}
+
+/// The fixture, as the planner under test writes it.
+fn render() -> String {
+    let (mut step_ids, mut plan_ids) = (HashMap::new(), HashMap::new());
+    let (mut steps, mut plans, mut patterns) = (String::new(), String::new(), String::new());
+    let mut last = None;
+    family(|pattern, _, plan| {
+        if last != Some(pattern) {
+            if last.is_some() {
+                patterns.push('\n');
+            }
+            write!(patterns, "pattern {} {}", pattern.0, pattern.1).unwrap();
+            last = Some(pattern);
+        }
+        let Some(plan) = plan else {
+            patterns.push_str(" .");
+            return;
+        };
+        assert_eq!(plan.slots(), derived_slots(&plan, (16, 8)));
+        let mut ids = String::new();
+        for step in cell_steps(&plan) {
+            ids += &intern(&mut step_ids, &mut steps, "step", 2, step);
+        }
+        let id = intern(&mut plan_ids, &mut plans, "plan", 3, ids);
+        write!(patterns, " {id}").unwrap();
+    });
+    patterns.push('\n');
     [HEADER, &steps, &plans, &patterns].concat()
 }
 
@@ -144,4 +162,51 @@ fn degraded_fragments_plan_as_the_fixture_says() {
         assert_eq!(Some(line), expected.next(), "fixture line {}", k + 1);
     }
     assert_eq!(expected.next(), None, "the fixture has more lines");
+}
+
+/// ROADMAP item 15's measurement: how many sectors each of the 25 486
+/// plans reads, against `n − m` per stored row it wants a cell of — what
+/// recovering a cell through its row reads, the least an MDS row code
+/// allows. No plan reads more of any row than one `C_row` step would.
+/// The 16 256 plans whose wanted rows lost only the failed devices read
+/// the bound exactly; the 9 230 over a burst row read 79–93, reaching
+/// into rows they want nothing of for the global parities — what a
+/// planner minimising sectors would have to beat (EXPERIMENTS.md
+/// "Planned on demand, decoded in place").
+#[test]
+fn sources_per_plan_against_n_minus_m_per_wanted_row() {
+    const N_MINUS_M: usize = 6;
+    let mut histogram = std::collections::BTreeMap::new();
+    let mut against_bound = [0; 3];
+    family(|_, erased, plan| {
+        let Some(plan) = plan else { return };
+        let sources = plan.sources();
+        *histogram.entry(sources.len()).or_insert(0) += 1;
+        for row in 0..16 {
+            let read = sources.iter().filter(|&&(r, _)| r == row).count();
+            let left = (0..8).filter(|&dev| !erased.contains((row, dev))).count();
+            assert!(read <= left.min(N_MINUS_M), "row {row}: {read} of {left}");
+        }
+        let mut wanted_rows: Vec<usize> = plan.recovers().iter().map(|&(row, _)| row).collect();
+        wanted_rows.sort_unstable();
+        wanted_rows.dedup();
+        let bound = N_MINUS_M * wanted_rows.len();
+        against_bound[sources.len().cmp(&bound) as usize + 1] += 1;
+    });
+    let histogram: Vec<(usize, usize)> = histogram.into_iter().collect();
+    assert_eq!(
+        histogram,
+        [
+            (6, 2267),
+            (12, 3873),
+            (18, 10116),
+            (79, 14),
+            (80, 165),
+            (81, 719),
+            (82, 2348),
+            (93, 5984)
+        ]
+    );
+    // Below, at and above the bound.
+    assert_eq!(against_bound, [0, 16_256, 9_230]);
 }

@@ -78,7 +78,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use stair_code::{CellIdx, CodeError, Patch, StripeBuf};
+use stair_code::{CellIdx, CodeError, ErasureSet, Patch, StripeBuf};
 use stair_device::{BatchResult, IoBatch, OpRef, OpResult, WriteOutcome};
 
 use crate::{DeviceState, Error, StripeStore};
@@ -398,8 +398,10 @@ impl StripeStore {
             }
         }
         let mut cells = BTreeMap::new();
-        let staged = |cell, data: &[u8]| drop(cells.insert(cell, data.to_vec()));
-        let erased = self.restore(stripe_idx, |_| footprint.iter().copied().collect(), staged)?;
+        let mut staged = |cell, data: &[u8]| drop(cells.insert(cell, data.to_vec()));
+        let known = self.known_erasures(stripe_idx, &devices);
+        let wanted = |_: &ErasureSet| footprint.iter().copied().collect();
+        let erased = self.restore(stripe_idx, &devices, known, wanted, &mut staged)?;
         // Footprint cells the restore reconstructed are written back with
         // the patch, healing them on writable devices.
         let lost = footprint.iter().filter(|&&c| erased.contains(c));

@@ -42,9 +42,15 @@
 //! journal `fdatasync`.
 //!
 //! The log is a single fixed-capacity segment file (`journal.stair`),
-//! **preallocated to its full capacity at open** so the per-commit
-//! fsync never carries a file-size metadata update (on a journaling
-//! filesystem that halves its cost). The live region is delimited not
+//! **extended to its full capacity at open** (`set_len`) so the
+//! per-commit fsync never carries a file-size update (on a journaling
+//! filesystem that halves its cost). The extension is sparse, not
+//! preallocated: a fresh 8 MiB segment has one 4 KiB block allocated,
+//! as have the device files, so the first pass through the segment
+//! still allocates blocks under each `fdatasync`; later passes rewrite
+//! blocks already there. Real preallocation would write (or
+//! `fallocate`) the whole segment at set-up, a cost every store
+//! creation pays. The live region is delimited not
 //! by the file length but by an eight-byte zero **terminator stamp**
 //! written right after the last record: replay parses records until it
 //! hits the stamp (a zero length field), a torn record (checksum
@@ -131,7 +137,7 @@ struct Inner {
     file: File,
     /// Bytes of the segment in use (header + whole records).
     used: u64,
-    /// Actual on-disk file length (≥ capacity after preallocation,
+    /// Actual on-disk file length (≥ capacity once extended,
     /// larger only while an oversized record overruns the segment).
     file_len: u64,
     /// Next record sequence number. Replay requires consecutive
@@ -208,9 +214,9 @@ impl CommitGuard<'_> {
 pub struct Journal {
     symbol: usize,
     capacity: u64,
-    /// The segment file's length before this handle preallocated it.
+    /// The segment file's length before this handle extended it.
     /// Beyond it, and beyond what this handle has appended since, the
-    /// file holds only the zeros preallocation wrote — so replay reads
+    /// file holds only the zeros the extension reads as — so replay reads
     /// no further, whatever capacity the superblock claims.
     len_at_open: u64,
     enabled: bool,
@@ -262,9 +268,10 @@ impl Journal {
                 )));
             }
         }
-        // Preallocate to full capacity once, so appends never change
-        // the file length and their fsyncs stay metadata-free. The new
-        // tail is zeros — a terminator wherever the live records end.
+        // Extend to full capacity once, so appends never change the
+        // file length and their fsyncs carry no size update. The new
+        // tail is a hole that reads as zeros — a terminator wherever the
+        // live records end.
         if len < capacity {
             file.set_len(capacity)?;
             file.sync_all()?;
@@ -389,7 +396,7 @@ impl Journal {
         let at = inner.used;
         let end = at + group.len() as u64;
         // The terminator rides in the same write when it fits inside
-        // the preallocated region; at the very end of the file, EOF
+        // the extended region; at the very end of the file, EOF
         // itself terminates the parse.
         if end + TERMINATOR.len() as u64 <= inner.file_len {
             group.extend_from_slice(&TERMINATOR);
@@ -619,7 +626,7 @@ mod tests {
         commit(&j, 1, &a, false, || Ok(()));
         commit(&j, 2, &a, false, || Ok(()));
         // Tear the second record: chop bytes off the live end (the
-        // reopen preallocates the tail back to zeros, exactly what a
+        // reopen extends the tail back with zeros, exactly what a
         // torn write leaves behind).
         let live_end = j.used_bytes();
         drop(j);

@@ -170,11 +170,12 @@ impl StripeStore {
             writable.collect()
         };
         let (mut cells, mut bytes) = (Vec::new(), Vec::new());
-        let restored = |cell, data: &[u8]| {
+        let mut restored = |cell, data: &[u8]| {
             cells.push(cell);
             bytes.extend_from_slice(data);
         };
-        match self.restore(stripe_idx, writable, restored) {
+        let known = self.known_erasures(stripe_idx, &devices);
+        match self.restore(stripe_idx, &devices, known, writable, &mut restored) {
             Ok(_) => {}
             Err(Error::Unrecoverable { .. }) => return Ok(RepairOutcome::Unrecoverable),
             Err(e) => return Err(e),

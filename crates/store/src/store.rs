@@ -29,9 +29,11 @@
 //!   out how to reconstruct exactly the wanted lost sectors, and only the
 //!   plan's sources ([`stair_code::Plan::sources`]) and the surviving
 //!   wanted sectors are read. The plan runs over them where the loader
-//!   put them: no stripe is assembled. Damage nobody knew of — a missing
-//!   file, a short read, a checksum mismatch — is recorded where it is
-//!   met and planned around, reading only the sources not read yet.
+//!   put them, and decodes a read's lost blocks straight into the
+//!   caller's buffer: no stripe is assembled. Damage nobody knew of — a
+//!   missing file, a short read, a checksum mismatch — is recorded where
+//!   it is met and planned around, reading only the sources not read
+//!   yet.
 //! * All sector I/O is positioned (`pread`/`pwrite`) and goes through
 //!   one verified loader and one recorded writer, which read and write
 //!   consecutive rows of a device — which its file stores contiguously —
@@ -49,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use stair_code::{
-    CellIdx, CellLookup, CodeError, CodecSpec, ErasureCode, ErasureSet, Geometry, StripeBuf,
+    CellIdx, CellLookup, CodeError, CodecSpec, ErasureCode, ErasureSet, Geometry, Lent, StripeBuf,
 };
 use stair_device::ShardHealth;
 use stair_obs::sync::lock;
@@ -671,8 +673,10 @@ impl StripeStore {
     /// Whatever is left — the whole window when a wanted sector was known
     /// lost from the start — is [restored](StripeStore::restore): the
     /// wanted lost sectors planned, only the plan's sources and the
-    /// surviving wanted sectors read, and the plan's targets written into
-    /// `out`.
+    /// surviving wanted sectors read, and the plan's targets decoded
+    /// where `out` holds their blocks (copied in, when one of them is
+    /// only partly in the window). What is lost is decided once, here,
+    /// and the restore starts from it.
     ///
     /// Callers must hold the stripe lock.
     pub(crate) fn read_blocks_locked(
@@ -687,29 +691,34 @@ impl StripeStore {
             .clone()
             .map(|b| sh.blocks.locate(b).map(|l| l.cell))
             .collect::<Result<Vec<CellIdx>, _>>()?;
-        let mut serve = |cell: CellIdx, data: &[u8]| {
-            if let Some(k) = cells.iter().position(|&c| c == cell) {
-                self.copy_block(blocks.start + k, data, offset, out);
-            }
+        let mut window = Window {
+            store: self,
+            first: blocks.start,
+            cells,
+            offset,
+            out,
         };
         let devices = sh.integrity.device_states();
-        let erased = self.known_erasures(stripe_idx, &devices);
+        let mut erased = self.known_erasures(stripe_idx, &devices);
 
         // The cells whose bytes are not in `out` yet.
-        let unserved = if cells.iter().any(|&c| erased.contains(c)) {
-            cells.clone()
+        let unserved = if window.cells.iter().any(|&c| erased.contains(c)) {
+            window.cells.clone()
         } else {
-            let wanted = cells.iter().copied();
-            let failed = self.load_each(stripe_idx, &devices, wanted, &mut serve)?;
+            let wanted = window.cells.clone();
+            let serve = |cell, data: &[u8]| window.take(cell, data);
+            let failed = self.load_each(stripe_idx, &devices, wanted, serve)?;
             if failed.is_empty() {
                 return Ok(());
             }
             // Damage inside the window itself: known from here on.
             let found = failed.iter().map(|&(row, dev)| (stripe_idx, row, dev));
             sh.integrity.update_health(|h| h.bad_sectors.extend(found));
+            erased = erased.iter().chain(failed.iter().copied()).collect();
             failed
         };
-        self.restore(stripe_idx, |_| unserved.clone(), serve)?;
+        let wanted = |_: &ErasureSet| unserved.clone();
+        self.restore(stripe_idx, &devices, erased, wanted, &mut window)?;
         Ok(())
     }
 
@@ -724,9 +733,9 @@ impl StripeStore {
     }
 
     /// What a stripe is known to have lost before anything is read: every
-    /// sector of a device that is not `Healthy`, and the sectors recorded
-    /// bad.
-    fn known_erasures(&self, stripe_idx: usize, devices: &[DeviceState]) -> ErasureSet {
+    /// sector of a device that is not `Healthy` in `devices`, and the
+    /// sectors recorded bad.
+    pub(crate) fn known_erasures(&self, stripe_idx: usize, devices: &[DeviceState]) -> ErasureSet {
         let r = self.shared.geometry.r;
         let down = devices.iter().enumerate();
         let down = down.filter(|&(_, &state)| state != DeviceState::Healthy);
@@ -804,9 +813,10 @@ impl StripeStore {
     /// `wanted` cell, reconstructing the lost ones from the fewest reads
     /// the codec's planner knows.
     ///
-    /// What is lost is decided before any I/O: every sector of a device
-    /// that is not `Healthy`, and the stripe's recorded bad sectors. The
-    /// wanted lost cells are planned against that
+    /// What is lost is decided before any I/O, by the caller: `erased` is
+    /// what the stripe is known to have lost under the `devices` snapshot
+    /// ([`StripeStore::known_erasures`], and whatever the caller found
+    /// bad since). The wanted lost cells are planned against that
     /// ([`stair_code::ErasureCode::plan_recover`]; nothing is planned
     /// when none is lost), and only the plan's sources and the surviving
     /// wanted cells are read. A sector that does not verify is recorded
@@ -814,7 +824,9 @@ impl StripeStore {
     /// again; what verified is kept and never read again, so a restore
     /// reads each healthy sector of the stripe at most once. `wanted` is
     /// asked each round, with what is lost by then: repair wants whatever
-    /// turns out lost.
+    /// turns out lost. The plan decodes its targets into the sectors the
+    /// sink lends ([`Sink::homes`]) when it lends one for every target,
+    /// and hands them to [`Sink::take`] otherwise.
     ///
     /// Returns everything known lost once the wanted cells are served.
     ///
@@ -827,12 +839,12 @@ impl StripeStore {
     pub(crate) fn restore(
         &self,
         stripe_idx: usize,
+        devices: &[DeviceState],
+        mut erased: ErasureSet,
         wanted: impl Fn(&ErasureSet) -> Vec<CellIdx>,
-        mut sink: impl FnMut(CellIdx, &[u8]),
+        sink: &mut impl Sink,
     ) -> Result<ErasureSet, Error> {
         let sh = &self.shared;
-        let devices = sh.integrity.device_states();
-        let mut erased = self.known_erasures(stripe_idx, &devices);
         // Earlier rounds' loads; a cell in one of them verified unless it
         // is erased, and no cell is in two.
         let mut held: Vec<Sectors<'_>> = Vec::new();
@@ -858,20 +870,20 @@ impl StripeStore {
                     .copied()
                     .filter(unread),
             );
-            let failed = self.load_verified(stripe_idx, &devices, &mut read)?;
+            let failed = self.load_verified(stripe_idx, devices, &mut read)?;
             if failed.is_empty() {
                 if let Some(plan) = &plan {
                     let mut planned = Planned {
                         read: &read,
                         held: &held,
-                        recovered: &mut sink,
+                        sink: &mut *sink,
                     };
                     plan.execute(sh.codec.codec_id(), &mut planned)?;
                     sh.counters.count_recover();
                 }
                 for &cell in surviving {
                     if let Some(data) = held_sector(&read, &held, cell) {
-                        sink(cell, data);
+                        sink.take(cell, data);
                     }
                 }
                 return Ok(erased);
@@ -1033,12 +1045,70 @@ impl Drop for Sectors<'_> {
     }
 }
 
+/// Where a [restore](StripeStore::restore) delivers the wanted cells.
+pub(crate) trait Sink {
+    /// Takes the bytes of wanted `cell`.
+    fn take(&mut self, cell: CellIdx, data: &[u8]);
+
+    /// The sector each of the recovered `cells` lives in at the sink, to
+    /// be decoded into in place — `None` for one it has no such sector
+    /// for, and then every cell goes to [`Sink::take`]. The default: none.
+    fn homes(&mut self, cells: &[CellIdx]) -> Vec<Option<&mut [u8]>> {
+        cells.iter().map(|_| None).collect()
+    }
+}
+
+impl<F: FnMut(CellIdx, &[u8])> Sink for F {
+    fn take(&mut self, cell: CellIdx, data: &[u8]) {
+        self(cell, data);
+    }
+}
+
+/// A read fragment's blocks and the caller's buffer they go to: `out`
+/// holds the bytes from `offset` on, and block `first + k` is cell
+/// `cells[k]`.
+struct Window<'w> {
+    store: &'w StripeStore,
+    first: usize,
+    cells: Vec<CellIdx>,
+    offset: u64,
+    out: &'w mut [u8],
+}
+
+impl Sink for Window<'_> {
+    fn take(&mut self, cell: CellIdx, data: &[u8]) {
+        if let Some(k) = self.cells.iter().position(|&c| c == cell) {
+            self.store
+                .copy_block(self.first + k, data, self.offset, self.out);
+        }
+    }
+
+    /// A block wholly inside `out` is its own home; one the window cuts
+    /// has none.
+    fn homes(&mut self, cells: &[CellIdx]) -> Vec<Option<&mut [u8]>> {
+        let sym = self.store.block_size() as u64;
+        // `out` from its first block boundary on, a block at a time.
+        let head = (sym - self.offset % sym) % sym;
+        let first_whole = (self.offset + head) / sym;
+        let mut whole: Vec<Option<&mut [u8]>> = match self.out.get_mut(head as usize..) {
+            Some(tail) => tail.chunks_exact_mut(sym as usize).map(Some).collect(),
+            None => Vec::new(),
+        };
+        let home = |&cell: &CellIdx| {
+            let k = self.cells.iter().position(|&c| c == cell)?;
+            let j = ((self.first + k) as u64).checked_sub(first_whole)?;
+            whole.get_mut(j as usize)?.take()
+        };
+        cells.iter().map(home).collect()
+    }
+}
+
 /// A restore as its plan sees it: sources where the loads read them,
-/// targets handed to `recovered`.
-struct Planned<'a, F> {
+/// targets where the sink keeps them.
+struct Planned<'a, S: ?Sized> {
     read: &'a Sectors<'a>,
     held: &'a [Sectors<'a>],
-    recovered: F,
+    sink: &'a mut S,
 }
 
 /// The bytes of `cell` in whichever of a restore's loads holds them.
@@ -1051,7 +1121,7 @@ fn held_sector<'a>(
         .or_else(|| held.iter().find_map(|load| load.get(cell)))
 }
 
-impl<F: FnMut(CellIdx, &[u8])> CellLookup for Planned<'_, F> {
+impl<S: Sink + ?Sized> CellLookup for Planned<'_, S> {
     fn symbol(&self) -> usize {
         self.read.sym
     }
@@ -1061,8 +1131,19 @@ impl<F: FnMut(CellIdx, &[u8])> CellLookup for Planned<'_, F> {
     }
 
     fn recovered(&mut self, cell: CellIdx, bytes: &[u8]) -> Result<(), CodeError> {
-        (self.recovered)(cell, bytes);
+        self.sink.take(cell, bytes);
         Ok(())
+    }
+
+    /// The sources where the loads read them, the targets in the sink's
+    /// homes — when it has one for each.
+    fn lend(&mut self, sources: &[CellIdx], targets: &[CellIdx]) -> Option<Lent<'_>> {
+        let (read, held) = (self.read, self.held);
+        let sources = sources.iter().map(|&c| held_sector(read, held, c));
+        let sources = sources.collect::<Option<Vec<&[u8]>>>()?;
+        let homes = self.sink.homes(targets);
+        let homes = homes.into_iter().collect::<Option<_>>()?;
+        Some((sources, homes))
     }
 }
 
@@ -1102,6 +1183,41 @@ mod tests {
         assert_eq!(store.stripe_count(), 6);
         assert_eq!(store.codec_spec().to_string(), "stair:8,4,2,1-1-2");
         assert!(store.status().failed_devices.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A read's recovered block is decoded into the caller's buffer
+    /// where the window holds all of it, and has no home where the
+    /// window cuts it.
+    #[test]
+    fn a_window_lends_its_whole_blocks() {
+        let dir = tmpdir("homes");
+        let store = StripeStore::create(&dir, &small_opts()).unwrap();
+        // Blocks 1..5 of stripe 1 (blocks 21..25), from 10 bytes into
+        // block 21 to 20 bytes into block 24: 22 and 23 are whole.
+        let mut out = vec![0u8; 54 + 2 * 64 + 20];
+        let cells = (21..25).map(|b| store.shared.blocks.locate(b).unwrap().cell);
+        let mut window = Window {
+            store: &store,
+            first: 21,
+            cells: cells.collect(),
+            offset: 21 * 64 + 10,
+            out: &mut out,
+        };
+        let cells = window.cells.clone();
+        // Asked out of order, and for a cell the window does not read.
+        let asked = [cells[2], cells[0], (3, 7), cells[1], cells[3]];
+        for (k, home) in window.homes(&asked).into_iter().enumerate() {
+            match home {
+                Some(home) => home.fill(k as u8 + 1),
+                None => assert!(k != 0 && k != 3, "{:?} has a home", asked[k]),
+            }
+        }
+        let (head, rest) = out.split_at(54);
+        let (whole, tail) = rest.split_at(128);
+        assert!(head.iter().chain(tail).all(|&b| b == 0));
+        assert!(whole[..64].iter().all(|&b| b == 4) && whole[64..].iter().all(|&b| b == 1));
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
