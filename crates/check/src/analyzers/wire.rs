@@ -72,7 +72,7 @@ const ONE_ERROR_HOMES: &[&str] = &["crates/sd/src/", "crates/stair/src/"];
 /// patches parity beside the update plan.
 const ONE_HOME_NAMES: &[(&[&str], &[&str], &str, &str)] = &[
     (
-        &["mult_xor_regions", "dot_regions"],
+        &["mult_xor_regions", "mult_regions", "dot_regions"],
         &["crates/code/src/", "crates/sd/src/", "crates/stair/src/"],
         "crates/code/src/plan.rs",
         "`Plan::execute` is the codec layer's one region executor; lower the work to a `Plan`",

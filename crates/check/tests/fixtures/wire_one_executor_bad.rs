@@ -1,6 +1,7 @@
 // Fixture: a codec crate running its own multi-term region products
 // beside `Plan::execute` — the fused kernel called through the field,
-// the zeroing dot product, and the fused kernel handed on as a value.
+// the zeroing dot product, the fused kernel handed on as a value, and
+// the overwriting fused kernel.
 use stair_gf::Field;
 
 pub fn encode_parity<F: Field>(data: &[&[u8]], parity: &mut [&mut [u8]], coeffs: &[F::Elem]) {
@@ -16,4 +17,8 @@ pub fn recover_sector<F: Field>(out: &mut [u8], terms: &[(&[u8], F::Elem)]) {
 
 pub fn kernel<F: Field>() -> fn(&mut [u8], &[(&[u8], F::Elem)]) {
     F::mult_xor_regions
+}
+
+pub fn overwrite_sector<F: Field>(out: &mut [u8], terms: &[(&[u8], F::Elem)]) {
+    F::mult_regions(out, terms);
 }

@@ -281,16 +281,17 @@ fn region_products_outside_the_plan_executor_are_flagged() {
         ("crates/store/src/batch.rs", &bad),
     ]);
     let hits = of(&r, Lint::WireConstants);
-    assert_eq!(hits.len(), 9, "{hits:?}");
+    assert_eq!(hits.len(), 12, "{hits:?}");
     for file in [
         "crates/sd/src/idr.rs",
         "crates/stair/src/codec.rs",
         "crates/code/src/buf.rs",
     ] {
         for (line, name) in [
-            (9, "mult_xor_regions"),
-            (14, "dot_regions"),
-            (18, "mult_xor_regions"),
+            (10, "mult_xor_regions"),
+            (15, "dot_regions"),
+            (19, "mult_xor_regions"),
+            (23, "mult_regions"),
         ] {
             let at = format!("{file}:{line} `{name}` named outside `crates/code/src/plan.rs`");
             assert!(hits.iter().any(|h| h.starts_with(&at)), "{at}: {hits:?}");

@@ -348,8 +348,8 @@ impl Plan {
 
     /// The program over `sources` and `homes`, one sector per slot after
     /// the sources. A step adds into the first `kept` homes — zeros, or a
-    /// lent target that adds ([`CellLookup::adds`]) — and zeroes any other
-    /// before it writes it.
+    /// lent target that adds ([`CellLookup::adds`]) — and overwrites any
+    /// other in the same pass.
     fn compute<F: Field>(&self, sources: &[&[u8]], homes: &mut [&mut [u8]], kept: usize) {
         let s = self.sources;
         let mut spare = Vec::new();
@@ -371,10 +371,11 @@ impl Plan {
                 };
                 terms.push((region, F::elem(usize::from(self.coeffs[k]))));
             }
-            if at >= kept {
-                out.fill(0);
+            if at < kept {
+                F::mult_xor_regions(out, &terms);
+            } else {
+                F::mult_regions(out, &terms);
             }
-            F::mult_xor_regions(out, &terms);
             spare = reuse(terms);
         }
     }

@@ -124,6 +124,20 @@ pub trait Field:
         }
     }
 
+    /// The fused dot product that overwrites: `dst[i] = Σ c * src[i]` over
+    /// every `(src, c)` of `srcs` (zeros when `srcs` is empty). Counts as
+    /// [`Self::mult_xor_regions`] does. The default zero-fills `dst` and
+    /// accumulates into it; a field may override it to write `dst` in one
+    /// pass without reading it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::mult_xor_region`], for any source.
+    fn mult_regions(dst: &mut [u8], srcs: &[(&[u8], Self::Elem)]) {
+        dst.fill(0);
+        Self::mult_xor_regions(dst, srcs);
+    }
+
     /// Computes `dst[i] = c * src[i]` element-wise (overwriting `dst`).
     ///
     /// # Panics

@@ -118,6 +118,11 @@ impl Field for Gf8 {
         counters::record(srcs.len(), srcs.len() * dst.len());
         simd::combine(dst, srcs, true);
     }
+
+    fn mult_regions(dst: &mut [u8], srcs: &[(&[u8], u8)]) {
+        counters::record(srcs.len(), srcs.len() * dst.len());
+        simd::combine(dst, srcs, false);
+    }
 }
 
 /// The SPLIT(8,4) product tables of one constant `c`: `lo[x] = c·x` and

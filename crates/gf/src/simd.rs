@@ -13,8 +13,8 @@
 //! errors. A private `unsafe fn` (like `span` below) is not checked for its
 //! `# Safety` section — write it anyway.
 //!
-//! One region kernel serves `Gf8::mult_xor_region`, `Gf8::mult_region` and
-//! `Gf8::mult_xor_regions`:
+//! One region kernel serves `Gf8::mult_xor_region`, `Gf8::mult_region`,
+//! `Gf8::mult_xor_regions` and `Gf8::mult_regions`:
 //!
 //! ```text
 //! dst[i] = (dst[i] if xor else 0) ^ Σ c·src[i]   over every (src, c)
@@ -444,33 +444,40 @@ mod tests {
         }
     }
 
-    /// The fused form ≡ the equivalent sequence of `mult_xor_region` calls,
-    /// in result and in `Mult_XOR` count, on every tier and through the
-    /// public dispatching entry point.
+    /// The fused form ≡ the equivalent sequence of `mult_xor_region` calls
+    /// — into `dst`, or into zeros when it overwrites (`xor = false`; no
+    /// source at all then writes zeros) — in result, on every tier and
+    /// through the public dispatching entry points.
     #[test]
     fn fused_matches_the_sequence_of_single_calls() {
-        for k in [0usize, 1, 6, 8, 17] {
-            for len in LENS {
-                let bufs: Vec<Vec<u8>> = (0..k).map(|i| noise(len, 10 + i)).collect();
-                // Includes the special constants 0 and 1.
-                let srcs: Vec<(&[u8], u8)> = bufs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, b)| (b.as_slice(), (i * 37 % 256) as u8))
-                    .collect();
-                let start = noise(len, 3);
-                let mut want = start.clone();
-                for &(src, c) in &srcs {
-                    scalar(&mut want, &[(src, c)], true);
-                }
-                for (name, run) in supported_tiers() {
+        for xor in [true, false] {
+            for k in [0usize, 1, 6, 8, 17] {
+                for len in LENS {
+                    let bufs: Vec<Vec<u8>> = (0..k).map(|i| noise(len, 10 + i)).collect();
+                    // Includes the special constants 0 and 1.
+                    let srcs: Vec<(&[u8], u8)> = bufs
+                        .iter()
+                        .enumerate()
+                        .map(|(i, b)| (b.as_slice(), (i * 37 % 256) as u8))
+                        .collect();
+                    let start = noise(len, 3);
+                    let mut want = if xor { start.clone() } else { vec![0; len] };
+                    for &(src, c) in &srcs {
+                        scalar(&mut want, &[(src, c)], true);
+                    }
+                    for (name, run) in supported_tiers() {
+                        let mut got = start.clone();
+                        run(&mut got, &srcs, xor);
+                        assert!(got == want, "tier {name} k={k} len={len} xor={xor}");
+                    }
                     let mut got = start.clone();
-                    run(&mut got, &srcs, true);
-                    assert!(got == want, "tier {name} k={k} len={len}");
+                    if xor {
+                        Gf8::mult_xor_regions(&mut got, &srcs);
+                    } else {
+                        Gf8::mult_regions(&mut got, &srcs);
+                    }
+                    assert!(got == want, "dispatched k={k} len={len} xor={xor}");
                 }
-                let mut got = start.clone();
-                Gf8::mult_xor_regions(&mut got, &srcs);
-                assert!(got == want, "dispatched k={k} len={len}");
             }
         }
     }
@@ -484,6 +491,10 @@ mod tests {
         let srcs: Vec<(&[u8], u8)> = bufs.iter().map(|b| (b.as_slice(), 0)).collect();
         let (ops, bytes) = (counters::mult_xors(), counters::region_bytes());
         Gf8::mult_xor_regions(&mut [0u8; 64], &srcs);
+        assert!(counters::mult_xors() >= ops + 3);
+        assert!(counters::region_bytes() >= bytes + 3 * 64);
+        let (ops, bytes) = (counters::mult_xors(), counters::region_bytes());
+        Gf8::mult_regions(&mut [0u8; 64], &srcs);
         assert!(counters::mult_xors() >= ops + 3);
         assert!(counters::region_bytes() >= bytes + 3 * 64);
     }

@@ -68,6 +68,14 @@
 //! since its last flush corrupt. Everything after the last checkpoint
 //! is therefore always still in the journal.
 //!
+//! Replay reads the live records through one bounded window (1 MiB,
+//! grown only to hold a single record longer than that), not the whole
+//! segment into one buffer: an open pays for what the journal holds,
+//! not for its capacity. The window must not shrink to one record — a
+//! buffer that small leaves glibc's dynamic `mmap`/trim thresholds below
+//! the stripe-sized buffers a store's first writes and reads free, and
+//! set-up then trims and refaults their pages (see `REPLAY_WINDOW`).
+//!
 //! Every commit — one stripe or a whole batch of them — goes through
 //! the group-commit API ([`Journal::begin`] → [`CommitGuard::append`]
 //! per stripe → one [`CommitGuard::sync`]): the records are encoded
@@ -149,6 +157,68 @@ struct Inner {
 /// Eight zero bytes: a zero record-length field, which replay treats
 /// as end-of-log. Stamped after every group and at each checkpoint.
 const TERMINATOR: [u8; 8] = [0; 8];
+
+/// Bytes [`Journal::replay`] reads from the segment at a time (more only
+/// to hold a single record longer than this). It must not shrink to one
+/// record: glibc sets its `mmap` and trim thresholds from the largest
+/// `mmap`ed block a process has freed, and a record-sized replay buffer
+/// leaves them at ≈ 0.5 and 1 MiB, below the ≈ 1.3 MiB of buffers a
+/// whole-stripe write or read-back allocates and frees, so a store's
+/// first writes and reads trim and refault those pages (EXPERIMENTS.md
+/// "Replay through a window").
+const REPLAY_WINDOW: usize = 1 << 20;
+
+/// The stretch of the segment replay holds: `buf[..len]` are the bytes
+/// from offset `start` on, and nothing past `end` is ever read.
+struct Window {
+    size: usize,
+    end: u64,
+    buf: Vec<u8>,
+    start: u64,
+    len: usize,
+}
+
+impl Window {
+    /// An empty window of `size` bytes over the segment up to `end`.
+    fn new(size: usize, end: u64) -> Self {
+        Window {
+            size,
+            end,
+            buf: Vec::new(),
+            start: 0,
+            len: 0,
+        }
+    }
+
+    /// The `need` bytes at `at`, which must end by `end`; replay only
+    /// moves forward, so `at` is never before the window's start. When
+    /// the window does not hold them all, it moves to start at `at`: the
+    /// bytes it holds from `at` on go to its front, and it reads on from
+    /// the segment after them — `size` bytes, or `need` if more, or up
+    /// to `end` if less.
+    fn bytes(&mut self, inner: &Mutex<Inner>, at: u64, need: usize) -> Result<&[u8], Error> {
+        debug_assert!(at >= self.start, "replay moved back");
+        let held = self.start + self.len as u64;
+        if at + need as u64 > held {
+            let keep = held.saturating_sub(at) as usize;
+            let fill = need.max(self.size).min((self.end - at) as usize);
+            if self.buf.len() < fill {
+                let mut grown = vec![0; fill];
+                grown[..keep].copy_from_slice(&self.buf[self.len - keep..self.len]);
+                self.buf = grown;
+            } else {
+                self.buf.copy_within(self.len - keep..self.len, 0);
+            }
+            lock(inner)
+                .file
+                .read_exact_at(&mut self.buf[keep..fill], at + keep as u64)?;
+            self.start = at;
+            self.len = fill;
+        }
+        let from = (at - self.start) as usize;
+        Ok(&self.buf[from..from + need])
+    }
+}
 
 /// One record decoded during replay: the stripe it commits and the
 /// post-image of every cell the commit was to write.
@@ -474,33 +544,52 @@ impl Journal {
     /// Does **not** rewind; take a [`Journal::checkpoint`] once the
     /// replayed state is durable.
     ///
+    /// The records are read through one bounded window, a 1 MiB buffer
+    /// reused from record to record and grown only for a single record
+    /// longer than that, so what replay holds follows the records it
+    /// parses, not the segment's capacity. The window must not shrink to
+    /// one record: a buffer that small leaves glibc's dynamic `mmap`/trim
+    /// thresholds below the stripe-sized buffers a store's first writes
+    /// and reads free, and those then trim and refault their pages.
+    ///
     /// # Errors
     ///
     /// Propagates I/O errors reading the segment and errors from
     /// `apply`.
     pub fn replay(
         &self,
+        apply: impl FnMut(&ReplayRecord<'_>) -> Result<(), Error>,
+    ) -> Result<u64, Error> {
+        self.replay_through(REPLAY_WINDOW, apply)
+    }
+
+    /// [`Journal::replay`] through a `window`-byte buffer: it parses
+    /// exactly what reading the whole live region into one buffer would
+    /// — the region ends where the file, or what was written by the time
+    /// of the open or since, ends — whatever the window.
+    fn replay_through(
+        &self,
+        window: usize,
         mut apply: impl FnMut(&ReplayRecord<'_>) -> Result<(), Error>,
     ) -> Result<u64, Error> {
         let _span = stair_obs::trace::span(stair_obs::trace::names::JRNL_REPLAY);
-        let buf = {
+        let end = {
             let inner = lock(&self.inner);
             let written = self.len_at_open.max(inner.used);
-            let len = inner.file.metadata()?.len().min(written) as usize;
-            let mut buf = vec![0u8; len];
-            inner.file.read_exact_at(&mut buf, 0)?;
-            buf
+            inner.file.metadata()?.len().min(written)
         };
-        let mut at = HEADER_LEN as usize;
+        let mut segment = Window::new(window, end);
+        let mut at = HEADER_LEN;
         let mut applied = 0u64;
         let mut prev_seq: Option<u64> = None;
-        while at + 8 <= buf.len() {
-            let len = u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]) as usize;
-            let sum = u32::from_le_bytes([buf[at + 4], buf[at + 5], buf[at + 6], buf[at + 7]]);
-            if len < BODY_FIXED || at + 8 + len > buf.len() {
+        while at + 8 <= end {
+            let head = segment.bytes(&self.inner, at, 8)?;
+            let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+            let sum = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
+            if len < BODY_FIXED || at + 8 + len as u64 > end {
                 break; // terminator stamp, or record longer than the file
             }
-            let body = &buf[at + 8..at + 8 + len];
+            let body = &segment.bytes(&self.inner, at, 8 + len)?[8..];
             if fletcher32(body) != sum {
                 break; // torn tail: record half-written
             }
@@ -515,13 +604,13 @@ impl Journal {
             prev_seq = Some(record.seq);
             apply(&record)?;
             applied += 1;
-            at += 8 + len;
+            at += 8 + len as u64;
         }
         // Appends after a dirty reopen continue from the live end
         // (the store checkpoints first, which rewinds this to the
         // header — but correctness must not depend on that).
         let mut inner = lock(&self.inner);
-        inner.used = inner.used.max(at as u64);
+        inner.used = inner.used.max(at);
         inner.seq = inner.seq.max(prev_seq.map_or(0, |p| p + 1));
         Ok(applied)
     }
@@ -592,6 +681,78 @@ mod tests {
         g.sync().unwrap();
     }
 
+    /// One replayed record, owned: sequence number, stripe, data-image
+    /// flag and cells.
+    type Replayed = (u64, usize, bool, OwnedCells);
+
+    /// What a replay leaves: the records it applied, then `used` and
+    /// `seq`.
+    type Outcome = (Vec<Replayed>, u64, u64);
+
+    fn owned(rec: &ReplayRecord<'_>) -> Replayed {
+        let cells = rec.cells.iter().map(|&(c, d)| (c, d.to_vec())).collect();
+        (rec.seq, rec.stripe, rec.encode, cells)
+    }
+
+    /// The oracle: replay as it was before it read through a window — the
+    /// whole live region read into one buffer and parsed there. Returns
+    /// what it would apply and leave, without touching `j`.
+    fn whole_buffer_replay(j: &Journal) -> Outcome {
+        let inner = lock(&j.inner);
+        let written = j.len_at_open.max(inner.used);
+        let len = inner.file.metadata().unwrap().len().min(written) as usize;
+        let mut buf = vec![0u8; len];
+        inner.file.read_exact_at(&mut buf, 0).unwrap();
+        let mut at = HEADER_LEN as usize;
+        let mut records = Vec::new();
+        let mut prev_seq: Option<u64> = None;
+        while at + 8 <= buf.len() {
+            let len = u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]) as usize;
+            let sum = u32::from_le_bytes([buf[at + 4], buf[at + 5], buf[at + 6], buf[at + 7]]);
+            if len < BODY_FIXED || at + 8 + len > buf.len() {
+                break;
+            }
+            let body = &buf[at + 8..at + 8 + len];
+            if fletcher32(body) != sum {
+                break;
+            }
+            let Some(record) = j.decode_body(body) else {
+                break;
+            };
+            if prev_seq.is_some_and(|p| record.seq != p + 1) {
+                break;
+            }
+            prev_seq = Some(record.seq);
+            records.push(owned(&record));
+            at += 8 + len;
+        }
+        let used = inner.used.max(at as u64);
+        let seq = inner.seq.max(prev_seq.map_or(0, |p| p + 1));
+        (records, used, seq)
+    }
+
+    /// Replays `j` through windows of 1, 7, 8 and 9 bytes, one byte less
+    /// than, exactly and one byte more than a `record`-byte record, and
+    /// the shipped size; each must apply, and leave, what the oracle
+    /// does. Returns the records.
+    fn replays_alike(j: &Journal, record: u64) -> Vec<Replayed> {
+        let want = whole_buffer_replay(j);
+        let record = record as usize;
+        for window in [1, 7, 8, 9, record - 1, record, record + 1, REPLAY_WINDOW] {
+            let mut records = Vec::new();
+            let n = j
+                .replay_through(window, |rec| {
+                    records.push(owned(rec));
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(n, records.len() as u64, "window {window}");
+            let got = (records, j.used_bytes(), lock(&j.inner).seq);
+            assert!(got == want, "window {window}: {got:?} != {want:?}");
+        }
+        want.0
+    }
+
     #[test]
     fn append_replay_round_trip() {
         let dir = tmpdir("rt");
@@ -615,6 +776,9 @@ mod tests {
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(seen, vec![(3, a), (5, b)]);
+        assert_eq!(replays_alike(&j, j.record_len(4)).len(), 2);
+        let reopened = Journal::open_or_create(&dir, 16, 1 << 20).unwrap();
+        assert_eq!(replays_alike(&reopened, j.record_len(4)).len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -640,6 +804,7 @@ mod tests {
             Ok(())
         });
         assert_eq!(n.unwrap(), 1);
+        assert_eq!(replays_alike(&j, j.record_len(3)).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -658,6 +823,7 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         let j = Journal::open_or_create(&dir, 8, 1 << 20).unwrap();
         assert_eq!(j.replay(|_| Ok(())).unwrap(), 0);
+        assert!(replays_alike(&j, j.record_len(2)).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -684,6 +850,7 @@ mod tests {
             Ok(())
         });
         assert_eq!(n.unwrap(), 1);
+        assert_eq!(replays_alike(&j, j.record_len(1)).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -694,6 +861,9 @@ mod tests {
         let a = cells(64, 5, 4);
         commit(&j, 7, &a, false, || Ok(()));
         assert_eq!(j.replay(|_| Ok(())).unwrap(), 1);
+        assert_eq!(replays_alike(&j, j.record_len(4)).len(), 1);
+        let reopened = Journal::open_or_create(&dir, 64, 16).unwrap();
+        assert_eq!(replays_alike(&reopened, j.record_len(4)).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -707,6 +877,7 @@ mod tests {
         j.checkpoint(|| Ok(())).unwrap();
         assert_eq!(j.used_bytes(), HEADER_LEN);
         assert_eq!(j.replay(|_| Ok(())).unwrap(), 0);
+        assert!(replays_alike(&j, j.record_len(2)).is_empty());
         // persist always runs (a checkpoint is the durability point
         // even with an empty segment), and its failure propagates.
         assert!(j
@@ -738,6 +909,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(stripes, vec![4, 9]);
+        assert_eq!(replays_alike(&j, j.record_len(3)).len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -793,6 +965,7 @@ mod tests {
             Ok(())
         });
         assert_eq!((n.unwrap(), stripes), (1, vec![4]));
+        assert_eq!(replays_alike(&j, j.record_len(3)).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -823,6 +996,7 @@ mod tests {
             Ok(())
         });
         assert_eq!((n.unwrap(), stripes), (3, vec![5, 6, 7]));
+        assert_eq!(replays_alike(&j, j.record_len(1)).len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -836,6 +1010,7 @@ mod tests {
         j.checkpoint(|| Ok(())).unwrap();
         // Only the stamp separates the now-stale records from replay.
         assert_eq!(j.replay(|_| Ok(())).unwrap(), 0);
+        assert!(replays_alike(&j, j.record_len(2)).is_empty());
         // A fresh record overwrites the first stale one; replay must
         // stop at its terminator, not run on into stale record two.
         commit(&j, 7, &a, false, || Ok(()));
@@ -848,6 +1023,9 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(stripes, vec![7]);
+        assert_eq!(replays_alike(&j, j.record_len(2)).len(), 1);
+        let reopened = Journal::open_or_create(&dir, 8, 1 << 20).unwrap();
+        assert_eq!(replays_alike(&reopened, j.record_len(2)).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -868,7 +1046,81 @@ mod tests {
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(kinds, vec![(1, true, 3), (2, false, 2)]);
+        assert_eq!(replays_alike(&j, j.record_len(3)).len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What the property does to the segment after its commits.
+    #[derive(Debug)]
+    enum Tail {
+        /// Nothing: the terminator stamp ends the live records.
+        Stamped,
+        /// Garbage over the stamp and on past it.
+        Garbage(Vec<u8>),
+        /// The file cut at an offset, as a torn append leaves it.
+        Cut(u64),
+        /// One byte flipped at an offset.
+        Flip(u64),
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random commits into a segment small enough to checkpoint now
+        /// and then (leaving stale records past the rewound stamp), then
+        /// a random tail; every window parses what the whole buffer
+        /// does, on the writing handle and on a reopened one.
+        #[test]
+        fn every_window_parses_what_the_whole_buffer_does(
+            records in proptest::collection::vec(
+                (1usize..6, proptest::prelude::any::<bool>(), 0usize..40, 1usize..4),
+                0..14,
+            ),
+            tail in (0usize..4, proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160), proptest::prelude::any::<u64>()),
+        ) {
+            let dir = tmpdir("windows");
+            let capacity = 12 + 400;
+            let j = Journal::open_or_create(&dir, 8, capacity).unwrap();
+            for &(cells_n, encode, stripe, group) in &records {
+                // `group` records through one guard, each one cell more.
+                let owned: Vec<OwnedCells> = (0..group)
+                    .map(|k| cells(8, stripe as u8 + k as u8, cells_n + k))
+                    .collect();
+                let reserve: Vec<usize> = owned.iter().map(Vec::len).collect();
+                let mut g = j.begin(&reserve, || Ok(())).unwrap().unwrap();
+                for (k, c) in owned.iter().enumerate() {
+                    g.append(stripe + k, &borrow(c), encode);
+                }
+                g.sync().unwrap();
+            }
+            let live_end = j.used_bytes();
+            let tail = match tail {
+                (0, ..) => Tail::Stamped,
+                (1, garbage, _) => Tail::Garbage(garbage),
+                (2, _, at) => Tail::Cut(HEADER_LEN + at % (live_end - HEADER_LEN + 1)),
+                // Inside the records or the stamp after them.
+                (_, _, at) => Tail::Flip(HEADER_LEN + at % (live_end - HEADER_LEN + 8)),
+            };
+            let path = dir.join(JOURNAL_FILE);
+            let file = OpenOptions::new().read(true).write(true).open(&path).unwrap();
+            match &tail {
+                Tail::Stamped => {}
+                Tail::Garbage(garbage) => file.write_all_at(garbage, live_end).unwrap(),
+                Tail::Cut(at) => file.set_len(*at).unwrap(),
+                Tail::Flip(at) => {
+                    let mut b = [0u8];
+                    file.read_exact_at(&mut b, *at).unwrap();
+                    file.write_all_at(&[b[0] ^ 0x5a], *at).unwrap();
+                }
+            }
+            drop(file);
+            let record = j.record_len(3);
+            replays_alike(&j, record);
+            drop(j);
+            let reopened = Journal::open_or_create(&dir, 8, capacity).unwrap();
+            replays_alike(&reopened, record);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -171,9 +171,12 @@ pub(crate) struct Shared {
     /// clean, as read when this handle family opened.
     pub(crate) clean_shutdown: bool,
     stripe_locks: Vec<Mutex<()>>,
-    /// Buffers [`Sectors`] lent out and got back.
-    spare_sectors: Mutex<Vec<Vec<u8>>>,
+    /// Cell lists and buffers [`Sectors`] lent out and got back.
+    spare_sectors: Mutex<Vec<Spare>>,
 }
+
+/// A [`Sectors`]' cell list and byte buffer, kept for the next load.
+type Spare = (Vec<CellIdx>, Vec<u8>);
 
 /// Most sector buffers a store keeps for reuse: one each for a few
 /// readers loading at once (more borrow fresh ones, and the surplus is
@@ -972,9 +975,10 @@ impl StripeStore {
 /// in (device, row) order — the order the device files store them, so a
 /// run of rows is one read into one span.
 ///
-/// The bytes live in a buffer lent from the store's spares and given back
-/// on drop, so a load reads into memory an earlier one used rather than a
-/// fresh zero-filled allocation; only growth is zero-filled. Whatever a
+/// The cell list and the bytes live in buffers lent from the store's
+/// spares and given back on drop, so a warm load allocates nothing: it
+/// reads into memory an earlier one used rather than a fresh zero-filled
+/// allocation, and only growth is zero-filled. Whatever a
 /// selected sector held before, the loader vouches for it only once it
 /// has read it whole and verified it; one it could not is reported lost,
 /// never served.
@@ -982,25 +986,25 @@ struct Sectors<'s> {
     sym: usize,
     cells: Vec<CellIdx>,
     data: Vec<u8>,
-    spares: &'s Mutex<Vec<Vec<u8>>>,
+    spares: &'s Mutex<Vec<Spare>>,
 }
 
 impl<'s> Sectors<'s> {
-    /// Borrows a buffer from the store's spares (a new, empty one if it
-    /// has none).
+    /// Borrows a cell list and a buffer from the store's spares (new,
+    /// empty ones if it has none).
     fn lend(shared: &'s Shared) -> Self {
         let spares = &shared.spare_sectors;
         // A spare is just memory: a panicking holder left nothing to undo.
-        let data = lock(spares).pop();
+        let (cells, data) = lock(spares).pop().unwrap_or_default();
         Sectors {
             sym: shared.meta.symbol,
-            cells: Vec::new(),
-            data: data.unwrap_or_default(),
+            cells,
+            data,
             spares,
         }
     }
 
-    /// Chooses the cells the next load reads, keeping the buffer.
+    /// Chooses the cells the next load reads, keeping both buffers.
     fn select(&mut self, cells: impl IntoIterator<Item = CellIdx>) {
         let cells = cells.into_iter();
         self.cells.clear();
@@ -1036,11 +1040,14 @@ impl<'s> Sectors<'s> {
 }
 
 impl Drop for Sectors<'_> {
-    /// Gives the buffer back, unless the store keeps enough already.
+    /// Gives the buffers back, unless the store keeps enough already.
     fn drop(&mut self) {
         let mut spares = lock(self.spares);
         if spares.len() < SPARE_SECTOR_BUFFERS {
-            spares.push(std::mem::take(&mut self.data));
+            spares.push((
+                std::mem::take(&mut self.cells),
+                std::mem::take(&mut self.data),
+            ));
         }
     }
 }
@@ -1217,6 +1224,25 @@ mod tests {
         let (whole, tail) = rest.split_at(128);
         assert!(head.iter().chain(tail).all(|&b| b == 0));
         assert!(whole[..64].iter().all(|&b| b == 4) && whole[64..].iter().all(|&b| b == 1));
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_warm_load_reuses_the_cell_list_and_the_buffer() {
+        let dir = tmpdir("warm");
+        let store = StripeStore::create(&dir, &small_opts()).unwrap();
+        let column = |dev| (0..4).map(move |row| (row, dev));
+        let mut first = Sectors::lend(&store.shared);
+        first.select(column(0).chain(column(1)));
+        let lent = (first.cells.as_ptr(), first.data.as_ptr());
+        drop(first);
+        // A smaller selection fits what the first load left behind.
+        let mut warm = Sectors::lend(&store.shared);
+        warm.select(column(2));
+        assert_eq!((warm.cells.as_ptr(), warm.data.as_ptr()), lent);
+        assert_eq!(warm.cells, column(2).collect::<Vec<_>>());
+        drop(warm);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

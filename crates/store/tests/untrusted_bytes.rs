@@ -250,3 +250,43 @@ fn superblock_values_that_once_broke_the_store() {
         assert_eq!(survives(&case, META, text.as_bytes()), opens, "{case}");
     }
 }
+
+/// Replay reads the segment through a 1 MiB window: a length field that
+/// carries the first record across the window's edge, or past the end
+/// of the file, must stop replay like any other torn record. The
+/// fixture's journal is padded with zeros to just past one window.
+#[test]
+fn journal_lengths_past_a_window_edge_and_past_the_file() {
+    const WINDOW: usize = 1 << 20;
+    let padded = |len: u32, seal: bool| {
+        let mut j = journal_with(RECORD, len, false);
+        j.resize(WINDOW + 4096, 0);
+        if seal {
+            let sum = fletcher32(&j[BODY..BODY + len as usize]);
+            j[RECORD + 4..BODY].copy_from_slice(&sum.to_le_bytes());
+        }
+        j
+    };
+    let file_len = (WINDOW + 4096) as u32;
+    for (case, bytes) in [
+        (
+            "length across the window edge",
+            padded(WINDOW as u32, false),
+        ),
+        (
+            "length across the window edge (resealed)",
+            padded(WINDOW as u32, true),
+        ),
+        (
+            "length to the last byte of the file (resealed)",
+            padded(file_len - BODY as u32, true),
+        ),
+        (
+            "length one past the file",
+            padded(file_len - BODY as u32 + 1, false),
+        ),
+        ("length far past the file", padded(u32::MAX, false)),
+    ] {
+        assert!(survives(case, JOURNAL_FILE, &bytes), "{case}");
+    }
+}
