@@ -4,21 +4,21 @@
 //! no `_v` codec variants taking a session version, no `read`/`write`
 //! opcode beside BATCH — (c) flags any other file that *redeclares* a
 //! wire constant instead of importing it, and (d) holds the same
-//! one-path rule above the wire and in the codec layer: per trait in
-//! `ONE_METHOD_TRAITS`, every `impl <Trait> for …` block defines the
-//! one method its implementors own and none of the methods the trait
-//! provides over it. The opcode table's own coherence is code, not a
-//! lint: `Opcode::from_u8` is a lookup in `Opcode::ALL`, and `match`
-//! exhaustiveness covers `name()`. (d) also keeps the admin path
+//! one-path rule above the wire: every `impl BlockDevice for …` block
+//! (`ONE_METHOD_TRAITS`) defines `submit_ops` and none of the methods
+//! the trait provides over it. The opcode table's own coherence is code,
+//! not a lint: `Opcode::from_u8` is a lookup in `Opcode::ALL`, and
+//! `match` exhaustiveness covers `name()`. (d) also keeps the admin path
 //! single: in the files of the backends whose trait impls live in
 //! `crates/net/src/device_impl.rs`, no inherent `pub fn` takes the name
 //! of a `BlockDevice`/`FaultAdmin` method, because an inherent method
 //! silently shadows the trait's on the concrete type. And (d) keeps the
 //! codec error single: no codec crate in `ONE_ERROR_HOMES` declares an
 //! `enum` of its own named `Error` or `…Error` beside
-//! `stair_code::CodeError`. Last, (d) keeps names that belong to one
-//! file there (`ONE_HOME_NAMES`): in the codec crates only the plan
-//! executor runs a region product, and the store runs none of its own.
+//! `stair_code::CodeError`. The codec layer's one-executor rules are the
+//! compiler's and clippy's, not this file's: `ErasureCode` is one
+//! blanket impl over `CodecCore` (an override is E0119), and the root
+//! `clippy.toml` disallows the region kernels outside `Plan::execute`.
 
 use crate::findings::{Finding, Lint};
 use crate::lexer::{str_contents, TokKind, TokenFile};
@@ -64,65 +64,23 @@ const TRAIT_ONLY_METHODS: &[&str] = &[
 /// or an `…ErrorKind` is not a second error type).
 const ONE_ERROR_HOMES: &[&str] = &["crates/sd/src/", "crates/stair/src/"];
 
-/// `(names, the trees they are held in, the one file there that may
-/// name them, why)`: a name outside its home, in code, is a second copy
-/// of what the home does. The region kernels are `Plan::execute`'s
-/// alone — a codec that calls the multi-term ones runs its own encode or
-/// decode loop, and a codec or store that calls the single-term one
-/// patches parity beside the update plan.
-const ONE_HOME_NAMES: &[(&[&str], &[&str], &str, &str)] = &[
-    (
-        &["mult_xor_regions", "mult_regions", "dot_regions"],
-        &["crates/code/src/", "crates/sd/src/", "crates/stair/src/"],
-        "crates/code/src/plan.rs",
-        "`Plan::execute` is the codec layer's one region executor; lower the work to a `Plan`",
-    ),
-    (
-        &["mult_xor_region"],
-        &[
-            "crates/code/src/",
-            "crates/sd/src/",
-            "crates/stair/src/",
-            "crates/store/src/",
-        ],
-        "crates/code/src/plan.rs",
-        "a small write is `ErasureCode::update_plan` run by `Plan::execute`; add the delta \
-         through it",
-    ),
-];
-
 /// Traits written as one method per implementor plus provided methods
 /// over it: `(trait, the method every impl defines, the provided methods
-/// no impl may define)`. The compiler cannot hold this — a provided
-/// method may always be overridden — and an override is a second path:
-/// a device's own `read_at` beside `submit_ops` (the per-op fork above
-/// the wire; the trait's `submit_ops` fallback exists for
-/// out-of-workspace devices only and recurses if neither side is
-/// defined), or a codec's own `encode` or `apply` beside `Plan::execute`.
-const ONE_METHOD_TRAITS: &[(&str, &str, &[&str])] = &[
-    (
-        "BlockDevice",
-        "submit_ops",
-        &["read_at", "write_at", "submit"],
-    ),
-    (
-        "ErasureCode",
-        "encode_plan",
-        &[
-            "encode",
-            "apply",
-            "plan",
-            "dependents",
-            "update_plan",
-            "update",
-        ],
-    ),
-];
+/// no impl may define)`. An override is a second path — a device's own
+/// `read_at` beside `submit_ops`, the per-op fork above the wire (the
+/// trait's `submit_ops` fallback exists for out-of-workspace devices only
+/// and recurses if neither side is defined). The compiler cannot hold
+/// this while `benchmark/tests/selfcheck.rs` implements
+/// `read_at`/`write_at`: a blanket impl would refuse that device.
+const ONE_METHOD_TRAITS: &[(&str, &str, &[&str])] = &[(
+    "BlockDevice",
+    "submit_ops",
+    &["read_at", "write_at", "submit"],
+)];
 
 /// Appends wire findings.
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
     check_one_method_traits(ws, out);
-    check_one_home_names(ws, out);
     let Some(proto) = ws.file(PROTOCOL_RS) else {
         out.push(Finding::new(
             Lint::WireConstants,
@@ -280,30 +238,6 @@ fn check_one_method_traits(ws: &Workspace, out: &mut Vec<Finding>) {
                          defines it"
                     ),
                 );
-            }
-        }
-    }
-}
-
-/// (d) Per [`ONE_HOME_NAMES`] entry: under its trees, only its home
-/// names one of its names in code (comments and strings are not code).
-fn check_one_home_names(ws: &Workspace, out: &mut Vec<Finding>) {
-    for &(names, trees, home, why) in ONE_HOME_NAMES {
-        let held = |rel: &str| rel != home && trees.iter().any(|tree| rel.starts_with(tree));
-        for f in ws.files.iter().filter(|f| held(&f.rel)) {
-            let tf = &f.tf;
-            for ci in 0..tf.code.len() {
-                let Some(name) = names.iter().find(|name| tf.is_ident(ci, name)) else {
-                    continue;
-                };
-                let t = tf.ctok(ci);
-                out.push(Finding::new(
-                    Lint::WireConstants,
-                    &f.rel,
-                    t.line,
-                    t.col,
-                    format!("`{name}` named outside `{home}`: {why}"),
-                ));
             }
         }
     }

@@ -7,7 +7,9 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
     /// Wire constants redeclared, the deleted compatibility machinery
-    /// regrown, or a `BlockDevice` impl with more than one data method.
+    /// regrown, a `BlockDevice` impl with more than one data method or a
+    /// backend's inherent copy of an admin method, or a codec crate's own
+    /// error enum.
     WireConstants,
     /// Declared-but-dead or mentioned-but-undeclared metrics.
     CounterDiscipline,
@@ -51,7 +53,7 @@ impl Lint {
             Lint::WireConstants => {
                 "wire constants live in protocol.rs, which speaks one version and one data \
                  opcode; a BlockDevice impl defines one data-path method; codecs return \
-                 CodeError and run region products only through the plan executor"
+                 CodeError"
             }
             Lint::CounterDiscipline => "every metric must be both produced and consumed somewhere",
             Lint::SpanDiscipline => {

@@ -4,15 +4,19 @@
 //! A rule lives in the strongest thing that can hold it. Where `unsafe`
 //! may appear and which crates may not panic are compiler settings (the
 //! workspace `[lints]` table, `crates/gf`'s own table, and a clippy
-//! `deny` at each no-panic crate root). Lock poison is clippy's: the
-//! root `clippy.toml` disallows `Mutex::lock` and `RwLock::read`/`write`
-//! outside `stair_obs::sync`. The journal's write ordering is module
-//! privacy: only `crates/store/src/device/persist.rs` can write a sector.
-//! README drift, a second timing harness and an unlinted manifest fail
-//! the root package's `tests/docs.rs`. An exhaustive `match`, a lookup
-//! table or a required `From` impl holds what a type can. What remains
-//! is here: the single-source wire constants and the one-method trait
-//! shapes (`wire-constants`), and the metric and span registries
+//! `deny` at each no-panic crate root). Lock poison and the region
+//! kernels are clippy's: the root `clippy.toml` disallows `Mutex::lock`
+//! and `RwLock::read`/`write` outside `stair_obs::sync`, and
+//! `stair_gf::Field`'s region kernels outside `Plan::execute` and
+//! `stair-gf` itself. A codec's provided methods are the compiler's:
+//! `ErasureCode` is one blanket impl over `CodecCore`, so an override is
+//! E0119. The journal's write ordering is module privacy: only
+//! `crates/store/src/device/persist.rs` can write a sector. README
+//! drift, a second timing harness and an unlinted manifest fail the root
+//! package's `tests/docs.rs`. An exhaustive `match`, a lookup table or a
+//! required `From` impl holds what a type can. What remains is here: the
+//! single-source wire constants, the `BlockDevice` trait shape and the
+//! one codec error (`wire-constants`), and the metric and span registries
 //! (`counter-discipline`, `span-discipline`). The tool is a hand-rolled
 //! lexer ([`lexer`]) feeding token-level analyzers ([`analyzers`]); a
 //! deliberate exception carries an inline `// check: <key> <reason>`

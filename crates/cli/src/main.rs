@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use stair::{Config, StairCodec};
-use stair_code::{CodecSpec, ErasureCode};
+use stair_code::{CodecCore, CodecSpec, ErasureCode};
 use stair_reliability::storage_efficiency;
 
 fn main() -> ExitCode {

@@ -78,7 +78,7 @@ impl StripeBuf {
 
     /// Validates that the buffer is `rows × cols` with a symbol size that
     /// is a multiple of `elem_bytes` (the codec's field element size) —
-    /// the common entry check of every [`crate::ErasureCode`] impl.
+    /// the common entry check of [`crate::ErasureCode`]'s methods.
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@ use core::fmt;
 
 /// The one error type of every codec: `stair`, `stair-sd` and this
 /// crate's [`crate::MdsCode`] return it from their inherent methods and
-/// their [`crate::ErasureCode`] impls alike, so codec-generic callers like
+/// their [`crate::CodecCore`] impls alike, so codec-generic callers like
 /// `stair-store` match on one enum instead of chaining `map_err`s.
 #[derive(Clone, Debug, Eq, PartialEq)]
 #[non_exhaustive]

@@ -7,33 +7,38 @@
 //! speak one language. This crate defines that language; the codec crates
 //! (`stair`, `stair-sd`) implement it, and `stair-store` consumes it.
 //!
-//! # The trait
+//! # The traits
 //!
-//! [`ErasureCode`] is the contract every codec satisfies:
+//! [`CodecCore`] is what a codec defines, and all it defines:
 //!
-//! * [`ErasureCode::geometry`] — the stripe shape: `n` devices × `r`
+//! * [`CodecCore::geometry`] — the stripe shape: `n` devices × `r`
 //!   sectors, which cells hold data (in logical payload order) and which
 //!   hold parity, and the advertised failure tolerance;
-//! * [`ErasureCode::codec_id`] — which codec this is, as its plans
+//! * [`CodecCore::codec_id`] — which codec this is, as its plans
 //!   record it;
-//! * [`ErasureCode::encode_plan`] — the [`Plan`] that computes every
+//! * [`CodecCore::encode_plan`] — the [`Plan`] that computes every
 //!   parity cell from the data cells, built once at construction;
-//!   [`ErasureCode::encode`] runs it over a stripe (provided);
-//! * [`ErasureCode::plan_recover`] / [`ErasureCode::plan`] — turn an
-//!   [`ErasureSet`] and the lost cells wanted back (all of them, for
-//!   `plan`) into a reusable [`Plan`] that names the stored cells it
-//!   reads ([`Plan::sources`]), so a degraded read loads those and not
-//!   the stripe;
-//! * [`ErasureCode::apply`] — execute a plan against one stripe.
-//!   Provided: every codec's plans, for encode and decode alike, are the
-//!   same concrete program of dot products, run by the one executor,
+//! * [`CodecCore::plan_recover`] — turn an [`ErasureSet`] and the lost
+//!   cells wanted back into a reusable [`Plan`] that names the stored
+//!   cells it reads ([`Plan::sources`]), so a degraded read loads those
+//!   and not the stripe;
+//! * [`CodecCore::update_map`] — the small write: per data cell, the
+//!   parity cells that depend on it and with what coefficient, built once
+//!   at construction.
+//!
+//! [`ErasureCode`] is the contract every codec satisfies, written once
+//! over that core by one blanket impl, so no codec can define (or
+//! override) any of it:
+//!
+//! * [`ErasureCode::encode`] runs the encode plan over a stripe;
+//! * [`ErasureCode::plan`] plans the recovery of every erased cell;
+//! * [`ErasureCode::apply`] executes a plan against one stripe. Every
+//!   codec's plans, for encode and decode alike, are the same concrete
+//!   program of dot products, run by the one executor,
 //!   [`Plan::execute`], which reads through a [`CellLookup`] — a
 //!   [`StripeBuf`] here, only the sectors a degraded read loaded in
 //!   `stair-store`;
-//! * [`ErasureCode::update_map`] — the small write: per data cell, the
-//!   parity cells that depend on it and with what coefficient, built once
-//!   at construction. Over it, provided:
-//!   [`ErasureCode::dependents`] names a data cell's parities (with the
+//! * [`ErasureCode::dependents`] names a data cell's parities (with the
 //!   cell itself, a small write's footprint), and
 //!   [`ErasureCode::update_plan`] is the [`Plan`] that adds the changed
 //!   cells' deltas `c·(old ⊕ new)` into the parities a caller holds, run
@@ -112,19 +117,15 @@ pub use plan::{CellLookup, CodecId, Lent, Plan, PlanBuilder};
 pub use spec::CodecSpec;
 pub use update::{Patch, UpdateMap};
 
-/// The common interface every erasure code in the workspace implements.
+/// What a codec defines: its shape, its identity, its encode plan, its
+/// recovery planner and its small-write relation — and nothing else.
 ///
+/// Every [`CodecCore`] is an [`ErasureCode`] through one blanket impl,
+/// which writes the rest of the contract once over these five methods.
 /// Implementations operate on [`StripeBuf`] stripes of their
-/// [`Geometry`]'s shape. All methods validate the buffer shape and return
-/// [`CodeError::ShapeMismatch`] rather than panicking on foreign stripes.
-///
-/// A codec defines how it plans and which parities depend on which data;
-/// it never defines [`ErasureCode::encode`], [`ErasureCode::plan`],
-/// [`ErasureCode::apply`], [`ErasureCode::dependents`],
-/// [`ErasureCode::update_plan`] or [`ErasureCode::update`], which are
-/// written once here (`stair-check`'s `wire-constants` lint holds that,
-/// since the compiler lets a provided method be overridden).
-pub trait ErasureCode: Send + Sync {
+/// [`Geometry`]'s shape, and return [`CodeError::ShapeMismatch`] rather
+/// than panicking on foreign stripes.
+pub trait CodecCore: Send + Sync {
     /// The stripe geometry: shape, cell roles, and failure tolerance.
     fn geometry(&self) -> Geometry;
 
@@ -144,30 +145,6 @@ pub trait ErasureCode: Send + Sync {
     /// in the `r × n` grid.
     fn encode_plan(&self) -> Result<&Plan, CodeError>;
 
-    /// Recomputes every parity cell from the data cells, in place: the
-    /// [`ErasureCode::encode_plan`], applied to the stripe.
-    ///
-    /// # Errors
-    ///
-    /// * [`CodeError::ShapeMismatch`] if the buffer does not match the
-    ///   geometry;
-    /// * [`CodeError::Unsupported`] as [`ErasureCode::encode_plan`].
-    fn encode(&self, stripe: &mut StripeBuf) -> Result<(), CodeError> {
-        self.apply(self.encode_plan()?, stripe)
-    }
-
-    /// Builds a reusable plan recovering every cell of `erased`:
-    /// [`ErasureCode::plan_recover`] with everything wanted.
-    ///
-    /// # Errors
-    ///
-    /// * [`CodeError::InvalidPattern`] for out-of-range coordinates;
-    /// * [`CodeError::Unrecoverable`] if the pattern exceeds the code's
-    ///   capability.
-    fn plan(&self, erased: &ErasureSet) -> Result<Plan, CodeError> {
-        self.plan_recover(erased, erased.cells())
-    }
-
     /// Builds a plan recovering only the `wanted` subset of `erased` — the
     /// degraded-read path. The plan does, and [`Plan::sources`] names,
     /// only what the wanted cells need (§4.2.1: "recover only the symbols
@@ -180,21 +157,6 @@ pub trait ErasureCode: Send + Sync {
     /// `wanted` is not a subset of `erased`.
     fn plan_recover(&self, erased: &ErasureSet, wanted: &[CellIdx]) -> Result<Plan, CodeError>;
 
-    /// Executes a plan against one stripe, reconstructing the cells in
-    /// [`Plan::recovers`] in place. Reads only [`Plan::sources`]: the
-    /// one executor, [`Plan::execute`], with the stripe as its lookup.
-    ///
-    /// # Errors
-    ///
-    /// * [`CodeError::ShapeMismatch`] for foreign buffers;
-    /// * [`CodeError::InvalidPattern`] if the plan was built by a
-    ///   different codec ([`ErasureCode::codec_id`]).
-    fn apply(&self, plan: &Plan, stripe: &mut StripeBuf) -> Result<(), CodeError> {
-        let id = self.codec_id();
-        stripe.check_shape(id.spec.r(), id.spec.n(), id.elem_bytes())?;
-        plan.execute(id, stripe)
-    }
-
     /// The small-write relation: per data cell, the parity cells that
     /// depend on it and their coefficients (§6.3's update penalty is the
     /// number of them), built once per codec.
@@ -204,6 +166,118 @@ pub trait ErasureCode: Send + Sync {
     /// [`CodeError::Unsupported`] if the codec's parities do not all live
     /// in the `r × n` grid.
     fn update_map(&self) -> Result<&UpdateMap, CodeError>;
+}
+
+/// The common interface every erasure code in the workspace offers:
+/// encode, plan, apply and update, written once over [`CodecCore`].
+///
+/// A codec implements [`CodecCore`] and gets every method here from the
+/// one blanket impl, so each runs [`Plan::execute`], the one executor. A
+/// codec that writes its own encoder or decoder beside the plan does not
+/// compile: its `impl ErasureCode` conflicts with the blanket impl.
+///
+/// ```compile_fail,E0119
+/// # use stair_code::{CellIdx, CodeError, CodecCore, CodecId, ErasureCode, ErasureSet};
+/// # use stair_code::{Geometry, Plan, StripeBuf, UpdateMap};
+/// struct Fork {
+///     id: CodecId,
+///     encode: Plan,
+///     updates: UpdateMap,
+/// }
+///
+/// impl CodecCore for Fork {
+///     fn geometry(&self) -> Geometry {
+///         unimplemented!()
+///     }
+///     fn codec_id(&self) -> &CodecId {
+///         &self.id
+///     }
+///     fn encode_plan(&self) -> Result<&Plan, CodeError> {
+///         Ok(&self.encode)
+///     }
+///     fn plan_recover(&self, _: &ErasureSet, _: &[CellIdx]) -> Result<Plan, CodeError> {
+///         unimplemented!()
+///     }
+///     fn update_map(&self) -> Result<&UpdateMap, CodeError> {
+///         Ok(&self.updates)
+///     }
+/// }
+///
+/// impl ErasureCode for Fork {
+///     fn encode(&self, _: &mut StripeBuf) -> Result<(), CodeError> {
+///         Ok(())
+///     }
+///
+///     fn apply(&self, _: &Plan, _: &mut StripeBuf) -> Result<(), CodeError> {
+///         Ok(())
+///     }
+/// }
+/// ```
+///
+/// And a codec without an encode plan does not compile:
+///
+/// ```compile_fail,E0046
+/// # use stair_code::{CellIdx, CodeError, CodecCore, CodecId, ErasureSet};
+/// # use stair_code::{Geometry, Plan, UpdateMap};
+/// struct Legacy {
+///     id: CodecId,
+///     updates: UpdateMap,
+/// }
+///
+/// impl CodecCore for Legacy {
+///     fn geometry(&self) -> Geometry {
+///         unimplemented!()
+///     }
+///     fn codec_id(&self) -> &CodecId {
+///         &self.id
+///     }
+///     fn plan_recover(&self, _: &ErasureSet, _: &[CellIdx]) -> Result<Plan, CodeError> {
+///         unimplemented!()
+///     }
+///     fn update_map(&self) -> Result<&UpdateMap, CodeError> {
+///         Ok(&self.updates)
+///     }
+/// }
+/// ```
+pub trait ErasureCode: CodecCore {
+    /// Recomputes every parity cell from the data cells, in place: the
+    /// [`CodecCore::encode_plan`], applied to the stripe.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::ShapeMismatch`] if the buffer does not match the
+    ///   geometry;
+    /// * [`CodeError::Unsupported`] as [`CodecCore::encode_plan`].
+    fn encode(&self, stripe: &mut StripeBuf) -> Result<(), CodeError> {
+        self.apply(self.encode_plan()?, stripe)
+    }
+
+    /// Builds a reusable plan recovering every cell of `erased`:
+    /// [`CodecCore::plan_recover`] with everything wanted.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::InvalidPattern`] for out-of-range coordinates;
+    /// * [`CodeError::Unrecoverable`] if the pattern exceeds the code's
+    ///   capability.
+    fn plan(&self, erased: &ErasureSet) -> Result<Plan, CodeError> {
+        self.plan_recover(erased, erased.cells())
+    }
+
+    /// Executes a plan against one stripe, reconstructing the cells in
+    /// [`Plan::recovers`] in place. Reads only [`Plan::sources`]: the
+    /// one executor, [`Plan::execute`], with the stripe as its lookup.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::ShapeMismatch`] for foreign buffers;
+    /// * [`CodeError::InvalidPattern`] if the plan was built by a
+    ///   different codec ([`CodecCore::codec_id`]).
+    fn apply(&self, plan: &Plan, stripe: &mut StripeBuf) -> Result<(), CodeError> {
+        let id = self.codec_id();
+        stripe.check_shape(id.spec.r(), id.spec.n(), id.elem_bytes())?;
+        plan.execute(id, stripe)
+    }
 
     /// The parity cells an update of data cell `cell` patches — with
     /// `cell` itself, the footprint of a small write (§6.3's update
@@ -214,7 +288,7 @@ pub trait ErasureCode: Send + Sync {
     ///
     /// * [`CodeError::InvalidPattern`] if `cell` is out of range or not a
     ///   data cell;
-    /// * [`CodeError::Unsupported`] as [`ErasureCode::update_map`].
+    /// * [`CodeError::Unsupported`] as [`CodecCore::update_map`].
     fn dependents(&self, cell: CellIdx) -> Result<&[CellIdx], CodeError> {
         self.update_map()?.dependents(cell)
     }
@@ -252,7 +326,7 @@ pub trait ErasureCode: Send + Sync {
     /// * [`CodeError::InvalidPattern`] if `cell` is not a data cell;
     /// * [`CodeError::ShapeMismatch`] for foreign buffers or wrong-length
     ///   contents;
-    /// * [`CodeError::Unsupported`] as [`ErasureCode::update_map`].
+    /// * [`CodeError::Unsupported`] as [`CodecCore::update_map`].
     fn update(
         &self,
         stripe: &mut StripeBuf,
@@ -280,3 +354,8 @@ pub trait ErasureCode: Send + Sync {
         Ok(plan.recovers().to_vec())
     }
 }
+
+/// Every codec is an [`ErasureCode`] through this impl, and through no
+/// other: a second one is E0119 (the `compile_fail` doctest on the
+/// trait), so no codec overrides a provided method.
+impl<T: CodecCore + ?Sized> ErasureCode for T {}

@@ -350,6 +350,10 @@ impl Plan {
     /// the sources. A step adds into the first `kept` homes — zeros, or a
     /// lent target that adds ([`CellLookup::adds`]) — and overwrites any
     /// other in the same pass.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one region executor: every encode, decode and small write runs here"
+    )]
     fn compute<F: Field>(&self, sources: &[&[u8]], homes: &mut [&mut [u8]], kept: usize) {
         let s = self.sources;
         let mut spare = Vec::new();

@@ -118,6 +118,10 @@ pub trait Field:
     /// # Panics
     ///
     /// As [`Self::mult_xor_region`], for any source.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the kernels' own default: the fused form over the single-term one"
+    )]
     fn mult_xor_regions(dst: &mut [u8], srcs: &[(&[u8], Self::Elem)]) {
         for &(src, c) in srcs {
             Self::mult_xor_region(dst, src, c);
@@ -133,6 +137,10 @@ pub trait Field:
     /// # Panics
     ///
     /// As [`Self::mult_xor_region`], for any source.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the kernels' own default: the overwriting form over the accumulating one"
+    )]
     fn mult_regions(dst: &mut [u8], srcs: &[(&[u8], Self::Elem)]) {
         dst.fill(0);
         Self::mult_xor_regions(dst, srcs);

@@ -228,6 +228,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a region kernel's own test calls it"
+    )]
     fn region_ops_match_scalar() {
         let src: Vec<u8> = (0..128u8).collect();
         let mut dst = vec![0x55u8; 128];
@@ -244,6 +248,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "whole u16")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a region kernel's own test calls it"
+    )]
     fn odd_region_length_panics() {
         let mut dst = [0u8; 3];
         Gf16::mult_xor_region(&mut dst, &[0u8; 3], 5);

@@ -291,6 +291,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a region kernel's own test calls it"
+    )]
     fn mult_xor_region_matches_scalar_loop() {
         let src: Vec<u8> = (0..=255u8).collect();
         for c in [0u8, 1, 2, 0x53, 0xe7] {
@@ -316,6 +320,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "region length mismatch")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a region kernel's own test calls it"
+    )]
     fn region_length_mismatch_panics() {
         let mut dst = [0u8; 4];
         Gf8::mult_xor_region(&mut dst, &[0u8; 5], 3);

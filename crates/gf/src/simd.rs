@@ -449,6 +449,10 @@ mod tests {
     /// source at all then writes zeros) — in result, on every tier and
     /// through the public dispatching entry points.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a region kernel's own test calls it"
+    )]
     fn fused_matches_the_sequence_of_single_calls() {
         for xor in [true, false] {
             for k in [0usize, 1, 6, 8, 17] {
@@ -483,6 +487,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a region kernel's own test calls it"
+    )]
     fn fused_counts_one_mult_xor_per_source() {
         // Other tests run concurrently and only ever add, so bound from below
         // here; `crates/stair/tests/gf_counters.rs` pins exact counts in a
@@ -501,6 +509,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "region length mismatch")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a region kernel's own test calls it"
+    )]
     fn every_source_must_match_dst_in_length() {
         Gf8::mult_xor_regions(&mut [0u8; 64], &[(&[0u8; 64], 3), (&[0u8; 96], 5)]);
     }

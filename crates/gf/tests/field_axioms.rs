@@ -84,6 +84,10 @@ macro_rules! axioms {
 axioms!(gf8, Gf8, 255);
 axioms!(gf16, Gf16, 65535);
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the region kernels' own tests call them"
+)]
 mod regions {
     use super::*;
 

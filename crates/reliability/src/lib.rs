@@ -41,7 +41,6 @@
 
 mod burst;
 mod closed_forms;
-mod configure;
 mod failure;
 mod model;
 pub mod montecarlo;
@@ -49,7 +48,6 @@ mod pstr;
 
 pub use burst::BurstModel;
 pub use closed_forms::{pstr_rs_closed, pstr_sd_closed, pstr_stair_closed};
-pub use configure::{rank_coverages, recommend_e, Recommendation};
 pub use failure::FailureInjector;
 pub use model::{narr, storage_efficiency, SystemParams};
 pub use pstr::{p_chk, p_sec, p_str, SectorModel};

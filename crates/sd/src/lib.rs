@@ -15,7 +15,7 @@
 //! # Example
 //!
 //! ```
-//! use stair_code::{ErasureCode, ErasureSet, StripeBuf};
+//! use stair_code::{CodecCore, ErasureCode, ErasureSet, StripeBuf};
 //! use stair_gf::Gf8;
 //! use stair_sd::SdCode;
 //!

@@ -2,7 +2,7 @@
 //! protection. The paper's "traditional erasure code" baseline (§6.1, §7).
 
 use stair_code::{
-    CellIdx, CodeError, CodecId, CodecSpec, ErasureCode, ErasureSet, Geometry, MdsCode, Plan,
+    CellIdx, CodeError, CodecCore, CodecId, CodecSpec, ErasureSet, Geometry, MdsCode, Plan,
     UpdateMap,
 };
 use stair_gf::Field;
@@ -12,7 +12,7 @@ use stair_gf::Field;
 /// # Example
 ///
 /// ```
-/// use stair_code::{ErasureCode, ErasureSet, StripeBuf};
+/// use stair_code::{CodecCore, ErasureCode, ErasureSet, StripeBuf};
 /// use stair_gf::Gf8;
 /// use stair_sd::RsArrayCode;
 ///
@@ -107,14 +107,14 @@ impl<F: Field> RsArrayCode<F> {
 }
 
 // ---------------------------------------------------------------------
-// The codec-generic face: `stair_code::ErasureCode` for `RsArrayCode`.
+// The codec-generic face: `stair_code::CodecCore` for `RsArrayCode`.
 //
 // Each stripe row is one (n, n−m) MDS codeword, so every operation is
 // row-local: a row with more than m erasures is unrecoverable (plain RS
 // has no sector-level protection — the comparison point of §6.1/§7).
 // ---------------------------------------------------------------------
 
-impl<F: Field> ErasureCode for RsArrayCode<F> {
+impl<F: Field> CodecCore for RsArrayCode<F> {
     fn codec_id(&self) -> &CodecId {
         &self.id
     }

@@ -33,7 +33,7 @@
 //! speed comparison measures.
 
 use stair_code::{
-    CellIdx, CodeError, CodecId, CodecSpec, ErasureCode, ErasureSet, Geometry, Plan, UpdateMap,
+    CellIdx, CodeError, CodecCore, CodecId, CodecSpec, ErasureSet, Geometry, Plan, UpdateMap,
 };
 use stair_gf::Field;
 use stair_gfmatrix::{Error as MatrixError, Matrix};
@@ -247,7 +247,7 @@ impl<F: Field> SdCode<F> {
     }
 }
 
-impl<F: Field> ErasureCode for SdCode<F> {
+impl<F: Field> CodecCore for SdCode<F> {
     fn codec_id(&self) -> &CodecId {
         &self.id
     }
@@ -316,7 +316,7 @@ impl<F: Field> ErasureCode for SdCode<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stair_code::StripeBuf;
+    use stair_code::{ErasureCode, StripeBuf};
     use stair_gf::{Gf16, Gf8};
 
     /// An encoded `symbol`-byte stripe of `code` over seeded data.

@@ -1,7 +1,7 @@
 //! The codec-generic face of the baseline codes: `ErasureCode` round
 //! trips for [`SdCode`] and [`RsArrayCode`] on flat stripe buffers.
 
-use stair_code::{CodeError, ErasureCode, ErasureSet, StripeBuf};
+use stair_code::{CodeError, CodecCore, ErasureCode, ErasureSet, StripeBuf};
 use stair_gf::Gf8;
 use stair_sd::{RsArrayCode, SdCode};
 

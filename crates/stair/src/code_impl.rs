@@ -1,5 +1,5 @@
-//! The codec-generic face of STAIR: [`stair_code::ErasureCode`] for
-//! [`StairCodec`].
+//! The codec-generic face of STAIR: [`stair_code::CodecCore`] for
+//! [`StairCodec`], and so [`stair_code::ErasureCode`].
 //!
 //! The impl operates directly on flat [`stair_code::StripeBuf`] grids —
 //! the same memory `stair-store` reads sectors into: encoding and decoding
@@ -8,7 +8,7 @@
 //! [`GlobalPlacement::Inside`] configurations are supported through this
 //! interface: a bare `r × n` grid has nowhere to store outside globals.
 
-use stair_code::{CellIdx, CodeError, CodecId, ErasureCode, ErasureSet, Geometry, Plan, UpdateMap};
+use stair_code::{CellIdx, CodeError, CodecCore, CodecId, ErasureSet, Geometry, Plan, UpdateMap};
 use stair_gf::Field;
 
 use crate::{GlobalPlacement, StairCodec};
@@ -26,7 +26,7 @@ impl<F: Field> StairCodec<F> {
     }
 }
 
-impl<F: Field> ErasureCode for StairCodec<F> {
+impl<F: Field> CodecCore for StairCodec<F> {
     fn geometry(&self) -> Geometry {
         let layout = self.layout();
         Geometry {
@@ -64,7 +64,7 @@ impl<F: Field> ErasureCode for StairCodec<F> {
 mod tests {
     use super::*;
     use crate::{Config, Stripe};
-    use stair_code::StripeBuf;
+    use stair_code::{ErasureCode, StripeBuf};
 
     fn codec() -> StairCodec {
         StairCodec::new(Config::new(8, 4, 2, &[1, 1, 2]).unwrap()).unwrap()
@@ -104,7 +104,7 @@ mod tests {
         let codec = codec();
         let erased = ErasureSet::devices(&[6, 7], 4);
         let full = ErasureCode::plan(&codec, &erased).unwrap();
-        let partial = ErasureCode::plan_recover(&codec, &erased, &[(2, 6)]).unwrap();
+        let partial = CodecCore::plan_recover(&codec, &erased, &[(2, 6)]).unwrap();
         assert_eq!(partial.recovers(), &[(2, 6)]);
         assert!(partial.mult_xors() < full.mult_xors());
     }
@@ -254,7 +254,7 @@ mod tests {
             ("plan", ErasureCode::plan(&codec, &erased).map(drop)),
             (
                 "plan_recover",
-                ErasureCode::plan_recover(&codec, &erased, &[(1, 0)]).map(drop),
+                CodecCore::plan_recover(&codec, &erased, &[(1, 0)]).map(drop),
             ),
             ("update_map", codec.update_map().map(drop)),
             ("dependents", codec.dependents((0, 0)).map(drop)),

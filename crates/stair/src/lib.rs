@@ -47,7 +47,7 @@
 //! ];
 //! stripe.erase(&erased)?;
 //! codec.decode(&mut stripe, &erased)?;
-//! assert_eq!(stripe.read_data()?, payload);
+//! assert_eq!(stripe.read_data(), payload);
 //! # Ok::<(), stair_code::CodeError>(())
 //! ```
 

@@ -25,7 +25,7 @@ use crate::{Config, GlobalPlacement};
 /// assert_eq!(stripe.data_capacity(), (4 * 6 - 4) * 512);
 /// let payload = vec![7u8; stripe.data_capacity()];
 /// stripe.write_data(&payload)?;
-/// assert_eq!(stripe.read_data()?, payload);
+/// assert_eq!(stripe.read_data(), payload);
 /// # Ok::<(), stair_code::CodeError>(())
 /// ```
 #[derive(Clone, Debug, Eq, PartialEq)]
@@ -135,17 +135,12 @@ impl Stripe {
     }
 
     /// Reads the user payload back out of the data sectors.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; returns `Result` for forward compatibility
-    /// with checksummed stripes.
-    pub fn read_data(&self) -> Result<Vec<u8>, CodeError> {
+    pub fn read_data(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.data_capacity());
         for (row, col) in self.layout.data_cells() {
             out.extend_from_slice(self.cell(row, col));
         }
-        Ok(out)
+        out
     }
 
     /// Simulates sector loss: zero-fills each listed sector. (Decoding does
@@ -235,7 +230,7 @@ mod tests {
         let mut s = stripe();
         let payload: Vec<u8> = (0..s.data_capacity()).map(|i| (i % 251) as u8).collect();
         s.write_data(&payload).unwrap();
-        assert_eq!(s.read_data().unwrap(), payload);
+        assert_eq!(s.read_data(), payload);
         // Inside-global position (3,3) must not hold payload bytes.
         assert_eq!(s.kind(3, 3), CellKind::InsideGlobal { h: 0, l: 0 });
         assert!(s.cell(3, 3).iter().all(|&b| b == 0));

@@ -5,7 +5,7 @@
 //! method the cost model picks (§5.3: "choose the one with the fewest").
 
 use stair::{Config, EncodingMethod, StairCodec, Stripe};
-use stair_code::{ErasureCode, StripeBuf};
+use stair_code::{CodecCore, ErasureCode, StripeBuf};
 use stair_gf::{counters, Gf8};
 use stair_sd::{RsArrayCode, SdCode};
 

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use stair::{Config, StairCodec};
-use stair_code::{CellIdx, ErasureCode, ErasureSet, Plan};
+use stair_code::{CellIdx, CodecCore, ErasureSet, Plan};
 
 const FIXTURE: &str = include_str!("fixtures/worst_case_plans.txt");
 
@@ -115,7 +115,7 @@ fn family(mut visit: impl FnMut((usize, usize), &ErasureSet, Option<Plan>)) {
                 let lost = fragment.iter().filter(|&&c| erased.contains(c));
                 let wanted: Vec<CellIdx> = lost.copied().collect();
                 let plan = (!wanted.is_empty())
-                    .then(|| ErasureCode::plan_recover(&codec, &erased, &wanted).unwrap());
+                    .then(|| CodecCore::plan_recover(&codec, &erased, &wanted).unwrap());
                 if let Some(plan) = &plan {
                     assert_eq!(plan.recovers(), wanted);
                 }

@@ -378,11 +378,6 @@ impl Journal {
         self.checkpoints.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Whether appends are on for this handle (`STAIR_JOURNAL` knob).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Segment capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.capacity

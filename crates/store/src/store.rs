@@ -25,7 +25,7 @@
 //! * **Restores** — a degraded read, a damaged footprint, a repair — run
 //!   one rule, `StripeStore::restore`: what is lost is decided before any
 //!   I/O (devices that are not healthy, recorded bad sectors), the
-//!   codec's planner ([`stair_code::ErasureCode::plan_recover`]) works
+//!   codec's planner ([`stair_code::CodecCore::plan_recover`]) works
 //!   out how to reconstruct exactly the wanted lost sectors, and only the
 //!   plan's sources ([`stair_code::Plan::sources`]) and the surviving
 //!   wanted sectors are read. The plan runs over them where the loader
@@ -820,7 +820,7 @@ impl StripeStore {
     /// what the stripe is known to have lost under the `devices` snapshot
     /// ([`StripeStore::known_erasures`], and whatever the caller found
     /// bad since). The wanted lost cells are planned against that
-    /// ([`stair_code::ErasureCode::plan_recover`]; nothing is planned
+    /// ([`stair_code::CodecCore::plan_recover`]; nothing is planned
     /// when none is lost), and only the plan's sources and the surviving
     /// wanted cells are read. A sector that does not verify is recorded
     /// bad, joins the erasures, and the cells wanted by then are planned

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example burst_tolerance`
 
 use stair::{Config, SpaceComparison, StairCodec, Stripe};
-use stair_code::{ErasureCode, ErasureSet};
+use stair_code::{CodecCore, ErasureCode, ErasureSet};
 use stair_gf::Gf8;
 use stair_sd::SdCode;
 
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     erased.push((0, 0)); // one more sector in device 0
     stripe.erase(&erased)?;
     codec.decode(&mut stripe, &erased)?;
-    assert_eq!(stripe.read_data()?, payload);
+    assert_eq!(stripe.read_data(), payload);
     println!("STAIR e=(1,4): recovered 2 devices + 4-burst + 1 sector ✔");
     Ok(())
 }

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     stripe.erase(&erased)?;
 
     codec.decode(&mut stripe, &erased)?;
-    assert_eq!(stripe.read_data()?, payload);
+    assert_eq!(stripe.read_data(), payload);
     println!(
         "\nrecovered {} lost sectors; payload intact ✔",
         erased.len()

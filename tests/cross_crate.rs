@@ -4,7 +4,7 @@
 //! agree end-to-end.
 
 use stair::{Config, StairCodec, Stripe};
-use stair_code::{CellIdx, CodeError, CodecSpec, ErasureCode, ErasureSet};
+use stair_code::{CellIdx, CodeError, CodecCore, CodecSpec, ErasureCode, ErasureSet};
 use stair_gf::Gf8;
 use stair_reliability::montecarlo::estimate_p_str;
 use stair_reliability::{p_chk, p_str, SectorModel};

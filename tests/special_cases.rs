@@ -3,7 +3,7 @@
 //! `(n, n−m−1)` code, or like the IDR scheme.
 
 use stair::{Config, SpaceComparison, StairCodec, Stripe};
-use stair_code::{ErasureCode, ErasureSet, StripeBuf};
+use stair_code::{CodecCore, ErasureCode, ErasureSet, StripeBuf};
 use stair_gf::Gf8;
 use stair_sd::SdCode;
 
