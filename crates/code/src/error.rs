@@ -39,16 +39,3 @@ impl fmt::Display for CodeError {
 }
 
 impl std::error::Error for CodeError {}
-
-/// The one conversion into [`CodeError`]: a matrix builder refusing its
-/// points is a bad configuration; any other linear-algebra failure
-/// inside a codec is a broken invariant (the codecs branch on
-/// `Singular`/`Underdetermined` themselves where those mean something).
-impl From<stair_gfmatrix::Error> for CodeError {
-    fn from(e: stair_gfmatrix::Error) -> CodeError {
-        match e {
-            stair_gfmatrix::Error::InvalidPoints(_) => CodeError::InvalidConfig(e.to_string()),
-            _ => CodeError::Internal(format!("matrix error: {e}")),
-        }
-    }
-}

@@ -67,7 +67,10 @@
 //! [`MdsCode`] is the systematic Cauchy Reed–Solomon `(η, κ)` code that
 //! STAIR's `C_row`/`C_col` and the RS array are built from: a generator
 //! and the coefficient matrices it solves, remembered. It touches no
-//! bytes; the codecs lower its coefficients to [`Plan`] steps.
+//! bytes; the codecs lower its coefficients to [`Plan`] steps. Its
+//! matrices are [`Matrix`], the workspace's one dense matrix over
+//! GF(2^w), with one solver ([`Matrix::solve`]) that SD's check
+//! equations use too.
 //!
 //! # Codec specs
 //!
@@ -103,6 +106,7 @@ mod buf;
 mod erasure;
 mod error;
 mod geometry;
+mod matrix;
 mod mds;
 mod plan;
 mod spec;
@@ -112,6 +116,7 @@ pub use buf::StripeBuf;
 pub use erasure::{CellIdx, ErasureSet};
 pub use error::CodeError;
 pub use geometry::Geometry;
+pub use matrix::Matrix;
 pub use mds::MdsCode;
 pub use plan::{CellLookup, CodecId, Lent, Plan, PlanBuilder};
 pub use spec::CodecSpec;

@@ -15,10 +15,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 use stair_gf::Field;
-use stair_gfmatrix::{cauchy_parity, Matrix};
 use stair_obs::sync::lock;
 
-use crate::CodeError;
+use crate::{CodeError, Matrix};
 
 /// Most coefficient matrices one code remembers (see
 /// [`MdsCode::recovery_coefficients`]). A matrix is at most `κ × (η − κ)`
@@ -95,8 +94,8 @@ impl<F: Field> Default for Memo<F> {
 /// # Example
 ///
 /// ```
-/// use stair_code::MdsCode;
-/// use stair_gf::Gf8;
+/// use stair_code::{Matrix, MdsCode};
+/// use stair_gf::{Field, Gf8};
 ///
 /// // A (6,4)-code: 4 data symbols, 2 parity symbols.
 /// let code: MdsCode<Gf8> = MdsCode::new(6, 4)?;
@@ -105,12 +104,17 @@ impl<F: Field> Default for Memo<F> {
 /// // Symbols 4 and 5 are combinations of the data symbols 0..4 ...
 /// let data = [1u8, 2, 3, 4];
 /// let encode = code.recovery_coefficients(&[0, 1, 2, 3], &[4, 5])?;
-/// let parity = encode.transpose().mul_vec(&data)?;
+/// // c[wanted[j]] = Σ_i M[i][j] · c[available[i]]
+/// let combine = |m: &Matrix<Gf8>, c: &[u8]| -> Vec<u8> {
+///     let term = |i: usize, j: usize| Gf8::mul(m.get(i, j), c[i]);
+///     (0..m.cols()).map(|j| (0..c.len()).fold(0, |acc, i| acc ^ term(i, j))).collect()
+/// };
+/// let parity = combine(&encode, &data);
 ///
 /// // ... and any four symbols give back the others: erase 1 and 4.
 /// let survivors = [data[0], data[2], data[3], parity[1]];
 /// let decode = code.recovery_coefficients(&[0, 2, 3, 5], &[1, 4])?;
-/// assert_eq!(decode.transpose().mul_vec(&survivors)?, [data[1], parity[0]]);
+/// assert_eq!(combine(&decode, &survivors), [data[1], parity[0]]);
 /// # Ok::<(), stair_code::CodeError>(())
 /// ```
 pub struct MdsCode<F: Field> {
@@ -162,8 +166,14 @@ impl<F: Field> MdsCode<F> {
         if total > F::ORDER {
             return Err(invalid("η exceeds the field order; use a wider field"));
         }
-        let parity = cauchy_parity::<F>(data, total - data)?;
-        let generator = Matrix::identity(data).hstack(&parity)?;
+        // `[I | A]` with the Cauchy block `A[i][c] = 1/(x_i + y_c)` on the
+        // points `x_i = i` and `y_c = c ≥ κ`: distinct field elements,
+        // since `η` fits the field, so every sum has an inverse.
+        let generator = Matrix::from_fn(data, total, |i, c| match c {
+            _ if c >= data => F::inv(F::add(F::elem(i), F::elem(c))).unwrap_or_else(F::zero),
+            _ if c == i => F::one(),
+            _ => F::zero(),
+        });
         Ok(MdsCode {
             total,
             data,
@@ -192,7 +202,7 @@ impl<F: Field> MdsCode<F> {
     ///
     /// This is the workhorse used by the STAIR upstairs/downstairs schedules:
     /// it expresses *any* codeword symbols as linear combinations of *any* κ
-    /// available ones (`d = c_A · G_A⁻¹`, then `c_W = d · G_W`).
+    /// available ones (`c_W = c_A · M` where `G_A · M = G_W`).
     ///
     /// Decode planning asks for the same few index sets again and again
     /// (every stripe of a store with two failed devices wants the same
@@ -264,12 +274,13 @@ impl<F: Field> MdsCode<F> {
                 "region mismatch: wanted set must be non-empty".into(),
             ));
         }
-        // G_A: columns of the generator at the available positions (κ×κ).
+        // G_A (κ×κ): the generator's columns at the available positions,
+        // invertible because the code is MDS.
         let ga = self.generator.select_cols(available);
-        // MDS ⇒ invertible.
-        let ga_inv = ga.inverted()?;
-        let gw = self.generator.select_cols(wanted);
-        Ok(ga_inv.mul(&gw)?)
+        ga.solve(&self.generator.select_cols(wanted))
+            .ok_or_else(|| {
+                CodeError::Internal(format!("generator columns {available:?} are singular"))
+            })
     }
 
     fn check_indices(&self, idx: &[usize]) -> Result<(), CodeError> {

@@ -33,10 +33,10 @@
 //! speed comparison measures.
 
 use stair_code::{
-    CellIdx, CodeError, CodecCore, CodecId, CodecSpec, ErasureSet, Geometry, Plan, UpdateMap,
+    CellIdx, CodeError, CodecCore, CodecId, CodecSpec, ErasureSet, Geometry, Matrix, Plan,
+    UpdateMap,
 };
 use stair_gf::Field;
-use stair_gfmatrix::{Error as MatrixError, Matrix};
 
 /// An SD code over the field `F`; see the module documentation for the
 /// construction.
@@ -104,7 +104,7 @@ impl<F: Field> SdCode<F> {
 
         let total = r * n;
         let rows = m * r + s;
-        let mut check = Matrix::<F>::zero(rows.max(1), total);
+        let mut check = Matrix::<F>::zero(rows, total);
         // Row checks: Σ_c α^(l·c) x[i,c] = 0.
         for i in 0..r {
             for l in 0..m {
@@ -134,18 +134,13 @@ impl<F: Field> SdCode<F> {
 
         let h_p = check.select_cols(&parity_pos);
         let h_d = check.select_cols(&data_pos);
-        // `parity = dense · data`.
-        let dense = match h_p.solve(&h_d) {
-            Ok(e) => e,
-            Err(MatrixError::Singular | MatrixError::Underdetermined { .. }) => {
-                return Err(CodeError::InvalidConfig(format!(
-                    "parity submatrix is singular for (n={n}, r={r}, m={m}, s={s}) over \
-                     GF(2^{})",
-                    F::W
-                )));
-            }
-            Err(e) => return Err(e.into()),
-        };
+        // `parity = dense · data`; the system is square.
+        let dense = h_p.solve(&h_d).ok_or_else(|| {
+            CodeError::InvalidConfig(format!(
+                "parity submatrix is singular for (n={n}, r={r}, m={m}, s={s}) over GF(2^{})",
+                F::W
+            ))
+        })?;
         let cells = |pos: &[usize]| pos.iter().map(|&q| (q / n, q % n)).collect::<Vec<_>>();
         let (data, parity) = (cells(&data_pos), cells(&parity_pos));
         let coeff = |p, d| F::value(dense.get(p, d)) as u16;
@@ -188,31 +183,21 @@ impl<F: Field> SdCode<F> {
         self.s
     }
 
-    /// Solves the check equations symbolically for an erasure pattern,
-    /// returning the `|erased| × |known|` recovery matrix.
+    /// Solves the check equations symbolically for `erased`, a pattern
+    /// the caller has validated, returning the `|erased| × |known|`
+    /// recovery matrix over the `known` positions `q = i·n + c`.
     ///
     /// # Errors
     ///
-    /// * [`CodeError::InvalidPattern`] for malformed patterns;
-    /// * [`CodeError::Unrecoverable`] if the pattern exceeds the code's
-    ///   capability (`> m` devices, `> s` extra sectors, or an admissible
-    ///   pattern at parameters where the construction is simply not SD —
-    ///   the situation STAIR codes eliminate).
-    pub fn recovery_matrix(&self, erased: &[(usize, usize)]) -> Result<Matrix<F>, CodeError> {
-        let total = self.r * self.n;
-        let mut seen = vec![false; total];
-        for &(i, c) in erased {
-            if i >= self.r || c >= self.n {
-                return Err(CodeError::InvalidPattern(format!("({i},{c}) out of range")));
-            }
-            if seen[i * self.n + c] {
-                return Err(CodeError::InvalidPattern(format!("duplicate ({i},{c})")));
-            }
-            seen[i * self.n + c] = true;
-        }
-        if erased.is_empty() {
-            return Err(CodeError::InvalidPattern("empty erasure pattern".into()));
-        }
+    /// [`CodeError::Unrecoverable`] if the pattern exceeds the code's
+    /// capability (`> m` devices, `> s` extra sectors, or an admissible
+    /// pattern at parameters where the construction is simply not SD —
+    /// the situation STAIR codes eliminate).
+    fn recovery_matrix(
+        &self,
+        erased: &ErasureSet,
+        known: &[usize],
+    ) -> Result<Matrix<F>, CodeError> {
         // More unknowns than check equations never solve; this also
         // refuses a stripe with no survivors, which has nothing to solve
         // from.
@@ -223,23 +208,17 @@ impl<F: Field> SdCode<F> {
                 self.check.rows()
             )));
         }
-        let erased_q: Vec<usize> = erased.iter().map(|&(i, c)| i * self.n + c).collect();
-        let known_q: Vec<usize> = (0..total).filter(|&q| !seen[q]).collect();
+        let erased_q: Vec<usize> = erased.iter().map(|(i, c)| i * self.n + c).collect();
         let h_x = self.check.select_cols(&erased_q);
-        let h_k = self.check.select_cols(&known_q);
         // Patterns smaller than the check count leave surplus equations
         // relating only surviving symbols; every codeword satisfies them,
-        // so the subspace solver ignores them rather than failing.
-        match h_x.solve_subspace(&h_k) {
-            Ok(m) => Ok(m),
-            Err(MatrixError::Singular | MatrixError::Underdetermined { .. }) => {
-                Err(CodeError::Unrecoverable(format!(
-                    "{} erasures exceed this SD code's capability",
-                    erased.len()
-                )))
-            }
-            Err(e) => Err(e.into()),
-        }
+        // and the solver ignores them.
+        h_x.solve(&self.check.select_cols(known)).ok_or_else(|| {
+            CodeError::Unrecoverable(format!(
+                "{} erasures exceed this SD code's capability",
+                erased.len()
+            ))
+        })
     }
 
     fn cell_of(&self, q: usize) -> CellIdx {
@@ -281,10 +260,10 @@ impl<F: Field> CodecCore for SdCode<F> {
                 CodeError::InvalidPattern(format!("wanted cell {w:?} is not in the erased set"))
             })?);
         }
-        let coeff = self.recovery_matrix(erased.cells())?.select_rows(&keep);
         let known_q: Vec<usize> = (0..self.r * self.n)
             .filter(|&q| !erased.contains(self.cell_of(q)))
             .collect();
+        let coeff = self.recovery_matrix(erased, &known_q)?.select_rows(&keep);
         // A known symbol is a source iff some kept row weighs it.
         let mut slot = vec![0; known_q.len()];
         let mut sources = Vec::new();
@@ -382,6 +361,16 @@ mod tests {
             }
             assert_eq!(acc, 0, "check {row} violated");
         }
+    }
+
+    /// Wanting none of the erased cells plans nothing and reads nothing,
+    /// as on the other codecs.
+    #[test]
+    fn wanting_nothing_is_an_empty_plan() {
+        let code: SdCode<Gf8> = SdCode::new(6, 4, 1, 2).unwrap();
+        let plan = code.plan_recover(&ErasureSet::from(&[(2, 1)][..]), &[]);
+        let plan = plan.unwrap();
+        assert!(plan.recovers().is_empty() && plan.sources().is_empty());
     }
 
     /// Regression: patterns *smaller* than the check count must decode.

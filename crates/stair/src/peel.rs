@@ -35,9 +35,8 @@
 
 use std::sync::Arc;
 
-use stair_code::{CodeError, CodecId, MdsCode, Plan};
+use stair_code::{CodeError, CodecId, Matrix, MdsCode, Plan};
 use stair_gf::Field;
-use stair_gfmatrix::Matrix;
 
 use crate::layout::{Cell, Layout};
 use crate::schedule::{Schedule, Step, StepCode};

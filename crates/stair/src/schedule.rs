@@ -15,9 +15,8 @@
 use core::fmt::Write as _;
 use std::sync::Arc;
 
-use stair_code::CodeError;
+use stair_code::{CodeError, Matrix};
 use stair_gf::Field;
-use stair_gfmatrix::Matrix;
 
 use crate::layout::{Cell, CellKind, Layout};
 

@@ -11,7 +11,6 @@ pub use stair_cache as cache;
 pub use stair_code as code;
 pub use stair_device as device;
 pub use stair_gf as gf;
-pub use stair_gfmatrix as gfmatrix;
 pub use stair_net as net;
 pub use stair_obs as obs;
 pub use stair_reliability as reliability;

@@ -6,6 +6,8 @@
 //! * There is one timing harness: `benchmark/` times the system and
 //!   `crates/bench/src` the paper. A `benches/` directory, a `[[bench]]`
 //!   table or a root `BENCH_*.json` would be a second one.
+//! * README's "Workspace map" has a row for every package, and each row
+//!   names one: a crate folded away leaves no stale row behind.
 //! * Every package inherits the workspace lint table, so
 //!   `unsafe_code = "forbid"` reaches all of its targets. `crates/gf`,
 //!   which hosts the one `unsafe` module, carries its own table denying
@@ -129,6 +131,43 @@ fn packages(root: &Path) -> Vec<PathBuf> {
     std::iter::once(root.to_path_buf()).chain(members).collect()
 }
 
+/// The paths of README's "Workspace map" table: the first backticked
+/// word of each row's second column.
+fn workspace_map(readme: &str) -> Vec<String> {
+    readme
+        .lines()
+        .skip_while(|line| *line != "## Workspace map")
+        .skip(1)
+        .take_while(|line| !line.starts_with("## "))
+        .filter_map(|line| line.split('|').nth(2)?.split('`').nth(1))
+        .map(str::to_string)
+        .collect()
+}
+
+/// What a workspace map with these `rows` gets wrong: a package with no
+/// row, and a row naming no package (`dir/*` names each package in
+/// `dir`).
+fn map_errors(root: &Path, rows: &[String]) -> Vec<String> {
+    let packages = packages(root);
+    let names = |row: &str, dir: &Path| match row.strip_suffix("/*") {
+        Some(parent) => dir.parent() == Some(root.join(parent).as_path()),
+        None => dir == root.join(row),
+    };
+    let unmapped = packages
+        .iter()
+        .filter(|dir| !rows.iter().any(|row| names(row, dir)))
+        .map(|dir| format!("package {} has no row", dir.display()));
+    let stale = rows
+        .iter()
+        .filter(|row| {
+            !packages
+                .iter()
+                .any(|dir| names(row, dir) && dir.join("Cargo.toml").is_file())
+        })
+        .map(|row| format!("row `{row}` names no package"));
+    unmapped.chain(stale).collect()
+}
+
 /// `true` when TOML table `[table]` of `manifest` holds the line `entry`
 /// (spaces ignored): a scan from the header to the next one.
 fn table_has(manifest: &str, table: &str, entry: &str) -> bool {
@@ -148,6 +187,21 @@ fn readme_names_every_opcode_scheme_and_family() {
     assert!(missing.is_empty(), "README.md does not mention {missing:?}");
     // The check itself: a README without them is caught.
     assert_eq!(undocumented("").len(), Opcode::ALL.len() + 4 + 3);
+}
+
+#[test]
+fn readme_maps_every_package_and_only_packages() {
+    let root = root();
+    let rows = workspace_map(&read(&root.join("README.md")));
+    let errors = map_errors(&root, &rows);
+    assert!(errors.is_empty(), "README.md's workspace map: {errors:?}");
+    // The check itself: a stale row and a missing one are both caught.
+    let stale = [rows.clone(), vec!["crates/gfmatrix".into()]].concat();
+    assert_eq!(
+        map_errors(&root, &stale),
+        ["row `crates/gfmatrix` names no package"]
+    );
+    assert_eq!(map_errors(&root, &rows[1..]).len(), 1);
 }
 
 #[test]
