@@ -2,7 +2,6 @@
 //! `run(ws: &Workspace, out: &mut Vec<Finding>)` and appends findings
 //! for one lint family.
 
-pub mod counters;
 pub mod spans;
 pub mod wire;
 
@@ -11,6 +10,5 @@ use crate::workspace::Workspace;
 /// Runs every analyzer over the workspace.
 pub fn run_all(ws: &Workspace, out: &mut Vec<crate::findings::Finding>) {
     wire::run(ws, out);
-    counters::run(ws, out);
     spans::run(ws, out);
 }

@@ -1,18 +1,13 @@
-//! L7 `span-discipline`: the mirror of counter-discipline, one level
-//! up the observability stack. Span names are declared exactly once —
-//! as `pub const` strings in the `names` module of
+//! L7 `span-discipline`: span names are declared exactly once — as
+//! `pub const` strings in the `names` module of
 //! `crates/obs/src/trace.rs` — and every recording site refers to them
-//! through those constants. Two checks:
-//!
-//! 1. a string literal handed to a span sink (`span(…)`,
-//!    `root_span(…)`, `span_or_root(…)`, `wire_root_at(…)`,
-//!    `span_at(…)`) outside the declaring file is a violation: if the
-//!    text matches a declared name the site should use the constant,
-//!    and if it does not, the name is undeclared — either way the
-//!    trace schema has forked;
-//! 2. a declared span name no recording site ever references is dead
-//!    schema: the constant exists, dashboards may key on it, but no
-//!    trace will ever contain it.
+//! through those constants. A string literal handed to a span sink
+//! (`span(…)`, `root_span(…)`, `span_or_root(…)`, `wire_root_at(…)`,
+//! `span_at(…)`) outside the declaring file is a violation: if the text
+//! matches a declared name the site should use the constant, and if it
+//! does not, the name is undeclared — either way the trace schema has
+//! forked. That every declared name is recorded is a run-time fact, and
+//! the root package's `tests/telemetry.rs` holds it.
 
 use std::collections::BTreeMap;
 
@@ -37,16 +32,12 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
     let Some(trace) = ws.file(TRACE_RS) else {
         return; // no trace module, nothing to keep coherent
     };
-    let declared = declared_names(trace);
-    check_literal_sites(ws, &declared, out);
-    check_dead_names(ws, trace, &declared, out);
+    check_literal_sites(ws, &declared_names(trace), out);
 }
 
-/// `name string → (const ident, line)` for every
-/// `pub const IDENT: &str = "…"` in a schema module — shared with the
-/// counter-discipline analyzer, which applies the same declared-once
-/// rule to the `metric_names` module in the obs registry.
-pub(crate) fn declared_names(f: &SourceFile) -> BTreeMap<String, (String, u32)> {
+/// `name string → const ident` for every `pub const IDENT: &str = "…"`
+/// in the schema module.
+fn declared_names(f: &SourceFile) -> BTreeMap<String, String> {
     let tf = &f.tf;
     let n = tf.code.len();
     let mut out = BTreeMap::new();
@@ -64,18 +55,18 @@ pub(crate) fn declared_names(f: &SourceFile) -> BTreeMap<String, (String, u32)> 
         {
             out.insert(
                 str_contents(tf.ctext(ci + 6)).to_string(),
-                (tf.ctext(ci + 1).to_string(), tf.ctok(ci + 1).line),
+                tf.ctext(ci + 1).to_string(),
             );
         }
     }
     out
 }
 
-/// Check 1: string literals inside span-sink calls anywhere but the
-/// declaring file.
+/// String literals inside span-sink calls anywhere but the declaring
+/// file.
 fn check_literal_sites(
     ws: &Workspace,
-    declared: &BTreeMap<String, (String, u32)>,
+    declared: &BTreeMap<String, String>,
     out: &mut Vec<Finding>,
 ) {
     for f in &ws.files {
@@ -103,12 +94,12 @@ fn check_literal_sites(
                         .last()
                         .and_then(|c| c.as_deref())
                         .is_some_and(|c| SINKS.contains(&c));
-                    if !in_sink || f.waived("span-ok", t.line) {
+                    if !in_sink {
                         continue;
                     }
                     let name = str_contents(tf.ctext(ci));
                     let fix = match declared.get(name) {
-                        Some((ident, _)) => {
+                        Some(ident) => {
                             format!("use `stair_obs::trace::names::{ident}` instead")
                         }
                         None => format!(
@@ -123,42 +114,12 @@ fn check_literal_sites(
                         t.col,
                         format!(
                             "span recorded under a string literal `{name}` — names are declared \
-                             once in stair-obs; {fix} (waive with `// check: span-ok <reason>`)"
+                             once in stair-obs; {fix}"
                         ),
                     ));
                 }
                 _ => {}
             }
         }
-    }
-}
-
-/// Check 2: declared names never referenced by any file other than the
-/// declaring one.
-fn check_dead_names(
-    ws: &Workspace,
-    trace: &SourceFile,
-    declared: &BTreeMap<String, (String, u32)>,
-    out: &mut Vec<Finding>,
-) {
-    for (name, (ident, line)) in declared {
-        let used = ws
-            .files
-            .iter()
-            .any(|f| f.rel != TRACE_RS && (0..f.tf.code.len()).any(|ci| f.tf.is_ident(ci, ident)));
-        if used || trace.waived("span-ok", *line) {
-            continue;
-        }
-        out.push(Finding::new(
-            Lint::SpanDiscipline,
-            TRACE_RS,
-            *line,
-            1,
-            format!(
-                "declared span name `{name}` (`names::{ident}`) is never recorded anywhere; \
-                 delete it or instrument the path it was meant for (waive with \
-                 `// check: span-ok <reason>`)"
-            ),
-        ));
     }
 }

@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-/// The lints stair-check ships. The string forms are what `--list`,
-/// waiver comments and the JSON report use.
+/// The lints stair-check ships. The string forms are what `--list` and
+/// the report print.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
     /// Wire constants redeclared, the deleted compatibility machinery
@@ -11,39 +11,20 @@ pub enum Lint {
     /// backend's inherent copy of an admin method, or a codec crate's own
     /// error enum.
     WireConstants,
-    /// Declared-but-dead or mentioned-but-undeclared metrics.
-    CounterDiscipline,
-    /// Span names recorded outside the declared `stair-obs` set, or
-    /// declared span names nothing ever records.
+    /// Span names recorded under a string literal instead of a declared
+    /// `stair-obs` constant.
     SpanDiscipline,
 }
 
 /// Every lint, in reporting order.
-pub const ALL_LINTS: [Lint; 3] = [
-    Lint::WireConstants,
-    Lint::CounterDiscipline,
-    Lint::SpanDiscipline,
-];
+pub const ALL_LINTS: [Lint; 2] = [Lint::WireConstants, Lint::SpanDiscipline];
 
 impl Lint {
-    /// The stable string id (waivers, JSON).
+    /// The stable string id.
     pub fn id(self) -> &'static str {
         match self {
             Lint::WireConstants => "wire-constants",
-            Lint::CounterDiscipline => "counter-discipline",
             Lint::SpanDiscipline => "span-discipline",
-        }
-    }
-
-    /// The waiver keyword accepted in `// check: <key> <reason>`
-    /// comments, when the lint is waivable at a site.
-    pub fn waiver_key(self) -> Option<&'static str> {
-        match self {
-            Lint::CounterDiscipline => Some("metric-ok"),
-            Lint::SpanDiscipline => Some("span-ok"),
-            // Wire coherence is a workspace-level fact; a site comment
-            // cannot waive it.
-            Lint::WireConstants => None,
         }
     }
 
@@ -55,10 +36,9 @@ impl Lint {
                  opcode; a BlockDevice impl defines one data-path method; codecs return \
                  CodeError"
             }
-            Lint::CounterDiscipline => "every metric must be both produced and consumed somewhere",
             Lint::SpanDiscipline => {
-                "span names live in stair-obs `names`: record only declared names, declare only \
-                 recorded ones"
+                "span names live in stair-obs `names`: a recording site passes a declared \
+                 constant, never a string literal"
             }
         }
     }
@@ -81,7 +61,7 @@ pub struct Finding {
     pub line: u32,
     /// 1-based column (0 when not meaningful).
     pub col: u32,
-    /// Human explanation, including how to fix or waive.
+    /// Human explanation, including how to fix it.
     pub message: String,
 }
 
@@ -96,17 +76,4 @@ impl Finding {
             message,
         }
     }
-}
-
-/// A waiver comment found in source: `// check: <key> <reason>`.
-#[derive(Clone, Debug)]
-pub struct Waiver {
-    /// The waiver keyword (e.g. `metric-ok`).
-    pub key: String,
-    /// Justification text after the keyword.
-    pub reason: String,
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line the comment sits on.
-    pub line: u32,
 }

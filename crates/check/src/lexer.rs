@@ -4,7 +4,7 @@
 //! The workspace is offline (no registry access), so there is no
 //! `syn`/`proc-macro2` to lean on. The analyzers only need line- and
 //! token-level facts — "this `.lock()` call is followed by
-//! `.unwrap()`", "this string literal sits inside a `counter(…)`
+//! `.unwrap()`", "this string literal sits inside a `span(…)`
 //! call" — so a faithful *lexer* is enough; no parser is built on top.
 //!
 //! What it understands, because real source in this repo uses all of
@@ -119,12 +119,6 @@ impl TokenFile {
     /// `true` when code token `ci` exists and is the punct `s`.
     pub fn is_punct(&self, ci: usize, s: &str) -> bool {
         ci < self.code.len() && self.ctok(ci).kind == TokKind::Punct && self.ctext(ci) == s
-    }
-
-    /// The full line of text containing byte `at` (for messages and
-    /// fingerprints), without the trailing newline.
-    pub fn line_text(&self, line: u32) -> &str {
-        self.src.lines().nth(line as usize - 1).unwrap_or("")
     }
 }
 

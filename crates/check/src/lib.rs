@@ -1,5 +1,6 @@
-//! stair-check: a static analysis pass, with no registry dependency,
-//! for the cross-crate invariants that neither rustc nor clippy can see.
+//! stair-check: a static analysis pass, with no dependency at all, for
+//! the cross-crate invariants that neither rustc nor clippy nor a test
+//! can hold.
 //!
 //! A rule lives in the strongest thing that can hold it. Where `unsafe`
 //! may appear and which crates may not panic are compiler settings (the
@@ -13,16 +14,18 @@
 //! E0119. The journal's write ordering is module privacy: only
 //! `crates/store/src/device/persist.rs` can write a sector. README
 //! drift, a second timing harness and an unlinted manifest fail the root
-//! package's `tests/docs.rs`. An exhaustive `match`, a lookup table or a
-//! required `From` impl holds what a type can. What remains is here: the
-//! single-source wire constants, the `BlockDevice` trait shape and the
-//! one codec error (`wire-constants`), and the metric and span registries
-//! (`counter-discipline`, `span-discipline`). The tool is a hand-rolled
-//! lexer ([`lexer`]) feeding token-level analyzers ([`analyzers`]); a
-//! deliberate exception carries an inline `// check: <key> <reason>`
-//! waiver, collected into the report.
+//! package's `tests/docs.rs`; a metric README does not document, a
+//! documented metric nothing produces, a metric that never moves and a
+//! declared span name nothing records fail its `tests/telemetry.rs`. An
+//! exhaustive `match`, an exhaustive destructuring, a lookup table or a
+//! required `From` impl holds what a type can. What remains is here:
+//! the single-source wire constants, the `BlockDevice` trait shape and
+//! the one codec error (`wire-constants`), and span names recorded only
+//! through their declared constants (`span-discipline`). The tool is a
+//! hand-rolled lexer ([`lexer`]) feeding token-level analyzers
+//! ([`analyzers`]). Neither lint has exceptions.
 //!
-//! Driver: `cargo run -p stair-check -- [--json] <workspace-root>`.
+//! Driver: `cargo run -p stair-check -- <workspace-root>`.
 
 pub mod analyzers;
 pub mod findings;
@@ -31,16 +34,13 @@ pub mod workspace;
 
 use std::path::Path;
 
-use findings::{Finding, Waiver};
-use stair_obs::json::Json;
+use findings::Finding;
 use workspace::Workspace;
 
 /// The outcome of a run.
 pub struct Report {
     /// Every finding; any one fails the build.
     pub findings: Vec<Finding>,
-    /// Every waiver comment in the workspace (the audit trail).
-    pub waivers: Vec<Waiver>,
     /// How many source files were scanned.
     pub files_scanned: usize,
 }
@@ -55,45 +55,6 @@ impl Report {
         }
     }
 
-    /// The machine-readable report, one line (schema documented in
-    /// EXPERIMENTS.md).
-    pub fn to_json(&self) -> String {
-        let num = |v: u32| Json::int64(u64::from(v));
-        let findings = self.findings.iter().map(|f| {
-            Json::obj([
-                ("lint", Json::str(f.lint.id())),
-                ("severity", Json::str("error")),
-                ("file", Json::str(f.file.clone())),
-                ("line", num(f.line)),
-                ("col", num(f.col)),
-                ("message", Json::str(f.message.clone())),
-            ])
-        });
-        let waivers = self.waivers.iter().map(|w| {
-            Json::obj([
-                ("key", Json::str(w.key.clone())),
-                ("file", Json::str(w.file.clone())),
-                ("line", num(w.line)),
-                ("reason", Json::str(w.reason.clone())),
-            ])
-        });
-        Json::obj([
-            ("tool", Json::str("stair-check")),
-            ("schema_version", Json::int(2)),
-            ("files_scanned", Json::int(self.files_scanned)),
-            ("findings", Json::arr(findings)),
-            ("waivers", Json::arr(waivers)),
-            (
-                "summary",
-                Json::obj([
-                    ("active", Json::int(self.findings.len())),
-                    ("waivers", Json::int(self.waivers.len())),
-                ]),
-            ),
-        ])
-        .to_text()
-    }
-
     /// The human-readable report.
     pub fn render_human(&self) -> String {
         let mut s = String::new();
@@ -104,10 +65,9 @@ impl Report {
             ));
         }
         s.push_str(&format!(
-            "stair-check: {} file(s) scanned, {} finding(s), {} waiver(s)\n",
+            "stair-check: {} file(s) scanned, {} finding(s)\n",
             self.files_scanned,
-            self.findings.len(),
-            self.waivers.len()
+            self.findings.len()
         ));
         s
     }
@@ -126,13 +86,8 @@ pub fn run(root: &Path) -> Result<Report, String> {
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.lint).cmp(&(b.file.as_str(), b.line, b.col, b.lint))
     });
-
-    let mut waivers: Vec<Waiver> = ws.files.iter().flat_map(|f| f.waivers.clone()).collect();
-    waivers.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
-
     Ok(Report {
         findings,
-        waivers,
         files_scanned: ws.files.len(),
     })
 }
@@ -142,17 +97,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_report_is_clean_and_valid_json() {
+    fn empty_report_is_clean() {
         let r = Report {
             findings: vec![],
-            waivers: vec![],
             files_scanned: 3,
         };
         assert_eq!(r.exit_code(), 0);
         assert_eq!(
-            r.to_json(),
-            "{\"tool\":\"stair-check\",\"schema_version\":2,\"files_scanned\":3,\
-             \"findings\":[],\"waivers\":[],\"summary\":{\"active\":0,\"waivers\":0}}\n"
+            r.render_human(),
+            "stair-check: 3 file(s) scanned, 0 finding(s)\n"
         );
     }
 }

@@ -1,6 +1,6 @@
 //! The stair-check driver binary.
 //!
-//! Usage: `stair-check [--json] [--list] [<workspace-root>]`
+//! Usage: `stair-check [--list] [<workspace-root>]`
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
@@ -17,24 +17,17 @@ USAGE:
     stair-check [OPTIONS] [<workspace-root>]   (default root: .)
 
 OPTIONS:
-    --json               machine-readable output (schema in EXPERIMENTS.md)
     --list               list lints and exit
     -h, --help           this text
 ";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json = false;
     for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--json" => json = true,
             "--list" => {
                 for l in ALL_LINTS {
-                    let waive = l
-                        .waiver_key()
-                        .map(|k| format!("// check: {k} <reason>"))
-                        .unwrap_or_else(|| "not waivable".into());
-                    println!("{:<20} {:<72} waiver: {waive}", l.id(), l.describe());
+                    println!("{:<20} {}", l.id(), l.describe());
                 }
                 return ExitCode::SUCCESS;
             }
@@ -55,11 +48,7 @@ fn main() -> ExitCode {
     }
     match run(&root.unwrap_or_else(|| PathBuf::from("."))) {
         Ok(report) => {
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                print!("{}", report.render_human());
-            }
+            print!("{}", report.render_human());
             ExitCode::from(report.exit_code() as u8)
         }
         Err(msg) => {

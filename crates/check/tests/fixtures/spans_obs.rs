@@ -1,13 +1,12 @@
 // Fixture: the span-name schema as stair-obs declares it — a `names`
-// module of string constants. `DEAD_SPAN` is declared but nothing in
-// the fixture workspace records it.
+// module of string constants.
 pub mod names {
     /// A span every fixture records.
     pub const LIVE_SPAN: &str = "fix.live";
-    /// Declared, never recorded anywhere.
-    pub const DEAD_SPAN: &str = "fix.dead";
+    /// A second declared name.
+    pub const OTHER_SPAN: &str = "fix.other";
     /// All declared names.
-    pub const ALL: &[&str] = &[LIVE_SPAN, DEAD_SPAN];
+    pub const ALL: &[&str] = &[LIVE_SPAN, OTHER_SPAN];
 }
 
 pub fn span(_name: &str) {}

@@ -4,7 +4,7 @@
 //! module covers the one direction the tooling needs: building a value
 //! and rendering it as spec-compliant JSON text (string escaping,
 //! `null` for non-finite floats). Shared by every `stair dev … --json`
-//! report, `chaos_kill9`'s and `stair-check`'s.
+//! report and `chaos_kill9`'s.
 
 use std::fmt;
 

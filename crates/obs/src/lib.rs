@@ -19,7 +19,7 @@
 //!   one report, and serialize trivially: the wire encoding lives with
 //!   the protocol, and [`json::metrics_json`] is the one JSON shape.
 //! * **[`json`]** — the workspace's one JSON writer, behind every
-//!   `--json` report (the CLI's, `chaos_kill9`'s and `stair-check`'s).
+//!   `--json` report (the CLI's and `chaos_kill9`'s).
 //! * **[`sync`]** — the workspace's one way to take a `Mutex` or
 //!   `RwLock`: poison is adopted, never unwrapped (clippy holds every
 //!   other crate to it).

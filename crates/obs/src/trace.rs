@@ -24,9 +24,11 @@
 //! The hot-path cost when disabled is one relaxed atomic load per
 //! would-be root and one thread-local peek per would-be child.
 //!
-//! Every span name must be one of the constants in [`names`] — the
+//! Every span name must be one of the constants in [`names`]: the
 //! `span-discipline` lint in `stair-check` enforces that no name
-//! literal appears at a recording site outside this crate.
+//! literal appears at a recording site outside this crate, and the root
+//! package's `tests/telemetry.rs` that a traced session records every
+//! one.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -41,7 +43,10 @@ use crate::sync::lock;
 /// Each constant is the single source of truth for one span name;
 /// recording sites reference these (never string literals — enforced
 /// by the `span-discipline` lint), so a typo cannot silently split a
-/// span family in two.
+/// span family in two. A traced session records every one
+/// (`tests/telemetry.rs`), except [`BENCH_SUBMIT`](names::BENCH_SUBMIT),
+/// which only `benchmark/` records; there the test checks that
+/// `benchmark/src` references it.
 pub mod names {
     /// Client submission of any list but a lone op (root on the client
     /// side).
@@ -57,7 +62,7 @@ pub mod names {
     /// One server-side request (root on the server side; its parent is
     /// the client span that sent the frame).
     pub const SRV_REQUEST: &str = "srv.request";
-    /// Time a request sat in the worker queue before a worker took it.
+    /// Time a request spent in the wait for an execution permit.
     pub const SRV_QUEUE: &str = "srv.queue";
     /// Executing the request body against the shard set.
     pub const SRV_EXEC: &str = "srv.exec";
@@ -89,7 +94,6 @@ pub mod names {
     /// `Instrumented` device repair.
     pub const DEV_REPAIR: &str = "dev.repair";
     /// One timed submission in `benchmark/`'s load engine.
-    // check: span-ok recorded by benchmark/src/{engine,ladder}.rs, a package outside the workspace scan
     pub const BENCH_SUBMIT: &str = "bench.submit";
     /// Appending (and fsyncing) one intent record to the stripe journal.
     pub const JRNL_APPEND: &str = "jrnl.append";
@@ -100,8 +104,8 @@ pub mod names {
     /// Draining the write-back buffer as one coalesced batch.
     pub const WB_FLUSH: &str = "wb.flush";
 
-    /// Every declared span name (the lint checks recording sites
-    /// against this set, and the TRACE consumers can validate names).
+    /// Every declared span name (the TRACE consumers validate names
+    /// against it, and `tests/telemetry.rs` checks each is recorded).
     pub const ALL: &[&str] = &[
         CLIENT_SUBMIT,
         CLIENT_READ,

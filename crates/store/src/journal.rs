@@ -567,7 +567,9 @@ impl Journal {
         window: usize,
         mut apply: impl FnMut(&ReplayRecord<'_>) -> Result<(), Error>,
     ) -> Result<u64, Error> {
-        let _span = stair_obs::trace::span(stair_obs::trace::names::JRNL_REPLAY);
+        // Replay runs at open, where no span is current: with tracing on
+        // it is a trace of its own.
+        let _span = stair_obs::trace::span_or_root(stair_obs::trace::names::JRNL_REPLAY);
         let end = {
             let inner = lock(&self.inner);
             let written = self.len_at_open.max(inner.used);

@@ -545,45 +545,43 @@ impl StripeStore {
         }
     }
 
-    /// This store's [`IoStats`] and scrub/repair progress folded into a
-    /// metrics snapshot under `store.*` names — the per-instance half of
+    /// This store's [`IoStats`], scrub/repair progress and journal
+    /// counts folded into a metrics snapshot under `store.*` names — the per-instance half of
     /// [`BlockDevice::metrics`](stair_device::BlockDevice::metrics)
     /// (process-global GF kernel counters are added once by the caller,
     /// via [`gf_metrics`](crate::gf_metrics), so aggregating several
     /// stores does not multiply them).
     pub fn store_metrics(&self) -> stair_obs::MetricsSnapshot {
-        let stats = self.io_stats();
-        let c = &self.shared.counters;
+        // No `..`: a counter added without a metric name is E0027 here.
+        let Counters {
+            stripe_locks,
+            encode_passes,
+            delta_update_calls,
+            recover_passes,
+            scrub_stripes_done,
+            repair_stripes_done,
+            journal_replayed,
+        } = &self.shared.counters;
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let (devices, journal) = (&self.shared.devices, &self.shared.journal);
         let mut snap = stair_obs::MetricsSnapshot::default();
-        snap.add_counter("store.stripe_locks", stats.stripe_locks);
-        snap.add_counter("store.encode_passes", stats.encode_passes);
-        snap.add_counter("store.delta_update_calls", stats.delta_update_calls);
-        snap.add_counter("store.recover_passes", stats.recover_passes);
-        snap.add_counter("store.sector_reads", stats.sector_reads);
-        snap.add_counter("store.sector_writes", stats.sector_writes);
-        snap.add_counter("store.write_runs", stats.write_runs);
-        snap.add_gauge(
-            "store.scrub.stripes_done",
-            c.scrub_stripes_done.load(Ordering::Relaxed) as i64,
-        );
+        snap.add_counter("store.stripe_locks", load(stripe_locks));
+        snap.add_counter("store.encode_passes", load(encode_passes));
+        snap.add_counter("store.delta_update_calls", load(delta_update_calls));
+        snap.add_counter("store.recover_passes", load(recover_passes));
+        snap.add_counter("store.sector_reads", devices.sector_reads());
+        snap.add_counter("store.sector_writes", devices.sector_writes());
+        snap.add_counter("store.write_runs", devices.write_runs());
+        snap.add_gauge("store.scrub.stripes_done", load(scrub_stripes_done) as i64);
         snap.add_gauge(
             "store.repair.stripes_done",
-            c.repair_stripes_done.load(Ordering::Relaxed) as i64,
+            load(repair_stripes_done) as i64,
         );
         snap.add_gauge("store.stripes", self.stripe_count() as i64);
-        snap.add_counter("store.jrnl.appends", self.shared.journal.append_count());
-        snap.add_counter(
-            "store.jrnl.checkpoints",
-            self.shared.journal.checkpoint_count(),
-        );
-        snap.add_counter(
-            "store.jrnl.replayed",
-            c.journal_replayed.load(Ordering::Relaxed),
-        );
-        snap.add_gauge(
-            "store.jrnl.used_bytes",
-            self.shared.journal.used_bytes() as i64,
-        );
+        snap.add_counter("store.jrnl.appends", journal.append_count());
+        snap.add_counter("store.jrnl.checkpoints", journal.checkpoint_count());
+        snap.add_counter("store.jrnl.replayed", load(journal_replayed));
+        snap.add_gauge("store.jrnl.used_bytes", journal.used_bytes() as i64);
         snap
     }
 
