@@ -184,9 +184,9 @@ impl<'a> OpRef<'a> {
     }
 
     /// The zeroed result slot an executor fills in for this op: a
-    /// buffer of the read's length, or an empty write outcome. Every
-    /// executor seeds with this, so result slots and ops can never
-    /// disagree on kind.
+    /// buffer of the read's length, or an empty write outcome. An
+    /// executor that reads into its result buffers seeds with this, so
+    /// result slots and ops can never disagree on kind.
     pub fn seed(&self) -> OpResult {
         match self {
             OpRef::Read { len, .. } => OpResult::Read(vec![0u8; *len]),

@@ -16,7 +16,8 @@
 //!   and AVX-512F, AVX2 `PSHUFB` over the SPLIT tables where it has AVX2
 //!   (chosen at run time, no switch), and the scalar loop everywhere else;
 //! * [`fletcher32`], the workspace's one checksum, tiered the same way
-//!   (AVX-512BW, AVX2, portable);
+//!   (AVX-512BW, AVX2, portable), and [`Fletcher32`], the same sum over
+//!   data that arrives in pieces;
 //! * [`gf8_tier`] and [`fletcher32_tier`], naming the tier each kernel runs
 //!   on this CPU;
 //! * global [`counters`] tracking how many `Mult_XOR` operations were
@@ -67,7 +68,7 @@ mod simd;
 mod tables;
 
 pub use field::Field;
-pub use fletcher::fletcher32;
+pub use fletcher::{fletcher32, Fletcher32};
 pub use gf16::Gf16;
 pub use gf8::Gf8;
 pub use simd::{fletcher32_tier, gf8_tier};

@@ -48,8 +48,9 @@ use crate::gf8::scalar_from;
 /// Panics unless every source is as long as `dst`.
 pub(crate) type Kernel = fn(dst: &mut [u8], srcs: &[(&[u8], u8)], xor: bool);
 
-/// A Fletcher-32 implementation.
-pub(crate) type Checksum = fn(data: &[u8]) -> u32;
+/// A Fletcher-32 implementation: the state after `data`, from `state`
+/// (`(sum2 << 16) | sum1`; [`crate::fletcher::SEED`] to start).
+pub(crate) type Checksum = fn(state: u32, data: &[u8]) -> u32;
 
 /// One implementation of a byte kernel: its name, whether this CPU can run
 /// it, and the kernel itself (which panics where it is not supported).
@@ -87,9 +88,9 @@ pub(crate) fn combine(dst: &mut [u8], srcs: &[(&[u8], u8)], xor: bool) {
     dispatch(TIERS).map_or(scalar as Kernel, |&(_, _, run)| run)(dst, srcs, xor)
 }
 
-/// Runs the fastest supported Fletcher-32 tier.
-pub(crate) fn fletcher32(data: &[u8]) -> u32 {
-    dispatch(FLETCHER_TIERS).map_or(portable as Checksum, |&(_, _, run)| run)(data)
+/// Runs the fastest supported Fletcher-32 tier from `state`.
+pub(crate) fn fletcher32(state: u32, data: &[u8]) -> u32 {
+    dispatch(FLETCHER_TIERS).map_or(portable as Checksum, |&(_, _, run)| run)(state, data)
 }
 
 /// The GF(2^8) region-kernel tier this CPU runs: `"gfni"`, `"avx2"` or
@@ -309,33 +310,33 @@ mod fletcher {
         is_x86_feature_detected!("avx512bw")
     }
 
-    pub(super) fn avx512bw(data: &[u8]) -> u32 {
+    pub(super) fn avx512bw(state: u32, data: &[u8]) -> u32 {
         assert!(
             avx512bw_supported(),
             "the avx512bw tier needs an AVX-512BW CPU"
         );
         // SAFETY: `wide` requires AVX-512BW, which the assert above just saw.
-        unsafe { wide(data) }
+        unsafe { wide(state, data) }
     }
 
     #[target_feature(enable = "avx512bw")]
-    fn wide(data: &[u8]) -> u32 {
-        portable(data)
+    fn wide(state: u32, data: &[u8]) -> u32 {
+        portable(state, data)
     }
 
     pub(super) fn avx2_supported() -> bool {
         is_x86_feature_detected!("avx2")
     }
 
-    pub(super) fn avx2(data: &[u8]) -> u32 {
+    pub(super) fn avx2(state: u32, data: &[u8]) -> u32 {
         assert!(avx2_supported(), "the avx2 tier needs an AVX2 CPU");
         // SAFETY: `narrow` requires AVX2, which the assert above just saw.
-        unsafe { narrow(data) }
+        unsafe { narrow(state, data) }
     }
 
     #[target_feature(enable = "avx2")]
-    fn narrow(data: &[u8]) -> u32 {
-        portable(data)
+    fn narrow(state: u32, data: &[u8]) -> u32 {
+        portable(state, data)
     }
 }
 

@@ -16,6 +16,13 @@
 //! before it is trusted, and server-reported failures are normalized by
 //! one shared helper ([`ok_or_remote`]).
 //!
+//! **Copies**: a write's bytes go from the caller's slice to the socket
+//! in the request's vectored write, and a read's bytes from the socket
+//! into the `Vec` the reply decoder returns. That `Vec` is the result
+//! the caller gets when it covers its op's whole span; only an op cut
+//! across frames (or shards, under [`StripedClient`]) is assembled into
+//! a buffer of its own ([`stitch`]).
+//!
 //! This file holds the connection, the data path and the two calls no
 //! trait has (TRACE pull, SHUTDOWN). Status, flush, scrub, repair,
 //! metrics and fault injection are the clients' `BlockDevice`/
@@ -27,9 +34,10 @@
 //! redials transparently; *idempotent* requests additionally retry once
 //! after reconnecting, so a server restart or dropped socket between
 //! ops is invisible to the caller. That includes every read **and
-//! write**: a BATCH frame carries a client-chosen batch id that is
-//! reissued unchanged on the retry, and re-applying writes is safe
-//! because ops are absolute post-images the server's stores journal.
+//! write**: a BATCH frame carries a client-chosen batch id, minted once
+//! per frame before the first send, so the retry writes the same bytes
+//! under the same id; re-applying writes is safe because ops are
+//! absolute post-images the server's stores journal.
 //! Only fault injection and shutdown never auto-retry.
 //!
 //! The connection lives behind a [`Mutex`], so every method takes
@@ -48,10 +56,10 @@ use stair_obs::sync::lock;
 use stair_obs::trace::{self, names};
 use stair_obs::TraceRecord;
 
-use crate::device_impl::stitch;
+use crate::device_impl::{slots, stitch};
 use crate::protocol::{
-    encode_batch, ok_or_remote, read_response, write_frame, write_request_traced, Opcode, Request,
-    Response, ServerInfo, MAX_BATCH_OPS, MAX_IO_BYTES, PROTOCOL_VERSION,
+    ok_or_remote, read_response, write_request, Request, Response, ServerInfo, MAX_BATCH_OPS,
+    MAX_IO_BYTES, PROTOCOL_VERSION,
 };
 use crate::NetError;
 
@@ -73,9 +81,9 @@ impl Conn {
     }
 
     /// One request, one response.
-    fn call(&mut self, req: &Request) -> Result<Response, NetError> {
+    fn call(&mut self, req: &Request<'_>) -> Result<Response, NetError> {
         let id = self.next_id();
-        write_request_traced(&mut self.stream, id, req, trace::current())?;
+        write_request(&mut self.stream, id, req, trace::current())?;
         self.response_to(id)
     }
 
@@ -91,16 +99,19 @@ impl Conn {
         ok_or_remote(resp)
     }
 
-    /// Sends `frames` as BATCH requests, each answered before the next
-    /// goes out, folding each response into `results`. The first
-    /// failure stops the transfer with nothing left in flight, so the
-    /// connection stays usable.
-    fn send_frames(&mut self, frames: &[Frame], results: &mut [OpResult]) -> Result<(), NetError> {
+    /// Sends `frames` of `ops` as BATCH requests, each answered before
+    /// the next goes out, folding each response into `results`. The
+    /// first failure stops the transfer with nothing left in flight, so
+    /// the connection stays usable.
+    fn send_frames(
+        &mut self,
+        ops: &[OpRef<'_>],
+        frames: &[Frame<'_>],
+        results: &mut [OpResult],
+    ) -> Result<(), NetError> {
         for frame in frames {
-            let (id, ctx) = (self.next_id(), trace::current());
-            write_frame(&mut self.stream, id, Opcode::Batch, ctx, &frame.payload)?;
-            match self.response_to(id)? {
-                Response::Batched(sub) => stitch(results, &frame.map, sub)?,
+            match self.call(&frame.req)? {
+                Response::Batched(sub) => stitch(ops, results, &frame.map, sub)?,
                 other => return Err(unexpected("BATCH", &other)),
             }
         }
@@ -201,9 +212,9 @@ impl Client {
     /// The one data path: every op of `ops` travels in one BATCH frame
     /// (several frames only past the per-request caps), so N small ops
     /// cost one round trip instead of N. Every submission is retryable
-    /// — each frame's bytes (batch id included) are encoded once,
-    /// before any send, so a retry over a fresh connection reissues
-    /// them verbatim and the server can recognise the redelivery.
+    /// — each frame's ops and batch id are fixed before any send, so a
+    /// retry over a fresh connection writes the same bytes and the
+    /// server can recognise the redelivery.
     ///
     /// # Errors
     ///
@@ -221,18 +232,15 @@ impl Client {
         };
         let mut op = trace::span_or_root(span);
         op.set_bytes(ops.iter().map(|op| op.byte_len() as u64).sum());
-        let frames = {
-            let _enc = trace::span(names::CLIENT_ENCODE);
-            batch_frames(ops)
-        };
+        let frames = batch_frames(ops);
         // Conflicting ops take effect in submission order: within one
         // frame the server's planner guarantees it, and frames complete
         // one after another.
         self.with_conn(true, |conn| {
             // Seeded per attempt: a retry must not fold write outcomes
             // on top of what the failed attempt's frames reported.
-            let mut results: Vec<OpResult> = ops.iter().map(OpRef::seed).collect();
-            conn.send_frames(&frames, &mut results)?;
+            let mut results = slots(ops);
+            conn.send_frames(ops, &frames, &mut results)?;
             Ok(results)
         })
         .inspect_err(|_| op.fail())
@@ -271,7 +279,7 @@ impl Client {
     pub(crate) fn call<T>(
         &self,
         idempotent: bool,
-        req: &Request,
+        req: &Request<'_>,
         pick: impl FnOnce(Response) -> Result<T, Response>,
     ) -> Result<T, NetError> {
         let resp = self.with_conn(idempotent, |conn| conn.call(req))?;
@@ -295,7 +303,7 @@ fn dial(addr: &str) -> Result<(Conn, ServerInfo), NetError> {
     let hello = Request::Hello {
         version: PROTOCOL_VERSION,
     };
-    write_request_traced(&mut conn.stream, id, &hello, None)?;
+    write_request(&mut conn.stream, id, &hello, None)?;
     match conn.response_to(id)? {
         Response::Hello(info) if info.version == PROTOCOL_VERSION => Ok((conn, info)),
         Response::Hello(info) => Err(NetError::Version {
@@ -306,11 +314,12 @@ fn dial(addr: &str) -> Result<(Conn, ServerInfo), NetError> {
     }
 }
 
-/// One wire frame's worth of batch ops — already encoded, so a retry
-/// resends the same bytes under the same batch id — plus the map that
-/// stitches its replies back into the caller's result slots.
-struct Frame {
-    payload: Vec<u8>,
+/// One wire frame's worth of batch ops — views of the caller's ops under
+/// a batch id minted once, so a retry resends the same bytes under the
+/// same id — plus the map that stitches its replies back into the
+/// caller's result slots.
+struct Frame<'a> {
+    req: Request<'a>,
     map: StitchMap,
 }
 
@@ -319,19 +328,21 @@ struct Frame {
 /// [`MAX_IO_BYTES`] byte budget — mirroring what the server's decoder
 /// enforces. Small batches (the common case) land in exactly one
 /// frame, i.e. one round trip.
-fn batch_frames(ops: &[OpRef<'_>]) -> Vec<Frame> {
+fn batch_frames<'a>(ops: &[OpRef<'a>]) -> Vec<Frame<'a>> {
     let cap = MAX_IO_BYTES as usize;
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut cur: Vec<OpRef<'_>> = Vec::new();
+    let mut frames: Vec<Frame<'a>> = Vec::new();
+    let mut cur: Vec<OpRef<'a>> = Vec::new();
     let mut map = StitchMap::new();
     let mut budget = 0usize;
-    let mut seal = |cur: &mut Vec<OpRef<'_>>, map: &mut StitchMap| {
+    let mut seal = |cur: &mut Vec<OpRef<'a>>, map: &mut StitchMap| {
         if !cur.is_empty() {
             frames.push(Frame {
-                payload: encode_batch(next_batch_id(), cur),
+                req: Request::Batch {
+                    batch_id: next_batch_id(),
+                    ops: std::mem::take(cur),
+                },
                 map: std::mem::take(map),
             });
-            cur.clear();
         }
     };
     for (i, op) in ops.iter().enumerate() {
@@ -456,14 +467,12 @@ mod tests {
         assert_send_sync::<StripedClient>();
     }
 
-    /// Decodes a frame's payload back into owned ops.
-    fn frame_ops(frame: &Frame) -> Vec<stair_device::IoOp> {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, 1, Opcode::Batch, None, &frame.payload).unwrap();
-        match crate::protocol::read_request(&mut wire.as_slice()).unwrap() {
-            (_, Request::Batch { batch_id, ops }) => {
-                assert_ne!(batch_id, 0, "every frame carries a minted batch id");
-                ops
+    /// A frame's ops, as they go on the wire.
+    fn frame_ops<'a>(frame: &Frame<'a>) -> Vec<OpRef<'a>> {
+        match &frame.req {
+            Request::Batch { batch_id, ops } => {
+                assert_ne!(*batch_id, 0, "every frame carries a minted batch id");
+                ops.clone()
             }
             other => panic!("expected a BATCH frame, got {other:?}"),
         }
@@ -481,13 +490,12 @@ mod tests {
             .collect();
         let frames = batch_frames(&ops);
         assert_eq!(frames.len(), 1);
-        assert_eq!(frame_ops(&frames[0]).len(), 64);
+        assert_eq!(frame_ops(&frames[0]), ops);
         assert_eq!(frames[0].map[63], (63, 0));
     }
 
     #[test]
     fn oversize_ops_and_budgets_split_frames() {
-        use stair_device::IoOp;
         // One op bigger than the per-request cap fragments, and the
         // fragments spill across frames.
         let big = MAX_IO_BYTES as usize + 10;
@@ -498,14 +506,14 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert_eq!(
             frame_ops(&frames[0]),
-            [IoOp::Read {
+            [OpRef::Read {
                 offset: 0,
                 len: MAX_IO_BYTES as usize
             }]
         );
         assert_eq!(
             frame_ops(&frames[1]),
-            [IoOp::Read {
+            [OpRef::Read {
                 offset: MAX_IO_BYTES as u64,
                 len: 10
             }]
@@ -529,7 +537,7 @@ mod tests {
         // Zero-length ops still travel (and get a reply slot).
         let frames = batch_frames(&[OpRef::Read { offset: 5, len: 0 }]);
         assert_eq!(frames.len(), 1);
-        assert_eq!(frame_ops(&frames[0]), [IoOp::Read { offset: 5, len: 0 }]);
+        assert_eq!(frame_ops(&frames[0]), [OpRef::Read { offset: 5, len: 0 }]);
 
         // A written op past the cap is cut at the cap, bytes intact.
         let data: Vec<u8> = (0..big).map(|i| i as u8).collect();
@@ -540,9 +548,9 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert_eq!(
             frame_ops(&frames[1]),
-            [IoOp::Write {
+            [OpRef::Write {
                 offset: 7 + MAX_IO_BYTES as u64,
-                data: data[MAX_IO_BYTES as usize..].to_vec()
+                data: &data[MAX_IO_BYTES as usize..]
             }]
         );
     }

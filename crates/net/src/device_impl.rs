@@ -11,7 +11,7 @@
 
 use stair_device::{
     BlockDevice, DeviceError, DeviceSpec, DeviceStatus, FaultAdmin, OpRef, OpResult, RepairOutcome,
-    ScrubOutcome,
+    ScrubOutcome, WriteOutcome,
 };
 use stair_obs::MetricsSnapshot;
 use stair_store::{gf_metrics, repair_outcome, scrub_outcome, StripeStore};
@@ -76,10 +76,25 @@ pub fn open_admin(spec: &DeviceSpec) -> Result<Box<dyn stair_device::AdminDevice
     })
 }
 
-/// Stitches one sub-batch's results back into the global result slots:
-/// `map[j]` names the global op and the byte offset sub-op `j` covers.
-/// Read bytes are copied into place; write outcomes fold additively.
+/// The result slots [`stitch`] fills for `ops`: reads with no bytes yet
+/// (a whole reply is moved in, fragments are assembled), write outcomes
+/// at zero. Unlike [`OpRef::seed`], no read buffer is allocated up front.
+pub(crate) fn slots(ops: &[OpRef<'_>]) -> Vec<OpResult> {
+    ops.iter()
+        .map(|op| match op {
+            OpRef::Read { .. } => OpResult::Read(Vec::new()),
+            OpRef::Write { .. } => OpResult::Write(WriteOutcome::default()),
+        })
+        .collect()
+}
+
+/// Stitches one sub-batch's results back into the global result slots
+/// of `ops`: `map[j]` names the global op and the byte offset sub-op `j`
+/// covers. A read reply that covers its op's whole span is moved into
+/// the slot; only an op cut into fragments gets a buffer of its own,
+/// assembled from them. Write outcomes fold additively.
 pub(crate) fn stitch(
+    ops: &[OpRef<'_>],
     results: &mut [OpResult],
     map: &[(usize, usize)],
     sub: Vec<OpResult>,
@@ -92,16 +107,21 @@ pub(crate) fn stitch(
         )));
     }
     for (reply, &(op_idx, span_off)) in sub.into_iter().zip(map) {
+        let whole = ops[op_idx].byte_len();
         match (reply, &mut results[op_idx]) {
             (OpResult::Read(data), OpResult::Read(out)) => {
                 let end = span_off + data.len();
-                if end > out.len() {
+                if end > whole {
                     return Err(NetError::Protocol(format!(
-                        "batch read fragment [{span_off}, {end}) exceeds the op's {} bytes",
-                        out.len()
+                        "batch read fragment [{span_off}, {end}) exceeds the op's {whole} bytes"
                     )));
                 }
-                out[span_off..end].copy_from_slice(&data);
+                if data.len() == whole {
+                    *out = data;
+                } else {
+                    out.resize(whole, 0);
+                    out[span_off..end].copy_from_slice(&data);
+                }
             }
             (OpResult::Write(w), OpResult::Write(total)) => total.absorb(&w),
             _ => {
@@ -353,5 +373,85 @@ impl FaultAdmin for StripedClient {
     ) -> Result<(), DeviceError> {
         self.lane0()
             .corrupt_sectors(shard, device, stripe, row, len)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_whole_reply_is_moved_and_fragments_are_assembled() {
+        let ops = [
+            OpRef::Read { offset: 0, len: 6 },
+            OpRef::Read { offset: 90, len: 5 },
+            OpRef::Read { offset: 50, len: 0 },
+            OpRef::Write {
+                offset: 7,
+                data: &[1, 2, 3],
+            },
+        ];
+        let mut results = slots(&ops);
+        // Op 0 whole in one reply: its buffer becomes the result.
+        let whole = vec![7u8; 6];
+        let at = whole.as_ptr();
+        // Op 1 in two fragments from two sub-batches, tail first.
+        let first = vec![
+            OpResult::Read(whole),
+            OpResult::Read(vec![4, 5]),
+            OpResult::Read(Vec::new()),
+            OpResult::Write(WriteOutcome {
+                bytes: 3,
+                ..WriteOutcome::default()
+            }),
+        ];
+        stitch(&ops, &mut results, &[(0, 0), (1, 3), (2, 0), (3, 0)], first).unwrap();
+        stitch(
+            &ops,
+            &mut results,
+            &[(1, 0)],
+            vec![OpResult::Read(vec![1, 2, 3])],
+        )
+        .unwrap();
+        let OpResult::Read(got) = &results[0] else {
+            panic!("op 0 is a read")
+        };
+        assert_eq!(got.as_ptr(), at, "a whole reply keeps its allocation");
+        assert_eq!(results[1], OpResult::Read(vec![1, 2, 3, 4, 5]));
+        assert_eq!(results[2], OpResult::Read(Vec::new()));
+        assert_eq!(
+            results[3],
+            OpResult::Write(WriteOutcome {
+                bytes: 3,
+                ..WriteOutcome::default()
+            })
+        );
+    }
+
+    #[test]
+    fn an_overrunning_fragment_is_a_protocol_error() {
+        let ops = [OpRef::Read { offset: 0, len: 4 }];
+        for (span_off, len) in [(0, 5), (3, 2), (4, 1)] {
+            let mut results = slots(&ops);
+            let sub = vec![OpResult::Read(vec![0; len])];
+            assert!(
+                matches!(
+                    stitch(&ops, &mut results, &[(0, span_off)], sub),
+                    Err(NetError::Protocol(_))
+                ),
+                "{len} bytes at {span_off}"
+            );
+        }
+        // A reply of the wrong kind or count is refused too.
+        let mut results = slots(&ops);
+        let write = vec![OpResult::Write(WriteOutcome::default())];
+        assert!(matches!(
+            stitch(&ops, &mut results, &[(0, 0)], write),
+            Err(NetError::Protocol(_))
+        ));
+        assert!(matches!(
+            stitch(&ops, &mut results, &[(0, 0)], Vec::new()),
+            Err(NetError::Protocol(_))
+        ));
     }
 }

@@ -234,9 +234,9 @@ pub(crate) fn run_groups<E: Into<NetError> + Send>(
                 .collect()
         })
     };
-    let mut results: Vec<OpResult> = ops.iter().map(OpRef::seed).collect();
+    let mut results = crate::device_impl::slots(ops);
     for (g, sub) in groups.iter().zip(subs) {
-        crate::device_impl::stitch(&mut results, &g.map, sub.map_err(Into::into)?)?;
+        crate::device_impl::stitch(ops, &mut results, &g.map, sub.map_err(Into::into)?)?;
     }
     Ok(results)
 }

@@ -41,12 +41,25 @@
 //! server-side; journal replay makes re-application safe) followed by
 //! the ops, answered by one checksummed response with a reply per op. A
 //! lone `read_at`/`write_at` is a one-op batch.
+//!
+//! # One copy per side
+//!
+//! Data bytes are copied once on each side of the socket. A request
+//! goes out as header, op fields and the caller's own write slices in
+//! one vectored write ([`write_request`]); the server reads the frame
+//! into a buffer its connection keeps and decodes the ops as
+//! [`OpRef`] views into it ([`read_request`]). A reply goes out as
+//! header, result fields and the results' own buffers in one vectored
+//! write, its checksum summed over those pieces ([`write_response`]);
+//! the client parses it off the socket through a small buffer, each
+//! read's bytes landing in the `Vec` it returns, and checks the sum
+//! before it returns anything ([`read_response`]).
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, BufReader, IoSlice, Read, Write};
 
 use stair_code::CodecSpec;
-use stair_device::{IoOp, OpRef, OpResult, RepairOutcome, ScrubOutcome, ShardHealth, WriteOutcome};
-use stair_gf::fletcher32;
+use stair_device::{OpRef, OpResult, RepairOutcome, ScrubOutcome, ShardHealth, WriteOutcome};
+use stair_gf::Fletcher32;
 use stair_obs::trace::names;
 use stair_obs::{HistogramSnapshot, MetricsSnapshot, SpanCtx, SpanRecord, TraceRecord, BUCKETS};
 
@@ -139,9 +152,11 @@ impl Opcode {
     }
 }
 
-/// A parsed request.
+/// A parsed request. A BATCH's write data is borrowed: from the caller's
+/// buffers on the client, from the connection's frame buffer on the
+/// server.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
+pub enum Request<'a> {
     /// Handshake carrying the client's protocol version.
     Hello {
         /// The client's [`PROTOCOL_VERSION`].
@@ -196,7 +211,7 @@ pub enum Request {
         /// The ops, in submission order, offsets in the global block
         /// space. Per-op spans and the combined byte budget are capped
         /// at [`MAX_IO_BYTES`], the count at [`MAX_BATCH_OPS`].
-        ops: Vec<IoOp>,
+        ops: Vec<OpRef<'a>>,
     },
     /// Pull the server's metrics snapshot (request/connection counters
     /// and latency histograms, plus the store's own counters aggregated
@@ -207,7 +222,7 @@ pub enum Request {
     Trace,
 }
 
-impl Request {
+impl Request<'_> {
     /// The opcode this request travels under.
     pub fn opcode(&self) -> Opcode {
         match self {
@@ -361,7 +376,84 @@ impl Enc {
     }
 }
 
-/// Bounds-checked little-endian reader.
+/// A frame on its way out: header and fields encoded into one buffer,
+/// and the data it carries (write payloads, read results) spliced in
+/// between them by reference. It reaches the socket in vectored writes,
+/// so no data is copied into a frame buffer.
+struct Gather<'a> {
+    enc: Enc,
+    /// `(at, data)`: `data` goes out right after `enc.0[..at]`.
+    spliced: Vec<(usize, &'a [u8])>,
+}
+
+impl<'a> Gather<'a> {
+    /// A frame whose first `header` bytes are zeros, for the writer to
+    /// fill once the rest is known.
+    fn new(header: usize) -> Self {
+        Gather {
+            enc: Enc(vec![0; header]),
+            spliced: Vec::new(),
+        }
+    }
+
+    /// Appends `data` by reference.
+    fn splice(&mut self, data: &'a [u8]) {
+        self.spliced.push((self.enc.0.len(), data));
+    }
+
+    /// The frame's non-empty pieces, in wire order.
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        let cuts = self.spliced.iter().map(|&(at, _)| at);
+        let starts = std::iter::once(0).chain(cuts.clone());
+        let ends = cuts.chain(std::iter::once(self.enc.0.len()));
+        let data = self.spliced.iter().map(|&(_, data)| data);
+        starts
+            .zip(ends)
+            .map(|(from, to)| &self.enc.0[from..to])
+            .zip(data.chain(std::iter::once(&[][..])))
+            .flat_map(|(fields, data)| [fields, data])
+            .filter(|piece| !piece.is_empty())
+    }
+
+    /// Bytes in the frame.
+    fn len(&self) -> usize {
+        self.enc.0.len() + self.spliced.iter().map(|(_, d)| d.len()).sum::<usize>()
+    }
+
+    /// Fletcher-32 of everything past the first `skip` bytes, summed
+    /// piece by piece.
+    fn checksum(&self, mut skip: usize) -> u32 {
+        let mut sum = Fletcher32::new();
+        for piece in self.pieces() {
+            let cut = skip.min(piece.len());
+            sum.update(&piece[cut..]);
+            skip -= cut;
+        }
+        sum.finish()
+    }
+
+    /// Writes the whole frame.
+    fn send(&self, stream: &mut impl Write) -> Result<(), NetError> {
+        let mut slices: Vec<IoSlice<'_>> = self.pieces().map(IoSlice::new).collect();
+        let mut bufs = &mut slices[..];
+        while !bufs.is_empty() {
+            match stream.write_vectored(bufs) {
+                Ok(0) => return Err(NetError::Io(io::ErrorKind::WriteZero.into())),
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+        Ok(())
+    }
+}
+
+fn truncated() -> NetError {
+    NetError::Protocol("truncated frame".into())
+}
+
+/// Bounds-checked little-endian reader over a request frame held in
+/// memory; what it takes borrows the frame.
 struct Dec<'a> {
     buf: &'a [u8],
     at: usize,
@@ -376,7 +468,7 @@ impl<'a> Dec<'a> {
             .at
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| NetError::Protocol("truncated frame".into()))?;
+            .ok_or_else(truncated)?;
         let out = &self.buf[self.at..end];
         self.at = end;
         Ok(out)
@@ -394,20 +486,6 @@ impl<'a> Dec<'a> {
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
-    fn str(&mut self) -> Result<String, NetError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| NetError::Protocol("string field is not UTF-8".into()))
-    }
-    fn u32s(&mut self) -> Result<Vec<usize>, NetError> {
-        let len = self.u32()? as usize;
-        // Cap pre-allocation at what the remaining bytes could hold.
-        if len > self.buf.len().saturating_sub(self.at) / 4 {
-            return Err(NetError::Protocol("list length exceeds frame".into()));
-        }
-        (0..len).map(|_| Ok(self.u32()? as usize)).collect()
-    }
     fn finish(self) -> Result<(), NetError> {
         if self.at != self.buf.len() {
             return Err(NetError::Protocol(format!(
@@ -419,31 +497,106 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Encodes a BATCH request payload straight from borrowed op views —
-/// what lets a client frame a `write_at` without first copying its
-/// data into an owned [`IoOp`], and resend the same bytes on a retry.
-pub fn encode_batch(batch_id: u64, ops: &[OpRef<'_>]) -> Vec<u8> {
-    let bytes: usize = ops
-        .iter()
-        .filter(|op| op.is_write())
-        .map(OpRef::byte_len)
-        .sum();
-    let mut e = Enc(Vec::with_capacity(12 + 13 * ops.len() + bytes));
-    e.u64(batch_id);
-    e.u32(ops.len() as u32);
-    for op in ops {
-        e.u8(op.is_write() as u8);
-        e.u64(op.offset());
-        e.u32(op.byte_len() as u32);
-        if let OpRef::Write { data, .. } = op {
-            e.bytes(data);
-        }
-    }
-    e.0
+/// What a response reader buffers ahead of the field it parses; a read
+/// result's bytes past it go from the socket straight into their `Vec`.
+const REPLY_BUFFER: usize = 8 * 1024;
+
+/// A response payload read off the stream as it is parsed: fields
+/// through a small buffer that never reads past the frame, read results
+/// straight into the `Vec` the caller gets, and every byte into the
+/// running checksum that [`Body::finish`] checks.
+struct Body<R> {
+    inner: BufReader<io::Take<R>>,
+    /// Payload bytes not read yet.
+    left: usize,
+    sum: Fletcher32,
 }
 
-fn encode_request_payload(req: &Request) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
+impl<R: Read> Body<R> {
+    fn fill(&mut self, out: &mut [u8]) -> Result<(), NetError> {
+        if out.len() > self.left {
+            return Err(truncated());
+        }
+        self.inner.read_exact(out)?;
+        self.left -= out.len();
+        self.sum.update(out);
+        Ok(())
+    }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], NetError> {
+        let mut b = [0u8; N];
+        self.fill(&mut b)?;
+        Ok(b)
+    }
+    fn u8(&mut self) -> Result<u8, NetError> {
+        Ok(self.array::<1>()?[0])
+    }
+    fn u32(&mut self) -> Result<u32, NetError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+    fn u64(&mut self) -> Result<u64, NetError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+    /// The next `n` bytes as a `Vec`; a length past the frame is refused
+    /// before anything is allocated.
+    fn bytes(&mut self, n: usize) -> Result<Vec<u8>, NetError> {
+        if n > self.left {
+            return Err(NetError::Protocol(format!(
+                "{n}-byte field exceeds the frame's {} remaining bytes",
+                self.left
+            )));
+        }
+        // Reserved, not zero-filled: the socket writes every byte.
+        let mut out = Vec::with_capacity(n);
+        Read::take(&mut self.inner, n as u64).read_to_end(&mut out)?;
+        if out.len() < n {
+            return Err(NetError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "frame body ends early",
+            )));
+        }
+        self.left -= n;
+        self.sum.update(&out);
+        Ok(out)
+    }
+    fn str(&mut self) -> Result<String, NetError> {
+        let len = self.u32()? as usize;
+        String::from_utf8(self.bytes(len)?)
+            .map_err(|_| NetError::Protocol("string field is not UTF-8".into()))
+    }
+    fn u32s(&mut self) -> Result<Vec<usize>, NetError> {
+        let len = self.u32()? as usize;
+        // Cap pre-allocation at what the remaining bytes could hold.
+        if len > self.left / 4 {
+            return Err(NetError::Protocol("list length exceeds frame".into()));
+        }
+        (0..len).map(|_| Ok(self.u32()? as usize)).collect()
+    }
+    fn bool(&mut self, what: &str) -> Result<bool, NetError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            k => Err(NetError::Protocol(format!("bad {what} bool byte {k}"))),
+        }
+    }
+    /// Checks that the payload was read to its end and that its sum is
+    /// `expected`: nothing parsed is handed out before this passes.
+    fn finish(self, expected: u32) -> Result<(), NetError> {
+        if self.left != 0 {
+            return Err(NetError::Protocol(format!(
+                "{} trailing bytes after payload",
+                self.left
+            )));
+        }
+        let actual = self.sum.finish();
+        if actual != expected {
+            return Err(NetError::Checksum { expected, actual });
+        }
+        Ok(())
+    }
+}
+
+fn encode_request_payload<'a>(f: &mut Gather<'a>, req: &Request<'a>) {
+    let e = &mut f.enc;
     match req {
         Request::Hello { version } => {
             e.bytes(MAGIC);
@@ -475,15 +628,22 @@ fn encode_request_payload(req: &Request) -> Vec<u8> {
         }
         Request::Scrub { threads } | Request::Repair { threads } => e.u32(*threads),
         Request::Batch { batch_id, ops } => {
-            return encode_batch(*batch_id, &OpRef::views(ops));
+            e.u64(*batch_id);
+            e.u32(ops.len() as u32);
+            for op in ops {
+                f.enc.u8(op.is_write() as u8);
+                f.enc.u64(op.offset());
+                f.enc.u32(op.byte_len() as u32);
+                if let OpRef::Write { data, .. } = *op {
+                    f.splice(data);
+                }
+            }
         }
     }
-    e.0
 }
 
-fn decode_request_payload(op: Opcode, payload: &[u8]) -> Result<Request, NetError> {
-    let mut d = Dec::new(payload);
-    let req = match op {
+fn decode_request_payload<'a>(op: Opcode, d: &mut Dec<'a>) -> Result<Request<'a>, NetError> {
+    Ok(match op {
         Opcode::Hello => {
             let magic = d.take(MAGIC.len())?;
             if magic != MAGIC {
@@ -539,13 +699,13 @@ fn decode_request_payload(op: Opcode, payload: &[u8]) -> Result<Request, NetErro
                     )));
                 }
                 ops.push(match kind {
-                    0 => IoOp::Read {
+                    0 => OpRef::Read {
                         offset,
                         len: len as usize,
                     },
-                    1 => IoOp::Write {
+                    1 => OpRef::Write {
                         offset,
-                        data: d.take(len as usize)?.to_vec(),
+                        data: d.take(len as usize)?,
                     },
                     k => return Err(NetError::Protocol(format!("unknown batch op kind {k}"))),
                 });
@@ -554,9 +714,7 @@ fn decode_request_payload(op: Opcode, payload: &[u8]) -> Result<Request, NetErro
         }
         Opcode::Metrics => Request::Metrics,
         Opcode::Trace => Request::Trace,
-    };
-    d.finish()?;
-    Ok(req)
+    })
 }
 
 /// Most named metrics of one kind a METRICS response may carry.
@@ -590,7 +748,7 @@ fn encode_metrics(e: &mut Enc, snap: &MetricsSnapshot) {
     }
 }
 
-fn decode_metrics(d: &mut Dec<'_>) -> Result<MetricsSnapshot, NetError> {
+fn decode_metrics(d: &mut Body<impl Read>) -> Result<MetricsSnapshot, NetError> {
     let mut snap = MetricsSnapshot::default();
     let counters = d.u32()?;
     if counters > MAX_METRICS {
@@ -655,15 +813,7 @@ fn encode_traces(e: &mut Enc, traces: &[TraceRecord]) {
     }
 }
 
-fn decode_bool(d: &mut Dec<'_>, what: &str) -> Result<bool, NetError> {
-    match d.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        k => Err(NetError::Protocol(format!("bad {what} bool byte {k}"))),
-    }
-}
-
-fn decode_traces(d: &mut Dec<'_>) -> Result<Vec<TraceRecord>, NetError> {
+fn decode_traces(d: &mut Body<impl Read>) -> Result<Vec<TraceRecord>, NetError> {
     let count = d.u32()?;
     if count > MAX_TRACES {
         return Err(NetError::Protocol("trace list too long".into()));
@@ -673,8 +823,8 @@ fn decode_traces(d: &mut Dec<'_>) -> Result<Vec<TraceRecord>, NetError> {
         let trace_id = d.u64()?;
         let root_span = d.u64()?;
         let duration_us = d.u64()?;
-        let ok = decode_bool(d, "trace ok")?;
-        let slow = decode_bool(d, "trace slow")?;
+        let ok = d.bool("trace ok")?;
+        let slow = d.bool("trace slow")?;
         let nspans = d.u32()?;
         if nspans > MAX_TRACE_SPANS {
             return Err(NetError::Protocol("trace span list too long".into()));
@@ -694,7 +844,7 @@ fn decode_traces(d: &mut Dec<'_>) -> Result<Vec<TraceRecord>, NetError> {
                 name,
                 start_us: d.u64()?,
                 duration_us: d.u64()?,
-                ok: decode_bool(d, "span ok")?,
+                ok: d.bool("span ok")?,
                 bytes: d.u64()?,
             });
         }
@@ -710,29 +860,18 @@ fn decode_traces(d: &mut Dec<'_>) -> Result<Vec<TraceRecord>, NetError> {
     Ok(traces)
 }
 
+/// Bytes of a request frame ahead of its payload: `[u32 len]
+/// [u64 request_id] [u8 opcode]`.
+const REQUEST_HEADER: usize = 13;
 /// Bytes of a response frame ahead of its payload: `[u32 len]
 /// [u64 request_id] [u8 status] [u32 checksum]`.
 const RESPONSE_HEADER: usize = 17;
 
-/// Encodes `resp` as a whole response frame: [`RESPONSE_HEADER`] bytes
-/// reserved (zero) for [`write_response`] to fill, then the payload,
-/// in one buffer sized up front — a read reply's data is copied once.
-fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
-    // A BATCH reply's size, per the encoding below: kind + length +
-    // data per read, kind + five counters per write.
-    let payload = match resp {
-        Response::Batched(results) => results
-            .iter()
-            .map(|r| match r {
-                OpResult::Read(data) => 5 + data.len(),
-                OpResult::Write(_) => 41,
-            })
-            .sum::<usize>(),
-        _ => 0,
-    };
-    let mut e = Enc(Vec::with_capacity(RESPONSE_HEADER + 4 + payload));
-    e.0.resize(RESPONSE_HEADER, 0);
-    let status = match resp {
+/// Encodes `resp`'s payload into `f` behind its reserved header, read
+/// results by reference, and returns the status byte.
+fn encode_response<'a>(f: &mut Gather<'a>, resp: &'a Response) -> u8 {
+    let e = &mut f.enc;
+    match resp {
         Response::Error(msg) => {
             e.bytes(msg.as_bytes());
             0
@@ -769,28 +908,28 @@ fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
             for result in results {
                 match result {
                     OpResult::Read(data) => {
-                        e.u8(0);
-                        e.u32(data.len() as u32);
-                        e.bytes(data);
+                        f.enc.u8(0);
+                        f.enc.u32(data.len() as u32);
+                        f.splice(data);
                     }
                     OpResult::Write(w) => {
-                        e.u8(1);
-                        e.u64(w.bytes);
-                        e.u64(w.blocks_written);
-                        e.u64(w.stripes_touched);
-                        e.u64(w.full_stripe_encodes);
-                        e.u64(w.delta_updates);
+                        f.enc.u8(1);
+                        f.enc.u64(w.bytes);
+                        f.enc.u64(w.blocks_written);
+                        f.enc.u64(w.stripes_touched);
+                        f.enc.u64(w.full_stripe_encodes);
+                        f.enc.u64(w.delta_updates);
                     }
                 }
             }
             Opcode::Batch as u8
         }
         Response::Metrics(snap) => {
-            encode_metrics(&mut e, snap);
+            encode_metrics(e, snap);
             Opcode::Metrics as u8
         }
         Response::Traces(traces) => {
-            encode_traces(&mut e, traces);
+            encode_traces(e, traces);
             Opcode::Trace as u8
         }
         Response::Scrubbed(s) => {
@@ -809,18 +948,17 @@ fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
             Opcode::Repair as u8
         }
         Response::ShuttingDown => Opcode::Shutdown as u8,
-    };
-    (status, e.0)
+    }
 }
 
-fn decode_response_payload(status: u8, payload: &[u8]) -> Result<Response, NetError> {
+/// Parses a response payload of status `status` off `d`. A BATCH reply's
+/// read results are read straight into the `Vec`s they come back in.
+fn decode_response_payload(status: u8, d: &mut Body<impl Read>) -> Result<Response, NetError> {
     if status == 0 {
-        return Ok(Response::Error(
-            String::from_utf8_lossy(payload).into_owned(),
-        ));
+        let msg = d.bytes(d.left)?;
+        return Ok(Response::Error(String::from_utf8_lossy(&msg).into_owned()));
     }
-    let mut d = Dec::new(payload);
-    let resp = match Opcode::from_u8(status)? {
+    Ok(match Opcode::from_u8(status)? {
         Opcode::Hello => Response::Hello(ServerInfo {
             version: d.u32()?,
             shards: d.u32()?,
@@ -848,7 +986,7 @@ fn decode_response_payload(status: u8, payload: &[u8]) -> Result<Response, NetEr
                     failed_devices: d.u32s()?,
                     rebuilding_devices: d.u32s()?,
                     known_bad_sectors: d.u32()? as usize,
-                    clean_shutdown: decode_bool(&mut d, "clean_shutdown")?,
+                    clean_shutdown: d.bool("clean_shutdown")?,
                     replayed_records: d.u64()?,
                 });
             }
@@ -868,7 +1006,7 @@ fn decode_response_payload(status: u8, payload: &[u8]) -> Result<Response, NetEr
                 results.push(match d.u8()? {
                     0 => {
                         let len = d.u32()? as usize;
-                        OpResult::Read(d.take(len)?.to_vec())
+                        OpResult::Read(d.bytes(len)?)
                     }
                     1 => OpResult::Write(WriteOutcome {
                         bytes: d.u64()?,
@@ -882,8 +1020,8 @@ fn decode_response_payload(status: u8, payload: &[u8]) -> Result<Response, NetEr
             }
             Response::Batched(results)
         }
-        Opcode::Metrics => Response::Metrics(decode_metrics(&mut d)?),
-        Opcode::Trace => Response::Traces(decode_traces(&mut d)?),
+        Opcode::Metrics => Response::Metrics(decode_metrics(d)?),
+        Opcode::Trace => Response::Traces(decode_traces(d)?),
         Opcode::Scrub => Response::Scrubbed(ScrubOutcome {
             stripes_scanned: d.u64()?,
             sectors_verified: d.u64()?,
@@ -898,16 +1036,16 @@ fn decode_response_payload(status: u8, payload: &[u8]) -> Result<Response, NetEr
             unrecoverable_stripes: d.u64()?,
         }),
         Opcode::Shutdown => Response::ShuttingDown,
-    };
-    d.finish()?;
-    Ok(resp)
+    })
 }
 
 // ---------------------------------------------------------------------
 // Frame I/O
 // ---------------------------------------------------------------------
 
-fn read_frame(stream: &mut impl Read) -> Result<Vec<u8>, NetError> {
+/// Reads a frame's length prefix: a frame over [`MAX_FRAME`], or too
+/// short for its header, is a protocol error.
+fn read_len(stream: &mut impl Read, header: usize) -> Result<usize, NetError> {
     let mut len = [0u8; 4];
     stream.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len);
@@ -916,111 +1054,74 @@ fn read_frame(stream: &mut impl Read) -> Result<Vec<u8>, NetError> {
             "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
         )));
     }
-    // Reserved, not zero-filled: the body overwrites every byte.
-    let mut body = Vec::with_capacity(len as usize);
-    Read::take(&mut *stream, u64::from(len)).read_to_end(&mut body)?;
-    if body.len() < len as usize {
+    if (len as usize) < header - 4 {
+        return Err(truncated());
+    }
+    Ok(len as usize)
+}
+
+/// Writes one request frame: header, fields and the ops' own write data
+/// in one vectored write, so a client never copies a payload into a
+/// frame and a retry sends the very same bytes. Span context sets
+/// [`TRACE_FLAG`] on the opcode byte and prefixes the payload with
+/// `[u64 trace_id][u64 span_id]`.
+///
+/// # Errors
+///
+/// Propagates socket errors.
+pub fn write_request(
+    stream: &mut impl Write,
+    id: u64,
+    req: &Request<'_>,
+    ctx: Option<SpanCtx>,
+) -> Result<(), NetError> {
+    // No-op unless the caller is inside a recorded span (only clients
+    // write requests, so this is the client-side serialization cost).
+    let frame = {
+        let _enc = stair_obs::trace::span(names::CLIENT_ENCODE);
+        let mut f = Gather::new(REQUEST_HEADER);
+        let mut opcode = req.opcode() as u8;
+        if let Some(ctx) = ctx {
+            opcode |= TRACE_FLAG;
+            f.enc.u64(ctx.trace_id);
+            f.enc.u64(ctx.span_id);
+        }
+        encode_request_payload(&mut f, req);
+        let len = (f.len() - 4) as u32;
+        let head = &mut f.enc.0;
+        head[..4].copy_from_slice(&len.to_le_bytes());
+        head[4..12].copy_from_slice(&id.to_le_bytes());
+        head[12] = opcode;
+        f
+    };
+    frame.send(stream)
+}
+
+/// Reads one request frame into `buf` — a buffer the connection keeps
+/// from frame to frame — and returns `(request_id, request, span
+/// context)`, the context `Some` exactly when the sender set
+/// [`TRACE_FLAG`]. A BATCH's write data stays in `buf`: its ops are
+/// views into it.
+///
+/// # Errors
+///
+/// Socket errors, truncated frames, unknown opcodes, or oversized
+/// requests are all rejected.
+pub fn read_request<'b>(
+    stream: &mut impl Read,
+    buf: &'b mut Vec<u8>,
+) -> Result<(u64, Request<'b>, Option<SpanCtx>), NetError> {
+    let len = read_len(stream, REQUEST_HEADER)?;
+    buf.clear();
+    buf.reserve(len);
+    Read::take(&mut *stream, len as u64).read_to_end(buf)?;
+    if buf.len() < len {
         return Err(NetError::Io(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "frame body ends early",
         )));
     }
-    Ok(body)
-}
-
-/// Writes one request frame with no trace context.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_request(stream: &mut impl Write, id: u64, req: &Request) -> Result<(), NetError> {
-    write_request_traced(stream, id, req, None)
-}
-
-/// Writes one request frame, optionally carrying span context.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_request_traced(
-    stream: &mut impl Write,
-    id: u64,
-    req: &Request,
-    ctx: Option<SpanCtx>,
-) -> Result<(), NetError> {
-    // No-op unless the caller is inside a recorded span (only clients
-    // write requests, so this is the client-side serialization cost).
-    let payload = {
-        let _enc = stair_obs::trace::span(stair_obs::trace::names::CLIENT_ENCODE);
-        encode_request_payload(req)
-    };
-    write_frame(stream, id, req.opcode(), ctx, &payload)
-}
-
-/// Writes one request frame around an already-encoded payload (see
-/// [`encode_batch`]). Span context sets [`TRACE_FLAG`] on the opcode
-/// byte and prefixes the payload with `[u64 trace_id][u64 span_id]`.
-/// Header and payload go out in one vectored write, so the payload a
-/// client keeps for retries is never copied into a frame buffer.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_frame(
-    stream: &mut impl Write,
-    id: u64,
-    opcode: Opcode,
-    ctx: Option<SpanCtx>,
-    payload: &[u8],
-) -> Result<(), NetError> {
-    let prefix = if ctx.is_some() { 16 } else { 0 };
-    let mut header = [0u8; 13 + 16];
-    header[..4].copy_from_slice(&(9 + (prefix + payload.len()) as u32).to_le_bytes());
-    header[4..12].copy_from_slice(&id.to_le_bytes());
-    header[12] = opcode as u8;
-    if let Some(ctx) = ctx {
-        header[12] |= TRACE_FLAG;
-        header[13..21].copy_from_slice(&ctx.trace_id.to_le_bytes());
-        header[21..].copy_from_slice(&ctx.span_id.to_le_bytes());
-    }
-    let mut bufs = [IoSlice::new(&header[..13 + prefix]), IoSlice::new(payload)];
-    let mut bufs = &mut bufs[..];
-    while !bufs.is_empty() {
-        match stream.write_vectored(bufs) {
-            Ok(0) => return Err(NetError::Io(io::ErrorKind::WriteZero.into())),
-            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
-/// Reads one request frame, returning `(request_id, request)` and
-/// discarding any trace context — for callers that do not trace.
-///
-/// # Errors
-///
-/// Socket errors, truncated frames, unknown opcodes, or oversized
-/// requests are all rejected.
-pub fn read_request(stream: &mut impl Read) -> Result<(u64, Request), NetError> {
-    let (id, req, _) = read_request_traced(stream)?;
-    Ok((id, req))
-}
-
-/// Reads one request frame, returning `(request_id, request, span
-/// context)` — the context is `Some` exactly when the sender set
-/// [`TRACE_FLAG`].
-///
-/// # Errors
-///
-/// Socket errors, truncated frames, unknown opcodes, or oversized
-/// requests are all rejected.
-pub fn read_request_traced(
-    stream: &mut impl Read,
-) -> Result<(u64, Request, Option<SpanCtx>), NetError> {
-    let body = read_frame(stream)?;
-    let mut d = Dec::new(&body);
+    let mut d = Dec::new(buf);
     let id = d.u64()?;
     let op_byte = d.u8()?;
     let op = Opcode::from_u8(op_byte & !TRACE_FLAG)?;
@@ -1032,27 +1133,29 @@ pub fn read_request_traced(
     } else {
         None
     };
-    let payload = &body[d.at..];
-    Ok((id, decode_request_payload(op, payload)?, ctx))
+    let req = decode_request_payload(op, &mut d)?;
+    d.finish()?;
+    Ok((id, req, ctx))
 }
 
 /// Writes one response frame (status byte + Fletcher-32 of the
-/// payload). The payload is encoded behind its header's reserved bytes
-/// and checksummed in place, so the frame is built once.
+/// payload): header, fields and the results' own read data in one
+/// vectored write, the checksum summed over those pieces in place.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_response(stream: &mut impl Write, id: u64, resp: &Response) -> Result<(), NetError> {
-    let (status, mut frame) = encode_response(resp);
-    let sum = fletcher32(&frame[RESPONSE_HEADER..]);
-    let len = (frame.len() - 4) as u32;
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame[4..12].copy_from_slice(&id.to_le_bytes());
-    frame[12] = status;
-    frame[13..RESPONSE_HEADER].copy_from_slice(&sum.to_le_bytes());
-    stream.write_all(&frame)?;
-    Ok(())
+    let mut f = Gather::new(RESPONSE_HEADER);
+    let status = encode_response(&mut f, resp);
+    let sum = f.checksum(RESPONSE_HEADER);
+    let len = (f.len() - 4) as u32;
+    let head = &mut f.enc.0;
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..12].copy_from_slice(&id.to_le_bytes());
+    head[12] = status;
+    head[13..RESPONSE_HEADER].copy_from_slice(&sum.to_le_bytes());
+    f.send(stream)
 }
 
 /// Normalizes a checksum-verified response: a [`Response::Error`]
@@ -1070,38 +1173,46 @@ pub fn ok_or_remote(resp: Response) -> Result<Response, NetError> {
     }
 }
 
-/// Reads one response frame, verifying the payload checksum. Returns
+/// Reads one response frame, parsing the payload as it arrives: fields
+/// through a small buffer that stops at the frame's end, a read
+/// result's bytes from the socket straight into the `Vec` returned. The
+/// payload checksum is verified before anything is returned. Returns
 /// `(request_id, response)`.
 ///
 /// # Errors
 ///
 /// Socket errors, malformed frames, and checksum mismatches.
 pub fn read_response(stream: &mut impl Read) -> Result<(u64, Response), NetError> {
-    let body = read_frame(stream)?;
-    let mut d = Dec::new(&body);
-    let id = d.u64()?;
-    let status = d.u8()?;
-    let expected = d.u32()?;
-    let payload = &body[d.at..];
-    let actual = fletcher32(payload);
-    if actual != expected {
-        return Err(NetError::Checksum { expected, actual });
-    }
-    // Covers parsing only, not the socket wait above — a trace must not
-    // double-count the server's time under a client-side span.
-    let _dec = stair_obs::trace::span(stair_obs::trace::names::CLIENT_DECODE);
-    Ok((id, decode_response_payload(status, payload)?))
+    let len = read_len(stream, RESPONSE_HEADER)?;
+    let mut inner = BufReader::with_capacity(REPLY_BUFFER, Read::take(stream, len as u64));
+    let mut head = [0u8; RESPONSE_HEADER - 4];
+    inner.read_exact(&mut head)?;
+    let [i0, i1, i2, i3, i4, i5, i6, i7, status, s0, s1, s2, s3] = head;
+    let id = u64::from_le_bytes([i0, i1, i2, i3, i4, i5, i6, i7]);
+    let expected = u32::from_le_bytes([s0, s1, s2, s3]);
+    let mut body = Body {
+        inner,
+        left: len - head.len(),
+        sum: Fletcher32::new(),
+    };
+    // Starts once the header is in, so it leaves out the wait for the
+    // server — a trace must not count the server's time twice.
+    let _dec = stair_obs::trace::span(names::CLIENT_DECODE);
+    let resp = decode_response_payload(status, &mut body)?;
+    body.finish(expected)?;
+    Ok((id, resp))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip_request(req: Request) {
+    fn round_trip_request(req: Request<'_>) {
         let mut wire = Vec::new();
-        write_request(&mut wire, 7, &req).unwrap();
-        let (id, back) = read_request(&mut wire.as_slice()).unwrap();
-        assert_eq!(id, 7);
+        write_request(&mut wire, 7, &req, None).unwrap();
+        let mut buf = Vec::new();
+        let (id, back, ctx) = read_request(&mut wire.as_slice(), &mut buf).unwrap();
+        assert_eq!((id, ctx), (7, None));
         assert_eq!(back, req);
     }
 
@@ -1134,18 +1245,19 @@ mod tests {
         round_trip_request(Request::Scrub { threads: 4 });
         round_trip_request(Request::Repair { threads: 2 });
         round_trip_request(Request::Shutdown);
+        let data: Vec<u8> = (0..=127).collect();
         round_trip_request(Request::Batch {
             batch_id: 0xFEED_F00D_0000_0042,
             ops: vec![
-                IoOp::Read {
+                OpRef::Read {
                     offset: 512,
                     len: 64,
                 },
-                IoOp::Write {
+                OpRef::Write {
                     offset: 0,
-                    data: (0..=127).collect(),
+                    data: &data,
                 },
-                IoOp::Read { offset: 9, len: 0 },
+                OpRef::Read { offset: 9, len: 0 },
             ],
         });
         round_trip_request(Request::Batch {
@@ -1160,15 +1272,16 @@ mod tests {
     fn traced_frames_round_trip_their_span_context() {
         let req = Request::Batch {
             batch_id: 3,
-            ops: vec![IoOp::Read { offset: 64, len: 8 }],
+            ops: vec![OpRef::Read { offset: 64, len: 8 }],
         };
         let ctx = SpanCtx {
             trace_id: 0xDEAD_BEEF_0000_0001,
             span_id: 0x1234_5678_9ABC_DEF0,
         };
         let mut wire = Vec::new();
-        write_request_traced(&mut wire, 55, &req, Some(ctx)).unwrap();
-        let (id, back, got) = read_request_traced(&mut wire.as_slice()).unwrap();
+        write_request(&mut wire, 55, &req, Some(ctx)).unwrap();
+        let mut buf = Vec::new();
+        let (id, back, got) = read_request(&mut wire.as_slice(), &mut buf).unwrap();
         assert_eq!(id, 55);
         assert_eq!(back, req);
         assert_eq!(got, Some(ctx));
@@ -1176,63 +1289,138 @@ mod tests {
 
     #[test]
     fn untraced_frames_carry_no_flag_and_no_context() {
-        // write_request (and write_request_traced with None) emit the
-        // bare layout: no flag bit, no context prefix.
+        // Without span context a frame has the bare layout: no flag
+        // bit, no context prefix.
         let req = Request::Scrub { threads: 4096 };
         let mut wire = Vec::new();
-        write_request(&mut wire, 0x0A0B_0C0D_0E0F_1011, &req).unwrap();
+        write_request(&mut wire, 0x0A0B_0C0D_0E0F_1011, &req, None).unwrap();
         let mut expected = Vec::new();
         expected.extend_from_slice(&13u32.to_le_bytes()); // 9 + 4
         expected.extend_from_slice(&0x0A0B_0C0D_0E0F_1011u64.to_le_bytes());
         expected.push(6); // Opcode::Scrub, high bit clear
         expected.extend_from_slice(&4096u32.to_le_bytes());
         assert_eq!(wire, expected);
+        let mut buf = Vec::new();
+        let (id, back, ctx) = read_request(&mut wire.as_slice(), &mut buf).unwrap();
+        assert_eq!((id, back, ctx), (0x0A0B_0C0D_0E0F_1011, req, None));
+    }
 
-        let mut traced_none = Vec::new();
-        write_request_traced(&mut traced_none, 0x0A0B_0C0D_0E0F_1011, &req, None).unwrap();
-        assert_eq!(traced_none, expected);
-        let (id, back) = read_request(&mut wire.as_slice()).unwrap();
-        assert_eq!((id, back), (0x0A0B_0C0D_0E0F_1011, req));
+    /// The ops of [`PARENT_BATCH_REQUEST_FRAME`]: a 5-byte write, a
+    /// 3-byte read and a 0-byte read.
+    fn golden_batch(data: &[u8]) -> Request<'_> {
+        Request::Batch {
+            batch_id: 0x0102_0304_0506_0708,
+            ops: vec![
+                OpRef::Write { offset: 4096, data },
+                OpRef::Read { offset: 77, len: 3 },
+                OpRef::Read { offset: 9, len: 0 },
+            ],
+        }
+    }
+
+    /// [`golden_batch`] as a request frame (request id 7), as the
+    /// encoder of commit 5a06aca wrote it from owned ops, through a
+    /// payload buffer of its own.
+    const PARENT_BATCH_REQUEST_FRAME: &str = "41000000070000000000000003080706050403020103000000010010000000000000050000000102030405004d000000000000000300000000090000000000000000000000";
+
+    #[test]
+    fn batch_request_bytes_match_the_parent_encoder() {
+        let data = [1u8, 2, 3, 4, 5];
+        let want = golden_batch(&data);
+        let frame = unhex(PARENT_BATCH_REQUEST_FRAME);
+        let mut buf = Vec::new();
+        let (id, back, ctx) = read_request(&mut frame.as_slice(), &mut buf).unwrap();
+        assert_eq!((id, &back, ctx), (7, &want, None));
+        // The write's bytes are a view into the frame buffer.
+        let Request::Batch { ops, .. } = back else {
+            unreachable!()
+        };
+        let OpRef::Write { data: view, .. } = ops[0] else {
+            unreachable!()
+        };
+        let view = view.as_ptr();
+        assert!(buf.as_ptr_range().contains(&view));
+        let mut wire = Vec::new();
+        write_request(&mut wire, 7, &want, None).unwrap();
+        assert_eq!(wire, frame, "BATCH request bytes moved");
+    }
+
+    /// A reply to [`golden_batch`] as a response frame (request id 7), as
+    /// the encoder of commit 5a06aca wrote it into one frame buffer.
+    const PARENT_BATCH_REPLY_FRAME: &str = "470000000700000000000000031d13d0e803000000010500000000000000010000000000000001000000000000000000000000000000010000000000000000030000000a0b0c0000000000";
+
+    fn golden_reply() -> Response {
+        Response::Batched(vec![
+            OpResult::Write(WriteOutcome {
+                bytes: 5,
+                blocks_written: 1,
+                stripes_touched: 1,
+                full_stripe_encodes: 0,
+                delta_updates: 1,
+            }),
+            OpResult::Read(vec![0x0A, 0x0B, 0x0C]),
+            OpResult::Read(vec![]),
+        ])
     }
 
     #[test]
-    fn batches_encode_identically_from_borrowed_views() {
-        // The client frames a write from a borrowed slice; the bytes
-        // must be exactly what the owned request encodes to, batch id
-        // first.
-        let data: Vec<u8> = (0..=127).collect();
-        let req = Request::Batch {
-            batch_id: 77,
-            ops: vec![
-                IoOp::Read {
-                    offset: 512,
-                    len: 8,
-                },
-                IoOp::Write {
-                    offset: 9,
-                    data: data.clone(),
-                },
-            ],
-        };
-        let mut owned = Vec::new();
-        write_request(&mut owned, 9, &req).unwrap();
-        let views = [
-            OpRef::Read {
-                offset: 512,
-                len: 8,
-            },
-            OpRef::Write {
-                offset: 9,
-                data: &data,
-            },
-        ];
-        let payload = encode_batch(77, &views);
-        assert_eq!(payload[..8], 77u64.to_le_bytes());
-        let mut borrowed = Vec::new();
-        write_frame(&mut borrowed, 9, Opcode::Batch, None, &payload).unwrap();
-        assert_eq!(borrowed, owned);
-        let (_, back) = read_request(&mut borrowed.as_slice()).unwrap();
-        assert_eq!(back, req);
+    fn batch_reply_bytes_match_the_parent_encoder() {
+        let want = golden_reply();
+        let frame = unhex(PARENT_BATCH_REPLY_FRAME);
+        assert_eq!(
+            read_response(&mut frame.as_slice()).unwrap(),
+            (7, want.clone())
+        );
+        let mut wire = Vec::new();
+        write_response(&mut wire, 7, &want).unwrap();
+        assert_eq!(wire, frame, "BATCH reply bytes moved");
+    }
+
+    /// A reader that hands out at most `step` bytes per call, so the
+    /// streamed reply decoder meets every split of its input.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = out.len().min(self.step).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_reply_decodes_the_same_however_the_socket_splits_it() {
+        let big: Vec<u8> = (0..3 * REPLY_BUFFER + 7).map(|i| (i * 31) as u8).collect();
+        let want = Response::Batched(vec![
+            OpResult::Read(vec![9; 5]),
+            OpResult::Read(big),
+            OpResult::Write(WriteOutcome::default()),
+            OpResult::Read(vec![]),
+        ]);
+        let mut wire = Vec::new();
+        write_response(&mut wire, 3, &want).unwrap();
+        for step in [1, 2, 3, 17, 4096, REPLY_BUFFER + 1, wire.len()] {
+            let mut r = Trickle { data: &wire, step };
+            assert_eq!(
+                read_response(&mut r).unwrap(),
+                (3, want.clone()),
+                "step {step}"
+            );
+            assert!(
+                r.data.is_empty(),
+                "step {step}: the frame was not read to its end"
+            );
+        }
+        // The reader stops at the frame's end: the next frame is intact.
+        let mut two = wire.clone();
+        two.extend_from_slice(&wire);
+        let mut r = two.as_slice();
+        assert_eq!(read_response(&mut r).unwrap().0, 3);
+        assert_eq!(r.len(), wire.len());
     }
 
     /// Two traces as the recorder holds them: a client-side tree, and
@@ -1307,7 +1495,7 @@ mod tests {
         let at = e.0.windows(10).position(|w| w == b"store.lock").unwrap();
         e.0[at..at + 10].copy_from_slice(b"store.lick");
         let payload = e.0;
-        let sum = fletcher32(&payload);
+        let sum = stair_gf::fletcher32(&payload);
         let mut frame = Vec::new();
         frame.extend_from_slice(&(13 + payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&5u64.to_le_bytes());
@@ -1327,7 +1515,7 @@ mod tests {
         let mut e = Enc(Vec::new());
         e.u32(MAX_TRACES + 1);
         let payload = e.0;
-        let sum = fletcher32(&payload);
+        let sum = stair_gf::fletcher32(&payload);
         let mut frame = Vec::new();
         frame.extend_from_slice(&(13 + payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&5u64.to_le_bytes());
@@ -1349,7 +1537,7 @@ mod tests {
         e.u8(0); // slow
         e.u32(MAX_TRACE_SPANS + 1);
         let payload = e.0;
-        let sum = fletcher32(&payload);
+        let sum = stair_gf::fletcher32(&payload);
         let mut frame = Vec::new();
         frame.extend_from_slice(&(13 + payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&5u64.to_le_bytes());
@@ -1391,7 +1579,7 @@ mod tests {
         e.str("h");
         e.u32(BUCKETS as u32 + 1);
         let payload = e.0;
-        let sum = fletcher32(&payload);
+        let sum = stair_gf::fletcher32(&payload);
         let mut frame = Vec::new();
         frame.extend_from_slice(&(13 + payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&5u64.to_le_bytes());
@@ -1407,26 +1595,26 @@ mod tests {
     #[test]
     fn batch_caps_are_enforced_at_decode_time() {
         // Op count over the cap.
-        let ops = vec![IoOp::Read { offset: 0, len: 1 }; MAX_BATCH_OPS as usize + 1];
+        let ops = vec![OpRef::Read { offset: 0, len: 1 }; MAX_BATCH_OPS as usize + 1];
         let mut wire = Vec::new();
-        write_request(&mut wire, 1, &Request::Batch { batch_id: 0, ops }).unwrap();
+        write_request(&mut wire, 1, &Request::Batch { batch_id: 0, ops }, None).unwrap();
         assert!(matches!(
-            read_request(&mut wire.as_slice()),
+            read_request(&mut wire.as_slice(), &mut Vec::new()),
             Err(NetError::Protocol(_))
         ));
         // Combined byte budget over the cap, even though each op is
         // individually inside it.
         let ops = vec![
-            IoOp::Read {
+            OpRef::Read {
                 offset: 0,
                 len: MAX_IO_BYTES as usize / 2 + 1,
             };
             2
         ];
         let mut wire = Vec::new();
-        write_request(&mut wire, 1, &Request::Batch { batch_id: 0, ops }).unwrap();
+        write_request(&mut wire, 1, &Request::Batch { batch_id: 0, ops }, None).unwrap();
         assert!(matches!(
-            read_request(&mut wire.as_slice()),
+            read_request(&mut wire.as_slice(), &mut Vec::new()),
             Err(NetError::Protocol(_))
         ));
     }
@@ -1605,25 +1793,25 @@ mod tests {
     #[test]
     fn truncated_and_oversized_frames_are_rejected() {
         let mut wire = Vec::new();
-        write_request(&mut wire, 1, &Request::Status).unwrap();
+        write_request(&mut wire, 1, &Request::Status, None).unwrap();
         assert!(matches!(
-            read_request(&mut wire[..wire.len() - 1].as_ref()),
+            read_request(&mut wire[..wire.len() - 1].as_ref(), &mut Vec::new()),
             Err(NetError::Io(_))
         ));
         let huge = (MAX_FRAME + 1).to_le_bytes().to_vec();
         assert!(matches!(
-            read_request(&mut huge.as_slice()),
+            read_request(&mut huge.as_slice(), &mut Vec::new()),
             Err(NetError::Protocol(_))
         ));
         // A batch op larger than the per-op cap is refused at decode time.
-        let ops = vec![IoOp::Read {
+        let ops = vec![OpRef::Read {
             offset: 0,
             len: MAX_IO_BYTES as usize + 1,
         }];
         let mut wire = Vec::new();
-        write_request(&mut wire, 1, &Request::Batch { batch_id: 0, ops }).unwrap();
+        write_request(&mut wire, 1, &Request::Batch { batch_id: 0, ops }, None).unwrap();
         assert!(matches!(
-            read_request(&mut wire.as_slice()),
+            read_request(&mut wire.as_slice(), &mut Vec::new()),
             Err(NetError::Protocol(_))
         ));
     }
@@ -1637,7 +1825,7 @@ mod tests {
         frame.push(Opcode::Status as u8);
         frame.push(0xEE);
         assert!(matches!(
-            read_request(&mut frame.as_slice()),
+            read_request(&mut frame.as_slice(), &mut Vec::new()),
             Err(NetError::Protocol(_))
         ));
     }
@@ -1651,7 +1839,7 @@ mod tests {
         frame.push(Opcode::Hello as u8);
         frame.extend_from_slice(&payload);
         assert!(matches!(
-            read_request(&mut frame.as_slice()),
+            read_request(&mut frame.as_slice(), &mut Vec::new()),
             Err(NetError::Protocol(_))
         ));
     }

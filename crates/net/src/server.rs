@@ -38,13 +38,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use stair_device::{BlockDevice, FaultAdmin, OpRef};
+use stair_device::{BlockDevice, FaultAdmin};
 use stair_obs::sync::lock;
 use stair_obs::trace::{self, names};
 use stair_obs::{MetricsRegistry, SpanCtx};
 
 use crate::protocol::{
-    read_request_traced, recorded_traces, write_response, Opcode, Request, Response, ServerInfo,
+    read_request, recorded_traces, write_response, Opcode, Request, Response, ServerInfo,
     PROTOCOL_VERSION,
 };
 use crate::shards::ShardSet;
@@ -347,7 +347,9 @@ impl Server {
 }
 
 /// Serves one connection until EOF, error, or shutdown: each frame is
-/// parsed, executed and answered before the next is read.
+/// read into the connection's one frame buffer, parsed (a BATCH's write
+/// data stays there, its ops are views), executed and answered before
+/// the next is read.
 fn serve_conn(
     mut stream: TcpStream,
     state: &State,
@@ -355,8 +357,9 @@ fn serve_conn(
     info: &ServerInfo,
     addr: SocketAddr,
 ) {
+    let mut frame = Vec::new();
     loop {
-        let (id, req, ctx) = match read_request_traced(&mut stream) {
+        let (id, req, ctx) = match read_request(&mut stream, &mut frame) {
             Ok(x) => x,
             Err(NetError::Protocol(msg)) => {
                 // A malformed frame desynchronizes the stream; report and
@@ -418,7 +421,7 @@ fn serve_request(
     state: &State,
     shards: &ShardSet,
     info: &ServerInfo,
-    req: Request,
+    req: Request<'_>,
     received: Instant,
     ctx: Option<SpanCtx>,
 ) -> Response {
@@ -455,7 +458,7 @@ fn serve_request(
 
 /// The byte count a request moves (write payloads plus requested read
 /// lengths); what its span and the throughput counters attribute to it.
-fn request_bytes(req: &Request) -> u64 {
+fn request_bytes(req: &Request<'_>) -> u64 {
     match req {
         Request::Batch { ops, .. } => ops.iter().map(|op| op.byte_len() as u64).sum(),
         _ => 0,
@@ -467,7 +470,7 @@ fn execute(
     shards: &ShardSet,
     info: &ServerInfo,
     registry: &MetricsRegistry,
-    req: Request,
+    req: Request<'_>,
 ) -> Response {
     let result = (|| -> Result<Response, Box<dyn std::error::Error>> {
         Ok(match req {
@@ -489,9 +492,7 @@ fn execute(
             // A BATCH executes as one unit through the shard set: split
             // by placement, shards in parallel, one stripe lock + one
             // codec decision per touched stripe.
-            Request::Batch { ops, .. } => {
-                Response::Batched(shards.submit_ops(&OpRef::views(&ops))?)
-            }
+            Request::Batch { ops, .. } => Response::Batched(shards.submit_ops(&ops)?),
             Request::Flush => {
                 shards.flush()?;
                 Response::Flushed

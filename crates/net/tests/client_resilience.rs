@@ -3,11 +3,14 @@
 //! once. That covers writes too, per-op and batched alike: every data
 //! frame carries a batch id and the server journals the post-images, so
 //! redelivery is safe, and `srv.batch.redelivered` makes it observable.
-//! The dropped connection always heals on the next call.
+//! A reply cut off mid-data is a transport error like any other: the
+//! streamed reply decoder hands out nothing it has not verified. The
+//! dropped connection always heals on the next call.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 use stair_device::BlockDevice;
 use stair_net::{Client, Server, ServerConfig, ShardSet};
@@ -96,16 +99,22 @@ fn read_frame(from: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     Ok(frame)
 }
 
-/// A lock-step frame relay in front of `server`. The `kill_at`-th
-/// request it forwards (counting from 0, across connections) reaches
-/// the server and is executed, but the relay hangs up on the client
-/// instead of passing the response back — a socket dying mid-op, after
-/// the write landed.
-fn lossy_proxy(server: String, kill_at: usize) -> String {
+/// A lock-step frame relay in front of `server`, returning its address
+/// and every request frame it forwarded. The `kill_at`-th request it
+/// forwards (counting from 0, across connections) reaches the server
+/// and is executed, but the relay passes back only the first `keep`
+/// bytes of the response and hangs up on the client — a socket dying
+/// mid-op, after the write landed, or halfway through the reply.
+fn lossy_proxy(
+    server: String,
+    kill_at: usize,
+    keep: impl Fn(&[u8]) -> usize + Send + 'static,
+) -> (String, Arc<Mutex<Vec<Vec<u8>>>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
     let addr = listener.local_addr().unwrap().to_string();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&seen);
     std::thread::spawn(move || {
-        let mut forwarded = 0usize;
         for client in listener.incoming() {
             let (Ok(mut client), Ok(mut upstream)) = (client, TcpStream::connect(&server)) else {
                 return;
@@ -117,14 +126,22 @@ fn lossy_proxy(server: String, kill_at: usize) -> String {
                 let Ok(response) = read_frame(&mut upstream) else {
                     break;
                 };
-                forwarded += 1;
-                if forwarded == kill_at + 1 || client.write_all(&response).is_err() {
+                let forwarded = {
+                    let mut log = stair_obs::sync::lock(&log);
+                    log.push(request);
+                    log.len()
+                };
+                if forwarded == kill_at + 1 {
+                    let _ = client.write_all(&response[..keep(&response)]);
+                    break;
+                }
+                if client.write_all(&response).is_err() {
                     break;
                 }
             }
         }
     });
-    addr
+    (addr, seen)
 }
 
 #[test]
@@ -146,7 +163,8 @@ fn a_per_op_write_over_a_killed_connection_is_redelivered_exactly_once() {
 
     // Frames through the relay: HELLO (0), base write (1), then the
     // write whose response is swallowed (2).
-    let client = Client::connect(&lossy_proxy(addr.clone(), 2)).expect("connect via proxy");
+    let (proxy, _) = lossy_proxy(addr.clone(), 2, |_| 0);
+    let client = Client::connect(&proxy).expect("connect via proxy");
     let base = pattern(client.capacity() as usize, 5);
     client.write_at(0, &base).expect("base write");
 
@@ -214,6 +232,56 @@ fn write_batches_retry_over_a_killed_connection() {
     );
 
     client.shutdown_server().expect("shutdown");
+    running.join().expect("server thread").expect("run");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn a_reply_cut_mid_data_is_retried_and_returns_the_whole_stripe() {
+    let dir = tmpdir("midreply");
+    // One stripe of stair:8,16,2,1-2 over 4 KiB symbols: 93 blocks,
+    // 372 KiB.
+    let set = ShardSet::create(
+        &dir,
+        2,
+        &StoreOptions {
+            code: "stair:8,16,2,1-2".parse().unwrap(),
+            symbol: 4096,
+            stripes: 2,
+        },
+    )
+    .expect("create shards");
+    let server = Server::bind("127.0.0.1:0", set, ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let running = std::thread::spawn(move || server.run());
+
+    let direct = Client::connect(&addr).expect("direct connect");
+    let stripe = 93 * 4096;
+    let data = pattern(stripe, 11);
+    direct.write_at(0, &data).expect("stripe write");
+
+    // Frames through the relay: HELLO (0), then the read (1), whose
+    // reply is cut halfway through its data.
+    let (proxy, requests) = lossy_proxy(addr, 1, |reply| reply.len() / 2);
+    let client = Client::connect(&proxy).expect("connect via proxy");
+    let back = client
+        .read_at(0, stripe)
+        .expect("read retried over a fresh connection");
+    assert!(back == data, "the retried read returned other bytes");
+
+    // The cut was a transport error: the client retired the
+    // connection, redialed (a second HELLO) and sent the read again —
+    // the same bytes, so the same batch id.
+    let requests = stair_obs::sync::lock(&requests).clone();
+    assert_eq!(requests.len(), 4, "HELLO, read, HELLO, read");
+    assert_eq!(requests[0], requests[2]);
+    assert_eq!(
+        requests[1], requests[3],
+        "the retry must resend the same frame"
+    );
+    let metrics = direct.metrics().expect("metrics");
+    assert_eq!(metrics.counter("srv.batch.redelivered"), Some(1));
+    direct.shutdown_server().expect("shutdown");
     running.join().expect("server thread").expect("run");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -2,21 +2,26 @@
 //! clean [`NetError`] — decode never panics, never allocates from a
 //! hostile length, never trusts a failed checksum.
 //!
-//! Four layers of attack:
+//! Five layers of attack:
 //! * purely random bytes fed to both frame readers;
-//! * structurally plausible frames (valid length prefix, random body);
-//! * mutations of *valid* frames — truncation at every boundary,
-//!   oversized length prefixes, checksum damage, every opcode byte
-//!   outside the dense table;
+//! * structurally plausible frames (valid length prefix, random body),
+//!   among them random BATCH bodies for the two data-path decoders: the
+//!   server's, which borrows write data from its frame buffer, and the
+//!   client's, which streams a reply off the socket;
+//! * mutations of *valid* frames — truncation at every byte, every
+//!   single bit flip of a BATCH reply, oversized length prefixes,
+//!   checksum damage, every opcode byte outside the dense table;
+//! * lengths and counts past the caps or past the frame's end, refused
+//!   before anything of that size is allocated;
 //! * HELLO frames offering arbitrary versions to a live server — only
 //!   the one current version opens a session, the rest are refused
 //!   with an error, and the server keeps serving.
 
 use proptest::prelude::*;
-use stair_device::{IoOp, OpResult, WriteOutcome};
+use stair_device::{OpRef, OpResult, WriteOutcome};
 use stair_net::protocol::{
     read_request, read_response, write_request, write_response, Opcode, Request, Response,
-    MAX_FRAME, PROTOCOL_VERSION, TRACE_FLAG,
+    MAX_BATCH_OPS, MAX_FRAME, MAX_IO_BYTES, PROTOCOL_VERSION, TRACE_FLAG,
 };
 use stair_net::{Client, NetError, Server, ServerConfig, ShardSet};
 use stair_obs::trace::names;
@@ -24,6 +29,7 @@ use stair_obs::{HistogramSnapshot, MetricsSnapshot, SpanRecord, TraceRecord};
 
 /// A representative valid request frame of every opcode family.
 fn sample_requests() -> Vec<Vec<u8>> {
+    let data = [5u8; 32];
     let reqs = [
         Request::Hello {
             version: PROTOCOL_VERSION,
@@ -41,13 +47,13 @@ fn sample_requests() -> Vec<Vec<u8>> {
         Request::Batch {
             batch_id: 42,
             ops: vec![
-                IoOp::Read {
+                OpRef::Read {
                     offset: 0,
                     len: 128,
                 },
-                IoOp::Write {
+                OpRef::Write {
                     offset: 128,
-                    data: vec![5; 32],
+                    data: &data,
                 },
             ],
         },
@@ -59,7 +65,7 @@ fn sample_requests() -> Vec<Vec<u8>> {
     reqs.iter()
         .map(|r| {
             let mut wire = Vec::new();
-            write_request(&mut wire, 7, r).unwrap();
+            write_request(&mut wire, 7, r, None).unwrap();
             wire
         })
         .collect()
@@ -123,10 +129,87 @@ fn sample_responses() -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Decoding must never panic; only Ok or a clean error may come back.
+/// Decoding must never panic; only Ok or a clean error may come back,
+/// and what decodes holds the caps.
 fn decode_both(bytes: &[u8]) {
-    let _ = read_request(&mut &bytes[..]);
-    let _ = read_response(&mut &bytes[..]);
+    let mut frame = Vec::new();
+    if let Ok((_, Request::Batch { ops, .. }, _)) = read_request(&mut &bytes[..], &mut frame) {
+        assert!(ops.len() <= MAX_BATCH_OPS as usize);
+        let budget: usize = ops.iter().map(OpRef::byte_len).sum();
+        assert!(budget <= MAX_IO_BYTES as usize);
+    }
+    if let Ok((_, Response::Batched(results))) = read_response(&mut &bytes[..]) {
+        assert!(results.len() <= MAX_BATCH_OPS as usize);
+    }
+}
+
+/// A request frame of `opcode` around `payload`.
+fn request_frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(13 + payload.len());
+    frame.extend_from_slice(&(9 + payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&1u64.to_le_bytes());
+    frame.push(opcode);
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// A response frame of `status` around `payload`, its checksum right.
+fn response_frame(status: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(17 + payload.len());
+    frame.extend_from_slice(&(13 + payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&1u64.to_le_bytes());
+    frame.push(status);
+    frame.extend_from_slice(&stair_gf::fletcher32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// A BATCH reply carrying a 0-byte read, a 3-byte read, a 4 KiB read
+/// and a write outcome, as `write_response` frames it.
+fn mixed_reply() -> (Response, Vec<u8>) {
+    // No data byte reads as a reply kind (0 or 1), so a misparse that
+    // lands in the data cannot look like a reply.
+    let page: Vec<u8> = (0..4096).map(|i| 2 + (i % 200) as u8).collect();
+    let resp = Response::Batched(vec![
+        OpResult::Read(Vec::new()),
+        OpResult::Read(vec![0xA1, 0xB2, 0xC3]),
+        OpResult::Read(page),
+        OpResult::Write(WriteOutcome {
+            bytes: 5,
+            blocks_written: 1,
+            stripes_touched: 1,
+            full_stripe_encodes: 0,
+            delta_updates: 1,
+        }),
+    ]);
+    let mut wire = Vec::new();
+    write_response(&mut wire, 9, &resp).unwrap();
+    (resp, wire)
+}
+
+/// Which bytes of [`mixed_reply`]'s payload steer the parse (the count,
+/// each reply's kind, each read's length) rather than carry data.
+fn structural_bytes(resp: &Response) -> Vec<std::ops::Range<usize>> {
+    let Response::Batched(results) = resp else {
+        unreachable!()
+    };
+    // The reply count, then per reply its kind (and a read's length).
+    let mut out = Vec::new();
+    out.push(0..4);
+    let mut at = 4;
+    for r in results {
+        match r {
+            OpResult::Read(data) => {
+                out.push(at..at + 5);
+                at += 5 + data.len();
+            }
+            OpResult::Write(_) => {
+                out.push(at..at + 1);
+                at += 41;
+            }
+        }
+    }
+    out
 }
 
 proptest! {
@@ -149,12 +232,47 @@ proptest! {
         decode_both(&frame);
     }
 
+    /// Random BATCH bodies behind a valid request header never panic
+    /// the borrowing decoder, and what decodes holds the caps.
+    #[test]
+    fn random_batch_request_bodies_never_panic(
+        body in proptest::collection::vec(any::<u8>(), 0..160),
+        count in 0u32..6,
+        lens in proptest::collection::vec(0u32..64, 6),
+    ) {
+        // Half-plausible: a batch id, a small count, then ops whose
+        // kinds and lengths are random around the real layout.
+        let mut payload = 77u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&count.to_le_bytes());
+        for (k, len) in lens.iter().take(count as usize).enumerate() {
+            payload.push(body.get(k).copied().unwrap_or(0) % 3);
+            payload.extend_from_slice(&(k as u64 * 64).to_le_bytes());
+            payload.extend_from_slice(&len.to_le_bytes());
+            payload.extend_from_slice(&body[..(*len as usize).min(body.len())]);
+        }
+        decode_both(&request_frame(Opcode::Batch as u8, &payload));
+        decode_both(&request_frame(Opcode::Batch as u8, &body));
+    }
+
+    /// Random BATCH reply bodies with a matching checksum never panic
+    /// the streamed decoder, and what decodes holds the caps.
+    #[test]
+    fn random_batch_reply_bodies_never_panic(
+        body in proptest::collection::vec(any::<u8>(), 0..160),
+        count in 0u32..6,
+    ) {
+        let mut payload = count.to_le_bytes().to_vec();
+        payload.extend_from_slice(&body);
+        decode_both(&response_frame(Opcode::Batch as u8, &payload));
+        decode_both(&response_frame(Opcode::Batch as u8, &body));
+    }
+
     /// Every truncation of every valid frame is a clean error.
     #[test]
     fn truncated_valid_frames_are_clean_errors(seed in any::<u64>()) {
         for wire in sample_requests() {
             let cut = (seed as usize) % wire.len();
-            prop_assert!(read_request(&mut &wire[..cut]).is_err());
+            prop_assert!(read_request(&mut &wire[..cut], &mut Vec::new()).is_err());
         }
         for wire in sample_responses() {
             let cut = (seed as usize) % wire.len();
@@ -162,31 +280,115 @@ proptest! {
         }
     }
 
-    /// Flipping any single byte of a valid response is either still a
+    /// Flipping any single bit of a valid request is either still a
     /// parse (requests carry no checksum; some flips land in payload
     /// bytes of another valid frame) or a clean error — never a panic.
-    /// Flips inside the response payload specifically must be caught
-    /// by the checksum.
     #[test]
-    fn bit_flips_never_panic_and_payload_flips_fail_checksum(seed in any::<u64>()) {
+    fn request_bit_flips_never_panic(seed in any::<u64>()) {
         for wire in sample_requests() {
             let mut bent = wire.clone();
             let at = (seed as usize) % bent.len();
             bent[at] ^= 1 << (seed % 8) as u8;
             decode_both(&bent);
         }
-        // Response payload flips: bytes past the 17-byte envelope
-        // (len + id + status + checksum) are checksummed.
-        let mut wire = Vec::new();
-        let resp = Response::Batched(vec![OpResult::Read(vec![0xAB; 64])]);
-        write_response(&mut wire, 1, &resp).unwrap();
-        let at = 17 + (seed as usize) % (wire.len() - 17);
-        wire[at] ^= 0xFF;
-        match read_response(&mut wire.as_slice()) {
-            Err(NetError::Checksum { .. }) => {}
-            other => prop_assert!(false, "payload flip must fail the checksum, got {other:?}"),
+    }
+}
+
+/// A BATCH reply cut at any byte is an error, never a short result.
+#[test]
+fn a_reply_cut_at_every_byte_is_an_error() {
+    let (resp, wire) = mixed_reply();
+    assert_eq!(read_response(&mut wire.as_slice()).unwrap(), (9, resp));
+    for cut in 0..wire.len() {
+        match read_response(&mut &wire[..cut]) {
+            Err(NetError::Io(_) | NetError::Protocol(_)) => {}
+            other => panic!("cut at {cut} of {}: {other:?}", wire.len()),
         }
     }
+}
+
+/// Every single bit flip of a BATCH reply: in a data byte (read bytes,
+/// write counters) it fails the checksum; in a byte that steers the
+/// parse (count, kind, length) it is a protocol or transport error; in
+/// the header it never passes for the original reply.
+#[test]
+fn every_reply_bit_flip_is_caught() {
+    let (resp, wire) = mixed_reply();
+    let structural = structural_bytes(&resp);
+    for at in 0..wire.len() {
+        for bit in 0..8 {
+            let mut bent = wire.clone();
+            bent[at] ^= 1 << bit;
+            let got = read_response(&mut bent.as_slice());
+            let what = format!("byte {at} bit {bit}: {got:?}");
+            match at {
+                // The length prefix: the frame no longer ends where the
+                // bytes do.
+                0..=3 => assert!(
+                    matches!(got, Err(NetError::Io(_) | NetError::Protocol(_))),
+                    "{what}"
+                ),
+                // The request id: still this reply, for another request.
+                4..=11 => assert!(matches!(got, Ok((id, _)) if id != 9), "{what}"),
+                // The status: never the original reply.
+                12 => assert!(!matches!(&got, Ok((9, r)) if *r == resp), "{what}"),
+                // The checksum itself.
+                13..=16 => assert!(matches!(got, Err(NetError::Checksum { .. })), "{what}"),
+                _ if structural.iter().any(|r| r.contains(&(at - 17))) => assert!(
+                    matches!(got, Err(NetError::Io(_) | NetError::Protocol(_))),
+                    "{what}"
+                ),
+                _ => assert!(matches!(got, Err(NetError::Checksum { .. })), "{what}"),
+            }
+        }
+    }
+}
+
+/// A read length past the frame's remaining bytes, or a reply count
+/// past the op cap, is refused before anything of that size is
+/// allocated; so are request ops past the caps.
+#[test]
+fn lengths_past_the_frame_or_the_caps_are_refused() {
+    for len in [4u32, 1 << 20, MAX_IO_BYTES, u32::MAX] {
+        let mut payload = 1u32.to_le_bytes().to_vec();
+        payload.push(0);
+        payload.extend_from_slice(&len.to_le_bytes());
+        payload.extend_from_slice(&[7, 7, 7]);
+        match read_response(&mut response_frame(Opcode::Batch as u8, &payload).as_slice()) {
+            Err(NetError::Protocol(msg)) => assert!(msg.contains("exceeds"), "{len}: {msg}"),
+            other => panic!("a {len}-byte read in a 3-byte frame: {other:?}"),
+        }
+    }
+    let payload = (MAX_BATCH_OPS + 1).to_le_bytes();
+    assert!(matches!(
+        read_response(&mut response_frame(Opcode::Batch as u8, &payload).as_slice()),
+        Err(NetError::Protocol(_))
+    ));
+    // A request whose op count or one op's length passes its cap.
+    for (count, len) in [(MAX_BATCH_OPS + 1, 0), (1, MAX_IO_BYTES + 1), (1, u32::MAX)] {
+        let mut payload = 5u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&count.to_le_bytes());
+        payload.push(1);
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.extend_from_slice(&len.to_le_bytes());
+        let frame = request_frame(Opcode::Batch as u8, &payload);
+        assert!(matches!(
+            read_request(&mut frame.as_slice(), &mut Vec::new()),
+            Err(NetError::Protocol(_))
+        ));
+    }
+    // A write longer than what its frame holds.
+    let mut payload = 5u64.to_le_bytes().to_vec();
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.push(1);
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.extend_from_slice(&64u32.to_le_bytes());
+    payload.extend_from_slice(&[1; 63]);
+    let frame = request_frame(Opcode::Batch as u8, &payload);
+    assert!(matches!(
+        read_request(&mut frame.as_slice(), &mut Vec::new()),
+        Err(NetError::Protocol(_))
+    ));
 }
 
 #[test]
@@ -194,7 +396,7 @@ fn oversized_length_prefixes_are_rejected_without_allocating() {
     for len in [MAX_FRAME + 1, u32::MAX] {
         let frame = len.to_le_bytes().to_vec();
         assert!(matches!(
-            read_request(&mut frame.as_slice()),
+            read_request(&mut frame.as_slice(), &mut Vec::new()),
             Err(NetError::Protocol(_))
         ));
         assert!(matches!(
@@ -218,7 +420,8 @@ fn only_the_dense_opcode_table_decodes() {
         frame.extend_from_slice(&9u32.to_le_bytes());
         frame.extend_from_slice(&1u64.to_le_bytes());
         frame.push(byte);
-        let got = read_request(&mut frame.as_slice());
+        let mut buf = Vec::new();
+        let got = read_request(&mut frame.as_slice(), &mut buf);
         if !(1..=n).contains(&(byte & !TRACE_FLAG)) {
             assert!(
                 matches!(got, Err(NetError::Protocol(_))),
@@ -256,7 +459,7 @@ fn unknown_batch_kinds_are_rejected() {
     frame.extend_from_slice(&1u64.to_le_bytes());
     frame.push(Opcode::Batch as u8);
     frame.extend_from_slice(&payload);
-    match read_request(&mut frame.as_slice()) {
+    match read_request(&mut frame.as_slice(), &mut Vec::new()) {
         Err(NetError::Protocol(msg)) => assert!(msg.contains("kind 7"), "{msg}"),
         other => panic!("expected a protocol error, got {other:?}"),
     }
@@ -290,7 +493,7 @@ fn hello_of_any_other_version_is_refused_by_a_live_server() {
             continue;
         }
         let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-        write_request(&mut stream, 3, &Request::Hello { version }).expect("send");
+        write_request(&mut stream, 3, &Request::Hello { version }, None).expect("send");
         match read_response(&mut stream) {
             Ok((3, Response::Error(msg))) => {
                 assert!(msg.contains(&format!("v{version}")), "{msg}");

@@ -45,7 +45,8 @@ fn fake_server(version: u32) -> (String, std::thread::JoinHandle<u32>) {
     let addr = listener.local_addr().unwrap().to_string();
     let join = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
-        let (id, req) = read_request(&mut stream).expect("HELLO frame");
+        let mut frame = Vec::new();
+        let (id, req, _) = read_request(&mut stream, &mut frame).expect("HELLO frame");
         let Request::Hello { version: offered } = req else {
             panic!("first frame must be HELLO, got {req:?}")
         };
@@ -68,7 +69,7 @@ fn a_client_of_any_other_version_is_refused_at_hello() {
     let (addr, stop) = start_server("client");
     for offered in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, 0, u32::MAX] {
         let mut stream = TcpStream::connect(&addr).expect("connect");
-        write_request(&mut stream, 1, &Request::Hello { version: offered }).expect("HELLO");
+        write_request(&mut stream, 1, &Request::Hello { version: offered }, None).expect("HELLO");
         let (id, resp) = read_response(&mut stream).expect("a clean reply, not a hangup");
         assert_eq!(id, 1);
         let Response::Error(msg) = resp else {

@@ -56,9 +56,6 @@ impl StripeStore {
     pub fn repair(&self, threads: usize) -> Result<RepairReport, Error> {
         let threads = threads.max(1);
         let sh = &self.shared;
-        sh.counters
-            .repair_stripes_done
-            .store(0, std::sync::atomic::Ordering::Relaxed);
 
         // Phase 1: attach replacement files for failed devices. Devices
         // already in `Rebuilding` (an interrupted earlier pass) are picked
@@ -91,6 +88,12 @@ impl StripeStore {
         } else {
             (0..sh.meta.stripes).collect()
         };
+        // The progress gauge starts at the stripes this pass has nothing
+        // to do for and climbs to the stripe count as workers finish.
+        sh.counters.repair_stripes_done.store(
+            sh.meta.stripes.saturating_sub(work.len()) as u64,
+            std::sync::atomic::Ordering::Relaxed,
+        );
 
         let shard = work.len().div_ceil(threads).max(1);
         let results = std::thread::scope(|scope| {

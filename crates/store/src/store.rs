@@ -139,7 +139,8 @@ pub(crate) struct Counters {
     /// watches it climb from 0 to the stripe count.
     pub(crate) scrub_stripes_done: AtomicU64,
     /// Progress gauge: stripes completed by the current (or last)
-    /// repair pass.
+    /// repair pass. A pass starts it at the stripes it has no work for,
+    /// so it, too, ends at the stripe count.
     pub(crate) repair_stripes_done: AtomicU64,
     /// Journal records replayed at open (0 after a clean shutdown).
     pub(crate) journal_replayed: AtomicU64,

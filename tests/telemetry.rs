@@ -411,6 +411,12 @@ fn one_session_produces_exactly_the_documented_telemetry() {
     assert!(dev.read_at(0, capacity).is_err(), "read beyond coverage");
     let snap = dev.metrics().expect("metrics");
     drain(&mut seen);
+    // Both progress gauges end their pass at the stripe count, summed
+    // over the shards: the repair gauge too, on the shard it had nothing
+    // to rebuild on.
+    let stripes = 2 * opts.stripes as i64;
+    assert_eq!(snap.gauge("store.scrub.stripes_done"), Some(stripes));
+    assert_eq!(snap.gauge("store.repair.stripes_done"), Some(stripes));
 
     drop(dev);
     handle.shutdown();
