@@ -20,8 +20,16 @@
 //! The child and parent share one deterministic model: batch `k`'s
 //! block set and fill bytes derive from `(seed, k)` via a xorshift
 //! generator, so the parent reconstructs every write the child could
-//! have issued without any side channel beyond the `ack <k>` lines the
+//! have issued without any side channel beyond the `ack <k> <h>` lines the
 //! child prints after each successful submit.
+//!
+//! Every store the harness creates gets a [`JOURNAL_SEGMENT`]-byte
+//! journal segment (written into its superblock before the first child
+//! opens it), so each child life fills segments and hands them off to
+//! the checkpoint thread many times, and kills land inside hand-offs
+//! and background checkpoints. Each ack line also carries the
+//! checkpoints the child's store completed since its open; the report
+//! sums them per backend as `handoffs`.
 //!
 //! Flags: `--json <path>` writes a machine-readable report.
 //! Environment: `STAIR_CHAOS_ITERS` (iterations per backend, default
@@ -36,9 +44,9 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use stair_device::{BlockDevice, DeviceSpec, IoBatch};
-use stair_net::{open_device, ShardSet};
+use stair_net::{open_device, shard_dir_name, ShardSet};
 use stair_obs::json::Json;
-use stair_store::{StoreOptions, StripeStore};
+use stair_store::{StoreMeta, StoreOptions, StripeStore};
 
 /// Small geometry: crashes must land inside multi-stripe batches, not
 /// take minutes to verify.
@@ -51,6 +59,9 @@ fn opts() -> StoreOptions {
 }
 
 const SHARDS: usize = 2;
+/// Journal segment of every store the harness creates: small enough that
+/// a child life of 64-byte-sector batches crosses many hand-offs.
+const JOURNAL_SEGMENT: u64 = 16 * 1024;
 /// Upper bound on batches per child life; the kill almost always lands
 /// far earlier.
 const MAX_BATCHES: u64 = 100_000;
@@ -107,11 +118,19 @@ fn fill(seed: u64, k: u64, b: usize, block: usize) -> Vec<u8> {
 // Child: stream batches, ack each durable submit, die by SIGKILL
 // ---------------------------------------------------------------------
 
+/// Journal checkpoints `dev`'s stores have completed since they opened.
+fn checkpoints(dev: &dyn BlockDevice) -> u64 {
+    let metrics = dev.metrics().expect("child metrics");
+    metrics.counter("store.jrnl.checkpoints").unwrap_or(0)
+}
+
 fn child(spec: &str, seed: u64) -> ! {
     let spec: DeviceSpec = spec.parse().expect("child device spec");
     let dev = open_device(&spec).expect("child open");
     let block = dev.block_size();
     let total_blocks = dev.capacity() as usize / block;
+    // The open's own checkpoint (after replay) is not a hand-off.
+    let at_open = checkpoints(dev.as_ref());
     let stdout = std::io::stdout();
     for k in 0..MAX_BATCHES {
         let mut batch = IoBatch::new();
@@ -122,11 +141,19 @@ fn child(spec: &str, seed: u64) -> ! {
         // The ack line is the acknowledgment the parent audits: it is
         // only written after submit returned, so once the parent reads
         // `ack k`, batch k's bytes must survive any later kill.
+        let handoffs = checkpoints(dev.as_ref()) - at_open;
         let mut out = stdout.lock();
-        writeln!(out, "ack {k}").expect("child ack");
+        writeln!(out, "ack {k} {handoffs}").expect("child ack");
         out.flush().expect("child ack flush");
     }
     std::process::exit(0)
+}
+
+/// Gives the store in `dir` a [`JOURNAL_SEGMENT`]-byte segment.
+fn shrink_journal(dir: &std::path::Path) -> Result<(), String> {
+    let mut meta = StoreMeta::load(dir).map_err(|e| format!("load superblock: {e}"))?;
+    meta.journal_segment = JOURNAL_SEGMENT;
+    meta.save(dir).map_err(|e| format!("save superblock: {e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -139,6 +166,9 @@ struct BackendTally {
     total_acked: u64,
     unclean_opens: u64,
     total_replayed: u64,
+    /// Checkpoints the children completed after their opens: hand-offs
+    /// whose background checkpoint finished before the kill.
+    handoffs: u64,
     failures: Vec<String>,
 }
 
@@ -182,6 +212,7 @@ fn parent(args: &[String]) -> ! {
             total_acked: 0,
             unclean_opens: 0,
             total_replayed: 0,
+            handoffs: 0,
             failures: Vec::new(),
         };
         for iter in 0..iters {
@@ -194,9 +225,10 @@ fn parent(args: &[String]) -> ! {
             }
         }
         println!(
-            "-- {backend}: {} iter(s), {} acked batch(es), {} unclean open(s), {} record(s) replayed, {} failure(s)",
+            "-- {backend}: {} iter(s), {} acked batch(es), {} hand-off(s), {} unclean open(s), {} record(s) replayed, {} failure(s)",
             tally.iterations,
             tally.total_acked,
+            tally.handoffs,
             tally.unclean_opens,
             tally.total_replayed,
             tally.failures.len()
@@ -233,10 +265,14 @@ fn run_iteration(
     let spec_str = match backend {
         "file" => {
             StripeStore::create(&dir, &opts()).map_err(|e| format!("create: {e}"))?;
+            shrink_journal(&dir)?;
             format!("file:{}", dir.display())
         }
         "shards" => {
             ShardSet::create(&dir, SHARDS, &opts()).map_err(|e| format!("create: {e}"))?;
+            for shard in 0..SHARDS {
+                shrink_journal(&dir.join(shard_dir_name(shard)))?;
+            }
             format!("shards:{}?n={SHARDS}", dir.display())
         }
         // Write-through cache over a file store: the wrapper forwards
@@ -246,6 +282,7 @@ fn run_iteration(
         // shipping default.)
         "cache" => {
             StripeStore::create(&dir, &opts()).map_err(|e| format!("create: {e}"))?;
+            shrink_journal(&dir)?;
             format!("cache:file:{}?mb=1", dir.display())
         }
         other => return Err(format!("unknown STAIR_CHAOS_BACKENDS entry `{other}`")),
@@ -265,16 +302,20 @@ fn run_iteration(
     // Count the contiguous ack prefix; a partial final line (killed
     // mid-print) parses as absent, which only makes the check stricter.
     let mut acks: u64 = 0;
+    let mut handoffs: u64 = 0;
     for line in String::from_utf8_lossy(&out.stdout).lines() {
-        match line
-            .strip_prefix("ack ")
-            .and_then(|n| n.parse::<u64>().ok())
-        {
-            Some(k) if k == acks => acks += 1,
+        let mut fields = line.strip_prefix("ack ").unwrap_or("").split(' ');
+        let mut number = || fields.next().and_then(|n| n.parse::<u64>().ok());
+        match (number(), number()) {
+            (Some(k), Some(h)) if k == acks => {
+                acks += 1;
+                handoffs = h;
+            }
             _ => break,
         }
     }
     tally.total_acked += acks;
+    tally.handoffs += handoffs;
 
     // Reopen: journal replay happens inside open.
     let spec: DeviceSpec = spec_str.parse().map_err(|e| format!("spec: {e}"))?;
@@ -343,6 +384,7 @@ fn report(tallies: &[BackendTally], iters: u64, seed: u64) -> Json {
                 ("symbol", Json::int(opts().symbol)),
                 ("stripes", Json::int(opts().stripes)),
                 ("shards", Json::int(SHARDS)),
+                ("journal_segment", Json::int64(JOURNAL_SEGMENT)),
                 ("iterations_per_backend", Json::int64(iters)),
                 ("seed", Json::int64(seed)),
             ]),
@@ -354,6 +396,7 @@ fn report(tallies: &[BackendTally], iters: u64, seed: u64) -> Json {
                     ("backend", Json::str(t.backend.clone())),
                     ("iterations", Json::int64(t.iterations)),
                     ("acked_batches", Json::int64(t.total_acked)),
+                    ("handoffs", Json::int64(t.handoffs)),
                     ("unclean_opens", Json::int64(t.unclean_opens)),
                     ("replayed_records", Json::int64(t.total_replayed)),
                     ("failures", Json::int(t.failures.len())),

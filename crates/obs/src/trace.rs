@@ -99,6 +99,9 @@ pub mod names {
     pub const JRNL_APPEND: &str = "jrnl.append";
     /// Replaying journal records at store open.
     pub const JRNL_REPLAY: &str = "jrnl.replay";
+    /// A journal checkpoint: the checkpoint thread's (a root of its
+    /// own) or a synchronous one (`flush`, open, drop).
+    pub const JRNL_CHECKPOINT: &str = "jrnl.checkpoint";
     /// Filling read-cache frames from the inner device on a miss.
     pub const CACHE_FILL: &str = "cache.fill";
     /// Draining the write-back buffer as one coalesced batch.
@@ -131,6 +134,7 @@ pub mod names {
         BENCH_SUBMIT,
         JRNL_APPEND,
         JRNL_REPLAY,
+        JRNL_CHECKPOINT,
         CACHE_FILL,
         WB_FLUSH,
     ];

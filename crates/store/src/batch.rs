@@ -277,9 +277,10 @@ impl StripeStore {
         let reserve: Vec<usize> = records.iter().map(|(cells, _)| cells.len()).collect();
         let guard = {
             // Covers the reservation too: when the segment is full that
-            // is a checkpoint — the journal's cost, not the caller's.
+            // is a hand-off, and a wait for the checkpoint thread when
+            // it is still busy — the journal's cost, not the caller's.
             let _span = stair_obs::trace::span(stair_obs::trace::names::JRNL_APPEND);
-            let mut guard = sh.journal.begin(&reserve, || sh.make_durable())?;
+            let mut guard = sh.journal.begin(&reserve)?;
             if let Some(g) = guard.as_mut() {
                 for (stage, (cells, encode)) in staged.iter().zip(&records) {
                     g.append(stage.stripe_idx, cells, *encode);

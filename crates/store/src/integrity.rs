@@ -324,7 +324,9 @@ impl Integrity {
 
     /// Writes every dirty table entry to the table file, one positioned
     /// write per run of consecutive indices, and returns how many writes
-    /// that took.
+    /// that took. A failed write puts back every entry not written yet:
+    /// dropped, it would reach the file only if rewritten, and a
+    /// checkpoint could rewind the journal without it.
     fn write_dirty_runs(&self) -> Result<usize, Error> {
         use std::os::unix::fs::FileExt;
         let dirty: Vec<usize> = std::mem::take(&mut *lock(&self.dirty))
@@ -332,6 +334,7 @@ impl Integrity {
             .collect();
         let checksums = read(&self.checksums);
         let mut raw = Vec::new();
+        let mut written = 0;
         let mut writes = 0;
         for run in dirty.chunk_by(|a, b| *b == a + 1) {
             let first = run[0];
@@ -339,7 +342,12 @@ impl Integrity {
             for sum in &checksums[first..first + run.len()] {
                 raw.extend_from_slice(&sum.to_le_bytes());
             }
-            self.table_file.write_all_at(&raw, first as u64 * 4)?;
+            if let Err(e) = self.table_file.write_all_at(&raw, first as u64 * 4) {
+                drop(checksums);
+                lock(&self.dirty).extend(&dirty[written..]);
+                return Err(e.into());
+            }
+            written += run.len();
             writes += 1;
         }
         Ok(writes)
@@ -392,6 +400,24 @@ mod tests {
         let health = again.health();
         assert_eq!(health.devices[3], DeviceState::Failed);
         assert!(health.bad_sectors.contains(&(1, 1, 0)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_persist_keeps_the_entries_it_did_not_write() {
+        let dir = tmpdir("keep");
+        let mut integ = Integrity::create(&dir, 4, 2, 16, 3).unwrap();
+        integ.record_cells(0, &[((0, 1), &[3u8; 16])]);
+        integ.record_cells(2, &[((1, 2), &[4u8; 16]), ((1, 3), &[5u8; 16])]);
+        let read_only = fs::File::open(dir.join(CHECKSUM_FILE)).unwrap();
+        let writable = std::mem::replace(&mut integ.table_file, read_only);
+        assert!(integ.persist().is_err());
+        integ.table_file = writable;
+        integ.persist().unwrap();
+        let again = Integrity::load(&dir, 4, 2, 3).unwrap();
+        assert!(again.verify(0, 0, 1, &[3u8; 16]));
+        assert!(again.verify(2, 1, 2, &[4u8; 16]));
+        assert!(again.verify(2, 1, 3, &[5u8; 16]));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -94,7 +94,7 @@ pub use device_impl::{gf_metrics, repair_outcome, scrub_outcome};
 pub use error::Error;
 pub use inject::InjectionOutcome;
 pub use integrity::{BadSector, DeviceState, Health};
-pub use journal::{Journal, DEFAULT_JOURNAL_SEGMENT, JOURNAL_FILE};
+pub use journal::{Journal, DEFAULT_JOURNAL_SEGMENT, JOURNAL_FILES};
 pub use layout::{BlockLocation, BlockMap};
 pub use meta::StoreMeta;
 pub use repair::RepairReport;

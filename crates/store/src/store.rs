@@ -164,8 +164,10 @@ pub(crate) struct Shared {
     pub(crate) codec: Box<dyn ErasureCode>,
     pub(crate) geometry: Geometry,
     pub(crate) blocks: BlockMap,
-    pub(crate) devices: DeviceSet,
-    pub(crate) integrity: Integrity,
+    /// Shared with the journal's checkpoint thread, which makes them
+    /// durable.
+    pub(crate) devices: Arc<DeviceSet>,
+    pub(crate) integrity: Arc<Integrity>,
     pub(crate) counters: Counters,
     pub(crate) journal: Journal,
     /// Sticky: whether the superblock said the *previous* close was
@@ -187,29 +189,42 @@ type Spare = (Vec<CellIdx>, Vec<u8>);
 /// ever read, one per connection on a server.
 const SPARE_SECTOR_BUFFERS: usize = 4;
 
-impl Shared {
-    /// What every checkpoint runs before the journal is rewound, in
-    /// this order: the device files are flushed, the dirty checksum
-    /// entries (and the health record) written, then the table file
-    /// flushed too — a table left in the page cache with the journal
-    /// already empty would, after a power loss, read every sector
-    /// written since its last flush as corrupt.
-    pub(crate) fn make_durable(&self) -> Result<(), Error> {
-        self.devices.sync()?;
-        self.integrity.persist()?;
-        self.integrity.sync_table()
-    }
+/// What every checkpoint runs before a journal segment is rewound, in
+/// this order — the synchronous ones and the checkpoint thread's alike:
+/// the device files are flushed, the dirty checksum entries (and the
+/// health record) written, then the table file flushed too — a table
+/// left in the page cache with the segment already empty would, after a
+/// power loss, read every sector written since its last flush as
+/// corrupt.
+fn make_durable(devices: &DeviceSet, integrity: &Integrity) -> Result<(), Error> {
+    devices.sync()?;
+    integrity.persist()?;
+    integrity.sync_table()
+}
+
+/// The store's journal in `dir`, its checkpoints making `devices` and
+/// `integrity` durable.
+fn open_journal(
+    dir: &Path,
+    meta: &StoreMeta,
+    devices: &Arc<DeviceSet>,
+    integrity: &Arc<Integrity>,
+) -> Result<Journal, Error> {
+    let (devices, integrity) = (Arc::clone(devices), Arc::clone(integrity));
+    Journal::open_or_create(dir, meta.symbol, meta.journal_segment, move || {
+        make_durable(&devices, &integrity)
+    })
 }
 
 impl Drop for Shared {
     /// Best-effort clean shutdown on the last handle: make everything
-    /// durable, truncate the journal, and mark the superblock clean. A
+    /// durable, rewind the journal, and mark the superblock clean. A
     /// crash (the whole point of the journal) simply never runs this —
     /// the superblock then still says `clean_shutdown 0` and the next
     /// open replays. Errors are ignored: failing to mark clean only
     /// costs the next open a (correct, idempotent) replay.
     fn drop(&mut self) {
-        if self.journal.checkpoint(|| self.make_durable()).is_ok() {
+        if self.journal.checkpoint().is_ok() {
             let mut meta = self.meta.clone();
             meta.clean_shutdown = true;
             let _ = meta.save(&self.dir);
@@ -256,7 +271,8 @@ impl StripeStore {
         // a failed init never clobbers an existing store's metadata.
         let devices = DeviceSet::create(dir, geometry.n, geometry.r, meta.symbol, meta.stripes)?;
         let integrity = Integrity::create(dir, geometry.n, geometry.r, meta.symbol, meta.stripes)?;
-        let journal = Journal::open_or_create(dir, meta.symbol, meta.journal_segment)?;
+        let (devices, integrity) = (Arc::new(devices), Arc::new(integrity));
+        let journal = open_journal(dir, &meta, &devices, &integrity)?;
         meta.save(dir)?;
         // A fresh store has nothing to recover: report the previous
         // shutdown (vacuously) clean.
@@ -290,7 +306,8 @@ impl StripeStore {
                 });
             }
         }
-        let journal = Journal::open_or_create(dir, meta.symbol, meta.journal_segment)?;
+        let (devices, integrity) = (Arc::new(devices), Arc::new(integrity));
+        let journal = open_journal(dir, &meta, &devices, &integrity)?;
         let was_clean = meta.clean_shutdown;
         meta.clean_shutdown = false;
         let store = Self::assemble(dir, meta, codec, devices, integrity, journal, was_clean)?;
@@ -347,8 +364,8 @@ impl StripeStore {
         sh.counters
             .journal_replayed
             .store(replayed, Ordering::Relaxed);
-        // Make the replayed state durable and truncate the journal.
-        sh.journal.checkpoint(|| sh.make_durable())?;
+        // Make the replayed state durable and rewind the journal.
+        sh.journal.checkpoint()?;
         Ok(replayed)
     }
 
@@ -384,8 +401,8 @@ impl StripeStore {
         dir: &Path,
         meta: StoreMeta,
         codec: Box<dyn ErasureCode>,
-        devices: DeviceSet,
-        integrity: Integrity,
+        devices: Arc<DeviceSet>,
+        integrity: Arc<Integrity>,
         journal: Journal,
         clean_shutdown: bool,
     ) -> Result<Self, Error> {
@@ -486,15 +503,16 @@ impl StripeStore {
     }
 
     /// Persists the checksum table, health record, and device data,
-    /// then truncates the journal — a full checkpoint: after `flush`
+    /// then rewinds both journal segments — a full, synchronous
+    /// checkpoint, after the checkpoint thread's work: after `flush`
     /// returns, nothing depends on the journal any more.
     ///
     /// # Errors
     ///
-    /// Propagates file-system errors.
+    /// Propagates file-system errors, and a background checkpoint's
+    /// failure not reported yet.
     pub fn flush(&self) -> Result<(), Error> {
-        let sh = &self.shared;
-        sh.journal.checkpoint(|| sh.make_durable())
+        self.shared.journal.checkpoint()
     }
 
     // Stripe locks guard no data (`Mutex<()>` taken for mutual exclusion

@@ -30,15 +30,15 @@ fn replaying_a_sparse_gib_segment_holds_only_its_records() {
     let borrowed: Vec<((usize, usize), &[u8])> =
         cells.iter().map(|(c, d)| (*c, d.as_slice())).collect();
     {
-        let j = Journal::open_or_create(&dir, symbol, 1 << 30).unwrap();
+        let j = Journal::open_or_create(&dir, symbol, 1 << 30, || Ok(())).unwrap();
         for stripe in 0..3 {
-            let mut g = j.begin(&[cells.len()], || Ok(())).unwrap().unwrap();
+            let mut g = j.begin(&[cells.len()]).unwrap().unwrap();
             g.append(stripe, &borrowed, false);
             g.sync().unwrap();
         }
     }
     // Reopened, the segment is 1 GiB long as far as the open can tell.
-    let j = Journal::open_or_create(&dir, symbol, 1 << 30).unwrap();
+    let j = Journal::open_or_create(&dir, symbol, 1 << 30, || Ok(())).unwrap();
     let before = vm_hwm_kib();
     let mut stripes = Vec::new();
     let replayed = j

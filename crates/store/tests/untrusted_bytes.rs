@@ -7,7 +7,10 @@
 //!
 //! Every case starts from a copy of the committed `parent_store`
 //! fixture (`stair:8,4,2,1-1-2`, 64-byte sectors, 2 stripes, one
-//! journal record waiting to replay) and mutates one file: bit flips,
+//! journal record waiting to replay; written before the journal had a
+//! second segment, which the open creates empty) and mutates one file —
+//! or writes the second segment, a copy of the first whose record
+//! continues it, mutated the same ways: bit flips,
 //! truncations, integer fields at 0 / 1 / 2ᵏ / `usize::MAX`, unknown and
 //! duplicated keys, length prefixes that overrun, and journal fields
 //! forged under a recomputed checksum (so the decoder, not the
@@ -20,17 +23,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use stair_gf::fletcher32;
-use stair_store::{StripeStore, JOURNAL_FILE};
+use stair_store::{StripeStore, JOURNAL_FILES};
 
 const META: &str = "store.meta";
 const HEALTH: &str = "health.txt";
 
-/// The fixture's state files (everything but `expected.bin`).
+/// The fixture's state files (everything but `expected.bin`). A
+/// one-segment build wrote it, so it has no second journal segment: the
+/// open creates that one empty, and the mutations that forge it write
+/// it themselves.
 const STATE_FILES: &[&str] = &[
     META,
     "checksums.bin",
     HEALTH,
-    JOURNAL_FILE,
+    JOURNAL_FILES[0],
     "dev_00.stair",
     "dev_01.stair",
     "dev_02.stair",
@@ -102,17 +108,37 @@ fn meta_with(key: &str, value: &str) -> String {
     out
 }
 
-/// The journal with `u32` field `at` set to `value`; `seal` recomputes
-/// the first record's checksum so the forgery reaches the decoder.
-fn journal_with(at: usize, value: u32, seal: bool) -> Vec<u8> {
-    let mut j = fixture(JOURNAL_FILE);
+/// Recomputes the first record's checksum of journal segment `j`.
+fn reseal(j: &mut [u8]) {
+    let len = u32::from_le_bytes(j[RECORD..RECORD + 4].try_into().unwrap()) as usize;
+    let sum = fletcher32(&j[BODY..BODY + len]);
+    j[RECORD + 4..BODY].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// The fixture's journal as a second segment: its one record numbered
+/// one past the first segment's, so it continues that sequence.
+fn continuing() -> Vec<u8> {
+    let mut j = fixture(JOURNAL_FILES[0]);
+    let seq = u64::from_le_bytes(j[BODY..BODY + 8].try_into().unwrap());
+    j[BODY..BODY + 8].copy_from_slice(&(seq + 1).to_le_bytes());
+    reseal(&mut j);
+    j
+}
+
+/// Journal segment `j` with `u32` field `at` set to `value`; `seal`
+/// recomputes the first record's checksum so the forgery reaches the
+/// decoder.
+fn forged(mut j: Vec<u8>, at: usize, value: u32, seal: bool) -> Vec<u8> {
     j[at..at + 4].copy_from_slice(&value.to_le_bytes());
     if seal {
-        let len = u32::from_le_bytes(j[RECORD..RECORD + 4].try_into().unwrap()) as usize;
-        let sum = fletcher32(&j[BODY..BODY + len]);
-        j[RECORD + 4..BODY].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut j);
     }
     j
+}
+
+/// The journal with `u32` field `at` set to `value`, as [`forged`].
+fn journal_with(at: usize, value: u32, seal: bool) -> Vec<u8> {
+    forged(fixture(JOURNAL_FILES[0]), at, value, seal)
 }
 
 /// One mutation, chosen by `kind`, parameterised by `pick` (a position
@@ -125,10 +151,9 @@ fn mutate(kind: usize, pick: u64, n: u64) -> (String, &'static str, Vec<u8>) {
         }
         b
     };
-    let cut = |name: &str| {
-        let b = fixture(name);
-        b[..(pick % (b.len() as u64 + 1)) as usize].to_vec()
-    };
+    let cut_bytes = |b: Vec<u8>| b[..(pick % (b.len() as u64 + 1)) as usize].to_vec();
+    let cut = |name: &str| cut_bytes(fixture(name));
+    let second = JOURNAL_FILES[1];
     let field = ["symbol", "stripes", "journal_segment", "clean_shutdown"][(pick % 4) as usize];
     let journal_field = [BODY, BODY + 8, BODY + 12, BODY + 16, BODY + 20][(pick % 5) as usize];
     let health_line = match pick % 4 {
@@ -157,35 +182,60 @@ fn mutate(kind: usize, pick: u64, n: u64) -> (String, &'static str, Vec<u8>) {
         }
         4 => (
             format!("bit {pick} flipped"),
-            JOURNAL_FILE,
-            flip(fixture(JOURNAL_FILE)),
+            JOURNAL_FILES[0],
+            flip(fixture(JOURNAL_FILES[0])),
         ),
-        5 => (format!("cut at {pick}"), JOURNAL_FILE, cut(JOURNAL_FILE)),
+        5 => (
+            format!("cut at {pick}"),
+            JOURNAL_FILES[0],
+            cut(JOURNAL_FILES[0]),
+        ),
         6 => (
             format!("u32 at {journal_field} = {n} (resealed)"),
-            JOURNAL_FILE,
+            JOURNAL_FILES[0],
             journal_with(journal_field, n as u32, true),
         ),
         7 => (
             format!("length prefix {n}"),
-            JOURNAL_FILE,
+            JOURNAL_FILES[0],
             journal_with(RECORD, n as u32, false),
         ),
         8 => (health_line.clone(), HEALTH, health_line.into_bytes()),
-        _ => (
+        9 => (
             format!("{health_line:?}, bit {pick} flipped"),
             HEALTH,
             flip(health_line.into_bytes()),
+        ),
+        10 => (
+            format!("second segment, bit {pick} flipped"),
+            second,
+            flip(continuing()),
+        ),
+        11 => (
+            format!("second segment cut at {pick}"),
+            second,
+            cut_bytes(continuing()),
+        ),
+        12 => (
+            format!("second segment, u32 at {journal_field} = {n} (resealed)"),
+            second,
+            forged(continuing(), journal_field, n as u32, true),
+        ),
+        _ => (
+            format!("second segment, length prefix {n}"),
+            second,
+            forged(continuing(), RECORD, n as u32, false),
         ),
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    // ≈ 26 cases per mutation kind.
+    #![proptest_config(ProptestConfig::with_cases(360))]
 
     #[test]
     fn mutated_state_files_never_panic_the_store(
-        kind in 0usize..10,
+        kind in 0usize..14,
         pick in any::<u64>(),
         which in 0usize..66,
     ) {
@@ -193,6 +243,22 @@ proptest! {
         let (case, file, bytes) = mutate(kind, pick, n);
         survives(&case, file, &bytes);
     }
+}
+
+/// The unmutated second segment replays after the first: both records.
+#[test]
+fn a_second_segment_that_continues_the_first_replays_after_it() {
+    let dir = std::env::temp_dir().join(format!("stair-untrusted-second-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for name in STATE_FILES {
+        std::fs::write(dir.join(name), fixture(name)).unwrap();
+    }
+    std::fs::write(dir.join(JOURNAL_FILES[1]), continuing()).unwrap();
+    let store = StripeStore::open(&dir).unwrap();
+    assert_eq!(store.status().replayed_records, 2);
+    assert!(store.scrub(2).unwrap().clean());
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Every integer field at every value in [`numbers`], exhaustively —
@@ -287,6 +353,6 @@ fn journal_lengths_past_a_window_edge_and_past_the_file() {
         ),
         ("length far past the file", padded(u32::MAX, false)),
     ] {
-        assert!(survives(case, JOURNAL_FILE, &bytes), "{case}");
+        assert!(survives(case, JOURNAL_FILES[0], &bytes), "{case}");
     }
 }
